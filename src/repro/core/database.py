@@ -341,34 +341,36 @@ class PirDatabase:
 
     def run_batch(self, ops: Sequence[BatchOp],
                   window: Optional[int] = None) -> List[object]:
-        """Execute a batch through the fused one-disk-pass-per-window path.
+        """Execute a batch with one disk pass per round-robin window.
 
-        Ops are grouped into round-robin windows of up to ``k`` operations;
-        each window reads the k-frame block once and commits one journaled
+        Ops are grouped into windows of up to ``k`` operations; each
+        window reads the k-frame block once and commits one journaled
         write-back (see :meth:`RetrievalEngine.run_batch`).  Returns one
         result per op, positionally: the payload bytes for ``query``, the
         new page id for ``insert``, ``None`` for update/delete/touch, or
         the exception instance for a failed slot.  Payloads are
-        byte-identical to running the same op sequence through the serial
-        methods — only the physical trace differs.
+        byte-identical to running the same op sequence through the per-op
+        methods (windows of one) — only the physical trace differs.
         """
         results = self.engine.run_batch(ops, window=window)
-        if self.replication is not None:
-            for op, item in zip(ops, results):
-                if isinstance(item, Exception):
-                    self._emit("noop")
-                elif op.kind == "update":
-                    self._emit("write", op.page_id, op.payload)
-                elif op.kind == "insert":
-                    self._emit("write", item, op.payload)
-                elif op.kind == "delete":
-                    self._emit("delete", op.page_id)
-                else:  # query / touch
-                    self._emit("noop")
-        return [
-            bytes(item.payload) if isinstance(item, Page) else item
-            for item in results
-        ]
+        for slot, (op, item) in enumerate(zip(ops, results)):
+            if isinstance(item, Page):
+                # The query contract of :meth:`query`, at the op's turn.
+                results[slot] = item = (
+                    PageDeletedError(f"page {op.page_id} is deleted")
+                    if item.deleted else item.payload
+                )
+            if isinstance(item, Exception):
+                self._emit("noop")
+            elif op.kind == "update":
+                self._emit("write", op.page_id, op.payload)
+            elif op.kind == "insert":
+                self._emit("write", item, op.payload)
+            elif op.kind == "delete":
+                self._emit("delete", op.page_id)
+            else:  # query / touch
+                self._emit("noop")
+        return results
 
     def recover(self):
         """Repair a torn write-back after a crash (see engine ``recover``).

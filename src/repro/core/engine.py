@@ -18,6 +18,11 @@ crypto engine per request (Eq. 8), with *zero* dependence of the trace shape
 on the operation type or on cache hits — the property §4.3 sells for update
 privacy and the tests verify byte-for-byte on the trace.
 
+There is one request path: a single operation is a *window of one*, and
+:meth:`RetrievalEngine.run_batch` serves up to k operations from one scan of
+the block — steps 2, 4 and 5 once per op, steps 1, 3 and 6 once per window,
+``k + B`` frames each way instead of ``B(k + 1)`` (DESIGN.md §14).
+
 Crash consistency
 -----------------
 
@@ -58,7 +63,6 @@ from ..errors import (
     CapacityError,
     ConfigurationError,
     CryptoError,
-    PageDeletedError,
     PageNotFoundError,
     RecoveryError,
     ReproError,
@@ -81,7 +85,7 @@ BATCH_KINDS = ("query", "update", "insert", "delete", "touch")
 
 @dataclass(frozen=True)
 class BatchOp:
-    """One logical operation inside a fused batch.
+    """One logical operation of a request window.
 
     ``kind`` is one of :data:`BATCH_KINDS`; ``page_id`` is required for
     query/update/delete and ``payload`` for update/insert.  The engine
@@ -205,33 +209,31 @@ class RetrievalEngine:
 
     def retrieve(self, page_id: int) -> Page:
         """Q(i): privately fetch page ``page_id`` (Figure 3's Retrieve)."""
-        self._check_user_id(page_id)
-        return self._execute(target_id=page_id)
+        return self._run_one(BatchOp("query", page_id=page_id))
 
     def modify(self, page_id: int, payload: bytes) -> None:
         """Replace a page's payload; trace-identical to a query (§4.3)."""
-        self._check_user_id(page_id)
-        self._check_payload(payload)
-        self._execute(target_id=page_id, new_payload=payload, revive=True)
+        self._run_one(BatchOp("update", page_id=page_id, payload=payload))
 
     def delete(self, page_id: int) -> None:
         """Mark a page deleted; its slot joins the insertion free pool (§4.3)."""
-        self._check_user_id(page_id)
-        if self.cop.page_map.is_deleted(page_id):
-            raise PageNotFoundError(f"page {page_id} is already deleted")
-        self._execute(target_id=page_id, deleting=True)
+        self._run_one(BatchOp("delete", page_id=page_id))
 
     def insert(self, payload: bytes) -> int:
         """Store a new page in a reclaimed free slot; returns its page id (§4.3)."""
-        self._check_payload(payload)
-        target = self._pick_free_disk_page()
-        self._execute(target_id=target, new_payload=payload, revive=True)
-        return target
+        return self._run_one(BatchOp("insert", payload=payload))
 
     def touch(self) -> None:
         """One dummy request (random page), e.g. to keep the reshuffle mixing
         during idle periods.  Observable trace identical to any query."""
-        self._execute(target_id=None)
+        self._run_one(BatchOp("touch"))
+
+    def _run_one(self, op: BatchOp):
+        """A single request is a window of one; its slot's error is raised."""
+        result = self.run_batch((op,))[0]
+        if isinstance(result, Exception):
+            raise result
+        return result
 
     def begin_key_rotation(self, new_master_key: bytes) -> None:
         """Rotate the database encryption key online, for free.
@@ -332,42 +334,6 @@ class RetrievalEngine:
         self.counters.increment("recovery.replayed")
         return RecoveryReport("replayed", intent.request_index)
 
-    # -- the unified request ---------------------------------------------------------
-
-    def _execute(
-        self,
-        target_id: Optional[int],
-        new_payload: Optional[bytes] = None,
-        deleting: bool = False,
-        revive: bool = False,
-    ) -> Page:
-        # The op lock spans the whole request so a background comparator
-        # batch can never observe (or mutate) a half-applied trusted state;
-        # with no background worker attached it is uncontended and free.
-        with self.op_lock:
-            # A previous request whose write-back failed mid-apply left the
-            # trusted deltas in place with the frames unwritten; finish it
-            # before computing anything against that state (_heal_pending).
-            self._heal_pending()
-
-            # The "request" span is the root of each query's trace:
-            # everything the request does (disk, link, crypto, journal,
-            # write-back) nests under it, and its virtual duration is what
-            # CostModelCheck compares against the full Eq. 8 prediction.
-            with self.tracer.span("request"):
-                result = self._execute_request(
-                    target_id, new_payload, deleting, revive
-                )
-            self.counters.increment("requests")
-            if self._query_hist is not None and self.last_outcome is not None:
-                self._query_hist.observe(self.last_outcome.elapsed)
-            # Idle-time keystream prefetch for the *next* request's block —
-            # a sibling of the "request" span, so it never inflates the
-            # request's own wall/virtual totals (and it charges no virtual
-            # time at all).
-            self.prefetch_next()
-            return result
-
     def prefetch_next(self) -> int:
         """Precompute decrypt keystreams for the next round-robin block.
 
@@ -386,33 +352,35 @@ class RetrievalEngine:
         with self.tracer.span("pipeline.prefetch"):
             return self.cop.prefetch_keystreams(range(start, start + k))
 
-    # -- fused batch execution ---------------------------------------------------
+    # -- the unified request: a round-robin window of one or more ops -----------
 
     def run_batch(
         self,
         ops: Sequence[BatchOp],
         window: Optional[int] = None,
     ) -> List[object]:
-        """Execute a batch with **one physical disk pass per window**.
+        """Execute ``ops`` with **one physical disk pass per window**.
 
-        Ops are grouped into round-robin windows of up to ``window``
-        (default k) operations.  Each window reads the k-frame block
-        *once*, decrypts it with a single fused keystream call, serves
+        The only request path: the per-op methods run a window of one —
+        Figure 3 exactly, 2(k+1) frames (Eq. 8).  Longer batches are
+        grouped into round-robin windows of up to ``window`` (default k)
+        operations.  Each window reads the k-frame block *once*, serves
         every op in the group from the shared in-memory frames (zero-copy
-        memoryview pages), and commits one journaled write-back — the
-        serial loop's ~B·(k+1) frame transfers collapse to ~(k+B) per
-        shared window while replies stay byte-identical (content is a
-        pure function of the logical op sequence; see DESIGN.md §14 for
-        the privacy argument).
+        memoryview pages) plus one extra frame per op, and commits one
+        journaled write-back — B windows of one move ~B·(k+1) frames each
+        way, one window of B moves k+B, while replies stay byte-identical
+        (content is a pure function of the logical op sequence; see
+        DESIGN.md §14 for the privacy argument).
 
-        Returns a positional result list: a :class:`Page` for ``query``,
-        the new page id (int) for ``insert``, ``None`` for
-        update/delete/touch.  A slot whose op failed holds the exception
-        instance instead — validation failures never consume a request,
-        and a window-level storage fault fails only that window's slots
-        (matching the serial loop's per-op failure isolation at window
-        granularity).  Non-PIR exceptions (e.g. a simulated crash)
-        propagate, leaving the journal positioned for :meth:`recover`.
+        Returns a positional result list: a :class:`Page` for ``query``
+        (owning its bytes; ``deleted`` is the page's state at the op's
+        turn, for the caller to refuse on), the new page id (int) for
+        ``insert``, ``None`` for update/delete/touch.  A slot whose op
+        failed holds the exception instance instead — validation failures
+        never consume a request, and a window-level storage fault fails
+        only that window's slots.  Non-PIR exceptions (e.g. a simulated
+        crash) propagate, leaving the journal positioned for
+        :meth:`recover`.
         """
         capacity = self.params.block_size if window is None else window
         if capacity <= 0:
@@ -421,24 +389,30 @@ class RetrievalEngine:
         for start in range(0, len(ops), capacity):
             # Locked per window, not per batch: a background comparator
             # batch may interleave between windows (each window commits
-            # atomically) but never inside one.
+            # atomically) but never observes, or mutates, a half-applied
+            # trusted state; with no background worker attached the lock
+            # is uncontended and free.
             with self.op_lock:
-                # A previous window (or request) whose write-back failed
-                # mid-apply left trusted deltas in place with the frames
-                # unwritten; roll it forward before planning against that
-                # state — exactly the serial loop's per-request heal.
+                # A previous window whose write-back failed mid-apply left
+                # trusted deltas in place with the frames unwritten; roll
+                # it forward before planning against that state.
                 self._heal_pending()
-                indices = list(range(start, min(start + capacity, len(ops))))
-                plan = self._plan_window([ops[i] for i in indices], results,
-                                         indices)
+                indices = range(start, min(start + capacity, len(ops)))
+                plan = self._plan_window(ops[start:start + capacity],
+                                         results, indices)
                 live = [(i, entry) for i, entry in zip(indices, plan)
                         if entry is not None]
                 if not live:
                     continue
                 try:
-                    # The "engine.batch" span is the window's trace root,
-                    # the batched counterpart of the serial "request" span.
-                    with self.tracer.span("engine.batch"):
+                    # The root of the window's trace: everything it does
+                    # (disk, link, crypto, journal, write-back) nests under
+                    # it.  A window of one is a "request" — the span whose
+                    # virtual duration CostModelCheck compares against the
+                    # full Eq. 8 prediction.
+                    with self.tracer.span(
+                        "request" if len(live) == 1 else "engine.batch"
+                    ):
                         self._run_window(live, results)
                 except ReproError as exc:
                     # Compute-phase abort: nothing trusted or durable
@@ -446,14 +420,18 @@ class RetrievalEngine:
                     # Apply-phase failure: the intent is retained and the
                     # next window's heal rolls it forward (the ops then
                     # *have* committed — clients that retry on the reported
-                    # transient error stay idempotent, as with a serial
-                    # request).  Either way every executable slot reports
-                    # the error (validation failures recorded by the
-                    # planner stand) and later windows proceed.
+                    # transient error stay idempotent).  Either way every
+                    # executable slot reports the error (validation
+                    # failures recorded by the planner stand) and later
+                    # windows proceed.
                     for i, _ in live:
                         results[i] = exc
                     self.disk.current_request = -1
                     continue
+                # Idle-time keystream prefetch for the *next* window's
+                # block — a sibling of the root span, so it never inflates
+                # the request's own wall/virtual totals (and it charges no
+                # virtual time at all).
                 self.prefetch_next()
         return results
 
@@ -465,12 +443,15 @@ class RetrievalEngine:
     ) -> List[Optional[Tuple]]:
         """Validate a window's ops against a simulated flag/free overlay.
 
-        Validation outcomes depend only on the logical op sequence (page
-        flags and the free pool), never on relocation randomness, so the
-        planner can decide *before* touching the disk which ops execute —
-        a window whose every op fails validation performs no I/O at all,
-        and insert targets are pinned here exactly as the serial loop
-        would pick them (lowest free id at that op's turn).
+        The only place requests are validated.  Outcomes depend only on
+        the logical op sequence (page flags and the free pool), never on
+        relocation randomness, so the planner can decide *before* touching
+        the disk which ops execute — a window whose every op fails
+        validation performs no I/O at all — and insert targets are pinned
+        here: the lowest free id at that op's turn, a pure function of the
+        op sequence, so replies do not depend on the window size.  (A
+        cached free page is fine: the insert then takes the cache-hit
+        path, like an update of a cached page.)
         """
         pm = self.cop.page_map
         sim_flags: Dict[int, int] = {}
@@ -485,7 +466,7 @@ class RetrievalEngine:
         def materialised_free() -> set:
             nonlocal sim_free
             if sim_free is None:
-                sim_free = set(pm.free_ids())
+                sim_free = pm.free_ids()
                 for page_id, flag in sim_flags.items():
                     if flag == FLAG_DELETED:
                         sim_free.add(page_id)
@@ -546,26 +527,28 @@ class RetrievalEngine:
         live: List[Tuple[int, Tuple]],
         results: List[object],
     ) -> None:
-        """One fused disk pass serving every planned op of one window.
+        """Figure 3 for every planned op of one window, in one disk pass.
 
-        Compute → intend → apply, exactly like a serial request: all
-        per-op relocations happen against in-memory containers (the
-        shared block plus per-op extra frames) and a *pending overlay* of
-        the trusted state; nothing lands in the real pageMap/pageCache —
-        and nothing durable moves — until the single commit point, so a
-        mid-window read fault aborts the whole window cleanly.
+        Compute → intend → apply: all per-op relocations happen against
+        in-memory containers (the shared block plus per-op extra frames)
+        and a *pending overlay* of the trusted state; nothing lands in the
+        real pageMap/pageCache — and nothing durable moves — until the
+        single commit point, so a mid-window read fault aborts the whole
+        window cleanly.
         """
         pm = self.cop.page_map
         cache = self.cop.cache
         rng = self.cop.rng
+        tracer = self.tracer
         k = self.params.block_size
+        started = self.cop.clock.now
         base_index = self._request_count
         self.disk.current_request = base_index
+        # Line 1: the next block of k contiguous pages, round-robin.  The
+        # pointer itself only advances at commit, so an aborted or crashed
+        # window leaves it untouched and a resend hits the same block.
         block_start = self._next_block * k
-
-        # One physical scan of the round-robin block; a single fused
-        # keystream call decrypts all k frames into zero-copy page views.
-        block = self._fetch_window_block(block_start, k)
+        block: List[Page] = []
         extras: List[Page] = []
         extra_locs: List[int] = []
 
@@ -584,15 +567,13 @@ class RetrievalEngine:
             location = pm.lookup(page_id)
             return location.in_cache, location.position
 
-        def ov_is_deleted(page_id: int) -> bool:
-            flag = ov_flags.get(page_id)
-            if flag is not None:
-                return flag == FLAG_DELETED
-            return pm.is_deleted(page_id)
-
         def ov_cache_get(slot: int) -> Page:
             page = ov_cache.get(slot)
             return page if page is not None else cache.get(slot)
+
+        def in_window(position: int) -> bool:
+            return (block_start <= position < block_start + k
+                    or position in extra_locs)
 
         def container_get(position: int) -> Page:
             if block_start <= position < block_start + k:
@@ -605,50 +586,74 @@ class RetrievalEngine:
             else:
                 extras[extra_locs.index(position)] = page
 
-        executed = 0
+        def random_candidate() -> int:
+            """Lines 3-5: a uniform page id neither cached nor inside the
+            window's containers (the disk frame at an already-fetched
+            extra location is stale: the live page sits in ``extras``)."""
+            for _ in range(_MAX_REJECTION_ROUNDS):
+                candidate = rng.randrange(self.params.total_pages)
+                in_cache, position = ov_lookup(candidate)
+                if not in_cache and not in_window(position):
+                    return candidate
+            raise CapacityError(
+                "rejection sampling failed to find an eligible random page; "
+                "the configuration violates num_locations >= block_size + 2"
+            )
+
+        def read_first_request() -> List[bytes]:
+            frames, extra_frame = self.disk.read_request(
+                block_start, k, extra_location
+            )
+            return list(frames) + [extra_frame]
+
         for slot, entry in live:
             kind, target_id, new_payload, deleting, revive = entry
 
-            # Lines 2-9 against the overlay: decide the per-op extra page.
+            # Lines 2-9: decide the op's extra page and capture a cached
+            # result.  Both depend only on the page map and cache (seen
+            # through the overlay), never on block contents, so the first
+            # op decides before any disk access.
             cache_hit = False
             result: Optional[Page] = None
-            if target_id is None:
-                extra_id = self._window_random_candidate(
-                    block_start, ov_pos, extra_locs
-                )
-            else:
-                in_cache, position = ov_lookup(target_id)
-                if in_cache:
-                    cache_hit = True
-                    result = ov_cache_get(position)
-                    extra_id = self._window_random_candidate(
-                        block_start, ov_pos, extra_locs
-                    )
-                elif deleting:
-                    extra_id = self._window_random_candidate(
-                        block_start, ov_pos, extra_locs
-                    )
-                elif (block_start <= position < block_start + k
-                        or position in extra_locs):
-                    # Already inside the window's containers — served from
-                    # memory; fetch a random extra to keep the shape.
-                    extra_id = self._window_random_candidate(
-                        block_start, ov_pos, extra_locs
-                    )
-                else:
-                    extra_id = target_id
-            _, extra_location = ov_lookup(extra_id)
+            with tracer.span("pagemap.lookup"):
+                extra_id = target_id  # line 9: p <- i
+                if target_id is not None:
+                    # The target's cache slot or disk location; staged
+                    # moves only land at the end of the op, so it holds
+                    # for the whole op.
+                    in_cache, position = ov_lookup(target_id)
+                    if in_cache:
+                        cache_hit = True
+                        result = ov_cache_get(position)
+                    # Deletions are handled as cache hits (§4.3), and a
+                    # target already inside the window's containers is
+                    # served from memory: all fetch a random extra page to
+                    # keep the shape.
+                    if in_cache or deleting or in_window(position):
+                        extra_id = None
+                if extra_id is None:
+                    extra_id = random_candidate()
+                _, extra_location = ov_lookup(extra_id)
 
-            # The one per-op physical read (the serial path's (k+1)-th
-            # frame); the k-frame block itself is never re-read.
-            extras.append(self._fetch_window_extra(extra_location))
+            # Lines 1, 10-11: read and decrypt inside the boundary.  The
+            # first op's block and extra go out as one request-granular
+            # read and one (k+1)-frame decrypt — remote transports
+            # (twoparty.RemoteDisk) implement only that call, one round
+            # trip; every later op costs a single extra frame, the block
+            # is never re-read.
+            if not block:
+                pages = self._fetch(read_first_request, k + 1)
+                block = pages[:k]
+                extras.append(pages[k])
+            else:
+                extras.extend(self._fetch(
+                    lambda: [self.disk.read(extra_location)], 1
+                ))
             extra_locs.append(extra_location)
 
-            wants_fetched_target = (
-                target_id is not None and not cache_hit and not deleting
-            )
-            if wants_fetched_target:
-                _, q_pos = ov_lookup(target_id)
+            # Lines 12-16: locate the relocation target q.
+            if target_id is not None and not cache_hit and not deleting:
+                q_pos = position
                 result = container_get(q_pos)
                 if result.page_id != target_id:
                     raise PageNotFoundError(
@@ -659,87 +664,90 @@ class RetrievalEngine:
                 q_pos = extra_location
 
             # §4.3 content edits, recorded as overlay + intent deltas.
-            if target_id is not None:
-                if new_payload is not None:
-                    fresh = Page(target_id, new_payload, deleted=False)
-                    if cache_hit:
-                        _, cache_slot = ov_lookup(target_id)
-                        cache_puts.append((cache_slot, fresh))
-                        ov_cache[cache_slot] = fresh
-                        result = fresh
-                    else:
-                        container_set(q_pos, fresh)
-                    if revive:
-                        flag_ops.append((target_id, FLAG_LIVE))
-                        ov_flags[target_id] = FLAG_LIVE
-                if deleting:
-                    if cache_hit:
-                        _, cache_slot = ov_lookup(target_id)
-                        carcass = Page(target_id, b"", deleted=True)
-                        cache_puts.append((cache_slot, carcass))
-                        ov_cache[cache_slot] = carcass
-                    else:
-                        _, carcass_pos = ov_lookup(target_id)
-                        if (block_start <= carcass_pos < block_start + k
-                                or carcass_pos in extra_locs):
-                            container_set(
-                                carcass_pos,
-                                container_get(carcass_pos).mark_deleted(),
-                            )
-                    flag_ops.append((target_id, FLAG_DELETED))
-                    ov_flags[target_id] = FLAG_DELETED
-
-            # Lines 17-20: relocate through a uniform block slot and a
-            # cache victim, all inside the shared containers.
-            r = rng.randrange(k)
-            r_pos = block_start + r
-            page_r = container_get(r_pos)
-            page_q = container_get(q_pos)
-            container_set(r_pos, page_q)
-            container_set(q_pos, page_r)
-
-            if deleting and target_id is not None and cache_hit:
-                _, s = ov_lookup(target_id)
-            else:
-                s = cache.victim_slot()
-            evicted = ov_cache_get(s)
-            entering = container_get(r_pos)
-            cache_puts.append((s, entering))
-            ov_cache[s] = entering
-            container_set(r_pos, evicted)
-
-            page_at_r = container_get(r_pos)
-            page_at_q = container_get(q_pos)
-            map_ops.append((entering.page_id, MAP_CACHED, s))
-            map_ops.append((page_at_r.page_id, MAP_DISK, r_pos))
-            map_ops.append((page_at_q.page_id, MAP_DISK, q_pos))
-            ov_pos[entering.page_id] = (MAP_CACHED, s)
-            ov_pos[page_at_r.page_id] = (MAP_DISK, r_pos)
-            ov_pos[page_at_q.page_id] = (MAP_DISK, q_pos)
-
-            if kind == "query":
-                # Executed in full first (the trace must not depend on
-                # page state), then the slot refuses — the serial path's
-                # PirDatabase.query contract, at the op's in-window turn.
-                if ov_is_deleted(target_id):
-                    results[slot] = PageDeletedError(
-                        f"page {target_id} is deleted"
-                    )
+            if new_payload is not None:
+                fresh = Page(target_id, new_payload, deleted=False)
+                if cache_hit:
+                    cache_puts.append((position, fresh))
+                    ov_cache[position] = fresh
                 else:
-                    results[slot] = result
+                    container_set(q_pos, fresh)
+                if revive:
+                    flag_ops.append((target_id, FLAG_LIVE))
+                    ov_flags[target_id] = FLAG_LIVE
+            if deleting:
+                if cache_hit:
+                    carcass = Page(target_id, b"", deleted=True)
+                    cache_puts.append((position, carcass))
+                    ov_cache[position] = carcass
+                elif in_window(position):
+                    # Elsewhere the carcass stays encrypted wherever it
+                    # is; only metadata changes.
+                    container_set(
+                        position, container_get(position).mark_deleted()
+                    )
+                flag_ops.append((target_id, FLAG_DELETED))
+                ov_flags[target_id] = FLAG_DELETED
+
+            with tracer.span("cache.op"):
+                # Lines 17-18: move the target to a uniform block slot.
+                r = rng.randrange(k)
+                r_pos = block_start + r
+                page_r = container_get(r_pos)
+                container_set(r_pos, container_get(q_pos))
+                container_set(q_pos, page_r)
+
+                # Lines 19-20: swap with a cache slot.  A deletion of a
+                # cached page always selects that page as the victim
+                # (§4.3); otherwise the victim is the policy's choice
+                # (uniform under the paper's policy).
+                with tracer.span("evict"):
+                    s = (position if deleting and cache_hit
+                         else cache.victim_slot())
+                    evicted = ov_cache_get(s)
+                entering = container_get(r_pos)
+                if not isinstance(entering.payload, bytes):
+                    # The cache must own its bytes: a cached view would
+                    # pin its window's whole decrypt buffer.
+                    entering = Page(entering.page_id, bytes(entering.payload),
+                                    entering.deleted)
+                cache_puts.append((s, entering))
+                ov_cache[s] = entering
+                container_set(r_pos, evicted)
+
+            # Lines 23-25 as a pending delta for the three relocated pages.
+            for page, where, position in (
+                (entering, MAP_CACHED, s),
+                (evicted, MAP_DISK, r_pos),
+                (container_get(q_pos), MAP_DISK, q_pos),
+            ):
+                map_ops.append((page.page_id, where, position))
+                ov_pos[page.page_id] = (where, position)
+
+            # Line 26.
+            if kind == "query":
+                # Executed in full first — the trace must not depend on
+                # page state; the caller refuses on the flag.
+                flag = ov_flags.get(target_id)
+                deleted = (pm.is_deleted(target_id) if flag is None
+                           else flag == FLAG_DELETED)
+                results[slot] = Page(
+                    target_id, b"" if deleted else bytes(result.payload),
+                    deleted,
+                )
             elif kind == "insert":
                 results[slot] = target_id
-            else:
-                results[slot] = None
-            executed += 1
 
         # ---- single commit point for the whole window ----------------------
-        n_extra = len(extras)
-        self.cop.charge_egress(k + n_extra)
-        with self.tracer.span("reencrypt",
-                              nbytes=(k + n_extra) * self.cop.frame_size):
+        # Lines 21-22: re-encrypt everything with fresh nonces.  The link
+        # egress charge keeps its own span (link.ingest/link.egress carry
+        # the Eq. 8 link-term bytes) so the reencrypt span's bytes feed the
+        # crypto term alone.
+        n_ops = len(live)
+        self.cop.charge_egress(k + n_ops)
+        with tracer.span("reencrypt",
+                         nbytes=(k + n_ops) * self.cop.frame_size):
             sealed = self.cop.seal_pages(block + extras)
-        self.counters.increment("crypto.batched_frames", k + n_extra)
+        self.counters.increment("crypto.batched_frames", k + n_ops)
         rotation_left = self._rotation_requests_left
         intent = WriteIntent(
             request_index=base_index,
@@ -747,270 +755,27 @@ class RetrievalEngine:
             rotation_left=-1 if rotation_left is None else rotation_left - 1,
             block_start=block_start,
             extra_location=extra_locs[0],
-            extra_locations=list(extra_locs),
+            extra_locations=extra_locs,
             cache_puts=cache_puts,
             flag_ops=flag_ops,
             map_ops=map_ops,
             frames=sealed,
         )
+        # Intend: make the post-state durable before applying it.
         if self.journal is not None:
-            with self.tracer.span("journal.seal"):
+            with tracer.span("journal.seal"):
                 self.journal.write(self.cop.seal_blob(intent.encode()))
+        # Apply: idempotent, replayable from the intent record.
         self._apply_intent(intent)
         if self.journal is not None:
             self.journal.clear()
         self.disk.current_request = -1
 
-        self.counters.increment("requests", executed)
-        self.counters.increment("batch.fused.windows")
-        self.counters.increment("batch.fused.ops", executed)
-        self.counters.increment("batch.fused.block_reads")
-        self.counters.increment("batch.fused.extra_reads", n_extra)
-        self.counters.increment(
-            "batch.fused.reads_saved", executed * (k + 1) - (k + n_extra)
-        )
-        if self.cop.pipeline is not None:
-            self.cop.pipeline.note_batch_window(k, n_extra)
-
-    def _fetch_window_block(self, block_start: int, k: int) -> List[Page]:
-        """One contiguous read + fused decrypt of the round-robin block."""
-
-        def attempt() -> List[Page]:
-            frames = self.disk.read_range(block_start, k)
-            self.cop.charge_ingest(k)
-            with self.tracer.span("decrypt",
-                                  nbytes=k * self.cop.frame_size):
-                block = self.cop.unseal_frames(list(frames), views=True)
-            self.counters.increment("crypto.batched_frames", k)
-            return block
-
-        if self.read_retry is None:
-            return attempt()
-        return retry_call(
-            attempt,
-            self.read_retry,
-            self.cop.clock,
-            self._retry_rng,
-            retry_on=(TransientStorageError, AuthenticationError),
-            counters=self.counters,
-            counter="retries.read",
-        )
-
-    def _fetch_window_extra(self, location: int) -> Page:
-        """Read + decrypt one per-op extra frame inside a fused window."""
-
-        def attempt() -> Page:
-            frame = self.disk.read(location)
-            self.cop.charge_ingest(1)
-            with self.tracer.span("decrypt", nbytes=self.cop.frame_size):
-                return self.cop.unseal_frames([frame], views=True)[0]
-
-        if self.read_retry is None:
-            return attempt()
-        return retry_call(
-            attempt,
-            self.read_retry,
-            self.cop.clock,
-            self._retry_rng,
-            retry_on=(TransientStorageError, AuthenticationError),
-            counters=self.counters,
-            counter="retries.read",
-        )
-
-    def _window_random_candidate(
-        self,
-        block_start: int,
-        ov_pos: Dict[int, Tuple[int, int]],
-        extra_locs: List[int],
-    ) -> int:
-        """Overlay-aware :meth:`_random_free_candidate` for fused windows.
-
-        Additionally rejects candidates whose (overlay) position is one of
-        the window's already-fetched extra locations: the disk frame there
-        is stale — the live page sits in the window's containers — so
-        re-reading it would serve garbage.
-        """
-        pm = self.cop.page_map
-        k = self.params.block_size
-        total = self.params.total_pages
-        for _ in range(_MAX_REJECTION_ROUNDS):
-            candidate = self.cop.rng.randrange(total)
-            entry = ov_pos.get(candidate)
-            if entry is not None:
-                in_cache, position = entry[0] == MAP_CACHED, entry[1]
-            else:
-                location = pm.lookup(candidate)
-                in_cache, position = location.in_cache, location.position
-            if in_cache:
-                continue
-            if block_start <= position < block_start + k:
-                continue
-            if position in extra_locs:
-                continue
-            return candidate
-        raise CapacityError(
-            "rejection sampling failed to find an eligible random page; the "
-            "configuration violates num_locations >= block_size + 2"
-        )
-
-    def _execute_request(
-        self,
-        target_id: Optional[int],
-        new_payload: Optional[bytes],
-        deleting: bool,
-        revive: bool,
-    ) -> Page:
-        pm = self.cop.page_map
-        cache = self.cop.cache
-        rng = self.cop.rng
-        k = self.params.block_size
-        started = self.cop.clock.now
-
-        # ---- compute phase: no durable or trusted state is touched ----------
-
-        request_index = self._request_count
-        self.disk.current_request = request_index
-
-        # The next block of k contiguous pages, round-robin (line 1).  The
-        # pointer itself only advances at commit, so an aborted or crashed
-        # request leaves it untouched and a resend hits the same block.
-        block_start = self._next_block * k
-
-        # Lines 2-9: decide the (k+1)-th page and capture a cached result.
-        # Both depend only on the page map and cache, never on block
-        # contents, so the decision is made before any disk access — which
-        # lets remote transports issue the block and the extra page as one
-        # batched read (the paper's two-party prototype does the same).
-        result: Optional[Page] = None
-        cache_hit = False
-        with self.tracer.span("pagemap.lookup"):
-            if target_id is None:
-                extra_id = self._random_free_candidate(block_start)
-            else:
-                location = pm.lookup(target_id)
-                if location.in_cache:
-                    cache_hit = True
-                    result = cache.get(location.position)
-                    extra_id = self._random_free_candidate(block_start)
-                elif deleting:
-                    # Deletions are handled as cache hits (§4.3): random
-                    # extra page.
-                    extra_id = self._random_free_candidate(block_start)
-                elif block_start <= location.position < block_start + k:
-                    extra_id = self._random_free_candidate(block_start)
-                else:
-                    extra_id = target_id  # line 9: p <- i
-            extra_location = pm.disk_location(extra_id)
-
-        # Lines 1, 10-11: read the block and page p, decrypt inside the
-        # boundary (with bounded retries when a policy is configured).
-        block = self._fetch_block(block_start, k, extra_location)
-
-        # Lines 12-16: locate the relocation target q within serverBlock.
-        wants_fetched_target = (
-            target_id is not None and not cache_hit and not deleting
-        )
-        if wants_fetched_target:
-            q = self._index_of(block, target_id, block_start, extra_location)
-            result = block[q]
-        else:
-            q = k
-
-        # §4.3 content edits, computed as pending deltas (applied at commit).
-        cache_puts: List[Tuple[int, Page]] = []
-        flag_ops: List[Tuple[int, int]] = []
-        if target_id is not None:
-            if new_payload is not None:
-                if cache_hit:
-                    slot = pm.lookup(target_id).position
-                    cache_puts.append(
-                        (slot, Page(target_id, new_payload, deleted=False))
-                    )
-                else:
-                    block[q] = Page(target_id, new_payload, deleted=False)
-                if revive:
-                    flag_ops.append((target_id, FLAG_LIVE))
-            if deleting:
-                if cache_hit:
-                    slot = pm.lookup(target_id).position
-                    cache_puts.append((slot, Page(target_id, b"", deleted=True)))
-                else:
-                    # The carcass stays encrypted wherever it is; only
-                    # metadata changes.
-                    for index, page in enumerate(block):
-                        if page.page_id == target_id:
-                            block[index] = page.mark_deleted()
-                flag_ops.append((target_id, FLAG_DELETED))
-
-        with self.tracer.span("cache.op"):
-            # Lines 17-18: move the target to a uniform slot within the block.
-            r = rng.randrange(k)
-            block[r], block[q] = block[q], block[r]
-
-            # Lines 19-20: swap with a cache slot.  A deletion of a cached
-            # page always selects that page as the victim (§4.3); otherwise
-            # the victim is the policy's choice (uniform under the paper's
-            # policy).
-            with self.tracer.span("evict"):
-                if deleting and target_id is not None and cache_hit:
-                    s = pm.lookup(target_id).position
-                else:
-                    s = cache.victim_slot()
-                evicted = self._pending_cache_view(cache_puts, s)
-                if evicted is None:
-                    evicted = cache.get(s)
-            entering = block[r]
-            cache_puts.append((s, entering))
-            block[r] = evicted
-
-        # Lines 21-22: re-encrypt everything with fresh nonces.  The link
-        # egress charge keeps its own span (link.ingest/link.egress carry
-        # the Eq. 8 link-term bytes) so the reencrypt span's bytes feed the
-        # crypto term alone.
-        self.cop.charge_egress(k + 1)
-        with self.tracer.span("reencrypt",
-                              nbytes=(k + 1) * self.cop.frame_size):
-            # Batched seal: one suite entry for all k+1 frames (nonces are
-            # drawn in page order, so the frames match per-page sealing
-            # byte for byte).
-            sealed = self.cop.seal_pages(block)
-        self.counters.increment("crypto.batched_frames", k + 1)
-
-        # Lines 23-25 as a pending delta for the three relocated pages.
-        map_ops = [
-            (entering.page_id, MAP_CACHED, s),
-            (block[r].page_id, MAP_DISK, block_start + r),
-            (block[q].page_id, MAP_DISK,
-             block_start + q if q < k else extra_location),
-        ]
-        rotation_left = self._rotation_requests_left
-        intent = WriteIntent(
-            request_index=request_index,
-            next_block=(self._next_block + 1) % self.params.num_blocks,
-            rotation_left=-1 if rotation_left is None else rotation_left - 1,
-            block_start=block_start,
-            extra_location=extra_location,
-            cache_puts=cache_puts,
-            flag_ops=flag_ops,
-            map_ops=map_ops,
-            frames=sealed,
-        )
-
-        # ---- intend phase: make the post-state durable before applying it --
-
-        if self.journal is not None:
-            with self.tracer.span("journal.seal"):
-                self.journal.write(self.cop.seal_blob(intent.encode()))
-
-        # ---- apply phase: idempotent, replayable from the intent record ----
-
-        self._apply_intent(intent)
-        if self.journal is not None:
-            self.journal.clear()
-
-        self.disk.current_request = -1
+        # Describes the window's last op; ``elapsed`` is the whole window's
+        # virtual latency — for a window of one, the Eq. 8 constant, so the
+        # histogram below is degenerate (zero-variance) under per-op load.
         self.last_outcome = RequestOutcome(
-            request_index=request_index,
+            request_index=base_index + n_ops - 1,
             block_start=block_start,
             extra_location=extra_location,
             cache_hit=cache_hit,
@@ -1018,14 +783,50 @@ class RetrievalEngine:
             block_slot=r,
             elapsed=self.cop.clock.now - started,
         )
+        if self._query_hist is not None:
+            self._query_hist.observe(self.last_outcome.elapsed)
+        self.counters.increment("requests", n_ops)
+        self.counters.increment("batch.fused.windows")
+        self.counters.increment("batch.fused.ops", n_ops)
+        self.counters.increment("batch.fused.block_reads")
+        self.counters.increment("batch.fused.extra_reads", n_ops)
+        self.counters.increment("batch.fused.reads_saved",
+                                (n_ops - 1) * k)
+        if self.cop.pipeline is not None:
+            self.cop.pipeline.note_batch_window(k, n_ops)
 
-        # Line 26: return the page (queries only reach here with result set).
-        if target_id is None or deleting:
-            return Page.dummy()
-        assert result is not None
-        if new_payload is not None:
-            return result.with_payload(new_payload)
-        return result
+    def _fetch(self, read, num_frames: int) -> List[Page]:
+        """Read + ingest + decrypt ``num_frames`` frames into page views.
+
+        ``read`` performs the disk access and returns the frames.  With a
+        retry policy a retry repeats the whole fetch (re-read, re-charge,
+        re-decrypt) — exactly what real hardware would do — and consumes
+        only the spawned retry RNG and the virtual clock, so seeded runs
+        stay byte-identical.
+        """
+
+        def attempt() -> List[Page]:
+            frames = read()
+            self.cop.charge_ingest(num_frames)
+            with self.tracer.span("decrypt",
+                                  nbytes=num_frames * self.cop.frame_size):
+                # Batched unseal: the MACs are verified and the keystream
+                # applied in one suite entry.
+                pages = self.cop.unseal_frames(frames, views=True)
+            self.counters.increment("crypto.batched_frames", num_frames)
+            return pages
+
+        if self.read_retry is None:
+            return attempt()
+        return retry_call(
+            attempt,
+            self.read_retry,
+            self.cop.clock,
+            self._retry_rng,
+            retry_on=(TransientStorageError, AuthenticationError),
+            counters=self.counters,
+            counter="retries.read",
+        )
 
     def _apply_intent(self, intent: WriteIntent) -> None:
         """Commit an intent record; every step is idempotent.
@@ -1066,7 +867,7 @@ class RetrievalEngine:
                         intent.frames[k],
                     )
                 else:
-                    # Fused window: one contiguous block write plus one
+                    # Window of several ops: one contiguous block write plus one
                     # write per per-op extra frame — the mirror image of
                     # the read side's single block scan.
                     self.disk.write_range(intent.block_start,
@@ -1129,52 +930,6 @@ class RetrievalEngine:
         for healer in self._background_healers:
             healer()
 
-    def _fetch_block(
-        self, block_start: int, k: int, extra_location: int
-    ) -> List[Page]:
-        """Read + ingest + decrypt the k+1 frames, with optional retries.
-
-        A retry repeats the whole fetch (re-read, re-charge, re-decrypt) —
-        exactly what real hardware would do — and consumes only the
-        spawned retry RNG and the virtual clock, so seeded runs stay
-        byte-identical.
-        """
-
-        def attempt() -> List[Page]:
-            frames, extra_frame = self.disk.read_request(
-                block_start, k, extra_location
-            )
-            self.cop.charge_ingest(k + 1)
-            with self.tracer.span("decrypt",
-                                  nbytes=(k + 1) * self.cop.frame_size):
-                # Batched unseal: MACs for the whole block are verified and
-                # the keystream applied in one suite entry.
-                block = self.cop.unseal_frames(list(frames) + [extra_frame])
-            self.counters.increment("crypto.batched_frames", k + 1)
-            return block
-
-        if self.read_retry is None:
-            return attempt()
-        return retry_call(
-            attempt,
-            self.read_retry,
-            self.cop.clock,
-            self._retry_rng,
-            retry_on=(TransientStorageError, AuthenticationError),
-            counters=self.counters,
-            counter="retries.read",
-        )
-
-    @staticmethod
-    def _pending_cache_view(
-        cache_puts: List[Tuple[int, Page]], slot: int
-    ) -> Optional[Page]:
-        """The page slot ``slot`` will hold once pending puts are applied."""
-        for pending_slot, page in reversed(cache_puts):
-            if pending_slot == slot:
-                return page
-        return None
-
     # -- helpers -------------------------------------------------------------------
 
     def _check_payload(self, payload: bytes) -> None:
@@ -1191,52 +946,3 @@ class RetrievalEngine:
             raise PageNotFoundError(
                 f"page id {page_id} out of range [0, {self.params.total_pages})"
             )
-
-    def _index_of(
-        self, block: List[Page], target_id: int, block_start: int, extra_location: int
-    ) -> int:
-        """Line 13: index of the target page within serverBlock."""
-        for index, page in enumerate(block):
-            if page.page_id == target_id:
-                return index
-        raise PageNotFoundError(
-            f"page {target_id} not found in serverBlock (map expected it at "
-            f"block {block_start} or extra location {extra_location}); "
-            "page map and disk are inconsistent"
-        )
-
-    def _random_free_candidate(self, block_start: int) -> int:
-        """Lines 3-5: a uniform page id that is neither cached nor in the block."""
-        pm = self.cop.page_map
-        k = self.params.block_size
-        total = self.params.total_pages
-        for _ in range(_MAX_REJECTION_ROUNDS):
-            candidate = self.cop.rng.randrange(total)
-            if pm.is_cached(candidate):
-                continue
-            position = pm.lookup(candidate).position
-            if block_start <= position < block_start + k:
-                continue
-            return candidate
-        raise CapacityError(
-            "rejection sampling failed to find an eligible random page; the "
-            "configuration violates num_locations >= block_size + 2"
-        )
-
-    def _pick_free_disk_page(self) -> int:
-        """The lowest-numbered free page id, for insertion.
-
-        Deterministic (min over the free set, which is a pure function of
-        the logical operation sequence) so the serial loop and the fused
-        batch planner agree on which page an insert lands on — the
-        byte-identical-replies guarantee between the two paths depends on
-        it.  A cached free page is fine: the insert then takes the
-        cache-hit path, exactly like an update of a cached page.
-        """
-        free = self.cop.page_map.free_ids()
-        if not free:
-            raise CapacityError(
-                "no free page available for insertion; delete pages "
-                "or provision a reserve_fraction at setup"
-            )
-        return min(free)

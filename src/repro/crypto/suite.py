@@ -329,7 +329,7 @@ class CipherSuite:
 
         With ``views=True`` the plaintexts come back as zero-copy
         ``memoryview`` slices of one shared decrypt buffer instead of k
-        separate ``bytes`` copies — the fused batch engine threads these
+        separate ``bytes`` copies — the engine threads these
         straight through page decode, relocation and re-encryption.
         """
         if self._fine:

@@ -175,7 +175,7 @@ class SecureCoprocessor:
         Background workers (the online reshuffler) must reseal frames
         without consuming the request path's deterministic nonce stream —
         otherwise enabling a background pass would change the bytes the
-        serial engine produces.  ``SecureRandom.spawn`` derives the child
+        engine produces.  ``SecureRandom.spawn`` derives the child
         stream without advancing the parent, so a sibling suite's frames
         decrypt under :attr:`suite` (identical enc/MAC keys) while its
         nonces never collide with, or perturb, the engine's.

@@ -116,11 +116,11 @@ class HistogramState:
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
-    def quantile(self, q: float, interpolate: bool = True) -> float:
+    def quantile(self, q: float) -> float:
         """See :meth:`Histogram.quantile`; operates on the frozen copy."""
         return quantile_from_counts(
             self.buckets, self.counts, self.count, q,
-            minimum=self.min, maximum=self.max, interpolate=interpolate,
+            minimum=self.min, maximum=self.max,
         )
 
     def summary(self) -> Dict[str, float]:
@@ -153,19 +153,17 @@ def quantile_from_counts(
     q: float,
     minimum: float = float("inf"),
     maximum: float = float("-inf"),
-    interpolate: bool = True,
 ) -> float:
     """The q-quantile of a fixed-bucket distribution.
 
-    With ``interpolate=False`` this is the legacy estimator: the upper
-    bound of the bucket containing the q-th observation — systematically
-    *overstating* the quantile by up to a whole bucket width, which on the
-    coarse log-spaced default buckets can be a 2.5x error.  The default
-    interpolates linearly within the containing bucket (rank position
-    between the bucket's bounds) and clamps to the observed ``[min, max]``
-    so a feedback controller steering on p99 reacts to the measured tail,
-    not to the bucket grid.  Observations in the +Inf overflow bucket
-    return ``maximum`` either way (there is no upper bound to lerp to).
+    Interpolates linearly within the bucket containing the q-th
+    observation (rank position between the bucket's bounds) and clamps to
+    the observed ``[min, max]``, so a feedback controller steering on p99
+    reacts to the measured tail, not to the bucket grid — the bucket's
+    upper bound alone overstates the quantile by up to a whole bucket
+    width, a 2.5x error on the coarse log-spaced default buckets.
+    Observations in the +Inf overflow bucket return ``maximum`` (there is
+    no upper bound to lerp to).
     """
     if not 0.0 <= q <= 1.0:
         raise ConfigurationError(f"quantile {q} out of [0, 1]")
@@ -180,8 +178,6 @@ def quantile_from_counts(
         if index >= len(buckets):
             return maximum
         upper = buckets[index]
-        if not interpolate:
-            return upper
         lower = buckets[index - 1] if index > 0 else 0.0
         fraction = (rank - (running - bucket_count)) / bucket_count
         value = lower + fraction * (upper - lower)
@@ -195,9 +191,8 @@ class Histogram:
 
     ``buckets`` are inclusive upper bounds in ascending order; observations
     above the last bound land in the implicit +Inf bucket.  Keeps count and
-    sum exactly; quantiles are estimated from the buckets — linearly
-    interpolated within the containing bucket by default, or the legacy
-    bucket-upper-bound estimate with ``interpolate=False``.
+    sum exactly; quantiles are estimated from the buckets, linearly
+    interpolated within the containing bucket.
     """
 
     __slots__ = ("name", "buckets", "counts", "_count", "_sum", "_min",
@@ -255,14 +250,10 @@ class Histogram:
                 self._min, self._max,
             )
 
-    def quantile(self, q: float, interpolate: bool = True) -> float:
-        """The q-quantile (q in [0, 1]) estimated from the buckets.
-
-        Interpolates linearly within the containing bucket by default;
-        ``interpolate=False`` restores the legacy bucket-upper-bound
-        estimate (see :func:`quantile_from_counts`).
-        """
-        return self.state().quantile(q, interpolate=interpolate)
+    def quantile(self, q: float) -> float:
+        """The q-quantile (q in [0, 1]) estimated from the buckets, see
+        :func:`quantile_from_counts`."""
+        return self.state().quantile(q)
 
     def summary(self) -> Dict[str, float]:
         return self.state().summary()

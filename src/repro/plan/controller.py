@@ -161,7 +161,7 @@ class PlanController:
             return None
         return quantile_from_counts(
             state.buckets, counts, count, 0.99,
-            minimum=state.min, maximum=state.max, interpolate=True,
+            minimum=state.min, maximum=state.max,
         )
 
     def _counter_delta(self, name: str) -> int:

@@ -242,12 +242,6 @@ class SealedReplyCache:
                 self._file = None
 
 
-# Batch op types the fused engine path understands; anything else (e.g. a
-# nested Batch) falls back to the serial per-op dispatch loop.
-_FUSABLE_OPS = (protocol.Query, protocol.Update, protocol.Insert,
-                protocol.Delete)
-
-
 class QueryFrontend:
     """Session manager + request dispatcher inside the coprocessor."""
 
@@ -263,7 +257,6 @@ class QueryFrontend:
         reply_cache: Optional[SealedReplyCache] = None,
         reply_cache_path=None,
         session_salt: Optional[str] = None,
-        fused_batches: bool = True,
     ):
         """``session_id_mode`` selects sequential (legacy, in-process) or
         unguessable random session ids — network-facing frontends must use
@@ -278,13 +271,6 @@ class QueryFrontend:
         across frontends (cluster replicas dedupe each other's
         retransmissions); ``reply_cache_path`` makes the frontend's own
         cache persistent so acknowledged replies survive a crash-restart.
-
-        ``fused_batches`` routes BATCH requests through the database's
-        fused one-disk-pass-per-window path (:meth:`PirDatabase.run_batch`)
-        instead of dispatching each op serially; replies are byte-identical
-        either way, only the physical trace and cost differ.  Set it False
-        to keep the serial per-op loop (e.g. when a test pins the serial
-        trace shape).
 
         ``session_salt`` diversifies the :data:`SESSION_RANDOM` id
         stream.  Session ids derive from the database's seeded RNG tree,
@@ -305,7 +291,6 @@ class QueryFrontend:
         if session_ttl is not None and session_ttl <= 0:
             raise ProtocolError("session_ttl must be positive (or None)")
         self.database = database
-        self.fused_batches = fused_batches and hasattr(database, "run_batch")
         self.session_id_mode = session_id_mode
         self.session_ttl = session_ttl
         self._time_source = (
@@ -682,50 +667,28 @@ class QueryFrontend:
         )
 
     def _dispatch_batch(self, batch: protocol.Batch) -> protocol.BatchReply:
-        """Run each batch op; failures refuse that slot, not the batch.
+        """Serve a batch; failures refuse that slot, not the batch.
 
-        Health is consulted *per operation*: a fatal fault on op i trips the
-        monitor and every later op in the same batch is shed with the usual
-        degraded-service refusal instead of hammering a broken engine.
+        The whole batch becomes one :meth:`~PirDatabase.run_batch` call
+        (one disk pass per round-robin window); failed slots come back as
+        exception instances and are converted to the same per-op
+        :class:`~repro.service.protocol.Refused` replies a lone request
+        gets, so clients cannot tell a batched op from a single one by
+        reply content.  Health is consulted once up front (a degraded
+        service refuses every slot); per-op faults surface through the
+        refused slots themselves.
         """
         self.counters.increment("batch.requests")
         self.counters.increment("batch.ops", len(batch.ops))
         if self._batch_sizes is not None:
             self._batch_sizes.observe(len(batch.ops))
-        if self.fused_batches and all(
-            isinstance(op, _FUSABLE_OPS) for op in batch.ops
-        ):
-            return self._dispatch_batch_fused(batch)
-        replies: List[protocol.ClientMessage] = []
-        with self.tracer.span("frontend.batch"):
-            for op in batch.ops:
-                try:
-                    self.health.check()
-                    reply = self._dispatch(op)
-                    self.health.record_success()
-                except ReproError as exc:
-                    reply = self._refusal_for(exc)
-                replies.append(reply)
-        return protocol.BatchReply(replies)
-
-    def _dispatch_batch_fused(self, batch: protocol.Batch) -> protocol.BatchReply:
-        """Serve a batch through the fused one-disk-pass-per-window engine.
-
-        The whole batch becomes one :meth:`~PirDatabase.run_batch` call;
-        failed slots come back as exception instances and are converted to
-        the same per-op :class:`~repro.service.protocol.Refused` replies
-        the serial loop produces, so clients cannot tell the paths apart
-        by reply content.  Health is consulted once up front (a degraded
-        service refuses every slot, as the serial loop would); per-op
-        faults surface through the refused slots themselves.
-        """
-        self.counters.increment("batch.fused.requests")
         try:
             self.health.check()
         except ReproError as exc:
             return protocol.BatchReply(
                 [self._refusal_for(exc) for _ in batch.ops]
             )
+        # The wire codec admits only these four op types inside a Batch.
         ops: List[BatchOp] = []
         for op in batch.ops:
             if isinstance(op, protocol.Query):

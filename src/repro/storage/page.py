@@ -78,8 +78,8 @@ class Page:
             + bytes([flags])
             + len(self.payload).to_bytes(4, "big")
         )
-        # join (not +) so zero-copy memoryview payloads — what the fused
-        # batch path decodes pages into — serialise without materialising.
+        # join (not +) so zero-copy memoryview payloads — what the
+        # engine decodes pages into — serialise without materialising.
         return b"".join(
             (header, self.payload, bytes(capacity - len(self.payload)))
         )

@@ -1,16 +1,23 @@
-"""Fused batch execution: byte-identity, error slots, faults, trace shape.
+"""One request path: golden vectors, window sizes, error slots, faults, trace.
 
-The fused path (``RetrievalEngine.run_batch``) serves a whole window of
-operations from one physical scan of the round-robin block.  Its contract:
-replies are *byte-identical* to running the same logical op sequence
-through the serial per-op methods — the physical layout, RNG stream and
-trace may differ, the logical content and every reply may not.
+Every operation runs through ``RetrievalEngine._run_window``: the per-op
+methods are windows of one, ``run_batch`` serves up to k ops from one
+physical scan of the round-robin block.  Two contracts are pinned here:
+
+* a window of one is *byte-identical* to the serial Figure-3 path it
+  replaced — replies, disk frames, sealed journal records, access trace
+  and RNG stream (the golden vectors were generated from that path);
+* replies are identical whatever the window size — the physical layout,
+  RNG stream and trace may differ, the logical content may not.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from repro.baselines import make_records
 from repro.core.engine import BatchOp
 from repro.core.journal import MemoryJournal
 from repro.core.sharded import ShardedPirDatabase
@@ -19,7 +26,6 @@ from repro.errors import (
     ConfigurationError,
     PageDeletedError,
     PageNotFoundError,
-    StorageError,
     TransientStorageError,
 )
 from repro.faults import (
@@ -31,26 +37,28 @@ from repro.faults import (
     SimulatedCrash,
     transient_writes,
 )
+from repro.obs.registry import MetricsRegistry
 from repro.service.frontend import QueryFrontend, ServiceClient
 from repro.service.protocol import Delete, Insert, Query, Refused, Result, Update
+from repro.twoparty import TwoPartySession
 
 from tests.helpers import make_db
-from tests.test_crash_recovery import build_db, faulty_factory, logical_state
+from tests.test_crash_recovery import build_db, logical_state
 
 SEED = 4242
 NUM_RECORDS = 40
 
 
-def twin_dbs(**options):
-    """Two identical databases: one for serial replay, one for fusion."""
+def twin_dbs(count=2, **options):
+    """Identical databases, one per window size under comparison."""
     kwargs = dict(num_records=NUM_RECORDS, cache_capacity=6,
                   reserve_fraction=0.25, seed=SEED)
     kwargs.update(options)
-    return make_db(**kwargs), make_db(**kwargs)
+    return [make_db(**kwargs) for _ in range(count)]
 
 
-def run_serial(db, ops):
-    """Drive ``ops`` through the serial per-op methods, collecting slots."""
+def run_per_op(db, ops):
+    """Drive ``ops`` through the per-op methods (windows of one)."""
     results = []
     for op in ops:
         try:
@@ -79,6 +87,20 @@ def assert_slots_equal(expected, got):
             assert want == have, f"slot {index}: {want!r} vs {have!r}"
 
 
+def assert_window_sizes_agree(ops, **options):
+    """Per-op (window of 1) == ``window=2`` == one window of up to k."""
+    per_op, pairs, whole = twin_dbs(3, **options)
+    expected = run_per_op(per_op, ops)
+    assert_slots_equal(expected, pairs.run_batch(ops, window=2))
+    assert_slots_equal(expected, whole.run_batch(ops))
+    for db in (per_op, pairs, whole):
+        db.consistency_check()
+    # The logical content (page_id -> payload/flags) converges too, even
+    # though the physical layout legitimately differs per window size.
+    assert logical_state(per_op) == logical_state(pairs) == logical_state(whole)
+    return per_op, pairs, whole
+
+
 MIXED_OPS = [
     BatchOp("query", page_id=3),
     BatchOp("update", page_id=5, payload=b"fused"),
@@ -96,62 +118,190 @@ MIXED_OPS = [
 ]
 
 
+# -- golden vectors -----------------------------------------------------------
+#
+# Generated at the parent of the commit that deleted the serial engine path
+# (`_execute_request`), by running the two scenarios below through its
+# per-op methods.  They never change: a window of one must keep
+# reproducing the serial path's bytes.
+
+
+class RecordingJournal(MemoryJournal):
+    """Keeps every sealed intent record the engine wrote."""
+
+    def __init__(self):
+        super().__init__()
+        self.blobs = []
+
+    def write(self, blob):
+        self.blobs.append(bytes(blob))
+        super().write(blob)
+
+
+def golden_ops(count, seed):
+    """A pinned op mix (own LCG, so no library RNG can move it)."""
+    state = seed
+    inserted = 0
+    ops = []
+    for _ in range(count):
+        state = (state * 6364136223846793005 + 1442695040888963407) % 2 ** 64
+        draw, page_id = (state >> 33) % 100, (state >> 40) % (NUM_RECORDS + 4)
+        if draw < 45:
+            ops.append(BatchOp("query", page_id=page_id))
+        elif draw < 70:
+            ops.append(BatchOp("update", page_id=page_id,
+                               payload=b"u%d" % (state % 10 ** 9)))
+        elif draw < 80:
+            ops.append(BatchOp("delete", page_id=page_id))
+        elif draw < 92:
+            inserted += 1
+            ops.append(BatchOp("insert", payload=b"ins-%d" % inserted))
+        elif draw < 97:
+            ops.append(BatchOp("touch"))
+        else:
+            ops.append(BatchOp("query", page_id=10 ** 6 + page_id))
+    return ops
+
+
+def _sha256(parts):
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(len(part).to_bytes(8, "big"))
+        digest.update(part)
+    return digest.hexdigest()
+
+
+def golden_digests(db, journal, replies):
+    def reply_bytes(reply):
+        if isinstance(reply, Exception):
+            return f"E:{type(reply).__name__}:{reply}".encode()
+        if isinstance(reply, bytes):
+            return b"B:" + reply
+        return f"V:{reply!r}".encode()
+
+    return {
+        "replies": _sha256(reply_bytes(reply) for reply in replies),
+        "frames": _sha256(db.disk.peek(location)
+                          for location in range(db.disk.num_locations)),
+        "journal": _sha256(journal.blobs),
+        "journal_records": len(journal.blobs),
+        "trace": _sha256(
+            repr((e.op, e.location, e.count, e.request_index)).encode()
+            for e in db.trace
+        ),
+        "requests": db.engine.request_count,
+        "next_rng_draw": db.cop.rng.randrange(2 ** 64),
+    }
+
+
+def golden_scenario_journaled(run=run_per_op):
+    """MemoryJournal + reserve fraction + all five op kinds + bad slots."""
+    journal = RecordingJournal()
+    db, = twin_dbs(1, journal=journal)
+    replies = run(db, MIXED_OPS + golden_ops(220, seed=SEED))
+    return golden_digests(db, journal, replies)
+
+
+def golden_scenario_rotation(run=run_per_op):
+    """Captured mid key-rotation: both keys live, legacy frames on disk."""
+    journal = RecordingJournal()
+    db = make_db(num_records=120, cache_capacity=4, reserve_fraction=0.25,
+                 block_size=6, seed=77, journal=journal)
+    replies = run(db, golden_ops(30, seed=77))
+    db.rotate_master_key(b"golden-rotation-key")
+    replies += run(db, golden_ops(db.params.num_blocks // 2, seed=78))
+    assert db.engine.rotation_requests_remaining is not None
+    return golden_digests(db, journal, replies)
+
+
+GOLDEN_JOURNALED = {
+    "replies": "fbe02e809ceccf57d7e74bbb232d7267c0d5baf5af018e2cdac7cc7c68c38bbb",
+    "frames": "d85f9db64c11875a9375e15070522b32a5d20e758a9a6428289fcbbb8f1fd251",
+    "journal": "e86db882e5dcb502d66c0f3d8f31f99e14f3f31e8a48b65aeecb8df629cc3388",
+    "journal_records": 225,
+    "trace": "3809653a83b472834fd66124d02a0e9cd4baa7697d8995508ec46ece11750bc3",
+    "requests": 225,
+    "next_rng_draw": 18234967675049236395,
+}
+GOLDEN_ROTATION = {
+    "replies": "f5afc3fe03bc24df1b0dd2aa73202ba46bf5bc62ba4cf8005cc7577817517560",
+    "frames": "d27c69ef8d1229b014150f0345319f50351da0653238539bcd7d2f6d83ab1b78",
+    "journal": "e63112d10bd3ec9e04d3ca20ab2637a285e50f0ad2c260595a8704df19330f87",
+    "journal_records": 40,
+    "trace": "cf14df5c2eb677f5997f5b90b785586c9f1a9af219bdc59abc2d3101067e8761",
+    "requests": 40,
+    "next_rng_draw": 3313141720649431282,
+}
+
+
+def run_windows_of_one(db, ops):
+    """``run_batch([op])`` per op: the same window of one, entered directly."""
+    return [db.run_batch([op])[0] for op in ops]
+
+
+class TestGoldenVectors:
+    """The per-op API reproduces the deleted serial path byte for byte."""
+
+    def test_journaled_mixed_ops(self):
+        assert golden_scenario_journaled() == GOLDEN_JOURNALED
+
+    def test_mid_key_rotation(self):
+        assert golden_scenario_rotation() == GOLDEN_ROTATION
+
+    def test_run_batch_of_one_is_the_same_path(self):
+        assert golden_scenario_journaled(run_windows_of_one) == GOLDEN_JOURNALED
+        assert golden_scenario_rotation(run_windows_of_one) == GOLDEN_ROTATION
+
+
 class TestByteIdentity:
-    """Fused replies must match the serial loop's, slot for slot."""
+    """Replies must not depend on the window size, slot for slot."""
 
     def test_all_five_op_kinds_match_serial(self):
-        serial, fused = twin_dbs()
-        expected = run_serial(serial, MIXED_OPS)
-        got = fused.run_batch(MIXED_OPS)
-        assert_slots_equal(expected, got)
-        serial.consistency_check()
-        fused.consistency_check()
-        # The logical content (page_id -> payload/flags) converges too,
-        # even though the physical layout legitimately differs.
-        assert logical_state(serial) == logical_state(fused)
+        assert_window_sizes_agree(MIXED_OPS)
 
     def test_multi_window_batch_matches_serial(self):
-        serial, fused = twin_dbs()
-        k = fused.params.block_size
+        k = make_db(num_records=NUM_RECORDS, cache_capacity=6,
+                    reserve_fraction=0.25).params.block_size
         ops = [BatchOp("query", page_id=i % NUM_RECORDS)
                for i in range(3 * k + 2)]
-        assert_slots_equal(run_serial(serial, ops), fused.run_batch(ops))
-        assert fused.engine.counters.get("batch.fused.windows") == 4
-        assert fused.engine.request_count == serial.engine.request_count
+        per_op, pairs, whole = assert_window_sizes_agree(ops)
+        windows = [db.engine.counters.get("batch.fused.windows")
+                   for db in (per_op, pairs, whole)]
+        assert windows == [len(ops), (len(ops) + 1) // 2, 4]
+        assert (per_op.engine.request_count == pairs.engine.request_count
+                == whole.engine.request_count == len(ops))
 
     def test_insert_ids_deterministic_across_paths(self):
-        serial, fused = twin_dbs()
         ops = [
             BatchOp("delete", page_id=11),
             BatchOp("delete", page_id=4),
             BatchOp("insert", payload=b"a"),   # reuses lowest free id
             BatchOp("insert", payload=b"b"),
         ]
-        expected = run_serial(serial, ops)
-        got = fused.run_batch(ops)
-        assert_slots_equal(expected, got)
-        assert got[2] == 4  # the lower freed id, chosen deterministically
+        per_op, _, _ = assert_window_sizes_agree(ops)
+        # The lower freed id, chosen deterministically.
+        assert per_op.query(4) == b"a"
 
     def test_interleaving_serial_and_fused_calls(self):
-        serial, fused = twin_dbs()
-        fused.update(9, b"warm")
-        serial.update(9, b"warm")
+        per_op, whole = twin_dbs()
+        whole.update(9, b"warm")
+        per_op.update(9, b"warm")
         ops = [BatchOp("query", page_id=9), BatchOp("delete", page_id=9)]
-        assert_slots_equal(run_serial(serial, ops), fused.run_batch(ops))
+        assert_slots_equal(run_per_op(per_op, ops), whole.run_batch(ops))
         with pytest.raises(PageDeletedError):
-            fused.query(9)
+            whole.query(9)
 
     def test_explicit_window_size_and_validation(self):
-        _, fused = twin_dbs()
+        db, = twin_dbs(1)
         ops = [BatchOp("query", page_id=i) for i in range(6)]
-        got = fused.run_batch(ops, window=2)
-        assert fused.engine.counters.get("batch.fused.windows") == 3
+        got = db.run_batch(ops, window=2)
+        assert db.engine.counters.get("batch.fused.windows") == 3
         assert all(not isinstance(item, Exception) for item in got)
         with pytest.raises(ConfigurationError):
-            fused.run_batch(ops, window=0)
+            db.run_batch(ops, window=0)
         # An unknown op kind fails its slot, not the batch.
-        bad = fused.run_batch([BatchOp("frobnicate"),
-                               BatchOp("query", page_id=0)])
+        bad = db.run_batch([BatchOp("frobnicate"),
+                            BatchOp("query", page_id=0)])
         assert isinstance(bad[0], ConfigurationError)
         assert not isinstance(bad[1], Exception)
 
@@ -160,19 +310,18 @@ class TestErrorSlots:
     """Failed slots must not poison their window's healthy neighbours."""
 
     def test_validation_failures_do_not_consume_requests(self):
-        _, fused = twin_dbs()
-        before = fused.engine.request_count
-        got = fused.run_batch([
+        db, = twin_dbs(1)
+        before = db.engine.request_count
+        got = db.run_batch([
             BatchOp("query", page_id=10 ** 9),
             BatchOp("update", page_id=2, payload=b"z" * 10_000),
         ])
         assert isinstance(got[0], PageNotFoundError)
         assert isinstance(got[1], ConfigurationError)
-        assert fused.engine.request_count == before
-        assert fused.engine.counters.get("batch.fused.windows") == 0
+        assert db.engine.request_count == before
+        assert db.engine.counters.get("batch.fused.windows") == 0
 
     def test_mixed_window_serves_valid_slots(self):
-        serial, fused = twin_dbs()
         ops = [
             BatchOp("query", page_id=10 ** 9),
             BatchOp("query", page_id=2),
@@ -180,19 +329,19 @@ class TestErrorSlots:
             BatchOp("update", page_id=3, payload=b"ok"),
             BatchOp("query", page_id=3),
         ]
-        assert_slots_equal(run_serial(serial, ops), fused.run_batch(ops))
+        _, _, whole = assert_window_sizes_agree(ops)
         # Only the three valid ops consumed requests.
-        assert fused.engine.counters.get("batch.fused.ops") == 3
+        assert whole.engine.counters.get("batch.fused.ops") == 3
 
     def test_insert_capacity_error_slot(self):
         # No reserve: the free pool is only round-up padding; exhaust it.
-        _, fused = twin_dbs(reserve_fraction=0.0)
-        free = len(fused.cop.page_map.free_ids())
+        db, = twin_dbs(1, reserve_fraction=0.0)
+        free = len(db.cop.page_map.free_ids())
         ops = [BatchOp("insert", payload=b"x")] * (free + 2)
-        got = fused.run_batch(ops)
+        got = db.run_batch(ops)
         assert all(isinstance(item, int) for item in got[:free])
         assert all(isinstance(item, CapacityError) for item in got[free:])
-        fused.consistency_check()
+        db.consistency_check()
 
 
 class TestFusedUnderFaults:
@@ -222,6 +371,20 @@ class TestFusedUnderFaults:
         assert db.engine.counters.get("batch.fused.windows") == 1
         db.consistency_check()
 
+    def test_failed_per_op_request_resets_trace_attribution(self):
+        """Regression: a compute-phase failure of a per-op request left
+        ``disk.current_request`` at the failed index, so later background
+        (reshuffle) accesses were attributed to a client request."""
+        db = self._faulted_db(
+            [FaultPlan(SITE_DISK_READ, "transient", times=1)]
+        )
+        with pytest.raises(TransientStorageError):
+            db.query(3)
+        assert db.disk.current_request == -1
+        assert db.engine.request_count == 0
+        assert db.query(3) == make_records(30, 16)[3]
+        assert db.disk.current_request == -1
+
     def test_write_fault_rolls_window_forward(self):
         journal = MemoryJournal()
         db = self._faulted_db([transient_writes(times=1)], journal=journal)
@@ -237,8 +400,8 @@ class TestFusedUnderFaults:
 
         # The next batch heals the whole torn window first — all three ops
         # committed atomically — then serves its own ops.  (The insert
-        # recycled the id freed by the in-window delete, exactly as the
-        # serial path would: lowest free id wins.)
+        # recycled the id freed by the in-window delete: lowest free id
+        # wins, whatever the window size.)
         follow_up = db.run_batch([
             BatchOp("query", page_id=5),
             BatchOp("query", page_id=7),
@@ -281,20 +444,19 @@ class TestFusedUnderFaults:
         journal = MemoryJournal()
         db = self._faulted_db([transient_writes(times=1)], journal=journal)
         with pytest.raises(TransientStorageError):
-            db.update(5, b"serial torn")
+            db.update(5, b"per-op torn")
         assert db.engine.write_back_pending
         got = db.run_batch([BatchOp("query", page_id=5)])
-        assert got[0] == b"serial torn"
+        assert got[0] == b"per-op torn"
         assert db.engine.counters.get("recovery.rolled_forward") == 1
         db.consistency_check()
 
 
 class TestWindowTraceShape:
-    """The fused window trace must not depend on the op mix it serves."""
+    """The window trace must not depend on the op mix it serves."""
 
     def _window_shape(self, ops):
-        db = make_db(num_records=NUM_RECORDS, cache_capacity=6,
-                     reserve_fraction=0.25, seed=SEED)
+        db, = twin_dbs(1)
         base_index = db.engine.request_count
         results = db.run_batch(ops)
         assert not any(isinstance(item, Exception) for item in results)
@@ -319,23 +481,66 @@ class TestWindowTraceShape:
         assert shapes[0] == shapes[1] == shapes[2]
 
     def test_reads_collapse_to_one_block_scan(self):
-        db = make_db(num_records=NUM_RECORDS, cache_capacity=6,
-                     reserve_fraction=0.25, seed=SEED)
+        db, = twin_dbs(1)
         k = db.params.block_size
         n = k  # one full window
         db.run_batch([BatchOp("query", page_id=i) for i in range(n)])
         counters = db.engine.counters
         assert counters.get("batch.fused.block_reads") == 1
         assert counters.get("batch.fused.extra_reads") == n
-        # The serial loop would read n * (k + 1) frames; the fused window
-        # reads k + n.  The counter records exactly that collapse.
+        # n windows of one would read n * (k + 1) frames; one window of n
+        # reads k + n.  The counter and the disk trace record exactly that.
         assert counters.get("batch.fused.reads_saved") == n * (k + 1) - (k + n)
+        reads = [e.count for e in db.trace if e.op == "read"]
+        assert reads == [k] + [1] * n
+
+
+class TestWindowMetrics:
+    def test_query_seconds_observed_once_per_committed_window(self):
+        """Regression: only the serial path fed ``engine.query_seconds``,
+        so PlanController's windowed p99 never saw batch traffic."""
+        registry = MetricsRegistry()
+        db, = twin_dbs(1, metrics=registry)
+        hist = registry.histogram("engine.query_seconds")
+        db.run_batch([BatchOp("query", page_id=i) for i in range(8)],
+                     window=4)
+        assert hist.state().count == 2
+        db.query(1)
+        assert hist.state().count == 3
+        # A window whose every slot fails validation commits nothing.
+        db.run_batch([BatchOp("query", page_id=10 ** 9)])
+        assert hist.state().count == 3
+
+
+class TestTwoPartyWindowOfOne:
+    def test_every_owner_op_costs_two_round_trips(self):
+        """``RemoteDisk`` speaks only the request-granular calls: a window
+        of one must stay one batched read + one batched write-back."""
+        records = make_records(60, 16)
+        session = TwoPartySession.create(
+            records, cache_capacity=8, target_c=2.0, page_capacity=16,
+            reserve_fraction=0.2, seed=99,
+        )
+        round_trips = session.channel.counters
+        steps = [
+            lambda: session.query(5),
+            lambda: session.query(5),            # now cached: a hit
+            lambda: session.update(7, b"owner-edit"),
+            lambda: session.insert(b"outsourced"),
+            lambda: session.delete(11),
+        ]
+        for step in steps:
+            before = round_trips.get("round_trips")
+            step()
+            assert round_trips.get("round_trips") == before + 2
+        assert session.query(5) == records[5]
+        assert session.query(7) == b"owner-edit"
+        with pytest.raises(PageDeletedError):
+            session.query(11)
 
 
 class TestShardedFusedBatch:
     def _twin_sharded(self):
-        from repro.baselines import make_records
-
         records = make_records(NUM_RECORDS, 16)
         kwargs = dict(cache_capacity_per_shard=4, target_c=2.0,
                       page_capacity=16, reserve_fraction=0.25, seed=77)
@@ -345,27 +550,27 @@ class TestShardedFusedBatch:
         )
 
     def test_sharded_batch_matches_serial_methods(self):
-        serial, fused = self._twin_sharded()
+        per_op, batched = self._twin_sharded()
         try:
             ops = MIXED_OPS[:-1]  # same mix, minus the out-of-range probe
-            expected = run_serial(serial, ops)
-            got = fused.run_batch(ops)
+            expected = run_per_op(per_op, ops)
+            got = batched.run_batch(ops)
             assert_slots_equal(expected, got)
             # Inserted global ids route identically afterwards.
             inserted = [item for item in got if isinstance(item, int)]
             for global_id in inserted:
-                assert fused.query(global_id) == serial.query(global_id)
-            serial.consistency_check()
-            fused.consistency_check()
+                assert batched.query(global_id) == per_op.query(global_id)
+            per_op.consistency_check()
+            batched.consistency_check()
             # Cover traffic keeps per-shard request streams equal-length.
-            counts = fused.shard_request_counts()
+            counts = batched.shard_request_counts()
             assert len(set(counts)) == 1
         finally:
-            serial.close()
-            fused.close()
+            per_op.close()
+            batched.close()
 
     def test_sharded_batch_tombstones_inside_batch(self):
-        serial, fused = self._twin_sharded()
+        per_op, batched = self._twin_sharded()
         try:
             ops = [
                 BatchOp("delete", page_id=22),
@@ -373,57 +578,55 @@ class TestShardedFusedBatch:
                 BatchOp("query", page_id=22),   # must NOT alias the insert
                 BatchOp("delete", page_id=22),  # tombstoned -> deleted error
             ]
-            assert_slots_equal(run_serial(serial, ops), fused.run_batch(ops))
+            assert_slots_equal(run_per_op(per_op, ops), batched.run_batch(ops))
         finally:
-            serial.close()
-            fused.close()
+            per_op.close()
+            batched.close()
 
 
 class TestFrontendFusedBatch:
-    def _frontend(self, **options):
-        return QueryFrontend(
+    def _client(self):
+        return ServiceClient(QueryFrontend(
             make_db(num_records=NUM_RECORDS, reserve_fraction=0.25,
                     seed=SEED),
-            **options,
-        )
+        ))
 
-    def test_fused_and_serial_frontends_agree(self):
-        from repro.baselines import make_records
-
+    def test_batch_equals_same_ops_sent_one_by_one(self):
         records = make_records(NUM_RECORDS, 16)
         # Insert precedes the delete so it takes a reserve slot instead of
         # recycling page 4 — the query of the deleted page must refuse.
         batch = [Query(2), Update(3, b"new"), Query(3), Insert(b"ins"),
                  Delete(4), Query(4), Query(10 ** 9)]
-        fused_client = ServiceClient(self._frontend())
-        serial_client = ServiceClient(
-            self._frontend(fused_batches=False)
-        )
-        fused_replies = fused_client.batch(list(batch))
-        serial_replies = serial_client.batch(list(batch))
-        assert fused_replies == serial_replies
-        assert fused_replies[0] == Result(2, records[2])
-        assert fused_replies[3].payload == b"ins"
-        assert isinstance(fused_replies[5], Refused)
-        assert fused_replies[5].code == "deleted"
-        assert isinstance(fused_replies[6], Refused)
-        assert fused_replies[6].code == "not-found"
+        batch_replies = self._client().batch(list(batch))
+        # A Batch of one is the wire's window of one: same reply shape
+        # (refusals come back as slots, not exceptions) for every op.
+        one_by_one = self._client()
+        single_replies = [one_by_one.batch([op])[0] for op in batch]
+        assert batch_replies == single_replies
+        assert batch_replies[0] == Result(2, records[2])
+        assert batch_replies[3].payload == b"ins"
+        assert isinstance(batch_replies[5], Refused)
+        assert batch_replies[5].code == "deleted"
+        assert isinstance(batch_replies[6], Refused)
+        assert batch_replies[6].code == "not-found"
+        # ... and the plain per-op calls return the same payloads.
+        plain = self._client()
+        assert plain.query(2) == records[2]
+        plain.update(3, b"new")
+        assert plain.query(3) == b"new"
+        assert plain.insert(b"ins") == batch_replies[3].page_id
+        plain.delete(4)
+        with pytest.raises(PageDeletedError):
+            plain.query(4)
+        with pytest.raises(PageNotFoundError):
+            plain.query(10 ** 9)
 
     def test_fused_path_counters(self):
-        frontend = self._frontend()
-        client = ServiceClient(frontend)
+        client = self._client()
+        frontend = client.frontend
         client.batch([Query(0), Query(1), Query(2)])
         assert frontend.counters.get("batch.requests") == 1
-        assert frontend.counters.get("batch.fused.requests") == 1
         assert frontend.counters.get("batch.ops") == 3
         engine = frontend.database.engine
         assert engine.counters.get("batch.fused.windows") == 1
         assert engine.counters.get("batch.fused.ops") == 3
-
-    def test_fused_disabled_keeps_serial_loop(self):
-        frontend = self._frontend(fused_batches=False)
-        client = ServiceClient(frontend)
-        client.batch([Query(0), Query(1)])
-        assert frontend.counters.get("batch.fused.requests") == 0
-        assert frontend.database.engine.counters.get(
-            "batch.fused.windows") == 0

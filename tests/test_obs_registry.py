@@ -57,20 +57,18 @@ class TestInstruments:
         assert hist.nonzero_buckets() == [("0.1", 1), ("1", 2), ("10", 1)]
 
     def test_quantile_interpolation_vs_legacy_upper_bound(self):
-        # Regression pin for both estimators.  Values 0.05, 0.5, 0.5, 5.0
+        # Regression pin for the estimator.  Values 0.05, 0.5, 0.5, 5.0
         # on buckets [0.1, 1, 10]: the median rank (2) lands in (0.1, 1]
-        # as rank 1 of 2 -> lerp 0.1 + 0.5 * (1 - 0.1) = 0.55, while the
-        # legacy mode returns the bucket's upper bound, 1.0.
+        # as rank 1 of 2 -> lerp 0.1 + 0.5 * (1 - 0.1) = 0.55, not the
+        # bucket's upper bound, 1.0.
         registry = MetricsRegistry()
         hist = registry.histogram("latency", buckets=[0.1, 1.0, 10.0])
         for value in (0.05, 0.5, 0.5, 5.0):
             hist.observe(value)
         assert hist.quantile(0.5) == pytest.approx(0.55)
-        assert hist.quantile(0.5, interpolate=False) == pytest.approx(1.0)
         # Interpolation clamps to the observed extremes: the last bucket
         # lerps toward 10.0 but no sample exceeds 5.0.
         assert hist.quantile(1.0) == pytest.approx(5.0)
-        assert hist.quantile(1.0, interpolate=False) == pytest.approx(10.0)
         # And a single-sample bucket clamps up to the observed minimum.
         low = registry.histogram("low", buckets=[10.0])
         low.observe(9.0)
@@ -96,11 +94,9 @@ class TestInstruments:
         hist = registry.histogram("t", buckets=[1.0])
         hist.observe(50.0)
         assert hist.nonzero_buckets() == [("+Inf", 1)]
-        # Overflow has no upper bound to interpolate toward: both modes
-        # report the observed maximum... except legacy mode, which has no
-        # better answer than max either.
+        # Overflow has no upper bound to interpolate toward: the estimate
+        # is the observed maximum.
         assert hist.quantile(1.0) == pytest.approx(50.0)
-        assert hist.quantile(1.0, interpolate=False) == pytest.approx(50.0)
 
     def test_histogram_invalid_buckets(self):
         registry = MetricsRegistry()

@@ -228,19 +228,6 @@ class TestBatchRequests:
         assert frontend.database.engine.request_count == count
         assert frontend.counters.get("requests.duplicate") == 1
 
-    def test_batch_trace_indistinguishable_from_serial(self):
-        # Pins the *serial* dispatch loop's trace: each batch op must look
-        # exactly like a standalone request.  The fused path has its own
-        # (window-level) shape invariant, tested in test_batch_fused.py.
-        frontend = QueryFrontend(
-            make_db(num_records=40, reserve_fraction=0.2, seed=500),
-            fused_batches=False,
-        )
-        client = ServiceClient(frontend)
-        client.batch([Query(0), Update(1, b"x"), Query(2)])
-        client.query(3)
-        assert shapes_identical(frontend.database.trace, 0)
-
 
 class TestSealedReplyCache:
     def test_lru_eviction_bound(self):
