@@ -417,14 +417,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         admission=admission,
-        workers=args.workers,
         queue_depth=args.queue_depth,
         reap_interval=args.session_ttl,
         metrics=registry,
     )
     handle = ServerThread(server).start()
     print(f"serving {args.pages} pages on {handle.host}:{handle.port} "
-          f"(c={args.c}, workers={args.workers})", flush=True)
+          f"(c={args.c})", flush=True)
     try:
         if args.duration > 0:
             _time.sleep(args.duration)
@@ -750,8 +749,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--c", type=float, default=2.0)
     serve.add_argument("--page-size", type=int, default=64, dest="page_size")
     serve.add_argument("--seed", type=int, default=1)
-    serve.add_argument("--workers", type=int, default=1,
-                       help="engine worker threads (>1 needs sharding)")
     serve.add_argument("--queue-depth", type=int, default=64,
                        dest="queue_depth",
                        help="bounded request queue; beyond it requests "

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from .engine import BatchOp, RetrievalEngine
+from .engine import BatchOp, RetrievalEngine, run_one
 from .params import SystemParameters
 from ..crypto.pipeline import PIPELINE_MODES, KeystreamPipeline
 from ..crypto.rng import SecureRandom
@@ -303,73 +303,60 @@ class PirDatabase:
         independent of page state) before a deleted page raises
         :class:`PageDeletedError`.
         """
-        page = self.engine.retrieve(page_id)
-        # Emit before raising: the engine already executed the full trace,
-        # so the cover record must be appended either way or the stream
-        # would fall out of step with the request count.
-        self._emit("noop")
-        if self.cop.page_map.is_deleted(page_id):
-            raise PageDeletedError(f"page {page_id} is deleted")
-        return page.payload
+        return run_one(self, BatchOp("query", page_id=page_id))
 
     def update(self, page_id: int, payload: bytes) -> None:
         """Replace the payload of an existing page (§4.3 modification)."""
-        self.engine.modify(page_id, payload)
-        self._emit("write", page_id, payload)
+        run_one(self, BatchOp("update", page_id=page_id, payload=payload))
 
     def insert(self, payload: bytes) -> int:
         """Add a new page, consuming one reserved free slot; returns its id."""
-        new_id = self.engine.insert(payload)
-        # Replicated as a write at the chosen id: peers revive the same
-        # reserve page via modify(), so ids converge across the cluster.
-        self._emit("write", new_id, payload)
-        return new_id
+        return run_one(self, BatchOp("insert", payload=payload))
 
     def delete(self, page_id: int) -> None:
         """Remove a page; its storage becomes available to ``insert`` (§4.3)."""
-        self.engine.delete(page_id)
-        self._emit("delete", page_id)
+        run_one(self, BatchOp("delete", page_id=page_id))
 
     def touch(self) -> None:
         """Issue a dummy request to keep the background reshuffle mixing."""
-        self.engine.touch()
-        self._emit("noop")
-
-    def _emit(self, kind: str, page_id: int = 0, payload: bytes = b"") -> None:
-        if self.replication is not None:
-            self.replication.emit(kind, page_id, payload)
+        run_one(self, BatchOp("touch"))
 
     def run_batch(self, ops: Sequence[BatchOp],
                   window: Optional[int] = None) -> List[object]:
         """Execute a batch with one disk pass per round-robin window.
 
+        The only request path: the per-op methods are a batch of one.
         Ops are grouped into windows of up to ``k`` operations; each
         window reads the k-frame block once and commits one journaled
         write-back (see :meth:`RetrievalEngine.run_batch`).  Returns one
         result per op, positionally: the payload bytes for ``query``, the
         new page id for ``insert``, ``None`` for update/delete/touch, or
-        the exception instance for a failed slot.  Payloads are
-        byte-identical to running the same op sequence through the per-op
-        methods (windows of one) — only the physical trace differs.
+        the exception instance for a failed slot.  Payloads do not depend
+        on the window size — only the physical trace does.
+
+        Every op emits exactly one replication record (see
+        ``replication``): a write at the op's id for update and insert —
+        peers revive the same reserve page via modify(), so inserted ids
+        converge — a delete, or a ``noop`` cover for query, touch *and
+        any failed slot*.
         """
         results = self.engine.run_batch(ops, window=window)
         for slot, (op, item) in enumerate(zip(ops, results)):
             if isinstance(item, Page):
-                # The query contract of :meth:`query`, at the op's turn.
+                # Refused only after the full request has executed.
                 results[slot] = item = (
                     PageDeletedError(f"page {op.page_id} is deleted")
                     if item.deleted else item.payload
                 )
-            if isinstance(item, Exception):
-                self._emit("noop")
-            elif op.kind == "update":
-                self._emit("write", op.page_id, op.payload)
-            elif op.kind == "insert":
-                self._emit("write", item, op.payload)
+            if self.replication is None:
+                continue
+            if isinstance(item, Exception) or op.kind in ("query", "touch"):
+                self.replication.emit("noop")
             elif op.kind == "delete":
-                self._emit("delete", op.page_id)
-            else:  # query / touch
-                self._emit("noop")
+                self.replication.emit("delete", op.page_id)
+            else:  # update / insert: a write at the (possibly fresh) id
+                page_id = item if op.kind == "insert" else op.page_id
+                self.replication.emit("write", page_id, op.payload)
         return results
 
     def recover(self):

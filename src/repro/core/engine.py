@@ -76,7 +76,8 @@ from ..sim.metrics import CounterSet
 from ..storage.disk import DiskStore
 from ..storage.page import Page
 
-__all__ = ["RetrievalEngine", "RequestOutcome", "RecoveryReport", "BatchOp"]
+__all__ = ["RetrievalEngine", "RequestOutcome", "RecoveryReport", "BatchOp",
+           "run_one"]
 
 _MAX_REJECTION_ROUNDS = 10_000_000
 
@@ -96,6 +97,17 @@ class BatchOp:
     kind: str
     page_id: Optional[int] = None
     payload: Optional[bytes] = None
+
+
+def run_one(target, op: BatchOp):
+    """A single op is ``target.run_batch`` of one; its slot's error is raised.
+
+    How the engine and both database façades serve their per-op methods.
+    """
+    result = target.run_batch((op,))[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 @dataclass
@@ -209,31 +221,24 @@ class RetrievalEngine:
 
     def retrieve(self, page_id: int) -> Page:
         """Q(i): privately fetch page ``page_id`` (Figure 3's Retrieve)."""
-        return self._run_one(BatchOp("query", page_id=page_id))
+        return run_one(self, BatchOp("query", page_id=page_id))
 
     def modify(self, page_id: int, payload: bytes) -> None:
         """Replace a page's payload; trace-identical to a query (§4.3)."""
-        self._run_one(BatchOp("update", page_id=page_id, payload=payload))
+        run_one(self, BatchOp("update", page_id=page_id, payload=payload))
 
     def delete(self, page_id: int) -> None:
         """Mark a page deleted; its slot joins the insertion free pool (§4.3)."""
-        self._run_one(BatchOp("delete", page_id=page_id))
+        run_one(self, BatchOp("delete", page_id=page_id))
 
     def insert(self, payload: bytes) -> int:
         """Store a new page in a reclaimed free slot; returns its page id (§4.3)."""
-        return self._run_one(BatchOp("insert", payload=payload))
+        return run_one(self, BatchOp("insert", payload=payload))
 
     def touch(self) -> None:
         """One dummy request (random page), e.g. to keep the reshuffle mixing
         during idle periods.  Observable trace identical to any query."""
-        self._run_one(BatchOp("touch"))
-
-    def _run_one(self, op: BatchOp):
-        """A single request is a window of one; its slot's error is raised."""
-        result = self.run_batch((op,))[0]
-        if isinstance(result, Exception):
-            raise result
-        return result
+        run_one(self, BatchOp("touch"))
 
     def begin_key_rotation(self, new_master_key: bytes) -> None:
         """Rotate the database encryption key online, for free.

@@ -19,32 +19,32 @@ the cost of the parallel-hardware latency max instead of a single shard's.
 Setting ``cover_traffic=False`` exposes the trade-off for the ablation
 benchmark.
 
-Two properties of the cover traffic matter for privacy and performance:
+Two properties of the cover traffic matter for privacy and cost:
 
-* **Order independence.**  The per-shard operations of one logical request
+* **Order independence.**  The per-shard streams of one logical request
   are always issued in canonical shard-index order, never "real shard
   first" — an observer of the cross-shard access *sequence* must learn
   nothing about which shard served the real operation (the old
   target-first ordering leaked it exactly).
-* **Parallel dispatch.**  With ``parallel=True`` (the default) the real
-  operation and all covers run concurrently on a :class:`ShardExecutor` —
-  a thread pool with one worker and one lock per shard, so a shard's
-  engine is never entered by two threads at once.  That makes
-  :meth:`ShardedPirDatabase.elapsed`'s max-over-shards model honest in
-  wall-clock terms too.  Each shard owns its clock, RNG and engine, so the
-  per-shard request streams (and therefore all frames, traces and virtual
-  clocks) are byte-identical between parallel and serial execution.
+* **Hardware parallelism is modelled, not threaded.**  Each shard owns its
+  clock, RNG and engine, so the units of a real deployment would work
+  side by side: :meth:`ShardedPirDatabase.elapsed` is the max over shard
+  clocks, :meth:`~ShardedPirDatabase.elapsed_serial` their sum.  In this
+  process the shards are driven one after the other under a single façade
+  lock (a thread pool measured *slower* than the loop under the GIL), so
+  any number of client threads may share one instance.
+
+There is one request path: ``query/update/insert/delete/touch`` are a
+:meth:`~ShardedPirDatabase.run_batch` of one.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
-from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .database import PirDatabase
-from .engine import BatchOp
+from .engine import BatchOp, run_one
 from ..errors import (
     ConfigurationError,
     PageDeletedError,
@@ -55,18 +55,17 @@ from ..hardware.coprocessor import SecureStorageReport
 from ..hardware.specs import HardwareSpec
 from ..sim.metrics import CounterSet
 
-__all__ = ["ShardedPirDatabase", "ShardExecutor"]
+__all__ = ["ShardedPirDatabase"]
 
 
-def _globalise_error(exc: Exception, local_id, global_id: int) -> Exception:
+def _globalise_error(exc: Exception, local_id: int,
+                     global_id: int) -> Exception:
     """Rewrite a shard-level error so its message names the global id.
 
-    Shards speak local page ids; the substitution keeps batch error slots
-    consistent with what the serial per-op methods report.  Errors whose
-    message does not mention the local id pass through unchanged.
+    Shards speak local page ids; callers only ever see global ones.
+    Errors whose message does not mention the local id pass through
+    unchanged.
     """
-    if local_id is None:
-        return exc
     text = str(exc)
     marker = f"page {local_id}"
     if marker not in text:
@@ -74,109 +73,22 @@ def _globalise_error(exc: Exception, local_id, global_id: int) -> Exception:
     return type(exc)(text.replace(marker, f"page {global_id}", 1))
 
 
-class ShardExecutor:
-    """Dispatches per-shard operations, optionally on parallel workers.
-
-    One worker thread and one lock per shard: operations for *different*
-    shards run concurrently, while a shard's engine (single-threaded by
-    design — its RNG, cipher suite and tracer are stateful) is entered by
-    at most one thread at a time.  In serial mode (``parallel=False``)
-    operations run inline in submission order; both modes drive each
-    shard through the same per-shard operation sequence, so results are
-    identical and only wall-clock time differs.
-    """
-
-    def __init__(self, num_shards: int, parallel: bool = True,
-                 counters: Optional[CounterSet] = None):
-        if num_shards <= 0:
-            raise ConfigurationError("executor needs at least one shard")
-        self.parallel = parallel and num_shards > 1
-        self._locks = [threading.Lock() for _ in range(num_shards)]
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._counters = counters if counters is not None else CounterSet()
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=len(self._locks), thread_name_prefix="shard"
-            )
-        return self._pool
-
-    def _run_one(self, shard_index: int, operation: Callable[[], object]):
-        with self._locks[shard_index]:
-            return operation()
-
-    def run(self, operations: Sequence[Tuple[int, Callable[[], object]]]) -> list:
-        """Execute ``(shard_index, thunk)`` pairs; returns results in order.
-
-        All operations are driven to completion even when one raises, so a
-        failing real operation cannot leave cover traffic half-issued (the
-        per-shard state always advances uniformly); the first exception in
-        submission order is then re-raised.
-        """
-        self._counters.increment("dispatches")
-        self._counters.increment("operations", len(operations))
-        if not self.parallel:
-            # Serial fallback still drives every shard before re-raising.
-            results: list = []
-            first_error: Optional[BaseException] = None
-            for shard_index, operation in operations:
-                try:
-                    results.append(self._run_one(shard_index, operation))
-                except Exception as exc:  # noqa: BLE001 - re-raised below
-                    results.append(None)
-                    if first_error is None:
-                        first_error = exc
-            if first_error is not None:
-                raise first_error
-            return results
-        pool = self._ensure_pool()
-        self._counters.increment("parallel_dispatches")
-        futures = [
-            pool.submit(self._run_one, shard_index, operation)
-            for shard_index, operation in operations
-        ]
-        wait(futures)
-        first_error = None
-        results = []
-        for future in futures:
-            error = future.exception()
-            if error is not None:
-                results.append(None)
-                if first_error is None:
-                    first_error = error
-            else:
-                results.append(future.result())
-        if first_error is not None:
-            raise first_error
-        return results
-
-    def close(self) -> None:
-        """Shut down the worker pool (idempotent; serial mode is a no-op)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
 class ShardedPirDatabase:
     """A database partitioned over independent coprocessor instances."""
 
     def __init__(self, shards: List[PirDatabase], records_per_shard: int,
-                 num_records: int, cover_traffic: bool,
-                 parallel: bool = True, metrics=None):
+                 num_records: int, cover_traffic: bool, metrics=None):
         self.shards = shards
         self._per_shard = records_per_shard
         self.num_records = num_records
         self.cover_traffic = cover_traffic
         self.counters = CounterSet(registry=metrics, prefix="shardpool.")
-        self.executor = ShardExecutor(
-            len(shards), parallel=parallel, counters=self.counters
-        )
+        # The one lock: a request holds it from routing prescan to routing
+        # commit, so concurrent client threads see the routing table and
+        # every shard engine (single-threaded by contract) one at a time.
+        self._lock = threading.Lock()
         # Inserted pages get fresh global ids above the record space; the
-        # routing table lives with the rest of the trusted metadata.  The
-        # lock guards it (and the tombstone set) against concurrent client
-        # threads — the per-shard engines have their own executor locks.
-        self._routing_lock = threading.Lock()
+        # routing table lives with the rest of the trusted metadata.
         self._inserted: Dict[int, Tuple[int, int]] = {}
         self._next_inserted_id = num_records
         # Deleted *base-range* ids stay dead forever: their disk slot may
@@ -201,26 +113,20 @@ class ShardedPirDatabase:
         cover_traffic: bool = True,
         spec: Optional[HardwareSpec] = None,
         seed: Optional[int] = None,
-        parallel: bool = True,
         metrics=None,
         **database_options,
     ) -> "ShardedPirDatabase":
         """Partition ``records`` into contiguous shards, one engine each.
 
-        ``parallel`` selects concurrent dispatch of the real operation and
-        its covers (see :class:`ShardExecutor`); a shared ``tracer`` in
-        ``database_options`` forces serial dispatch, because a
-        :class:`~repro.obs.tracer.Tracer` is single-threaded by design
-        and would interleave spans from different shards.  ``metrics``
-        (a thread-safe :class:`~repro.obs.registry.MetricsRegistry`) is
-        shared by all shards and the dispatch counters (``shardpool.*``).
+        ``metrics`` (a :class:`~repro.obs.registry.MetricsRegistry`) is
+        shared by all shards and the façade's ``shardpool.*`` counters;
+        ``database_options`` go to every :meth:`PirDatabase.create` — a
+        shared ``tracer`` records the spans of all shards, in issue order.
         """
         if num_shards <= 0:
             raise ConfigurationError("need at least one shard")
         if len(records) < num_shards:
             raise ConfigurationError("fewer records than shards")
-        if database_options.get("tracer") is not None:
-            parallel = False
         per_shard = (len(records) + num_shards - 1) // num_shards
         shards: List[PirDatabase] = []
         for index in range(num_shards):
@@ -243,17 +149,15 @@ class ShardedPirDatabase:
                 )
             )
         return cls(shards, per_shard, len(records), cover_traffic,
-                   parallel=parallel, metrics=metrics)
+                   metrics=metrics)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release the executor's worker threads and each shard's
-        background workers — keystream prefetch and online reshuffle —
-        when present (idempotent)."""
-        self.executor.close()
+        """Release each shard's background workers — keystream prefetch
+        and online reshuffle — when present (idempotent)."""
         for shard in self.shards:
             shard.close()
 
@@ -264,133 +168,68 @@ class ShardedPirDatabase:
         self.close()
 
     # ------------------------------------------------------------------
-    # Routing
+    # Operations
     # ------------------------------------------------------------------
 
     @property
     def num_shards(self) -> int:
         return len(self.shards)
 
-    def _route(self, global_id: int) -> Tuple[int, int]:
-        """Global id -> (shard index, local page id)."""
-        with self._routing_lock:
-            return self._route_locked(global_id)
-
-    def _with_cover(self, shard_index: int, operation):
-        """Run ``operation`` on its shard plus covers on all the others.
-
-        The per-shard operations are always issued in canonical
-        shard-index order — independent of which shard carries the real
-        operation — so the cross-shard access sequence leaks nothing about
-        the target (see the module docstring); the executor then runs them
-        serially or concurrently without changing any per-shard stream.
-        """
-        if not self.cover_traffic:
-            results = self.executor.run(
-                [(shard_index, partial(operation, self.shards[shard_index]))]
-            )
-            return results[0]
-        self.counters.increment("covers", self.num_shards - 1)
-        operations: List[Tuple[int, Callable[[], object]]] = []
-        for index, shard in enumerate(self.shards):
-            if index == shard_index:
-                operations.append((index, partial(operation, shard)))
-            else:
-                operations.append((index, shard.touch))
-        results = self.executor.run(operations)
-        return results[shard_index]
-
-    # ------------------------------------------------------------------
-    # Operations
-    # ------------------------------------------------------------------
-
     def query(self, global_id: int) -> bytes:
-        shard_index, local = self._route(global_id)
-        return self._with_cover(shard_index, lambda db: db.query(local))
+        return run_one(self, BatchOp("query", page_id=global_id))
 
     def update(self, global_id: int, payload: bytes) -> None:
-        shard_index, local = self._route(global_id)
-        self._with_cover(shard_index, lambda db: db.update(local, payload))
+        run_one(self, BatchOp("update", page_id=global_id, payload=payload))
 
     def delete(self, global_id: int) -> None:
-        shard_index, local = self._route(global_id)
-        self._with_cover(shard_index, lambda db: db.delete(local))
-        # Drop the routing entry only after the shard-level delete
-        # succeeded: the shard may recycle the local slot for a future
-        # insert, and a stale mapping would alias the old global id onto
-        # the new record.
-        with self._routing_lock:
-            if global_id < self.num_records:
-                self._deleted_base.add(global_id)
-            else:
-                self._inserted.pop(global_id, None)
+        run_one(self, BatchOp("delete", page_id=global_id))
+
+    def insert(self, payload: bytes) -> int:
+        """Insert into the emptiest shard; returns a fresh global id."""
+        return run_one(self, BatchOp("insert", payload=payload))
 
     def touch(self) -> None:
         """Dummy request to keep the shards' reshuffles mixing.
 
         With cover traffic every shard advances one request (matching the
         uniform streams real operations produce); without it, shard 0
-        hosts the single dummy — the same placement the fused batch path
-        uses for touch ops.
+        hosts the single dummy.
         """
-        if self.cover_traffic:
-            self.executor.run([
-                (index, shard.touch)
-                for index, shard in enumerate(self.shards)
-            ])
-        else:
-            self.executor.run([(0, self.shards[0].touch)])
-
-    def insert(self, payload: bytes) -> int:
-        """Insert into the emptiest shard; returns a fresh global id."""
-        best = max(
-            range(self.num_shards),
-            key=lambda index: self.shards[index].cop.page_map.free_count,
-        )
-        local = self._with_cover(best, lambda db: db.insert(payload))
-        with self._routing_lock:
-            global_id = self._next_inserted_id
-            self._next_inserted_id += 1
-            self._inserted[global_id] = (best, local)
-        return global_id
+        run_one(self, BatchOp("touch"))
 
     def run_batch(self, ops: Sequence[BatchOp]) -> List[object]:
-        """Fused batch across shards: one windowed disk pass per shard.
+        """Execute ``ops`` across shards: one windowed disk pass per shard.
 
-        A routing prescan resolves every op's owning shard (recording
-        routing failures in their slots without consuming requests), then
-        each shard receives *one* :meth:`PirDatabase.run_batch` call
-        carrying its real ops plus one ``touch`` cover per foreign real op
-        — per-shard streams stay equal-length in canonical order, so the
+        The only request path.  A routing prescan resolves every op's
+        owning shard (recording routing failures in their slots without
+        consuming requests), then each shard receives *one*
+        :meth:`PirDatabase.run_batch` call carrying its real ops plus one
+        ``touch`` cover per foreign real op — per-shard streams stay
+        equal-length and are issued in canonical shard order, so the
         cross-shard sequence leaks nothing about targets, and each shard
-        fuses its whole stream into round-robin windows.  Inserts are
-        routed to the emptiest shard by *simulated* free counts (the
-        prescan replays the batch's deletes/inserts against the starting
-        counts; which shard hosts a page is placement, not content, so
-        replies match the serial methods byte for byte).  Global ids for
-        successful inserts are allocated in batch order; successful
-        deletes tombstone their global id only after the shard commits.
+        fuses its whole stream into round-robin windows.  Every shard is
+        driven even when one raises (cover traffic is never left
+        half-issued); the first exception in shard order is re-raised
+        afterwards.  Inserts are routed to the emptiest shard by
+        *simulated* free counts (the prescan replays the batch's
+        deletes/inserts against the starting counts; which shard hosts a
+        page is placement, not content).  Global ids for successful
+        inserts are allocated in batch order; successful deletes
+        tombstone their global id only after the shard commits.  Returns
+        one result per op, positionally, as :meth:`PirDatabase.run_batch`
+        does — failed slots hold the exception, naming global ids.
         """
-        results: List[object] = [None] * len(ops)
-        with self._routing_lock:
+        with self._lock:
+            results: List[object] = [None] * len(ops)
             free = [shard.cop.page_map.free_count for shard in self.shards]
             # The prescan replays the batch's routing-table mutations: a
             # delete must tombstone its global id *for the rest of the
             # batch*, or a later op could silently alias onto an insert
             # that recycles the freed local slot — the exact stale-alias
             # bug the tombstone set prevents across batches.
-            sim_deleted_base: set = set()
-            sim_removed_inserted: set = set()
-
-            def sim_route(global_id: int) -> Tuple[int, int]:
-                if global_id in sim_deleted_base:
-                    raise PageDeletedError(f"page {global_id} is deleted")
-                if global_id in sim_removed_inserted:
-                    raise PageNotFoundError(
-                        f"unknown global page id {global_id}"
-                    )
-                return self._route_locked(global_id)
-
+            deleted_in_batch: set = set()
+            # (slot, owning shard or None for a touch, global id or -1,
+            # the op in the shard's local ids)
             routed: List[Tuple[int, Optional[int], int, BatchOp]] = []
             for slot, op in enumerate(ops):
                 try:
@@ -400,100 +239,93 @@ class ShardedPirDatabase:
                         best = max(range(self.num_shards),
                                    key=lambda index: free[index])
                         free[best] -= 1
-                        routed.append(
-                            (slot, best, -1, BatchOp("insert",
-                                                     payload=op.payload))
-                        )
+                        routed.append((slot, best, -1, op))
                     else:
-                        shard_index, local = sim_route(op.page_id)
+                        shard_index, local = self._route(op.page_id,
+                                                         deleted_in_batch)
                         if op.kind == "delete":
                             free[shard_index] += 1
-                            if op.page_id < self.num_records:
-                                sim_deleted_base.add(op.page_id)
-                            else:
-                                sim_removed_inserted.add(op.page_id)
-                        routed.append(
-                            (slot, shard_index, op.page_id,
-                             BatchOp(op.kind, page_id=local,
-                                     payload=op.payload))
-                        )
+                            deleted_in_batch.add(op.page_id)
+                        routed.append((
+                            slot, shard_index, op.page_id,
+                            BatchOp(op.kind, page_id=local,
+                                    payload=op.payload),
+                        ))
                 except ReproError as exc:
                     results[slot] = exc
 
-        if not routed:
-            return results
-        self.counters.increment("batch.requests")
-        self.counters.increment("batch.ops", len(routed))
+            if not routed:
+                return results
+            self.counters.increment("batch.requests")
+            self.counters.increment("batch.ops", len(routed))
 
-        # Per-shard streams: the owning shard gets the real op, every other
-        # shard a touch cover, all in canonical shard order per logical op.
-        per_shard: List[List[Tuple[Optional[int], BatchOp]]] = [
-            [] for _ in self.shards
-        ]
-        cover = BatchOp("touch")
-        covers_issued = 0
-        for slot, owner, _, local_op in routed:
-            for index in range(self.num_shards):
-                if index == owner:
-                    per_shard[index].append((slot, local_op))
-                elif owner is None and index == 0:
-                    # A batch touch with covers disabled still needs one
-                    # real dummy request somewhere; shard 0 hosts it.
-                    per_shard[index].append((slot, local_op))
-                elif self.cover_traffic:
-                    per_shard[index].append((None, cover))
-                    covers_issued += 1
-        if covers_issued:
-            self.counters.increment("covers", covers_issued)
+            # Per-shard (slot or None for a cover, op) streams.  A touch is
+            # owned by shard 0 — with covers disabled it still needs one
+            # real dummy request somewhere.
+            per_shard: List[List[Tuple[Optional[int], BatchOp]]] = [
+                [] for _ in self.shards
+            ]
+            cover = BatchOp("touch")
+            for slot, owner, _, local_op in routed:
+                for index, stream in enumerate(per_shard):
+                    if index == (owner or 0):
+                        stream.append((slot, local_op))
+                    elif self.cover_traffic:
+                        stream.append((None, cover))
+            if self.cover_traffic and self.num_shards > 1:
+                self.counters.increment(
+                    "covers", len(routed) * (self.num_shards - 1)
+                )
 
-        def shard_thunk(db: PirDatabase,
-                        stream: List[Tuple[Optional[int], BatchOp]]):
-            return db.run_batch([op for _, op in stream])
+            first_error: Optional[Exception] = None
+            for shard, stream in zip(self.shards, per_shard):
+                if not stream:
+                    continue
+                try:
+                    replies = shard.run_batch([op for _, op in stream])
+                except Exception as exc:  # noqa: BLE001 - re-raised below
+                    if first_error is None:
+                        first_error = exc
+                    continue
+                for (slot, _), reply in zip(stream, replies):
+                    if slot is not None:
+                        results[slot] = reply
+            if first_error is not None:
+                raise first_error
 
-        operations = [
-            (index, partial(shard_thunk, self.shards[index], per_shard[index]))
-            for index in range(self.num_shards)
-            if per_shard[index]
-        ]
-        shard_results = self.executor.run(operations)
-
-        # Merge positionally from each owning shard; shard-level errors
-        # name local ids, so rewrite them in terms of the global id.
-        owner_of = {slot: (0 if owner is None else owner)
-                    for slot, owner, _, _ in routed}
-        for (index, _), replies in zip(operations, shard_results):
-            for (slot, _), reply in zip(per_shard[index], replies):
-                if slot is not None and owner_of[slot] == index:
-                    results[slot] = reply
-
-        with self._routing_lock:
             for slot, owner, global_id, local_op in routed:
                 reply = results[slot]
-                if local_op.kind == "insert" and not isinstance(
-                        reply, Exception):
+                if isinstance(reply, Exception):
+                    # Shard-level errors name local ids; callers know global.
+                    if global_id >= 0:
+                        results[slot] = _globalise_error(
+                            reply, local_op.page_id, global_id
+                        )
+                elif local_op.kind == "insert":
                     new_id = self._next_inserted_id
                     self._next_inserted_id += 1
                     self._inserted[new_id] = (owner, reply)
                     results[slot] = new_id
-                elif local_op.kind == "delete" and not isinstance(
-                        reply, Exception):
+                elif local_op.kind == "delete":
                     if global_id < self.num_records:
                         self._deleted_base.add(global_id)
                     else:
                         self._inserted.pop(global_id, None)
-                elif isinstance(reply, Exception) and global_id >= 0:
-                    results[slot] = _globalise_error(
-                        reply, local_op.page_id, global_id
-                    )
-        return results
+            return results
 
-    def _route_locked(self, global_id: int) -> Tuple[int, int]:
-        """:meth:`_route` body for callers already holding the lock."""
+    def _route(self, global_id: int,
+               deleted_in_batch: set) -> Tuple[int, int]:
+        """Global id -> (shard index, local page id); lock held.
+
+        Ids in ``deleted_in_batch`` route as they will once the running
+        batch has committed its deletes.
+        """
         if 0 <= global_id < self.num_records:
-            if global_id in self._deleted_base:
+            if (global_id in self._deleted_base
+                    or global_id in deleted_in_batch):
                 raise PageDeletedError(f"page {global_id} is deleted")
             return global_id // self._per_shard, global_id % self._per_shard
-        if global_id in self._inserted:
+        if global_id in self._inserted and global_id not in deleted_in_batch:
             return self._inserted[global_id]
         raise PageNotFoundError(f"unknown global page id {global_id}")
 
@@ -516,7 +348,7 @@ class ShardedPirDatabase:
         The sum of the per-shard clocks: what the same request stream
         would cost without parallel hardware.  ``elapsed_serial() /
         elapsed()`` is the deterministic speedup the partitioned
-        deployment buys (``bench_parallel.py`` gates on it).
+        deployment buys — about the shard count under cover traffic.
         """
         return sum(shard.clock.now for shard in self.shards)
 

@@ -20,8 +20,8 @@ reply before reading the next frame), so a session's stateful cipher
 suite is never used by two threads at once.  ``workers=1`` (the default)
 keeps the whole engine single-threaded as its contract requires;
 ``workers > 1`` is only accepted for :class:`~repro.core.sharded
-.ShardedPirDatabase` backends, whose routing layer is built for
-concurrent callers.
+.ShardedPirDatabase` backends, whose façade lock admits concurrent
+callers.
 
 Graceful drain: :meth:`PirServer.drain` stops accepting, answers new
 requests on live connections with a retryable refusal, waits for every

@@ -19,7 +19,6 @@ until :meth:`QueryFrontend.recover` has repaired the store.
 
 from __future__ import annotations
 
-import contextlib
 import struct
 import threading
 from collections import OrderedDict
@@ -569,15 +568,8 @@ class QueryFrontend:
                 # engine and never counts against service health.
                 reply = self._refusal_for(exc, affects_health=False)
             else:
-                # Replicated members serialize against the peer-apply
-                # lane; without replication there is no second engine
-                # user (one worker, or a thread-safe sharded database)
-                # and the lock would only serialize the parallel path.
-                guard = (self.engine_lock
-                         if self.replication_barrier is not None
-                         else contextlib.nullcontext())
                 try:
-                    with guard:
+                    with self.engine_lock:
                         self.health.check()
                         reply = self._dispatch(request)
                         self.health.record_success()

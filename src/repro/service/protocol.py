@@ -25,9 +25,8 @@ opcode    message      body
 
 REFUSED carries a machine-readable ``code`` (a stable kebab-case slug per
 error class, see :mod:`repro.service.health`) next to the display-text
-reason, plus a ``retry_after`` hint in seconds (negative = no hint).  A
-legacy REFUSED body that ends after the reason decodes with the defaults,
-so old peers interoperate.
+reason, plus a ``retry_after`` hint in seconds (negative = no hint).  All
+three fields are mandatory on the wire.
 
 BATCH carries several operations (QUERY/UPDATE/INSERT/DELETE — batches do
 not nest) inside one sealed session frame, amortising the per-message
@@ -158,7 +157,7 @@ class BatchReply:
 class Refused:
     """The service declined the request.
 
-    ``code`` is a stable machine-readable slug (empty for legacy peers);
+    ``code`` is a stable machine-readable slug;
     ``retry_after`` suggests how long to back off before retrying, in
     seconds — negative means the refusal is not retryable / no hint.
     """
@@ -313,13 +312,11 @@ def _decode_client_message(buffer: bytes) -> ClientMessage:
 def _decode_refused(buffer: bytes) -> Refused:
     length = _check_length(_U32.unpack_from(buffer, 1)[0], "REFUSED reason")
     offset = 5 + length
-    if offset > len(buffer):
+    if offset >= len(buffer):
         raise ProtocolError("bad REFUSED length")
     # The reason is display text; tolerate mangled bytes rather than
     # letting a corrupted reply crash the client.
     reason = buffer[5:offset].decode("utf-8", errors="replace")
-    if offset == len(buffer):
-        return Refused(reason)  # legacy form: reason only
     code_length = _check_length(_U32.unpack_from(buffer, offset)[0],
                                 "REFUSED code")
     offset += 4

@@ -544,10 +544,8 @@ class TestShardedFusedBatch:
         records = make_records(NUM_RECORDS, 16)
         kwargs = dict(cache_capacity_per_shard=4, target_c=2.0,
                       page_capacity=16, reserve_fraction=0.25, seed=77)
-        return (
-            ShardedPirDatabase.create(records, 4, parallel=False, **kwargs),
-            ShardedPirDatabase.create(records, 4, parallel=True, **kwargs),
-        )
+        return tuple(ShardedPirDatabase.create(records, 4, **kwargs)
+                     for _ in range(2))
 
     def test_sharded_batch_matches_serial_methods(self):
         per_op, batched = self._twin_sharded()

@@ -91,6 +91,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_serve_has_no_workers_flag(self, capsys):
+        """A plain PirDatabase is single-threaded: the flag could only fail."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
     def test_module_entry_point_importable(self):
         import repro.cli
 

@@ -7,7 +7,16 @@ import pytest
 from repro.baselines import make_records
 from repro.core.sharded import ShardedPirDatabase
 from repro.errors import ConfigurationError, PageDeletedError, PageNotFoundError
-from repro.hardware.specs import HardwareSpec
+from repro.hardware.specs import IBM_4764, HardwareSpec
+from repro.obs.tracer import Tracer
+
+from tests.test_batch_fused import (
+    MIXED_OPS,
+    _sha256,
+    golden_ops,
+    run_per_op,
+    run_windows_of_one,
+)
 
 RECORDS = make_records(60, 16)
 
@@ -100,29 +109,22 @@ class TestCoverTraffic:
 
         The old dispatcher ran the real operation first and the covers
         after it, so the *position* of each shard in the access sequence
-        leaked the target.  In serial mode operations run inline in
-        submission order, so recording per-shard entry observes exactly
-        the order the dispatcher issues.
+        leaked the target.  Shards are driven inline, so recording
+        per-shard entry observes exactly the order the façade issues.
         """
         orders = {}
         for target in (0, 25, 59):  # one id per shard
-            db = _sharded(seed=22, parallel=False)
+            db = _sharded(seed=22)
             observed = []
 
             def _instrument(index, shard):
-                real_touch = shard.touch
-                real_query = shard.query
+                real_run_batch = shard.run_batch
 
-                def touch():
+                def run_batch(ops):
                     observed.append(index)
-                    return real_touch()
+                    return real_run_batch(ops)
 
-                def query(page_id):
-                    observed.append(index)
-                    return real_query(page_id)
-
-                shard.touch = touch
-                shard.query = query
+                shard.run_batch = run_batch
 
             for index, shard in enumerate(db.shards):
                 _instrument(index, shard)
@@ -139,21 +141,33 @@ class TestCoverTraffic:
             db.query(10**9)
         # Routing errors never reach the shards at all ...
         assert db.shard_request_counts() == before
-        # ... but a failure *inside* the target shard still drives every
-        # cover, so the executor never leaves cover traffic half-issued.
-        shard0 = db.shards[0]
-        original = shard0.query
-        shard0.query = lambda page_id: (_ for _ in ()).throw(
-            PageNotFoundError("injected shard fault")
-        )
-        try:
+        # ... but a real op refused *by its shard* (page 3 deleted behind
+        # the routing table's back) has run in full, covers included,
+        # before the façade raises.
+        db.shards[0].delete(3)
+        before = db.shard_request_counts()
+        with pytest.raises(PageDeletedError, match="page 3 is deleted"):
+            db.query(3)
+        assert db.shard_request_counts() == [count + 1 for count in before]
+
+    def test_shard_raising_still_drives_every_other_shard(self):
+        """A shard that *raises* cannot leave cover traffic half-issued:
+        the loop drives every remaining shard, then re-raises."""
+        db = _sharded(seed=23)
+        before = db.shard_request_counts()
+
+        def broken(ops):
+            raise PageNotFoundError("injected shard fault")
+
+        db.shards[0].run_batch = broken
+        for call in (lambda: db.query(0), lambda: db.run_batch(MIXED_OPS)):
             with pytest.raises(PageNotFoundError, match="injected"):
-                db.query(0)
-        finally:
-            shard0.query = original
+                call()
+        # One per-op request plus one cover (or real op) per routed
+        # MIXED_OPS slot reached shards 1 and 2; shard 0 never ran.
         after = db.shard_request_counts()
-        assert after[1] == before[1] + 1
-        assert after[2] == before[2] + 1
+        assert after[0] == before[0]
+        assert after[1] == after[2] > before[1] + 1
 
 
 class TestRoutingStaleness:
@@ -190,22 +204,7 @@ class TestRoutingStaleness:
 
 
 class TestParallelExecution:
-    def test_parallel_and_serial_streams_identical(self):
-        """Each shard owns its clock/RNG, so interleaving changes nothing."""
-        results = {}
-        for parallel in (False, True):
-            with _sharded(seed=27, parallel=parallel,
-                          spec=HardwareSpec()) as db:
-                payloads = [db.query(step % 60) for step in range(20)]
-                db.update(3, b"parallel-proof")
-                payloads.append(db.query(3))
-                results[parallel] = (
-                    payloads,
-                    [shard.clock.now for shard in db.shards],
-                    db.shard_request_counts(),
-                )
-                db.consistency_check()
-        assert results[False] == results[True]
+    """Parallelism is the hardware's: modelled on the shard clocks."""
 
     def test_elapsed_serial_sums_shard_clocks(self):
         with _sharded(seed=28, spec=HardwareSpec()) as db:
@@ -218,20 +217,27 @@ class TestParallelExecution:
             # deployment's speedup approaches the shard count.
             assert db.elapsed_serial() / db.elapsed() > 2.0
 
-    def test_executor_counters(self):
+    def test_cover_counters(self):
         with _sharded(seed=29) as db:
             db.query(0)
             db.query(42)
-        assert db.counters.get("dispatches") == 2
-        assert db.counters.get("operations") == 6
-        assert db.counters.get("covers") == 4
+            db.run_batch(MIXED_OPS[:3])
+        assert db.counters.get("batch.requests") == 3
+        assert db.counters.get("batch.ops") == 5
+        assert db.counters.get("covers") == 10
 
-    def test_shared_tracer_forces_serial(self):
-        from repro.obs.tracer import Tracer
-
-        db = _sharded(seed=30, tracer=Tracer())
-        assert db.executor.parallel is False
+    def test_shared_tracer_records_every_shard(self):
+        tracer = Tracer()
+        db = _sharded(seed=30, tracer=tracer)
         db.query(1)
+        requests = [span for span in tracer.spans if span.name == "request"]
+        assert len(requests) == db.num_shards
+        # Each shard's request ran on its own virtual clock.
+        assert db.shard_request_counts() == [1] * db.num_shards
+
+    def test_parallel_knob_is_gone(self):
+        with pytest.raises(TypeError):
+            _sharded(seed=31, parallel=True)
 
 
 class TestAggregates:
@@ -263,3 +269,77 @@ class TestAggregates:
             s.params.block_size <= single.params.block_size
             for s in sharded.shards
         )
+
+
+# -- golden vectors -----------------------------------------------------------
+#
+# Generated at the parent of the commit that deleted the façade's
+# per-op-with-covers path (`_with_cover` on `ShardExecutor`), by running the
+# scenario below through its per-op methods.  They never change: a
+# `run_batch` of one must keep reproducing that path's bytes.
+
+
+def golden_sharded(cover, run=run_per_op):
+    """~120 mixed ops (all five kinds, unknown ids, a double delete) on
+    4 shards; digests of everything a shard or the server can observe."""
+    with ShardedPirDatabase.create(
+        make_records(40, 16), 4, cache_capacity_per_shard=4, target_c=2.0,
+        page_capacity=16, reserve_fraction=0.25, cover_traffic=cover,
+        spec=IBM_4764, seed=4242,
+    ) as db:
+        replies = run(db, MIXED_OPS + golden_ops(110, seed=4242))
+        db.consistency_check()
+        return {
+            "replies": _sha256(
+                (f"E:{type(reply).__name__}:{reply}" if
+                 isinstance(reply, Exception) else repr(reply)).encode()
+                for reply in replies
+            ),
+            "frames": _sha256(
+                shard.disk.peek(location) for shard in db.shards
+                for location in range(shard.disk.num_locations)
+            ),
+            "trace": _sha256(
+                repr((index, e.op, e.location, e.count, e.request_index,
+                      e.timestamp)).encode()
+                for index, shard in enumerate(db.shards) for e in shard.trace
+            ),
+            "clocks": [repr(shard.clock.now) for shard in db.shards],
+            "requests": db.shard_request_counts(),
+            "next_rng_draws": [shard.cop.rng.randrange(2 ** 64)
+                               for shard in db.shards],
+        }
+
+
+GOLDEN_REPLIES = "1faee5aabab56c4c39763b6a71fd5feaf7bcad4a46f469ca8800b13b598a6bd1"
+GOLDEN_COVERED = {
+    "replies": GOLDEN_REPLIES,
+    "frames": "80cffd8a063ea311fabfa37ffb5d8903fda85a2a8edc938046d27e72cf98b6e7",
+    "trace": "4330e373c7901fb96c7784d12c55d72f529a7b86e18e0f673f8191f37ae9e3c5",
+    "clocks": ["2.1740578699999853"] * 4,
+    "requests": [108, 108, 108, 108],
+    "next_rng_draws": [7569151943195558696, 8214630432297248512,
+                       1990074642765196204, 994939464160764151],
+}
+GOLDEN_BARE = {
+    "replies": GOLDEN_REPLIES,
+    "frames": "dfd1f7b8dacb78490497189ca9d126e9c0056b3f180cc611948be31acfa3dd31",
+    "trace": "a8b703d3858568bc08d4f1bea72691c094d8492cc389e7080ac764a9ea110902",
+    "clocks": ["0.7079411999999987", "0.5874384599999991",
+               "0.3866005599999998", "0.5071032999999994"],
+    "requests": [35, 29, 19, 25],
+    "next_rng_draws": [15220637841474817404, 13173027131334539502,
+                       10064811304861665800, 11063210270265910900],
+}
+
+
+class TestGoldenVectors:
+    """Per-op calls and ``run_batch([op])`` reproduce the deleted path."""
+
+    @pytest.mark.parametrize("run", [run_per_op, run_windows_of_one])
+    def test_cover_traffic_on(self, run):
+        assert golden_sharded(True, run) == GOLDEN_COVERED
+
+    @pytest.mark.parametrize("run", [run_per_op, run_windows_of_one])
+    def test_cover_traffic_off(self, run):
+        assert golden_sharded(False, run) == GOLDEN_BARE

@@ -1,9 +1,9 @@
-"""Concurrency stress: client threads on the shard executor + batch crypto.
+"""Concurrency stress: client threads on one sharded façade + batch crypto.
 
-The parallel dispatcher promises that any interleaving of client threads
-drives each shard through a well-formed request sequence: pageMap/pageCache
+The façade promises that any interleaving of client threads drives each
+shard through a well-formed request sequence: pageMap/pageCache
 invariants hold afterwards, every write is readable, and the aggregate
-counters match a serial run of the same operation multiset — the
+counters match a single-threaded run of the same operation multiset — the
 interleaving may reorder work but must never lose or duplicate it.
 """
 
@@ -24,8 +24,7 @@ OPS_PER_THREAD = 12
 RECORDS = make_records(NUM_RECORDS, 16)
 
 
-def _make_db(parallel: bool, metrics: MetricsRegistry,
-             **options) -> ShardedPirDatabase:
+def _make_db(metrics: MetricsRegistry, **options) -> ShardedPirDatabase:
     return ShardedPirDatabase.create(
         RECORDS,
         NUM_SHARDS,
@@ -34,7 +33,6 @@ def _make_db(parallel: bool, metrics: MetricsRegistry,
         page_capacity=16,
         reserve_fraction=0.2,
         seed=99,
-        parallel=parallel,
         metrics=metrics,
         **options,
     )
@@ -63,7 +61,7 @@ def _apply(db: ShardedPirDatabase, op) -> None:
 class TestShardExecutorStress:
     def test_threads_hammering_parallel_executor(self):
         metrics = MetricsRegistry()
-        with _make_db(parallel=True, metrics=metrics) as db:
+        with _make_db(metrics) as db:
             errors = []
 
             def worker(thread_id: int) -> None:
@@ -92,12 +90,12 @@ class TestShardExecutorStress:
             # Cover traffic kept shard loads equal under concurrency.
             assert len(set(db.shard_request_counts())) == 1
 
-            parallel_snapshot = metrics.snapshot()["counters"]
-            parallel_total = db.total_requests()
+            threaded_snapshot = metrics.snapshot()["counters"]
+            threaded_total = db.total_requests()
 
         # Serial reference: same operation multiset on one thread.
         serial_metrics = MetricsRegistry()
-        with _make_db(parallel=False, metrics=serial_metrics) as ref:
+        with _make_db(serial_metrics) as ref:
             for t in range(THREADS):
                 for op in _thread_ops(t):
                     _apply(ref, op)
@@ -107,14 +105,12 @@ class TestShardExecutorStress:
                 assert ref.query(t + THREADS) == f"also-{t}".encode()
             ref.consistency_check()
             serial_snapshot = serial_metrics.snapshot()["counters"]
-            assert parallel_total == ref.total_requests()
+            assert threaded_total == ref.total_requests()
 
-        # The registries agree on every work-counting metric; only the
-        # ``parallel_dispatches`` marker may differ between the two modes.
+        # The registries agree on every work-counting metric.
+        assert serial_snapshot
         for name, value in serial_snapshot.items():
-            if name.endswith("parallel_dispatches"):
-                continue
-            assert parallel_snapshot.get(name) == value, name
+            assert threaded_snapshot.get(name) == value, name
 
 
 class TestFusedBatchStress:
@@ -122,17 +118,16 @@ class TestFusedBatchStress:
         """Concurrent fused batches drive every shard through sane streams.
 
         Each thread submits whole batches through the fused
-        one-disk-pass-per-window path (``ShardedPirDatabase.run_batch``,
-        fanned out on the ShardExecutor).  Batches from different threads
-        interleave at batch granularity — the routing lock serialises the
-        prescan, the per-shard executor locks serialise each shard's
-        windows — so invariants and thread-owned writes must survive any
+        one-disk-pass-per-window path (``ShardedPirDatabase.run_batch``).
+        Batches from different threads interleave at batch granularity —
+        the façade lock covers prescan, shard loop and routing commit —
+        so invariants and thread-owned writes must survive any
         interleaving, exactly as with the per-op entry points.
         """
         from repro.core.engine import BatchOp
 
         metrics = MetricsRegistry()
-        with _make_db(parallel=True, metrics=metrics) as db:
+        with _make_db(metrics) as db:
             errors = []
 
             def worker(thread_id: int) -> None:
@@ -179,7 +174,7 @@ class TestFusedBatchStress:
         """Mixing run_batch and per-op calls from different threads is safe."""
         from repro.core.engine import BatchOp
 
-        with _make_db(parallel=True, metrics=MetricsRegistry()) as db:
+        with _make_db(MetricsRegistry()) as db:
             errors = []
 
             def batch_worker(thread_id: int) -> None:
@@ -224,16 +219,17 @@ class TestFusedBatchStress:
 
 class TestPipelineParallelEquality:
     def test_serial_vs_parallel_bytes_with_pipeline(self):
-        """Keystream prefetch must not perturb the parallel-equality contract.
+        """Keystream prefetch on a parallel worker must not perturb bytes.
 
-        The same deterministic workload runs four ways — {serial, parallel}
-        × {pipeline off, background pipeline} — and every variant must
-        produce identical per-shard disk frames and virtual clocks: the
-        prefetcher only trades wall time, never bytes or ticks.
+        The same deterministic workload runs with the pipeline off (all
+        crypto inline) and with the ``"background"`` prefetch thread
+        working beside the request path; both must produce identical
+        per-shard disk frames and virtual clocks: the prefetcher only
+        trades wall time, never bytes or ticks.
         """
 
-        def run(parallel: bool, pipeline):
-            with _make_db(parallel, MetricsRegistry(), cipher_backend="aes",
+        def run(pipeline):
+            with _make_db(MetricsRegistry(), cipher_backend="aes",
                           keystream_pipeline=pipeline) as db:
                 results = []
                 for i in range(NUM_RECORDS // 2):
@@ -249,14 +245,7 @@ class TestPipelineParallelEquality:
                 clocks = [shard.clock.now for shard in db.shards]
                 return results, frames, clocks
 
-        baseline = run(parallel=False, pipeline=None)
-        for parallel in (False, True):
-            for pipeline in (None, "background"):
-                if not parallel and pipeline is None:
-                    continue
-                assert run(parallel, pipeline) == baseline, (
-                    parallel, pipeline
-                )
+        assert run("background") == run(None)
 
 
 class TestBatchCryptoStress:

@@ -130,3 +130,19 @@ class TestClientWireRobustness:
             client_wire.decode_client_message(bytes(encoded))
         except ProtocolError:
             pass
+
+    @settings(max_examples=60, deadline=None)
+    @given(reason=st.text(max_size=40), code=st.text(max_size=12))
+    def test_truncated_refused_is_rejected(self, reason, code):
+        """Reason, code and retry_after are all mandatory: every proper
+        prefix is malformed, including the body that ends after the
+        reason (once decoded as a reason-only REFUSED)."""
+        encoded = client_wire.encode_client_message(
+            client_wire.Refused(reason, code, 0.5)
+        )
+        reason_only = encoded[:5 + len(reason.encode("utf-8"))]
+        with pytest.raises(ProtocolError, match="bad REFUSED length"):
+            client_wire.decode_client_message(reason_only)
+        for cut in range(len(encoded)):
+            with pytest.raises(ProtocolError):
+                client_wire.decode_client_message(encoded[:cut])

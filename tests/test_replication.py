@@ -31,7 +31,8 @@ from repro.core.snapshot import (
     save_sealed_sidecar,
     save_snapshot,
 )
-from repro.errors import StorageError
+from repro.core.engine import BatchOp
+from repro.errors import PageDeletedError, PageNotFoundError, StorageError
 
 RECORDS = make_records(40, 16)
 
@@ -117,6 +118,42 @@ class TestReplicationLog:
         assert log.emit("write", 1, b"a") == 1
         assert log.emit("noop") == 1  # unchanged high-water mark
         assert log.last_seq == 1
+
+    def test_every_submitted_op_emits_exactly_one_record(self, db):
+        """One emit rule for single ops and batches: served ops emit their
+        record, *failed* ops a ``noop`` cover — a refused lone request must
+        look like a served one on the replication wire."""
+        db.replication = log = ReplicationLog(db.cop, "o:1")
+
+        def kinds(since):
+            return [decode_record(db.cop, sealed).kind
+                    for _, sealed in log.records_since(since)]
+
+        db.query(1)
+        db.update(2, b"new")
+        new_id = db.insert(b"fresh")
+        db.delete(3)
+        db.touch()
+        assert kinds(0) == [KIND_NOOP, KIND_WRITE, KIND_WRITE, KIND_DELETE,
+                            KIND_NOOP]
+        assert decode_record(
+            db.cop, log.records_since(2)[0][1]).page_id == new_id
+        # Failed single ops: a deleted page (refused only after the full
+        # request ran) and two validation failures.
+        requests = db.engine.request_count
+        with pytest.raises(PageDeletedError):
+            db.query(3)
+        assert db.engine.request_count == requests + 1
+        with pytest.raises(PageNotFoundError):
+            db.query(10 ** 9)
+        with pytest.raises(PageNotFoundError):
+            db.delete(3)
+        assert kinds(5) == [KIND_NOOP] * 3
+        # ... exactly what the same failures emit inside a batch.
+        db.run_batch([BatchOp("query", page_id=3),
+                      BatchOp("query", page_id=10 ** 9)])
+        assert kinds(8) == [KIND_NOOP] * 2
+        assert log.last_seq == 10
 
     def test_durable_backlog_reloads_and_discards_torn_tail(self, db, tmp_path):
         path = str(tmp_path / "repl.log")
