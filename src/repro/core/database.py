@@ -235,10 +235,18 @@ class PirDatabase:
             ))
 
         page_by_id = {page.page_id: page for page in disk_pages}
-        batch = 4096
+        # One contiguous write per ``batch`` locations, sealed ``chunk``
+        # pages at a time through the batch kernel: small chunks keep its
+        # frame/keystream matrices out of the peak RSS.
+        batch, chunk = 4096, 256
         for start in range(0, params.num_locations, batch):
             stop = min(start + batch, params.num_locations)
-            frames = [cop.seal(page_by_id[layout[pos]]) for pos in range(start, stop)]
+            frames: List[bytes] = []
+            for low in range(start, stop, chunk):
+                frames += cop.seal_pages([
+                    page_by_id[layout[pos]]
+                    for pos in range(low, min(low + chunk, stop))
+                ])
             disk.write_range(start, frames)
             # Seed the prefetcher with the initial frames' nonces so the
             # very first scan already hits (no-op without a pipeline).

@@ -5,12 +5,14 @@ deployment must still detect accidental corruption and keep the option of
 hardening against active tampering, so every page frame carries an
 encrypt-then-MAC tag.  HMAC-SHA256 (RFC 2104) is implemented here from the
 ``hashlib`` primitive rather than ``hmac`` to keep the construction explicit
-and testable against RFC 4231 vectors.
+and testable against RFC 4231 vectors; only the constant-time tag comparison
+is the standard library's (``hmac.compare_digest``).
 """
 
 from __future__ import annotations
 
 import hashlib
+from hmac import compare_digest
 
 from ..errors import CryptoError
 
@@ -40,10 +42,5 @@ def verify_hmac(key: bytes, message: bytes, tag: bytes) -> bool:
     """Constant-time comparison of ``tag`` against the (possibly truncated) MAC."""
     if not tag:
         return False
-    expected = hmac_sha256(key, message)[: len(tag)]
-    if len(expected) != len(tag):
-        return False
-    diff = 0
-    for a, b in zip(expected, tag):
-        diff |= a ^ b
-    return diff == 0
+    # A tag longer than the full MAC compares unequal (lengths differ).
+    return compare_digest(hmac_sha256(key, message)[: len(tag)], tag)

@@ -13,8 +13,9 @@ buffer through :meth:`repro.crypto.aes.AES.encrypt_blocks` in a single
 call.  That keeps the per-block Python overhead out of the hot loop on
 both the reference and the T-table/vectorised fast paths, and lets
 :func:`ctr_keystream_batch` fuse the counter blocks of many frames into
-one kernel entry (the shape :meth:`repro.crypto.suite.CipherSuite
-.decrypt_pages` uses, big enough for the numpy lane to engage).
+one kernel entry (the rows of the :class:`repro.crypto.suite.CipherSuite`
+keystream matrix on the aes backend, big enough for the numpy lane to
+engage).
 """
 
 from __future__ import annotations
@@ -75,10 +76,9 @@ def ctr_keystream(
 ) -> bytes:
     """Raw CTR keystream bytes for one (key, nonce) pair.
 
-    Exposed separately from :func:`ctr_transform` so batched callers
-    (:meth:`repro.crypto.suite.CipherSuite.encrypt_pages`) can concatenate
-    the keystreams of many frames and XOR them against the payloads in a
-    single big-int operation; the per-block expansion — and therefore the
+    Exposed separately from :func:`ctr_transform` for callers that apply
+    the XOR themselves (the cipher suite XORs a whole window's keystream
+    matrix in one numpy pass); the per-block expansion — and therefore the
     bytes produced — is identical to the transform path.  The keyed
     ``cipher`` carries its round keys, so a batch shares one key schedule.
     """

@@ -182,8 +182,9 @@ class KeystreamPipeline:
     def _compute_batch(self, jobs) -> None:
         """Compute (key, suite, nonce, length) jobs, one fused call per suite.
 
-        Grouping lets the aes backend push all frames' counter blocks
-        through a single ``encrypt_blocks`` entry (big enough for the
+        Each group is one pass of the suite's keystream-matrix kernel
+        (:meth:`~repro.crypto.suite.CipherSuite.compute_keystreams` — on
+        aes a single ``encrypt_blocks`` entry big enough for the
         vectorised lane), so prefetching a block costs no more than the
         inline batch decrypt it replaces.
         """

@@ -10,7 +10,7 @@ ciphertext).  A fresh random nonce is drawn for every encryption, which is
 what makes the re-encryption in Figure 3 line 21 produce ciphertexts the
 server cannot link across writes.
 
-Three keystream backends are provided:
+Four keystream backends are provided:
 
 ``aes``
     Real AES-128-CTR from :mod:`repro.crypto.aes` — the paper's cipher.
@@ -33,41 +33,46 @@ Three keystream backends are provided:
 The backend choice never changes frame sizes or the algorithm's behaviour;
 it is a simulation-fidelity knob, documented in DESIGN.md.
 
-Batch pipeline
---------------
+One kernel
+----------
 
-A request moves ``2(k+1)`` frames through the suite, and paying Python
-call overhead per frame dominates the small-page regime.
-:meth:`CipherSuite.encrypt_pages` / :meth:`CipherSuite.decrypt_pages`
-process a whole multi-frame batch per call:
+A request moves ``2(k+1)`` frames through the suite, so each direction is
+one pass over the whole window held as a contiguous ``numpy.uint8`` matrix
+of ``frames x frame_size`` (DESIGN.md §10); a single frame is a batch of
+one and a ragged batch is the same matrix with zero-padded rows:
 
-* nonces are drawn in frame order (so a batch consumes the RNG exactly
-  like the equivalent sequence of single-frame calls — batch and serial
-  paths produce **byte-identical frames**),
-* the keystream of every frame is materialised and the concatenated batch
-  is XORed against the concatenated payloads in a *single* big-int
-  operation,
-* MAC tags are computed/verified from precomputed HMAC pad states (the
-  SHA-256 of the inner/outer key pads is hashed once per suite, then
-  ``copy()``-ed per frame), and batched verification checks every tag
-  before reporting the full set of failing frame indices,
-* per-backend key schedules (AES round keys, the keyed-BLAKE2b base
-  state) are computed once per suite and shared across the batch,
-* when a :class:`~repro.crypto.pipeline.KeystreamPipeline` is attached,
-  decrypt batches consult it per frame before computing: hits only XOR,
-  and the remaining misses share one fused kernel call on the aes
-  backend (DESIGN.md §11).
+* nonces are drawn in frame order (a batch consumes the RNG exactly like
+  the equivalent sequence of single-frame calls, so both produce
+  **byte-identical frames**),
+* MAC tags are computed over ``memoryview`` rows from precomputed HMAC pad
+  states (the SHA-256 of the inner/outer key pads is hashed once per
+  suite, then ``copy()``-ed per frame) and compared with
+  ``hmac.compare_digest``; decryption checks every tag before touching a
+  byte and reports the full set of failing frame indices,
+* the window's keystream is one matrix: per-backend key schedules (AES
+  round keys, the keyed-BLAKE2b base state) are computed once per suite,
+  the blake2 blocks come from one flat loop joined once, the aes rows from
+  one fused :func:`~repro.crypto.modes.ctr_keystream_batch` entry, and
+  when a :class:`~repro.crypto.pipeline.KeystreamPipeline` is attached
+  decrypt batches ask it per frame first — hits fill their row, the
+  misses share one kernel pass (DESIGN.md §11),
+* the XOR is one ``numpy.bitwise_xor`` — written straight into the
+  ciphertext columns of the output frame matrix on encrypt, returned as
+  ``memoryview`` slices of the result on decrypt with ``views=True``.
 """
 
 from __future__ import annotations
 
 import hashlib
+from hmac import compare_digest
 from typing import List, Optional, Sequence
+
+import numpy as np
 
 from .aes import AES
 from .kdf import derive_key
-from .mac import TAG_SIZE, hmac_sha256
-from .modes import NONCE_SIZE, ctr_keystream, ctr_keystream_batch
+from .mac import TAG_SIZE
+from .modes import NONCE_SIZE, ctr_keystream_batch
 from .purestack import pure_hmac_sha256, pure_keystream_xor
 from .rng import SecureRandom
 from ..errors import AuthenticationError, CryptoError
@@ -82,11 +87,14 @@ _BLAKE_BLOCK = 64  # output bytes per keyed-BLAKE2b call
 _HMAC_BLOCK = 64  # SHA-256 block size (HMAC pad width)
 
 
-def _xor_bytes(data: bytes, keystream: bytes) -> bytes:
-    """XOR equal-length byte strings via one big-int operation."""
-    return (
-        int.from_bytes(data, "little") ^ int.from_bytes(keystream, "little")
-    ).to_bytes(len(data), "little")
+def _matrix(rows: Sequence, width: int) -> np.ndarray:
+    """``rows`` as a ``(len(rows), width)`` uint8 matrix over one joined buffer.
+
+    Rows are bytes-like and at most ``width`` long; shorter ones are
+    zero-padded, so a uniform batch is just the case with no padding.
+    """
+    joined = b"".join([bytes(row).ljust(width, b"\x00") for row in rows])
+    return np.frombuffer(joined, np.uint8).reshape(len(rows), width)
 
 
 class CipherSuite:
@@ -113,11 +121,9 @@ class CipherSuite:
             raise CryptoError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
         self.backend = backend
         self._rng = rng if rng is not None else SecureRandom()
-        # Per-frame crypto spans only exist at DETAIL_FINE; the flag is
-        # latched here so the per-frame hot path pays one attribute read,
-        # not a tracer-mode check, when tracing is off or phase-level.
+        # The crypto.* spans only exist at DETAIL_FINE (fine_span is a
+        # shared no-op otherwise).
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._fine = self.tracer.fine
         self._enc_key = derive_key(master_key, "page-encryption", 16)
         self._mac_key = derive_key(master_key, "page-authentication", 32)
         # for_key caches keyed instances process-wide, so the legacy-key
@@ -128,10 +134,7 @@ class CipherSuite:
             AES.for_key(self._enc_key) if backend == "aes" else None
         )
         # Optional keystream prefetcher (repro.crypto.pipeline); attached
-        # by the coprocessor when the database enables it.  Decrypt paths
-        # consult it; encrypt paths only when the caller supplied explicit
-        # nonces (fresh random nonces can never have been prefetched, so
-        # consulting for them would just pollute the miss counter).
+        # by the coprocessor when the database enables it.
         self.pipeline = None
         # Keyed-BLAKE2b absorbs its key block at construction; copying the
         # base state per keystream block skips that work (byte-identical
@@ -144,7 +147,6 @@ class CipherSuite:
         # so the whole chain is hashlib-free; other backends use hashlib
         # HMAC-SHA256 with the key-pad states hashed once and copied per
         # tag.  Both produce the same bytes as mac.hmac_sha256.
-        self._mac = pure_hmac_sha256 if backend == "pure" else hmac_sha256
         if backend == "pure":
             self._inner_pad = self._outer_pad = None
         else:
@@ -163,67 +165,96 @@ class CipherSuite:
         off the request path without perturbing determinism.  Returns
         None for the null backend (identity transform, nothing to cache).
         """
-        return self._keystream(nonce, length)
+        return self.compute_keystreams((nonce,), (length,))[0]
 
     def compute_keystreams(
         self, nonces: Sequence[bytes], lengths: Sequence[int]
     ) -> List[Optional[bytes]]:
-        """Batch :meth:`compute_keystream` — one fused kernel entry on aes.
+        """Batch :meth:`compute_keystream`: one kernel pass, one row each.
 
         The prefetch pipeline computes a whole block's keystreams at once
-        through here, so the counter blocks of all frames cross the
-        vectorised lane's threshold together (same reason
-        ``_transform_batch`` batches).
+        through here — the same matrix the decrypt kernel would build.
         """
-        if self.backend == "aes":
-            assert self._aes is not None
-            return list(ctr_keystream_batch(self._aes, nonces, lengths))
+        if self.backend == "null":
+            return [None] * len(nonces)
+        if len(nonces) != len(lengths):
+            raise CryptoError("need exactly one length per nonce")
+        width = max(lengths, default=0)
+        stream = self._keystream_matrix(nonces, width).tobytes()
         return [
-            self._keystream(nonce, length)
-            for nonce, length in zip(nonces, lengths)
+            stream[index * width : index * width + length]
+            for index, length in enumerate(lengths)
         ]
 
-    def _keystream(self, nonce: bytes, length: int) -> Optional[bytes]:
-        """Raw keystream bytes for one frame (None = identity, null backend)."""
+    def _keystream_matrix(self, nonces: Sequence[bytes], width: int) -> np.ndarray:
+        """Freshly computed keystream, one ``width``-byte row per nonce."""
+        count = len(nonces)
         if self.backend == "null":
-            return None
+            return np.zeros((count, width), np.uint8)  # identity under XOR
         if self.backend == "aes":
             assert self._aes is not None
-            return ctr_keystream(self._aes, nonce, length)
+            # One fused kernel entry: the counter blocks of every row cross
+            # the vectorised lane's threshold together.
+            return _matrix(
+                ctr_keystream_batch(self._aes, nonces, [width] * count), width
+            )
         if self.backend == "pure":
             # purestack only exposes the XOR form; stream against zeros.
-            return pure_keystream_xor(self._enc_key, nonce, bytes(length))
+            zeros = bytes(width)
+            return _matrix(
+                [pure_keystream_xor(self._enc_key, nonce, zeros) for nonce in nonces],
+                width,
+            )
         # blake2: keystream block i = BLAKE2b(key=enc_key, data=nonce||i),
-        # derived from the shared pre-keyed base state.
+        # forked from the pre-keyed base state once per row (absorbing the
+        # nonce) and once per block — one flat loop over the window,
+        # joined once.
         assert self._blake_base is not None
-        base = self._blake_base
-        blocks = (length + _BLAKE_BLOCK - 1) // _BLAKE_BLOCK
-        parts = []
-        for block_index in range(blocks):
-            h = base.copy()
-            h.update(nonce + block_index.to_bytes(8, "big"))
-            parts.append(h.digest())
-        return b"".join(parts)[:length]
+        fork = self._blake_base.copy
+        counters = [
+            index.to_bytes(8, "big") for index in range(-(-width // _BLAKE_BLOCK))
+        ]
+        blocks: List[bytes] = []
+        add = blocks.append
+        for nonce in nonces:
+            row = fork()
+            row.update(nonce)
+            fork_row = row.copy
+            for counter in counters:
+                h = fork_row()
+                h.update(counter)
+                add(h.digest())
+        return np.frombuffer(b"".join(blocks), np.uint8).reshape(
+            count, len(counters) * _BLAKE_BLOCK
+        )[:, :width]
 
-    def _keystream_xor(self, nonce: bytes, data: bytes, consult: bool = False) -> bytes:
-        if self.backend == "null":
-            return data
-        if consult and self.pipeline is not None:
-            cached = self.pipeline.take(self, nonce, len(data))
-            if cached is not None:
-                return _xor_bytes(data, cached)
-        if self.backend == "pure":
-            return pure_keystream_xor(self._enc_key, nonce, data)
-        keystream = self._keystream(nonce, len(data))
-        assert keystream is not None
-        return _xor_bytes(data, keystream)
+    def _keystreams(
+        self, nonces: Sequence[bytes], lengths: Sequence[int], width: int,
+        consult: bool,
+    ) -> np.ndarray:
+        """The batch's keystream matrix, asking the prefetch pipeline first.
+
+        Hits fill their row (a hit only XORs); the misses share one
+        :meth:`_keystream_matrix` pass.
+        """
+        if not consult or self.pipeline is None or self.backend == "null":
+            return self._keystream_matrix(nonces, width)
+        rows = [
+            self.pipeline.take(self, nonce, length)
+            for nonce, length in zip(nonces, lengths)
+        ]
+        missing = [index for index, row in enumerate(rows) if row is None]
+        fresh = self._keystream_matrix([nonces[index] for index in missing], width)
+        for index, row in zip(missing, fresh):
+            rows[index] = row
+        return _matrix(rows, width)
 
     # -- authentication -------------------------------------------------------
 
-    def _tag(self, data: bytes) -> bytes:
-        """Truncated HMAC-SHA256 of ``data``, from the precomputed pads."""
+    def _tag(self, data) -> bytes:
+        """Truncated HMAC-SHA256 of bytes-like ``data``, from the precomputed pads."""
         if self._inner_pad is None:
-            return self._mac(self._mac_key, data)[:TAG_SIZE]
+            return pure_hmac_sha256(self._mac_key, bytes(data))[:TAG_SIZE]
         inner = self._inner_pad.copy()
         inner.update(data)
         outer = self._outer_pad.copy()
@@ -231,6 +262,9 @@ class CipherSuite:
         return outer.digest()[:TAG_SIZE]
 
     # -- frames ---------------------------------------------------------------
+    #
+    # One kernel per direction; the single-frame entry points are a batch
+    # of one (their bytes are pinned by tests/test_crypto_kernel.py).
 
     def encrypt_page(self, plaintext: bytes, nonce: Optional[bytes] = None) -> bytes:
         """Encrypt a page payload into a frame with a fresh random nonce.
@@ -238,45 +272,14 @@ class CipherSuite:
         An explicit ``nonce`` may be supplied for testing; production callers
         must leave it None so every write gets a unique nonce.
         """
-        explicit = nonce is not None
-        if nonce is None:
-            nonce = self._rng.token(NONCE_SIZE)
-        elif len(nonce) != NONCE_SIZE:
-            raise CryptoError(f"nonce must be {NONCE_SIZE} bytes")
-        if self._fine:
-            with self.tracer.fine_span("crypto.encrypt", nbytes=len(plaintext)):
-                ciphertext = self._keystream_xor(nonce, plaintext, consult=explicit)
-                tag = self._tag(nonce + ciphertext)
-        else:
-            ciphertext = self._keystream_xor(nonce, plaintext, consult=explicit)
-            tag = self._tag(nonce + ciphertext)
-        return nonce + ciphertext + tag
+        with self.tracer.fine_span("crypto.encrypt", nbytes=len(plaintext)):
+            return self._encrypt_batch(
+                (plaintext,), None if nonce is None else (nonce,)
+            )[0]
 
     def decrypt_page(self, frame: bytes) -> bytes:
         """Verify and decrypt a frame; raises :class:`AuthenticationError` on tamper."""
-        if len(frame) < FRAME_OVERHEAD:
-            raise CryptoError(
-                f"frame too short: {len(frame)} bytes < overhead {FRAME_OVERHEAD}"
-            )
-        nonce = frame[:NONCE_SIZE]
-        ciphertext = frame[NONCE_SIZE : len(frame) - TAG_SIZE]
-        tag = frame[len(frame) - TAG_SIZE :]
-        if self._fine:
-            with self.tracer.fine_span("crypto.mac_verify", nbytes=len(frame)):
-                expected = self._tag(nonce + ciphertext)
-        else:
-            expected = self._tag(nonce + ciphertext)
-        diff = 0
-        for a, b in zip(expected, tag):
-            diff |= a ^ b
-        if diff != 0 or len(tag) != TAG_SIZE:
-            raise AuthenticationError("page frame failed MAC verification")
-        if self._fine:
-            with self.tracer.fine_span("crypto.keystream", nbytes=len(ciphertext)):
-                return self._keystream_xor(nonce, ciphertext, consult=True)
-        return self._keystream_xor(nonce, ciphertext, consult=True)
-
-    # -- batch pipeline -------------------------------------------------------
+        return self._decrypt_batch((frame,))[0]
 
     def encrypt_pages(
         self,
@@ -290,133 +293,109 @@ class CipherSuite:
         equivalent sequence of :meth:`encrypt_page` calls on the same RNG
         state — the batch only saves Python overhead, never changes bytes.
         """
-        explicit = nonces is not None
-        if nonces is None:
-            nonces = [self._rng.token(NONCE_SIZE) for _ in plaintexts]
-        else:
-            if len(nonces) != len(plaintexts):
-                raise CryptoError("need exactly one nonce per plaintext")
-            for nonce in nonces:
-                if len(nonce) != NONCE_SIZE:
-                    raise CryptoError(f"nonce must be {NONCE_SIZE} bytes")
-        if self._fine:
-            with self.tracer.fine_span(
-                "crypto.encrypt_batch", nbytes=sum(len(p) for p in plaintexts)
-            ):
-                return self._encrypt_batch(plaintexts, nonces, consult=explicit)
-        return self._encrypt_batch(plaintexts, nonces, consult=explicit)
-
-    def _encrypt_batch(
-        self,
-        plaintexts: Sequence[bytes],
-        nonces: Sequence[bytes],
-        consult: bool = False,
-    ) -> List[bytes]:
-        ciphertexts = self._transform_batch(nonces, plaintexts, consult=consult)
-        return [
-            nonce + ciphertext + self._tag(nonce + ciphertext)
-            for nonce, ciphertext in zip(nonces, ciphertexts)
-        ]
+        with self.tracer.fine_span(
+            "crypto.encrypt_batch", nbytes=sum(map(len, plaintexts))
+        ):
+            return self._encrypt_batch(plaintexts, nonces)
 
     def decrypt_pages(
         self, frames: Sequence[bytes], views: bool = False
     ) -> List[bytes]:
         """Verify and decrypt a batch of frames.
 
-        Every MAC is checked before any failure is reported;
+        Every MAC is checked before any byte is decrypted;
         :class:`AuthenticationError` carries the indices of *all* failing
         frames so one tampered frame cannot mask another.
 
         With ``views=True`` the plaintexts come back as zero-copy
-        ``memoryview`` slices of one shared decrypt buffer instead of k
-        separate ``bytes`` copies — the engine threads these
-        straight through page decode, relocation and re-encryption.
+        ``memoryview`` slices of the kernel's result matrix instead of
+        separate ``bytes`` copies — the engine threads these straight
+        through page decode, relocation and re-encryption.  The views own
+        their buffer: they stay valid after ``frames`` is dropped.
         """
-        if self._fine:
-            with self.tracer.fine_span(
-                "crypto.decrypt_batch", nbytes=sum(len(f) for f in frames)
-            ):
-                return self._decrypt_batch(frames, views=views)
-        return self._decrypt_batch(frames, views=views)
+        with self.tracer.fine_span(
+            "crypto.decrypt_batch", nbytes=sum(map(len, frames))
+        ):
+            return self._decrypt_batch(frames, views=views)
+
+    def _encrypt_batch(
+        self, plaintexts: Sequence[bytes], nonces: Optional[Sequence[bytes]]
+    ) -> List[bytes]:
+        # Fresh random nonces can never have been prefetched, so only
+        # explicit ones consult the pipeline (anything else would just
+        # pollute its miss counter).
+        consult = nonces is not None
+        if nonces is None:
+            nonces = [self._rng.token(NONCE_SIZE) for _ in plaintexts]
+        elif len(nonces) != len(plaintexts):
+            raise CryptoError("need exactly one nonce per plaintext")
+        elif any(len(nonce) != NONCE_SIZE for nonce in nonces):
+            raise CryptoError(f"nonce must be {NONCE_SIZE} bytes")
+        if not plaintexts:
+            return []
+        lengths = [len(plaintext) for plaintext in plaintexts]
+        body = max(lengths)
+        width = body + FRAME_OVERHEAD
+        # Row i holds frame i (shorter rows of a ragged batch are followed
+        # by padding that never leaves this function): the nonce columns
+        # are filled, the XOR lands straight in the ciphertext columns,
+        # and each tag is written right behind its row's ciphertext.
+        matrix = np.empty((len(lengths), width), np.uint8)
+        matrix[:, :NONCE_SIZE] = _matrix(nonces, NONCE_SIZE)
+        np.bitwise_xor(
+            _matrix(plaintexts, body),
+            self._keystreams(nonces, lengths, body, consult),
+            out=matrix[:, NONCE_SIZE : NONCE_SIZE + body],
+        )
+        flat = memoryview(matrix.reshape(-1))
+        frames: List[bytes] = []
+        for index, length in enumerate(lengths):
+            start = index * width
+            end = start + NONCE_SIZE + length
+            flat[end : end + TAG_SIZE] = self._tag(flat[start:end])
+            frames.append(bytes(flat[start : end + TAG_SIZE]))
+        return frames
 
     def _decrypt_batch(
         self, frames: Sequence[bytes], views: bool = False
     ) -> List[bytes]:
-        nonces: List[bytes] = []
-        ciphertexts: List[bytes] = []
-        for frame in frames:
-            if len(frame) < FRAME_OVERHEAD:
-                raise CryptoError(
-                    f"frame too short: {len(frame)} bytes < overhead "
-                    f"{FRAME_OVERHEAD}"
-                )
-            nonces.append(frame[:NONCE_SIZE])
-            ciphertexts.append(frame[NONCE_SIZE : len(frame) - TAG_SIZE])
-        failed: List[int] = []
-        for index, frame in enumerate(frames):
-            expected = self._tag(frame[: len(frame) - TAG_SIZE])
-            tag = frame[len(frame) - TAG_SIZE :]
-            diff = 0
-            for a, b in zip(expected, tag):
-                diff |= a ^ b
-            if diff != 0:
-                failed.append(index)
-        if failed:
-            raise AuthenticationError(
-                f"frame(s) {failed} of batch of {len(frames)} failed MAC "
-                "verification"
+        sizes = [len(frame) for frame in frames]
+        if not sizes:
+            return []
+        if min(sizes) < FRAME_OVERHEAD:
+            raise CryptoError(
+                f"frame too short: {min(sizes)} bytes < overhead {FRAME_OVERHEAD}"
             )
-        return self._transform_batch(nonces, ciphertexts, consult=True,
-                                     views=views)
-
-    def _transform_batch(
-        self,
-        nonces: Sequence[bytes],
-        payloads: Sequence[bytes],
-        consult: bool = False,
-        views: bool = False,
-    ) -> List[bytes]:
-        """XOR each payload with its frame keystream, batch-wide.
-
-        The per-frame keystreams are concatenated and applied with one
-        big-int XOR over the whole batch, then sliced back per frame.
-        With ``consult`` the attached prefetch pipeline is asked for each
-        frame's keystream first; only misses are computed inline.  On the
-        aes backend all missing frames' counter blocks go through one
-        fused :func:`~repro.crypto.modes.ctr_keystream_batch` kernel
-        entry, which is what lets the vectorised lane engage even when
-        each frame is only a handful of blocks.
-        """
-        if self.backend == "null" or not payloads:
-            return list(payloads)
-        streams: List[Optional[bytes]] = [None] * len(payloads)
-        if consult and self.pipeline is not None:
-            for index, (nonce, payload) in enumerate(zip(nonces, payloads)):
-                streams[index] = self.pipeline.take(self, nonce, len(payload))
-        missing = [index for index, s in enumerate(streams) if s is None]
-        if missing:
-            if self.backend == "aes":
-                assert self._aes is not None
-                fresh = ctr_keystream_batch(
-                    self._aes,
-                    [nonces[index] for index in missing],
-                    [len(payloads[index]) for index in missing],
+        width = max(sizes)
+        matrix = _matrix(frames, width)
+        flat = memoryview(matrix.reshape(-1))
+        with self.tracer.fine_span("crypto.mac_verify", nbytes=sum(sizes)):
+            failed: List[int] = []
+            for index, size in enumerate(sizes):
+                start = index * width
+                end = start + size - TAG_SIZE
+                if not compare_digest(
+                    self._tag(flat[start:end]), flat[end : end + TAG_SIZE]
+                ):
+                    failed.append(index)
+            if failed:
+                raise AuthenticationError(
+                    f"frame(s) {failed} of batch of {len(frames)} failed MAC "
+                    "verification"
                 )
-                for index, keystream in zip(missing, fresh):
-                    streams[index] = keystream
-            else:
-                for index in missing:
-                    streams[index] = self._keystream(
-                        nonces[index], len(payloads[index])
-                    )
-        mixed = _xor_bytes(b"".join(payloads), b"".join(streams))
-        source = memoryview(mixed) if views else mixed
-        out: List[bytes] = []
-        offset = 0
-        for payload in payloads:
-            out.append(source[offset : offset + len(payload)])
-            offset += len(payload)
-        return out
+        body = width - FRAME_OVERHEAD
+        lengths = [size - FRAME_OVERHEAD for size in sizes]
+        with self.tracer.fine_span("crypto.keystream", nbytes=sum(lengths)):
+            nonces = [bytes(frame[:NONCE_SIZE]) for frame in frames]
+            plain = memoryview(np.bitwise_xor(
+                matrix[:, NONCE_SIZE : NONCE_SIZE + body],
+                self._keystreams(nonces, lengths, body, consult=True),
+            ).reshape(-1))
+        rows = [
+            plain[index * body : index * body + length]
+            for index, length in enumerate(lengths)
+        ]
+        return rows if views else [bytes(row) for row in rows]
 
     def frame_size(self, payload_size: int) -> int:
         """Size in bytes of an encrypted frame for a payload of ``payload_size``."""

@@ -253,9 +253,9 @@ class SecureCoprocessor:
         """Batch :meth:`seal`: one cipher-suite call for a whole block.
 
         Nonces are drawn in page order, so the frames are byte-identical
-        to sealing each page individually — the batch only removes the
-        per-frame Python overhead (2(k+1) suite entries per request become
-        two, see DESIGN.md §10).
+        to sealing each page individually (:meth:`seal` is the same kernel
+        with a batch of one) — the batch only removes the per-frame Python
+        overhead, see DESIGN.md §10.
         """
         return self.suite.encrypt_pages(
             [page.encode(self.page_capacity) for page in pages]
@@ -272,7 +272,7 @@ class SecureCoprocessor:
         state — the whole batch is verified and decrypted in one call.
 
         ``views=True`` decodes the pages over zero-copy memoryview slices
-        of one shared decrypt buffer (ignored on the rotation fallback,
+        of the kernel's result matrix (ignored on the rotation fallback,
         where frames are decrypted one at a time anyway).
         """
         if self._legacy_suite is not None:
