@@ -1,21 +1,13 @@
-"""CTR fast-path benchmark: T-table AES kernel + keystream prefetch pipeline.
+"""CTR fast-path benchmark: the T-table AES kernel.
 
-Quantifies the two layers of the CTR fast-path PR:
+The same pinned CTR keystream workload is generated twice through
+:func:`repro.crypto.modes.ctr_keystream`, once with the byte-wise
+reference AES and once with the accelerated kernel (T-tables, vectorised
+above :data:`~repro.crypto.aes.VECTOR_THRESHOLD_BLOCKS` blocks).  The
+outputs are asserted byte-identical and the run *fails* if the
+accelerated path is less than 3x faster in wall time.
 
-* **Kernel speedup** — the same pinned CTR keystream workload is generated
-  twice through :func:`repro.crypto.modes.ctr_keystream`, once with the
-  byte-wise reference AES and once with the accelerated kernel (T-tables,
-  vectorised above :data:`~repro.crypto.aes.VECTOR_THRESHOLD_BLOCKS`
-  blocks).  The outputs are asserted byte-identical and the run *fails*
-  if the accelerated path is less than 3x faster in wall time.
-* **Prefetch hit rate** — a sequential scan workload on an aes-backend
-  database with the sync :class:`~repro.crypto.pipeline.KeystreamPipeline`
-  attached.  The scan order is deterministic, so all ``k`` block frames
-  of every request should be served from the prefetch cache and only the
-  unpredictable extra frame should miss: the run fails below a 90% hit
-  rate (k=16 predicts k/(k+1) = 94.1%).
-
-Besides the pytest checks, this file is a script::
+Besides the pytest check, this file is a script::
 
     PYTHONPATH=src python benchmarks/bench_ctr.py --quick --out run.jsonl
 
@@ -23,9 +15,9 @@ emitting the perf-gate JSONL layout (meta line + phase rows) that
 ``benchmarks/compare_bench.py`` diffs against
 ``benchmarks/results/perf_baseline_ctr.jsonl``.  Count/bytes/virtual
 columns are deterministic under the pinned seed; wall times are
-calibration-normalised by the gate.  The kernel-speedup and hit-rate
-gates run in-script, so a baseline diff is not needed to catch a fast
-path that silently stopped being fast.
+calibration-normalised by the gate.  The kernel-speedup gate runs
+in-script, so a baseline diff is not needed to catch a fast path that
+silently stopped being fast.
 """
 
 from __future__ import annotations
@@ -42,24 +34,15 @@ try:
 except ImportError:  # script mode from a checkout without PYTHONPATH
     sys.path.insert(0, path.join(path.dirname(__file__), "..", "src"))
 
-from repro.baselines import make_records
-from repro.core.database import PirDatabase
 from repro.crypto.aes import AES
 from repro.crypto.modes import ctr_keystream
 
 #: Pinned workload shape — change it and the committed baseline together.
 DEFAULT_SEED = 9001
-DEFAULT_QUERIES = 96
-QUICK_QUERIES = 48
-_BENCH_RECORDS = 96
-_BENCH_PAGE_SIZE = 64
-_BENCH_BLOCK_SIZE = 16  # k; predicted steady-state hit rate k/(k+1) = 94.1%
-_BENCH_CACHE = 4
 _KEYSTREAM_BLOCKS = 2048  # blocks per keystream message (32 KiB)
 _KEYSTREAM_MESSAGES = 4
 
 MIN_KERNEL_SPEEDUP = 3.0
-MIN_HIT_RATE = 0.90
 
 
 def run_keystream(accel: bool, seed: int):
@@ -73,28 +56,6 @@ def run_keystream(accel: bool, seed: int):
     streams = [ctr_keystream(cipher, nonce, length) for nonce in nonces]
     wall = time.perf_counter() - start
     return streams, wall
-
-
-def run_pipeline_scan(queries: int, seed: int, pipeline: Optional[str] = "sync"):
-    """Sequential scan on an aes-backend database with prefetch attached."""
-    from repro.hardware.specs import IBM_4764
-
-    db = PirDatabase.create(
-        make_records(_BENCH_RECORDS, _BENCH_PAGE_SIZE),
-        cache_capacity=_BENCH_CACHE,
-        block_size=_BENCH_BLOCK_SIZE,
-        page_capacity=_BENCH_PAGE_SIZE,
-        spec=IBM_4764,
-        seed=seed,
-        cipher_backend="aes",
-        keystream_pipeline=pipeline,
-        trace_enabled=False,
-    )
-    start = time.perf_counter()
-    payloads = [db.query(index % _BENCH_RECORDS) for index in range(queries)]
-    wall = time.perf_counter() - start
-    db.close()
-    return payloads, db, wall
 
 
 # ---------------------------------------------------------------------------
@@ -125,31 +86,6 @@ def test_kernel_speedup_and_identity(report):
     report.line(f"kernel speedup: {speedup:.1f}x")
 
 
-def test_pipeline_hit_rate_on_sequential_scan(report):
-    """>= 90% prefetch hit rate, frames identical to the pipeline-off run."""
-    payloads, db, _wall = run_pipeline_scan(QUICK_QUERIES, DEFAULT_SEED)
-    off_payloads, off_db, _off_wall = run_pipeline_scan(
-        QUICK_QUERIES, DEFAULT_SEED, pipeline=None
-    )
-    assert payloads == off_payloads
-    assert db.clock.now == off_db.clock.now
-    hit_rate = db.cop.pipeline.hit_rate()
-    assert hit_rate >= MIN_HIT_RATE, (
-        f"pipeline hit rate {hit_rate:.1%} < {MIN_HIT_RATE:.0%} on a "
-        "sequential scan"
-    )
-    counters = db.cop.pipeline.counters
-    report.line(f"k={_BENCH_BLOCK_SIZE} aes-backend scan, "
-                f"{QUICK_QUERIES} queries, sync pipeline")
-    report.table(
-        ["counter", "value"],
-        [[name, counters.get(name)]
-         for name in ("prefetched", "hit", "miss", "evicted")],
-    )
-    report.line(f"hit rate {hit_rate:.1%} "
-                f"(predicted k/(k+1) = {_BENCH_BLOCK_SIZE / (_BENCH_BLOCK_SIZE + 1):.1%})")
-
-
 # ---------------------------------------------------------------------------
 # Script mode: structured JSONL for the CI perf gate
 # ---------------------------------------------------------------------------
@@ -166,16 +102,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="CTR fast-path benchmark (JSONL for the CI perf gate)"
     )
     parser.add_argument("--quick", action="store_true",
-                        help=f"run {QUICK_QUERIES} queries instead of "
-                             f"{DEFAULT_QUERIES}")
-    parser.add_argument("--queries", type=int, default=0,
-                        help="explicit query count (overrides --quick)")
+                        help="accepted for the perf gate's uniform command "
+                             "line; the keystream workload is pinned")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--out", default="",
                         help="JSONL output path (default stdout)")
     args = parser.parse_args(argv)
 
-    queries = args.queries or (QUICK_QUERIES if args.quick else DEFAULT_QUERIES)
     calibration = calibration_seconds()
 
     reference, ref_wall = run_keystream(False, args.seed)
@@ -189,33 +122,13 @@ def main(argv: Optional[List[str]] = None) -> int:
               file=sys.stderr)
         return 1
 
-    payloads, db, scan_wall = run_pipeline_scan(queries, args.seed)
-    off_payloads, off_db, off_wall = run_pipeline_scan(
-        queries, args.seed, pipeline=None
-    )
-    if payloads != off_payloads or db.clock.now != off_db.clock.now:
-        print("error: pipeline run diverged from pipeline-off run",
-              file=sys.stderr)
-        return 2
-    counters = db.cop.pipeline.counters
-    hit_rate = db.cop.pipeline.hit_rate()
-    if hit_rate < MIN_HIT_RATE:
-        print(f"error: pipeline hit rate {hit_rate:.1%} < {MIN_HIT_RATE:.0%}",
-              file=sys.stderr)
-        return 1
-
     keystream_bytes = _KEYSTREAM_MESSAGES * _KEYSTREAM_BLOCKS * 16
     rows = [{
         "kind": "meta",
-        "queries": queries,
         "seed": args.seed,
-        "pages": _BENCH_RECORDS,
-        "block_size": _BENCH_BLOCK_SIZE,
-        "page_size": _BENCH_PAGE_SIZE,
         "calibration_s": calibration,
         # Informational (gated in-script, not by the baseline diff).
         "kernel_speedup": speedup,
-        "pipeline_hit_rate": hit_rate,
     }]
     rows.append({
         "kind": "phase", "name": "keystream.reference",
@@ -229,22 +142,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "bytes": keystream_bytes,
         "virtual_s": 0.0, "wall_s": accel_wall,
     })
-    rows.append({
-        "kind": "phase", "name": "scan.pipeline",
-        "count": counters.get("hit") + counters.get("miss"),
-        "bytes": counters.get("hit") * db.cop.plaintext_page_size,
-        "virtual_s": db.clock.now, "wall_s": scan_wall,
-    })
-    rows.append({
-        "kind": "phase", "name": "scan.inline",
-        "count": queries, "bytes": 0,
-        "virtual_s": off_db.clock.now, "wall_s": off_wall,
-    })
     if args.out:
         written = write_jsonl(args.out, rows)
-        print(f"wrote {written} rows ({queries} queries, "
-              f"kernel speedup {speedup:.1f}x, "
-              f"hit rate {hit_rate:.1%}) to {args.out}")
+        print(f"wrote {written} rows "
+              f"(kernel speedup {speedup:.1f}x) to {args.out}")
     else:
         import json
 

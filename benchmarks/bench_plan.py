@@ -12,7 +12,7 @@ one pinned workload:
 * **Controller discipline** — with a live database serving queries while
   a background re-permutation epoch runs, the online controller must
   (a) record at least one adjustment of *each* cost-side tunable
-  (admission rate, pipeline byte budget, reshuffle pacing), (b) hold the
+  (admission rate, reshuffle pacing), (b) hold the
   virtual-clock query p99 at or under its latency target, and (c) leave
   every privacy parameter (k, m, n — hence the achieved c) untouched
   (privacy drift is exit 2: correctness, not performance).
@@ -77,7 +77,7 @@ _CTRL_BUCKET_BURST = 2.0
 _CTRL_EPOCH_DEADLINE = 30.0     # wall seconds to drain the epoch after
 
 MAX_VERIFY_ERROR = 0.15
-_TUNABLES = ("admission", "pipeline", "reshuffle")
+_TUNABLES = ("admission", "reshuffle")
 _CTRL_ATTEMPTS = 3              # best-of-N: wall-driven interleaving
 
 
@@ -145,7 +145,7 @@ def run_verify_gate(calibrate: str, queries: int,
 
 
 # ---------------------------------------------------------------------------
-# Controller gate: live traffic, background epoch, three tunables
+# Controller gate: live traffic, background epoch, two tunables
 # ---------------------------------------------------------------------------
 
 
@@ -165,7 +165,6 @@ def _controller_attempt(seed: int) -> Tuple[dict, List[str], List[str]]:
         seed=seed,
         spec=IBM_4764,
         metrics=registry,
-        keystream_pipeline="sync",
     )
     admission = AdmissionController(
         bucket=TokenBucket(rate=_CTRL_BUCKET_RATE,
@@ -181,12 +180,7 @@ def _controller_attempt(seed: int) -> Tuple[dict, List[str], List[str]]:
         registry,
         target_p99=_CTRL_TARGET_P99,
         admission=admission,
-        pipeline=db.cop.pipeline,
         reshuffler=lambda: db.reshuffle,
-        # Any window with a miss grows the budget; any near-perfect window
-        # with idle budget shrinks it — either way the pipeline knob moves
-        # on real traffic.
-        hit_rate_target=0.999,
     )
     try:
         sheds = 0

@@ -19,7 +19,6 @@ from typing import List, Optional, Sequence
 
 from .engine import BatchOp, RetrievalEngine, run_one
 from .params import SystemParameters
-from ..crypto.pipeline import PIPELINE_MODES, KeystreamPipeline
 from ..crypto.rng import SecureRandom
 from ..errors import ConfigurationError, PageDeletedError
 from ..hardware.cache import RANDOM_POLICY
@@ -91,8 +90,6 @@ class PirDatabase:
         read_retry=None,
         tracer: Optional[Tracer] = None,
         metrics=None,
-        keystream_pipeline: Optional[str] = None,
-        pipeline_max_bytes: Optional[int] = None,
         hot_tier_frames: Optional[int] = None,
         hot_tier_journal=None,
     ) -> "PirDatabase":
@@ -121,12 +118,6 @@ class PirDatabase:
         so the recorded phases cover requests only.  ``metrics`` (a
         :class:`repro.obs.registry.MetricsRegistry`) gives the engine's
         counters and latency histogram a process-wide home.
-        ``keystream_pipeline`` enables idle-time decrypt-keystream
-        prefetch (:mod:`repro.crypto.pipeline`): ``"sync"`` computes the
-        next block's keystreams at the end of each request, ``"background"``
-        moves the computation onto a worker thread; either way the frames,
-        RNG streams and virtual clock are identical to running without
-        it.  ``pipeline_max_bytes`` bounds the cached keystream bytes.
         ``hot_tier_frames`` fronts the untrusted store with an in-memory
         ciphertext LRU of that many frames (:class:`TieredDiskStore`):
         hot hits skip the cold store's seek/transfer charge while leaving
@@ -137,11 +128,6 @@ class PirDatabase:
             raise ConfigurationError("records must be non-empty")
         if setup_mode not in (SETUP_DIRECT, SETUP_OBLIVIOUS):
             raise ConfigurationError(f"unknown setup_mode {setup_mode!r}")
-        if keystream_pipeline is not None and keystream_pipeline not in PIPELINE_MODES:
-            raise ConfigurationError(
-                f"unknown keystream_pipeline {keystream_pipeline!r}; "
-                f"expected None or one of {PIPELINE_MODES}"
-            )
         if block_size is not None:
             params = SystemParameters.from_block_size(
                 len(records), cache_capacity, block_size,
@@ -224,16 +210,6 @@ class PirDatabase:
             for page_id in range(params.num_locations):
                 layout[permutation.apply(page_id)] = page_id
 
-        if keystream_pipeline is not None:
-            pipeline_options = {}
-            if pipeline_max_bytes is not None:
-                pipeline_options["max_bytes"] = pipeline_max_bytes
-            cop.attach_pipeline(KeystreamPipeline(
-                background=(keystream_pipeline == "background"),
-                metrics=metrics,
-                **pipeline_options,
-            ))
-
         page_by_id = {page.page_id: page for page in disk_pages}
         # One contiguous write per ``batch`` locations, sealed ``chunk``
         # pages at a time through the batch kernel: small chunks keep its
@@ -248,9 +224,6 @@ class PirDatabase:
                     for pos in range(low, min(low + chunk, stop))
                 ])
             disk.write_range(start, frames)
-            # Seed the prefetcher with the initial frames' nonces so the
-            # very first scan already hits (no-op without a pipeline).
-            cop.note_frames_written(range(start, stop), frames)
 
         cache_pages = [
             Page(params.num_locations + slot, b"", deleted=True)
@@ -271,10 +244,6 @@ class PirDatabase:
             params, cop, disk, journal=journal, read_retry=read_retry,
             tracer=tracer, metrics=metrics,
         )
-        # Warm the pipeline for the first request's block during setup
-        # (before the tracer reset, so the span is dropped with the rest
-        # of the setup trace).
-        engine.prefetch_next()
         if tracer is not None:
             # Setup wrote the whole database through the instrumented disk;
             # drop those spans so the trace covers requests only (that is
@@ -414,20 +383,14 @@ class PirDatabase:
         return driver
 
     def close(self) -> None:
-        """Stop *all* background workers and release their resources.
+        """Stop the online reshuffle driver and flush the store.
 
-        Covers the online reshuffle driver and the keystream prefetch
-        worker.  Idempotent; a database without either has nothing to
-        release.  Usable as a context manager:
+        Idempotent.  Usable as a context manager:
         ``with PirDatabase.create(...) as db:``.
         """
         if self.reshuffle is not None:
             self.reshuffle.close()
-        if self.cop.pipeline is not None:
-            self.cop.pipeline.close()
-        flush = getattr(self.disk, "flush", None)
-        if flush is not None:
-            flush()
+        self.disk.flush()
 
     def __enter__(self) -> "PirDatabase":
         return self

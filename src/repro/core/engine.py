@@ -339,24 +339,6 @@ class RetrievalEngine:
         self.counters.increment("recovery.replayed")
         return RecoveryReport("replayed", intent.request_index)
 
-    def prefetch_next(self) -> int:
-        """Precompute decrypt keystreams for the next round-robin block.
-
-        The scan order is deterministic, so the k locations the next
-        request will read are known now; their nonces were recorded when
-        the frames were written (or seeded at setup).  The extra (k+1)-th
-        page depends on the next request's target and cannot be
-        prefetched — it accounts for the one expected miss per request.
-        A no-op without an attached pipeline.  Returns the number of
-        keystream bytes scheduled.
-        """
-        if self.cop.pipeline is None:
-            return 0
-        k = self.params.block_size
-        start = self._next_block * k
-        with self.tracer.span("pipeline.prefetch"):
-            return self.cop.prefetch_keystreams(range(start, start + k))
-
     # -- the unified request: a round-robin window of one or more ops -----------
 
     def run_batch(
@@ -432,12 +414,6 @@ class RetrievalEngine:
                     for i, _ in live:
                         results[i] = exc
                     self.disk.current_request = -1
-                    continue
-                # Idle-time keystream prefetch for the *next* window's
-                # block — a sibling of the root span, so it never inflates
-                # the request's own wall/virtual totals (and it charges no
-                # virtual time at all).
-                self.prefetch_next()
         return results
 
     def _plan_window(
@@ -797,8 +773,6 @@ class RetrievalEngine:
         self.counters.increment("batch.fused.extra_reads", n_ops)
         self.counters.increment("batch.fused.reads_saved",
                                 (n_ops - 1) * k)
-        if self.cop.pipeline is not None:
-            self.cop.pipeline.note_batch_window(k, n_ops)
 
     def _fetch(self, read, num_frames: int) -> List[Page]:
         """Read + ingest + decrypt ``num_frames`` frames into page views.
@@ -888,13 +862,6 @@ class RetrievalEngine:
             # record able to repair the store.
             self._pending_intent = intent
             raise
-        # The write-back succeeded: tell the prefetcher which nonces now
-        # live at these locations (reads the frame headers we just wrote;
-        # draws no randomness, advances no clock).
-        self.cop.note_frames_written(
-            list(range(intent.block_start, intent.block_start + k)) + extras,
-            intent.frames,
-        )
 
         self._next_block = intent.next_block
         self._request_count = intent.request_index + intent.request_span

@@ -156,8 +156,8 @@ class ShardedPirDatabase:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release each shard's background workers — keystream prefetch
-        and online reshuffle — when present (idempotent)."""
+        """Stop each shard's online reshuffle driver, when present, and
+        flush its store (idempotent)."""
         for shard in self.shards:
             shard.close()
 

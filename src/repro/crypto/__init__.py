@@ -10,7 +10,6 @@ from .aes import AES, BLOCK_SIZE, default_accel, set_default_accel
 from .kdf import derive_key, hkdf_expand, hkdf_extract
 from .mac import TAG_SIZE, hmac_sha256, verify_hmac
 from .modes import NONCE_SIZE, ctr_keystream, ctr_keystream_batch, ctr_transform
-from .pipeline import KeystreamPipeline
 from .rng import SecureRandom
 from .sha256 import Sha256, sha256
 from .suite import BACKENDS, FRAME_OVERHEAD, CipherSuite
@@ -30,7 +29,6 @@ __all__ = [
     "ctr_keystream",
     "ctr_keystream_batch",
     "ctr_transform",
-    "KeystreamPipeline",
     "SecureRandom",
     "Sha256",
     "sha256",

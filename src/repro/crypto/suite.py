@@ -52,10 +52,7 @@ one and a ragged batch is the same matrix with zero-padded rows:
 * the window's keystream is one matrix: per-backend key schedules (AES
   round keys, the keyed-BLAKE2b base state) are computed once per suite,
   the blake2 blocks come from one flat loop joined once, the aes rows from
-  one fused :func:`~repro.crypto.modes.ctr_keystream_batch` entry, and
-  when a :class:`~repro.crypto.pipeline.KeystreamPipeline` is attached
-  decrypt batches ask it per frame first — hits fill their row, the
-  misses share one kernel pass (DESIGN.md §11),
+  one fused :func:`~repro.crypto.modes.ctr_keystream_batch` entry,
 * the XOR is one ``numpy.bitwise_xor`` — written straight into the
   ciphertext columns of the output frame matrix on encrypt, returned as
   ``memoryview`` slices of the result on decrypt with ``views=True``.
@@ -133,9 +130,6 @@ class CipherSuite:
         self._aes: Optional[AES] = (
             AES.for_key(self._enc_key) if backend == "aes" else None
         )
-        # Optional keystream prefetcher (repro.crypto.pipeline); attached
-        # by the coprocessor when the database enables it.
-        self.pipeline = None
         # Keyed-BLAKE2b absorbs its key block at construction; copying the
         # base state per keystream block skips that work (byte-identical
         # output to a one-shot keyed hash).
@@ -156,38 +150,8 @@ class CipherSuite:
 
     # -- keystream ------------------------------------------------------------
 
-    def compute_keystream(self, nonce: bytes, length: int) -> Optional[bytes]:
-        """Keystream bytes this suite would use for (nonce, length).
-
-        A pure function of the suite's key and the arguments — no RNG
-        draw, no clock charge — which is what lets
-        :class:`repro.crypto.pipeline.KeystreamPipeline` precompute it
-        off the request path without perturbing determinism.  Returns
-        None for the null backend (identity transform, nothing to cache).
-        """
-        return self.compute_keystreams((nonce,), (length,))[0]
-
-    def compute_keystreams(
-        self, nonces: Sequence[bytes], lengths: Sequence[int]
-    ) -> List[Optional[bytes]]:
-        """Batch :meth:`compute_keystream`: one kernel pass, one row each.
-
-        The prefetch pipeline computes a whole block's keystreams at once
-        through here — the same matrix the decrypt kernel would build.
-        """
-        if self.backend == "null":
-            return [None] * len(nonces)
-        if len(nonces) != len(lengths):
-            raise CryptoError("need exactly one length per nonce")
-        width = max(lengths, default=0)
-        stream = self._keystream_matrix(nonces, width).tobytes()
-        return [
-            stream[index * width : index * width + length]
-            for index, length in enumerate(lengths)
-        ]
-
     def _keystream_matrix(self, nonces: Sequence[bytes], width: int) -> np.ndarray:
-        """Freshly computed keystream, one ``width``-byte row per nonce."""
+        """The batch's keystream, one ``width``-byte row per nonce."""
         count = len(nonces)
         if self.backend == "null":
             return np.zeros((count, width), np.uint8)  # identity under XOR
@@ -227,27 +191,6 @@ class CipherSuite:
         return np.frombuffer(b"".join(blocks), np.uint8).reshape(
             count, len(counters) * _BLAKE_BLOCK
         )[:, :width]
-
-    def _keystreams(
-        self, nonces: Sequence[bytes], lengths: Sequence[int], width: int,
-        consult: bool,
-    ) -> np.ndarray:
-        """The batch's keystream matrix, asking the prefetch pipeline first.
-
-        Hits fill their row (a hit only XORs); the misses share one
-        :meth:`_keystream_matrix` pass.
-        """
-        if not consult or self.pipeline is None or self.backend == "null":
-            return self._keystream_matrix(nonces, width)
-        rows = [
-            self.pipeline.take(self, nonce, length)
-            for nonce, length in zip(nonces, lengths)
-        ]
-        missing = [index for index, row in enumerate(rows) if row is None]
-        fresh = self._keystream_matrix([nonces[index] for index in missing], width)
-        for index, row in zip(missing, fresh):
-            rows[index] = row
-        return _matrix(rows, width)
 
     # -- authentication -------------------------------------------------------
 
@@ -321,10 +264,6 @@ class CipherSuite:
     def _encrypt_batch(
         self, plaintexts: Sequence[bytes], nonces: Optional[Sequence[bytes]]
     ) -> List[bytes]:
-        # Fresh random nonces can never have been prefetched, so only
-        # explicit ones consult the pipeline (anything else would just
-        # pollute its miss counter).
-        consult = nonces is not None
         if nonces is None:
             nonces = [self._rng.token(NONCE_SIZE) for _ in plaintexts]
         elif len(nonces) != len(plaintexts):
@@ -344,7 +283,7 @@ class CipherSuite:
         matrix[:, :NONCE_SIZE] = _matrix(nonces, NONCE_SIZE)
         np.bitwise_xor(
             _matrix(plaintexts, body),
-            self._keystreams(nonces, lengths, body, consult),
+            self._keystream_matrix(nonces, body),
             out=matrix[:, NONCE_SIZE : NONCE_SIZE + body],
         )
         flat = memoryview(matrix.reshape(-1))
@@ -389,7 +328,7 @@ class CipherSuite:
             nonces = [bytes(frame[:NONCE_SIZE]) for frame in frames]
             plain = memoryview(np.bitwise_xor(
                 matrix[:, NONCE_SIZE : NONCE_SIZE + body],
-                self._keystreams(nonces, lengths, body, consult=True),
+                self._keystream_matrix(nonces, body),
             ).reshape(-1))
         rows = [
             plain[index * body : index * body + length]

@@ -156,12 +156,10 @@ class FaultyDiskStore:
         return self._inner.initialised_locations()
 
     def flush(self) -> None:
-        if hasattr(self._inner, "flush"):
-            self._inner.flush()
+        self._inner.flush()
 
     def close(self) -> None:
-        if hasattr(self._inner, "close"):
-            self._inner.close()
+        self._inner.close()
 
 
 class FlakyChannel:

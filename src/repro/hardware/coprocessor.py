@@ -90,7 +90,6 @@ class SecureCoprocessor:
         self._master_key = bytes(master_key)
         self._legacy_master_key: Optional[bytes] = None
         self._legacy_suite: Optional[CipherSuite] = None
-        self.pipeline = None  # KeystreamPipeline; see attach_pipeline()
         self.page_capacity = page_capacity
         self.block_size = block_size
         self.page_map = PageMap(num_pages)
@@ -130,11 +129,6 @@ class SecureCoprocessor:
             new_master_key, backend=self.suite.backend, rng=self.rng,
             tracer=self.tracer,
         )
-        # The prefetcher keys its entries by suite identity, so cached
-        # legacy-key keystreams stay usable (MAC verification routes each
-        # frame to the suite that sealed it) and the new suite starts
-        # populating its own entries as write-backs land.
-        self.suite.pipeline = self.pipeline
         if self.suite.frame_size(self.plaintext_page_size) != self.frame_size:
             raise CapacityError("rotation must preserve the frame size")
 
@@ -167,7 +161,6 @@ class SecureCoprocessor:
             legacy_master_key, backend=self.suite.backend, rng=self.rng,
             tracer=self.tracer,
         )
-        self._legacy_suite.pipeline = self.pipeline
 
     def sibling_suite(self, label: str) -> CipherSuite:
         """A suite with the *same* derived keys but an independent nonce RNG.
@@ -184,43 +177,6 @@ class SecureCoprocessor:
             self._master_key, backend=self.suite.backend,
             rng=self.rng.spawn(label), tracer=self.tracer,
         )
-
-    # -- keystream prefetch ----------------------------------------------------
-
-    def attach_pipeline(self, pipeline) -> None:
-        """Connect a :class:`~repro.crypto.pipeline.KeystreamPipeline`.
-
-        The pipeline lives inside the tamper boundary with the suite: it
-        caches raw keystream bytes, which are as sensitive as the keys
-        themselves.  Passing None detaches.
-        """
-        self.pipeline = pipeline
-        self.suite.pipeline = pipeline
-        if self._legacy_suite is not None:
-            self._legacy_suite.pipeline = pipeline
-
-    def note_frames_written(self, locations: Sequence[int],
-                            frames: Sequence[bytes]) -> None:
-        """Tell the prefetcher which nonces now live at ``locations``.
-
-        The nonces are read from the frame headers the coprocessor itself
-        just produced — recording them draws no randomness and is a no-op
-        without an attached pipeline.
-        """
-        if self.pipeline is not None:
-            self.pipeline.note_written_frames(locations, self.suite, frames)
-
-    def prefetch_keystreams(self, locations: Sequence[int]) -> int:
-        """Precompute decrypt keystreams for the frames at ``locations``.
-
-        Returns the number of keystream bytes scheduled (0 without a
-        pipeline, for unknown locations, or on the null backend).
-        """
-        if self.pipeline is None:
-            return 0
-        # CTR ciphertext length equals plaintext length, so the decrypt
-        # keystream for a frame covers exactly the encoded page payload.
-        return self.pipeline.prefetch(locations, self.plaintext_page_size)
 
     @property
     def plaintext_page_size(self) -> int:

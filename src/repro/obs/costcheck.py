@@ -33,9 +33,9 @@ with the implementation's constant overhead, same as
 
 Note on the crypto term and the CTR fast path (DESIGN.md §11): the
 ``crypto`` ratio compares *virtual* time — bytes through the cipher over
-the spec's ``r_ed`` — so it stays exactly 1.0 whether the T-table AES
-kernel or the keystream prefetch pipeline is enabled; neither changes
-the bytes moved or charges the virtual clock.  What the fast path *does*
+the spec's ``r_ed`` — so it stays exactly 1.0 whether or not the T-table
+AES kernel is enabled; it neither changes the bytes moved nor charges
+the virtual clock.  What the fast path *does*
 shift is the implied Python-measured ``r_ed`` (wall bytes/second), by
 roughly the kernel speedup ``benchmarks/bench_ctr.py`` reports (~40x
 with the numpy lane).  That is by design: Eq. 8 conformance models the

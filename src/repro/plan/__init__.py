@@ -11,15 +11,14 @@ halves, one offline and one online:
   model to turn a target triple (p99 latency bound, sustained QPS,
   privacy bound c — or ϵ in the Toledo-style relaxed mode, ``c = e^ϵ``)
   into a full deployable parameter assignment: k, m, shard count,
-  fused-batch window, keystream-pipeline byte budget, hot-tier frames and
-  admission rate/burst.  Infeasible targets raise
-  :class:`~repro.errors.PlanInfeasibleError` naming the binding
-  constraint.
+  fused-batch window, hot-tier frames and admission rate/burst.
+  Infeasible targets raise :class:`~repro.errors.PlanInfeasibleError`
+  naming the binding constraint.
 
 * :mod:`~repro.plan.controller` — the **online controller**.  A
   background loop samples the :class:`~repro.obs.registry.MetricsRegistry`
-  and re-tunes the *cost-side* knobs (admission token bucket, pipeline
-  byte budget, reshuffle pacing) under explicit guardrails.  Privacy
+  and re-tunes the *cost-side* knobs (admission token bucket, reshuffle
+  pacing) under explicit guardrails.  Privacy
   parameters (k, m, cover count) are structurally out of its reach — see
   DESIGN.md §16.
 

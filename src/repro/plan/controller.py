@@ -4,16 +4,12 @@ A :class:`PlanController` closes the runtime half of the planning loop: it
 samples the :class:`~repro.obs.registry.MetricsRegistry` each interval —
 the per-request latency histogram (windowed p99 via interpolated
 :func:`~repro.obs.registry.quantile_from_counts` over the bucket-count
-delta since the previous cycle), the admission shed counters, and the
-keystream pipeline's hit/miss counters — and nudges three *cost-side*
-tunables toward the latency target:
+delta since the previous cycle) and the admission shed counters — and
+nudges two *cost-side* tunables toward the latency target:
 
 * the :class:`~repro.net.admission.AdmissionController` token bucket
   (shed-driven rate raises when latency has room, multiplicative backoff
   when p99 breaches the target);
-* the :class:`~repro.crypto.pipeline.KeystreamPipeline` byte budget
-  (grow while misses dominate, shrink when the cache is comfortably
-  over-provisioned);
 * the :class:`~repro.shuffle.online.OnlineReshuffler` pacing — the
   ROADMAP item-5 adaptive-pacing follow-on: speed the epoch up while the
   latency budget is idle, back off when p99 nears the target.
@@ -29,7 +25,7 @@ them in response to observed load would correlate the distribution with
 the workload — exactly the leak the scheme exists to prevent — and any
 c-improving change only holds after a full re-permutation epoch anyway.
 The controller has no references to them, by construction: it is handed
-only the three cost-side tunables above.
+only the two cost-side tunables above.
 """
 
 from __future__ import annotations
@@ -93,15 +89,12 @@ class PlanController:
         target_p99: float,
         histogram: str = "engine.query_seconds",
         admission=None,
-        pipeline=None,
         reshuffler: Union[None, object, Callable[[], object]] = None,
         interval: float = 0.25,
         tracer=None,
         low_water: float = 0.5,
         high_water: float = 0.9,
-        hit_rate_target: float = 0.5,
         admission_guardrail: Guardrail = Guardrail(1.0, 1e6),
-        pipeline_guardrail: Guardrail = Guardrail(64 * 1024, 64 * 1024 * 1024),
         batch_guardrail: Guardrail = Guardrail(1, 1024),
         idle_guardrail: Guardrail = Guardrail(1e-5, 0.5),
     ):
@@ -117,15 +110,12 @@ class PlanController:
         self.target_p99 = target_p99
         self.histogram_name = histogram
         self.admission = admission
-        self.pipeline = pipeline
         self._reshuffler = reshuffler
         self.interval = interval
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.low_water = low_water
         self.high_water = high_water
-        self.hit_rate_target = hit_rate_target
         self.admission_guardrail = admission_guardrail
-        self.pipeline_guardrail = pipeline_guardrail
         self.batch_guardrail = batch_guardrail
         self.idle_guardrail = idle_guardrail
 
@@ -182,7 +172,6 @@ class PlanController:
             if p99 is not None:
                 self._p99_gauge.set(p99)
             self._tune_admission(p99)
-            self._tune_pipeline()
             self._tune_reshuffle(p99)
             return p99
 
@@ -214,30 +203,6 @@ class PlanController:
         admission.retune(rate=new_rate, capacity=new_capacity)
         self.counters.increment("adjust.admission")
         self._record("admission", "rate", rate, new_rate)
-
-    def _tune_pipeline(self) -> None:
-        pipeline = self.pipeline
-        if pipeline is None:
-            return
-        hits = self._counter_delta("pipeline.hit")
-        misses = self._counter_delta("pipeline.miss")
-        window = hits + misses
-        budget = pipeline.max_bytes
-        if window > 0 and misses / window > 1 - self.hit_rate_target:
-            # Miss-dominated: the working set outruns the budget.
-            new_budget = int(self.pipeline_guardrail.clamp(budget * 2))
-        elif (window > 0 and hits / window > 0.95
-              and pipeline.cached_bytes < budget // 4):
-            # Near-perfect hit rate with 3/4 of the budget idle: give the
-            # host memory back.
-            new_budget = int(self.pipeline_guardrail.clamp(budget / 2))
-        else:
-            return
-        if new_budget == budget:
-            return
-        pipeline.set_max_bytes(new_budget)
-        self.counters.increment("adjust.pipeline")
-        self._record("pipeline", "max_bytes", budget, new_budget)
 
     def _tune_reshuffle(self, p99: Optional[float]) -> None:
         source = self._reshuffler

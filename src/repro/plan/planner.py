@@ -23,10 +23,9 @@ exposes, derived in dependency order.
    with headroom.  More than ``max_shards`` →
    ``PlanInfeasibleError("throughput")``.
 4. **Derived budgets** — fused-batch window (requests arriving during one
-   service time, GPIR's device-throughput sizing), keystream-pipeline
-   byte budget (two windows of frames), hot-tier frames (what the host
-   memory budget holds), admission rate/burst (shard capacity, burst one
-   p99 deep).
+   service time, GPIR's device-throughput sizing), hot-tier frames (what
+   the host memory budget holds), admission rate/burst (shard capacity,
+   burst one p99 deep).
 
 ``verify_plan`` closes the loop: it builds a database with the planned
 (k, m), measures the per-phase cost of a traced query run, and reports
@@ -49,7 +48,6 @@ from ..obs.tracer import Tracer
 
 __all__ = ["PlanTarget", "Plan", "plan", "verify_plan"]
 
-_MIN_PIPELINE_BYTES = 64 * 1024
 _DEFAULT_HOST_MEMORY = 256 * 1024 * 1024
 
 
@@ -102,7 +100,6 @@ class Plan:
     achieved_c: float
     shard_count: int
     batch_window: int
-    pipeline_max_bytes: int
     hot_tier_frames: int
     admission_rate: float
     admission_burst: float
@@ -134,7 +131,6 @@ class Plan:
             "achieved_c": self.achieved_c,
             "shard_count": self.shard_count,
             "batch_window": self.batch_window,
-            "pipeline_max_bytes": self.pipeline_max_bytes,
             "hot_tier_frames": self.hot_tier_frames,
             "admission_rate": self.admission_rate,
             "admission_burst": self.admission_burst,
@@ -293,9 +289,6 @@ def plan(
     batch_window = int(min(
         max(1, math.ceil(per_shard_qps * query_seconds)), max(1, k)
     ))
-    pipeline_max_bytes = max(
-        _MIN_PIPELINE_BYTES, 2 * (k + batch_window) * frame
-    )
     hot_tier_frames = min(chosen.num_locations, host_memory_bytes // frame)
     if hot_tier_frames < 2 * k:
         hot_tier_frames = 0  # not worth a tier that misses most of a block
@@ -312,7 +305,6 @@ def plan(
         achieved_c=chosen.achieved_c,
         shard_count=shard_count,
         batch_window=batch_window,
-        pipeline_max_bytes=pipeline_max_bytes,
         hot_tier_frames=hot_tier_frames,
         admission_rate=admission_rate,
         admission_burst=admission_burst,

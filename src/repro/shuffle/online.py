@@ -6,9 +6,8 @@ the database serves nothing.  That is acceptable once, at build time; it is
 exactly the downtime failure mode the paper's §1 criticises when it recurs
 at every reshuffle/key-rotation epoch.  :class:`OnlineReshuffler` executes
 the *same* comparator network incrementally: a bounded budget of
-compare-exchanges per idle slot (the keystream pipeline's idle-time trick,
-PR 4, applied to I/O), interleaved with live serving under the engine's
-``op_lock``.
+compare-exchanges per idle slot, interleaved with live serving under the
+engine's ``op_lock``.
 
 Epoch structure — each epoch performs two phases over one logical frontier:
 
@@ -213,7 +212,7 @@ class OnlineReshuffler:
         self._key_rng = self.cop.rng.spawn("reshuffle-keys")
         self._pending: Optional[ReshuffleIntent] = None
 
-        # Background worker plumbing (the keystream pipeline's shape).
+        # Background worker plumbing.
         self._wake = threading.Condition()
         self._closed = False
         self._worker: Optional[threading.Thread] = None
@@ -481,10 +480,6 @@ class OnlineReshuffler:
             raise
         for page_id, location in intent.map_ops:
             pm.set_disk(page_id, location)
-        # Registered under the engine's suite identity: the sibling suite
-        # shares its derived keys, so the decrypt keystream is the same
-        # pure function of (key, nonce) either way.
-        self.cop.note_frames_written(intent.locations, intent.frames)
         self._pending = None
         self._frontier = intent.frontier_after
         self._set_gauge()

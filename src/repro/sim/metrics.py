@@ -18,6 +18,7 @@ prefer the registry directly.
 from __future__ import annotations
 
 import math
+import threading
 from typing import Dict, Iterable, List, Optional
 
 from ..errors import ConfigurationError
@@ -135,19 +136,24 @@ class CounterSet:
     fault injector publish into the unified registry without changing any
     call site.  ``reset()`` clears only the local counts; the registry's
     counters are monotonic by contract and keep their values.
+
+    Thread-safe: server workers and the event loop bump shared sets, so
+    every mutation holds one lock (the local count is a read-modify-write).
     """
 
     def __init__(self, registry=None, prefix: str = "") -> None:
         self._counts: Dict[str, int] = {}
         self._registry = registry
         self._prefix = prefix
+        self._lock = threading.Lock()
 
     def increment(self, name: str, amount: int = 1) -> None:
         if amount < 0:
             raise ConfigurationError("counter increments must be non-negative")
-        self._counts[name] = self._counts.get(name, 0) + amount
-        if self._registry is not None:
-            self._registry.counter(self._prefix + name).inc(amount)
+        with self._lock:
+            self._counts[name] = self._counts.get(name, 0) + amount
+            if self._registry is not None:
+                self._registry.counter(self._prefix + name).inc(amount)
 
     def get(self, name: str) -> int:
         return self._counts.get(name, 0)
@@ -171,12 +177,14 @@ class CounterSet:
         Existing local counts are folded in immediately so the registry
         view is complete from the moment of binding.
         """
-        self._registry = registry
-        if prefix is not None:
-            self._prefix = prefix
-        if registry is not None:
-            for name, amount in self._counts.items():
-                registry.counter(self._prefix + name).inc(amount)
+        with self._lock:
+            self._registry = registry
+            if prefix is not None:
+                self._prefix = prefix
+            if registry is not None:
+                for name, amount in self._counts.items():
+                    registry.counter(self._prefix + name).inc(amount)
 
     def reset(self) -> None:
-        self._counts.clear()
+        with self._lock:
+            self._counts.clear()

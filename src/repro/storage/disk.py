@@ -153,3 +153,11 @@ class DiskStore:
     def initialised_locations(self) -> int:
         """Number of locations that hold a frame."""
         return sum(1 for frame in self._frames if frame is not None)
+
+    # -- lifecycle ---------------------------------------------------------------
+
+    def flush(self) -> None:
+        """Nothing to push down: frames live in memory."""
+
+    def close(self) -> None:
+        """Nothing to release."""

@@ -150,6 +150,24 @@ class AuthenticatedDisk:
         return self._inner.clock
 
     @property
+    def timing(self):
+        return self._inner.timing
+
+    @property
+    def tracer(self):
+        return self._inner.tracer
+
+    @tracer.setter
+    def tracer(self, value) -> None:
+        # PirDatabase.create() attaches the tracer by assignment while
+        # walking ``inner``; the store that does the I/O owns it.
+        self._inner.tracer = value
+
+    @property
+    def inner(self):
+        return self._inner
+
+    @property
     def current_request(self) -> int:
         return self._inner.current_request
 
@@ -211,10 +229,16 @@ class AuthenticatedDisk:
         self._inner.upload(start, frames)
         self._trusted_root = self._tree.update_range(start, frames)
 
-    # -- diagnostics -----------------------------------------------------------------
+    # -- diagnostics / lifecycle -----------------------------------------------------
 
     def peek(self, location: int) -> Optional[bytes]:
         return self._inner.peek(location)
 
     def initialised_locations(self) -> int:
         return self._inner.initialised_locations()
+
+    def flush(self) -> None:
+        self._inner.flush()
+
+    def close(self) -> None:
+        self._inner.close()

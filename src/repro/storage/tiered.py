@@ -287,9 +287,7 @@ class TieredDiskStore:
         if self._journal_file is not None and not self._closed:
             self._journal_file.flush()
             os.fsync(self._journal_file.fileno())
-        flush = getattr(self.cold, "flush", None)
-        if flush is not None:
-            flush()
+        self.cold.flush()
 
     def close(self) -> None:
         if self._closed:
@@ -299,9 +297,7 @@ class TieredDiskStore:
             self._journal_file.flush()
             os.fsync(self._journal_file.fileno())
             self._journal_file.close()
-        close = getattr(self.cold, "close", None)
-        if close is not None:
-            close()
+        self.cold.close()
 
     def __enter__(self) -> "TieredDiskStore":
         return self

@@ -22,6 +22,13 @@ class TestConstruction:
             PirDatabase.create([b"x"] * 20, cache_capacity=4, page_capacity=16,
                                setup_mode="magic")
 
+    @pytest.mark.parametrize("knob", [
+        {"keystream_pipeline": "sync"}, {"pipeline_max_bytes": 1},
+    ])
+    def test_keystream_pipeline_knobs_are_gone(self, knob):
+        with pytest.raises(TypeError):
+            make_db(**knob)
+
     def test_num_pages_reports_user_pages(self, small_db, records):
         assert small_db.num_pages == len(records)
 

@@ -9,7 +9,7 @@ one, so three contracts are pinned here:
   session request/reply — stores and journals on disk must still open;
 * a hypothesis differential against a ten-line reference composition
   (``nonce || data ^ keystream || HMAC-SHA256(nonce || ct)[:16]``) over
-  backend x uniform/ragged lengths x ``views`` x pipeline hit/miss mix;
+  backend x uniform/ragged lengths x ``views``;
 * tamper handling: every MAC is checked before any byte is decrypted and
   every failing index is named.
 """
@@ -27,7 +27,6 @@ from repro.core.journal import MemoryJournal
 from repro.crypto.aes import AES
 from repro.crypto.mac import TAG_SIZE, hmac_sha256
 from repro.crypto.modes import NONCE_SIZE, ctr_keystream
-from repro.crypto.pipeline import KeystreamPipeline
 from repro.crypto.purestack import pure_keystream_xor
 from repro.crypto.kdf import derive_key
 from repro.crypto.rng import SecureRandom
@@ -211,7 +210,7 @@ LENGTHS = st.sampled_from((0, 1, 5, 63, 64, 65, 130))
 
 @st.composite
 def batches(draw):
-    """(backend, payloads, nonces, prefetched?, views): uniform or ragged."""
+    """(backend, payloads, nonces, views): uniform or ragged."""
     count = draw(st.integers(0, 6))
     if draw(st.booleans()):
         lengths = [draw(LENGTHS)] * count
@@ -222,7 +221,6 @@ def batches(draw):
         [draw(st.binary(min_size=n, max_size=n)) for n in lengths],
         draw(st.lists(st.binary(min_size=NONCE_SIZE, max_size=NONCE_SIZE),
                       min_size=count, max_size=count, unique=True)),
-        [draw(st.booleans()) for _ in range(count)],
         draw(st.booleans()),
     )
 
@@ -231,7 +229,7 @@ class TestReferenceDifferential:
     @settings(max_examples=120, deadline=None)
     @given(batches())
     def test_kernel_matches_reference(self, batch):
-        backend, payloads, nonces, prefetched, views = batch
+        backend, payloads, nonces, views = batch
         suite = CipherSuite(MASTER, backend=backend, rng=SecureRandom(3))
         expected = [reference_frame(backend, nonce, data)
                     for nonce, data in zip(nonces, payloads)]
@@ -239,24 +237,10 @@ class TestReferenceDifferential:
         assert [suite.encrypt_page(data, nonce)
                 for nonce, data in zip(nonces, payloads)] == expected
 
-        # Decrypt with a mix of prefetched (pipeline hit) and cold rows.
-        pipeline = KeystreamPipeline()
-        suite.pipeline = pipeline
-        hits = 0
-        for location, (nonce, data, warm) in enumerate(
-                zip(nonces, payloads, prefetched)):
-            if warm:
-                pipeline.note_written(location, suite, nonce)
-                hits += bool(pipeline.prefetch([location], len(data)))
         plain = suite.decrypt_pages(expected, views=views)
         assert all(isinstance(row, memoryview if views else bytes)
                    for row in plain)
         assert [bytes(row) for row in plain] == payloads
-        if backend == "null":  # identity transform: never consults
-            assert pipeline.counters.get("miss") == 0
-        else:
-            assert pipeline.counters.get("hit") == hits
-            assert pipeline.counters.get("miss") == len(payloads) - hits
         assert [suite.decrypt_page(frame) for frame in expected] == payloads
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -269,21 +253,6 @@ class TestReferenceDifferential:
         suite = CipherSuite(MASTER, backend=backend, rng=rng)
         assert suite.encrypt_pages(payloads) == expected
         assert rng.token(8) == twin.token(8)
-
-    def test_compute_keystreams_rows_match_the_reference(self):
-        for backend in BACKENDS:
-            suite = CipherSuite(MASTER, backend=backend)
-            nonces = [_nonce(i) for i in range(3)]
-            lengths = [65, 0, 130]
-            rows = suite.compute_keystreams(nonces, lengths)
-            if backend == "null":
-                assert rows == [None] * 3
-                continue
-            for nonce, length, row in zip(nonces, lengths, rows):
-                frame = reference_frame(backend, nonce, bytes(length))
-                assert row == frame[NONCE_SIZE:NONCE_SIZE + length]
-                assert suite.compute_keystream(nonce, length) == row
-            assert suite.compute_keystreams([], []) == []
 
 
 # -- tamper ------------------------------------------------------------------
@@ -309,18 +278,20 @@ class TestTamper:
             suite.decrypt_page(frames[1])
         assert suite.decrypt_page(frames[2]) == _payload(40)
 
-    def test_two_bad_frames_both_named_and_nothing_decrypted(self):
+    def test_two_bad_frames_both_named_and_nothing_decrypted(self, monkeypatch):
         suite = CipherSuite(MASTER, backend="blake2", rng=SecureRandom(5))
         frames = suite.encrypt_pages([_payload(64)] * 4)
-        pipeline = KeystreamPipeline()
-        suite.pipeline = pipeline
+        keystream_calls = []
+        monkeypatch.setattr(
+            suite, "_keystream_matrix",
+            lambda nonces, width: keystream_calls.append(len(nonces)),
+        )
         frames[0] = _flip(frames[0], 20)
         frames[3] = _flip(frames[3], -5)
         with pytest.raises(AuthenticationError, match=r"\[0, 3\] of batch of 4"):
             suite.decrypt_pages(frames, views=True)
-        # The keystream stage — which would have consulted the pipeline
-        # once per frame — never ran.
-        assert pipeline.counters.get("hit") + pipeline.counters.get("miss") == 0
+        # The keystream stage never ran.
+        assert keystream_calls == []
 
     def test_short_frame_and_truncated_tag_are_rejected(self):
         suite = CipherSuite(MASTER, backend="blake2", rng=SecureRandom(5))

@@ -415,49 +415,6 @@ class TestSnapshotHealsRetainedWriteBack:
         db2.close()
 
 
-class TestPipelineInteraction:
-    def test_reshuffle_consumes_prefetched_keystreams(self):
-        db = make_db(seed=17, journal=MemoryJournal(),
-                     keystream_pipeline="sync")
-        driver = db.begin_reshuffle(batch_size=16, journal=MemoryJournal())
-        expected = {i: db.query(i) for i in range(db.num_pages)}
-        hits_before = db.cop.pipeline.counters.get("hit")
-        i = 0
-        while driver.active:
-            driver.step()  # reads frames the engine prefetched: hits
-            assert db.query(i % db.num_pages) == expected[i % db.num_pages]
-            i += 1
-        assert db.cop.pipeline.counters.get("hit") > hits_before
-        db.consistency_check()
-        db.close()
-
-    def test_unread_rewrite_drops_stale_keystream(self):
-        """An apply-without-read (recovery replay) orphans prefetched
-        entries; they must be dropped, and an *identical* rewrite (a
-        replay of the same frames) must not drop a still-valid entry."""
-        from repro.crypto.pipeline import KeystreamPipeline
-        from repro.crypto.rng import SecureRandom
-        from repro.crypto.suite import CipherSuite
-
-        rng = SecureRandom(3)
-        suite = CipherSuite(b"k", rng=rng)
-        pipe = KeystreamPipeline()
-        suite.pipeline = pipe
-        frame_a = suite.encrypt_page(b"a" * 32)
-        pipe.note_written_frames([0], suite, [frame_a])
-        pipe.prefetch([0], 32)
-        assert pipe.cached_bytes > 0
-        # Identical rewrite: the entry is still current — keep it.
-        pipe.note_written_frames([0], suite, [frame_a])
-        assert pipe.counters.get("stale_dropped") == 0
-        assert pipe.cached_bytes > 0
-        # Fresh-nonce rewrite without a read: the entry is dead — drop it.
-        frame_b = suite.encrypt_page(b"b" * 32)
-        pipe.note_written_frames([0], suite, [frame_b])
-        assert pipe.counters.get("stale_dropped") == 1
-        assert pipe.cached_bytes == 0
-
-
 class TestSetupSortObservability:
     def test_progress_gauge_and_pass_spans(self):
         metrics = MetricsRegistry()

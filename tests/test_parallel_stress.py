@@ -217,37 +217,6 @@ class TestFusedBatchStress:
                     assert db.query(t + 2 * THREADS) == f"serial-{t}".encode()
 
 
-class TestPipelineParallelEquality:
-    def test_serial_vs_parallel_bytes_with_pipeline(self):
-        """Keystream prefetch on a parallel worker must not perturb bytes.
-
-        The same deterministic workload runs with the pipeline off (all
-        crypto inline) and with the ``"background"`` prefetch thread
-        working beside the request path; both must produce identical
-        per-shard disk frames and virtual clocks: the prefetcher only
-        trades wall time, never bytes or ticks.
-        """
-
-        def run(pipeline):
-            with _make_db(MetricsRegistry(), cipher_backend="aes",
-                          keystream_pipeline=pipeline) as db:
-                results = []
-                for i in range(NUM_RECORDS // 2):
-                    results.append(db.query((i * 5) % NUM_RECORDS))
-                    if i % 6 == 0:
-                        db.update(i, f"v-{i}".encode())
-                db.consistency_check()
-                frames = [
-                    [shard.disk.peek(loc)
-                     for loc in range(shard.disk.num_locations)]
-                    for shard in db.shards
-                ]
-                clocks = [shard.clock.now for shard in db.shards]
-                return results, frames, clocks
-
-        assert run("background") == run(None)
-
-
 class TestBatchCryptoStress:
     def test_thread_local_suites_stay_deterministic(self):
         """Concurrent batch crypto matches single-threaded reference bytes.

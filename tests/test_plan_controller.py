@@ -23,19 +23,6 @@ from repro.plan import Guardrail, PlanController
 HIST = "engine.query_seconds"
 
 
-class FakePipeline:
-    """Just the surface the controller touches: max_bytes / cached_bytes."""
-
-    def __init__(self, max_bytes=1 << 20, cached_bytes=0):
-        self.max_bytes = max_bytes
-        self.cached_bytes = cached_bytes
-        self.calls = []
-
-    def set_max_bytes(self, max_bytes):
-        self.calls.append(max_bytes)
-        self.max_bytes = max_bytes
-
-
 class FakeReshuffler:
     def __init__(self, batch_size=8, idle_interval=0.01, active=True):
         self.batch_size = batch_size
@@ -76,6 +63,11 @@ class TestValidation:
                            low_water=0.9, high_water=0.5)
         with pytest.raises(ConfigurationError):
             Guardrail(floor=2.0, ceiling=1.0)
+
+    def test_pipeline_tunable_is_gone(self):
+        with pytest.raises(TypeError):
+            PlanController(MetricsRegistry(), target_p99=0.1,
+                           pipeline=object())
 
     def test_guardrail_clamps(self):
         rail = Guardrail(1.0, 10.0)
@@ -173,41 +165,6 @@ class TestAdmissionTuning:
         assert registry.counter("plan.adjust.admission").value == 0
 
 
-class TestPipelineTuning:
-    def test_grows_on_miss_pressure(self):
-        pipeline = FakePipeline(max_bytes=1 << 20)
-        registry, ctrl = make_controller(pipeline=pipeline)
-        registry.counter("pipeline.miss").inc(80)
-        registry.counter("pipeline.hit").inc(20)
-        ctrl.step()
-        assert pipeline.max_bytes == 2 << 20
-        assert registry.counter("plan.adjust.pipeline").value == 1
-
-    def test_shrinks_when_overprovisioned(self):
-        pipeline = FakePipeline(max_bytes=1 << 20, cached_bytes=1000)
-        registry, ctrl = make_controller(pipeline=pipeline)
-        registry.counter("pipeline.hit").inc(100)
-        ctrl.step()
-        assert pipeline.max_bytes == 1 << 19
-
-    def test_idle_window_leaves_budget_alone(self):
-        pipeline = FakePipeline()
-        registry, ctrl = make_controller(pipeline=pipeline)
-        ctrl.step()
-        assert pipeline.calls == []
-
-    def test_ceiling_holds(self):
-        pipeline = FakePipeline(max_bytes=1 << 20)
-        registry, ctrl = make_controller(
-            pipeline=pipeline,
-            pipeline_guardrail=Guardrail(64 * 1024, 1 << 21),
-        )
-        for _ in range(4):
-            registry.counter("pipeline.miss").inc(100)
-            ctrl.step()
-        assert pipeline.max_bytes == 1 << 21
-
-
 class TestReshuffleTuning:
     def test_speeds_up_when_latency_is_idle(self):
         reshuffler = FakeReshuffler(batch_size=8, idle_interval=0.01)
@@ -268,15 +225,13 @@ class TestPrivacyFreeze:
         admission = AdmissionController(
             bucket=TokenBucket(rate=100.0, capacity=10.0)
         )
-        pipeline = FakePipeline()
         reshuffler = FakeReshuffler()
         registry, ctrl = make_controller(
-            admission=admission, pipeline=pipeline, reshuffler=reshuffler
+            admission=admission, reshuffler=reshuffler
         )
-        # Slam every decision branch: breach, idle, sheds, misses.
+        # Slam every decision branch: breach, idle, sheds.
         for values in ([0.5] * 20, [0.001] * 20, [0.095] * 20):
             registry.counter("net.shed").inc(3)
-            registry.counter("pipeline.miss").inc(50)
             observe(registry, *values)
             ctrl.step()
         assert len(ctrl.adjustments) >= 3
@@ -285,7 +240,7 @@ class TestPrivacyFreeze:
         assert after == before
         # Every recorded adjustment names a cost-side tunable only.
         assert {a.tunable for a in ctrl.adjustments} <= {
-            "admission", "pipeline", "reshuffle"
+            "admission", "reshuffle"
         }
 
 

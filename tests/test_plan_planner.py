@@ -186,12 +186,8 @@ class TestInfeasible:
 class TestDerivedBudgets:
     def test_budget_invariants(self):
         built = plan(_target(qps=200.0))
-        frame = frame_size_for(1000)
         assert built.batch_window >= 1
         assert built.batch_window <= built.block_size
-        assert built.pipeline_max_bytes >= max(
-            64 * 1024, 2 * (built.block_size + built.batch_window) * frame
-        )
         assert built.hot_tier_frames == 0 or (
             built.hot_tier_frames >= 2 * built.block_size
         )

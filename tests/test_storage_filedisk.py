@@ -166,3 +166,39 @@ class TestPirDatabaseOnFileDisk:
         assert os.path.getsize(tmp_path / "db.bin") == (
             db.params.num_locations * db.cop.frame_size
         )
+
+    @pytest.mark.parametrize("hot_tier_frames", [None, 8])
+    @pytest.mark.parametrize("rollback_protection", [False, True])
+    def test_close_flushes_the_file_through_every_wrapper(
+        self, tmp_path, monkeypatch, rollback_protection, hot_tier_frames
+    ):
+        """db.close() must reach FileDiskStore.flush (the fsync under
+        on-flush) whatever wraps the store — Merkle layer, hot tier, both."""
+        flushes = []
+        real_flush = FileDiskStore.flush
+
+        def counting_flush(store):
+            flushes.append(store)
+            real_flush(store)
+
+        monkeypatch.setattr(FileDiskStore, "flush", counting_flush)
+
+        def factory(num_locations, frame_size, timing, clock, trace):
+            return FileDiskStore(
+                str(tmp_path / "db.bin"), num_locations, frame_size,
+                timing=timing, clock=clock, trace=trace,
+            )
+
+        db = PirDatabase.create(
+            make_records(32, 16), cache_capacity=4, block_size=4,
+            page_capacity=16, seed=3, disk_factory=factory,
+            rollback_protection=rollback_protection,
+            hot_tier_frames=hot_tier_frames,
+            hot_tier_journal=(
+                str(tmp_path / "tier.journal") if hot_tier_frames else None
+            ),
+        )
+        db.update(3, b"durable")
+        flushes.clear()
+        db.close()
+        assert len(flushes) == 1
