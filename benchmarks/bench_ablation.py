@@ -6,7 +6,7 @@
    ratio explodes.
 2. *Round-robin block schedule* — guarantees every location is rewritten
    once per T requests; we measure scan coverage.
-3. *Cipher backends* — cost of the fidelity knob (aes / blake2 / null).
+3. *Cipher backends* — cost of the fidelity knob (aes / shake / null).
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def test_cipher_backend_cost(report, benchmark):
     import time
 
     rows = []
-    for backend in ("null", "blake2", "aes"):
+    for backend in ("null", "shake", "aes"):
         db = _db(backend=backend, seed=5)
         started = time.perf_counter()
         count = 30
@@ -115,7 +115,7 @@ def test_cipher_backend_cost(report, benchmark):
             db.query(i % 40)
         elapsed = (time.perf_counter() - started) / count
         rows.append([backend, elapsed * 1e3])
-    db = _db(backend="blake2", seed=6)
+    db = _db(backend="shake", seed=6)
     benchmark(lambda: db.query(7))
     report.line("wall-clock per executed query by cipher backend (k = 8)")
     report.table(["backend", "ms / query (this machine)"], rows)

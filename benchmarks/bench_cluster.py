@@ -107,7 +107,7 @@ def _cluster(seed: int, backends: int = _BACKENDS, router_kw=None,
             records, backends, snap_dir,
             cache_capacity=_BENCH_CACHE, seed=seed,
             target_c=2.0, page_capacity=_BENCH_PAGE_SIZE,
-            cipher_backend="blake2", trace_enabled=False,
+            cipher_backend="shake", trace_enabled=False,
         )
         try:
             for handle in handles:

@@ -48,7 +48,7 @@ def test_compare_exchange(benchmark, report):
     from repro.shuffle.oblivious import ObliviousShuffler, network_size
     from repro.storage.page import Page
 
-    suite = CipherSuite(b"bench", backend="blake2", rng=SecureRandom(3))
+    suite = CipherSuite(b"bench", backend="shake", rng=SecureRandom(3))
     shuffler = ObliviousShuffler(suite, SecureRandom(4), 64)
     frame_a = shuffler.seal_tagged(SecureRandom(5).token(16), Page(0, bytes(64)))
     frame_b = shuffler.seal_tagged(SecureRandom(6).token(16), Page(1, bytes(64)))

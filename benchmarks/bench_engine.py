@@ -42,7 +42,7 @@ from repro.twoparty import TwoPartySession
 def test_query_throughput_vs_k(benchmark, block_size):
     db = PirDatabase.create(
         make_records(128, 16), cache_capacity=8, block_size=block_size,
-        page_capacity=16, cipher_backend="blake2", trace_enabled=False,
+        page_capacity=16, cipher_backend="shake", trace_enabled=False,
         seed=block_size,
     )
     counter = iter(range(10**9))
@@ -141,7 +141,7 @@ def run_phase_bench(
         cache_capacity=8,
         block_size=_BENCH_BLOCK,
         page_capacity=_BENCH_PAGE_SIZE,
-        cipher_backend="blake2",
+        cipher_backend="shake",
         trace_enabled=False,
         seed=seed,
         spec=IBM_4764,

@@ -28,7 +28,7 @@ def _make_db(seed: int, **options) -> PirDatabase:
     # The IBM 4764 spec (not the zero-cost default) so virtual time is real.
     return PirDatabase.create(
         make_records(NUM_RECORDS, 16), cache_capacity=8, block_size=8,
-        page_capacity=16, cipher_backend="blake2", trace_enabled=False,
+        page_capacity=16, cipher_backend="shake", trace_enabled=False,
         seed=seed, spec=IBM_4764, **options,
     )
 

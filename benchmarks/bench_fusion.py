@@ -65,7 +65,7 @@ def _make_db(seed: int) -> PirDatabase:
         cache_capacity=8,
         block_size=_BLOCK_SIZE,
         page_capacity=_BENCH_PAGE_SIZE,
-        cipher_backend="blake2",
+        cipher_backend="shake",
         trace_enabled=False,
         seed=seed,
         spec=IBM_4764,

@@ -80,7 +80,7 @@ class _Deployment:
             page_capacity=_BENCH_PAGE_SIZE,
             seed=seed,
             spec=IBM_4764,  # real timing model → nonzero virtual seconds
-            cipher_backend="blake2",
+            cipher_backend="shake",
             trace_enabled=False,
         )
         self.frontend = QueryFrontend(self.db,

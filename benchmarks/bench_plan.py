@@ -160,7 +160,7 @@ def _controller_attempt(seed: int) -> Tuple[dict, List[str], List[str]]:
         cache_capacity=_CTRL_CACHE,
         block_size=_CTRL_BLOCK_SIZE,
         page_capacity=_BENCH_PAGE_SIZE,
-        cipher_backend="blake2",
+        cipher_backend="shake",
         trace_enabled=False,
         seed=seed,
         spec=IBM_4764,

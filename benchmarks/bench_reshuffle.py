@@ -81,7 +81,7 @@ def _make_db(seed: int, metrics: Optional[MetricsRegistry] = None,
         cache_capacity=_CACHE,
         block_size=_BLOCK_SIZE,
         page_capacity=_BENCH_PAGE_SIZE,
-        cipher_backend="blake2",
+        cipher_backend="shake",
         trace_enabled=False,
         seed=seed,
         spec=spec,

@@ -61,7 +61,7 @@ class StaticEncryptedStore:
         page_capacity: int = 64,
         spec: Optional[HardwareSpec] = None,
         seed: Optional[int] = None,
-        cipher_backend: str = "blake2",
+        cipher_backend: str = "shake",
         master_key: bytes = b"static-store-key",
     ) -> "StaticEncryptedStore":
         if not records:

@@ -43,7 +43,7 @@ class CryptoEndpoint:
         master_key: bytes,
         spec: Optional[HardwareSpec] = None,
         seed: Optional[int] = None,
-        cipher_backend: str = "blake2",
+        cipher_backend: str = "shake",
     ):
         self.spec = spec if spec is not None else HardwareSpec.instantaneous()
         self.clock = VirtualClock()

@@ -99,7 +99,7 @@ class PyramidOram(RetrievalScheme):
         page_capacity: int = 64,
         spec: Optional[HardwareSpec] = None,
         seed: Optional[int] = None,
-        cipher_backend: str = "blake2",
+        cipher_backend: str = "shake",
         master_key: bytes = b"pyramid-oram-key",
     ) -> "PyramidOram":
         if not records:

@@ -61,7 +61,7 @@ class SquareRootOram(RetrievalScheme):
         shelter_size: Optional[int] = None,
         spec: Optional[HardwareSpec] = None,
         seed: Optional[int] = None,
-        cipher_backend: str = "blake2",
+        cipher_backend: str = "shake",
         master_key: bytes = b"sqrt-oram-key",
     ) -> "SquareRootOram":
         if not records:

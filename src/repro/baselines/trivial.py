@@ -38,7 +38,7 @@ class TrivialPir(RetrievalScheme):
         page_capacity: int = 64,
         spec: Optional[HardwareSpec] = None,
         seed: Optional[int] = None,
-        cipher_backend: str = "blake2",
+        cipher_backend: str = "shake",
         master_key: bytes = b"trivial-pir-key",
     ) -> "TrivialPir":
         if not records:

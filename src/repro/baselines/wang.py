@@ -63,7 +63,7 @@ class WangPir(RetrievalScheme):
         page_capacity: int = 64,
         spec: Optional[HardwareSpec] = None,
         seed: Optional[int] = None,
-        cipher_backend: str = "blake2",
+        cipher_backend: str = "shake",
         master_key: bytes = b"wang-pir-key",
     ) -> "WangPir":
         if not records:

@@ -78,7 +78,7 @@ class PirDatabase:
         block_size: Optional[int] = None,
         spec: Optional[HardwareSpec] = None,
         seed: Optional[int] = None,
-        cipher_backend: str = "blake2",
+        cipher_backend: str = "shake",
         cache_policy: str = RANDOM_POLICY,
         setup_mode: str = SETUP_DIRECT,
         trace_enabled: bool = True,

@@ -35,7 +35,7 @@ from .database import PirDatabase
 from .engine import RetrievalEngine
 from .params import SystemParameters
 from ..crypto.rng import SecureRandom
-from ..crypto.suite import CipherSuite
+from ..crypto.suite import BACKENDS, CipherSuite
 from ..errors import ConfigurationError, StorageError
 from ..hardware.coprocessor import SecureCoprocessor
 from ..hardware.specs import HardwareSpec
@@ -58,6 +58,9 @@ __all__ = [
 _MANIFEST = "manifest.json"
 _FRAMES = "frames.bin"
 _SEALED = "sealed.bin"
+# Keystream of the outer sealing layer of sealed.bin, whatever the page
+# suite uses.
+_SEALING_BACKEND = "shake"
 _RESHUFFLE_SIDECAR = "reshuffle"
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
@@ -171,6 +174,23 @@ def _decode_trusted_state(blob: bytes, db: PirDatabase) -> None:
         raise StorageError("trailing bytes in trusted-state blob")
 
 
+def _require_provided_backend(backend: str, source: str) -> None:
+    """Refuse sealed state whose manifest names a backend not in BACKENDS.
+
+    Checked against BACKENDS itself (never through CipherSuite's rename
+    map) and before any suite exists: frame MAC keys did not change when
+    the blake2 keystream was retired, so its frames would pass
+    authentication and decrypt to noise.
+    """
+    if backend not in BACKENDS:
+        raise ConfigurationError(
+            f"{source} names cipher backend {backend!r}; this version "
+            f"provides {BACKENDS}.  State sealed under the retired blake2 "
+            "keystream cannot be read: open it with the version that wrote "
+            "it and re-create the database here"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Public API
 # ---------------------------------------------------------------------------
@@ -242,7 +262,7 @@ def save_snapshot(db: PirDatabase, directory: str) -> None:
 
         sealing = CipherSuite(
             b"snapshot-sealing:" + db.cop.suite.backend.encode(),
-            backend="blake2",
+            backend=_SEALING_BACKEND,
             rng=db.cop.rng,
         )
         # Seal under a key derived from the *database's* master key so only
@@ -298,6 +318,9 @@ def load_snapshot(
         manifest = json.load(f)
     if manifest.get("format") not in (1, 2):
         raise ConfigurationError("unsupported snapshot format")
+    _require_provided_backend(
+        manifest["cipher_backend"], f"snapshot in {directory!r}"
+    )
 
     params = SystemParameters(
         num_user_pages=manifest["num_user_pages"],
@@ -362,7 +385,7 @@ def load_snapshot(
         sealed = f.read()
     sealing = CipherSuite(
         b"snapshot-sealing:" + manifest["cipher_backend"].encode(),
-        backend="blake2",
+        backend=_SEALING_BACKEND,
         rng=rng,
     )
     inner = sealing.decrypt_page(sealed)

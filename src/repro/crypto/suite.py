@@ -17,10 +17,11 @@ Four keystream backends are provided:
     Used by default for correctness-sensitive paths and validated against
     NIST vectors.  Runs the T-table fast kernel by default (byte-identical
     to the FIPS-197 reference; ``REPRO_AES_ACCEL=0`` forces reference).
-``blake2``
-    Keyed BLAKE2b in counter mode (via ``hashlib``, i.e. C speed).  Same
-    security contract for the purposes of this system (a PRF-based stream
-    cipher), ~100x faster; the recommended backend for large simulations.
+``shake``
+    One SHAKE-256 squeeze per frame: ``shake_256(enc_key || nonce)`` read
+    out to the payload length (via ``hashlib``: one C call per frame).
+    Same security contract for the purposes of this system (a PRF-based
+    stream cipher); the recommended backend for large simulations.
 ``null``
     Identity transform, still MAC'd.  For experiments that only study the
     *access pattern* (privacy measurements), where byte confidentiality is
@@ -41,17 +42,17 @@ one pass over the whole window held as a contiguous ``numpy.uint8`` matrix
 of ``frames x frame_size`` (DESIGN.md §10); a single frame is a batch of
 one and a ragged batch is the same matrix with zero-padded rows:
 
-* nonces are drawn in frame order (a batch consumes the RNG exactly like
-  the equivalent sequence of single-frame calls, so both produce
-  **byte-identical frames**),
+* nonces are one RNG draw sliced in frame order (the RNG is a buffered
+  stream, so a batch consumes it exactly like the equivalent sequence of
+  single-frame calls and both produce **byte-identical frames**),
 * MAC tags are computed over ``memoryview`` rows from precomputed HMAC pad
   states (the SHA-256 of the inner/outer key pads is hashed once per
   suite, then ``copy()``-ed per frame) and compared with
   ``hmac.compare_digest``; decryption checks every tag before touching a
   byte and reports the full set of failing frame indices,
 * the window's keystream is one matrix: per-backend key schedules (AES
-  round keys, the keyed-BLAKE2b base state) are computed once per suite,
-  the blake2 blocks come from one flat loop joined once, the aes rows from
+  round keys, the key-absorbed SHAKE-256 base state) are computed once per
+  suite, a shake row is one ``digest(width)`` call, the aes rows come from
   one fused :func:`~repro.crypto.modes.ctr_keystream_batch` entry,
 * the XOR is one ``numpy.bitwise_xor`` — written straight into the
   ciphertext columns of the output frame matrix on encrypt, returned as
@@ -78,9 +79,12 @@ from ..obs.tracer import NULL_TRACER, Tracer
 __all__ = ["CipherSuite", "FRAME_OVERHEAD", "BACKENDS"]
 
 FRAME_OVERHEAD = NONCE_SIZE + TAG_SIZE
-BACKENDS = ("aes", "blake2", "null", "pure")
+BACKENDS = ("aes", "shake", "null", "pure")
+# The frozen BENCH harness (benchmarks/e2e/workloads.py) still passes the
+# retired BLAKE2b-counter backend's name; ROADMAP item 2b re-pins it and
+# deletes this map.
+_RENAMED = {"blake2": "shake"}
 
-_BLAKE_BLOCK = 64  # output bytes per keyed-BLAKE2b call
 _HMAC_BLOCK = 64  # SHA-256 block size (HMAC pad width)
 
 
@@ -97,7 +101,7 @@ def _matrix(rows: Sequence, width: int) -> np.ndarray:
 class CipherSuite:
     """Keyed authenticated encryption for fixed- or variable-size pages.
 
-    >>> suite = CipherSuite(b"master key", backend="blake2", rng=SecureRandom(1))
+    >>> suite = CipherSuite(b"master key", backend="shake", rng=SecureRandom(1))
     >>> frame = suite.encrypt_page(b"hello")
     >>> suite.decrypt_page(frame)
     b'hello'
@@ -114,6 +118,7 @@ class CipherSuite:
         rng: Optional[SecureRandom] = None,
         tracer: Optional[Tracer] = None,
     ):
+        backend = _RENAMED.get(backend, backend)
         if backend not in BACKENDS:
             raise CryptoError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
         self.backend = backend
@@ -130,12 +135,11 @@ class CipherSuite:
         self._aes: Optional[AES] = (
             AES.for_key(self._enc_key) if backend == "aes" else None
         )
-        # Keyed-BLAKE2b absorbs its key block at construction; copying the
-        # base state per keystream block skips that work (byte-identical
-        # output to a one-shot keyed hash).
-        self._blake_base = (
-            hashlib.blake2b(key=self._enc_key, digest_size=_BLAKE_BLOCK)
-            if backend == "blake2" else None
+        # The key is absorbed once; each row copies this state, absorbs its
+        # nonce and squeezes (byte-identical to a one-shot
+        # shake_256(enc_key + nonce)).
+        self._shake_base = (
+            hashlib.shake_256(self._enc_key) if backend == "shake" else None
         )
         # The pure backend authenticates with the repository's own SHA-256
         # so the whole chain is hashlib-free; other backends use hashlib
@@ -169,28 +173,18 @@ class CipherSuite:
                 [pure_keystream_xor(self._enc_key, nonce, zeros) for nonce in nonces],
                 width,
             )
-        # blake2: keystream block i = BLAKE2b(key=enc_key, data=nonce||i),
-        # forked from the pre-keyed base state once per row (absorbing the
-        # nonce) and once per block — one flat loop over the window,
-        # joined once.
-        assert self._blake_base is not None
-        fork = self._blake_base.copy
-        counters = [
-            index.to_bytes(8, "big") for index in range(-(-width // _BLAKE_BLOCK))
-        ]
-        blocks: List[bytes] = []
-        add = blocks.append
+        # shake: row = SHAKE-256(enc_key || nonce) squeezed to ``width`` —
+        # one C call per frame.  Key and nonce are fixed-length, so the
+        # prefix is unambiguous; an XOF's output is a prefix of any longer
+        # read, so a padded ragged row equals its single-frame call.
+        assert self._shake_base is not None
+        fork = self._shake_base.copy
+        rows: List[bytes] = []
         for nonce in nonces:
             row = fork()
             row.update(nonce)
-            fork_row = row.copy
-            for counter in counters:
-                h = fork_row()
-                h.update(counter)
-                add(h.digest())
-        return np.frombuffer(b"".join(blocks), np.uint8).reshape(
-            count, len(counters) * _BLAKE_BLOCK
-        )[:, :width]
+            rows.append(row.digest(width))
+        return np.frombuffer(b"".join(rows), np.uint8).reshape(count, width)
 
     # -- authentication -------------------------------------------------------
 
@@ -265,7 +259,11 @@ class CipherSuite:
         self, plaintexts: Sequence[bytes], nonces: Optional[Sequence[bytes]]
     ) -> List[bytes]:
         if nonces is None:
-            nonces = [self._rng.token(NONCE_SIZE) for _ in plaintexts]
+            drawn = self._rng.token(NONCE_SIZE * len(plaintexts))
+            nonces = [
+                drawn[start : start + NONCE_SIZE]
+                for start in range(0, len(drawn), NONCE_SIZE)
+            ]
         elif len(nonces) != len(plaintexts):
             raise CryptoError("need exactly one nonce per plaintext")
         elif any(len(nonce) != NONCE_SIZE for nonce in nonces):

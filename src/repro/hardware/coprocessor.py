@@ -72,7 +72,7 @@ class SecureCoprocessor:
         spec: Optional[HardwareSpec] = None,
         clock: Optional[VirtualClock] = None,
         rng: Optional[SecureRandom] = None,
-        cipher_backend: str = "blake2",
+        cipher_backend: str = "shake",
         cache_policy: str = RANDOM_POLICY,
         enforce_memory_limit: bool = False,
         tracer: Optional[Tracer] = None,

@@ -68,7 +68,7 @@ SESSION_RANDOM = "random"
 _SESSION_MODES = (SESSION_SEQUENTIAL, SESSION_RANDOM)
 
 #: Cipher backend used for per-session suites on both ends of the link.
-SESSION_BACKEND = "blake2"
+SESSION_BACKEND = "shake"
 
 
 def session_master_key(session_id: int) -> bytes:

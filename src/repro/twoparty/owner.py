@@ -109,7 +109,7 @@ class DataOwner:
         block_size: Optional[int] = None,
         clock: Optional[VirtualClock] = None,
         seed: Optional[int] = None,
-        cipher_backend: str = "blake2",
+        cipher_backend: str = "shake",
         master_key: bytes = b"owner-master-key",
         owner_spec: Optional[HardwareSpec] = None,
         rollback_protection: bool = False,
@@ -268,13 +268,19 @@ class DataOwner:
         """
         import json as _json
 
-        from ..core.snapshot import _decode_trusted_state
+        from ..core.snapshot import (
+            _decode_trusted_state,
+            _require_provided_backend,
+        )
 
         if len(sealed_state) < 4:
             raise ProtocolError("sealed owner state is truncated")
         manifest_length = int.from_bytes(sealed_state[:4], "big")
         manifest = _json.loads(sealed_state[4 : 4 + manifest_length])
         sealed = sealed_state[4 + manifest_length :]
+        _require_provided_backend(
+            manifest["cipher_backend"], "sealed owner state"
+        )
         params = SystemParameters(
             num_user_pages=manifest["num_user_pages"],
             reserve_pages=manifest["reserve_pages"],

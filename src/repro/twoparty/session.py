@@ -44,7 +44,7 @@ class TwoPartySession:
         bandwidth: float = 2.33e6,
         provider_disk: DiskTimingModel = DiskTimingModel(),
         seed: Optional[int] = None,
-        cipher_backend: str = "blake2",
+        cipher_backend: str = "shake",
         owner_spec: Optional[HardwareSpec] = None,
         rollback_protection: bool = False,
     ) -> "TwoPartySession":

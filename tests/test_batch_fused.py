@@ -216,8 +216,8 @@ def golden_scenario_rotation(run=run_per_op):
 
 GOLDEN_JOURNALED = {
     "replies": "fbe02e809ceccf57d7e74bbb232d7267c0d5baf5af018e2cdac7cc7c68c38bbb",
-    "frames": "d85f9db64c11875a9375e15070522b32a5d20e758a9a6428289fcbbb8f1fd251",
-    "journal": "e86db882e5dcb502d66c0f3d8f31f99e14f3f31e8a48b65aeecb8df629cc3388",
+    "frames": "d06c9a00a526a8fe7a692a8ecd717652547b7b0890ea55eae364409d4d2db825",
+    "journal": "0a80b23c7f3681a0227b281a4a0f7582d92122280cd2938db546908276fb79b4",
     "journal_records": 225,
     "trace": "3809653a83b472834fd66124d02a0e9cd4baa7697d8995508ec46ece11750bc3",
     "requests": 225,
@@ -225,8 +225,8 @@ GOLDEN_JOURNALED = {
 }
 GOLDEN_ROTATION = {
     "replies": "f5afc3fe03bc24df1b0dd2aa73202ba46bf5bc62ba4cf8005cc7577817517560",
-    "frames": "d27c69ef8d1229b014150f0345319f50351da0653238539bcd7d2f6d83ab1b78",
-    "journal": "e63112d10bd3ec9e04d3ca20ab2637a285e50f0ad2c260595a8704df19330f87",
+    "frames": "6bb6139add2607d76be73d665c3819096313257442efc84cfc569401343420cc",
+    "journal": "8a918c1d1cb9d83c5ccef7e362e1be610599007e8cb731f528d1568fef717328",
     "journal_records": 40,
     "trace": "cf14df5c2eb677f5997f5b90b785586c9f1a9af219bdc59abc2d3101067e8761",
     "requests": 40,

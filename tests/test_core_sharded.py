@@ -314,7 +314,7 @@ def golden_sharded(cover, run=run_per_op):
 GOLDEN_REPLIES = "1faee5aabab56c4c39763b6a71fd5feaf7bcad4a46f469ca8800b13b598a6bd1"
 GOLDEN_COVERED = {
     "replies": GOLDEN_REPLIES,
-    "frames": "80cffd8a063ea311fabfa37ffb5d8903fda85a2a8edc938046d27e72cf98b6e7",
+    "frames": "c423468c2703a9244d8504c6b6aea52c0a6a7b960087b55316cb9a551798b7f7",
     "trace": "4330e373c7901fb96c7784d12c55d72f529a7b86e18e0f673f8191f37ae9e3c5",
     "clocks": ["2.1740578699999853"] * 4,
     "requests": [108, 108, 108, 108],
@@ -323,7 +323,7 @@ GOLDEN_COVERED = {
 }
 GOLDEN_BARE = {
     "replies": GOLDEN_REPLIES,
-    "frames": "dfd1f7b8dacb78490497189ca9d126e9c0056b3f180cc611948be31acfa3dd31",
+    "frames": "a248b38d944219d5cfbeadf9d17cc789a27e5f2a310ec57f7d841d9d76a2d0c1",
     "trace": "a8b703d3858568bc08d4f1bea72691c094d8492cc389e7080ac764a9ea110902",
     "clocks": ["0.7079411999999987", "0.5874384599999991",
                "0.3866005599999998", "0.5071032999999994"],

@@ -9,6 +9,7 @@ import pytest
 
 from repro.baselines import make_records
 from repro.core.snapshot import load_snapshot, save_snapshot
+from repro.crypto.suite import _RENAMED, CipherSuite
 from repro.errors import (
     AuthenticationError,
     ConfigurationError,
@@ -196,6 +197,49 @@ class TestValidation:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ConfigurationError):
             load_snapshot(str(tmp_path), seed=12)
+
+    def test_retired_keystream_is_refused_before_any_decrypt(
+        self, warm_db, tmp_path, monkeypatch
+    ):
+        """A format-2 manifest from before the shake keystream replaced
+        blake2: HMAC keys did not change, so its frames would pass every
+        MAC check and decrypt to noise — the manifest must stop the load."""
+        save_snapshot(warm_db, str(tmp_path))  # real, MAC-valid frames
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["format"] == 2
+        # The name CipherSuite itself still accepts (and maps to shake).
+        (manifest["cipher_backend"],) = _RENAMED
+        manifest_path.write_text(json.dumps(manifest))
+        built = []
+        monkeypatch.setattr(
+            CipherSuite, "__init__",
+            lambda self, *args, **kw: built.append(args),
+        )
+        with pytest.raises(ConfigurationError,
+                           match="sealed under the retired blake2 keystream"):
+            load_snapshot(str(tmp_path), seed=13)
+        assert built == []  # no suite existed, so nothing was decrypted
+
+    def test_sealing_layer_under_another_keystream_fails_closed(
+        self, warm_db, tmp_path
+    ):
+        """The outer layer of ``sealed.bin`` is always the shake keystream;
+        one sealed under any other (a pre-change aes / null / pure
+        snapshot's was blake2) still passes the outer MAC, and the noise it
+        opens to is caught by the inner layer's MAC."""
+        save_snapshot(warm_db, str(tmp_path))
+        backend = warm_db.cop.suite.backend
+        sealing_key = b"snapshot-sealing:" + backend.encode()
+        sealed = tmp_path / "sealed.bin"
+        inner = CipherSuite(sealing_key, backend="shake").decrypt_page(
+            sealed.read_bytes()
+        )
+        sealed.write_bytes(
+            CipherSuite(sealing_key, backend="null").encrypt_page(inner)
+        )
+        with pytest.raises(AuthenticationError):
+            load_snapshot(str(tmp_path), seed=15)
 
 
 class TestReshuffleSidecar:

@@ -6,7 +6,10 @@ one, so three contracts are pinned here:
 * golden vectors recorded on the commit *before* the kernel landed (the
   per-frame big-int path): explicit-nonce frames for every backend and
   payload size, RNG-drawn frames, a sealed journal record and a sealed
-  session request/reply — stores and journals on disk must still open;
+  session request/reply — stores and journals on disk must still open
+  (the ``shake`` entries, the journal blob and the session frames were
+  recorded when that keystream replaced blake2; a store from before is
+  refused by name, see tests/test_core_snapshot.py);
 * a hypothesis differential against a ten-line reference composition
   (``nonce || data ^ keystream || HMAC-SHA256(nonce || ct)[:16]``) over
   backend x uniform/ragged lengths x ``views``;
@@ -30,7 +33,7 @@ from repro.crypto.modes import NONCE_SIZE, ctr_keystream
 from repro.crypto.purestack import pure_keystream_xor
 from repro.crypto.kdf import derive_key
 from repro.crypto.rng import SecureRandom
-from repro.crypto.suite import BACKENDS, FRAME_OVERHEAD, CipherSuite
+from repro.crypto.suite import _RENAMED, BACKENDS, FRAME_OVERHEAD, CipherSuite
 from repro.errors import AuthenticationError, CryptoError
 from repro.service import protocol
 from repro.service.frontend import QueryFrontend
@@ -121,10 +124,10 @@ GOLDEN_EXPLICIT = {
     "aes-5": "4d8dc68370426d799d70353235c08d69ee672b37628036abad4ab3e26e3be808",
     "aes-64": "42c8e231d31eba1b07623f8dd11d94f217b340c4b82f7d8339fb27d8a65ea4ec",
     "aes-1037": "c30f098c19d4b9f0fa0495849331c859325fa999f41b0980e562c0c087edeb09",
-    "blake2-0": "2a14ebc832e4341cb96b7e93a2e02a264cb252ca9cb5019fbf0cfb671b08510e",
-    "blake2-5": "784311ce11886f48116cd51afa492a576e23a37a4252ca251b8b222b9825a42d",
-    "blake2-64": "97e31604942279de07634973c7cfa4b30be7ffb1cb79e1d18d6e3256abf84528",
-    "blake2-1037": "cddf60460ed4739fdc29a6640b5bb28a6da0df7c5761a9d2b0e4e462d8395766",
+    "shake-0": "2a14ebc832e4341cb96b7e93a2e02a264cb252ca9cb5019fbf0cfb671b08510e",
+    "shake-5": "a87dc74b575e84be365f11030b7a22f927315730d49ecf00c27a307637b6129b",
+    "shake-64": "b142b4cca3e043ce3a376ef9fdec44f27d6351798b1b075e5f82cfc84212e329",
+    "shake-1037": "aea902b11093ef15710e93f049f94b6ca3c5d62e7b978be5c8c78d670a650ba6",
     "null-0": "2a14ebc832e4341cb96b7e93a2e02a264cb252ca9cb5019fbf0cfb671b08510e",
     "null-5": "1dde18a835aec093d22150a3d4b6319a8bd2115c5e06f8ef8d09de50a6f6b10d",
     "null-64": "c925d9403df38d38bf1ad7adf24b829516ff99c05f9d86e39db692ab7e7d5dda",
@@ -136,15 +139,15 @@ GOLDEN_EXPLICIT = {
 }
 GOLDEN_RNG = {
     "aes": "65303e0acad0dc4c5d5f7e95d16cfc6f4dde5fd77621e962dbfdc9b684abb21f",
-    "blake2": "b5dfca0c7bdd547026a1e7f6559af2e7f9bd6674193e4b68be22a5b87414ec95",
+    "shake": "b68493fec97e0228a22636ca266aa7606b94dcecb405cf2ce8cb145f1d11cab0",
     "null": "a4ecff7319f3c1f65a13aafb9a3e0522419f783eb19c724b3fb4d9c041fc4dac",
     "pure": "fa4791716a4f0bc89703c442f18c8dd6238c5ea4444c6592558e6fe4b9d77530",
 }
 GOLDEN_JOURNAL_BLOB = (
-    "0f474e7c4626959f0d2fd1d16ec5351270c40cee35641e7a08d349b8b05cdb83"
+    "3affa8e6c4441d59f7fa52b2143d0e71a5ec550b03ec3fddc252d1b639cfcd38"
 )
 GOLDEN_SESSION_FRAMES = (
-    "fdb9733ba93fca85b792049e0a1fda9434694ab8a0eb215f9631e2ab956859cd"
+    "bfcf98229a6c76bd1467c6f243f35dadf3e4a31f85009cf63221a341b3216631"
 )
 
 
@@ -181,6 +184,17 @@ class TestGoldenVectors:
             assert [suite.decrypt_page(f) for f in frames] == \
                 [_payload(s) for s in SIZES]
 
+    def test_retired_backend_name_is_the_shake_backend(self):
+        (retired,) = _RENAMED  # one entry: the name the BENCH harness pins
+        assert retired not in BACKENDS and len(BACKENDS) == 4
+        old = CipherSuite(MASTER, backend=retired, rng=SecureRandom(7))
+        new = CipherSuite(MASTER, backend="shake", rng=SecureRandom(7))
+        assert old.backend == new.backend == "shake"
+        payloads = [_payload(size) for size in SIZES]
+        frames = old.encrypt_pages(payloads)
+        assert frames == new.encrypt_pages(payloads)
+        assert new.decrypt_pages(frames) == payloads
+
 
 # -- differential against a reference composition -----------------------------
 
@@ -193,19 +207,17 @@ def reference_frame(backend: str, nonce: bytes, data: bytes) -> bytes:
         keystream = ctr_keystream(AES(enc_key), nonce, len(data))
     elif backend == "pure":
         keystream = pure_keystream_xor(enc_key, nonce, bytes(len(data)))
-    elif backend == "blake2":
-        keystream = b"".join(
-            hashlib.blake2b(nonce + i.to_bytes(8, "big"), key=enc_key,
-                            digest_size=64).digest()
-            for i in range(-(-len(data) // 64))
-        )
+    elif backend == "shake":
+        keystream = hashlib.shake_256(enc_key + nonce).digest(len(data))
     else:
         keystream = bytes(len(data))
     ct = bytes(a ^ b for a, b in zip(data, keystream))
     return nonce + ct + hmac_sha256(mac_key, nonce + ct)[:TAG_SIZE]
 
 
-LENGTHS = st.sampled_from((0, 1, 5, 63, 64, 65, 130))
+# Around the 16 / 32 / 64-byte block edges of the aes and pure streams and
+# the 136-byte SHAKE-256 rate.
+LENGTHS = st.sampled_from((0, 1, 5, 63, 64, 65, 130, 135, 136, 137))
 
 
 @st.composite
@@ -244,6 +256,19 @@ class TestReferenceDifferential:
         assert [suite.decrypt_page(frame) for frame in expected] == payloads
 
     @pytest.mark.parametrize("backend", BACKENDS)
+    def test_batch_of_only_empty_payloads(self, backend):
+        """Width 0: the keystream matrix is ``count x 0`` (``digest(0)``)."""
+        suite = CipherSuite(MASTER, backend=backend, rng=SecureRandom(3))
+        nonces = [_nonce(index) for index in range(3)]
+        assert suite._keystream_matrix(nonces, 0).shape == (3, 0)
+        frames = suite.encrypt_pages([b""] * 3, nonces)
+        assert frames == [reference_frame(backend, nonce, b"")
+                          for nonce in nonces]
+        assert suite.decrypt_pages(frames) == [b""] * 3
+        assert [bytes(row) for row in suite.decrypt_pages(frames, views=True)] \
+            == [b""] * 3
+
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_rng_nonces_are_drawn_in_frame_order(self, backend):
         payloads = [_payload(size) for size in (130, 0, 64, 5)]
         twin = SecureRandom(17)
@@ -279,7 +304,7 @@ class TestTamper:
         assert suite.decrypt_page(frames[2]) == _payload(40)
 
     def test_two_bad_frames_both_named_and_nothing_decrypted(self, monkeypatch):
-        suite = CipherSuite(MASTER, backend="blake2", rng=SecureRandom(5))
+        suite = CipherSuite(MASTER, backend="shake", rng=SecureRandom(5))
         frames = suite.encrypt_pages([_payload(64)] * 4)
         keystream_calls = []
         monkeypatch.setattr(
@@ -294,7 +319,7 @@ class TestTamper:
         assert keystream_calls == []
 
     def test_short_frame_and_truncated_tag_are_rejected(self):
-        suite = CipherSuite(MASTER, backend="blake2", rng=SecureRandom(5))
+        suite = CipherSuite(MASTER, backend="shake", rng=SecureRandom(5))
         frame = suite.encrypt_page(b"")
         assert len(frame) == FRAME_OVERHEAD
         with pytest.raises(CryptoError, match="frame too short"):
@@ -311,7 +336,7 @@ class TestTamper:
 
 class TestBufferOwnership:
     def test_views_outlive_the_input_frames(self):
-        suite = CipherSuite(MASTER, backend="blake2", rng=SecureRandom(5))
+        suite = CipherSuite(MASTER, backend="shake", rng=SecureRandom(5))
         payloads = [_payload(size) for size in (130, 64, 130)]
         frames = suite.encrypt_pages(payloads)
         views = suite.decrypt_pages(frames, views=True)

@@ -1,6 +1,11 @@
-"""CTR mode: NIST SP 800-38A F.5 vectors and stream properties."""
+"""CTR mode: NIST SP 800-38A F.5 vectors and stream properties.
+
+Also the FIPS 202 SHAKE-256 vectors the ``shake`` suite backend rests on.
+"""
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +70,26 @@ class TestNistVectors:
             "1e36b26bd1ebc670d1bd1d665620abf7"
             "4f78a7f6d29809585a97daec58c6b050"
         )
+
+    @pytest.mark.parametrize("message, output", [
+        # FIPS 202 example values: the empty message and 1600 bits of 0xA3.
+        (b"", "46b9dd2b0ba88d13233b3feb743eeb243fcd52ea62b81b82b50c27646ed5762f"
+              "d75dc4ddd8c0f200cb05019d67b592f6fc821c49479ab48640292eacb3b7c4be"),
+        (b"\xa3" * 200,
+         "cd8a920ed141aa0407a22d59288652e9d9f1a7ee0c1e7c1ca699424da84a904d"
+         "2d700caae7396ece96604440577da4f3aa22aeb8857f961c4cd8e06f0ae6610b"),
+    ], ids=["empty", "1600-bit"])
+    def test_fips202_shake256(self, message, output):
+        """One-shot, and the way CipherSuite calls it: a pre-absorbed prefix
+        ``copy()``-ed, the last 12 bytes absorbed, a longer squeeze."""
+        expected = bytes.fromhex(output)
+        assert hashlib.shake_256(message).digest(64) == expected
+        split = max(len(message) - NONCE_SIZE, 0)
+        base = hashlib.shake_256(message[:split])
+        for width in (0, 1, 64, 1037):
+            row = base.copy()
+            row.update(message[split:])
+            assert row.digest(width)[:64] == expected[:width]
 
     def test_partial_block_prefix(self):
         """CTR on a prefix equals the prefix of CTR on the whole message."""

@@ -73,12 +73,12 @@ class TestPureSuiteBackend:
 
     def test_cross_backend_keystreams_differ(self):
         pure = CipherSuite(b"master", backend="pure", rng=SecureRandom(3))
-        blake = CipherSuite(b"master", backend="blake2", rng=SecureRandom(3))
+        shake = CipherSuite(b"master", backend="shake", rng=SecureRandom(3))
         frame = pure.encrypt_page(b"hello")
         # Identical HMAC construction means the tag verifies under the same
         # master key, but the keystreams differ, so the bytes come out wrong
         # — backends are a configuration, not an interop surface.
-        assert blake.decrypt_page(frame) != b"hello"
+        assert shake.decrypt_page(frame) != b"hello"
 
     def test_full_database_on_pure_stack(self):
         """The whole system runs with zero stdlib crypto."""

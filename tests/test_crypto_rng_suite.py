@@ -131,13 +131,13 @@ class TestCipherSuite:
             suite.decrypt_page(bytes(FRAME_OVERHEAD - 1))
 
     def test_fresh_nonce_per_encryption(self):
-        suite = CipherSuite(b"master", backend="blake2", rng=SecureRandom(5))
+        suite = CipherSuite(b"master", backend="shake", rng=SecureRandom(5))
         frames = {suite.encrypt_page(b"same plaintext") for _ in range(50)}
         assert len(frames) == 50  # unlinkable re-encryptions
 
     def test_cross_key_rejection(self):
-        one = CipherSuite(b"key-one", backend="blake2", rng=SecureRandom(6))
-        two = CipherSuite(b"key-two", backend="blake2", rng=SecureRandom(7))
+        one = CipherSuite(b"key-one", backend="shake", rng=SecureRandom(6))
+        two = CipherSuite(b"key-two", backend="shake", rng=SecureRandom(7))
         with pytest.raises(AuthenticationError):
             two.decrypt_page(one.encrypt_page(b"hello"))
 
@@ -145,13 +145,13 @@ class TestCipherSuite:
         """Different backends produce incompatible ciphertexts (same MAC key,
         so decryption succeeds only if the keystream matches)."""
         aes = CipherSuite(b"master", backend="aes", rng=SecureRandom(8))
-        blake = CipherSuite(b"master", backend="blake2", rng=SecureRandom(8))
+        shake = CipherSuite(b"master", backend="shake", rng=SecureRandom(8))
         frame = aes.encrypt_page(b"payload-123")
         # Same MAC key means the frame authenticates, but plaintext differs.
-        assert blake.decrypt_page(frame) != b"payload-123"
+        assert shake.decrypt_page(frame) != b"payload-123"
 
     def test_explicit_nonce_is_testable(self):
-        suite = CipherSuite(b"master", backend="blake2", rng=SecureRandom(9))
+        suite = CipherSuite(b"master", backend="shake", rng=SecureRandom(9))
         nonce = bytes(12)
         assert suite.encrypt_page(b"abc", nonce) == suite.encrypt_page(b"abc", nonce)
 
@@ -171,7 +171,7 @@ class TestCipherSuite:
     @settings(max_examples=25, deadline=None)
     @given(payload=st.binary(max_size=300))
     def test_roundtrip_property(self, payload):
-        suite = CipherSuite(b"prop", backend="blake2", rng=SecureRandom(11))
+        suite = CipherSuite(b"prop", backend="shake", rng=SecureRandom(11))
         assert suite.decrypt_page(suite.encrypt_page(payload)) == payload
 
 
@@ -196,7 +196,7 @@ class TestBatchPipeline:
         assert [suite.decrypt_page(f) for f in frames] == plaintexts
 
     def test_batch_mac_failure_reports_all_bad_indices(self):
-        suite = CipherSuite(b"master", backend="blake2", rng=SecureRandom(42))
+        suite = CipherSuite(b"master", backend="shake", rng=SecureRandom(42))
         frames = suite.encrypt_pages([b"a" * 24, b"b" * 24, b"c" * 24])
         frames[0] = frames[0][:-1] + bytes([frames[0][-1] ^ 1])
         frames[2] = frames[2][:-1] + bytes([frames[2][-1] ^ 1])
@@ -204,18 +204,18 @@ class TestBatchPipeline:
             suite.decrypt_pages(frames)
 
     def test_batch_rejects_short_frame(self):
-        suite = CipherSuite(b"master", backend="blake2", rng=SecureRandom(43))
+        suite = CipherSuite(b"master", backend="shake", rng=SecureRandom(43))
         good = suite.encrypt_page(b"x" * 16)
         with pytest.raises(CryptoError):
             suite.decrypt_pages([good, b"\x00" * (FRAME_OVERHEAD - 1)])
 
     def test_empty_batch(self):
-        suite = CipherSuite(b"master", backend="blake2", rng=SecureRandom(44))
+        suite = CipherSuite(b"master", backend="shake", rng=SecureRandom(44))
         assert suite.encrypt_pages([]) == []
         assert suite.decrypt_pages([]) == []
 
     def test_explicit_nonces(self):
-        suite = CipherSuite(b"master", backend="blake2", rng=SecureRandom(45))
+        suite = CipherSuite(b"master", backend="shake", rng=SecureRandom(45))
         nonces = [bytes([i]) * 12 for i in range(3)]
         frames = suite.encrypt_pages([b"a", b"bb", b"ccc"], nonces)
         for frame, nonce in zip(frames, nonces):

@@ -102,7 +102,7 @@ class TestLiveEngine:
         tracer = Tracer()
         db = PirDatabase.create(
             make_records(64, 32), cache_capacity=8, block_size=4,
-            page_capacity=32, cipher_backend="blake2", seed=21,
+            page_capacity=32, cipher_backend="shake", seed=21,
             spec=IBM_4764, journal=MemoryJournal(), tracer=tracer,
         )
         queries = 25

@@ -231,7 +231,7 @@ class TestBatchCryptoStress:
         def worker(thread_id: int) -> None:
             try:
                 suite = CipherSuite(
-                    b"stress", backend="blake2",
+                    b"stress", backend="shake",
                     rng=SecureRandom(1000 + thread_id),
                 )
                 plaintexts = [
@@ -256,7 +256,7 @@ class TestBatchCryptoStress:
 
         for thread_id in range(THREADS):
             reference = CipherSuite(
-                b"stress", backend="blake2",
+                b"stress", backend="shake",
                 rng=SecureRandom(1000 + thread_id),
             )
             plaintexts = [bytes([thread_id, i]) * 24 for i in range(16)]

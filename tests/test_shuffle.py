@@ -122,7 +122,7 @@ class TestBatcherNetwork:
 
 class TestObliviousShuffler:
     def _shuffler(self, seed=1, capacity=8):
-        suite = CipherSuite(b"shuffle-key", backend="blake2", rng=SecureRandom(seed))
+        suite = CipherSuite(b"shuffle-key", backend="shake", rng=SecureRandom(seed))
         return ObliviousShuffler(suite, SecureRandom(seed + 1), capacity)
 
     def _disk_for(self, shuffler, n):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.baselines import make_records
+from repro.crypto.suite import _RENAMED
 from repro.errors import (
     AuthenticationError,
     ConfigurationError,
@@ -75,6 +78,26 @@ class TestResume:
         sealed = session.owner.seal_state()
         with pytest.raises((ProtocolError, Exception)):
             DataOwner.resume(sealed[:3], _reconnect_factory(session), seed=4)
+
+    def test_state_sealed_under_the_retired_keystream_is_refused(self):
+        """Same hazard as ``load_snapshot``: the MAC would pass and the
+        trusted state would open to noise, so the manifest is checked
+        before a suite is built (no channel is dialled either)."""
+        session = _session(seed=75)
+        sealed = session.owner.seal_state()
+        length = int.from_bytes(sealed[:4], "big")
+        manifest = json.loads(sealed[4 : 4 + length])
+        (manifest["cipher_backend"],) = _RENAMED
+        rewritten = json.dumps(manifest, sort_keys=True).encode("utf-8")
+        dialled = []
+        with pytest.raises(ConfigurationError,
+                           match="sealed under the retired blake2 keystream"):
+            DataOwner.resume(
+                len(rewritten).to_bytes(4, "big") + rewritten
+                + sealed[4 + length :],
+                lambda *args: dialled.append(args), seed=5,
+            )
+        assert dialled == []
 
     def test_seal_during_rotation_refused(self):
         session = _session(seed=74)
