@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from .engine import BatchOp, RetrievalEngine, run_one
 from .params import SystemParameters
 from ..crypto.rng import SecureRandom
@@ -210,20 +212,22 @@ class PirDatabase:
             for page_id in range(params.num_locations):
                 layout[permutation.apply(page_id)] = page_id
 
-        page_by_id = {page.page_id: page for page in disk_pages}
         # One contiguous write per ``batch`` locations, sealed ``chunk``
-        # pages at a time through the batch kernel: small chunks keep its
-        # frame/keystream matrices out of the peak RSS.
+        # pages at a time: each chunk is one plaintext matrix through the
+        # batch kernel, and small chunks keep the kernel's matrices out of
+        # the peak RSS.  (Page i starts out as disk_pages[i].)
         batch, chunk = 4096, 256
+        frames = np.empty(
+            (min(batch, params.num_locations), cop.frame_size), np.uint8
+        )
         for start in range(0, params.num_locations, batch):
             stop = min(start + batch, params.num_locations)
-            frames: List[bytes] = []
             for low in range(start, stop, chunk):
-                frames += cop.seal_pages([
-                    page_by_id[layout[pos]]
-                    for pos in range(low, min(low + chunk, stop))
-                ])
-            disk.write_range(start, frames)
+                high = min(low + chunk, stop)
+                frames[low - start : high - start] = cop.seal_pages(
+                    [disk_pages[layout[pos]] for pos in range(low, high)]
+                )
+            disk.write_range(start, frames[: stop - start])
 
         cache_pages = [
             Page(params.num_locations + slot, b"", deleted=True)

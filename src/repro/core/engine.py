@@ -74,7 +74,7 @@ from ..hardware.coprocessor import SecureCoprocessor
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..sim.metrics import CounterSet
 from ..storage.disk import DiskStore
-from ..storage.page import Page
+from ..storage.page import Page, PageWindow
 
 __all__ = ["RetrievalEngine", "RequestOutcome", "RecoveryReport", "BatchOp",
            "run_one"]
@@ -352,12 +352,12 @@ class RetrievalEngine:
         Figure 3 exactly, 2(k+1) frames (Eq. 8).  Longer batches are
         grouped into round-robin windows of up to ``window`` (default k)
         operations.  Each window reads the k-frame block *once*, serves
-        every op in the group from the shared in-memory frames (zero-copy
-        memoryview pages) plus one extra frame per op, and commits one
-        journaled write-back — B windows of one move ~B·(k+1) frames each
-        way, one window of B moves k+B, while replies stay byte-identical
-        (content is a pure function of the logical op sequence; see
-        DESIGN.md §14 for the privacy argument).
+        every op in the group from the shared in-memory window (zero-copy
+        pages over one plaintext matrix) plus one extra frame per op, and
+        commits one journaled write-back — B windows of one move ~B·(k+1)
+        frames each way, one window of B moves k+B, while replies stay
+        byte-identical (content is a pure function of the logical op
+        sequence; see DESIGN.md §14 for the privacy argument).
 
         Returns a positional result list: a :class:`Page` for ``query``
         (owning its bytes; ``deleted`` is the page's state at the op's
@@ -529,8 +529,10 @@ class RetrievalEngine:
         # pointer itself only advances at commit, so an aborted or crashed
         # window leaves it untouched and a resend hits the same block.
         block_start = self._next_block * k
-        block: List[Page] = []
-        extras: List[Page] = []
+        # The window's pages over its plaintext matrix: slots [0, k) are the
+        # block, slot k + i is op i's extra page.  Only the slots an op
+        # touches are ever decoded or re-encoded.
+        window: Optional[PageWindow] = None
         extra_locs: List[int] = []
 
         # Window-wide pending overlay of the trusted state.
@@ -558,14 +560,14 @@ class RetrievalEngine:
 
         def container_get(position: int) -> Page:
             if block_start <= position < block_start + k:
-                return block[position - block_start]
-            return extras[extra_locs.index(position)]
+                return window[position - block_start]
+            return window[k + extra_locs.index(position)]
 
         def container_set(position: int, page: Page) -> None:
             if block_start <= position < block_start + k:
-                block[position - block_start] = page
+                window[position - block_start] = page
             else:
-                extras[extra_locs.index(position)] = page
+                window[k + extra_locs.index(position)] = page
 
         def random_candidate() -> int:
             """Lines 3-5: a uniform page id neither cached nor inside the
@@ -580,12 +582,6 @@ class RetrievalEngine:
                 "rejection sampling failed to find an eligible random page; "
                 "the configuration violates num_locations >= block_size + 2"
             )
-
-        def read_first_request() -> List[bytes]:
-            frames, extra_frame = self.disk.read_request(
-                block_start, k, extra_location
-            )
-            return list(frames) + [extra_frame]
 
         for slot, entry in live:
             kind, target_id, new_payload, deleting, revive = entry
@@ -618,17 +614,19 @@ class RetrievalEngine:
 
             # Lines 1, 10-11: read and decrypt inside the boundary.  The
             # first op's block and extra go out as one request-granular
-            # read and one (k+1)-frame decrypt — remote transports
-            # (twoparty.RemoteDisk) implement only that call, one round
-            # trip; every later op costs a single extra frame, the block
-            # is never re-read.
-            if not block:
-                pages = self._fetch(read_first_request, k + 1)
-                block = pages[:k]
-                extras.append(pages[k])
+            # read and reach the kernel as one (k+1)-frame matrix — remote
+            # transports (twoparty.RemoteDisk) implement only that call,
+            # one round trip; every later op costs a single extra frame,
+            # the block is never re-read.
+            if window is None:
+                window = self._fetch(
+                    lambda: self.disk.read_request(block_start, k,
+                                                   extra_location),
+                    k + 1,
+                )
             else:
-                extras.extend(self._fetch(
-                    lambda: [self.disk.read(extra_location)], 1
+                window.extend(self._fetch(
+                    lambda: self.disk.read_range(extra_location, 1), 1
                 ))
             extra_locs.append(extra_location)
 
@@ -688,7 +686,8 @@ class RetrievalEngine:
                 entering = container_get(r_pos)
                 if not isinstance(entering.payload, bytes):
                     # The cache must own its bytes: a cached view would
-                    # pin its window's whole decrypt buffer.
+                    # pin its window's whole plaintext matrix, which the
+                    # re-seal below rewrites in place.
                     entering = Page(entering.page_id, bytes(entering.payload),
                                     entering.deleted)
                 cache_puts.append((s, entering))
@@ -727,7 +726,7 @@ class RetrievalEngine:
         self.cop.charge_egress(k + n_ops)
         with tracer.span("reencrypt",
                          nbytes=(k + n_ops) * self.cop.frame_size):
-            sealed = self.cop.seal_pages(block + extras)
+            sealed = self.cop.seal_pages(window)
         self.counters.increment("crypto.batched_frames", k + n_ops)
         rotation_left = self._rotation_requests_left
         intent = WriteIntent(
@@ -774,24 +773,24 @@ class RetrievalEngine:
         self.counters.increment("batch.fused.reads_saved",
                                 (n_ops - 1) * k)
 
-    def _fetch(self, read, num_frames: int) -> List[Page]:
-        """Read + ingest + decrypt ``num_frames`` frames into page views.
+    def _fetch(self, read, num_frames: int) -> PageWindow:
+        """Read + ingest + decrypt ``num_frames`` frames into a page window.
 
-        ``read`` performs the disk access and returns the frames.  With a
-        retry policy a retry repeats the whole fetch (re-read, re-charge,
-        re-decrypt) — exactly what real hardware would do — and consumes
-        only the spawned retry RNG and the virtual clock, so seeded runs
-        stay byte-identical.
+        ``read`` performs the disk access and returns the frame matrix.
+        With a retry policy a retry repeats the whole fetch (re-read,
+        re-charge, re-decrypt) — exactly what real hardware would do — and
+        consumes only the spawned retry RNG and the virtual clock, so
+        seeded runs stay byte-identical.
         """
 
-        def attempt() -> List[Page]:
+        def attempt() -> PageWindow:
             frames = read()
             self.cop.charge_ingest(num_frames)
             with self.tracer.span("decrypt",
                                   nbytes=num_frames * self.cop.frame_size):
                 # Batched unseal: the MACs are verified and the keystream
                 # applied in one suite entry.
-                pages = self.cop.unseal_frames(frames, views=True)
+                pages = self.cop.unseal_frames(frames)
             self.counters.increment("crypto.batched_frames", num_frames)
             return pages
 

@@ -132,7 +132,9 @@ class WriteIntent:
     cache_puts: List[Tuple[int, Page]] = field(default_factory=list)
     flag_ops: List[Tuple[int, int]] = field(default_factory=list)
     map_ops: List[Tuple[int, int, int]] = field(default_factory=list)
-    frames: List[bytes] = field(default_factory=list)
+    # The k + B sealed frames, block first: the engine hands over the
+    # kernel's frame matrix as it is, a decoded record holds ``bytes`` rows.
+    frames: Sequence = field(default_factory=list)
     # A fused batch window commits one extra frame per executed operation;
     # ``None`` means the classic single-extra request (``extra_location``).
     extra_locations: Optional[List[int]] = None

@@ -31,6 +31,8 @@ import os
 import struct
 from typing import Optional
 
+import numpy as np
+
 from .database import PirDatabase
 from .engine import RetrievalEngine
 from .params import SystemParameters
@@ -370,16 +372,12 @@ def load_snapshot(
         raise StorageError(
             f"frames file is {len(data)} bytes, expected {expected_bytes}"
         )
+    frames = np.frombuffer(data, np.uint8).reshape(
+        params.num_locations, cop.frame_size
+    )
     batch = 4096
     for start in range(0, params.num_locations, batch):
-        stop = min(start + batch, params.num_locations)
-        disk.write_range(
-            start,
-            [
-                data[pos * cop.frame_size : (pos + 1) * cop.frame_size]
-                for pos in range(start, stop)
-            ],
-        )
+        disk.write_range(start, frames[start : start + batch])
 
     with open(os.path.join(directory, _SEALED), "rb") as f:
         sealed = f.read()

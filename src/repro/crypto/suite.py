@@ -39,15 +39,19 @@ One kernel
 
 A request moves ``2(k+1)`` frames through the suite, so each direction is
 one pass over the whole window held as a contiguous ``numpy.uint8`` matrix
-of ``frames x frame_size`` (DESIGN.md §10); a single frame is a batch of
-one and a ragged batch is the same matrix with zero-padded rows:
+of ``frames x frame_size`` (DESIGN.md §10).  The kernel is matrix in,
+matrix out: :meth:`CipherSuite.encrypt_pages` / :meth:`decrypt_pages`
+handed a matrix run over the rows they were given and return a matrix —
+the engine's window never exists as per-frame ``bytes``.  Everything else
+(a single frame, a list of payloads, a ragged batch) is the adapter: the
+same kernel over zero-padded rows, cut back into ``bytes``:
 
 * nonces are one RNG draw sliced in frame order (the RNG is a buffered
   stream, so a batch consumes it exactly like the equivalent sequence of
   single-frame calls and both produce **byte-identical frames**),
-* MAC tags are computed over ``memoryview`` rows from precomputed HMAC pad
-  states (the SHA-256 of the inner/outer key pads is hashed once per
-  suite, then ``copy()``-ed per frame) and compared with
+* MAC tags are computed over ``memoryview`` rows of the matrix from
+  precomputed HMAC pad states (the SHA-256 of the inner/outer key pads is
+  hashed once per suite, then ``copy()``-ed per frame) and compared with
   ``hmac.compare_digest``; decryption checks every tag before touching a
   byte and reports the full set of failing frame indices,
 * the window's keystream is one matrix: per-backend key schedules (AES
@@ -55,8 +59,8 @@ one and a ragged batch is the same matrix with zero-padded rows:
   suite, a shake row is one ``digest(width)`` call, the aes rows come from
   one fused :func:`~repro.crypto.modes.ctr_keystream_batch` entry,
 * the XOR is one ``numpy.bitwise_xor`` — written straight into the
-  ciphertext columns of the output frame matrix on encrypt, returned as
-  ``memoryview`` slices of the result on decrypt with ``views=True``.
+  ciphertext columns of the output frame matrix on encrypt, and the
+  plaintext matrix itself on decrypt.
 """
 
 from __future__ import annotations
@@ -96,6 +100,14 @@ def _matrix(rows: Sequence, width: int) -> np.ndarray:
     """
     joined = b"".join([bytes(row).ljust(width, b"\x00") for row in rows])
     return np.frombuffer(joined, np.uint8).reshape(len(rows), width)
+
+
+def _nonce_rows(blob: bytes) -> List[bytes]:
+    """One batch's nonces, back to back in ``blob``, as a list in frame order."""
+    return [
+        blob[start : start + NONCE_SIZE]
+        for start in range(0, len(blob), NONCE_SIZE)
+    ]
 
 
 class CipherSuite:
@@ -200,8 +212,10 @@ class CipherSuite:
 
     # -- frames ---------------------------------------------------------------
     #
-    # One kernel per direction; the single-frame entry points are a batch
-    # of one (their bytes are pinned by tests/test_crypto_kernel.py).
+    # One kernel per direction, matrix in / matrix out.  The single-frame
+    # and list entry points are its adapter: zero-padded rows in, rows cut
+    # back to ``bytes`` out (their bytes are pinned by
+    # tests/test_crypto_kernel.py).
 
     def encrypt_page(self, plaintext: bytes, nonce: Optional[bytes] = None) -> bytes:
         """Encrypt a page payload into a frame with a fresh random nonce.
@@ -211,128 +225,159 @@ class CipherSuite:
         """
         with self.tracer.fine_span("crypto.encrypt", nbytes=len(plaintext)):
             return self._encrypt_batch(
-                (plaintext,), None if nonce is None else (nonce,)
-            )[0]
+                _matrix((plaintext,), len(plaintext)),
+                None if nonce is None else (nonce,),
+            ).tobytes()
 
     def decrypt_page(self, frame: bytes) -> bytes:
         """Verify and decrypt a frame; raises :class:`AuthenticationError` on tamper."""
-        return self._decrypt_batch((frame,))[0]
+        return self._decrypt_batch(_matrix((frame,), len(frame))).tobytes()
 
-    def encrypt_pages(
-        self,
-        plaintexts: Sequence[bytes],
-        nonces: Optional[Sequence[bytes]] = None,
-    ) -> List[bytes]:
+    def encrypt_pages(self, plaintexts, nonces: Optional[Sequence[bytes]] = None):
         """Encrypt a batch of payloads into frames.
+
+        ``plaintexts`` is a ``count x size`` ``numpy.uint8`` matrix — the
+        frames come back as one ``count x frame_size`` matrix — or any
+        sequence of bytes-like payloads, uniform or ragged, which comes
+        back as a list of ``bytes`` frames.
 
         Nonces are drawn from the RNG in frame order, so
         ``encrypt_pages(batch)`` produces the same frames as the
         equivalent sequence of :meth:`encrypt_page` calls on the same RNG
         state — the batch only saves Python overhead, never changes bytes.
         """
-        with self.tracer.fine_span(
-            "crypto.encrypt_batch", nbytes=sum(map(len, plaintexts))
-        ):
-            return self._encrypt_batch(plaintexts, nonces)
+        if isinstance(plaintexts, np.ndarray):
+            with self.tracer.fine_span(
+                "crypto.encrypt_batch", nbytes=plaintexts.size
+            ):
+                return self._encrypt_batch(plaintexts, nonces)
+        lengths = [len(plaintext) for plaintext in plaintexts]
+        with self.tracer.fine_span("crypto.encrypt_batch", nbytes=sum(lengths)):
+            matrix = self._encrypt_batch(
+                _matrix(plaintexts, max(lengths, default=0)), nonces, lengths
+            )
+            return [
+                row[: length + FRAME_OVERHEAD].tobytes()
+                for row, length in zip(matrix, lengths)
+            ]
 
-    def decrypt_pages(
-        self, frames: Sequence[bytes], views: bool = False
-    ) -> List[bytes]:
+    def decrypt_pages(self, frames, views: bool = False):
         """Verify and decrypt a batch of frames.
+
+        ``frames`` is a ``count x frame_size`` ``numpy.uint8`` matrix — the
+        plaintexts come back as one freshly allocated matrix — or any
+        sequence of bytes-like frames, uniform or ragged, which comes back
+        as a list of ``bytes`` (``views=True``: of zero-copy
+        ``memoryview`` slices of the kernel's result, valid after
+        ``frames`` is dropped).
 
         Every MAC is checked before any byte is decrypted;
         :class:`AuthenticationError` carries the indices of *all* failing
-        frames so one tampered frame cannot mask another.
-
-        With ``views=True`` the plaintexts come back as zero-copy
-        ``memoryview`` slices of the kernel's result matrix instead of
-        separate ``bytes`` copies — the engine threads these straight
-        through page decode, relocation and re-encryption.  The views own
-        their buffer: they stay valid after ``frames`` is dropped.
+        frames (``failed``) so one tampered frame cannot mask another.
         """
-        with self.tracer.fine_span(
-            "crypto.decrypt_batch", nbytes=sum(map(len, frames))
-        ):
-            return self._decrypt_batch(frames, views=views)
+        if isinstance(frames, np.ndarray):
+            with self.tracer.fine_span("crypto.decrypt_batch", nbytes=frames.size):
+                return self._decrypt_batch(frames)
+        sizes = [len(frame) for frame in frames]
+        with self.tracer.fine_span("crypto.decrypt_batch", nbytes=sum(sizes)):
+            plain = self._decrypt_batch(
+                _matrix(frames, max(sizes, default=FRAME_OVERHEAD)), sizes
+            )
+            rows = [
+                memoryview(row)[: size - FRAME_OVERHEAD]
+                for row, size in zip(plain, sizes)
+            ]
+            return rows if views else [bytes(row) for row in rows]
 
     def _encrypt_batch(
-        self, plaintexts: Sequence[bytes], nonces: Optional[Sequence[bytes]]
-    ) -> List[bytes]:
+        self,
+        plain: np.ndarray,
+        nonces: Optional[Sequence[bytes]],
+        lengths: Optional[Sequence[int]] = None,
+    ) -> np.ndarray:
+        """Seal the rows of ``plain`` into a ``count x (size + overhead)`` matrix.
+
+        With ``lengths`` (the adapter's ragged batch) row i carries only its
+        first ``lengths[i]`` bytes: its tag sits right behind them and the
+        rest of the row is padding the adapter cuts off.
+        """
+        count, body = plain.shape
         if nonces is None:
-            drawn = self._rng.token(NONCE_SIZE * len(plaintexts))
-            nonces = [
-                drawn[start : start + NONCE_SIZE]
-                for start in range(0, len(drawn), NONCE_SIZE)
-            ]
-        elif len(nonces) != len(plaintexts):
+            drawn = self._rng.token(NONCE_SIZE * count)
+        elif len(nonces) != count:
             raise CryptoError("need exactly one nonce per plaintext")
         elif any(len(nonce) != NONCE_SIZE for nonce in nonces):
             raise CryptoError(f"nonce must be {NONCE_SIZE} bytes")
-        if not plaintexts:
-            return []
-        lengths = [len(plaintext) for plaintext in plaintexts]
-        body = max(lengths)
+        else:
+            drawn = b"".join(nonces)
         width = body + FRAME_OVERHEAD
-        # Row i holds frame i (shorter rows of a ragged batch are followed
-        # by padding that never leaves this function): the nonce columns
-        # are filled, the XOR lands straight in the ciphertext columns,
-        # and each tag is written right behind its row's ciphertext.
-        matrix = np.empty((len(lengths), width), np.uint8)
-        matrix[:, :NONCE_SIZE] = _matrix(nonces, NONCE_SIZE)
+        # Row i holds frame i: the nonce columns are filled, the XOR lands
+        # straight in the ciphertext columns, and each tag is written right
+        # behind its row's ciphertext.
+        matrix = np.empty((count, width), np.uint8)
+        if not count:
+            return matrix
+        matrix[:, :NONCE_SIZE] = np.frombuffer(drawn, np.uint8).reshape(
+            count, NONCE_SIZE
+        )
         np.bitwise_xor(
-            _matrix(plaintexts, body),
-            self._keystream_matrix(nonces, body),
+            plain,
+            self._keystream_matrix(_nonce_rows(drawn), body),
             out=matrix[:, NONCE_SIZE : NONCE_SIZE + body],
         )
         flat = memoryview(matrix.reshape(-1))
-        frames: List[bytes] = []
-        for index, length in enumerate(lengths):
+        tag = self._tag
+        for index in range(count):
             start = index * width
-            end = start + NONCE_SIZE + length
-            flat[end : end + TAG_SIZE] = self._tag(flat[start:end])
-            frames.append(bytes(flat[start : end + TAG_SIZE]))
-        return frames
+            end = start + NONCE_SIZE + (body if lengths is None else lengths[index])
+            flat[end : end + TAG_SIZE] = tag(flat[start:end])
+        return matrix
 
     def _decrypt_batch(
-        self, frames: Sequence[bytes], views: bool = False
-    ) -> List[bytes]:
-        sizes = [len(frame) for frame in frames]
-        if not sizes:
-            return []
-        if min(sizes) < FRAME_OVERHEAD:
+        self, frames: np.ndarray, sizes: Optional[Sequence[int]] = None
+    ) -> np.ndarray:
+        """Open the rows of ``frames`` into a ``count x (width - overhead)`` matrix.
+
+        With ``sizes`` (the adapter's ragged batch) row i is a frame of
+        ``sizes[i]`` bytes followed by padding; only the first
+        ``sizes[i] - overhead`` bytes of its plaintext row mean anything.
+        """
+        count, width = frames.shape
+        shortest = width if sizes is None else min(sizes, default=width)
+        if shortest < FRAME_OVERHEAD:
             raise CryptoError(
-                f"frame too short: {min(sizes)} bytes < overhead {FRAME_OVERHEAD}"
+                f"frame too short: {shortest} bytes < overhead {FRAME_OVERHEAD}"
             )
-        width = max(sizes)
-        matrix = _matrix(frames, width)
-        flat = memoryview(matrix.reshape(-1))
-        with self.tracer.fine_span("crypto.mac_verify", nbytes=sum(sizes)):
+        body = width - FRAME_OVERHEAD
+        if not count:
+            return np.empty((0, body), np.uint8)
+        flat = memoryview(frames.reshape(-1))
+        total = frames.size if sizes is None else sum(sizes)
+        with self.tracer.fine_span("crypto.mac_verify", nbytes=total):
+            tag = self._tag
             failed: List[int] = []
-            for index, size in enumerate(sizes):
+            for index in range(count):
                 start = index * width
-                end = start + size - TAG_SIZE
+                end = start + (width if sizes is None else sizes[index]) - TAG_SIZE
                 if not compare_digest(
-                    self._tag(flat[start:end]), flat[end : end + TAG_SIZE]
+                    tag(flat[start:end]), flat[end : end + TAG_SIZE]
                 ):
                     failed.append(index)
             if failed:
                 raise AuthenticationError(
-                    f"frame(s) {failed} of batch of {len(frames)} failed MAC "
-                    "verification"
+                    f"frame(s) {failed} of batch of {count} failed MAC "
+                    "verification",
+                    failed=failed,
                 )
-        body = width - FRAME_OVERHEAD
-        lengths = [size - FRAME_OVERHEAD for size in sizes]
-        with self.tracer.fine_span("crypto.keystream", nbytes=sum(lengths)):
-            nonces = [bytes(frame[:NONCE_SIZE]) for frame in frames]
-            plain = memoryview(np.bitwise_xor(
-                matrix[:, NONCE_SIZE : NONCE_SIZE + body],
-                self._keystream_matrix(nonces, body),
-            ).reshape(-1))
-        rows = [
-            plain[index * body : index * body + length]
-            for index, length in enumerate(lengths)
-        ]
-        return rows if views else [bytes(row) for row in rows]
+        with self.tracer.fine_span(
+            "crypto.keystream", nbytes=total - count * FRAME_OVERHEAD
+        ):
+            return np.bitwise_xor(
+                frames[:, NONCE_SIZE : NONCE_SIZE + body],
+                self._keystream_matrix(
+                    _nonce_rows(frames[:, :NONCE_SIZE].tobytes()), body
+                ),
+            )
 
     def frame_size(self, payload_size: int) -> int:
         """Size in bytes of an encrypted frame for a payload of ``payload_size``."""

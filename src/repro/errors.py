@@ -72,7 +72,14 @@ class AuthenticationError(CryptoError):
     authenticate under the coprocessor's key — per the threat model the
     server is honest-but-curious, so in a healthy deployment this indicates
     corruption rather than attack, but we surface it either way.
+
+    ``failed`` holds the batch indices of every frame that failed (empty
+    when the failure is not about a batch of frames).
     """
+
+    def __init__(self, message: str = "", failed=()):
+        super().__init__(message)
+        self.failed = tuple(failed)
 
 
 class StorageError(ReproError):

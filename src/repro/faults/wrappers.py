@@ -19,7 +19,9 @@ with a plan-free injector is observationally identical to not wrapping it.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
+
+import numpy as np
 
 from .injector import (
     SITE_CHANNEL,
@@ -80,9 +82,9 @@ class FaultyDiskStore:
     # -- faulty access ----------------------------------------------------------
 
     def read(self, location: int) -> bytes:
-        return self.read_range(location, 1)[0]
+        return self.read_range(location, 1).tobytes()
 
-    def read_range(self, location: int, count: int) -> List[bytes]:
+    def read_range(self, location: int, count: int) -> np.ndarray:
         decision = self.injector.check(SITE_DISK_READ, count)
         if decision is not None and decision.kind == "transient":
             raise TransientStorageError(
@@ -91,15 +93,21 @@ class FaultyDiskStore:
             )
         frames = self._inner.read_range(location, count)
         if decision is not None and decision.kind == "corrupt":
+            # The matrix is this read's own copy: the damage never reaches
+            # the store, so a re-read is clean.
             index = decision.corrupt_index
-            frames = list(frames)
-            frames[index] = self.injector.corrupt_blob(frames[index])
+            frames[index] = self._corrupted(frames[index])
         return frames
 
-    def write(self, location: int, frame: bytes) -> None:
+    def _corrupted(self, frame) -> np.ndarray:
+        return np.frombuffer(
+            self.injector.corrupt_blob(bytes(frame)), np.uint8
+        )
+
+    def write(self, location: int, frame) -> None:
         self.write_range(location, [frame])
 
-    def write_range(self, location: int, frames: Sequence[bytes]) -> None:
+    def write_range(self, location: int, frames) -> None:
         decision = self.injector.check(SITE_DISK_WRITE, len(frames))
         if decision is None:
             self._inner.write_range(location, frames)
@@ -114,15 +122,17 @@ class FaultyDiskStore:
             # host dies before the rest (or the caller's bookkeeping) lands.
             if decision.torn_frames > 0:
                 self._inner.write_range(location,
-                                        list(frames)[:decision.torn_frames])
+                                        frames[:decision.torn_frames])
             raise SimulatedCrash(
                 f"simulated power loss after {decision.torn_frames} of "
                 f"{len(frames)} frames at location {location}"
             )
-        # Corruption of a write: the damaged frame lands silently.
-        index = decision.corrupt_index
+        # Corruption of a write: the damaged frame lands silently (in a
+        # copy — the caller's frames are the caller's).
         damaged = list(frames)
-        damaged[index] = self.injector.corrupt_blob(damaged[index])
+        damaged[decision.corrupt_index] = self._corrupted(
+            damaged[decision.corrupt_index]
+        )
         self._inner.write_range(location, damaged)
 
     # -- request-granular access -------------------------------------------------
@@ -132,17 +142,14 @@ class FaultyDiskStore:
 
     def read_request(
         self, block_start: int, count: int, extra_location: int
-    ) -> Tuple[List[bytes], bytes]:
-        frames = self.read_range(block_start, count)
-        extra = self.read(extra_location)
-        return frames, extra
+    ) -> np.ndarray:
+        return np.concatenate((
+            self.read_range(block_start, count),
+            self.read_range(extra_location, 1),
+        ))
 
     def write_request(
-        self,
-        block_start: int,
-        frames: Sequence[bytes],
-        extra_location: int,
-        extra_frame: bytes,
+        self, block_start: int, frames, extra_location: int, extra_frame
     ) -> None:
         self.write_range(block_start, frames)
         self.write(extra_location, extra_frame)
@@ -151,6 +158,9 @@ class FaultyDiskStore:
 
     def peek(self, location: int) -> Optional[bytes]:
         return self._inner.peek(location)
+
+    def poke(self, location: int, frame) -> None:
+        self._inner.poke(location, frame)
 
     def initialised_locations(self) -> int:
         return self._inner.initialised_locations()

@@ -16,7 +16,9 @@ engine) plus the two internal data structures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .cache import PageCache, RANDOM_POLICY
 from .pagemap import PageMap
@@ -26,7 +28,8 @@ from ..crypto.suite import CipherSuite
 from ..errors import AuthenticationError, CapacityError
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..sim.clock import VirtualClock
-from ..storage.page import Page
+from ..storage.frames import frame_matrix
+from ..storage.page import Page, PageWindow, encode_pages
 
 __all__ = ["SecureCoprocessor", "SecureStorageReport"]
 
@@ -205,38 +208,56 @@ class SecureCoprocessor:
                 raise
             return Page.decode(self._legacy_suite.decrypt_page(frame))
 
-    def seal_pages(self, pages: Sequence[Page]) -> List[bytes]:
-        """Batch :meth:`seal`: one cipher-suite call for a whole block.
+    def seal_pages(self, pages: Sequence[Page]) -> np.ndarray:
+        """Batch :meth:`seal`: one cipher-suite call, one matrix of frames.
 
-        Nonces are drawn in page order, so the frames are byte-identical
-        to sealing each page individually (:meth:`seal` is the same kernel
-        with a batch of one) — the batch only removes the per-frame Python
-        overhead, see DESIGN.md §10.
+        Handed the :class:`PageWindow` that :meth:`unseal_frames` returned,
+        only the slots replaced since are re-encoded (into the window's own
+        plaintext matrix, which goes straight back to the kernel); any
+        other sequence of pages is encoded in one pass.  Nonces are drawn
+        in page order, so row i is byte-identical to sealing page i
+        individually (:meth:`seal` is the same kernel with a batch of one)
+        — see DESIGN.md §10.
         """
-        return self.suite.encrypt_pages(
-            [page.encode(self.page_capacity) for page in pages]
-        )
+        if isinstance(pages, PageWindow):
+            plain = pages.plaintext(self.page_capacity)
+        else:
+            plain = encode_pages(pages, self.page_capacity)
+        return self.suite.encrypt_pages(plain)
 
-    def unseal_frames(
-        self, frames: Sequence[bytes], views: bool = False
-    ) -> List[Page]:
+    def unseal_frames(self, frames) -> PageWindow:
         """Batch :meth:`unseal` with batched MAC verification.
 
-        During a key rotation the store holds a mix of old- and new-key
-        frames, so the batch falls back to the per-frame path (which
-        retries the legacy key per frame); outside rotation — the steady
-        state — the whole batch is verified and decrypted in one call.
+        ``frames`` is a frame matrix (what a range read returns) or any
+        sequence of frames.  The whole batch is verified and decrypted in
+        one suite call and comes back as a :class:`PageWindow` over the
+        plaintext matrix — pages are only decoded as they are asked for.
 
-        ``views=True`` decodes the pages over zero-copy memoryview slices
-        of the kernel's result matrix (ignored on the rotation fallback,
-        where frames are decrypted one at a time anyway).
+        During a key rotation the store holds a mix of old- and new-key
+        frames: exactly the rows that fail the current key are retried
+        under the legacy key.
         """
-        if self._legacy_suite is not None:
-            return [self.unseal(frame) for frame in frames]
-        return [
-            Page.decode(plaintext)
-            for plaintext in self.suite.decrypt_pages(frames, views=views)
-        ]
+        frames = frame_matrix(frames, self.frame_size)
+        try:
+            plain = self.suite.decrypt_pages(frames)
+        except AuthenticationError as exc:
+            if self._legacy_suite is None:
+                raise
+            legacy = list(exc.failed)
+            current = sorted(set(range(len(frames))).difference(legacy))
+            plain = np.empty((len(frames), self.plaintext_page_size), np.uint8)
+            try:
+                plain[legacy] = self._legacy_suite.decrypt_pages(frames[legacy])
+            except AuthenticationError as inner:
+                failed = [legacy[row] for row in inner.failed]
+                raise AuthenticationError(
+                    f"frame(s) {failed} of batch of {len(frames)} failed MAC "
+                    "verification under both the current and the legacy key",
+                    failed=failed,
+                ) from None
+            if current:
+                plain[current] = self.suite.decrypt_pages(frames[current])
+        return PageWindow(plain)
 
     def seal_blob(self, data: bytes) -> bytes:
         """Encrypt + MAC an arbitrary trusted blob (e.g. an intent record)."""

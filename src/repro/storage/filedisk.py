@@ -22,11 +22,13 @@ journal to replay.
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 from .disk import DiskStore
 from .timing import DiskTimingModel
-from .trace import READ, WRITE, AccessEvent, AccessTrace
+from .trace import AccessTrace
 from ..errors import ConfigurationError, StorageError
 from ..obs.tracer import Tracer
 from ..sim.clock import VirtualClock
@@ -61,81 +63,36 @@ class FileDiskStore(DiskStore):
                 f"unknown sync_policy {sync_policy!r}; "
                 f"expected one of {_SYNC_POLICIES}"
             )
-        self._frames = []  # type: ignore[assignment]  # unused by this subclass
         self.path = path
         self.sync_policy = sync_policy
-        self._written = bytearray((num_locations + 7) // 8)
         mode = "r+b" if os.path.exists(path) else "w+b"
         self._file = open(path, mode)
         self._file.truncate(num_locations * frame_size)
 
-    # -- bitmap of initialised locations ---------------------------------------
+    # -- where the frames live: one readinto / one write per range ---------------
 
-    def _mark_written(self, location: int) -> None:
-        self._written[location // 8] |= 1 << (location % 8)
+    def _new_arena(self) -> None:
+        return None  # in the file, not in memory
 
-    def _is_written(self, location: int) -> bool:
-        return bool(self._written[location // 8] >> (location % 8) & 1)
+    def _load(self, location: int, out: np.ndarray) -> None:
+        self._file.seek(location * self.frame_size)
+        if self._file.readinto(out) != out.nbytes:
+            raise StorageError("short read from backing file")
 
-    # -- overridden access primitives -------------------------------------------
-
-    def read_range(self, location: int, count: int) -> List[bytes]:
-        self._check_range(location, count)
-        for offset in range(count):
-            if not self._is_written(location + offset):
-                raise StorageError(
-                    f"location {location + offset} was never written"
-                )
-        with self.tracer.span("disk.read", nbytes=count * self.frame_size):
-            self.clock.advance(self.timing.read_time(count * self.frame_size))
-            self._file.seek(location * self.frame_size)
-            blob = self._file.read(count * self.frame_size)
-            if len(blob) != count * self.frame_size:
-                raise StorageError("short read from backing file")
-            frames = [
-                blob[i * self.frame_size : (i + 1) * self.frame_size]
-                for i in range(count)
-            ]
-            self.trace.record(
-                AccessEvent(READ, location, count, self.current_request,
-                            self.clock.now)
-            )
-        return frames
-
-    def write_range(self, location: int, frames: Sequence[bytes]) -> None:
-        self._check_range(location, len(frames))
-        for frame in frames:
-            self._check_frame(frame)
-        with self.tracer.span("disk.write",
-                              nbytes=len(frames) * self.frame_size):
-            self.clock.advance(
-                self.timing.write_time(len(frames) * self.frame_size)
-            )
-            self._file.seek(location * self.frame_size)
-            self._file.write(b"".join(frames))
-            if self.sync_policy == SYNC_ALWAYS:
-                with self.tracer.span("disk.fsync"):
-                    self._file.flush()
-                    os.fsync(self._file.fileno())
-            for offset in range(len(frames)):
-                self._mark_written(location + offset)
-            self.trace.record(
-                AccessEvent(WRITE, location, len(frames), self.current_request,
-                            self.clock.now)
-            )
+    def _store(self, location: int, frames: np.ndarray) -> None:
+        self._file.seek(location * self.frame_size)
+        self._file.write(frames)
+        if self.sync_policy == SYNC_ALWAYS:
+            with self.tracer.span("disk.fsync"):
+                self._file.flush()
+                os.fsync(self._file.fileno())
 
     def peek(self, location: int) -> Optional[bytes]:
-        if location < 0 or location >= self.num_locations:
-            raise StorageError(f"location {location} out of range")
-        if not self._is_written(location):
+        self._check_location(location)
+        if not self._written[location]:
             return None
         self._file.seek(location * self.frame_size)
         return self._file.read(self.frame_size)
-
-    def initialised_locations(self) -> int:
-        return sum(
-            1 for loc in range(self.num_locations) if self._is_written(loc)
-        )
 
     # -- lifecycle ---------------------------------------------------------------
 

@@ -27,10 +27,13 @@ __all__ = ["MerkleTree", "AuthenticatedDisk"]
 _HASH_SIZE = 32
 
 
-def _hash_leaf(index: int, frame: bytes) -> bytes:
-    return hashlib.blake2b(
-        b"\x00" + index.to_bytes(8, "big") + frame, digest_size=_HASH_SIZE
-    ).digest()
+def _hash_leaf(index: int, frame) -> bytes:
+    """Leaf hash of a bytes-like frame (``bytes`` or a frame-matrix row)."""
+    leaf = hashlib.blake2b(
+        b"\x00" + index.to_bytes(8, "big"), digest_size=_HASH_SIZE
+    )
+    leaf.update(frame)
+    return leaf.digest()
 
 
 def _hash_node(left: bytes, right: bytes) -> bytes:
@@ -193,7 +196,7 @@ class AuthenticatedDisk:
         self._verify(location, frame)
         return frame
 
-    def read_range(self, location: int, count: int) -> List[bytes]:
+    def read_range(self, location: int, count: int):
         frames = self._inner.read_range(location, count)
         for offset, frame in enumerate(frames):
             self._verify(location + offset, frame)
@@ -210,12 +213,11 @@ class AuthenticatedDisk:
     def read_request(self, block_start: int, count: int, extra_location: int):
         # Delegate to the inner store's combined form so remote transports
         # keep their single-round-trip batching; verify everything returned.
-        frames, extra = self._inner.read_request(block_start, count,
-                                                 extra_location)
-        for offset, frame in enumerate(frames):
-            self._verify(block_start + offset, frame)
-        self._verify(extra_location, extra)
-        return frames, extra
+        frames = self._inner.read_request(block_start, count, extra_location)
+        for offset in range(count):
+            self._verify(block_start + offset, frames[offset])
+        self._verify(extra_location, frames[count])
+        return frames
 
     def write_request(self, block_start: int, frames: Sequence[bytes],
                       extra_location: int, extra_frame: bytes) -> None:
@@ -233,6 +235,11 @@ class AuthenticatedDisk:
 
     def peek(self, location: int) -> Optional[bytes]:
         return self._inner.peek(location)
+
+    def poke(self, location: int, frame) -> None:
+        # The server tampering with its disk: the tree is *not* refreshed,
+        # which is exactly what the next verified read must catch.
+        self._inner.poke(location, frame)
 
     def initialised_locations(self) -> int:
         return self._inner.initialised_locations()

@@ -32,7 +32,9 @@ from __future__ import annotations
 import os
 import struct
 from collections import OrderedDict
-from typing import List, Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 from .disk import DiskStore
 from .timing import DiskTimingModel
@@ -203,7 +205,10 @@ class TieredDiskStore:
 
     # -- tier maintenance ------------------------------------------------------
 
-    def _promote(self, location: int, frame: bytes) -> None:
+    def _promote(self, location: int, frame) -> None:
+        # The tier retains the frame, so it copies it: a kept matrix row
+        # would pin the whole window it was read or written in.
+        frame = bytes(frame)
         if location in self._hot:
             self._hot[location] = frame
             self._hot.move_to_end(location)
@@ -219,9 +224,9 @@ class TieredDiskStore:
     # -- access ----------------------------------------------------------------
 
     def read(self, location: int) -> bytes:
-        return self.read_range(location, 1)[0]
+        return self.read_range(location, 1).tobytes()
 
-    def read_range(self, location: int, count: int) -> List[bytes]:
+    def read_range(self, location: int, count: int) -> np.ndarray:
         span = range(location, location + count)
         if all(loc in self._hot for loc in span):
             # Hot hit: same trace event, memory-tier timing.
@@ -229,7 +234,11 @@ class TieredDiskStore:
             nbytes = count * self.frame_size
             with self.tracer.span("tier.hot_read", nbytes=nbytes):
                 self.clock.advance(self.hot_timing.read_time(nbytes))
-                frames = [self._hot[loc] for loc in span]
+                # Joined into a buffer of the caller's own, like a cold read.
+                frames = np.frombuffer(
+                    bytearray().join([self._hot[loc] for loc in span]),
+                    np.uint8,
+                ).reshape(count, self.frame_size)
                 for loc in span:
                     self._hot.move_to_end(loc)
                 self.trace.record(
@@ -244,31 +253,28 @@ class TieredDiskStore:
             self._promote(loc, frame)
         return frames
 
-    def write(self, location: int, frame: bytes) -> None:
+    def write(self, location: int, frame) -> None:
         self.write_range(location, [frame])
 
-    def write_range(self, location: int, frames: Sequence[bytes]) -> None:
+    def write_range(self, location: int, frames) -> None:
         # Write-through: cold first (authoritative, charges + traces), then
         # refresh the hot copies so subsequent reads hit.
         self.cold.write_range(location, frames)
         for offset, frame in enumerate(frames):
-            self._promote(location + offset, bytes(frame))
+            self._promote(location + offset, frame)
 
     # -- request-granular access -------------------------------------------------
 
     def read_request(
         self, block_start: int, count: int, extra_location: int
-    ) -> "tuple[List[bytes], bytes]":
-        frames = self.read_range(block_start, count)
-        extra = self.read(extra_location)
-        return frames, extra
+    ) -> np.ndarray:
+        return np.concatenate((
+            self.read_range(block_start, count),
+            self.read_range(extra_location, 1),
+        ))
 
     def write_request(
-        self,
-        block_start: int,
-        frames: Sequence[bytes],
-        extra_location: int,
-        extra_frame: bytes,
+        self, block_start: int, frames, extra_location: int, extra_frame
     ) -> None:
         self.write_range(block_start, frames)
         self.write(extra_location, extra_frame)
@@ -277,6 +283,13 @@ class TieredDiskStore:
 
     def peek(self, location: int) -> Optional[bytes]:
         return self.cold.peek(location)
+
+    def poke(self, location: int, frame) -> None:
+        # Tampering reaches whichever copy the next read would be served
+        # from: the cold store, and the hot copy if there is one.
+        self.cold.poke(location, frame)
+        if location in self._hot:
+            self._hot[location] = bytes(frame)
 
     def initialised_locations(self) -> int:
         return self.cold.initialised_locations()

@@ -102,23 +102,24 @@ Message = Union[
 ]
 
 
-def _check_frames(frames: Tuple[bytes, ...], frame_size: int) -> None:
+def _join_frames(frame_size: int, *frames) -> bytes:
+    """The bytes-like frames (``bytes`` or frame-matrix rows) back to back."""
     for frame in frames:
         if len(frame) != frame_size:
             raise ProtocolError(
                 f"frame of {len(frame)} bytes violates negotiated size {frame_size}"
             )
+    return b"".join(frames)
 
 
 def encode(message: Message, frame_size: int) -> bytes:
     """Serialise a message; ``frame_size`` is the session's fixed frame size."""
     if isinstance(message, Upload):
-        _check_frames(message.frames, frame_size)
         return (
             _HEADER.pack(_OP_UPLOAD)
             + _U64.pack(message.start)
             + _U32.pack(len(message.frames))
-            + b"".join(message.frames)
+            + _join_frames(frame_size, *message.frames)
         )
     if isinstance(message, UploadAck):
         return _HEADER.pack(_OP_UPLOAD_ACK)
@@ -130,24 +131,19 @@ def encode(message: Message, frame_size: int) -> bytes:
             + _U64.pack(message.extra_location)
         )
     if isinstance(message, ReadResponse):
-        _check_frames(message.frames, frame_size)
-        _check_frames((message.extra_frame,), frame_size)
         return (
             _HEADER.pack(_OP_READ_RESP)
             + _U32.pack(len(message.frames))
-            + b"".join(message.frames)
-            + message.extra_frame
+            + _join_frames(frame_size, *message.frames, message.extra_frame)
         )
     if isinstance(message, WriteRequest):
-        _check_frames(message.frames, frame_size)
-        _check_frames((message.extra_frame,), frame_size)
         return (
             _HEADER.pack(_OP_WRITE_REQ)
             + _U64.pack(message.block_start)
             + _U32.pack(len(message.frames))
-            + b"".join(message.frames)
+            + _join_frames(frame_size, *message.frames)
             + _U64.pack(message.extra_location)
-            + message.extra_frame
+            + _join_frames(frame_size, message.extra_frame)
         )
     if isinstance(message, WriteAck):
         return _HEADER.pack(_OP_WRITE_ACK)

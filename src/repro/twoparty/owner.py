@@ -13,7 +13,9 @@ network — not the RTT count — the bottleneck of Figure 7.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
+
+import numpy as np
 
 from . import messages
 from .channel import SimulatedChannel
@@ -56,7 +58,7 @@ class RemoteDisk:
 
     def read_request(
         self, block_start: int, count: int, extra_location: int
-    ) -> Tuple[List[bytes], bytes]:
+    ) -> np.ndarray:
         reply = self._call(messages.ReadRequest(block_start, count, extra_location))
         if not isinstance(reply, messages.ReadResponse):
             raise ProtocolError(f"expected ReadResponse, got {type(reply).__name__}")
@@ -64,14 +66,14 @@ class RemoteDisk:
             raise ProtocolError(
                 f"provider returned {len(reply.frames)} frames, expected {count}"
             )
-        return list(reply.frames), reply.extra_frame
+        # The store contract's matrix (block rows, then the extra), in a
+        # buffer the caller owns.
+        return np.frombuffer(
+            bytearray().join(reply.frames + (reply.extra_frame,)), np.uint8
+        ).reshape(count + 1, self.frame_size)
 
     def write_request(
-        self,
-        block_start: int,
-        frames: Sequence[bytes],
-        extra_location: int,
-        extra_frame: bytes,
+        self, block_start: int, frames, extra_location: int, extra_frame
     ) -> None:
         reply = self._call(
             messages.WriteRequest(

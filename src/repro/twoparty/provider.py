@@ -56,10 +56,10 @@ class ServiceProvider:
             self.disk.write_range(request.start, list(request.frames))
             return messages.UploadAck()
         if isinstance(request, messages.ReadRequest):
-            frames, extra = self.disk.read_request(
+            frames = self.disk.read_request(
                 request.block_start, request.count, request.extra_location
             )
-            return messages.ReadResponse(tuple(frames), extra)
+            return messages.ReadResponse(tuple(frames[:-1]), frames[-1])
         if isinstance(request, messages.WriteRequest):
             self.disk.write_request(
                 request.block_start,

@@ -23,3 +23,8 @@ def make_db(
         seed=seed,
         **options,
     )
+
+
+def rows(frames) -> list:
+    """A frame matrix (what a range read returns) as a list of ``bytes`` rows."""
+    return [bytes(row) for row in frames]

@@ -16,6 +16,8 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import make_records
 from repro.core.engine import BatchOp
@@ -40,6 +42,7 @@ from repro.faults import (
 from repro.obs.registry import MetricsRegistry
 from repro.service.frontend import QueryFrontend, ServiceClient
 from repro.service.protocol import Delete, Insert, Query, Refused, Result, Update
+from repro.storage.page import Page
 from repro.twoparty import TwoPartySession
 
 from tests.helpers import make_db
@@ -304,6 +307,100 @@ class TestByteIdentity:
                             BatchOp("query", page_id=0)])
         assert isinstance(bad[0], ConfigurationError)
         assert not isinstance(bad[1], Exception)
+
+
+class TestWindowMatrix:
+    """The window is one plaintext matrix rewritten in place (DESIGN §14)."""
+
+    def test_block_page_displaced_into_a_later_ops_extra_slot(self):
+        """Every disk-resident query swaps a block page into its op's extra
+        slot — a row *behind* the block page's own, which the same window
+        overwrites.  With three such ops in one window the displaced pages
+        must still land intact (they are encoded before any row moves)."""
+        per_op, whole = twin_dbs()
+        k = whole.params.block_size
+        block = range(whole.engine.next_block_index * k,
+                      (whole.engine.next_block_index + 1) * k)
+        residents = {whole.cop.unseal(whole.disk.peek(loc)).page_id
+                     for loc in block}
+        outside = [
+            page_id for page_id in range(NUM_RECORDS)
+            if not whole.cop.page_map.lookup(page_id).in_cache
+            and page_id not in residents
+        ][:4]
+        ops = [BatchOp("query", page_id=page_id) for page_id in outside]
+        assert len(ops) >= 3
+        assert_slots_equal(run_per_op(per_op, ops), whole.run_batch(ops))
+        displaced = [
+            page_id for page_id in residents
+            if not whole.cop.page_map.lookup(page_id).in_cache
+            and whole.cop.page_map.lookup(page_id).position not in block
+        ]
+        assert displaced  # block pages now live at the ops' extra locations
+        whole.consistency_check()
+        assert logical_state(per_op) == logical_state(whole)
+
+    @settings(max_examples=25, deadline=None)
+    @given(ops=st.lists(
+        st.one_of(
+            st.builds(BatchOp, st.just("query"), st.integers(0, 49)),
+            st.builds(BatchOp, st.just("update"), st.integers(0, 49),
+                      st.binary(max_size=16)),
+            st.builds(BatchOp, st.just("delete"), st.integers(0, 49)),
+            st.builds(BatchOp, st.just("insert"), st.none(),
+                      st.binary(max_size=16)),
+            st.just(BatchOp("touch")),
+        ),
+        min_size=1, max_size=24,
+    ))
+    def test_any_op_sequence_agrees_across_window_sizes(self, ops):
+        """Window of 1 / 2 / k: same reply slots, same logical content.
+
+        Content as a client sees it (``content_digest``), not the raw
+        ``logical_state``: a page deleted while outside the window keeps
+        its carcass on disk — only the page map's flag changes — so the
+        *physical* remains of a deleted page depend on the window size.
+        """
+        per_op, pairs, whole = twin_dbs(3)
+        expected = run_per_op(per_op, ops)
+        assert_slots_equal(expected, pairs.run_batch(ops, window=2))
+        assert_slots_equal(expected, whole.run_batch(ops))
+        for db in (per_op, pairs, whole):
+            db.consistency_check()
+        assert (per_op.content_digest() == pairs.content_digest()
+                == whole.content_digest())
+
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_pages_built_and_encoded_per_op_not_per_frame(
+            self, batch, monkeypatch):
+        """A window of B ops constructs O(B) pages and encodes O(B) of them,
+        whatever k — the other k + B - O(B) rows never leave the matrix."""
+        for k in (8, 24):
+            db = make_db(num_records=120, cache_capacity=6, block_size=k,
+                         seed=SEED)
+            ops = [BatchOp("update", page_id=7 * i, payload=b"counted")
+                   for i in range(batch)]
+            counts = {"built": 0, "encoded": 0}
+            init, encode = Page.__post_init__, Page.encode
+
+            def counting_init(page):
+                counts["built"] += 1
+                init(page)
+
+            def counting_encode(page, capacity):
+                counts["encoded"] += 1
+                return encode(page, capacity)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(Page, "__post_init__", counting_init)
+                patch.setattr(Page, "encode", counting_encode)
+                results = db.run_batch(ops)
+            assert results == [None] * batch
+            assert db.engine.counters.get("batch.fused.windows") == 1
+            # Per update: the target's and slot r's views plus the fresh
+            # page; re-encoded: the two slots the op swapped.
+            assert batch <= counts["built"] <= 4 * batch
+            assert batch <= counts["encoded"] <= 2 * batch
 
 
 class TestErrorSlots:

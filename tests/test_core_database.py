@@ -123,7 +123,7 @@ class TestIntegrity:
         # Corrupt the ciphertext at location 0 (first block, read next).
         frame = bytearray(small_db.disk.peek(0))
         frame[-1] ^= 0xFF
-        small_db.disk._frames[0] = bytes(frame)
+        small_db.disk.poke(0, bytes(frame))
         with pytest.raises(AuthenticationError):
             for i in range(small_db.num_pages):
                 small_db.query(i)
@@ -131,7 +131,7 @@ class TestIntegrity:
     def test_consistency_check_detects_corruption(self, small_db):
         frame = bytearray(small_db.disk.peek(3))
         frame[0] ^= 1
-        small_db.disk._frames[3] = bytes(frame)
+        small_db.disk.poke(3, bytes(frame))
         with pytest.raises(AuthenticationError):
             small_db.consistency_check()
 

@@ -168,10 +168,10 @@ class TestInteractions:
         assert isinstance(restored.disk, AuthenticatedDisk)
         assert restored.query(0) == RECORDS[0]
         # A replay against the restored instance is caught.
-        stale = restored.disk._inner._frames[0]
+        stale = restored.disk.peek(0)
         for _ in range(restored.params.scan_period):
             restored.touch()
-        restored.disk._inner._frames[0] = stale
+        restored.disk.poke(0, stale)
         with pytest.raises(AuthenticationError, match="stale"):
             for _ in range(restored.params.scan_period):
                 restored.touch()

@@ -12,9 +12,11 @@ one, so three contracts are pinned here:
   refused by name, see tests/test_core_snapshot.py);
 * a hypothesis differential against a ten-line reference composition
   (``nonce || data ^ keystream || HMAC-SHA256(nonce || ct)[:16]``) over
-  backend x uniform/ragged lengths x ``views``;
+  backend x uniform/ragged lengths x ``views``, and matrix in == list in
+  (the kernel is matrix in / matrix out; lists go through its adapter);
 * tamper handling: every MAC is checked before any byte is decrypted and
-  every failing index is named.
+  every failing index is named — for a list and for a matrix, and during
+  a key rotation only the failing rows are retried under the legacy key.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import gc
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -50,6 +53,11 @@ def _payload(size: int) -> bytes:
 
 def _nonce(index: int) -> bytes:
     return bytes(range(index, index + NONCE_SIZE))
+
+
+def _as_matrix(rows, width: int) -> np.ndarray:
+    """Uniform ``rows`` as the ``len(rows) x width`` uint8 matrix over them."""
+    return np.frombuffer(b"".join(rows), np.uint8).reshape(len(rows), width)
 
 
 def _digest(*blobs: bytes) -> str:
@@ -256,6 +264,39 @@ class TestReferenceDifferential:
         assert [suite.decrypt_page(frame) for frame in expected] == payloads
 
     @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("width", [0, 5, 64, 137])
+    def test_matrix_in_equals_list_in(self, backend, width):
+        """The kernel handed a matrix returns the matrix of the adapter's
+        frames — same bytes, same RNG draws — for every backend and width."""
+        payloads = [_payload(width + index)[:width] for index in range(4)]
+        nonces = [_nonce(index) for index in range(4)]
+        expected = [reference_frame(backend, nonce, data)
+                    for nonce, data in zip(nonces, payloads)]
+        suite = CipherSuite(MASTER, backend=backend, rng=SecureRandom(3))
+        plain = _as_matrix(payloads, width)
+        sealed = suite.encrypt_pages(plain, nonces)
+        assert isinstance(sealed, np.ndarray) and sealed.dtype == np.uint8
+        assert sealed.shape == (4, width + FRAME_OVERHEAD)
+        assert [bytes(row) for row in sealed] == expected \
+            == suite.encrypt_pages(payloads, nonces)
+        opened = suite.decrypt_pages(sealed)
+        assert isinstance(opened, np.ndarray) and opened.shape == plain.shape
+        assert opened.tobytes() == plain.tobytes()
+        assert opened is not sealed and not np.shares_memory(opened, sealed)
+        assert suite.decrypt_pages(expected) == payloads
+        # A read-only matrix (np.frombuffer over bytes) opens too.
+        assert suite.decrypt_pages(
+            _as_matrix(expected, width + FRAME_OVERHEAD)
+        ).tobytes() == plain.tobytes()
+        # RNG-drawn nonces: one draw, sliced in frame order, either way.
+        rng, twin = SecureRandom(17), SecureRandom(17)
+        by_matrix = CipherSuite(MASTER, backend=backend, rng=rng)
+        by_list = CipherSuite(MASTER, backend=backend, rng=twin)
+        assert [bytes(row) for row in by_matrix.encrypt_pages(plain)] \
+            == by_list.encrypt_pages(payloads)
+        assert rng.token(8) == twin.token(8)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_batch_of_only_empty_payloads(self, backend):
         """Width 0: the keystream matrix is ``count x 0`` (``digest(0)``)."""
         suite = CipherSuite(MASTER, backend=backend, rng=SecureRandom(3))
@@ -318,6 +359,25 @@ class TestTamper:
         # The keystream stage never ran.
         assert keystream_calls == []
 
+    def test_tampered_matrix_names_every_row_and_nothing_is_decrypted(
+            self, monkeypatch):
+        suite = CipherSuite(MASTER, backend="shake", rng=SecureRandom(5))
+        sealed = suite.encrypt_pages(_as_matrix([_payload(64)] * 5, 64).copy())
+        keystream_calls = []
+        monkeypatch.setattr(
+            suite, "_keystream_matrix",
+            lambda nonces, width: keystream_calls.append(len(nonces)),
+        )
+        sealed[0, 20] ^= 0x01          # body
+        sealed[2, 3] ^= 0x01           # nonce
+        sealed[4, -5] ^= 0x01          # tag
+        with pytest.raises(AuthenticationError,
+                           match=r"\[0, 2, 4\] of batch of 5") as caught:
+            suite.decrypt_pages(sealed)
+        assert caught.value.failed == (0, 2, 4)
+        # The keystream stage never ran.
+        assert keystream_calls == []
+
     def test_short_frame_and_truncated_tag_are_rejected(self):
         suite = CipherSuite(MASTER, backend="shake", rng=SecureRandom(5))
         frame = suite.encrypt_page(b"")
@@ -329,6 +389,8 @@ class TestTamper:
         longer = suite.encrypt_page(b"abc")
         with pytest.raises(AuthenticationError):
             suite.decrypt_page(longer[:-1])  # tag now straddles the body
+        with pytest.raises(CryptoError, match="frame too short"):
+            suite.decrypt_pages(np.zeros((2, FRAME_OVERHEAD - 1), np.uint8))
 
 
 # -- buffer ownership --------------------------------------------------------
@@ -357,16 +419,42 @@ class TestBufferOwnership:
         pages = [cop.unseal(db.disk.peek(loc)) for loc in range(4)]
         old = [db.disk.peek(loc) for loc in range(4)]
         cop.begin_key_rotation(b"next master key")
-        new = cop.seal_pages(pages)
+        new = list(cop.seal_pages(pages))
         # A window mixing legacy- and new-key frames fails the new key's
         # batch MAC check as a whole, so it is opened frame by frame.
         with pytest.raises(AuthenticationError):
             cop.suite.decrypt_pages(old + new)
-        opened = cop.unseal_frames(old + new, views=True)
-        assert opened == pages + pages
+        opened = cop.unseal_frames(old + new)
+        assert list(opened) == pages + pages
         cop.finish_key_rotation()
         with pytest.raises(AuthenticationError, match=r"\[0, 1, 2, 3\]"):
             cop.unseal_frames(old + new)
+
+    def test_rotation_retries_only_the_failing_rows_under_the_legacy_key(
+            self, monkeypatch):
+        db = make_db(seed=6)
+        cop = db.cop
+        window = db.disk.read_range(0, 6)
+        pages = list(cop.unseal_frames(window))
+        cop.begin_key_rotation(b"next master key")
+        # Rows 1 and 4 are already re-sealed under the new key.
+        window[[1, 4]] = cop.seal_pages([pages[1], pages[4]])
+        retried = []
+        legacy_decrypt = cop._legacy_suite.decrypt_pages
+        monkeypatch.setattr(
+            cop._legacy_suite, "decrypt_pages",
+            lambda frames: retried.append(frames.copy())
+            or legacy_decrypt(frames),
+        )
+        assert list(cop.unseal_frames(window)) == pages
+        (rows,) = retried
+        assert rows.tobytes() == window[[0, 2, 3, 5]].tobytes()
+        # A row neither key opens is named by its index in the window.
+        window[3, 20] ^= 0x01
+        with pytest.raises(AuthenticationError,
+                           match=r"frame\(s\) \[3\] of batch of 6") as caught:
+            cop.unseal_frames(window)
+        assert caught.value.failed == (3,)
 
 
 if __name__ == "__main__":  # prints the vectors; run on the parent commit

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,9 +10,19 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError, StorageError
 from repro.sim.clock import VirtualClock
 from repro.storage.disk import DiskStore
-from repro.storage.page import DUMMY_ID, HEADER_SIZE, Page
+from repro.storage.page import (
+    DUMMY_ID,
+    FLAG_DELETED,
+    HEADER_SIZE,
+    Page,
+    PageWindow,
+    decode_headers,
+    encode_pages,
+)
 from repro.storage.timing import DiskTimingModel
 from repro.storage.trace import READ, WRITE, AccessEvent, AccessTrace, shapes_identical
+
+from tests.helpers import rows
 
 
 class TestPage:
@@ -75,6 +86,146 @@ class TestPage:
         assert Page.decode(page.encode(64)) == page
 
 
+# -- the same layout over a whole window ---------------------------------------
+
+_pages = st.lists(
+    st.builds(
+        Page,
+        st.one_of(st.integers(0, DUMMY_ID), st.just(DUMMY_ID)),
+        st.binary(max_size=24),
+        st.booleans(),
+    ),
+    min_size=0, max_size=9,
+)
+
+
+def _matrix_of(pages, capacity):
+    """The reference plaintext matrix: one ``Page.encode`` per row."""
+    return np.frombuffer(
+        bytearray().join(page.encode(capacity) for page in pages), np.uint8
+    ).reshape(len(pages), HEADER_SIZE + capacity)
+
+
+class TestWindowCodec:
+    """``decode_headers`` / ``encode_pages`` / ``PageWindow`` against the
+    per-page loop they replaced (kept here as the reference)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pages=_pages, capacity=st.sampled_from((24, 40)))
+    def test_one_pass_codec_equals_the_per_page_loop(self, pages, capacity):
+        reference = _matrix_of(pages, capacity)
+        plain = encode_pages(pages, capacity)
+        assert plain.dtype == np.uint8 and plain.flags.c_contiguous
+        assert plain.tobytes() == reference.tobytes()
+        ids, flags, lengths = decode_headers(plain)
+        decoded = [Page.decode(bytes(row)) for row in reference]
+        assert ids == [page.page_id for page in decoded]
+        assert [bool(flag & FLAG_DELETED) for flag in flags] \
+            == [page.deleted for page in decoded]
+        assert lengths == [len(page.payload) for page in decoded]
+        assert list(PageWindow(plain)) == decoded
+
+    def test_dummy_id_survives_the_u8_column(self):
+        pages = [Page.dummy(), Page(DUMMY_ID - 1, b"x"), Page(0, b"")]
+        plain = encode_pages(pages, 4)
+        assert decode_headers(plain)[0] == [DUMMY_ID, DUMMY_ID - 1, 0]
+        window = PageWindow(plain)
+        assert window[0].is_dummy and window[0] == Page.dummy()
+        assert type(window[1].page_id) is int
+
+    @pytest.mark.parametrize("row", [0, 2, 4])
+    def test_lying_header_in_any_row_raises_what_page_decode_raises(self, row):
+        plain = encode_pages([Page(i, b"ab") for i in range(5)], 2)
+        plain[row, 9:13] = np.frombuffer((3).to_bytes(4, "big"), np.uint8)
+        with pytest.raises(StorageError) as single:
+            Page.decode(bytes(plain[row]))
+        for decode in (decode_headers, PageWindow):
+            with pytest.raises(StorageError) as window:
+                decode(plain)
+            assert str(window.value) == str(single.value)
+
+    def test_truncated_rows_raise_what_page_decode_raises(self):
+        with pytest.raises(StorageError) as single:
+            Page.decode(bytes(HEADER_SIZE - 1))
+        with pytest.raises(StorageError) as window:
+            decode_headers(np.zeros((3, HEADER_SIZE - 1), np.uint8))
+        assert str(window.value) == str(single.value)
+
+    def test_encode_pages_validates_like_page_encode(self):
+        with pytest.raises(StorageError) as single:
+            Page(1, bytes(10)).encode(9)
+        with pytest.raises(StorageError) as window:
+            encode_pages([Page(0, b""), Page(1, bytes(10))], 9)
+        assert str(window.value) == str(single.value)
+        assert encode_pages([], 8).shape == (0, HEADER_SIZE + 8)
+
+    def test_pages_are_views_and_decoded_only_on_demand(self):
+        plain = encode_pages([Page(i, bytes([i]) * 3) for i in range(6)], 8)
+        window = PageWindow(plain)
+        assert len(window) == 6 and window._pages == {}
+        page = window[4]
+        assert isinstance(page.payload, memoryview) and page == Page(4, b"\4" * 3)
+        assert window[4] is page and set(window._pages) == {4}
+        plain[4, HEADER_SIZE] = 0xFF          # zero-copy: a view of the row
+        assert page.payload[0] == 0xFF
+        with pytest.raises(IndexError):
+            window[6]
+        with pytest.raises(IndexError):
+            window[6] = page
+
+    @settings(max_examples=40, deadline=None)
+    @given(pages=_pages.filter(len), data=st.data())
+    def test_untouched_rows_reseal_as_decode_then_encode(self, pages, data):
+        capacity = 24
+        plain = _matrix_of(pages, capacity)
+        before = [bytes(row) for row in plain]
+        window = PageWindow(plain)
+        replaced = data.draw(st.sets(st.integers(0, len(pages) - 1)))
+        for slot in replaced:
+            window[slot] = Page(slot, b"replaced")
+        out = window.plaintext(capacity)
+        assert out is plain                    # rewritten in place, no copy
+        for slot, row in enumerate(out):
+            if slot in replaced:
+                assert bytes(row) == Page(slot, b"replaced").encode(capacity)
+            else:
+                assert bytes(row) == before[slot] \
+                    == Page.decode(before[slot]).encode(capacity)
+
+    def test_displaced_pages_are_encoded_before_any_row_is_overwritten(self):
+        """The swap every request performs: the page of an early row moves
+        into a later slot (and back) while its own row is rewritten."""
+        capacity = 8
+        pages = [Page(i, bytes([0x10 + i]) * 8) for i in range(5)]
+        window = PageWindow(_matrix_of(pages, capacity))
+        early, late = window[1], window[4]
+        window[4] = early                       # block page -> later slot
+        window[1] = Page(99, b"evicted!")       # its own row is overwritten
+        window[0] = late                        # later page -> earlier slot
+        out = window.plaintext(capacity)
+        assert [Page.decode(bytes(row)) for row in out] == [
+            pages[4], Page(99, b"evicted!"), pages[2], pages[3], pages[1],
+        ]
+
+    def test_extend_appends_a_later_fetch(self):
+        capacity = 4
+        window = PageWindow(_matrix_of([Page(0, b"a"), Page(1, b"b")], capacity))
+        held = window[1]
+        window.extend(PageWindow(_matrix_of([Page(7, b"c")], capacity)))
+        window.extend(PageWindow(_matrix_of([Page(8, b"d")], capacity)))
+        assert len(window) == 4 and window[1] is held
+        assert [page.page_id for page in window] == [0, 1, 7, 8]
+        # A block page displaced into a later fetch's slot, and the reverse.
+        window[3], window[0] = window[0], window[3]
+        window[1] = Page(5, b"new")
+        out = window.plaintext(capacity)
+        assert out.shape == (4, HEADER_SIZE + capacity)
+        assert [Page.decode(bytes(row)) for row in out] == [
+            Page(8, b"d"), Page(5, b"new"), Page(7, b"c"), Page(0, b"a"),
+        ]
+        assert list(window) == [Page.decode(bytes(row)) for row in out]
+
+
 class TestTimingModel:
     def test_table2_read_time(self):
         model = DiskTimingModel()
@@ -112,7 +263,7 @@ class TestDiskStore:
         disk = self._disk()
         frames = [bytes([i]) * 8 for i in range(4)]
         disk.write_range(2, frames)
-        assert disk.read_range(2, 4) == frames
+        assert rows(disk.read_range(2, 4)) == frames
 
     def test_read_uninitialised(self):
         with pytest.raises(StorageError):
@@ -155,12 +306,12 @@ class TestDiskStore:
     def test_request_combined_calls_match_split_calls(self):
         disk = self._disk()
         disk.write_range(0, [bytes([i]) * 8 for i in range(16)])
-        frames, extra = disk.read_request(4, 3, 11)
-        assert frames == disk.read_range(4, 3)
+        *frames, extra = rows(disk.read_request(4, 3, 11))
+        assert frames == rows(disk.read_range(4, 3))
         assert extra == disk.read(11)
         disk.write_request(0, [bytes(8)] * 3, 9, b"y" * 8)
         assert disk.read(9) == b"y" * 8
-        assert disk.read_range(0, 3) == [bytes(8)] * 3
+        assert rows(disk.read_range(0, 3)) == [bytes(8)] * 3
 
     def test_peek_has_no_side_effects(self):
         disk = self._disk(timing=DiskTimingModel())

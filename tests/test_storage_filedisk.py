@@ -18,6 +18,8 @@ from repro.storage.filedisk import (
 from repro.storage.timing import DiskTimingModel
 from repro.storage.trace import READ
 
+from tests.helpers import rows
+
 
 class TestFileDiskStore:
     def _store(self, tmp_path, n=16, frame=8):
@@ -32,7 +34,7 @@ class TestFileDiskStore:
         with self._store(tmp_path) as disk:
             frames = [bytes([i]) * 8 for i in range(5)]
             disk.write_range(4, frames)
-            assert disk.read_range(4, 5) == frames
+            assert rows(disk.read_range(4, 5)) == frames
 
     def test_unwritten_location_rejected(self, tmp_path):
         with self._store(tmp_path) as disk:
@@ -83,7 +85,7 @@ class TestFileDiskStore:
     def test_request_combined_calls(self, tmp_path):
         with self._store(tmp_path) as disk:
             disk.write_range(0, [bytes([i]) * 8 for i in range(16)])
-            frames, extra = disk.read_request(0, 4, 9)
+            *frames, extra = rows(disk.read_request(0, 4, 9))
             assert frames == [bytes([i]) * 8 for i in range(4)]
             assert extra == bytes([9]) * 8
 
@@ -103,7 +105,7 @@ class TestSyncPolicyAndClose:
             path = str(tmp_path / f"{policy}.bin")
             with FileDiskStore(path, 4, 8, sync_policy=policy) as disk:
                 disk.write_range(0, [b"\xaa" * 8, b"\xbb" * 8])
-                assert disk.read_range(0, 2) == [b"\xaa" * 8, b"\xbb" * 8]
+                assert rows(disk.read_range(0, 2)) == [b"\xaa" * 8, b"\xbb" * 8]
 
     def test_sync_always_fsyncs_every_write(self, tmp_path, monkeypatch):
         synced = []

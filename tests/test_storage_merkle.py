@@ -10,6 +10,8 @@ from repro.errors import AuthenticationError, StorageError
 from repro.storage.disk import DiskStore
 from repro.storage.merkle import AuthenticatedDisk, MerkleTree
 
+from tests.helpers import rows
+
 
 class TestMerkleTree:
     def test_update_changes_root(self):
@@ -66,29 +68,29 @@ class TestAuthenticatedDisk:
         disk = self._disk()
         disk.write_range(0, [bytes([i]) * 8 for i in range(16)])
         assert disk.read(5) == bytes([5]) * 8
-        assert disk.read_range(2, 3) == [bytes([i]) * 8 for i in (2, 3, 4)]
+        assert rows(disk.read_range(2, 3)) == [bytes([i]) * 8 for i in (2, 3, 4)]
 
     def test_replay_attack_detected(self):
         disk = self._disk()
         disk.write(3, b"version1")
-        stale = disk._inner._frames[3]
+        stale = disk.peek(3)
         disk.write(3, b"version2")
         # Malicious server: put the old (validly MAC'd) frame back.
-        disk._inner._frames[3] = stale
+        disk.poke(3, stale)
         with pytest.raises(AuthenticationError, match="stale"):
             disk.read(3)
 
     def test_corruption_detected(self):
         disk = self._disk()
         disk.write(0, bytes(8))
-        disk._inner._frames[0] = b"\xff" * 8
+        disk.poke(0, b"\xff" * 8)
         with pytest.raises(AuthenticationError):
             disk.read_range(0, 1)
 
     def test_request_interface(self):
         disk = self._disk()
         disk.write_range(0, [bytes([i]) * 8 for i in range(16)])
-        frames, extra = disk.read_request(4, 3, 10)
+        *frames, extra = rows(disk.read_request(4, 3, 10))
         assert extra == bytes([10]) * 8
         disk.write_request(4, [b"new-one!"] * 3, 10, b"extra-10")
         assert disk.read(10) == b"extra-10"
@@ -113,10 +115,10 @@ class TestTwoPartyFreshness:
         )
         for page_id in range(40):
             assert session.query(page_id) == records[page_id]
-        stale = session.provider.disk._frames[0]
+        stale = session.provider.disk.peek(0)
         for _ in range(session.owner.params.scan_period):
             session.owner.engine.touch()
-        session.provider.disk._frames[0] = stale
+        session.provider.disk.poke(0, stale)
         with pytest.raises(AuthenticationError, match="stale"):
             for _ in range(session.owner.params.scan_period):
                 session.owner.engine.touch()
@@ -155,12 +157,12 @@ class TestEndToEnd:
             records, cache_capacity=4, block_size=4, page_capacity=16,
             seed=7, rollback_protection=True,
         )
-        stale = db.disk._inner._frames[0]
+        stale = db.disk.peek(0)
         # Several requests later the location has been rewritten...
         for _ in range(db.params.scan_period):
             db.touch()
         # ...the malicious server now rolls location 0 back.
-        db.disk._inner._frames[0] = stale
+        db.disk.poke(0, stale)
         with pytest.raises(AuthenticationError, match="stale"):
             for _ in range(db.params.scan_period):
                 db.touch()

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from tests.helpers import make_db
+from tests.helpers import make_db, rows
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry
 from repro.sim.clock import VirtualClock
@@ -77,7 +77,7 @@ class TestTieredBasics:
         tier.cold.write(1, frame_of(2))
         tier._hot.pop(1, None)
         frames = tier.read_range(0, 2)
-        assert frames == [frame_of(1), frame_of(2)]
+        assert rows(frames) == [frame_of(1), frame_of(2)]
         # One loc was missing: the whole range is charged as a cold miss.
         assert tier.counters.get("miss") == 2
 
