@@ -8,7 +8,7 @@ sequence-numbered logical replication stream:
 * :class:`ReplicationLog` — the *origin* side.  Every request the
   database serves emits one fixed-size record (``RPL1`` magic, encoded
   with the same :class:`~repro.core.journal.RecordCursor` idiom as the
-  RJN1/RJN2 intent records) that is sealed by the coprocessor under the
+  intent-record headers) that is sealed by the coprocessor under the
   replica-shared master key before the host ever sees it.  Reads emit
   ``noop`` *cover records* by default, so the stream length and record
   sizes reveal only the request count — which connection-level traffic

@@ -53,11 +53,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .journal import (
     FLAG_DELETED,
     FLAG_LIVE,
+    INTENT_MAGIC,
     MAP_CACHED,
     MAP_DISK,
     WriteIntent,
+    header_size,
+    window_of,
 )
 from .params import SystemParameters
+from ..crypto.suite import INTENT_OVERHEAD
 from ..errors import (
     AuthenticationError,
     CapacityError,
@@ -304,7 +308,7 @@ class RetrievalEngine:
             self.counters.increment("recovery.clean")
             return RecoveryReport("clean")
         try:
-            intent = WriteIntent.decode(self.cop.unseal_blob(blob))
+            intent = self._open_intent(blob)
         except (CryptoError, StorageError):
             # Torn or unauthentic record: the crash hit while the intent
             # itself was being written, so no write-back ever started and
@@ -338,6 +342,21 @@ class RetrievalEngine:
         self.disk.current_request = -1
         self.counters.increment("recovery.replayed")
         return RecoveryReport("replayed", intent.request_index)
+
+    def _open_intent(self, record) -> WriteIntent:
+        """Authenticate a journal record and decode it.
+
+        The record's length alone says which window size it was sealed
+        for; the tag is checked before anything is parsed, only the header
+        is decrypted, and the frames stay a matrix view of ``record``.
+        """
+        capacity = self.params.page_capacity
+        window = window_of(len(record) - INTENT_OVERHEAD,
+                           self.params.block_size, self.cop.frame_size,
+                           capacity)
+        return WriteIntent.decode(*self.cop.unseal_intent(
+            INTENT_MAGIC, record, header_size(window, capacity)
+        ))
 
     # -- the unified request: a round-robin window of one or more ops -----------
 
@@ -744,7 +763,11 @@ class RetrievalEngine:
         # Intend: make the post-state durable before applying it.
         if self.journal is not None:
             with tracer.span("journal.seal"):
-                self.journal.write(self.cop.seal_blob(intent.encode()))
+                self.journal.write(self.cop.seal_intent(
+                    INTENT_MAGIC,
+                    intent.encode(self.params.page_capacity),
+                    sealed,
+                ))
         # Apply: idempotent, replayable from the intent record.
         self._apply_intent(intent)
         if self.journal is not None:

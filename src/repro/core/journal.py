@@ -8,13 +8,10 @@ never written) and the privacy invariant (a repaired request would produce
 a trace no other request produces).
 
 The fix is the classical one: before mutating anything, the engine seals a
-single *intent record* — the complete post-state of the request (all k+1
-freshly encrypted frames with their locations, the pageMap delta, the cache
-delta, the advanced round-robin pointer) — into a journal slot.  The record
-is encrypted and MACd under the coprocessor's keys, so the host learns
-nothing from it (it already sees the same k+1 ciphertexts on the bus) and
-cannot forge or tear it undetectably.  Recovery is then a pure function of
-(journal, trusted state):
+single *intent record* — the complete post-state of the window (all k + B
+freshly encrypted frames, the pageMap delta, the cache delta, the advanced
+round-robin pointer) — into a journal slot.  Recovery is then a pure
+function of (journal, trusted state):
 
 * no record / unauthentic record → the write-back never began; the request
   rolls back to "never happened" (the round-robin pointer did not advance,
@@ -23,14 +20,49 @@ cannot forge or tear it undetectably.  Recovery is then a pure function of
   delta and rewrite every frame (all idempotent), then clear the journal;
 * valid record for an already-committed request → stale; clear it.
 
-The journal slot conceptually lives in the coprocessor's battery-backed
-NVRAM or on host storage next to the page array; either way it is one
-bounded, constant-size write per request whose size depends only on public
-parameters (k, B) — it leaks nothing the disk trace does not already leak.
+Record layout
+-------------
 
-:class:`MemoryJournal` models NVRAM for simulations; :class:`FileJournal`
-stores the record in a host file with atomic replace semantics for
-deployments and crash tests against real I/O.
+One layout for every window size B (B = 1 is a single request)::
+
+    RJN3 (4B) || nonce (12B) || E(header) || frames || tag (16B)
+
+``header`` is everything the host must not see — request index, pointers,
+the extra-frame locations, the cache / flag / map deltas — zero-padded to
+:func:`header_size`, its public maximum for a window of B ops (per op: two
+cache puts of ``page_capacity`` bytes, one flag op, three map ops).  It is
+the only part that is encrypted.  ``frames`` is the window's sealed frame
+matrix exactly as it goes to disk, block first.  ``tag`` is one HMAC, under
+a key derived for intent records alone, over everything before it
+(:meth:`SecureCoprocessor.seal_intent
+<repro.hardware.coprocessor.SecureCoprocessor.seal_intent>`).
+
+*Why the frames are associated data, not plaintext to encrypt again.*  They
+are ciphertext already: the kernel sealed them for the disk, and the host
+sees the same k + B frames cross the bus microseconds later.  Their
+confidentiality is the bus's; what the journal adds is integrity, and the
+one MAC over the whole record gives it — a torn record, a flipped byte
+anywhere, or an older validly-sealed frame swapped into the frame section
+all fail the tag and roll back.
+
+*Constant size.*  A record is ``32 + header_size(B, page_capacity) +
+(k + B) * frame_size`` bytes: a function of (k, frame size, page capacity,
+B) only — never of the op kind, the payload length or the cache state — so
+its length leaks nothing the disk trace does not already leak
+(``tests/test_crash_recovery.py::TestConstantSizeRecord`` drives every op
+kind, payload length and cache state through it).  The length is also the
+record's only framing: :func:`window_of` recovers B from it.
+
+*Upgrades.*  An unauthentic record — including one written by an older
+release, whose layout this one does not read — rolls back: drain (let the
+in-flight request commit, or run ``recover()``) before upgrading.  A record
+lives for one request and nothing is archived, so no old layout is kept.
+
+The journal slot conceptually lives in the coprocessor's battery-backed
+NVRAM or on host storage next to the page array.  :class:`MemoryJournal`
+models NVRAM for simulations; :class:`FileJournal` stores the record in a
+host file with atomic replace semantics for deployments and crash tests
+against real I/O.
 """
 
 from __future__ import annotations
@@ -48,6 +80,10 @@ from ..storage.timing import DiskTimingModel
 __all__ = [
     "RecordCursor",
     "WriteIntent",
+    "INTENT_MAGIC",
+    "header_size",
+    "units_in",
+    "window_of",
     "MemoryJournal",
     "FileJournal",
     "MAP_CACHED",
@@ -58,30 +94,71 @@ __all__ = [
 
 _U64 = struct.Struct(">Q")
 _U32 = struct.Struct(">I")
-_I64 = struct.Struct(">q")
 
-_MAGIC = b"RJN1"
-# Fused-window records (several extra frames committed with one block
-# write-back) use a second magic so single-extra records stay byte-identical
-# to the RJN1 layout — the journal blob's size is charged to the virtual
-# clock, so growing the single-extra encoding would shift every committed
-# perf baseline.
-_MAGIC_V2 = b"RJN2"
+INTENT_MAGIC = b"RJN3"
 
 MAP_CACHED = 0
 MAP_DISK = 1
 FLAG_LIVE = 1
 FLAG_DELETED = 2
 
+# Header sections: request index, next block, rotation countdown, block
+# start; then count-prefixed extras, cache puts, flag ops and map ops.
+_POINTERS = struct.Struct(">QQqQ")
+_PUT = struct.Struct(">QQBI")  # slot, page id, page flags, payload length
+_FLAG = struct.Struct(">QB")
+_MAP = struct.Struct(">QBQ")
+_HEADER_FIXED = _POINTERS.size + 4 * _U32.size
+_PUTS_PER_OP, _FLAGS_PER_OP, _MAPS_PER_OP = 2, 1, 3
+
+
+def _header_per_op(page_capacity: int) -> int:
+    return (_U64.size + _PUTS_PER_OP * (_PUT.size + page_capacity)
+            + _FLAGS_PER_OP * _FLAG.size + _MAPS_PER_OP * _MAP.size)
+
+
+def header_size(window: int, page_capacity: int) -> int:
+    """Bytes of every intent header for a window of ``window`` ops.
+
+    The public maximum: per op one extra location, two cache puts of a
+    full page, one flag op and three map ops.
+    """
+    return _HEADER_FIXED + window * _header_per_op(page_capacity)
+
+
+def units_in(length: int, fixed: int, per_unit: int, minimum: int = 0) -> int:
+    """How many ``per_unit``-byte units follow ``fixed`` bytes in ``length``.
+
+    A sealed record's length is its only framing: its sections are sized
+    by one public count (ops of a window, frames of a reshuffle batch),
+    recovered here.  A length no count explains is a torn record.
+    """
+    units, rest = divmod(length - fixed, per_unit)
+    if rest or units < minimum:
+        raise StorageError(f"no record of this kind is {length} bytes long")
+    return units
+
+
+def window_of(length: int, block_size: int, frame_size: int,
+              page_capacity: int) -> int:
+    """The window size whose header and frames total ``length`` bytes."""
+    return units_in(
+        length,
+        header_size(0, page_capacity) + block_size * frame_size,
+        _header_per_op(page_capacity) + frame_size,
+        minimum=1,
+    )
+
 
 class RecordCursor:
-    """Bounds-checked sequential reader over one sealed record blob.
+    """Bounds-checked sequential reader over one decrypted record.
 
-    The RJN1/RJN2 intent codec here and the RPL1 replication-record codec
-    (:mod:`repro.cluster.replication`) share this reader, so every
-    fixed-width field, flag byte, and length-prefixed payload decodes with
-    identical truncation behaviour: any read past the end of the blob
-    raises :class:`~repro.errors.StorageError` instead of a bare
+    The intent header codecs (here and in :mod:`repro.shuffle.online`) and
+    the RPL1 replication-record codec (:mod:`repro.cluster.replication`)
+    share this reader, so every fixed-width field, flag byte, and
+    length-prefixed payload decodes with identical truncation behaviour:
+    any read past the end of the blob raises
+    :class:`~repro.errors.StorageError` instead of a bare
     ``struct.error``/``IndexError``.
     """
 
@@ -89,13 +166,17 @@ class RecordCursor:
         self.blob = blob
         self.offset = offset
 
-    def take(self, fmt: struct.Struct) -> int:
+    def take_fields(self, fmt: struct.Struct) -> tuple:
+        """Every field of one packed ``fmt`` record."""
         try:
-            value = fmt.unpack_from(self.blob, self.offset)[0]
+            values = fmt.unpack_from(self.blob, self.offset)
         except struct.error as exc:
             raise StorageError(f"record is truncated: {exc}") from exc
         self.offset += fmt.size
-        return value
+        return values
+
+    def take(self, fmt: struct.Struct) -> int:
+        return self.take_fields(fmt)[0]
 
     def take_byte(self) -> int:
         if self.offset >= len(self.blob):
@@ -113,6 +194,11 @@ class RecordCursor:
 
     def expect_end(self, what: str) -> None:
         if self.offset != len(self.blob):
+            raise StorageError(f"trailing bytes in {what}")
+
+    def expect_padding(self, what: str) -> None:
+        """The rest of the blob must be the zero pad up to its public size."""
+        if any(self.blob[self.offset:]):
             raise StorageError(f"trailing bytes in {what}")
 
 
@@ -133,7 +219,8 @@ class WriteIntent:
     flag_ops: List[Tuple[int, int]] = field(default_factory=list)
     map_ops: List[Tuple[int, int, int]] = field(default_factory=list)
     # The k + B sealed frames, block first: the engine hands over the
-    # kernel's frame matrix as it is, a decoded record holds ``bytes`` rows.
+    # kernel's frame matrix as it is, a decoded record holds a read-only
+    # matrix view of the record it came in.
     frames: Sequence = field(default_factory=list)
     # A fused batch window commits one extra frame per executed operation;
     # ``None`` means the classic single-extra request (``extra_location``).
@@ -162,90 +249,69 @@ class WriteIntent:
 
     # -- codec ---------------------------------------------------------------
 
-    def encode(self) -> bytes:
-        if self.extra_locations is None:
-            extra_parts = [_U64.pack(self.extra_location)]
-            magic = _MAGIC
-        else:
-            extra_parts = [_U32.pack(len(self.extra_locations))]
-            extra_parts += [_U64.pack(loc) for loc in self.extra_locations]
-            magic = _MAGIC_V2
+    def encode(self, page_capacity: int) -> bytes:
+        """The record's header: every field but the frames.
+
+        Always :func:`header_size` bytes for this window size — what the
+        deltas do not fill is zero pad — so the sealed record's length
+        says nothing about what the window's ops did.
+        """
+        extras = self.extras()
         parts: List[bytes] = [
-            magic,
-            _U64.pack(self.request_index),
-            _U64.pack(self.next_block),
-            _I64.pack(self.rotation_left),
-            _U64.pack(self.block_start),
-        ] + extra_parts
+            _POINTERS.pack(self.request_index, self.next_block,
+                           self.rotation_left, self.block_start),
+            _U32.pack(len(extras)),
+        ]
+        parts += [_U64.pack(location) for location in extras]
         parts.append(_U32.pack(len(self.cache_puts)))
         for slot, page in self.cache_puts:
-            parts.append(_U64.pack(slot))
-            parts.append(_U64.pack(page.page_id))
-            parts.append(bytes([2 if page.deleted else 0]))
-            parts.append(_U32.pack(len(page.payload)))
+            parts.append(_PUT.pack(slot, page.page_id,
+                                   2 if page.deleted else 0,
+                                   len(page.payload)))
             parts.append(page.payload)
         parts.append(_U32.pack(len(self.flag_ops)))
-        for page_id, op in self.flag_ops:
-            parts.append(_U64.pack(page_id))
-            parts.append(bytes([op]))
+        parts += [_FLAG.pack(page_id, op) for page_id, op in self.flag_ops]
         parts.append(_U32.pack(len(self.map_ops)))
-        for page_id, kind, position in self.map_ops:
-            parts.append(_U64.pack(page_id))
-            parts.append(bytes([kind]))
-            parts.append(_U64.pack(position))
-        parts.append(_U32.pack(len(self.frames)))
-        for frame in self.frames:
-            parts.append(_U32.pack(len(frame)))
-            parts.append(frame)
-        return b"".join(parts)
+        parts += [_MAP.pack(*op) for op in self.map_ops]
+        header = b"".join(parts)
+        size = header_size(len(extras), page_capacity)
+        if len(header) > size:
+            raise StorageError(
+                f"intent header of {len(header)} bytes exceeds the {size}-byte "
+                f"bound for a window of {len(extras)}"
+            )
+        return header.ljust(size, b"\x00")
 
     @classmethod
-    def decode(cls, blob: bytes) -> "WriteIntent":
-        magic = bytes(blob[:4])
-        if magic not in (_MAGIC, _MAGIC_V2):
-            raise StorageError("intent record has a bad magic number")
-        cursor = RecordCursor(blob, offset=4)
-
-        request_index = cursor.take(_U64)
-        next_block = cursor.take(_U64)
-        rotation_left = cursor.take(_I64)
-        block_start = cursor.take(_U64)
-        if magic == _MAGIC:
-            extra_location = cursor.take(_U64)
-            extra_locations = None
-        else:
-            extra_locations = [
-                cursor.take(_U64) for _ in range(cursor.take(_U32))
-            ]
-            if not extra_locations:
-                raise StorageError("intent record carries no extras")
-            extra_location = extra_locations[0]
+    def decode(cls, header: bytes, frames: Sequence) -> "WriteIntent":
+        """Rebuild an intent from its decrypted header and its frames."""
+        cursor = RecordCursor(header)
+        request_index, next_block, rotation_left, block_start = (
+            cursor.take_fields(_POINTERS)
+        )
+        extra_locations = [cursor.take(_U64) for _ in range(cursor.take(_U32))]
+        if not extra_locations:
+            raise StorageError("intent record carries no extras")
         intent = cls(
             request_index=request_index,
             next_block=next_block,
             rotation_left=rotation_left,
             block_start=block_start,
-            extra_location=extra_location,
+            extra_location=extra_locations[0],
             extra_locations=extra_locations,
+            frames=frames,
         )
         for _ in range(cursor.take(_U32)):
-            slot = cursor.take(_U64)
-            page_id = cursor.take(_U64)
-            flags = cursor.take_byte()
-            payload = cursor.take_bytes(cursor.take(_U32))
+            slot, page_id, flags, length = cursor.take_fields(_PUT)
             intent.cache_puts.append(
-                (slot, Page(page_id, payload, deleted=bool(flags & 2)))
+                (slot, Page(page_id, cursor.take_bytes(length),
+                            deleted=bool(flags & 2)))
             )
         for _ in range(cursor.take(_U32)):
-            page_id = cursor.take(_U64)
-            intent.flag_ops.append((page_id, cursor.take_byte()))
+            intent.flag_ops.append(cursor.take_fields(_FLAG))
         for _ in range(cursor.take(_U32)):
-            page_id = cursor.take(_U64)
-            kind = cursor.take_byte()
-            intent.map_ops.append((page_id, kind, cursor.take(_U64)))
-        for _ in range(cursor.take(_U32)):
-            intent.frames.append(cursor.take_bytes(cursor.take(_U32)))
-        cursor.expect_end("intent record")
+            intent.map_ops.append(cursor.take_fields(_MAP))
+        cursor.expect_padding("intent record")
         return intent
 
 

@@ -61,6 +61,21 @@ same kernel over zero-padded rows, cut back into ``bytes``:
 * the XOR is one ``numpy.bitwise_xor`` — written straight into the
   ciphertext columns of the output frame matrix on encrypt, and the
   plaintext matrix itself on decrypt.
+
+Intent records
+--------------
+
+A write-ahead intent record (:mod:`repro.core.journal`) carries a small
+secret header and the window's frames, which the kernel sealed a moment
+earlier and the host sees on the bus anyway.  :meth:`CipherSuite.seal_intent`
+therefore encrypts only the header and carries the frames as they are —
+associated data — under one MAC over the whole record:
+
+``record = magic (4B) || nonce (12B) || E(header) || frames || tag (16B)``
+
+The tag is HMAC-SHA256 under its *own* derived key, so a record never
+authenticates as a frame (or as anything else sealed with
+:meth:`~CipherSuite.encrypt_page`) and no frame authenticates as a record.
 """
 
 from __future__ import annotations
@@ -80,9 +95,12 @@ from .rng import SecureRandom
 from ..errors import AuthenticationError, CryptoError
 from ..obs.tracer import NULL_TRACER, Tracer
 
-__all__ = ["CipherSuite", "FRAME_OVERHEAD", "BACKENDS"]
+__all__ = ["CipherSuite", "FRAME_OVERHEAD", "INTENT_OVERHEAD", "BACKENDS"]
 
 FRAME_OVERHEAD = NONCE_SIZE + TAG_SIZE
+_MAGIC_SIZE = 4
+#: Bytes an intent record adds to its header and frames.
+INTENT_OVERHEAD = _MAGIC_SIZE + NONCE_SIZE + TAG_SIZE
 BACKENDS = ("aes", "shake", "null", "pure")
 # The frozen BENCH harness (benchmarks/e2e/workloads.py) still passes the
 # retired BLAKE2b-counter backend's name; ROADMAP item 2b re-pins it and
@@ -100,6 +118,30 @@ def _matrix(rows: Sequence, width: int) -> np.ndarray:
     """
     joined = b"".join([bytes(row).ljust(width, b"\x00") for row in rows])
     return np.frombuffer(joined, np.uint8).reshape(len(rows), width)
+
+
+def _tagger(key: bytes, pure: bool):
+    """``data -> HMAC-SHA256(key, data)[:TAG_SIZE]`` for bytes-like ``data``.
+
+    The pure backend authenticates with the repository's own SHA-256 so
+    the whole chain is hashlib-free; the others use hashlib with the
+    key-pad states hashed once here and copied per tag.  Both produce the
+    same bytes as mac.hmac_sha256.
+    """
+    if pure:
+        return lambda data: pure_hmac_sha256(key, bytes(data))[:TAG_SIZE]
+    padded = key.ljust(_HMAC_BLOCK, b"\x00")
+    inner_pad = hashlib.sha256(bytes(b ^ 0x36 for b in padded))
+    outer_pad = hashlib.sha256(bytes(b ^ 0x5C for b in padded))
+
+    def tag(data) -> bytes:
+        inner = inner_pad.copy()
+        inner.update(data)
+        outer = outer_pad.copy()
+        outer.update(inner.digest())
+        return outer.digest()[:TAG_SIZE]
+
+    return tag
 
 
 def _nonce_rows(blob: bytes) -> List[bytes]:
@@ -153,16 +195,13 @@ class CipherSuite:
         self._shake_base = (
             hashlib.shake_256(self._enc_key) if backend == "shake" else None
         )
-        # The pure backend authenticates with the repository's own SHA-256
-        # so the whole chain is hashlib-free; other backends use hashlib
-        # HMAC-SHA256 with the key-pad states hashed once and copied per
-        # tag.  Both produce the same bytes as mac.hmac_sha256.
-        if backend == "pure":
-            self._inner_pad = self._outer_pad = None
-        else:
-            padded = self._mac_key.ljust(_HMAC_BLOCK, b"\x00")
-            self._inner_pad = hashlib.sha256(bytes(b ^ 0x36 for b in padded))
-            self._outer_pad = hashlib.sha256(bytes(b ^ 0x5C for b in padded))
+        # Frames and intent records are tagged under separate derived
+        # keys, so neither ever authenticates as the other.
+        self._tag = _tagger(self._mac_key, backend == "pure")
+        self._intent_tag = _tagger(
+            derive_key(master_key, "intent-authentication", 32),
+            backend == "pure",
+        )
 
     # -- keystream ------------------------------------------------------------
 
@@ -197,18 +236,6 @@ class CipherSuite:
             row.update(nonce)
             rows.append(row.digest(width))
         return np.frombuffer(b"".join(rows), np.uint8).reshape(count, width)
-
-    # -- authentication -------------------------------------------------------
-
-    def _tag(self, data) -> bytes:
-        """Truncated HMAC-SHA256 of bytes-like ``data``, from the precomputed pads."""
-        if self._inner_pad is None:
-            return pure_hmac_sha256(self._mac_key, bytes(data))[:TAG_SIZE]
-        inner = self._inner_pad.copy()
-        inner.update(data)
-        outer = self._outer_pad.copy()
-        outer.update(inner.digest())
-        return outer.digest()[:TAG_SIZE]
 
     # -- frames ---------------------------------------------------------------
     #
@@ -378,6 +405,56 @@ class CipherSuite:
                     _nonce_rows(frames[:, :NONCE_SIZE].tobytes()), body
                 ),
             )
+
+    # -- intent records -------------------------------------------------------
+
+    def seal_intent(self, magic: bytes, header: bytes, frames: np.ndarray) -> bytearray:
+        """``magic || nonce || E(header) || frames || tag`` in one buffer.
+
+        ``frames`` (a C-contiguous ``numpy.uint8`` matrix of already sealed
+        frames) is copied in as it is; only ``header`` is encrypted, under
+        one fresh nonce, and the tag covers everything before it.
+        """
+        head = _MAGIC_SIZE + NONCE_SIZE
+        body = head + len(header)
+        record = bytearray(body + frames.size + TAG_SIZE)
+        with self.tracer.fine_span("crypto.seal_intent", nbytes=len(record)):
+            nonce = self._rng.token(NONCE_SIZE)
+            view = memoryview(record)
+            view[:_MAGIC_SIZE] = magic
+            view[_MAGIC_SIZE:head] = nonce
+            np.bitwise_xor(
+                np.frombuffer(header, np.uint8),
+                self._keystream_matrix((nonce,), len(header))[0],
+                out=np.frombuffer(view[head:body], np.uint8),
+            )
+            view[body:-TAG_SIZE] = memoryview(frames.reshape(-1))
+            view[-TAG_SIZE:] = self._intent_tag(view[:-TAG_SIZE])
+        return record
+
+    def open_intent(self, magic: bytes, record, header_size: int):
+        """Authenticate ``record`` and return ``(header, frame bytes)``.
+
+        The tag is checked before anything else is looked at; only the
+        ``header_size`` header bytes are decrypted.  The frame section comes
+        back as a flat read-only ``numpy.uint8`` view of ``record``.
+        """
+        view = memoryview(record)
+        head = _MAGIC_SIZE + NONCE_SIZE
+        body = head + header_size
+        if len(view) < body + TAG_SIZE or view[:_MAGIC_SIZE] != magic:
+            raise AuthenticationError("not an intent record of this kind")
+        if not compare_digest(
+            self._intent_tag(view[:-TAG_SIZE]), view[-TAG_SIZE:]
+        ):
+            raise AuthenticationError("intent record failed MAC verification")
+        header = np.bitwise_xor(
+            np.frombuffer(view[head:body], np.uint8),
+            self._keystream_matrix(
+                (bytes(view[_MAGIC_SIZE:head]),), header_size
+            )[0],
+        ).tobytes()
+        return header, np.frombuffer(view[body:-TAG_SIZE], np.uint8)
 
     def frame_size(self, payload_size: int) -> int:
         """Size in bytes of an encrypted frame for a payload of ``payload_size``."""

@@ -259,8 +259,37 @@ class SecureCoprocessor:
                 plain[current] = self.suite.decrypt_pages(frames[current])
         return PageWindow(plain)
 
+    def seal_intent(self, magic: bytes, header: bytes, frames) -> bytearray:
+        """Seal one write-ahead intent record (:mod:`repro.core.journal`).
+
+        Only ``header`` — the trusted-state delta — is encrypted; ``frames``
+        are the window's sealed frames exactly as they go to disk, carried
+        as they are under the record's one MAC
+        (:meth:`CipherSuite.seal_intent <repro.crypto.suite.CipherSuite.seal_intent>`).
+        """
+        return self.suite.seal_intent(
+            magic, header, frame_matrix(frames, self.frame_size)
+        )
+
+    def unseal_intent(self, magic: bytes, record, header_size: int):
+        """Authenticate a record sealed by :meth:`seal_intent`.
+
+        Returns ``(header, frames)``: the decrypted header and the frame
+        section as a read-only matrix view of ``record``.  Accepts the
+        legacy key during a rotation, like :meth:`unseal`.
+        """
+        try:
+            header, body = self.suite.open_intent(magic, record, header_size)
+        except AuthenticationError:
+            if self._legacy_suite is None:
+                raise
+            header, body = self._legacy_suite.open_intent(
+                magic, record, header_size
+            )
+        return header, body.reshape(-1, self.frame_size)
+
     def seal_blob(self, data: bytes) -> bytes:
-        """Encrypt + MAC an arbitrary trusted blob (e.g. an intent record)."""
+        """Encrypt + MAC an arbitrary trusted blob (e.g. a snapshot section)."""
         return self.suite.encrypt_page(data)
 
     def unseal_blob(self, blob: bytes) -> bytes:

@@ -46,12 +46,12 @@ import itertools
 import struct
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .oblivious import batcher_network, network_size
-from ..core.journal import RecordCursor
+from ..core.journal import RecordCursor, units_in
+from ..crypto.suite import INTENT_OVERHEAD
 from ..errors import (
-    AuthenticationError,
     ConfigurationError,
     CryptoError,
     RecoveryError,
@@ -60,13 +60,14 @@ from ..errors import (
 )
 from ..obs.tracer import NULL_TRACER
 from ..sim.metrics import CounterSet
+from ..storage.frames import frame_matrix
 
 __all__ = ["OnlineReshuffler", "ReshuffleIntent", "TAG_KEY_SIZE"]
 
 _U64 = struct.Struct(">Q")
 _U32 = struct.Struct(">I")
 
-_INTENT_MAGIC = b"RSH1"
+_INTENT_MAGIC = b"RSH2"
 _STATE_MAGIC = b"RSS1"
 
 TAG_KEY_SIZE = 32
@@ -90,57 +91,55 @@ def _tag(epoch_key: bytes, page_id: int) -> bytes:
     ).digest()
 
 
+# Header: epoch and frontiers, then per frame its location and one
+# (page id, location) map op.
+_FRONTIER = struct.Struct(">QQQ")
+_MAP_OP = struct.Struct(">QQ")
+_HEADER_PER_FRAME = _U64.size + _MAP_OP.size
+
+
 @dataclass
 class ReshuffleIntent:
-    """Redo record for one comparator (or sweep) batch; absolute values only."""
+    """Redo record for one comparator (or sweep) batch; absolute values only.
+
+    Sealed like the engine's intent record (:mod:`repro.core.journal`): the
+    header — frontier advance and page-map delta — is encrypted, the
+    rewritten frames ride as they go to disk, one MAC covers both, and the
+    record's length is a function of the batch's public frame count alone.
+    """
 
     epoch: int
     frontier_before: int
     frontier_after: int
     locations: List[int] = field(default_factory=list)
-    frames: List[bytes] = field(default_factory=list)
+    # One sealed frame per location: a list of ``bytes`` as computed, a
+    # read-only matrix view of the record when decoded.
+    frames: Sequence = field(default_factory=list)
     map_ops: List[Tuple[int, int]] = field(default_factory=list)
 
     def encode(self) -> bytes:
-        parts: List[bytes] = [
-            _INTENT_MAGIC,
-            _U64.pack(self.epoch),
-            _U64.pack(self.frontier_before),
-            _U64.pack(self.frontier_after),
-            _U32.pack(len(self.locations)),
-        ]
+        """The record's header: every field but the frames."""
+        if not len(self.locations) == len(self.map_ops) == len(self.frames):
+            raise StorageError("reshuffle record frame/location mismatch")
+        parts = [_FRONTIER.pack(self.epoch, self.frontier_before,
+                                self.frontier_after)]
         parts += [_U64.pack(location) for location in self.locations]
-        parts.append(_U32.pack(len(self.map_ops)))
-        for page_id, location in self.map_ops:
-            parts.append(_U64.pack(page_id))
-            parts.append(_U64.pack(location))
-        parts.append(_U32.pack(len(self.frames)))
-        for frame in self.frames:
-            parts.append(_U32.pack(len(frame)))
-            parts.append(frame)
+        parts += [_MAP_OP.pack(*op) for op in self.map_ops]
         return b"".join(parts)
 
     @classmethod
-    def decode(cls, blob: bytes) -> "ReshuffleIntent":
-        if bytes(blob[:4]) != _INTENT_MAGIC:
-            raise StorageError("reshuffle record has a bad magic number")
-        cursor = RecordCursor(blob, offset=4)
+    def decode(cls, header: bytes, frames: Sequence) -> "ReshuffleIntent":
+        """Rebuild an intent from its decrypted header and its frames."""
+        cursor = RecordCursor(header)
+        epoch, before, after = cursor.take_fields(_FRONTIER)
+        count = len(frames)
         intent = cls(
-            epoch=cursor.take(_U64),
-            frontier_before=cursor.take(_U64),
-            frontier_after=cursor.take(_U64),
+            epoch=epoch, frontier_before=before, frontier_after=after,
+            locations=[cursor.take(_U64) for _ in range(count)],
+            frames=frames,
+            map_ops=[cursor.take_fields(_MAP_OP) for _ in range(count)],
         )
-        intent.locations = [
-            cursor.take(_U64) for _ in range(cursor.take(_U32))
-        ]
-        for _ in range(cursor.take(_U32)):
-            page_id = cursor.take(_U64)
-            intent.map_ops.append((page_id, cursor.take(_U64)))
-        for _ in range(cursor.take(_U32)):
-            intent.frames.append(cursor.take_bytes(cursor.take(_U32)))
         cursor.expect_end("reshuffle record")
-        if len(intent.frames) != len(intent.locations):
-            raise StorageError("reshuffle record frame/location mismatch")
         return intent
 
 
@@ -359,9 +358,7 @@ class OnlineReshuffler:
             with self.tracer.span("reshuffle.batch"):
                 intent = self._compute_batch(start, units)
                 if self.journal is not None:
-                    self.journal.write(self._suite.encrypt_page(
-                        intent.encode()
-                    ))
+                    self.journal.write(self._seal_record(intent))
                 self._apply(intent)
                 if self.journal is not None:
                     self.journal.clear()
@@ -539,7 +536,7 @@ class OnlineReshuffler:
                 self._pending = None
                 return "clean"
             try:
-                intent = ReshuffleIntent.decode(self._unseal_record(blob))
+                intent = self._open_record(blob)
             except (CryptoError, StorageError):
                 # Torn or unauthentic: the crash hit while the record was
                 # being written, so the batch never applied anything.
@@ -584,15 +581,25 @@ class OnlineReshuffler:
             self.counters.increment("recovery.replayed")
             return "replayed"
 
-    def _unseal_record(self, blob: bytes) -> bytes:
-        if self._suite is not None:
-            try:
-                return self._suite.decrypt_page(blob)
-            except AuthenticationError:
-                pass
-        # Same master key, different suite object (e.g. after a restore):
-        # the coprocessor's blob path verifies under current-or-legacy keys.
-        return self.cop.unseal_blob(blob)
+    def _seal_record(self, intent: ReshuffleIntent) -> bytearray:
+        """``intent`` as one journal record, sealed by the epoch's suite."""
+        return self._suite.seal_intent(
+            _INTENT_MAGIC, intent.encode(),
+            frame_matrix(intent.frames, self.cop.frame_size),
+        )
+
+    def _open_record(self, record) -> ReshuffleIntent:
+        """Authenticate and decode a journal record.
+
+        Through the coprocessor, not the epoch's suite: the keys are the
+        same, and it also accepts the legacy key during a rotation.  The
+        record's length alone says how many frames it carries.
+        """
+        count = units_in(len(record), INTENT_OVERHEAD + _FRONTIER.size,
+                         _HEADER_PER_FRAME + self.cop.frame_size)
+        return ReshuffleIntent.decode(*self.cop.unseal_intent(
+            _INTENT_MAGIC, record, _FRONTIER.size + count * _HEADER_PER_FRAME
+        ))
 
     # -- snapshot integration --------------------------------------------------
 

@@ -23,6 +23,13 @@ changes (promotions and evictions) are appended to a small journal file so
 a restart can re-warm the hot set from the cold store instead of starting
 cold.
 
+Layout: the hot frames are the rows of one ``capacity x frame_size`` arena;
+an ``OrderedDict`` maps each resident location to its row and *is* the LRU
+order.  A range is handled as a range — one pass over its locations that
+only moves dictionary entries, then one copy of the rows between the
+caller's matrix and the arena, one counter increment per kind and one
+membership-journal write per call.
+
 Counters (``tier.`` prefix): ``hit``/``miss`` count frames served from the
 hot/cold tier, ``promote``/``evict`` count membership changes.
 """
@@ -32,11 +39,12 @@ from __future__ import annotations
 import os
 import struct
 from collections import OrderedDict
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
 from .disk import DiskStore
+from .frames import frame_matrix
 from .timing import DiskTimingModel
 from .trace import READ, WRITE, AccessEvent
 from ..errors import ConfigurationError
@@ -96,7 +104,15 @@ class TieredDiskStore:
         self.hot_capacity = hot_capacity
         self.hot_timing = hot_timing if hot_timing is not None else MEMORY_TIER_TIMING
         self.counters = CounterSet(registry=metrics, prefix="tier.")
-        self._hot: "OrderedDict[int, bytes]" = OrderedDict()
+        # Resident location -> arena row, least recently used first.  No
+        # more rows than the cold store has locations can ever be in use.
+        # Over a bytearray for the reason DiskStore._new_arena gives.
+        rows = min(hot_capacity, cold.num_locations)
+        self._slots: "OrderedDict[int, int]" = OrderedDict()
+        self._free = list(range(rows - 1, -1, -1))
+        self._arena = np.frombuffer(
+            bytearray(rows * cold.frame_size), np.uint8
+        ).reshape(rows, cold.frame_size)
         self._journal_path = journal_path
         self._journal_file = None
         self._journal_records = 0
@@ -146,7 +162,31 @@ class TieredDiskStore:
     @property
     def hot_frames(self) -> int:
         """Frames currently resident in the hot tier."""
-        return len(self._hot)
+        return len(self._slots)
+
+    def resident(self) -> List[int]:
+        """The resident locations, least recently used first."""
+        return list(self._slots)
+
+    def hot_frame(self, location: int) -> Optional[bytes]:
+        """The hot copy of ``location``'s frame, or None if it is not
+        resident; recency is not touched."""
+        slot = self._slots.get(location)
+        return None if slot is None else self._arena[slot].tobytes()
+
+    def drop_hot(self, location: Optional[int] = None) -> None:
+        """Forget one hot copy, or all of them (the cold store keeps every
+        frame); counted and journalled as evictions."""
+        victims = list(self._slots) if location is None else (
+            [location] if location in self._slots else []
+        )
+        if not victims:
+            return
+        for victim in victims:
+            self._free.append(self._slots.pop(victim))
+        self.counters.increment("evict", len(victims))
+        if self._journal_file is not None:
+            self._journal([_REC.pack(_OP_EVICT, victim) for victim in victims])
 
     def hit_rate(self) -> float:
         """Fraction of read frames served from the hot tier so far."""
@@ -172,54 +212,88 @@ class TieredDiskStore:
                 members.pop(location, None)
             # Unknown ops are skipped: the journal is advisory warmth, so
             # a future format extension must not brick old readers.
-        for location in members:
-            frame = self.cold.peek(location)
-            if frame is not None:
-                self._hot[location] = frame
-        while len(self._hot) > self.hot_capacity:
-            self._hot.popitem(last=False)
+        # The last hot_capacity members that still hold a frame survive.
+        frames = [(loc, self.cold.peek(loc)) for loc in members]
+        frames = [(loc, frame) for loc, frame in frames if frame is not None]
+        for location, frame in frames[-self.hot_capacity:]:
+            slot = self._slots[location] = self._free.pop()
+            self._arena[slot] = np.frombuffer(frame, np.uint8)
         # Rewrite compactly: the replayed history collapses to one promote
         # per surviving member, which also drops any torn tail on disk.
-        with open(path, "wb") as handle:
-            for location in self._hot:
-                handle.write(_REC.pack(_OP_PROMOTE, location))
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._journal_records = len(self._hot)
+        self._compact_journal(sync=True)
 
-    def _journal(self, op: int, location: int) -> None:
-        if self._journal_file is None:
-            return
-        self._journal_file.write(_REC.pack(op, location))
-        self._journal_records += 1
+    def _compact_journal(self, sync: bool = False) -> None:
+        with open(self._journal_path, "wb") as handle:
+            handle.write(b"".join(
+                [_REC.pack(_OP_PROMOTE, member) for member in self._slots]
+            ))
+            if sync:
+                handle.flush()
+                os.fsync(handle.fileno())
+        self._journal_records = len(self._slots)
+
+    def _journal(self, records: List[bytes]) -> None:
+        """Append one call's packed membership records, in order."""
+        self._journal_file.write(b"".join(records))
+        self._journal_records += len(records)
         # Compact once the log is dominated by dead churn; the live state
         # is at most hot_capacity promotes.
         if self._journal_records > max(64, 8 * self.hot_capacity):
             self._journal_file.flush()
             self._journal_file.close()
-            with open(self._journal_path, "wb") as handle:
-                for member in self._hot:
-                    handle.write(_REC.pack(_OP_PROMOTE, member))
+            self._compact_journal()
             self._journal_file = open(self._journal_path, "ab")
-            self._journal_records = len(self._hot)
 
     # -- tier maintenance ------------------------------------------------------
 
-    def _promote(self, location: int, frame) -> None:
-        # The tier retains the frame, so it copies it: a kept matrix row
-        # would pin the whole window it was read or written in.
-        frame = bytes(frame)
-        if location in self._hot:
-            self._hot[location] = frame
-            self._hot.move_to_end(location)
-            return
-        self._hot[location] = frame
-        self.counters.increment("promote")
-        self._journal(_OP_PROMOTE, location)
-        while len(self._hot) > self.hot_capacity:
-            victim, _ = self._hot.popitem(last=False)
-            self.counters.increment("evict")
-            self._journal(_OP_EVICT, victim)
+    def _admit(self, location: int, frames: np.ndarray) -> None:
+        """Make ``frames`` the hot copies of the range from ``location`` on.
+
+        The same LRU decisions, in the same order, as touching the range
+        frame by frame: a resident location moves to the most-recent end, a
+        new one takes a free row or else the least recent resident's.  The
+        loop only moves dictionary entries; the bytes follow in one copy
+        out of the caller's matrix, of which the tier keeps no view.
+        """
+        slots = self._slots
+        free = self._free
+        capacity = len(self._arena)
+        records = [] if self._journal_file is not None else None
+        promoted = evicted = 0
+        # A location this call admits can only be evicted by it again
+        # `capacity` rows later, so within a chunk of that many rows every
+        # location ends up resident in an arena row of its own.
+        for start in range(0, len(frames), capacity):
+            chunk = frames[start : start + capacity]
+            first = location + start
+            rows = []
+            for loc in range(first, first + len(chunk)):
+                slot = slots.get(loc)
+                if slot is not None:
+                    slots.move_to_end(loc)
+                else:
+                    promoted += 1
+                    if records is not None:
+                        records.append(_REC.pack(_OP_PROMOTE, loc))
+                    if free:
+                        slot = free.pop()
+                    else:
+                        victim, slot = slots.popitem(last=False)
+                        evicted += 1
+                        if records is not None:
+                            records.append(_REC.pack(_OP_EVICT, victim))
+                    slots[loc] = slot
+                rows.append(slot)
+            if len(rows) == 1:
+                self._arena[rows[0]] = chunk[0]
+            else:
+                self._arena[rows] = chunk
+        if promoted:
+            self.counters.increment("promote", promoted)
+        if evicted:
+            self.counters.increment("evict", evicted)
+        if records:
+            self._journal(records)
 
     # -- access ----------------------------------------------------------------
 
@@ -227,30 +301,35 @@ class TieredDiskStore:
         return self.read_range(location, 1).tobytes()
 
     def read_range(self, location: int, count: int) -> np.ndarray:
+        slots = self._slots
         span = range(location, location + count)
-        if all(loc in self._hot for loc in span):
-            # Hot hit: same trace event, memory-tier timing.
-            self.cold._check_range(location, count)
-            nbytes = count * self.frame_size
-            with self.tracer.span("tier.hot_read", nbytes=nbytes):
-                self.clock.advance(self.hot_timing.read_time(nbytes))
-                # Joined into a buffer of the caller's own, like a cold read.
-                frames = np.frombuffer(
-                    bytearray().join([self._hot[loc] for loc in span]),
-                    np.uint8,
-                ).reshape(count, self.frame_size)
-                for loc in span:
-                    self._hot.move_to_end(loc)
-                self.trace.record(
-                    AccessEvent(READ, location, count, self.current_request,
-                                self.clock.now)
-                )
-            self.counters.increment("hit", count)
+        try:
+            rows = [slots[loc] for loc in span]
+        except KeyError:
+            # Some frame is cold: the whole range is one cold access.
+            frames = self.cold.read_range(location, count)
+            self.counters.increment("miss", count)
+            self._admit(location, frames)
             return frames
-        frames = self.cold.read_range(location, count)
-        self.counters.increment("miss", count)
-        for loc, frame in zip(span, frames):
-            self._promote(loc, frame)
+        # Hot hit: same trace event, memory-tier timing.
+        self.cold._check_range(location, count)
+        nbytes = count * self.frame_size
+        with self.tracer.span("tier.hot_read", nbytes=nbytes):
+            self.clock.advance(self.hot_timing.read_time(nbytes))
+            # A copy the caller owns, like a cold read.  (A one-row slice
+            # copy costs a quarter of a one-row fancy index, and the
+            # reshuffler reads single frames.)
+            if count == 1:
+                frames = self._arena[rows[0] : rows[0] + 1].copy()
+            else:
+                frames = self._arena[rows]
+            for loc in span:
+                slots.move_to_end(loc)
+            self.trace.record(
+                AccessEvent(READ, location, count, self.current_request,
+                            self.clock.now)
+            )
+        self.counters.increment("hit", count)
         return frames
 
     def write(self, location: int, frame) -> None:
@@ -259,9 +338,9 @@ class TieredDiskStore:
     def write_range(self, location: int, frames) -> None:
         # Write-through: cold first (authoritative, charges + traces), then
         # refresh the hot copies so subsequent reads hit.
+        frames = frame_matrix(frames, self.frame_size)
         self.cold.write_range(location, frames)
-        for offset, frame in enumerate(frames):
-            self._promote(location + offset, frame)
+        self._admit(location, frames)
 
     # -- request-granular access -------------------------------------------------
 
@@ -288,8 +367,9 @@ class TieredDiskStore:
         # Tampering reaches whichever copy the next read would be served
         # from: the cold store, and the hot copy if there is one.
         self.cold.poke(location, frame)
-        if location in self._hot:
-            self._hot[location] = bytes(frame)
+        slot = self._slots.get(location)
+        if slot is not None:
+            self._arena[slot] = np.frombuffer(frame, np.uint8)
 
     def initialised_locations(self) -> int:
         return self.cold.initialised_locations()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro import PirDatabase
 from repro.baselines import make_records
+from repro.core.journal import MemoryJournal
 
 
 def make_db(
@@ -28,3 +29,15 @@ def make_db(
 def rows(frames) -> list:
     """A frame matrix (what a range read returns) as a list of ``bytes`` rows."""
     return [bytes(row) for row in frames]
+
+
+class RecordingJournal(MemoryJournal):
+    """Keeps every sealed record written to it, in ``blobs``."""
+
+    def __init__(self):
+        super().__init__()
+        self.blobs = []
+
+    def write(self, blob):
+        self.blobs.append(bytes(blob))
+        super().write(blob)

@@ -126,7 +126,9 @@ MIXED_OPS = [
 # Generated at the parent of the commit that deleted the serial engine path
 # (`_execute_request`), by running the two scenarios below through its
 # per-op methods.  They never change: a window of one must keep
-# reproducing the serial path's bytes.
+# reproducing the serial path's bytes.  (The two "journal" digests alone
+# were re-recorded when the intent record became header + frames under one
+# MAC; the frames inside it, like every other digest here, did not move.)
 
 
 class RecordingJournal(MemoryJournal):
@@ -220,7 +222,7 @@ def golden_scenario_rotation(run=run_per_op):
 GOLDEN_JOURNALED = {
     "replies": "fbe02e809ceccf57d7e74bbb232d7267c0d5baf5af018e2cdac7cc7c68c38bbb",
     "frames": "d06c9a00a526a8fe7a692a8ecd717652547b7b0890ea55eae364409d4d2db825",
-    "journal": "0a80b23c7f3681a0227b281a4a0f7582d92122280cd2938db546908276fb79b4",
+    "journal": "4daf0c786e4aaf6031ad6c8bbe9986388ad9f383e5898d40b119559a18724526",
     "journal_records": 225,
     "trace": "3809653a83b472834fd66124d02a0e9cd4baa7697d8995508ec46ece11750bc3",
     "requests": 225,
@@ -229,7 +231,7 @@ GOLDEN_JOURNALED = {
 GOLDEN_ROTATION = {
     "replies": "f5afc3fe03bc24df1b0dd2aa73202ba46bf5bc62ba4cf8005cc7577817517560",
     "frames": "6bb6139add2607d76be73d665c3819096313257442efc84cfc569401343420cc",
-    "journal": "8a918c1d1cb9d83c5ccef7e362e1be610599007e8cb731f528d1568fef717328",
+    "journal": "03a92e844cd5cc170e9df08b31c6006874cadbef2f91e9cdb4a904e1aabcddbc",
     "journal_records": 40,
     "trace": "cf14df5c2eb677f5997f5b90b785586c9f1a9af219bdc59abc2d3101067e8761",
     "requests": 40,

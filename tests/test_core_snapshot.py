@@ -296,7 +296,7 @@ class TestReshuffleSidecar:
         intent = ReshuffleIntent(epoch=driver.epoch,
                                  frontier_before=driver.frontier,
                                  frontier_after=driver.frontier + 8)
-        driver.journal.write(driver._suite.encrypt_page(intent.encode()))
+        driver.journal.write(driver._seal_record(intent))
         with pytest.raises(ConfigurationError, match="reshuffle"):
             save_snapshot(warm_db, str(tmp_path))
         driver.recover()

@@ -13,18 +13,24 @@ from __future__ import annotations
 import os
 import stat
 
+import numpy as np
 import pytest
 
+from repro.core.engine import BatchOp
 from repro.core.journal import (
     FLAG_DELETED,
+    INTENT_MAGIC,
     MAP_DISK,
     FileJournal,
     MemoryJournal,
     WriteIntent,
+    header_size,
 )
 from repro.core.snapshot import load_snapshot, save_snapshot
+from repro.crypto.suite import INTENT_OVERHEAD
 from repro.errors import (
     ConfigurationError,
+    CryptoError,
     RecoveryError,
     StorageError,
     TransientStorageError,
@@ -44,7 +50,7 @@ from repro.storage.disk import DiskStore
 from repro.storage.page import Page
 from repro.storage.trace import READ, WRITE
 
-from tests.helpers import make_db
+from tests.helpers import RecordingJournal, make_db
 
 
 def faulty_factory(injector):
@@ -92,12 +98,27 @@ NUM_RECORDS = 30
 SEED = 99
 
 
-def build_db(journal=None, injector=None, seed=SEED):
-    options = {}
+def build_db(journal=None, injector=None, seed=SEED, **options):
     if injector is not None:
         options["disk_factory"] = faulty_factory(injector)
     return make_db(num_records=NUM_RECORDS, cache_capacity=6, seed=seed,
                    journal=journal, **options)
+
+
+def seal_intent(db, intent, frames=None):
+    """Seal ``intent`` the way the engine's commit point does.
+
+    Without ``frames`` the record carries a zeroed frame section of the
+    right shape — enough for recovery paths that never apply it.
+    """
+    if frames is None:
+        frames = np.zeros(
+            (db.params.block_size + intent.request_span, db.cop.frame_size),
+            np.uint8,
+        )
+    return db.cop.seal_intent(
+        INTENT_MAGIC, intent.encode(db.params.page_capacity), frames
+    )
 
 
 class TestWriteIntentCodec:
@@ -116,22 +137,43 @@ class TestWriteIntentCodec:
 
     def test_roundtrip(self):
         intent = self.make_intent()
-        decoded = WriteIntent.decode(intent.encode())
+        decoded = WriteIntent.decode(intent.encode(16), intent.frames)
         assert decoded == intent
 
-    def test_bad_magic_rejected(self):
+    def test_header_is_padded_to_its_public_size(self):
+        intent = self.make_intent()
+        assert len(intent.encode(16)) == header_size(1, 16)
+        assert len(intent.encode(64)) == header_size(1, 64)
+        bare = WriteIntent(request_index=0, next_block=0, rotation_left=-1,
+                           block_start=0, extra_location=0,
+                           extra_locations=[0, 1, 2])
+        assert len(bare.encode(16)) == header_size(3, 16)
+        # More deltas than a window of one can produce: refused, not grown.
+        intent.cache_puts *= 2
         with pytest.raises(StorageError):
-            WriteIntent.decode(b"XXXX" + self.make_intent().encode()[4:])
+            intent.encode(16)
+
+    def test_bad_magic_rejected(self):
+        db = build_db()
+        intent = self.make_intent()
+        record = db.cop.seal_intent(
+            b"XXXX", intent.encode(16), np.zeros((2, db.cop.frame_size), np.uint8)
+        )
+        with pytest.raises(CryptoError):
+            db.cop.unseal_intent(INTENT_MAGIC, record, header_size(1, 16))
 
     def test_truncation_rejected(self):
-        blob = self.make_intent().encode()
-        for cut in (5, len(blob) // 2, len(blob) - 1):
+        header = self.make_intent().encode(16)
+        for cut in (5, 60, 120):
             with pytest.raises(StorageError):
-                WriteIntent.decode(blob[:cut])
+                WriteIntent.decode(header[:cut], [])
 
     def test_trailing_bytes_rejected(self):
+        header = self.make_intent().encode(16)
         with pytest.raises(StorageError):
-            WriteIntent.decode(self.make_intent().encode() + b"\x00")
+            WriteIntent.decode(header + b"\x01", [])
+        with pytest.raises(StorageError):
+            WriteIntent.decode(header[:-1] + b"\x01", [])
 
 
 class TestJournalBackends:
@@ -331,10 +373,10 @@ class TestRecoveryEdgeCases:
         journal = MemoryJournal()
         db = build_db(journal=journal)
         db.query(1)
-        sealed = db.cop.seal_blob(WriteIntent(
+        sealed = seal_intent(db, WriteIntent(
             request_index=1, next_block=0, rotation_left=-1,
             block_start=0, extra_location=0,
-        ).encode())
+        ))
         journal.write(sealed[: len(sealed) // 2])
         assert db.recover().action == "rolled_back"
         assert journal.read() is None
@@ -357,7 +399,7 @@ class TestRecoveryEdgeCases:
             request_index=1, next_block=db.engine.next_block_index,
             rotation_left=-1, block_start=0, extra_location=0,
         )
-        journal.write(db.cop.seal_blob(stale.encode()))
+        journal.write(seal_intent(db, stale))
         report = db.recover()
         assert report.action == "discarded_stale"
         assert report.request_index == 1
@@ -372,7 +414,7 @@ class TestRecoveryEdgeCases:
             request_index=17, next_block=0, rotation_left=-1,
             block_start=0, extra_location=0,
         )
-        journal.write(db.cop.seal_blob(future.encode()))
+        journal.write(seal_intent(db, future))
         with pytest.raises(RecoveryError):
             db.recover()
 
@@ -384,15 +426,241 @@ class TestRecoveryEdgeCases:
         assert db.engine.counters.get("recovery.clean") == 1
 
 
+def crashed_mid_write_back(ops=1, **options):
+    """A database killed three frames into a window's write-back.
+
+    Returns ``(db, journal, record)``: the valid intent record of the
+    in-flight window is in the journal slot, so ``recover()`` replays it —
+    until something about the record is changed.
+    """
+    journal = MemoryJournal()
+    injector = FaultInjector(0)
+    db = build_db(journal=journal, injector=injector, **options)
+    db.query(3)
+    db.update(5, b"committed")
+    injector.add(FaultPlan(
+        SITE_DISK_WRITE, "crash",
+        after=injector.frames_seen(SITE_DISK_WRITE) + 3,
+    ))
+    with pytest.raises(SimulatedCrash):
+        db.run_batch([BatchOp("update", page_id=9 + i, payload=b"torn-%d" % i)
+                      for i in range(ops)])
+    return db, journal, journal.read()
+
+
+class TestRecordAuthentication:
+    """One MAC covers the whole record; anything but the sealed bytes rolls
+    back — never replays, never escapes as an untyped exception."""
+
+    def regions(self, db, record, window):
+        header_end = 16 + header_size(window, db.params.page_capacity)
+        return {
+            "magic": range(0, 4),
+            "nonce": range(4, 16),
+            "header": range(16, header_end),
+            "frames": range(header_end, len(record) - 16),
+            "tag": range(len(record) - 16, len(record)),
+        }
+
+    @pytest.mark.parametrize("window", [1, 2])
+    def test_flipped_byte_anywhere_rolls_back(self, window):
+        db, journal, record = crashed_mid_write_back(ops=window)
+        regions = self.regions(db, record, window)
+        assert sum(len(r) for r in regions.values()) == len(record)
+        frames = regions["frames"]
+        assert len(frames) == (db.params.block_size + window) * db.cop.frame_size
+        for position in range(len(record)):  # every byte of every region
+            tampered = bytearray(record)
+            tampered[position] ^= 0x01
+            journal.write(tampered)
+            assert db.recover().action == "rolled_back", position
+            assert journal.read() is None
+        # The untouched record is what all of those were one bit away from.
+        journal.write(record)
+        assert db.recover().action == "replayed"
+        db.consistency_check()
+
+    @pytest.mark.parametrize("window", [1, 2])
+    def test_every_truncation_rolls_back(self, window):
+        # A window-of-2 record cut by one op's worth of bytes is as long as
+        # a window-of-1 record: the length fits, the tag must not.
+        db, journal, record = crashed_mid_write_back(ops=window)
+        for length in range(len(record)):
+            journal.write(record[:length])
+            assert db.recover().action == "rolled_back", length
+        journal.write(record + b"\x00")
+        assert db.recover().action == "rolled_back"
+        journal.write(record)
+        assert db.recover().action == "replayed"
+
+    def test_older_frame_of_the_same_location_rolls_back(self):
+        db, journal, record = crashed_mid_write_back()
+        k, size = db.params.block_size, db.cop.frame_size
+        start = len(record) - 16 - (k + 1) * size
+        block_start = db.engine.next_block_index * k
+        # Rows the crash kept off the disk: the store still holds the
+        # previous, validly sealed frame of each of those locations.
+        swapped = 0
+        for row in range(k):
+            older = db.disk.peek(block_start + row)
+            offset = start + row * size
+            if older == record[offset:offset + size]:
+                continue  # this row reached the disk before the crash
+            db.cop.unseal(older)  # authentic on its own
+            journal.write(record[:offset] + older + record[offset + size:])
+            assert db.recover().action == "rolled_back", row
+            swapped += 1
+        assert swapped >= k - 3
+        journal.write(record)
+        assert db.recover().action == "replayed"
+
+    def test_record_is_not_a_frame_blob_or_replication_record(self):
+        db, journal, record = crashed_mid_write_back()
+        for unseal in (db.cop.unseal, db.cop.unseal_blob, db.cop.unseal_record):
+            with pytest.raises(CryptoError):
+                unseal(record)
+
+    def test_frames_blobs_and_replication_records_are_not_records(self):
+        db, journal, record = crashed_mid_write_back()
+        capacity = db.params.page_capacity
+        # As long as a record and opening with its magic: only the MAC key
+        # tells them apart.
+        body = bytes(len(record) - 12 - 16)
+        nonce = INTENT_MAGIC + bytes(8)
+        impostors = [
+            db.cop.suite.encrypt_page(body, nonce=nonce),  # a frame / blob
+            db.cop.seal_blob(body),
+            db.cop.seal_record(body),
+            db.disk.peek(0),
+        ]
+        assert len(impostors[0]) == len(record)
+        assert impostors[0][:4] == INTENT_MAGIC
+        for impostor in impostors:
+            with pytest.raises(CryptoError):
+                db.cop.unseal_intent(INTENT_MAGIC, impostor,
+                                     header_size(1, capacity))
+            journal.write(impostor)
+            assert db.recover().action == "rolled_back"
+        journal.write(record)
+        assert db.recover().action == "replayed"
+
+    def test_record_sealed_under_the_legacy_key_still_replays(self):
+        db, journal, record = crashed_mid_write_back()
+        # The operator starts a key rotation before recovery runs: the
+        # record in the slot was sealed under what is now the legacy key.
+        db.cop.begin_key_rotation(b"rotated-master-key")
+        with pytest.raises(CryptoError):
+            db.cop.suite.open_intent(
+                INTENT_MAGIC, record, header_size(1, db.params.page_capacity)
+            )
+        report = db.recover()
+        assert report.action == "replayed"
+        assert report.request_index == 2
+        assert db.query(9) == b"torn-0"
+        assert db.query(5) == b"committed"
+        db.consistency_check()
+
+    def test_sealing_draws_exactly_one_nonce(self):
+        journaled = build_db(journal=MemoryJournal())
+        plain = build_db()
+        journaled.query(3)
+        plain.query(3)
+        plain.cop.rng.token(12)  # the record's nonce, and nothing else
+        assert journaled.cop.rng.randrange(2 ** 64) == \
+            plain.cop.rng.randrange(2 ** 64)
+
+
+def constant_size_ops(capacity):
+    """Every op kind, on cached and uncached targets, every payload length."""
+    ops = []
+    for length in range(capacity + 1):
+        page, payload = length, bytes([65 + length]) * length
+        ops += [
+            BatchOp("update", page_id=page, payload=payload),  # first touch
+            BatchOp("update", page_id=page, payload=payload[::-1]),  # cached
+            BatchOp("query", page_id=page),
+            BatchOp("query", page_id=20 + length % 10),
+        ]
+    ops += [
+        BatchOp("delete", page_id=25),
+        BatchOp("query", page_id=26),
+        BatchOp("delete", page_id=26),  # of a page the query just cached
+        BatchOp("insert", payload=b""),
+        BatchOp("insert", payload=b"i" * capacity),
+        BatchOp("touch"),
+        BatchOp("query", page_id=25),  # deleted: executed in full anyway
+        BatchOp("touch"),
+    ]
+    return ops
+
+
+class TestConstantSizeRecord:
+    """Record length is a function of (k, frame size, capacity, window)."""
+
+    CAPACITY = 16
+
+    def records(self, window):
+        """``(ops in the window, cache hit?, sealed record)`` per window."""
+        journal = RecordingJournal()
+        db = build_db(journal=journal, reserve_fraction=0.25)
+        ops = constant_size_ops(self.CAPACITY)
+        out = []
+        for start in range(0, len(ops), window):
+            chunk = ops[start:start + window]
+            results = db.run_batch(chunk)
+            assert not any(isinstance(r, Exception) for r in results)
+            out.append((chunk, db.engine.last_outcome.cache_hit,
+                        journal.blobs[-1]))
+        assert len(journal.blobs) == len(out)
+        return db, out
+
+    def test_one_length_per_window_size(self):
+        lengths = {}
+        for window in (1, 2, 3, 5):
+            db, records = self.records(window)
+            for chunk, _, record in records:
+                lengths.setdefault(len(chunk), set()).add(len(record))
+        k, size = db.params.block_size, db.cop.frame_size
+        assert lengths == {
+            window: {INTENT_OVERHEAD + header_size(window, self.CAPACITY)
+                     + (k + window) * size}
+            for window in (1, 2, 3, 5)
+        }
+
+    def test_the_run_covers_what_used_to_move_the_length(self):
+        db, records = self.records(1)
+        seen = set()
+        put_counts, put_lengths, carcass_entered = set(), set(), False
+        for (op,), cache_hit, record in records:
+            seen.add((op.kind, cache_hit))
+            header, _ = db.cop.unseal_intent(
+                INTENT_MAGIC, record, header_size(1, self.CAPACITY)
+            )
+            intent = WriteIntent.decode(header, [])
+            put_counts.add(len(intent.cache_puts))
+            for _, page in intent.cache_puts:
+                put_lengths.add(len(page.payload))
+            entering = intent.cache_puts[-1][1]
+            carcass_entered |= entering.deleted and entering.payload == b""
+        for kind in ("query", "update", "delete"):
+            assert {(kind, True), (kind, False)} <= seen, kind
+        assert {kind for kind, _ in seen} == {
+            "query", "update", "insert", "delete", "touch"
+        }
+        assert put_counts == {1, 2}
+        assert put_lengths >= set(range(self.CAPACITY + 1))
+        assert carcass_entered
+
+
 class TestSnapshotIntegration:
     def test_snapshot_refused_with_pending_record(self, tmp_path):
         journal = MemoryJournal()
         db = build_db(journal=journal)
         db.query(1)
-        journal.write(db.cop.seal_blob(WriteIntent(
+        journal.write(seal_intent(db, WriteIntent(
             request_index=1, next_block=0, rotation_left=-1,
             block_start=0, extra_location=0,
-        ).encode()))
+        )))
         with pytest.raises(ConfigurationError):
             save_snapshot(db, str(tmp_path / "snap"))
 

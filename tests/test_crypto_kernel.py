@@ -7,9 +7,10 @@ one, so three contracts are pinned here:
   per-frame big-int path): explicit-nonce frames for every backend and
   payload size, RNG-drawn frames, a sealed journal record and a sealed
   session request/reply — stores and journals on disk must still open
-  (the ``shake`` entries, the journal blob and the session frames were
-  recorded when that keystream replaced blake2; a store from before is
-  refused by name, see tests/test_core_snapshot.py);
+  (the ``shake`` entries and the session frames were recorded when that
+  keystream replaced blake2 — a store from before is refused by name, see
+  tests/test_core_snapshot.py — and the journal blob when the intent
+  record became header + frames under one MAC);
 * a hypothesis differential against a ten-line reference composition
   (``nonce || data ^ keystream || HMAC-SHA256(nonce || ct)[:16]``) over
   backend x uniform/ragged lengths x ``views``, and matrix in == list in
@@ -152,7 +153,7 @@ GOLDEN_RNG = {
     "pure": "fa4791716a4f0bc89703c442f18c8dd6238c5ea4444c6592558e6fe4b9d77530",
 }
 GOLDEN_JOURNAL_BLOB = (
-    "3affa8e6c4441d59f7fa52b2143d0e71a5ec550b03ec3fddc252d1b639cfcd38"
+    "858b981f866d0a81ecdde99e066720f1c4ccf4019f44e9bfcbdfe3c20224d600"
 )
 GOLDEN_SESSION_FRAMES = (
     "bfcf98229a6c76bd1467c6f243f35dadf3e4a31f85009cf63221a341b3216631"

@@ -170,8 +170,10 @@ class TestEngineIntegration:
         encrypt = tracer.total("crypto.encrypt_batch")
         assert encrypt.count == 1
         assert encrypt.nbytes == (k + 1) * db.cop.plaintext_page_size
-        # The journal intent record still seals through the per-frame path.
-        assert tracer.total("crypto.encrypt").count == 1
+        # The journal intent record has its own entry: the header is
+        # encrypted, the frames ride as they are, one MAC covers the record.
+        assert tracer.total("crypto.encrypt").count == 0
+        assert tracer.total("crypto.seal_intent").count == 1
 
     def test_spans_close_when_write_back_faults(self):
         injector = FaultInjector(seed=5)

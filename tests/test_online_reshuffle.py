@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from tests.helpers import make_db
+from tests.helpers import RecordingJournal, make_db
 from repro.baselines import make_records
 from repro.core.journal import MemoryJournal
 from repro.core.sharded import ShardedPirDatabase
@@ -197,7 +197,7 @@ class TestRecoverySemantics:
         # A record from an already-applied batch is discarded as stale.
         replay = ReshuffleIntent(epoch=driver.epoch, frontier_before=0,
                                  frontier_after=4)
-        journal.write(driver._suite.encrypt_page(replay.encode()))
+        journal.write(driver._seal_record(replay))
         assert driver.recover() == "discarded_stale"
         db.close()
 
@@ -210,13 +210,40 @@ class TestRecoverySemantics:
         assert journal.read() is None
         db.close()
 
+    def test_changed_record_rolls_back_and_length_is_public(self):
+        journal = RecordingJournal()
+        db = make_db(seed=4, journal=MemoryJournal())
+        driver = db.begin_reshuffle(batch_size=8, journal=journal)
+        driver.step()
+        driver.step()
+        # Length says how many frames the batch rewrote, and nothing else.
+        frame = db.cop.frame_size
+        assert all((len(blob) - 32 - 24) % (24 + frame) == 0
+                   for blob in journal.blobs)
+        record = journal.blobs[-1]
+        for position in range(len(record)):
+            tampered = bytearray(record)
+            tampered[position] ^= 0x01
+            journal.write(tampered)
+            assert driver.recover() == "rolled_back", position
+        for length in range(len(record)):
+            journal.write(record[:length])
+            assert driver.recover() == "rolled_back", length
+        # The engine's recovery treats it as foreign, and vice versa.
+        db.engine.journal.write(record)
+        assert db.recover().action == "rolled_back"
+        # Untouched it authenticates: an already-applied batch is stale.
+        journal.write(record)
+        assert driver.recover() == "discarded_stale"
+        db.close()
+
     def test_journal_ahead_of_state_is_rejected(self):
         journal = MemoryJournal()
         db = make_db(seed=4, journal=MemoryJournal())
         driver = db.begin_reshuffle(batch_size=8, journal=journal)
         ahead = ReshuffleIntent(epoch=driver.epoch, frontier_before=80,
                                 frontier_after=88)
-        journal.write(driver._suite.encrypt_page(ahead.encode()))
+        journal.write(driver._seal_record(ahead))
         with pytest.raises(RecoveryError):
             driver.recover()
         db.close()
@@ -225,11 +252,12 @@ class TestRecoverySemantics:
         journal = MemoryJournal()
         db = make_db(seed=4, journal=MemoryJournal())
         driver = db.begin_reshuffle(batch_size=8, journal=journal)
-        old_suite = driver._suite
+        stale = driver._seal_record(
+            ReshuffleIntent(epoch=1, frontier_before=0, frontier_after=4)
+        )
         driver.run()
         driver2 = db.begin_reshuffle(batch_size=8, journal=journal)
-        stale = ReshuffleIntent(epoch=1, frontier_before=0, frontier_after=4)
-        journal.write(old_suite.encrypt_page(stale.encode()))
+        journal.write(stale)
         assert driver2.recover() == "discarded_stale"
         assert journal.read() is None
         db.close()
@@ -246,7 +274,7 @@ class TestRecoverySemantics:
         torn = ReshuffleIntent(epoch=driver.epoch,
                                frontier_before=driver.frontier,
                                frontier_after=driver.frontier + 4)
-        journal.write(driver._suite.encrypt_page(torn.encode()))
+        journal.write(driver._seal_record(torn))
         driver.close()
 
         fresh = OnlineReshuffler(db, journal=journal)

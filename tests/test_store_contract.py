@@ -126,13 +126,26 @@ class TestAReadIsTheCallers:
 class TestWhoeverRetainsCopies:
     def test_hot_entries_are_owned_bytes(self, tmp_path):
         tier = TieredDiskStore(_memory(tmp_path), 64)
-        tier.write_range(0, np.full((4, FRAME), 7, np.uint8))  # matrix write
+        written = np.full((4, FRAME), 7, np.uint8)
+        tier.write_range(0, written)                            # matrix write
         tier.cold.write_range(4, [frame_of(i) for i in range(4, 12)])
-        tier.read_range(4, 4)                                   # cold read
-        tier.read_request(8, 3, 11)
+        cold_read = tier.read_range(4, 4)                       # cold read
+        request = tier.read_request(8, 3, 11)
         assert tier.hot_frames == 12
-        # A retained matrix row would pin the whole window it came in.
-        assert all(type(frame) is bytes for frame in tier._hot.values())
+        # The tier keeps copies: a retained matrix row would pin the whole
+        # window it came in, and follow whatever its owner does to it next.
+        for matrix in (written, cold_read, request):
+            matrix[:] = 0xEE
+        assert tier.resident() == list(range(12))
+        for location in tier.resident():
+            frame = tier.hot_frame(location)
+            assert type(frame) is bytes
+            assert frame == tier.cold.peek(location)
+        # ... and a hot read hands out a copy, not its own row.
+        tier.read_range(0, 4)[:] = 0xDD
+        tier.read(5)
+        assert tier.hot_frame(0) == frame_of(7)
+        assert tier.hot_frame(12) is None
 
 
 class TestPoke:

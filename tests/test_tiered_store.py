@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import os
+import struct
+from collections import Counter, OrderedDict
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tests.helpers import make_db, rows
 from repro.errors import ConfigurationError
@@ -53,7 +57,7 @@ class TestTieredBasics:
     def test_read_miss_promotes_then_hits(self):
         tier = TieredDiskStore(make_cold(), hot_capacity=4)
         tier.cold.write(5, frame_of(9))  # behind the tier's back
-        tier._hot.clear()
+        tier.drop_hot()
         assert tier.read(5) == frame_of(9)
         assert tier.counters.get("miss") == 1
         assert tier.read(5) == frame_of(9)
@@ -67,7 +71,7 @@ class TestTieredBasics:
         tier.read(0)  # 0 becomes most recent; 1 is now LRU
         tier.write(2, frame_of(3))
         assert tier.counters.get("evict") == 1
-        assert set(tier._hot) == {0, 2}
+        assert tier.resident() == [0, 2]
         # The evicted frame is still served, from cold.
         assert tier.read(1) == frame_of(2)
 
@@ -75,7 +79,7 @@ class TestTieredBasics:
         tier = TieredDiskStore(make_cold(), hot_capacity=8)
         tier.write(0, frame_of(1))
         tier.cold.write(1, frame_of(2))
-        tier._hot.pop(1, None)
+        tier.drop_hot(1)
         frames = tier.read_range(0, 2)
         assert rows(frames) == [frame_of(1), frame_of(2)]
         # One loc was missing: the whole range is charged as a cold miss.
@@ -126,15 +130,15 @@ class TestMembershipJournal:
         tier = TieredDiskStore(cold, hot_capacity=3, journal_path=path)
         for loc in range(5):
             tier.write(loc, frame_of(loc + 1))
-        survivors = list(tier._hot)
+        survivors = tier.resident()
         tier.flush()
         tier._journal_file.close()
         tier._journal_file = None
 
         rewarmed = TieredDiskStore(cold, hot_capacity=3, journal_path=path)
-        assert list(rewarmed._hot) == survivors
+        assert rewarmed.resident() == survivors
         for loc in survivors:
-            assert rewarmed._hot[loc] == frame_of(loc + 1)
+            assert rewarmed.hot_frame(loc) == frame_of(loc + 1)
         rewarmed.read(survivors[0])
         assert rewarmed.counters.get("hit") == 1  # warm from record one
 
@@ -149,7 +153,7 @@ class TestMembershipJournal:
         with open(path, "ab") as handle:
             handle.write(b"\x01\x00\x00")  # torn record
         rewarmed = TieredDiskStore(cold, hot_capacity=3, journal_path=path)
-        assert list(rewarmed._hot) == [1]
+        assert rewarmed.resident() == [1]
         # The compact rewrite dropped the torn bytes.
         assert os.path.getsize(path) % 9 == 0
 
@@ -162,6 +166,178 @@ class TestMembershipJournal:
         tier.flush()
         # 320 membership changes, but the file stays near the live set.
         assert os.path.getsize(path) <= 9 * (64 + 2 + 1)
+
+
+class ReferenceTier:
+    """The per-frame ``OrderedDict`` LRU the arena store replaced.
+
+    One ``_promote`` per frame, one ``bytes`` copy per frame, one journal
+    record at a time — kept here as the model :class:`TieredDiskStore` is
+    compared against.  Its journal is compacted where the store compacts
+    its own: once per call, not once per record.
+    """
+
+    def __init__(self, cold, capacity):
+        self.cold, self.capacity = cold, capacity
+        self.hot = OrderedDict()
+        self.counts = Counter()
+        self.journal = []
+
+    def _promote(self, location, frame):
+        frame = bytes(frame)
+        if location in self.hot:
+            self.hot[location] = frame
+            self.hot.move_to_end(location)
+            return
+        self.hot[location] = frame
+        self.counts["promote"] += 1
+        self.journal.append((1, location))
+        while len(self.hot) > self.capacity:
+            victim, _ = self.hot.popitem(last=False)
+            self.counts["evict"] += 1
+            self.journal.append((2, victim))
+
+    def _compact(self):
+        if len(self.journal) > max(64, 8 * self.capacity):
+            self.journal = [(1, member) for member in self.hot]
+
+    def read_range(self, location, count):
+        span = range(location, location + count)
+        if all(loc in self.hot for loc in span):
+            for loc in span:
+                self.hot.move_to_end(loc)
+            self.counts["hit"] += count
+            return [self.hot[loc] for loc in span]
+        frames = rows(self.cold.read_range(location, count))
+        self.counts["miss"] += count
+        for loc, frame in zip(span, frames):
+            self._promote(loc, frame)
+        self._compact()
+        return frames
+
+    def write_range(self, location, frames):
+        self.cold.write_range(location, frames)
+        for offset, frame in enumerate(frames):
+            self._promote(location + offset, frame)
+        self._compact()
+
+    def poke(self, location, frame):
+        self.cold.poke(location, frame)
+        if location in self.hot:
+            self.hot[location] = bytes(frame)
+
+    def replayed(self):
+        """What a restart re-warms from the journal, in order."""
+        members = OrderedDict()
+        for op, location in self.journal:
+            if op == 1:
+                members[location] = None
+                members.move_to_end(location)
+            else:
+                members.pop(location, None)
+        return list(members)[-self.capacity:]
+
+
+LOCATIONS = 24
+_location = st.integers(0, LOCATIONS - 1)
+_fill = st.integers(0, 255)
+_range = st.tuples(_location, st.integers(1, 14)).map(
+    lambda pair: (pair[0], min(pair[1], LOCATIONS - pair[0]))
+)
+tier_calls = st.lists(st.one_of(
+    st.tuples(st.just("read"), _location),
+    st.tuples(st.just("read_range"), _range),
+    st.tuples(st.just("write"), _location, _fill),
+    st.tuples(st.just("write_range"), _range, _fill),
+    st.tuples(st.just("poke"), _location, _fill),
+), max_size=30)
+
+
+class TestAgainstPerFrameReference:
+    """The range-at-a-time tier makes the per-frame LRU's decisions.
+
+    Hypothesis drives both with the same calls — ranges wholly, partly and
+    not resident, and longer than the capacity — and after every call the
+    bytes handed back, the ``hit`` / ``miss`` counts, the resident set *in
+    LRU order*, every hot copy and (at the end) the membership journal's
+    replay are the same.  The store walks a range in order like the model
+    does, so ``promote`` / ``evict`` are equal too — including the one
+    place an implementation that batched a call's evictions would count
+    differently: a frame resident when the call starts that the range's
+    own earlier rows evict and its own turn re-admits (the second
+    ``@example``; one promote and one evict in both).
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(capacity=st.integers(1, 9), calls=tier_calls)
+    @example(capacity=3, calls=[("write_range", (0, 14), 1),
+                                ("read_range", (10, 4)), ("read", 13)])
+    @example(capacity=3, calls=[("write", 5, 1), ("write_range", (0, 2), 2),
+                                ("write_range", (3, 3), 3),
+                                ("read_range", (3, 3))])
+    def test_same_decisions_as_the_per_frame_loop(self, tmp_path_factory,
+                                                  capacity, calls):
+        path = str(tmp_path_factory.mktemp("tier") / "tier.jnl")
+        colds = [make_cold(LOCATIONS), make_cold(LOCATIONS)]
+        for cold in colds:
+            cold.write_range(0, [frame_of(200)] * LOCATIONS)
+        tier = TieredDiskStore(colds[0], capacity, journal_path=path)
+        model = ReferenceTier(colds[1], capacity)
+
+        for call in calls:
+            if call[0] == "read":
+                assert tier.read(call[1]) == model.read_range(call[1], 1)[0]
+            elif call[0] == "read_range":
+                assert rows(tier.read_range(*call[1])) == \
+                    model.read_range(*call[1])
+            elif call[0] == "write":
+                tier.write(call[1], frame_of(call[2]))
+                model.write_range(call[1], [frame_of(call[2])])
+            elif call[0] == "write_range":
+                (location, count), fill = call[1:]
+                frames = [frame_of((fill + i) % 256) for i in range(count)]
+                tier.write_range(location, frames)
+                model.write_range(location, frames)
+            else:
+                tier.poke(call[1], frame_of(call[2]))
+                model.poke(call[1], frame_of(call[2]))
+            assert tier.resident() == list(model.hot), call
+            assert tier.hot_frames == len(model.hot)
+            for location, frame in model.hot.items():
+                assert tier.hot_frame(location) == frame, (call, location)
+            for name in ("hit", "miss", "promote", "evict"):
+                assert tier.counters.get(name) == model.counts[name], name
+            stored = [[cold.peek(loc) for loc in range(LOCATIONS)]
+                      for cold in colds]
+            assert stored[0] == stored[1]
+
+        tier.close()
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        assert [struct.unpack_from(">BQ", blob, at)
+                for at in range(0, len(blob), 9)] == model.journal
+        rewarmed = TieredDiskStore(colds[0], capacity, journal_path=path)
+        assert rewarmed.resident() == model.replayed()
+        rewarmed.close()
+
+    def test_drop_hot_is_an_eviction(self, tmp_path):
+        path = str(tmp_path / "tier.jnl")
+        cold = make_cold()
+        tier = TieredDiskStore(cold, hot_capacity=4, journal_path=path)
+        tier.write_range(0, [frame_of(i) for i in range(4)])
+        tier.drop_hot(9)  # not resident: nothing happens
+        tier.drop_hot(1)
+        assert tier.resident() == [0, 2, 3]
+        assert tier.hot_frame(1) is None and tier.counters.get("evict") == 1
+        tier.write(7, frame_of(7))  # takes the freed row, evicts nobody
+        assert tier.counters.get("evict") == 1
+        tier.close()
+        assert TieredDiskStore(cold, 4, journal_path=path).resident() == \
+            [0, 2, 3, 7]
+        tier = TieredDiskStore(cold, 4)
+        tier.read_range(0, 4)
+        tier.drop_hot()
+        assert tier.resident() == [] and tier.counters.get("evict") == 4
 
 
 class TestDatabaseIntegration:
