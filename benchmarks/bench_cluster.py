@@ -31,31 +31,27 @@ reply.
 
 Besides the pytest checks, this file is a script::
 
-    PYTHONPATH=src python benchmarks/bench_cluster.py --quick --out run.jsonl
+    PYTHONPATH=src python benchmarks/bench_cluster.py --out run.jsonl
 
-emitting the perf-gate JSONL layout diffed by ``compare_bench.py``
-against ``benchmarks/results/perf_baseline_cluster.jsonl``.  The
-``--phases`` flag selects which phases run — the ``cluster-replication``
-CI lane runs ``--phases replicated`` against its own baseline
-(``perf_baseline_cluster_repl.jsonl``).
+whose exit code is decided by the in-run gates above alone — there is no
+committed baseline: a phase that completes has, by those gates, delivered
+exactly its pinned count and bytes.  The rows it writes (see
+``benchmarks/lane.py``) record that for the CI artifact; qps, failovers
+and sheds are printed.  The ``--phases`` flag selects which phases run —
+the ``cluster-replication`` CI lane runs ``--phases replicated``.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import os
 import sys
 import tempfile
 import threading
 import time
-from os import path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # script mode from a checkout without PYTHONPATH
-    sys.path.insert(0, path.join(path.dirname(__file__), "..", "src"))
+import lane  # first: puts src/ on sys.path for a run without PYTHONPATH
 
 from repro.baselines import make_records
 from repro.cluster import (
@@ -70,8 +66,7 @@ from repro.net import NetworkClient
 
 #: Pinned workload shape — change it and the committed baseline together.
 DEFAULT_SEED = 1177
-DEFAULT_QUERIES = 160
-QUICK_QUERIES = 64
+QUERIES = 64
 _BENCH_RECORDS = 64
 _BENCH_PAGE_SIZE = 64
 _BENCH_CACHE = 8
@@ -501,127 +496,76 @@ def test_replicated_writes_zero_stale_reads_and_convergence():
 
 
 # ---------------------------------------------------------------------------
-# Script mode: structured JSONL for the CI perf gate
+# Script mode: the in-run gates decide; the JSONL is the lane's record
 # ---------------------------------------------------------------------------
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    try:
-        from bench_engine import calibration_seconds  # script mode
-    except ImportError:
-        from benchmarks.bench_engine import calibration_seconds
-    from repro.obs import write_jsonl
+    from repro.core.params import SystemParameters
 
-    parser = argparse.ArgumentParser(
-        description="cluster tier benchmark (JSONL for the CI perf gate)"
-    )
-    parser.add_argument("--quick", action="store_true",
-                        help=f"run {QUICK_QUERIES} queries instead of "
-                             f"{DEFAULT_QUERIES}")
-    parser.add_argument("--queries", type=int, default=0,
-                        help="explicit query count (overrides --quick); "
-                             f"must be a multiple of {_CLIENTS}")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    parser = lane.parser("cluster tier benchmark", DEFAULT_SEED)
+    parser.add_argument("--queries", type=int, default=QUERIES,
+                        help=f"query count, a multiple of {_CLIENTS}")
     parser.add_argument("--phases", nargs="+",
                         choices=["routed", "chaos", "replicated"],
                         default=["routed", "chaos"],
                         help="which phases to run (default: routed chaos; "
                              "the cluster-replication CI lane runs "
-                             "'replicated' alone against its own baseline)")
-    parser.add_argument("--out", default="",
-                        help="JSONL output path (default stdout)")
+                             "'replicated' alone)")
     args = parser.parse_args(argv)
-
-    queries = args.queries or (QUICK_QUERIES if args.quick else DEFAULT_QUERIES)
-    if queries % _CLIENTS:
+    if args.queries % _CLIENTS:
         print(f"error: --queries must be a multiple of {_CLIENTS}",
               file=sys.stderr)
         return 2
-    calibration = calibration_seconds()
 
-    meta: Dict[str, object] = {
-        "kind": "meta",
-        "queries": queries,
-        "seed": args.seed,
-        "pages": _BENCH_RECORDS,
-        "block_size": None,  # filled below
-        "page_size": _BENCH_PAGE_SIZE,
-        "clients": _CLIENTS,
-        "backends": _BACKENDS,
-        "calibration_s": calibration,
-    }
-    rows: List[dict] = [meta]
+    block_size = SystemParameters.solve(
+        _BENCH_RECORDS, _BENCH_CACHE, 2.0, page_capacity=_BENCH_PAGE_SIZE,
+    ).block_size
+    rows = [lane.meta_row(args.queries, args.seed, _BENCH_RECORDS, block_size,
+                          _BENCH_PAGE_SIZE, clients=_CLIENTS,
+                          backends=_BACKENDS)]
     summary = []
 
     if "routed" in args.phases:
-        solo_count, _solo_bytes, solo_wall = run_routed(queries, args.seed,
-                                                        backends=1)
-        routed_count, routed_bytes, routed_wall = run_routed(queries,
+        solo_count, _solo_bytes, solo_wall = run_routed(args.queries,
+                                                        args.seed, backends=1)
+        routed_count, routed_bytes, routed_wall = run_routed(args.queries,
                                                              args.seed)
-        # Informational (not gated): in-process backends share the GIL,
-        # so routed QPS measures router overhead, not horizontal scale.
-        meta["qps_1_backend"] = (solo_count / solo_wall
-                                 if solo_wall > 0 else 0.0)
-        meta["qps_n_backends"] = (routed_count / routed_wall
-                                  if routed_wall > 0 else 0.0)
-        rows.append({
-            "kind": "phase", "name": "cluster.routed",
-            "count": routed_count, "bytes": routed_bytes,
-            "virtual_s": 0.0, "wall_s": routed_wall,
-        })
-        summary.append(f"{routed_count} routed queries")
+        rows.append(lane.phase_row("cluster.routed", routed_count,
+                                   routed_bytes, 0.0))
+        # In-process backends share the GIL, so routed QPS measures router
+        # overhead, not horizontal scale.
+        summary.append(
+            f"{routed_count} routed queries at "
+            f"{solo_count / solo_wall:.0f} qps over 1 backend, "
+            f"{routed_count / routed_wall:.0f} over {_BACKENDS}"
+        )
     if "chaos" in args.phases:
         chaos_count, chaos_bytes, chaos_wall, chaos_stats = run_chaos(
-            queries, args.seed
+            args.queries, args.seed
         )
-        meta["chaos_failovers"] = chaos_stats["failovers"]
-        meta["chaos_retransmits"] = chaos_stats["retransmits"]
-        meta["chaos_duplicates"] = chaos_stats["duplicates"]
-        rows.append({
-            "kind": "phase", "name": "cluster.chaos",
-            "count": chaos_count, "bytes": chaos_bytes,
-            "virtual_s": 0.0, "wall_s": chaos_wall,
-        })
+        rows.append(lane.phase_row("cluster.chaos", chaos_count,
+                                   chaos_bytes, 0.0))
         summary.append(
-            f"{chaos_stats['failovers']} failover(s) and "
-            f"{chaos_stats['duplicates']} duplicate(s) absorbed under chaos"
+            f"{chaos_stats['failovers']} failover(s), "
+            f"{chaos_stats['retransmits']} retransmit(s) and "
+            f"{chaos_stats['duplicates']} duplicate(s) absorbed under chaos "
+            f"in {chaos_wall:.2f} s"
         )
     if "replicated" in args.phases:
         repl_count, repl_bytes, repl_wall, repl_stats = run_replicated(
             args.seed
         )
-        meta["repl_failovers"] = repl_stats["failovers"]
-        meta["repl_ryw_checks"] = repl_stats["ryw_checks"]
-        meta["repl_ryw_rejected"] = repl_stats["ryw_rejected"]
-        rows.append({
-            "kind": "phase", "name": "cluster.replicated",
-            "count": repl_count, "bytes": repl_bytes,
-            "virtual_s": 0.0, "wall_s": repl_wall,
-        })
+        rows.append(lane.phase_row("cluster.replicated", repl_count,
+                                   repl_bytes, 0.0))
         summary.append(
             f"{repl_count} replicated writes read back with zero stale "
-            f"reads ({repl_stats['ryw_checks']} read-your-writes "
-            f"check(s), {repl_stats['ryw_rejected']} shed(s)) and "
-            "converged digests"
+            f"reads ({repl_stats['failovers']} failover(s), "
+            f"{repl_stats['ryw_checks']} read-your-writes check(s), "
+            f"{repl_stats['ryw_rejected']} shed(s)) and converged digests "
+            f"in {repl_wall:.2f} s"
         )
-
-    from repro.core.params import SystemParameters
-
-    meta["block_size"] = SystemParameters.solve(
-        _BENCH_RECORDS, _BENCH_CACHE, 2.0,
-        page_capacity=_BENCH_PAGE_SIZE,
-    ).block_size
-
-    if args.out:
-        written = write_jsonl(args.out, rows)
-        print(f"wrote {written} rows through {_BACKENDS} backends "
-              f"({'; '.join(summary)}) to {args.out}")
-    else:
-        import json
-
-        for row in rows:
-            print(json.dumps(row, sort_keys=True))
-    return 0
+    return lane.emit(rows, args.out, "; ".join(summary))
 
 
 if __name__ == "__main__":

@@ -9,30 +9,22 @@ accelerated path is less than 3x faster in wall time.
 
 Besides the pytest check, this file is a script::
 
-    PYTHONPATH=src python benchmarks/bench_ctr.py --quick --out run.jsonl
+    PYTHONPATH=src python benchmarks/bench_ctr.py --out run.jsonl
 
-emitting the perf-gate JSONL layout (meta line + phase rows) that
-``benchmarks/compare_bench.py`` diffs against
-``benchmarks/results/perf_baseline_ctr.jsonl``.  Count/bytes/virtual
-columns are deterministic under the pinned seed; wall times are
-calibration-normalised by the gate.  The kernel-speedup gate runs
-in-script, so a baseline diff is not needed to catch a fast path that
-silently stopped being fast.
+whose exit code is decided by the two in-script gates alone (byte
+identity, kernel speedup): both compare two measurements taken inside one
+process, so no committed baseline is involved.  The rows it writes (see
+``benchmarks/lane.py``) record the workload size for the CI artifact.
 """
 
 from __future__ import annotations
 
-import argparse
 import random
 import sys
 import time
-from os import path
 from typing import List, Optional
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # script mode from a checkout without PYTHONPATH
-    sys.path.insert(0, path.join(path.dirname(__file__), "..", "src"))
+import lane  # first: puts src/ on sys.path for a run without PYTHONPATH
 
 from repro.crypto.aes import AES
 from repro.crypto.modes import ctr_keystream
@@ -87,29 +79,12 @@ def test_kernel_speedup_and_identity(report):
 
 
 # ---------------------------------------------------------------------------
-# Script mode: structured JSONL for the CI perf gate
+# Script mode: the same two gates, plus the lane's JSONL record
 # ---------------------------------------------------------------------------
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    try:
-        from bench_engine import calibration_seconds  # script mode
-    except ImportError:
-        from benchmarks.bench_engine import calibration_seconds
-    from repro.obs import write_jsonl
-
-    parser = argparse.ArgumentParser(
-        description="CTR fast-path benchmark (JSONL for the CI perf gate)"
-    )
-    parser.add_argument("--quick", action="store_true",
-                        help="accepted for the perf gate's uniform command "
-                             "line; the keystream workload is pinned")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--out", default="",
-                        help="JSONL output path (default stdout)")
-    args = parser.parse_args(argv)
-
-    calibration = calibration_seconds()
+    args = lane.parser("CTR fast-path benchmark", DEFAULT_SEED).parse_args(argv)
 
     reference, ref_wall = run_keystream(False, args.seed)
     accel, accel_wall = run_keystream(True, args.seed)
@@ -122,36 +97,17 @@ def main(argv: Optional[List[str]] = None) -> int:
               file=sys.stderr)
         return 1
 
-    keystream_bytes = _KEYSTREAM_MESSAGES * _KEYSTREAM_BLOCKS * 16
-    rows = [{
-        "kind": "meta",
-        "seed": args.seed,
-        "calibration_s": calibration,
-        # Informational (gated in-script, not by the baseline diff).
-        "kernel_speedup": speedup,
-    }]
-    rows.append({
-        "kind": "phase", "name": "keystream.reference",
-        "count": _KEYSTREAM_MESSAGES * _KEYSTREAM_BLOCKS,
-        "bytes": keystream_bytes,
-        "virtual_s": 0.0, "wall_s": ref_wall,
-    })
-    rows.append({
-        "kind": "phase", "name": "keystream.accel",
-        "count": _KEYSTREAM_MESSAGES * _KEYSTREAM_BLOCKS,
-        "bytes": keystream_bytes,
-        "virtual_s": 0.0, "wall_s": accel_wall,
-    })
-    if args.out:
-        written = write_jsonl(args.out, rows)
-        print(f"wrote {written} rows "
-              f"(kernel speedup {speedup:.1f}x) to {args.out}")
-    else:
-        import json
-
-        for row in rows:
-            print(json.dumps(row, sort_keys=True))
-    return 0
+    blocks = sum(len(stream) for stream in accel) // 16
+    rows = [{"kind": "meta", "seed": args.seed}]
+    rows.extend(
+        lane.phase_row(f"keystream.{kernel}", blocks, blocks * 16, 0.0)
+        for kernel in ("reference", "accel")
+    )
+    return lane.emit(
+        rows, args.out,
+        f"kernel speedup {speedup:.1f}x (reference {ref_wall * 1e3:.1f} ms, "
+        f"accel {accel_wall * 1e3:.1f} ms; gate >= {MIN_KERNEL_SPEEDUP:.0f}x)",
+    )
 
 
 if __name__ == "__main__":

@@ -6,30 +6,21 @@ and the two-party protocol overhead.
 
 Besides the pytest-benchmark tests, this file is a script::
 
-    PYTHONPATH=src python benchmarks/bench_engine.py --quick --out run.jsonl
+    PYTHONPATH=src python benchmarks/bench_engine.py --out run.jsonl
 
 which runs a pinned-seed traced workload and writes the per-phase
-breakdown as JSONL (meta line + one row per phase).  The CI perf gate
-diffs such a run against ``benchmarks/results/perf_baseline.jsonl`` via
-``benchmarks/compare_bench.py``.  ``--slow-phase decrypt:2.0`` injects a
-synthetic busy-wait slowdown into one phase, used to demonstrate that the
-gate actually fails on a regression.
+count / bytes / virtual-second / error totals as JSONL (see
+``benchmarks/lane.py``).  The CI perf gate diffs such a run, exactly,
+against ``benchmarks/results/perf_baseline.jsonl`` via
+``benchmarks/compare_bench.py``.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import sys
-import time
-from os import path
 from typing import List, Optional
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # script mode from a checkout without PYTHONPATH
-    sys.path.insert(0, path.join(path.dirname(__file__), "..", "src"))
-
+import lane  # first: puts src/ on sys.path for a run without PYTHONPATH
 import pytest
 
 from repro.baselines import make_records
@@ -100,42 +91,19 @@ def test_two_party_query(benchmark):
 
 #: Pinned workload shape — change it and the committed baseline together.
 DEFAULT_SEED = 1234
-DEFAULT_QUERIES = 400
-QUICK_QUERIES = 120
+QUERIES = 120
 _BENCH_PAGES = 128
 _BENCH_BLOCK = 8
 _BENCH_PAGE_SIZE = 64
 
 
-def calibration_seconds() -> float:
-    """Wall time of a fixed hashing workload (~10 MB of SHA-256).
-
-    Recorded in the JSONL meta row so :mod:`compare_bench` can normalise
-    wall times between machines of different speed: what is compared is
-    each phase's wall time *relative to this machine's calibration*, not
-    the raw seconds, so a baseline recorded on a fast runner still gates
-    a slower one.
-    """
-    blob = b"\x5a" * 4096
-    start = time.perf_counter()
-    for _ in range(25_000):
-        blob = hashlib.sha256(blob).digest() * 128  # back to 4096 bytes
-    return time.perf_counter() - start
-
-
-def run_phase_bench(
-    queries: int,
-    seed: int,
-    slowdown: Optional[dict] = None,
-):
+def run_phase_bench(queries: int, seed: int):
     """Run the pinned traced workload; returns (tracer, database)."""
     from repro.core.journal import MemoryJournal
     from repro.hardware.specs import IBM_4764
     from repro.obs import Tracer
 
     tracer = Tracer()
-    if slowdown:
-        tracer.slowdown.update(slowdown)
     db = PirDatabase.create(
         make_records(_BENCH_PAGES, _BENCH_PAGE_SIZE),
         cache_capacity=8,
@@ -153,61 +121,27 @@ def run_phase_bench(
     return tracer, db
 
 
-def _parse_slow_phase(text: str) -> dict:
-    try:
-        name, factor = text.split(":", 1)
-        return {name: float(factor)}
-    except ValueError:
-        raise SystemExit(
-            f"--slow-phase expects NAME:FACTOR (e.g. decrypt:2.0), got {text!r}"
-        )
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.obs import phase_rows, write_jsonl
-
-    parser = argparse.ArgumentParser(
-        description="per-phase engine benchmark (JSONL for the CI perf gate)"
-    )
-    parser.add_argument("--quick", action="store_true",
-                        help=f"run {QUICK_QUERIES} queries instead of "
-                             f"{DEFAULT_QUERIES}")
-    parser.add_argument("--queries", type=int, default=0,
-                        help="explicit query count (overrides --quick)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--slow-phase", default="",
-                        help="NAME:FACTOR synthetic slowdown drill "
-                             "(e.g. decrypt:2.0)")
-    parser.add_argument("--out", default="",
-                        help="JSONL output path (default stdout)")
+    parser = lane.parser("per-phase engine benchmark", DEFAULT_SEED)
+    parser.add_argument("--queries", type=int, default=QUERIES,
+                        help="query count (the committed baseline was "
+                             "recorded at the default)")
     args = parser.parse_args(argv)
 
-    queries = args.queries or (QUICK_QUERIES if args.quick else DEFAULT_QUERIES)
-    slowdown = _parse_slow_phase(args.slow_phase) if args.slow_phase else None
-    calibration = calibration_seconds()
-    tracer, db = run_phase_bench(queries, args.seed, slowdown)
-
-    rows = [{
-        "kind": "meta",
-        "queries": queries,
-        "seed": args.seed,
-        "pages": _BENCH_PAGES,
-        "block_size": db.params.block_size,
-        "page_size": _BENCH_PAGE_SIZE,
-        "calibration_s": calibration,
-        "slow_phase": args.slow_phase,
-    }]
-    rows.extend(phase_rows(tracer))
-    if args.out:
-        written = write_jsonl(args.out, rows)
-        print(f"wrote {written} rows ({queries} queries, "
-              f"calibration {calibration:.4f}s) to {args.out}")
-    else:
-        import json
-
-        for row in rows:
-            print(json.dumps(row, sort_keys=True))
-    return 0
+    tracer, db = run_phase_bench(args.queries, args.seed)
+    rows = [lane.meta_row(args.queries, args.seed, _BENCH_PAGES,
+                          db.params.block_size, _BENCH_PAGE_SIZE)]
+    rows.extend(
+        lane.phase_row(name, total.count, total.nbytes,
+                       total.virtual_seconds, errors=total.errors)
+        for name, total in sorted(tracer.phase_totals().items())
+    )
+    request = tracer.total("request")
+    return lane.emit(
+        rows, args.out,
+        f"{args.queries} queries, {request.wall_seconds * 1e3:.1f} ms wall "
+        f"in request spans",
+    )
 
 
 if __name__ == "__main__":

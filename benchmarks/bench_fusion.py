@@ -11,44 +11,41 @@ Three gates run in script mode (and as pytest checks):
 
 * **Byte identity** — fused replies must equal the serial loop's, slot by
   slot, on twin same-seed databases (exit 2 on divergence: correctness).
-* **Read collapse** — the deterministic ``batch.fused.*`` counters must
-  show exactly one block read and ``B`` extra reads per window (exit 2).
+* **Read collapse** — the access trace of the window run must show
+  exactly one block read of ``k`` frames and ``B`` single-frame reads per
+  window (exit 2).  Counted from the READ events the store recorded, not
+  from counters the engine derives from its own window size.
 * **Virtual speedup** — serial per-query virtual time over fused per-query
   virtual time must be >= 2x (exit 1: the perf claim of the PR).
 
 Besides the pytest checks, this file is a script::
 
-    PYTHONPATH=src python benchmarks/bench_fusion.py --quick --out run.jsonl
+    PYTHONPATH=src python benchmarks/bench_fusion.py --out run.jsonl
 
-emitting the perf-gate JSONL layout (meta line + phase rows) that
+emitting the exact lane JSONL (``benchmarks/lane.py``) that
 ``benchmarks/compare_bench.py`` diffs against
-``benchmarks/results/perf_baseline_fusion.jsonl``.  The count/bytes/
-virtual-second columns are deterministic under the pinned seed.
+``benchmarks/results/perf_baseline_fusion.jsonl``: ops, the read bytes
+measured from each run's access trace, and virtual seconds.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
-from os import path
 from typing import List, Optional
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # script mode from a checkout without PYTHONPATH
-    sys.path.insert(0, path.join(path.dirname(__file__), "..", "src"))
+import lane  # first: puts src/ on sys.path for a run without PYTHONPATH
 
 from repro.baselines import make_records
 from repro.core.database import PirDatabase
 from repro.core.engine import BatchOp
 from repro.core.journal import MemoryJournal
 from repro.hardware.specs import IBM_4764
+from repro.storage.trace import READ
 
 #: Pinned workload shape — change it and the committed baseline together.
 DEFAULT_SEED = 4321
-DEFAULT_ROUNDS = 24
-QUICK_ROUNDS = 8
+ROUNDS = 8
 _BENCH_RECORDS = 64
 _BENCH_PAGE_SIZE = 32
 _BLOCK_SIZE = 8          # k — and the fused window capacity
@@ -59,14 +56,15 @@ MIN_SPEEDUP = 2.0
 def _make_db(seed: int) -> PirDatabase:
     # The IBM 4764 spec (not the zero-cost default) so virtual time prices
     # seeks honestly, and a clock-charging journal so durability is priced
-    # the same way the robustness lane prices it.
+    # the same way the robustness lane prices it.  The access trace is on:
+    # the read-collapse gate and the lane's bytes column are read from it.
     db = PirDatabase.create(
         make_records(_BENCH_RECORDS, _BENCH_PAGE_SIZE),
         cache_capacity=8,
         block_size=_BLOCK_SIZE,
         page_capacity=_BENCH_PAGE_SIZE,
         cipher_backend="shake",
-        trace_enabled=False,
+        trace_enabled=True,
         seed=seed,
         spec=IBM_4764,
     )
@@ -109,24 +107,19 @@ def run_fused(rounds: int, seed: int):
     return payloads, db.clock.now - virtual_start, wall, db
 
 
+def read_frames(db: PirDatabase) -> List[int]:
+    """Frames moved by each READ event the store recorded, in order."""
+    return [event.count for event in db.trace if event.op == READ]
+
+
 def check_read_collapse(db: PirDatabase, rounds: int) -> List[str]:
-    """The deterministic counter contract of the fused path."""
-    counters = db.engine.counters
-    expected = {
-        "batch.fused.windows": rounds,
-        "batch.fused.ops": rounds * _BATCH,
-        "batch.fused.block_reads": rounds,
-        "batch.fused.extra_reads": rounds * _BATCH,
-        # Serial would read B*(k+1) frames per round; fused reads k+B.
-        "batch.fused.reads_saved": rounds * (
-            _BATCH * (_BLOCK_SIZE + 1) - (_BLOCK_SIZE + _BATCH)
-        ),
-    }
-    return [
-        f"{name}: expected {want}, got {counters.get(name)}"
-        for name, want in expected.items()
-        if counters.get(name) != want
-    ]
+    """One block read of k frames, then B single-frame reads, per window."""
+    reads = read_frames(db)
+    window = [_BLOCK_SIZE] + [1] * _BATCH
+    if reads == window * rounds:
+        return []
+    return [f"expected {rounds} windows of reads {window}, the trace shows "
+            f"{len(reads)} reads moving {sum(reads)} frames"]
 
 
 # ---------------------------------------------------------------------------
@@ -136,30 +129,30 @@ def check_read_collapse(db: PirDatabase, rounds: int) -> List[str]:
 
 def test_fused_batch_speedup_and_identity(report):
     """Byte-identical replies, exact read collapse, >= 2x virtual speedup."""
-    serial_payloads, serial_virtual, serial_wall, _serial_db = run_serial(
-        QUICK_ROUNDS, DEFAULT_SEED
+    serial_payloads, serial_virtual, serial_wall, serial_db = run_serial(
+        ROUNDS, DEFAULT_SEED
     )
     fused_payloads, fused_virtual, fused_wall, fused_db = run_fused(
-        QUICK_ROUNDS, DEFAULT_SEED
+        ROUNDS, DEFAULT_SEED
     )
     assert fused_payloads == serial_payloads
-    assert check_read_collapse(fused_db, QUICK_ROUNDS) == []
+    assert check_read_collapse(fused_db, ROUNDS) == []
 
-    ops = QUICK_ROUNDS * _BATCH
+    ops = ROUNDS * _BATCH
     speedup = serial_virtual / fused_virtual
     assert speedup >= MIN_SPEEDUP, (
         f"per-query virtual speedup {speedup:.2f}x < {MIN_SPEEDUP:.0f}x "
         f"for B={_BATCH} fused vs serial"
     )
     report.line(f"fused batch path, B={_BATCH} ops/window, k={_BLOCK_SIZE}, "
-                f"{QUICK_ROUNDS} windows, IBM 4764 timing + journal")
+                f"{ROUNDS} windows, IBM 4764 timing + journal")
     report.table(
         ["mode", "virtual ms/op", "wall ms/op", "frames read"],
         [
             ["serial", serial_virtual / ops * 1e3, serial_wall / ops * 1e3,
-             ops * (_BLOCK_SIZE + 1)],
+             sum(read_frames(serial_db))],
             ["fused", fused_virtual / ops * 1e3, fused_wall / ops * 1e3,
-             QUICK_ROUNDS * _BLOCK_SIZE + ops],
+             sum(read_frames(fused_db))],
         ],
     )
     report.line(f"per-query virtual speedup: {speedup:.2f}x "
@@ -167,49 +160,34 @@ def test_fused_batch_speedup_and_identity(report):
 
 
 # ---------------------------------------------------------------------------
-# Script mode: structured JSONL for the CI perf gate
+# Script mode: exact JSONL for the CI perf gate
 # ---------------------------------------------------------------------------
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    try:
-        from bench_engine import calibration_seconds  # script mode
-    except ImportError:
-        from benchmarks.bench_engine import calibration_seconds
-    from repro.obs import write_jsonl
-
-    parser = argparse.ArgumentParser(
-        description="fused-batch benchmark (JSONL for the CI perf gate)"
-    )
-    parser.add_argument("--quick", action="store_true",
-                        help=f"run {QUICK_ROUNDS} windows instead of "
-                             f"{DEFAULT_ROUNDS}")
-    parser.add_argument("--rounds", type=int, default=0,
-                        help="explicit window count (overrides --quick)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--out", default="",
-                        help="JSONL output path (default stdout)")
+    parser = lane.parser("fused-batch benchmark", DEFAULT_SEED)
+    parser.add_argument("--rounds", type=int, default=ROUNDS,
+                        help="window count (the committed baseline was "
+                             "recorded at the default)")
     args = parser.parse_args(argv)
 
-    rounds = args.rounds or (QUICK_ROUNDS if args.quick else DEFAULT_ROUNDS)
-    calibration = calibration_seconds()
-    serial_payloads, serial_virtual, serial_wall, _serial_db = run_serial(
-        rounds, args.seed
+    serial_payloads, serial_virtual, serial_wall, serial_db = run_serial(
+        args.rounds, args.seed
     )
     fused_payloads, fused_virtual, fused_wall, fused_db = run_fused(
-        rounds, args.seed
+        args.rounds, args.seed
     )
     if fused_payloads != serial_payloads:
         print("error: fused replies diverged from the serial loop",
               file=sys.stderr)
         return 2
-    collapse_problems = check_read_collapse(fused_db, rounds)
+    collapse_problems = check_read_collapse(fused_db, args.rounds)
     if collapse_problems:
         for problem in collapse_problems:
             print(f"error: read collapse broken — {problem}", file=sys.stderr)
         return 2
 
-    ops = rounds * _BATCH
+    ops = args.rounds * _BATCH
     speedup = (serial_virtual / ops) / (fused_virtual / ops)
     if speedup < MIN_SPEEDUP:
         print(f"error: per-query virtual speedup {speedup:.2f}x "
@@ -217,40 +195,25 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
 
     frame_size = fused_db.engine.disk.frame_size
-    fused_frames = rounds * _BLOCK_SIZE + ops  # k per window + 1 per op
-    rows = [{
-        "kind": "meta",
-        "queries": ops,
-        "seed": args.seed,
-        "pages": _BENCH_RECORDS,
-        "block_size": _BLOCK_SIZE,
-        "page_size": _BENCH_PAGE_SIZE,
-        "batch": _BATCH,
-        "calibration_s": calibration,
-        # Informational (not gated here): the in-script >= 2x check above
-        # is the gate; compare_bench.py gates the virtual_s columns exactly.
-        "virtual_speedup": speedup,
-    }]
-    rows.append({
-        "kind": "phase", "name": "batch.serial",
-        "count": ops, "bytes": ops * (_BLOCK_SIZE + 1) * frame_size,
-        "virtual_s": serial_virtual, "wall_s": serial_wall,
-    })
-    rows.append({
-        "kind": "phase", "name": "batch.fused",
-        "count": ops, "bytes": fused_frames * frame_size,
-        "virtual_s": fused_virtual, "wall_s": fused_wall,
-    })
-    if args.out:
-        written = write_jsonl(args.out, rows)
-        print(f"wrote {written} rows ({rounds} windows of {_BATCH} ops, "
-              f"virtual speedup {speedup:.2f}x) to {args.out}")
-    else:
-        import json
-
-        for row in rows:
-            print(json.dumps(row, sort_keys=True))
-    return 0
+    rows = [
+        # virtual_speedup is informational here: the in-script >= 2x check
+        # above is the gate; compare_bench.py gates the virtual_s columns.
+        lane.meta_row(ops, args.seed, _BENCH_RECORDS, _BLOCK_SIZE,
+                      _BENCH_PAGE_SIZE, batch=_BATCH,
+                      virtual_speedup=speedup),
+        lane.phase_row("batch.serial", ops,
+                       sum(read_frames(serial_db)) * frame_size,
+                       serial_virtual),
+        lane.phase_row("batch.fused", ops,
+                       sum(read_frames(fused_db)) * frame_size,
+                       fused_virtual),
+    ]
+    return lane.emit(
+        rows, args.out,
+        f"{args.rounds} windows of {_BATCH} ops, virtual speedup "
+        f"{speedup:.2f}x (wall: serial {serial_wall * 1e3:.1f} ms, "
+        f"fused {fused_wall * 1e3:.1f} ms)",
+    )
 
 
 if __name__ == "__main__":

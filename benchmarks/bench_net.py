@@ -5,13 +5,12 @@ Exercises the ``repro.net`` stack end to end on localhost:
 * **net.serial** — one blocking :class:`~repro.net.client.NetworkClient`
   drives a pinned query stream through a real TCP socket.  Counts, reply
   bytes and the engine's virtual seconds are deterministic under the
-  pinned seed, so the perf gate checks them exactly; wall time is
-  calibration-normalised with a loose threshold (sockets + scheduler).
-* **net.concurrent** — 8 async clients issue a fixed workload
-  concurrently.  Counts/bytes stay deterministic (fixed message sizes,
-  no shedding); virtual seconds are reported as 0.0 because concurrent
-  arrival order is scheduler-dependent.
-* **net.shed** — the same async fleet against a deliberately undersized
+  pinned seed, so the perf gate checks them exactly.
+* **net.concurrent** — 8 client threads, one blocking ``NetworkClient``
+  each, issue a fixed workload concurrently.  Counts/bytes stay
+  deterministic (fixed message sizes, no shedding); virtual seconds are
+  reported as 0.0 because concurrent arrival order is scheduler-dependent.
+* **net.shed** — the same fleet against a deliberately undersized
   token bucket.  The run *fails* unless backpressure engages (nonzero
   shed) and every shed surfaced as a retryable refusal, not an error.
 
@@ -22,25 +21,21 @@ and every session was closed.
 
 Besides the pytest checks, this file is a script::
 
-    PYTHONPATH=src python benchmarks/bench_net.py --quick --out run.jsonl
+    PYTHONPATH=src python benchmarks/bench_net.py --out run.jsonl
 
-emitting the perf-gate JSONL layout diffed by ``compare_bench.py``
-against ``benchmarks/results/perf_baseline_net.jsonl``.
+emitting the exact lane JSONL (``benchmarks/lane.py``) diffed by
+``compare_bench.py`` against ``benchmarks/results/perf_baseline_net.jsonl``;
+wall seconds, qps and the shed split are printed, not written.
 """
 
 from __future__ import annotations
 
-import argparse
-import asyncio
 import sys
 import time
-from os import path
+from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # script mode from a checkout without PYTHONPATH
-    sys.path.insert(0, path.join(path.dirname(__file__), "..", "src"))
+import lane  # first: puts src/ on sys.path for a run without PYTHONPATH
 
 from repro.baselines import make_records
 from repro.core.database import PirDatabase
@@ -53,13 +48,11 @@ from repro.net import (
     ServerThread,
     TokenBucket,
 )
-from repro.net.client import AsyncNetworkClient
 from repro.service.frontend import SESSION_RANDOM, QueryFrontend
 
 #: Pinned workload shape — change it and the committed baseline together.
 DEFAULT_SEED = 977
-DEFAULT_QUERIES = 160
-QUICK_QUERIES = 64
+QUERIES = 64
 _BENCH_RECORDS = 64
 _BENCH_PAGE_SIZE = 64
 _BENCH_CACHE = 8
@@ -123,38 +116,43 @@ def run_serial(queries: int, seed: int):
     return queries, reply_bytes, virtual, wall
 
 
-async def _drive_clients(host, port, per_client, seed, stats):
+def _drive_clients(host, port, per_client, seed) -> dict:
+    """``_CLIENTS`` threads of blocking clients; returns ok / shed / bytes.
+
+    No retry policy: a shed surfaces as ``DegradedServiceError`` and is
+    counted, never ridden out — the shed split is what net.shed measures.
+    """
     expected = make_records(_BENCH_RECORDS, _BENCH_PAGE_SIZE)
 
-    async def one(index: int) -> None:
-        client = await AsyncNetworkClient.connect(host, port,
-                                                  rng_seed=seed + index)
-        try:
+    def one(index: int) -> dict:
+        stats = {"ok": 0, "shed": 0, "bytes": 0}
+        with NetworkClient(host, port, rng_seed=seed + index) as client:
             for step in range(per_client):
                 page_id = (index * per_client + step) % _BENCH_RECORDS
                 try:
-                    payload = await client.query(page_id)
+                    payload = client.query(page_id)
                 except DegradedServiceError:
                     stats["shed"] += 1
                     continue
                 assert payload == expected[page_id], "reply bytes diverged"
                 stats["ok"] += 1
                 stats["bytes"] += len(payload)
-        finally:
-            await client.close()
+        return stats
 
-    await asyncio.gather(*(one(index) for index in range(_CLIENTS)))
+    with ThreadPoolExecutor(max_workers=_CLIENTS) as pool:
+        # Reading every result re-raises a client's protocol error here.
+        per_thread = list(pool.map(one, range(_CLIENTS)))
+    return {key: sum(stats[key] for stats in per_thread)
+            for key in ("ok", "shed", "bytes")}
 
 
 def run_concurrent(queries: int, seed: int):
     """8-client concurrent stream; returns (count, bytes, wall)."""
     per_client = queries // _CLIENTS
-    stats = {"ok": 0, "shed": 0, "bytes": 0}
     with _Deployment(seed) as deployment:
         start = time.perf_counter()
-        asyncio.run(_drive_clients(deployment.handle.host,
-                                   deployment.handle.port,
-                                   per_client, seed, stats))
+        stats = _drive_clients(deployment.handle.host,
+                               deployment.handle.port, per_client, seed)
         wall = time.perf_counter() - start
         served = deployment.db.engine.request_count
     total = per_client * _CLIENTS
@@ -173,12 +171,11 @@ def run_shed(seed: int):
     admission = AdmissionController(
         bucket=TokenBucket(rate=_SHED_RATE, capacity=_SHED_CAPACITY),
     )
-    stats = {"ok": 0, "shed": 0, "bytes": 0}
     with _Deployment(seed, admission=admission) as deployment:
         start = time.perf_counter()
-        asyncio.run(_drive_clients(deployment.handle.host,
-                                   deployment.handle.port,
-                                   _SHED_ATTEMPTS_PER_CLIENT, seed, stats))
+        stats = _drive_clients(deployment.handle.host,
+                               deployment.handle.port,
+                               _SHED_ATTEMPTS_PER_CLIENT, seed)
         wall = time.perf_counter() - start
         served = deployment.db.engine.request_count
     attempts = _CLIENTS * _SHED_ATTEMPTS_PER_CLIENT
@@ -222,97 +219,50 @@ def test_undersized_bucket_sheds():
 
 
 # ---------------------------------------------------------------------------
-# Script mode: structured JSONL for the CI perf gate
+# Script mode: exact JSONL for the CI perf gate
 # ---------------------------------------------------------------------------
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    try:
-        from bench_engine import calibration_seconds  # script mode
-    except ImportError:
-        from benchmarks.bench_engine import calibration_seconds
-    from repro.obs import write_jsonl
+    from repro.core.params import SystemParameters
 
-    parser = argparse.ArgumentParser(
-        description="network serving benchmark (JSONL for the CI perf gate)"
-    )
-    parser.add_argument("--quick", action="store_true",
-                        help=f"run {QUICK_QUERIES} queries instead of "
-                             f"{DEFAULT_QUERIES}")
-    parser.add_argument("--queries", type=int, default=0,
-                        help="explicit query count (overrides --quick); "
-                             f"must be a multiple of {_CLIENTS}")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--out", default="",
-                        help="JSONL output path (default stdout)")
+    parser = lane.parser("network serving benchmark", DEFAULT_SEED)
+    parser.add_argument("--queries", type=int, default=QUERIES,
+                        help=f"query count, a multiple of {_CLIENTS} (the "
+                             "committed baseline was recorded at the default)")
     args = parser.parse_args(argv)
-
-    queries = args.queries or (QUICK_QUERIES if args.quick else DEFAULT_QUERIES)
-    if queries % _CLIENTS:
+    if args.queries % _CLIENTS:
         print(f"error: --queries must be a multiple of {_CLIENTS}",
               file=sys.stderr)
         return 2
-    calibration = calibration_seconds()
 
     serial_count, serial_bytes, serial_virtual, serial_wall = run_serial(
-        queries, args.seed
+        args.queries, args.seed
     )
-    conc_count, conc_bytes, conc_wall = run_concurrent(queries, args.seed)
-    attempts, shed_ok, shed, shed_wall = run_shed(args.seed)
-
-    qps = conc_count / conc_wall if conc_wall > 0 else 0.0
-    rows = [{
-        "kind": "meta",
-        "queries": queries,
-        "seed": args.seed,
-        "pages": _BENCH_RECORDS,
-        "block_size": None,  # filled below from the serial deployment
-        "page_size": _BENCH_PAGE_SIZE,
-        "clients": _CLIENTS,
-        "calibration_s": calibration,
-        # Informational (not gated): shed split and throughput depend on
-        # real-time token refill and scheduling.
-        "shed": shed,
-        "shed_attempts": attempts,
-        "sustained_qps": qps,
-    }]
-    rows.append({
-        "kind": "phase", "name": "net.serial",
-        "count": serial_count, "bytes": serial_bytes,
-        "virtual_s": serial_virtual, "wall_s": serial_wall,
-    })
-    rows.append({
-        "kind": "phase", "name": "net.concurrent",
-        "count": conc_count, "bytes": conc_bytes,
-        "virtual_s": 0.0, "wall_s": conc_wall,
-    })
-    rows.append({
-        "kind": "phase", "name": "net.shed",
-        "count": attempts, "bytes": 0,
-        "virtual_s": 0.0, "wall_s": shed_wall,
-    })
+    conc_count, conc_bytes, conc_wall = run_concurrent(args.queries, args.seed)
+    attempts, _shed_ok, shed, shed_wall = run_shed(args.seed)
 
     # block_size is a pure function of (pages, cache, c); derive it the
     # same way the deployment does so the meta row is comparable.
-    from repro.core.params import SystemParameters
-
-    rows[0]["block_size"] = SystemParameters.solve(
-        _BENCH_RECORDS, _BENCH_CACHE, 2.0,
-        page_capacity=_BENCH_PAGE_SIZE,
+    block_size = SystemParameters.solve(
+        _BENCH_RECORDS, _BENCH_CACHE, 2.0, page_capacity=_BENCH_PAGE_SIZE,
     ).block_size
-
-    if args.out:
-        written = write_jsonl(args.out, rows)
-        print(f"wrote {written} rows ({queries} queries, "
-              f"{qps:.0f} qps over {_CLIENTS} clients, "
-              f"{shed}/{attempts} shed under the undersized bucket) "
-              f"to {args.out}")
-    else:
-        import json
-
-        for row in rows:
-            print(json.dumps(row, sort_keys=True))
-    return 0
+    rows = [
+        lane.meta_row(args.queries, args.seed, _BENCH_RECORDS, block_size,
+                      _BENCH_PAGE_SIZE, clients=_CLIENTS,
+                      shed_attempts=attempts),
+        lane.phase_row("net.serial", serial_count, serial_bytes,
+                       serial_virtual),
+        lane.phase_row("net.concurrent", conc_count, conc_bytes, 0.0),
+        lane.phase_row("net.shed", attempts, 0, 0.0),
+    ]
+    qps = conc_count / conc_wall if conc_wall > 0 else 0.0
+    return lane.emit(
+        rows, args.out,
+        f"serial {serial_wall * 1e3:.1f} ms, {qps:.0f} qps over {_CLIENTS} "
+        f"clients ({conc_wall * 1e3:.1f} ms), {shed}/{attempts} shed under "
+        f"the undersized bucket ({shed_wall * 1e3:.1f} ms)",
+    )
 
 
 if __name__ == "__main__":

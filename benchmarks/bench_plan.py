@@ -19,29 +19,25 @@ one pinned workload:
 
 Besides the pytest check, this file is a script::
 
-    PYTHONPATH=src python benchmarks/bench_plan.py --quick --out run.jsonl
+    PYTHONPATH=src python benchmarks/bench_plan.py --out run.jsonl
 
-emitting the perf-gate JSONL layout (meta line + phase rows) that
+emitting the exact lane JSONL (``benchmarks/lane.py``) that
 ``benchmarks/compare_bench.py`` diffs against
 ``benchmarks/results/perf_baseline_plan.jsonl``.  The verify phases run
 on the virtual clock under a pinned seed, so their count/bytes/virtual
 columns are exact; the controller gate re-runs best-of-N because the
 admission token bucket and the background epoch's interleaving are
-wall-clock-driven even though the gated p99 itself is virtual.
+wall-clock-driven even though the gated p99 itself is virtual — what it
+measures is printed, never written.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
-from os import path
 from typing import List, Optional, Tuple
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # script mode from a checkout without PYTHONPATH
-    sys.path.insert(0, path.join(path.dirname(__file__), "..", "src"))
+import lane  # first: puts src/ on sys.path for a run without PYTHONPATH
 
 from repro.baselines import make_records
 from repro.core.database import PirDatabase
@@ -56,8 +52,7 @@ from repro.plan.model import frame_size_for
 
 #: Pinned workload shape — change it and the committed baseline together.
 DEFAULT_SEED = 4471
-DEFAULT_VERIFY_QUERIES = 64
-QUICK_VERIFY_QUERIES = 32
+VERIFY_QUERIES = 32
 
 _BENCH_RECORDS = 96
 _BENCH_PAGE_SIZE = 32
@@ -91,16 +86,12 @@ def _percentile_gate_target() -> float:
 
 
 def _verify_rows_to_phase(name: str, built, rows: List[dict],
-                          queries: int, wall: float) -> dict:
+                          queries: int) -> dict:
     total = next(row for row in rows if row["phase"] == "total")
     frame = frame_size_for(built.target.page_size)
-    return {
-        "kind": "phase", "name": name,
-        "count": queries,
-        "bytes": queries * (built.block_size + 1) * frame,
-        "virtual_s": total["measured_s"] * queries,
-        "wall_s": wall,
-    }
+    return lane.phase_row(name, queries,
+                          queries * (built.block_size + 1) * frame,
+                          total["measured_s"] * queries)
 
 
 def run_verify_gate(calibrate: str, queries: int,
@@ -121,9 +112,7 @@ def run_verify_gate(calibrate: str, queries: int,
             IBM_4764, page_size=_BENCH_PAGE_SIZE
         )
     built = solve_plan(PlanTarget(**_VERIFY_TARGET), model=model)
-    wall_start = time.perf_counter()
     rows = verify_plan(built, model, queries=queries, seed=seed)
-    wall = time.perf_counter() - wall_start
     if built.achieved_c > _VERIFY_TARGET["privacy_c"] * (1 + 1e-9):
         problems.append(
             f"{calibrate}: planned c={built.achieved_c:.4f} misses the "
@@ -139,7 +128,7 @@ def run_verify_gate(calibrate: str, queries: int,
                 f"{MAX_VERIFY_ERROR:.0%}"
             )
     phase_row = _verify_rows_to_phase(
-        f"plan.verify.{calibrate}", built, rows, queries, wall
+        f"plan.verify.{calibrate}", built, rows, queries
     )
     return phase_row, worst, problems
 
@@ -272,10 +261,10 @@ def test_plan_verify_and_autotune(report):
     """Per-phase prediction error <= 15% both calibrations; controller
     moves every cost tunable while privacy stays frozen."""
     spec_row, spec_worst, spec_problems = run_verify_gate(
-        "spec", QUICK_VERIFY_QUERIES, DEFAULT_SEED
+        "spec", VERIFY_QUERIES, DEFAULT_SEED
     )
     probe_row, probe_worst, probe_problems = run_verify_gate(
-        "probe", QUICK_VERIFY_QUERIES, DEFAULT_SEED
+        "probe", VERIFY_QUERIES, DEFAULT_SEED
     )
     assert spec_problems + probe_problems == []
 
@@ -301,44 +290,25 @@ def test_plan_verify_and_autotune(report):
 
 
 # ---------------------------------------------------------------------------
-# Script mode: structured JSONL for the CI perf gate
+# Script mode: exact JSONL for the CI perf gate
 # ---------------------------------------------------------------------------
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    try:
-        from bench_engine import calibration_seconds  # script mode
-    except ImportError:
-        from benchmarks.bench_engine import calibration_seconds
-    from repro.obs import write_jsonl
-
-    parser = argparse.ArgumentParser(
-        description="planner/autotuner benchmark (JSONL for the CI perf "
-                    "gate)"
-    )
-    parser.add_argument("--quick", action="store_true",
-                        help=f"verify with {QUICK_VERIFY_QUERIES} queries "
-                             f"instead of {DEFAULT_VERIFY_QUERIES}")
-    parser.add_argument("--queries", type=int, default=0,
-                        help="explicit verify query count (overrides "
-                             "--quick)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    parser = lane.parser("planner/autotuner benchmark", DEFAULT_SEED)
+    parser.add_argument("--queries", type=int, default=VERIFY_QUERIES,
+                        help="verify query count (the committed baseline "
+                             "was recorded at the default)")
     parser.add_argument("--skip-controller", action="store_true",
                         help="skip the live controller gate (deterministic "
                              "verify phases only)")
-    parser.add_argument("--out", default="",
-                        help="JSONL output path (default stdout)")
     args = parser.parse_args(argv)
 
-    queries = args.queries or (QUICK_VERIFY_QUERIES if args.quick
-                               else DEFAULT_VERIFY_QUERIES)
-    calibration = calibration_seconds()
-
     spec_row, spec_worst, problems = run_verify_gate(
-        "spec", queries, args.seed
+        "spec", args.queries, args.seed
     )
     probe_row, probe_worst, probe_problems = run_verify_gate(
-        "probe", queries, args.seed
+        "probe", args.queries, args.seed
     )
     problems += probe_problems
     if problems:
@@ -346,7 +316,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"error: {problem}", file=sys.stderr)
         return 1
 
-    stats: dict = {}
+    controller = "controller skipped"
     if not args.skip_controller:
         stats, correctness, perf = run_controller_gate(args.seed)
         for problem in correctness:
@@ -357,37 +327,28 @@ def main(argv: Optional[List[str]] = None) -> int:
             for problem in perf:
                 print(f"error: {problem}", file=sys.stderr)
             return 1
+        controller = (
+            f"{stats['ctrl_adjustments']} controller adjustments of "
+            f"{stats['ctrl_tunables']} over {stats['ctrl_cycles']} cycles, "
+            f"{stats['ctrl_sheds']} sheds, virtual p99 "
+            f"{stats['ctrl_p99_virtual_s']:.4f}s"
+        )
 
-    rows = [dict({
-        "kind": "meta",
-        "queries": queries,
-        "seed": args.seed,
-        "pages": _BENCH_RECORDS,
-        "page_size": _BENCH_PAGE_SIZE,
-        "block_size": _CTRL_BLOCK_SIZE,
-        "calibration_s": calibration,
-        # Informational (not gated here): the in-script error and
-        # controller gates above are the gates; compare_bench.py gates the
-        # virtual_s columns exactly.
-        "verify_worst_error_spec": spec_worst["error"],
-        "verify_worst_error_probe": probe_worst["error"],
-    }, **stats)]
-    rows.append(spec_row)
-    rows.append(probe_row)
-    if args.out:
-        written = write_jsonl(args.out, rows)
-        print(f"wrote {written} rows (worst spec error "
-              f"{spec_worst['error']:.2%}, worst probe error "
-              f"{probe_worst['error']:.2%}"
-              + (f", {stats['ctrl_adjustments']} controller adjustments"
-                 if stats else "")
-              + f") to {args.out}")
-    else:
-        import json
-
-        for row in rows:
-            print(json.dumps(row, sort_keys=True))
-    return 0
+    rows = [
+        # The worst errors are informational here: the in-script error gate
+        # above is the gate; compare_bench.py gates the virtual_s columns.
+        lane.meta_row(args.queries, args.seed, _BENCH_RECORDS,
+                      _CTRL_BLOCK_SIZE, _BENCH_PAGE_SIZE,
+                      verify_worst_error_spec=spec_worst["error"],
+                      verify_worst_error_probe=probe_worst["error"]),
+        spec_row,
+        probe_row,
+    ]
+    return lane.emit(
+        rows, args.out,
+        f"worst spec error {spec_worst['error']:.2%}, worst probe error "
+        f"{probe_worst['error']:.2%}; {controller}",
+    )
 
 
 if __name__ == "__main__":

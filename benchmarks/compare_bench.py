@@ -1,28 +1,19 @@
-"""Per-phase diff of two ``bench_engine.py`` JSONL runs — the CI perf gate.
+"""Exact per-phase diff of two perf-lane JSONL runs — the CI perf gate.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/compare_bench.py BASELINE CURRENT \
-        [--threshold 0.25] [--min-wall 0.005]
+    PYTHONPATH=src python benchmarks/compare_bench.py BASELINE CURRENT
 
-Exit status 0 when the current run is within the threshold of the
-baseline, 1 on any regression, 2 on malformed/incomparable inputs.
+Exit status 0 when the current run matches the baseline, 1 on any
+mismatch, 2 on malformed/incomparable inputs.
 
-Two classes of comparison:
-
-* **Deterministic metrics** (``count``, ``bytes``, ``virtual_s``) come
-  from the pinned-seed workload on the virtual clock and must match the
-  baseline *exactly* (virtual seconds to a relative 1e-9).  A mismatch
-  means the engine's access pattern changed — that is a correctness-class
-  regression, reported regardless of wall time.
-
-* **Wall time** is machine-dependent, so each run's phase wall times are
-  first normalised by that run's ``calibration_s`` (a fixed hashing
-  workload timed by ``bench_engine.py``).  A phase regresses when its
-  normalised wall time exceeds the baseline's by more than ``--threshold``
-  (default 25%).  Phases whose baseline wall time is below ``--min-wall``
-  seconds in total are reported but not gated: at sub-millisecond scale
-  scheduler noise exceeds any real signal.
+A lane file holds only what a pinned-seed workload decides *exactly*:
+``count``, ``bytes`` and ``errors`` (compared wherever the baseline row
+records it) must be equal, ``virtual_s`` — the cost charged to the virtual
+clock — equal to a relative 1e-9.  A mismatch means the engine's access
+pattern or a record length changed — a correctness-class finding, never
+noise.  Wall time is not in these files and is not compared here: the
+repo's one wall-clock authority is BENCH (``python3 benchmarks/e2e/run.py``).
 
 New phases (in current but not baseline) are reported but never gated;
 phases that *disappear* are gated, since losing a span usually means an
@@ -47,7 +38,7 @@ _VIRTUAL_REL_TOL = 1e-9
 
 # Every phase row must carry these columns; a row missing one is malformed
 # input (exit 2), not a silent KeyError traceback mid-comparison.
-_PHASE_COLUMNS = ("count", "bytes", "virtual_s", "wall_s")
+_PHASE_COLUMNS = ("count", "bytes", "virtual_s")
 
 
 def load_run(file_path: str) -> Dict[str, object]:
@@ -60,10 +51,6 @@ def load_run(file_path: str) -> Dict[str, object]:
             f"{file_path}: expected exactly one meta row and at least one "
             f"phase row, found {len(metas)} meta / {len(phases)} phase"
         )
-    meta = metas[0]
-    calibration = float(meta.get("calibration_s", 0.0))
-    if calibration <= 0.0:
-        raise ValueError(f"{file_path}: meta row lacks a positive calibration_s")
     for row in phases:
         if "name" not in row:
             raise ValueError(
@@ -76,34 +63,34 @@ def load_run(file_path: str) -> Dict[str, object]:
                 f"column(s) {', '.join(missing)} — run is malformed"
             )
     return {
-        "meta": meta,
-        "calibration": calibration,
+        "meta": metas[0],
         "phases": {row["name"]: row for row in phases},
     }
 
 
-def _check_comparable(base_meta: dict, cur_meta: dict) -> List[str]:
-    problems = []
-    for key in ("queries", "seed", "pages", "block_size", "page_size"):
-        if base_meta.get(key) != cur_meta.get(key):
-            problems.append(
-                f"meta mismatch on {key!r}: baseline {base_meta.get(key)} "
-                f"vs current {cur_meta.get(key)} — runs are not comparable"
-            )
-    return problems
+def _check_comparable(base_meta: dict, cur_meta: dict) -> None:
+    problems = [
+        f"{key!r}: baseline {base_meta.get(key)} vs current {cur_meta.get(key)}"
+        for key in ("queries", "seed", "pages", "block_size", "page_size")
+        if base_meta.get(key) != cur_meta.get(key)
+    ]
+    if problems:
+        raise ValueError(
+            f"meta mismatch on {'; '.join(problems)} — runs are not comparable"
+        )
 
 
 def compare_runs(
     baseline: Dict[str, object],
     current: Dict[str, object],
-    threshold: float,
-    min_wall: float,
 ) -> "tuple[List[List[object]], List[str]]":
-    """Per-phase delta table plus the list of regression descriptions."""
+    """Per-phase table plus the list of mismatch descriptions.
+
+    Raises :class:`ValueError` when a current row lacks the ``errors``
+    column its baseline row records (malformed, like any missing column).
+    """
     base_phases: Dict[str, dict] = baseline["phases"]  # type: ignore[assignment]
     cur_phases: Dict[str, dict] = current["phases"]  # type: ignore[assignment]
-    base_cal: float = baseline["calibration"]  # type: ignore[assignment]
-    cur_cal: float = current["calibration"]  # type: ignore[assignment]
 
     table: List[List[object]] = []
     regressions: List[str] = []
@@ -112,21 +99,31 @@ def compare_runs(
         base = base_phases.get(name)
         cur = cur_phases.get(name)
         if base is None:
-            table.append([name, "-", f"{cur['wall_s']:.4f}", "-", "new"])
+            table.append([name, cur["count"], cur["bytes"],
+                          cur["virtual_s"], "new"])
             continue
+        exact = ("count", "bytes") + (("errors",) if "errors" in base else ())
         if cur is None:
             # Spell out what the baseline recorded, column by column, so the
             # CI log shows exactly which measurements vanished.
             lost = ", ".join(
-                f"{key}={base[key]!r} -> absent" for key in _PHASE_COLUMNS
+                f"{key}={base[key]!r} -> absent"
+                for key in exact + ("virtual_s",)
             )
             regressions.append(
                 f"{name}: phase disappeared from current run ({lost})"
             )
-            table.append([name, f"{base['wall_s']:.4f}", "-", "-", "MISSING"])
+            table.append([name, base["count"], base["bytes"],
+                          base["virtual_s"], "MISSING"])
             continue
 
-        for key in ("count", "bytes"):
+        before = len(regressions)
+        for key in exact:
+            if key not in cur:
+                raise ValueError(
+                    f"current phase {name!r} is missing column {key} the "
+                    "baseline records — run is malformed"
+                )
             if base[key] != cur[key]:
                 regressions.append(
                     f"{name}: deterministic {key} changed "
@@ -140,36 +137,18 @@ def compare_runs(
                 f"{name}: deterministic virtual_s changed "
                 f"{base_virtual!r} -> {cur_virtual!r}"
             )
-
-        base_norm = float(base["wall_s"]) / base_cal
-        cur_norm = float(cur["wall_s"]) / cur_cal
-        delta = (cur_norm - base_norm) / base_norm if base_norm > 0 else 0.0
-        gated = float(base["wall_s"]) >= min_wall
-        status = "ok"
-        if gated and delta > threshold:
-            status = "REGRESSED"
-            regressions.append(
-                f"{name}: normalised wall time {delta:+.1%} vs baseline "
-                f"(threshold {threshold:+.0%})"
-            )
-        elif not gated:
-            status = "ok (not gated)"
         table.append([
-            name,
-            f"{base['wall_s']:.4f}",
-            f"{cur['wall_s']:.4f}",
-            f"{delta:+.1%}",
-            status,
+            name, cur["count"], cur["bytes"], cur["virtual_s"],
+            "ok" if len(regressions) == before else "CHANGED",
         ])
     return table, regressions
 
 
 def _print_table(rows: List[List[object]]) -> None:
-    headers = ["phase", "base wall (s)", "cur wall (s)", "norm delta", "status"]
+    headers = ["phase", "count", "bytes", "virtual_s", "status"]
     printable = [[str(cell) for cell in row] for row in rows]
     widths = [
         max(len(headers[i]), *(len(row[i]) for row in printable))
-        if printable else len(headers[i])
         for i in range(len(headers))
     ]
     print("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
@@ -180,38 +159,22 @@ def _print_table(rows: List[List[object]]) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="diff two bench_engine.py JSONL runs; exit 1 on regression"
+        description="exact diff of two perf-lane JSONL runs; exit 1 on "
+                    "any mismatch"
     )
     parser.add_argument("baseline", help="committed baseline JSONL")
     parser.add_argument("current", help="freshly produced JSONL")
-    parser.add_argument("--threshold", type=float, default=0.25,
-                        help="relative wall-time regression limit "
-                             "(default 0.25 = 25%%)")
-    parser.add_argument("--min-wall", type=float, default=0.005,
-                        help="baseline wall seconds below which a phase is "
-                             "reported but not gated (default 0.005)")
     args = parser.parse_args(argv)
 
     try:
         baseline = load_run(args.baseline)
         current = load_run(args.current)
+        _check_comparable(baseline["meta"], current["meta"])
+        table, regressions = compare_runs(baseline, current)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    problems = _check_comparable(baseline["meta"], current["meta"])
-    if problems:
-        for problem in problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return 2
 
-    table, regressions = compare_runs(
-        baseline, current, args.threshold, args.min_wall
-    )
-    print(
-        f"baseline calibration {baseline['calibration']:.4f}s, "
-        f"current {current['calibration']:.4f}s "
-        f"(wall deltas are calibration-normalised)"
-    )
     _print_table(table)
     if regressions:
         print(f"\n{len(regressions)} regression(s):")

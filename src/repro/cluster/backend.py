@@ -217,10 +217,16 @@ def build_cluster(
     )
     databases = [primary]
     if replicas > 1:
+        # A snapshot holds neither the timing model nor the trace switch:
+        # replicas get the primary's, or their clocks would never move.
+        restore_kw = {key: create_kw[key]
+                      for key in ("spec", "trace_enabled") if key in create_kw}
         directory = os.path.join(snapshot_dir, "bootstrap")
-        databases.append(bootstrap_replica(primary, directory, seed=seed + 1))
+        databases.append(bootstrap_replica(primary, directory, seed=seed + 1,
+                                           **restore_kw))
         for index in range(2, replicas):
-            databases.append(load_snapshot(directory, seed=seed + index))
+            databases.append(load_snapshot(directory, seed=seed + index,
+                                           **restore_kw))
     shared_cache = (reply_cache if reply_cache is not None
                     else SealedReplyCache())
     handles = []

@@ -789,12 +789,8 @@ class RetrievalEngine:
         if self._query_hist is not None:
             self._query_hist.observe(self.last_outcome.elapsed)
         self.counters.increment("requests", n_ops)
-        self.counters.increment("batch.fused.windows")
-        self.counters.increment("batch.fused.ops", n_ops)
-        self.counters.increment("batch.fused.block_reads")
-        self.counters.increment("batch.fused.extra_reads", n_ops)
-        self.counters.increment("batch.fused.reads_saved",
-                                (n_ops - 1) * k)
+        self.counters.increment("batch.windows")
+        self.counters.increment("batch.ops", n_ops)
 
     def _fetch(self, read, num_frames: int) -> PageWindow:
         """Read + ingest + decrypt ``num_frames`` frames into a page window.

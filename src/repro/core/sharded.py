@@ -82,7 +82,7 @@ class ShardedPirDatabase:
         self._per_shard = records_per_shard
         self.num_records = num_records
         self.cover_traffic = cover_traffic
-        self.counters = CounterSet(registry=metrics, prefix="shardpool.")
+        self.counters = CounterSet(registry=metrics, prefix="sharded.")
         # The one lock: a request holds it from routing prescan to routing
         # commit, so concurrent client threads see the routing table and
         # every shard engine (single-threaded by contract) one at a time.
@@ -119,7 +119,7 @@ class ShardedPirDatabase:
         """Partition ``records`` into contiguous shards, one engine each.
 
         ``metrics`` (a :class:`~repro.obs.registry.MetricsRegistry`) is
-        shared by all shards and the façade's ``shardpool.*`` counters;
+        shared by all shards and the façade's ``sharded.*`` counters;
         ``database_options`` go to every :meth:`PirDatabase.create` — a
         shared ``tracer`` records the spans of all shards, in issue order.
         """

@@ -5,13 +5,13 @@ length-prefixed framing with a hard size cap (:mod:`~repro.net.framing`),
 an asyncio server bridging connections to the synchronous engine through
 worker threads with graceful drain (:mod:`~repro.net.server`), admission
 control that sheds load with retryable refusals
-(:mod:`~repro.net.admission`), and blocking/async clients mirroring
+(:mod:`~repro.net.admission`), and a blocking client mirroring
 :class:`~repro.service.frontend.ServiceClient`
 (:mod:`~repro.net.client`).
 """
 
 from .admission import AdmissionController, TokenBucket
-from .client import AsyncNetworkClient, NetworkClient
+from .client import NetworkClient
 from .framing import MAX_FRAME_BYTES
 from .server import PirServer, ServerThread
 
@@ -19,7 +19,6 @@ __all__ = [
     "AdmissionController",
     "TokenBucket",
     "NetworkClient",
-    "AsyncNetworkClient",
     "MAX_FRAME_BYTES",
     "PirServer",
     "ServerThread",

@@ -1,4 +1,4 @@
-"""Network clients for the PIR serving stack.
+"""Network client for the PIR serving stack.
 
 :class:`NetworkClient` is the blocking mirror of
 :class:`~repro.service.frontend.ServiceClient`: same typed operation
@@ -26,10 +26,6 @@ why the *only* safe reaction to any transport error is a fresh
 connection — never another read on the same socket.  Connect and read
 deadlines are configured separately and both surface as the typed
 :class:`~repro.errors.NetTimeoutError`.
-
-:class:`AsyncNetworkClient` is the coroutine variant used by the load
-generator — same framing, handshake and request-id discipline, one
-outstanding request per connection.
 """
 
 from __future__ import annotations
@@ -48,9 +44,7 @@ from .framing import (
     Welcome,
     decode_net_message,
     encode_net_message,
-    read_frame_async,
     read_frame_sock,
-    write_frame_async,
     write_frame_sock,
 )
 from ..crypto.rng import SecureRandom
@@ -71,7 +65,7 @@ from ..service.frontend import (
 from ..service.health import error_for_refusal
 from ..sim.metrics import CounterSet, LatencySeries
 
-__all__ = ["NetworkClient", "AsyncNetworkClient"]
+__all__ = ["NetworkClient"]
 
 #: Never sleep longer than this between retries, whatever the server's
 #: retry-after hint says — a buggy hint must not hang a client for hours.
@@ -310,144 +304,3 @@ class NetworkClient(ClientOperationsMixin):
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-class AsyncNetworkClient:
-    """Coroutine TCP client for load generation — one request in flight.
-
-    No built-in *refusal* retry: the load generator decides what to do
-    with a :class:`~repro.errors.DegradedServiceError` (count the shed,
-    back off, or give up) because that *is* the measurement.  Transport
-    failures, though, reconnect-and-resume exactly like the blocking
-    client — a chaos drill measures the service through faults, not the
-    fault itself.
-    """
-
-    def __init__(self, reader, writer, session_id: int,
-                 rng_seed: Optional[int] = None,
-                 host: Optional[str] = None, port: Optional[int] = None):
-        self._reader = reader
-        self._writer = writer
-        self.session_id = session_id
-        self.host = host
-        self.port = port
-        self._suite = _client_suite(session_id, rng_seed)
-        self._next_request_id = 1
-        self.counters = CounterSet()
-        self.latencies = LatencySeries()
-
-    @classmethod
-    async def connect(cls, host: str, port: int,
-                      rng_seed: Optional[int] = None) -> "AsyncNetworkClient":
-        import asyncio
-
-        try:
-            reader, writer = await asyncio.open_connection(host, port)
-        except OSError as exc:
-            raise TransientChannelError(
-                f"cannot connect to {host}:{port}: {exc}"
-            ) from exc
-        try:
-            await write_frame_async(writer, encode_net_message(Hello()))
-            reply = decode_net_message(await read_frame_async(reader))
-            session_id = _check_handshake_reply(reply)
-        except BaseException:
-            writer.close()
-            raise
-        return cls(reader, writer, session_id, rng_seed, host=host, port=port)
-
-    async def _reconnect(self) -> None:
-        """Re-dial and RESUME the session (needs host/port from connect())."""
-        import asyncio
-
-        if self.host is None or self.port is None:
-            raise TransientChannelError(
-                "connection lost and no dial address to resume with"
-            )
-        self._writer.close()
-        try:
-            reader, writer = await asyncio.open_connection(self.host,
-                                                           self.port)
-        except OSError as exc:
-            raise TransientChannelError(
-                f"cannot reconnect to {self.host}:{self.port}: {exc}"
-            ) from exc
-        try:
-            await write_frame_async(
-                writer, encode_net_message(Resume(self.session_id))
-            )
-            reply = decode_net_message(await read_frame_async(reader))
-            resumed = _check_handshake_reply(reply)
-            if resumed != self.session_id:
-                raise ProtocolError(
-                    f"resumed session {resumed} != {self.session_id}"
-                )
-        except BaseException:
-            writer.close()
-            raise
-        self._reader, self._writer = reader, writer
-        self.counters.increment("reconnects")
-
-    async def call(
-        self, message: protocol.ClientMessage
-    ) -> protocol.ClientMessage:
-        """One sealed round trip; raises the refusal's error class."""
-        sealed = self._suite.encrypt_page(
-            protocol.encode_client_message(message)
-        )
-        request_id = self._next_request_id
-        self._next_request_id += 1
-        started = time.monotonic()
-        resumed = False
-        while True:
-            try:
-                await write_frame_async(
-                    self._writer,
-                    encode_net_message(Request(request_id, sealed)),
-                )
-                while True:
-                    reply = decode_net_message(
-                        await read_frame_async(self._reader)
-                    )
-                    sealed_reply = _reply_sealed(reply, request_id)
-                    if sealed_reply is not None:
-                        break
-                break
-            except (TransientChannelError, ConnectionError, OSError) as exc:
-                if resumed:
-                    if isinstance(exc, TransientChannelError):
-                        raise
-                    raise TransientChannelError(
-                        f"connection lost: {exc}"
-                    ) from exc
-                resumed = True
-                await self._reconnect()
-                self.counters.increment("retransmits")
-        self.latencies.record(time.monotonic() - started)
-        decoded = protocol.decode_client_message(
-            self._suite.decrypt_page(sealed_reply)
-        )
-        if isinstance(decoded, protocol.Refused):
-            raise error_for_refusal(
-                decoded.code,
-                f"request refused: {decoded.reason}",
-                decoded.retry_after,
-            )
-        return decoded
-
-    async def query(self, page_id: int) -> bytes:
-        reply = await self.call(protocol.Query(page_id))
-        if not isinstance(reply, protocol.Result):
-            raise ProtocolError(f"expected Result, got {type(reply).__name__}")
-        return reply.payload
-
-    async def close(self) -> None:
-        try:
-            await write_frame_async(self._writer, encode_net_message(Bye()))
-        except (TransientChannelError, ConnectionError, OSError):
-            pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except Exception:
-            pass

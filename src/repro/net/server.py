@@ -379,7 +379,12 @@ class PirServer:
             writer.close()
             try:
                 await writer.wait_closed()
-            except Exception:
+            except (Exception, asyncio.CancelledError):
+                # Closed either way.  Drain may cancel this wait too (a
+                # blocking client's BYE + close lands just before it); the
+                # handler still finishes and deregisters instead of ending
+                # cancelled, which Python 3.11's stream callback logs as
+                # "Exception in callback".
                 pass
             self._conn_tasks.discard(task)
 

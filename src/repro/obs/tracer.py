@@ -5,8 +5,9 @@ phases (position-map lookup, k+1 frame read, decrypt, MAC verify, cache op,
 eviction, re-encrypt, journal seal, write-back, fsync — see DESIGN.md §9 for
 the full taxonomy).  Every span records
 
-* **wall time** (``time.perf_counter``) — what a perf-regression gate cares
-  about, and
+* **wall time** (``time.perf_counter``) — where a request's real time
+  went (read by ``repro metrics`` and the end-to-end harness's ledger;
+  no gate compares it), and
 * **virtual time** — the deterministic simulated cost charged to the shared
   :class:`~repro.sim.clock.VirtualClock`, when one is bound via
   :meth:`Tracer.bind_clock`.  Virtual durations are byte-identical across
@@ -147,11 +148,7 @@ class Tracer:
     .MetricsRegistry` is the thread-safe aggregation point.
 
     ``max_spans`` bounds the raw span list (totals keep accumulating past
-    it), so long runs cannot exhaust memory.  ``slowdown`` maps span names
-    to synthetic busy-wait factors — e.g. ``{"decrypt": 2.0}`` makes every
-    decrypt span take twice its real wall time.  It exists so the CI perf
-    gate can be *demonstrated* to fail (see ``benchmarks/bench_engine.py
-    --slow-phase``); never set it outside such drills.
+    it), so long runs cannot exhaust memory.
     """
 
     def __init__(
@@ -170,7 +167,6 @@ class Tracer:
         self.enabled = enabled
         self.detail = detail
         self.max_spans = max_spans
-        self.slowdown: Dict[str, float] = {}
         self.spans: List[Span] = []
         self._vclock = clock  # callable returning virtual seconds, or None
         self._stack: List[Span] = []
@@ -230,13 +226,6 @@ class Tracer:
 
     def _close(self, span: Span) -> None:
         end = time.perf_counter()
-        factor = self.slowdown.get(span.name)
-        if factor is not None and factor > 1.0:
-            # Synthetic slowdown drill: busy-wait so the phase *really*
-            # takes factor x its measured wall time (perf-gate testing).
-            target = span.wall_start + (end - span.wall_start) * factor
-            while end < target:
-                end = time.perf_counter()
         span.wall_end = end
         if self._vclock is not None:
             span.virtual_end = self._vclock()

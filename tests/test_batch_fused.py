@@ -270,7 +270,7 @@ class TestByteIdentity:
         ops = [BatchOp("query", page_id=i % NUM_RECORDS)
                for i in range(3 * k + 2)]
         per_op, pairs, whole = assert_window_sizes_agree(ops)
-        windows = [db.engine.counters.get("batch.fused.windows")
+        windows = [db.engine.counters.get("batch.windows")
                    for db in (per_op, pairs, whole)]
         assert windows == [len(ops), (len(ops) + 1) // 2, 4]
         assert (per_op.engine.request_count == pairs.engine.request_count
@@ -300,7 +300,7 @@ class TestByteIdentity:
         db, = twin_dbs(1)
         ops = [BatchOp("query", page_id=i) for i in range(6)]
         got = db.run_batch(ops, window=2)
-        assert db.engine.counters.get("batch.fused.windows") == 3
+        assert db.engine.counters.get("batch.windows") == 3
         assert all(not isinstance(item, Exception) for item in got)
         with pytest.raises(ConfigurationError):
             db.run_batch(ops, window=0)
@@ -398,7 +398,7 @@ class TestWindowMatrix:
                 patch.setattr(Page, "encode", counting_encode)
                 results = db.run_batch(ops)
             assert results == [None] * batch
-            assert db.engine.counters.get("batch.fused.windows") == 1
+            assert db.engine.counters.get("batch.windows") == 1
             # Per update: the target's and slot r's views plus the fresh
             # page; re-encoded: the two slots the op swapped.
             assert batch <= counts["built"] <= 4 * batch
@@ -418,7 +418,7 @@ class TestErrorSlots:
         assert isinstance(got[0], PageNotFoundError)
         assert isinstance(got[1], ConfigurationError)
         assert db.engine.request_count == before
-        assert db.engine.counters.get("batch.fused.windows") == 0
+        assert db.engine.counters.get("batch.windows") == 0
 
     def test_mixed_window_serves_valid_slots(self):
         ops = [
@@ -430,7 +430,7 @@ class TestErrorSlots:
         ]
         _, _, whole = assert_window_sizes_agree(ops)
         # Only the three valid ops consumed requests.
-        assert whole.engine.counters.get("batch.fused.ops") == 3
+        assert whole.engine.counters.get("batch.ops") == 3
 
     def test_insert_capacity_error_slot(self):
         # No reserve: the free pool is only round-up padding; exhaust it.
@@ -467,7 +467,7 @@ class TestFusedUnderFaults:
         reference = build_db()
         for index in range(k, 2 * k):
             assert got[index] == reference.query(index)
-        assert db.engine.counters.get("batch.fused.windows") == 1
+        assert db.engine.counters.get("batch.windows") == 1
         db.consistency_check()
 
     def test_failed_per_op_request_resets_trace_attribution(self):
@@ -559,7 +559,7 @@ class TestWindowTraceShape:
         base_index = db.engine.request_count
         results = db.run_batch(ops)
         assert not any(isinstance(item, Exception) for item in results)
-        assert db.engine.counters.get("batch.fused.windows") == 1
+        assert db.engine.counters.get("batch.windows") == 1
         return db.trace.request_shape(base_index)
 
     def test_shape_independent_of_op_types(self):
@@ -584,12 +584,8 @@ class TestWindowTraceShape:
         k = db.params.block_size
         n = k  # one full window
         db.run_batch([BatchOp("query", page_id=i) for i in range(n)])
-        counters = db.engine.counters
-        assert counters.get("batch.fused.block_reads") == 1
-        assert counters.get("batch.fused.extra_reads") == n
         # n windows of one would read n * (k + 1) frames; one window of n
-        # reads k + n.  The counter and the disk trace record exactly that.
-        assert counters.get("batch.fused.reads_saved") == n * (k + 1) - (k + n)
+        # reads k + n.  The disk trace records exactly that.
         reads = [e.count for e in db.trace if e.op == "read"]
         assert reads == [k] + [1] * n
 
@@ -725,5 +721,5 @@ class TestFrontendFusedBatch:
         assert frontend.counters.get("batch.requests") == 1
         assert frontend.counters.get("batch.ops") == 3
         engine = frontend.database.engine
-        assert engine.counters.get("batch.fused.windows") == 1
-        assert engine.counters.get("batch.fused.ops") == 3
+        assert engine.counters.get("batch.windows") == 1
+        assert engine.counters.get("batch.ops") == 3

@@ -31,6 +31,7 @@ from repro.errors import (
 )
 from repro.faults import ChaosProxy, ChaosProxyThread, FaultInjector, \
     drop_replies
+from repro.hardware.specs import IBM_4764
 from repro.net import NetworkClient
 from repro.obs import MetricsRegistry
 from repro.service.frontend import SESSION_RANDOM, QueryFrontend
@@ -160,6 +161,30 @@ def cluster(tmp_path, n=2, registry=None, router_kw=None, replicated=False):
             handle.kill()
         for handle in handles:
             handle.db.close()
+
+
+class TestBuildCluster:
+    def test_replicas_keep_the_primarys_spec_and_trace_switch(self, tmp_path):
+        """A snapshot stores neither: restored members used to get the
+        zero-cost spec (a clock that never moves) and a live trace."""
+        handles = build_cluster(RECORDS, 3, str(tmp_path), page_capacity=16,
+                                target_c=2.0, spec=IBM_4764,
+                                trace_enabled=False)
+        try:
+            costs = []
+            for handle in handles:
+                db = handle.db
+                assert db.cop.spec is IBM_4764
+                assert not db.trace.enabled
+                before = db.clock.now
+                assert db.query(3) == RECORDS[3]
+                costs.append(db.clock.now - before)
+            eq8 = handles[0].db.expected_query_time()
+            assert eq8 > 0.0
+            assert costs == [pytest.approx(eq8, rel=1e-9)] * 3
+        finally:
+            for handle in handles:
+                handle.db.close()
 
 
 class TestRoutedServing:

@@ -141,7 +141,7 @@ class TestCipherSuite:
         with pytest.raises(AuthenticationError):
             two.decrypt_page(one.encrypt_page(b"hello"))
 
-    def test_aes_and_blake2_interop_is_refused(self):
+    def test_aes_and_shake_ciphertexts_do_not_interoperate(self):
         """Different backends produce incompatible ciphertexts (same MAC key,
         so decryption succeeds only if the keystream matches)."""
         aes = CipherSuite(b"master", backend="aes", rng=SecureRandom(8))

@@ -251,6 +251,27 @@ class TestGracefulDrain:
             with pytest.raises(TransientChannelError):
                 NetworkClient(handle.host, handle.port, timeout=2.0)
 
+    def test_drain_cancelling_a_closing_connection_is_clean(self, monkeypatch):
+        """A handler already past BYE, waiting for its transport to close,
+        when drain cancels it: it must finish and deregister, not end
+        cancelled with its bookkeeping skipped."""
+        import asyncio
+
+        closing = threading.Event()
+
+        async def slow_wait_closed(self):
+            closing.set()
+            await asyncio.sleep(30.0)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "wait_closed",
+                            slow_wait_closed)
+        with serving() as (db, frontend, server, handle):
+            with NetworkClient(handle.host, handle.port) as client:
+                assert client.query(3) == RECORDS[3]
+            assert closing.wait(timeout=30)
+            handle.drain()
+            assert server._conn_tasks == set()
+
     def test_requests_after_drain_are_refused_retryably(self):
         with serving() as (db, frontend, server, handle):
             client = NetworkClient(handle.host, handle.port)
