@@ -117,7 +117,8 @@ def test_cipher_backend_cost(report, benchmark):
         rows.append([backend, elapsed * 1e3])
     db = _db(backend="shake", seed=6)
     benchmark(lambda: db.query(7))
-    report.line("wall-clock per executed query by cipher backend (k = 8)")
-    report.table(["backend", "ms / query (this machine)"], rows)
+    headers = ["backend", "ms / query (this machine)"]
+    report.note("wall-clock per executed query by cipher backend (k = 8)")
+    report.table(headers, rows, terminal_only=headers)
     by_name = {row[0]: row[1] for row in rows}
     assert by_name["null"] <= by_name["aes"]

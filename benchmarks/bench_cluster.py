@@ -29,29 +29,19 @@ Exercises ``repro.cluster`` end to end on localhost:
 All phases fail loudly on any lost, duplicated, stale, or wrong-byte
 reply.
 
-Besides the pytest checks, this file is a script::
-
-    PYTHONPATH=src python benchmarks/bench_cluster.py --out run.jsonl
-
-whose exit code is decided by the in-run gates above alone — there is no
-committed baseline: a phase that completes has, by those gates, delivered
-exactly its pinned count and bytes.  The rows it writes (see
-``benchmarks/lane.py``) record that for the CI artifact; qps, failovers
-and sheds are printed.  The ``--phases`` flag selects which phases run —
-the ``cluster-replication`` CI lane runs ``--phases replicated``.
+The in-run gates above decide alone — no committed number is involved: a
+phase that completes has, by those gates, delivered exactly its pinned
+count and bytes.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-import sys
 import tempfile
 import threading
 import time
-from typing import List, Optional
-
-import lane  # first: puts src/ on sys.path for a run without PYTHONPATH
+from typing import List
 
 from repro.baselines import make_records
 from repro.cluster import (
@@ -64,7 +54,7 @@ from repro.errors import DegradedServiceError
 from repro.faults.retry import RetryPolicy
 from repro.net import NetworkClient
 
-#: Pinned workload shape — change it and the committed baseline together.
+#: Pinned workload shape.
 DEFAULT_SEED = 1177
 QUERIES = 64
 _BENCH_RECORDS = 64
@@ -87,9 +77,8 @@ def _repl_payload(page_id: int) -> bytes:
 
 
 @contextlib.contextmanager
-def _cluster(seed: int, backends: int = _BACKENDS, router_kw=None,
-             replicated: bool = False):
-    """N seeded backends behind a router, all on loopback.
+def _cluster(seed: int, router_kw=None, replicated: bool = False):
+    """``_BACKENDS`` seeded backends behind a router, all on loopback.
 
     ``replicated=True`` additionally wires the started members into a
     full sealed-replication mesh with a durable backlog under the
@@ -99,7 +88,7 @@ def _cluster(seed: int, backends: int = _BACKENDS, router_kw=None,
     records = make_records(_BENCH_RECORDS, _BENCH_PAGE_SIZE)
     with tempfile.TemporaryDirectory() as snap_dir:
         handles = build_cluster(
-            records, backends, snap_dir,
+            records, _BACKENDS, snap_dir,
             cache_capacity=_BENCH_CACHE, seed=seed,
             target_c=2.0, page_capacity=_BENCH_PAGE_SIZE,
             cipher_backend="shake", trace_enabled=False,
@@ -270,11 +259,11 @@ def _wait_until(predicate, timeout: float = 15.0) -> bool:
     return predicate()
 
 
-def run_routed(queries: int, seed: int, backends: int = _BACKENDS):
+def run_routed(queries: int, seed: int):
     """Routed fleet, no faults; returns (count, bytes, wall)."""
     expected = make_records(_BENCH_RECORDS, _BENCH_PAGE_SIZE)
     per_client = queries // _CLIENTS
-    with _cluster(seed, backends=backends) as (handles, router, thread):
+    with _cluster(seed) as (handles, router, thread):
         fleet = _Fleet(thread.host, thread.port, _CLIENTS, per_client,
                        expected)
         wall = fleet.run()
@@ -373,7 +362,7 @@ def run_replicated(seed: int):
 
     The workload writes each page exactly once (``_BENCH_RECORDS``
     pages split across ``_CLIENTS`` clients), so it is sized by the
-    record count, not ``--queries`` — single-writer-per-page is the
+    record count, not ``QUERIES`` — single-writer-per-page is the
     ordering discipline sealed replication guarantees convergence
     under.
     """
@@ -466,20 +455,20 @@ def run_replicated(seed: int):
 
 
 # ---------------------------------------------------------------------------
-# Pytest checks (run explicitly via the CI cluster lane)
+# Pytest checks (the CI bench-gates job runs them)
 # ---------------------------------------------------------------------------
 
 
 def test_routed_exact_and_clean():
-    count, nbytes, _wall = run_routed(16, DEFAULT_SEED)
-    assert count == 16
-    assert nbytes == 16 * _BENCH_PAGE_SIZE
+    count, nbytes, _wall = run_routed(QUERIES, DEFAULT_SEED)
+    assert count == QUERIES
+    assert nbytes == QUERIES * _BENCH_PAGE_SIZE
 
 
 def test_chaos_kill_under_load_exactly_once():
-    count, nbytes, _wall, stats = run_chaos(32, DEFAULT_SEED)
-    assert count == 32
-    assert nbytes == 32 * _BENCH_PAGE_SIZE
+    count, nbytes, _wall, stats = run_chaos(QUERIES, DEFAULT_SEED)
+    assert count == QUERIES
+    assert nbytes == QUERIES * _BENCH_PAGE_SIZE
     # The kill landed mid-traffic: at least one session had to move.
     assert stats["failovers"] >= 1
 
@@ -493,80 +482,3 @@ def test_replicated_writes_zero_stale_reads_and_convergence():
     # (sessions that never held a watermark on the dead member skip it).
     assert stats["failovers"] >= 1
     assert stats["ryw_checks"] >= 1
-
-
-# ---------------------------------------------------------------------------
-# Script mode: the in-run gates decide; the JSONL is the lane's record
-# ---------------------------------------------------------------------------
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    from repro.core.params import SystemParameters
-
-    parser = lane.parser("cluster tier benchmark", DEFAULT_SEED)
-    parser.add_argument("--queries", type=int, default=QUERIES,
-                        help=f"query count, a multiple of {_CLIENTS}")
-    parser.add_argument("--phases", nargs="+",
-                        choices=["routed", "chaos", "replicated"],
-                        default=["routed", "chaos"],
-                        help="which phases to run (default: routed chaos; "
-                             "the cluster-replication CI lane runs "
-                             "'replicated' alone)")
-    args = parser.parse_args(argv)
-    if args.queries % _CLIENTS:
-        print(f"error: --queries must be a multiple of {_CLIENTS}",
-              file=sys.stderr)
-        return 2
-
-    block_size = SystemParameters.solve(
-        _BENCH_RECORDS, _BENCH_CACHE, 2.0, page_capacity=_BENCH_PAGE_SIZE,
-    ).block_size
-    rows = [lane.meta_row(args.queries, args.seed, _BENCH_RECORDS, block_size,
-                          _BENCH_PAGE_SIZE, clients=_CLIENTS,
-                          backends=_BACKENDS)]
-    summary = []
-
-    if "routed" in args.phases:
-        solo_count, _solo_bytes, solo_wall = run_routed(args.queries,
-                                                        args.seed, backends=1)
-        routed_count, routed_bytes, routed_wall = run_routed(args.queries,
-                                                             args.seed)
-        rows.append(lane.phase_row("cluster.routed", routed_count,
-                                   routed_bytes, 0.0))
-        # In-process backends share the GIL, so routed QPS measures router
-        # overhead, not horizontal scale.
-        summary.append(
-            f"{routed_count} routed queries at "
-            f"{solo_count / solo_wall:.0f} qps over 1 backend, "
-            f"{routed_count / routed_wall:.0f} over {_BACKENDS}"
-        )
-    if "chaos" in args.phases:
-        chaos_count, chaos_bytes, chaos_wall, chaos_stats = run_chaos(
-            args.queries, args.seed
-        )
-        rows.append(lane.phase_row("cluster.chaos", chaos_count,
-                                   chaos_bytes, 0.0))
-        summary.append(
-            f"{chaos_stats['failovers']} failover(s), "
-            f"{chaos_stats['retransmits']} retransmit(s) and "
-            f"{chaos_stats['duplicates']} duplicate(s) absorbed under chaos "
-            f"in {chaos_wall:.2f} s"
-        )
-    if "replicated" in args.phases:
-        repl_count, repl_bytes, repl_wall, repl_stats = run_replicated(
-            args.seed
-        )
-        rows.append(lane.phase_row("cluster.replicated", repl_count,
-                                   repl_bytes, 0.0))
-        summary.append(
-            f"{repl_count} replicated writes read back with zero stale "
-            f"reads ({repl_stats['failovers']} failover(s), "
-            f"{repl_stats['ryw_checks']} read-your-writes check(s), "
-            f"{repl_stats['ryw_rejected']} shed(s)) and converged digests "
-            f"in {repl_wall:.2f} s"
-        )
-    return lane.emit(rows, args.out, "; ".join(summary))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -66,7 +66,7 @@ def test_compare_exchange(benchmark, report):
     per_op = benchmark.stats.stats.mean
     for n in (1024, 65536):
         comparators = network_size(n)
-        report.line(
+        report.note(
             f"oblivious setup estimate for n = {n}: {comparators} comparators "
             f"~= {comparators * per_op:.1f} s at this machine's crypto speed"
         )

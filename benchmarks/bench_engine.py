@@ -4,23 +4,13 @@ Not a paper artifact — engineering numbers for this implementation: query
 throughput as a function of k, setup cost (direct vs oblivious shuffle),
 and the two-party protocol overhead.
 
-Besides the pytest-benchmark tests, this file is a script::
-
-    PYTHONPATH=src python benchmarks/bench_engine.py --out run.jsonl
-
-which runs a pinned-seed traced workload and writes the per-phase
-count / bytes / virtual-second / error totals as JSONL (see
-``benchmarks/lane.py``).  The CI perf gate diffs such a run, exactly,
-against ``benchmarks/results/perf_baseline.jsonl`` via
-``benchmarks/compare_bench.py``.
+``run_phase_bench`` is the pinned-seed traced workload whose per-phase
+count / bytes / virtual-second / error totals ``tests/test_perf_gate.py``
+asserts exactly in tier-1.
 """
 
 from __future__ import annotations
 
-import sys
-from typing import List, Optional
-
-import lane  # first: puts src/ on sys.path for a run without PYTHONPATH
 import pytest
 
 from repro.baselines import make_records
@@ -85,11 +75,8 @@ def test_two_party_query(benchmark):
     benchmark(one_query)
 
 
-# ---------------------------------------------------------------------------
-# Script mode: structured per-phase JSONL for the CI perf gate
-# ---------------------------------------------------------------------------
-
-#: Pinned workload shape — change it and the committed baseline together.
+#: Pinned workload shape — change it and the expected rows in
+#: tests/test_perf_gate.py together.
 DEFAULT_SEED = 1234
 QUERIES = 120
 _BENCH_PAGES = 128
@@ -119,30 +106,3 @@ def run_phase_bench(queries: int, seed: int):
     for index in range(queries):
         db.query(index % _BENCH_PAGES)
     return tracer, db
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = lane.parser("per-phase engine benchmark", DEFAULT_SEED)
-    parser.add_argument("--queries", type=int, default=QUERIES,
-                        help="query count (the committed baseline was "
-                             "recorded at the default)")
-    args = parser.parse_args(argv)
-
-    tracer, db = run_phase_bench(args.queries, args.seed)
-    rows = [lane.meta_row(args.queries, args.seed, _BENCH_PAGES,
-                          db.params.block_size, _BENCH_PAGE_SIZE)]
-    rows.extend(
-        lane.phase_row(name, total.count, total.nbytes,
-                       total.virtual_seconds, errors=total.errors)
-        for name, total in sorted(tracer.phase_totals().items())
-    )
-    request = tracer.total("request")
-    return lane.emit(
-        rows, args.out,
-        f"{args.queries} queries, {request.wall_seconds * 1e3:.1f} ms wall "
-        f"in request spans",
-    )
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -62,9 +62,10 @@ def test_journaled_writeback_overhead(report):
     wall_ratio = per_request["journaled"][1] / per_request["unjournaled"][1]
     report.line(f"journaled write-back overhead over {NUM_REQUESTS} queries "
                 f"(k={_make_db(seed=11).params.block_size})")
-    report.table(["mode", "virtual ms/req", "wall ms/req"], rows)
-    report.line(f"virtual overhead: {virtual_ratio:.3f}x   "
-                f"wall overhead: {wall_ratio:.3f}x   (budget: < 2x)")
+    report.table(["mode", "virtual ms/req", "wall ms/req"], rows,
+                 terminal_only=["wall ms/req"])
+    report.line(f"virtual overhead: {virtual_ratio:.3f}x   (budget: < 2x)")
+    report.note(f"wall overhead: {wall_ratio:.3f}x")
     assert virtual_ratio < 2.0, (
         f"journaled write-back costs {virtual_ratio:.2f}x virtual time"
     )
@@ -145,6 +146,6 @@ def test_crash_recovery_cost(report):
             ["normal request virtual ms", request_cost * 1e3],
             ["recovery virtual ms", recovery_cost * 1e3],
             ["recovery / request", recovery_cost / request_cost],
-            ["recovery wall ms", recovery_wall * 1e3],
         ],
     )
+    report.note(f"recovery wall ms: {recovery_wall * 1e3:.4g}")

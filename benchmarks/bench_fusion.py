@@ -7,34 +7,26 @@ journaled write-back, instead of the serial loop's ``k + 1`` reads and full
 write-back *per op*.  With the IBM 4764 seek/transfer model and a journaled
 engine the per-query virtual cost must drop at least 2x for ``B = k = 8``.
 
-Three gates run in script mode (and as pytest checks):
+Three gates, one pytest check:
 
 * **Byte identity** — fused replies must equal the serial loop's, slot by
-  slot, on twin same-seed databases (exit 2 on divergence: correctness).
+  slot, on twin same-seed databases.
 * **Read collapse** — the access trace of the window run must show
   exactly one block read of ``k`` frames and ``B`` single-frame reads per
-  window (exit 2).  Counted from the READ events the store recorded, not
-  from counters the engine derives from its own window size.
+  window.  Counted from the READ events the store recorded, not from
+  counters the engine derives from its own window size.
 * **Virtual speedup** — serial per-query virtual time over fused per-query
-  virtual time must be >= 2x (exit 1: the perf claim of the PR).
+  virtual time must be >= 2x.
 
-Besides the pytest checks, this file is a script::
-
-    PYTHONPATH=src python benchmarks/bench_fusion.py --out run.jsonl
-
-emitting the exact lane JSONL (``benchmarks/lane.py``) that
-``benchmarks/compare_bench.py`` diffs against
-``benchmarks/results/perf_baseline_fusion.jsonl``: ops, the read bytes
-measured from each run's access trace, and virtual seconds.
+``tests/test_perf_gate.py`` asserts both runs' exact columns in tier-1:
+ops, the read bytes measured from each run's access trace, and virtual
+seconds.
 """
 
 from __future__ import annotations
 
-import sys
 import time
-from typing import List, Optional
-
-import lane  # first: puts src/ on sys.path for a run without PYTHONPATH
+from typing import List
 
 from repro.baselines import make_records
 from repro.core.database import PirDatabase
@@ -43,7 +35,8 @@ from repro.core.journal import MemoryJournal
 from repro.hardware.specs import IBM_4764
 from repro.storage.trace import READ
 
-#: Pinned workload shape — change it and the committed baseline together.
+#: Pinned workload shape — change it and the expected rows in
+#: tests/test_perf_gate.py together.
 DEFAULT_SEED = 4321
 ROUNDS = 8
 _BENCH_RECORDS = 64
@@ -154,67 +147,7 @@ def test_fused_batch_speedup_and_identity(report):
             ["fused", fused_virtual / ops * 1e3, fused_wall / ops * 1e3,
              sum(read_frames(fused_db))],
         ],
+        terminal_only=["wall ms/op"],
     )
     report.line(f"per-query virtual speedup: {speedup:.2f}x "
                 f"(gate: >= {MIN_SPEEDUP:.0f}x)")
-
-
-# ---------------------------------------------------------------------------
-# Script mode: exact JSONL for the CI perf gate
-# ---------------------------------------------------------------------------
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = lane.parser("fused-batch benchmark", DEFAULT_SEED)
-    parser.add_argument("--rounds", type=int, default=ROUNDS,
-                        help="window count (the committed baseline was "
-                             "recorded at the default)")
-    args = parser.parse_args(argv)
-
-    serial_payloads, serial_virtual, serial_wall, serial_db = run_serial(
-        args.rounds, args.seed
-    )
-    fused_payloads, fused_virtual, fused_wall, fused_db = run_fused(
-        args.rounds, args.seed
-    )
-    if fused_payloads != serial_payloads:
-        print("error: fused replies diverged from the serial loop",
-              file=sys.stderr)
-        return 2
-    collapse_problems = check_read_collapse(fused_db, args.rounds)
-    if collapse_problems:
-        for problem in collapse_problems:
-            print(f"error: read collapse broken — {problem}", file=sys.stderr)
-        return 2
-
-    ops = args.rounds * _BATCH
-    speedup = (serial_virtual / ops) / (fused_virtual / ops)
-    if speedup < MIN_SPEEDUP:
-        print(f"error: per-query virtual speedup {speedup:.2f}x "
-              f"< {MIN_SPEEDUP:.0f}x", file=sys.stderr)
-        return 1
-
-    frame_size = fused_db.engine.disk.frame_size
-    rows = [
-        # virtual_speedup is informational here: the in-script >= 2x check
-        # above is the gate; compare_bench.py gates the virtual_s columns.
-        lane.meta_row(ops, args.seed, _BENCH_RECORDS, _BLOCK_SIZE,
-                      _BENCH_PAGE_SIZE, batch=_BATCH,
-                      virtual_speedup=speedup),
-        lane.phase_row("batch.serial", ops,
-                       sum(read_frames(serial_db)) * frame_size,
-                       serial_virtual),
-        lane.phase_row("batch.fused", ops,
-                       sum(read_frames(fused_db)) * frame_size,
-                       fused_virtual),
-    ]
-    return lane.emit(
-        rows, args.out,
-        f"{args.rounds} windows of {_BATCH} ops, virtual speedup "
-        f"{speedup:.2f}x (wall: serial {serial_wall * 1e3:.1f} ms, "
-        f"fused {fused_wall * 1e3:.1f} ms)",
-    )
-
-
-if __name__ == "__main__":
-    sys.exit(main())

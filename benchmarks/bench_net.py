@@ -5,7 +5,7 @@ Exercises the ``repro.net`` stack end to end on localhost:
 * **net.serial** — one blocking :class:`~repro.net.client.NetworkClient`
   drives a pinned query stream through a real TCP socket.  Counts, reply
   bytes and the engine's virtual seconds are deterministic under the
-  pinned seed, so the perf gate checks them exactly.
+  pinned seed, so tier-1 checks them exactly.
 * **net.concurrent** — 8 client threads, one blocking ``NetworkClient``
   each, issue a fixed workload concurrently.  Counts/bytes stay
   deterministic (fixed message sizes, no shedding); virtual seconds are
@@ -19,23 +19,16 @@ server drains gracefully and the run asserts no request was lost or
 double-applied (engine request count == successfully answered requests)
 and every session was closed.
 
-Besides the pytest checks, this file is a script::
-
-    PYTHONPATH=src python benchmarks/bench_net.py --out run.jsonl
-
-emitting the exact lane JSONL (``benchmarks/lane.py``) diffed by
-``compare_bench.py`` against ``benchmarks/results/perf_baseline_net.jsonl``;
-wall seconds, qps and the shed split are printed, not written.
+``tests/test_perf_gate.py`` asserts the three phases' exact columns in
+tier-1; wall seconds and the shed split are returned for the reader, never
+compared.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional
-
-import lane  # first: puts src/ on sys.path for a run without PYTHONPATH
+from typing import Optional
 
 from repro.baselines import make_records
 from repro.core.database import PirDatabase
@@ -50,7 +43,8 @@ from repro.net import (
 )
 from repro.service.frontend import SESSION_RANDOM, QueryFrontend
 
-#: Pinned workload shape — change it and the committed baseline together.
+#: Pinned workload shape — change it and the expected rows in
+#: tests/test_perf_gate.py together.
 DEFAULT_SEED = 977
 QUERIES = 64
 _BENCH_RECORDS = 64
@@ -200,70 +194,19 @@ def run_shed(seed: int):
 
 
 def test_serial_stream_exact_and_clean():
-    count, nbytes, virtual, _wall = run_serial(12, DEFAULT_SEED)
-    assert count == 12
-    assert nbytes == 12 * _BENCH_PAGE_SIZE
+    count, nbytes, virtual, _wall = run_serial(QUERIES, DEFAULT_SEED)
+    assert count == QUERIES
+    assert nbytes == QUERIES * _BENCH_PAGE_SIZE
     assert virtual > 0.0
 
 
 def test_concurrent_clients_zero_errors():
-    count, nbytes, _wall = run_concurrent(16, DEFAULT_SEED)
-    assert count == 16
-    assert nbytes == 16 * _BENCH_PAGE_SIZE
+    count, nbytes, _wall = run_concurrent(QUERIES, DEFAULT_SEED)
+    assert count == QUERIES
+    assert nbytes == QUERIES * _BENCH_PAGE_SIZE
 
 
 def test_undersized_bucket_sheds():
     attempts, ok, shed, _wall = run_shed(DEFAULT_SEED)
     assert attempts == _CLIENTS * _SHED_ATTEMPTS_PER_CLIENT
     assert shed > 0 and ok + shed == attempts
-
-
-# ---------------------------------------------------------------------------
-# Script mode: exact JSONL for the CI perf gate
-# ---------------------------------------------------------------------------
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    from repro.core.params import SystemParameters
-
-    parser = lane.parser("network serving benchmark", DEFAULT_SEED)
-    parser.add_argument("--queries", type=int, default=QUERIES,
-                        help=f"query count, a multiple of {_CLIENTS} (the "
-                             "committed baseline was recorded at the default)")
-    args = parser.parse_args(argv)
-    if args.queries % _CLIENTS:
-        print(f"error: --queries must be a multiple of {_CLIENTS}",
-              file=sys.stderr)
-        return 2
-
-    serial_count, serial_bytes, serial_virtual, serial_wall = run_serial(
-        args.queries, args.seed
-    )
-    conc_count, conc_bytes, conc_wall = run_concurrent(args.queries, args.seed)
-    attempts, _shed_ok, shed, shed_wall = run_shed(args.seed)
-
-    # block_size is a pure function of (pages, cache, c); derive it the
-    # same way the deployment does so the meta row is comparable.
-    block_size = SystemParameters.solve(
-        _BENCH_RECORDS, _BENCH_CACHE, 2.0, page_capacity=_BENCH_PAGE_SIZE,
-    ).block_size
-    rows = [
-        lane.meta_row(args.queries, args.seed, _BENCH_RECORDS, block_size,
-                      _BENCH_PAGE_SIZE, clients=_CLIENTS,
-                      shed_attempts=attempts),
-        lane.phase_row("net.serial", serial_count, serial_bytes,
-                       serial_virtual),
-        lane.phase_row("net.concurrent", conc_count, conc_bytes, 0.0),
-        lane.phase_row("net.shed", attempts, 0, 0.0),
-    ]
-    qps = conc_count / conc_wall if conc_wall > 0 else 0.0
-    return lane.emit(
-        rows, args.out,
-        f"serial {serial_wall * 1e3:.1f} ms, {qps:.0f} qps over {_CLIENTS} "
-        f"clients ({conc_wall * 1e3:.1f} ms), {shed}/{attempts} shed under "
-        f"the undersized bucket ({shed_wall * 1e3:.1f} ms)",
-    )
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -6,7 +6,7 @@ one pinned workload:
 * **Prediction accuracy** — the offline planner's per-phase cost
   predictions (spec-calibrated *and* probe-calibrated) must each land
   within ``MAX_VERIFY_ERROR`` of a traced measurement of the planned
-  configuration on the virtual clock (exit 1).  A planner that can't
+  configuration on the virtual clock.  A planner that can't
   predict what its own plan costs is a random-number generator with a
   dataclass.
 * **Controller discipline** — with a live database serving queries while
@@ -14,30 +14,20 @@ one pinned workload:
   (a) record at least one adjustment of *each* cost-side tunable
   (admission rate, reshuffle pacing), (b) hold the
   virtual-clock query p99 at or under its latency target, and (c) leave
-  every privacy parameter (k, m, n — hence the achieved c) untouched
-  (privacy drift is exit 2: correctness, not performance).
+  every privacy parameter (k, m, n — hence the achieved c) untouched.
 
-Besides the pytest check, this file is a script::
-
-    PYTHONPATH=src python benchmarks/bench_plan.py --out run.jsonl
-
-emitting the exact lane JSONL (``benchmarks/lane.py``) that
-``benchmarks/compare_bench.py`` diffs against
-``benchmarks/results/perf_baseline_plan.jsonl``.  The verify phases run
-on the virtual clock under a pinned seed, so their count/bytes/virtual
-columns are exact; the controller gate re-runs best-of-N because the
+The verify phases run on the virtual clock under a pinned seed, so their
+count/bytes/virtual columns are exact and ``tests/test_perf_gate.py``
+asserts them in tier-1; the controller gate re-runs best-of-N because the
 admission token bucket and the background epoch's interleaving are
-wall-clock-driven even though the gated p99 itself is virtual — what it
-measures is printed, never written.
+wall-clock-driven even though the gated p99 itself is virtual.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from typing import List, Optional, Tuple
-
-import lane  # first: puts src/ on sys.path for a run without PYTHONPATH
+from typing import List, Tuple
 
 from repro.baselines import make_records
 from repro.core.database import PirDatabase
@@ -50,7 +40,8 @@ from repro.plan import plan as solve_plan
 from repro.plan import verify_plan
 from repro.plan.model import frame_size_for
 
-#: Pinned workload shape — change it and the committed baseline together.
+#: Pinned workload shape — change it and the expected rows in
+#: tests/test_perf_gate.py together.
 DEFAULT_SEED = 4471
 VERIFY_QUERIES = 32
 
@@ -89,9 +80,9 @@ def _verify_rows_to_phase(name: str, built, rows: List[dict],
                           queries: int) -> dict:
     total = next(row for row in rows if row["phase"] == "total")
     frame = frame_size_for(built.target.page_size)
-    return lane.phase_row(name, queries,
-                          queries * (built.block_size + 1) * frame,
-                          total["measured_s"] * queries)
+    return {"name": name, "count": queries,
+            "bytes": queries * (built.block_size + 1) * frame,
+            "virtual_s": total["measured_s"] * queries}
 
 
 def run_verify_gate(calibrate: str, queries: int,
@@ -260,10 +251,10 @@ def run_controller_gate(seed: int) -> Tuple[dict, List[str], List[str]]:
 def test_plan_verify_and_autotune(report):
     """Per-phase prediction error <= 15% both calibrations; controller
     moves every cost tunable while privacy stays frozen."""
-    spec_row, spec_worst, spec_problems = run_verify_gate(
+    _spec_row, spec_worst, spec_problems = run_verify_gate(
         "spec", VERIFY_QUERIES, DEFAULT_SEED
     )
-    probe_row, probe_worst, probe_problems = run_verify_gate(
+    _probe_row, probe_worst, probe_problems = run_verify_gate(
         "probe", VERIFY_QUERIES, DEFAULT_SEED
     )
     assert spec_problems + probe_problems == []
@@ -279,77 +270,10 @@ def test_plan_verify_and_autotune(report):
          ["probe", probe_worst["phase"], probe_worst["predicted_s"],
           probe_worst["measured_s"], f"{probe_worst['error']:.2%}"]],
     )
-    report.line(
+    report.note(  # the controller run is paced by the wall clock
         f"controller: {stats['ctrl_adjustments']} adjustments across "
         f"{stats['ctrl_tunables']} over {stats['ctrl_cycles']} cycles, "
         f"virtual p99 {stats['ctrl_p99_virtual_s']:.4f}s <= "
         f"{_CTRL_TARGET_P99}s target, {stats['ctrl_sheds']} sheds absorbed, "
         f"privacy parameters byte-identical"
     )
-    _ = spec_row, probe_row  # phase rows are exercised by script mode
-
-
-# ---------------------------------------------------------------------------
-# Script mode: exact JSONL for the CI perf gate
-# ---------------------------------------------------------------------------
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = lane.parser("planner/autotuner benchmark", DEFAULT_SEED)
-    parser.add_argument("--queries", type=int, default=VERIFY_QUERIES,
-                        help="verify query count (the committed baseline "
-                             "was recorded at the default)")
-    parser.add_argument("--skip-controller", action="store_true",
-                        help="skip the live controller gate (deterministic "
-                             "verify phases only)")
-    args = parser.parse_args(argv)
-
-    spec_row, spec_worst, problems = run_verify_gate(
-        "spec", args.queries, args.seed
-    )
-    probe_row, probe_worst, probe_problems = run_verify_gate(
-        "probe", args.queries, args.seed
-    )
-    problems += probe_problems
-    if problems:
-        for problem in problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return 1
-
-    controller = "controller skipped"
-    if not args.skip_controller:
-        stats, correctness, perf = run_controller_gate(args.seed)
-        for problem in correctness:
-            print(f"error: {problem}", file=sys.stderr)
-        if correctness:
-            return 2
-        if perf:
-            for problem in perf:
-                print(f"error: {problem}", file=sys.stderr)
-            return 1
-        controller = (
-            f"{stats['ctrl_adjustments']} controller adjustments of "
-            f"{stats['ctrl_tunables']} over {stats['ctrl_cycles']} cycles, "
-            f"{stats['ctrl_sheds']} sheds, virtual p99 "
-            f"{stats['ctrl_p99_virtual_s']:.4f}s"
-        )
-
-    rows = [
-        # The worst errors are informational here: the in-script error gate
-        # above is the gate; compare_bench.py gates the virtual_s columns.
-        lane.meta_row(args.queries, args.seed, _BENCH_RECORDS,
-                      _CTRL_BLOCK_SIZE, _BENCH_PAGE_SIZE,
-                      verify_worst_error_spec=spec_worst["error"],
-                      verify_worst_error_probe=probe_worst["error"]),
-        spec_row,
-        probe_row,
-    ]
-    return lane.emit(
-        rows, args.out,
-        f"worst spec error {spec_worst['error']:.2%}, worst probe error "
-        f"{probe_worst['error']:.2%}; {controller}",
-    )
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -15,7 +15,8 @@ degraded engine:
 
 Every shed increments ``net.shed`` plus a per-gate counter
 (``net.shed.sessions`` / ``net.shed.rate`` / ``net.shed.queue``), so the
-load generator and the perf gate can observe backpressure engaging.
+load generator and ``benchmarks/bench_net.py`` can observe backpressure
+engaging.
 """
 
 from __future__ import annotations

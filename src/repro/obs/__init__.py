@@ -11,8 +11,8 @@ Three pieces (DESIGN.md §9):
 * :class:`~repro.obs.costcheck.CostModelCheck` — measured per-phase cost
   against the analytic Eq. 7/8 predictions, as a per-term ratio.
 
-Plus JSONL export (:mod:`repro.obs.export`) shared by ``python -m repro
-metrics``, the micro-benchmarks and the CI perf-regression gate.
+Plus JSONL export (:mod:`repro.obs.export`): ``python -m repro metrics``
+writes it, the planner's ``--obs`` calibration reads it.
 """
 
 from .costcheck import CostModelCheck, TermConformance

@@ -11,8 +11,8 @@ the measured/predicted ratio.  On a fault-free run with the Table-2
 hardware spec every ratio is 1.0 to floating-point accuracy, because the
 engine moves exactly ``2(k+1)`` frames per request; retries, fault
 injection, or a hot-path regression that moves extra bytes push the
-affected ratio above 1, which is what the conformance check (and the CI
-perf gate's deterministic lane) detects.
+affected ratio above 1, which is what the conformance check (and the
+exact per-phase rows in ``tests/test_perf_gate.py``) detects.
 
 Phase-to-term mapping (span names are the DESIGN.md §9 taxonomy):
 
@@ -40,7 +40,7 @@ shift is the implied Python-measured ``r_ed`` (wall bytes/second), by
 roughly the kernel speedup ``benchmarks/bench_ctr.py`` reports (~40x
 with the numpy lane).  That is by design: Eq. 8 conformance models the
 paper's hardware, while wall-clock throughput is the simulator's own
-cost, gated separately by the CI perf lanes.
+cost, measured separately by BENCH (``benchmarks/e2e/run.py``).
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ class CostModelCheck:
 
         Requires a tracer that ran with a bound virtual clock (see
         :meth:`~repro.obs.tracer.Tracer.bind_clock`); wall-clock times are
-        machine-dependent and are the CI perf gate's business instead.
+        machine-dependent and are BENCH's business instead.
         """
         if queries <= 0:
             raise ConfigurationError("queries must be positive")

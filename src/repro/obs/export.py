@@ -3,9 +3,8 @@
 One JSON object per line, every line carrying a ``kind`` discriminator
 (``meta`` | ``phase`` | ``span`` | ``counter`` | ``gauge`` | ``histogram``
 | ``costcheck``), so one file can hold a whole run's observability output
-and consumers can filter by kind.  This is the interchange format between
-``python -m repro metrics``, ``benchmarks/bench_engine.py`` and the CI
-perf gate's ``benchmarks/compare_bench.py``.
+and consumers can filter by kind.  ``python -m repro metrics --out`` writes
+it; ``python -m repro plan --obs`` reads it back.
 """
 
 from __future__ import annotations

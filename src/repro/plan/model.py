@@ -18,8 +18,8 @@ of three sources:
   engine phase moves exactly ``(k + 1)`` frames per query, two block sizes
   identify both coefficients.
 * :meth:`CalibratedCostModel.from_obs_rows` — the same fit over exported
-  obs JSONL runs (``python -m repro metrics`` / ``bench_engine.py``
-  output), for planning against measurements taken elsewhere.
+  obs JSONL runs (``python -m repro metrics`` output), for planning
+  against measurements taken elsewhere.
 
 The affine form is load-bearing: it is what makes the planner's latency
 inversion a monotone binary search, and what lets a two-point probe

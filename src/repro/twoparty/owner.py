@@ -177,8 +177,8 @@ class DataOwner:
 
         for start in range(0, params.num_locations, _UPLOAD_BATCH):
             stop = min(start + _UPLOAD_BATCH, params.num_locations)
-            frames = [cop.seal(page_for(layout[pos])) for pos in range(start, stop)]
-            remote.upload(start, frames)
+            batch = [page_for(layout[pos]) for pos in range(start, stop)]
+            remote.upload(start, cop.seal_pages(batch))
 
         cache_pages = [
             Page(params.num_locations + slot, b"", deleted=True)

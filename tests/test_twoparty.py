@@ -6,6 +6,7 @@ import pytest
 
 from repro.baselines import make_records
 from repro.errors import ConfigurationError, PageDeletedError, ProtocolError
+from repro.hardware.coprocessor import SecureCoprocessor
 from repro.sim.clock import VirtualClock
 from repro.twoparty import (
     ServiceProvider,
@@ -196,6 +197,24 @@ class TestSession:
 
     def test_owner_storage_accounting(self, session):
         assert session.owner.owner_storage_bytes() > 0
+
+    def test_setup_upload_equals_per_page_sealing(self, monkeypatch):
+        """``create`` seals each upload batch in one call; the provider holds
+        what a same-seed twin sealing page by page uploads."""
+        def frames_after_create():
+            session = TwoPartySession.create(
+                make_records(60, 16), cache_capacity=8, target_c=2.0,
+                page_capacity=16, seed=99,
+            )
+            disk = session.provider.disk
+            return [disk.peek(loc) for loc in range(disk.num_locations)]
+
+        batched = frames_after_create()
+        monkeypatch.setattr(
+            SecureCoprocessor, "seal_pages",
+            lambda cop, pages: [cop.seal(page) for page in pages],
+        )
+        assert frames_after_create() == batched
 
     def test_empty_records_rejected(self):
         with pytest.raises(ConfigurationError):
