@@ -78,11 +78,14 @@ def eq8_terms(
 
     ``seek`` is ``4 * t_s`` (two reads + two writes, one seek each);
     ``disk``, ``link`` and ``crypto`` are the ``2(k+1)B`` transfer charged
-    at ``r_d``, ``r_b`` and ``r_ed`` respectively; ``total`` is their sum,
-    identical to :meth:`AnalyticalCostModel.query_time`.  This is the
-    single source of truth for the per-phase predictions used by
+    at ``r_d``, ``r_b`` and ``r_ed`` respectively; ``total`` is Eq. 8
+    itself, in its factored form (equal to the sum of the four terms to
+    within rounding).  This is the single implementation of the formula:
+    :meth:`AnalyticalCostModel.query_time`,
+    :meth:`PirDatabase.expected_query_time
+    <repro.core.database.PirDatabase.expected_query_time>`,
     :class:`repro.obs.costcheck.CostModelCheck` and the per-phase columns
-    of ``benchmarks/bench_headline.py``.
+    of ``benchmarks/bench_headline.py`` all read it.
     """
     if block_size < 1 or page_size <= 0:
         raise ConfigurationError("block_size and page_size must be positive")
@@ -93,7 +96,12 @@ def eq8_terms(
         "link": moved / spec.link_bandwidth,
         "crypto": moved / spec.crypto_throughput,
     }
-    terms["total"] = sum(terms.values())
+    per_byte = (
+        1.0 / spec.disk.read_bandwidth
+        + 1.0 / spec.link_bandwidth
+        + 1.0 / spec.crypto_throughput
+    )
+    terms["total"] = terms["seek"] + moved * per_byte
     return terms
 
 
@@ -105,15 +113,7 @@ class AnalyticalCostModel:
 
     def query_time(self, block_size: int, page_size: int) -> float:
         """Eq. 8: the constant response time for one private retrieval."""
-        if block_size < 1 or page_size <= 0:
-            raise ConfigurationError("block_size and page_size must be positive")
-        spec = self.spec
-        per_byte = (
-            1.0 / spec.disk.read_bandwidth
-            + 1.0 / spec.link_bandwidth
-            + 1.0 / spec.crypto_throughput
-        )
-        return 4 * spec.disk.seek_time + 2 * (block_size + 1) * page_size * per_byte
+        return eq8_terms(self.spec, block_size, page_size)["total"]
 
     @staticmethod
     def secure_storage_bytes(

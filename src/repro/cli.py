@@ -377,10 +377,15 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _serve_database(args: argparse.Namespace, lead: str, detail: str,
+                    bucket=None, adopt_sessions: bool = False,
+                    **frontend_kw) -> int:
+    """``serve`` and ``cluster serve-backend``: one seeded database behind
+    one :class:`PirServer` until ``--duration`` or Ctrl-C, then drain and
+    print the ``net.*`` / ``frontend.*`` counters."""
     import time as _time
 
-    from .net import AdmissionController, PirServer, ServerThread, TokenBucket
+    from .net import AdmissionController, PirServer, ServerThread
     from .obs import MetricsRegistry
     from .service.frontend import SESSION_RANDOM, QueryFrontend
 
@@ -400,10 +405,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         session_id_mode=SESSION_RANDOM,
         session_ttl=args.session_ttl,
         time_source=_time.monotonic,
-    )
-    bucket = (
-        TokenBucket(args.rate, args.burst if args.burst > 0 else args.rate)
-        if args.rate > 0 else None
+        **frontend_kw,
     )
     admission = AdmissionController(
         max_sessions=args.max_sessions,
@@ -418,11 +420,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         admission=admission,
         queue_depth=args.queue_depth,
         reap_interval=args.session_ttl,
+        adopt_sessions=adopt_sessions,
         metrics=registry,
     )
     handle = ServerThread(server).start()
-    print(f"serving {args.pages} pages on {handle.host}:{handle.port} "
-          f"(c={args.c})", flush=True)
+    print(f"{lead} {args.pages} pages on {handle.host}:{handle.port} "
+          f"({detail})", flush=True)
     try:
         if args.duration > 0:
             _time.sleep(args.duration)
@@ -437,11 +440,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     snapshot = registry.snapshot()
     net_counters = sorted(
         (name, value) for name, value in snapshot["counters"].items()
-        if name.startswith("net.") or name.startswith("frontend.")
+        if name.startswith(("net.", "frontend."))
     )
     if net_counters:
         print(_format_table(["counter", "value"], net_counters))
     return 0
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from .net import TokenBucket
+
+    bucket = (
+        TokenBucket(args.rate, args.burst if args.burst > 0 else args.rate)
+        if args.rate > 0 else None
+    )
+    return _serve_database(args, "serving", f"c={args.c}", bucket=bucket)
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
@@ -484,74 +497,16 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster_serve_backend(args: argparse.Namespace) -> int:
-    import time as _time
-
-    from .net import AdmissionController, PirServer, ServerThread
-    from .obs import MetricsRegistry
-    from .service.frontend import SESSION_RANDOM, QueryFrontend
-
-    registry = MetricsRegistry()
-    db = PirDatabase.create(
-        make_records(args.pages, args.page_size),
-        cache_capacity=args.cache,
-        target_c=args.c,
-        page_capacity=args.page_size,
-        reserve_fraction=0.1,
-        seed=args.seed,
-        metrics=registry,
-    )
     # Members share --seed so their data is identical, which would make
     # their session-id streams identical too — fatal behind the router
     # (ids must be unique cluster-wide).  Salt each process uniquely
     # unless the operator pinned a salt explicitly.
-    session_salt = args.session_salt or os.urandom(8).hex()
-    frontend = QueryFrontend(
-        db,
-        metrics=registry,
-        session_id_mode=SESSION_RANDOM,
-        session_ttl=args.session_ttl,
-        time_source=_time.monotonic,
-        reply_cache_path=args.reply_cache or None,
-        session_salt=session_salt,
-    )
-    admission = AdmissionController(
-        max_sessions=args.max_sessions,
-        max_queue_depth=args.queue_depth,
-        metrics=registry,
-    )
-    server = PirServer(
-        frontend,
-        host=args.host,
-        port=args.port,
-        admission=admission,
-        queue_depth=args.queue_depth,
-        reap_interval=args.session_ttl,
+    return _serve_database(
+        args, "cluster backend:", f"seed={args.seed}, session adoption on",
         adopt_sessions=True,
-        metrics=registry,
+        reply_cache_path=args.reply_cache or None,
+        session_salt=args.session_salt or os.urandom(8).hex(),
     )
-    handle = ServerThread(server).start()
-    print(f"cluster backend: {args.pages} pages on "
-          f"{handle.host}:{handle.port} (seed={args.seed}, "
-          f"session adoption on)", flush=True)
-    try:
-        if args.duration > 0:
-            _time.sleep(args.duration)
-        else:
-            while True:
-                _time.sleep(3600)
-    except KeyboardInterrupt:
-        print("\ndraining...", flush=True)
-    finally:
-        handle.drain()
-        db.close()
-    snapshot = registry.snapshot()
-    rows = sorted(
-        (name, value) for name, value in snapshot["counters"].items()
-        if name.startswith(("net.", "frontend."))
-    )
-    if rows:
-        print(_format_table(["counter", "value"], rows))
-    return 0
 
 
 def _cmd_cluster_serve_router(args: argparse.Namespace) -> int:
@@ -733,34 +688,38 @@ def _build_parser() -> argparse.ArgumentParser:
     planp.add_argument("--json", action="store_true")
     planp.set_defaults(handler=_cmd_plan)
 
+    # What `serve` and `cluster serve-backend` both take (_serve_database).
+    serving = argparse.ArgumentParser(add_help=False)
+    serving.add_argument("--host", default="127.0.0.1")
+    serving.add_argument("--port", type=int, default=0,
+                         help="TCP port (0 picks a free one)")
+    serving.add_argument("--pages", type=int, default=64)
+    serving.add_argument("--cache", type=int, default=8)
+    serving.add_argument("--c", type=float, default=2.0)
+    serving.add_argument("--page-size", type=int, default=64,
+                         dest="page_size")
+    serving.add_argument("--queue-depth", type=int, default=64,
+                         dest="queue_depth",
+                         help="bounded request queue; beyond it requests "
+                              "are shed with a retryable refusal")
+    serving.add_argument("--max-sessions", type=int, default=256,
+                         dest="max_sessions")
+    serving.add_argument("--session-ttl", type=float, default=300.0,
+                         dest="session_ttl",
+                         help="idle seconds before a session is reaped")
+    serving.add_argument("--duration", type=float, default=0.0,
+                         help="serve for this many seconds then drain "
+                              "(0 = until Ctrl-C)")
+
     serve = sub.add_parser(
-        "serve",
+        "serve", parents=[serving],
         help="serve a seeded database over TCP with admission control",
     )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0,
-                       help="TCP port (0 picks a free one)")
-    serve.add_argument("--pages", type=int, default=64)
-    serve.add_argument("--cache", type=int, default=8)
-    serve.add_argument("--c", type=float, default=2.0)
-    serve.add_argument("--page-size", type=int, default=64, dest="page_size")
     serve.add_argument("--seed", type=int, default=1)
-    serve.add_argument("--queue-depth", type=int, default=64,
-                       dest="queue_depth",
-                       help="bounded request queue; beyond it requests "
-                            "are shed with a retryable refusal")
-    serve.add_argument("--max-sessions", type=int, default=256,
-                       dest="max_sessions")
     serve.add_argument("--rate", type=float, default=0.0,
                        help="token-bucket requests/second (0 = unlimited)")
     serve.add_argument("--burst", type=float, default=0.0,
                        help="token-bucket burst capacity (default: --rate)")
-    serve.add_argument("--session-ttl", type=float, default=300.0,
-                       dest="session_ttl",
-                       help="idle seconds before a session is reaped")
-    serve.add_argument("--duration", type=float, default=0.0,
-                       help="serve for this many seconds then drain "
-                            "(0 = until Ctrl-C)")
     serve.set_defaults(handler=_cmd_serve)
 
     loadgen = sub.add_parser(
@@ -783,36 +742,19 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster_sub = cluster.add_subparsers(dest="cluster_command", required=True)
 
     backend = cluster_sub.add_parser(
-        "serve-backend",
+        "serve-backend", parents=[serving],
         help="one cluster member: serve with session adoption enabled",
     )
-    backend.add_argument("--host", default="127.0.0.1")
-    backend.add_argument("--port", type=int, default=0,
-                         help="TCP port (0 picks a free one)")
-    backend.add_argument("--pages", type=int, default=64)
-    backend.add_argument("--cache", type=int, default=8)
-    backend.add_argument("--c", type=float, default=2.0)
-    backend.add_argument("--page-size", type=int, default=64,
-                         dest="page_size")
     backend.add_argument("--seed", type=int, default=1,
                          help="same seed on every member = identical data")
     backend.add_argument("--session-salt", default="", dest="session_salt",
                          help="diversifies session ids across same-seed "
                               "members (default: fresh random salt per "
                               "process — ids must be unique cluster-wide)")
-    backend.add_argument("--queue-depth", type=int, default=64,
-                         dest="queue_depth")
-    backend.add_argument("--max-sessions", type=int, default=256,
-                         dest="max_sessions")
-    backend.add_argument("--session-ttl", type=float, default=300.0,
-                         dest="session_ttl")
     backend.add_argument("--reply-cache", default="", dest="reply_cache",
                          help="persistent reply-cache path (survives "
                               "crash-restart; keeps retransmissions "
                               "exactly-once)")
-    backend.add_argument("--duration", type=float, default=0.0,
-                         help="serve this many seconds then drain "
-                              "(0 = until Ctrl-C)")
     backend.set_defaults(handler=_cmd_cluster_serve_backend)
 
     router = cluster_sub.add_parser(

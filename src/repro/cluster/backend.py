@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence
 
 from .membership import BackendSpec
 from .replication import ReplicationApplier, ReplicationLog, Replicator
-from ..core.database import PirDatabase
+from ..core.database import PER_MEMBER_WIRING, SHARED_WIRING, PirDatabase
 from ..core.snapshot import bootstrap_replica, load_snapshot
 from ..errors import ConfigurationError
 from ..net.admission import AdmissionController
@@ -205,6 +205,15 @@ def build_cluster(
     a real deployment would host — giving the cluster exactly-once
     semantics across failover (DESIGN.md §13).
 
+    ``create_kw`` goes to :meth:`PirDatabase.create`.  A snapshot holds
+    no wiring, so every wiring keyword that is a value
+    (:data:`~repro.core.database.SHARED_WIRING`: spec, trace switch, hot
+    tier, freshness layer, ...) is handed to every replica too — a
+    failover target is the instance the operator configured, not a bare
+    one.  The keywords that name one instance's own object
+    (:data:`~repro.core.database.PER_MEMBER_WIRING`) are refused: assemble
+    such members from ``PirDatabase.create`` + ``bootstrap_replica``.
+
     Callers start the handles (``handle.start()``), build a
     :class:`~repro.cluster.router.ClusterRouter` over
     ``[h.spec for h in handles]``, and own the snapshot directory's
@@ -212,15 +221,19 @@ def build_cluster(
     """
     if replicas < 1:
         raise ConfigurationError("a cluster needs at least one backend")
+    unshareable = [key for key in PER_MEMBER_WIRING if key in create_kw]
+    if unshareable:
+        raise ConfigurationError(
+            f"build_cluster cannot give {', '.join(unshareable)} to "
+            f"{replicas} members: each names one instance's own object"
+        )
     primary = PirDatabase.create(
         records, cache_capacity=cache_capacity, seed=seed, **create_kw
     )
     databases = [primary]
     if replicas > 1:
-        # A snapshot holds neither the timing model nor the trace switch:
-        # replicas get the primary's, or their clocks would never move.
         restore_kw = {key: create_kw[key]
-                      for key in ("spec", "trace_enabled") if key in create_kw}
+                      for key in SHARED_WIRING if key in create_kw}
         directory = os.path.join(snapshot_dir, "bootstrap")
         databases.append(bootstrap_replica(primary, directory, seed=seed + 1,
                                            **restore_kw))

@@ -33,11 +33,11 @@ DESIGN.md §13 for the argument and its limits.
 from __future__ import annotations
 
 import asyncio
-import threading
 from typing import Dict, Optional, Sequence, Set
 
 from .membership import BackendSpec, ClusterMembership
 from ..errors import ConfigurationError, ProtocolError, TransientChannelError
+from ..loopthread import LoopThread
 from ..net.admission import SHED_CODE
 from ..net.framing import (
     Bye,
@@ -625,7 +625,7 @@ class ClusterRouter:
                 raise TransientChannelError("client went away mid-reply")
 
 
-class RouterThread:
+class RouterThread(LoopThread):
     """Runs a :class:`ClusterRouter` event loop on a background thread.
 
     The cluster mirror of :class:`~repro.net.server.ServerThread`::
@@ -635,65 +635,5 @@ class RouterThread:
     """
 
     def __init__(self, router: ClusterRouter):
+        super().__init__(router, "pir-router", router.stop)
         self.router = router
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-
-    @property
-    def host(self) -> str:
-        return self.router.host
-
-    @property
-    def port(self) -> int:
-        return self.router.port
-
-    def start(self) -> "RouterThread":
-        if self._thread is not None:
-            raise ConfigurationError("router thread already started")
-        self._thread = threading.Thread(
-            target=self._run, name="pir-router", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            self._thread.join()
-            raise self._startup_error
-        return self
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self.router.start())
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-            loop.close()
-            return
-        self._ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
-
-    def stop(self, timeout: float = 30.0) -> None:
-        if self._thread is None or self._loop is None:
-            return
-        if self._thread.is_alive():
-            future = asyncio.run_coroutine_threadsafe(
-                self.router.stop(), self._loop
-            )
-            future.result(timeout=timeout)
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=timeout)
-        self._thread = None
-
-    def __enter__(self) -> "RouterThread":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()

@@ -31,15 +31,230 @@ from ..shuffle.oblivious import ObliviousShuffler
 from ..shuffle.permutation import Permutation
 from ..sim.clock import VirtualClock
 from ..storage.disk import DiskStore
+from ..storage.frames import frame_matrix
 from ..storage.merkle import AuthenticatedDisk
 from ..storage.page import Page
 from ..storage.tiered import TieredDiskStore
 from ..storage.trace import AccessTrace
 
-__all__ = ["PirDatabase"]
+__all__ = ["PirDatabase", "SHARED_WIRING", "PER_MEMBER_WIRING"]
 
 SETUP_DIRECT = "direct"
 SETUP_OBLIVIOUS = "oblivious"
+
+#: The wiring keywords that are plain values: one configuration can hand
+#: them to any number of instances (``build_cluster`` forwards exactly
+#: these to every replica).
+SHARED_WIRING = (
+    "master_key", "spec", "trace_enabled", "rollback_protection",
+    "hot_tier_frames", "read_retry", "cache_policy", "enforce_memory_limit",
+)
+#: The wiring keywords that name one instance's own object: a journal
+#: slot, a file, a store, a single-threaded tracer.
+PER_MEMBER_WIRING = ("journal", "hot_tier_journal", "disk_factory", "tracer")
+
+
+def _wire(
+    params: SystemParameters,
+    master_key: bytes = b"repro-master-key",
+    spec: Optional[HardwareSpec] = None,
+    seed: Optional[int] = None,
+    cipher_backend: str = "shake",
+    cache_policy: str = RANDOM_POLICY,
+    enforce_memory_limit: bool = False,
+    trace_enabled: bool = True,
+    disk_factory=None,
+    hot_tier_frames: Optional[int] = None,
+    hot_tier_journal=None,
+    rollback_protection: bool = False,
+    journal=None,
+    read_retry=None,
+    tracer: Optional[Tracer] = None,
+    metrics=None,
+    clock: Optional[VirtualClock] = None,
+):
+    """Wire coprocessor, store stack and engine for ``params``.
+
+    The one place an instance is put together: every constructor
+    (:meth:`PirDatabase.create`, :func:`~repro.core.snapshot.load_snapshot`,
+    ``DataOwner.create`` / ``resume``) forwards its wiring keywords here
+    and differs only in where ``params`` and the initial state come from.
+    Returns ``(coprocessor, disk, engine)`` with the store still empty and
+    the trusted state (cache, page map) still blank.
+
+    ``disk_factory(num_locations, frame_size, timing, clock, trace)``
+    substitutes the untrusted store, e.g.
+    :class:`repro.storage.filedisk.FileDiskStore` for real file I/O.
+    ``hot_tier_frames`` fronts it with an in-memory ciphertext LRU of that
+    many frames (:class:`TieredDiskStore`): hot hits skip the cold store's
+    seek/transfer charge while leaving the recorded access trace
+    byte-identical; ``hot_tier_journal`` (a path) makes the tier's
+    membership survive restarts.  ``rollback_protection=True`` wraps the
+    stack in a Merkle-tree freshness layer (detects a *malicious* server
+    replaying stale frames — hardening beyond the paper's
+    honest-but-curious model); it sits outside the tier, so the tree
+    authenticates what the engine reads regardless of which tier served
+    the bytes.  ``journal`` (e.g.
+    :class:`repro.core.journal.MemoryJournal`) enables crash-consistent
+    write-back, and ``read_retry`` (a
+    :class:`repro.faults.retry.RetryPolicy`) retries transient or
+    unauthentic block reads with deterministic backoff.  ``tracer`` (a
+    :class:`repro.obs.tracer.Tracer`) threads per-phase span
+    instrumentation through the coprocessor, disk and engine — it is bound
+    to the virtual clock so spans carry both wall and deterministic
+    virtual durations.  ``metrics`` (a
+    :class:`repro.obs.registry.MetricsRegistry`) gives the engine's and
+    the tier's counters and the latency histogram a process-wide home.
+    """
+    clock = clock if clock is not None else VirtualClock()
+    if tracer is not None:
+        tracer.bind_clock(clock)
+    cop = SecureCoprocessor(
+        num_pages=params.total_pages,
+        cache_capacity=params.cache_capacity,
+        block_size=params.block_size,
+        page_capacity=params.page_capacity,
+        master_key=master_key,
+        spec=spec,
+        clock=clock,
+        rng=SecureRandom(seed),
+        cipher_backend=cipher_backend,
+        cache_policy=cache_policy,
+        enforce_memory_limit=enforce_memory_limit,
+        tracer=tracer,
+    )
+    disk = (disk_factory or DiskStore)(
+        params.num_locations, cop.frame_size, cop.spec.disk, clock,
+        AccessTrace(enabled=trace_enabled),
+    )
+    if tracer is not None:
+        # The factory signature predates the tracer; a wrapper assigns it
+        # through to the store that performs the I/O.
+        disk.tracer = tracer
+    if hot_tier_frames is not None:
+        disk = TieredDiskStore(
+            disk, hot_capacity=hot_tier_frames,
+            journal_path=hot_tier_journal, metrics=metrics,
+        )
+    if rollback_protection:
+        disk = AuthenticatedDisk(disk)
+    engine = RetrievalEngine(
+        params, cop, disk, journal=journal, read_retry=read_retry,
+        tracer=tracer, metrics=metrics,
+    )
+    return cop, disk, engine
+
+
+def _create(
+    records: Sequence[bytes],
+    cache_capacity: int,
+    target_c: float,
+    page_capacity: int,
+    reserve_fraction: float,
+    block_size: Optional[int],
+    *,
+    setup_mode: str,
+    write_batch: int,
+    **wiring,
+):
+    """Solve the parameters, wire an instance and load ``records`` into it.
+
+    What :meth:`PirDatabase.create` and ``DataOwner.create`` share.
+    Returns ``(params, coprocessor, disk, engine)``.  The permuted,
+    encrypted database goes to the store as one contiguous write per
+    ``write_batch`` locations.
+    """
+    if not records:
+        raise ConfigurationError("records must be non-empty")
+    if setup_mode not in (SETUP_DIRECT, SETUP_OBLIVIOUS):
+        raise ConfigurationError(f"unknown setup_mode {setup_mode!r}")
+    if block_size is not None:
+        params = SystemParameters.from_block_size(
+            len(records), cache_capacity, block_size,
+            page_capacity=page_capacity, reserve_fraction=reserve_fraction,
+        )
+    else:
+        params = SystemParameters.solve(
+            len(records), cache_capacity, target_c,
+            page_capacity=page_capacity, reserve_fraction=reserve_fraction,
+        )
+    cop, disk, engine = _wire(params, **wiring)
+
+    # Logical pages: ids [0, n_user) are live records, [n_user, N) are
+    # free reserve/padding pages, [N, N + m) start inside the cache.
+    disk_pages: List[Page] = []
+    for page_id in range(params.num_locations):
+        if page_id < len(records):
+            disk_pages.append(Page(page_id, bytes(records[page_id])))
+        else:
+            disk_pages.append(Page(page_id, b"", deleted=True))
+
+    if setup_mode == SETUP_OBLIVIOUS:
+        layout = _oblivious_layout(cop, disk_pages, engine)
+    else:
+        permutation = Permutation.random(
+            params.num_locations, cop.rng.spawn("setup")
+        )
+        layout = [0] * params.num_locations
+        for page_id in range(params.num_locations):
+            layout[permutation.apply(page_id)] = page_id
+
+    # Sealed ``chunk`` pages at a time: each chunk is one plaintext matrix
+    # through the batch kernel, and small chunks keep the kernel's matrices
+    # out of the peak RSS.  (Page i starts out as disk_pages[i].)
+    chunk = 256
+    frames = np.empty(
+        (min(write_batch, params.num_locations), cop.frame_size), np.uint8
+    )
+    for start in range(0, params.num_locations, write_batch):
+        stop = min(start + write_batch, params.num_locations)
+        for low in range(start, stop, chunk):
+            high = min(low + chunk, stop)
+            frames[low - start : high - start] = frame_matrix(
+                cop.seal_pages(
+                    [disk_pages[layout[pos]] for pos in range(low, high)]
+                ),
+                cop.frame_size,
+            )
+        disk.write_range(start, frames[: stop - start])
+
+    cache_pages = [
+        Page(params.num_locations + slot, b"", deleted=True)
+        for slot in range(params.cache_capacity)
+    ]
+    cop.cache.fill(cache_pages)
+
+    for position, page_id in enumerate(layout):
+        cop.page_map.set_disk(page_id, position)
+    for page in disk_pages:
+        if page.deleted:
+            cop.page_map.mark_deleted(page.page_id)
+    for slot, page in enumerate(cache_pages):
+        cop.page_map.set_cached(page.page_id, slot)
+        cop.page_map.mark_deleted(page.page_id)
+
+    # Setup wrote the whole database through the instrumented disk; drop
+    # those spans so the trace covers requests only (that is what
+    # CostModelCheck compares against Eq. 8).
+    engine.tracer.reset()
+    return params, cop, disk, engine
+
+
+def _oblivious_layout(
+    cop: SecureCoprocessor, disk_pages: List[Page], engine: RetrievalEngine
+) -> List[int]:
+    """Run the tagged oblivious sort on a scratch area and return the layout."""
+    shuffler = ObliviousShuffler(cop.suite, cop.rng.spawn("shuffle"),
+                                 cop.page_capacity,
+                                 tracer=engine.tracer, metrics=engine.metrics)
+    scratch = DiskStore(
+        num_locations=len(disk_pages),
+        frame_size=shuffler.tagged_frame_size,
+        timing=cop.spec.disk,
+        clock=cop.clock,
+        trace=AccessTrace(enabled=False),
+    )
+    return shuffler.shuffle(disk_pages, scratch)
 
 
 class PirDatabase:
@@ -65,10 +280,6 @@ class PirDatabase:
         # reveals the write pattern (see repro.cluster.replication).
         self.replication = None
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-
     @classmethod
     def create(
         cls,
@@ -78,22 +289,8 @@ class PirDatabase:
         page_capacity: int = 1024,
         reserve_fraction: float = 0.0,
         block_size: Optional[int] = None,
-        spec: Optional[HardwareSpec] = None,
-        seed: Optional[int] = None,
-        cipher_backend: str = "shake",
-        cache_policy: str = RANDOM_POLICY,
         setup_mode: str = SETUP_DIRECT,
-        trace_enabled: bool = True,
-        master_key: bytes = b"repro-master-key",
-        enforce_memory_limit: bool = False,
-        disk_factory=None,
-        rollback_protection: bool = False,
-        journal=None,
-        read_retry=None,
-        tracer: Optional[Tracer] = None,
-        metrics=None,
-        hot_tier_frames: Optional[int] = None,
-        hot_tier_journal=None,
+        **wiring,
     ) -> "PirDatabase":
         """Build, encrypt, permute and warm up a database from raw records.
 
@@ -102,176 +299,21 @@ class PirDatabase:
         pins k directly), ``page_capacity`` is B, ``reserve_fraction``
         pre-allocates dummy pages for future insertions (§4.3).
         ``setup_mode`` selects the faithful O(n log^2 n) oblivious shuffle
-        or the fast trusted-ingest permutation (DESIGN.md §3).
-        ``disk_factory(num_locations, frame_size, timing, clock, trace)``
-        substitutes a different untrusted store, e.g.
-        :class:`repro.storage.filedisk.FileDiskStore` for real file I/O.
-        ``rollback_protection=True`` wraps the store in a Merkle-tree
-        freshness layer (detects a *malicious* server replaying stale
-        frames — hardening beyond the paper's honest-but-curious model).
-        ``journal`` (e.g. :class:`repro.core.journal.MemoryJournal`)
-        enables crash-consistent write-back, and ``read_retry`` (a
-        :class:`repro.faults.retry.RetryPolicy`) retries transient or
-        unauthentic block reads with deterministic backoff.
-        ``tracer`` (a :class:`repro.obs.tracer.Tracer`) threads per-phase
-        span instrumentation through the coprocessor, disk and engine —
-        it is bound to the shared virtual clock so spans carry both wall
-        and deterministic virtual durations, and it is reset after setup
-        so the recorded phases cover requests only.  ``metrics`` (a
-        :class:`repro.obs.registry.MetricsRegistry`) gives the engine's
-        counters and latency histogram a process-wide home.
-        ``hot_tier_frames`` fronts the untrusted store with an in-memory
-        ciphertext LRU of that many frames (:class:`TieredDiskStore`):
-        hot hits skip the cold store's seek/transfer charge while leaving
-        the recorded access trace byte-identical.  ``hot_tier_journal``
-        (a path) makes the tier's membership survive restarts.
+        or the fast trusted-ingest permutation (DESIGN.md §3).  ``wiring``
+        goes to the one builder, :func:`_wire`, which documents it:
+        ``master_key``, ``spec``, ``seed``, ``cipher_backend``,
+        ``cache_policy``, ``enforce_memory_limit``, ``trace_enabled``,
+        ``disk_factory``, ``hot_tier_frames``, ``hot_tier_journal``,
+        ``rollback_protection``, ``journal``, ``read_retry``, ``tracer``,
+        ``metrics``, ``clock`` — the keywords
+        :func:`~repro.core.snapshot.load_snapshot` takes too.  A ``tracer``
+        is reset after setup so the recorded phases cover requests only.
         """
-        if not records:
-            raise ConfigurationError("records must be non-empty")
-        if setup_mode not in (SETUP_DIRECT, SETUP_OBLIVIOUS):
-            raise ConfigurationError(f"unknown setup_mode {setup_mode!r}")
-        if block_size is not None:
-            params = SystemParameters.from_block_size(
-                len(records), cache_capacity, block_size,
-                page_capacity=page_capacity, reserve_fraction=reserve_fraction,
-            )
-        else:
-            params = SystemParameters.solve(
-                len(records), cache_capacity, target_c,
-                page_capacity=page_capacity, reserve_fraction=reserve_fraction,
-            )
-
-        rng = SecureRandom(seed)
-        clock = VirtualClock()
-        trace = AccessTrace(enabled=trace_enabled)
-        if tracer is not None:
-            tracer.bind_clock(clock)
-        cop = SecureCoprocessor(
-            num_pages=params.total_pages,
-            cache_capacity=params.cache_capacity,
-            block_size=params.block_size,
-            page_capacity=params.page_capacity,
-            master_key=master_key,
-            spec=spec,
-            clock=clock,
-            rng=rng,
-            cipher_backend=cipher_backend,
-            cache_policy=cache_policy,
-            enforce_memory_limit=enforce_memory_limit,
-            tracer=tracer,
-        )
-        if disk_factory is None:
-            disk = DiskStore(
-                num_locations=params.num_locations,
-                frame_size=cop.frame_size,
-                timing=cop.spec.disk,
-                clock=clock,
-                trace=trace,
-                tracer=tracer,
-            )
-        else:
-            # The factory signature predates the tracer; attach it after
-            # construction so existing factories keep working unchanged.
-            # Wrappers (FaultyDiskStore etc.) expose the wrapped store via
-            # ``inner`` — walk down so the store that actually performs the
-            # I/O emits the disk spans.
-            disk = disk_factory(
-                params.num_locations, cop.frame_size, cop.spec.disk, clock, trace
-            )
-            if tracer is not None:
-                store = disk
-                while store is not None:
-                    store.tracer = tracer
-                    store = getattr(store, "inner", None)
-        if hot_tier_frames is not None:
-            # Inside the freshness layer (when enabled): the Merkle tree
-            # authenticates what the engine reads regardless of which tier
-            # served the bytes.
-            disk = TieredDiskStore(
-                disk, hot_capacity=hot_tier_frames,
-                journal_path=hot_tier_journal, metrics=metrics,
-            )
-        if rollback_protection:
-            disk = AuthenticatedDisk(disk)
-
-        # Logical pages: ids [0, n_user) are live records, [n_user, N) are
-        # free reserve/padding pages, [N, N + m) start inside the cache.
-        disk_pages: List[Page] = []
-        for page_id in range(params.num_locations):
-            if page_id < len(records):
-                disk_pages.append(Page(page_id, bytes(records[page_id])))
-            else:
-                disk_pages.append(Page(page_id, b"", deleted=True))
-
-        if setup_mode == SETUP_OBLIVIOUS:
-            layout = cls._oblivious_layout(cop, disk_pages, clock,
-                                           tracer=tracer, metrics=metrics)
-        else:
-            permutation = Permutation.random(params.num_locations, rng.spawn("setup"))
-            layout = [0] * params.num_locations
-            for page_id in range(params.num_locations):
-                layout[permutation.apply(page_id)] = page_id
-
-        # One contiguous write per ``batch`` locations, sealed ``chunk``
-        # pages at a time: each chunk is one plaintext matrix through the
-        # batch kernel, and small chunks keep the kernel's matrices out of
-        # the peak RSS.  (Page i starts out as disk_pages[i].)
-        batch, chunk = 4096, 256
-        frames = np.empty(
-            (min(batch, params.num_locations), cop.frame_size), np.uint8
-        )
-        for start in range(0, params.num_locations, batch):
-            stop = min(start + batch, params.num_locations)
-            for low in range(start, stop, chunk):
-                high = min(low + chunk, stop)
-                frames[low - start : high - start] = cop.seal_pages(
-                    [disk_pages[layout[pos]] for pos in range(low, high)]
-                )
-            disk.write_range(start, frames[: stop - start])
-
-        cache_pages = [
-            Page(params.num_locations + slot, b"", deleted=True)
-            for slot in range(params.cache_capacity)
-        ]
-        cop.cache.fill(cache_pages)
-
-        for position, page_id in enumerate(layout):
-            cop.page_map.set_disk(page_id, position)
-        for page in disk_pages:
-            if page.deleted:
-                cop.page_map.mark_deleted(page.page_id)
-        for slot, page in enumerate(cache_pages):
-            cop.page_map.set_cached(page.page_id, slot)
-            cop.page_map.mark_deleted(page.page_id)
-
-        engine = RetrievalEngine(
-            params, cop, disk, journal=journal, read_retry=read_retry,
-            tracer=tracer, metrics=metrics,
-        )
-        if tracer is not None:
-            # Setup wrote the whole database through the instrumented disk;
-            # drop those spans so the trace covers requests only (that is
-            # what CostModelCheck compares against Eq. 8).
-            tracer.reset()
-        return cls(params, cop, disk, engine)
-
-    @staticmethod
-    def _oblivious_layout(
-        cop: SecureCoprocessor, disk_pages: List[Page], clock: VirtualClock,
-        tracer: Optional[Tracer] = None, metrics=None,
-    ) -> List[int]:
-        """Run the tagged oblivious sort on a scratch area and return the layout."""
-        shuffler = ObliviousShuffler(cop.suite, cop.rng.spawn("shuffle"),
-                                     cop.page_capacity,
-                                     tracer=tracer, metrics=metrics)
-        scratch = DiskStore(
-            num_locations=len(disk_pages),
-            frame_size=shuffler.tagged_frame_size,
-            timing=cop.spec.disk,
-            clock=clock,
-            trace=AccessTrace(enabled=False),
-        )
-        return shuffler.shuffle(disk_pages, scratch)
+        return cls(*_create(
+            records, cache_capacity, target_c, page_capacity,
+            reserve_fraction, block_size,
+            setup_mode=setup_mode, write_batch=4096, **wiring,
+        ))
 
     # ------------------------------------------------------------------
     # Operations
@@ -513,15 +555,11 @@ class PirDatabase:
 
     def expected_query_time(self) -> float:
         """Eq. 8 evaluated for this configuration's spec and frame size."""
-        spec = self.cop.spec
-        frame = self.cop.frame_size
-        k = self.params.block_size
-        per_byte = (
-            1.0 / spec.disk.read_bandwidth
-            + 1.0 / spec.link_bandwidth
-            + 1.0 / spec.crypto_throughput
-        )
-        return 4 * spec.disk.seek_time + 2 * (k + 1) * frame * per_byte
+        from ..analysis.costmodel import eq8_terms
+
+        return eq8_terms(
+            self.cop.spec, self.params.block_size, self.cop.frame_size
+        )["total"]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PirDatabase({self.params.describe()})"

@@ -26,27 +26,19 @@ persisting the RNG position).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import struct
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .database import PirDatabase
-from .engine import RetrievalEngine
+from .database import PirDatabase, _wire
 from .params import SystemParameters
-from ..crypto.rng import SecureRandom
 from ..crypto.suite import BACKENDS, CipherSuite
 from ..errors import ConfigurationError, StorageError
-from ..hardware.coprocessor import SecureCoprocessor
-from ..hardware.specs import HardwareSpec
-from ..sim.clock import VirtualClock
-from ..storage.disk import DiskStore
-from ..storage.merkle import AuthenticatedDisk
 from ..storage.page import Page
-from ..storage.tiered import TieredDiskStore
-from ..storage.trace import AccessTrace
 
 __all__ = [
     "save_snapshot",
@@ -176,14 +168,27 @@ def _decode_trusted_state(blob: bytes, db: PirDatabase) -> None:
         raise StorageError("trailing bytes in trusted-state blob")
 
 
-def _require_provided_backend(backend: str, source: str) -> None:
-    """Refuse sealed state whose manifest names a backend not in BACKENDS.
+def encode_manifest(db) -> dict:
+    """The public parameters a restore needs (nothing secret: n, k, m, B,
+    c and the cipher backend), for ``manifest.json`` and for the head of
+    ``DataOwner.seal_state``."""
+    return {
+        **dataclasses.asdict(db.params),
+        "cipher_backend": db.cop.suite.backend,
+    }
 
-    Checked against BACKENDS itself (never through CipherSuite's rename
-    map) and before any suite exists: frame MAC keys did not change when
-    the blake2 keystream was retired, so its frames would pass
+
+def decode_manifest(manifest: dict,
+                    source: str) -> Tuple[SystemParameters, str]:
+    """``(params, cipher_backend)`` out of :func:`encode_manifest`'s dict.
+
+    Sealed state whose manifest names a backend not in BACKENDS is refused
+    here — checked against BACKENDS itself (never through CipherSuite's
+    rename map) and before any suite exists: frame MAC keys did not change
+    when the blake2 keystream was retired, so its frames would pass
     authentication and decrypt to noise.
     """
+    backend = manifest["cipher_backend"]
     if backend not in BACKENDS:
         raise ConfigurationError(
             f"{source} names cipher backend {backend!r}; this version "
@@ -191,6 +196,11 @@ def _require_provided_backend(backend: str, source: str) -> None:
             "keystream cannot be read: open it with the version that wrote "
             "it and re-create the database here"
         )
+    params = SystemParameters(**{
+        field.name: manifest[field.name]
+        for field in dataclasses.fields(SystemParameters)
+    })
+    return params, backend
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +227,7 @@ def save_snapshot(db: PirDatabase, directory: str) -> None:
     """
     os.makedirs(directory, exist_ok=True)
     manifest = {
-        "format": 2,
-        "num_user_pages": db.params.num_user_pages,
-        "reserve_pages": db.params.reserve_pages,
-        "cache_capacity": db.params.cache_capacity,
-        "block_size": db.params.block_size,
-        "num_locations": db.params.num_locations,
-        "page_capacity": db.params.page_capacity,
-        "target_c": db.params.target_c,
-        "frame_size": db.cop.frame_size,
-        "cipher_backend": db.cop.suite.backend,
+        "format": 2, "frame_size": db.cop.frame_size, **encode_manifest(db),
     }
     with open(os.path.join(directory, _MANIFEST), "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -289,29 +290,22 @@ def save_snapshot(db: PirDatabase, directory: str) -> None:
             os.remove(reshuffle_path)  # stale sidecar from an older save
 
 
-def load_snapshot(
-    directory: str,
-    master_key: bytes = b"repro-master-key",
-    spec: Optional[HardwareSpec] = None,
-    seed: Optional[int] = None,
-    trace_enabled: bool = True,
-    rollback_protection: bool = False,
-    journal=None,
-    read_retry=None,
-    hot_tier_frames: Optional[int] = None,
-    hot_tier_journal=None,
-) -> PirDatabase:
+def load_snapshot(directory: str, **wiring) -> PirDatabase:
     """Reconstruct a database saved by :func:`save_snapshot`.
 
-    The master key must match the one the database was created with —
-    the *new* key if the snapshot was taken mid-rotation (the sealed
-    state re-adopts the legacy key automatically); an incorrect key
-    raises :class:`~repro.errors.AuthenticationError`.
-    ``journal``/``read_retry`` re-arm crash consistency and read retries on
-    the restored instance (journals are not part of the snapshot: a clean
-    snapshot implies an empty journal slot).  ``hot_tier_frames`` /
-    ``hot_tier_journal`` front the restored store with the in-memory
-    ciphertext tier, as in :meth:`PirDatabase.create`.
+    ``wiring`` is every keyword of the one builder
+    (:func:`repro.core.database._wire`) except ``cipher_backend``, which
+    the manifest fixes — the same keywords, with the same meaning, as
+    :meth:`PirDatabase.create`.  The ``master_key`` must match the one the
+    database was created with — the *new* key if the snapshot was taken
+    mid-rotation (the sealed state re-adopts the legacy key
+    automatically); an incorrect key raises
+    :class:`~repro.errors.AuthenticationError`.  None of the wiring is
+    part of a snapshot: ``journal``/``read_retry`` re-arm crash
+    consistency and read retries on the restored instance (a clean
+    snapshot implies an empty journal slot), ``disk_factory`` chooses the
+    store the frames are replayed onto, and a ``tracer`` is reset after
+    the replay so its phases cover requests only.
     """
     manifest_path = os.path.join(directory, _MANIFEST)
     if not os.path.exists(manifest_path):
@@ -320,50 +314,13 @@ def load_snapshot(
         manifest = json.load(f)
     if manifest.get("format") not in (1, 2):
         raise ConfigurationError("unsupported snapshot format")
-    _require_provided_backend(
-        manifest["cipher_backend"], f"snapshot in {directory!r}"
-    )
-
-    params = SystemParameters(
-        num_user_pages=manifest["num_user_pages"],
-        reserve_pages=manifest["reserve_pages"],
-        cache_capacity=manifest["cache_capacity"],
-        block_size=manifest["block_size"],
-        num_locations=manifest["num_locations"],
-        page_capacity=manifest["page_capacity"],
-        target_c=manifest["target_c"],
-    )
-    rng = SecureRandom(seed)
-    clock = VirtualClock()
-    cop = SecureCoprocessor(
-        num_pages=params.total_pages,
-        cache_capacity=params.cache_capacity,
-        block_size=params.block_size,
-        page_capacity=params.page_capacity,
-        master_key=master_key,
-        spec=spec,
-        clock=clock,
-        rng=rng,
-        cipher_backend=manifest["cipher_backend"],
-    )
+    params, backend = decode_manifest(manifest, f"snapshot in {directory!r}")
+    cop, disk, engine = _wire(params, cipher_backend=backend, **wiring)
     if cop.frame_size != manifest["frame_size"]:
         raise ConfigurationError("snapshot frame size does not match suite")
 
-    disk = DiskStore(
-        num_locations=params.num_locations,
-        frame_size=cop.frame_size,
-        timing=cop.spec.disk,
-        clock=clock,
-        trace=AccessTrace(enabled=trace_enabled),
-    )
-    if hot_tier_frames is not None:
-        disk = TieredDiskStore(
-            disk, hot_capacity=hot_tier_frames, journal_path=hot_tier_journal,
-        )
-    if rollback_protection:
-        # Wrap before replaying the frames so the fresh Merkle tree is
-        # seeded by the writes below.
-        disk = AuthenticatedDisk(disk)
+    # The freshness layer (when enabled) is already in place, so the
+    # replayed writes seed its fresh Merkle tree.
     frames_path = os.path.join(directory, _FRAMES)
     expected_bytes = params.num_locations * cop.frame_size
     with open(frames_path, "rb") as f:
@@ -382,21 +339,16 @@ def load_snapshot(
     with open(os.path.join(directory, _SEALED), "rb") as f:
         sealed = f.read()
     sealing = CipherSuite(
-        b"snapshot-sealing:" + manifest["cipher_backend"].encode(),
+        b"snapshot-sealing:" + backend.encode(),
         backend=_SEALING_BACKEND,
-        rng=rng,
+        rng=cop.rng,
     )
     inner = sealing.decrypt_page(sealed)
     trusted = cop.suite.decrypt_page(inner)
 
-    # Cache must be filled before the engine's invariant checks; fill with
-    # placeholders, then let the decoder install the real pages.
-    cop.cache.fill([Page.dummy() for _ in range(params.cache_capacity)])
-    engine = RetrievalEngine(
-        params, cop, disk, journal=journal, read_retry=read_retry
-    )
     db = PirDatabase(params, cop, disk, engine)
     _decode_trusted_state(trusted, db)
+    engine.tracer.reset()
     return db
 
 
@@ -470,10 +422,7 @@ def load_sealed_sidecar(db: PirDatabase, directory: str,
 
 
 def bootstrap_replica(
-    db: PirDatabase,
-    directory: str,
-    master_key: bytes = b"repro-master-key",
-    **load_kw,
+    db: PirDatabase, directory: str, **load_kw,
 ) -> PirDatabase:
     """Clone ``db`` into an independent read replica via a snapshot.
 
@@ -497,6 +446,6 @@ def bootstrap_replica(
     costs a snapshot restore, never a cold shuffle.
     """
     save_snapshot(db, directory)
-    replica = load_snapshot(directory, master_key=master_key, **load_kw)
+    replica = load_snapshot(directory, **load_kw)
     resume_reshuffle(replica, directory)
     return replica

@@ -27,11 +27,11 @@ reconnect-and-resume, the server's session retention.
 from __future__ import annotations
 
 import asyncio
-import threading
 from typing import Optional, Set
 
 from .injector import SITE_NET_C2S, SITE_NET_S2C, FaultInjector
 from ..errors import ConfigurationError, TransientChannelError
+from ..loopthread import LoopThread
 from ..sim.metrics import CounterSet
 
 __all__ = ["ChaosProxy", "ChaosProxyThread"]
@@ -215,7 +215,7 @@ class ChaosProxy:
             transport.abort()
 
 
-class ChaosProxyThread:
+class ChaosProxyThread(LoopThread):
     """Runs a :class:`ChaosProxy` event loop on a background thread.
 
     The synchronous mirror of :class:`~repro.net.server.ServerThread`, so
@@ -227,75 +227,10 @@ class ChaosProxyThread:
     """
 
     def __init__(self, proxy: ChaosProxy):
+        super().__init__(proxy, "chaos-proxy", proxy.stop)
         self.proxy = proxy
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-
-    @property
-    def host(self) -> str:
-        return self.proxy.host
-
-    @property
-    def port(self) -> int:
-        return self.proxy.port
-
-    def start(self) -> "ChaosProxyThread":
-        if self._thread is not None:
-            raise ConfigurationError("proxy thread already started")
-        self._thread = threading.Thread(
-            target=self._run, name="chaos-proxy", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            self._thread.join()
-            raise self._startup_error
-        return self
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self.proxy.start())
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-            loop.close()
-            return
-        self._ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
 
     def sever_all(self, timeout: float = 30.0) -> None:
         """Thread-safe :meth:`ChaosProxy.sever_all`."""
-        if self._thread is None or self._loop is None:
-            return
-        if self._thread.is_alive():
-            future = asyncio.run_coroutine_threadsafe(
-                self.proxy.sever_all(), self._loop
-            )
-            future.result(timeout=timeout)
-
-    def stop(self, timeout: float = 30.0) -> None:
-        if self._thread is None or self._loop is None:
-            return
-        if self._thread.is_alive():
-            future = asyncio.run_coroutine_threadsafe(
-                self.proxy.stop(), self._loop
-            )
-            future.result(timeout=timeout)
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=timeout)
-        self._thread = None
-
-    def __enter__(self) -> "ChaosProxyThread":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
+        if self._thread is not None and self._thread.is_alive():
+            self.call(self.proxy.sever_all(), timeout)

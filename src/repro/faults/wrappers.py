@@ -32,57 +32,26 @@ from .injector import (
     SimulatedCrash,
 )
 from ..errors import TransientChannelError, TransientStorageError
+from ..storage.disk import StoreWrapper
 
 __all__ = ["FaultyDiskStore", "FlakyChannel", "FaultyJournal"]
 
 
-class FaultyDiskStore:
+class FaultyDiskStore(StoreWrapper):
     """Fault-injecting wrapper with the engine's disk interface.
 
     Transient faults fire *before* the inner operation (nothing lands);
     corruption damages frames on the way back from a successful read; a
     crash applies a torn prefix of the write and raises
-    :class:`~repro.faults.injector.SimulatedCrash`.
+    :class:`~repro.faults.injector.SimulatedCrash`.  Only the two range
+    calls are overridden: a request decomposes into the same two accesses
+    the local store performs, so each leg gets its own fault decision and
+    the trace shape is unchanged.
     """
 
     def __init__(self, inner, injector: FaultInjector):
-        self._inner = inner
+        super().__init__(inner)
         self.injector = injector
-
-    # -- passthrough metadata ---------------------------------------------------
-
-    @property
-    def num_locations(self) -> int:
-        return self._inner.num_locations
-
-    @property
-    def frame_size(self) -> int:
-        return self._inner.frame_size
-
-    @property
-    def trace(self):
-        return self._inner.trace
-
-    @property
-    def clock(self):
-        return self._inner.clock
-
-    @property
-    def current_request(self) -> int:
-        return self._inner.current_request
-
-    @current_request.setter
-    def current_request(self, value: int) -> None:
-        self._inner.current_request = value
-
-    @property
-    def inner(self):
-        return self._inner
-
-    # -- faulty access ----------------------------------------------------------
-
-    def read(self, location: int) -> bytes:
-        return self.read_range(location, 1).tobytes()
 
     def read_range(self, location: int, count: int) -> np.ndarray:
         decision = self.injector.check(SITE_DISK_READ, count)
@@ -91,7 +60,7 @@ class FaultyDiskStore:
                 f"injected transient fault reading [{location}, "
                 f"{location + count})"
             )
-        frames = self._inner.read_range(location, count)
+        frames = self.inner.read_range(location, count)
         if decision is not None and decision.kind == "corrupt":
             # The matrix is this read's own copy: the damage never reaches
             # the store, so a re-read is clean.
@@ -104,13 +73,10 @@ class FaultyDiskStore:
             self.injector.corrupt_blob(bytes(frame)), np.uint8
         )
 
-    def write(self, location: int, frame) -> None:
-        self.write_range(location, [frame])
-
     def write_range(self, location: int, frames) -> None:
         decision = self.injector.check(SITE_DISK_WRITE, len(frames))
         if decision is None:
-            self._inner.write_range(location, frames)
+            self.inner.write_range(location, frames)
             return
         if decision.kind == "transient":
             raise TransientStorageError(
@@ -121,8 +87,8 @@ class FaultyDiskStore:
             # Torn write: a prefix of the frames becomes durable, then the
             # host dies before the rest (or the caller's bookkeeping) lands.
             if decision.torn_frames > 0:
-                self._inner.write_range(location,
-                                        frames[:decision.torn_frames])
+                self.inner.write_range(location,
+                                       frames[:decision.torn_frames])
             raise SimulatedCrash(
                 f"simulated power loss after {decision.torn_frames} of "
                 f"{len(frames)} frames at location {location}"
@@ -133,43 +99,7 @@ class FaultyDiskStore:
         damaged[decision.corrupt_index] = self._corrupted(
             damaged[decision.corrupt_index]
         )
-        self._inner.write_range(location, damaged)
-
-    # -- request-granular access -------------------------------------------------
-    #
-    # Decomposed into the same two accesses the local store performs, so
-    # each leg gets its own fault decision; the trace shape is unchanged.
-
-    def read_request(
-        self, block_start: int, count: int, extra_location: int
-    ) -> np.ndarray:
-        return np.concatenate((
-            self.read_range(block_start, count),
-            self.read_range(extra_location, 1),
-        ))
-
-    def write_request(
-        self, block_start: int, frames, extra_location: int, extra_frame
-    ) -> None:
-        self.write_range(block_start, frames)
-        self.write(extra_location, extra_frame)
-
-    # -- diagnostics / lifecycle -------------------------------------------------
-
-    def peek(self, location: int) -> Optional[bytes]:
-        return self._inner.peek(location)
-
-    def poke(self, location: int, frame) -> None:
-        self._inner.poke(location, frame)
-
-    def initialised_locations(self) -> int:
-        return self._inner.initialised_locations()
-
-    def flush(self) -> None:
-        self._inner.flush()
-
-    def close(self) -> None:
-        self._inner.close()
+        self.inner.write_range(location, damaged)
 
 
 class FlakyChannel:

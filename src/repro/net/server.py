@@ -66,6 +66,7 @@ from ..errors import (
     ReproError,
     TransientChannelError,
 )
+from ..loopthread import LoopThread
 from ..obs.tracer import NULL_TRACER
 from ..service import protocol
 from ..service.frontend import SESSION_SEQUENTIAL, QueryFrontend
@@ -673,7 +674,7 @@ class PirServer:
             future.set_result(result)
 
 
-class ServerThread:
+class ServerThread(LoopThread):
     """Runs a :class:`PirServer` event loop on a background thread.
 
     Lets synchronous code (tests, benchmarks, the CLI) stand up a real
@@ -688,63 +689,10 @@ class ServerThread:
     """
 
     def __init__(self, server: PirServer):
+        super().__init__(server, "pir-server", server.drain)
         self.server = server
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
 
-    @property
-    def host(self) -> str:
-        return self.server.host
-
-    @property
-    def port(self) -> int:
-        return self.server.port
-
-    def start(self) -> "ServerThread":
-        if self._thread is not None:
-            raise ConfigurationError("server thread already started")
-        self._thread = threading.Thread(
-            target=self._run, name="pir-server", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            self._thread.join()
-            raise self._startup_error
-        return self
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self.server.start())
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-            loop.close()
-            return
-        self._ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
-
-    def drain(self, timeout: float = 30.0) -> None:
-        """Gracefully drain the server and stop the loop thread."""
-        if self._thread is None or self._loop is None:
-            return
-        if self._thread.is_alive():
-            future = asyncio.run_coroutine_threadsafe(
-                self.server.drain(), self._loop
-            )
-            future.result(timeout=timeout)
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=timeout)
-        self._thread = None
+    drain = LoopThread.stop
 
     def kill(self, timeout: float = 30.0) -> None:
         """Abrupt shutdown: drop the listener and every connection NOW.
@@ -788,9 +736,3 @@ class ServerThread:
             thread.join(timeout=timeout)
         server._threads = []
         self._thread = None
-
-    def __enter__(self) -> "ServerThread":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.drain()

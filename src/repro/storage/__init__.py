@@ -1,6 +1,6 @@
 """Untrusted storage substrate: pages, disk, timing model and access trace."""
 
-from .disk import DiskStore
+from .disk import DiskStore, StoreWrapper
 from .filedisk import FileDiskStore
 from .merkle import AuthenticatedDisk, MerkleTree
 from .page import DUMMY_ID, FLAG_DELETED, HEADER_SIZE, Page
@@ -10,6 +10,7 @@ from .trace import READ, WRITE, AccessEvent, AccessTrace, shapes_identical
 
 __all__ = [
     "DiskStore",
+    "StoreWrapper",
     "FileDiskStore",
     "TieredDiskStore",
     "MEMORY_TIER_TIMING",

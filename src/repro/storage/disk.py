@@ -18,6 +18,10 @@ or any sequence of ``frame_size``-long bytes-like rows, and copies it in.
 The single-frame calls (:meth:`~DiskStore.read`, :meth:`~DiskStore.peek`)
 return ``bytes``.  Every store and wrapper with this interface keeps the
 same contract; whoever *retains* a frame it was handed copies it.
+
+A wrapper (fault injection, hot tier, freshness tree) subclasses
+:class:`StoreWrapper`, which forwards the whole interface to the store it
+wraps, and overrides only what it changes.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from ..errors import StorageError
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..sim.clock import VirtualClock
 
-__all__ = ["DiskStore"]
+__all__ = ["DiskStore", "StoreWrapper"]
 
 
 class DiskStore:
@@ -218,3 +222,79 @@ class DiskStore:
 
     def close(self) -> None:
         """Nothing to release."""
+
+
+def _forwarded(name: str, settable: bool = False) -> property:
+    """The wrapped store's attribute ``name``, as the wrapper's own."""
+
+    def fget(self):
+        return getattr(self.inner, name)
+
+    def fset(self, value) -> None:
+        setattr(self.inner, name, value)
+
+    return property(fget, fset if settable else None)
+
+
+class StoreWrapper:
+    """A store in front of another store; forwards everything to ``inner``.
+
+    A wrapper overrides what it changes.  The single-frame and
+    request-granular calls are composed from the wrapper's *own* range
+    calls, so overriding :meth:`read_range` / :meth:`write_range` is enough
+    to see every frame, and a request stays the two accesses per direction
+    the local store performs.  ``tracer`` and ``current_request`` are
+    assigned through to the store that does the I/O.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    num_locations = _forwarded("num_locations")
+    frame_size = _forwarded("frame_size")
+    timing = _forwarded("timing")
+    trace = _forwarded("trace")
+    clock = _forwarded("clock")
+    tracer = _forwarded("tracer", settable=True)
+    current_request = _forwarded("current_request", settable=True)
+
+    def read(self, location: int) -> bytes:
+        return self.read_range(location, 1).tobytes()
+
+    def read_range(self, location: int, count: int) -> np.ndarray:
+        return self.inner.read_range(location, count)
+
+    def write(self, location: int, frame) -> None:
+        self.write_range(location, [frame])
+
+    def write_range(self, location: int, frames) -> None:
+        self.inner.write_range(location, frames)
+
+    def read_request(
+        self, block_start: int, count: int, extra_location: int
+    ) -> np.ndarray:
+        return np.concatenate((
+            self.read_range(block_start, count),
+            self.read_range(extra_location, 1),
+        ))
+
+    def write_request(
+        self, block_start: int, frames, extra_location: int, extra_frame
+    ) -> None:
+        self.write_range(block_start, frames)
+        self.write(extra_location, extra_frame)
+
+    def peek(self, location: int) -> Optional[bytes]:
+        return self.inner.peek(location)
+
+    def poke(self, location: int, frame) -> None:
+        self.inner.poke(location, frame)
+
+    def initialised_locations(self) -> int:
+        return self.inner.initialised_locations()
+
+    def flush(self) -> None:
+        self.inner.flush()
+
+    def close(self) -> None:
+        self.inner.close()

@@ -18,8 +18,9 @@ frame accesses, so it adds no access-pattern leakage.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
+from .disk import StoreWrapper
 from ..errors import AuthenticationError, StorageError
 
 __all__ = ["MerkleTree", "AuthenticatedDisk"]
@@ -120,69 +121,24 @@ class MerkleTree:
         return digest == trusted_root
 
 
-class AuthenticatedDisk:
+class AuthenticatedDisk(StoreWrapper):
     """Freshness-verifying wrapper with the engine's disk interface.
 
     Holds the trusted root (conceptually inside the coprocessor); the
     Merkle nodes themselves model untrusted host memory.  Any replayed or
     altered frame fails verification on the next read with
-    :class:`~repro.errors.AuthenticationError`.
+    :class:`~repro.errors.AuthenticationError` — ``poke`` is the server
+    tampering with its disk, so it forwards *without* refreshing the tree.
     """
 
     def __init__(self, inner):
-        self._inner = inner
+        super().__init__(inner)
         self._tree = MerkleTree(inner.num_locations)
         self._trusted_root = self._tree.root
-
-    # -- passthrough metadata ---------------------------------------------------
-
-    @property
-    def num_locations(self) -> int:
-        return self._inner.num_locations
-
-    @property
-    def frame_size(self) -> int:
-        return self._inner.frame_size
-
-    @property
-    def trace(self):
-        return self._inner.trace
-
-    @property
-    def clock(self):
-        return self._inner.clock
-
-    @property
-    def timing(self):
-        return self._inner.timing
-
-    @property
-    def tracer(self):
-        return self._inner.tracer
-
-    @tracer.setter
-    def tracer(self, value) -> None:
-        # PirDatabase.create() attaches the tracer by assignment while
-        # walking ``inner``; the store that does the I/O owns it.
-        self._inner.tracer = value
-
-    @property
-    def inner(self):
-        return self._inner
-
-    @property
-    def current_request(self) -> int:
-        return self._inner.current_request
-
-    @current_request.setter
-    def current_request(self, value: int) -> None:
-        self._inner.current_request = value
 
     @property
     def trusted_root(self) -> bytes:
         return self._trusted_root
-
-    # -- verified access -----------------------------------------------------------
 
     def _verify(self, location: int, frame: bytes) -> None:
         if not self._tree.verify(location, frame, self._trusted_root):
@@ -191,29 +147,22 @@ class AuthenticatedDisk:
                 "returned a stale or altered frame"
             )
 
-    def read(self, location: int) -> bytes:
-        frame = self._inner.read(location)
-        self._verify(location, frame)
-        return frame
-
     def read_range(self, location: int, count: int):
-        frames = self._inner.read_range(location, count)
+        frames = self.inner.read_range(location, count)
         for offset, frame in enumerate(frames):
             self._verify(location + offset, frame)
         return frames
 
-    def write(self, location: int, frame: bytes) -> None:
-        self._inner.write(location, frame)
-        self._trusted_root = self._tree.update(location, frame)
-
     def write_range(self, location: int, frames: Sequence[bytes]) -> None:
-        self._inner.write_range(location, frames)
+        self.inner.write_range(location, frames)
         self._trusted_root = self._tree.update_range(location, frames)
 
+    # The request-granular calls go to the inner store's combined form, not
+    # to the range calls above, so a remote transport underneath keeps its
+    # single round trip.
+
     def read_request(self, block_start: int, count: int, extra_location: int):
-        # Delegate to the inner store's combined form so remote transports
-        # keep their single-round-trip batching; verify everything returned.
-        frames = self._inner.read_request(block_start, count, extra_location)
+        frames = self.inner.read_request(block_start, count, extra_location)
         for offset in range(count):
             self._verify(block_start + offset, frames[offset])
         self._verify(extra_location, frames[count])
@@ -221,31 +170,7 @@ class AuthenticatedDisk:
 
     def write_request(self, block_start: int, frames: Sequence[bytes],
                       extra_location: int, extra_frame: bytes) -> None:
-        self._inner.write_request(block_start, frames, extra_location,
-                                  extra_frame)
+        self.inner.write_request(block_start, frames, extra_location,
+                                 extra_frame)
         self._tree.update_range(block_start, frames)
         self._trusted_root = self._tree.update(extra_location, extra_frame)
-
-    def upload(self, start: int, frames: Sequence[bytes]) -> None:
-        """Setup-time bulk write (remote transports); seeds the tree."""
-        self._inner.upload(start, frames)
-        self._trusted_root = self._tree.update_range(start, frames)
-
-    # -- diagnostics / lifecycle -----------------------------------------------------
-
-    def peek(self, location: int) -> Optional[bytes]:
-        return self._inner.peek(location)
-
-    def poke(self, location: int, frame) -> None:
-        # The server tampering with its disk: the tree is *not* refreshed,
-        # which is exactly what the next verified read must catch.
-        self._inner.poke(location, frame)
-
-    def initialised_locations(self) -> int:
-        return self._inner.initialised_locations()
-
-    def flush(self) -> None:
-        self._inner.flush()
-
-    def close(self) -> None:
-        self._inner.close()

@@ -43,7 +43,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .disk import DiskStore
+from .disk import DiskStore, StoreWrapper
 from .frames import frame_matrix
 from .timing import DiskTimingModel
 from .trace import READ, WRITE, AccessEvent
@@ -65,7 +65,7 @@ _OP_PROMOTE = 1
 _OP_EVICT = 2
 
 
-class TieredDiskStore:
+class TieredDiskStore(StoreWrapper):
     """LRU memory tier over a cold store, write-through, trace-preserving.
 
     Drop-in for the engine-facing :class:`DiskStore` interface (the same
@@ -100,7 +100,8 @@ class TieredDiskStore:
     ):
         if hot_capacity <= 0:
             raise ConfigurationError("hot tier needs a positive capacity")
-        self.cold = cold
+        super().__init__(cold)
+        self.cold = cold  # the tier's own name for ``inner``
         self.hot_capacity = hot_capacity
         self.hot_timing = hot_timing if hot_timing is not None else MEMORY_TIER_TIMING
         self.counters = CounterSet(registry=metrics, prefix="tier.")
@@ -120,44 +121,6 @@ class TieredDiskStore:
         if journal_path is not None:
             self._warm_from_journal(journal_path)
             self._journal_file = open(journal_path, "ab")
-
-    # -- passthrough metadata --------------------------------------------------
-
-    @property
-    def inner(self):
-        return self.cold
-
-    @property
-    def num_locations(self) -> int:
-        return self.cold.num_locations
-
-    @property
-    def frame_size(self) -> int:
-        return self.cold.frame_size
-
-    @property
-    def timing(self):
-        return self.cold.timing
-
-    @property
-    def trace(self):
-        return self.cold.trace
-
-    @property
-    def clock(self):
-        return self.cold.clock
-
-    @property
-    def tracer(self):
-        return self.cold.tracer
-
-    @property
-    def current_request(self) -> int:
-        return self.cold.current_request
-
-    @current_request.setter
-    def current_request(self, value: int) -> None:
-        self.cold.current_request = value
 
     @property
     def hot_frames(self) -> int:
@@ -297,9 +260,6 @@ class TieredDiskStore:
 
     # -- access ----------------------------------------------------------------
 
-    def read(self, location: int) -> bytes:
-        return self.read_range(location, 1).tobytes()
-
     def read_range(self, location: int, count: int) -> np.ndarray:
         slots = self._slots
         span = range(location, location + count)
@@ -332,9 +292,6 @@ class TieredDiskStore:
         self.counters.increment("hit", count)
         return frames
 
-    def write(self, location: int, frame) -> None:
-        self.write_range(location, [frame])
-
     def write_range(self, location: int, frames) -> None:
         # Write-through: cold first (authoritative, charges + traces), then
         # refresh the hot copies so subsequent reads hit.
@@ -342,26 +299,7 @@ class TieredDiskStore:
         self.cold.write_range(location, frames)
         self._admit(location, frames)
 
-    # -- request-granular access -------------------------------------------------
-
-    def read_request(
-        self, block_start: int, count: int, extra_location: int
-    ) -> np.ndarray:
-        return np.concatenate((
-            self.read_range(block_start, count),
-            self.read_range(extra_location, 1),
-        ))
-
-    def write_request(
-        self, block_start: int, frames, extra_location: int, extra_frame
-    ) -> None:
-        self.write_range(block_start, frames)
-        self.write(extra_location, extra_frame)
-
     # -- adversary-side helpers --------------------------------------------------
-
-    def peek(self, location: int) -> Optional[bytes]:
-        return self.cold.peek(location)
 
     def poke(self, location: int, frame) -> None:
         # Tampering reaches whichever copy the next read would be served
@@ -370,9 +308,6 @@ class TieredDiskStore:
         slot = self._slots.get(location)
         if slot is not None:
             self._arena[slot] = np.frombuffer(frame, np.uint8)
-
-    def initialised_locations(self) -> int:
-        return self.cold.initialised_locations()
 
     # -- lifecycle ---------------------------------------------------------------
 

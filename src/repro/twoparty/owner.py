@@ -13,22 +13,26 @@ network — not the RTT count — the bottleneck of Figure 7.
 
 from __future__ import annotations
 
+import json
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import messages
 from .channel import SimulatedChannel
+from ..core.database import SETUP_DIRECT, _create, _wire
 from ..core.engine import RetrievalEngine
 from ..core.params import SystemParameters
-from ..crypto.rng import SecureRandom
+from ..core.snapshot import (
+    _decode_trusted_state,
+    _encode_trusted_state,
+    decode_manifest,
+    encode_manifest,
+)
 from ..errors import ConfigurationError, PageDeletedError, ProtocolError
 from ..hardware.coprocessor import SecureCoprocessor
 from ..hardware.specs import HardwareSpec
-from ..shuffle.permutation import Permutation
 from ..sim.clock import VirtualClock
-from ..storage.merkle import AuthenticatedDisk
-from ..storage.page import Page
 
 __all__ = ["RemoteDisk", "DataOwner"]
 
@@ -51,7 +55,8 @@ class RemoteDisk:
             raise ProtocolError(f"provider error: {reply.message}")
         return reply
 
-    def upload(self, start: int, frames: Sequence[bytes]) -> None:
+    def write_range(self, start: int, frames: Sequence[bytes]) -> None:
+        """Setup-time bulk write: the one range call a provider serves."""
         reply = self._call(messages.Upload(start, tuple(frames)))
         if not isinstance(reply, messages.UploadAck):
             raise ProtocolError(f"expected UploadAck, got {type(reply).__name__}")
@@ -82,6 +87,30 @@ class RemoteDisk:
         )
         if not isinstance(reply, messages.WriteAck):
             raise ProtocolError(f"expected WriteAck, got {type(reply).__name__}")
+
+
+def _owner_wiring(channel_factory, clock, owner_spec) -> dict:
+    """What every owner passes the one builder: its clock, its machine's
+    spec, and a store that is a :class:`RemoteDisk` over a fresh channel.
+
+    The owner's machine replaces the coprocessor: no PCI link or slow
+    crypto ASIC in the loop (the network dominates instead), so the owner
+    spec defaults to a fast commodity server.
+    """
+
+    def disk_factory(num_locations, frame_size, timing, clock, trace):
+        channel = channel_factory(clock, frame_size, num_locations)
+        return RemoteDisk(channel, num_locations, frame_size)
+
+    return dict(
+        clock=clock,
+        spec=owner_spec if owner_spec is not None else HardwareSpec(
+            secure_memory=2**62,
+            link_bandwidth=float("inf"),
+            crypto_throughput=100e6,
+        ),
+        disk_factory=disk_factory,
+    )
 
 
 class DataOwner:
@@ -120,81 +149,23 @@ class DataOwner:
 
         ``channel_factory(clock, frame_size, num_locations)`` must return a
         connected :class:`SimulatedChannel`; the session module provides the
-        standard wiring against a fresh :class:`ServiceProvider`.
+        standard wiring against a fresh :class:`ServiceProvider`.  The same
+        setup as :meth:`PirDatabase.create` — permute in trusted owner
+        memory, encrypt, upload in batches — over a remote store.  With
+        ``rollback_protection`` the owner keeps a Merkle root over the
+        provider's frames, so a *malicious* provider replaying stale data
+        is caught on read — the natural hardening for the outsourcing
+        model, where the paper's honest-but-curious assumption is least
+        comfortable.
         """
-        if not records:
-            raise ConfigurationError("records must be non-empty")
-        if block_size is not None:
-            params = SystemParameters.from_block_size(
-                len(records), cache_capacity, block_size,
-                page_capacity=page_capacity, reserve_fraction=reserve_fraction,
-            )
-        else:
-            params = SystemParameters.solve(
-                len(records), cache_capacity, target_c,
-                page_capacity=page_capacity, reserve_fraction=reserve_fraction,
-            )
-        clock = clock if clock is not None else VirtualClock()
-        rng = SecureRandom(seed)
-        # The owner's machine replaces the coprocessor: no PCI link or slow
-        # crypto ASIC in the loop (the network dominates instead), so the
-        # owner spec defaults to a fast commodity server.
-        spec = owner_spec if owner_spec is not None else HardwareSpec(
-            secure_memory=2**62,
-            link_bandwidth=float("inf"),
-            crypto_throughput=100e6,
-        )
-        cop = SecureCoprocessor(
-            num_pages=params.total_pages,
-            cache_capacity=params.cache_capacity,
-            block_size=params.block_size,
-            page_capacity=params.page_capacity,
-            master_key=master_key,
-            spec=spec,
-            clock=clock,
-            rng=rng,
-            cipher_backend=cipher_backend,
-        )
-        channel = channel_factory(clock, cop.frame_size, params.num_locations)
-        remote = RemoteDisk(channel, params.num_locations, cop.frame_size)
-        if rollback_protection:
-            # The owner keeps a Merkle root over the provider's frames, so a
-            # *malicious* provider replaying stale data is caught on read —
-            # the natural hardening for the outsourcing model, where the
-            # paper's honest-but-curious assumption is least comfortable.
-            remote = AuthenticatedDisk(remote)
-
-        # Setup: permute in trusted owner memory, encrypt, upload in batches.
-        permutation = Permutation.random(params.num_locations, rng.spawn("setup"))
-        layout = [0] * params.num_locations
-        for page_id in range(params.num_locations):
-            layout[permutation.apply(page_id)] = page_id
-
-        def page_for(page_id: int) -> Page:
-            if page_id < len(records):
-                return Page(page_id, bytes(records[page_id]))
-            return Page(page_id, b"", deleted=True)
-
-        for start in range(0, params.num_locations, _UPLOAD_BATCH):
-            stop = min(start + _UPLOAD_BATCH, params.num_locations)
-            batch = [page_for(layout[pos]) for pos in range(start, stop)]
-            remote.upload(start, cop.seal_pages(batch))
-
-        cache_pages = [
-            Page(params.num_locations + slot, b"", deleted=True)
-            for slot in range(params.cache_capacity)
-        ]
-        cop.cache.fill(cache_pages)
-        for position, page_id in enumerate(layout):
-            cop.page_map.set_disk(page_id, position)
-            if page_id >= len(records):
-                cop.page_map.mark_deleted(page_id)
-        for slot, page in enumerate(cache_pages):
-            cop.page_map.set_cached(page.page_id, slot)
-            cop.page_map.mark_deleted(page.page_id)
-
-        engine = RetrievalEngine(params, cop, remote)
-        return cls(params, cop, remote, engine)
+        return cls(*_create(
+            records, cache_capacity, target_c, page_capacity,
+            reserve_fraction, block_size,
+            setup_mode=SETUP_DIRECT, write_batch=_UPLOAD_BATCH,
+            master_key=master_key, seed=seed, cipher_backend=cipher_backend,
+            rollback_protection=rollback_protection,
+            **_owner_wiring(channel_factory, clock, owner_spec),
+        ))
 
     # -- operations (same surface as PirDatabase) ---------------------------------
 
@@ -230,25 +201,14 @@ class DataOwner:
 
     def seal_state(self) -> bytes:
         """Export the owner's trusted state as a sealed blob."""
-        import json as _json
-
-        from ..core.snapshot import _encode_trusted_state
-
         if self.cop.rotation_in_progress:
             raise ConfigurationError(
                 "cannot seal owner state during a key rotation; finish it "
                 "first (one scan period of requests)"
             )
-        manifest = _json.dumps({
-            "num_user_pages": self.params.num_user_pages,
-            "reserve_pages": self.params.reserve_pages,
-            "cache_capacity": self.params.cache_capacity,
-            "block_size": self.params.block_size,
-            "num_locations": self.params.num_locations,
-            "page_capacity": self.params.page_capacity,
-            "target_c": self.params.target_c,
-            "cipher_backend": self.cop.suite.backend,
-        }, sort_keys=True).encode("utf-8")
+        manifest = json.dumps(
+            encode_manifest(self), sort_keys=True
+        ).encode("utf-8")
         sealed = self.cop.suite.encrypt_page(_encode_trusted_state(self))
         return (len(manifest).to_bytes(4, "big") + manifest + sealed)
 
@@ -268,52 +228,17 @@ class DataOwner:
         provider must still hold the frames the sealed state refers to.  A
         wrong master key fails authentication rather than corrupting state.
         """
-        import json as _json
-
-        from ..core.snapshot import (
-            _decode_trusted_state,
-            _require_provided_backend,
-        )
-
         if len(sealed_state) < 4:
             raise ProtocolError("sealed owner state is truncated")
         manifest_length = int.from_bytes(sealed_state[:4], "big")
-        manifest = _json.loads(sealed_state[4 : 4 + manifest_length])
-        sealed = sealed_state[4 + manifest_length :]
-        _require_provided_backend(
-            manifest["cipher_backend"], "sealed owner state"
+        manifest = json.loads(sealed_state[4 : 4 + manifest_length])
+        params, backend = decode_manifest(manifest, "sealed owner state")
+        cop, remote, engine = _wire(
+            params, master_key=master_key, seed=seed, cipher_backend=backend,
+            **_owner_wiring(channel_factory, clock, owner_spec),
         )
-        params = SystemParameters(
-            num_user_pages=manifest["num_user_pages"],
-            reserve_pages=manifest["reserve_pages"],
-            cache_capacity=manifest["cache_capacity"],
-            block_size=manifest["block_size"],
-            num_locations=manifest["num_locations"],
-            page_capacity=manifest["page_capacity"],
-            target_c=manifest["target_c"],
-        )
-        clock = clock if clock is not None else VirtualClock()
-        spec = owner_spec if owner_spec is not None else HardwareSpec(
-            secure_memory=2**62,
-            link_bandwidth=float("inf"),
-            crypto_throughput=100e6,
-        )
-        cop = SecureCoprocessor(
-            num_pages=params.total_pages,
-            cache_capacity=params.cache_capacity,
-            block_size=params.block_size,
-            page_capacity=params.page_capacity,
-            master_key=master_key,
-            spec=spec,
-            clock=clock,
-            rng=SecureRandom(seed),
-            cipher_backend=manifest["cipher_backend"],
-        )
-        trusted = cop.suite.decrypt_page(sealed)
-        channel = channel_factory(clock, cop.frame_size, params.num_locations)
-        remote = RemoteDisk(channel, params.num_locations, cop.frame_size)
-        cop.cache.fill([Page.dummy() for _ in range(params.cache_capacity)])
-        engine = RetrievalEngine(params, cop, remote)
         owner = cls(params, cop, remote, engine)
-        _decode_trusted_state(trusted, owner)
+        _decode_trusted_state(
+            cop.suite.decrypt_page(sealed_state[4 + manifest_length :]), owner
+        )
         return owner

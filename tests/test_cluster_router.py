@@ -25,6 +25,7 @@ from repro.cluster import (
     connect_replication,
 )
 from repro.errors import (
+    AuthenticationError,
     ConfigurationError,
     DegradedServiceError,
     TransientChannelError,
@@ -185,6 +186,38 @@ class TestBuildCluster:
         finally:
             for handle in handles:
                 handle.db.close()
+
+    def test_replicas_carry_the_primarys_store_stack(self, tmp_path):
+        """A failover target is the configured instance: same freshness
+        layer and hot tier on every member, not a bare store."""
+        handles = build_cluster(RECORDS, 3, str(tmp_path), page_capacity=16,
+                                rollback_protection=True, hot_tier_frames=16)
+        try:
+            for handle in handles:
+                chain, store = [], handle.db.disk
+                while store is not None:
+                    chain.append(type(store).__name__)
+                    store = getattr(store, "inner", None)
+                assert chain == ["AuthenticatedDisk", "TieredDiskStore",
+                                 "DiskStore"]
+            replica = handles[2].db
+            stale = replica.disk.peek(0)
+            for _ in range(replica.params.scan_period):
+                replica.touch()
+            replica.disk.poke(0, stale)
+            with pytest.raises(AuthenticationError, match="stale"):
+                for _ in range(replica.params.scan_period):
+                    replica.touch()
+        finally:
+            for handle in handles:
+                handle.db.close()
+
+    def test_per_member_objects_are_refused_by_name(self, tmp_path):
+        from repro.core.journal import MemoryJournal
+
+        with pytest.raises(ConfigurationError, match="journal"):
+            build_cluster(RECORDS, 2, str(tmp_path), page_capacity=16,
+                          journal=MemoryJournal())
 
 
 class TestRoutedServing:

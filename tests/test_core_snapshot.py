@@ -176,6 +176,40 @@ class TestInteractions:
             for _ in range(restored.params.scan_period):
                 restored.touch()
 
+    def test_restored_instance_is_observed(self, warm_db, tmp_path):
+        """``load_snapshot`` forwards the builder's wiring: the restored
+        engine and tier publish to the registry and emit request spans."""
+        from repro.obs import MetricsRegistry, Tracer
+
+        save_snapshot(warm_db, str(tmp_path))
+        registry, tracer = MetricsRegistry(), Tracer()
+        restored = load_snapshot(str(tmp_path), seed=22, hot_tier_frames=4,
+                                 metrics=registry, tracer=tracer)
+        assert restored.metrics is registry and restored.tracer is tracer
+        assert tracer.spans == []  # the frame replay is not a request
+        assert restored.query(0) == RECORDS[0]
+        counters = registry.snapshot()["counters"]
+        assert counters["engine.requests"] == 1
+        assert counters["tier.miss"] > 0
+        assert [span.name for span in tracer.spans].count("request") == 1
+
+    def test_restore_onto_a_file_store(self, warm_db, tmp_path):
+        from repro.storage.filedisk import FileDiskStore
+
+        save_snapshot(warm_db, str(tmp_path / "snap"))
+        path = str(tmp_path / "restored.bin")
+        restored = load_snapshot(
+            str(tmp_path / "snap"), seed=23,
+            disk_factory=lambda n, frame, timing, clock, trace:
+                FileDiskStore(path, n, frame, timing, clock, trace),
+        )
+        assert isinstance(restored.disk, FileDiskStore)
+        assert restored.query(5) == b"edited-snap"
+        restored.close()
+        assert os.path.getsize(path) == (
+            restored.params.num_locations * restored.cop.frame_size
+        )
+
 
 class TestValidation:
     def test_missing_directory(self, tmp_path):

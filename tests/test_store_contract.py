@@ -101,6 +101,28 @@ class TestBatchIsAMatrix:
             store.write(0, bytes(FRAME + 1))
 
 
+class TestAWrapperForwardsAssignment:
+    @pytest.mark.parametrize(
+        "name", [name for name in sorted(STORES)
+                 if name not in ("memory", "file")])
+    def test_tracer_and_request_index_reach_the_store_doing_the_io(
+            self, name, tmp_path):
+        from repro.obs import Tracer
+
+        disk = STORES[name](tmp_path)
+        base = disk.inner
+        assert isinstance(base, DiskStore)
+        tracer = Tracer()
+        disk.tracer = tracer
+        disk.current_request = 7
+        assert base.tracer is tracer and disk.tracer is tracer
+        assert base.current_request == 7 == disk.current_request
+        disk.write_range(0, [frame_of(1), frame_of(2)])
+        assert [span.name for span in tracer.spans] == ["disk.write"]
+        assert [event.request_index for event in disk.trace] == [7]
+        disk.close()
+
+
 class TestAReadIsTheCallers:
     def test_writing_into_a_read_never_changes_the_store(self, store):
         for _ in range(2):  # the second pass reads whatever tier the first warmed
