@@ -64,7 +64,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..core.journal import RecordCursor
+from ..core.journal import RecordCursor, load_appended
 from ..errors import (
     ConfigurationError,
     PageNotFoundError,
@@ -72,16 +72,8 @@ from ..errors import (
     ReproError,
     StorageError,
 )
-from ..net.framing import (
-    ReplAck,
-    ReplQuery,
-    ReplRecord,
-    ReplState,
-    decode_net_message,
-    encode_net_message,
-    read_frame_sock,
-    write_frame_sock,
-)
+from ..net.endpoint import exchange_sock, open_sock
+from ..net.framing import ReplAck, ReplQuery, ReplRecord, ReplState
 from ..sim.metrics import CounterSet
 
 __all__ = [
@@ -232,25 +224,16 @@ class ReplicationLog:
         The file may start past sequence 1 (a previous :meth:`compact`
         rewrote it); the first record's header seq fixes the base.
         """
-        if not os.path.exists(path):
-            return
-        with open(path, "rb") as handle:
-            data = handle.read()
-        offset = 0
-        while offset + _BACKLOG_HEADER.size <= len(data):
-            seq, length = _BACKLOG_HEADER.unpack_from(data, offset)
-            start = offset + _BACKLOG_HEADER.size
-            if start + length > len(data):
-                break  # torn tail: stop trusting the file
+        kept = 0
+        for end, (seq, _), sealed in load_appended(
+                path, _BACKLOG_HEADER, lambda seq, length: length):
             if not self._records:
                 self._base = seq - 1
             elif seq != self._base + len(self._records) + 1:
-                break  # out-of-sequence tail
-            self._records.append(data[start:start + length])
-            offset = start + length
-        if offset != len(data):
-            with open(path, "r+b") as handle:
-                handle.truncate(offset)
+                os.truncate(path, kept)  # out-of-sequence tail
+                break
+            self._records.append(sealed)
+            kept = end
 
     @property
     def last_seq(self) -> int:
@@ -623,13 +606,10 @@ class Replicator(threading.Thread):
 
     def _stream_once(self) -> None:
         host, _, port = self.peer_address.rpartition(":")
-        sock = socket.create_connection(
-            (host, int(port)), timeout=self.connect_timeout
-        )
+        sock = open_sock(host, int(port), self.connect_timeout,
+                         self.io_timeout)
         self._sock = sock
-        sock.settimeout(self.io_timeout)
-        write_frame_sock(sock, encode_net_message(ReplQuery(self.log.origin)))
-        answer = decode_net_message(read_frame_sock(sock))
+        answer = exchange_sock(sock, ReplQuery(self.log.origin))
         if not isinstance(answer, ReplState) or answer.origin != self.log.origin:
             raise ProtocolError(
                 f"replication handshake expected REPL_STATE for "
@@ -643,10 +623,9 @@ class Replicator(threading.Thread):
             if item is None:
                 continue
             seq, sealed = item
-            write_frame_sock(
-                sock, encode_net_message(ReplRecord(self.log.origin, seq, sealed))
+            reply = exchange_sock(
+                sock, ReplRecord(self.log.origin, seq, sealed)
             )
-            reply = decode_net_message(read_frame_sock(sock))
             if not isinstance(reply, ReplAck) or reply.origin != self.log.origin:
                 raise ProtocolError("replication stream expected REPL_ACK")
             if reply.seq >= seq:

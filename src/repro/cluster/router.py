@@ -33,12 +33,20 @@ DESIGN.md §13 for the argument and its limits.
 from __future__ import annotations
 
 import asyncio
+import collections
 from typing import Dict, Optional, Sequence, Set
 
 from .membership import BackendSpec, ClusterMembership
 from ..errors import ConfigurationError, ProtocolError, TransientChannelError
 from ..loopthread import LoopThread
 from ..net.admission import SHED_CODE
+from ..net.endpoint import (
+    EnvelopeServer,
+    exchange,
+    open_stream,
+    protocol_refusal,
+    write_message,
+)
 from ..net.framing import (
     Bye,
     Hello,
@@ -51,10 +59,6 @@ from ..net.framing import (
     Request,
     Resume,
     Welcome,
-    decode_net_message,
-    encode_net_message,
-    read_frame_async,
-    write_frame_async,
 )
 from ..service import protocol
 from ..sim.metrics import CounterSet
@@ -62,22 +66,20 @@ from ..sim.metrics import CounterSet
 __all__ = ["ClusterRouter", "RouterThread"]
 
 
-class _Upstream:
-    """One live router→backend connection carrying one pinned session."""
-
-    def __init__(self, address: str, reader, writer):
-        self.address = address
-        self.reader = reader
-        self.writer = writer
-
-    def close(self) -> None:
-        try:
-            self.writer.close()
-        except Exception:
-            pass
+#: One live router→backend connection carrying one pinned session.
+_Upstream = collections.namedtuple("_Upstream", "address reader writer")
 
 
-class ClusterRouter:
+class _Route:
+    """One client connection's session and the upstream carrying it
+    (None between a backend failure and the RESUME that replaces it)."""
+
+    def __init__(self, session_id: int, upstream: Optional[_Upstream]):
+        self.session_id = session_id
+        self.upstream = upstream
+
+
+class ClusterRouter(EnvelopeServer):
     """Routes envelope sessions across backends; see module docstring.
 
     Construct, then ``await start()`` on a running loop (or use
@@ -109,8 +111,8 @@ class ClusterRouter:
             )
         if ryw_timeout <= 0:
             raise ConfigurationError("ryw_timeout must be positive")
-        self.host = host
-        self.port = port
+        super().__init__(host, port,
+                         CounterSet(registry=metrics, prefix="cluster."))
         self.probe_interval = probe_interval
         self.probe_timeout = probe_timeout
         self.connect_timeout = connect_timeout
@@ -120,7 +122,6 @@ class ClusterRouter:
             backends, eject_after=eject_after, readmit_after=readmit_after,
             metrics=metrics,
         )
-        self.counters = CounterSet(registry=metrics, prefix="cluster.")
         # session id -> backend address: lets a RESUME from a reconnecting
         # client land on the member already serving its session.
         self._pins: Dict[int, str] = {}
@@ -132,22 +133,13 @@ class ClusterRouter:
         # Serializes (re-)adoption per session id: two concurrent RESUMEs
         # for one session must never be adopted by different replicas.
         self._adoption_locks: Dict[int, asyncio.Lock] = {}
-        self._server: Optional[asyncio.AbstractServer] = None
         self._probe_tasks: list = []
-        self._conn_tasks: Set[asyncio.Task] = set()
-        self._client_writers: Set = set()
-        self._draining = False
         self._stopping = False
 
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> None:
-        if self._server is not None:
-            raise ConfigurationError("router already started")
-        self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await self.listen()
         loop = asyncio.get_running_loop()
         for state in self.membership.members:
             self._probe_tasks.append(
@@ -155,56 +147,32 @@ class ClusterRouter:
             )
 
     async def stop(self) -> None:
-        # Cooperative flag first: pre-3.12 asyncio.wait_for can swallow a
-        # cancellation that races with the inner await completing
-        # (python/cpython#86296), leaving a zombie loop that a bare
-        # cancel-and-gather would wait on forever.  The loops re-check
-        # the flag every iteration, so they exit even when the
-        # CancelledError is lost.
+        # Cooperative flag first: a probe loop that lost its cancellation
+        # (see Listener.cancel_connections) re-checks it every iteration,
+        # so a bare cancel-and-gather cannot wait on a zombie forever.
         self._stopping = True
         self._draining = True
-        if self._server is not None:
-            self._server.close()
-            self._server = None
+        self.stop_accepting()
         for task in self._probe_tasks:
             task.cancel()
         if self._probe_tasks:
             await asyncio.gather(*self._probe_tasks, return_exceptions=True)
         self._probe_tasks = []
-        for task in list(self._conn_tasks):
-            task.cancel()
-        # Closing the client transports unblocks any handler whose lost
-        # cancellation left it parked on a client read.
-        for writer in list(self._client_writers):
-            try:
-                writer.close()
-            except Exception:
-                pass
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        self._conn_tasks.clear()
+        await self.close()
 
     # -- health probing --------------------------------------------------------
 
     async def _probe_loop(self, address: str) -> None:
         """Ping one backend forever; one persistent probe connection,
         re-dialled after any failure."""
-        state = self.membership.member(address)
         reader = writer = None
         try:
             while not self._stopping:
                 try:
                     if writer is None:
-                        reader, writer = await asyncio.wait_for(
-                            asyncio.open_connection(state.spec.host,
-                                                    state.spec.port),
-                            timeout=self.connect_timeout,
-                        )
-                    await write_frame_async(writer,
-                                            encode_net_message(Ping()))
-                    pong = decode_net_message(await asyncio.wait_for(
-                        read_frame_async(reader), timeout=self.probe_timeout,
-                    ))
+                        reader, writer = await self._dial(address)
+                    pong = await exchange(reader, writer, Ping(),
+                                          self.probe_timeout)
                     if not isinstance(pong, Pong):
                         raise ProtocolError(
                             f"probe answered with {type(pong).__name__}"
@@ -212,15 +180,12 @@ class ClusterRouter:
                     self.membership.record_probe_ok(
                         address, pong.draining, pong.sessions
                     )
-                except (OSError, asyncio.TimeoutError,
-                        TransientChannelError, ProtocolError):
+                except (TransientChannelError, ProtocolError):
                     if writer is not None:
                         writer.close()
                         reader = writer = None
                     self.membership.record_probe_failure(address)
                 await asyncio.sleep(self.probe_interval)
-        except asyncio.CancelledError:
-            pass
         finally:
             if writer is not None:
                 writer.close()
@@ -228,11 +193,38 @@ class ClusterRouter:
     # -- backend connections ---------------------------------------------------
 
     async def _dial(self, address: str):
-        state = self.membership.member(address)
-        return await asyncio.wait_for(
-            asyncio.open_connection(state.spec.host, state.spec.port),
-            timeout=self.connect_timeout,
-        )
+        spec = self.membership.member(address).spec
+        return await open_stream(spec.host, spec.port, self.connect_timeout)
+
+    async def _greet(self, address: str, opening):
+        """Dial one member, send HELLO or RESUME, triage the answer.
+
+        The caller reserved the member's load slot (``membership.pin``);
+        every outcome but a WELCOME releases it.  Returns ``(upstream,
+        welcome)``, ``(None, refusal)``, or ``(None, None)`` for an
+        unreachable member, which is also marked down.  A shed refusal
+        means "not me, maybe a peer" and is always safe to retry
+        elsewhere: it mutated nothing.
+        """
+        writer = None
+        try:
+            reader, writer = await self._dial(address)
+            answer = await exchange(reader, writer, opening,
+                                    self.backend_timeout)
+        except TransientChannelError:
+            answer = None
+            self.membership.mark_down(address)
+        if isinstance(answer, Welcome):
+            return _Upstream(address, reader, writer), answer
+        self.membership.unpin(address)
+        if writer is not None:
+            writer.close()
+        if answer is not None and not isinstance(answer, NetRefused):
+            raise ProtocolError(
+                f"backend answered {type(answer).__name__} to "
+                f"{type(opening).__name__}"
+            )
+        return None, answer
 
     async def _open_new_session(self, hello: Hello):
         """Forward a HELLO to the best member; returns (upstream, welcome)
@@ -246,35 +238,16 @@ class ClusterRouter:
             tried.add(state.address)
             # Reserve the load slot *before* awaiting the dial, or N
             # clients arriving together all pick the same least-loaded
-            # member.  Released again on every non-Welcome outcome.
+            # member.
             self.membership.pin(state.address)
-            try:
-                reader, writer = await self._dial(state.address)
-                await write_frame_async(writer, encode_net_message(hello))
-                answer = decode_net_message(await asyncio.wait_for(
-                    read_frame_async(reader), timeout=self.backend_timeout,
-                ))
-            except (OSError, asyncio.TimeoutError, TransientChannelError):
-                self.membership.unpin(state.address)
-                self.membership.mark_down(state.address)
-                continue
-            if isinstance(answer, Welcome):
-                return _Upstream(state.address, reader, writer), answer
-            self.membership.unpin(state.address)
-            writer.close()
-            if isinstance(answer, NetRefused):
-                # A shed (drain or admission) means "not me, maybe a
-                # peer" — try the next member; the client only sees the
-                # refusal when every member shed.  Refusing a refused
-                # request is always safe to retry elsewhere: it mutated
-                # nothing.
-                if answer.refusal.code == SHED_CODE:
-                    last_refusal = answer
-                    continue
-                return None, answer
-            raise ProtocolError(
-                f"backend handshake answered {type(answer).__name__}"
-            )
+            upstream, answer = await self._greet(state.address, hello)
+            if upstream is not None:
+                return upstream, answer
+            if answer is not None:
+                # The client only sees a shed when every member shed.
+                if answer.refusal.code != SHED_CODE:
+                    return None, answer
+                last_refusal = answer
 
     async def _resume_session(self, session_id: int,
                               exclude: Sequence[str] = ()):
@@ -331,39 +304,23 @@ class ClusterRouter:
                     self.counters.increment("ryw.rejected")
                     self.membership.unpin(state.address)
                     continue
-            try:
-                reader, writer = await self._dial(state.address)
-                await write_frame_async(
-                    writer, encode_net_message(Resume(session_id))
-                )
-                answer = decode_net_message(await asyncio.wait_for(
-                    read_frame_async(reader), timeout=self.backend_timeout,
-                ))
-            except (OSError, asyncio.TimeoutError, TransientChannelError):
-                self.membership.unpin(state.address)
-                self.membership.mark_down(state.address)
-                continue
-            if isinstance(answer, Welcome):
-                if answer.session_id != session_id:
-                    self.membership.unpin(state.address)
-                    writer.close()
-                    raise ProtocolError(
-                        f"backend resumed session {answer.session_id} "
-                        f"!= {session_id}"
-                    )
-                if state.address != pinned:
-                    self.counters.increment("failovers")
-                self._record_pin(session_id, state.address)
-                return _Upstream(state.address, reader, writer), None
-            self.membership.unpin(state.address)
-            writer.close()
-            if isinstance(answer, NetRefused):
-                if answer.refusal.code == SHED_CODE:
-                    continue  # shedding member; try a peer
+            upstream, answer = await self._greet(state.address,
+                                                 Resume(session_id))
+            if upstream is None:
+                if answer is None or answer.refusal.code == SHED_CODE:
+                    continue  # down or shedding; try a peer
                 return None, answer
-            raise ProtocolError(
-                f"backend resume answered {type(answer).__name__}"
-            )
+            if answer.session_id != session_id:
+                self.membership.unpin(state.address)
+                upstream.writer.close()
+                raise ProtocolError(
+                    f"backend resumed session {answer.session_id} "
+                    f"!= {session_id}"
+                )
+            if state.address != pinned:
+                self.counters.increment("failovers")
+            self._record_pin(session_id, state.address)
+            return upstream, None
 
     async def _backend_caught_up(self, state, needs: Dict[str, int]) -> bool:
         """Poll ``state`` until it has applied every origin past ``needs``.
@@ -379,21 +336,15 @@ class ClusterRouter:
         """
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.ryw_timeout
+        writer = None
         try:
             reader, writer = await self._dial(state.address)
-        except (OSError, asyncio.TimeoutError):
-            return False
-        try:
             while True:
                 caught_up = True
                 for origin, needed in needs.items():
-                    await write_frame_async(
-                        writer, encode_net_message(ReplQuery(origin))
-                    )
-                    answer = decode_net_message(await asyncio.wait_for(
-                        read_frame_async(reader),
-                        timeout=self.probe_timeout,
-                    ))
+                    answer = await exchange(reader, writer,
+                                            ReplQuery(origin),
+                                            self.probe_timeout)
                     if not isinstance(answer, ReplState):
                         return False
                     self.membership.record_repl_state(
@@ -406,11 +357,11 @@ class ClusterRouter:
                 if loop.time() >= deadline:
                     return False
                 await asyncio.sleep(0.02)
-        except (OSError, asyncio.TimeoutError, TransientChannelError,
-                ProtocolError):
+        except (TransientChannelError, ProtocolError):
             return False
         finally:
-            writer.close()
+            if writer is not None:
+                writer.close()
 
     def _record_pin(self, session_id: int, address: str) -> None:
         """Point the session at ``address``, whose load slot the caller
@@ -435,131 +386,92 @@ class ClusterRouter:
             "no healthy cluster member", SHED_CODE, 0.5,
         ))
 
-    # -- client connections ----------------------------------------------------
+    # -- client connections (the envelope hooks) -------------------------------
 
-    async def _handle_client(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        self._client_writers.add(writer)
+    async def handle(self, reader, writer) -> None:
         self.counters.increment("connections")
-        upstream: Optional[_Upstream] = None
-        session_id: Optional[int] = None
-        try:
-            first = decode_net_message(await read_frame_async(reader))
-            if isinstance(first, Ping):
-                await self._client_probe_loop(reader, writer, first)
-                return
-            if isinstance(first, Hello):
-                if self._draining:
-                    await self._send(writer, self._no_members_refusal())
-                    return
-                upstream, answer = await self._open_new_session(first)
-                if upstream is None:
-                    await self._send(writer, answer)
-                    return
-                session_id = answer.session_id
-                if session_id in self._pins:
-                    # Two members issued the same id — misconfigured
-                    # same-seed frontends without distinct session salts.
-                    # The id doubles as the key-agreement input, so two
-                    # clients must never share one: tear down the
-                    # duplicate and shed the client, whose retried HELLO
-                    # draws the member's next (non-colliding) id.
-                    self.counters.increment("session_collisions")
-                    self.membership.unpin(upstream.address)
-                    await self._close_session(upstream, None)
-                    upstream = None
-                    await self._send(writer, NetRefused(0, protocol.Refused(
-                        f"session id {session_id} collides across "
-                        f"members; retry", SHED_CODE, 0.05,
-                    )))
-                    return
-                self._record_pin(session_id, upstream.address)
-                self.counters.increment("sessions.routed")
-                await self._send(writer, answer)
-            elif isinstance(first, Resume):
-                upstream, refusal = await self._resume_session(
-                    first.session_id
-                )
-                if upstream is None:
-                    await self._send(writer, refusal)
-                    return
-                session_id = first.session_id
-                await self._send(writer, Welcome(session_id))
-            else:
-                await self._send(writer, NetRefused(0, protocol.Refused(
-                    f"unexpected {type(first).__name__} frame",
-                    "protocol", -1.0,
-                )))
-                return
+        await super().handle(reader, writer)
 
-            while not self._stopping:
-                message = decode_net_message(await read_frame_async(reader))
-                if isinstance(message, Bye):
-                    await self._close_session(upstream, session_id)
-                    upstream = None
-                    break
-                if not isinstance(message, Request):
-                    await self._send(writer, NetRefused(0, protocol.Refused(
-                        f"unexpected {type(message).__name__} frame",
-                        "protocol", -1.0,
-                    )))
-                    break
-                self.counters.increment("requests")
-                upstream, reply = await self._relay(upstream, session_id,
-                                                    message)
-                await self._send(writer, reply)
-        except (TransientChannelError, ConnectionError, OSError):
-            pass  # client went away; the session stays pinned for RESUME
-        except ProtocolError as exc:
-            await self._send(
-                writer,
-                NetRefused(0, protocol.Refused(str(exc), "protocol", -1.0)),
-                best_effort=True,
-            )
-        except asyncio.CancelledError:
-            pass
-        finally:
-            if upstream is not None:
-                upstream.close()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except Exception:
-                pass
-            self._client_writers.discard(writer)
-            self._conn_tasks.discard(task)
+    def pong(self) -> Pong:
+        """The router answers PINGs itself (ops checks, chained tiers)."""
+        return Pong(self._draining, len(self._pins))
 
-    async def _relay(self, upstream: Optional[_Upstream], session_id: int,
-                     request: Request):
-        """One request round trip with failover.
+    async def _open(self, first, reader, writer):
+        if isinstance(first, Hello):
+            if self._draining:
+                return None, self._no_members_refusal()
+            upstream, answer = await self._open_new_session(first)
+            if upstream is None:
+                return None, answer
+            session_id = answer.session_id
+            if session_id in self._pins:
+                # Two members issued the same id — misconfigured
+                # same-seed frontends without distinct session salts.
+                # The id doubles as the key-agreement input, so two
+                # clients must never share one: tear down the
+                # duplicate and shed the client, whose retried HELLO
+                # draws the member's next (non-colliding) id.
+                self.counters.increment("session_collisions")
+                self.membership.unpin(upstream.address)
+                await self._close_upstream(upstream)
+                return None, NetRefused(0, protocol.Refused(
+                    f"session id {session_id} collides across "
+                    f"members; retry", SHED_CODE, 0.05,
+                ))
+            self._record_pin(session_id, upstream.address)
+            self.counters.increment("sessions.routed")
+            return _Route(session_id, upstream), answer
+        if isinstance(first, Resume):
+            upstream, refusal = await self._resume_session(first.session_id)
+            if upstream is None:
+                return None, refusal
+            return (_Route(first.session_id, upstream),
+                    Welcome(first.session_id))
+        return None, protocol_refusal(
+            f"unexpected {type(first).__name__} frame"
+        )
 
-        Returns ``(upstream, reply_message)`` — the upstream may have
-        been replaced by a failover.  Retransmits the *identical* sealed
-        request after every re-establishment; duplicate application is
-        impossible wherever the backends share reply-cache visibility.
+    async def _request(self, route: _Route, request: Request,
+                       writer) -> None:
+        await self._send(writer, await self._relay(route, request))
+
+    async def _bye(self, route: _Route) -> None:
+        self._unpin(route.session_id)
+        upstream, route.upstream = route.upstream, None
+        if upstream is not None:
+            await self._close_upstream(upstream)
+
+    def _drop(self, route: _Route) -> None:
+        # Without a BYE the session stays pinned for the client's RESUME.
+        if route.upstream is not None:
+            route.upstream.writer.close()
+
+    async def _relay(self, route: _Route, request: Request):
+        """One request round trip with failover; returns the reply message.
+
+        ``route.upstream`` is replaced by a failover.  Retransmits the
+        *identical* sealed request after every re-establishment; duplicate
+        application is impossible wherever the backends share reply-cache
+        visibility.
         """
-        body = encode_net_message(request)
         tried: Set[str] = set()
         while True:
-            if upstream is None:
-                upstream, refusal = await self._resume_session(
-                    session_id, exclude=tried
+            if route.upstream is None:
+                route.upstream, refusal = await self._resume_session(
+                    route.session_id, exclude=tried
                 )
-                if upstream is None:
-                    return None, self._with_request_id(refusal, request)
+                if route.upstream is None:
+                    return NetRefused(request.request_id, refusal.refusal)
                 self.counters.increment("retransmits")
+            upstream = route.upstream
             tried.add(upstream.address)
             try:
-                await write_frame_async(upstream.writer, body)
-                answer = decode_net_message(await asyncio.wait_for(
-                    read_frame_async(upstream.reader),
-                    timeout=self.backend_timeout,
-                ))
-            except (OSError, asyncio.TimeoutError, TransientChannelError):
+                answer = await exchange(upstream.reader, upstream.writer,
+                                        request, self.backend_timeout)
+            except TransientChannelError:
                 self.membership.mark_down(upstream.address)
-                upstream.close()
-                upstream = None
+                upstream.writer.close()
+                route.upstream = None
                 continue
             if isinstance(answer, Reply):
                 if answer.repl_seq > 0:
@@ -567,62 +479,33 @@ class ClusterRouter:
                     # session has seen acknowledged per origin backend —
                     # the read-your-writes watermark failover targets
                     # must reach before they may adopt the session.
-                    marks = self._watermarks.setdefault(session_id, {})
+                    marks = self._watermarks.setdefault(route.session_id, {})
                     if answer.repl_seq > marks.get(upstream.address, 0):
                         marks[upstream.address] = answer.repl_seq
                 # The watermark is router-internal routing state; the
                 # client gets the plain reply.
-                return upstream, Reply(answer.request_id, answer.sealed)
+                return Reply(answer.request_id, answer.sealed)
             if isinstance(answer, NetRefused):
                 if answer.refusal.code == SHED_CODE:
                     # Rolling restart or overload: the member shed the
                     # request, so it mutated nothing — move the session
                     # to a peer and retransmit there.
-                    upstream.close()
-                    upstream = None
+                    upstream.writer.close()
+                    route.upstream = None
                     continue
-                return upstream, answer
+                return answer
             raise ProtocolError(
                 f"backend answered {type(answer).__name__} to a request"
             )
 
     @staticmethod
-    def _with_request_id(refusal: NetRefused, request: Request) -> NetRefused:
-        if refusal.request_id == request.request_id:
-            return refusal
-        return NetRefused(request.request_id, refusal.refusal)
-
-    async def _close_session(self, upstream: Optional[_Upstream],
-                             session_id: Optional[int]) -> None:
-        if session_id is not None:
-            self._unpin(session_id)
-        if upstream is not None:
-            try:
-                await write_frame_async(upstream.writer,
-                                        encode_net_message(Bye()))
-            except (TransientChannelError, ConnectionError, OSError):
-                pass
-            upstream.close()
-
-    async def _client_probe_loop(self, reader, writer, first) -> None:
-        """The router answers PINGs itself (ops checks, chained tiers)."""
-        message = first
-        while not self._stopping:
-            if not isinstance(message, Ping):
-                raise ProtocolError(
-                    f"probe connection sent {type(message).__name__}"
-                )
-            await self._send(
-                writer, Pong(self._draining, len(self._pins))
-            )
-            message = decode_net_message(await read_frame_async(reader))
-
-    async def _send(self, writer, message, best_effort: bool = False) -> None:
+    async def _close_upstream(upstream: _Upstream) -> None:
+        """Orderly BYE to the member, so it closes the session too."""
         try:
-            await write_frame_async(writer, encode_net_message(message))
-        except (TransientChannelError, ConnectionError, OSError):
-            if not best_effort:
-                raise TransientChannelError("client went away mid-reply")
+            await write_message(upstream.writer, Bye())
+        except TransientChannelError:
+            pass
+        upstream.writer.close()
 
 
 class RouterThread(LoopThread):

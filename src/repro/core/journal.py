@@ -79,6 +79,7 @@ from ..storage.timing import DiskTimingModel
 
 __all__ = [
     "RecordCursor",
+    "load_appended",
     "WriteIntent",
     "INTENT_MAGIC",
     "header_size",
@@ -200,6 +201,35 @@ class RecordCursor:
         """The rest of the blob must be the zero pad up to its public size."""
         if any(self.blob[self.offset:]):
             raise StorageError(f"trailing bytes in {what}")
+
+
+def load_appended(path, header: struct.Struct, body_length) -> List[tuple]:
+    """Read an append-only log of ``header ‖ body`` records back.
+
+    ``body_length(*fields)`` is a body's size given its header's fields.
+    Returns ``(end offset, fields, body)`` per complete record and
+    truncates the file at the first incomplete one — the torn tail of a
+    crash mid-append.  Cutting it off is what keeps the log appendable:
+    left in place, the torn bytes swallow the head of the next record and
+    everything appended behind them is unreadable at the next load.
+    """
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except FileNotFoundError:
+        return []
+    records = []
+    offset = 0
+    while offset + header.size <= len(data):
+        fields = header.unpack_from(data, offset)
+        end = offset + header.size + body_length(*fields)
+        if end > len(data):
+            break
+        records.append((end, fields, data[offset + header.size:end]))
+        offset = end
+    if offset != len(data):
+        os.truncate(path, offset)
+    return records
 
 
 @dataclass

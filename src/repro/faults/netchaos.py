@@ -27,11 +27,11 @@ reconnect-and-resume, the server's session retention.
 from __future__ import annotations
 
 import asyncio
-from typing import Optional, Set
+from typing import Optional
 
 from .injector import SITE_NET_C2S, SITE_NET_S2C, FaultInjector
 from ..errors import ConfigurationError, TransientChannelError
-from ..loopthread import LoopThread
+from ..loopthread import Listener, LoopThread
 from ..sim.metrics import CounterSet
 
 __all__ = ["ChaosProxy", "ChaosProxyThread"]
@@ -45,7 +45,7 @@ def _framing():
     return framing
 
 
-class ChaosProxy:
+class ChaosProxy(Listener):
     """Fault-injecting TCP proxy; construct, then ``await start()``.
 
     Listens on ``host:port`` (port 0 = ephemeral), dials
@@ -67,34 +67,15 @@ class ChaosProxy:
     ):
         if fragment_bytes is not None and fragment_bytes < 1:
             raise ConfigurationError("fragment_bytes must be positive")
+        super().__init__(host, port)
         self.upstream_host = upstream_host
         self.upstream_port = upstream_port
         self.injector = injector
-        self.host = host
-        self.port = port
         self.fragment_bytes = fragment_bytes
         self.counters = CounterSet(registry=metrics, prefix="chaos.")
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._conn_tasks: Set[asyncio.Task] = set()
 
-    async def start(self) -> None:
-        if self._server is not None:
-            raise ConfigurationError("proxy already started")
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        self._conn_tasks.clear()
+    start = Listener.listen
+    stop = Listener.close
 
     async def sever_all(self) -> None:
         """Abort every live proxied connection; keep accepting new ones.
@@ -104,54 +85,36 @@ class ChaosProxy:
         which is how the double-RESUME races are provoked (two clients of
         one session reconnect simultaneously).
         """
-        tasks = list(self._conn_tasks)
-        for task in tasks:
-            task.cancel()
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
-        self.counters.increment("severed", len(tasks))
+        self.counters.increment("severed", await self.cancel_connections())
 
-    async def _handle_connection(self, client_reader, client_writer) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
+    async def handle(self, client_reader, client_writer) -> None:
         try:
-            try:
-                upstream_reader, upstream_writer = await asyncio.open_connection(
-                    self.upstream_host, self.upstream_port
-                )
-            except OSError:
-                client_writer.close()
-                return
-            self.counters.increment("connections")
-            pumps = [
-                asyncio.ensure_future(self._pump(
-                    client_reader, upstream_writer, SITE_NET_C2S,
-                    peer_writer=client_writer,
-                )),
-                asyncio.ensure_future(self._pump(
-                    upstream_reader, client_writer, SITE_NET_S2C,
-                    peer_writer=upstream_writer,
-                )),
-            ]
-            try:
-                # Either direction ending (peer closed, reset injected)
-                # ends the whole connection: half-open proxied streams
-                # only hide hangs.
-                await asyncio.wait(pumps,
-                                   return_when=asyncio.FIRST_COMPLETED)
-            finally:
-                for pump in pumps:
-                    pump.cancel()
-                await asyncio.gather(*pumps, return_exceptions=True)
-                for writer in (client_writer, upstream_writer):
-                    try:
-                        writer.close()
-                    except Exception:
-                        pass
-        except asyncio.CancelledError:
-            pass
+            upstream_reader, upstream_writer = await asyncio.open_connection(
+                self.upstream_host, self.upstream_port
+            )
+        except OSError:
+            return
+        self.counters.increment("connections")
+        pumps = [
+            asyncio.ensure_future(self._pump(
+                client_reader, upstream_writer, SITE_NET_C2S,
+                peer_writer=client_writer,
+            )),
+            asyncio.ensure_future(self._pump(
+                upstream_reader, client_writer, SITE_NET_S2C,
+                peer_writer=upstream_writer,
+            )),
+        ]
+        try:
+            # Either direction ending (peer closed, reset injected)
+            # ends the whole connection: half-open proxied streams
+            # only hide hangs.
+            await asyncio.wait(pumps, return_when=asyncio.FIRST_COMPLETED)
         finally:
-            self._conn_tasks.discard(task)
+            for pump in pumps:
+                pump.cancel()
+            await asyncio.gather(*pumps, return_exceptions=True)
+            upstream_writer.close()
 
     async def _pump(self, reader, writer, site: str, peer_writer) -> None:
         """Forward frames reader→writer, consulting the injector per frame."""

@@ -1,10 +1,13 @@
-"""One asyncio service on its own event-loop thread.
+"""One asyncio service on its own event-loop thread, behind one listener.
 
 The TCP server, the cluster router and the chaos proxy are asyncio
 services; tests, benchmarks and the CLI are synchronous.  :class:`LoopThread`
 is the one host between the two: it owns the thread and its loop, and the
 three named hosts (``ServerThread``, ``RouterThread``, ``ChaosProxyThread``)
 only say which service they run and what stopping it means.
+:class:`Listener` is the one accept loop under all three services: it owns
+the bound socket, the registry of live connections and their teardown, and
+a service only says what one connection does (:meth:`Listener.handle`).
 
 Lives at the package root, not under ``repro.net``: ``repro.faults`` is
 imported by ``repro.core.engine``, and ``repro.net``'s package import
@@ -15,11 +18,93 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Optional
+from typing import Optional, Set
 
 from .errors import ConfigurationError
 
-__all__ = ["LoopThread"]
+__all__ = ["Listener", "LoopThread"]
+
+
+class Listener:
+    """A bound TCP listener and the connections it accepted.
+
+    Subclasses implement :meth:`handle`; around it, once: bind (``port`` 0
+    is ephemeral, readable after :meth:`listen`), one registered task per
+    connection, the writer's close however the handler ends, shutdown.
+    """
+
+    def __init__(self, host: str, port: int):
+        self.host = host
+        self.port = port
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._conn_tasks: Set[asyncio.Task] = set()
+        self._writers: Set[asyncio.StreamWriter] = set()
+
+    async def listen(self) -> None:
+        if self._server is not None:
+            raise ConfigurationError(f"{type(self).__name__} already started")
+        self._server = await asyncio.start_server(
+            self._accept, self.host, self.port
+        )
+        self.port = self._server.sockets[0].getsockname()[1]
+
+    async def handle(self, reader, writer) -> None:
+        """Serve one accepted connection; returning closes it."""
+        raise NotImplementedError
+
+    async def _accept(self, reader, writer) -> None:
+        task = asyncio.current_task()
+        self._conn_tasks.add(task)
+        self._writers.add(writer)
+        try:
+            await self.handle(reader, writer)
+        except asyncio.CancelledError:
+            # Shutdown is tearing the connection down.  The task must still
+            # finish normally: asyncio's stream callback reads
+            # task.exception(), which raises on a cancelled task and is
+            # logged as "Exception in callback".
+            pass
+        finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (Exception, asyncio.CancelledError):
+                # Closed either way: a reset peer raises here, and shutdown
+                # may cancel this wait too (a client's BYE + close landing
+                # just before it) — deregister regardless.
+                pass
+            self._writers.discard(writer)
+            self._conn_tasks.discard(task)
+
+    def stop_accepting(self) -> None:
+        """Close the listening socket; live connections carry on."""
+        if self._server is not None:
+            self._server.close()
+
+    async def cancel_connections(self) -> int:
+        """Cancel every live handler and wait for its teardown.
+
+        Closing the transports too unparks a handler that lost its
+        cancellation: pre-3.12 ``asyncio.wait_for`` can swallow one that
+        races with its inner await completing (python/cpython#86296).
+        """
+        tasks = list(self._conn_tasks)
+        for task in tasks:
+            task.cancel()
+        for writer in self._writers:
+            writer.close()
+        if tasks:
+            await asyncio.gather(*tasks, return_exceptions=True)
+        return len(tasks)
+
+    async def close(self) -> None:
+        """Stop accepting, drop every connection, release the socket."""
+        self.stop_accepting()
+        await self.cancel_connections()
+        if self._server is not None:
+            # After the connections: from 3.12 on this waits for them.
+            await self._server.wait_closed()
+            self._server = None
 
 
 class LoopThread:

@@ -34,24 +34,17 @@ import socket
 import time
 from typing import Optional
 
-from .framing import (
-    Bye,
-    Hello,
-    NetRefused,
-    Reply,
-    Request,
-    Resume,
-    Welcome,
-    decode_net_message,
-    encode_net_message,
-    read_frame_sock,
-    write_frame_sock,
+from .endpoint import (
+    exchange_sock,
+    open_sock,
+    read_message_sock,
+    write_message_sock,
 )
+from .framing import Bye, Hello, NetRefused, Reply, Request, Resume, Welcome
 from ..crypto.rng import SecureRandom
 from ..crypto.suite import CipherSuite
 from ..errors import (
     DegradedServiceError,
-    NetTimeoutError,
     ProtocolError,
     TransientChannelError,
 )
@@ -82,20 +75,6 @@ def _client_suite(session_id: int, seed: Optional[int] = None) -> CipherSuite:
     rng = SecureRandom(seed).spawn(f"net-client-nonces-{session_id}")
     return CipherSuite(session_master_key(session_id),
                        backend=SESSION_BACKEND, rng=rng)
-
-
-def _check_handshake_reply(message) -> int:
-    if isinstance(message, NetRefused):
-        raise error_for_refusal(
-            message.refusal.code,
-            f"handshake refused: {message.refusal.reason}",
-            message.refusal.retry_after,
-        )
-    if not isinstance(message, Welcome):
-        raise ProtocolError(
-            f"handshake expected WELCOME, got {type(message).__name__}"
-        )
-    return message.session_id
 
 
 def _reply_sealed(message, request_id: int) -> Optional[bytes]:
@@ -159,34 +138,40 @@ class NetworkClient(ClientOperationsMixin):
         self.counters = CounterSet()
         self.latencies = LatencySeries()
         self._next_request_id = 1
-        self._sock: Optional[socket.socket] = self._dial()
-        try:
-            write_frame_sock(self._sock, encode_net_message(Hello()))
-            reply = decode_net_message(read_frame_sock(self._sock))
-            self.session_id = _check_handshake_reply(reply)
-        except BaseException:
-            self._sock.close()
-            raise
+        self._sock: Optional[socket.socket] = None
+        self.session_id = self._connect(Hello())
         self._suite = _client_suite(self.session_id, rng_seed)
 
     # -- transport -------------------------------------------------------------
 
-    def _dial(self) -> socket.socket:
+    def _connect(self, opening) -> int:
+        """Dial and shake hands — HELLO for a new session, RESUME to
+        re-attach this one; returns the session id the server welcomed."""
+        sock = open_sock(self.host, self.port, self.connect_timeout,
+                         self.read_timeout)
         try:
-            sock = socket.create_connection(
-                (self.host, self.port), timeout=self.connect_timeout
-            )
-        except socket.timeout as exc:
-            raise NetTimeoutError(
-                f"connect to {self.host}:{self.port} timed out"
-            ) from exc
-        except OSError as exc:
-            raise TransientChannelError(
-                f"cannot connect to {self.host}:{self.port}: {exc}"
-            ) from exc
-        sock.settimeout(self.read_timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return sock
+            answer = exchange_sock(sock, opening)
+            if isinstance(answer, NetRefused):
+                raise error_for_refusal(
+                    answer.refusal.code,
+                    f"handshake refused: {answer.refusal.reason}",
+                    answer.refusal.retry_after,
+                )
+            if not isinstance(answer, Welcome):
+                raise ProtocolError(
+                    f"handshake expected WELCOME, got {type(answer).__name__}"
+                )
+            if (isinstance(opening, Resume)
+                    and answer.session_id != opening.session_id):
+                raise ProtocolError(
+                    f"resumed session {answer.session_id} "
+                    f"!= {opening.session_id}"
+                )
+        except BaseException:
+            sock.close()
+            raise
+        self._sock = sock
+        return answer.session_id
 
     def _teardown(self) -> None:
         if self._sock is not None:
@@ -199,20 +184,7 @@ class NetworkClient(ClientOperationsMixin):
     def _reconnect(self) -> None:
         """Re-dial and RESUME the session on the fresh connection."""
         self._teardown()
-        sock = self._dial()
-        try:
-            write_frame_sock(sock,
-                             encode_net_message(Resume(self.session_id)))
-            reply = decode_net_message(read_frame_sock(sock))
-            resumed = _check_handshake_reply(reply)
-            if resumed != self.session_id:
-                raise ProtocolError(
-                    f"resumed session {resumed} != {self.session_id}"
-                )
-        except BaseException:
-            sock.close()
-            raise
-        self._sock = sock
+        self._connect(Resume(self.session_id))
         self.counters.increment("reconnects")
 
     def _transact(self, request_id: int, sealed: bytes) -> bytes:
@@ -231,12 +203,11 @@ class NetworkClient(ClientOperationsMixin):
             try:
                 if self._sock is None:
                     self._reconnect()
-                write_frame_sock(
-                    self._sock, encode_net_message(Request(request_id, sealed))
-                )
+                write_message_sock(self._sock, Request(request_id, sealed))
                 while True:
-                    message = decode_net_message(read_frame_sock(self._sock))
-                    sealed_reply = _reply_sealed(message, request_id)
+                    sealed_reply = _reply_sealed(
+                        read_message_sock(self._sock), request_id
+                    )
                     if sealed_reply is not None:
                         return sealed_reply
             except TransientChannelError:
@@ -291,13 +262,10 @@ class NetworkClient(ClientOperationsMixin):
         if self._sock is None:
             return
         try:
-            write_frame_sock(self._sock, encode_net_message(Bye()))
+            write_message_sock(self._sock, Bye())
         except TransientChannelError:
             pass
-        try:
-            self._sock.close()
-        finally:
-            self._sock = None
+        self._teardown()
 
     def __enter__(self) -> "NetworkClient":
         return self

@@ -3,17 +3,18 @@
 Architecture (DESIGN.md §12)::
 
     client sockets ──▶ asyncio event loop ──▶ bounded queue ──▶ worker
-       (framing,        (handshake, admission,    (queue.Queue)   threads
-        envelope)        drain, reaping)                          (frontend
-                                                                   .serve)
+       (framing,        (EnvelopeServer +         (a _Lane)       threads
+        envelope)        handshake, admission,                    (frontend
+                         drain, reaping)                           .serve)
 
-The event loop owns everything network-shaped: accepting connections,
-the HELLO/WELCOME handshake that binds a connection to a
+The event loop owns everything network-shaped: the listener and the
+connection state machine (:class:`~repro.net.endpoint.EnvelopeServer`),
+and, added here, the HELLO/WELCOME handshake that binds a connection to a
 :class:`~repro.service.frontend.QueryFrontend` session, admission
 control, and graceful drain.  The engine stays synchronous and is only
-ever entered from worker threads, which take sealed requests off a
-bounded queue, run ``frontend.serve`` and resolve the awaiting
-connection's future via ``loop.call_soon_threadsafe``.
+ever entered from worker threads (a :class:`_Lane`), which take sealed
+requests off a bounded queue, run ``frontend.serve`` and resolve the
+awaiting connection's future via ``loop.call_soon_threadsafe``.
 
 Each connection serves one request at a time (the handler awaits the
 reply before reading the next frame), so a session's stateful cipher
@@ -33,18 +34,18 @@ because workers finish what they started, none is double-applied.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import queue
 import threading
 import time
-from typing import Optional, Set
+from typing import Optional
 
 from .admission import SHED_CODE, AdmissionController
+from .endpoint import EnvelopeServer, protocol_refusal, read_message
 from .framing import (
-    Bye,
     Hello,
     NET_VERSION,
     NetRefused,
-    Ping,
     Pong,
     ReplAck,
     ReplQuery,
@@ -54,18 +55,9 @@ from .framing import (
     Request,
     Resume,
     Welcome,
-    decode_net_message,
-    encode_net_message,
-    read_frame_async,
-    write_frame_async,
 )
 from ..core.sharded import ShardedPirDatabase
-from ..errors import (
-    ConfigurationError,
-    ProtocolError,
-    ReproError,
-    TransientChannelError,
-)
+from ..errors import ConfigurationError, ProtocolError, ReproError
 from ..loopthread import LoopThread
 from ..obs.tracer import NULL_TRACER
 from ..service import protocol
@@ -79,7 +71,73 @@ _LATENCY_BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
                     0.1, 0.25, 0.5, 1.0, 2.5)
 
 
-class PirServer:
+#: The replication lane's one thread (the harness ledger keys on the name).
+_REPL_WORKERS = ("pir-repl-worker",)
+
+
+def _resolve(future: "asyncio.Future", result) -> None:
+    if not future.cancelled():
+        future.set_result(result)
+
+
+class _Lane:
+    """A bounded queue drained by named daemon threads.
+
+    The event loop hands :meth:`submit` an item and awaits the future it
+    gets back; a lane thread runs ``work(item)`` — which answers every
+    failure with a value, never an exception — and resolves the future on
+    its loop.  :class:`PirServer` has two lanes: serving and replication.
+    """
+
+    def __init__(self, depth: int, work):
+        self.queue: "queue.Queue" = queue.Queue(maxsize=depth)
+        self._work = work
+        self._threads: list = []
+
+    def start(self, names) -> None:
+        """One thread per name; a started lane is left alone."""
+        if self._threads:
+            return
+        for name in names:
+            thread = threading.Thread(target=self._run, name=name,
+                                      daemon=True)
+            thread.start()
+            self._threads.append(thread)
+
+    def submit(self, item) -> Optional["asyncio.Future"]:
+        """Queue ``item``; None when the lane is full."""
+        future = asyncio.get_running_loop().create_future()
+        try:
+            self.queue.put_nowait((item, future))
+        except queue.Full:
+            return None
+        return future
+
+    def stop(self, timeout: Optional[float] = None) -> None:
+        """Let the threads finish what is queued, then join them."""
+        for _ in self._threads:
+            self.queue.put(None)
+        for thread in self._threads:
+            thread.join(timeout)
+        self._threads = []
+
+    def _run(self) -> None:
+        while True:
+            entry = self.queue.get()
+            if entry is None:
+                return
+            item, future = entry
+            result = self._work(item)
+            try:
+                future.get_loop().call_soon_threadsafe(_resolve, future,
+                                                       result)
+            except RuntimeError:
+                # The loop was closed under us (ServerThread.kill in a
+                # crash test); the connection is gone, nobody awaits this.
+                return
+
+
+class PirServer(EnvelopeServer):
     """Serves a :class:`QueryFrontend` over TCP (see module docstring).
 
     Construct, then ``await start()`` on a running event loop (or use
@@ -122,9 +180,9 @@ class PirServer:
                 "workers > 1 requires a ShardedPirDatabase backend; the "
                 "plain engine is single-threaded by contract"
             )
+        super().__init__(host, port,
+                         CounterSet(registry=metrics, prefix="net."))
         self.frontend = frontend
-        self.host = host
-        self.port = port
         self.admission = admission
         # Cluster backends adopt unknown RESUMEd session ids (failover);
         # public-facing servers must leave this off — see
@@ -132,7 +190,6 @@ class PirServer:
         self.adopt_sessions = adopt_sessions
         self.workers = workers
         self.reap_interval = reap_interval
-        self.counters = CounterSet(registry=metrics, prefix="net.")
         self._sessions_gauge = (
             metrics.gauge("net.sessions.active") if metrics is not None
             else None
@@ -150,18 +207,11 @@ class PirServer:
         # is emitted from that one thread, so tracing composes.  With
         # multiple workers net spans are suppressed.
         self._span_tracer = frontend.tracer if workers == 1 else NULL_TRACER
-        self._queue: "queue.Queue" = queue.Queue(maxsize=queue_depth)
-        # Inbound replication records get their own queue and worker so a
-        # serve stalled in the semi-sync barrier can never starve the
-        # peer applies that would release it (see _repl_worker_loop).
-        self._repl_queue: "queue.Queue" = queue.Queue(maxsize=queue_depth)
-        self._repl_thread: Optional[threading.Thread] = None
-        self._threads: list = []
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._conn_tasks: Set[asyncio.Task] = set()
+        self._lane = _Lane(queue_depth, self._serve_one)
+        # Inbound replication records get their own lane, never queued
+        # behind a serve (attach_replication says why).
+        self._repl_lane = _Lane(queue_depth, self._apply_one)
         self._reap_task: Optional[asyncio.Task] = None
-        self._draining = False
         self._inflight = 0
         self._idle_event: Optional[asyncio.Event] = None
         # Test hook: called on the worker thread just before dispatching a
@@ -195,8 +245,8 @@ class PirServer:
         """
         self._repl_log = log
         self._repl_applier = applier
-        if self._loop is not None:
-            self._ensure_repl_worker()
+        if self._server is not None:  # already serving
+            self._repl_lane.start(_REPL_WORKERS)
 
         def _barrier():
             seq = log.last_seq
@@ -215,26 +265,14 @@ class PirServer:
 
     async def start(self) -> None:
         """Bind the listener and start the worker threads."""
-        if self._server is not None:
-            raise ConfigurationError("server already started")
-        self._loop = asyncio.get_running_loop()
+        await self.listen()
         self._idle_event = asyncio.Event()
         self._idle_event.set()
-        for index in range(self.workers):
-            thread = threading.Thread(
-                target=self._worker_loop, name=f"pir-worker-{index}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
+        self._lane.start(f"pir-worker-{i}" for i in range(self.workers))
         if self._repl_applier is not None:
-            self._ensure_repl_worker()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+            self._repl_lane.start(_REPL_WORKERS)
         if self.reap_interval is not None:
-            self._reap_task = self._loop.create_task(self._reap_loop())
+            self._reap_task = asyncio.ensure_future(self._reap_loop())
 
     async def drain(self) -> None:
         """Graceful shutdown: stop accepting, finish in-flight, close up.
@@ -246,31 +284,16 @@ class PirServer:
         if self._draining:
             return
         self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        self.stop_accepting()
         if self._reap_task is not None:
             self._reap_task.cancel()
-            try:
-                await self._reap_task
-            except asyncio.CancelledError:
-                pass
+            await asyncio.gather(self._reap_task, return_exceptions=True)
             self._reap_task = None
         if self._inflight > 0:
             await self._idle_event.wait()
-        for _ in self._threads:
-            self._queue.put(None)
-        for thread in self._threads:
-            thread.join()
-        self._threads = []
-        if self._repl_thread is not None:
-            self._repl_queue.put(None)
-            self._repl_thread.join()
-            self._repl_thread = None
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        self._lane.stop()
+        self._repl_lane.stop()
+        await self.close()
         if not self.adopt_sessions:
             # A cluster backend leaves its sessions alone: they fail over
             # to peers, and close_session would purge their entries from
@@ -297,126 +320,70 @@ class PirServer:
 
     def _publish_queue_depth(self) -> None:
         if self._queue_gauge is not None:
-            self._queue_gauge.set(self._queue.qsize())
+            self._queue_gauge.set(self._lane.queue.qsize())
 
-    # -- connection handling ---------------------------------------------------
-
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        self.counters.increment("connections.accepted")
-        session_id: Optional[int] = None
-        orderly = False
+    @contextlib.contextmanager
+    def _in_flight(self):
+        """Work drain must wait for, on either lane."""
+        self._inflight += 1
+        self._idle_event.clear()
         try:
-            first = decode_net_message(await read_frame_async(reader))
-            if isinstance(first, Ping):
-                await self._probe_loop(reader, writer, first)
-                return
-            if isinstance(first, (ReplQuery, ReplRecord)):
-                await self._repl_loop(reader, writer, first)
-                return
-            session_id = await self._handshake(first, writer)
-            if session_id is None:
-                return
-            while True:
-                body = await read_frame_async(reader)
-                message = decode_net_message(body)
-                if isinstance(message, Bye):
-                    orderly = True
-                    break
-                if not isinstance(message, Request):
-                    await self._send(
-                        writer,
-                        NetRefused(0, protocol.Refused(
-                            f"unexpected {type(message).__name__} frame",
-                            "protocol", -1.0,
-                        )),
-                    )
-                    break
-                self.counters.increment("requests")
-                self.counters.increment("bytes.in", len(body) + 4)
-                started = time.monotonic()
-                # In-flight covers admission through reply-written, so
-                # drain cannot cut off a reply that is still in transit.
-                assert self._idle_event is not None
-                self._inflight += 1
-                self._idle_event.clear()
-                try:
-                    reply = await self._admit_and_dispatch(session_id,
-                                                           message)
-                    # Count before the bytes go out: once the reply is on
-                    # the wire the client (same GIL) can observe a metrics
-                    # snapshot before this coroutine runs another line.
-                    if isinstance(reply, Reply):
-                        self.counters.increment("replies")
-                    # (Semi-sync replication holds replies on the worker
-                    # thread, before caching: frontend.replication_barrier.)
-                    await self._send(writer, reply)
-                finally:
-                    self._inflight -= 1
-                    if self._inflight == 0:
-                        self._idle_event.set()
-                if self._latency is not None:
-                    self._latency.observe(time.monotonic() - started)
-        except TransientChannelError:
-            pass  # peer closed or broke the connection; nothing to answer
-        except ProtocolError as exc:
-            await self._send(
-                writer,
-                NetRefused(0, protocol.Refused(str(exc), "protocol", -1.0)),
-                best_effort=True,
-            )
-        except asyncio.CancelledError:
-            pass  # drain is tearing the connection down
+            yield
         finally:
-            # Only an orderly BYE closes the session.  An abrupt disconnect
-            # keeps the suite and reply cache alive so the client can
-            # re-dial, RESUME, and retransmit — drain and TTL reaping bound
-            # how long an abandoned session lingers.
-            if session_id is not None and orderly:
-                self.frontend.close_session(session_id)
-                self._publish_sessions()
+            self._inflight -= 1
+            if self._inflight == 0:
+                self._idle_event.set()
+
+    # -- the envelope hooks ----------------------------------------------------
+
+    async def handle(self, reader, writer) -> None:
+        self.counters.increment("connections.accepted")
+        try:
+            await super().handle(reader, writer)
+        finally:
             self.counters.increment("connections.closed")
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (Exception, asyncio.CancelledError):
-                # Closed either way.  Drain may cancel this wait too (a
-                # blocking client's BYE + close lands just before it); the
-                # handler still finishes and deregisters instead of ending
-                # cancelled, which Python 3.11's stream callback logs as
-                # "Exception in callback".
-                pass
-            self._conn_tasks.discard(task)
 
-    async def _probe_loop(self, reader, writer, first) -> None:
-        """Answer PINGs until the prober hangs up.
+    def pong(self) -> Pong:
+        """``sessions`` is the router's load signal."""
+        return Pong(self._draining, self.frontend.session_count)
 
-        Health probes are sessionless and answered even while draining —
-        the PONG's ``draining`` flag is how a router learns to route
-        around a member being rolled.  ``sessions`` is its load signal.
-        """
-        message = first
-        while True:
-            if not isinstance(message, Ping):
-                raise ProtocolError(
-                    f"probe connection sent {type(message).__name__}"
-                )
-            self.counters.increment("probes")
-            await self._send(
-                writer, Pong(self._draining, self.frontend.session_count)
-            )
-            message = decode_net_message(await read_frame_async(reader))
+    async def _open(self, first, reader, writer):
+        if isinstance(first, (ReplQuery, ReplRecord)):
+            await self._repl_loop(reader, writer, first)
+            return None, None
+        return self._handshake(first)
+
+    async def _request(self, session_id: int, request: Request,
+                       writer) -> None:
+        started = time.monotonic()
+        # In flight from admission through reply-written, so drain cannot
+        # cut off a reply that is still in transit.
+        with self._in_flight():
+            reply = await self._admit_and_dispatch(session_id, request)
+            # Counted before the bytes go out, like bytes.out in _send.
+            if isinstance(reply, Reply):
+                self.counters.increment("replies")
+            await self._send(writer, reply)
+        if self._latency is not None:
+            self._latency.observe(time.monotonic() - started)
+
+    async def _bye(self, session_id: int) -> None:
+        # Only this closes a session; drain and TTL reaping bound how long
+        # one abandoned without a BYE keeps its suite and reply cache.
+        self.frontend.close_session(session_id)
+        self._publish_sessions()
+
+    # -- replication connections -----------------------------------------------
 
     async def _repl_loop(self, reader, writer, first) -> None:
         """Serve a peer's replication connection (REPL_QUERY/REPL_RECORD).
 
         The stream is sessionless like a probe: a REPL_QUERY answers with
         this backend's applied high-water mark for the asking origin (the
-        catch-up handshake), and each REPL_RECORD is applied on a worker
-        thread — the engine stays single-threaded per request, replicated
-        or local — then acked with the new applied mark.  Apply is
-        idempotent, so a shed or re-sent record is simply acked at the
+        catch-up handshake), and each REPL_RECORD is applied on the
+        replication lane — the engine stays single-threaded per request,
+        replicated or local — then acked with the new applied mark.  Apply
+        is idempotent, so a shed or re-sent record is simply acked at the
         unchanged mark and the peer retransmits.
         """
         if self._repl_applier is None:
@@ -436,101 +403,74 @@ class PirServer:
                 raise ProtocolError(
                     f"replication connection sent {type(message).__name__}"
                 )
-            message = decode_net_message(await read_frame_async(reader))
+            message = await read_message(reader)
 
     async def _apply_replicated(self, record: ReplRecord) -> int:
-        """Queue one inbound record for a worker; return the applied mark.
+        """Queue one inbound record for its lane; return the applied mark.
 
         While draining (or when the queue is full) the record is *not*
         applied and the current mark is returned unchanged — the peer's
         streamer sees a stale ack and retransmits after backoff.
         """
-        assert self._repl_applier is not None
-        if self._draining:
-            return self._repl_applier.applied_for(record.origin)
-        assert self._loop is not None and self._idle_event is not None
-        future = self._loop.create_future()
-        try:
-            self._repl_queue.put_nowait((record, future, self._loop))
-        except queue.Full:
+        if not self._draining:
+            future = self._repl_lane.submit(record)
+            if future is not None:
+                self._publish_queue_depth()
+                with self._in_flight():
+                    return await future
             self.counters.increment("shed")
             self.counters.increment("shed.repl")
-            return self._repl_applier.applied_for(record.origin)
-        self._publish_queue_depth()
-        self._inflight += 1
-        self._idle_event.clear()
+        return self._repl_applier.applied_for(record.origin)
+
+    def _apply_one(self, record: ReplRecord) -> int:
+        """Replication-lane work: apply one record on the lane's thread."""
         try:
-            return await future
-        finally:
-            self._inflight -= 1
-            if self._inflight == 0:
-                self._idle_event.set()
+            return self._repl_applier.apply(record.origin, record.seq,
+                                            record.sealed)
+        except BaseException:
+            # Never wedge the peer's stream: ack the unchanged mark so
+            # its streamer backs off and retransmits.
+            return self._repl_applier.applied_for(record.origin)
 
-    async def _handshake(self, message, writer) -> Optional[int]:
-        """HELLO/WELCOME exchange; returns the session id or None if refused.
+    # -- sessions and admission ------------------------------------------------
 
-        ``message`` is the already-decoded first frame: HELLO opens a new
-        session, RESUME re-attaches (or, on cluster backends, adopts) an
-        existing one.
+    def _handshake(self, message):
+        """``(session id, WELCOME)``, or ``(None, refusal)``.
+
+        HELLO opens a new session; RESUME re-attaches a known one (same
+        process the client first spoke to).  An *unknown* resumed id is
+        adopted only when ``adopt_sessions`` is set — the cluster-backend
+        posture, where the router vouches for ids — and counts against the
+        admission session cap like a fresh handshake.
         """
         if isinstance(message, Resume):
-            return await self._resume(message, writer)
-        if not isinstance(message, Hello) or message.version != NET_VERSION:
-            await self._send(
-                writer,
-                NetRefused(0, protocol.Refused(
-                    "handshake expected HELLO "
-                    f"v{NET_VERSION}", "protocol", -1.0,
-                )),
+            session_id = message.session_id
+        elif isinstance(message, Hello) and message.version == NET_VERSION:
+            session_id = None
+        else:
+            return None, protocol_refusal(
+                f"handshake expected HELLO v{NET_VERSION}"
             )
-            return None
         if self._draining:
-            await self._send(writer, NetRefused(0, self._drain_refusal()))
-            return None
-        if self.admission is not None:
-            refusal = self.admission.admit_session(self.frontend.session_count)
-            if refusal is not None:
-                await self._send(writer, NetRefused(0, refusal))
-                return None
-        session_id = self.frontend.open_session()
-        self._publish_sessions()
-        await self._send(writer, Welcome(session_id))
-        return session_id
-
-    async def _resume(self, message: Resume, writer) -> Optional[int]:
-        """Re-attach a connection to a session after a reconnect.
-
-        A known session resumes on any server (same process the client
-        first spoke to).  An *unknown* session is adopted only when
-        ``adopt_sessions`` is set — the cluster-backend posture, where the
-        router vouches for ids — and counts against the admission session
-        cap like a fresh handshake.
-        """
-        if self._draining:
-            await self._send(writer, NetRefused(0, self._drain_refusal()))
-            return None
-        session_id = message.session_id
-        known = session_id in self.frontend.session_ids
-        if not known:
-            if not self.adopt_sessions:
-                await self._send(writer, NetRefused(0, protocol.Refused(
-                    f"unknown session {session_id}", "protocol", -1.0,
-                )))
-                return None
+            return None, NetRefused(0, self._drain_refusal())
+        if session_id in self.frontend.session_ids:
+            self.counters.increment("sessions.resumed")
+        else:
+            if session_id is not None and not self.adopt_sessions:
+                return None, protocol_refusal(f"unknown session {session_id}")
             if self.admission is not None:
                 refusal = self.admission.admit_session(
                     self.frontend.session_count
                 )
                 if refusal is not None:
-                    await self._send(writer, NetRefused(0, refusal))
-                    return None
-            self.frontend.adopt_session(session_id)
-            self.counters.increment("sessions.adopted")
-        else:
-            self.counters.increment("sessions.resumed")
+                    return None, NetRefused(0, refusal)
+            if session_id is None:
+                session_id = self.frontend.open_session()
+            else:
+                self.frontend.adopt_session(session_id)
+                self.counters.increment("sessions.adopted")
         self._publish_sessions()
-        await self._send(writer, Welcome(session_id))
-        return session_id
+        return session_id, Welcome(session_id)
 
     def _drain_refusal(self) -> protocol.Refused:
         self.counters.increment("shed")
@@ -538,140 +478,72 @@ class PirServer:
         return protocol.Refused("server is draining", SHED_CODE, 0.05)
 
     async def _admit_and_dispatch(self, session_id: int, request: Request):
-        """Admission gates, then the queue/worker round trip."""
+        """Admission gates, then the serving lane's round trip."""
         if self._draining:
             return NetRefused(request.request_id, self._drain_refusal())
         if self.admission is not None:
-            refusal = self.admission.admit_request(self._queue.qsize())
+            refusal = self.admission.admit_request(self._lane.queue.qsize())
             if refusal is not None:
                 return NetRefused(request.request_id, refusal)
-        assert self._loop is not None
-        future = self._loop.create_future()
         # Mark the session busy for the whole queued-to-served window so
         # the idle reaper cannot close it out from under a queued request.
         self.frontend.begin_request(session_id)
         try:
-            self._queue.put_nowait((session_id, request, future, self._loop))
-        except queue.Full:
-            self.frontend.end_request(session_id)
-            self.counters.increment("shed")
-            self.counters.increment("shed.queue")
-            return NetRefused(request.request_id, protocol.Refused(
-                "request queue is full", SHED_CODE, 0.05,
-            ))
-        self._publish_queue_depth()
-        try:
+            future = self._lane.submit((session_id, request))
+            if future is None:
+                self.counters.increment("shed")
+                self.counters.increment("shed.queue")
+                return NetRefused(request.request_id, protocol.Refused(
+                    "request queue is full", SHED_CODE, 0.05,
+                ))
+            self._publish_queue_depth()
             return await future
         finally:
             self.frontend.end_request(session_id)
 
-    async def _send(self, writer, message, best_effort: bool = False) -> None:
-        body = encode_net_message(message)
-        # Counted before the write for the same snapshot-race reason as
-        # the replies counter; a failed write overcounts by one frame,
-        # which the connection teardown path makes moot.
-        self.counters.increment("bytes.out", len(body) + 4)
+    def _serve_one(self, item):
+        """Serving-lane work: one sealed request through the frontend."""
+        session_id, request = item
+        self._publish_queue_depth()
+        hook = self._serve_hook
+        if hook is not None:
+            hook()
         try:
-            await write_frame_async(writer, body)
-        except (TransientChannelError, ConnectionError, OSError):
-            if not best_effort:
-                raise TransientChannelError("peer went away mid-reply")
-
-    # -- worker threads --------------------------------------------------------
-
-    def _worker_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            session_id, request, future, loop = item
-            self._publish_queue_depth()
-            hook = self._serve_hook
-            if hook is not None:
-                hook()
-            try:
-                with self._span_tracer.span("net.request",
-                                            nbytes=len(request.sealed)):
-                    sealed_reply = self.frontend.serve(session_id,
-                                                       request.sealed)
-                # Stamp the reply with the (origin, seq) mark the serve's
-                # replication barrier actually waited on, so the router's
-                # read-your-writes watermark never runs ahead of what
-                # connected peers hold.  log.last_seq at stamp time would
-                # include other sessions' concurrent emissions that were
-                # never waited on — a watermark a surviving peer may be
-                # unable to satisfy until the dead origin restarts.  A
-                # mark from a *different* origin (a dedupe served from the
-                # shared cache for a write another member emitted) stamps
-                # 0: the seq lives in that origin's numbering, and the
-                # dedupe gate already proved this member applied it.
-                mark = self.frontend.consume_reply_mark()
-                repl_seq = 0
-                if (self._repl_log is not None and mark is not None
-                        and mark[0] == self._repl_log.origin):
-                    repl_seq = mark[1]
-                result = Reply(request.request_id, sealed_reply, repl_seq)
-            except ReproError as exc:
-                # serve() seals most refusals itself; reaching here means
-                # the session is gone (reaped/closed) or similarly
-                # unservable, so answer with a plaintext envelope refusal.
-                refusal = classify(exc)
-                retry_after = (self.frontend.health.retry_after
-                               if refusal.retryable else -1.0)
-                result = NetRefused(request.request_id, protocol.Refused(
-                    f"{type(exc).__name__}: {exc}", refusal.code, retry_after,
-                ))
-            except BaseException as exc:  # never let a worker die silently
-                result = NetRefused(request.request_id, protocol.Refused(
-                    f"internal error: {exc}", "internal", -1.0,
-                ))
-            try:
-                loop.call_soon_threadsafe(self._resolve, future, result)
-            except RuntimeError:
-                # The loop was closed under us (ServerThread.kill in a
-                # crash test); the connection is gone, nobody awaits this.
-                return
-
-    def _ensure_repl_worker(self) -> None:
-        if self._repl_thread is None:
-            self._repl_thread = threading.Thread(
-                target=self._repl_worker_loop, name="pir-repl-worker",
-                daemon=True,
-            )
-            self._repl_thread.start()
-
-    def _repl_worker_loop(self) -> None:
-        """Apply inbound replication records off their own queue.
-
-        A separate lane from the serving workers: a serve holding a
-        worker thread through a semi-sync barrier is *waiting on peers*
-        — if peer records queued behind it, two members could deadlock
-        each other's pools (each barrier waiting for an apply the other
-        member cannot run).  Engine single-threading is preserved by the
-        applier taking the frontend's engine lock around the actual
-        engine calls.
-        """
-        while True:
-            item = self._repl_queue.get()
-            if item is None:
-                return
-            record, future, loop = item
-            try:
-                applied = self._repl_applier.apply(
-                    record.origin, record.seq, record.sealed)
-            except BaseException:
-                # Never wedge the peer's stream: ack the unchanged
-                # mark so its streamer backs off and retransmits.
-                applied = self._repl_applier.applied_for(record.origin)
-            try:
-                loop.call_soon_threadsafe(self._resolve, future, applied)
-            except RuntimeError:
-                return
-
-    @staticmethod
-    def _resolve(future: "asyncio.Future", result) -> None:
-        if not future.cancelled():
-            future.set_result(result)
+            with self._span_tracer.span("net.request",
+                                        nbytes=len(request.sealed)):
+                sealed_reply = self.frontend.serve(session_id,
+                                                   request.sealed)
+            # Stamp the reply with the (origin, seq) mark the serve's
+            # replication barrier actually waited on, so the router's
+            # read-your-writes watermark never runs ahead of what
+            # connected peers hold.  log.last_seq at stamp time would
+            # include other sessions' concurrent emissions that were
+            # never waited on — a watermark a surviving peer may be
+            # unable to satisfy until the dead origin restarts.  A
+            # mark from a *different* origin (a dedupe served from the
+            # shared cache for a write another member emitted) stamps
+            # 0: the seq lives in that origin's numbering, and the
+            # dedupe gate already proved this member applied it.
+            mark = self.frontend.consume_reply_mark()
+            repl_seq = 0
+            if (self._repl_log is not None and mark is not None
+                    and mark[0] == self._repl_log.origin):
+                repl_seq = mark[1]
+            return Reply(request.request_id, sealed_reply, repl_seq)
+        except ReproError as exc:
+            # serve() seals most refusals itself; reaching here means
+            # the session is gone (reaped/closed) or similarly
+            # unservable, so answer with a plaintext envelope refusal.
+            refusal = classify(exc)
+            retry_after = (self.frontend.health.retry_after
+                           if refusal.retryable else -1.0)
+            return NetRefused(request.request_id, protocol.Refused(
+                f"{type(exc).__name__}: {exc}", refusal.code, retry_after,
+            ))
+        except BaseException as exc:  # never let a worker die silently
+            return NetRefused(request.request_id, protocol.Refused(
+                f"internal error: {exc}", "internal", -1.0,
+            ))
 
 
 class ServerThread(LoopThread):
@@ -710,9 +582,7 @@ class ServerThread(LoopThread):
         server = self.server
 
         def _slam() -> None:
-            if server._server is not None:
-                server._server.close()
-                server._server = None
+            server.stop_accepting()
             for task in list(server._conn_tasks):
                 task.cancel()
             if server._reap_task is not None:
@@ -728,11 +598,8 @@ class ServerThread(LoopThread):
             except RuntimeError:
                 pass  # loop already closed
         self._thread.join(timeout=timeout)
-        # Workers block on the queue, not the loop; release them so the
+        # Workers block on their queue, not the loop; release them so the
         # process does not leak threads between restart cycles.
-        for _ in server._threads:
-            server._queue.put(None)
-        for thread in server._threads:
-            thread.join(timeout=timeout)
-        server._threads = []
+        server._lane.stop(timeout)
+        server._repl_lane.stop(timeout)
         self._thread = None

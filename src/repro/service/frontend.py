@@ -34,6 +34,7 @@ from .health import (
 )
 from ..core.database import PirDatabase
 from ..core.engine import BatchOp
+from ..core.journal import load_appended
 from ..crypto.suite import CipherSuite
 from ..errors import (
     DegradedServiceError,
@@ -106,8 +107,8 @@ class SealedReplyCache:
     restart has been applied, so a client retransmission of the
     acknowledged sealed bytes must dedupe, not re-execute.  Entries are
     sealed ciphertext on both sides, so the file leaks nothing beyond
-    traffic volume.  A torn final record (crash mid-append) is discarded
-    on load, exactly like a torn journal record.  The log is append-only
+    traffic volume.  A torn final record (crash mid-append) is cut off on
+    load (:func:`~repro.core.journal.load_appended`).  The log is append-only
     and never compacted; the in-memory LRU bound applies after reload.
 
     Eviction never removes a session's *most recent* reply.  That entry
@@ -140,26 +141,12 @@ class SealedReplyCache:
             self._file = open(self._path, "ab")
 
     def _load(self) -> None:
-        try:
-            with open(self._path, "rb") as handle:
-                raw = handle.read()
-        except FileNotFoundError:
-            return
-        offset = 0
-        while offset + _CACHE_RECORD.size <= len(raw):
-            session_id, req_len, reply_len = _CACHE_RECORD.unpack_from(
-                raw, offset
-            )
-            body_end = offset + _CACHE_RECORD.size + req_len + reply_len
-            if body_end > len(raw):
-                break  # torn tail from a crash mid-append
-            request = raw[offset + _CACHE_RECORD.size:
-                          offset + _CACHE_RECORD.size + req_len]
-            reply = raw[offset + _CACHE_RECORD.size + req_len:body_end]
-            key = (session_id, request)
-            self._entries[key] = reply
+        for _, (session_id, req_len, _), body in load_appended(
+                self._path, _CACHE_RECORD,
+                lambda session_id, req_len, reply_len: req_len + reply_len):
+            key = (session_id, body[:req_len])
+            self._entries[key] = body[req_len:]
             self._latest[session_id] = key  # last record wins
-            offset = body_end
         self._evict_over_capacity()
 
     def _evict_over_capacity(self) -> None:
@@ -566,14 +553,17 @@ class QueryFrontend:
                 # A request that cannot even be opened is the client's
                 # problem (wrong key, garbage bytes); it never reaches the
                 # engine and never counts against service health.
-                reply = self._refusal_for(exc, affects_health=False)
+                reply = self._refusal_for(exc)
             else:
                 try:
                     with self.engine_lock:
                         self.health.check()
                         reply = self._dispatch(request)
-                        self.health.record_success()
+                        if not isinstance(request, protocol.Batch):
+                            # (a batch has told health about each window)
+                            self.health.record_success()
                 except ReproError as exc:
+                    self._record_fault(exc)
                     reply = self._refusal_for(exc)
             self.counters.increment("requests")
             reshuffle = getattr(self.database, "reshuffle", None)
@@ -620,13 +610,18 @@ class QueryFrontend:
         self._reply_marks.mark = None
         return mark
 
-    def _refusal_for(
-        self, exc: ReproError, affects_health: bool = True
-    ) -> protocol.Refused:
+    def _record_fault(self, exc: ReproError) -> bool:
+        """Tell health about a failed engine pass, if the fault is the
+        service's (storage, crypto) and not the client's; returns whether
+        it was."""
+        severity = classify(exc).severity
+        if severity not in (SEVERITY_FAULT, SEVERITY_FATAL):
+            return False
+        self.health.record_fault(fatal=severity == SEVERITY_FATAL)
+        return True
+
+    def _refusal_for(self, exc: ReproError) -> protocol.Refused:
         refusal = classify(exc)
-        if affects_health and refusal.severity in (SEVERITY_FAULT,
-                                                   SEVERITY_FATAL):
-            self.health.record_fault(fatal=refusal.severity == SEVERITY_FATAL)
         self.counters.increment(f"refused.{refusal.code}")
         if isinstance(exc, DegradedServiceError):
             retry_after = exc.retry_after
@@ -666,20 +661,14 @@ class QueryFrontend:
         exception instances and are converted to the same per-op
         :class:`~repro.service.protocol.Refused` replies a lone request
         gets, so clients cannot tell a batched op from a single one by
-        reply content.  Health is consulted once up front (a degraded
-        service refuses every slot); per-op faults surface through the
-        refused slots themselves.
+        reply content.  A window that fails hands every slot it held the
+        *same* exception, so health counts distinct failures, not refused
+        slots, and hears a success only when no window faulted.
         """
         self.counters.increment("batch.requests")
         self.counters.increment("batch.ops", len(batch.ops))
         if self._batch_sizes is not None:
             self._batch_sizes.observe(len(batch.ops))
-        try:
-            self.health.check()
-        except ReproError as exc:
-            return protocol.BatchReply(
-                [self._refusal_for(exc) for _ in batch.ops]
-            )
         # The wire codec admits only these four op types inside a Batch.
         ops: List[BatchOp] = []
         for op in batch.ops:
@@ -694,12 +683,16 @@ class QueryFrontend:
                 ops.append(BatchOp("delete", page_id=op.page_id))
         with self.tracer.span("frontend.batch"):
             results = self.database.run_batch(ops)
+        failures = {id(outcome): outcome for outcome in results
+                    if isinstance(outcome, ReproError)}
+        faulted = [self._record_fault(exc) for exc in failures.values()]
+        if not any(faulted):
+            self.health.record_success()
         replies: List[protocol.ClientMessage] = []
         for op, outcome in zip(batch.ops, results):
             if isinstance(outcome, ReproError):
                 replies.append(self._refusal_for(outcome))
                 continue
-            self.health.record_success()
             if isinstance(op, protocol.Query):
                 replies.append(protocol.Result(op.page_id, outcome))
             elif isinstance(op, protocol.Insert):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import time
+
 from repro import PirDatabase
 from repro.baselines import make_records
 from repro.core.journal import MemoryJournal
@@ -41,3 +44,66 @@ class RecordingJournal(MemoryJournal):
     def write(self, blob):
         self.blobs.append(bytes(blob))
         super().write(blob)
+
+
+def wait_until(predicate, timeout=10.0, interval=0.02):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval)
+    return predicate()
+
+
+class FrontDoor:
+    """A live envelope endpoint: ``endpoint`` is the ``PirServer`` or
+    ``ClusterRouter`` clients dial, ``sessions()`` how many it holds."""
+
+    def __init__(self, endpoint, handle, sessions):
+        self.endpoint = endpoint
+        self.host, self.port = handle.host, handle.port
+        self.sessions = sessions
+
+
+FRONT_DOORS = ("server", "router")
+
+
+@contextlib.contextmanager
+def front_door(kind, tmp_path, metrics=None):
+    """One ``PirServer`` (``"server"``) or a ``ClusterRouter`` over two
+    backends (``"router"``), over the ``make_records(40, 16)`` database."""
+    from repro.cluster import ClusterRouter, RouterThread, build_cluster
+    from repro.net import PirServer, ServerThread
+    from repro.service.frontend import SESSION_RANDOM, QueryFrontend
+
+    if kind == "server":
+        db = make_db(metrics=metrics)
+        frontend = QueryFrontend(db, metrics=metrics,
+                                 session_id_mode=SESSION_RANDOM)
+        server = PirServer(frontend, metrics=metrics)
+        try:
+            with ServerThread(server) as handle:
+                yield FrontDoor(server, handle,
+                                lambda: frontend.session_count)
+        finally:
+            db.close()
+        return
+    backends = build_cluster(make_records(40, 16), 2, str(tmp_path),
+                             metrics=metrics, page_capacity=16, target_c=2.0)
+    try:
+        for backend in backends:
+            backend.start()
+        router = ClusterRouter(
+            [backend.spec for backend in backends], probe_interval=0.05,
+            probe_timeout=1.0, connect_timeout=1.0, backend_timeout=5.0,
+            metrics=metrics,
+        )
+        with RouterThread(router) as handle:
+            # Load slots held: one per routed session once the dust settles.
+            yield FrontDoor(router, handle, lambda: sum(
+                state.pinned for state in router.membership.members))
+    finally:
+        for backend in backends:
+            backend.kill()
+        for backend in backends:
+            backend.db.close()

@@ -9,11 +9,10 @@ lost backend replies, rolling restarts, and full-cluster outage.
 from __future__ import annotations
 
 import contextlib
-import time
 
 import pytest
 
-from tests.helpers import make_db
+from tests.helpers import make_db, wait_until
 from repro.baselines import make_records
 from repro.cluster import (
     BackendHandle,
@@ -38,15 +37,6 @@ from repro.obs import MetricsRegistry
 from repro.service.frontend import SESSION_RANDOM, QueryFrontend
 
 RECORDS = make_records(40, 16)
-
-
-def wait_until(predicate, timeout=10.0, interval=0.02):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return predicate()
 
 
 # ---------------------------------------------------------------------------
@@ -235,36 +225,37 @@ class TestRoutedServing:
                 for client in clients:
                     client.close()
 
-    def test_bye_unpins(self, tmp_path):
-        with cluster(tmp_path, n=2) as (handles, router, thread):
+
+class TestRouterStop:
+    def test_stop_cancelling_a_closing_connection_is_clean(
+            self, tmp_path, monkeypatch, caplog):
+        """The router's mirror of TestGracefulDrain's test of the same
+        name (tests/test_net_server.py): a handler already past BYE,
+        waiting for its transport to close, when stop() cancels it, must
+        finish and deregister — not end cancelled, which asyncio's stream
+        callback logs as "Exception in callback"."""
+        import asyncio
+        import logging
+        import threading
+
+        closing = threading.Event()
+
+        async def slow_wait_closed(self):
+            closing.set()
+            await asyncio.sleep(30.0)
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"), \
+                cluster(tmp_path, n=2) as (handles, router, thread):
+            monkeypatch.setattr(asyncio.StreamWriter, "wait_closed",
+                                slow_wait_closed)
             with NetworkClient(thread.host, thread.port,
                                timeout=5.0) as client:
-                client.query(1)
-            assert wait_until(lambda: sum(
-                state.pinned for state in router.membership.members) == 0)
-
-    def test_router_answers_probes_itself(self, tmp_path):
-        import socket
-
-        from repro.net.framing import (
-            Ping,
-            Pong,
-            decode_net_message,
-            encode_net_message,
-            read_frame_sock,
-            write_frame_sock,
-        )
-
-        with cluster(tmp_path, n=2) as (handles, router, thread):
-            sock = socket.create_connection((thread.host, thread.port),
-                                            timeout=5.0)
-            try:
-                write_frame_sock(sock, encode_net_message(Ping()))
-                pong = decode_net_message(read_frame_sock(sock))
-                assert isinstance(pong, Pong)
-                assert pong.draining is False
-            finally:
-                sock.close()
+                assert client.query(3) == RECORDS[3]
+            assert closing.wait(timeout=30)
+            thread.stop()
+            assert router._conn_tasks == set()
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "asyncio"] == []
 
 
 class TestHealthGating:

@@ -221,6 +221,36 @@ class TestReplyCachePinning:
         db.close()
 
 
+class TestPersistentReplyCache:
+    def test_torn_tail_is_truncated_before_appending(self, tmp_path):
+        """A crash mid-append leaves a torn record.  The restart must cut
+        it off, not append behind it: left in place it swallows the head
+        of every later record, so replies acknowledged after the *first*
+        restart are gone at the *second* — and a retransmission of one
+        re-executes an acknowledged mutation."""
+        path = tmp_path / "replies.log"
+        cache = SealedReplyCache(path=path)
+        cache.put(1, b"request A", b"reply A")
+        cache.close()
+        intact = path.stat().st_size
+        with open(path, "ab") as handle:
+            handle.write(b"\x00\x00\x00\x00\x00\x00")  # half a header
+        restarted = SealedReplyCache(path=path)
+        assert len(restarted) == 1
+        assert path.stat().st_size == intact
+        restarted.put(2, b"request C", b"reply C")
+        restarted.put(3, b"request D", b"reply D")
+        restarted.close()
+        again = SealedReplyCache(path=path)
+        try:
+            assert len(again) == 3
+            assert again.get(1, b"request A") == b"reply A"
+            assert again.get(2, b"request C") == b"reply C"
+            assert again.get(3, b"request D") == b"reply D"
+        finally:
+            again.close()
+
+
 class TestReapingVsInflightRequests:
     """A session with a queued-but-unserved request must not be reaped:
     the server admitted the request, so dropping the session between the

@@ -1,12 +1,15 @@
 """Loopback integration tests for the TCP serving stack (repro.net)."""
 
 import contextlib
+import logging
+import socket
+import struct
 import threading
 import time
 
 import pytest
 
-from tests.helpers import make_db
+from tests.helpers import FRONT_DOORS, front_door, make_db, wait_until
 from repro.baselines import make_records
 from repro.errors import (
     ConfigurationError,
@@ -22,6 +25,14 @@ from repro.net import (
     PirServer,
     ServerThread,
     TokenBucket,
+)
+from repro.net.framing import (
+    Hello,
+    Welcome,
+    decode_net_message,
+    encode_net_message,
+    read_frame_sock,
+    write_frame_sock,
 )
 from repro.obs import MetricsRegistry
 from repro.service import protocol
@@ -203,6 +214,40 @@ class TestDuplicateRetransmission:
                 )
                 assert isinstance(reply, protocol.Result)
                 assert client.query(reply.page_id) == b"dup"
+
+
+class TestClientReset:
+    @pytest.mark.parametrize("kind", FRONT_DOORS)
+    def test_reset_is_a_closed_connection(
+            self, kind, tmp_path, caplog):
+        """A client that dies mid-frame sends an RST, not a FIN: the
+        handler's read raises ConnectionResetError, which must end the
+        connection like any other disconnect — not escape the handler as
+        asyncio's "Unhandled exception in client_connected_cb"."""
+        registry = MetricsRegistry()
+
+        def closed():
+            return registry.snapshot()["counters"].get(
+                "net.connections.closed", 0)
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"), \
+                front_door(kind, tmp_path, metrics=registry) as door:
+            before = closed()
+            sock = socket.create_connection((door.host, door.port),
+                                            timeout=5.0)
+            write_frame_sock(sock, encode_net_message(Hello()))
+            assert isinstance(decode_net_message(read_frame_sock(sock)),
+                              Welcome)
+            sock.sendall(b"\x00\x00")  # half a length prefix
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+            sock.close()
+            assert wait_until(lambda: closed() > before)
+            assert wait_until(lambda: not door.endpoint._conn_tasks)
+            with NetworkClient(door.host, door.port, timeout=5.0) as client:
+                assert client.query(3) == RECORDS[3]
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "asyncio"] == []
 
 
 class TestGracefulDrain:

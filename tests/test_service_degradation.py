@@ -34,6 +34,7 @@ from repro.faults import (
     FlakyChannel,
     drop_messages,
     duplicate_messages,
+    transient_reads,
     transient_writes,
 )
 from repro.faults.retry import RetryPolicy
@@ -319,6 +320,60 @@ class TestFrontendDegradation:
         assert counts["health.faults"] == 2
         assert counts["health.degraded"] == 1
         assert counts["health.failed"] == 1
+
+
+class TestHealthPerEnginePass:
+    """Health hears about each engine pass once.  A window that fails hands
+    the *same* exception to every slot it held; counting slots let a batch
+    of 8 fail the service on one transient read, and the unconditional
+    success after a batch let all-refused batches read as healthy."""
+
+    def _frontend(self, plan):
+        injector = FaultInjector(0)
+        db = make_db(num_records=64, cache_capacity=8, seed=5,
+                     disk_factory=faulty_factory(injector))
+        assert db.params.block_size >= 8  # a batch of 8 is one window
+        frontend = QueryFrontend(db)
+        injector.add(plan)
+        return frontend, frontend.open_session()
+
+    def _serve_batch(self, frontend, session_id, size):
+        suite = frontend.session_suite(session_id)
+        sealed = suite.encrypt_page(protocol.encode_client_message(
+            protocol.Batch(tuple(protocol.Query(i) for i in range(size)))
+        ))
+        reply = protocol.decode_client_message(
+            suite.decrypt_page(frontend.serve(session_id, sealed))
+        )
+        assert isinstance(reply, protocol.BatchReply)
+        return reply.replies
+
+    def test_five_failing_single_queries_degrade(self):
+        frontend, session = self._frontend(transient_reads(times=None))
+        for _ in range(5):
+            assert isinstance(serve_query(frontend, session),
+                              protocol.Refused)
+        assert frontend.health.state == DEGRADED
+        assert frontend.health.fault_streak == 5
+
+    def test_five_failing_batches_degrade_too(self):
+        frontend, session = self._frontend(transient_reads(times=None))
+        for _ in range(5):
+            replies = self._serve_batch(frontend, session, 2)
+            assert all(isinstance(r, protocol.Refused) for r in replies)
+        assert frontend.health.state == DEGRADED
+        assert frontend.health.fault_streak == 5
+
+    def test_one_bad_read_in_a_batch_is_one_fault(self):
+        frontend, session = self._frontend(transient_reads(times=1))
+        replies = self._serve_batch(frontend, session, 8)
+        assert all(isinstance(r, protocol.Refused) for r in replies)
+        assert frontend.health.state == HEALTHY
+        assert frontend.health.fault_streak == 1
+        # The next pass reads cleanly and clears the streak.
+        assert all(isinstance(r, protocol.Result)
+                   for r in self._serve_batch(frontend, session, 8))
+        assert frontend.health.fault_streak == 0
 
 
 class TestClientRetry:
