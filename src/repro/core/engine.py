@@ -78,6 +78,7 @@ from ..hardware.coprocessor import SecureCoprocessor
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..sim.metrics import CounterSet
 from ..storage.disk import DiskStore
+from ..storage.frames import frame_count
 from ..storage.page import Page, PageWindow
 
 __all__ = ["RetrievalEngine", "RequestOutcome", "RecoveryReport", "BatchOp",
@@ -632,21 +633,14 @@ class RetrievalEngine:
                 _, extra_location = ov_lookup(extra_id)
 
             # Lines 1, 10-11: read and decrypt inside the boundary.  The
-            # first op's block and extra go out as one request-granular
-            # read and reach the kernel as one (k+1)-frame matrix — remote
-            # transports (twoparty.RemoteDisk) implement only that call,
-            # one round trip; every later op costs a single extra frame,
-            # the block is never re-read.
+            # block goes out with the first op's extra as one store call —
+            # one round trip over a remote transport — and reaches the
+            # kernel as one (k+1)-frame matrix; every later op costs a
+            # single extra frame, the block is never re-read.
             if window is None:
-                window = self._fetch(
-                    lambda: self.disk.read_request(block_start, k,
-                                                   extra_location),
-                    k + 1,
-                )
+                window = self._fetch([(block_start, k), (extra_location, 1)])
             else:
-                window.extend(self._fetch(
-                    lambda: self.disk.read_range(extra_location, 1), 1
-                ))
+                window.extend(self._fetch([(extra_location, 1)]))
             extra_locs.append(extra_location)
 
             # Lines 12-16: locate the relocation target q.
@@ -753,7 +747,6 @@ class RetrievalEngine:
             next_block=(self._next_block + 1) % self.params.num_blocks,
             rotation_left=-1 if rotation_left is None else rotation_left - 1,
             block_start=block_start,
-            extra_location=extra_locs[0],
             extra_locations=extra_locs,
             cache_puts=cache_puts,
             flag_ops=flag_ops,
@@ -792,18 +785,19 @@ class RetrievalEngine:
         self.counters.increment("batch.windows")
         self.counters.increment("batch.ops", n_ops)
 
-    def _fetch(self, read, num_frames: int) -> PageWindow:
-        """Read + ingest + decrypt ``num_frames`` frames into a page window.
+    def _fetch(self, ranges) -> PageWindow:
+        """Read + ingest + decrypt the frames of ``ranges`` into a page
+        window (each range one disk access, all of them one store call).
 
-        ``read`` performs the disk access and returns the frame matrix.
         With a retry policy a retry repeats the whole fetch (re-read,
         re-charge, re-decrypt) — exactly what real hardware would do — and
         consumes only the spawned retry RNG and the virtual clock, so
         seeded runs stay byte-identical.
         """
+        num_frames = frame_count(ranges)
 
         def attempt() -> PageWindow:
-            frames = read()
+            frames = self.disk.read_ranges(ranges)
             self.cop.charge_ingest(num_frames)
             with self.tracer.span("decrypt",
                                   nbytes=num_frames * self.cop.frame_size):
@@ -849,28 +843,18 @@ class RetrievalEngine:
             else:
                 pm.set_disk(page_id, position)
 
+        # One contiguous block write plus one write per per-op extra frame
+        # — the mirror image of the read side's single block scan — as one
+        # store call, for every window size.
         k = self.params.block_size
-        extras = intent.extras()
+        ranges = [(intent.block_start, k)]
+        ranges += [(location, 1) for location in intent.extra_locations]
         try:
             with self.tracer.span(
                 "write_back",
-                nbytes=(k + len(extras)) * self.disk.frame_size,
+                nbytes=(k + intent.request_span) * self.disk.frame_size,
             ):
-                if len(extras) == 1:
-                    self.disk.write_request(
-                        intent.block_start,
-                        intent.frames[:k],
-                        intent.extra_location,
-                        intent.frames[k],
-                    )
-                else:
-                    # Window of several ops: one contiguous block write plus one
-                    # write per per-op extra frame — the mirror image of
-                    # the read side's single block scan.
-                    self.disk.write_range(intent.block_start,
-                                          intent.frames[:k])
-                    for location, frame in zip(extras, intent.frames[k:]):
-                        self.disk.write(location, frame)
+                self.disk.write_ranges(ranges, intent.frames)
         except Exception:
             # The trusted deltas above are already applied, so the pageMap
             # now points at frames that were never written.  Retain the

@@ -244,7 +244,8 @@ class WriteIntent:
     next_block: int
     rotation_left: int  # -1 when no key rotation is in progress
     block_start: int
-    extra_location: int
+    # One extra frame per executed operation of the window, in op order.
+    extra_locations: List[int]
     cache_puts: List[Tuple[int, Page]] = field(default_factory=list)
     flag_ops: List[Tuple[int, int]] = field(default_factory=list)
     map_ops: List[Tuple[int, int, int]] = field(default_factory=list)
@@ -252,30 +253,11 @@ class WriteIntent:
     # kernel's frame matrix as it is, a decoded record holds a read-only
     # matrix view of the record it came in.
     frames: Sequence = field(default_factory=list)
-    # A fused batch window commits one extra frame per executed operation;
-    # ``None`` means the classic single-extra request (``extra_location``).
-    extra_locations: Optional[List[int]] = None
-
-    def __post_init__(self) -> None:
-        # Normalise: a one-entry list IS the classic single-extra record,
-        # so both spellings encode (and compare) identically.
-        if self.extra_locations is not None:
-            if not self.extra_locations:
-                raise ConfigurationError("intent needs at least one extra")
-            self.extra_location = self.extra_locations[0]
-            if len(self.extra_locations) == 1:
-                self.extra_locations = None
-
-    def extras(self) -> List[int]:
-        """Extra-frame locations, always as a list (len 1 for serial ops)."""
-        if self.extra_locations is None:
-            return [self.extra_location]
-        return list(self.extra_locations)
 
     @property
     def request_span(self) -> int:
         """How many logical requests this record commits (1 per extra)."""
-        return 1 if self.extra_locations is None else len(self.extra_locations)
+        return len(self.extra_locations)
 
     # -- codec ---------------------------------------------------------------
 
@@ -286,7 +268,7 @@ class WriteIntent:
         deltas do not fill is zero pad — so the sealed record's length
         says nothing about what the window's ops did.
         """
-        extras = self.extras()
+        extras = self.extra_locations
         parts: List[bytes] = [
             _POINTERS.pack(self.request_index, self.next_block,
                            self.rotation_left, self.block_start),
@@ -327,7 +309,6 @@ class WriteIntent:
             next_block=next_block,
             rotation_left=rotation_left,
             block_start=block_start,
-            extra_location=extra_locations[0],
             extra_locations=extra_locations,
             frames=frames,
         )

@@ -38,7 +38,7 @@ Fault kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..crypto.rng import SecureRandom
 from ..sim.metrics import CounterSet
@@ -299,10 +299,16 @@ class FaultInjector:
                                  corrupt_index=corrupt_index)
         return None
 
+    def corruption(self, length: int) -> Tuple[int, int]:
+        """Which byte of a ``length``-byte blob to damage, and the non-zero
+        mask to XOR into it — drawn without the blob, so a wrapper can
+        decide a read's damage before the frames arrive."""
+        return self.rng.randrange(length), 1 + self.rng.randrange(255)
+
     def corrupt_blob(self, blob: bytes) -> bytes:
         """Flip one pseudorandom byte of ``blob`` (never a no-op)."""
         if not blob:
             return blob
-        position = self.rng.randrange(len(blob))
-        flipped = blob[position] ^ (1 + self.rng.randrange(255))
-        return blob[:position] + bytes([flipped]) + blob[position + 1:]
+        position, mask = self.corruption(len(blob))
+        return (blob[:position] + bytes([blob[position] ^ mask])
+                + blob[position + 1:])

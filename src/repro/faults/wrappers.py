@@ -33,6 +33,7 @@ from .injector import (
 )
 from ..errors import TransientChannelError, TransientStorageError
 from ..storage.disk import StoreWrapper
+from ..storage.frames import frame_matrix
 
 __all__ = ["FaultyDiskStore", "FlakyChannel", "FaultyJournal"]
 
@@ -40,66 +41,80 @@ __all__ = ["FaultyDiskStore", "FlakyChannel", "FaultyJournal"]
 class FaultyDiskStore(StoreWrapper):
     """Fault-injecting wrapper with the engine's disk interface.
 
-    Transient faults fire *before* the inner operation (nothing lands);
-    corruption damages frames on the way back from a successful read; a
-    crash applies a torn prefix of the write and raises
-    :class:`~repro.faults.injector.SimulatedCrash`.  Only the two range
-    calls are overridden: a request decomposes into the same two accesses
-    the local store performs, so each leg gets its own fault decision and
-    the trace shape is unchanged.
+    Every range of a call is one disk access and gets its own fault
+    decision, in order.  Transient faults fire *before* the access (it and
+    the ranges after it never happen, the ranges before it did);
+    corruption damages a frame on the way back from a successful read, or
+    on the way down in a copy of the write; a crash lands the ranges before
+    it plus a torn prefix of its own and raises
+    :class:`~repro.faults.injector.SimulatedCrash`.  Whatever reaches the
+    inner store reaches it in one call, so the trace shape is unchanged.
     """
 
     def __init__(self, inner, injector: FaultInjector):
         super().__init__(inner)
         self.injector = injector
 
-    def read_range(self, location: int, count: int) -> np.ndarray:
-        decision = self.injector.check(SITE_DISK_READ, count)
-        if decision is not None and decision.kind == "transient":
-            raise TransientStorageError(
-                f"injected transient fault reading [{location}, "
-                f"{location + count})"
-            )
-        frames = self.inner.read_range(location, count)
-        if decision is not None and decision.kind == "corrupt":
-            # The matrix is this read's own copy: the damage never reaches
-            # the store, so a re-read is clean.
-            index = decision.corrupt_index
-            frames[index] = self._corrupted(frames[index])
+    def read_ranges(self, ranges) -> np.ndarray:
+        damage = []
+        row = 0
+        for index, (location, count) in enumerate(ranges):
+            decision = self.injector.check(SITE_DISK_READ, count)
+            kind = None if decision is None else decision.kind
+            if kind == "transient":
+                if index:
+                    self.inner.read_ranges(ranges[:index])
+                raise TransientStorageError(
+                    f"injected transient fault reading [{location}, "
+                    f"{location + count})"
+                )
+            if kind == "corrupt":
+                damage.append((row + decision.corrupt_index,
+                               *self.injector.corruption(self.frame_size)))
+            row += count
+        frames = self.inner.read_ranges(ranges)
+        # The matrix is this read's own copy: the damage never reaches the
+        # store, so a re-read is clean.
+        for damaged, position, mask in damage:
+            frames[damaged, position] ^= mask
         return frames
 
-    def _corrupted(self, frame) -> np.ndarray:
-        return np.frombuffer(
-            self.injector.corrupt_blob(bytes(frame)), np.uint8
-        )
-
-    def write_range(self, location: int, frames) -> None:
-        decision = self.injector.check(SITE_DISK_WRITE, len(frames))
-        if decision is None:
-            self.inner.write_range(location, frames)
-            return
-        if decision.kind == "transient":
-            raise TransientStorageError(
-                f"injected transient fault writing [{location}, "
-                f"{location + len(frames)})"
-            )
-        if decision.kind == "crash":
-            # Torn write: a prefix of the frames becomes durable, then the
-            # host dies before the rest (or the caller's bookkeeping) lands.
-            if decision.torn_frames > 0:
-                self.inner.write_range(location,
-                                       frames[:decision.torn_frames])
-            raise SimulatedCrash(
-                f"simulated power loss after {decision.torn_frames} of "
-                f"{len(frames)} frames at location {location}"
-            )
-        # Corruption of a write: the damaged frame lands silently (in a
-        # copy — the caller's frames are the caller's).
-        damaged = list(frames)
-        damaged[decision.corrupt_index] = self._corrupted(
-            damaged[decision.corrupt_index]
-        )
-        self.inner.write_range(location, damaged)
+    def write_ranges(self, ranges, frames) -> None:
+        frames = intact = frame_matrix(frames, self.frame_size)
+        row = 0
+        for index, (location, count) in enumerate(ranges):
+            decision = self.injector.check(SITE_DISK_WRITE, count)
+            if decision is None:
+                pass
+            elif decision.kind in ("transient", "crash"):
+                # What lands before the call fails: the ranges before this
+                # one and, under a crash, a torn prefix of its own — then
+                # the host dies before the rest (or the caller's
+                # bookkeeping) lands.
+                torn = decision.torn_frames if decision.kind == "crash" else 0
+                landed = list(ranges[:index])
+                if torn:
+                    landed.append((location, torn))
+                if landed:
+                    self.inner.write_ranges(landed, frames[:row + torn])
+                if decision.kind == "transient":
+                    raise TransientStorageError(
+                        f"injected transient fault writing [{location}, "
+                        f"{location + count})"
+                    )
+                raise SimulatedCrash(
+                    f"simulated power loss after {torn} of {count} frames "
+                    f"at location {location}"
+                )
+            else:
+                # Corruption of a write: the damaged frame lands silently
+                # (in a copy — the caller's frames are the caller's).
+                if frames is intact:
+                    frames = frames.copy()
+                position, mask = self.injector.corruption(self.frame_size)
+                frames[row + decision.corrupt_index, position] ^= mask
+            row += count
+        self.inner.write_ranges(ranges, frames)
 
 
 class FlakyChannel:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import struct
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from . import protocol
 from .health import (
@@ -634,24 +634,16 @@ class QueryFrontend:
         )
 
     def _dispatch(self, request: protocol.ClientMessage) -> protocol.ClientMessage:
-        db = self.database
         if isinstance(request, protocol.Batch):
             return self._dispatch_batch(request)
-        if isinstance(request, protocol.Query):
-            payload = db.query(request.page_id)
-            return protocol.Result(request.page_id, payload)
-        if isinstance(request, protocol.Update):
-            db.update(request.page_id, request.payload)
-            return protocol.Ok()
-        if isinstance(request, protocol.Insert):
-            new_id = db.insert(request.payload)
-            return protocol.Result(new_id, request.payload)
-        if isinstance(request, protocol.Delete):
-            db.delete(request.page_id)
-            return protocol.Ok()
-        raise ProtocolError(
-            f"frontend cannot handle {type(request).__name__}"
-        )
+        op = _OPS.get(type(request))
+        if op is None:
+            raise ProtocolError(
+                f"frontend cannot handle {type(request).__name__}"
+            )
+        # The database's per-op method is its run_batch of one with the
+        # slot's error raised (into serve()'s refusal arm).
+        return op.reply(request, op.call(self.database, request))
 
     def _dispatch_batch(self, batch: protocol.Batch) -> protocol.BatchReply:
         """Serve a batch; failures refuse that slot, not the batch.
@@ -669,18 +661,8 @@ class QueryFrontend:
         self.counters.increment("batch.ops", len(batch.ops))
         if self._batch_sizes is not None:
             self._batch_sizes.observe(len(batch.ops))
-        # The wire codec admits only these four op types inside a Batch.
-        ops: List[BatchOp] = []
-        for op in batch.ops:
-            if isinstance(op, protocol.Query):
-                ops.append(BatchOp("query", page_id=op.page_id))
-            elif isinstance(op, protocol.Update):
-                ops.append(BatchOp("update", page_id=op.page_id,
-                                   payload=op.payload))
-            elif isinstance(op, protocol.Insert):
-                ops.append(BatchOp("insert", payload=op.payload))
-            else:
-                ops.append(BatchOp("delete", page_id=op.page_id))
+        # The wire codec admits only the four op types inside a Batch.
+        ops = [_OPS[type(op)].engine_op(op) for op in batch.ops]
         with self.tracer.span("frontend.batch"):
             results = self.database.run_batch(ops)
         failures = {id(outcome): outcome for outcome in results
@@ -688,18 +670,43 @@ class QueryFrontend:
         faulted = [self._record_fault(exc) for exc in failures.values()]
         if not any(faulted):
             self.health.record_success()
-        replies: List[protocol.ClientMessage] = []
-        for op, outcome in zip(batch.ops, results):
-            if isinstance(outcome, ReproError):
-                replies.append(self._refusal_for(outcome))
-                continue
-            if isinstance(op, protocol.Query):
-                replies.append(protocol.Result(op.page_id, outcome))
-            elif isinstance(op, protocol.Insert):
-                replies.append(protocol.Result(outcome, op.payload))
-            else:
-                replies.append(protocol.Ok())
-        return protocol.BatchReply(replies)
+        return protocol.BatchReply([
+            self._refusal_for(outcome) if isinstance(outcome, ReproError)
+            else _OPS[type(op)].reply(op, outcome)
+            for op, outcome in zip(batch.ops, results)
+        ])
+
+
+class _Op(NamedTuple):
+    call: Callable       # (database, wire op) -> outcome, for a lone op
+    engine_op: Callable  # wire op -> BatchOp, for a batch slot
+    reply: Callable      # (wire op, its outcome) -> reply message
+
+
+# The one op table: what a lone op and a batch slot run, and the one reply
+# either way — clients cannot tell a batched op from a single one.
+_OPS = {
+    protocol.Query: _Op(
+        lambda db, op: db.query(op.page_id),
+        lambda op: BatchOp("query", page_id=op.page_id),
+        lambda op, payload: protocol.Result(op.page_id, payload),
+    ),
+    protocol.Update: _Op(
+        lambda db, op: db.update(op.page_id, op.payload),
+        lambda op: BatchOp("update", page_id=op.page_id, payload=op.payload),
+        lambda op, _: protocol.Ok(),
+    ),
+    protocol.Insert: _Op(
+        lambda db, op: db.insert(op.payload),
+        lambda op: BatchOp("insert", payload=op.payload),
+        lambda op, new_id: protocol.Result(new_id, op.payload),
+    ),
+    protocol.Delete: _Op(
+        lambda db, op: db.delete(op.page_id),
+        lambda op: BatchOp("delete", page_id=op.page_id),
+        lambda op, _: protocol.Ok(),
+    ),
+}
 
 
 class ClientOperationsMixin:

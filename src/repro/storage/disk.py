@@ -10,18 +10,27 @@ secure-hardware boundary before bytes reach the disk.
 The store contract
 ------------------
 
-A *batch* of frames is one C-contiguous ``numpy.uint8`` matrix of
-``count x frame_size``.  :meth:`DiskStore.read_range` and
-:meth:`DiskStore.read_request` return a fresh one that **the caller owns**
-— writing into it never changes the store — and the write side accepts one,
-or any sequence of ``frame_size``-long bytes-like rows, and copies it in.
-The single-frame calls (:meth:`~DiskStore.read`, :meth:`~DiskStore.peek`)
-return ``bytes``.  Every store and wrapper with this interface keeps the
-same contract; whoever *retains* a frame it was handed copies it.
+A disk access is a sequence of ``(location, count)`` **ranges**, and the
+two verbs every store and wrapper implements take one:
+``read_ranges(ranges)`` and ``write_ranges(ranges, frames)``.  Each range
+is exactly one disk access — one seek charge, one :class:`AccessEvent`, one
+``disk.read`` / ``disk.write`` span, one fault decision — performed in the
+order given, and every range is validated before the first is charged, so
+a refused call leaves clock and trace untouched.  The single-frame and
+single-range calls (``read``, ``read_range``, ``write``, ``write_range``)
+are :class:`RangeAccess`'s, spelled once on the two verbs.
+
+The frames of a call are one C-contiguous ``numpy.uint8`` matrix of
+``count x frame_size``, the ranges' frames back to back.  A read returns a
+fresh one that **the caller owns** — writing into it never changes the
+store — and the write side accepts one, or any sequence of
+``frame_size``-long bytes-like rows, and copies it in.  The single-frame
+calls (:meth:`~RangeAccess.read`, :meth:`~DiskStore.peek`) return
+``bytes``.  Whoever *retains* a frame it was handed copies it.
 
 A wrapper (fault injection, hot tier, freshness tree) subclasses
 :class:`StoreWrapper`, which forwards the whole interface to the store it
-wraps, and overrides only what it changes.
+wraps, and overrides the two verbs and nothing else.
 """
 
 from __future__ import annotations
@@ -30,17 +39,42 @@ from typing import Optional
 
 import numpy as np
 
-from .frames import frame_matrix
+from .frames import frame_count, frame_matrix, range_rows
 from .timing import DiskTimingModel
 from .trace import READ, WRITE, AccessEvent, AccessTrace
 from ..errors import StorageError
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..sim.clock import VirtualClock
 
-__all__ = ["DiskStore", "StoreWrapper"]
+__all__ = ["RangeAccess", "DiskStore", "StoreWrapper"]
 
 
-class DiskStore:
+class RangeAccess:
+    """The single-range calls of a store, on its two verbs.
+
+    Whatever has ``frame_size``, ``read_ranges`` and ``write_ranges`` gets
+    the rest of the access interface from here.
+    """
+
+    def read(self, location: int) -> bytes:
+        """Read one frame (charges one seek + one frame transfer)."""
+        return self.read_ranges([(location, 1)]).tobytes()
+
+    def read_range(self, location: int, count: int) -> np.ndarray:
+        """Read ``count`` consecutive frames as one contiguous disk access."""
+        return self.read_ranges([(location, count)])
+
+    def write(self, location: int, frame) -> None:
+        """Write one frame (charges one seek + one frame transfer)."""
+        self.write_ranges([(location, 1)], [frame])
+
+    def write_range(self, location: int, frames) -> None:
+        """Write consecutive frames as one contiguous disk access."""
+        frames = frame_matrix(frames, self.frame_size)
+        self.write_ranges([(location, len(frames))], frames)
+
+
+class DiskStore(RangeAccess):
     """Fixed-size array of page frames with timing + trace instrumentation.
 
     The frames are one ``num_locations x frame_size`` arena plus a bitmap
@@ -111,81 +145,46 @@ class DiskStore:
 
     # -- access ----------------------------------------------------------------
 
-    def _read_ranges(self, *ranges: "tuple[int, int]") -> np.ndarray:
-        """Each ``(location, count)`` as its own disk access, into one matrix.
-
-        Every range is validated before the first one is charged, so a
-        refused read leaves clock and trace untouched.
-        """
+    def _check_readable(self, ranges) -> None:
         for location, count in ranges:
             self._check_range(location, count)
             self._check_written(location, count)
-        out = np.empty(
-            (sum(count for _, count in ranges), self.frame_size), np.uint8
-        )
-        row = 0
-        for location, count in ranges:
-            nbytes = count * self.frame_size
+
+    def read_ranges(self, ranges) -> np.ndarray:
+        """Each ``(location, count)`` as its own disk access, into one matrix."""
+        self._check_readable(ranges)
+        out = np.empty((frame_count(ranges), self.frame_size), np.uint8)
+        for location, rows in range_rows(ranges, out):
+            nbytes = rows.nbytes
             with self.tracer.span("disk.read", nbytes=nbytes):
                 self.clock.advance(self.timing.read_time(nbytes))
-                self._load(location, out[row : row + count])
+                self._load(location, rows)
                 self.trace.record(
-                    AccessEvent(READ, location, count, self.current_request,
-                                self.clock.now)
+                    AccessEvent(READ, location, len(rows),
+                                self.current_request, self.clock.now)
                 )
-            row += count
         return out
 
-    def read(self, location: int) -> bytes:
-        """Read one frame (charges one seek + one frame transfer)."""
-        return self._read_ranges((location, 1)).tobytes()
-
-    def read_range(self, location: int, count: int) -> np.ndarray:
-        """Read ``count`` consecutive frames as one contiguous disk access."""
-        return self._read_ranges((location, count))
-
-    def write(self, location: int, frame) -> None:
-        """Write one frame (charges one seek + one frame transfer)."""
-        self.write_range(location, [frame])
-
-    def write_range(self, location: int, frames) -> None:
-        """Write consecutive frames as one contiguous disk access."""
+    def write_ranges(self, ranges, frames) -> None:
+        """Each ``(location, count)`` as its own disk access, out of
+        ``frames`` (the ranges' frames back to back)."""
         frames = frame_matrix(frames, self.frame_size)
-        count = len(frames)
-        self._check_range(location, count)
-        nbytes = count * self.frame_size
-        with self.tracer.span("disk.write", nbytes=nbytes):
-            self.clock.advance(self.timing.write_time(nbytes))
-            self._store(location, frames)
-            self._written[location : location + count] = True
-            self.trace.record(
-                AccessEvent(WRITE, location, count, self.current_request,
-                            self.clock.now)
+        for location, count in ranges:
+            self._check_range(location, count)
+        if frame_count(ranges) != len(frames):
+            raise StorageError(
+                f"{len(frames)} frames do not fill the ranges {list(ranges)}"
             )
-
-    # -- request-granular access -----------------------------------------------
-    #
-    # One Figure-3 request touches a block plus one extra location.  These
-    # combined entry points keep the local disk behaviour identical (two
-    # separate contiguous accesses each way) while letting remote transports
-    # (repro.twoparty.RemoteDisk) override them with a single round trip.
-
-    def read_request(
-        self, block_start: int, count: int, extra_location: int
-    ) -> np.ndarray:
-        """Read a block and one extra frame for a single retrieval request.
-
-        One ``(count + 1) x frame_size`` matrix: the block's frames, then
-        the extra frame as the last row.
-        """
-        return self._read_ranges((block_start, count), (extra_location, 1))
-
-    def write_request(
-        self, block_start: int, frames, extra_location: int, extra_frame
-    ) -> None:
-        """Write back a block and one extra frame for a retrieval request."""
-        self.write_range(block_start, frames)
-        self.write(extra_location, extra_frame)
+        for location, rows in range_rows(ranges, frames):
+            nbytes = rows.nbytes
+            with self.tracer.span("disk.write", nbytes=nbytes):
+                self.clock.advance(self.timing.write_time(nbytes))
+                self._store(location, rows)
+                self._written[location : location + len(rows)] = True
+                self.trace.record(
+                    AccessEvent(WRITE, location, len(rows),
+                                self.current_request, self.clock.now)
+                )
 
     # -- adversary-side helpers --------------------------------------------------
     #
@@ -236,15 +235,15 @@ def _forwarded(name: str, settable: bool = False) -> property:
     return property(fget, fset if settable else None)
 
 
-class StoreWrapper:
+class StoreWrapper(RangeAccess):
     """A store in front of another store; forwards everything to ``inner``.
 
-    A wrapper overrides what it changes.  The single-frame and
-    request-granular calls are composed from the wrapper's *own* range
-    calls, so overriding :meth:`read_range` / :meth:`write_range` is enough
-    to see every frame, and a request stays the two accesses per direction
-    the local store performs.  ``tracer`` and ``current_request`` are
-    assigned through to the store that does the I/O.
+    A wrapper overrides :meth:`read_ranges` / :meth:`write_ranges` and sees
+    every frame: the single-range calls are :class:`RangeAccess`'s, on the
+    wrapper's *own* verbs.  It forwards a call's ranges together where it
+    can, so a remote transport underneath keeps its single round trip.
+    ``tracer`` and ``current_request`` are assigned through to the store
+    that does the I/O.
     """
 
     def __init__(self, inner):
@@ -258,31 +257,11 @@ class StoreWrapper:
     tracer = _forwarded("tracer", settable=True)
     current_request = _forwarded("current_request", settable=True)
 
-    def read(self, location: int) -> bytes:
-        return self.read_range(location, 1).tobytes()
+    def read_ranges(self, ranges) -> np.ndarray:
+        return self.inner.read_ranges(ranges)
 
-    def read_range(self, location: int, count: int) -> np.ndarray:
-        return self.inner.read_range(location, count)
-
-    def write(self, location: int, frame) -> None:
-        self.write_range(location, [frame])
-
-    def write_range(self, location: int, frames) -> None:
-        self.inner.write_range(location, frames)
-
-    def read_request(
-        self, block_start: int, count: int, extra_location: int
-    ) -> np.ndarray:
-        return np.concatenate((
-            self.read_range(block_start, count),
-            self.read_range(extra_location, 1),
-        ))
-
-    def write_request(
-        self, block_start: int, frames, extra_location: int, extra_frame
-    ) -> None:
-        self.write_range(block_start, frames)
-        self.write(extra_location, extra_frame)
+    def write_ranges(self, ranges, frames) -> None:
+        self.inner.write_ranges(ranges, frames)
 
     def peek(self, location: int) -> Optional[bytes]:
         return self.inner.peek(location)

@@ -4,7 +4,9 @@ The stores hand frames around as ``count x frame_size`` matrices (see the
 store contract in :mod:`repro.storage.disk`); callers that still hold
 frames one by one — set-up, the reshuffler, the baselines, tests — pass any
 sequence of bytes-like rows.  :func:`frame_matrix` is the one place the two
-spellings meet.
+spellings meet.  A store access names its frames by a sequence of
+``(location, count)`` ranges whose frames sit back to back in one matrix;
+:func:`range_rows` walks the two together.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from ..errors import StorageError
 
-__all__ = ["frame_matrix"]
+__all__ = ["frame_matrix", "frame_count", "range_rows"]
 
 
 def frame_matrix(frames, frame_size: int) -> np.ndarray:
@@ -38,3 +40,16 @@ def frame_matrix(frames, frame_size: int) -> np.ndarray:
     return np.frombuffer(b"".join(frames), np.uint8).reshape(
         len(frames), frame_size
     )
+
+
+def frame_count(ranges) -> int:
+    """How many frames the ``(location, count)`` ranges name together."""
+    return sum(count for _, count in ranges)
+
+
+def range_rows(ranges, frames):
+    """Each range's location with its own rows of ``frames``, in order."""
+    row = 0
+    for location, count in ranges:
+        yield location, frames[row : row + count]
+        row += count

@@ -21,6 +21,7 @@ import hashlib
 from typing import List, Sequence, Tuple
 
 from .disk import StoreWrapper
+from .frames import range_rows
 from ..errors import AuthenticationError, StorageError
 
 __all__ = ["MerkleTree", "AuthenticatedDisk"]
@@ -147,30 +148,14 @@ class AuthenticatedDisk(StoreWrapper):
                 "returned a stale or altered frame"
             )
 
-    def read_range(self, location: int, count: int):
-        frames = self.inner.read_range(location, count)
-        for offset, frame in enumerate(frames):
-            self._verify(location + offset, frame)
+    def read_ranges(self, ranges):
+        frames = self.inner.read_ranges(ranges)
+        for location, rows in range_rows(ranges, frames):
+            for offset, frame in enumerate(rows):
+                self._verify(location + offset, frame)
         return frames
 
-    def write_range(self, location: int, frames: Sequence[bytes]) -> None:
-        self.inner.write_range(location, frames)
-        self._trusted_root = self._tree.update_range(location, frames)
-
-    # The request-granular calls go to the inner store's combined form, not
-    # to the range calls above, so a remote transport underneath keeps its
-    # single round trip.
-
-    def read_request(self, block_start: int, count: int, extra_location: int):
-        frames = self.inner.read_request(block_start, count, extra_location)
-        for offset in range(count):
-            self._verify(block_start + offset, frames[offset])
-        self._verify(extra_location, frames[count])
-        return frames
-
-    def write_request(self, block_start: int, frames: Sequence[bytes],
-                      extra_location: int, extra_frame: bytes) -> None:
-        self.inner.write_request(block_start, frames, extra_location,
-                                 extra_frame)
-        self._tree.update_range(block_start, frames)
-        self._trusted_root = self._tree.update(extra_location, extra_frame)
+    def write_ranges(self, ranges, frames) -> None:
+        self.inner.write_ranges(ranges, frames)
+        for location, rows in range_rows(ranges, frames):
+            self._trusted_root = self._tree.update_range(location, rows)

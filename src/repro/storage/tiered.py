@@ -44,9 +44,9 @@ from typing import List, Optional
 import numpy as np
 
 from .disk import DiskStore, StoreWrapper
-from .frames import frame_matrix
+from .frames import frame_count, frame_matrix, range_rows
 from .timing import DiskTimingModel
-from .trace import READ, WRITE, AccessEvent
+from .trace import READ, AccessEvent
 from ..errors import ConfigurationError
 from ..sim.metrics import CounterSet
 
@@ -260,29 +260,37 @@ class TieredDiskStore(StoreWrapper):
 
     # -- access ----------------------------------------------------------------
 
-    def read_range(self, location: int, count: int) -> np.ndarray:
+    def read_ranges(self, ranges) -> np.ndarray:
+        self.cold._check_readable(ranges)
+        out = np.empty((frame_count(ranges), self.frame_size), np.uint8)
+        # Hot or cold is decided range by range, in order: admitting one
+        # range can evict the next one's frames.
+        for location, rows in range_rows(ranges, out):
+            self._read_into(location, rows)
+        return out
+
+    def _read_into(self, location: int, out: np.ndarray) -> None:
+        """One range, from whichever tier holds all of it."""
         slots = self._slots
+        count = len(out)
         span = range(location, location + count)
         try:
             rows = [slots[loc] for loc in span]
         except KeyError:
             # Some frame is cold: the whole range is one cold access.
-            frames = self.cold.read_range(location, count)
+            out[:] = self.cold.read_ranges([(location, count)])
             self.counters.increment("miss", count)
-            self._admit(location, frames)
-            return frames
+            self._admit(location, out)
+            return
         # Hot hit: same trace event, memory-tier timing.
-        self.cold._check_range(location, count)
-        nbytes = count * self.frame_size
-        with self.tracer.span("tier.hot_read", nbytes=nbytes):
-            self.clock.advance(self.hot_timing.read_time(nbytes))
-            # A copy the caller owns, like a cold read.  (A one-row slice
-            # copy costs a quarter of a one-row fancy index, and the
-            # reshuffler reads single frames.)
+        with self.tracer.span("tier.hot_read", nbytes=out.nbytes):
+            self.clock.advance(self.hot_timing.read_time(out.nbytes))
+            # (A one-row copy costs a quarter of a one-row fancy index,
+            # and the reshuffler reads single frames.)
             if count == 1:
-                frames = self._arena[rows[0] : rows[0] + 1].copy()
+                out[0] = self._arena[rows[0]]
             else:
-                frames = self._arena[rows]
+                out[:] = self._arena[rows]
             for loc in span:
                 slots.move_to_end(loc)
             self.trace.record(
@@ -290,14 +298,14 @@ class TieredDiskStore(StoreWrapper):
                             self.clock.now)
             )
         self.counters.increment("hit", count)
-        return frames
 
-    def write_range(self, location: int, frames) -> None:
+    def write_ranges(self, ranges, frames) -> None:
         # Write-through: cold first (authoritative, charges + traces), then
         # refresh the hot copies so subsequent reads hit.
         frames = frame_matrix(frames, self.frame_size)
-        self.cold.write_range(location, frames)
-        self._admit(location, frames)
+        self.cold.write_ranges(ranges, frames)
+        for location, rows in range_rows(ranges, frames):
+            self._admit(location, rows)
 
     # -- adversary-side helpers --------------------------------------------------
 

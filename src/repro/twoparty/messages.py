@@ -2,18 +2,21 @@
 
 The paper's prototype used Boost.Asio over WiFi; we define an explicit,
 byte-accurate framing so the simulated channel can charge the network for
-exactly the bytes a real deployment would move:
+exactly the bytes a real deployment would move.  The owner's two messages
+are the store's two verbs (:mod:`repro.storage.disk`) — a list of
+``(location, count)`` ranges, with the ranges' frames back to back on the
+write side — so one request is one READ_RANGES and one WRITE_RANGES round
+trip whatever its window, and the setup upload is a WRITE_RANGES of one
+range:
 
 ======  ============  ==========================================
 opcode  message       body
 ======  ============  ==========================================
-0x01    UPLOAD        u64 start, u32 count, count frames
-0x02    UPLOAD_ACK    (empty)
-0x03    READ_REQ      u64 block_start, u32 count, u64 extra_loc
-0x04    READ_RESP     u32 count, count frames, 1 extra frame
-0x05    WRITE_REQ     u64 block_start, u32 count, count frames,
-                      u64 extra_loc, 1 extra frame
-0x06    WRITE_ACK     (empty)
+0x01    READ_RANGES   u32 n, n x (u64 location, u32 count)
+0x02    FRAMES        u32 count, count frames
+0x03    WRITE_RANGES  u32 n, n x (u64 location, u32 count),
+                      sum(count) frames
+0x04    ACK           (empty)
 0x7F    ERROR         u32 len, utf-8 message
 ======  ============  ==========================================
 
@@ -30,65 +33,53 @@ from typing import Tuple, Union
 from ..errors import ProtocolError
 
 __all__ = [
-    "Upload",
-    "UploadAck",
-    "ReadRequest",
-    "ReadResponse",
-    "WriteRequest",
-    "WriteAck",
+    "MAX_RANGES",
+    "ReadRanges",
+    "Frames",
+    "WriteRanges",
+    "Ack",
     "ErrorReply",
     "encode",
     "decode",
     "Message",
 ]
 
-_OP_UPLOAD = 0x01
-_OP_UPLOAD_ACK = 0x02
-_OP_READ_REQ = 0x03
-_OP_READ_RESP = 0x04
-_OP_WRITE_REQ = 0x05
-_OP_WRITE_ACK = 0x06
+_OP_READ_RANGES = 0x01
+_OP_FRAMES = 0x02
+_OP_WRITE_RANGES = 0x03
+_OP_ACK = 0x04
 _OP_ERROR = 0x7F
 
 _HEADER = struct.Struct(">B")
-_U64 = struct.Struct(">Q")
 _U32 = struct.Struct(">I")
+_RANGE = struct.Struct(">QI")
+
+# The most ranges one message may name: a request's window is a block plus
+# one frame per op, so this is far above any window the engine forms and
+# far below what a hostile count could make the decoder build.
+MAX_RANGES = 1 << 16
+
+Ranges = Tuple[Tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
-class Upload:
-    start: int
-    frames: Tuple[bytes, ...]
+class ReadRanges:
+    ranges: Ranges
 
 
 @dataclass(frozen=True)
-class UploadAck:
-    pass
+class Frames:
+    frames: bytes  # whole frames, back to back
 
 
 @dataclass(frozen=True)
-class ReadRequest:
-    block_start: int
-    count: int
-    extra_location: int
+class WriteRanges:
+    ranges: Ranges
+    frames: bytes  # the ranges' frames, back to back
 
 
 @dataclass(frozen=True)
-class ReadResponse:
-    frames: Tuple[bytes, ...]
-    extra_frame: bytes
-
-
-@dataclass(frozen=True)
-class WriteRequest:
-    block_start: int
-    frames: Tuple[bytes, ...]
-    extra_location: int
-    extra_frame: bytes
-
-
-@dataclass(frozen=True)
-class WriteAck:
+class Ack:
     pass
 
 
@@ -97,72 +88,79 @@ class ErrorReply:
     message: str
 
 
-Message = Union[
-    Upload, UploadAck, ReadRequest, ReadResponse, WriteRequest, WriteAck, ErrorReply
-]
+Message = Union[ReadRanges, Frames, WriteRanges, Ack, ErrorReply]
 
 
-def _join_frames(frame_size: int, *frames) -> bytes:
-    """The bytes-like frames (``bytes`` or frame-matrix rows) back to back."""
-    for frame in frames:
-        if len(frame) != frame_size:
-            raise ProtocolError(
-                f"frame of {len(frame)} bytes violates negotiated size {frame_size}"
-            )
-    return b"".join(frames)
+def _pack_ranges(ranges: Ranges) -> bytes:
+    if len(ranges) > MAX_RANGES:
+        raise ProtocolError(
+            f"{len(ranges)} ranges exceed the {MAX_RANGES}-range bound"
+        )
+    try:
+        return _U32.pack(len(ranges)) + b"".join(
+            [_RANGE.pack(location, count) for location, count in ranges]
+        )
+    except struct.error as exc:
+        raise ProtocolError(f"range does not fit the wire: {exc}") from exc
+
+
+def _frame_count(frames: bytes, frame_size: int) -> int:
+    count, partial = divmod(len(frames), frame_size)
+    if partial:
+        raise ProtocolError(
+            f"{len(frames)} bytes of frames violate negotiated size {frame_size}"
+        )
+    return count
 
 
 def encode(message: Message, frame_size: int) -> bytes:
     """Serialise a message; ``frame_size`` is the session's fixed frame size."""
-    if isinstance(message, Upload):
+    if isinstance(message, ReadRanges):
+        return _HEADER.pack(_OP_READ_RANGES) + _pack_ranges(message.ranges)
+    if isinstance(message, Frames):
+        count = _frame_count(message.frames, frame_size)
+        return _HEADER.pack(_OP_FRAMES) + _U32.pack(count) + message.frames
+    if isinstance(message, WriteRanges):
+        wanted = sum(count for _, count in message.ranges)
+        if _frame_count(message.frames, frame_size) != wanted:
+            raise ProtocolError(
+                f"{len(message.frames)} bytes of frames do not fill the "
+                f"{wanted} frames of the ranges"
+            )
         return (
-            _HEADER.pack(_OP_UPLOAD)
-            + _U64.pack(message.start)
-            + _U32.pack(len(message.frames))
-            + _join_frames(frame_size, *message.frames)
+            _HEADER.pack(_OP_WRITE_RANGES)
+            + _pack_ranges(message.ranges)
+            + message.frames
         )
-    if isinstance(message, UploadAck):
-        return _HEADER.pack(_OP_UPLOAD_ACK)
-    if isinstance(message, ReadRequest):
-        return (
-            _HEADER.pack(_OP_READ_REQ)
-            + _U64.pack(message.block_start)
-            + _U32.pack(message.count)
-            + _U64.pack(message.extra_location)
-        )
-    if isinstance(message, ReadResponse):
-        return (
-            _HEADER.pack(_OP_READ_RESP)
-            + _U32.pack(len(message.frames))
-            + _join_frames(frame_size, *message.frames, message.extra_frame)
-        )
-    if isinstance(message, WriteRequest):
-        return (
-            _HEADER.pack(_OP_WRITE_REQ)
-            + _U64.pack(message.block_start)
-            + _U32.pack(len(message.frames))
-            + _join_frames(frame_size, *message.frames)
-            + _U64.pack(message.extra_location)
-            + _join_frames(frame_size, message.extra_frame)
-        )
-    if isinstance(message, WriteAck):
-        return _HEADER.pack(_OP_WRITE_ACK)
+    if isinstance(message, Ack):
+        return _HEADER.pack(_OP_ACK)
     if isinstance(message, ErrorReply):
         body = message.message.encode("utf-8")
         return _HEADER.pack(_OP_ERROR) + _U32.pack(len(body)) + body
     raise ProtocolError(f"cannot encode message of type {type(message).__name__}")
 
 
+def _take_ranges(buffer: bytes, offset: int) -> Tuple[Ranges, int]:
+    count = _U32.unpack_from(buffer, offset)[0]
+    if count > MAX_RANGES:
+        raise ProtocolError(
+            f"{count} ranges exceed the {MAX_RANGES}-range bound"
+        )
+    start = offset + _U32.size
+    end = start + count * _RANGE.size
+    if end > len(buffer):
+        raise ProtocolError("message truncated while reading ranges")
+    return tuple(_RANGE.iter_unpack(buffer[start:end])), end
+
+
 def _take_frames(buffer: bytes, offset: int, count: int, frame_size: int
-                 ) -> Tuple[Tuple[bytes, ...], int]:
+                 ) -> bytes:
+    """The ``count`` frames that are the rest of the message."""
     end = offset + count * frame_size
     if end > len(buffer):
         raise ProtocolError("message truncated while reading frames")
-    frames = tuple(
-        buffer[offset + i * frame_size : offset + (i + 1) * frame_size]
-        for i in range(count)
-    )
-    return frames, end
+    _expect_end(buffer, end)
+    return buffer[offset:end]
 
 
 def decode(buffer: bytes, frame_size: int) -> Message:
@@ -179,45 +177,25 @@ def _decode(buffer: bytes, frame_size: int) -> Message:
     if not buffer:
         raise ProtocolError("empty message")
     opcode = buffer[0]
-    body = buffer
-    if opcode == _OP_UPLOAD:
-        start = _U64.unpack_from(body, 1)[0]
-        count = _U32.unpack_from(body, 9)[0]
-        frames, end = _take_frames(body, 13, count, frame_size)
-        _expect_end(body, end)
-        return Upload(start, frames)
-    if opcode == _OP_UPLOAD_ACK:
-        _expect_end(body, 1)
-        return UploadAck()
-    if opcode == _OP_READ_REQ:
-        if len(body) != 1 + 8 + 4 + 8:
-            raise ProtocolError("bad READ_REQ length")
-        block_start = _U64.unpack_from(body, 1)[0]
-        count = _U32.unpack_from(body, 9)[0]
-        extra = _U64.unpack_from(body, 13)[0]
-        return ReadRequest(block_start, count, extra)
-    if opcode == _OP_READ_RESP:
-        count = _U32.unpack_from(body, 1)[0]
-        frames, end = _take_frames(body, 5, count, frame_size)
-        extra, end = _take_frames(body, end, 1, frame_size)
-        _expect_end(body, end)
-        return ReadResponse(frames, extra[0])
-    if opcode == _OP_WRITE_REQ:
-        block_start = _U64.unpack_from(body, 1)[0]
-        count = _U32.unpack_from(body, 9)[0]
-        frames, end = _take_frames(body, 13, count, frame_size)
-        extra_location = _U64.unpack_from(body, end)[0]
-        extra, end = _take_frames(body, end + 8, 1, frame_size)
-        _expect_end(body, end)
-        return WriteRequest(block_start, frames, extra_location, extra[0])
-    if opcode == _OP_WRITE_ACK:
-        _expect_end(body, 1)
-        return WriteAck()
+    if opcode == _OP_READ_RANGES:
+        ranges, end = _take_ranges(buffer, 1)
+        _expect_end(buffer, end)
+        return ReadRanges(ranges)
+    if opcode == _OP_FRAMES:
+        count = _U32.unpack_from(buffer, 1)[0]
+        return Frames(_take_frames(buffer, 5, count, frame_size))
+    if opcode == _OP_WRITE_RANGES:
+        ranges, end = _take_ranges(buffer, 1)
+        wanted = sum(count for _, count in ranges)
+        return WriteRanges(ranges, _take_frames(buffer, end, wanted, frame_size))
+    if opcode == _OP_ACK:
+        _expect_end(buffer, 1)
+        return Ack()
     if opcode == _OP_ERROR:
-        length = _U32.unpack_from(body, 1)[0]
-        if len(body) != 5 + length:
+        length = _U32.unpack_from(buffer, 1)[0]
+        if len(buffer) != 5 + length:
             raise ProtocolError("bad ERROR length")
-        return ErrorReply(body[5 : 5 + length].decode("utf-8", errors="replace"))
+        return ErrorReply(buffer[5 : 5 + length].decode("utf-8", errors="replace"))
     raise ProtocolError(f"unknown opcode 0x{opcode:02x}")
 
 

@@ -6,9 +6,10 @@ physically isolated from the provider — runs the cache, page map, keys and
 the Figure-3 algorithm, while the encrypted pages live at the provider.
 
 :class:`RemoteDisk` adapts the wire protocol to the engine's storage
-interface, batching each request's accesses into exactly one READ and one
-WRITE round trip (as the paper's prototype did), which is what makes the
-network — not the RTT count — the bottleneck of Figure 7.
+interface: the store's two verbs are the wire's two requests, so each
+request's accesses are exactly one READ and one WRITE round trip (as in the
+paper's prototype) whatever its window, which is what makes the network —
+not the RTT count — the bottleneck of Figure 7.
 """
 
 from __future__ import annotations
@@ -33,14 +34,17 @@ from ..errors import ConfigurationError, PageDeletedError, ProtocolError
 from ..hardware.coprocessor import SecureCoprocessor
 from ..hardware.specs import HardwareSpec
 from ..sim.clock import VirtualClock
+from ..storage.disk import RangeAccess
+from ..storage.frames import frame_count, frame_matrix
 
 __all__ = ["RemoteDisk", "DataOwner"]
 
 _UPLOAD_BATCH = 512
 
 
-class RemoteDisk:
-    """Engine-facing storage adapter that speaks the wire protocol."""
+class RemoteDisk(RangeAccess):
+    """Engine-facing storage adapter that speaks the wire protocol: each
+    of the store's two verbs is one message and one round trip."""
 
     def __init__(self, channel: SimulatedChannel, num_locations: int, frame_size: int):
         self.channel = channel
@@ -48,45 +52,35 @@ class RemoteDisk:
         self.frame_size = frame_size
         self.current_request = -1  # engine attribution hook; unused remotely
 
-    def _call(self, message: messages.Message) -> messages.Message:
+    def _call(self, message: messages.Message, expected: type):
         response = self.channel.call(messages.encode(message, self.frame_size))
         reply = messages.decode(response, self.frame_size)
         if isinstance(reply, messages.ErrorReply):
             raise ProtocolError(f"provider error: {reply.message}")
+        if not isinstance(reply, expected):
+            raise ProtocolError(
+                f"expected {expected.__name__}, got {type(reply).__name__}"
+            )
         return reply
 
-    def write_range(self, start: int, frames: Sequence[bytes]) -> None:
-        """Setup-time bulk write: the one range call a provider serves."""
-        reply = self._call(messages.Upload(start, tuple(frames)))
-        if not isinstance(reply, messages.UploadAck):
-            raise ProtocolError(f"expected UploadAck, got {type(reply).__name__}")
-
-    def read_request(
-        self, block_start: int, count: int, extra_location: int
-    ) -> np.ndarray:
-        reply = self._call(messages.ReadRequest(block_start, count, extra_location))
-        if not isinstance(reply, messages.ReadResponse):
-            raise ProtocolError(f"expected ReadResponse, got {type(reply).__name__}")
-        if len(reply.frames) != count:
+    def read_ranges(self, ranges) -> np.ndarray:
+        reply = self._call(messages.ReadRanges(tuple(ranges)), messages.Frames)
+        wanted = frame_count(ranges)
+        if len(reply.frames) != wanted * self.frame_size:
             raise ProtocolError(
-                f"provider returned {len(reply.frames)} frames, expected {count}"
+                f"provider returned {len(reply.frames) // self.frame_size} "
+                f"frames, expected {wanted}"
             )
-        # The store contract's matrix (block rows, then the extra), in a
-        # buffer the caller owns.
-        return np.frombuffer(
-            bytearray().join(reply.frames + (reply.extra_frame,)), np.uint8
-        ).reshape(count + 1, self.frame_size)
-
-    def write_request(
-        self, block_start: int, frames, extra_location: int, extra_frame
-    ) -> None:
-        reply = self._call(
-            messages.WriteRequest(
-                block_start, tuple(frames), extra_location, extra_frame
-            )
+        # The store contract's matrix, in a buffer the caller owns.
+        return np.frombuffer(bytearray(reply.frames), np.uint8).reshape(
+            wanted, self.frame_size
         )
-        if not isinstance(reply, messages.WriteAck):
-            raise ProtocolError(f"expected WriteAck, got {type(reply).__name__}")
+
+    def write_ranges(self, ranges, frames) -> None:
+        frames = frame_matrix(frames, self.frame_size)
+        self._call(
+            messages.WriteRanges(tuple(ranges), frames.tobytes()), messages.Ack
+        )
 
 
 def _owner_wiring(channel_factory, clock, owner_spec) -> dict:

@@ -8,6 +8,8 @@ trace is the adversary's observation channel in this deployment too.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import messages
 from ..errors import ProtocolError, ReproError
 from ..sim.clock import VirtualClock
@@ -52,22 +54,18 @@ class ServiceProvider:
         return messages.encode(reply, self.frame_size)
 
     def _dispatch(self, request: messages.Message) -> messages.Message:
-        if isinstance(request, messages.Upload):
-            self.disk.write_range(request.start, list(request.frames))
-            return messages.UploadAck()
-        if isinstance(request, messages.ReadRequest):
-            frames = self.disk.read_request(
-                request.block_start, request.count, request.extra_location
+        if isinstance(request, messages.ReadRanges):
+            return messages.Frames(
+                self.disk.read_ranges(request.ranges).tobytes()
             )
-            return messages.ReadResponse(tuple(frames[:-1]), frames[-1])
-        if isinstance(request, messages.WriteRequest):
-            self.disk.write_request(
-                request.block_start,
-                list(request.frames),
-                request.extra_location,
-                request.extra_frame,
+        if isinstance(request, messages.WriteRanges):
+            self.disk.write_ranges(
+                request.ranges,
+                np.frombuffer(request.frames, np.uint8).reshape(
+                    -1, self.frame_size
+                ),
             )
-            return messages.WriteAck()
+            return messages.Ack()
         raise ProtocolError(
             f"provider cannot handle message type {type(request).__name__}"
         )

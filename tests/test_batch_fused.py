@@ -609,7 +609,7 @@ class TestWindowMetrics:
 
 class TestTwoPartyWindowOfOne:
     def test_every_owner_op_costs_two_round_trips(self):
-        """``RemoteDisk`` speaks only the request-granular calls: a window
+        """Each of ``RemoteDisk``'s two verbs is one round trip: a window
         of one must stay one batched read + one batched write-back."""
         records = make_records(60, 16)
         session = TwoPartySession.create(

@@ -128,7 +128,7 @@ class TestWriteIntentCodec:
             next_block=3,
             rotation_left=-1,
             block_start=24,
-            extra_location=7,
+            extra_locations=[7],
             cache_puts=[(2, Page(9, b"payload")), (0, Page(1, b"", True))],
             flag_ops=[(7, FLAG_DELETED)],
             map_ops=[(9, MAP_DISK, 24), (1, MAP_DISK, 7)],
@@ -145,8 +145,7 @@ class TestWriteIntentCodec:
         assert len(intent.encode(16)) == header_size(1, 16)
         assert len(intent.encode(64)) == header_size(1, 64)
         bare = WriteIntent(request_index=0, next_block=0, rotation_left=-1,
-                           block_start=0, extra_location=0,
-                           extra_locations=[0, 1, 2])
+                           block_start=0, extra_locations=[0, 1, 2])
         assert len(bare.encode(16)) == header_size(3, 16)
         # More deltas than a window of one can produce: refused, not grown.
         intent.cache_puts *= 2
@@ -375,7 +374,7 @@ class TestRecoveryEdgeCases:
         db.query(1)
         sealed = seal_intent(db, WriteIntent(
             request_index=1, next_block=0, rotation_left=-1,
-            block_start=0, extra_location=0,
+            block_start=0, extra_locations=[0],
         ))
         journal.write(sealed[: len(sealed) // 2])
         assert db.recover().action == "rolled_back"
@@ -397,7 +396,7 @@ class TestRecoveryEdgeCases:
         db.query(2)
         stale = WriteIntent(
             request_index=1, next_block=db.engine.next_block_index,
-            rotation_left=-1, block_start=0, extra_location=0,
+            rotation_left=-1, block_start=0, extra_locations=[0],
         )
         journal.write(seal_intent(db, stale))
         report = db.recover()
@@ -412,7 +411,7 @@ class TestRecoveryEdgeCases:
         db.query(1)
         future = WriteIntent(
             request_index=17, next_block=0, rotation_left=-1,
-            block_start=0, extra_location=0,
+            block_start=0, extra_locations=[0],
         )
         journal.write(seal_intent(db, future))
         with pytest.raises(RecoveryError):
@@ -659,7 +658,7 @@ class TestSnapshotIntegration:
         db.query(1)
         journal.write(seal_intent(db, WriteIntent(
             request_index=1, next_block=0, rotation_left=-1,
-            block_start=0, extra_location=0,
+            block_start=0, extra_locations=[0],
         )))
         with pytest.raises(ConfigurationError):
             save_snapshot(db, str(tmp_path / "snap"))

@@ -17,45 +17,53 @@ from repro.service import protocol as client_wire
 from repro.twoparty import messages as disk_wire
 
 FRAME = 24
-_frames = st.lists(
-    st.binary(min_size=FRAME, max_size=FRAME), min_size=0, max_size=6
-).map(tuple)
-_frame = st.binary(min_size=FRAME, max_size=FRAME)
 _u64 = st.integers(min_value=0, max_value=2**64 - 1)
 _u32 = st.integers(min_value=0, max_value=2**32 - 1)
 _payload = st.binary(max_size=200)
+_ranges = st.lists(st.tuples(_u64, _u32), max_size=6).map(tuple)
+# Ranges together with exactly the frames they name (small counts: the
+# frames are real bytes).
+_filled_ranges = st.lists(
+    st.tuples(_u64, st.integers(min_value=0, max_value=3)), max_size=4
+).flatmap(lambda ranges: st.tuples(
+    st.just(tuple(ranges)),
+    st.binary(min_size=FRAME * sum(count for _, count in ranges),
+              max_size=FRAME * sum(count for _, count in ranges)),
+))
+
+
+def _roundtrips(message) -> bool:
+    return disk_wire.decode(disk_wire.encode(message, FRAME), FRAME) == message
 
 
 class TestDiskWireRoundtrip:
     @settings(max_examples=40, deadline=None)
-    @given(start=_u64, frames=_frames)
+    @given(start=_u64, frames=st.integers(0, 6).flatmap(
+        lambda n: st.binary(min_size=n * FRAME, max_size=n * FRAME)))
     def test_upload(self, start, frames):
-        message = disk_wire.Upload(start, frames)
-        assert disk_wire.decode(disk_wire.encode(message, FRAME), FRAME) == message
+        """The setup upload: a write of one range."""
+        count = len(frames) // FRAME
+        assert _roundtrips(disk_wire.WriteRanges(((start, count),), frames))
 
     @settings(max_examples=40, deadline=None)
-    @given(block=_u64, count=_u32, extra=_u64)
-    def test_read_request(self, block, count, extra):
-        message = disk_wire.ReadRequest(block, count, extra)
-        assert disk_wire.decode(disk_wire.encode(message, FRAME), FRAME) == message
+    @given(ranges=_ranges)
+    def test_read_ranges(self, ranges):
+        assert _roundtrips(disk_wire.ReadRanges(ranges))
 
     @settings(max_examples=40, deadline=None)
-    @given(frames=_frames, extra=_frame)
-    def test_read_response(self, frames, extra):
-        message = disk_wire.ReadResponse(frames, extra)
-        assert disk_wire.decode(disk_wire.encode(message, FRAME), FRAME) == message
+    @given(count=st.integers(0, 7), fill=st.binary(min_size=1, max_size=1))
+    def test_read_response(self, count, fill):
+        assert _roundtrips(disk_wire.Frames(fill * (count * FRAME)))
 
     @settings(max_examples=40, deadline=None)
-    @given(block=_u64, frames=_frames, extra_loc=_u64, extra=_frame)
-    def test_write_request(self, block, frames, extra_loc, extra):
-        message = disk_wire.WriteRequest(block, frames, extra_loc, extra)
-        assert disk_wire.decode(disk_wire.encode(message, FRAME), FRAME) == message
+    @given(filled=_filled_ranges)
+    def test_write_ranges(self, filled):
+        assert _roundtrips(disk_wire.WriteRanges(*filled))
 
     @settings(max_examples=40, deadline=None)
     @given(reason=st.text(max_size=100))
     def test_error_reply(self, reason):
-        message = disk_wire.ErrorReply(reason)
-        assert disk_wire.decode(disk_wire.encode(message, FRAME), FRAME) == message
+        assert _roundtrips(disk_wire.ErrorReply(reason))
 
 
 class TestDiskWireRobustness:
@@ -67,20 +75,43 @@ class TestDiskWireRobustness:
         except ProtocolError:
             pass  # the only acceptable failure mode
 
+    @settings(max_examples=100, deadline=None)
+    @given(opcode=st.sampled_from([1, 2, 3]), count=_u32,
+           tail=st.binary(max_size=120))
+    def test_hostile_counts_never_crash(self, opcode, count, tail):
+        """Any count field over any tail: refused or decoded, never an
+        allocation or an index the count alone asked for."""
+        try:
+            disk_wire.decode(
+                bytes([opcode]) + count.to_bytes(4, "big") + tail, FRAME
+            )
+        except ProtocolError:
+            pass
+
     @settings(max_examples=60, deadline=None)
-    @given(
-        frames=_frames,
-        cut=st.integers(min_value=0, max_value=400),
-    )
-    def test_truncation_never_crashes(self, frames, cut):
-        encoded = disk_wire.encode(disk_wire.Upload(0, frames), FRAME)
+    @given(filled=_filled_ranges, cut=st.integers(min_value=0, max_value=400))
+    def test_truncation_never_crashes(self, filled, cut):
+        message = disk_wire.WriteRanges(*filled)
+        encoded = disk_wire.encode(message, FRAME)
         try:
             decoded = disk_wire.decode(encoded[:cut], FRAME)
             # A prefix that still decodes must decode to the same message
             # (only possible when nothing was cut).
-            assert cut >= len(encoded) or decoded == disk_wire.Upload(0, frames)
+            assert cut >= len(encoded) or decoded == message
         except ProtocolError:
             pass
+
+    @settings(max_examples=60, deadline=None)
+    @given(filled=_filled_ranges, extra=st.binary(min_size=1, max_size=40))
+    def test_trailing_bytes_are_refused(self, filled, extra):
+        ranges, frames = filled
+        for message in (disk_wire.WriteRanges(ranges, frames),
+                        disk_wire.ReadRanges(ranges),
+                        disk_wire.Frames(frames)):
+            with pytest.raises(ProtocolError):
+                disk_wire.decode(
+                    disk_wire.encode(message, FRAME) + extra, FRAME
+                )
 
 
 class TestClientWireRoundtrip:

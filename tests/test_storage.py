@@ -303,16 +303,6 @@ class TestDiskStore:
             (READ, 3, 1),
         ]
 
-    def test_request_combined_calls_match_split_calls(self):
-        disk = self._disk()
-        disk.write_range(0, [bytes([i]) * 8 for i in range(16)])
-        *frames, extra = rows(disk.read_request(4, 3, 11))
-        assert frames == rows(disk.read_range(4, 3))
-        assert extra == disk.read(11)
-        disk.write_request(0, [bytes(8)] * 3, 9, b"y" * 8)
-        assert disk.read(9) == b"y" * 8
-        assert rows(disk.read_range(0, 3)) == [bytes(8)] * 3
-
     def test_peek_has_no_side_effects(self):
         disk = self._disk(timing=DiskTimingModel())
         disk.write(0, bytes(8))

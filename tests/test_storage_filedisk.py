@@ -82,13 +82,6 @@ class TestFileDiskStore:
             disk.write_range(2, [bytes(8)] * 3)
             assert disk.initialised_locations() == 3
 
-    def test_request_combined_calls(self, tmp_path):
-        with self._store(tmp_path) as disk:
-            disk.write_range(0, [bytes([i]) * 8 for i in range(16)])
-            *frames, extra = rows(disk.read_request(0, 4, 9))
-            assert frames == [bytes([i]) * 8 for i in range(4)]
-            assert extra == bytes([9]) * 8
-
 
 class TestSyncPolicyAndClose:
     def test_default_policy_is_on_flush(self, tmp_path):

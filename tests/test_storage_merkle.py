@@ -87,14 +87,6 @@ class TestAuthenticatedDisk:
         with pytest.raises(AuthenticationError):
             disk.read_range(0, 1)
 
-    def test_request_interface(self):
-        disk = self._disk()
-        disk.write_range(0, [bytes([i]) * 8 for i in range(16)])
-        *frames, extra = rows(disk.read_request(4, 3, 10))
-        assert extra == bytes([10]) * 8
-        disk.write_request(4, [b"new-one!"] * 3, 10, b"extra-10")
-        assert disk.read(10) == b"extra-10"
-
     def test_root_changes_on_every_write(self):
         disk = self._disk()
         roots = set()

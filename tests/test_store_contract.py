@@ -1,14 +1,18 @@
 """The store contract, over every store and wrapper with the disk interface.
 
-A batch of frames is one ``numpy.uint8`` matrix the caller owns; single
-frames are ``bytes``; ``poke`` is the adversary's write.  Three ownership
-rules ride on that (each test here fails if its rule is broken):
+A disk access is a sequence of ``(location, count)`` ranges handed to one of
+two verbs, ``read_ranges`` / ``write_ranges``; the single-range calls are
+derived from them once.  A batch of frames is one ``numpy.uint8`` matrix the
+caller owns; single frames are ``bytes``; ``poke`` is the adversary's write.
+Each test here fails if its rule is broken:
 
 * a read is the caller's — writing into it never changes the store (an
   injected corrupt read included: tests/test_faults_injection.py);
 * whoever retains a frame copies it;
-* a refused read charges nothing (the never-written check runs before the
-  virtual clock moves).
+* a refused call charges nothing: every range is validated before the first
+  is charged;
+* each range is one access — one event, one fault decision — in order;
+* the derived calls are the verb.
 """
 
 from __future__ import annotations
@@ -16,53 +20,136 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import AuthenticationError, StorageError
-from repro.faults import FaultInjector, FaultyDiskStore
+from repro.errors import (
+    AuthenticationError,
+    ProtocolError,
+    StorageError,
+    TransientStorageError,
+)
+from repro.core.engine import BatchOp
+from repro.faults import (
+    SITE_DISK_READ,
+    SITE_DISK_WRITE,
+    FaultInjector,
+    FaultyDiskStore,
+    SimulatedCrash,
+    corrupt_reads,
+    crash_after_writes,
+    transient_reads,
+    transient_writes,
+)
 from repro.sim.clock import VirtualClock
 from repro.storage.disk import DiskStore
 from repro.storage.filedisk import FileDiskStore
 from repro.storage.merkle import AuthenticatedDisk
 from repro.storage.tiered import TieredDiskStore
 from repro.storage.timing import DiskTimingModel
-from repro.storage.trace import AccessTrace
+from repro.storage.trace import READ, WRITE, AccessTrace
+from repro.twoparty import RemoteDisk, ServiceProvider, SimulatedChannel
 
-from tests.helpers import rows
+from tests.helpers import make_db, rows
 
 LOCATIONS, FRAME = 16, 8
+
+# A remote store reports the provider's refusal, whatever its class there.
+REFUSED = (StorageError, ProtocolError)
 
 
 def frame_of(value: int) -> bytes:
     return bytes([value]) * FRAME
 
 
-def _memory(tmp_path):
-    return DiskStore(LOCATIONS, FRAME, DiskTimingModel(), VirtualClock(),
-                     AccessTrace())
+def _wiring(args):
+    """``(num_locations, frame_size, timing, clock, trace)``: a
+    ``disk_factory``'s arguments, or a small store of this module's own."""
+    return args or (LOCATIONS, FRAME, DiskTimingModel(), VirtualClock(),
+                    AccessTrace())
 
 
-def _file(tmp_path):
-    return FileDiskStore(str(tmp_path / "frames.bin"), LOCATIONS, FRAME,
-                         DiskTimingModel(), VirtualClock(), AccessTrace())
+def _memory(tmp_path, *args):
+    return DiskStore(*_wiring(args))
+
+
+def _file(tmp_path, *args):
+    return FileDiskStore(str(tmp_path / "frames.bin"), *_wiring(args))
+
+
+class ObservedRemoteDisk(RemoteDisk):
+    """A :class:`RemoteDisk` over a :class:`ServiceProvider`, plus the
+    adversary's view of the provider's disk — what these tests inspect and
+    a real owner does not have.  The channel is free (no RTT, no transfer
+    time), so the clock moves only when the provider's disk is charged."""
+
+    def __init__(self, num_locations, frame_size, timing, clock, trace):
+        self.provider = ServiceProvider(num_locations, frame_size, clock,
+                                        timing)
+        self.provider.disk.trace = trace
+        super().__init__(
+            SimulatedChannel(clock, self.provider.serve, rtt=0.0,
+                             bandwidth=float("inf")),
+            num_locations, frame_size,
+        )
+
+    clock = property(lambda self: self.provider.disk.clock)
+    trace = property(lambda self: self.provider.disk.trace)
+
+    def peek(self, location):
+        return self.provider.disk.peek(location)
+
+    def poke(self, location, frame):
+        self.provider.disk.poke(location, frame)
+
+    def close(self):
+        pass
 
 
 STORES = {
     "memory": _memory,
     "file": _file,
-    "merkle": lambda tmp_path: AuthenticatedDisk(_memory(tmp_path)),
-    "tiered-hot": lambda tmp_path: TieredDiskStore(_memory(tmp_path), 64),
+    "merkle": lambda tmp_path, *args: AuthenticatedDisk(
+        _memory(tmp_path, *args)),
+    "tiered-hot": lambda tmp_path, *args: TieredDiskStore(
+        _memory(tmp_path, *args), 64),
     # A one-frame tier: every range read goes to the cold store.
-    "tiered-cold": lambda tmp_path: TieredDiskStore(_file(tmp_path), 1),
-    "faulty": lambda tmp_path: FaultyDiskStore(_memory(tmp_path),
-                                               FaultInjector(seed=1)),
+    "tiered-cold": lambda tmp_path, *args: TieredDiskStore(
+        _file(tmp_path, *args), 1),
+    "faulty": lambda tmp_path, *args: FaultyDiskStore(
+        _memory(tmp_path, *args), FaultInjector(seed=1)),
+    "remote": lambda tmp_path, *args: ObservedRemoteDisk(*_wiring(args)),
 }
+
+
+def filled(disk):
+    disk.write_range(0, [frame_of(i) for i in range(LOCATIONS)])
+    return disk
 
 
 @pytest.fixture(params=sorted(STORES))
 def store(request, tmp_path):
-    disk = STORES[request.param](tmp_path)
-    disk.write_range(0, [frame_of(i) for i in range(LOCATIONS)])
+    disk = filled(STORES[request.param](tmp_path))
     yield disk
     disk.close()
+
+
+@pytest.fixture(params=sorted(STORES))
+def twins(request, tmp_path):
+    """Two stores built the same way, holding the same frames."""
+    pair = []
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+        pair.append(filled(STORES[request.param](tmp_path / side)))
+    yield pair
+    for disk in pair:
+        disk.close()
+
+
+def events(disk, start=0):
+    return [(e.op, e.location, e.count, e.request_index, e.timestamp)
+            for e in list(disk.trace)[start:]]
+
+
+def contents(disk):
+    return [disk.peek(location) for location in range(LOCATIONS)]
 
 
 class TestBatchIsAMatrix:
@@ -71,10 +158,13 @@ class TestBatchIsAMatrix:
         assert isinstance(block, np.ndarray) and block.dtype == np.uint8
         assert block.shape == (3, FRAME) and block.flags.c_contiguous
         assert rows(block) == [frame_of(i) for i in (4, 5, 6)]
-        request = store.read_request(4, 3, 11)
+        request = store.read_ranges([(4, 3), (11, 1)])
+        assert isinstance(request, np.ndarray) and request.dtype == np.uint8
         assert request.shape == (4, FRAME) and request.flags.c_contiguous
-        # The block's frames, then the extra frame as the last row.
+        # The ranges' frames back to back, in range order.
         assert rows(request) == [frame_of(i) for i in (4, 5, 6, 11)]
+        assert store.read_ranges([(11, 1), (4, 1), (11, 1)]).tobytes() == \
+            frame_of(11) + frame_of(4) + frame_of(11)
 
     def test_single_frame_reads_are_bytes(self, store):
         assert store.read(5) == frame_of(5) and type(store.read(5)) is bytes
@@ -85,11 +175,14 @@ class TestBatchIsAMatrix:
         store.write_range(2, matrix.reshape(2, FRAME))
         store.write_range(4, (bytearray(frame_of(0xA3)),
                               memoryview(frame_of(0xA4))))
-        request = store.read_request(8, 2, 12)
+        request = store.read_ranges([(8, 2), (12, 1)])
         request[:] = 0xA5
-        store.write_request(8, request[:2], 12, request[2])
-        assert [store.peek(i) for i in (2, 3, 4, 5, 8, 9, 12)] == [
-            frame_of(v) for v in (0xA1, 0xA2, 0xA3, 0xA4, 0xA5, 0xA5, 0xA5)
+        store.write_ranges([(8, 2), (12, 1)], request)
+        store.write_ranges([(14, 1), (0, 1)],
+                           [frame_of(0xA6), bytearray(frame_of(0xA7))])
+        assert [store.peek(i) for i in (2, 3, 4, 5, 8, 9, 12, 14, 0)] == [
+            frame_of(v) for v in (0xA1, 0xA2, 0xA3, 0xA4, 0xA5, 0xA5, 0xA5,
+                                  0xA6, 0xA7)
         ]
 
     def test_wrong_frame_size_is_refused_in_either_spelling(self, store):
@@ -99,12 +192,209 @@ class TestBatchIsAMatrix:
             store.write_range(0, np.zeros((2, FRAME + 1), np.uint8))
         with pytest.raises(StorageError):
             store.write(0, bytes(FRAME + 1))
+        with pytest.raises(StorageError):
+            store.write_ranges([(0, 1), (4, 1)],
+                               [bytes(FRAME), bytes(FRAME - 1)])
+
+
+class TestDerivedCallsAreTheVerb:
+    def test_same_frames_same_events_same_clock(self, twins):
+        derived, verb = twins
+        for disk in twins:
+            disk.current_request = 3
+        assert derived.read(5) == verb.read_ranges([(5, 1)]).tobytes()
+        assert rows(derived.read_range(4, 3)) == rows(verb.read_ranges([(4, 3)]))
+        derived.write(2, frame_of(0xB1))
+        verb.write_ranges([(2, 1)], [frame_of(0xB1)])
+        derived.write_range(6, [frame_of(0xB2), frame_of(0xB3)])
+        verb.write_ranges([(6, 2)], [frame_of(0xB2), frame_of(0xB3)])
+        # A call of several ranges is its ranges, one access each.
+        assert rows(verb.read_ranges([(8, 2), (1, 1)])) == \
+            rows(derived.read_range(8, 2)) + [derived.read(1)]
+        verb.write_ranges([(10, 2), (15, 1)], [frame_of(0xB4)] * 3)
+        derived.write_range(10, [frame_of(0xB4)] * 2)
+        derived.write(15, frame_of(0xB4))
+        assert events(derived) == events(verb)
+        assert contents(derived) == contents(verb)
+        assert derived.clock.now == verb.clock.now
+
+
+class TestARefusedCallChargesNothing:
+    """Every range is validated before the first one is charged."""
+
+    def _untouched(self, disk, attempt):
+        before = (disk.clock.now, events(disk), contents(disk))
+        with pytest.raises(REFUSED):
+            attempt()
+        assert (disk.clock.now, events(disk), contents(disk)) == before
+
+    def test_a_bad_later_range_refuses_the_whole_read(self, store):
+        for bad in ((LOCATIONS, 1), (LOCATIONS - 1, 2), (-1, 1), (3, 0)):
+            self._untouched(store, lambda: store.read_ranges([(0, 2), bad]))
+
+    @pytest.mark.parametrize("name", sorted(STORES))
+    def test_a_never_written_later_range_refuses_the_whole_read(
+            self, name, tmp_path):
+        disk = STORES[name](tmp_path)
+        disk.write_range(0, [frame_of(i) for i in range(8)])  # 8.. is a gap
+        for _ in range(2):  # the second pass finds (0, 2) in a warmed tier
+            self._untouched(disk, lambda: disk.read_ranges([(0, 2), (7, 2)]))
+            assert rows(disk.read_range(0, 2)) == [frame_of(0), frame_of(1)]
+        disk.close()
+
+    def test_a_bad_later_range_refuses_the_whole_write(self, store):
+        fresh = [frame_of(0xC1)] * 3
+        for bad in ((LOCATIONS, 1), (-1, 1)):
+            self._untouched(
+                store, lambda: store.write_ranges([(0, 2), bad], fresh))
+        # Frames that do not fill the ranges land nowhere either.
+        self._untouched(
+            store, lambda: store.write_ranges([(0, 2), (5, 2)], fresh))
+        self._untouched(store, lambda: store.write_ranges([(0, 2)], fresh))
+
+
+class TestEachRangeIsOneAccess:
+    """One event and one fault decision per range, in the order given."""
+
+    READS = [(8, 2), (3, 1), (12, 4)]
+    WRITES = [(4, 2), (13, 1), (0, 3)]
+
+    def _faulty(self, store, *plans):
+        injector = FaultInjector(seed=5, plans=plans)
+        decisions = []
+        check = injector.check
+
+        def recording_check(site, frames=1):
+            decisions.append((site, frames))
+            return check(site, frames)
+
+        injector.check = recording_check
+        return FaultyDiskStore(store, injector), decisions
+
+    def test_one_event_per_range_in_order(self, store):
+        store.current_request = 11
+        before = len(events(store))
+        store.read_ranges(self.READS)
+        store.write_ranges(self.WRITES, [frame_of(0xD1)] * 6)
+        seen = events(store, before)
+        index = 11 if not isinstance(store, RemoteDisk) else -1
+        assert [e[:4] for e in seen] == (
+            [(READ, location, count, index) for location, count in self.READS]
+            + [(WRITE, location, count, index)
+               for location, count in self.WRITES]
+        )
+        stamps = [e[4] for e in seen]
+        # Each range pays its own seek: no two accesses share a timestamp.
+        assert stamps == sorted(set(stamps))
+
+    def test_one_fault_decision_per_range_in_order(self, store):
+        disk, decisions = self._faulty(store)
+        disk.read_ranges(self.READS)
+        disk.write_ranges(self.WRITES, [frame_of(0xD2)] * 6)
+        assert decisions == (
+            [(SITE_DISK_READ, count) for _, count in self.READS]
+            + [(SITE_DISK_WRITE, count) for _, count in self.WRITES]
+        )
+
+    def test_a_transient_fault_stops_the_call_at_its_range(self, store):
+        disk, decisions = self._faulty(
+            store,
+            transient_reads(times=1, after=1),
+            transient_writes(times=1, after=1),
+        )
+        before = len(events(store))
+        with pytest.raises(TransientStorageError):
+            disk.read_ranges(self.READS)
+        with pytest.raises(TransientStorageError):
+            disk.write_ranges(self.WRITES, [frame_of(0xD3)] * 6)
+        # The range before the fault happened; the faulted one and the one
+        # after it never did, and drew no decision.
+        assert [e[:3] for e in events(store, before)] == [
+            (READ, *self.READS[0]), (WRITE, *self.WRITES[0]),
+        ]
+        assert len(decisions) == 4
+        assert contents(store) == [
+            frame_of(0xD3 if i in (4, 5) else i) for i in range(LOCATIONS)
+        ]
+
+    def test_a_crash_lands_the_ranges_before_it_and_a_torn_prefix(self, store):
+        disk, _ = self._faulty(store, crash_after_writes(4))
+        before = len(events(store))
+        with pytest.raises(SimulatedCrash):
+            disk.write_ranges(self.WRITES, [frame_of(0xD4)] * 6)
+        # (4, 2) and (13, 1) landed, then one frame of (0, 3).
+        assert [e[:3] for e in events(store, before)] == [
+            (WRITE, 4, 2), (WRITE, 13, 1), (WRITE, 0, 1),
+        ]
+        assert contents(store) == [
+            frame_of(0xD4 if i in (0, 4, 5, 13) else i)
+            for i in range(LOCATIONS)
+        ]
+
+    def test_a_corrupt_read_damages_one_frame_of_its_range(self, store):
+        disk, _ = self._faulty(store, corrupt_reads(times=1, after=2))
+        damaged = rows(disk.read_ranges(self.READS))
+        clean = rows(store.read_ranges(self.READS))
+        differing = [i for i in range(7) if damaged[i] != clean[i]]
+        assert len(differing) == 1 and differing[0] >= 3  # a row of (12, 4)
+        assert contents(store) == [frame_of(i) for i in range(LOCATIONS)]
+
+
+class TestARemoteVerbIsOneRoundTrip:
+    def test_any_number_of_ranges_is_one_message_each_way(self, tmp_path):
+        disk = filled(STORES["remote"](tmp_path))
+        trips = disk.channel.counters.get("round_trips")
+        disk.read_ranges([(0, 4), (9, 1), (12, 1), (2, 1)])
+        assert disk.channel.counters.get("round_trips") == trips + 1
+        disk.write_ranges([(0, 4), (9, 1), (12, 1)], [frame_of(0xE1)] * 6)
+        assert disk.channel.counters.get("round_trips") == trips + 2
+        # ... through a wrapper as well: it forwards the ranges together.
+        wrapped = AuthenticatedDisk(STORES["remote"](tmp_path))
+        filled(wrapped)
+        trips = wrapped.inner.channel.counters.get("round_trips")
+        wrapped.read_ranges([(0, 4), (9, 1)])
+        wrapped.write_ranges([(0, 4), (9, 1)], [frame_of(0xE2)] * 5)
+        assert wrapped.inner.channel.counters.get("round_trips") == trips + 2
+
+
+class TestAWindowOnEveryStore:
+    """The engine's accesses for windows of one and of four ops:
+    ``READ(k), READ(1) x B, WRITE(k), WRITE(1) x B`` — the same ranges in
+    the same order whichever store serves them."""
+
+    def _run(self, name, path):
+        path.mkdir()
+        db = make_db(seed=7, disk_factory=lambda *args: STORES[name](path, *args))
+        start = len(db.trace)
+        db.query(3)
+        db.engine.run_batch(
+            [BatchOp("query", page_id=page_id) for page_id in (5, 9, 5, 20)]
+        )
+        seen = events(db.disk, start)
+        db.disk.close()
+        return db.params.block_size, seen
+
+    @pytest.mark.parametrize("name", sorted(STORES))
+    def test_same_accesses_as_the_memory_store(self, name, tmp_path):
+        k, seen = self._run(name, tmp_path / "store")
+        _, reference = self._run("memory", tmp_path / "reference")
+        assert [(op, count) for op, _, count, _, _ in seen] == (
+            [(READ, k), (READ, 1), (WRITE, k), (WRITE, 1)]
+            + [(READ, k)] + [(READ, 1)] * 4 + [(WRITE, k)] + [(WRITE, 1)] * 4
+        )
+        assert [e[:3] for e in seen] == [e[:3] for e in reference]
+        if name != "remote":  # the wire carries no request attribution
+            first = reference[0][3]
+            # A window's accesses all carry its first op's ordinal.
+            assert [e[3] for e in seen] == [first] * 4 + [first + 1] * 10
+        if not name.startswith("tiered"):  # a hot hit is charged less
+            assert [e[4] for e in seen] == [e[4] for e in reference]
 
 
 class TestAWrapperForwardsAssignment:
     @pytest.mark.parametrize(
         "name", [name for name in sorted(STORES)
-                 if name not in ("memory", "file")])
+                 if name not in ("memory", "file", "remote")])
     def test_tracer_and_request_index_reach_the_store_doing_the_io(
             self, name, tmp_path):
         from repro.obs import Tracer
@@ -128,13 +418,13 @@ class TestAReadIsTheCallers:
         for _ in range(2):  # the second pass reads whatever tier the first warmed
             block = store.read_range(0, 4)
             block[:] = 0xEE
-            request = store.read_request(4, 3, 9)
+            request = store.read_ranges([(4, 3), (9, 1)])
             request[:] = 0xEE
         assert [store.peek(i) for i in range(LOCATIONS)] == [
             frame_of(i) for i in range(LOCATIONS)
         ]
         assert rows(store.read_range(0, 4)) == [frame_of(i) for i in range(4)]
-        assert rows(store.read_request(4, 3, 9)) == [
+        assert rows(store.read_ranges([(4, 3), (9, 1)])) == [
             frame_of(i) for i in (4, 5, 6, 9)
         ]
 
@@ -143,6 +433,9 @@ class TestAReadIsTheCallers:
         store.write_range(5, matrix)
         matrix[:] = 0x44
         assert rows(store.read_range(5, 3)) == [frame_of(0x33)] * 3
+        store.write_ranges([(1, 2), (9, 1)], matrix)
+        matrix[:] = 0x55
+        assert rows(store.read_ranges([(1, 2), (9, 1)])) == [frame_of(0x44)] * 3
 
 
 class TestWhoeverRetainsCopies:
@@ -152,7 +445,7 @@ class TestWhoeverRetainsCopies:
         tier.write_range(0, written)                            # matrix write
         tier.cold.write_range(4, [frame_of(i) for i in range(4, 12)])
         cold_read = tier.read_range(4, 4)                       # cold read
-        request = tier.read_request(8, 3, 11)
+        request = tier.read_ranges([(8, 3), (11, 1)])
         assert tier.hot_frames == 12
         # The tier keeps copies: a retained matrix row would pin the whole
         # window it came in, and follow whatever its owner does to it next.
@@ -221,11 +514,11 @@ class TestWrittenBitmap:
             disk.read_range(4, 4)
         with pytest.raises(StorageError, match="location 8 was never written"):
             disk.read(8)
-        # The extra is checked before the block is charged, too.
+        # A later range is checked before the first is charged, too.
         with pytest.raises(StorageError, match="location 9 was never written"):
-            disk.read_request(4, 2, 9)
+            disk.read_ranges([(4, 2), (9, 1)])
         with pytest.raises(StorageError, match="outside disk"):
-            disk.read_request(4, 2, LOCATIONS)
+            disk.read_ranges([(4, 2), (LOCATIONS, 1)])
         assert (disk.clock.now, len(disk.trace)) == (clock, events)
         disk.read_range(4, 2)
         assert disk.clock.now > clock and len(disk.trace) == events + 1

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro import PirDatabase
 from repro.baselines import make_records
+from repro.core.engine import BatchOp
 from repro.errors import ConfigurationError, PageDeletedError, ProtocolError
 from repro.hardware.coprocessor import SecureCoprocessor
 from repro.sim.clock import VirtualClock
@@ -23,31 +25,40 @@ class TestMessageCodec:
         return wire.decode(wire.encode(message, FRAME), FRAME)
 
     def test_upload(self):
-        message = wire.Upload(7, (bytes(FRAME), b"\x01" * FRAME))
+        """The setup upload is a write of one range."""
+        message = wire.WriteRanges(((7, 2),), bytes(FRAME) + b"\x01" * FRAME)
         assert self._roundtrip(message) == message
 
     def test_upload_ack(self):
-        assert self._roundtrip(wire.UploadAck()) == wire.UploadAck()
+        assert self._roundtrip(wire.Ack()) == wire.Ack()
 
-    def test_read_request(self):
-        message = wire.ReadRequest(16, 8, 99)
+    def test_read_ranges(self):
+        message = wire.ReadRanges(((16, 8), (99, 1), (2**64 - 1, 2**32 - 1)))
         assert self._roundtrip(message) == message
+        assert self._roundtrip(wire.ReadRanges(())) == wire.ReadRanges(())
 
     def test_read_response(self):
-        message = wire.ReadResponse((bytes(FRAME),) * 3, b"\x02" * FRAME)
+        message = wire.Frames(bytes(FRAME) * 3 + b"\x02" * FRAME)
         assert self._roundtrip(message) == message
 
-    def test_write_request(self):
-        message = wire.WriteRequest(8, (bytes(FRAME),) * 2, 40, b"\x03" * FRAME)
+    def test_write_ranges(self):
+        message = wire.WriteRanges(
+            ((8, 2), (40, 1)), bytes(FRAME) * 2 + b"\x03" * FRAME
+        )
         assert self._roundtrip(message) == message
 
     def test_write_ack_and_error(self):
-        assert self._roundtrip(wire.WriteAck()) == wire.WriteAck()
+        assert wire.encode(wire.Ack(), FRAME) == b"\x04"
         assert self._roundtrip(wire.ErrorReply("boom")) == wire.ErrorReply("boom")
 
     def test_wrong_frame_size_rejected_on_encode(self):
         with pytest.raises(ProtocolError):
-            wire.encode(wire.Upload(0, (bytes(FRAME - 1),)), FRAME)
+            wire.encode(wire.WriteRanges(((0, 1),), bytes(FRAME - 1)), FRAME)
+        with pytest.raises(ProtocolError):
+            wire.encode(wire.Frames(bytes(FRAME + 1)), FRAME)
+        # Whole frames, but not as many as the ranges name.
+        with pytest.raises(ProtocolError):
+            wire.encode(wire.WriteRanges(((0, 2),), bytes(FRAME)), FRAME)
 
     def test_empty_message(self):
         with pytest.raises(ProtocolError):
@@ -58,18 +69,39 @@ class TestMessageCodec:
             wire.decode(b"\xee", FRAME)
 
     def test_truncated_frames(self):
-        encoded = wire.encode(wire.Upload(0, (bytes(FRAME),) * 2), FRAME)
-        with pytest.raises(ProtocolError):
-            wire.decode(encoded[:-1], FRAME)
+        for message in (wire.WriteRanges(((0, 2),), bytes(2 * FRAME)),
+                        wire.Frames(bytes(2 * FRAME))):
+            encoded = wire.encode(message, FRAME)
+            with pytest.raises(ProtocolError):
+                wire.decode(encoded[:-1], FRAME)
 
     def test_trailing_garbage(self):
-        encoded = wire.encode(wire.WriteAck(), FRAME)
-        with pytest.raises(ProtocolError):
-            wire.decode(encoded + b"\x00", FRAME)
+        for message in (wire.Ack(), wire.ReadRanges(((0, 1),)),
+                        wire.Frames(bytes(FRAME)),
+                        wire.WriteRanges(((0, 1),), bytes(FRAME))):
+            encoded = wire.encode(message, FRAME)
+            with pytest.raises(ProtocolError):
+                wire.decode(encoded + b"\x00", FRAME)
 
-    def test_bad_read_request_length(self):
+    def test_bad_read_ranges_length(self):
+        # Two ranges announced, one and a half present.
         with pytest.raises(ProtocolError):
-            wire.decode(b"\x03" + bytes(10), FRAME)
+            wire.decode(b"\x01" + (2).to_bytes(4, "big") + bytes(18), FRAME)
+        with pytest.raises(ProtocolError):
+            wire.decode(b"\x01\x00\x00", FRAME)
+
+    def test_range_count_is_bounded(self):
+        """A hostile count is refused before anything is built from it,
+        and the owner cannot send what the provider would refuse."""
+        over = (wire.MAX_RANGES + 1).to_bytes(4, "big")
+        for opcode in (b"\x01", b"\x03"):
+            with pytest.raises(ProtocolError, match="bound"):
+                wire.decode(opcode + over + bytes(64), FRAME)
+        with pytest.raises(ProtocolError, match="bound"):
+            wire.encode(wire.ReadRanges(((0, 1),) * (wire.MAX_RANGES + 1)),
+                        FRAME)
+        at_bound = wire.ReadRanges(((0, 1),) * wire.MAX_RANGES)
+        assert self._roundtrip(at_bound) == at_bound
 
 
 class TestChannel:
@@ -100,26 +132,32 @@ class TestProvider:
         return ServiceProvider(num_locations=16, frame_size=FRAME,
                                clock=VirtualClock())
 
+    def _upload(self, provider, frames):
+        reply = provider.serve(wire.encode(
+            wire.WriteRanges(((0, len(frames)),), b"".join(frames)), FRAME
+        ))
+        assert wire.decode(reply, FRAME) == wire.Ack()
+
     def test_upload_then_read(self):
         provider = self._provider()
-        frames = tuple(bytes([i]) * FRAME for i in range(16))
-        provider.serve(wire.encode(wire.Upload(0, frames), FRAME))
+        frames = [bytes([i]) * FRAME for i in range(16)]
+        self._upload(provider, frames)
         response = provider.serve(
-            wire.encode(wire.ReadRequest(0, 4, 10), FRAME)
+            wire.encode(wire.ReadRanges(((0, 4), (10, 1))), FRAME)
         )
-        reply = wire.decode(response, FRAME)
-        assert isinstance(reply, wire.ReadResponse)
-        assert reply.frames == frames[0:4]
-        assert reply.extra_frame == frames[10]
+        assert wire.decode(response, FRAME) == wire.Frames(
+            b"".join(frames[0:4] + [frames[10]])
+        )
 
-    def test_write_request(self):
+    def test_write_ranges(self):
         provider = self._provider()
-        provider.serve(wire.encode(wire.Upload(0, tuple(bytes(FRAME) for _ in range(16))), FRAME))
-        new_frames = tuple(b"\x07" * FRAME for _ in range(4))
-        response = provider.serve(
-            wire.encode(wire.WriteRequest(4, new_frames, 12, b"\x08" * FRAME), FRAME)
-        )
-        assert isinstance(wire.decode(response, FRAME), wire.WriteAck)
+        self._upload(provider, [bytes(FRAME)] * 16)
+        response = provider.serve(wire.encode(
+            wire.WriteRanges(((4, 4), (12, 1)),
+                             b"\x07" * (4 * FRAME) + b"\x08" * FRAME),
+            FRAME,
+        ))
+        assert wire.decode(response, FRAME) == wire.Ack()
         assert provider.disk.peek(5) == b"\x07" * FRAME
         assert provider.disk.peek(12) == b"\x08" * FRAME
 
@@ -131,7 +169,8 @@ class TestProvider:
     def test_out_of_bounds_yields_error_reply(self):
         provider = self._provider()
         reply = wire.decode(
-            provider.serve(wire.encode(wire.ReadRequest(0, 99, 0), FRAME)), FRAME
+            provider.serve(wire.encode(wire.ReadRanges(((0, 99), (0, 1))),
+                                       FRAME)), FRAME
         )
         assert isinstance(reply, wire.ErrorReply)
         assert "StorageError" in reply.message
@@ -139,7 +178,7 @@ class TestProvider:
     def test_unhandled_message_type(self):
         provider = self._provider()
         reply = wire.decode(
-            provider.serve(wire.encode(wire.WriteAck(), FRAME)), FRAME
+            provider.serve(wire.encode(wire.Ack(), FRAME)), FRAME
         )
         assert isinstance(reply, wire.ErrorReply)
 
@@ -219,3 +258,45 @@ class TestSession:
     def test_empty_records_rejected(self):
         with pytest.raises(ConfigurationError):
             TwoPartySession.create([], cache_capacity=4)
+
+
+class TestWindowOverTheWire:
+    """A window of B > 1 ops over the two-party model: the engine's only
+    store calls are the two verbs, which are the wire's two requests."""
+
+    CONFIG = dict(cache_capacity=8, target_c=2.0, page_capacity=16, seed=99)
+
+    @pytest.mark.parametrize("rollback_protection", [False, True])
+    def test_two_op_window_equals_two_single_queries(self, rollback_protection):
+        def session():
+            return TwoPartySession.create(
+                make_records(60, 16), rollback_protection=rollback_protection,
+                **self.CONFIG,
+            )
+
+        single = session()
+        expected = [single.query(5), single.query(17)]
+
+        windowed = session()
+        trips = windowed.channel.counters.get("round_trips")
+        events = len(windowed.provider_trace)
+        ops = [BatchOp("query", page_id=5), BatchOp("query", page_id=17)]
+        pages = windowed.owner.engine.run_batch(ops)
+        assert [page.payload for page in pages] == expected
+        # One round trip per fetch (the block rides with the first extra)
+        # and one for the whole write-back.
+        assert windowed.channel.counters.get("round_trips") == trips + 3
+
+        # The provider saw what a local store sees for the same window.
+        local = PirDatabase.create(make_records(60, 16), **self.CONFIG)
+        k = local.params.block_size
+        assert k == windowed.owner.params.block_size
+        before = len(local.trace)
+        local.engine.run_batch(ops)
+
+        def shape(trace, start):
+            return [(e.op, e.count) for e in list(trace)[start:]]
+
+        assert shape(windowed.provider_trace, events) == shape(local.trace, before) \
+            == [("read", k), ("read", 1), ("read", 1),
+                ("write", k), ("write", 1), ("write", 1)]
