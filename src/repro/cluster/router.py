@@ -200,30 +200,34 @@ class ClusterRouter(EnvelopeServer):
         """Dial one member, send HELLO or RESUME, triage the answer.
 
         The caller reserved the member's load slot (``membership.pin``);
-        every outcome but a WELCOME releases it.  Returns ``(upstream,
-        welcome)``, ``(None, refusal)``, or ``(None, None)`` for an
-        unreachable member, which is also marked down.  A shed refusal
-        means "not me, maybe a peer" and is always safe to retry
-        elsewhere: it mutated nothing.
+        every outcome but a WELCOME releases it and closes the connection.
+        Returns ``(upstream, welcome)``, ``(None, refusal)``, or ``(None,
+        None)`` for a member that is unreachable or answers with anything
+        but a WELCOME or a refusal (a garbage frame included), which is
+        also marked down — the caller tries a peer.  A shed refusal means
+        "not me, maybe a peer" and is always safe to retry elsewhere: it
+        mutated nothing.
         """
-        writer = None
+        writer = answer = None
         try:
             reader, writer = await self._dial(address)
             answer = await exchange(reader, writer, opening,
                                     self.backend_timeout)
-        except TransientChannelError:
+            if not isinstance(answer, (Welcome, NetRefused)):
+                raise ProtocolError(
+                    f"backend answered {type(answer).__name__} to "
+                    f"{type(opening).__name__}"
+                )
+        except (TransientChannelError, ProtocolError):
             answer = None
             self.membership.mark_down(address)
+        finally:
+            if not isinstance(answer, Welcome):
+                self.membership.unpin(address)
+                if writer is not None:
+                    writer.close()
         if isinstance(answer, Welcome):
             return _Upstream(address, reader, writer), answer
-        self.membership.unpin(address)
-        if writer is not None:
-            writer.close()
-        if answer is not None and not isinstance(answer, NetRefused):
-            raise ProtocolError(
-                f"backend answered {type(answer).__name__} to "
-                f"{type(opening).__name__}"
-            )
         return None, answer
 
     async def _open_new_session(self, hello: Hello):

@@ -27,13 +27,12 @@ from ..hardware.cache import RANDOM_POLICY
 from ..hardware.coprocessor import SecureCoprocessor, SecureStorageReport
 from ..hardware.specs import HardwareSpec
 from ..obs.tracer import Tracer
-from ..shuffle.oblivious import ObliviousShuffler
 from ..shuffle.permutation import Permutation
 from ..sim.clock import VirtualClock
 from ..storage.disk import DiskStore
 from ..storage.frames import frame_matrix
 from ..storage.merkle import AuthenticatedDisk
-from ..storage.page import Page
+from ..storage.page import Page, PageWindow
 from ..storage.tiered import TieredDiskStore
 from ..storage.trace import AccessTrace
 
@@ -160,8 +159,9 @@ def _create(
     """Solve the parameters, wire an instance and load ``records`` into it.
 
     What :meth:`PirDatabase.create` and ``DataOwner.create`` share.
-    Returns ``(params, coprocessor, disk, engine)``.  The permuted,
-    encrypted database goes to the store as one contiguous write per
+    Returns ``(params, coprocessor, disk, engine)``.  The encrypted
+    database — randomly permuted for a direct build, in identity layout
+    for an oblivious one — goes to the store as one contiguous write per
     ``write_batch`` locations.
     """
     if not records:
@@ -189,13 +189,13 @@ def _create(
         else:
             disk_pages.append(Page(page_id, b"", deleted=True))
 
-    if setup_mode == SETUP_OBLIVIOUS:
-        layout = _oblivious_layout(cop, disk_pages, engine)
-    else:
+    # An oblivious build's first reshuffle epoch permutes the identity
+    # layout (see PirDatabase.create).
+    layout = list(range(params.num_locations))
+    if setup_mode == SETUP_DIRECT:
         permutation = Permutation.random(
             params.num_locations, cop.rng.spawn("setup")
         )
-        layout = [0] * params.num_locations
         for page_id in range(params.num_locations):
             layout[permutation.apply(page_id)] = page_id
 
@@ -240,23 +240,6 @@ def _create(
     return params, cop, disk, engine
 
 
-def _oblivious_layout(
-    cop: SecureCoprocessor, disk_pages: List[Page], engine: RetrievalEngine
-) -> List[int]:
-    """Run the tagged oblivious sort on a scratch area and return the layout."""
-    shuffler = ObliviousShuffler(cop.suite, cop.rng.spawn("shuffle"),
-                                 cop.page_capacity,
-                                 tracer=engine.tracer, metrics=engine.metrics)
-    scratch = DiskStore(
-        num_locations=len(disk_pages),
-        frame_size=shuffler.tagged_frame_size,
-        timing=cop.spec.disk,
-        clock=cop.clock,
-        trace=AccessTrace(enabled=False),
-    )
-    return shuffler.shuffle(disk_pages, scratch)
-
-
 class PirDatabase:
     """A c-approximate-PIR protected page database (the paper's full system)."""
 
@@ -298,8 +281,12 @@ class PirDatabase:
         ``target_c`` the privacy parameter (ignored when ``block_size``
         pins k directly), ``page_capacity`` is B, ``reserve_fraction``
         pre-allocates dummy pages for future insertions (§4.3).
-        ``setup_mode`` selects the faithful O(n log^2 n) oblivious shuffle
-        or the fast trusted-ingest permutation (DESIGN.md §3).  ``wiring``
+        ``setup_mode`` selects the fast trusted-ingest permutation
+        (``"direct"``) or the faithful O(n log^2 n) oblivious shuffle
+        (``"oblivious"``): the pages go to the store in identity layout and
+        one foreground reshuffle epoch — epoch 1 of the database's
+        numbering, DESIGN.md §15 — permutes them before anything is
+        served; the driver is closed and detached afterwards.  ``wiring``
         goes to the one builder, :func:`_wire`, which documents it:
         ``master_key``, ``spec``, ``seed``, ``cipher_backend``,
         ``cache_policy``, ``enforce_memory_limit``, ``trace_enabled``,
@@ -309,11 +296,17 @@ class PirDatabase:
         :func:`~repro.core.snapshot.load_snapshot` takes too.  A ``tracer``
         is reset after setup so the recorded phases cover requests only.
         """
-        return cls(*_create(
+        db = cls(*_create(
             records, cache_capacity, target_c, page_capacity,
             reserve_fraction, block_size,
             setup_mode=setup_mode, write_batch=4096, **wiring,
         ))
+        if setup_mode == SETUP_OBLIVIOUS:
+            db.begin_reshuffle().run()
+            db.reshuffle.close()
+            db.reshuffle = None
+            db.tracer.reset()
+        return db
 
     # ------------------------------------------------------------------
     # Operations
@@ -489,6 +482,17 @@ class PirDatabase:
         """Secure-memory footprint, the measured counterpart of Eq. 7."""
         return self.cop.storage_report()
 
+    def _stored_pages(self) -> PageWindow:
+        """Every location's page, opened as one matrix (no I/O charged)."""
+        frames = np.empty((self.disk.num_locations, self.cop.frame_size),
+                          np.uint8)
+        for location in range(self.disk.num_locations):
+            frame = self.disk.peek(location)
+            if frame is None:
+                raise ConfigurationError(f"location {location} uninitialised")
+            frames[location] = np.frombuffer(frame, np.uint8)
+        return self.cop.unseal_frames(frames)
+
     def consistency_check(self) -> None:
         """Verify disk/cache/page-map agreement (test & debugging aid).
 
@@ -497,11 +501,7 @@ class PirDatabase:
         """
         pm = self.cop.page_map
         seen = set()
-        for location in range(self.disk.num_locations):
-            frame = self.disk.peek(location)
-            if frame is None:
-                raise ConfigurationError(f"location {location} uninitialised")
-            page = self.cop.unseal(frame)
+        for location, page in enumerate(self._stored_pages()):
             entry = pm.lookup(page.page_id)
             if entry.in_cache or entry.position != location:
                 raise ConfigurationError(
@@ -533,13 +533,7 @@ class PirDatabase:
         import hashlib
 
         pm = self.cop.page_map
-        pages = {}
-        for location in range(self.disk.num_locations):
-            frame = self.disk.peek(location)
-            if frame is None:
-                raise ConfigurationError(f"location {location} uninitialised")
-            page = self.cop.unseal(frame)
-            pages[page.page_id] = page
+        pages = {page.page_id: page for page in self._stored_pages()}
         for page in self.cop.cache:
             pages[page.page_id] = page
         digest = hashlib.sha256()

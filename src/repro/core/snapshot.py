@@ -13,7 +13,8 @@ Snapshot layout on the host filesystem::
       manifest.json      # public parameters (nothing secret: n, k, m, B, ...)
       frames.bin         # the untrusted page array, verbatim
       sealed.bin         # encrypted trusted state (pageMap, cache, pointer,
-                         #   and — format 2 — any in-flight key rotation)
+                         #   and — format 2 — any in-flight key rotation
+                         #   and the last reshuffle epoch number)
       reshuffle.sealed   # present iff an online reshuffle epoch was active:
                          #   its frontier + secret epoch key (resume_reshuffle)
       <name>.sealed      # auxiliary sidecars (e.g. replication checkpoints)
@@ -100,6 +101,10 @@ def _encode_trusted_state(db: PirDatabase) -> bytes:
         parts.append(_U32.pack(len(legacy)))
         parts.append(legacy)
     parts.append(_I64.pack(-1 if rotation_left is None else rotation_left))
+    # Last reshuffle epoch begun, active or not (an oblivious build has
+    # finished epoch 1): a restored instance continues the database-global
+    # numbering, so it never respawns an earlier epoch's nonce label or key.
+    parts.append(_U64.pack(getattr(db, "_reshuffle_epoch_base", 0)))
     return b"".join(parts)
 
 
@@ -164,6 +169,8 @@ def _decode_trusted_state(blob: bytes, db: PirDatabase) -> None:
     offset += 8
     if rotation_left >= 0:
         db.engine._rotation_requests_left = rotation_left
+    if offset < len(blob):  # absent before epoch numbering was saved
+        db._reshuffle_epoch_base = take_u64()
     if offset != len(blob):
         raise StorageError("trailing bytes in trusted-state blob")
 
@@ -215,7 +222,8 @@ def save_snapshot(db: PirDatabase, directory: str) -> None:
     state carries the legacy key and the rotation countdown) and during an
     online reshuffle epoch (the epoch's frontier and secret key are sealed
     into a ``reshuffle`` sidecar; reattach with :func:`resume_reshuffle`).
-    A *retained* write-back (a transiently failed apply — the engine's or
+    The last epoch number is sealed either way, so the restored instance's
+    next ``begin_reshuffle()`` continues the numbering.  A *retained* write-back (a transiently failed apply — the engine's or
     a background worker's) is healed under the op lock before anything is
     dumped, so the frames and the sealed page map always agree.  It still
     refuses while either intent journal — the engine's or the

@@ -63,23 +63,24 @@ def retry_call(
     retry_on: Tuple[Type[BaseException], ...],
     counters: Optional[CounterSet] = None,
     counter: str = "retries",
-    min_delay: float = 0.0,
 ) -> T:
     """Run ``operation`` up to ``policy.max_attempts`` times.
 
-    Exceptions in ``retry_on`` trigger a backoff (charged to ``clock``) and
-    another attempt; the final attempt's exception propagates unchanged.
-    ``min_delay`` floors each backoff — used to honour a server-provided
-    retry-after hint.
+    Exceptions in ``retry_on`` trigger a backoff (charged to ``clock``, or
+    to anything with an ``advance(seconds)``) and another attempt; the
+    final attempt's exception propagates unchanged.  An exception's
+    ``retry_after`` hint (a server's refusal carries one) floors its
+    backoff.
     """
     attempt = 0
     while True:
         try:
             return operation()
-        except retry_on:
+        except retry_on as exc:
             if attempt + 1 >= policy.max_attempts:
                 raise
-            delay = max(policy.delay_for(attempt, rng), min_delay)
+            delay = max(policy.delay_for(attempt, rng),
+                        getattr(exc, "retry_after", 0.0))
             clock.advance(delay)
             if counters is not None:
                 counters.increment(counter)

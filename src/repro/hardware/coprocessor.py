@@ -190,34 +190,43 @@ class SecureCoprocessor:
         """Bytes of one encrypted page frame as stored on the untrusted disk."""
         return self.suite.frame_size(self.plaintext_page_size)
 
-    def seal(self, page: Page) -> bytes:
-        """Encode + encrypt a page with a fresh nonce (Figure 3, line 21)."""
-        return self.suite.encrypt_page(page.encode(self.page_capacity))
-
-    def unseal(self, frame: bytes) -> Page:
-        """Decrypt + authenticate + decode a page frame.
-
-        During a key rotation, frames written before the switch still
-        authenticate under the legacy key and are accepted; everything
-        written from now on uses the new key.
-        """
+    def _with_legacy_key(self, open_with):
+        """``open_with(suite)`` under the current key — and, during a key
+        rotation, under the legacy key if the current one refuses it."""
         try:
-            return Page.decode(self.suite.decrypt_page(frame))
+            return open_with(self.suite)
         except AuthenticationError:
             if self._legacy_suite is None:
                 raise
-            return Page.decode(self._legacy_suite.decrypt_page(frame))
+            return open_with(self._legacy_suite)
+
+    def seal(self, page: Page) -> bytes:
+        """Encode + encrypt a page with a fresh nonce (Figure 3, line 21):
+        :meth:`seal_pages` with a batch of one."""
+        return self.seal_pages([page])[0].tobytes()
+
+    def unseal(self, frame: bytes) -> Page:
+        """Decrypt + authenticate + decode a page frame: :meth:`unseal_frames`
+        with a batch of one (so a legacy-key frame is accepted during a
+        rotation).  The payload is a view, as a window slot's is.  Bytes of
+        any other size than a frame are not a page frame of this database:
+        they fail authentication."""
+        if len(frame) != self.frame_size:
+            raise AuthenticationError(
+                f"{len(frame)}-byte frame is not a {self.frame_size}-byte "
+                "page frame"
+            )
+        return self.unseal_frames([frame])[0]
 
     def seal_pages(self, pages: Sequence[Page]) -> np.ndarray:
-        """Batch :meth:`seal`: one cipher-suite call, one matrix of frames.
+        """Encode + encrypt pages: one cipher-suite call, one matrix of frames.
 
         Handed the :class:`PageWindow` that :meth:`unseal_frames` returned,
         only the slots replaced since are re-encoded (into the window's own
         plaintext matrix, which goes straight back to the kernel); any
         other sequence of pages is encoded in one pass.  Nonces are drawn
         in page order, so row i is byte-identical to sealing page i
-        individually (:meth:`seal` is the same kernel with a batch of one)
-        — see DESIGN.md §10.
+        individually — see DESIGN.md §10.
         """
         if isinstance(pages, PageWindow):
             plain = pages.plaintext(self.page_capacity)
@@ -226,7 +235,7 @@ class SecureCoprocessor:
         return self.suite.encrypt_pages(plain)
 
     def unseal_frames(self, frames) -> PageWindow:
-        """Batch :meth:`unseal` with batched MAC verification.
+        """Decrypt + authenticate + decode frames, MACs verified as a batch.
 
         ``frames`` is a frame matrix (what a range read returns) or any
         sequence of frames.  The whole batch is verified and decrypted in
@@ -276,16 +285,11 @@ class SecureCoprocessor:
 
         Returns ``(header, frames)``: the decrypted header and the frame
         section as a read-only matrix view of ``record``.  Accepts the
-        legacy key during a rotation, like :meth:`unseal`.
+        legacy key during a rotation.
         """
-        try:
-            header, body = self.suite.open_intent(magic, record, header_size)
-        except AuthenticationError:
-            if self._legacy_suite is None:
-                raise
-            header, body = self._legacy_suite.open_intent(
-                magic, record, header_size
-            )
+        header, body = self._with_legacy_key(
+            lambda suite: suite.open_intent(magic, record, header_size)
+        )
         return header, body.reshape(-1, self.frame_size)
 
     def seal_blob(self, data: bytes) -> bytes:
@@ -295,14 +299,9 @@ class SecureCoprocessor:
     def unseal_blob(self, blob: bytes) -> bytes:
         """Decrypt + authenticate a blob sealed by :meth:`seal_blob`.
 
-        Accepts the legacy key during a rotation, like :meth:`unseal`.
+        Accepts the legacy key during a rotation.
         """
-        try:
-            return self.suite.decrypt_page(blob)
-        except AuthenticationError:
-            if self._legacy_suite is None:
-                raise
-            return self._legacy_suite.decrypt_page(blob)
+        return self._with_legacy_key(lambda suite: suite.decrypt_page(blob))
 
     def seal_record(self, plaintext: bytes) -> bytes:
         """Seal one fixed-size control record (the §13 replication stream).

@@ -48,7 +48,7 @@ from ..errors import (
     ProtocolError,
     TransientChannelError,
 )
-from ..faults.retry import RetryPolicy
+from ..faults.retry import RetryPolicy, retry_call
 from ..service import protocol
 from ..service.frontend import (
     SESSION_BACKEND,
@@ -63,6 +63,15 @@ __all__ = ["NetworkClient"]
 #: Never sleep longer than this between retries, whatever the server's
 #: retry-after hint says — a buggy hint must not hang a client for hours.
 MAX_BACKOFF_S = 5.0
+
+
+class _WallClock:
+    """The clock :func:`~repro.faults.retry.retry_call` backs off on:
+    real sleeps, each capped at :data:`MAX_BACKOFF_S`."""
+
+    @staticmethod
+    def advance(seconds: float) -> None:
+        time.sleep(min(seconds, MAX_BACKOFF_S))
 
 
 def _client_suite(session_id: int, seed: Optional[int] = None) -> CipherSuite:
@@ -228,34 +237,29 @@ class NetworkClient(ClientOperationsMixin):
         )
         request_id = self._next_request_id
         self._next_request_id += 1
-        attempt = 0
-        while True:
+
+        def attempt() -> protocol.ClientMessage:
             started = time.monotonic()
-            try:
-                sealed_reply = self._transact(request_id, sealed)
-                self.latencies.record(time.monotonic() - started)
-                reply = protocol.decode_client_message(
-                    self._suite.decrypt_page(sealed_reply)
+            sealed_reply = self._transact(request_id, sealed)
+            self.latencies.record(time.monotonic() - started)
+            reply = protocol.decode_client_message(
+                self._suite.decrypt_page(sealed_reply)
+            )
+            if isinstance(reply, protocol.Refused):
+                raise error_for_refusal(
+                    reply.code,
+                    f"request refused: {reply.reason}",
+                    reply.retry_after,
                 )
-                if isinstance(reply, protocol.Refused):
-                    raise error_for_refusal(
-                        reply.code,
-                        f"request refused: {reply.reason}",
-                        reply.retry_after,
-                    )
-                return reply
-            except (TransientChannelError, DegradedServiceError) as exc:
-                if (self.retry is None
-                        or attempt + 1 >= self.retry.max_attempts):
-                    raise
-                hint = max(getattr(exc, "retry_after", 0.0), 0.0)
-                delay = min(
-                    max(self.retry.delay_for(attempt, self._retry_rng), hint),
-                    MAX_BACKOFF_S,
-                )
-                time.sleep(delay)
-                self.counters.increment("retries")
-                attempt += 1
+            return reply
+
+        if self.retry is None:
+            return attempt()
+        return retry_call(
+            attempt, self.retry, _WallClock, self._retry_rng,
+            (TransientChannelError, DegradedServiceError),
+            counters=self.counters,
+        )
 
     def close(self) -> None:
         """Orderly goodbye; safe to call twice or on a broken socket."""

@@ -42,7 +42,7 @@ from ..errors import (
     ReproError,
     TransientChannelError,
 )
-from ..faults.retry import RetryPolicy
+from ..faults.retry import RetryPolicy, retry_call
 from ..sim.clock import VirtualClock
 from ..sim.metrics import CounterSet, LatencySeries
 from ..twoparty.channel import SimulatedChannel
@@ -858,19 +858,11 @@ class ServiceClient(ClientOperationsMixin):
     def _call(self, message: protocol.ClientMessage) -> protocol.ClientMessage:
         if self.retry is None:
             return self._call_once(message)
-        attempt = 0
-        while True:
-            try:
-                return self._call_once(message)
-            except (TransientChannelError, DegradedServiceError) as exc:
-                if attempt + 1 >= self.retry.max_attempts:
-                    raise
-                hint = max(getattr(exc, "retry_after", 0.0), 0.0)
-                delay = max(self.retry.delay_for(attempt, self._retry_rng),
-                            hint)
-                self.channel.clock.advance(delay)
-                self.counters.increment("retries")
-                attempt += 1
+        return retry_call(
+            lambda: self._call_once(message), self.retry, self.channel.clock,
+            self._retry_rng, (TransientChannelError, DegradedServiceError),
+            counters=self.counters,
+        )
 
     def close(self) -> None:
         self.frontend.close_session(self.session_id)

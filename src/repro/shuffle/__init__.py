@@ -1,12 +1,11 @@
-"""Oblivious permutation substrate for the setup phase."""
+"""Oblivious permutation: the Batcher network (driven by
+:mod:`repro.shuffle.online`) and secret permutations."""
 
-from .oblivious import ObliviousShuffler, batcher_network, direct_permute, network_size
+from .oblivious import batcher_network, network_size
 from .permutation import Permutation
 
 __all__ = [
-    "ObliviousShuffler",
     "batcher_network",
-    "direct_permute",
     "network_size",
     "Permutation",
 ]

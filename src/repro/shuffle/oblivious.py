@@ -1,73 +1,29 @@
-"""Oblivious permutation of the encrypted database (setup phase).
+"""Batcher's odd-even merge sorting network: the oblivious permutation's
+access schedule.
 
 "Prior to query processing, the secure hardware encrypts and obliviously
 permutes the database pages" (§3.1).  With only O(1) pages of working memory
 inside the tamper boundary, writing page ``i`` straight to ``pi(i)`` would
-reveal ``pi`` — so the permutation is realised as an *oblivious sort*:
+reveal ``pi`` — so the permutation is realised as an *oblivious sort*: pages
+are compare-exchanged along this network by secret per-epoch tags, and every
+compare-exchange rewrites both frames with fresh nonces, so the server
+cannot even tell whether a swap happened.  The network's access sequence
+depends only on ``n``, never on the data; sorting by secret random tags
+yields a uniformly random permutation.  Cost is O(n log^2 n)
+compare-exchanges.
 
-1. each page is tagged with a fresh 16-byte random value (inside the
-   hardware, invisible to the server),
-2. a Batcher odd-even merge sorting network is executed over the disk,
-   compare-exchanging pairs of encrypted frames; the network's access
-   sequence depends only on ``n``, never on the data,
-3. sorting by random tags yields a uniformly random permutation (ties occur
-   with probability ~ n^2 / 2^129, which we accept and document).
-
-Every compare-exchange re-encrypts both frames with fresh nonces, so the
-server cannot even tell whether a swap happened.  Cost is
-O(n log^2 n) compare-exchanges — paid once at setup, exactly as in the paper.
-
-For large simulated databases where setup obliviousness is not the property
-under study, :func:`direct_permute` installs the permutation with plain
-sequential writes instead (DESIGN.md §3 documents this fidelity knob).
+:class:`~repro.shuffle.online.OnlineReshuffler` is the one driver of the
+network: an oblivious build (``setup_mode="oblivious"``) is its first
+epoch, run to completion before the database serves (DESIGN.md §15).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Tuple
+from typing import Iterator, Tuple
 
-from .permutation import Permutation
-from ..crypto.rng import SecureRandom
-from ..crypto.suite import CipherSuite
 from ..errors import ConfigurationError
-from ..obs.tracer import NULL_TRACER
-from ..storage.disk import DiskStore
-from ..storage.page import Page
 
-__all__ = [
-    "batcher_network",
-    "batcher_passes",
-    "ObliviousShuffler",
-    "direct_permute",
-    "TAG_SIZE",
-]
-
-TAG_SIZE = 16
-
-
-def batcher_passes(n: int) -> Iterator[Tuple[int, int, List[Tuple[int, int]]]]:
-    """Yield the network one merge pass at a time as ``(p, k, comparators)``.
-
-    A pass is one (p, k) stage of Batcher's odd-even merge: all of its
-    comparators touch disjoint index pairs, which is what makes the pass a
-    natural unit for progress reporting (and, in principle, for parallel
-    execution).  Concatenating the passes in order reproduces
-    :func:`batcher_network` exactly.
-    """
-    if n <= 0:
-        raise ConfigurationError("network size must be positive")
-    p = 1
-    while p < n:
-        k = p
-        while k >= 1:
-            comparators: List[Tuple[int, int]] = []
-            for j in range(k % p, n - k, 2 * k):
-                for i in range(min(k, n - j - k)):
-                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
-                        comparators.append((i + j, i + j + k))
-            yield (p, k, comparators)
-            k //= 2
-        p *= 2
+__all__ = ["batcher_network", "network_size"]
 
 
 def batcher_network(n: int) -> Iterator[Tuple[int, int]]:
@@ -77,137 +33,20 @@ def batcher_network(n: int) -> Iterator[Tuple[int, int]]:
     is equivalent to padding with +infinity sentinel elements, which never
     move, so the network still sorts any n (not just powers of two).
     """
-    for _p, _k, comparators in batcher_passes(n):
-        for pair in comparators:
-            yield pair
+    if n <= 0:
+        raise ConfigurationError("network size must be positive")
+    p = 1
+    while p < n:
+        k = p
+        while k >= 1:
+            for j in range(k % p, n - k, 2 * k):
+                for i in range(min(k, n - j - k)):
+                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
+                        yield (i + j, i + j + k)
+            k //= 2
+        p *= 2
 
 
 def network_size(n: int) -> int:
     """Number of comparators the network executes for ``n`` elements."""
     return sum(1 for _ in batcher_network(n))
-
-
-class ObliviousShuffler:
-    """Executes the tagged oblivious sort over a :class:`DiskStore`.
-
-    The shuffler holds at most two pages inside the boundary at any moment,
-    which is what makes the construction meaningful for a coprocessor whose
-    cache is already fully committed to ``pageCache``.
-    """
-
-    def __init__(self, suite: CipherSuite, rng: SecureRandom, page_capacity: int,
-                 tracer=None, metrics=None):
-        self.suite = suite
-        self.rng = rng
-        self.page_capacity = page_capacity
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
-
-    @property
-    def tagged_plaintext_size(self) -> int:
-        return TAG_SIZE + Page.plaintext_size(self.page_capacity)
-
-    @property
-    def tagged_frame_size(self) -> int:
-        return self.suite.frame_size(self.tagged_plaintext_size)
-
-    # -- tagged frame codec -------------------------------------------------------
-
-    def seal_tagged(self, tag: bytes, page: Page) -> bytes:
-        if len(tag) != TAG_SIZE:
-            raise ConfigurationError(f"tag must be {TAG_SIZE} bytes")
-        return self.suite.encrypt_page(tag + page.encode(self.page_capacity))
-
-    def unseal_tagged(self, frame: bytes) -> Tuple[bytes, Page]:
-        plaintext = self.suite.decrypt_page(frame)
-        return plaintext[:TAG_SIZE], Page.decode(plaintext[TAG_SIZE:])
-
-    # -- the shuffle ---------------------------------------------------------------
-
-    def ingest(self, pages: List[Page], disk: DiskStore) -> None:
-        """Sequentially encrypt-and-write pages with fresh random tags.
-
-        The server learns nothing beyond n and the frame size: the write
-        order is the input order, and tags are inside the ciphertext.
-        """
-        if disk.frame_size != self.tagged_frame_size:
-            raise ConfigurationError(
-                "disk frame size does not match tagged frame size; create the "
-                "scratch disk with ObliviousShuffler.tagged_frame_size"
-            )
-        if len(pages) != disk.num_locations:
-            raise ConfigurationError("page count must equal disk size")
-        for location, page in enumerate(pages):
-            disk.write(location, self.seal_tagged(self.rng.token(TAG_SIZE), page))
-
-    def sort(self, disk: DiskStore,
-             progress: Callable[[int], None] = lambda done: None) -> None:
-        """Run the sorting network over the disk (data-independent accesses).
-
-        Progress is published as it goes — a ``shuffle.progress`` gauge in
-        [0, 1] on the metrics registry plus one ``shuffle.pass`` span per
-        (p, k) merge pass — so a long SETUP_OBLIVIOUS build is observable
-        instead of silent.  Neither channel depends on the data: pass
-        boundaries and comparator counts are functions of n alone.
-        """
-        n = disk.num_locations
-        total = network_size(n)
-        gauge = self.metrics.gauge("shuffle.progress") if self.metrics else None
-        if gauge is not None:
-            gauge.set(0.0)
-        done = 0
-        for _p, _k, comparators in batcher_passes(n):
-            if not comparators:
-                continue
-            nbytes = 4 * len(comparators) * disk.frame_size
-            with self.tracer.span("shuffle.pass", nbytes=nbytes):
-                for i, j in comparators:
-                    frame_i = disk.read(i)
-                    frame_j = disk.read(j)
-                    tag_i, page_i = self.unseal_tagged(frame_i)
-                    tag_j, page_j = self.unseal_tagged(frame_j)
-                    if tag_i > tag_j:
-                        page_i, page_j = page_j, page_i
-                        tag_i, tag_j = tag_j, tag_i
-                    # Always rewrite both with fresh nonces so swap/no-swap
-                    # is invisible.
-                    disk.write(i, self.seal_tagged(tag_i, page_i))
-                    disk.write(j, self.seal_tagged(tag_j, page_j))
-                    done += 1
-                    progress(done)
-            if gauge is not None:
-                gauge.set(done / total if total else 1.0)
-        if gauge is not None:
-            gauge.set(1.0)
-
-    def extract_layout(self, disk: DiskStore) -> List[int]:
-        """Read back which page id landed at each location (post-sort pass).
-
-        In deployment this pass is how the hardware (re)builds ``pageMap``;
-        it is a sequential scan, so it leaks nothing.
-        """
-        layout: List[int] = []
-        for location in range(disk.num_locations):
-            _tag, page = self.unseal_tagged(disk.read(location))
-            layout.append(page.page_id)
-        return layout
-
-    def shuffle(self, pages: List[Page], disk: DiskStore) -> List[int]:
-        """Ingest, sort, and return the resulting layout (id at each location)."""
-        self.ingest(pages, disk)
-        self.sort(disk)
-        return self.extract_layout(disk)
-
-
-def direct_permute(pages: List[Page], permutation: Permutation) -> List[Page]:
-    """Apply a permutation in trusted memory: result[pi(i)] = pages[i].
-
-    Fast-setup path for experiments (see module docstring); the resulting
-    layout is identical in distribution to the oblivious sort's.
-    """
-    if len(pages) != len(permutation):
-        raise ConfigurationError("page count must match permutation size")
-    result: List[Page] = [pages[0]] * len(pages)
-    for index, page in enumerate(pages):
-        result[permutation.apply(index)] = page
-    return result

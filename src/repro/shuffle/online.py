@@ -1,13 +1,14 @@
-"""Online background re-permutation: the Batcher sort, without the stall.
+"""The oblivious permutation: the Batcher sort, with or without the stall.
 
-The setup-time oblivious shuffle (:mod:`repro.shuffle.oblivious`) is an
-offline, stop-the-world event — O(n log² n) compare-exchanges during which
-the database serves nothing.  That is acceptable once, at build time; it is
-exactly the downtime failure mode the paper's §1 criticises when it recurs
-at every reshuffle/key-rotation epoch.  :class:`OnlineReshuffler` executes
-the *same* comparator network incrementally: a bounded budget of
-compare-exchanges per idle slot, interleaved with live serving under the
-engine's ``op_lock``.
+:class:`OnlineReshuffler` executes Batcher's network
+(:mod:`repro.shuffle.oblivious`) as bounded batches of compare-exchanges
+under the engine's ``op_lock``.  Run to completion before the database
+serves, an epoch is the setup-time oblivious shuffle: an oblivious build
+writes the pages in identity layout and runs epoch 1 in the foreground
+(sorting by secret tags from *any* starting layout yields a uniform secret
+permutation).  Later epochs interleave with live serving — a recurring
+stop-the-world reshuffle is exactly the downtime failure mode the paper's
+§1 criticises.
 
 Epoch structure — each epoch performs two phases over one logical frontier:
 
@@ -15,7 +16,7 @@ Epoch structure — each epoch performs two phases over one logical frontier:
    Batcher's odd-even merge network, in network order, each comparing the
    secret per-epoch PRF tags of the two resident pages and swapping on
    demand.  Both frames are always rewritten with fresh nonces, so
-   swap/no-swap is invisible — identical to the setup sort.
+   swap/no-swap is invisible.
 2. **Refresh sweep** (units ``network_size(n) .. +n``): one sequential
    reseal of every location.  The sweep guarantees *every* frame carries a
    fresh post-epoch encryption even where the network's comparator set is
@@ -112,8 +113,8 @@ class ReshuffleIntent:
     frontier_before: int
     frontier_after: int
     locations: List[int] = field(default_factory=list)
-    # One sealed frame per location: a list of ``bytes`` as computed, a
-    # read-only matrix view of the record when decoded.
+    # One sealed frame per location, as the rows of one matrix (a
+    # read-only view of the record when decoded).
     frames: Sequence = field(default_factory=list)
     map_ops: List[Tuple[int, int]] = field(default_factory=list)
 
@@ -208,7 +209,7 @@ class OnlineReshuffler:
         # Independent nonce stream for background reseals (same derived
         # keys as the engine's suite, so its frames decrypt normally).
         self._suite = None
-        self._key_rng = self.cop.rng.spawn("reshuffle-keys")
+        self._key_rng = None
         self._pending: Optional[ReshuffleIntent] = None
 
         # Background worker plumbing.
@@ -280,6 +281,16 @@ class OnlineReshuffler:
                 # request countdown.
                 self.cop.begin_key_rotation(rotate_to)
                 self._rotate_pending = True
+            if self._key_rng is None:
+                # spawn() is a pure function of (seed, label): a label
+                # reused by a later driver would redraw an earlier epoch's
+                # key and re-sort into the layout the host already saw.  The
+                # database-global epoch this driver starts after names its
+                # stream, and its own epochs take successive keys from it.
+                self._key_rng = self.cop.rng.spawn(
+                    "reshuffle-keys" if self._epoch == 0
+                    else f"reshuffle-keys-{self._epoch}"
+                )
             self._epoch += 1
             self.db._reshuffle_epoch_base = self._epoch
             self._frontier = 0
@@ -412,38 +423,34 @@ class OnlineReshuffler:
     def _compute_batch(self, frontier: int, units: List[object]) -> ReshuffleIntent:
         """Compute phase: read, compare, reseal — no state mutated.
 
-        The set of touched locations is a pure function of (n, frontier,
-        budget): comparator index pairs come from the public network, sweep
-        indices are sequential.  Whether a comparator swapped is hidden the
-        same way as at setup — both frames are always rewritten fresh.
+        The touched locations, in first-touch order, are a pure function of
+        (n, frontier, budget): comparator index pairs come from the public
+        network, sweep indices are sequential.  They are read as one store
+        call of ``(location, 1)`` ranges (one access each), opened in one
+        kernel pass, compare-exchanged as window slots, resealed in one
+        kernel pass and written back as one store call.  Whether a
+        comparator swapped is hidden — every touched frame is rewritten
+        fresh.
         """
-        disk = self.engine.disk
-        touched: List[int] = []
-        pages: Dict[int, object] = {}
-
-        def load(location: int) -> None:
-            if location not in pages:
-                touched.append(location)
-                pages[location] = self.cop.unseal(disk.read(location))
-
+        slots: Dict[int, int] = {}
+        for unit in units:
+            for location in unit if isinstance(unit, tuple) else (unit,):
+                slots.setdefault(location, len(slots))
+        touched = list(slots)
+        window = self.cop.unseal_frames(
+            self.engine.disk.read_ranges([(loc, 1) for loc in touched])
+        )
         for unit in units:
             if isinstance(unit, tuple):
-                i, j = unit
-                load(i)
-                load(j)
-                tag_i = _tag(self._epoch_key, pages[i].page_id)
-                tag_j = _tag(self._epoch_key, pages[j].page_id)
-                if tag_i > tag_j:
-                    pages[i], pages[j] = pages[j], pages[i]
-            else:
-                load(unit)
+                i, j = slots[unit[0]], slots[unit[1]]
+                if (_tag(self._epoch_key, window[i].page_id)
+                        > _tag(self._epoch_key, window[j].page_id)):
+                    window[i], window[j] = window[j], window[i]
 
-        capacity = self.cop.page_capacity
-        frames = [
-            self._suite.encrypt_page(pages[loc].encode(capacity))
-            for loc in touched
-        ]
-        map_ops = [(pages[loc].page_id, loc) for loc in touched]
+        map_ops = [(window[slot].page_id, loc) for slot, loc in enumerate(touched)]
+        frames = self._suite.encrypt_pages(
+            window.plaintext(self.cop.page_capacity)
+        )
         comparators = sum(1 for unit in units if isinstance(unit, tuple))
         self.counters.increment("comparators", comparators)
         self.counters.increment("sweeps", len(units) - comparators)
@@ -465,8 +472,8 @@ class OnlineReshuffler:
                 "reshuffle.write_back",
                 nbytes=len(intent.frames) * disk.frame_size,
             ):
-                for location, frame in zip(intent.locations, intent.frames):
-                    disk.write(location, frame)
+                disk.write_ranges([(loc, 1) for loc in intent.locations],
+                                  intent.frames)
         except Exception:
             # Partial write-back: some locations carry post-swap frames the
             # map does not describe yet.  Retain the intent; the engine's

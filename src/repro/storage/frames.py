@@ -2,7 +2,7 @@
 
 The stores hand frames around as ``count x frame_size`` matrices (see the
 store contract in :mod:`repro.storage.disk`); callers that still hold
-frames one by one — set-up, the reshuffler, the baselines, tests — pass any
+frames one by one — the baselines, the single-frame calls, tests — pass any
 sequence of bytes-like rows.  :func:`frame_matrix` is the one place the two
 spellings meet.  A store access names its frames by a sequence of
 ``(location, count)`` ranges whose frames sit back to back in one matrix;

@@ -9,6 +9,9 @@ lost backend replies, rolling restarts, and full-cluster outage.
 from __future__ import annotations
 
 import contextlib
+import socket
+import struct
+import threading
 
 import pytest
 
@@ -505,6 +508,87 @@ class TestSessionIdCollision:
                 handle.kill()
             for db in dbs:
                 db.close()
+
+
+class GarbageMember:
+    """A raw-socket cluster member that answers every read with a frame no
+    envelope decodes (tag 0xee), and counts the connections it accepted
+    and the ones its peer closed."""
+
+    GARBAGE = struct.pack(">I", 3) + b"\xee\xee\xee"
+
+    def __init__(self):
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.spec = BackendSpec("127.0.0.1",
+                                self._listener.getsockname()[1])
+        self.accepted = 0
+        self.closed_by_peer = 0
+        self._lock = threading.Lock()
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self):
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
+            with self._lock:
+                self.accepted += 1
+            threading.Thread(target=self._answer, args=(conn,),
+                             daemon=True).start()
+
+    def _answer(self, conn):
+        with conn:
+            conn.settimeout(30.0)
+            try:
+                while conn.recv(65536):
+                    conn.sendall(self.GARBAGE)
+            except OSError:
+                return
+            with self._lock:
+                self.closed_by_peer += 1
+
+    def close(self):
+        self._listener.close()
+
+
+class TestMalformedMember:
+    def test_garbage_handshake_releases_slot_and_connection(self):
+        """A member that answers HELLO with a garbage frame: the router
+        releases the load slot it reserved, closes the connection, marks
+        the member down and serves the client from the healthy member."""
+        db = make_db(num_records=16)
+        healthy = BackendHandle(db, QueryFrontend(
+            db, session_id_mode=SESSION_RANDOM))
+        garbage = GarbageMember()
+        try:
+            healthy.start()
+            # Garbage first: it wins the least-loaded tie.  Probes are slow
+            # and need three failures, so only the HELLO can eject it.
+            router = ClusterRouter(
+                [garbage.spec, healthy.spec], probe_interval=30.0,
+                probe_timeout=1.0, connect_timeout=1.0, backend_timeout=5.0,
+            )
+            with RouterThread(router) as thread:
+                with NetworkClient(thread.host, thread.port,
+                                   timeout=5.0) as client:
+                    assert client.query(3) == make_records(16, 16)[3]
+                    assert (router._pins[client.session_id]
+                            == healthy.spec.address)
+                    member = router.membership.member(garbage.spec.address)
+                    assert member.pinned == 0
+                    assert not member.up
+                assert wait_until(lambda: sum(
+                    state.pinned for state in router.membership.members
+                ) == 0)
+                # Every connection to the garbage member was closed by the
+                # router: the HELLO's and the probe's.
+                assert wait_until(
+                    lambda: garbage.closed_by_peer == garbage.accepted >= 2)
+        finally:
+            garbage.close()
+            healthy.kill()
+            db.close()
 
 
 class TestBackendAdoption:

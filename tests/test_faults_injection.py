@@ -7,6 +7,7 @@ import pytest
 from repro.errors import (
     AuthenticationError,
     ConfigurationError,
+    DegradedServiceError,
     TransientChannelError,
     TransientStorageError,
 )
@@ -260,20 +261,25 @@ class TestRetryCall:
         b = [policy.delay_for(i, SecureRandom(9)) for i in range(4)]
         assert a == b
 
-    def test_min_delay_floors_backoff(self):
-        clock = VirtualClock()
-        attempts = []
+    def test_retry_after_hint_floors_backoff(self):
+        """A refusal's ``retry_after`` hint floors the backoff; an error
+        without one keeps the policy's own schedule."""
+        for error, waited in ((DegradedServiceError("busy", retry_after=1.0),
+                               1.0),
+                              (TransientStorageError("once"), 0.001)):
+            clock = VirtualClock()
+            attempts = []
 
-        def operation():
-            attempts.append(1)
-            if len(attempts) < 2:
-                raise TransientStorageError("once")
-            return "ok"
+            def operation():
+                attempts.append(1)
+                if len(attempts) < 2:
+                    raise error
+                return "ok"
 
-        retry_call(operation, RetryPolicy(base_delay=0.001, jitter=0.0),
-                   clock, SecureRandom(0), (TransientStorageError,),
-                   min_delay=1.0)
-        assert clock.now >= 1.0
+            retry_call(operation, RetryPolicy(base_delay=0.001, jitter=0.0),
+                       clock, SecureRandom(0),
+                       (TransientStorageError, DegradedServiceError))
+            assert clock.now == pytest.approx(waited)
 
     def test_invalid_policies_rejected(self):
         with pytest.raises(ConfigurationError):

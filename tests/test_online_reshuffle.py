@@ -23,7 +23,7 @@ from repro.faults import (
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.shuffle.online import OnlineReshuffler, ReshuffleIntent, _tag
-from repro.shuffle.oblivious import ObliviousShuffler, batcher_network, network_size
+from repro.shuffle.oblivious import network_size
 from repro.storage.disk import DiskStore
 
 
@@ -444,48 +444,23 @@ class TestSnapshotHealsRetainedWriteBack:
 
 
 class TestSetupSortObservability:
-    def test_progress_gauge_and_pass_spans(self):
+    def test_setup_epoch_reports_progress(self):
         metrics = MetricsRegistry()
         tracer = Tracer()
         db = make_db(num_records=12, cache_capacity=4, page_capacity=16,
                      seed=7, setup_mode="oblivious", metrics=metrics,
                      tracer=tracer)
-        # The tracer is reset after setup, but the gauge survives: a
-        # SETUP_OBLIVIOUS build reports its sort progress while running.
-        assert metrics.gauge("shuffle.progress").value == 1.0
+        # An oblivious build is one finished foreground epoch: its progress
+        # gauge and epoch counter survive, the tracer is reset so recorded
+        # phases cover requests only, and the driver is detached.
+        assert metrics.gauge("reshuffle.progress").value == 1.0
+        assert metrics.snapshot()["counters"]["reshuffle.epochs"] == 1
+        assert tracer.spans == []
+        assert db.reshuffle is None
+        # The setup epoch is epoch 1: the next one is 2, so no sibling
+        # nonce label is replayed.
+        assert db.begin_reshuffle().epoch == 2
         db.close()
-
-    def test_sort_emits_one_span_per_pass(self):
-        from repro.crypto.rng import SecureRandom
-        from repro.crypto.suite import CipherSuite
-        from repro.sim.clock import VirtualClock
-        from repro.storage.disk import DiskStore
-        from repro.storage.page import Page
-        from repro.storage.trace import AccessTrace
-
-        metrics = MetricsRegistry()
-        tracer = Tracer()
-        rng = SecureRandom(3)
-        suite = CipherSuite(b"k", rng=rng.spawn("suite"))
-        shuffler = ObliviousShuffler(suite, rng.spawn("tags"), 16,
-                                     tracer=tracer, metrics=metrics)
-        n = 10
-        disk = DiskStore(num_locations=n,
-                         frame_size=shuffler.tagged_frame_size,
-                         timing=None, clock=VirtualClock(),
-                         trace=AccessTrace(enabled=False))
-        shuffler.shuffle([Page(i, bytes([i])) for i in range(n)], disk)
-        passes = [s for s in tracer.spans if s.name == "shuffle.pass"]
-        from repro.shuffle.oblivious import batcher_passes
-        nonempty = sum(1 for _, _, c in batcher_passes(n) if c)
-        assert len(passes) == nonempty
-        assert metrics.gauge("shuffle.progress").value == 1.0
-
-    def test_batcher_passes_concatenate_to_network(self):
-        for n in (1, 2, 5, 16, 33):
-            from repro.shuffle.oblivious import batcher_passes
-            flat = [pair for _, _, cs in batcher_passes(n) for pair in cs]
-            assert flat == list(batcher_network(n))
 
 
 class TestFrontendVisibility:

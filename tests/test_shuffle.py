@@ -2,24 +2,21 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import PirDatabase
+from repro.core.journal import MemoryJournal
+from repro.core.snapshot import load_snapshot, save_snapshot
 from repro.crypto.rng import SecureRandom
-from repro.crypto.suite import CipherSuite
 from repro.errors import ConfigurationError
-from repro.shuffle.oblivious import (
-    ObliviousShuffler,
-    batcher_network,
-    direct_permute,
-    network_size,
-)
+from repro.shuffle.oblivious import batcher_network, network_size
 from repro.shuffle.permutation import Permutation
-from repro.sim.clock import VirtualClock
-from repro.storage.disk import DiskStore
-from repro.storage.page import Page
-from repro.storage.trace import READ
+from repro.storage.disk import DiskStore, StoreWrapper
+from repro.storage.trace import READ, WRITE
 
 
 class TestPermutation:
@@ -120,98 +117,140 @@ class TestBatcherNetwork:
         assert values == sorted(data)
 
 
-class TestObliviousShuffler:
-    def _shuffler(self, seed=1, capacity=8):
-        suite = CipherSuite(b"shuffle-key", backend="shake", rng=SecureRandom(seed))
-        return ObliviousShuffler(suite, SecureRandom(seed + 1), capacity)
+def oblivious_db(num_records=12, seed=1, fill=None, **options):
+    """An oblivious build: identity layout, then one foreground epoch."""
+    records = [bytes([fill if fill is not None else i, i])
+               for i in range(num_records)]
+    return PirDatabase.create(records, cache_capacity=4, block_size=4,
+                              page_capacity=2, seed=seed,
+                              setup_mode="oblivious", **options)
 
-    def _disk_for(self, shuffler, n):
-        return DiskStore(n, shuffler.tagged_frame_size, clock=VirtualClock())
 
+def layout_of(db):
+    """The page id stored at each disk location, from the page map."""
+    layout = [0] * db.params.num_locations
+    for page_id in range(db.params.num_locations):
+        layout[db.cop.page_map.lookup(page_id).position] = page_id
+    return layout
+
+
+def first_touch_order(units):
+    """The locations a batch of units touches, in first-touch order."""
+    order = {}
+    for unit in units:
+        for location in unit if isinstance(unit, tuple) else (unit,):
+            order.setdefault(location, None)
+    return list(order)
+
+
+class TestObliviousBuild:
     def test_shuffle_produces_permutation(self):
-        shuffler = self._shuffler()
-        pages = [Page(i, bytes([i])) for i in range(16)]
-        disk = self._disk_for(shuffler, 16)
-        layout = shuffler.shuffle(pages, disk)
-        assert sorted(layout) == list(range(16))
+        db = oblivious_db(num_records=16)
+        assert sorted(layout_of(db)) == list(range(16))
+        assert db.reshuffle is None
 
     def test_shuffle_moves_pages(self):
-        shuffler = self._shuffler(seed=3)
-        pages = [Page(i) for i in range(32)]
-        layout = shuffler.shuffle(pages, self._disk_for(shuffler, 32))
-        assert layout != list(range(32))
+        db = oblivious_db(num_records=32, seed=3)
+        assert layout_of(db) != list(range(32))
 
     def test_pages_intact_after_shuffle(self):
-        shuffler = self._shuffler(seed=4)
-        pages = [Page(i, bytes([i, i])) for i in range(12)]
-        disk = self._disk_for(shuffler, 12)
-        layout = shuffler.shuffle(pages, disk)
-        for location in range(12):
-            _tag, page = shuffler.unseal_tagged(disk.read(location))
-            assert page.page_id == layout[location]
-            assert page.payload == bytes([layout[location], layout[location]])
+        db = oblivious_db(num_records=12, seed=4)
+        db.consistency_check()
+        for page_id in range(12):
+            assert db.query(page_id) == bytes([page_id, page_id])
 
     def test_access_pattern_is_data_independent(self):
-        """Two shuffles of different data produce identical trace shapes."""
+        """Two builds over different record bytes, same seed: identical
+        trace shapes (the epoch's schedule is a function of n alone)."""
 
-        def trace_of(seed):
-            shuffler = self._shuffler(seed=seed)
-            pages = [Page(i, bytes([seed % 250]))
-                     for i in range(10)]
-            disk = self._disk_for(shuffler, 10)
-            shuffler.shuffle(pages, disk)
-            return [(e.op, e.location, e.count) for e in disk.trace]
+        def trace_of(fill):
+            db = oblivious_db(num_records=10, seed=5, fill=fill)
+            return [(e.op, e.location, e.count) for e in db.trace]
 
-        assert trace_of(5) == trace_of(6)
+        assert trace_of(7) == trace_of(200)
 
     def test_every_compare_rewrites_both_frames(self):
-        shuffler = self._shuffler(seed=7)
-        pages = [Page(i) for i in range(8)]
-        disk = self._disk_for(shuffler, 8)
-        shuffler.ingest(pages, disk)
-        before = len(disk.trace)
-        shuffler.sort(disk)
-        sort_events = disk.trace.events[before:]
-        reads = sum(1 for e in sort_events if e.op == READ)
-        writes = len(sort_events) - reads
-        assert reads == writes == 2 * network_size(8)
+        """After the identity-layout upload, the trace is the network's
+        comparators then one sweep, batch by batch: every location a batch
+        touches is read, then every one rewritten, one access each."""
+        db = oblivious_db(num_records=8, seed=7)
+        n = db.params.num_locations
+        batch = inspect.signature(
+            PirDatabase.begin_reshuffle).parameters["batch_size"].default
+        units = list(batcher_network(n)) + list(range(n))
+        expected = [(WRITE, 0, n)]
+        for start in range(0, len(units), batch):
+            touched = first_touch_order(units[start:start + batch])
+            expected += [(READ, loc, 1) for loc in touched]
+            expected += [(WRITE, loc, 1) for loc in touched]
+        assert [(e.op, e.location, e.count) for e in db.trace] == expected
+        assert len(units) == network_size(n) + n
 
-    def test_uniformity_coarse(self):
-        """Each page lands in each slot roughly uniformly across seeds."""
-        n, rounds = 4, 400
-        counts = [[0] * n for _ in range(n)]
-        for seed in range(rounds):
-            shuffler = self._shuffler(seed=seed + 100, capacity=0)
-            pages = [Page(i) for i in range(n)]
-            layout = shuffler.shuffle(pages, self._disk_for(shuffler, n))
-            for location, page_id in enumerate(layout):
-                counts[page_id][location] += 1
-        expected = rounds / n
-        for row in counts:
-            for count in row:
-                assert 0.5 * expected < count < 1.6 * expected, counts
+    def test_next_epoch_repermutes(self):
+        """Epoch 2 draws a key of its own: it moves the pages, rather than
+        re-sorting them into the layout the setup epoch left."""
+        db = oblivious_db(num_records=32, seed=3)
+        setup_layout = layout_of(db)
+        driver = db.begin_reshuffle()
+        assert driver.epoch == 2
+        driver.run()
+        assert layout_of(db) != setup_layout
+        db.consistency_check()
+        db.close()
 
-    def test_frame_size_mismatch(self):
-        shuffler = self._shuffler()
-        wrong_disk = DiskStore(4, 10, clock=VirtualClock())
-        with pytest.raises(ConfigurationError):
-            shuffler.ingest([Page(i) for i in range(4)], wrong_disk)
+    def test_epoch_numbering_survives_snapshot(self, tmp_path):
+        """A restored oblivious build continues at epoch 2 with a fresh key,
+        even with no epoch active at save time (no reshuffle sidecar)."""
+        db = oblivious_db(num_records=32, seed=3)
+        save_snapshot(db, str(tmp_path))
+        restored = load_snapshot(str(tmp_path), seed=3)
+        setup_layout = layout_of(restored)
+        assert setup_layout == layout_of(db)
+        driver = restored.begin_reshuffle()
+        assert driver.epoch == 2
+        driver.run()
+        assert layout_of(restored) != setup_layout
+        restored.consistency_check()
+        restored.close()
 
-    def test_page_count_mismatch(self):
-        shuffler = self._shuffler()
-        disk = self._disk_for(shuffler, 4)
-        with pytest.raises(ConfigurationError):
-            shuffler.ingest([Page(0)], disk)
+
+class CountingStore(StoreWrapper):
+    """Records each verb call the reshuffler makes: (verb, ranges)."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.calls = []
+
+    def read_ranges(self, ranges):
+        self.calls.append(("read", list(ranges)))
+        return super().read_ranges(ranges)
+
+    def write_ranges(self, ranges, frames):
+        self.calls.append(("write", list(ranges)))
+        super().write_ranges(ranges, frames)
 
 
-class TestDirectPermute:
-    def test_applies_forward(self):
-        pages = [Page(i) for i in range(4)]
-        p = Permutation([2, 0, 3, 1])
-        result = direct_permute(pages, p)
-        for i in range(4):
-            assert result[p.apply(i)].page_id == i
+class TestEpochBatch:
+    def test_step_is_one_read_and_one_write_call(self):
+        """A batch reads its touched locations in one store call and
+        writes them back in one — one ``(location, 1)`` range each."""
+        stores = []
 
-    def test_size_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            direct_permute([Page(0)], Permutation([0, 1]))
+        def factory(num_locations, frame_size, timing, clock, trace):
+            stores.append(CountingStore(
+                DiskStore(num_locations, frame_size, timing, clock, trace)))
+            return stores[0]
+
+        db = PirDatabase.create([bytes([i]) for i in range(16)],
+                                cache_capacity=4, block_size=4,
+                                page_capacity=1, seed=9,
+                                disk_factory=factory)
+        driver = db.begin_reshuffle(batch_size=8, journal=MemoryJournal())
+        stores[0].calls.clear()
+        assert driver.step() == 8
+        n = db.params.num_locations
+        touched = first_touch_order(list(batcher_network(n))[:8])
+        ranges = [(loc, 1) for loc in touched]
+        assert len(ranges) > 2
+        assert stores[0].calls == [("read", ranges), ("write", ranges)]
+        db.close()

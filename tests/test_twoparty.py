@@ -251,7 +251,10 @@ class TestSession:
         batched = frames_after_create()
         monkeypatch.setattr(
             SecureCoprocessor, "seal_pages",
-            lambda cop, pages: [cop.seal(page) for page in pages],
+            lambda cop, pages: [
+                cop.suite.encrypt_page(page.encode(cop.page_capacity))
+                for page in pages
+            ],
         )
         assert frames_after_create() == batched
 

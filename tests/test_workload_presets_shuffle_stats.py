@@ -4,14 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro import PirDatabase
 from repro.analysis.stats import chi_square_test
 from repro.crypto.rng import SecureRandom
-from repro.crypto.suite import CipherSuite
 from repro.errors import ConfigurationError
-from repro.shuffle.oblivious import ObliviousShuffler
-from repro.sim.clock import VirtualClock
-from repro.storage.disk import DiskStore
-from repro.storage.page import Page
 from repro.workload import WORKLOAD_PRESETS, preset_stream, replay_trace
 
 from tests.helpers import make_db
@@ -44,6 +40,15 @@ class TestPresets:
             preset_stream("Z", 10, 5, SecureRandom(1))
 
 
+def oblivious_position(seed, n=8):
+    """Where pages 0 and 1 land in an oblivious build of ``n`` pages."""
+    db = PirDatabase.create([b""] * n, cache_capacity=2, block_size=2,
+                            page_capacity=0, seed=seed, cipher_backend="null",
+                            trace_enabled=False, setup_mode="oblivious")
+    assert db.params.num_locations == n
+    return [db.cop.page_map.lookup(page_id).position for page_id in (0, 1)]
+
+
 class TestShuffleUniformity:
     def test_landing_positions_pass_chi_square(self):
         """Where page 0 lands, across many seeds, must be uniform over the
@@ -51,12 +56,7 @@ class TestShuffleUniformity:
         n, rounds = 8, 640
         counts = [0] * n
         for seed in range(rounds):
-            suite = CipherSuite(b"x", backend="null", rng=SecureRandom(seed))
-            shuffler = ObliviousShuffler(suite, SecureRandom(10**6 + seed), 0)
-            disk = DiskStore(n, shuffler.tagged_frame_size,
-                             clock=VirtualClock())
-            layout = shuffler.shuffle([Page(i) for i in range(n)], disk)
-            counts[layout.index(0)] += 1
+            counts[oblivious_position(10**6 + seed, n)[0]] += 1
         result = chi_square_test(counts, [1.0 / n] * n)
         assert not result.rejects_at(0.001), (counts, result.p_value)
 
@@ -65,13 +65,8 @@ class TestShuffleUniformity:
         n, rounds = 8, 400
         adjacent = 0
         for seed in range(rounds):
-            suite = CipherSuite(b"x", backend="null",
-                                rng=SecureRandom(5000 + seed))
-            shuffler = ObliviousShuffler(suite, SecureRandom(9000 + seed), 0)
-            disk = DiskStore(n, shuffler.tagged_frame_size,
-                             clock=VirtualClock())
-            layout = shuffler.shuffle([Page(i) for i in range(n)], disk)
-            if abs(layout.index(0) - layout.index(1)) == 1:
+            first, second = oblivious_position(9000 + seed, n)
+            if abs(first - second) == 1:
                 adjacent += 1
         # P(adjacent) = 2*(n-1)/(n*(n-1)) = 2/n = 0.25; allow wide noise band.
         share = adjacent / rounds
