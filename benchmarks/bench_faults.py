@@ -18,7 +18,7 @@ from repro.faults import FaultInjector, FlakyChannel, drop_messages
 from repro.faults.retry import RetryPolicy
 from repro.hardware.specs import IBM_4764
 from repro.service import QueryFrontend, ServiceClient
-from repro.sim.metrics import LatencySeries
+from repro.analysis.stats import LatencySeries
 
 NUM_RECORDS = 64
 NUM_REQUESTS = 200

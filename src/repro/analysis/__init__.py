@@ -1,84 +1,52 @@
 """Privacy analysis (Eqs. 1-5), Monte-Carlo validation, adversary model,
-and the §5 analytical cost model that regenerates the paper's figures."""
+and the §5 analytical cost model that regenerates the paper's figures.
 
-from .adversary import TrackingAdversary
-from .costmodel import (
-    AnalyticalCostModel,
-    ConfigurationPoint,
-    TwoPartyCostModel,
-    figure4_series,
-    figure5_series,
-    figure6_series,
-    figure7_series,
-    headline_numbers,
-)
-from .empirical import LandingExperiment, measure_landing_distribution
-from .frequency import (
-    FrequencyAnalyst,
-    FrequencyExperimentResult,
-    StaticEncryptedStore,
-    run_frequency_experiment,
-)
-from .mixing import (
-    DisplacementSeries,
-    measure_displacement,
-    measure_location_mixing,
-)
-from .plots import ascii_bar_chart, ascii_plot
-from .stats import (
-    ChiSquareResult,
-    chi_square_test,
-    fit_geometric,
-    spearman_rank_correlation,
-    wilson_interval,
-)
-from .sweep import EnginePoint, run_engine_sweep, write_csv
-from .privacy import (
-    empirical_ratio,
-    landing_entropy_bits,
-    location_landing_distribution,
-    max_landing_probability,
-    min_landing_probability,
-    offset_landing_probabilities,
-    privacy_ratio,
-    total_variation_from_uniform,
-)
+Each name below is loaded from its submodule on first use: the serving
+stack imports ``repro.analysis.stats`` for its latency series, and must
+not pull in the experiments, which import the database and the baselines
+(which import ``stats`` in turn).
+"""
 
-__all__ = [
-    "TrackingAdversary",
-    "AnalyticalCostModel",
-    "ConfigurationPoint",
-    "TwoPartyCostModel",
-    "figure4_series",
-    "figure5_series",
-    "figure6_series",
-    "figure7_series",
-    "headline_numbers",
-    "LandingExperiment",
-    "measure_landing_distribution",
-    "FrequencyAnalyst",
-    "FrequencyExperimentResult",
-    "StaticEncryptedStore",
-    "run_frequency_experiment",
-    "DisplacementSeries",
-    "measure_displacement",
-    "measure_location_mixing",
-    "ascii_bar_chart",
-    "ascii_plot",
-    "ChiSquareResult",
-    "chi_square_test",
-    "fit_geometric",
-    "spearman_rank_correlation",
-    "wilson_interval",
-    "empirical_ratio",
-    "landing_entropy_bits",
-    "location_landing_distribution",
-    "max_landing_probability",
-    "min_landing_probability",
-    "offset_landing_probabilities",
-    "privacy_ratio",
-    "total_variation_from_uniform",
-    "EnginePoint",
-    "run_engine_sweep",
-    "write_csv",
-]
+import importlib
+
+_HOME = {
+    "TrackingAdversary": "adversary",
+    **dict.fromkeys((
+        "AnalyticalCostModel", "ConfigurationPoint", "TwoPartyCostModel",
+        "figure4_series", "figure5_series", "figure6_series",
+        "figure7_series", "headline_numbers",
+    ), "costmodel"),
+    **dict.fromkeys(("LandingExperiment", "measure_landing_distribution"),
+                    "empirical"),
+    **dict.fromkeys((
+        "FrequencyAnalyst", "FrequencyExperimentResult",
+        "StaticEncryptedStore", "run_frequency_experiment",
+    ), "frequency"),
+    **dict.fromkeys((
+        "DisplacementSeries", "measure_displacement",
+        "measure_location_mixing",
+    ), "mixing"),
+    **dict.fromkeys(("ascii_bar_chart", "ascii_plot"), "plots"),
+    **dict.fromkeys((
+        "ChiSquareResult", "LatencySeries", "chi_square_test",
+        "fit_geometric", "spearman_rank_correlation", "wilson_interval",
+    ), "stats"),
+    **dict.fromkeys((
+        "empirical_ratio", "landing_entropy_bits",
+        "location_landing_distribution", "max_landing_probability",
+        "min_landing_probability", "offset_landing_probabilities",
+        "privacy_ratio", "total_variation_from_uniform",
+    ), "privacy"),
+    **dict.fromkeys(("EnginePoint", "run_engine_sweep", "write_csv"),
+                    "sweep"),
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value

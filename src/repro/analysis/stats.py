@@ -10,14 +10,18 @@ reproduction, so this module provides the standard machinery:
   tests),
 * Wilson score intervals for the per-offset landing frequencies,
 * maximum-likelihood fit of the geometric eviction law (Eq. 1), whose
-  success parameter should recover ``1/m``.
+  success parameter should recover ``1/m``,
+* :class:`LatencySeries`, per-operation latencies with *exact* order
+  statistics: the constant-vs-amortised comparison of the baselines is
+  about distribution shape (max, CV), which a bucketed histogram cannot
+  give.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..errors import ConfigurationError
 
@@ -27,6 +31,7 @@ __all__ = [
     "wilson_interval",
     "fit_geometric",
     "spearman_rank_correlation",
+    "LatencySeries",
 ]
 
 
@@ -185,3 +190,88 @@ def spearman_rank_correlation(
     if variance_a == 0 or variance_b == 0:
         return 0.0
     return covariance / math.sqrt(variance_a * variance_b)
+
+
+class LatencySeries:
+    """Collects per-operation latencies (seconds) and summarises them."""
+
+    def __init__(self) -> None:
+        self._samples: List[float] = []
+
+    def record(self, latency: float) -> None:
+        if latency < 0:
+            raise ConfigurationError(f"negative latency {latency}")
+        self._samples.append(latency)
+
+    def extend(self, latencies: Iterable[float]) -> None:
+        """Record a batch of samples, atomically: the whole iterable is
+        validated first, so a negative latency in the middle of the batch
+        leaves the series exactly as it was."""
+        values = [float(value) for value in latencies]
+        for value in values:
+            if value < 0:
+                raise ConfigurationError(f"negative latency {value}")
+        self._samples.extend(values)
+
+    def __len__(self) -> int:
+        return len(self._samples)
+
+    @property
+    def samples(self) -> List[float]:
+        """A copy of the raw sample list, in arrival order."""
+        return list(self._samples)
+
+    def mean(self) -> float:
+        self._require_data()
+        return sum(self._samples) / len(self._samples)
+
+    def minimum(self) -> float:
+        self._require_data()
+        return min(self._samples)
+
+    def maximum(self) -> float:
+        self._require_data()
+        return max(self._samples)
+
+    def stddev(self) -> float:
+        self._require_data()
+        if len(self._samples) == 1:
+            return 0.0
+        mu = self.mean()
+        variance = sum((x - mu) ** 2 for x in self._samples) / (len(self._samples) - 1)
+        return math.sqrt(variance)
+
+    def percentile(self, q: float) -> float:
+        """Exact q-th percentile (nearest-rank), q in [0, 100]."""
+        self._require_data()
+        if not 0 <= q <= 100:
+            raise ConfigurationError(f"percentile {q} out of [0, 100]")
+        ordered = sorted(self._samples)
+        if q == 0:
+            return ordered[0]
+        rank = max(1, math.ceil(q / 100.0 * len(ordered)))
+        return ordered[rank - 1]
+
+    def coefficient_of_variation(self) -> float:
+        """stddev / mean — near zero for a constant-time scheme."""
+        mu = self.mean()
+        if mu == 0:
+            return 0.0
+        return self.stddev() / mu
+
+    def summary(self) -> Dict[str, float]:
+        """All headline statistics in one dict (for table printing)."""
+        return {
+            "count": float(len(self._samples)),
+            "mean": self.mean(),
+            "min": self.minimum(),
+            "p50": self.percentile(50),
+            "p99": self.percentile(99),
+            "max": self.maximum(),
+            "stddev": self.stddev(),
+            "cv": self.coefficient_of_variation(),
+        }
+
+    def _require_data(self) -> None:
+        if not self._samples:
+            raise ConfigurationError("no latency samples recorded")

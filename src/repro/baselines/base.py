@@ -15,12 +15,12 @@ from __future__ import annotations
 import abc
 from typing import List, Optional, Sequence
 
+from ..analysis.stats import LatencySeries
 from ..crypto.rng import SecureRandom
 from ..crypto.suite import CipherSuite
 from ..errors import ConfigurationError
 from ..hardware.specs import HardwareSpec
 from ..sim.clock import VirtualClock
-from ..sim.metrics import LatencySeries
 from ..storage.disk import DiskStore
 from ..storage.page import Page
 from ..storage.trace import AccessTrace

@@ -34,6 +34,7 @@ from ..core.snapshot import bootstrap_replica, load_snapshot
 from ..errors import ConfigurationError
 from ..net.admission import AdmissionController
 from ..net.server import PirServer, ServerThread
+from ..obs.registry import registry_or_private
 from ..service.frontend import SESSION_RANDOM, QueryFrontend, SealedReplyCache
 
 __all__ = ["BackendHandle", "build_cluster", "connect_replication"]
@@ -210,9 +211,13 @@ def build_cluster(
     (:data:`~repro.core.database.SHARED_WIRING`: spec, trace switch, hot
     tier, freshness layer, ...) is handed to every replica too — a
     failover target is the instance the operator configured, not a bare
-    one.  The keywords that name one instance's own object
-    (:data:`~repro.core.database.PER_MEMBER_WIRING`) are refused: assemble
-    such members from ``PirDatabase.create`` + ``bootstrap_replica``.
+    one.  ``metrics`` is shared, labelled per member: member ``i``'s
+    database, frontend and server count into ``metrics.labelled(member=i)``
+    (a private registry when None), so one snapshot gives the cluster
+    total and every member's own series.  The keywords that name one
+    instance's own object (:data:`~repro.core.database.PER_MEMBER_WIRING`)
+    are refused: assemble such members from ``PirDatabase.create`` +
+    ``bootstrap_replica``.
 
     Callers start the handles (``handle.start()``), build a
     :class:`~repro.cluster.router.ClusterRouter` over
@@ -227,8 +232,10 @@ def build_cluster(
             f"build_cluster cannot give {', '.join(unshareable)} to "
             f"{replicas} members: each names one instance's own object"
         )
+    metrics = registry_or_private(metrics)
     primary = PirDatabase.create(
-        records, cache_capacity=cache_capacity, seed=seed, **create_kw
+        records, cache_capacity=cache_capacity, seed=seed,
+        metrics=metrics.labelled(member=0), **create_kw
     )
     databases = [primary]
     if replicas > 1:
@@ -236,10 +243,12 @@ def build_cluster(
                       for key in SHARED_WIRING if key in create_kw}
         directory = os.path.join(snapshot_dir, "bootstrap")
         databases.append(bootstrap_replica(primary, directory, seed=seed + 1,
+                                           metrics=metrics.labelled(member=1),
                                            **restore_kw))
         for index in range(2, replicas):
-            databases.append(load_snapshot(directory, seed=seed + index,
-                                           **restore_kw))
+            databases.append(load_snapshot(
+                directory, seed=seed + index,
+                metrics=metrics.labelled(member=index), **restore_kw))
     shared_cache = (reply_cache if reply_cache is not None
                     else SealedReplyCache())
     handles = []
@@ -249,12 +258,14 @@ def build_cluster(
         # the key-agreement input; see QueryFrontend).  The replica seeds
         # above already differ, but the salt keeps that guarantee even if
         # a caller bootstraps members with identical seeds.
+        member_metrics = metrics.labelled(member=index)
         frontend = QueryFrontend(
-            db, metrics=metrics, session_id_mode=SESSION_RANDOM,
+            db, metrics=member_metrics, session_id_mode=SESSION_RANDOM,
             session_ttl=session_ttl, reply_cache=shared_cache,
             session_salt=f"member-{index}",
         )
-        handles.append(BackendHandle(db, frontend, host=host, metrics=metrics))
+        handles.append(BackendHandle(db, frontend, host=host,
+                                     metrics=member_metrics))
     return handles
 
 
@@ -290,8 +301,10 @@ def connect_replication(
     real address to the address streamers should dial instead — the hook
     chaos tests use to interpose a :class:`~repro.faults.netchaos
     .ChaosProxy` on the replication path (origins stay the real
-    addresses).
+    addresses).  ``metrics`` is shared, labelled ``member=<index>`` per
+    handle as in :func:`build_cluster`.
     """
+    metrics = registry_or_private(metrics)
     for handle in handles:
         if handle.port == 0:
             raise ConfigurationError(
@@ -308,13 +321,14 @@ def connect_replication(
     for index, handle in enumerate(handles):
         path = (os.path.join(durable_dir, f"repl-{index}.log")
                 if durable_dir is not None else None)
+        member_metrics = metrics.labelled(member=index)
         log = ReplicationLog(
             handle.db.cop, origin=names[index],
             cover_traffic=cover_traffic, path=path,
-            wait_timeout=wait_timeout, metrics=metrics,
+            wait_timeout=wait_timeout, metrics=member_metrics,
         )
         applier = ReplicationApplier(
-            handle.db, metrics=metrics,
+            handle.db, metrics=member_metrics,
             engine_lock=handle.frontend.engine_lock,
         )
         # Streamers always dial the *bound* peer addresses (or a chaos

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..errors import ConfigurationError
-from ..sim.metrics import CounterSet
+from ..obs.registry import registry_or_private
 
 __all__ = ["BackendSpec", "MemberState", "ClusterMembership"]
 
@@ -119,17 +119,10 @@ class ClusterMembership:
         self._members: Dict[str, MemberState] = {
             spec.address: MemberState(spec) for spec in specs
         }
-        self.counters = CounterSet(registry=metrics, prefix="cluster.")
-        self._up_gauge = (
-            metrics.gauge("cluster.members.up") if metrics is not None
-            else None
-        )
-        self._total_gauge = (
-            metrics.gauge("cluster.members.total") if metrics is not None
-            else None
-        )
-        if self._total_gauge is not None:
-            self._total_gauge.set(len(self._members))
+        metrics = registry_or_private(metrics)
+        self.counters = metrics.counter_view("cluster.")
+        self._up_gauge = metrics.gauge("cluster.members.up")
+        metrics.gauge("cluster.members.total").set(len(self._members))
         self._publish()
 
     # -- views -----------------------------------------------------------------
@@ -224,5 +217,4 @@ class ClusterMembership:
             state.pinned -= 1
 
     def _publish(self) -> None:
-        if self._up_gauge is not None:
-            self._up_gauge.set(self.up_count)
+        self._up_gauge.set(self.up_count)

@@ -74,7 +74,7 @@ from ..errors import (
 )
 from ..net.endpoint import exchange_sock, open_sock
 from ..net.framing import ReplAck, ReplQuery, ReplRecord, ReplState
-from ..sim.metrics import CounterSet
+from ..obs.registry import registry_or_private
 
 __all__ = [
     "KIND_NOOP",
@@ -205,7 +205,7 @@ class ReplicationLog:
         self.origin = origin
         self.cover_traffic = cover_traffic
         self.wait_timeout = wait_timeout
-        self.counters = CounterSet(registry=metrics, prefix="repl.log.")
+        self.counters = registry_or_private(metrics).counter_view("repl.log.")
         self._cond = threading.Condition()
         # Sequences 1.._base were compacted away; index i holds sequence
         # _base + i + 1.
@@ -423,7 +423,8 @@ class ReplicationApplier:
 
     def __init__(self, db, metrics=None, engine_lock=None):
         self.db = db
-        self.counters = CounterSet(registry=metrics, prefix="repl.apply.")
+        self.counters = registry_or_private(metrics).counter_view(
+            "repl.apply.")
         self.engine_lock = (engine_lock if engine_lock is not None
                             else threading.Lock())
         self._applied: Dict[str, int] = {}

@@ -60,8 +60,8 @@ from ..net.framing import (
     Resume,
     Welcome,
 )
+from ..obs.registry import registry_or_private
 from ..service import protocol
-from ..sim.metrics import CounterSet
 
 __all__ = ["ClusterRouter", "RouterThread"]
 
@@ -111,8 +111,8 @@ class ClusterRouter(EnvelopeServer):
             )
         if ryw_timeout <= 0:
             raise ConfigurationError("ryw_timeout must be positive")
-        super().__init__(host, port,
-                         CounterSet(registry=metrics, prefix="cluster."))
+        metrics = registry_or_private(metrics)
+        super().__init__(host, port, metrics.counter_view("cluster."))
         self.probe_interval = probe_interval
         self.probe_timeout = probe_timeout
         self.connect_timeout = connect_timeout

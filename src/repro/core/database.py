@@ -26,6 +26,7 @@ from ..errors import ConfigurationError, PageDeletedError
 from ..hardware.cache import RANDOM_POLICY
 from ..hardware.coprocessor import SecureCoprocessor, SecureStorageReport
 from ..hardware.specs import HardwareSpec
+from ..obs.registry import registry_or_private
 from ..obs.tracer import Tracer
 from ..shuffle.permutation import Permutation
 from ..sim.clock import VirtualClock
@@ -102,10 +103,12 @@ def _wire(
     instrumentation through the coprocessor, disk and engine — it is bound
     to the virtual clock so spans carry both wall and deterministic
     virtual durations.  ``metrics`` (a
-    :class:`repro.obs.registry.MetricsRegistry`) gives the engine's and
-    the tier's counters and the latency histogram a process-wide home.
+    :class:`repro.obs.registry.MetricsRegistry`, private when None) is
+    where the engine's and the tier's counters and the latency histogram
+    live.
     """
     clock = clock if clock is not None else VirtualClock()
+    metrics = registry_or_private(metrics)
     if tracer is not None:
         tracer.bind_clock(clock)
     cop = SecureCoprocessor(
@@ -465,7 +468,8 @@ class PirDatabase:
 
     @property
     def metrics(self):
-        """The metrics registry the engine publishes into (None if unset)."""
+        """The metrics registry the engine and tier count into (a private
+        one unless ``metrics=`` named one)."""
         return self.engine.metrics
 
     @property

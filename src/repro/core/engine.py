@@ -75,8 +75,8 @@ from ..errors import (
 )
 from ..faults.retry import RetryPolicy, retry_call
 from ..hardware.coprocessor import SecureCoprocessor
+from ..obs.registry import registry_or_private
 from ..obs.tracer import NULL_TRACER, Tracer
-from ..sim.metrics import CounterSet
 from ..storage.disk import DiskStore
 from ..storage.frames import frame_count
 from ..storage.page import Page, PageWindow
@@ -190,14 +190,11 @@ class RetrievalEngine:
         self.read_retry = read_retry
         self._retry_rng = coprocessor.rng.spawn("engine-retry")
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
-        self.counters = CounterSet(registry=metrics, prefix="engine.")
+        self.metrics = registry_or_private(metrics)
+        self.counters = self.metrics.counter_view("engine.")
         # Per-request virtual latency distribution — the Eq. 8 constant-cost
         # claim shows up here as a degenerate (zero-variance) histogram.
-        self._query_hist = (
-            metrics.histogram("engine.query_seconds")
-            if metrics is not None else None
-        )
+        self._query_hist = self.metrics.histogram("engine.query_seconds")
         # Serialises trusted-state mutation between the request path and
         # background workers (the online reshuffler takes it per comparator
         # batch).  Re-entrant so request helpers may call back into public
@@ -779,8 +776,7 @@ class RetrievalEngine:
             block_slot=r,
             elapsed=self.cop.clock.now - started,
         )
-        if self._query_hist is not None:
-            self._query_hist.observe(self.last_outcome.elapsed)
+        self._query_hist.observe(self.last_outcome.elapsed)
         self.counters.increment("requests", n_ops)
         self.counters.increment("batch.windows")
         self.counters.increment("batch.ops", n_ops)

@@ -53,7 +53,7 @@ from ..errors import (
 )
 from ..hardware.coprocessor import SecureStorageReport
 from ..hardware.specs import HardwareSpec
-from ..sim.metrics import CounterSet
+from ..obs.registry import registry_or_private
 
 __all__ = ["ShardedPirDatabase"]
 
@@ -82,7 +82,7 @@ class ShardedPirDatabase:
         self._per_shard = records_per_shard
         self.num_records = num_records
         self.cover_traffic = cover_traffic
-        self.counters = CounterSet(registry=metrics, prefix="sharded.")
+        self.counters = registry_or_private(metrics).counter_view("sharded.")
         # The one lock: a request holds it from routing prescan to routing
         # commit, so concurrent client threads see the routing table and
         # every shard engine (single-threaded by contract) one at a time.
@@ -118,11 +118,13 @@ class ShardedPirDatabase:
     ) -> "ShardedPirDatabase":
         """Partition ``records`` into contiguous shards, one engine each.
 
-        ``metrics`` (a :class:`~repro.obs.registry.MetricsRegistry`) is
-        shared by all shards and the façade's ``sharded.*`` counters;
+        ``metrics`` (a :class:`~repro.obs.registry.MetricsRegistry`,
+        private when None) is shared by the façade's ``sharded.*`` counters
+        and every shard, labelled ``shard=<index>`` per shard;
         ``database_options`` go to every :meth:`PirDatabase.create` — a
         shared ``tracer`` records the spans of all shards, in issue order.
         """
+        metrics = registry_or_private(metrics)
         if num_shards <= 0:
             raise ConfigurationError("need at least one shard")
         if len(records) < num_shards:
@@ -144,7 +146,7 @@ class ShardedPirDatabase:
                     reserve_fraction=reserve_fraction,
                     spec=spec,
                     seed=None if seed is None else seed * 1000 + index,
-                    metrics=metrics,
+                    metrics=metrics.labelled(shard=index),
                     **database_options,
                 )
             )

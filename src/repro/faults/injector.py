@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..crypto.rng import SecureRandom
-from ..sim.metrics import CounterSet
+from ..obs.registry import registry_or_private
 
 __all__ = [
     "SimulatedCrash",
@@ -241,17 +241,11 @@ class FaultInjector:
         self,
         seed: int = 0,
         plans: Sequence[FaultPlan] = (),
-        counters: Optional[CounterSet] = None,
         registry=None,
     ):
         self.rng = SecureRandom(seed)
         self.plans: List[FaultPlan] = list(plans)
-        if counters is not None:
-            self.counters = counters
-            if registry is not None:
-                counters.bind_registry(registry, prefix="faults.")
-        else:
-            self.counters = CounterSet(registry=registry, prefix="faults.")
+        self.counters = registry_or_private(registry).counter_view("faults.")
         # Cumulative frames seen per site (drives crash thresholds).
         self._frames_seen: Dict[str, int] = {site: 0 for site in _SITES}
 

@@ -32,7 +32,7 @@ from typing import Optional
 from .injector import SITE_NET_C2S, SITE_NET_S2C, FaultInjector
 from ..errors import ConfigurationError, TransientChannelError
 from ..loopthread import Listener, LoopThread
-from ..sim.metrics import CounterSet
+from ..obs.registry import registry_or_private
 
 __all__ = ["ChaosProxy", "ChaosProxyThread"]
 
@@ -72,7 +72,7 @@ class ChaosProxy(Listener):
         self.upstream_port = upstream_port
         self.injector = injector
         self.fragment_bytes = fragment_bytes
-        self.counters = CounterSet(registry=metrics, prefix="chaos.")
+        self.counters = registry_or_private(metrics).counter_view("chaos.")
 
     start = Listener.listen
     stop = Listener.close

@@ -19,8 +19,8 @@ from typing import Callable, Optional, Tuple, Type, TypeVar
 
 from ..crypto.rng import SecureRandom
 from ..errors import ConfigurationError
+from ..obs.registry import CounterView
 from ..sim.clock import VirtualClock
-from ..sim.metrics import CounterSet
 
 __all__ = ["RetryPolicy", "retry_call"]
 
@@ -61,7 +61,7 @@ def retry_call(
     clock: VirtualClock,
     rng: SecureRandom,
     retry_on: Tuple[Type[BaseException], ...],
-    counters: Optional[CounterSet] = None,
+    counters: Optional[CounterView] = None,
     counter: str = "retries",
 ) -> T:
     """Run ``operation`` up to ``policy.max_attempts`` times.

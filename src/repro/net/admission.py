@@ -26,8 +26,8 @@ import time
 from typing import Callable, Optional
 
 from ..errors import ConfigurationError
+from ..obs.registry import registry_or_private
 from ..service import protocol
-from ..sim.metrics import CounterSet
 
 __all__ = ["TokenBucket", "AdmissionController"]
 
@@ -147,7 +147,7 @@ class AdmissionController:
         self.max_queue_depth = max_queue_depth
         self.bucket = bucket
         self.retry_hint = retry_hint
-        self.counters = CounterSet(registry=metrics, prefix="net.")
+        self.counters = registry_or_private(metrics).counter_view("net.")
 
     def retune(self, rate: Optional[float] = None,
                capacity: Optional[float] = None) -> None:

@@ -41,6 +41,7 @@ from .endpoint import (
     write_message_sock,
 )
 from .framing import Bye, Hello, NetRefused, Reply, Request, Resume, Welcome
+from ..analysis.stats import LatencySeries
 from ..crypto.rng import SecureRandom
 from ..crypto.suite import CipherSuite
 from ..errors import (
@@ -49,6 +50,7 @@ from ..errors import (
     TransientChannelError,
 )
 from ..faults.retry import RetryPolicy, retry_call
+from ..obs.registry import MetricsRegistry
 from ..service import protocol
 from ..service.frontend import (
     SESSION_BACKEND,
@@ -56,7 +58,6 @@ from ..service.frontend import (
     session_master_key,
 )
 from ..service.health import error_for_refusal
-from ..sim.metrics import CounterSet, LatencySeries
 
 __all__ = ["NetworkClient"]
 
@@ -144,7 +145,7 @@ class NetworkClient(ClientOperationsMixin):
                              else timeout)
         self.retry = retry
         self._retry_rng = SecureRandom(rng_seed).spawn("net-client-retry")
-        self.counters = CounterSet()
+        self.counters = MetricsRegistry().counter_view()
         self.latencies = LatencySeries()
         self._next_request_id = 1
         self._sock: Optional[socket.socket] = None

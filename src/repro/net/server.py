@@ -59,11 +59,11 @@ from .framing import (
 from ..core.sharded import ShardedPirDatabase
 from ..errors import ConfigurationError, ProtocolError, ReproError
 from ..loopthread import LoopThread
+from ..obs.registry import registry_or_private
 from ..obs.tracer import NULL_TRACER
 from ..service import protocol
 from ..service.frontend import SESSION_SEQUENTIAL, QueryFrontend
 from ..service.health import classify
-from ..sim.metrics import CounterSet
 
 __all__ = ["PirServer", "ServerThread"]
 
@@ -180,8 +180,8 @@ class PirServer(EnvelopeServer):
                 "workers > 1 requires a ShardedPirDatabase backend; the "
                 "plain engine is single-threaded by contract"
             )
-        super().__init__(host, port,
-                         CounterSet(registry=metrics, prefix="net."))
+        metrics = registry_or_private(metrics)
+        super().__init__(host, port, metrics.counter_view("net."))
         self.frontend = frontend
         self.admission = admission
         # Cluster backends adopt unknown RESUMEd session ids (failover);
@@ -190,18 +190,10 @@ class PirServer(EnvelopeServer):
         self.adopt_sessions = adopt_sessions
         self.workers = workers
         self.reap_interval = reap_interval
-        self._sessions_gauge = (
-            metrics.gauge("net.sessions.active") if metrics is not None
-            else None
-        )
-        self._queue_gauge = (
-            metrics.gauge("net.queue.depth") if metrics is not None else None
-        )
-        self._latency = (
-            metrics.histogram("net.request.seconds",
-                              buckets=_LATENCY_BUCKETS)
-            if metrics is not None else None
-        )
+        self._sessions_gauge = metrics.gauge("net.sessions.active")
+        self._queue_gauge = metrics.gauge("net.queue.depth")
+        self._latency = metrics.histogram("net.request.seconds",
+                                          buckets=_LATENCY_BUCKETS)
         # The tracer is not thread-safe; with a single worker every span
         # (net.request wrapping frontend.serve and the engine's own spans)
         # is emitted from that one thread, so tracing composes.  With
@@ -304,10 +296,6 @@ class PirServer(EnvelopeServer):
         self._publish_sessions()
         self.counters.increment("drains")
 
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
     async def _reap_loop(self) -> None:
         while True:
             await asyncio.sleep(self.reap_interval)
@@ -315,12 +303,10 @@ class PirServer(EnvelopeServer):
             self._publish_sessions()
 
     def _publish_sessions(self) -> None:
-        if self._sessions_gauge is not None:
-            self._sessions_gauge.set(self.frontend.session_count)
+        self._sessions_gauge.set(self.frontend.session_count)
 
     def _publish_queue_depth(self) -> None:
-        if self._queue_gauge is not None:
-            self._queue_gauge.set(self._lane.queue.qsize())
+        self._queue_gauge.set(self._lane.queue.qsize())
 
     @contextlib.contextmanager
     def _in_flight(self):
@@ -364,8 +350,7 @@ class PirServer(EnvelopeServer):
             if isinstance(reply, Reply):
                 self.counters.increment("replies")
             await self._send(writer, reply)
-        if self._latency is not None:
-            self._latency.observe(time.monotonic() - started)
+        self._latency.observe(time.monotonic() - started)
 
     async def _bye(self, session_id: int) -> None:
         # Only this closes a session; drain and TTL reaping bound how long

@@ -5,9 +5,11 @@ Three pieces (DESIGN.md §9):
 * :class:`~repro.obs.tracer.Tracer` — nested, low-overhead spans for the
   canonical query phases, with a no-op fast path when disabled and dual
   wall/virtual timing;
-* :class:`~repro.obs.registry.MetricsRegistry` — the thread-safe,
-  process-wide home for counters, gauges and fixed-bucket histograms,
-  absorbing the ad-hoc :class:`~repro.sim.metrics.CounterSet` instances;
+* :class:`~repro.obs.registry.MetricsRegistry` — the thread-safe, one
+  home of every counter, gauge and fixed-bucket histogram: series carry
+  labels fixed at wiring (``member=``, ``shard=``), and each instance's
+  ``.counters`` is a :class:`~repro.obs.registry.CounterView` onto cells
+  of its own;
 * :class:`~repro.obs.costcheck.CostModelCheck` — measured per-phase cost
   against the analytic Eq. 7/8 predictions, as a per-term ratio.
 
@@ -27,10 +29,12 @@ from .export import (
 from .registry import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
+    CounterView,
     Gauge,
     Histogram,
     MetricsRegistry,
     global_registry,
+    registry_or_private,
     set_global_registry,
 )
 from .tracer import (
@@ -51,10 +55,12 @@ __all__ = [
     "DETAIL_FINE",
     "MetricsRegistry",
     "Counter",
+    "CounterView",
     "Gauge",
     "Histogram",
     "DEFAULT_LATENCY_BUCKETS",
     "global_registry",
+    "registry_or_private",
     "set_global_registry",
     "CostModelCheck",
     "TermConformance",

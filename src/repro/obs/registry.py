@@ -1,33 +1,51 @@
 """Process-wide metrics registry: counters, gauges, fixed-bucket histograms.
 
-The registry is the thread-safe aggregation point that absorbs and
-supersedes the ad-hoc counters scattered through the codebase:
-:class:`~repro.sim.metrics.CounterSet` (engine, frontend, injector, health
-monitor) mirrors into a registry when constructed with one, and
-:class:`~repro.sim.metrics.LatencySeries` mirrors into a registry
-histogram.  New code should talk to the registry directly.
+The registry is the one home of every count in the codebase (DESIGN.md
+§9).  A *series* is a metric name plus a label set.  Labels are fixed
+where a deployment is wired — ``shard=`` by
+``ShardedPirDatabase.create``, ``member=`` by ``build_cluster`` and
+``connect_replication`` — through :meth:`MetricsRegistry.labelled`, which
+returns a registry over the same store whose writes carry the labels.
+Every writer owns a *cell* of its series:
 
-Naming scheme (DESIGN.md §9): dot-separated ``component.event`` names —
+* ``registry.counter(name)`` / ``gauge`` / ``histogram`` return the one
+  cell shared by every direct caller under the registry's labels;
+* ``registry.counter_view(prefix)`` gives one instance cells of its own —
+  the ``.counters`` of the engine, frontend, server, tier, … — so
+  ``obj.counters.get(name)`` is that instance's count even when two
+  objects share a registry and a name (``PirServer`` and
+  ``AdmissionController`` both count ``net.shed``).
+
+Reads aggregate: an instrument's ``value`` / ``state()`` and the flat maps
+of :meth:`MetricsRegistry.snapshot` are the sum (for histograms, the
+merged buckets) over every series under the registry's labels, and the
+snapshot lists each labelled series beside them.  Every ``metrics=``
+keyword defaults to a private registry (:func:`registry_or_private`), so
+an instrument is never optional.
+
+Naming scheme: dot-separated ``component.event`` names —
 ``engine.recovery.replayed``, ``frontend.requests``, ``faults.fault.crash``,
 ``health.state`` — with per-phase aggregates published under ``phase.<span
 name>`` by :meth:`MetricsRegistry.absorb_tracer`.
 
 All instruments are created on first use and are safe to update from
-multiple threads; reads (``snapshot``) are consistent because they take the
-same lock.  A re-entrant lock is used so a callback updating the registry
-from inside ``snapshot`` post-processing cannot deadlock.
+multiple threads; reads take the same lock, so they are consistent.  A
+re-entrant lock is used so a callback updating the registry from inside
+``snapshot`` post-processing cannot deadlock.
 """
 
 from __future__ import annotations
 
 import bisect
+import copy
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 
 __all__ = [
     "Counter",
+    "CounterView",
     "Gauge",
     "Histogram",
     "HistogramState",
@@ -35,6 +53,7 @@ __all__ = [
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",
     "global_registry",
+    "registry_or_private",
     "set_global_registry",
 ]
 
@@ -46,16 +65,69 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = tuple(
     for base in (1.0, 2.5, 5.0)
 ) + (100.0,)
 
+Labels = FrozenSet[Tuple[str, object]]
 
-class Counter:
-    """Monotonically increasing named counter."""
 
-    __slots__ = ("name", "_value", "_lock")
+class _Cell:
+    """One writer's share of a series; the base of the three instruments.
 
-    def __init__(self, name: str, lock: threading.RLock):
+    ``siblings`` is every cell of the same name (this one included).
+    ``own()`` is the cell's raw state (read under the registry lock) and
+    ``merge`` folds the raw states of several cells into one.
+    """
+
+    __slots__ = ("name", "labels", "_siblings", "_lock")
+
+    def __init__(self, name: str, labels: Labels, siblings: List["_Cell"],
+                 lock: threading.RLock, buckets=None):
         self.name = name
-        self._value = 0
+        self.labels = labels
+        self._siblings = siblings
         self._lock = lock
+
+    def _aggregate(self):
+        """The merged state of every series under this cell's labels."""
+        with self._lock:
+            raws = [cell.own() for cell in self._siblings
+                    if self.labels <= cell.labels]
+        return self.merge(raws)
+
+
+class _Scalar(_Cell):
+    """A cell holding one number; read across series it is their sum."""
+
+    __slots__ = ("_value",)
+
+    def __init__(self, name, labels, siblings, lock, buckets=None):
+        super().__init__(name, labels, siblings, lock)
+        self._value = self._ZERO
+
+    def own(self):
+        return self._value
+
+    def merge(self, values):
+        return sum(values)
+
+    @staticmethod
+    def report(total):
+        return total
+
+    @staticmethod
+    def fields(total) -> Dict[str, object]:
+        return {"value": total}
+
+    @property
+    def value(self):
+        """The sum over every series of this name under its labels."""
+        return self._aggregate()
+
+
+class Counter(_Scalar):
+    """Monotonically increasing count."""
+
+    __slots__ = ()
+    _SECTION = "counters"
+    _ZERO = 0
 
     def inc(self, amount: int = 1) -> None:
         if amount < 0:
@@ -63,20 +135,18 @@ class Counter:
         with self._lock:
             self._value += amount
 
-    @property
-    def value(self) -> int:
-        return self._value
 
+class Gauge(_Scalar):
+    """A value that can move both ways (health state, queue depth, ...).
 
-class Gauge:
-    """A value that can move both ways (health state, queue depth, ...)."""
+    Per series it is the last value written; read across series (a flat
+    snapshot, an unlabelled ``value``) it is their sum — total sessions,
+    total queue depth — and each labelled series is reported on its own.
+    """
 
-    __slots__ = ("name", "_value", "_lock")
-
-    def __init__(self, name: str, lock: threading.RLock):
-        self.name = name
-        self._value = 0.0
-        self._lock = lock
+    __slots__ = ()
+    _SECTION = "gauges"
+    _ZERO = 0.0
 
     def set(self, value: float) -> None:
         with self._lock:
@@ -85,10 +155,6 @@ class Gauge:
     def add(self, delta: float) -> None:
         with self._lock:
             self._value += delta
-
-    @property
-    def value(self) -> float:
-        return self._value
 
 
 class HistogramState:
@@ -186,33 +252,29 @@ def quantile_from_counts(
     return maximum
 
 
-class Histogram:
+class Histogram(_Cell):
     """Fixed-bucket histogram (cumulative-style buckets, like Prometheus).
 
-    ``buckets`` are inclusive upper bounds in ascending order; observations
-    above the last bound land in the implicit +Inf bucket.  Keeps count and
-    sum exactly; quantiles are estimated from the buckets, linearly
-    interpolated within the containing bucket.
+    ``buckets`` are inclusive upper bounds in ascending order, fixed per
+    name by its first caller; observations above the last bound land in
+    the implicit +Inf bucket.  Keeps count and sum exactly; quantiles are
+    estimated from the buckets, linearly interpolated within the
+    containing bucket.  Every read is of the merged series under the
+    histogram's labels.
     """
 
-    __slots__ = ("name", "buckets", "counts", "_count", "_sum", "_min",
-                 "_max", "_lock")
+    __slots__ = ("buckets", "counts", "_count", "_sum", "_min", "_max")
+    _SECTION = "histograms"
 
-    def __init__(self, name: str, buckets: Sequence[float],
-                 lock: threading.RLock):
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise ConfigurationError(
-                "histogram buckets must be non-empty and strictly increasing"
-            )
-        self.name = name
-        self.buckets = bounds
-        self.counts = [0] * (len(bounds) + 1)  # last = +Inf overflow
+    def __init__(self, name, labels, siblings, lock, buckets=None):
+        super().__init__(name, labels, siblings, lock)
+        self.buckets = (siblings[0].buckets if siblings
+                        else _bucket_bounds(buckets))
+        self.counts = [0] * (len(self.buckets) + 1)  # last = +Inf overflow
         self._count = 0
         self._sum = 0.0
         self._min = float("inf")
         self._max = float("-inf")
-        self._lock = lock
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -226,16 +288,23 @@ class Histogram:
             if value > self._max:
                 self._max = value
 
-    @property
-    def count(self) -> int:
-        return self._count
+    def own(self) -> HistogramState:
+        return HistogramState(self.buckets, list(self.counts), self._count,
+                              self._sum, self._min, self._max)
 
-    @property
-    def sum(self) -> float:
-        return self._sum
+    def merge(self, states) -> HistogramState:
+        return HistogramState(
+            self.buckets,
+            [sum(column) for column in zip(*(s.counts for s in states))],
+            sum(s.count for s in states), sum(s.sum for s in states),
+            min(s.min for s in states), max(s.max for s in states),
+        )
 
-    def mean(self) -> float:
-        return self._sum / self._count if self._count else 0.0
+    @staticmethod
+    def report(state: HistogramState) -> Dict[str, object]:
+        return dict(state.summary(), buckets=state.nonzero_buckets())
+
+    fields = report
 
     def state(self) -> HistogramState:
         """A consistent point-in-time copy of the raw bucket contents.
@@ -244,11 +313,18 @@ class Histogram:
         statistic (quantiles, summary, export rows) is computed from the
         returned copy so writers are never blocked behind serialization.
         """
-        with self._lock:
-            return HistogramState(
-                self.buckets, list(self.counts), self._count, self._sum,
-                self._min, self._max,
-            )
+        return self._aggregate()
+
+    @property
+    def count(self) -> int:
+        return self.state().count
+
+    @property
+    def sum(self) -> float:
+        return self.state().sum
+
+    def mean(self) -> float:
+        return self.state().mean()
 
     def quantile(self, q: float) -> float:
         """The q-quantile (q in [0, 1]) estimated from the buckets, see
@@ -263,60 +339,109 @@ class Histogram:
         return self.state().nonzero_buckets()
 
 
+def _bucket_bounds(buckets: Optional[Sequence[float]]) -> Tuple[float, ...]:
+    bounds = tuple(float(b) for b in (buckets or DEFAULT_LATENCY_BUCKETS))
+    if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
+        raise ConfigurationError(
+            "histogram buckets must be non-empty and strictly increasing"
+        )
+    return bounds
+
+
+class CounterView:
+    """One instance's own counters — ``obj.counters`` across the codebase.
+
+    Names are relative to the view's prefix.  Each is a cell of its own in
+    the registry's ``prefix + name`` series, so ``get`` / ``[name]`` /
+    ``as_dict`` read this instance's counts alone while the registry's
+    reads and exports include them.  Thread-safe: server workers and the
+    event loop bump shared views.
+    """
+
+    __slots__ = ("_registry", "_prefix", "_cells", "_lock")
+
+    def __init__(self, registry: "MetricsRegistry", prefix: str = ""):
+        self._registry = registry
+        self._prefix = prefix
+        self._cells: Dict[str, Counter] = {}
+        self._lock = registry._lock
+
+    def increment(self, name: str, amount: int = 1) -> None:
+        if amount < 0:
+            raise ConfigurationError("counter increments must be non-negative")
+        with self._lock:
+            cell = self._cells.get(name)
+            if cell is None:
+                cell = self._cells[name] = self._registry._cell(
+                    Counter, self._prefix + name)
+            cell._value += amount
+
+    def get(self, name: str) -> int:
+        cell = self._cells.get(name)
+        return 0 if cell is None else cell.own()
+
+    __getitem__ = get
+
+    def as_dict(self) -> Dict[str, int]:
+        with self._lock:
+            return {name: cell.own() for name, cell in self._cells.items()}
+
+
 class MetricsRegistry:
-    """Get-or-create registry of named instruments (see module docstring)."""
+    """Get-or-create registry of labelled series (see module docstring)."""
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
+        self._families: Dict[str, List[_Cell]] = {}
+        self._shared: Dict[Tuple[type, str, Labels], _Cell] = {}
+        self._labels: Labels = frozenset()
+
+    def labelled(self, **labels) -> "MetricsRegistry":
+        """A registry over the same store whose writes also carry
+        ``labels`` (a repeated key overrides) and whose reads aggregate
+        only the series that carry them."""
+        child = copy.copy(self)
+        child._labels = frozenset({**dict(self._labels), **labels}.items())
+        return child
 
     # -- instrument accessors -------------------------------------------------
 
-    def _check_free(self, name: str, own: Dict[str, object]) -> None:
-        for kind, table in (("counter", self._counters),
-                            ("gauge", self._gauges),
-                            ("histogram", self._histograms)):
-            if table is not own and name in table:
+    def _cell(self, kind: type, name: str,
+              buckets: Optional[Sequence[float]] = None) -> _Cell:
+        """A new cell of ``name`` under this registry's labels."""
+        with self._lock:
+            cells = self._families.setdefault(name, [])
+            if cells and type(cells[0]) is not kind:
                 raise ConfigurationError(
-                    f"metric {name!r} already registered as a {kind}"
+                    f"metric {name!r} already registered as a "
+                    f"{type(cells[0]).__name__.lower()}"
                 )
+            cell = kind(name, self._labels, cells, self._lock, buckets)
+            cells.append(cell)
+            return cell
+
+    def _shared_cell(self, kind: type, name: str, buckets=None) -> _Cell:
+        key = (kind, name, self._labels)
+        with self._lock:
+            cell = self._shared.get(key)
+            if cell is None:
+                cell = self._shared[key] = self._cell(kind, name, buckets)
+            return cell
 
     def counter(self, name: str) -> Counter:
-        with self._lock:
-            instrument = self._counters.get(name)
-            if instrument is None:
-                self._check_free(name, self._counters)
-                instrument = self._counters[name] = Counter(name, self._lock)
-            return instrument
+        return self._shared_cell(Counter, name)
 
     def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            instrument = self._gauges.get(name)
-            if instrument is None:
-                self._check_free(name, self._gauges)
-                instrument = self._gauges[name] = Gauge(name, self._lock)
-            return instrument
+        return self._shared_cell(Gauge, name)
 
     def histogram(
         self, name: str, buckets: Optional[Sequence[float]] = None
     ) -> Histogram:
-        with self._lock:
-            instrument = self._histograms.get(name)
-            if instrument is None:
-                self._check_free(name, self._histograms)
-                instrument = self._histograms[name] = Histogram(
-                    name, buckets or DEFAULT_LATENCY_BUCKETS, self._lock
-                )
-            return instrument
+        return self._shared_cell(Histogram, name, buckets)
 
-    # -- absorption of legacy / sibling sources -------------------------------
-
-    def absorb_counters(self, counts: Dict[str, int], prefix: str = "") -> None:
-        """Fold a plain name->count mapping in (e.g. ``CounterSet.as_dict()``)."""
-        for name, amount in counts.items():
-            self.counter(prefix + name).inc(amount)
+    def counter_view(self, prefix: str = "") -> CounterView:
+        """Cells of one instance's own, named ``prefix + name``."""
+        return CounterView(self, prefix)
 
     def absorb_tracer(self, tracer, prefix: str = "phase.") -> None:
         """Publish a tracer's phase totals as ``<prefix><phase>.*`` counters.
@@ -339,30 +464,45 @@ class MetricsRegistry:
 
     # -- introspection / export ----------------------------------------------
 
-    def snapshot(self) -> Dict[str, Dict[str, object]]:
-        """A consistent point-in-time copy of every instrument.
+    def snapshot(self) -> Dict[str, object]:
+        """A consistent point-in-time copy of every series.
 
-        Holds the registry lock only to copy primitive state (counter and
-        gauge values, raw histogram buckets); the derived histogram
-        summaries are computed and the result dict assembled *outside* the
-        lock, so a sampling loop calling this every interval never stalls
-        the hot observation path behind serialization work.
+        ``counters`` / ``gauges`` / ``histograms`` map each name to its
+        total over the series under this registry's labels; ``labelled``
+        holds one export row per labelled series (``kind``, ``name``,
+        ``labels`` and the value fields).  Holds the registry lock only to
+        copy primitive state; the merging, histogram summaries and the
+        result dict are computed outside it, so a sampling loop calling
+        this every interval never stalls the hot observation path.
         """
         with self._lock:
-            counters = {n: c.value for n, c in sorted(self._counters.items())}
-            gauges = {n: g.value for n, g in sorted(self._gauges.items())}
-            states = {n: h.state() for n, h in sorted(self._histograms.items())}
-        return {
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": {
-                n: dict(s.summary(), buckets=s.nonzero_buckets())
-                for n, s in states.items()
-            },
-        }
+            copies = [
+                (name, cells[0], [(cell.labels, cell.own()) for cell in cells
+                                  if self._labels <= cell.labels])
+                for name, cells in sorted(self._families.items()) if cells
+            ]
+        out: Dict[str, object] = {"counters": {}, "gauges": {},
+                                  "histograms": {}, "labelled": []}
+        for name, first, owned in copies:
+            if not owned:
+                continue
+            total = first.merge([raw for _, raw in owned])
+            out[first._SECTION][name] = first.report(total)
+            by_labels: Dict[Labels, list] = {}
+            for labels, raw in owned:
+                if labels:
+                    by_labels.setdefault(labels, []).append(raw)
+            for labels in sorted(by_labels, key=sorted):
+                out["labelled"].append(dict(
+                    {"kind": type(first).__name__.lower(), "name": name,
+                     "labels": dict(sorted(labels))},
+                    **first.fields(first.merge(by_labels[labels])),
+                ))
+        return out
 
     def rows(self) -> Iterable[Dict[str, object]]:
-        """One flat dict per instrument — the JSONL export shape."""
+        """One flat dict per name (the total), then one per labelled
+        series — the JSONL export shape."""
         snap = self.snapshot()
         for name, value in snap["counters"].items():
             yield {"kind": "counter", "name": name, "value": value}
@@ -370,6 +510,13 @@ class MetricsRegistry:
             yield {"kind": "gauge", "name": name, "value": value}
         for name, summary in snap["histograms"].items():
             yield dict({"kind": "histogram", "name": name}, **summary)
+        yield from snap["labelled"]
+
+
+def registry_or_private(metrics: Optional[MetricsRegistry]) -> MetricsRegistry:
+    """What a ``metrics=`` keyword means: the registry given, or a private
+    one when it is None."""
+    return MetricsRegistry() if metrics is None else metrics
 
 
 _GLOBAL: Optional[MetricsRegistry] = None

@@ -37,7 +37,6 @@ from typing import Callable, Dict, List, Optional, Union
 from ..errors import ConfigurationError
 from ..obs.registry import HistogramState, MetricsRegistry, quantile_from_counts
 from ..obs.tracer import NULL_TRACER
-from ..sim.metrics import CounterSet
 
 __all__ = ["Guardrail", "PlanController", "Adjustment"]
 
@@ -119,7 +118,7 @@ class PlanController:
         self.batch_guardrail = batch_guardrail
         self.idle_guardrail = idle_guardrail
 
-        self.counters = CounterSet(registry=registry, prefix="plan.")
+        self.counters = registry.counter_view("plan.")
         self._p99_gauge = registry.gauge("plan.window_p99")
         self.adjustments: List[Adjustment] = []
         self._cycle = 0

@@ -32,6 +32,7 @@ from .health import (
     classify,
     error_for_refusal,
 )
+from ..analysis.stats import LatencySeries
 from ..core.database import PirDatabase
 from ..core.engine import BatchOp
 from ..core.journal import load_appended
@@ -43,8 +44,8 @@ from ..errors import (
     TransientChannelError,
 )
 from ..faults.retry import RetryPolicy, retry_call
+from ..obs.registry import MetricsRegistry, registry_or_private
 from ..sim.clock import VirtualClock
-from ..sim.metrics import CounterSet, LatencySeries
 from ..twoparty.channel import SimulatedChannel
 
 __all__ = [
@@ -327,12 +328,11 @@ class QueryFrontend:
             self._reply_cache = SealedReplyCache(reply_cache_size,
                                                  path=reply_cache_path)
         self._next_session = 1
-        self.counters = CounterSet(registry=metrics, prefix="frontend.")
-        self._batch_sizes = (
-            metrics.histogram("frontend.batch.size",
-                              buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256,
-                                       512, 1024))
-            if metrics is not None else None
+        metrics = registry_or_private(metrics)
+        self.counters = metrics.counter_view("frontend.")
+        self._batch_sizes = metrics.histogram(
+            "frontend.batch.size",
+            buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
         )
         self.health = (
             health
@@ -659,8 +659,7 @@ class QueryFrontend:
         """
         self.counters.increment("batch.requests")
         self.counters.increment("batch.ops", len(batch.ops))
-        if self._batch_sizes is not None:
-            self._batch_sizes.observe(len(batch.ops))
+        self._batch_sizes.observe(len(batch.ops))
         # The wire codec admits only the four op types inside a Batch.
         ops = [_OPS[type(op)].engine_op(op) for op in batch.ops]
         with self.tracer.span("frontend.batch"):
@@ -716,7 +715,7 @@ class ClientOperationsMixin:
     channel, :class:`repro.net.client.NetworkClient` over a real TCP
     socket) provide ``_call(message) -> reply`` — one sealed round trip
     including whatever retry discipline the transport supports — plus a
-    ``counters`` :class:`~repro.sim.metrics.CounterSet`; the mixin turns it
+    ``counters`` :class:`~repro.obs.registry.CounterView`; the mixin turns it
     into the typed query/update/insert/delete/batch API.
     """
 
@@ -835,7 +834,7 @@ class ServiceClient(ClientOperationsMixin):
         self._retry_rng = frontend.database.cop.rng.spawn(
             f"client-retry-{self.session_id}"
         )
-        self.counters = CounterSet()
+        self.counters = MetricsRegistry().counter_view()
         self.latencies = LatencySeries()
 
     def _call_once(self, message: protocol.ClientMessage) -> protocol.ClientMessage:

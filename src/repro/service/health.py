@@ -49,8 +49,8 @@ from ..errors import (
     TransientChannelError,
     TransientStorageError,
 )
+from ..obs.registry import CounterView, registry_or_private
 from ..sim.clock import VirtualClock
-from ..sim.metrics import CounterSet
 
 __all__ = [
     "HEALTHY",
@@ -151,9 +151,11 @@ class HealthMonitor:
     ``retry_hint`` is the base retry-after suggestion; the advertised hint
     grows linearly with the current fault streak, capped at ``max_hint``.
 
-    ``registry`` (a :class:`~repro.obs.registry.MetricsRegistry`) exposes
-    the live state as gauges: ``health.state`` (0 healthy, 1 degraded,
-    2 failed) and ``health.fault_streak``.
+    ``registry`` (a :class:`~repro.obs.registry.MetricsRegistry`, private
+    when None) exposes the live state as gauges: ``health.state`` (0
+    healthy, 1 degraded, 2 failed) and ``health.fault_streak``; the
+    ``health.*`` counters go to ``counters`` (the frontend passes its
+    own) or to the registry.
     """
 
     _STATE_CODES = {HEALTHY: 0, DEGRADED: 1, FAILED: 2}
@@ -165,7 +167,7 @@ class HealthMonitor:
         fail_after: int = 8,
         retry_hint: float = 0.05,
         max_hint: float = 5.0,
-        counters: Optional[CounterSet] = None,
+        counters: Optional[CounterView] = None,
         registry=None,
     ):
         if degrade_after < 1 or fail_after < degrade_after:
@@ -177,22 +179,18 @@ class HealthMonitor:
         self.fail_after = fail_after
         self.retry_hint = retry_hint
         self.max_hint = max_hint
-        self.counters = counters if counters is not None else CounterSet()
-        self._state_gauge = (
-            registry.gauge("health.state") if registry is not None else None
-        )
-        self._streak_gauge = (
-            registry.gauge("health.fault_streak")
-            if registry is not None else None
-        )
+        registry = registry_or_private(registry)
+        self.counters = (counters if counters is not None
+                         else registry.counter_view())
+        self._state_gauge = registry.gauge("health.state")
+        self._streak_gauge = registry.gauge("health.fault_streak")
         self.state = HEALTHY
         self._streak = 0
         self._publish()
 
     def _publish(self) -> None:
-        if self._state_gauge is not None:
-            self._state_gauge.set(self._STATE_CODES[self.state])
-            self._streak_gauge.set(self._streak)
+        self._state_gauge.set(self._STATE_CODES[self.state])
+        self._streak_gauge.set(self._streak)
 
     @property
     def fault_streak(self) -> int:

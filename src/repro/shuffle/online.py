@@ -59,8 +59,8 @@ from ..errors import (
     ReproError,
     StorageError,
 )
+from ..obs.registry import registry_or_private
 from ..obs.tracer import NULL_TRACER
-from ..sim.metrics import CounterSet
 from ..storage.frames import frame_matrix
 
 __all__ = ["OnlineReshuffler", "ReshuffleIntent", "TAG_KEY_SIZE"]
@@ -182,9 +182,9 @@ class OnlineReshuffler:
         self.journal = journal
         self.idle_interval = idle_interval
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
-        self.counters = CounterSet(registry=metrics, prefix="reshuffle.")
-        self._gauge = metrics.gauge("reshuffle.progress") if metrics else None
+        self.metrics = registry_or_private(metrics)
+        self.counters = self.metrics.counter_view("reshuffle.")
+        self._gauge = self.metrics.gauge("reshuffle.progress")
 
         n = self.engine.params.num_locations
         self._network = network_size(n)
@@ -512,8 +512,7 @@ class OnlineReshuffler:
         self.counters.increment("recovery.rolled_forward")
 
     def _set_gauge(self) -> None:
-        if self._gauge is not None:
-            self._gauge.set(self.progress)
+        self._gauge.set(self.progress)
 
     # -- crash recovery --------------------------------------------------------
 

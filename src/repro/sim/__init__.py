@@ -1,6 +1,5 @@
-"""Simulation support: virtual time and experiment metrics."""
+"""Simulation support: the virtual clock every cost is charged to."""
 
 from .clock import VirtualClock
-from .metrics import CounterSet, LatencySeries
 
-__all__ = ["VirtualClock", "CounterSet", "LatencySeries"]
+__all__ = ["VirtualClock"]

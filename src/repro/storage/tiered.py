@@ -48,7 +48,7 @@ from .frames import frame_count, frame_matrix, range_rows
 from .timing import DiskTimingModel
 from .trace import READ, AccessEvent
 from ..errors import ConfigurationError
-from ..sim.metrics import CounterSet
+from ..obs.registry import registry_or_private
 
 __all__ = ["TieredDiskStore", "MEMORY_TIER_TIMING"]
 
@@ -104,7 +104,7 @@ class TieredDiskStore(StoreWrapper):
         self.cold = cold  # the tier's own name for ``inner``
         self.hot_capacity = hot_capacity
         self.hot_timing = hot_timing if hot_timing is not None else MEMORY_TIER_TIMING
-        self.counters = CounterSet(registry=metrics, prefix="tier.")
+        self.counters = registry_or_private(metrics).counter_view("tier.")
         # Resident location -> arena row, least recently used first.  No
         # more rows than the cold store has locations can ever be in use.
         # Over a bytearray for the reason DiskStore._new_arena gives.

@@ -16,8 +16,8 @@ from __future__ import annotations
 from typing import Callable
 
 from ..errors import ConfigurationError
+from ..obs.registry import MetricsRegistry
 from ..sim.clock import VirtualClock
-from ..sim.metrics import CounterSet
 
 __all__ = ["SimulatedChannel"]
 
@@ -40,7 +40,7 @@ class SimulatedChannel:
         self.rtt = rtt
         self.bandwidth = bandwidth
         self._handler = handler
-        self.counters = CounterSet()
+        self.counters = MetricsRegistry().counter_view()
 
     def call(self, request: bytes) -> bytes:
         """Send ``request``, run the remote handler, return its response.

@@ -13,9 +13,9 @@ from typing import Optional, Sequence
 from .channel import SimulatedChannel
 from .owner import DataOwner
 from .provider import ServiceProvider
+from ..analysis.stats import LatencySeries
 from ..hardware.specs import HardwareSpec
 from ..sim.clock import VirtualClock
-from ..sim.metrics import LatencySeries
 from ..storage.timing import DiskTimingModel
 from ..storage.trace import AccessTrace
 

@@ -24,7 +24,7 @@ from ..errors import (
     PageDeletedError,
     PageNotFoundError,
 )
-from ..sim.metrics import CounterSet
+from ..obs.registry import CounterView, MetricsRegistry
 
 __all__ = ["save_trace", "load_trace", "replay_trace", "queries_as_operations"]
 
@@ -83,7 +83,7 @@ def load_trace(path: str) -> List[Operation]:
     return operations
 
 
-def replay_trace(db: PirDatabase, operations: Sequence[Operation]) -> CounterSet:
+def replay_trace(db: PirDatabase, operations: Sequence[Operation]) -> CounterView:
     """Apply a trace to a database; returns per-outcome counters.
 
     Individual operation failures that a live workload would also hit
@@ -91,7 +91,7 @@ def replay_trace(db: PirDatabase, operations: Sequence[Operation]) -> CounterSet
     deletes) are counted rather than raised, so traces recorded against one
     database state replay cleanly against another.
     """
-    counters = CounterSet()
+    counters = MetricsRegistry().counter_view()
     for op in operations:
         try:
             if op.kind == "query":

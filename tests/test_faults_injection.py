@@ -32,7 +32,6 @@ from repro.faults import (
 )
 from repro.crypto.rng import SecureRandom
 from repro.sim.clock import VirtualClock
-from repro.sim.metrics import CounterSet
 from repro.storage.disk import DiskStore
 from repro.storage.trace import shapes_identical
 from repro.twoparty.channel import SimulatedChannel
@@ -98,12 +97,10 @@ class TestFaultInjector:
         assert injector.check(SITE_DISK_READ).kind == "transient"
 
     def test_counters(self):
-        counters = CounterSet()
-        injector = FaultInjector(0, [transient_reads(times=3)],
-                                 counters=counters)
+        injector = FaultInjector(0, [transient_reads(times=3)])
         for _ in range(5):
             injector.check(SITE_DISK_READ)
-        assert counters.get("fault.transient") == 3
+        assert injector.counters.get("fault.transient") == 3
 
     def test_invalid_plans_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -1,11 +1,16 @@
-"""MetricsRegistry instruments, CounterSet/LatencySeries mirroring, export."""
+"""MetricsRegistry instruments, per-instance views, labelled series, export."""
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
+from repro.analysis.stats import LatencySeries
+from repro.baselines import make_records
+from repro.cluster import build_cluster
+from repro.core.sharded import ShardedPirDatabase
 from repro.errors import ConfigurationError
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
@@ -13,12 +18,12 @@ from repro.obs import (
     Tracer,
     global_registry,
     read_jsonl,
+    registry_or_private,
     rows_by_kind,
     run_rows,
     set_global_registry,
     write_jsonl,
 )
-from repro.sim.metrics import CounterSet, LatencySeries
 
 
 class TestInstruments:
@@ -196,12 +201,6 @@ class TestInstruments:
 
 
 class TestAbsorption:
-    def test_absorb_counters(self):
-        registry = MetricsRegistry()
-        registry.absorb_counters({"a": 2, "b": 3}, prefix="legacy.")
-        assert registry.counter("legacy.a").value == 2
-        assert registry.counter("legacy.b").value == 3
-
     def test_absorb_tracer_idempotent(self):
         tracer = Tracer()
         with tracer.span("decrypt", nbytes=100):
@@ -214,49 +213,191 @@ class TestAbsorption:
         assert registry.counter("phase.decrypt.errors").value == 0
         assert registry.gauge("phase.decrypt.wall_s").value >= 0.0
 
-    def test_counterset_mirrors_into_registry(self):
-        registry = MetricsRegistry()
-        counters = CounterSet(registry=registry, prefix="engine.")
-        counters.increment("requests", 3)
-        assert counters.get("requests") == 3
-        assert registry.counter("engine.requests").value == 3
-
-    def test_counterset_bind_folds_existing(self):
-        counters = CounterSet()
-        counters.increment("early", 4)
-        registry = MetricsRegistry()
-        counters.bind_registry(registry, prefix="late.")
-        assert registry.counter("late.early").value == 4
-        counters.increment("early")
-        assert registry.counter("late.early").value == 5
-
-    def test_counterset_reset_is_local_only(self):
-        registry = MetricsRegistry()
-        counters = CounterSet(registry=registry)
-        counters.increment("n", 2)
-        counters.reset()
-        assert counters.get("n") == 0
-        # Registry counters are monotonic by contract and keep their value.
-        assert registry.counter("n").value == 2
-
-    def test_latency_series_mirrors_into_histogram(self):
-        registry = MetricsRegistry()
-        series = LatencySeries(histogram=registry.histogram("q"))
-        series.record(0.2)
-        series.extend([0.3, 0.4])
-        assert len(series) == 3
-        assert registry.histogram("q").count == 3
-
     def test_latency_extend_is_atomic(self):
         # Regression: a mid-batch negative latency used to leave the
-        # leading valid samples appended (and mirrored) before raising.
-        registry = MetricsRegistry()
-        series = LatencySeries(histogram=registry.histogram("q"))
+        # leading valid samples appended before raising.
+        series = LatencySeries()
         series.record(0.1)
         with pytest.raises(ConfigurationError):
             series.extend([0.2, -0.5, 0.3])
         assert series.samples == [0.1]
-        assert registry.histogram("q").count == 1
+
+
+class TestCounterView:
+    def test_increment_and_get(self):
+        counters = MetricsRegistry().counter_view()
+        counters.increment("x")
+        counters.increment("x", 4)
+        assert counters.get("x") == counters["x"] == 5
+        assert counters.get("missing") == 0
+
+    def test_as_dict(self):
+        counters = MetricsRegistry().counter_view()
+        assert counters.as_dict() == {}
+        counters.increment("a", 2)
+        assert counters.as_dict() == {"a": 2}
+
+    def test_negative_rejected(self):
+        with pytest.raises(ConfigurationError):
+            MetricsRegistry().counter_view().increment("x", -1)
+
+    def test_concurrent_increments_are_not_lost(self):
+        """8 threads x 10 000 increments read exactly 80 000, five trials
+        (an unlocked read-modify-write loses some under a short switch
+        interval)."""
+        threads, per_thread = 8, 10_000
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                counters = MetricsRegistry().counter_view()
+
+                def bump():
+                    for _ in range(per_thread):
+                        counters.increment("x")
+
+                workers = [threading.Thread(target=bump)
+                           for _ in range(threads)]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60)
+                assert not any(worker.is_alive() for worker in workers)
+                assert counters.get("x") == threads * per_thread
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_view_reads_own_count_registry_reads_total(self):
+        # Two instances share a registry and a name (the server and its
+        # admission controller both count net.shed): each view reads its
+        # own count, the registry the sum.
+        registry = MetricsRegistry()
+        server = registry.counter_view("net.")
+        admission = registry.counter_view("net.")
+        server.increment("shed", 3)
+        admission.increment("shed")
+        registry.counter("net.shed").inc(10)
+        assert server.get("shed") == 3
+        assert admission.get("shed") == 1
+        assert registry.counter("net.shed").value == 14
+        assert registry.snapshot()["counters"] == {"net.shed": 14}
+
+    def test_none_means_a_private_registry(self):
+        mine = MetricsRegistry()
+        assert registry_or_private(mine) is mine
+        first, second = registry_or_private(None), registry_or_private(None)
+        assert first is not second
+
+
+class TestLabels:
+    def test_labelled_series_sum_to_the_flat_total(self):
+        registry = MetricsRegistry()
+        registry.labelled(member=0).counter_view("engine.").increment(
+            "requests", 2)
+        registry.labelled(member=1).counter_view("engine.").increment(
+            "requests", 5)
+        snap = registry.snapshot()
+        assert snap["counters"] == {"engine.requests": 7}
+        assert snap["labelled"] == [
+            {"kind": "counter", "name": "engine.requests",
+             "labels": {"member": 0}, "value": 2},
+            {"kind": "counter", "name": "engine.requests",
+             "labels": {"member": 1}, "value": 5},
+        ]
+        assert registry.counter("engine.requests").value == 7
+        assert registry.labelled(member=1).counter("engine.requests").value == 5
+
+    def test_labelled_reads_see_only_their_series(self):
+        registry = MetricsRegistry()
+        member = registry.labelled(member=0)
+        member.labelled(shard=1).counter("c").inc(3)
+        registry.labelled(member=1).counter("c").inc(4)
+        assert member.counter("c").value == 3
+        assert member.snapshot()["counters"] == {"c": 3}
+        assert member.labelled(member=1).counter("c").value == 4  # overrides
+
+    def test_gauges_are_per_label_set(self):
+        registry = MetricsRegistry()
+        registry.labelled(member=0).gauge("health.state").set(0)
+        registry.labelled(member=1).gauge("health.state").set(1)
+        registry.labelled(member=0).gauge("health.state").set(0)
+        assert registry.labelled(member=1).gauge("health.state").value == 1.0
+        labelled = {row["labels"]["member"]: row["value"]
+                    for row in registry.snapshot()["labelled"]}
+        assert labelled == {0: 0.0, 1: 1.0}
+
+    def test_histograms_merge_across_series(self):
+        registry = MetricsRegistry()
+        registry.labelled(shard=0).histogram("h", buckets=[1.0]).observe(0.5)
+        registry.labelled(shard=1).histogram("h").observe(2.0)
+        merged = registry.histogram("h").state()
+        assert merged.counts == [1, 1]
+        assert (merged.count, merged.min, merged.max) == (2, 0.5, 2.0)
+        rows = registry.snapshot()["labelled"]
+        assert [(row["labels"], row["count"]) for row in rows] == [
+            ({"shard": 0}, 1.0), ({"shard": 1}, 1.0)]
+
+    def test_kind_collision_across_labels_raises(self):
+        registry = MetricsRegistry()
+        registry.labelled(member=0).counter("name")
+        with pytest.raises(ConfigurationError):
+            registry.labelled(member=1).gauge("name")
+
+
+RECORDS = make_records(32, 16)
+
+
+def labelled_values(registry, name):
+    return {tuple(sorted(row["labels"].items())): row["value"]
+            for row in registry.snapshot()["labelled"]
+            if row["name"] == name}
+
+
+class TestWiringLabels:
+    """The wiring sites fix the labels: one snapshot answers per member
+    and per shard, and the labelled series sum to the flat total."""
+
+    def test_cluster_members_count_engine_and_tier_per_member(self, tmp_path):
+        registry = MetricsRegistry()
+        handles = build_cluster(RECORDS, 2, str(tmp_path), metrics=registry,
+                                page_capacity=16, target_c=2.0,
+                                hot_tier_frames=4)
+        for page_id in range(3):
+            handles[0].db.query(page_id)
+        handles[1].db.query(0)
+        requests = labelled_values(registry, "engine.requests")
+        assert requests == {(("member", 0),): 3, (("member", 1),): 1}
+        assert (sum(requests.values())
+                == registry.snapshot()["counters"]["engine.requests"])
+        assert labelled_values(registry, "tier.miss").keys() == {
+            (("member", 0),), (("member", 1),)}
+
+    def test_cluster_gauges_are_per_member(self, tmp_path):
+        registry = MetricsRegistry()
+        handles = build_cluster(RECORDS, 2, str(tmp_path), metrics=registry,
+                                page_capacity=16, target_c=2.0)
+        for _ in range(3):
+            handles[1].frontend.health.record_fault()
+        handles[0].frontend.health.record_success()
+        assert handles[1].frontend.health.state == "degraded"
+        state = labelled_values(registry, "health.state")
+        assert state == {(("member", 0),): 0.0, (("member", 1),): 1.0}
+        assert registry.labelled(member=1).gauge("health.state").value == 1.0
+
+    def test_shards_count_engine_requests_per_shard(self):
+        registry = MetricsRegistry()
+        with ShardedPirDatabase.create(RECORDS, num_shards=4,
+                                       cache_capacity_per_shard=4,
+                                       page_capacity=16, seed=3,
+                                       metrics=registry) as sharded:
+            for page_id in (0, 9, 17, 30, 31):
+                sharded.query(page_id)
+        requests = labelled_values(registry, "engine.requests")
+        # Cover traffic: every shard serves one request per query.
+        assert requests == {(("shard", index),): 5 for index in range(4)}
+        assert (sum(requests.values())
+                == registry.snapshot()["counters"]["engine.requests"])
+        assert sharded.counters.get("batch.requests") == 5
 
 
 class TestGlobalRegistry:
@@ -295,6 +436,24 @@ class TestExport:
         counters = rows_by_kind(back, "counter")
         assert {"name": "engine.requests", "kind": "counter", "value": 1} in \
             [dict(c) for c in counters]
+
+    def test_labelled_rows_roundtrip(self, tmp_path):
+        registry = MetricsRegistry()
+        registry.counter("engine.requests").inc(1)
+        registry.labelled(member=0).counter("engine.requests").inc(2)
+        registry.labelled(member=1).gauge("health.state").set(1)
+        out = tmp_path / "run.jsonl"
+        write_jsonl(str(out), run_rows(registry=registry))
+        back = read_jsonl(str(out))
+        assert back == list(registry.rows())
+        assert back == [
+            {"kind": "counter", "name": "engine.requests", "value": 3},
+            {"kind": "gauge", "name": "health.state", "value": 1.0},
+            {"kind": "counter", "name": "engine.requests",
+             "labels": {"member": 0}, "value": 2},
+            {"kind": "gauge", "name": "health.state",
+             "labels": {"member": 1}, "value": 1.0},
+        ]
 
     def test_read_jsonl_rejects_malformed(self, tmp_path):
         bad = tmp_path / "bad.jsonl"

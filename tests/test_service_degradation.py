@@ -462,26 +462,6 @@ class TestClientRetry:
 
         assert run() == run()
 
-    def test_merged_counter_report(self):
-        frontend = make_frontend()
-        injector = FaultInjector(
-            3, [drop_messages(times=1)], counters=None,
-        )
-        client = ServiceClient(
-            frontend,
-            retry=RetryPolicy(max_attempts=3, base_delay=0.01),
-            channel_wrapper=lambda ch: FlakyChannel(ch, injector),
-        )
-        client.query(1)
-        from repro.sim.metrics import CounterSet
-
-        totals = CounterSet()
-        totals.merge(client.counters, prefix="client.")
-        totals.merge(frontend.counters, prefix="frontend.")
-        assert totals.get("client.retries") == 1
-        # The dropped message never reached the frontend; only the retry did.
-        assert totals.get("frontend.requests") == 1
-
 
 class TestClientErrorMapping:
     """Refusals surface to callers as their server-side error class."""

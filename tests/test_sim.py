@@ -1,15 +1,12 @@
-"""Virtual clock and metrics accumulators."""
+"""Virtual clock and the exact latency series."""
 
 from __future__ import annotations
 
-import sys
-import threading
-
 import pytest
 
+from repro.analysis.stats import LatencySeries
 from repro.errors import ConfigurationError
 from repro.sim.clock import VirtualClock
-from repro.sim.metrics import CounterSet, LatencySeries
 
 
 class TestVirtualClock:
@@ -92,48 +89,3 @@ class TestLatencySeries:
         series.samples.append(99.0)
         assert len(series) == 1
 
-
-class TestCounterSet:
-    def test_increment_and_get(self):
-        counters = CounterSet()
-        counters.increment("x")
-        counters.increment("x", 4)
-        assert counters.get("x") == 5
-        assert counters.get("missing") == 0
-
-    def test_as_dict_and_reset(self):
-        counters = CounterSet()
-        counters.increment("a", 2)
-        assert counters.as_dict() == {"a": 2}
-        counters.reset()
-        assert counters.as_dict() == {}
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CounterSet().increment("x", -1)
-
-    def test_concurrent_increments_are_not_lost(self):
-        """8 threads x 10 000 increments read exactly 80 000, five trials
-        (an unlocked read-modify-write loses some under a short switch
-        interval)."""
-        threads, per_thread = 8, 10_000
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                counters = CounterSet()
-
-                def bump():
-                    for _ in range(per_thread):
-                        counters.increment("x")
-
-                workers = [threading.Thread(target=bump)
-                           for _ in range(threads)]
-                for worker in workers:
-                    worker.start()
-                for worker in workers:
-                    worker.join(timeout=60)
-                assert not any(worker.is_alive() for worker in workers)
-                assert counters.get("x") == threads * per_thread
-        finally:
-            sys.setswitchinterval(interval)
