@@ -21,7 +21,11 @@ privacy and the tests verify byte-for-byte on the trace.
 There is one request path: a single operation is a *window of one*, and
 :meth:`RetrievalEngine.run_batch` serves up to k operations from one scan of
 the block — steps 2, 4 and 5 once per op, steps 1, 3 and 6 once per window,
-``k + B`` frames each way instead of ``B(k + 1)`` (DESIGN.md §14).
+``k + B`` frames each way instead of ``B(k + 1)`` (DESIGN.md §14).  A window
+is planned, fetched, then moved: every op is decided on page ids alone
+against a :class:`~repro.core.window.WindowOverlay` (the block's ids come
+with the first op's extra, in one store call), the B - 1 later extras are
+one more store call and kernel pass, and only then do payloads move.
 
 Crash consistency
 -----------------
@@ -61,6 +65,7 @@ from .journal import (
     window_of,
 )
 from .params import SystemParameters
+from .window import WindowOverlay
 from ..crypto.suite import INTENT_OVERHEAD
 from ..errors import (
     AuthenticationError,
@@ -83,8 +88,6 @@ from ..storage.page import Page, PageWindow
 
 __all__ = ["RetrievalEngine", "RequestOutcome", "RecoveryReport", "BatchOp",
            "run_one"]
-
-_MAX_REJECTION_ROUNDS = 10_000_000
 
 BATCH_KINDS = ("query", "update", "insert", "delete", "touch")
 
@@ -148,6 +151,14 @@ class RecoveryReport:
 
     action: str
     request_index: Optional[int] = None
+
+
+def _owned(page: Page) -> Page:
+    """The cache must own its bytes: a cached view would pin its window's
+    whole plaintext matrix, which the re-seal rewrites in place."""
+    if isinstance(page.payload, bytes):
+        return page
+    return Page(page.page_id, bytes(page.payload), page.deleted)
 
 
 class RetrievalEngine:
@@ -334,10 +345,7 @@ class RetrievalEngine:
                 f"intent record carries {len(intent.frames)} frames, "
                 f"expected {expected_frames}"
             )
-        self.disk.current_request = intent.request_index
-        self._apply_intent(intent)
-        self.journal.clear()
-        self.disk.current_request = -1
+        self._commit(intent)
         self.counters.increment("recovery.replayed")
         return RecoveryReport("replayed", intent.request_index)
 
@@ -368,13 +376,15 @@ class RetrievalEngine:
         The only request path: the per-op methods run a window of one —
         Figure 3 exactly, 2(k+1) frames (Eq. 8).  Longer batches are
         grouped into round-robin windows of up to ``window`` (default k)
-        operations.  Each window reads the k-frame block *once*, serves
-        every op in the group from the shared in-memory window (zero-copy
-        pages over one plaintext matrix) plus one extra frame per op, and
-        commits one journaled write-back — B windows of one move ~B·(k+1)
-        frames each way, one window of B moves k+B, while replies stay
-        byte-identical (content is a pure function of the logical op
-        sequence; see DESIGN.md §14 for the privacy argument).
+        operations.  Each window reads the k-frame block *once* plus one
+        extra frame per op — in two store calls and two kernel passes
+        whatever its size: the block with the first op's extra, then every
+        later op's extra — serves every op from the shared in-memory window
+        (zero-copy pages over one plaintext matrix), and commits one
+        journaled write-back.  B windows of one move ~B·(k+1) frames each
+        way, one window of B moves k+B, while replies stay byte-identical
+        (content is a pure function of the logical op sequence; see
+        DESIGN.md §14 for the privacy argument).
 
         Returns a positional result list: a :class:`Page` for ``query``
         (owning its bytes; ``deleted`` is the page's state at the op's
@@ -402,9 +412,9 @@ class RetrievalEngine:
                 # it forward before planning against that state.
                 self._heal_pending()
                 indices = range(start, min(start + capacity, len(ops)))
-                plan = self._plan_window(ops[start:start + capacity],
-                                         results, indices)
-                live = [(i, entry) for i, entry in zip(indices, plan)
+                checked = self._validate_window(ops[start:start + capacity],
+                                                results, indices)
+                live = [(i, entry) for i, entry in zip(indices, checked)
                         if entry is not None]
                 if not live:
                     continue
@@ -426,14 +436,14 @@ class RetrievalEngine:
                     # *have* committed — clients that retry on the reported
                     # transient error stay idempotent).  Either way every
                     # executable slot reports the error (validation
-                    # failures recorded by the planner stand) and later
+                    # failures recorded by the validator stand) and later
                     # windows proceed.
                     for i, _ in live:
                         results[i] = exc
                     self.disk.current_request = -1
         return results
 
-    def _plan_window(
+    def _validate_window(
         self,
         ops: Sequence[BatchOp],
         results: List[object],
@@ -441,9 +451,10 @@ class RetrievalEngine:
     ) -> List[Optional[Tuple]]:
         """Validate a window's ops against a simulated flag/free overlay.
 
-        The only place requests are validated.  Outcomes depend only on
+        The only place requests are validated, and where a query learns
+        whether its page is deleted at its turn.  Outcomes depend only on
         the logical op sequence (page flags and the free pool), never on
-        relocation randomness, so the planner can decide *before* touching
+        relocation randomness, so the validator can decide *before* touching
         the disk which ops execute — a window whose every op fails
         validation performs no I/O at all — and insert targets are pinned
         here: the lowest free id at that op's turn, a pure function of the
@@ -472,21 +483,22 @@ class RetrievalEngine:
                         sim_free.discard(page_id)
             return sim_free
 
-        plan: List[Optional[Tuple]] = []
+        checked: List[Optional[Tuple]] = []
         for slot, op in zip(indices, ops):
             try:
                 if op.kind == "touch":
                     entry = ("touch", None, None, False, False)
                 elif op.kind == "query":
                     self._check_user_id(op.page_id)
-                    entry = ("query", op.page_id, None, False, False)
+                    entry = ("query", op.page_id, None, False,
+                             sim_deleted(op.page_id))
                 elif op.kind == "update":
                     self._check_user_id(op.page_id)
                     self._check_payload(op.payload)
                     sim_flags[op.page_id] = FLAG_LIVE
                     if sim_free is not None:
                         sim_free.discard(op.page_id)
-                    entry = ("update", op.page_id, op.payload, False, True)
+                    entry = ("update", op.page_id, op.payload, False, False)
                 elif op.kind == "delete":
                     self._check_user_id(op.page_id)
                     if sim_deleted(op.page_id):
@@ -508,33 +520,34 @@ class RetrievalEngine:
                     target = min(free)
                     free.discard(target)
                     sim_flags[target] = FLAG_LIVE
-                    entry = ("insert", target, op.payload, False, True)
+                    entry = ("insert", target, op.payload, False, False)
                 else:
                     raise ConfigurationError(
                         f"unknown batch op kind {op.kind!r}"
                     )
             except ReproError as exc:
                 results[slot] = exc
-                plan.append(None)
+                checked.append(None)
             else:
-                plan.append(entry)
-        return plan
+                checked.append(entry)
+        return checked
 
     def _run_window(
         self,
         live: List[Tuple[int, Tuple]],
         results: List[object],
     ) -> None:
-        """Figure 3 for every planned op of one window, in one disk pass.
+        """Figure 3 for every validated op of one window: plan, fetch, move.
 
-        Compute → intend → apply: all per-op relocations happen against
-        in-memory containers (the shared block plus per-op extra frames)
-        and a *pending overlay* of the trusted state; nothing lands in the
-        real pageMap/pageCache — and nothing durable moves — until the
-        single commit point, so a mid-window read fault aborts the whole
-        window cleanly.
+        *Plan* decides every op on page ids alone against a
+        :class:`WindowOverlay`, drawing the RNG in Figure 3's order; the
+        block rides with the first op's extra as one store call.  *Fetch*
+        reads the later ops' extras as one more and checks that each holds
+        the page planned for it.  *Move* turns the plan into pages and
+        replies.  Nothing lands in the real pageMap/pageCache — and nothing
+        durable moves — until the single commit point, so a fault anywhere
+        before it aborts the whole window cleanly.
         """
-        pm = self.cop.page_map
         cache = self.cop.cache
         rng = self.cop.rng
         tracer = self.tracer
@@ -546,144 +559,88 @@ class RetrievalEngine:
         # pointer itself only advances at commit, so an aborted or crashed
         # window leaves it untouched and a resend hits the same block.
         block_start = self._next_block * k
-        # The window's pages over its plaintext matrix: slots [0, k) are the
-        # block, slot k + i is op i's extra page.  Only the slots an op
-        # touches are ever decoded or re-encoded.
-        window: Optional[PageWindow] = None
-        extra_locs: List[int] = []
-
-        # Window-wide pending overlay of the trusted state.
-        ov_cache: Dict[int, Page] = {}
-        ov_pos: Dict[int, Tuple[int, int]] = {}
-        ov_flags: Dict[int, int] = {}
-        cache_puts: List[Tuple[int, Page]] = []
+        ov = WindowOverlay(self.cop.page_map, cache, block_start, k)
+        replies: List[Tuple[int, int, object, bool]] = []
         flag_ops: List[Tuple[int, int]] = []
-        map_ops: List[Tuple[int, int, int]] = []
 
-        def ov_lookup(page_id: int) -> Tuple[bool, int]:
-            entry = ov_pos.get(page_id)
-            if entry is not None:
-                return entry[0] == MAP_CACHED, entry[1]
-            location = pm.lookup(page_id)
-            return location.in_cache, location.position
-
-        def ov_cache_get(slot: int) -> Page:
-            page = ov_cache.get(slot)
-            return page if page is not None else cache.get(slot)
-
-        def in_window(position: int) -> bool:
-            return (block_start <= position < block_start + k
-                    or position in extra_locs)
-
-        def container_get(position: int) -> Page:
-            if block_start <= position < block_start + k:
-                return window[position - block_start]
-            return window[k + extra_locs.index(position)]
-
-        def container_set(position: int, page: Page) -> None:
-            if block_start <= position < block_start + k:
-                window[position - block_start] = page
-            else:
-                window[k + extra_locs.index(position)] = page
-
-        def random_candidate() -> int:
-            """Lines 3-5: a uniform page id neither cached nor inside the
-            window's containers (the disk frame at an already-fetched
-            extra location is stale: the live page sits in ``extras``)."""
-            for _ in range(_MAX_REJECTION_ROUNDS):
-                candidate = rng.randrange(self.params.total_pages)
-                in_cache, position = ov_lookup(candidate)
-                if not in_cache and not in_window(position):
-                    return candidate
-            raise CapacityError(
-                "rejection sampling failed to find an eligible random page; "
-                "the configuration violates num_locations >= block_size + 2"
-            )
-
-        for slot, entry in live:
-            kind, target_id, new_payload, deleting, revive = entry
-
-            # Lines 2-9: decide the op's extra page and capture a cached
-            # result.  Both depend only on the page map and cache (seen
-            # through the overlay), never on block contents, so the first
-            # op decides before any disk access.
+        for slot, (kind, target_id, new_payload, deleting, deleted) in live:
+            # Lines 2-9: decide the op's extra page.  It depends only on
+            # the page map and cache (seen through the overlay), never on
+            # block contents, so the first op decides before any disk
+            # access.
             cache_hit = False
-            result: Optional[Page] = None
             with tracer.span("pagemap.lookup"):
                 extra_id = target_id  # line 9: p <- i
                 if target_id is not None:
                     # The target's cache slot or disk location; staged
                     # moves only land at the end of the op, so it holds
                     # for the whole op.
-                    in_cache, position = ov_lookup(target_id)
-                    if in_cache:
-                        cache_hit = True
-                        result = ov_cache_get(position)
+                    cache_hit, position = ov.lookup(target_id)
                     # Deletions are handled as cache hits (§4.3), and a
                     # target already inside the window's containers is
                     # served from memory: all fetch a random extra page to
                     # keep the shape.
-                    if in_cache or deleting or in_window(position):
+                    if (cache_hit or deleting
+                            or ov.slot_of(position) is not None):
                         extra_id = None
                 if extra_id is None:
-                    extra_id = random_candidate()
-                _, extra_location = ov_lookup(extra_id)
+                    extra_id = ov.random_page(rng, self.params.total_pages)
+                _, extra_location = ov.lookup(extra_id)
+            extra = ov.add_extra(extra_location, extra_id)
 
             # Lines 1, 10-11: read and decrypt inside the boundary.  The
             # block goes out with the first op's extra as one store call —
             # one round trip over a remote transport — and reaches the
-            # kernel as one (k+1)-frame matrix; every later op costs a
-            # single extra frame, the block is never re-read.
-            if window is None:
-                window = self._fetch([(block_start, k), (extra_location, 1)])
-            else:
-                window.extend(self._fetch([(extra_location, 1)]))
-            extra_locs.append(extra_location)
+            # kernel as one (k+1)-frame matrix.
+            if ov.window is None:
+                ov.window = self._fetch([(block_start, k),
+                                         (extra_location, 1)])
+                ov.check_fetched()
 
             # Lines 12-16: locate the relocation target q.
             if target_id is not None and not cache_hit and not deleting:
-                q_pos = position
-                result = container_get(q_pos)
-                if result.page_id != target_id:
+                q_pos, q = position, ov.slot_of(position)
+                if ov.page_id(ov.at(q)) != target_id:
                     raise PageNotFoundError(
                         f"page {target_id} not found at mapped position "
                         f"{q_pos}; page map and disk are inconsistent"
                     )
             else:
-                q_pos = extra_location
+                q_pos, q = extra_location, extra
+            if kind == "query":
+                # Line 26, executed in full — the trace must not depend on
+                # page state; the caller refuses on the flag.
+                replies.append((
+                    slot, target_id,
+                    ov.cache_entry(position) if cache_hit else ov.at(q),
+                    deleted,
+                ))
+            elif kind == "insert":
+                results[slot] = target_id
 
             # §4.3 content edits, recorded as overlay + intent deltas.
             if new_payload is not None:
                 fresh = Page(target_id, new_payload, deleted=False)
                 if cache_hit:
-                    cache_puts.append((position, fresh))
-                    ov_cache[position] = fresh
+                    ov.put(position, fresh)
                 else:
-                    container_set(q_pos, fresh)
-                if revive:
-                    flag_ops.append((target_id, FLAG_LIVE))
-                    ov_flags[target_id] = FLAG_LIVE
+                    ov.slots[q] = fresh
+                flag_ops.append((target_id, FLAG_LIVE))
             if deleting:
                 if cache_hit:
-                    carcass = Page(target_id, b"", deleted=True)
-                    cache_puts.append((position, carcass))
-                    ov_cache[position] = carcass
-                elif in_window(position):
+                    ov.put(position, Page(target_id, b"", deleted=True))
+                elif ov.slot_of(position) is not None:
                     # Elsewhere the carcass stays encrypted wherever it
                     # is; only metadata changes.
-                    container_set(
-                        position, container_get(position).mark_deleted()
-                    )
+                    held = ov.slot_of(position)
+                    ov.slots[held] = Page(ov.page_id(ov.at(held)), b"",
+                                          deleted=True)
                 flag_ops.append((target_id, FLAG_DELETED))
-                ov_flags[target_id] = FLAG_DELETED
 
             with tracer.span("cache.op"):
                 # Lines 17-18: move the target to a uniform block slot.
                 r = rng.randrange(k)
-                r_pos = block_start + r
-                page_r = container_get(r_pos)
-                container_set(r_pos, container_get(q_pos))
-                container_set(q_pos, page_r)
+                ov.slots[r], ov.slots[q] = ov.at(q), ov.at(r)
 
                 # Lines 19-20: swap with a cache slot.  A deletion of a
                 # cached page always selects that page as the victim
@@ -692,40 +649,37 @@ class RetrievalEngine:
                 with tracer.span("evict"):
                     s = (position if deleting and cache_hit
                          else cache.victim_slot())
-                    evicted = ov_cache_get(s)
-                entering = container_get(r_pos)
-                if not isinstance(entering.payload, bytes):
-                    # The cache must own its bytes: a cached view would
-                    # pin its window's whole plaintext matrix, which the
-                    # re-seal below rewrites in place.
-                    entering = Page(entering.page_id, bytes(entering.payload),
-                                    entering.deleted)
-                cache_puts.append((s, entering))
-                ov_cache[s] = entering
-                container_set(r_pos, evicted)
+                    evicted = ov.cache_entry(s)
+                entering = ov.slots[r]
+                ov.put(s, entering)
+                ov.slots[r] = evicted
 
             # Lines 23-25 as a pending delta for the three relocated pages.
-            for page, where, position in (
-                (entering, MAP_CACHED, s),
-                (evicted, MAP_DISK, r_pos),
-                (container_get(q_pos), MAP_DISK, q_pos),
-            ):
-                map_ops.append((page.page_id, where, position))
-                ov_pos[page.page_id] = (where, position)
+            ov.relocate(entering, MAP_CACHED, s)
+            ov.relocate(evicted, MAP_DISK, block_start + r)
+            ov.relocate(ov.slots[q], MAP_DISK, q_pos)
 
-            # Line 26.
-            if kind == "query":
-                # Executed in full first — the trace must not depend on
-                # page state; the caller refuses on the flag.
-                flag = ov_flags.get(target_id)
-                deleted = (pm.is_deleted(target_id) if flag is None
-                           else flag == FLAG_DELETED)
-                results[slot] = Page(
-                    target_id, b"" if deleted else bytes(result.payload),
-                    deleted,
-                )
-            elif kind == "insert":
-                results[slot] = target_id
+        # Every later op's extra frame: one store call, one kernel pass.
+        window = ov.window
+        extra_locs = list(ov.extra_slots)
+        if len(extra_locs) > 1:
+            window.extend(self._fetch([(loc, 1) for loc in extra_locs[1:]]))
+            ov.check_fetched()
+
+        # Move: the plan's tokens become pages, all of them resolved before
+        # the first container is replaced (a replaced slot no longer hands
+        # out the page fetched into it).
+        moved = [(at, ov.page_of(token)) for at, token in ov.slots.items()
+                 if token != at]
+        cache_puts = [(at, _owned(ov.page_of(token)))
+                      for at, token in ov.cache_puts]
+        for slot, target_id, token, deleted in replies:
+            results[slot] = Page(
+                target_id,
+                b"" if deleted else bytes(ov.page_of(token).payload), deleted,
+            )
+        for at, page in moved:
+            window[at] = page
 
         # ---- single commit point for the whole window ----------------------
         # Lines 21-22: re-encrypt everything with fresh nonces.  The link
@@ -747,7 +701,7 @@ class RetrievalEngine:
             extra_locations=extra_locs,
             cache_puts=cache_puts,
             flag_ops=flag_ops,
-            map_ops=map_ops,
+            map_ops=ov.map_ops,
             frames=sealed,
         )
         # Intend: make the post-state durable before applying it.
@@ -759,10 +713,7 @@ class RetrievalEngine:
                     sealed,
                 ))
         # Apply: idempotent, replayable from the intent record.
-        self._apply_intent(intent)
-        if self.journal is not None:
-            self.journal.clear()
-        self.disk.current_request = -1
+        self._commit(intent)
 
         # Describes the window's last op; ``elapsed`` is the whole window's
         # virtual latency — for a window of one, the Eq. 8 constant, so the
@@ -806,14 +757,19 @@ class RetrievalEngine:
         if self.read_retry is None:
             return attempt()
         return retry_call(
-            attempt,
-            self.read_retry,
-            self.cop.clock,
-            self._retry_rng,
+            attempt, self.read_retry, self.cop.clock, self._retry_rng,
             retry_on=(TransientStorageError, AuthenticationError),
-            counters=self.counters,
-            counter="retries.read",
+            counters=self.counters, counter="retries.read",
         )
+
+    def _commit(self, intent: WriteIntent) -> None:
+        """Apply ``intent`` (its accesses attributed to its request), then
+        clear its journal record."""
+        self.disk.current_request = intent.request_index
+        self._apply_intent(intent)
+        if self.journal is not None:
+            self.journal.clear()
+        self.disk.current_request = -1
 
     def _apply_intent(self, intent: WriteIntent) -> None:
         """Commit an intent record; every step is idempotent.
@@ -886,13 +842,8 @@ class RetrievalEngine:
         here first.  Re-application is idempotent; if the write fails
         again the error propagates and the request stays pending.
         """
-        intent = self._pending_intent
-        if intent is not None:
-            self.disk.current_request = intent.request_index
-            self._apply_intent(intent)
-            if self.journal is not None:
-                self.journal.clear()
-            self.disk.current_request = -1
+        if self._pending_intent is not None:
+            self._commit(self._pending_intent)
             self.counters.increment("recovery.rolled_forward")
         # Background workers heal after the engine: their write-backs may
         # relocate pages a replayed request's map ops already positioned,

@@ -33,7 +33,7 @@ from .injector import (
 )
 from ..errors import TransientChannelError, TransientStorageError
 from ..storage.disk import StoreWrapper
-from ..storage.frames import frame_matrix
+from ..storage.frames import check_ranges, frame_matrix
 
 __all__ = ["FaultyDiskStore", "FlakyChannel", "FaultyJournal"]
 
@@ -42,7 +42,10 @@ class FaultyDiskStore(StoreWrapper):
     """Fault-injecting wrapper with the engine's disk interface.
 
     Every range of a call is one disk access and gets its own fault
-    decision, in order.  Transient faults fire *before* the access (it and
+    decision, in order — once the call has passed the store's validation:
+    a call the store refuses draws no decision, so it burns no fault
+    ordinal and never fires a fault.  Transient faults fire *before* the
+    access (it and
     the ranges after it never happen, the ranges before it did);
     corruption damages a frame on the way back from a successful read, or
     on the way down in a copy of the write; a crash lands the ranges before
@@ -56,6 +59,7 @@ class FaultyDiskStore(StoreWrapper):
         self.injector = injector
 
     def read_ranges(self, ranges) -> np.ndarray:
+        self.inner.check_readable(ranges)
         damage = []
         row = 0
         for index, (location, count) in enumerate(ranges):
@@ -81,6 +85,7 @@ class FaultyDiskStore(StoreWrapper):
 
     def write_ranges(self, ranges, frames) -> None:
         frames = intact = frame_matrix(frames, self.frame_size)
+        check_ranges(ranges, self.num_locations, frames)
         row = 0
         for index, (location, count) in enumerate(ranges):
             decision = self.injector.check(SITE_DISK_WRITE, count)

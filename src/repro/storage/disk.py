@@ -16,7 +16,9 @@ two verbs every store and wrapper implements take one:
 is exactly one disk access — one seek charge, one :class:`AccessEvent`, one
 ``disk.read`` / ``disk.write`` span, one fault decision — performed in the
 order given, and every range is validated before the first is charged, so
-a refused call leaves clock and trace untouched.  The single-frame and
+a refused call leaves clock and trace untouched (``check_readable(ranges)``
+is that validation of a read on its own, for a wrapper that must refuse
+before it does anything else).  The single-frame and
 single-range calls (``read``, ``read_range``, ``write``, ``write_range``)
 are :class:`RangeAccess`'s, spelled once on the two verbs.
 
@@ -39,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .frames import frame_count, frame_matrix, range_rows
+from .frames import check_ranges, frame_count, frame_matrix, range_rows
 from .timing import DiskTimingModel
 from .trace import READ, WRITE, AccessEvent, AccessTrace
 from ..errors import StorageError
@@ -107,24 +109,6 @@ class DiskStore(RangeAccess):
         # trace can attribute accesses to requests.
         self.current_request: int = -1
 
-    # -- bounds ---------------------------------------------------------------
-
-    def _check_range(self, location: int, count: int) -> None:
-        if count <= 0:
-            raise StorageError("access count must be positive")
-        if location < 0 or location + count > self.num_locations:
-            raise StorageError(
-                f"access [{location}, {location + count}) outside disk of "
-                f"{self.num_locations} locations"
-            )
-
-    def _check_written(self, location: int, count: int) -> None:
-        written = self._written[location : location + count]
-        if not written.all():
-            raise StorageError(
-                f"location {location + int(written.argmin())} was never written"
-            )
-
     # -- where the frames live ---------------------------------------------------
 
     def _new_arena(self) -> Optional[np.ndarray]:
@@ -145,14 +129,21 @@ class DiskStore(RangeAccess):
 
     # -- access ----------------------------------------------------------------
 
-    def _check_readable(self, ranges) -> None:
+    def check_readable(self, ranges) -> None:
+        """Refuse a read :meth:`read_ranges` would refuse, charging nothing:
+        a range that is empty, leaves the disk or was never written."""
+        check_ranges(ranges, self.num_locations)
         for location, count in ranges:
-            self._check_range(location, count)
-            self._check_written(location, count)
+            written = self._written[location : location + count]
+            if not written.all():
+                raise StorageError(
+                    f"location {location + int(written.argmin())} was never "
+                    "written"
+                )
 
     def read_ranges(self, ranges) -> np.ndarray:
         """Each ``(location, count)`` as its own disk access, into one matrix."""
-        self._check_readable(ranges)
+        self.check_readable(ranges)
         out = np.empty((frame_count(ranges), self.frame_size), np.uint8)
         for location, rows in range_rows(ranges, out):
             nbytes = rows.nbytes
@@ -169,12 +160,7 @@ class DiskStore(RangeAccess):
         """Each ``(location, count)`` as its own disk access, out of
         ``frames`` (the ranges' frames back to back)."""
         frames = frame_matrix(frames, self.frame_size)
-        for location, count in ranges:
-            self._check_range(location, count)
-        if frame_count(ranges) != len(frames):
-            raise StorageError(
-                f"{len(frames)} frames do not fill the ranges {list(ranges)}"
-            )
+        check_ranges(ranges, self.num_locations, frames)
         for location, rows in range_rows(ranges, frames):
             nbytes = rows.nbytes
             with self.tracer.span("disk.write", nbytes=nbytes):
@@ -262,6 +248,9 @@ class StoreWrapper(RangeAccess):
 
     def write_ranges(self, ranges, frames) -> None:
         self.inner.write_ranges(ranges, frames)
+
+    def check_readable(self, ranges) -> None:
+        self.inner.check_readable(ranges)
 
     def peek(self, location: int) -> Optional[bytes]:
         return self.inner.peek(location)

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import StorageError
 
-__all__ = ["frame_matrix", "frame_count", "range_rows"]
+__all__ = ["frame_matrix", "frame_count", "range_rows", "check_ranges"]
 
 
 def frame_matrix(frames, frame_size: int) -> np.ndarray:
@@ -45,6 +45,23 @@ def frame_matrix(frames, frame_size: int) -> np.ndarray:
 def frame_count(ranges) -> int:
     """How many frames the ``(location, count)`` ranges name together."""
     return sum(count for _, count in ranges)
+
+
+def check_ranges(ranges, num_locations: int, frames=None) -> None:
+    """Refuse ranges that are empty or leave the disk — and, given the
+    matrix ``frames`` of a write, frames that do not fill them exactly."""
+    for location, count in ranges:
+        if count <= 0:
+            raise StorageError("access count must be positive")
+        if location < 0 or location + count > num_locations:
+            raise StorageError(
+                f"access [{location}, {location + count}) outside disk of "
+                f"{num_locations} locations"
+            )
+    if frames is not None and frame_count(ranges) != len(frames):
+        raise StorageError(
+            f"{len(frames)} frames do not fill the ranges {list(ranges)}"
+        )
 
 
 def range_rows(ranges, frames):

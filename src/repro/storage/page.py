@@ -195,6 +195,11 @@ class PageWindow(SequenceABC):
     def __len__(self) -> int:
         return len(self._ids)
 
+    @property
+    def ids(self) -> List[int]:
+        """The page id in every slot's header as fetched (read-only)."""
+        return self._ids
+
     def __getitem__(self, slot: int) -> Page:
         page = self._pages.get(slot)
         if page is None:
@@ -216,7 +221,7 @@ class PageWindow(SequenceABC):
         self._replaced.add(slot)
 
     def extend(self, other: "PageWindow") -> None:
-        """Append another fetch's slots (a later operation's extra frame)."""
+        """Append another fetch's slots (the later operations' extra frames)."""
         offset = len(self)
         for slot, page in other._pages.items():
             self._pages[offset + slot] = page

@@ -261,7 +261,7 @@ class TieredDiskStore(StoreWrapper):
     # -- access ----------------------------------------------------------------
 
     def read_ranges(self, ranges) -> np.ndarray:
-        self.cold._check_readable(ranges)
+        self.cold.check_readable(ranges)
         out = np.empty((frame_count(ranges), self.frame_size), np.uint8)
         # Hot or cold is decided range by range, in order: admitting one
         # range can evict the next one's frames.

@@ -35,7 +35,7 @@ from ..hardware.coprocessor import SecureCoprocessor
 from ..hardware.specs import HardwareSpec
 from ..sim.clock import VirtualClock
 from ..storage.disk import RangeAccess
-from ..storage.frames import frame_count, frame_matrix
+from ..storage.frames import check_ranges, frame_count, frame_matrix
 
 __all__ = ["RemoteDisk", "DataOwner"]
 
@@ -81,6 +81,18 @@ class RemoteDisk(RangeAccess):
         self._call(
             messages.WriteRanges(tuple(ranges), frames.tobytes()), messages.Ack
         )
+
+    def check_readable(self, ranges) -> None:
+        """The bounds half of a read's validation, without a round trip;
+        whether a location was ever written only the provider knows."""
+        check_ranges(ranges, self.num_locations)
+
+    def flush(self) -> None:
+        """Nothing to push down: the provider acknowledged every write."""
+
+    def close(self) -> None:
+        """Nothing to release: the frames stay at the provider, where a
+        resumed owner finds them."""
 
 
 def _owner_wiring(channel_factory, clock, owner_spec) -> dict:

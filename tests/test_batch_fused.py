@@ -40,8 +40,10 @@ from repro.faults import (
     transient_writes,
 )
 from repro.obs.registry import MetricsRegistry
+from repro.obs.tracer import Tracer
 from repro.service.frontend import QueryFrontend, ServiceClient
 from repro.service.protocol import Delete, Insert, Query, Refused, Result, Update
+from repro.storage.disk import StoreWrapper
 from repro.storage.page import Page
 from repro.twoparty import TwoPartySession
 
@@ -244,6 +246,60 @@ def run_windows_of_one(db, ops):
     return [db.run_batch([op])[0] for op in ops]
 
 
+# Recorded at the parent of the commit that made a window plan its ops
+# before fetching the later extras in one store call, by running the
+# journaled scenario above in windows of 2, 3, 8 and k (``None``).  The
+# access trace is pinned as (op, location, count, request_index): a later
+# extra's read now happens after every op is planned, so its virtual
+# timestamp moved while the accesses, their order and their bytes did not.
+# ``frames`` is what sees a page (or a deleted page's carcass) written into
+# the wrong slot: ``content_digest`` only sees what a client can read.
+GOLDEN_WINDOWS = {
+    2: {
+        "replies": GOLDEN_JOURNALED["replies"],
+        "frames": "746a60ec52fa03989dabf1ddfd4f8f732e5131814d2bce58e0b74d266ea6825e",
+        "journal": "616673d2449e9a36be79252b08ff8054137f69098d6d7e4bf2773188e2915ff2",
+        "journal_records": 117,
+        "trace": "c0cccdde09ab986ac841e44c8dddc5a5aa4693a291813a12c5a3f5bc908e7463",
+        "requests": 225,
+        "next_rng_draw": 4138976183289417469,
+    },
+    3: {
+        "replies": GOLDEN_JOURNALED["replies"],
+        "frames": "acde0aec5dfd00f6dd75588bab7a05c1a24f607b8e3bafd48f803abcc80bd1c8",
+        "journal": "ae10b998afcdd259d41641e59844aafd3833da18048cf288d59882b3b27bd949",
+        "journal_records": 78,
+        "trace": "932c33bfb9e535e4c46220e4597fad826a2e9334e33078058e95d4245a699e6c",
+        "requests": 225,
+        "next_rng_draw": 15265901157482454157,
+    },
+    8: {
+        "replies": GOLDEN_JOURNALED["replies"],
+        "frames": "6865023f3c0fc6d83f138552755dcbaa50766d171d4499f439380904e3ad726c",
+        "journal": "77236705a4fd8a8d9be9b94d64d7bb7890294523e6f04dcb4101abfc57df0abb",
+        "journal_records": 30,
+        "trace": "da298dfb138d29a86f71279c22237577adb7837e183956caafa9954b6d7fa5d7",
+        "requests": 225,
+        "next_rng_draw": 14388762618927666784,
+    },
+    None: {
+        "replies": GOLDEN_JOURNALED["replies"],
+        "frames": "84f2b0b5c763f9b0d953b9ff8503f5dcca4a53e59d962a772b573fd85027279c",
+        "journal": "5ca42bcaefec2d615d7c965d6a825b2b1b422bd747df475388913c4f78b4b20c",
+        "journal_records": 18,
+        "trace": "911967f4116be4d6db685b9fc3f9988b60adf05ce4ed9f25e1b9e84cfa0ed51f",
+        "requests": 225,
+        "next_rng_draw": 5266790857014590665,
+    },
+}
+
+
+def run_in_windows(width):
+    def run(db, ops):
+        return db.run_batch(ops, window=width)
+    return run
+
+
 class TestGoldenVectors:
     """The per-op API reproduces the deleted serial path byte for byte."""
 
@@ -256,6 +312,11 @@ class TestGoldenVectors:
     def test_run_batch_of_one_is_the_same_path(self):
         assert golden_scenario_journaled(run_windows_of_one) == GOLDEN_JOURNALED
         assert golden_scenario_rotation(run_windows_of_one) == GOLDEN_ROTATION
+
+    @pytest.mark.parametrize("width", sorted(GOLDEN_WINDOWS, key=str))
+    def test_journaled_mixed_ops_in_windows(self, width):
+        assert (golden_scenario_journaled(run_in_windows(width))
+                == GOLDEN_WINDOWS[width])
 
 
 class TestByteIdentity:
@@ -588,6 +649,106 @@ class TestWindowTraceShape:
         # reads k + n.  The disk trace records exactly that.
         reads = [e.count for e in db.trace if e.op == "read"]
         assert reads == [k] + [1] * n
+
+
+class CountingStore(StoreWrapper):
+    """Counts the calls of the two store verbs that pass through it."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.calls = {"read_ranges": 0, "write_ranges": 0}
+
+    def read_ranges(self, ranges):
+        self.calls["read_ranges"] += 1
+        return super().read_ranges(ranges)
+
+    def write_ranges(self, ranges, frames):
+        self.calls["write_ranges"] += 1
+        super().write_ranges(ranges, frames)
+
+
+class TestWindowFetchesTwice:
+    """A window plans its B ops, then fetches once: the block rides with
+    the first op's extra, and the B - 1 later extras are one more store
+    call and one more kernel pass — min(B, 2) of each, whatever B."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 8, "k"])
+    def test_store_calls_kernel_passes_and_decrypt_spans(
+            self, width, monkeypatch):
+        tracer = Tracer()
+        db, = twin_dbs(1, tracer=tracer)
+        k = db.params.block_size
+        width = k if width == "k" else width
+        store = db.engine.disk = CountingStore(db.engine.disk)
+        unsealed = []
+        unseal = db.cop.unseal_frames
+
+        def counting_unseal(frames):
+            unsealed.append(len(frames))
+            return unseal(frames)
+
+        monkeypatch.setattr(db.cop, "unseal_frames", counting_unseal)
+        first_span = len(tracer.spans)
+        results = db.run_batch(
+            [BatchOp("query", page_id=i) for i in range(width)])
+        assert not any(isinstance(item, Exception) for item in results)
+        fetches = min(width, 2)
+        assert store.calls == {"read_ranges": fetches, "write_ranges": 1}
+        assert unsealed == [k + 1, width - 1][:fetches]
+        decrypts = [span for span in tracer.spans[first_span:]
+                    if span.name == "decrypt"]
+        assert len(decrypts) == fetches
+
+
+class TestEveryExtraIsChecked:
+    """Each extra frame must hold the page the plan chose for its location,
+    a random extra's as much as a target's: a frame moved behind the
+    engine's back refuses the window before anything trusted or durable
+    changes (a committed window would relocate the wrong page)."""
+
+    OPS = [BatchOp("touch")] * 3  # every extra is a random page
+
+    @staticmethod
+    def _state(db, journal):
+        pm, cache = db.cop.page_map, db.cop.cache
+        return (
+            db.engine.request_count, db.engine.next_block_index,
+            list(journal.blobs), journal.read(),
+            [(loc.in_cache, loc.position, loc.deleted)
+             for loc in map(pm.lookup, range(pm.num_pages))],
+            sorted(pm.free_ids()),
+            [cache.get(slot) for slot in range(cache.capacity)],
+            [db.disk.peek(location)
+             for location in range(db.disk.num_locations)],
+        )
+
+    @pytest.mark.parametrize("op", [0, 2], ids=["first-extra", "later-extra"])
+    def test_a_random_extra_holding_another_page_refuses_the_window(self, op):
+        # Where the window's extras go, from a same-seed twin: planning
+        # reads only the page map and cache, which the swap leaves alone.
+        probe, = twin_dbs(1)
+        start = len(probe.trace)
+        probe.run_batch(self.OPS)
+        accesses = [(e.location, e.count) for e in list(probe.trace)[start:]
+                    if e.op == "read"]
+        (block_start, k), extras = accesses[0], [loc for loc, _ in accesses[1:]]
+        assert len(extras) == len(self.OPS)
+
+        journal = RecordingJournal()
+        db, = twin_dbs(1, journal=journal)
+        other = next(location for location in range(db.disk.num_locations)
+                     if not block_start <= location < block_start + k
+                     and location not in extras)
+        # Two valid frames trade places: the extra's location now holds
+        # another page, authentically sealed.
+        moved, there = db.disk.peek(extras[op]), db.disk.peek(other)
+        db.disk.poke(extras[op], there)
+        db.disk.poke(other, moved)
+        before = self._state(db, journal)
+        results = db.run_batch(self.OPS)
+        assert all(isinstance(item, PageNotFoundError) for item in results)
+        assert self._state(db, journal) == before
+        assert db.engine.counters.get("batch.windows") == 0
 
 
 class TestWindowMetrics:

@@ -10,9 +10,11 @@ Each test here fails if its rule is broken:
   injected corrupt read included: tests/test_faults_injection.py);
 * whoever retains a frame copies it;
 * a refused call charges nothing: every range is validated before the first
-  is charged;
+  is charged, and a wrapper validates through ``check_readable`` before it
+  does anything else (a fault wrapper draws no fault decision);
 * each range is one access — one event, one fault decision — in order;
-* the derived calls are the verb.
+* the derived calls are the verb;
+* every store flushes and closes, so a database closes over any of them.
 """
 
 from __future__ import annotations
@@ -99,9 +101,6 @@ class ObservedRemoteDisk(RemoteDisk):
     def poke(self, location, frame):
         self.provider.disk.poke(location, frame)
 
-    def close(self):
-        pass
-
 
 STORES = {
     "memory": _memory,
@@ -150,6 +149,21 @@ def events(disk, start=0):
 
 def contents(disk):
     return [disk.peek(location) for location in range(LOCATIONS)]
+
+
+def faulty(store, *plans):
+    """``store`` behind a :class:`FaultyDiskStore`, and the list of fault
+    decisions (site, frames) it draws, in order."""
+    injector = FaultInjector(seed=5, plans=plans)
+    decisions = []
+    check = injector.check
+
+    def recording_check(site, frames=1):
+        decisions.append((site, frames))
+        return check(site, frames)
+
+    injector.check = recording_check
+    return FaultyDiskStore(store, injector), decisions
 
 
 class TestBatchIsAMatrix:
@@ -253,23 +267,75 @@ class TestARefusedCallChargesNothing:
         self._untouched(store, lambda: store.write_ranges([(0, 2)], fresh))
 
 
+class TestARefusedCallDrawsNoFault:
+    """A fault wrapper validates a call as its store would before drawing
+    the first fault decision: a call the store refuses burns no fault
+    ordinal, and the fault waits for the first call it accepts."""
+
+    def test_bad_ranges_and_unfilled_writes(self, store):
+        disk, decisions = faulty(store, transient_reads(times=1),
+                                 transient_writes(times=1))
+        fresh = [frame_of(0xF1)] * 3
+        for bad in ((LOCATIONS, 1), (LOCATIONS - 1, 2), (-1, 1), (3, 0)):
+            with pytest.raises(REFUSED):
+                disk.read_ranges([(0, 2), bad])
+            with pytest.raises(REFUSED):
+                disk.write_ranges([(0, 2), bad], fresh)
+        with pytest.raises(REFUSED):
+            disk.write_ranges([(0, 2), (5, 2)], fresh)
+        assert decisions == []
+        with pytest.raises(TransientStorageError):
+            disk.read_ranges([(0, 2)])
+        with pytest.raises(TransientStorageError):
+            disk.write_ranges([(0, 2)], fresh[:2])
+        assert contents(store) == [frame_of(i) for i in range(LOCATIONS)]
+
+    # Whether a remote location was ever written only the provider knows.
+    @pytest.mark.parametrize(
+        "name", [name for name in sorted(STORES) if name != "remote"])
+    def test_a_never_written_range(self, name, tmp_path):
+        inner = STORES[name](tmp_path)
+        inner.write_range(0, [frame_of(i) for i in range(8)])  # 8.. is a gap
+        disk, decisions = faulty(inner, transient_reads(times=1))
+        with pytest.raises(StorageError):
+            disk.read_ranges([(0, 2), (7, 2)])
+        assert decisions == []
+        with pytest.raises(TransientStorageError):
+            disk.read_range(0, 2)
+        inner.close()
+
+
+class TestATierOverAnyStore:
+    @pytest.mark.parametrize("name", ["merkle", "remote"])
+    def test_the_cold_store_validates_through_the_contract(
+            self, name, tmp_path):
+        tier = filled(TieredDiskStore(STORES[name](tmp_path), 4))
+        assert rows(tier.read_ranges([(0, 2), (9, 1)])) == [
+            frame_of(0), frame_of(1), frame_of(9)]
+        before = (tier.clock.now, events(tier))
+        with pytest.raises(REFUSED):
+            tier.read_ranges([(0, 2), (LOCATIONS, 1)])
+        assert (tier.clock.now, events(tier)) == before
+        tier.close()
+
+
+class TestLifecycle:
+    @pytest.mark.parametrize("name", sorted(STORES))
+    def test_a_database_flushes_and_closes_over_every_store(
+            self, name, tmp_path):
+        db = make_db(seed=7,
+                     disk_factory=lambda *args: STORES[name](tmp_path, *args))
+        db.query(3)
+        db.close()  # flushes the store
+        db.disk.close()
+        db.disk.close()  # idempotent
+
+
 class TestEachRangeIsOneAccess:
     """One event and one fault decision per range, in the order given."""
 
     READS = [(8, 2), (3, 1), (12, 4)]
     WRITES = [(4, 2), (13, 1), (0, 3)]
-
-    def _faulty(self, store, *plans):
-        injector = FaultInjector(seed=5, plans=plans)
-        decisions = []
-        check = injector.check
-
-        def recording_check(site, frames=1):
-            decisions.append((site, frames))
-            return check(site, frames)
-
-        injector.check = recording_check
-        return FaultyDiskStore(store, injector), decisions
 
     def test_one_event_per_range_in_order(self, store):
         store.current_request = 11
@@ -288,7 +354,7 @@ class TestEachRangeIsOneAccess:
         assert stamps == sorted(set(stamps))
 
     def test_one_fault_decision_per_range_in_order(self, store):
-        disk, decisions = self._faulty(store)
+        disk, decisions = faulty(store)
         disk.read_ranges(self.READS)
         disk.write_ranges(self.WRITES, [frame_of(0xD2)] * 6)
         assert decisions == (
@@ -297,7 +363,7 @@ class TestEachRangeIsOneAccess:
         )
 
     def test_a_transient_fault_stops_the_call_at_its_range(self, store):
-        disk, decisions = self._faulty(
+        disk, decisions = faulty(
             store,
             transient_reads(times=1, after=1),
             transient_writes(times=1, after=1),
@@ -318,7 +384,7 @@ class TestEachRangeIsOneAccess:
         ]
 
     def test_a_crash_lands_the_ranges_before_it_and_a_torn_prefix(self, store):
-        disk, _ = self._faulty(store, crash_after_writes(4))
+        disk, _ = faulty(store, crash_after_writes(4))
         before = len(events(store))
         with pytest.raises(SimulatedCrash):
             disk.write_ranges(self.WRITES, [frame_of(0xD4)] * 6)
@@ -332,7 +398,7 @@ class TestEachRangeIsOneAccess:
         ]
 
     def test_a_corrupt_read_damages_one_frame_of_its_range(self, store):
-        disk, _ = self._faulty(store, corrupt_reads(times=1, after=2))
+        disk, _ = faulty(store, corrupt_reads(times=1, after=2))
         damaged = rows(disk.read_ranges(self.READS))
         clean = rows(store.read_ranges(self.READS))
         differing = [i for i in range(7) if damaged[i] != clean[i]]

@@ -270,24 +270,26 @@ class TestWindowOverTheWire:
     CONFIG = dict(cache_capacity=8, target_c=2.0, page_capacity=16, seed=99)
 
     @pytest.mark.parametrize("rollback_protection", [False, True])
-    def test_two_op_window_equals_two_single_queries(self, rollback_protection):
+    @pytest.mark.parametrize("width", [2, 3, 5])
+    def test_window_equals_single_queries(self, width, rollback_protection):
         def session():
             return TwoPartySession.create(
                 make_records(60, 16), rollback_protection=rollback_protection,
                 **self.CONFIG,
             )
 
+        page_ids = [5, 17, 23, 31, 44][:width]
         single = session()
-        expected = [single.query(5), single.query(17)]
+        expected = [single.query(page_id) for page_id in page_ids]
 
         windowed = session()
         trips = windowed.channel.counters.get("round_trips")
         events = len(windowed.provider_trace)
-        ops = [BatchOp("query", page_id=5), BatchOp("query", page_id=17)]
+        ops = [BatchOp("query", page_id=page_id) for page_id in page_ids]
         pages = windowed.owner.engine.run_batch(ops)
         assert [page.payload for page in pages] == expected
-        # One round trip per fetch (the block rides with the first extra)
-        # and one for the whole write-back.
+        # Three round trips whatever B: the block with the first op's
+        # extra, every later op's extra, and the whole write-back.
         assert windowed.channel.counters.get("round_trips") == trips + 3
 
         # The provider saw what a local store sees for the same window.
@@ -301,5 +303,5 @@ class TestWindowOverTheWire:
             return [(e.op, e.count) for e in list(trace)[start:]]
 
         assert shape(windowed.provider_trace, events) == shape(local.trace, before) \
-            == [("read", k), ("read", 1), ("read", 1),
-                ("write", k), ("write", 1), ("write", 1)]
+            == [("read", k)] + [("read", 1)] * width \
+            + [("write", k)] + [("write", 1)] * width
