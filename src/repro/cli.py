@@ -418,7 +418,6 @@ def _serve_database(args: argparse.Namespace, lead: str, detail: str,
         host=args.host,
         port=args.port,
         admission=admission,
-        queue_depth=args.queue_depth,
         reap_interval=args.session_ttl,
         adopt_sessions=adopt_sessions,
         metrics=registry,
@@ -700,8 +699,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          dest="page_size")
     serving.add_argument("--queue-depth", type=int, default=64,
                          dest="queue_depth",
-                         help="bounded request queue; beyond it requests "
-                              "are shed with a retryable refusal")
+                         help="requests that may wait for the engine; "
+                              "beyond it requests are shed with a "
+                              "retryable refusal")
     serving.add_argument("--max-sessions", type=int, default=256,
                          dest="max_sessions")
     serving.add_argument("--session-ttl", type=float, default=300.0,

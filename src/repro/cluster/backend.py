@@ -98,8 +98,8 @@ class BackendHandle:
 
         The database starts emitting one sealed record per request into
         ``log``, and the server starts answering peers' REPL connections
-        through ``applier`` and stamping replies with the log's
-        high-water mark.  Call :meth:`start_replication` (or
+        through ``applier`` and stamping each reply with the sequence it
+        waited on.  Call :meth:`start_replication` (or
         :func:`connect_replication`, which does both) to begin streaming
         to ``peer_addresses``.
         """
@@ -127,12 +127,12 @@ class BackendHandle:
     def kill(self) -> None:
         """Crash the serving process-equivalent; engine state survives.
 
-        The server dies before the streamers so any in-flight semi-sync
-        barrier can still see its record delivered — stopping the
-        streamers first would mark every peer disconnected and wave the
-        barrier through with the write unreplicated (the reply-cache
-        dedupe gate covers that window regardless, at the cost of a
-        shed).
+        The server dies before the streamers: stopping the streamers
+        first would mark every peer disconnected and wave an in-flight
+        serve's semi-sync barrier through, acknowledging a write no peer
+        holds (the reply-cache dedupe gate covers that window regardless,
+        at the cost of a shed).  Killed first, the server abandons that
+        serve uncached and unsent, as a crashed process would.
         """
         if self.thread is not None:
             self.thread.kill()
@@ -153,8 +153,8 @@ class BackendHandle:
     def restart(self) -> "BackendHandle":
         """Come back on the same port after a kill or drain.
 
-        A fresh :class:`PirServer` (a drained one has shut its workers
-        down for good); the frontend — sessions, reply cache — carries
+        A fresh :class:`PirServer` (a drained or killed one has closed
+        its listener for good); the frontend — sessions, reply cache — carries
         over, exactly as a restarted process reloads its persistent
         state.
         """
@@ -327,10 +327,7 @@ def connect_replication(
             cover_traffic=cover_traffic, path=path,
             wait_timeout=wait_timeout, metrics=member_metrics,
         )
-        applier = ReplicationApplier(
-            handle.db, metrics=member_metrics,
-            engine_lock=handle.frontend.engine_lock,
-        )
+        applier = ReplicationApplier(handle.db, metrics=member_metrics)
         # Streamers always dial the *bound* peer addresses (or a chaos
         # interposition from dial_overrides); origins are identities,
         # not dial targets.

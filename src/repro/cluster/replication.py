@@ -182,9 +182,9 @@ class _PeerState:
 class ReplicationLog:
     """Origin-side sealed record stream with per-peer ack tracking.
 
-    ``emit`` is called by the database on the serving worker thread and
-    never blocks on the network; the server's event loop separately
-    awaits :meth:`wait_replicated` before acknowledging a client, which
+    ``emit`` is called by the database on the server's engine thread and
+    never blocks on the network; the server separately awaits
+    :meth:`wait_replicated` on a thread before acknowledging a client, which
     is what makes an acknowledged write survive the origin's death
     (semi-synchronous replication).  Peers that are disconnected are not
     waited on — they catch up from the backlog when they return.
@@ -415,18 +415,16 @@ class ReplicationLog:
 class ReplicationApplier:
     """Peer-side idempotent apply with per-origin sequence tracking.
 
-    ``engine_lock`` serializes the raw engine calls against whoever
-    else drives the engine — on a cluster backend, the frontend's
-    serving worker (pass ``frontend.engine_lock``); the applier runs on
-    the server's dedicated replication worker, never behind a serve.
+    On a cluster backend :meth:`apply` runs on the server's engine
+    thread, the thread that dispatches requests, so the engine sees one
+    operation at a time; it never waits for the serving lock (DESIGN.md
+    §13).
     """
 
-    def __init__(self, db, metrics=None, engine_lock=None):
+    def __init__(self, db, metrics=None):
         self.db = db
         self.counters = registry_or_private(metrics).counter_view(
             "repl.apply.")
-        self.engine_lock = (engine_lock if engine_lock is not None
-                            else threading.Lock())
         self._applied: Dict[str, int] = {}
         self._pending: Dict[str, Dict[int, bytes]] = {}
         self._lock = threading.Condition()
@@ -521,8 +519,7 @@ class ReplicationApplier:
                     f"replication record body claims seq {record.seq} "
                     f"but arrived as seq {seq}"
                 )
-            with self.engine_lock:
-                self._apply_record(record)
+            self._apply_record(record)
         except ReproError:
             self.counters.increment("errors")
         else:

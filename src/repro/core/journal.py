@@ -154,9 +154,10 @@ def window_of(length: int, block_size: int, frame_size: int,
 class RecordCursor:
     """Bounds-checked sequential reader over one decrypted record.
 
-    The intent header codecs (here and in :mod:`repro.shuffle.online`) and
-    the RPL1 replication-record codec (:mod:`repro.cluster.replication`)
-    share this reader, so every fixed-width field, flag byte, and
+    The intent header codecs (here and in :mod:`repro.shuffle.online`), the
+    RPL1 replication-record codec (:mod:`repro.cluster.replication`) and the
+    snapshot's trusted-state blob (:mod:`repro.core.snapshot`) share this
+    reader, so every fixed-width field, flag byte, and
     length-prefixed payload decodes with identical truncation behaviour:
     any read past the end of the blob raises
     :class:`~repro.errors.StorageError` instead of a bare

@@ -36,6 +36,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .database import PirDatabase, _wire
+from .journal import RecordCursor
 from .params import SystemParameters
 from ..crypto.suite import BACKENDS, CipherSuite
 from ..errors import ConfigurationError, StorageError
@@ -109,36 +110,17 @@ def _encode_trusted_state(db: PirDatabase) -> bytes:
 
 
 def _decode_trusted_state(blob: bytes, db: PirDatabase) -> None:
-    offset = 0
+    cursor = RecordCursor(blob)
+    db.engine._next_block = cursor.take(_U64) % db.params.num_blocks
+    db.engine._request_count = cursor.take(_U64)
 
-    def take_u64() -> int:
-        nonlocal offset
-        value = _U64.unpack_from(blob, offset)[0]
-        offset += 8
-        return value
-
-    def take_u32() -> int:
-        nonlocal offset
-        value = _U32.unpack_from(blob, offset)[0]
-        offset += 4
-        return value
-
-    def take_byte() -> int:
-        nonlocal offset
-        value = blob[offset]
-        offset += 1
-        return value
-
-    db.engine._next_block = take_u64() % db.params.num_blocks
-    db.engine._request_count = take_u64()
-
-    num_pages = take_u64()
+    num_pages = cursor.take(_U64)
     if num_pages != db.params.total_pages:
         raise StorageError("snapshot page count does not match parameters")
     pm = db.cop.page_map
     for page_id in range(num_pages):
-        flags = take_byte()
-        position = take_u64()
+        flags = cursor.take_byte()
+        position = cursor.take(_U64)
         if flags & 1:
             pm.set_cached(page_id, position)
         else:
@@ -146,33 +128,26 @@ def _decode_trusted_state(blob: bytes, db: PirDatabase) -> None:
         if flags & 2:
             pm.mark_deleted(page_id)
 
-    capacity = take_u64()
+    capacity = cursor.take(_U64)
     if capacity != db.cop.cache.capacity:
         raise StorageError("snapshot cache capacity does not match parameters")
     pages = []
     for _slot in range(capacity):
-        page_id = take_u64()
-        flags = take_byte()
-        length = take_u32()
-        payload = blob[offset : offset + length]
-        offset += length
+        page_id = cursor.take(_U64)
+        flags = cursor.take_byte()
+        payload = cursor.take_bytes(cursor.take(_U32))
         pages.append(Page(page_id, payload, deleted=bool(flags & 2)))
     db.cop.cache.fill(pages)
-    if offset == len(blob):
+    if cursor.offset == len(blob):
         return  # format 1: no rotation tail
-    if take_byte():
-        length = take_u32()
-        legacy = blob[offset : offset + length]
-        offset += length
-        db.cop.adopt_legacy_key(legacy)
-    rotation_left = _I64.unpack_from(blob, offset)[0]
-    offset += 8
+    if cursor.take_byte():
+        db.cop.adopt_legacy_key(cursor.take_bytes(cursor.take(_U32)))
+    rotation_left = cursor.take(_I64)
     if rotation_left >= 0:
         db.engine._rotation_requests_left = rotation_left
-    if offset < len(blob):  # absent before epoch numbering was saved
-        db._reshuffle_epoch_base = take_u64()
-    if offset != len(blob):
-        raise StorageError("trailing bytes in trusted-state blob")
+    if cursor.offset < len(blob):  # absent before epoch numbering was saved
+        db._reshuffle_epoch_base = cursor.take(_U64)
+    cursor.expect_end("trusted-state blob")
 
 
 def encode_manifest(db) -> dict:

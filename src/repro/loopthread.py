@@ -180,6 +180,33 @@ class LoopThread:
         self._thread.join(timeout=timeout)
         self._thread = None
 
+    def kill(self, timeout: float = 30.0) -> None:
+        """Abrupt shutdown: drop the listener and every task NOW.
+
+        The crash path, for chaos tests and failover drills — the inverse
+        of :meth:`stop`.  No refusals are sent, in-flight requests are
+        abandoned mid-write, clients see resets.
+        """
+        if self._thread is None or self._loop is None:
+            return
+        loop = self._loop
+
+        def _slam() -> None:
+            self._service.stop_accepting()
+            for task in asyncio.all_tasks(loop):
+                task.cancel()
+            # Let the cancellations run their finallys (writer.close)
+            # before the loop stops; call_soon queues behind them.
+            loop.call_soon(loop.stop)
+
+        if self._thread.is_alive():
+            try:
+                loop.call_soon_threadsafe(_slam)
+            except RuntimeError:
+                pass  # loop already closed
+        self._thread.join(timeout=timeout)
+        self._thread = None
+
     def __enter__(self):
         return self.start()
 

@@ -2,8 +2,8 @@
 
 Carries the sealed :mod:`repro.service.protocol` frames over sockets:
 length-prefixed framing with a hard size cap (:mod:`~repro.net.framing`),
-an asyncio server bridging connections to the synchronous engine through
-worker threads with graceful drain (:mod:`~repro.net.server`), admission
+an asyncio server that serves one request at a time on its engine
+thread, with graceful drain (:mod:`~repro.net.server`), admission
 control that sheds load with retryable refusals
 (:mod:`~repro.net.admission`), and a blocking client mirroring
 :class:`~repro.service.frontend.ServiceClient`

@@ -9,9 +9,10 @@ degraded engine:
 
 * a **max-concurrent-sessions** cap, checked at handshake time;
 * a **token bucket** bounding sustained request rate (capacity = burst);
-* a **queue-depth** bound — when the worker queue backs up, extra
-  requests are refused before they enqueue, keeping worst-case latency
-  for admitted requests proportional to the configured depth.
+* a **queue-depth** bound — when the requests waiting for the server's
+  serving lock back up, extra requests are refused before they queue,
+  keeping worst-case latency for admitted requests proportional to the
+  configured depth.
 
 Every shed increments ``net.shed`` plus a per-gate counter
 (``net.shed.sessions`` / ``net.shed.rate`` / ``net.shed.queue``), so the

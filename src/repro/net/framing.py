@@ -50,13 +50,13 @@ Two layers live here, both below the sealed
   can discard the late reply to an earlier transmission instead of
   desynchronising the stream.  Envelope REFUSED is plaintext because it
   carries no secrets (reason/code/retry-after) and must be expressible
-  when no session exists yet (handshake shed) or when the worker cannot
+  when no session exists yet (handshake shed) or when the server cannot
   seal (unknown/reaped session).
 
   PING/PONG carry the health-gated cluster membership (DESIGN.md §13): the
-  router probes each backend on an interval and a backend answers without
-  touching the engine, so a wedged worker pool still shows up as a probe
-  timeout rather than a false "healthy".  PONG is plaintext for the same
+  router probes each backend on an interval and a backend answers on its
+  event loop without touching the engine, so a wedged loop shows up as a
+  probe timeout rather than a false "healthy".  PONG is plaintext for the same
   reason REFUSED is: it exists before any session does, and it carries
   nothing the connection pattern itself does not already reveal.
 
@@ -172,8 +172,10 @@ class Request:
 class Reply:
     """A sealed answer to one REQUEST.
 
-    ``repl_seq`` is the serving backend's replication high-water mark
-    after this request (0 when the backend has no replication attached).
+    ``repl_seq`` is the serving backend's replication sequence this reply
+    stands for — the one its semi-sync barrier waited on (0 when the
+    backend has no replication attached, or for a dedupe of a write
+    another member emitted).
     The cluster router records it per session as the read-your-writes
     floor for failover, and forwards clients a plain ``repl_seq == 0``
     reply so the watermark never leaves the cluster.

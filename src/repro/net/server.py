@@ -2,42 +2,41 @@
 
 Architecture (DESIGN.md §12)::
 
-    client sockets ──▶ asyncio event loop ──▶ bounded queue ──▶ worker
-       (framing,        (EnvelopeServer +         (a _Lane)       threads
-        envelope)        handshake, admission,                    (frontend
-                         drain, reaping)                           .serve)
+    client sockets ──▶ asyncio event loop ─────────────────▶ engine thread
+       (framing,        (EnvelopeServer + handshake,          (frontend
+        envelope)        admission, serving lock, dedupe,      .execute, peer
+                         reply cache, waits, drain)            applies)
 
 The event loop owns everything network-shaped: the listener and the
 connection state machine (:class:`~repro.net.endpoint.EnvelopeServer`),
 and, added here, the HELLO/WELCOME handshake that binds a connection to a
-:class:`~repro.service.frontend.QueryFrontend` session, admission
-control, and graceful drain.  The engine stays synchronous and is only
-ever entered from worker threads (a :class:`_Lane`), which take sealed
-requests off a bounded queue, run ``frontend.serve`` and resolve the
-awaiting connection's future via ``loop.call_soon_threadsafe``.
-
-Each connection serves one request at a time (the handler awaits the
-reply before reading the next frame), so a session's stateful cipher
-suite is never used by two threads at once.  ``workers=1`` (the default)
-keeps the whole engine single-threaded as its contract requires;
-``workers > 1`` is only accepted for :class:`~repro.core.sharded
-.ShardedPirDatabase` backends, whose façade lock admits concurrent
-callers.
+:class:`~repro.service.frontend.QueryFrontend` session, admission control,
+graceful drain — and the order requests are served in: one
+``asyncio.Lock`` held from the dedupe check through the reply-cache put,
+so the engine sees one request at a time, exactly as the paper's
+coprocessor serves them (Figure 3).  The engine itself runs on the
+server's one engine thread, which the loop starts with the server: every
+``frontend.execute`` and every inbound replication record is computed
+there, so every engine entry — and every span it opens — comes from that
+one thread, while the loop keeps reading, shedding and answering PINGs.
+The two waits a replicated member has — the semi-sync barrier and the
+dedupe gate — are awaited on asyncio's executor (``asyncio.to_thread``),
+holding neither the loop nor the engine thread, and replication records
+never take the serving lock, which is why a serve parked in its barrier
+can never starve the peer applies that release it (DESIGN.md §13).
 
 Graceful drain: :meth:`PirServer.drain` stops accepting, answers new
 requests on live connections with a retryable refusal, waits for every
-in-flight request to finish *and its reply to be written*, then shuts
-down workers and closes sessions — no admitted request is lost, and
-because workers finish what they started, none is double-applied.
+in-flight request to finish *and its reply to be written*, then closes
+sessions — no admitted request is lost, and none is double-applied.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import queue
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from .admission import SHED_CODE, AdmissionController
@@ -56,11 +55,14 @@ from .framing import (
     Resume,
     Welcome,
 )
-from ..core.sharded import ShardedPirDatabase
-from ..errors import ConfigurationError, ProtocolError, ReproError
+from ..errors import (
+    ConfigurationError,
+    DegradedServiceError,
+    ProtocolError,
+    ReproError,
+)
 from ..loopthread import LoopThread
 from ..obs.registry import registry_or_private
-from ..obs.tracer import NULL_TRACER
 from ..service import protocol
 from ..service.frontend import SESSION_SEQUENTIAL, QueryFrontend
 from ..service.health import classify
@@ -71,80 +73,16 @@ _LATENCY_BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
                     0.1, 0.25, 0.5, 1.0, 2.5)
 
 
-#: The replication lane's one thread (the harness ledger keys on the name).
-_REPL_WORKERS = ("pir-repl-worker",)
-
-
-def _resolve(future: "asyncio.Future", result) -> None:
-    if not future.cancelled():
-        future.set_result(result)
-
-
-class _Lane:
-    """A bounded queue drained by named daemon threads.
-
-    The event loop hands :meth:`submit` an item and awaits the future it
-    gets back; a lane thread runs ``work(item)`` — which answers every
-    failure with a value, never an exception — and resolves the future on
-    its loop.  :class:`PirServer` has two lanes: serving and replication.
-    """
-
-    def __init__(self, depth: int, work):
-        self.queue: "queue.Queue" = queue.Queue(maxsize=depth)
-        self._work = work
-        self._threads: list = []
-
-    def start(self, names) -> None:
-        """One thread per name; a started lane is left alone."""
-        if self._threads:
-            return
-        for name in names:
-            thread = threading.Thread(target=self._run, name=name,
-                                      daemon=True)
-            thread.start()
-            self._threads.append(thread)
-
-    def submit(self, item) -> Optional["asyncio.Future"]:
-        """Queue ``item``; None when the lane is full."""
-        future = asyncio.get_running_loop().create_future()
-        try:
-            self.queue.put_nowait((item, future))
-        except queue.Full:
-            return None
-        return future
-
-    def stop(self, timeout: Optional[float] = None) -> None:
-        """Let the threads finish what is queued, then join them."""
-        for _ in self._threads:
-            self.queue.put(None)
-        for thread in self._threads:
-            thread.join(timeout)
-        self._threads = []
-
-    def _run(self) -> None:
-        while True:
-            entry = self.queue.get()
-            if entry is None:
-                return
-            item, future = entry
-            result = self._work(item)
-            try:
-                future.get_loop().call_soon_threadsafe(_resolve, future,
-                                                       result)
-            except RuntimeError:
-                # The loop was closed under us (ServerThread.kill in a
-                # crash test); the connection is gone, nobody awaits this.
-                return
-
-
 class PirServer(EnvelopeServer):
     """Serves a :class:`QueryFrontend` over TCP (see module docstring).
 
     Construct, then ``await start()`` on a running event loop (or use
-    :class:`ServerThread` from synchronous code).  ``queue_depth`` bounds
-    the worker queue; requests beyond it — and beyond whatever gates the
-    optional :class:`~repro.net.admission.AdmissionController` adds — are
-    shed with a retryable refusal, never silently dropped.
+    :class:`ServerThread` from synchronous code).  Requests beyond what
+    the optional :class:`~repro.net.admission.AdmissionController` admits
+    — its ``max_queue_depth`` bounds the requests waiting for the serving
+    lock — are shed with a retryable refusal, never silently dropped.
+    ``workers`` is accepted only as 1: the engine serves one request at a
+    time on the server's one engine thread.
     """
 
     def __init__(
@@ -154,16 +92,16 @@ class PirServer(EnvelopeServer):
         port: int = 0,
         admission: Optional[AdmissionController] = None,
         workers: int = 1,
-        queue_depth: int = 64,
         reap_interval: Optional[float] = None,
         allow_sequential_sessions: bool = False,
         adopt_sessions: bool = False,
         metrics=None,
     ):
-        if workers < 1:
-            raise ConfigurationError("need at least one worker thread")
-        if queue_depth < 1:
-            raise ConfigurationError("queue_depth must be positive")
+        if workers != 1:
+            raise ConfigurationError(
+                "a PirServer serves one request at a time on its engine "
+                "thread; workers must be 1"
+            )
         if reap_interval is not None and reap_interval <= 0:
             raise ConfigurationError("reap_interval must be positive")
         if (frontend.session_id_mode == SESSION_SEQUENTIAL
@@ -174,12 +112,6 @@ class PirServer(EnvelopeServer):
                 "use session_id_mode=SESSION_RANDOM or pass "
                 "allow_sequential_sessions=True"
             )
-        if workers > 1 and not isinstance(frontend.database,
-                                          ShardedPirDatabase):
-            raise ConfigurationError(
-                "workers > 1 requires a ShardedPirDatabase backend; the "
-                "plain engine is single-threaded by contract"
-            )
         metrics = registry_or_private(metrics)
         super().__init__(host, port, metrics.counter_view("net."))
         self.frontend = frontend
@@ -188,26 +120,22 @@ class PirServer(EnvelopeServer):
         # public-facing servers must leave this off — see
         # QueryFrontend.adopt_session for the trust argument.
         self.adopt_sessions = adopt_sessions
-        self.workers = workers
         self.reap_interval = reap_interval
         self._sessions_gauge = metrics.gauge("net.sessions.active")
         self._queue_gauge = metrics.gauge("net.queue.depth")
         self._latency = metrics.histogram("net.request.seconds",
                                           buckets=_LATENCY_BUCKETS)
-        # The tracer is not thread-safe; with a single worker every span
-        # (net.request wrapping frontend.serve and the engine's own spans)
-        # is emitted from that one thread, so tracing composes.  With
-        # multiple workers net spans are suppressed.
-        self._span_tracer = frontend.tracer if workers == 1 else NULL_TRACER
-        self._lane = _Lane(queue_depth, self._serve_one)
-        # Inbound replication records get their own lane, never queued
-        # behind a serve (attach_replication says why).
-        self._repl_lane = _Lane(queue_depth, self._apply_one)
         self._reap_task: Optional[asyncio.Task] = None
         self._inflight = 0
         self._idle_event: Optional[asyncio.Event] = None
-        # Test hook: called on the worker thread just before dispatching a
-        # request to the frontend (drain-during-in-flight tests block here).
+        # One request at a time, from dedupe check to reply-cache put;
+        # created in start() so it binds to the serving loop.
+        self._serving: Optional[asyncio.Lock] = None
+        self._queued = 0  # requests waiting for _serving
+        # The one thread every engine call runs on (module docstring).
+        self._engine: Optional[ThreadPoolExecutor] = None
+        # Test hook: called on the engine thread just before a request is
+        # dispatched (drain-during-in-flight tests block here).
         self._serve_hook = None
         # Sealed write replication (cluster backends only; see
         # attach_replication).
@@ -219,58 +147,38 @@ class PirServer(EnvelopeServer):
         :class:`~repro.cluster.replication.ReplicationApplier` in.
 
         Afterwards this server (a) answers peer REPL_QUERY/REPL_RECORD
-        connections, applying inbound records on a dedicated replication
-        worker (serialized against the serving workers through the
-        frontend's engine lock, so the engine still sees one operation
-        at a time — but never queued *behind* a serve, or a barrier
-        stalled waiting for a peer could starve the very applies that
-        release the peer's own barriers: a distributed pool deadlock),
-        (b) stamps every REPLY with the sequence its serve's barrier
-        waited on, for the router's read-your-writes gate, and (c) holds
-        each reply — on the worker thread, *before* it is cached or sent
-        — until every *connected* peer has acked the emitted sequence:
+        connections, applying inbound records on the engine thread
+        without the serving lock, (b) holds each successful reply until
+        every *connected* peer has acked the sequence its dispatch emitted —
         semi-synchronous replication, which is what makes an
-        acknowledged write survive this backend's death.  The barrier
-        must run before the reply enters the shared reply cache, or a
-        surviving peer could dedupe-serve an acknowledgement for a write
-        it never applied (a stale read after failover).
+        acknowledged write survive this backend's death — and only then
+        caches it, (c) dedupe-serves a cached reply only once this member
+        has applied the write behind it, and (d) stamps every REPLY with
+        its own sequence for the router's read-your-writes gate.
         """
         self._repl_log = log
         self._repl_applier = applier
-        if self._server is not None:  # already serving
-            self._repl_lane.start(_REPL_WORKERS)
-
-        def _barrier():
-            seq = log.last_seq
-            log.wait_replicated(seq)
-            return (log.origin, seq)
-
-        def _gate(origin, seq):
-            if origin == log.origin:
-                return log.last_seq >= seq  # our own emission: we hold it
-            return applier.wait_applied(origin, seq, log.wait_timeout)
-
-        self.frontend.replication_barrier = _barrier
-        self.frontend.replication_gate = _gate
 
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listener and start the worker threads."""
+        """Bind the listener and start the engine thread."""
         await self.listen()
         self._idle_event = asyncio.Event()
         self._idle_event.set()
-        self._lane.start(f"pir-worker-{i}" for i in range(self.workers))
-        if self._repl_applier is not None:
-            self._repl_lane.start(_REPL_WORKERS)
+        self._serving = asyncio.Lock()
+        self._engine = ThreadPoolExecutor(1, thread_name_prefix="pir-engine")
+        # The executor spawns its thread on first use: make that now, not
+        # on the first request's critical path.
+        await self._on_engine(lambda: None)
         if self.reap_interval is not None:
             self._reap_task = asyncio.ensure_future(self._reap_loop())
 
     async def drain(self) -> None:
         """Graceful shutdown: stop accepting, finish in-flight, close up.
 
-        Idempotent.  After drain every session is closed and the worker
-        threads have exited; live client connections are dropped (their
+        Idempotent.  After drain every session is closed and the engine
+        thread has exited; live client connections are dropped (their
         next request would only be refused anyway).
         """
         if self._draining:
@@ -283,9 +191,9 @@ class PirServer(EnvelopeServer):
             self._reap_task = None
         if self._inflight > 0:
             await self._idle_event.wait()
-        self._lane.stop()
-        self._repl_lane.stop()
         await self.close()
+        if self._engine is not None:
+            self._engine.shutdown()
         if not self.adopt_sessions:
             # A cluster backend leaves its sessions alone: they fail over
             # to peers, and close_session would purge their entries from
@@ -305,12 +213,10 @@ class PirServer(EnvelopeServer):
     def _publish_sessions(self) -> None:
         self._sessions_gauge.set(self.frontend.session_count)
 
-    def _publish_queue_depth(self) -> None:
-        self._queue_gauge.set(self._lane.queue.qsize())
-
     @contextlib.contextmanager
     def _in_flight(self):
-        """Work drain must wait for, on either lane."""
+        """Work drain must wait for: a request from admission to reply
+        written, or a peer record's apply."""
         self._inflight += 1
         self._idle_event.clear()
         try:
@@ -319,6 +225,26 @@ class PirServer(EnvelopeServer):
             self._inflight -= 1
             if self._inflight == 0:
                 self._idle_event.set()
+
+    @contextlib.asynccontextmanager
+    async def _turn(self):
+        """Hold the serving lock; its waiters are ``net.queue.depth``."""
+        self._queued += 1
+        self._queue_gauge.set(self._queued)
+        try:
+            await self._serving.acquire()
+        finally:
+            self._queued -= 1
+            self._queue_gauge.set(self._queued)
+        try:
+            yield
+        finally:
+            self._serving.release()
+
+    async def _on_engine(self, call, *args):
+        """``call(*args)`` on the engine thread, awaited from the loop."""
+        return await asyncio.get_running_loop().run_in_executor(
+            self._engine, call, *args)
 
     # -- the envelope hooks ----------------------------------------------------
 
@@ -365,11 +291,10 @@ class PirServer(EnvelopeServer):
 
         The stream is sessionless like a probe: a REPL_QUERY answers with
         this backend's applied high-water mark for the asking origin (the
-        catch-up handshake), and each REPL_RECORD is applied on the
-        replication lane — the engine stays single-threaded per request,
-        replicated or local — then acked with the new applied mark.  Apply
-        is idempotent, so a shed or re-sent record is simply acked at the
-        unchanged mark and the peer retransmits.
+        catch-up handshake), and each REPL_RECORD is applied on the engine
+        thread — never behind the serving lock — then acked with the new
+        applied mark.  Apply is idempotent, so a shed or re-sent record is
+        simply acked at the unchanged mark and the peer retransmits.
         """
         if self._repl_applier is None:
             raise ProtocolError("replication is not enabled on this server")
@@ -382,40 +307,37 @@ class PirServer(EnvelopeServer):
                     self._repl_applier.applied_for(message.origin),
                 ))
             elif isinstance(message, ReplRecord):
-                applied = await self._apply_replicated(message)
-                await self._send(writer, ReplAck(message.origin, applied))
+                await self._send(writer, ReplAck(
+                    message.origin, await self._apply_one(message)))
             else:
                 raise ProtocolError(
                     f"replication connection sent {type(message).__name__}"
                 )
             message = await read_message(reader)
 
-    async def _apply_replicated(self, record: ReplRecord) -> int:
-        """Queue one inbound record for its lane; return the applied mark.
+    async def _apply_one(self, record: ReplRecord) -> int:
+        """Apply one inbound record; return the applied mark.
 
-        While draining (or when the queue is full) the record is *not*
-        applied and the current mark is returned unchanged — the peer's
-        streamer sees a stale ack and retransmits after backoff.
+        While draining the record is *not* applied and the current mark
+        is returned unchanged — the peer's streamer sees a stale ack and
+        retransmits after backoff.
         """
-        if not self._draining:
-            future = self._repl_lane.submit(record)
-            if future is not None:
-                self._publish_queue_depth()
-                with self._in_flight():
-                    return await future
+        if self._draining:
             self.counters.increment("shed")
             self.counters.increment("shed.repl")
-        return self._repl_applier.applied_for(record.origin)
-
-    def _apply_one(self, record: ReplRecord) -> int:
-        """Replication-lane work: apply one record on the lane's thread."""
-        try:
-            return self._repl_applier.apply(record.origin, record.seq,
-                                            record.sealed)
-        except BaseException:
-            # Never wedge the peer's stream: ack the unchanged mark so
-            # its streamer backs off and retransmits.
             return self._repl_applier.applied_for(record.origin)
+        with self._in_flight():
+            return await self._on_engine(self._apply, record)
+
+    def _apply(self, record: ReplRecord) -> int:
+        """Engine-thread work: one inbound record through the applier."""
+        applier = self._repl_applier
+        try:
+            return applier.apply(record.origin, record.seq, record.sealed)
+        except Exception:
+            # Never wedge the peer's stream: ack the unchanged mark so its
+            # streamer backs off and retransmits.
+            return applier.applied_for(record.origin)
 
     # -- sessions and admission ------------------------------------------------
 
@@ -463,72 +385,102 @@ class PirServer(EnvelopeServer):
         return protocol.Refused("server is draining", SHED_CODE, 0.05)
 
     async def _admit_and_dispatch(self, session_id: int, request: Request):
-        """Admission gates, then the serving lane's round trip."""
+        """Admission gates, then the request's turn under the serving lock."""
         if self._draining:
             return NetRefused(request.request_id, self._drain_refusal())
         if self.admission is not None:
-            refusal = self.admission.admit_request(self._lane.queue.qsize())
+            refusal = self.admission.admit_request(self._queued)
             if refusal is not None:
                 return NetRefused(request.request_id, refusal)
-        # Mark the session busy for the whole queued-to-served window so
-        # the idle reaper cannot close it out from under a queued request.
+        # Mark the session busy while it waits and is served, so the idle
+        # reaper cannot close it out from under a queued request.
         self.frontend.begin_request(session_id)
         try:
-            future = self._lane.submit((session_id, request))
-            if future is None:
-                self.counters.increment("shed")
-                self.counters.increment("shed.queue")
-                return NetRefused(request.request_id, protocol.Refused(
-                    "request queue is full", SHED_CODE, 0.05,
-                ))
-            self._publish_queue_depth()
-            return await future
-        finally:
-            self.frontend.end_request(session_id)
-
-    def _serve_one(self, item):
-        """Serving-lane work: one sealed request through the frontend."""
-        session_id, request = item
-        self._publish_queue_depth()
-        hook = self._serve_hook
-        if hook is not None:
-            hook()
-        try:
-            with self._span_tracer.span("net.request",
-                                        nbytes=len(request.sealed)):
-                sealed_reply = self.frontend.serve(session_id,
-                                                   request.sealed)
-            # Stamp the reply with the (origin, seq) mark the serve's
-            # replication barrier actually waited on, so the router's
-            # read-your-writes watermark never runs ahead of what
-            # connected peers hold.  log.last_seq at stamp time would
-            # include other sessions' concurrent emissions that were
-            # never waited on — a watermark a surviving peer may be
-            # unable to satisfy until the dead origin restarts.  A
-            # mark from a *different* origin (a dedupe served from the
-            # shared cache for a write another member emitted) stamps
-            # 0: the seq lives in that origin's numbering, and the
-            # dedupe gate already proved this member applied it.
-            mark = self.frontend.consume_reply_mark()
-            repl_seq = 0
-            if (self._repl_log is not None and mark is not None
-                    and mark[0] == self._repl_log.origin):
-                repl_seq = mark[1]
-            return Reply(request.request_id, sealed_reply, repl_seq)
+            async with self._turn():
+                return await self._serve_one(session_id, request)
         except ReproError as exc:
-            # serve() seals most refusals itself; reaching here means
-            # the session is gone (reaped/closed) or similarly
-            # unservable, so answer with a plaintext envelope refusal.
+            # execute() seals most refusals itself; reaching here means
+            # the session is gone (reaped/closed), or a retransmission
+            # acknowledges a write this member has not applied.
             refusal = classify(exc)
             retry_after = (self.frontend.health.retry_after
                            if refusal.retryable else -1.0)
             return NetRefused(request.request_id, protocol.Refused(
                 f"{type(exc).__name__}: {exc}", refusal.code, retry_after,
             ))
-        except BaseException as exc:  # never let a worker die silently
+        except Exception as exc:  # never let the loop die silently
             return NetRefused(request.request_id, protocol.Refused(
                 f"internal error: {exc}", "internal", -1.0,
             ))
+        finally:
+            self.frontend.end_request(session_id)
+
+    async def _serve_one(self, session_id: int, request: Request) -> Reply:
+        """One sealed request, dedupe check to cache put (lock held)."""
+        frontend, sealed, log = self.frontend, request.sealed, self._repl_log
+        hit = frontend.lookup(session_id, sealed)
+        if hit is not None:
+            sealed_reply, mark = hit
+            if mark is not None and not await self._holds(*mark):
+                # The cached acknowledgement belongs to a write this
+                # member has not applied (the origin died before its
+                # record streamed here).  Serving it would let the
+                # session read stale state: shed instead; the origin's
+                # restart replays the record.
+                frontend.counters.increment("requests.duplicate_lagged")
+                raise DegradedServiceError(
+                    "retransmitted request acknowledges a write not yet "
+                    "replicated to this member; retry", retry_after=0.2,
+                )
+            frontend.counters.increment("requests.duplicate")
+        else:
+            sealed_reply, cacheable, mark = await self._on_engine(
+                self._execute, session_id, request)
+            if cacheable:
+                if mark is not None:
+                    # Semi-sync barrier: a reply becomes a cached — and
+                    # so failover-preservable — acknowledgement only once
+                    # every connected peer holds the write.  The mark
+                    # rides with the entry for the dedupe gate above.
+                    await asyncio.to_thread(log.wait_replicated, mark[1])
+                frontend.remember(session_id, sealed, sealed_reply, mark)
+        # The read-your-writes stamp: the sequence this member waited on
+        # (or whose write it already held), never a later emission.  A
+        # dedupe of another origin's write stamps 0: that seq is in the
+        # other origin's numbering, and the gate proved it applied here.
+        own = mark is not None and log is not None and mark[0] == log.origin
+        return Reply(request.request_id, sealed_reply, mark[1] if own else 0)
+
+    def _execute(self, session_id: int, request: Request):
+        """Engine-thread work: ``(sealed reply, cacheable, mark)``.
+
+        ``mark`` is the ``(origin, seq)`` of this member's log read right
+        after the dispatch, on the thread every dispatch runs on, so it is
+        this request's own emission (None for a refusal or off a
+        replicated member).
+        """
+        hook = self._serve_hook
+        if hook is not None:
+            hook()
+        with self.frontend.tracer.span("net.request",
+                                       nbytes=len(request.sealed)):
+            sealed_reply, cacheable = self.frontend.execute(session_id,
+                                                            request.sealed)
+        log = self._repl_log
+        mark = None
+        if cacheable and log is not None:
+            mark = (log.origin, log.last_seq)
+        return sealed_reply, cacheable, mark
+
+    async def _holds(self, origin: str, seq: int) -> bool:
+        """Whether this member holds the write behind a cached reply."""
+        log = self._repl_log
+        if log is None:
+            return True
+        if origin == log.origin:
+            return log.last_seq >= seq  # our own emission
+        return await asyncio.to_thread(self._repl_applier.wait_applied,
+                                       origin, seq, log.wait_timeout)
 
 
 class ServerThread(LoopThread):
@@ -542,7 +494,10 @@ class ServerThread(LoopThread):
 
     Startup errors (bad config, port in use) re-raise from :meth:`start`
     on the calling thread.  ``drain()``/``__exit__`` run the server's
-    graceful drain on the loop, then stop and join the thread.
+    graceful drain on the loop, then stop and join the thread; ``kill()``
+    is the crash path.  The engine object survives a kill (same process),
+    so a test can restart a fresh ``PirServer`` on the same frontend and
+    port to model a process that crashed and came back.
     """
 
     def __init__(self, server: PirServer):
@@ -552,39 +507,11 @@ class ServerThread(LoopThread):
     drain = LoopThread.stop
 
     def kill(self, timeout: float = 30.0) -> None:
-        """Abrupt shutdown: drop the listener and every connection NOW.
+        """:meth:`LoopThread.kill`, then let the engine thread exit.
 
-        The crash path, for chaos tests and failover drills — the inverse
-        of :meth:`drain`.  No refusals are sent, in-flight requests are
-        abandoned mid-write, clients see resets.  The engine object
-        survives (same process), so a test can restart a fresh
-        ``PirServer`` on the same frontend and port to model a process
-        that crashed and came back.
+        A call the engine thread is in finishes, but nobody awaits it: a
+        killed serve is never cached or answered, as in a crashed process.
         """
-        if self._thread is None or self._loop is None:
-            return
-        loop = self._loop
-        server = self.server
-
-        def _slam() -> None:
-            server.stop_accepting()
-            for task in list(server._conn_tasks):
-                task.cancel()
-            if server._reap_task is not None:
-                server._reap_task.cancel()
-                server._reap_task = None
-            # Let the cancellations run their finallys (writer.close)
-            # before the loop stops; call_soon queues behind them.
-            loop.call_soon(loop.stop)
-
-        if self._thread.is_alive():
-            try:
-                loop.call_soon_threadsafe(_slam)
-            except RuntimeError:
-                pass  # loop already closed
-        self._thread.join(timeout=timeout)
-        # Workers block on their queue, not the loop; release them so the
-        # process does not leak threads between restart cycles.
-        server._lane.stop(timeout)
-        server._repl_lane.stop(timeout)
-        self._thread = None
+        super().kill(timeout)
+        if self.server._engine is not None:
+            self.server._engine.shutdown(wait=False)

@@ -33,9 +33,7 @@ from .registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    global_registry,
     registry_or_private,
-    set_global_registry,
 )
 from .tracer import (
     DETAIL_FINE,
@@ -59,9 +57,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "DEFAULT_LATENCY_BUCKETS",
-    "global_registry",
     "registry_or_private",
-    "set_global_registry",
     "CostModelCheck",
     "TermConformance",
     "phase_rows",

@@ -25,8 +25,7 @@ an instrument is never optional.
 
 Naming scheme: dot-separated ``component.event`` names —
 ``engine.recovery.replayed``, ``frontend.requests``, ``faults.fault.crash``,
-``health.state`` — with per-phase aggregates published under ``phase.<span
-name>`` by :meth:`MetricsRegistry.absorb_tracer`.
+``health.state``.
 
 All instruments are created on first use and are safe to update from
 multiple threads; reads take the same lock, so they are consistent.  A
@@ -52,9 +51,7 @@ __all__ = [
     "quantile_from_counts",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",
-    "global_registry",
     "registry_or_private",
-    "set_global_registry",
 ]
 
 #: Log-spaced seconds buckets from 1 µs to 100 s — wide enough for both
@@ -443,25 +440,6 @@ class MetricsRegistry:
         """Cells of one instance's own, named ``prefix + name``."""
         return CounterView(self, prefix)
 
-    def absorb_tracer(self, tracer, prefix: str = "phase.") -> None:
-        """Publish a tracer's phase totals as ``<prefix><phase>.*`` counters.
-
-        Counters: ``.count``, ``.bytes``, ``.errors``; gauges ``.wall_s``
-        and ``.virtual_s`` (gauges because re-absorbing replaces, not
-        double-counts, the totals).
-        """
-        for name, total in tracer.phase_totals().items():
-            base = prefix + name
-            with self._lock:
-                self.gauge(base + ".wall_s").set(total.wall_seconds)
-                self.gauge(base + ".virtual_s").set(total.virtual_seconds)
-                counter = self.counter(base + ".count")
-                counter.inc(total.count - counter.value)
-                counter = self.counter(base + ".bytes")
-                counter.inc(total.nbytes - counter.value)
-                counter = self.counter(base + ".errors")
-                counter.inc(total.errors - counter.value)
-
     # -- introspection / export ----------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
@@ -517,23 +495,3 @@ def registry_or_private(metrics: Optional[MetricsRegistry]) -> MetricsRegistry:
     """What a ``metrics=`` keyword means: the registry given, or a private
     one when it is None."""
     return MetricsRegistry() if metrics is None else metrics
-
-
-_GLOBAL: Optional[MetricsRegistry] = None
-_GLOBAL_LOCK = threading.Lock()
-
-
-def global_registry() -> MetricsRegistry:
-    """The process-wide default registry (created on first use)."""
-    global _GLOBAL
-    with _GLOBAL_LOCK:
-        if _GLOBAL is None:
-            _GLOBAL = MetricsRegistry()
-        return _GLOBAL
-
-
-def set_global_registry(registry: Optional[MetricsRegistry]) -> None:
-    """Replace (or clear, with None) the process-wide default registry."""
-    global _GLOBAL
-    with _GLOBAL_LOCK:
-        _GLOBAL = registry

@@ -120,8 +120,8 @@ class SealedReplyCache:
     exceed ``capacity`` by up to one pinned entry per live session;
     :meth:`drop_session` unpins when the session closes or is reaped.
 
-    Thread-safe: the network server's worker threads and its event-loop
-    thread (session reaping) touch the cache concurrently.
+    Thread-safe: cluster members in one process share a cache, each
+    member using it from its own event-loop thread.
     """
 
     def __init__(self, capacity: int = 256, path=None):
@@ -206,7 +206,7 @@ class SealedReplyCache:
         On cluster backends every cached reply carries the ``(origin,
         seq)`` of the replication record its mutation emitted; a member
         serving the entry as a dedupe must have applied that record
-        first (QueryFrontend.replication_gate), or a preserved ACK could
+        first (the server's dedupe gate), or a preserved ACK could
         outlive the write it acknowledges.  Marks are in-memory only:
         entries reloaded from a persistent cache file have none, and the
         restart catch-up handshake covers that window instead.
@@ -289,31 +289,9 @@ class QueryFrontend:
         # session id -> number of requests admitted but not yet answered
         # (queued or being served); the idle reaper must not close these.
         self._inflight_requests: Dict[int, int] = {}
-        # Set by PirServer.attach_replication on cluster backends.
-        # replication_barrier: called after a successful dispatch, before
-        # the reply is cached; blocks until connected peers hold the
-        # write and returns the (origin, seq) mark to cache with it.
-        # replication_gate(origin, seq) -> bool: called before serving a
-        # cached reply as a dedupe; must confirm this member has applied
-        # the record behind it (see both call sites in serve()).
-        self.replication_barrier = None
-        self.replication_gate = None
-        # Per-worker-thread (origin, seq) mark of the reply serve() just
-        # produced — what the barrier actually waited on.  The network
-        # server stamps this onto the wire reply so the router's
-        # read-your-writes watermark never runs ahead of what connected
-        # peers were confirmed to hold (log.last_seq at stamp time can
-        # include other sessions' not-yet-replicated emissions).
-        self._reply_marks = threading.local()
-        # Serializes engine access between the serving worker and a
-        # replication applier running on its own thread (cluster
-        # backends): the plain engine is single-threaded by contract,
-        # and this lock is how the two lanes honour it.  Held only
-        # around the dispatch itself — never across the replication
-        # barrier, which must not block peer applies.
-        self.engine_lock = threading.Lock()
-        # Guards the session tables: the network server opens/closes/reaps
-        # sessions on its event-loop thread while worker threads serve.
+        # Guards the session tables: a server's event loop opens, closes
+        # and reaps sessions while its engine thread serves, and other
+        # threads (tests, the CLI, a harness) count them.
         self._session_lock = threading.Lock()
         self._session_rng = database.cop.rng.spawn(
             "session-ids" if session_salt is None
@@ -423,7 +401,7 @@ class QueryFrontend:
 
         The network server brackets the whole queued-to-answered window
         with begin/end so :meth:`reap_idle_sessions` cannot reap a session
-        whose request sits unserved in the worker queue — reaping it there
+        whose request waits for the serving lock — reaping it there
         turned a retryable shed into a non-retryable ``session-not-found``.
         """
         with self._session_lock:
@@ -465,8 +443,8 @@ class QueryFrontend:
 
         Sessions with in-flight work (admitted requests still queued or
         being served, see :meth:`begin_request`) are never reaped, however
-        stale their last-used stamp: under load a request can sit in the
-        worker queue past the TTL, and reaping the session underneath it
+        stale their last-used stamp: under load a request can wait for the
+        serving lock past the TTL, and reaping the session underneath it
         answers ``session-not-found`` where a retryable refusal was due.
         """
         if self.session_ttl is None:
@@ -513,38 +491,49 @@ class QueryFrontend:
         duplicate or a blind retransmission).  Replaying the duplicate
         would double-apply mutations — an Insert would leak a page, an
         Update would burn a second trace-visible request — so the frontend
-        answers it from the per-session reply cache without touching the
-        engine.  Only successfully dispatched replies are cached; refusals
-        re-execute, which is safe because a refused request mutated
-        nothing durable.
+        answers it from the reply cache without touching the engine.  Only
+        successfully dispatched replies are cached; refusals re-execute,
+        which is safe because a refused request mutated nothing durable.
+
+        The in-process path: :meth:`lookup`, :meth:`execute`,
+        :meth:`remember` — the steps the network server takes, which on a
+        replicated member also awaits the semi-sync barrier before
+        :meth:`remember` and the dedupe gate after :meth:`lookup`.
+        """
+        hit = self.lookup(session_id, sealed_request)
+        if hit is not None:
+            self.counters.increment("requests.duplicate")
+            return hit[0]
+        sealed_reply, cacheable = self.execute(session_id, sealed_request)
+        if cacheable:
+            self.remember(session_id, sealed_request, sealed_reply)
+        return sealed_reply
+
+    def lookup(self, session_id: int, sealed_request: bytes):
+        """``(sealed reply, mark)`` cached for a retransmission, or None.
+
+        ``mark`` is the ``(origin, seq)`` of the replication record the
+        original's mutation emitted (None off a replicated member).
+        Refuses an unknown session and refreshes its idle clock.
+        """
+        self.session_suite(session_id)
+        with self._session_lock:
+            if session_id in self._last_used:
+                self._last_used[session_id] = self._time_source()
+        cached = self._reply_cache.get(session_id, sealed_request)
+        if cached is None:
+            return None
+        return cached, self._reply_cache.mark_for(session_id, sealed_request)
+
+    def execute(self, session_id: int, sealed_request: bytes):
+        """Open, dispatch and seal one request that missed the cache.
+
+        Returns ``(sealed reply, cacheable)``; a reply is cacheable unless
+        it is a refusal.  Every failure past the session check is sealed
+        into a ``Refused`` reply.
         """
         with self.tracer.span("frontend.serve"):
-            self._reply_marks.mark = None
             suite = self.session_suite(session_id)
-            with self._session_lock:
-                if session_id in self._last_used:
-                    self._last_used[session_id] = self._time_source()
-            cached = self._reply_cache.get(session_id, sealed_request)
-            if cached is not None:
-                mark = self._reply_cache.mark_for(session_id, sealed_request)
-                gate = self.replication_gate
-                if mark is not None and gate is not None \
-                        and not gate(*mark):
-                    # The cached acknowledgement belongs to a write this
-                    # member has not applied (the origin died before its
-                    # record streamed here).  Serving the ACK would let
-                    # the session read stale state — shed instead; the
-                    # refusal is retryable and the origin's restart
-                    # replays the record.
-                    self.counters.increment("requests.duplicate_lagged")
-                    raise DegradedServiceError(
-                        "retransmitted request acknowledges a write not "
-                        "yet replicated to this member; retry",
-                        retry_after=0.2,
-                    )
-                self.counters.increment("requests.duplicate")
-                self._reply_marks.mark = mark
-                return cached
             try:
                 request = protocol.decode_client_message(
                     suite.decrypt_page(sealed_request)
@@ -556,12 +545,11 @@ class QueryFrontend:
                 reply = self._refusal_for(exc)
             else:
                 try:
-                    with self.engine_lock:
-                        self.health.check()
-                        reply = self._dispatch(request)
-                        if not isinstance(request, protocol.Batch):
-                            # (a batch has told health about each window)
-                            self.health.record_success()
+                    self.health.check()
+                    reply = self._dispatch(request)
+                    if not isinstance(request, protocol.Batch):
+                        # (a batch has told health about each window)
+                        self.health.record_success()
                 except ReproError as exc:
                     self._record_fault(exc)
                     reply = self._refusal_for(exc)
@@ -574,41 +562,20 @@ class QueryFrontend:
             sealed_reply = suite.encrypt_page(
                 protocol.encode_client_message(reply)
             )
-            if not isinstance(reply, protocol.Refused):
-                mark = None
-                barrier = self.replication_barrier
-                if barrier is not None:
-                    # Semi-sync replication barrier (cluster backends):
-                    # a reply may only become a cached — and therefore
-                    # failover-preservable — acknowledgement once every
-                    # connected peer holds the write.  The returned
-                    # (origin, seq) mark rides with the cache entry so a
-                    # peer that dedupe-serves it can prove it applied
-                    # the write first (replication_gate above) — the
-                    # barrier alone cannot close the window, because it
-                    # passes when peers are disconnected (availability
-                    # over blocking forever).
-                    mark = barrier()
-                    self._reply_marks.mark = mark
-                # BatchReply is cached even when some entries are Refused:
-                # the *other* entries may have mutated durable state, so a
-                # duplicate must not re-execute them.
-                self._reply_cache.put(session_id, sealed_request,
-                                      sealed_reply, mark=mark)
-            return sealed_reply
+        # BatchReply is cached even when some entries are Refused: the
+        # *other* entries may have mutated durable state, so a duplicate
+        # must not re-execute them.
+        return sealed_reply, not isinstance(reply, protocol.Refused)
 
-    def consume_reply_mark(self):
-        """Pop the (origin, seq) mark of this thread's last serve().
+    def remember(self, session_id: int, sealed_request: bytes,
+                 sealed_reply: bytes, mark=None) -> None:
+        """Cache a reply for its retransmissions, with its replication mark.
 
-        None when the reply was a refusal, replication is not attached,
-        or serve() has not run on this thread.  The network server calls
-        this right after serve() to stamp the wire reply; consuming
-        (rather than peeking) keeps a later refusal from inheriting a
-        stale mark.
+        On a replicated member call this only after the semi-sync
+        barrier: a cached reply is a failover-preservable acknowledgement.
         """
-        mark = getattr(self._reply_marks, "mark", None)
-        self._reply_marks.mark = None
-        return mark
+        self._reply_cache.put(session_id, sealed_request, sealed_reply,
+                              mark=mark)
 
     def _record_fault(self, exc: ReproError) -> bool:
         """Tell health about a failed engine pass, if the fault is the

@@ -275,6 +275,29 @@ class TestValidation:
         with pytest.raises(AuthenticationError):
             load_snapshot(str(tmp_path), seed=15)
 
+    @pytest.mark.parametrize("keep", [5, 0.5, -3])
+    def test_truncated_trusted_state_is_a_storage_error(
+        self, warm_db, tmp_path, keep
+    ):
+        """An authentic but truncated trusted-state blob (cut inside the
+        round-robin pointer, mid-blob, inside the epoch number) is refused
+        as malformed storage, not as a bare struct.error / IndexError."""
+        save_snapshot(warm_db, str(tmp_path))
+        sealing = CipherSuite(
+            b"snapshot-sealing:" + warm_db.cop.suite.backend.encode(),
+            backend="shake",
+        )
+        sealed = tmp_path / "sealed.bin"
+        trusted = warm_db.cop.suite.decrypt_page(
+            sealing.decrypt_page(sealed.read_bytes())
+        )
+        cut = keep if isinstance(keep, int) else int(len(trusted) * keep)
+        sealed.write_bytes(sealing.encrypt_page(
+            warm_db.cop.suite.encrypt_page(trusted[:cut])
+        ))
+        with pytest.raises(StorageError, match="truncated"):
+            load_snapshot(str(tmp_path), seed=16)
+
 
 class TestReshuffleSidecar:
     def test_sidecar_written_only_while_epoch_active(self, warm_db, tmp_path):

@@ -16,12 +16,10 @@ from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
     Tracer,
-    global_registry,
     read_jsonl,
     registry_or_private,
     rows_by_kind,
     run_rows,
-    set_global_registry,
     write_jsonl,
 )
 
@@ -201,18 +199,6 @@ class TestInstruments:
 
 
 class TestAbsorption:
-    def test_absorb_tracer_idempotent(self):
-        tracer = Tracer()
-        with tracer.span("decrypt", nbytes=100):
-            pass
-        registry = MetricsRegistry()
-        registry.absorb_tracer(tracer)
-        registry.absorb_tracer(tracer)  # re-absorbing must not double-count
-        assert registry.counter("phase.decrypt.count").value == 1
-        assert registry.counter("phase.decrypt.bytes").value == 100
-        assert registry.counter("phase.decrypt.errors").value == 0
-        assert registry.gauge("phase.decrypt.wall_s").value >= 0.0
-
     def test_latency_extend_is_atomic(self):
         # Regression: a mid-batch negative latency used to leave the
         # leading valid samples appended before raising.
@@ -398,19 +384,6 @@ class TestWiringLabels:
         assert (sum(requests.values())
                 == registry.snapshot()["counters"]["engine.requests"])
         assert sharded.counters.get("batch.requests") == 5
-
-
-class TestGlobalRegistry:
-    def test_global_registry_singleton_and_reset(self):
-        set_global_registry(None)
-        try:
-            first = global_registry()
-            assert global_registry() is first
-            mine = MetricsRegistry()
-            set_global_registry(mine)
-            assert global_registry() is mine
-        finally:
-            set_global_registry(None)
 
 
 class TestExport:

@@ -1,0 +1,253 @@
+"""A request is ordered on the event loop and computed on the server's one
+engine thread (DESIGN.md §12, §13).
+
+Over real sockets: the serving lock is held from the dedupe check through
+the reply-cache put, the semi-sync barrier and the dedupe gate are awaited
+off both the loop and the engine thread, and inbound replication records
+never wait for the lock.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import threading
+
+import pytest
+
+from tests.helpers import make_db, wait_until
+from repro.cluster import BackendHandle, connect_replication
+from repro.core.snapshot import bootstrap_replica
+from repro.errors import ConfigurationError
+from repro.net import NetworkClient, PirServer, ServerThread
+from repro.net.endpoint import exchange_sock, open_sock
+from repro.net.framing import Ping, Pong, Reply, Request, Resume, Welcome
+from repro.obs import MetricsRegistry, Tracer
+from repro.service import protocol
+from repro.service.frontend import (
+    SESSION_RANDOM,
+    QueryFrontend,
+    SealedReplyCache,
+)
+
+
+@contextlib.contextmanager
+def mesh(tmp_path, wait_timeout, tracers=(None, None)):
+    """Two started, replicated members sharing one reply cache."""
+    registry = MetricsRegistry()
+    primary = make_db(tracer=tracers[0], metrics=registry.labelled(member=0))
+    replica = bootstrap_replica(primary, str(tmp_path / "bootstrap"), seed=2,
+                                tracer=tracers[1],
+                                metrics=registry.labelled(member=1))
+    cache = SealedReplyCache()
+    handles = []
+    try:
+        for index, db in enumerate((primary, replica)):
+            metrics = registry.labelled(member=index)
+            frontend = QueryFrontend(
+                db, metrics=metrics, session_id_mode=SESSION_RANDOM,
+                reply_cache=cache, session_salt=f"member-{index}",
+            )
+            handles.append(BackendHandle(db, frontend, metrics=metrics))
+            handles[-1].start()
+        connect_replication(handles, wait_timeout=wait_timeout,
+                            metrics=registry)
+        # Semi-sync waits only for connected peers.
+        assert wait_until(lambda: all(handle.repl_log.connected_peers()
+                                      for handle in handles))
+        yield handles, registry
+    finally:
+        for handle in handles:
+            handle.kill()
+        for db in (primary, replica):
+            db.close()
+
+
+def sealed_update(client, page_id, payload):
+    return client._suite.encrypt_page(
+        protocol.encode_client_message(protocol.Update(page_id, payload))
+    )
+
+
+def resumed(handle, session_id, read_timeout=30.0):
+    """A second connection to ``handle``, RESUMEd into ``session_id``."""
+    sock = open_sock(handle.host, handle.port, 5.0, read_timeout)
+    assert isinstance(exchange_sock(sock, Resume(session_id)), Welcome)
+    return sock
+
+
+def in_thread(target):
+    """Run ``target`` on a thread; ``outcome`` holds its result."""
+    outcome = {}
+
+    def run():
+        outcome["value"] = target()
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread, outcome
+
+
+class TestNoDeadlock:
+    def test_two_writers_under_semi_sync_never_wait_out_the_barrier(
+            self, tmp_path):
+        """Each member's serve awaits the other's apply: the applies must
+        run while the serves wait, on the thread that serves."""
+        tracers = (Tracer(), Tracer())
+        writes = 10
+        with mesh(tmp_path, wait_timeout=2.0,
+                  tracers=tracers) as (handles, registry):
+            errors = []
+
+            def writer(index):
+                base = 20 * index
+                try:
+                    with NetworkClient(handles[index].host,
+                                       handles[index].port) as client:
+                        for offset in range(writes):
+                            client.update(base + offset, b"w%d-%d" % (
+                                index, offset))
+                except BaseException as exc:  # noqa: BLE001 - asserted
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=writer, args=(index,))
+                       for index in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert errors == []
+            for handle in handles:
+                assert handle.repl_log.counters.get("wait_timeouts") == 0
+                assert handle.repl_log.last_seq == writes
+            assert wait_until(lambda: all(
+                handle.repl_applier.applied_for(peer.repl_log.origin)
+                == writes
+                for handle in handles for peer in handles
+                if peer is not handle))
+            digests = {handle.db.content_digest() for handle in handles}
+            assert len(digests) == 1
+        for tracer, handle in zip(tracers, handles):
+            assert tracer.active_depth == 0
+            assert [span.name for span in tracer.spans
+                    if span.error is not None] == []
+            names = [span.name for span in tracer.spans]
+            assert names.count("net.request") == writes
+            # Every engine entry — own writes and the peer's records — is
+            # a span on this one tracer.
+            assert names.count("request") == handle.db.engine.request_count
+
+
+class TestDuplicateDuringBarrier:
+    def test_a_retransmission_waits_out_the_barrier_then_dedupes(
+            self, tmp_path):
+        with mesh(tmp_path, wait_timeout=30.0) as (handles, registry):
+            origin, peer = handles
+            entered, release = threading.Event(), threading.Event()
+            apply = peer.repl_applier.apply
+
+            def held_apply(*args):
+                entered.set()
+                assert release.wait(timeout=30)
+                return apply(*args)
+
+            peer.repl_applier.apply = held_apply
+            client = NetworkClient(origin.host, origin.port, timeout=30.0)
+            sealed = sealed_update(client, 3, b"held write")
+            before = origin.db.engine.request_count
+            first, original = in_thread(lambda: client._transact(1, sealed))
+            # The original has dispatched and sits in its barrier.
+            assert entered.wait(timeout=30)
+            sock = resumed(origin, client.session_id)
+            second, retransmission = in_thread(
+                lambda: exchange_sock(sock, Request(1, sealed)))
+            depth = registry.labelled(member=0).gauge("net.queue.depth")
+            assert wait_until(lambda: depth.value == 1)
+            assert first.is_alive() and second.is_alive()
+            release.set()
+            first.join(timeout=30)
+            second.join(timeout=30)
+            reply = retransmission["value"]
+            assert isinstance(reply, Reply)
+            assert reply.sealed == original["value"]
+            assert reply.repl_seq == origin.repl_log.last_seq == 1
+            assert origin.frontend.counters.get("requests.duplicate") == 1
+            assert origin.db.engine.request_count == before + 1
+            assert wait_until(lambda: peer.repl_applier.applied_for(
+                origin.repl_log.origin) == 1)
+            assert peer.repl_applier.counters.get("applied") == 1
+            sock.close()
+            client.close()
+
+
+class TestDedupeGate:
+    def test_a_dedupe_of_an_unapplied_write_waits_off_the_loop(
+            self, tmp_path):
+        with mesh(tmp_path, wait_timeout=30.0) as (handles, registry):
+            origin, peer = handles
+            # The write's record stays in the origin's backlog, and the
+            # barrier passes with no peer connected.
+            origin.stop_replication()
+            client = NetworkClient(origin.host, origin.port, timeout=30.0)
+            sealed = sealed_update(client, 3, b"gated write")
+            original = client._transact(1, sealed)
+            assert peer.repl_applier.applied_for(origin.repl_log.origin) == 0
+
+            gating = threading.Event()
+            wait_applied = peer.repl_applier.wait_applied
+
+            def watched(*args):
+                gating.set()
+                return wait_applied(*args)
+
+            peer.repl_applier.wait_applied = watched
+            sock = resumed(peer, client.session_id)
+            dedupe, outcome = in_thread(
+                lambda: exchange_sock(sock, Request(1, sealed)))
+            assert gating.wait(timeout=30)
+            # The loop answers a probe while the dedupe waits.
+            probe = open_sock(peer.host, peer.port, 5.0, 5.0)
+            assert isinstance(exchange_sock(probe, Ping()), Pong)
+            probe.close()
+            assert dedupe.is_alive()
+            origin.start_replication()  # the record lands on the peer
+            dedupe.join(timeout=30)
+            reply = outcome["value"]
+            assert isinstance(reply, Reply)
+            assert reply.sealed == original
+            assert reply.repl_seq == 0  # another origin's numbering
+            assert peer.frontend.counters.get("requests.duplicate") == 1
+            assert peer.frontend.counters.get(
+                "requests.duplicate_lagged") == 0
+            sock.close()
+            client.close()
+
+
+class TestOneEngineThread:
+    def test_workers_other_than_one_are_refused(self):
+        db = make_db()
+        frontend = QueryFrontend(db, session_id_mode=SESSION_RANDOM)
+        with pytest.raises(ConfigurationError, match="workers must be 1"):
+            PirServer(frontend, workers=2)
+        PirServer(frontend, workers=1)
+        db.close()
+
+    def test_every_dispatch_runs_on_the_one_engine_thread(self):
+        db = make_db()
+        frontend = QueryFrontend(db, session_id_mode=SESSION_RANDOM)
+        server = PirServer(frontend)
+        dispatched_on = []
+        server._serve_hook = lambda: dispatched_on.append(
+            threading.current_thread().name)
+        before = set(threading.enumerate())
+        with ServerThread(server) as handle:
+            started = set(threading.enumerate()) - before
+            assert sorted(thread.name for thread in started) == [
+                "pir-engine_0", "pir-server"]
+            with NetworkClient(handle.host, handle.port) as client:
+                client.update(1, b"one thread")
+                assert client.query(1) == b"one thread"
+            assert set(threading.enumerate()) - before == started
+        assert dispatched_on == ["pir-engine_0", "pir-engine_0"]
+        # Drain ends both.
+        assert not any(thread.is_alive() for thread in started)
+        db.close()
