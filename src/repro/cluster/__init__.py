@@ -9,8 +9,8 @@ around dead or draining members; failover re-establishes a session on a
 replica via RESUME and retransmits the in-flight sealed request, with
 shared reply-cache visibility keeping delivery exactly-once.  Sealed
 write replication (:mod:`repro.cluster.replication`) streams every
-member's mutations to its peers and the router enforces read-your-writes
-on failover, so an acknowledged write is visible on whichever replica
+member's mutations to its peers, from tasks on the member's own serving
+loop, and the router enforces read-your-writes on failover, so an acknowledged write is visible on whichever replica
 adopts the session.  The router never opens sealed bytes — it sits
 outside the tamper boundary and learns nothing the host platform does
 not already see.
@@ -18,12 +18,7 @@ not already see.
 
 from .backend import BackendHandle, build_cluster, connect_replication
 from .membership import BackendSpec, ClusterMembership, MemberState
-from .replication import (
-    ReplicationApplier,
-    ReplicationLog,
-    ReplicationRecord,
-    Replicator,
-)
+from .replication import ReplicationApplier, ReplicationLog, ReplicationRecord
 from .router import ClusterRouter, RouterThread
 
 __all__ = [
@@ -35,7 +30,6 @@ __all__ = [
     "ReplicationApplier",
     "ReplicationLog",
     "ReplicationRecord",
-    "Replicator",
     "RouterThread",
     "build_cluster",
     "connect_replication",

@@ -18,8 +18,11 @@ configured for membership in a routed tier:
 need — ``kill()`` (abrupt, mid-anything) and ``restart()`` (fresh server
 process-equivalent on the same port and engine) — and
 :func:`build_cluster` stands up a primary plus replicas in-process for
-tests and benchmarks.  A production deployment runs one
-``python -m repro cluster serve-backend`` per machine instead.
+tests and benchmarks.  :func:`connect_replication` wires started members
+into a sealed replication mesh; each member's streams to its peers are
+tasks on its own server's event loop, so they live and die with it.  A
+production deployment runs one ``python -m repro cluster serve-backend``
+per machine instead.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import os
 from typing import List, Optional, Sequence
 
 from .membership import BackendSpec
-from .replication import ReplicationApplier, ReplicationLog, Replicator
+from .replication import ReplicationApplier, ReplicationLog
 from ..core.database import PER_MEMBER_WIRING, SHARED_WIRING, PirDatabase
 from ..core.snapshot import bootstrap_replica, load_snapshot
 from ..errors import ConfigurationError
@@ -64,12 +67,11 @@ class BackendHandle:
         self.thread: Optional[ServerThread] = None
         # Sealed write replication (see connect_replication): the log and
         # applier belong to the *engine* side and survive kill/restart,
-        # exactly like the frontend; the streamer threads belong to the
-        # process-equivalent and are torn down and respawned with it.
+        # exactly like the frontend; the streams belong to the server's
+        # loop and die and restart with it.
         self.repl_log: Optional[ReplicationLog] = None
         self.repl_applier: Optional[ReplicationApplier] = None
         self._repl_peers: list = []
-        self._replicators: list = []
 
     @property
     def host(self) -> str:
@@ -110,45 +112,30 @@ class BackendHandle:
         self.server.attach_replication(log, applier)
 
     def start_replication(self) -> None:
-        """(Re)spawn one streamer thread per peer."""
-        self.stop_replication()
-        if self.repl_log is None:
-            return
-        for peer in self._repl_peers:
-            replicator = Replicator(self.repl_log, peer)
-            replicator.start()
-            self._replicators.append(replicator)
+        """(Re)start one stream per peer on the running server's loop."""
+        if self.thread is not None and self.repl_log is not None:
+            self.thread.call(self.server.stream_to(self._repl_peers))
 
     def stop_replication(self) -> None:
-        for replicator in self._replicators:
-            replicator.stop()
-        self._replicators = []
+        """Stop streaming; peers are then not waited on (a partition)."""
+        if self.thread is not None:
+            self.thread.call(self.server.stream_to(()))
 
     def kill(self) -> None:
-        """Crash the serving process-equivalent; engine state survives.
-
-        The server dies before the streamers: stopping the streamers
-        first would mark every peer disconnected and wave an in-flight
-        serve's semi-sync barrier through, acknowledging a write no peer
-        holds (the reply-cache dedupe gate covers that window regardless,
-        at the cost of a shed).  Killed first, the server abandons that
-        serve uncached and unsent, as a crashed process would.
-        """
+        """Crash the serving process-equivalent; engine state survives."""
         if self.thread is not None:
             self.thread.kill()
             self.thread = None
-        self.stop_replication()
 
     def drain(self) -> None:
         """Graceful stop (the rolling-restart path).
 
-        Streamers keep running until the drain completes so the backlog
-        finishes flushing to peers, then stop with the process.
+        The streams run until every in-flight serve is done, so the
+        backlog still flushes to peers behind pending barriers.
         """
         if self.thread is not None:
             self.thread.drain()
             self.thread = None
-        self.stop_replication()
 
     def restart(self) -> "BackendHandle":
         """Come back on the same port after a kill or drain.
@@ -282,8 +269,9 @@ def connect_replication(
 
     Every member gets a :class:`ReplicationLog` keyed by its advertised
     address (the origin peers track), a :class:`ReplicationApplier`, and
-    one streamer thread per peer.  Call after ``handle.start()`` — the
-    origin identity is the bound ``host:port``, so ports must be known.
+    one stream per peer on its server's loop.  Call after
+    ``handle.start()`` — the origin identity is the bound ``host:port``, so
+    ports must be known.
 
     ``origins`` overrides the per-member origin identity.  The origin is
     an opaque stream name, but the router's read-your-writes gate asks

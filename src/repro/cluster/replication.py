@@ -25,14 +25,17 @@ sequence-numbered logical replication stream:
   *content* (page id → liveness + payload, see
   :meth:`~repro.core.database.PirDatabase.content_digest`), which is
   exactly what clients can observe.  Sequence tracking makes every
-  record idempotent: a duplicate delivery (netchaos duplicate plans, a
-  streamer retransmit after a lost ack) applies exactly once, and
-  out-of-order arrivals wait in a pending buffer until the gap fills.
+  record idempotent: only the record right after the applied mark
+  applies, so a duplicate delivery (netchaos duplicate plans, a
+  retransmission after a lost ack) applies exactly once, and a record
+  the peer cannot authenticate applies nothing and leaves the mark
+  where it was.
 
-* :class:`Replicator` — one daemon thread per peer that streams the
-  log over the ``net.framing`` REPL envelope.  Its handshake *is* the
-  catch-up protocol: REPL_QUERY asks the peer how far it has applied
-  this origin's stream, and streaming resumes from that point out of the
+* :meth:`ReplicationLog.stream` — one coroutine per peer, run as a task
+  on the member's serving loop, that streams the log over the
+  ``net.framing`` REPL envelope.  Its handshake *is* the catch-up
+  protocol: REPL_QUERY asks the peer how far it has applied this
+  origin's stream, and streaming resumes from that point out of the
   log's backlog — which is also how a restarted backend converges
   (``load_snapshot`` + journal roll-forward locally, then backlog replay
   from each peer for everything it missed while down).
@@ -56,13 +59,14 @@ signal that it must bootstrap from the snapshot, not the stream.
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import os
-import socket
 import struct
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.journal import RecordCursor, load_appended
 from ..errors import (
@@ -72,7 +76,7 @@ from ..errors import (
     ReproError,
     StorageError,
 )
-from ..net.endpoint import exchange_sock, open_sock
+from ..net.endpoint import exchange, open_stream
 from ..net.framing import ReplAck, ReplQuery, ReplRecord, ReplState
 from ..obs.registry import registry_or_private
 
@@ -83,7 +87,6 @@ __all__ = [
     "ReplicationRecord",
     "ReplicationLog",
     "ReplicationApplier",
-    "Replicator",
     "encode_record",
     "decode_record",
     "record_size",
@@ -105,6 +108,14 @@ _KIND_BY_NAME = {"noop": KIND_NOOP, "write": KIND_WRITE, "delete": KIND_DELETE}
 _BACKLOG_HEADER = struct.Struct(">QI")
 
 _U16 = struct.Struct(">H")
+
+# A streamer's deadlines (dial, and each answer from the peer) and its
+# pauses (before re-dialling after a fault, before retransmitting after a
+# stale ack).
+_CONNECT_TIMEOUT = 2.0
+_IO_TIMEOUT = 5.0
+_RETRY_INTERVAL = 0.2
+_STALE_ACK_BACKOFF = 0.05
 
 
 @dataclass(frozen=True)
@@ -183,7 +194,8 @@ class ReplicationLog:
     """Origin-side sealed record stream with per-peer ack tracking.
 
     ``emit`` is called by the database on the server's engine thread and
-    never blocks on the network; the server separately awaits
+    never blocks on the network: it wakes this log's streamers
+    (:meth:`stream`) on their loop.  The server separately awaits
     :meth:`wait_replicated` on a thread before acknowledging a client, which
     is what makes an acknowledged write survive the origin's death
     (semi-synchronous replication).  Peers that are disconnected are not
@@ -212,6 +224,8 @@ class ReplicationLog:
         self._base = 0
         self._records: List[bytes] = []
         self._peers: Dict[str, _PeerState] = {}
+        # peer address -> the wake-up of the one streamer serving it.
+        self._wakers: Dict[str, Callable[[], None]] = {}
         self._path = path
         self._file = None
         if path is not None:
@@ -264,7 +278,8 @@ class ReplicationLog:
                 self._file.flush()
             self._records.append(sealed)
             self.counters.increment("emitted")
-            self._cond.notify_all()
+            for wake in self._wakers.values():
+                wake()
             return seq
 
     # -- peer tracking -------------------------------------------------------
@@ -317,18 +332,14 @@ class ReplicationLog:
                 f"a peer at seq {after_seq} must bootstrap from the snapshot"
             )
 
-    def next_record(self, after_seq: int, wait: float = 0.2) -> Optional[Tuple[int, bytes]]:
-        """The record following ``after_seq``, or None after ``wait``."""
+    def next_record(self, after_seq: int) -> Optional[Tuple[int, bytes]]:
+        """The record following ``after_seq``, or None if not emitted yet."""
         with self._cond:
             self._check_compacted(after_seq)
             index = after_seq - self._base
-            if len(self._records) <= index:
-                self._cond.wait(wait)
-                self._check_compacted(after_seq)
-                index = after_seq - self._base
-            if len(self._records) <= index:
-                return None
-            return after_seq + 1, self._records[index]
+            if index < len(self._records):
+                return after_seq + 1, self._records[index]
+            return None
 
     def records_since(self, after_seq: int) -> List[Tuple[int, bytes]]:
         with self._cond:
@@ -339,6 +350,85 @@ class ReplicationLog:
                     self._records[after_seq - self._base:]
                 )
             ]
+
+    async def stream(self, peer_address: str) -> None:
+        """Stream this log to one peer until cancelled.
+
+        Runs as a task on the member's serving loop, one per peer.  Each
+        connection opens with REPL_QUERY; the peer's REPL_STATE answer,
+        its applied mark for this origin, is where streaming resumes out
+        of the backlog — the whole catch-up protocol, for a peer that was
+        down and for a streamer that lost its connection mid-record.  Then
+        one REPL_RECORD at a time, ``acked + 1``, each awaiting its
+        REPL_ACK: a stale ack (the peer is draining, or could not
+        authenticate the record) is retransmitted after a backoff, and a
+        transport or protocol fault re-dials.  With nothing to send it
+        waits for :meth:`emit` to wake it.
+        """
+        loop = asyncio.get_running_loop()
+        # Made here, on the serving loop (Python 3.9 binds it at creation).
+        grown = asyncio.Event()
+
+        def wake() -> None:  # from emit, on the engine thread
+            with contextlib.suppress(RuntimeError):  # the loop has closed
+                loop.call_soon_threadsafe(grown.set)
+
+        host, _, port = peer_address.rpartition(":")
+        with self._cond:
+            self._wakers[peer_address] = wake
+        writer = None
+        try:
+            while True:
+                try:
+                    if writer is None:
+                        reader, writer = await open_stream(
+                            host, int(port), _CONNECT_TIMEOUT)
+                        answer = await exchange(reader, writer,
+                                                ReplQuery(self.origin),
+                                                _IO_TIMEOUT)
+                        if (not isinstance(answer, ReplState)
+                                or answer.origin != self.origin):
+                            raise ProtocolError(
+                                f"replication handshake expected REPL_STATE "
+                                f"for {self.origin!r}, got "
+                                f"{type(answer).__name__}"
+                            )
+                        acked = answer.applied
+                        self.record_ack(peer_address, acked)
+                        self.mark_connected(peer_address)
+                    grown.clear()
+                    item = self.next_record(acked)
+                    if item is None:
+                        await grown.wait()
+                        continue
+                    seq, sealed = item
+                    reply = await exchange(reader, writer,
+                                           ReplRecord(self.origin, seq, sealed),
+                                           _IO_TIMEOUT)
+                    if (not isinstance(reply, ReplAck)
+                            or reply.origin != self.origin):
+                        raise ProtocolError(
+                            "replication stream expected REPL_ACK")
+                    if reply.seq >= seq:
+                        acked = reply.seq
+                        self.record_ack(peer_address, acked)
+                    else:
+                        await asyncio.sleep(_STALE_ACK_BACKOFF)
+                except ReproError:
+                    self.mark_disconnected(peer_address)
+                    if writer is not None:
+                        writer.close()
+                        writer = None
+                    await asyncio.sleep(_RETRY_INTERVAL)
+        finally:
+            with self._cond:
+                # A killed loop may finalise this task after a restarted
+                # server's streamer took the peer over: leave that one be.
+                if self._wakers.get(peer_address) is wake:
+                    del self._wakers[peer_address]
+                    self.mark_disconnected(peer_address)
+            if writer is not None:
+                writer.close()
 
     # -- compaction ----------------------------------------------------------
 
@@ -426,7 +516,6 @@ class ReplicationApplier:
         self.counters = registry_or_private(metrics).counter_view(
             "repl.apply.")
         self._applied: Dict[str, int] = {}
-        self._pending: Dict[str, Dict[int, bytes]] = {}
         self._lock = threading.Condition()
 
     def applied_for(self, origin: str) -> int:
@@ -486,44 +575,45 @@ class ReplicationApplier:
         return state
 
     def apply(self, origin: str, seq: int, sealed: bytes) -> int:
-        """Apply one record; returns the highest contiguous applied seq.
+        """Apply one record; returns ``origin``'s applied mark.
 
-        Duplicates (``seq`` at or below the applied mark) are counted and
-        skipped; gaps park the record in a pending buffer until the
-        missing sequence arrives.  Apply errors advance the sequence
-        anyway — wedging the whole stream on one poisoned record would
-        turn a single bad write into full replica divergence.
+        Only the record right after the mark applies.  Anything else
+        applies nothing and is answered with the unchanged mark, from
+        which the origin's streamer resends: a duplicate (counted), a
+        record past a gap no streamer leaves, and a record that fails
+        authentication or whose sealed sequence is not the envelope's (a
+        host splicing bodies; counted as an error) — a record the peer
+        cannot authenticate must not stand in for the genuine one.  An
+        *authentic* record whose engine op fails advances the mark anyway
+        (also an error): wedging the whole stream on one poisoned write
+        would turn it into full replica divergence.
         """
         with self._lock:
             applied = self._applied.get(origin, 0)
             if seq <= applied:
                 self.counters.increment("duplicates")
                 return applied
-            pending = self._pending.setdefault(origin, {})
-            pending[seq] = bytes(sealed)
             if seq > applied + 1:
-                self.counters.increment("out_of_order")
-            while applied + 1 in pending:
-                blob = pending.pop(applied + 1)
-                applied += 1
-                self._apply_sealed(origin, applied, blob)
-            self._applied[origin] = applied
+                return applied
+            try:
+                record = decode_record(self.db.cop, sealed)
+                if record.seq != seq:
+                    raise StorageError(
+                        f"replication record body claims seq {record.seq} "
+                        f"but arrived as seq {seq}"
+                    )
+            except ReproError:
+                self.counters.increment("errors")
+                return applied
+            try:
+                self._apply_record(record)
+            except ReproError:
+                self.counters.increment("errors")
+            else:
+                self.counters.increment("applied")
+            self._applied[origin] = seq
             self._lock.notify_all()
-            return applied
-
-    def _apply_sealed(self, origin: str, seq: int, sealed: bytes) -> None:
-        try:
-            record = decode_record(self.db.cop, sealed)
-            if record.seq != seq:
-                raise StorageError(
-                    f"replication record body claims seq {record.seq} "
-                    f"but arrived as seq {seq}"
-                )
-            self._apply_record(record)
-        except ReproError:
-            self.counters.increment("errors")
-        else:
-            self.counters.increment("applied")
+            return seq
 
     def _apply_record(self, record: ReplicationRecord) -> None:
         # Engine-direct calls: the database-level emit hook must not see
@@ -545,92 +635,3 @@ class ReplicationApplier:
         else:
             engine.touch()
 
-
-class Replicator(threading.Thread):
-    """Streams one origin log to one peer, reconnecting forever.
-
-    The REPL_QUERY handshake doubles as catch-up: the peer answers with
-    its applied sequence for this origin and streaming resumes from the
-    backlog at that point, so a peer that was down (or a streamer that
-    lost its socket mid-record) converges without any extra protocol.
-    """
-
-    def __init__(
-        self,
-        log: ReplicationLog,
-        peer_address: str,
-        connect_timeout: float = 2.0,
-        retry_interval: float = 0.2,
-        io_timeout: float = 5.0,
-    ):
-        super().__init__(daemon=True, name=f"replicator→{peer_address}")
-        self.log = log
-        self.peer_address = peer_address
-        self.connect_timeout = connect_timeout
-        self.retry_interval = retry_interval
-        self.io_timeout = io_timeout
-        self._stop_event = threading.Event()
-        self._sock: Optional[socket.socket] = None
-        log.register_peer(peer_address)
-
-    def stop(self, join_timeout: float = 5.0) -> None:
-        self._stop_event.set()
-        sock = self._sock
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
-        if self.is_alive():
-            self.join(join_timeout)
-        self.log.mark_disconnected(self.peer_address)
-
-    def run(self) -> None:
-        while not self._stop_event.is_set():
-            try:
-                self._stream_once()
-            except (OSError, ReproError):
-                pass
-            finally:
-                self.log.mark_disconnected(self.peer_address)
-                sock, self._sock = self._sock, None
-                if sock is not None:
-                    try:
-                        sock.close()
-                    except OSError:
-                        pass
-            if not self._stop_event.is_set():
-                self._stop_event.wait(self.retry_interval)
-
-    def _stream_once(self) -> None:
-        host, _, port = self.peer_address.rpartition(":")
-        sock = open_sock(host, int(port), self.connect_timeout,
-                         self.io_timeout)
-        self._sock = sock
-        answer = exchange_sock(sock, ReplQuery(self.log.origin))
-        if not isinstance(answer, ReplState) or answer.origin != self.log.origin:
-            raise ProtocolError(
-                f"replication handshake expected REPL_STATE for "
-                f"{self.log.origin!r}, got {type(answer).__name__}"
-            )
-        acked = answer.applied
-        self.log.record_ack(self.peer_address, acked)
-        self.log.mark_connected(self.peer_address)
-        while not self._stop_event.is_set():
-            item = self.log.next_record(acked)
-            if item is None:
-                continue
-            seq, sealed = item
-            reply = exchange_sock(
-                sock, ReplRecord(self.log.origin, seq, sealed)
-            )
-            if not isinstance(reply, ReplAck) or reply.origin != self.log.origin:
-                raise ProtocolError("replication stream expected REPL_ACK")
-            if reply.seq >= seq:
-                acked = reply.seq
-                self.log.record_ack(self.peer_address, acked)
-            else:
-                # Receiver backpressure (apply queue full / draining):
-                # back off and retransmit — sequence tracking makes the
-                # retransmission idempotent.
-                self._stop_event.wait(0.05)

@@ -5,7 +5,8 @@ Architecture (DESIGN.md §12)::
     client sockets ──▶ asyncio event loop ─────────────────▶ engine thread
        (framing,        (EnvelopeServer + handshake,          (frontend
         envelope)        admission, serving lock, dedupe,      .execute, peer
-                         reply cache, waits, drain)            applies)
+                         reply cache, waits, replication       applies)
+                         streams, drain)
 
 The event loop owns everything network-shaped: the listener and the
 connection state machine (:class:`~repro.net.endpoint.EnvelopeServer`),
@@ -23,12 +24,15 @@ The two waits a replicated member has — the semi-sync barrier and the
 dedupe gate — are awaited on asyncio's executor (``asyncio.to_thread``),
 holding neither the loop nor the engine thread, and replication records
 never take the serving lock, which is why a serve parked in its barrier
-can never starve the peer applies that release it (DESIGN.md §13).
+can never starve the peer applies that release it (DESIGN.md §13).  A
+replicated member's outbound streams, one per peer, are tasks on the loop
+too (:meth:`PirServer.stream_to`).
 
 Graceful drain: :meth:`PirServer.drain` stops accepting, answers new
 requests on live connections with a retryable refusal, waits for every
-in-flight request to finish *and its reply to be written*, then closes
-sessions — no admitted request is lost, and none is double-applied.
+in-flight request to finish *and its reply to be written*, then stops
+the replication streams and closes sessions — no admitted request is lost,
+and none is double-applied.
 """
 
 from __future__ import annotations
@@ -141,6 +145,7 @@ class PirServer(EnvelopeServer):
         # attach_replication).
         self._repl_log = None
         self._repl_applier = None
+        self._streams: list = []  # stream_to's tasks, one per peer
 
     def attach_replication(self, log, applier) -> None:
         """Wire a :class:`~repro.cluster.replication.ReplicationLog` and
@@ -155,9 +160,29 @@ class PirServer(EnvelopeServer):
         caches it, (c) dedupe-serves a cached reply only once this member
         has applied the write behind it, and (d) stamps every REPLY with
         its own sequence for the router's read-your-writes gate.
+        Streaming ``log`` to the peers is :meth:`stream_to`'s.
         """
         self._repl_log = log
         self._repl_applier = applier
+
+    async def stream_to(self, peers) -> None:
+        """Stream the attached log to exactly ``peers`` (``host:port``).
+
+        The current streams are cancelled first; then one
+        :meth:`~repro.cluster.replication.ReplicationLog.stream` task per
+        peer runs on this loop until the next call, :meth:`drain` or a
+        kill.  ``stream_to(())`` stops streaming, and a stopped stream's
+        peer is no longer waited on by the semi-sync barrier.
+        """
+        streams, self._streams = set(self._streams), []
+        while streams:
+            # Again until done: before Python 3.12 a wait_for racing its
+            # inner read can swallow a cancellation.
+            for task in streams:
+                task.cancel()
+            _, streams = await asyncio.wait(streams, timeout=0.2)
+        self._streams = [asyncio.ensure_future(self._repl_log.stream(peer))
+                         for peer in peers]
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -191,6 +216,8 @@ class PirServer(EnvelopeServer):
             self._reap_task = None
         if self._inflight > 0:
             await self._idle_event.wait()
+        # Only now: a serve's barrier waits on the streams' acks.
+        await self.stream_to(())
         await self.close()
         if self._engine is not None:
             self._engine.shutdown()

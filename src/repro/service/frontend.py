@@ -132,7 +132,7 @@ class SealedReplyCache:
         # session id -> key of that session's most recent reply (pinned).
         self._latest: Dict[int, tuple] = {}
         # key -> (origin, repl_seq) for entries whose mutation was
-        # emitted into a replication log (see mark_for).
+        # emitted into a replication log (see get).
         self._marks: Dict[tuple, tuple] = {}
         self._lock = threading.Lock()
         self._path = str(path) if path is not None else None
@@ -172,13 +172,24 @@ class SealedReplyCache:
         with self._lock:
             return len(self._entries)
 
-    def get(self, session_id: int, sealed_request: bytes) -> Optional[bytes]:
+    def get(self, session_id: int, sealed_request: bytes):
+        """``(sealed reply, mark)`` cached for the request, or None.
+
+        On cluster backends every cached reply carries the ``(origin,
+        seq)`` mark of the replication record its mutation emitted; a
+        member serving the entry as a dedupe must have applied that record
+        first (the server's dedupe gate), or a preserved ACK could outlive
+        the write it acknowledges.  Marks are in-memory only: entries
+        reloaded from a persistent cache file have none (None), and the
+        restart catch-up handshake covers that window instead.
+        """
         key = (session_id, sealed_request)
         with self._lock:
             reply = self._entries.get(key)
-            if reply is not None:
-                self._entries.move_to_end(key)
-            return reply
+            if reply is None:
+                return None
+            self._entries.move_to_end(key)
+            return reply, self._marks.get(key)
 
     def put(self, session_id: int, sealed_request: bytes,
             sealed_reply: bytes, mark=None) -> None:
@@ -199,20 +210,6 @@ class SealedReplyCache:
             else:
                 self._marks.pop(key, None)
             self._evict_over_capacity()
-
-    def mark_for(self, session_id: int, sealed_request: bytes):
-        """The replication mark stored with an entry, or None.
-
-        On cluster backends every cached reply carries the ``(origin,
-        seq)`` of the replication record its mutation emitted; a member
-        serving the entry as a dedupe must have applied that record
-        first (the server's dedupe gate), or a preserved ACK could
-        outlive the write it acknowledges.  Marks are in-memory only:
-        entries reloaded from a persistent cache file have none, and the
-        restart catch-up handshake covers that window instead.
-        """
-        with self._lock:
-            return self._marks.get((session_id, sealed_request))
 
     def drop_session(self, session_id: int) -> None:
         with self._lock:
@@ -520,10 +517,7 @@ class QueryFrontend:
         with self._session_lock:
             if session_id in self._last_used:
                 self._last_used[session_id] = self._time_source()
-        cached = self._reply_cache.get(session_id, sealed_request)
-        if cached is None:
-            return None
-        return cached, self._reply_cache.mark_for(session_id, sealed_request)
+        return self._reply_cache.get(session_id, sealed_request)
 
     def execute(self, session_id: int, sealed_request: bytes):
         """Open, dispatch and seal one request that missed the cache.

@@ -159,8 +159,8 @@ class TestReplyCachePinning:
         # The bound held — churn evicted session 2's *older* entries —
         # and both sessions' latest replies are still present.
         assert len(cache) == 4
-        assert cache.get(1, b"acked request") == b"pinned reply"
-        assert cache.get(2, b"req-9") == b"reply-9"
+        assert cache.get(1, b"acked request") == (b"pinned reply", None)
+        assert cache.get(2, b"req-9") == (b"reply-9", None)
         assert cache.get(2, b"req-0") is None
 
     def test_all_pinned_overflows_instead_of_evicting(self):
@@ -186,7 +186,7 @@ class TestReplyCachePinning:
         cache.put(3, b"d", b"rd")
         assert len(cache) == 2
         assert cache.get(2, b"b") is None
-        assert cache.get(2, b"c") == b"rc"
+        assert cache.get(2, b"c") == (b"rc", None)
 
     def test_acked_mutation_dedupes_after_cache_overfill(self):
         """The failover regression, at the frontend level: an update is
@@ -244,9 +244,9 @@ class TestPersistentReplyCache:
         again = SealedReplyCache(path=path)
         try:
             assert len(again) == 3
-            assert again.get(1, b"request A") == b"reply A"
-            assert again.get(2, b"request C") == b"reply C"
-            assert again.get(3, b"request D") == b"reply D"
+            assert again.get(1, b"request A") == (b"reply A", None)
+            assert again.get(2, b"request C") == (b"reply C", None)
+            assert again.get(3, b"request D") == (b"reply D", None)
         finally:
             again.close()
 

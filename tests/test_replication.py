@@ -234,14 +234,21 @@ class TestReplicationApplier:
         assert applier.counters.get("duplicates") == 1
         assert applier.counters.get("applied") == 1
 
-    def test_out_of_order_waits_for_gap(self, db):
+    def test_record_past_a_gap_applies_nothing_until_resent(self, db):
+        """Only ``applied + 1`` applies: a record past a gap is acked at the
+        unchanged mark and kept nowhere; the sender's retransmission, in
+        order, fills the gap."""
         applier = ReplicationApplier(db)
-        applier.apply("o:1", 2, self._sealed(db, 2, payload=b"late"))
-        assert applier.applied_for("o:1") == 0  # parked, not applied
-        assert applier.counters.get("out_of_order") == 1
-        applier.apply("o:1", 1, self._sealed(db, 1, payload=b"early"))
-        # The gap filled: both drained, in order.
-        assert applier.applied_for("o:1") == 2
+        before = db.engine.request_count
+        late = self._sealed(db, 2, payload=b"late")
+        assert applier.apply("o:1", 2, late) == 0
+        assert applier.apply("o:1", 10 ** 9, late) == 0
+        assert db.engine.request_count == before
+        assert applier.counters.as_dict() == {}
+        assert applier.apply("o:1", 1, self._sealed(db, 1,
+                                                    payload=b"early")) == 1
+        assert db.engine.retrieve(1).payload == b"early"
+        assert applier.apply("o:1", 2, late) == 2
         assert db.engine.retrieve(1).payload == b"late"
 
     def test_origins_tracked_independently(self, db):
@@ -253,15 +260,41 @@ class TestReplicationApplier:
 
     def test_spliced_sequence_detected(self, db):
         """A host replaying record body N under envelope seq M is caught
-        by the sealed inner sequence and skipped (counted as an error),
-        without wedging the stream."""
+        by the sealed inner sequence (counted as an error) and leaves the
+        mark where it was, so the genuine record still applies."""
         applier = ReplicationApplier(db)
         spliced = self._sealed(db, 9, payload=b"evil")
-        applier.apply("o:1", 1, spliced)
+        assert applier.apply("o:1", 1, spliced) == 0
         assert applier.counters.get("errors") == 1
-        assert applier.applied_for("o:1") == 1  # seq advanced anyway
-        applier.apply("o:1", 2, self._sealed(db, 2, payload=b"good"))
+        assert applier.applied_for("o:1") == 0
+        applier.apply("o:1", 1, self._sealed(db, 1, payload=b"good"))
+        assert applier.applied_for("o:1") == 1
         assert db.engine.retrieve(1).payload == b"good"
+
+    def test_tampered_record_is_followed_by_the_genuine_one(self, db):
+        """One flipped byte fails authentication: nothing applies, the ack
+        keeps the old mark, and the origin's retransmission of the genuine
+        record lands — not as a "duplicate" of the forgery."""
+        applier = ReplicationApplier(db)
+        genuine = self._sealed(db, 1, payload=b"genuine")
+        tampered = bytearray(genuine)
+        tampered[len(tampered) // 2] ^= 0x01
+        before = db.engine.request_count
+        assert applier.apply("o:1", 1, bytes(tampered)) == 0
+        assert db.engine.request_count == before
+        assert applier.apply("o:1", 1, genuine) == 1
+        assert db.engine.retrieve(1).payload == b"genuine"
+        assert applier.counters.as_dict() == {"errors": 1, "applied": 1}
+
+    def test_authentic_record_whose_op_fails_still_advances(self, db):
+        """The poisoned-write rule: an op the engine refuses must not wedge
+        the stream behind it."""
+        applier = ReplicationApplier(db)
+        poisoned = self._sealed(db, 1, page_id=10 ** 6, payload=b"x")
+        assert applier.apply("o:1", 1, poisoned) == 1
+        assert applier.counters.get("errors") == 1
+        applier.apply("o:1", 2, self._sealed(db, 2, payload=b"after"))
+        assert db.engine.retrieve(1).payload == b"after"
 
     def test_delete_of_missing_page_burns_cover_request(self, db):
         applier = ReplicationApplier(db)

@@ -236,16 +236,23 @@ class TestSealedReplyCache:
             cache.put(1, b"req%d" % i, b"rep%d" % i)
         assert len(cache) == 3
         assert cache.get(1, b"req0") is None
-        assert cache.get(1, b"req4") == b"rep4"
+        assert cache.get(1, b"req4") == (b"rep4", None)
 
     def test_get_refreshes_recency(self):
         cache = SealedReplyCache(capacity=2)
         cache.put(1, b"a", b"ra")
         cache.put(1, b"b", b"rb")
-        assert cache.get(1, b"a") == b"ra"  # refresh a
+        assert cache.get(1, b"a") == (b"ra", None)  # refresh a
         cache.put(1, b"c", b"rc")  # evicts b, not a
         assert cache.get(1, b"b") is None
-        assert cache.get(1, b"a") == b"ra"
+        assert cache.get(1, b"a") == (b"ra", None)
+
+    def test_get_returns_the_mark_with_the_reply(self):
+        cache = SealedReplyCache(capacity=2)
+        cache.put(1, b"w", b"rw", ("o:1", 7))
+        assert cache.get(1, b"w") == (b"rw", ("o:1", 7))
+        cache.put(1, b"w", b"rw2")  # a re-put without a mark drops it
+        assert cache.get(1, b"w") == (b"rw2", None)
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ProtocolError):

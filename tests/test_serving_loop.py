@@ -3,13 +3,14 @@ engine thread (DESIGN.md §12, §13).
 
 Over real sockets: the serving lock is held from the dedupe check through
 the reply-cache put, the semi-sync barrier and the dedupe gate are awaited
-off both the loop and the engine thread, and inbound replication records
-never wait for the lock.
+off both the loop and the engine thread, inbound replication records
+never wait for the lock, and outbound ones stream from tasks on the loop.
 """
 
 from __future__ import annotations
 
 import contextlib
+import re
 import threading
 
 import pytest
@@ -17,7 +18,7 @@ import pytest
 from tests.helpers import make_db, wait_until
 from repro.cluster import BackendHandle, connect_replication
 from repro.core.snapshot import bootstrap_replica
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TransientChannelError
 from repro.net import NetworkClient, PirServer, ServerThread
 from repro.net.endpoint import exchange_sock, open_sock
 from repro.net.framing import Ping, Pong, Reply, Request, Resume, Welcome
@@ -137,20 +138,37 @@ class TestNoDeadlock:
             assert names.count("request") == handle.db.engine.request_count
 
 
+def held_applies(peer):
+    """Park ``peer``'s applies until ``release`` is set; ``entered`` marks
+    the first one reaching the engine thread."""
+    entered, release = threading.Event(), threading.Event()
+    apply = peer.repl_applier.apply
+
+    def held_apply(*args):
+        entered.set()
+        assert release.wait(timeout=30)
+        return apply(*args)
+
+    peer.repl_applier.apply = held_apply
+    return entered, release
+
+
+def send_or_fail(sock, request):
+    """``exchange_sock``, with a dropped connection as the outcome."""
+    def send():
+        try:
+            return exchange_sock(sock, request)
+        except TransientChannelError as exc:
+            return exc
+    return in_thread(send)
+
+
 class TestDuplicateDuringBarrier:
     def test_a_retransmission_waits_out_the_barrier_then_dedupes(
             self, tmp_path):
         with mesh(tmp_path, wait_timeout=30.0) as (handles, registry):
             origin, peer = handles
-            entered, release = threading.Event(), threading.Event()
-            apply = peer.repl_applier.apply
-
-            def held_apply(*args):
-                entered.set()
-                assert release.wait(timeout=30)
-                return apply(*args)
-
-            peer.repl_applier.apply = held_apply
+            entered, release = held_applies(peer)
             client = NetworkClient(origin.host, origin.port, timeout=30.0)
             sealed = sealed_update(client, 3, b"held write")
             before = origin.db.engine.request_count
@@ -175,6 +193,65 @@ class TestDuplicateDuringBarrier:
             assert wait_until(lambda: peer.repl_applier.applied_for(
                 origin.repl_log.origin) == 1)
             assert peer.repl_applier.counters.get("applied") == 1
+            sock.close()
+            client.close()
+
+
+class TestKillMidBarrier:
+    def test_a_write_killed_in_its_barrier_is_never_answered_or_cached(
+            self, tmp_path):
+        with mesh(tmp_path, wait_timeout=30.0) as (handles, registry):
+            origin, peer = handles
+            entered, release = held_applies(peer)
+            client = NetworkClient(origin.host, origin.port, timeout=30.0)
+            sealed = sealed_update(client, 3, b"killed write")
+            applies_before = peer.db.engine.request_count
+            sock = resumed(origin, client.session_id)
+            sender, outcome = send_or_fail(sock, Request(1, sealed))
+            # The write has dispatched, emitted and streamed; its barrier
+            # waits for the peer's ack.
+            assert entered.wait(timeout=30)
+            origin.kill()
+            sender.join(timeout=30)
+            assert isinstance(outcome["value"], TransientChannelError)
+            assert origin.frontend._reply_cache.get(client.session_id,
+                                                    sealed) is None
+            origin.restart()
+            release.set()
+            assert wait_until(lambda: peer.repl_applier.applied_for(
+                origin.repl_log.origin) == 1)
+            # Once: a resent record 1 is a duplicate, not a second apply.
+            assert peer.repl_applier.counters.get("applied") == 1
+            assert peer.db.engine.request_count == applies_before + 1
+            assert origin.repl_log.last_seq == 1
+            sock.close()
+            client.close()
+
+
+class TestDrainFlushesTheStreams:
+    def test_drain_stops_streaming_only_after_the_barrier_passes(
+            self, tmp_path):
+        with mesh(tmp_path, wait_timeout=30.0) as (handles, registry):
+            origin, peer = handles
+            entered, release = held_applies(peer)
+            client = NetworkClient(origin.host, origin.port, timeout=30.0)
+            sealed = sealed_update(client, 3, b"drained write")
+            sock = resumed(origin, client.session_id)
+            sender, outcome = send_or_fail(sock, Request(1, sealed))
+            assert entered.wait(timeout=30)
+            drainer, _ = in_thread(origin.drain)
+            assert wait_until(lambda: origin.server._draining)
+            # Still streaming: the barrier holds the reply for the ack.
+            sender.join(timeout=0.5)
+            assert sender.is_alive()
+            release.set()
+            sender.join(timeout=30)
+            drainer.join(timeout=30)
+            reply = outcome["value"]
+            assert isinstance(reply, Reply) and reply.repl_seq == 1
+            assert peer.repl_applier.applied_for(origin.repl_log.origin) == 1
+            assert origin.repl_log.counters.get("wait_timeouts") == 0
+            assert origin.repl_log.connected_peers() == []
             sock.close()
             client.close()
 
@@ -251,3 +328,19 @@ class TestOneEngineThread:
         # Drain ends both.
         assert not any(thread.is_alive() for thread in started)
         db.close()
+
+    def test_a_replicated_member_streams_from_its_loop(self, tmp_path):
+        """Per member only the loop and the engine thread, plus asyncio's
+        executor threads for the two waits: no thread per peer."""
+        before = set(threading.enumerate())
+        with mesh(tmp_path, wait_timeout=30.0) as (handles, registry):
+            origin, peer = handles
+            with NetworkClient(origin.host, origin.port) as client:
+                client.update(1, b"streamed")
+            assert peer.repl_applier.applied_for(origin.repl_log.origin) == 1
+            names = sorted(thread.name
+                           for thread in set(threading.enumerate()) - before)
+        waits = [name for name in names if re.fullmatch(r"asyncio_\d+", name)]
+        assert waits  # the semi-sync barrier ran on one
+        assert [name for name in names if name not in waits] == [
+            "pir-engine_0", "pir-engine_0", "pir-server", "pir-server"]
