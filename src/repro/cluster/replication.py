@@ -40,6 +40,11 @@ sequence-numbered logical replication stream:
   (``load_snapshot`` + journal roll-forward locally, then backlog replay
   from each peer for everything it missed while down).
 
+* :meth:`ReplicationLog.wait_replicated` — the semi-sync barrier, a
+  coroutine the member's serve awaits on that same loop.  The stream
+  tasks wake it as they record a peer's ack or lose the peer, so no wait
+  in this module blocks a thread.
+
 Trust boundary: the router and any network observer handle only sealed
 record bodies; plaintext sequence numbers and origin addresses are the
 only cleartext, and both are request-count/topology metadata the host
@@ -64,7 +69,6 @@ import contextlib
 import os
 import struct
 import threading
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -76,6 +80,7 @@ from ..errors import (
     ReproError,
     StorageError,
 )
+from ..loopthread import LoopWaiters
 from ..net.endpoint import exchange, open_stream
 from ..net.framing import ReplAck, ReplQuery, ReplRecord, ReplState
 from ..obs.registry import registry_or_private
@@ -196,10 +201,13 @@ class ReplicationLog:
     ``emit`` is called by the database on the server's engine thread and
     never blocks on the network: it wakes this log's streamers
     (:meth:`stream`) on their loop.  The server separately awaits
-    :meth:`wait_replicated` on a thread before acknowledging a client, which
-    is what makes an acknowledged write survive the origin's death
-    (semi-synchronous replication).  Peers that are disconnected are not
-    waited on — they catch up from the backlog when they return.
+    :meth:`wait_replicated` on that loop before acknowledging a client,
+    which is what makes an acknowledged write survive the origin's death
+    (semi-synchronous replication); the streamers' acks and disconnects,
+    recorded on the same loop, wake it.  Peers that are disconnected are
+    not waited on — they catch up from the backlog when they return.
+    One lock guards the backlog and the peer table, where ``emit`` on the
+    engine thread meets the loop's readers.
     """
 
     def __init__(
@@ -218,7 +226,7 @@ class ReplicationLog:
         self.cover_traffic = cover_traffic
         self.wait_timeout = wait_timeout
         self.counters = registry_or_private(metrics).counter_view("repl.log.")
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         # Sequences 1.._base were compacted away; index i holds sequence
         # _base + i + 1.
         self._base = 0
@@ -226,6 +234,8 @@ class ReplicationLog:
         self._peers: Dict[str, _PeerState] = {}
         # peer address -> the wake-up of the one streamer serving it.
         self._wakers: Dict[str, Callable[[], None]] = {}
+        # Barriers in wait_replicated, woken by acks and disconnects.
+        self._barriers = LoopWaiters()
         self._path = path
         self._file = None
         if path is not None:
@@ -251,13 +261,13 @@ class ReplicationLog:
 
     @property
     def last_seq(self) -> int:
-        with self._cond:
+        with self._lock:
             return self._base + len(self._records)
 
     @property
     def compacted_seq(self) -> int:
         """Highest sequence dropped by compaction (0 = nothing dropped)."""
-        with self._cond:
+        with self._lock:
             return self._base
 
     def emit(self, kind: str, page_id: int = 0, payload: bytes = b"") -> int:
@@ -267,7 +277,7 @@ class ReplicationLog:
         returns the current high-water mark.
         """
         kind_code = _KIND_BY_NAME[kind]
-        with self._cond:
+        with self._lock:
             if kind_code == KIND_NOOP and not self.cover_traffic:
                 return self._base + len(self._records)
             seq = self._base + len(self._records) + 1
@@ -284,39 +294,28 @@ class ReplicationLog:
 
     # -- peer tracking -------------------------------------------------------
 
-    def register_peer(self, address: str) -> None:
-        with self._cond:
-            self._peers.setdefault(address, _PeerState())
-
     def mark_connected(self, address: str) -> None:
-        with self._cond:
+        with self._lock:
             self._peers.setdefault(address, _PeerState()).connected = True
-            self._cond.notify_all()
 
     def mark_disconnected(self, address: str) -> None:
-        with self._cond:
+        with self._lock:
             peer = self._peers.get(address)
             if peer is not None:
                 peer.connected = False
-            # Anyone blocked in wait_replicated must re-evaluate: a dead
-            # peer is no longer waited on.
-            self._cond.notify_all()
+        # A dead peer is no longer waited on.
+        self._barriers.wake()
 
     def record_ack(self, address: str, seq: int) -> None:
-        with self._cond:
+        with self._lock:
             peer = self._peers.setdefault(address, _PeerState())
             if seq > peer.acked:
                 peer.acked = seq
             self.counters.increment("acks")
-            self._cond.notify_all()
-
-    def peer_acked(self, address: str) -> int:
-        with self._cond:
-            peer = self._peers.get(address)
-            return 0 if peer is None else peer.acked
+        self._barriers.wake()
 
     def connected_peers(self) -> List[str]:
-        with self._cond:
+        with self._lock:
             return [a for a, p in self._peers.items() if p.connected]
 
     # -- consumption ---------------------------------------------------------
@@ -334,7 +333,7 @@ class ReplicationLog:
 
     def next_record(self, after_seq: int) -> Optional[Tuple[int, bytes]]:
         """The record following ``after_seq``, or None if not emitted yet."""
-        with self._cond:
+        with self._lock:
             self._check_compacted(after_seq)
             index = after_seq - self._base
             if index < len(self._records):
@@ -342,7 +341,7 @@ class ReplicationLog:
             return None
 
     def records_since(self, after_seq: int) -> List[Tuple[int, bytes]]:
-        with self._cond:
+        with self._lock:
             self._check_compacted(after_seq)
             return [
                 (after_seq + 1 + index, sealed)
@@ -374,7 +373,7 @@ class ReplicationLog:
                 loop.call_soon_threadsafe(grown.set)
 
         host, _, port = peer_address.rpartition(":")
-        with self._cond:
+        with self._lock:
             self._wakers[peer_address] = wake
         writer = None
         try:
@@ -421,12 +420,14 @@ class ReplicationLog:
                         writer = None
                     await asyncio.sleep(_RETRY_INTERVAL)
         finally:
-            with self._cond:
+            with self._lock:
                 # A killed loop may finalise this task after a restarted
                 # server's streamer took the peer over: leave that one be.
-                if self._wakers.get(peer_address) is wake:
+                mine = self._wakers.get(peer_address) is wake
+                if mine:
                     del self._wakers[peer_address]
-                    self.mark_disconnected(peer_address)
+            if mine:
+                self.mark_disconnected(peer_address)
             if writer is not None:
                 writer.close()
 
@@ -443,7 +444,7 @@ class ReplicationLog:
         past ``last_seq`` clamps; compacting below the current base is a
         no-op.
         """
-        with self._cond:
+        with self._lock:
             up_to_seq = min(up_to_seq, self._base + len(self._records))
             dropped = up_to_seq - self._base
             if dropped <= 0:
@@ -467,39 +468,35 @@ class ReplicationLog:
             self.counters.increment("compacted", dropped)
             return dropped
 
-    def wait_replicated(self, seq: int, timeout: Optional[float] = None) -> bool:
-        """Block until every *connected* peer has acked ``seq``.
+    async def wait_replicated(self, seq: int,
+                              timeout: Optional[float] = None) -> bool:
+        """Wait, on the serving loop, until every *connected* peer has
+        acked ``seq``.
 
-        Returns False on timeout (counted): the reply is still sent —
-        the alternative is trading a latency blip for unavailability —
-        but the router's read-your-writes gate keeps the session off any
-        replica that has not caught up, so correctness degrades to
-        "failover may have to wait", never to a stale read.
+        Woken by :meth:`record_ack` and :meth:`mark_disconnected`, which
+        the streamers call on that loop.  Returns False on timeout
+        (counted): the reply is still sent — the alternative is trading a
+        latency blip for unavailability — but the router's
+        read-your-writes gate keeps the session off any replica that has
+        not caught up, so correctness degrades to "failover may have to
+        wait", never to a stale read.
         """
-        deadline = time.monotonic() + (
-            self.wait_timeout if timeout is None else timeout
-        )
-        with self._cond:
-            while True:
-                lagging = [
-                    address
-                    for address, peer in self._peers.items()
-                    if peer.connected and peer.acked < seq
-                ]
-                if not lagging:
-                    return True
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self.counters.increment("wait_timeouts")
-                    return False
-                self._cond.wait(remaining)
+        def replicated() -> bool:
+            with self._lock:
+                return all(peer.acked >= seq for peer in self._peers.values()
+                           if peer.connected)
+
+        if await self._barriers.wait_until(
+                replicated, self.wait_timeout if timeout is None else timeout):
+            return True
+        self.counters.increment("wait_timeouts")
+        return False
 
     def close(self) -> None:
-        with self._cond:
+        with self._lock:
             if self._file is not None:
                 self._file.close()
                 self._file = None
-            self._cond.notify_all()
 
 
 class ReplicationApplier:
@@ -508,7 +505,8 @@ class ReplicationApplier:
     On a cluster backend :meth:`apply` runs on the server's engine
     thread, the thread that dispatches requests, so the engine sees one
     operation at a time; it never waits for the serving lock (DESIGN.md
-    §13).
+    §13).  One lock guards the applied vector, where ``apply`` on the
+    engine thread meets the loop's readers.
     """
 
     def __init__(self, db, metrics=None):
@@ -516,29 +514,11 @@ class ReplicationApplier:
         self.counters = registry_or_private(metrics).counter_view(
             "repl.apply.")
         self._applied: Dict[str, int] = {}
-        self._lock = threading.Condition()
+        self._lock = threading.Lock()
 
     def applied_for(self, origin: str) -> int:
         with self._lock:
             return self._applied.get(origin, 0)
-
-    def wait_applied(self, origin: str, seq: int, timeout: float) -> bool:
-        """Block until ``origin``'s stream is applied through ``seq``.
-
-        The reply-cache dedupe gate: a member may only serve a cached
-        acknowledgement once it has applied the write the ACK stands
-        for.  Returns False on timeout (the origin is likely dead with
-        the record unstreamed — the caller sheds instead of serving a
-        stale ACK).
-        """
-        deadline = time.monotonic() + timeout
-        with self._lock:
-            while self._applied.get(origin, 0) < seq:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._lock.wait(remaining)
-            return True
 
     def state(self) -> Dict[str, int]:
         with self._lock:
@@ -550,7 +530,6 @@ class ReplicationApplier:
             for origin, seq in state.items():
                 if seq > self._applied.get(origin, 0):
                     self._applied[origin] = int(seq)
-            self._lock.notify_all()
 
     def encode_state(self) -> bytes:
         """Serialise the applied-vector for a sealed snapshot sidecar."""
@@ -612,7 +591,6 @@ class ReplicationApplier:
             else:
                 self.counters.increment("applied")
             self._applied[origin] = seq
-            self._lock.notify_all()
             return seq
 
     def _apply_record(self, record: ReplicationRecord) -> None:

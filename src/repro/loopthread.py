@@ -8,6 +8,8 @@ only say which service they run and what stopping it means.
 :class:`Listener` is the one accept loop under all three services: it owns
 the bound socket, the registry of live connections and their teardown, and
 a service only says what one connection does (:meth:`Listener.handle`).
+:class:`LoopWaiters` is how a coroutine waits on its loop for a condition
+that other code on that loop makes true.
 
 Lives at the package root, not under ``repro.net``: ``repro.faults`` is
 imported by ``repro.core.engine``, and ``repro.net``'s package import
@@ -18,11 +20,55 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Optional, Set
+from typing import Callable, Optional, Set
 
 from .errors import ConfigurationError
 
-__all__ = ["Listener", "LoopThread"]
+__all__ = ["Listener", "LoopThread", "LoopWaiters"]
+
+
+class LoopWaiters:
+    """Coroutines parked on their loop until a condition holds.
+
+    :meth:`wait_until` re-checks its condition each time :meth:`wake` is
+    called, by the code on the same loop that may have made it true.
+    Each wait makes its future on the running loop (Python 3.9 binds a
+    loop primitive at creation), so an instance holds none between waits
+    and outlives the loop of a killed server.  A kill cancels the future
+    itself, so a woken check never resolves a dead loop's wait.
+    """
+
+    def __init__(self) -> None:
+        self._checks: Set[Callable[[], None]] = set()
+
+    async def wait_until(self, holds: Callable[[], bool],
+                         timeout: float) -> bool:
+        """Whether ``holds()`` is true by ``timeout`` seconds from now."""
+        if holds():
+            return True
+        loop = asyncio.get_running_loop()
+        done = loop.create_future()
+
+        def check(expired: bool = False) -> None:
+            if done.done():
+                return
+            if holds():
+                done.set_result(True)
+            elif expired:
+                done.set_result(False)
+
+        timer = loop.call_later(timeout, check, True)
+        self._checks.add(check)
+        try:
+            return await done
+        finally:
+            timer.cancel()
+            self._checks.discard(check)
+
+    def wake(self) -> None:
+        """Re-check every waiting condition (on the waiters' loop)."""
+        for check in tuple(self._checks):
+            check()
 
 
 class Listener:

@@ -20,13 +20,15 @@ server's one engine thread, which the loop starts with the server: every
 ``frontend.execute`` and every inbound replication record is computed
 there, so every engine entry — and every span it opens — comes from that
 one thread, while the loop keeps reading, shedding and answering PINGs.
-The two waits a replicated member has — the semi-sync barrier and the
-dedupe gate — are awaited on asyncio's executor (``asyncio.to_thread``),
-holding neither the loop nor the engine thread, and replication records
-never take the serving lock, which is why a serve parked in its barrier
-can never starve the peer applies that release it (DESIGN.md §13).  A
-replicated member's outbound streams, one per peer, are tasks on the loop
-too (:meth:`PirServer.stream_to`).
+A replicated member's outbound streams, one per peer, are tasks on the
+loop too (:meth:`PirServer.stream_to`), and so are a request's two waits:
+the semi-sync barrier is a coroutine the stream tasks wake as peers ack,
+and the dedupe gate one that each peer apply wakes as it returns from the
+engine thread.  Neither holds the loop or the engine thread, and
+replication records never take the serving lock, which is why a serve
+parked in its barrier can never starve the peer applies that release it
+(DESIGN.md §13).  A replicated member is two threads, the loop and the
+engine.
 
 Graceful drain: :meth:`PirServer.drain` stops accepting, answers new
 requests on live connections with a retryable refusal, waits for every
@@ -65,7 +67,7 @@ from ..errors import (
     ProtocolError,
     ReproError,
 )
-from ..loopthread import LoopThread
+from ..loopthread import LoopThread, LoopWaiters
 from ..obs.registry import registry_or_private
 from ..service import protocol
 from ..service.frontend import SESSION_SEQUENTIAL, QueryFrontend
@@ -146,6 +148,8 @@ class PirServer(EnvelopeServer):
         self._repl_log = None
         self._repl_applier = None
         self._streams: list = []  # stream_to's tasks, one per peer
+        # Dedupe gates waiting for a peer apply (_holds, _apply_one).
+        self._applies = LoopWaiters()
 
     def attach_replication(self, log, applier) -> None:
         """Wire a :class:`~repro.cluster.replication.ReplicationLog` and
@@ -345,16 +349,19 @@ class PirServer(EnvelopeServer):
     async def _apply_one(self, record: ReplRecord) -> int:
         """Apply one inbound record; return the applied mark.
 
-        While draining the record is *not* applied and the current mark
-        is returned unchanged — the peer's streamer sees a stale ack and
-        retransmits after backoff.
+        Back on the loop, the apply wakes the dedupe gates
+        (:meth:`_holds`) waiting for it.  While draining the record is
+        *not* applied and the current mark is returned unchanged — the
+        peer's streamer sees a stale ack and retransmits after backoff.
         """
         if self._draining:
             self.counters.increment("shed")
             self.counters.increment("shed.repl")
             return self._repl_applier.applied_for(record.origin)
         with self._in_flight():
-            return await self._on_engine(self._apply, record)
+            applied = await self._on_engine(self._apply, record)
+        self._applies.wake()
+        return applied
 
     def _apply(self, record: ReplRecord) -> int:
         """Engine-thread work: one inbound record through the applier."""
@@ -469,7 +476,7 @@ class PirServer(EnvelopeServer):
                     # so failover-preservable — acknowledgement only once
                     # every connected peer holds the write.  The mark
                     # rides with the entry for the dedupe gate above.
-                    await asyncio.to_thread(log.wait_replicated, mark[1])
+                    await log.wait_replicated(mark[1])
                 frontend.remember(session_id, sealed, sealed_reply, mark)
         # The read-your-writes stamp: the sequence this member waited on
         # (or whose write it already held), never a later emission.  A
@@ -506,8 +513,11 @@ class PirServer(EnvelopeServer):
             return True
         if origin == log.origin:
             return log.last_seq >= seq  # our own emission
-        return await asyncio.to_thread(self._repl_applier.wait_applied,
-                                       origin, seq, log.wait_timeout)
+        applier = self._repl_applier
+        # False on timeout: the origin likely died with the record
+        # unstreamed, and the caller sheds instead of serving a stale ACK.
+        return await self._applies.wait_until(
+            lambda: applier.applied_for(origin) >= seq, log.wait_timeout)
 
 
 class ServerThread(LoopThread):

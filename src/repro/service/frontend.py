@@ -19,6 +19,7 @@ until :meth:`QueryFrontend.recover` has repaired the store.
 
 from __future__ import annotations
 
+import contextlib
 import struct
 import threading
 from collections import OrderedDict
@@ -541,9 +542,6 @@ class QueryFrontend:
                 try:
                     self.health.check()
                     reply = self._dispatch(request)
-                    if not isinstance(request, protocol.Batch):
-                        # (a batch has told health about each window)
-                        self.health.record_success()
                 except ReproError as exc:
                     self._record_fault(exc)
                     reply = self._refusal_for(exc)
@@ -595,74 +593,70 @@ class QueryFrontend:
         )
 
     def _dispatch(self, request: protocol.ClientMessage) -> protocol.ClientMessage:
-        if isinstance(request, protocol.Batch):
-            return self._dispatch_batch(request)
-        op = _OPS.get(type(request))
-        if op is None:
+        """Serve a request as one :meth:`~PirDatabase.run_batch` call.
+
+        A lone op is a batch of one slot.  A batch is one call for all its
+        ops (one disk pass per round-robin window); a failed slot comes
+        back as an exception instance and becomes the same per-op
+        :class:`~repro.service.protocol.Refused` reply either way, so
+        clients cannot tell a batched op from a single one by reply
+        content, and a failed lone op refuses the request, uncached.  A
+        window that fails hands every slot it held the *same* exception,
+        so health counts distinct failures, not refused slots.  Health
+        hears a success from a batch when no window faulted, and from a
+        lone op only when it was served.
+        """
+        batched = isinstance(request, protocol.Batch)
+        if batched:
+            # The wire codec admits only the four op types inside a Batch.
+            wire_ops = request.ops
+            self.counters.increment("batch.requests")
+            self.counters.increment("batch.ops", len(wire_ops))
+            self._batch_sizes.observe(len(wire_ops))
+        elif type(request) in _OPS:
+            wire_ops = (request,)
+        else:
             raise ProtocolError(
                 f"frontend cannot handle {type(request).__name__}"
             )
-        # The database's per-op method is its run_batch of one with the
-        # slot's error raised (into serve()'s refusal arm).
-        return op.reply(request, op.call(self.database, request))
-
-    def _dispatch_batch(self, batch: protocol.Batch) -> protocol.BatchReply:
-        """Serve a batch; failures refuse that slot, not the batch.
-
-        The whole batch becomes one :meth:`~PirDatabase.run_batch` call
-        (one disk pass per round-robin window); failed slots come back as
-        exception instances and are converted to the same per-op
-        :class:`~repro.service.protocol.Refused` replies a lone request
-        gets, so clients cannot tell a batched op from a single one by
-        reply content.  A window that fails hands every slot it held the
-        *same* exception, so health counts distinct failures, not refused
-        slots, and hears a success only when no window faulted.
-        """
-        self.counters.increment("batch.requests")
-        self.counters.increment("batch.ops", len(batch.ops))
-        self._batch_sizes.observe(len(batch.ops))
-        # The wire codec admits only the four op types inside a Batch.
-        ops = [_OPS[type(op)].engine_op(op) for op in batch.ops]
-        with self.tracer.span("frontend.batch"):
+        ops = [_OPS[type(op)].engine_op(op) for op in wire_ops]
+        with (self.tracer.span("frontend.batch") if batched
+              else contextlib.nullcontext()):
             results = self.database.run_batch(ops)
         failures = {id(outcome): outcome for outcome in results
                     if isinstance(outcome, ReproError)}
         faulted = [self._record_fault(exc) for exc in failures.values()]
-        if not any(faulted):
+        if not any(faulted) and (batched or not failures):
             self.health.record_success()
-        return protocol.BatchReply([
+        replies = [
             self._refusal_for(outcome) if isinstance(outcome, ReproError)
             else _OPS[type(op)].reply(op, outcome)
-            for op, outcome in zip(batch.ops, results)
-        ])
+            for op, outcome in zip(wire_ops, results)
+        ]
+        return protocol.BatchReply(replies) if batched else replies[0]
 
 
 class _Op(NamedTuple):
-    call: Callable       # (database, wire op) -> outcome, for a lone op
-    engine_op: Callable  # wire op -> BatchOp, for a batch slot
+    engine_op: Callable  # wire op -> its BatchOp
     reply: Callable      # (wire op, its outcome) -> reply message
 
 
-# The one op table: what a lone op and a batch slot run, and the one reply
+# The one op table: what a lone op or a batch slot runs, and its one reply
 # either way — clients cannot tell a batched op from a single one.
 _OPS = {
     protocol.Query: _Op(
-        lambda db, op: db.query(op.page_id),
         lambda op: BatchOp("query", page_id=op.page_id),
         lambda op, payload: protocol.Result(op.page_id, payload),
     ),
     protocol.Update: _Op(
-        lambda db, op: db.update(op.page_id, op.payload),
         lambda op: BatchOp("update", page_id=op.page_id, payload=op.payload),
         lambda op, _: protocol.Ok(),
     ),
     protocol.Insert: _Op(
-        lambda db, op: db.insert(op.payload),
         lambda op: BatchOp("insert", payload=op.payload),
         lambda op, new_id: protocol.Result(new_id, op.payload),
     ),
     protocol.Delete: _Op(
-        lambda db, op: db.delete(op.page_id),
         lambda op: BatchOp("delete", page_id=op.page_id),
         lambda op, _: protocol.Ok(),
     ),

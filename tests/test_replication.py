@@ -9,8 +9,8 @@ tracking.
 
 from __future__ import annotations
 
+import asyncio
 import os
-import threading
 
 import pytest
 
@@ -177,38 +177,41 @@ class TestReplicationLog:
     def test_wait_replicated_tracks_connected_peers_only(self, db):
         log = ReplicationLog(db.cop, "o:1", wait_timeout=0.2)
         seq = log.emit("write", 1, b"a")
-        # No peers at all: trivially replicated.
-        assert log.wait_replicated(seq)
-        log.register_peer("peer:1")
-        # Disconnected peers are not waited on (they catch up later).
-        assert log.wait_replicated(seq)
-        log.mark_connected("peer:1")
-        assert not log.wait_replicated(seq)  # connected + lagging: timeout
+
+        async def drill():
+            # No peers at all: trivially replicated.
+            assert await log.wait_replicated(seq)
+            log.mark_connected("peer:1")
+            # Connected and lagging: times out, counted.
+            assert not await log.wait_replicated(seq)
+            assert log.counters.get("wait_timeouts") == 1
+            # Disconnected peers are not waited on (they catch up later).
+            log.mark_disconnected("peer:1")
+            assert await log.wait_replicated(seq)
+            log.mark_connected("peer:1")
+            waiter = asyncio.ensure_future(log.wait_replicated(seq, 30.0))
+            await asyncio.sleep(0.01)
+            assert not waiter.done()
+            log.record_ack("peer:1", seq)  # as the peer's stream does
+            return await asyncio.wait_for(waiter, 1.0)
+
+        assert asyncio.run(drill())
         assert log.counters.get("wait_timeouts") == 1
-
-        waiter_result = []
-
-        def wait():
-            waiter_result.append(log.wait_replicated(seq, timeout=5.0))
-
-        thread = threading.Thread(target=wait)
-        thread.start()
-        log.record_ack("peer:1", seq)
-        thread.join(timeout=5.0)
-        assert waiter_result == [True]
 
     def test_wait_unblocks_when_lagging_peer_disconnects(self, db):
         log = ReplicationLog(db.cop, "o:1")
         seq = log.emit("write", 1, b"a")
         log.mark_connected("peer:1")
-        result = []
-        thread = threading.Thread(
-            target=lambda: result.append(log.wait_replicated(seq, timeout=5.0))
-        )
-        thread.start()
-        log.mark_disconnected("peer:1")
-        thread.join(timeout=5.0)
-        assert result == [True]
+
+        async def drill():
+            waiter = asyncio.ensure_future(log.wait_replicated(seq, 30.0))
+            await asyncio.sleep(0.01)
+            assert not waiter.done()
+            log.mark_disconnected("peer:1")
+            return await asyncio.wait_for(waiter, 1.0)
+
+        assert asyncio.run(drill())
+        assert log.counters.get("wait_timeouts") == 0
 
 
 class TestReplicationApplier:

@@ -146,10 +146,10 @@ class TestFrontendRefusalCodes:
         frontend = make_frontend()
         session = frontend.open_session()
 
-        def boom(page_id):
+        def boom(ops):
             raise exc
 
-        frontend.database.query = boom
+        frontend.database.run_batch = boom
         reply = serve_query(frontend, session)
         assert isinstance(reply, protocol.Refused)
         return reply
@@ -259,11 +259,11 @@ class TestFrontendDegradation:
         frontend.health = monitor
         calls = []
 
-        def boom(page_id):
-            calls.append(page_id)
+        def boom(ops):
+            calls.append(ops)
             raise exc_factory()
 
-        frontend.database.query = boom
+        frontend.database.run_batch = boom
         return frontend, calls
 
     def test_failed_frontend_sheds_load(self):
@@ -300,7 +300,7 @@ class TestFrontendDegradation:
         serve_query(frontend, session)
         assert frontend.health.state == FAILED
 
-        del frontend.database.query  # un-monkeypatch: storage "repaired"
+        del frontend.database.run_batch  # un-monkeypatch: "repaired"
         report = frontend.recover()
         assert report.action == "clean"
         assert frontend.health.state == HEALTHY
@@ -375,6 +375,25 @@ class TestHealthPerEnginePass:
                    for r in self._serve_batch(frontend, session, 8))
         assert frontend.health.fault_streak == 0
 
+    def test_client_errors_and_health(self):
+        """A refused lone op is no success, so it leaves a fault streak
+        standing; a batch whose windows did not fault is one, even when
+        every slot is a client error."""
+        frontend, session = self._frontend(transient_reads(times=1))
+        self._serve_batch(frontend, session, 2)
+        assert frontend.health.fault_streak == 1
+        assert serve_query(frontend, session, page_id=10_000).code == (
+            "not-found")
+        assert frontend.health.fault_streak == 1
+        suite = frontend.session_suite(session)
+        sealed = suite.encrypt_page(protocol.encode_client_message(
+            protocol.Batch((protocol.Query(10_000), protocol.Delete(10_001)))
+        ))
+        reply = protocol.decode_client_message(
+            suite.decrypt_page(frontend.serve(session, sealed)))
+        assert [r.code for r in reply.replies] == ["not-found", "not-found"]
+        assert frontend.health.fault_streak == 0
+
 
 class TestClientRetry:
     def test_retries_dropped_messages(self):
@@ -400,20 +419,21 @@ class TestClientRetry:
 
     def test_retryable_refusal_is_retried_to_success(self):
         frontend = make_frontend()
-        real_query = frontend.database.query
+        expected = frontend.database.query(2)
+        real_run_batch = frontend.database.run_batch
         state = {"failures": 2}
 
-        def flaky_query(page_id):
+        def flaky_run_batch(ops):
             if state["failures"] > 0:
                 state["failures"] -= 1
                 raise TransientStorageError("disk flapping")
-            return real_query(page_id)
+            return real_run_batch(ops)
 
-        frontend.database.query = flaky_query
+        frontend.database.run_batch = flaky_run_batch
         client = ServiceClient(
             frontend, retry=RetryPolicy(max_attempts=5, base_delay=0.01)
         )
-        assert client.query(2) == real_query(2)
+        assert client.query(2) == expected
         assert client.counters.get("retries") == 2
 
     def test_non_retryable_refusal_is_not_retried(self):
@@ -483,10 +503,10 @@ class TestClientErrorMapping:
     def _client_for(self, exc):
         frontend = make_frontend()
 
-        def boom(page_id):
+        def boom(ops):
             raise exc
 
-        frontend.database.query = boom
+        frontend.database.run_batch = boom
         return ServiceClient(frontend)
 
     def test_non_retryable_refusals_raise_their_class(self):
