@@ -22,7 +22,6 @@ engaging.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Callable, Optional
 
@@ -41,11 +40,8 @@ class TokenBucket:
     """Classic token bucket: ``rate`` tokens/second, ``capacity`` burst.
 
     ``time_source`` defaults to :func:`time.monotonic`; tests inject a fake
-    clock for deterministic refill behaviour.  Acquisition is not
-    thread-safe on its own — the server consults it only from the
-    event-loop thread — but :meth:`retune` may be called concurrently
-    (the :mod:`repro.plan` controller runs on its own thread), so the
-    refill/retune pair shares an internal lock.
+    clock for deterministic refill behaviour.  Not thread-safe, and it
+    need not be: see :class:`AdmissionController`.
     """
 
     def __init__(
@@ -63,39 +59,14 @@ class TokenBucket:
         self._time_source = time_source
         self._tokens = self.capacity
         self._last_refill = time_source()
-        self._lock = threading.Lock()
 
-    def retune(self, rate: Optional[float] = None,
-               capacity: Optional[float] = None) -> None:
-        """Change ``rate`` and/or ``capacity`` without resetting the level.
-
-        Accrued tokens at the old rate are banked first, then the new
-        parameters apply; shrinking ``capacity`` clips the current level
-        so a burst allowance cut takes effect immediately.
-        """
-        if rate is not None and rate <= 0:
-            raise ConfigurationError("token bucket rate must be positive")
-        if capacity is not None and capacity <= 0:
-            raise ConfigurationError("token bucket capacity must be positive")
-        with self._lock:
-            self._refill_locked()
-            if rate is not None:
-                self.rate = float(rate)
-            if capacity is not None:
-                self.capacity = float(capacity)
-                self._tokens = min(self._tokens, self.capacity)
-
-    def _refill_locked(self) -> None:
+    def _refill(self) -> None:
         now = self._time_source()
         elapsed = now - self._last_refill
         if elapsed > 0:
             self._tokens = min(self.capacity,
                                self._tokens + elapsed * self.rate)
         self._last_refill = now
-
-    def _refill(self) -> None:
-        with self._lock:
-            self._refill_locked()
 
     @property
     def tokens(self) -> float:
@@ -104,21 +75,19 @@ class TokenBucket:
 
     def try_acquire(self, amount: float = 1.0) -> bool:
         """Take ``amount`` tokens if available; False means shed."""
-        with self._lock:
-            self._refill_locked()
-            if self._tokens >= amount:
-                self._tokens -= amount
-                return True
-            return False
+        self._refill()
+        if self._tokens >= amount:
+            self._tokens -= amount
+            return True
+        return False
 
     def retry_after(self, amount: float = 1.0) -> float:
         """Seconds until ``amount`` tokens will have accumulated."""
-        with self._lock:
-            self._refill_locked()
-            deficit = amount - self._tokens
-            if deficit <= 0:
-                return 0.0
-            return deficit / self.rate
+        self._refill()
+        deficit = amount - self._tokens
+        if deficit <= 0:
+            return 0.0
+        return deficit / self.rate
 
 
 class AdmissionController:
@@ -128,6 +97,14 @@ class AdmissionController:
     :class:`~repro.service.protocol.Refused` describing the shed; the
     server turns the refusal into an envelope REFUSED frame.  ``None``
     gates (``bucket=None``, ``max_sessions=None``, …) are disabled.
+
+    One thread at a time, by rule rather than by lock: a controller (and
+    its bucket) belongs to one :class:`~repro.net.server.PirServer`, which
+    calls it only from its loop thread.  ``BackendHandle.restart`` hands
+    the same controller to the next server only after the old loop has
+    stopped and its thread is joined — sequential use, not concurrent
+    use.  The gates are fixed when the controller is built; a different
+    rate is a new plan, deployed.
     """
 
     def __init__(
@@ -150,16 +127,6 @@ class AdmissionController:
         self.retry_hint = retry_hint
         self.counters = registry_or_private(metrics).counter_view("net.")
 
-    def retune(self, rate: Optional[float] = None,
-               capacity: Optional[float] = None) -> None:
-        """Adjust the token-bucket gate in place (see ``TokenBucket.retune``).
-
-        No-op when rate limiting is disabled (``bucket=None``) — the
-        controller cannot conjure a gate the operator didn't configure.
-        """
-        if self.bucket is not None:
-            self.bucket.retune(rate=rate, capacity=capacity)
-
     def _shed(self, gate: str, reason: str,
               retry_after: float) -> protocol.Refused:
         self.counters.increment("shed")
@@ -179,18 +146,23 @@ class AdmissionController:
         return None
 
     def admit_request(self, queue_depth: int) -> Optional[protocol.Refused]:
-        """Per-request gate: rate limit first, then queue backpressure."""
-        if self.bucket is not None and not self.bucket.try_acquire():
-            return self._shed(
-                "rate",
-                "request rate limit exceeded",
-                self.bucket.retry_after(),
-            )
+        """Per-request gate: queue backpressure first, then the rate limit.
+
+        The queue gate has no side effect, so it runs first: a request it
+        sheds spends no rate token.  When both gates would shed, the
+        refusal (and ``net.shed.queue``) is the queue gate's.
+        """
         if (self.max_queue_depth is not None
                 and queue_depth >= self.max_queue_depth):
             return self._shed(
                 "queue",
                 f"request queue depth {self.max_queue_depth} reached",
                 self.retry_hint,
+            )
+        if self.bucket is not None and not self.bucket.try_acquire():
+            return self._shed(
+                "rate",
+                "request rate limit exceeded",
+                self.bucket.retry_after(),
             )
         return None

@@ -159,10 +159,9 @@ class HistogramState:
 
     Cheap to take (one list copy under the lock) and safe to post-process
     on any thread afterwards — the shape :meth:`MetricsRegistry.snapshot`
-    and the :mod:`repro.plan` controller's sampling loop rely on, so
-    neither holds the histogram lock while computing quantiles or
-    serializing.  Windowed statistics come from subtracting two states'
-    bucket ``counts``.
+    relies on, so it never holds the histogram lock while computing
+    quantiles or serializing.  Windowed statistics come from subtracting
+    two states' bucket ``counts``.
     """
 
     __slots__ = ("buckets", "counts", "count", "sum", "min", "max")
@@ -221,10 +220,10 @@ def quantile_from_counts(
 
     Interpolates linearly within the bucket containing the q-th
     observation (rank position between the bucket's bounds) and clamps to
-    the observed ``[min, max]``, so a feedback controller steering on p99
-    reacts to the measured tail, not to the bucket grid — the bucket's
-    upper bound alone overstates the quantile by up to a whole bucket
-    width, a 2.5x error on the coarse log-spaced default buckets.
+    the observed ``[min, max]``, so a reported p99 follows the measured
+    tail, not the bucket grid — the bucket's upper bound alone overstates
+    the quantile by up to a whole bucket width, a 2.5x error on the
+    coarse log-spaced default buckets.
     Observations in the +Inf overflow bucket return ``maximum`` (there is
     no upper bound to lerp to).
     """

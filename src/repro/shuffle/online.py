@@ -153,6 +153,12 @@ class OnlineReshuffler:
     an epoch is active, yielding ``idle_interval`` seconds between batches
     so serving threads acquire the op lock promptly.
 
+    Pacing is fixed when the driver is built (``begin_reshuffle``'s
+    ``batch_size`` / ``idle_interval``): nothing re-tunes it mid-epoch.  A
+    foreground caller that wants different slices passes ``step(budget)``;
+    the slicing never changes *which* comparators run, only how many per
+    batch (see :meth:`_comparator_slice`).
+
     ``journal`` is the reshuffler's own single-slot intent journal (any
     ``write``/``read``/``clear`` object).  It must never alias the
     engine's: each recovery state machine treats a foreign record as torn
@@ -308,30 +314,6 @@ class OnlineReshuffler:
         with self._wake:
             self._wake.notify_all()
         return self._epoch
-
-    def set_pacing(self, batch_size: Optional[int] = None,
-                   idle_interval: Optional[float] = None) -> None:
-        """Adjust the worker's pacing mid-epoch (thread-safe).
-
-        ``batch_size`` bounds how long each batch holds the op lock;
-        ``idle_interval`` is the yield between batches.  Pacing only
-        changes *when* comparators run, never *which*: the comparator
-        stream is a pure function of the frontier (see
-        :meth:`_comparator_slice`), so a pacing change can re-slice the
-        epoch's unit sequence but not reorder it.  The worker is woken so
-        a lower idle interval takes effect immediately rather than after
-        the current (possibly long) sleep.
-        """
-        if batch_size is not None and batch_size <= 0:
-            raise ConfigurationError("reshuffle batch size must be positive")
-        if idle_interval is not None and idle_interval < 0:
-            raise ConfigurationError("idle interval must be non-negative")
-        with self._wake:
-            if batch_size is not None:
-                self.batch_size = batch_size
-            if idle_interval is not None:
-                self.idle_interval = idle_interval
-            self._wake.notify_all()
 
     def step(self, budget: Optional[int] = None) -> int:
         """Execute up to ``budget`` units (default ``batch_size``) as one

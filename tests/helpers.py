@@ -47,6 +47,8 @@ class RecordingJournal(MemoryJournal):
 
 
 def wait_until(predicate, timeout=10.0, interval=0.02):
+    """Poll ``predicate`` every ``interval`` seconds until it holds or
+    ``timeout`` passes; returns its last value.  The suite's one poll."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         if predicate():

@@ -754,7 +754,7 @@ class TestEveryExtraIsChecked:
 class TestWindowMetrics:
     def test_query_seconds_observed_once_per_committed_window(self):
         """Regression: only the serial path fed ``engine.query_seconds``,
-        so PlanController's windowed p99 never saw batch traffic."""
+        so the query latency histogram never saw batch traffic."""
         registry = MetricsRegistry()
         db, = twin_dbs(1, metrics=registry)
         hist = registry.histogram("engine.query_seconds")

@@ -17,7 +17,7 @@ import os
 
 import pytest
 
-from tests.helpers import make_db
+from tests.helpers import make_db, wait_until
 from repro.baselines import make_records
 from repro.core.journal import FileJournal
 from repro.core.snapshot import load_snapshot, save_snapshot
@@ -37,17 +37,6 @@ from repro.storage.filedisk import FileDiskStore
 NUM_RECORDS = 30
 SEED = 77
 RECORDS = make_records(NUM_RECORDS, 16)
-
-
-def wait_until(predicate, timeout=10.0, interval=0.02):
-    import time
-
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return predicate()
 
 
 def _try_update(client, page_id, value):

@@ -75,6 +75,31 @@ class TestAdmissionController:
         assert refusal is not None and refusal.retryable
         assert controller.counters.get("shed.queue") == 1
 
+    def test_queue_shed_spends_no_rate_token(self):
+        """Regression: the rate gate ran first, so each queue-shed request
+        drained a token and the next request was rate-shed although
+        nothing had been admitted."""
+        clock = FakeTime()  # frozen: no refill
+        bucket = TokenBucket(rate=1.0, capacity=2.0, time_source=clock)
+        controller = AdmissionController(max_queue_depth=1, bucket=bucket)
+        for _ in range(2):
+            refusal = controller.admit_request(5)
+            assert refusal is not None and "queue depth" in refusal.reason
+        assert bucket.tokens == pytest.approx(2.0)
+        assert controller.admit_request(0) is None
+        assert controller.counters.get("shed.queue") == 2
+        assert controller.counters.get("shed.rate") == 0
+
+    def test_both_gates_shedding_counts_the_queue(self):
+        clock = FakeTime()
+        bucket = TokenBucket(rate=1.0, capacity=1.0, time_source=clock)
+        controller = AdmissionController(max_queue_depth=1, bucket=bucket)
+        assert controller.admit_request(0) is None  # drains the bucket
+        refusal = controller.admit_request(1)
+        assert "queue depth" in refusal.reason
+        assert controller.counters.get("shed.queue") == 1
+        assert controller.counters.get("shed.rate") == 0
+
     def test_rate_gate_uses_bucket_hint(self):
         clock = FakeTime()
         bucket = TokenBucket(rate=1.0, capacity=1.0, time_source=clock)

@@ -359,6 +359,44 @@ class TestAdmissionIntegration:
         assert admission.counters.get("shed.rate") >= 1
         assert registry.snapshot()["counters"]["net.shed"] >= 1
 
+    def test_admission_runs_on_the_loop_thread_only(self):
+        """The token bucket has no lock because one thread uses it: every
+        clock read after construction is on the server's loop thread,
+        however many clients send requests."""
+        readers = []
+
+        def probe():
+            readers.append(threading.current_thread().name)
+            return time.monotonic()
+
+        admission = AdmissionController(
+            bucket=TokenBucket(rate=1e6, capacity=1e6, time_source=probe),
+        )
+        readers.clear()  # the constructor's one read, on this thread
+        errors = []
+
+        def run_client(host, port, offset):
+            try:
+                with NetworkClient(host, port) as client:
+                    for page_id in range(offset, offset + 4):
+                        assert client.query(page_id) == RECORDS[page_id]
+            except BaseException as exc:  # noqa: BLE001 - collect for assert
+                errors.append(exc)
+
+        with serving(admission=admission) as (db, frontend, server, handle):
+            threads = [
+                threading.Thread(target=run_client,
+                                 args=(handle.host, handle.port, offset))
+                for offset in (0, 10)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        assert not errors, f"client errors: {errors}"
+        assert len(readers) >= 8
+        assert set(readers) == {"pir-server"}
+
     def test_client_retry_rides_out_the_shed(self):
         admission = AdmissionController(
             bucket=TokenBucket(rate=20.0, capacity=2.0),
@@ -382,11 +420,8 @@ class TestIdleReapingOverNetwork:
                      reap_interval=0.1) as (db, frontend, server, handle):
             client = NetworkClient(handle.host, handle.port)
             assert client.query(0) == RECORDS[0]
-            deadline = time.monotonic() + 10.0
-            while (frontend.session_count > 0
-                   and time.monotonic() < deadline):
-                time.sleep(0.05)
-            assert frontend.session_count == 0
+            assert wait_until(lambda: frontend.session_count == 0,
+                              timeout=10.0, interval=0.05)
             assert frontend.counters.get("sessions.reaped") == 1
             with pytest.raises(ProtocolError, match="unknown session"):
                 client.query(1)

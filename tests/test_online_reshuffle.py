@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
-from tests.helpers import RecordingJournal, make_db
+from tests.helpers import RecordingJournal, make_db, wait_until
 from repro.baselines import make_records
 from repro.core.journal import MemoryJournal
 from repro.core.sharded import ShardedPirDatabase
@@ -25,15 +23,6 @@ from repro.obs.tracer import Tracer
 from repro.shuffle.online import OnlineReshuffler, ReshuffleIntent, _tag
 from repro.shuffle.oblivious import network_size
 from repro.storage.disk import DiskStore
-
-
-def wait_until(predicate, timeout=15.0, interval=0.005):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return predicate()
 
 
 def faulty_memory_factory(injector):
@@ -156,7 +145,8 @@ class TestBackgroundWorker:
         while driver.active and i < 50000:
             assert db.query(i % db.num_pages) == expected[i % db.num_pages]
             i += 1
-        assert wait_until(lambda: not driver.active)
+        assert wait_until(lambda: not driver.active, timeout=15.0,
+                          interval=0.005)
         db.consistency_check()
         assert metrics.gauge("reshuffle.progress").value == 1.0
         assert driver.counters.get("epochs") == 1
@@ -321,7 +311,8 @@ class TestFrontierPurity:
         driver = db.begin_reshuffle(batch_size=8, background=True,
                                     journal=MemoryJournal(),
                                     idle_interval=0.0001)
-        assert wait_until(lambda: not driver.active)
+        assert wait_until(lambda: not driver.active, timeout=15.0,
+                          interval=0.005)
         assert driver.counters.get("worker.errors") >= 1
         db.consistency_check()
         assert_batcher_order(db, driver)
@@ -329,30 +320,21 @@ class TestFrontierPurity:
 
 
 class TestPacing:
-    def test_set_pacing_validates(self):
-        db = make_db(seed=3)
-        driver = db.begin_reshuffle(batch_size=8)
-        with pytest.raises(ConfigurationError):
-            driver.set_pacing(batch_size=0)
-        with pytest.raises(ConfigurationError):
-            driver.set_pacing(idle_interval=-1.0)
-        assert driver.batch_size == 8
-        db.close()
-
     def test_mid_epoch_pacing_change_preserves_batcher_order(self):
-        """Re-slicing the epoch's unit stream (batch 16 -> 3 -> 11 mid-sort)
-        must execute exactly the canonical comparator sequence: pacing
-        changes when units run, never which.  A driver that rebuilt its
-        iterator from batch history instead of the frontier would shift
-        the stream and fail the final-order oracle."""
+        """Re-slicing the epoch's unit stream (budget 16 -> 3 -> 11 -> 16
+        mid-sort) must execute exactly the canonical comparator sequence:
+        a step's budget changes when units run, never which.  A driver
+        that rebuilt its iterator from batch history instead of the
+        frontier would shift the stream and fail the final-order oracle."""
         db = make_db(seed=22, journal=MemoryJournal())
         digest = db.content_digest()
         driver = db.begin_reshuffle(batch_size=16, journal=MemoryJournal())
-        driver.step()
-        driver.set_pacing(batch_size=3)
-        driver.step()
-        driver.step()
-        driver.set_pacing(batch_size=11, idle_interval=0.0)
+        assert driver.step() == 16
+        assert driver.step(3) == 3
+        assert driver.step(3) == 3
+        assert driver.step(11) == 11
+        assert driver.step(11) == 11
+        assert driver.frontier == 44
         driver.run()
         assert not driver.active
         db.consistency_check()
@@ -360,19 +342,19 @@ class TestPacing:
         assert_batcher_order(db, driver)
         db.close()
 
-    def test_background_pacing_change_mid_epoch(self):
-        """Retuning the worker while it runs (the controller's usage) wakes
-        it and leaves the epoch's final order canonical."""
-        db = make_db(seed=26, journal=MemoryJournal())
-        driver = db.begin_reshuffle(batch_size=2, background=True,
-                                    journal=MemoryJournal(),
-                                    idle_interval=0.05)
-        assert wait_until(lambda: driver.frontier > 0)
-        driver.set_pacing(batch_size=32, idle_interval=0.0001)
-        assert wait_until(lambda: not driver.active)
-        db.consistency_check()
-        assert_batcher_order(db, driver)
-        db.close()
+    def test_nothing_retunes_a_running_server(self):
+        """Pacing and admission are fixed at construction; the online
+        controller that re-tuned them is deleted, not aliased."""
+        import repro.plan
+        from repro.net.admission import AdmissionController, TokenBucket
+
+        assert not hasattr(repro.plan, "PlanController")
+        assert not hasattr(repro.plan, "Guardrail")
+        with pytest.raises(ImportError):
+            import repro.plan.controller  # noqa: F401
+        assert not hasattr(OnlineReshuffler, "set_pacing")
+        assert not hasattr(TokenBucket, "retune")
+        assert not hasattr(AdmissionController, "retune")
 
 
 class TestResumeUniqueness:
