@@ -28,12 +28,11 @@ from ..hardware.coprocessor import SecureCoprocessor, SecureStorageReport
 from ..hardware.specs import HardwareSpec
 from ..obs.registry import registry_or_private
 from ..obs.tracer import Tracer
-from ..shuffle.permutation import Permutation
 from ..sim.clock import VirtualClock
 from ..storage.disk import DiskStore
 from ..storage.frames import frame_matrix
 from ..storage.merkle import AuthenticatedDisk
-from ..storage.page import Page, PageWindow
+from ..storage.page import FLAG_DELETED, Page, PageWindow, encode_rows
 from ..storage.tiered import TieredDiskStore
 from ..storage.trace import AccessTrace
 
@@ -165,7 +164,11 @@ def _create(
     Returns ``(params, coprocessor, disk, engine)``.  The encrypted
     database — randomly permuted for a direct build, in identity layout
     for an oblivious one — goes to the store as one contiguous write per
-    ``write_batch`` locations.
+    ``write_batch`` locations, each sealed 256 locations at a time: a
+    chunk's plaintext matrix is encoded straight from the records' columns
+    (no :class:`Page` per record) and goes through one ``seal_pages``
+    call.  The layout is the inverse of one Fisher–Yates shuffle on the
+    ``setup`` child RNG, and the page map is loaded as three columns.
     """
     if not records:
         raise ConfigurationError("records must be non-empty")
@@ -183,58 +186,46 @@ def _create(
         )
     cop, disk, engine = _wire(params, **wiring)
 
-    # Logical pages: ids [0, n_user) are live records, [n_user, N) are
-    # free reserve/padding pages, [N, N + m) start inside the cache.
-    disk_pages: List[Page] = []
-    for page_id in range(params.num_locations):
-        if page_id < len(records):
-            disk_pages.append(Page(page_id, bytes(records[page_id])))
-        else:
-            disk_pages.append(Page(page_id, b"", deleted=True))
-
-    # An oblivious build's first reshuffle epoch permutes the identity
-    # layout (see PirDatabase.create).
-    layout = list(range(params.num_locations))
+    # Logical pages: ids [0, live) are the records, [live, n) are free
+    # reserve/padding pages, [n, n + m) start inside the cache.  A direct
+    # build stores page i at mapping[i], a uniformly shuffled list; an
+    # oblivious build's first reshuffle epoch permutes the identity layout
+    # instead (see PirDatabase.create).
+    n, live = params.num_locations, len(records)
+    mapping = list(range(n))
     if setup_mode == SETUP_DIRECT:
-        permutation = Permutation.random(
-            params.num_locations, cop.rng.spawn("setup")
-        )
-        for page_id in range(params.num_locations):
-            layout[permutation.apply(page_id)] = page_id
+        cop.rng.spawn("setup").shuffle(mapping)
+    position = np.array(mapping)
+    layout = np.empty_like(position)  # location -> page id
+    layout[position] = np.arange(n)
 
-    # Sealed ``chunk`` pages at a time: each chunk is one plaintext matrix
-    # through the batch kernel, and small chunks keep the kernel's matrices
-    # out of the peak RSS.  (Page i starts out as disk_pages[i].)
+    # Small chunks keep the batch kernel's matrices out of the peak RSS.
     chunk = 256
-    frames = np.empty(
-        (min(write_batch, params.num_locations), cop.frame_size), np.uint8
-    )
-    for start in range(0, params.num_locations, write_batch):
-        stop = min(start + write_batch, params.num_locations)
+    frames = np.empty((min(write_batch, n), cop.frame_size), np.uint8)
+    for start in range(0, n, write_batch):
+        stop = min(start + write_batch, n)
         for low in range(start, stop, chunk):
-            high = min(low + chunk, stop)
-            frames[low - start : high - start] = frame_matrix(
-                cop.seal_pages(
-                    [disk_pages[layout[pos]] for pos in range(low, high)]
-                ),
-                cop.frame_size,
+            ids = layout[low : min(low + chunk, stop)]
+            plain = encode_rows(
+                ids, np.where(ids < live, 0, FLAG_DELETED),
+                [records[i] if i < live else b"" for i in ids.tolist()],
+                cop.page_capacity,
+            )
+            frames[low - start : low - start + len(ids)] = frame_matrix(
+                cop.seal_pages(PageWindow(plain)), cop.frame_size
             )
         disk.write_range(start, frames[: stop - start])
 
-    cache_pages = [
-        Page(params.num_locations + slot, b"", deleted=True)
+    cop.cache.fill([
+        Page(n + slot, b"", deleted=True)
         for slot in range(params.cache_capacity)
-    ]
-    cop.cache.fill(cache_pages)
-
-    for position, page_id in enumerate(layout):
-        cop.page_map.set_disk(page_id, position)
-    for page in disk_pages:
-        if page.deleted:
-            cop.page_map.mark_deleted(page.page_id)
-    for slot, page in enumerate(cache_pages):
-        cop.page_map.set_cached(page.page_id, slot)
-        cop.page_map.mark_deleted(page.page_id)
+    ])
+    page_ids = np.arange(params.total_pages)
+    cop.page_map.load_columns(
+        page_ids >= n,
+        np.concatenate([position, np.arange(params.cache_capacity)]),
+        page_ids >= live,
+    )
 
     # Setup wrote the whole database through the instrumented disk; drop
     # those spans so the trace covers requests only (that is what
@@ -487,15 +478,11 @@ class PirDatabase:
         return self.cop.storage_report()
 
     def _stored_pages(self) -> PageWindow:
-        """Every location's page, opened as one matrix (no I/O charged)."""
-        frames = np.empty((self.disk.num_locations, self.cop.frame_size),
-                          np.uint8)
-        for location in range(self.disk.num_locations):
-            frame = self.disk.peek(location)
-            if frame is None:
-                raise ConfigurationError(f"location {location} uninitialised")
-            frames[location] = np.frombuffer(frame, np.uint8)
-        return self.cop.unseal_frames(frames)
+        """Every location's page, opened as one matrix (no I/O charged;
+        a location never written is a :class:`StorageError`)."""
+        return self.cop.unseal_frames(
+            self.disk.peek_range(0, self.disk.num_locations)
+        )
 
     def consistency_check(self) -> None:
         """Verify disk/cache/page-map agreement (test & debugging aid).

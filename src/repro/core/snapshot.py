@@ -58,9 +58,15 @@ _SEALED = "sealed.bin"
 # suite uses.
 _SEALING_BACKEND = "shake"
 _RESHUFFLE_SIDECAR = "reshuffle"
+# Frames per read / write of frames.bin: what a snapshot or a restore
+# holds beside the store itself.
+_CHUNK_FRAMES = 4096
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 _I64 = struct.Struct(">q")
+# One page-map entry of the trusted state: flag bits, then the position.
+_PAGE_MAP_ENTRY = np.dtype([("flags", "u1"), ("position", ">u8")])
+_IN_CACHE, _DELETED = 1, 2
 
 
 # ---------------------------------------------------------------------------
@@ -72,18 +78,18 @@ def _encode_trusted_state(db: PirDatabase) -> bytes:
     pm = db.cop.page_map
     parts = [_U64.pack(db.engine.next_block_index),
              _U64.pack(db.engine.request_count)]
-    # Page map: per id -> (flags, position).
+    # Page map: per id -> (flags, position), one packed record array.
+    in_cache, position, deleted = pm.columns()
+    entries = np.empty(pm.num_pages, _PAGE_MAP_ENTRY)
+    entries["flags"] = in_cache * _IN_CACHE | deleted * _DELETED
+    entries["position"] = position
     parts.append(_U64.pack(pm.num_pages))
-    for page_id in range(pm.num_pages):
-        entry = pm.lookup(page_id)
-        flags = (1 if entry.in_cache else 0) | (2 if entry.deleted else 0)
-        parts.append(bytes([flags]))
-        parts.append(_U64.pack(entry.position))
+    parts.append(entries.tobytes())
     # Cache: slot order matters (positions in the map point at slots).
     parts.append(_U64.pack(db.cop.cache.capacity))
     for slot in range(db.cop.cache.capacity):
         page = db.cop.cache.get(slot)
-        flags = 2 if page.deleted else 0
+        flags = _DELETED if page.deleted else 0
         parts.append(_U64.pack(page.page_id))
         parts.append(bytes([flags]))
         parts.append(_U32.pack(len(page.payload)))
@@ -117,16 +123,14 @@ def _decode_trusted_state(blob: bytes, db: PirDatabase) -> None:
     num_pages = cursor.take(_U64)
     if num_pages != db.params.total_pages:
         raise StorageError("snapshot page count does not match parameters")
-    pm = db.cop.page_map
-    for page_id in range(num_pages):
-        flags = cursor.take_byte()
-        position = cursor.take(_U64)
-        if flags & 1:
-            pm.set_cached(page_id, position)
-        else:
-            pm.set_disk(page_id, position)
-        if flags & 2:
-            pm.mark_deleted(page_id)
+    entries = np.frombuffer(
+        cursor.take_bytes(num_pages * _PAGE_MAP_ENTRY.itemsize),
+        _PAGE_MAP_ENTRY,
+    )
+    flags = entries["flags"]
+    db.cop.page_map.load_columns(
+        flags & _IN_CACHE, entries["position"], flags & _DELETED
+    )
 
     capacity = cursor.take(_U64)
     if capacity != db.cop.cache.capacity:
@@ -136,7 +140,7 @@ def _decode_trusted_state(blob: bytes, db: PirDatabase) -> None:
         page_id = cursor.take(_U64)
         flags = cursor.take_byte()
         payload = cursor.take_bytes(cursor.take(_U32))
-        pages.append(Page(page_id, payload, deleted=bool(flags & 2)))
+        pages.append(Page(page_id, payload, deleted=bool(flags & _DELETED)))
     db.cop.cache.fill(pages)
     if cursor.offset == len(blob):
         return  # format 1: no rotation tail
@@ -207,6 +211,9 @@ def save_snapshot(db: PirDatabase, directory: str) -> None:
     journal, and restoring it next to that journal is exactly the state
     ``recover()`` must reject.  Run ``db.recover()`` /
     ``db.reshuffle.recover()`` first.
+
+    The frames are dumped 4096 at a time through the store's uncharged
+    ``peek_range``; a location never written refuses the dump.
     """
     os.makedirs(directory, exist_ok=True)
     manifest = {
@@ -237,14 +244,12 @@ def save_snapshot(db: PirDatabase, directory: str) -> None:
                 "cannot snapshot with a pending reshuffle-journal record; "
                 "call reshuffle.recover() first"
             )
+        num_locations = db.disk.num_locations
         with open(os.path.join(directory, _FRAMES), "wb") as f:
-            for location in range(db.disk.num_locations):
-                frame = db.disk.peek(location)
-                if frame is None:
-                    raise StorageError(
-                        f"cannot snapshot uninitialised location {location}"
-                    )
-                f.write(frame)
+            for start in range(0, num_locations, _CHUNK_FRAMES):
+                f.write(db.disk.peek_range(
+                    start, min(_CHUNK_FRAMES, num_locations - start)
+                ))
 
         sealing = CipherSuite(
             b"snapshot-sealing:" + db.cop.suite.backend.encode(),
@@ -289,6 +294,13 @@ def load_snapshot(directory: str, **wiring) -> PirDatabase:
     snapshot implies an empty journal slot), ``disk_factory`` chooses the
     store the frames are replayed onto, and a ``tracer`` is reset after
     the replay so its phases cover requests only.
+
+    ``frames.bin`` is replayed one 4096-frame chunk at a time through one
+    reused buffer, as ``write_range`` calls in location order (which is
+    what seeds the freshness tree, the hot tier or a file store), so a
+    restore holds the new store plus one chunk, never a second copy of the
+    whole file.  A file whose length is not the manifest's is refused
+    before anything is written.
     """
     manifest_path = os.path.join(directory, _MANIFEST)
     if not os.path.exists(manifest_path):
@@ -304,20 +316,7 @@ def load_snapshot(directory: str, **wiring) -> PirDatabase:
 
     # The freshness layer (when enabled) is already in place, so the
     # replayed writes seed its fresh Merkle tree.
-    frames_path = os.path.join(directory, _FRAMES)
-    expected_bytes = params.num_locations * cop.frame_size
-    with open(frames_path, "rb") as f:
-        data = f.read()
-    if len(data) != expected_bytes:
-        raise StorageError(
-            f"frames file is {len(data)} bytes, expected {expected_bytes}"
-        )
-    frames = np.frombuffer(data, np.uint8).reshape(
-        params.num_locations, cop.frame_size
-    )
-    batch = 4096
-    for start in range(0, params.num_locations, batch):
-        disk.write_range(start, frames[start : start + batch])
+    _replay_frames(os.path.join(directory, _FRAMES), disk)
 
     with open(os.path.join(directory, _SEALED), "rb") as f:
         sealed = f.read()
@@ -333,6 +332,28 @@ def load_snapshot(directory: str, **wiring) -> PirDatabase:
     _decode_trusted_state(trusted, db)
     engine.tracer.reset()
     return db
+
+
+def _replay_frames(path: str, disk) -> None:
+    """Write ``frames.bin`` onto ``disk`` one chunk at a time, through one
+    reused chunk buffer: ``write_range`` calls of up to
+    :data:`_CHUNK_FRAMES` frames, in location order."""
+    num_locations, frame_size = disk.num_locations, disk.frame_size
+    expected_bytes = num_locations * frame_size
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size != expected_bytes:
+            raise StorageError(
+                f"frames file is {size} bytes, expected {expected_bytes}"
+            )
+        chunk = np.empty(
+            (min(_CHUNK_FRAMES, num_locations), frame_size), np.uint8
+        )
+        for start in range(0, num_locations, _CHUNK_FRAMES):
+            frames = chunk[: min(_CHUNK_FRAMES, num_locations - start)]
+            if f.readinto(frames) != frames.nbytes:
+                raise StorageError("frames file shrank while it was read")
+            disk.write_range(start, frames)
 
 
 def resume_reshuffle(

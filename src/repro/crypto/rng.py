@@ -20,13 +20,25 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import List, MutableSequence, Optional, Sequence, TypeVar
+from typing import List, MutableSequence, Optional, Sequence, Tuple, TypeVar
 
 from ..errors import CryptoError
 
 __all__ = ["SecureRandom"]
 
 T = TypeVar("T")
+
+_BLOCK = 32  # bytes per SHA-256 counter block
+_REFILL_BLOCKS = 64  # the fewest blocks one refill computes
+
+
+def _rejection_bounds(upper: int) -> Tuple[int, int]:
+    """``(num_bytes, limit)`` of a draw in ``[0, upper)``: candidates are
+    ``num_bytes`` big-endian bytes, kept when below ``limit`` (the largest
+    multiple of ``upper`` they can represent), so there is no modulo bias."""
+    num_bytes = (upper.bit_length() + 7) // 8
+    span = 256**num_bytes
+    return num_bytes, span - (span % upper)
 
 
 class SecureRandom:
@@ -57,28 +69,36 @@ class SecureRandom:
 
     # -- raw stream -----------------------------------------------------------
 
-    def _refill(self) -> None:
-        block = hashlib.sha256(
-            self._seed + self._counter.to_bytes(8, "big")
-        ).digest()
-        self._counter += 1
-        self._buffer = block
+    def _refill(self, length: int) -> None:
+        """Make at least ``length`` unread bytes available.
+
+        The unread tail is kept and whole counter blocks are appended —
+        at least :data:`_REFILL_BLOCKS` of them — so the stream is the
+        same bytes in the same order whatever the readers ask for.
+        """
+        missing = length - (len(self._buffer) - self._offset)
+        blocks = max(_REFILL_BLOCKS, -(-missing // _BLOCK))
+        seed, first = self._seed, self._counter
+        self._buffer = self._buffer[self._offset :] + b"".join([
+            hashlib.sha256(seed + counter.to_bytes(8, "big")).digest()
+            for counter in range(first, first + blocks)
+        ])
+        self._counter = first + blocks
         self._offset = 0
+
+    def _read(self, length: int) -> bytes:
+        """The next ``length`` bytes of the stream: every draw's one reader."""
+        if self._offset + length > len(self._buffer):
+            self._refill(length)
+        start = self._offset
+        self._offset = start + length
+        return self._buffer[start : start + length]
 
     def token(self, length: int) -> bytes:
         """Return ``length`` pseudorandom bytes (used for nonces)."""
         if length < 0:
             raise CryptoError("token length must be non-negative")
-        parts: List[bytes] = []
-        remaining = length
-        while remaining > 0:
-            if self._offset >= len(self._buffer):
-                self._refill()
-            chunk = self._buffer[self._offset : self._offset + remaining]
-            self._offset += len(chunk)
-            remaining -= len(chunk)
-            parts.append(chunk)
-        return b"".join(parts)
+        return self._read(length)
 
     # -- integers -------------------------------------------------------------
 
@@ -88,12 +108,9 @@ class SecureRandom:
             raise CryptoError("randrange upper bound must be positive")
         if upper == 1:
             return 0
-        num_bytes = (upper.bit_length() + 7) // 8
-        # Largest multiple of `upper` representable in num_bytes bytes.
-        span = 256**num_bytes
-        limit = span - (span % upper)
+        num_bytes, limit = _rejection_bounds(upper)
         while True:
-            candidate = int.from_bytes(self.token(num_bytes), "big")
+            candidate = int.from_bytes(self._read(num_bytes), "big")
             if candidate < limit:
                 return candidate % upper
 
@@ -110,10 +127,35 @@ class SecureRandom:
     # -- sequences --------------------------------------------------------------
 
     def shuffle(self, items: MutableSequence[T]) -> None:
-        """In-place Fisher-Yates shuffle."""
+        """In-place Fisher-Yates shuffle.
+
+        Draw ``i`` is ``randrange(i + 1)``, read straight out of the
+        stream buffer: the same bytes, the same rejected candidates and
+        the same stream position afterwards as calling it per draw.
+        """
+        if len(items) < 2:
+            return
+        num_bytes, _ = _rejection_bounds(len(items))
+        span, low = 1 << (8 * num_bytes), 1 << (8 * num_bytes - 8)
+        buffer, offset = self._buffer, self._offset
         for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
+            upper = i + 1
+            if upper < low:  # one byte fewer from here on
+                num_bytes, span, low = num_bytes - 1, span >> 8, low >> 8
+            limit = span - span % upper
+            while True:
+                end = offset + num_bytes
+                if end > len(buffer):
+                    self._offset = offset
+                    self._refill(num_bytes * i)
+                    buffer, offset, end = self._buffer, 0, num_bytes
+                candidate = int.from_bytes(buffer[offset:end], "big")
+                offset = end
+                if candidate < limit:
+                    break
+            j = candidate % upper
             items[i], items[j] = items[j], items[i]
+        self._offset = offset
 
     def sample(self, population: Sequence[T], count: int) -> List[T]:
         """``count`` distinct elements drawn uniformly without replacement."""

@@ -16,7 +16,9 @@ to assert.
 from __future__ import annotations
 
 import math
-from typing import List, Set
+from typing import List, Set, Tuple
+
+import numpy as np
 
 from ..errors import ConfigurationError, PageNotFoundError
 
@@ -104,6 +106,43 @@ class PageMap:
             self._cached_count += 1
         self._in_cache[page_id] = True
         self._position[page_id] = slot
+
+    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every entry at once: ``(in_cache, position, deleted)``, one
+        array of ``num_pages`` each.  Refuses, as :meth:`lookup` does, a
+        page with no recorded position."""
+        position = np.array(self._position, np.int64)
+        if position.min() < 0:
+            raise PageNotFoundError(
+                f"page id {int(position.argmin())} has no recorded position"
+            )
+        return (np.array(self._in_cache, bool), position,
+                np.array(self._deleted, bool))
+
+    def load_columns(self, in_cache, position, deleted) -> None:
+        """Replace every entry at once from three per-id columns.
+
+        The bulk form of ``set_disk`` / ``set_cached`` / ``mark_deleted``
+        over the whole map, for setup and restore: three arrays (or
+        sequences) of ``num_pages`` values.  The free pool and the cached
+        count are derived from them, and a negative position is refused as
+        those calls refuse one.
+        """
+        in_cache = np.asarray(in_cache, bool)
+        position = np.asarray(position, np.int64)
+        deleted = np.asarray(deleted, bool)
+        if not (len(in_cache) == len(position) == len(deleted)
+                == self.num_pages):
+            raise ConfigurationError(
+                f"page map columns must hold {self.num_pages} entries each"
+            )
+        if position.min() < 0:
+            raise ConfigurationError("page positions must be non-negative")
+        self._in_cache = in_cache.tolist()
+        self._position = position.tolist()
+        self._deleted = deleted.tolist()
+        self._free = set(np.flatnonzero(deleted).tolist())
+        self._cached_count = int(np.count_nonzero(in_cache))
 
     # -- lifecycle / free pool ------------------------------------------------------
 

@@ -188,7 +188,15 @@ class DiskStore(RangeAccess):
         self._check_location(location)
         if not self._written[location]:
             return None
-        return self._arena[location].tobytes()
+        return self.peek_range(location, 1).tobytes()
+
+    def peek_range(self, location: int, count: int) -> np.ndarray:
+        """``count`` raw frames from ``location`` on, as a fresh matrix the
+        caller owns; refused, as a read is, if any was never written."""
+        self.check_readable([(location, count)])
+        out = np.empty((count, self.frame_size), np.uint8)
+        self._load(location, out)
+        return out
 
     def poke(self, location: int, frame) -> None:
         """Overwrite the frame at ``location`` behind the system's back."""
@@ -254,6 +262,9 @@ class StoreWrapper(RangeAccess):
 
     def peek(self, location: int) -> Optional[bytes]:
         return self.inner.peek(location)
+
+    def peek_range(self, location: int, count: int) -> np.ndarray:
+        return self.inner.peek_range(location, count)
 
     def poke(self, location: int, frame) -> None:
         self.inner.poke(location, frame)

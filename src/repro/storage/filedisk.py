@@ -87,13 +87,6 @@ class FileDiskStore(DiskStore):
                 self._file.flush()
                 os.fsync(self._file.fileno())
 
-    def peek(self, location: int) -> Optional[bytes]:
-        self._check_location(location)
-        if not self._written[location]:
-            return None
-        self._file.seek(location * self.frame_size)
-        return self._file.read(self.frame_size)
-
     # -- lifecycle ---------------------------------------------------------------
 
     def flush(self) -> None:

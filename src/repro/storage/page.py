@@ -15,7 +15,8 @@ page's identity.
 
 A request window is ``k + B`` such plaintexts held as the rows of one
 ``numpy.uint8`` matrix (DESIGN.md §14).  :func:`decode_headers` /
-:func:`encode_pages` are the same layout over every row at once, and
+:func:`encode_pages` are the same layout over every row at once (and
+:func:`encode_rows` over columns, for pages that are not objects yet), and
 :class:`PageWindow` is the window itself: it decodes only the slots that
 are asked for and re-encodes only the slots that were replaced.
 """
@@ -32,7 +33,7 @@ import numpy as np
 from ..errors import StorageError
 
 __all__ = ["Page", "PageWindow", "decode_headers", "encode_pages",
-           "DUMMY_ID", "HEADER_SIZE", "FLAG_DELETED"]
+           "encode_rows", "DUMMY_ID", "HEADER_SIZE", "FLAG_DELETED"]
 
 DUMMY_ID = 2**64 - 1
 HEADER_SIZE = 8 + 1 + 4
@@ -148,23 +149,36 @@ def decode_headers(plain: np.ndarray) -> Tuple[List[int], List[int], List[int]]:
 
 def encode_pages(pages: Sequence[Page], capacity: int) -> np.ndarray:
     """``Page.encode(capacity)`` of every page, as the rows of one matrix."""
-    lengths = [len(page.payload) for page in pages]
+    return encode_rows(
+        [page.page_id for page in pages],
+        [FLAG_DELETED if page.deleted else 0 for page in pages],
+        [page.payload for page in pages],
+        capacity,
+    )
+
+
+def encode_rows(ids, flags, payloads, capacity: int) -> np.ndarray:
+    """The plaintext matrix of pages given as columns, no :class:`Page`
+    needed: row i is ``Page(ids[i], payloads[i], deleted=flags[i] &
+    FLAG_DELETED).encode(capacity)`` (``flags`` are header flag bytes)."""
+    lengths = [len(payload) for payload in payloads]
     if capacity < 0:
         raise StorageError("page capacity must be non-negative")
     if max(lengths, default=0) > capacity:
         raise StorageError(
             f"payload of {max(lengths)} bytes exceeds page capacity {capacity}"
         )
-    headers = np.empty(len(pages), _HEADER)
-    headers["id"] = [page.page_id for page in pages]
-    headers["flags"] = [FLAG_DELETED if page.deleted else 0 for page in pages]
+    headers = np.empty(len(lengths), _HEADER)
+    headers["id"] = ids
+    headers["flags"] = flags
     headers["length"] = lengths
-    plain = np.empty((len(pages), HEADER_SIZE + capacity), np.uint8)
+    plain = np.empty((len(lengths), HEADER_SIZE + capacity), np.uint8)
     plain[:, :HEADER_SIZE] = headers.view(np.uint8).reshape(-1, HEADER_SIZE)
     plain[:, HEADER_SIZE:] = np.frombuffer(
-        b"".join([bytes(page.payload).ljust(capacity, b"\x00") for page in pages]),
+        b"".join([bytes(payload).ljust(capacity, b"\x00")
+                  for payload in payloads]),
         np.uint8,
-    ).reshape(len(pages), capacity)
+    ).reshape(len(lengths), capacity)
     return plain
 
 

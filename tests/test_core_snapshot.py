@@ -14,8 +14,11 @@ from repro.errors import (
     AuthenticationError,
     ConfigurationError,
     PageDeletedError,
+    PageNotFoundError,
     StorageError,
 )
+from repro.hardware.pagemap import PageMap
+from repro.storage.disk import DiskStore
 from repro.storage.trace import shapes_identical
 
 from tests.helpers import make_db
@@ -223,6 +226,43 @@ class TestValidation:
         with pytest.raises(StorageError):
             load_snapshot(str(tmp_path), seed=11)
 
+    def test_frames_file_one_frame_too_long(self, warm_db, tmp_path):
+        """The restore reads ``frames.bin`` a chunk at a time; a file
+        longer than the manifest says is refused all the same, before any
+        frame is replayed."""
+        save_snapshot(warm_db, str(tmp_path))
+        frames = tmp_path / "frames.bin"
+        data = frames.read_bytes()
+        frames.write_bytes(data + data[: warm_db.cop.frame_size])
+        with pytest.raises(StorageError, match="frames file is"):
+            load_snapshot(str(tmp_path), seed=11)
+
+    def test_unwritten_location_refuses_to_dump(self, warm_db, tmp_path):
+        frame_size = warm_db.cop.frame_size
+        holed = DiskStore(warm_db.disk.num_locations, frame_size)
+        for location in range(holed.num_locations):
+            if location != 11:
+                holed.poke(location, warm_db.disk.peek(location))
+        warm_db.disk = holed
+        with pytest.raises(StorageError, match="location 11"):
+            save_snapshot(warm_db, str(tmp_path))
+
+    def test_page_without_a_position_refuses_to_snapshot(self, warm_db,
+                                                         tmp_path):
+        """Never encoded as position 2^64 - 1: the save is refused."""
+        placed = warm_db.cop.page_map
+        holed = PageMap(placed.num_pages)
+        for page_id in range(placed.num_pages):
+            entry = placed.lookup(page_id)
+            if page_id != 7:
+                place = holed.set_cached if entry.in_cache else holed.set_disk
+                place(page_id, entry.position)
+        warm_db.cop.page_map = holed
+        with pytest.raises(PageNotFoundError,
+                           match="page id 7 has no recorded position"):
+            save_snapshot(warm_db, str(tmp_path))
+        assert not (tmp_path / "sealed.bin").exists()
+
     def test_bad_format_version(self, warm_db, tmp_path):
         save_snapshot(warm_db, str(tmp_path))
         manifest_path = tmp_path / "manifest.json"
@@ -275,13 +315,16 @@ class TestValidation:
         with pytest.raises(AuthenticationError):
             load_snapshot(str(tmp_path), seed=15)
 
-    @pytest.mark.parametrize("keep", [5, 0.5, -3])
+    # Cut inside the round-robin pointer, inside the page map (after two
+    # u64 counters, the u64 page count and 7.5 nine-byte entries), mid-blob
+    # and inside the epoch number.
+    @pytest.mark.parametrize("keep", [5, 24 + 9 * 7 + 4, 0.5, -3])
     def test_truncated_trusted_state_is_a_storage_error(
         self, warm_db, tmp_path, keep
     ):
-        """An authentic but truncated trusted-state blob (cut inside the
-        round-robin pointer, mid-blob, inside the epoch number) is refused
-        as malformed storage, not as a bare struct.error / IndexError."""
+        """An authentic but truncated trusted-state blob is refused as
+        malformed storage, not as a bare struct.error / IndexError or a
+        numpy ValueError."""
         save_snapshot(warm_db, str(tmp_path))
         sealing = CipherSuite(
             b"snapshot-sealing:" + warm_db.cop.suite.backend.encode(),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,6 +104,65 @@ class TestSecureRandom:
     @given(upper=st.integers(min_value=1, max_value=2**64))
     def test_randrange_property(self, upper):
         assert 0 <= SecureRandom(99).randrange(upper) < upper
+
+    def test_stream_is_sha256_counter_blocks_however_it_is_read(self):
+        """Reads of any size, across any number of refills, are one
+        stream: SHA-256(seed ‖ counter) blocks back to back."""
+        seed = (21).to_bytes(32, "big")
+        stream = b"".join(
+            hashlib.sha256(seed + counter.to_bytes(8, "big")).digest()
+            for counter in range(600)
+        )
+        rng, pieces, read = SecureRandom(21), [], 0
+        for length in [0, 1, 31, 32, 33, 2047, 2049, 5000, 3] * 2:
+            pieces.append(rng.token(length))
+            read += length
+        assert b"".join(pieces) == stream[:read]
+
+
+def reference_shuffle(rng, items):
+    """Fisher-Yates with one rejection-sampled ``token`` read per
+    candidate: what ``shuffle`` must equal, draw for draw."""
+    for i in range(len(items) - 1, 0, -1):
+        upper = i + 1
+        num_bytes = (upper.bit_length() + 7) // 8
+        span = 256**num_bytes
+        while True:
+            candidate = int.from_bytes(rng.token(num_bytes), "big")
+            if candidate < span - span % upper:
+                break
+        j = candidate % upper
+        items[i], items[j] = items[j], items[i]
+
+
+class TestShuffleIsPerDraw:
+    """``shuffle`` reads its candidates straight out of the stream buffer;
+    the permutation and the stream position after it are the per-draw
+    loop's, whatever was consumed before it."""
+
+    # Every offset 0..31 within the first block at the small sizes, either
+    # side of the 1- to 2-byte candidate width; at the sizes either side of
+    # the 2- to 3-byte width one offset per residue of both widths, plus
+    # the block's last byte (a per-draw loop over 2^16 draws is ~0.1 s).
+    @pytest.mark.parametrize("size", [1, 2, 255, 256, 257])
+    def test_equals_the_per_draw_loop(self, size):
+        self.check(size, range(32))
+
+    @pytest.mark.parametrize("size", [65535, 65536, 65537, 70000])
+    def test_equals_the_per_draw_loop_at_large_sizes(self, size):
+        self.check(size, (0, 1, 2, 31))
+
+    @staticmethod
+    def check(size, offsets):
+        for consumed in offsets:
+            fast, slow = SecureRandom(size), SecureRandom(size)
+            fast.token(consumed)
+            slow.token(consumed)
+            items, expected = list(range(size)), list(range(size))
+            fast.shuffle(items)
+            reference_shuffle(slow, expected)
+            assert items == expected, consumed
+            assert fast.token(64) == slow.token(64), consumed
 
 
 class TestCipherSuite:

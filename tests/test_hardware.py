@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.crypto.rng import SecureRandom
@@ -178,6 +179,49 @@ class TestPageMap:
             pm.set_disk(0, -1)
         with pytest.raises(ConfigurationError):
             pm.set_cached(0, -1)
+
+    def test_columns_load_as_the_per_entry_calls_build_them(self):
+        """``load_columns`` is ``set_disk`` / ``set_cached`` /
+        ``mark_deleted`` over every id: same entries, free pool and cached
+        count, and ``columns`` reads them back."""
+        in_cache = [False, True, False, True, False]
+        position = [3, 0, 1, 1, 0]
+        deleted = [False, True, True, False, False]
+        one_by_one = PageMap(5)
+        for page_id in range(5):
+            if in_cache[page_id]:
+                one_by_one.set_cached(page_id, position[page_id])
+            else:
+                one_by_one.set_disk(page_id, position[page_id])
+            if deleted[page_id]:
+                one_by_one.mark_deleted(page_id)
+        bulk = PageMap(5)
+        bulk.set_cached(4, 7)  # replaced, not merged
+        bulk.mark_deleted(4)
+        bulk.load_columns(np.array(in_cache), np.array(position, ">u8"),
+                          deleted)
+        for pm in (one_by_one, bulk):
+            assert [col.tolist() for col in pm.columns()] == [
+                in_cache, position, deleted]
+            assert pm.free_ids() == {1, 2} and pm.cached_count == 2
+            assert pm.lookup(3).in_cache and pm.lookup(3).position == 1
+
+    def test_bulk_forms_refuse_what_the_per_entry_calls_refuse(self):
+        pm = PageMap(3)
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            pm.load_columns([False] * 3, [0, -1, 2], [False] * 3)
+        # A u8 position past 2^63 cannot pass as a location either.
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            pm.load_columns([False] * 3, np.array([0, 2**64 - 1, 2], ">u8"),
+                            [False] * 3)
+        with pytest.raises(ConfigurationError, match="3 entries"):
+            pm.load_columns([False] * 2, [0, 1], [False] * 2)
+        # Nothing was loaded, and a page never placed is not read as 2^64-1.
+        pm.set_disk(0, 0)
+        pm.set_disk(2, 2)
+        with pytest.raises(PageNotFoundError,
+                           match="page id 1 has no recorded position"):
+            pm.columns()
 
 
 class TestSecureCoprocessor:

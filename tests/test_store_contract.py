@@ -98,6 +98,9 @@ class ObservedRemoteDisk(RemoteDisk):
     def peek(self, location):
         return self.provider.disk.peek(location)
 
+    def peek_range(self, location, count):
+        return self.provider.disk.peek_range(location, count)
+
     def poke(self, location, frame):
         self.provider.disk.poke(location, frame)
 
@@ -556,6 +559,35 @@ class TestPoke:
         disk.poke(3, frame_of(3))
         assert disk.initialised_locations() == 1
         assert disk.read(3) == frame_of(3)
+        disk.close()
+
+
+class TestPeekRange:
+    """The uncharged range form of ``peek`` that snapshots dump through."""
+
+    def test_a_range_of_raw_frames_untimed_untraced_and_owned(self, store):
+        clock, events = store.clock.now, len(store.trace)
+        frames = store.peek_range(2, 5)
+        assert frames.dtype == np.uint8 and frames.flags.c_contiguous
+        assert rows(frames) == [frame_of(i) for i in range(2, 7)]
+        assert (store.clock.now, len(store.trace)) == (clock, events)
+        frames[:] = 0xEE
+        assert store.peek_range(2, 5)[0].tobytes() == frame_of(2)
+        store.poke(3, frame_of(0x33))
+        assert rows(store.peek_range(3, 1)) == [frame_of(0x33)]
+
+    def test_refuses_what_a_read_refuses(self, store):
+        for location, count in [(LOCATIONS - 1, 2), (0, 0), (-1, 1)]:
+            with pytest.raises(StorageError):
+                store.peek_range(location, count)
+
+    @pytest.mark.parametrize("make", [_memory, _file], ids=["memory", "file"])
+    def test_a_never_written_location_is_refused(self, make, tmp_path):
+        disk = make(tmp_path)
+        disk.write_range(0, [frame_of(i) for i in range(4)])
+        with pytest.raises(StorageError, match="location 4 was never written"):
+            disk.peek_range(2, 3)
+        assert rows(disk.peek_range(0, 4)) == [frame_of(i) for i in range(4)]
         disk.close()
 
 
