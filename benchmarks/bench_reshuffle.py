@@ -238,11 +238,10 @@ def run_loadgen_gate(seed: int) -> Tuple[dict, List[str], List[str]]:
     try:
         sample(_LOADGEN_WARMUP, "warmup")  # caches, allocator, JIT-ish costs
         before = sample(_LOADGEN_BASELINE, "baseline")
-        # The epoch advances by op count, one batch per served query, not
-        # by a worker thread's share of the GIL: a tight client loop
-        # starved the worker, and the epoch sometimes outlived the cap.
-        # The worker's own concurrency is tier-1's
-        # (tests/test_online_reshuffle.py::TestBackgroundWorker).
+        # The epoch advances by op count, one batch per served query: the
+        # driver owns no thread, so the interleaving of batches and
+        # requests depends on the op sequence alone
+        # (tests/test_online_reshuffle.py::TestCallerStepsTheEpoch).
         driver = db.begin_reshuffle(batch_size=1,
                                     rotate_to=b"loadgen-rotated-key",
                                     journal=MemoryJournal())

@@ -328,7 +328,7 @@ class PirDatabase:
         run_one(self, BatchOp("delete", page_id=page_id))
 
     def touch(self) -> None:
-        """Issue a dummy request to keep the background reshuffle mixing."""
+        """Issue a dummy request to keep the reshuffle mixing when idle."""
         run_one(self, BatchOp("touch"))
 
     def run_batch(self, ops: Sequence[BatchOp],
@@ -382,18 +382,15 @@ class PirDatabase:
         batch_size: int = 16,
         rotate_to: Optional[bytes] = None,
         journal=None,
-        background: bool = False,
-        idle_interval: float = 0.001,
     ):
-        """Start an online background re-permutation epoch (DESIGN.md §15).
+        """Start an online re-permutation epoch (DESIGN.md §15).
 
-        Builds an :class:`~repro.shuffle.online.OnlineReshuffler`, begins a
-        new epoch (optionally piggybacking a master-key rotation via
-        ``rotate_to``), and — with ``background=True`` — starts its worker
-        thread so comparator batches run in idle gaps between requests.
-        Foreground callers drive it with ``db.reshuffle.step()`` /
-        ``run()`` instead.  ``journal`` must be a *separate* journal from
-        the engine's (each state machine owns its slot).  Returns the
+        Builds an :class:`~repro.shuffle.online.OnlineReshuffler` and
+        begins a new epoch (optionally piggybacking a master-key rotation
+        via ``rotate_to``).  The epoch advances only on the caller's
+        thread: step it with ``db.reshuffle.step()`` between requests, or
+        finish it with ``run()``.  ``journal`` must be a *separate* journal
+        from the engine's (each state machine owns its slot).  Returns the
         driver, also available as :attr:`reshuffle`.
         """
         from ..shuffle.online import OnlineReshuffler
@@ -406,17 +403,14 @@ class PirDatabase:
             self.reshuffle.close()
         driver = OnlineReshuffler(
             self, batch_size=batch_size, journal=journal,
-            idle_interval=idle_interval,
             metrics=self.metrics, tracer=self.tracer,
         )
         self.reshuffle = driver
         driver.begin(rotate_to=rotate_to)
-        if background:
-            driver.start()
         return driver
 
     def close(self) -> None:
-        """Stop the online reshuffle driver and flush the store.
+        """Detach the online reshuffle driver and flush the store.
 
         Idempotent.  Usable as a context manager:
         ``with PirDatabase.create(...) as db:``.

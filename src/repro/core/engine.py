@@ -206,14 +206,14 @@ class RetrievalEngine:
         # Per-request virtual latency distribution — the Eq. 8 constant-cost
         # claim shows up here as a degenerate (zero-variance) histogram.
         self._query_hist = self.metrics.histogram("engine.query_seconds")
-        # Serialises trusted-state mutation between the request path and
-        # background workers (the online reshuffler takes it per comparator
-        # batch).  Re-entrant so request helpers may call back into public
+        # Serialises trusted-state mutation between callers sharing one
+        # database (requests, online reshuffler batches, a snapshot).
+        # Re-entrant so request helpers may call back into public
         # operations while already holding it.
         self.op_lock = threading.RLock()
-        # Background workers (the online reshuffler) register their own
-        # roll-forward hooks here so a request never computes against a
-        # half-applied *background* write-back either; see _heal_pending.
+        # Other write-back state machines (the online reshuffler) register
+        # their roll-forward hooks here so a request never computes against
+        # a half-applied reshuffle batch either; see _heal_pending.
         self._background_healers: List = []
         self._next_block = 0
         self._request_count = 0
@@ -401,11 +401,10 @@ class RetrievalEngine:
             raise ConfigurationError("batch window must be positive")
         results: List[object] = [None] * len(ops)
         for start in range(0, len(ops), capacity):
-            # Locked per window, not per batch: a background comparator
+            # Locked per window, not per batch: another caller's comparator
             # batch may interleave between windows (each window commits
             # atomically) but never observes, or mutates, a half-applied
-            # trusted state; with no background worker attached the lock
-            # is uncontended and free.
+            # trusted state; with one caller the lock is uncontended.
             with self.op_lock:
                 # A previous window whose write-back failed mid-apply left
                 # trusted deltas in place with the frames unwritten; roll
@@ -845,9 +844,9 @@ class RetrievalEngine:
         if self._pending_intent is not None:
             self._commit(self._pending_intent)
             self.counters.increment("recovery.rolled_forward")
-        # Background workers heal after the engine: their write-backs may
-        # relocate pages a replayed request's map ops already positioned,
-        # and each healer is itself idempotent.
+        # The registered healers run after the engine: their write-backs
+        # may relocate pages a replayed request's map ops already
+        # positioned, and each healer is itself idempotent.
         for healer in self._background_healers:
             healer()
 

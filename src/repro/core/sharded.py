@@ -158,7 +158,7 @@ class ShardedPirDatabase:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Stop each shard's online reshuffle driver, when present, and
+        """Detach each shard's online reshuffle driver, when present, and
         flush its store (idempotent)."""
         for shard in self.shards:
             shard.close()

@@ -202,9 +202,10 @@ def save_snapshot(db: PirDatabase, directory: str) -> None:
     online reshuffle epoch (the epoch's frontier and secret key are sealed
     into a ``reshuffle`` sidecar; reattach with :func:`resume_reshuffle`).
     The last epoch number is sealed either way, so the restored instance's
-    next ``begin_reshuffle()`` continues the numbering.  A *retained* write-back (a transiently failed apply — the engine's or
-    a background worker's) is healed under the op lock before anything is
-    dumped, so the frames and the sealed page map always agree.  It still
+    next ``begin_reshuffle()`` continues the numbering.  A *retained*
+    write-back (a transiently failed apply — a request's or a reshuffle
+    batch's) is healed under the op lock before anything is dumped, so the
+    frames and the sealed page map always agree.  It still
     refuses while either intent journal — the engine's or the
     reshuffler's — holds a record the heal could not resolve (a crash
     restart): a snapshot taken mid-recovery would be *older* than the
@@ -223,12 +224,12 @@ def save_snapshot(db: PirDatabase, directory: str) -> None:
         json.dump(manifest, f, indent=2, sort_keys=True)
 
     # Hold the op lock across the journal checks, the frame dump and the
-    # trusted-state encode: a background reshuffle batch landing between
-    # any two of them would leave the frames describing a newer
-    # permutation than the sealed page map.
+    # trusted-state encode: a request or reshuffle batch from another
+    # caller landing between any two of them would leave the frames
+    # describing a newer layout than the sealed page map.
     with db.engine.op_lock:
         # Roll forward any retained in-memory write-back first (the
-        # engine's, plus every registered background healer — the online
+        # engine's, plus every registered healer — the online
         # reshuffler's among them): a transiently failed apply leaves
         # frames on disk that the page map does not describe yet, and a
         # journal-less configuration has no pending-record check to catch
@@ -361,19 +362,16 @@ def resume_reshuffle(
     directory: str,
     batch_size: int = 16,
     journal=None,
-    idle_interval: float = 0.001,
-    background: bool = False,
 ):
     """Reattach a mid-epoch reshuffle driver from a snapshot's sidecar.
 
     Returns the driver (also installed as ``db.reshuffle``) positioned at
     the saved frontier, or None when the snapshot carried no active epoch.
-    With ``background=True`` the worker starts immediately, so the epoch
-    continues mixing in idle slots the moment the replica begins serving —
-    this is the warm-replica bootstrap: the joiner inherits the primary's
-    partial pass instead of paying a cold O(n log² n) shuffle.  Call
-    ``driver.recover()`` afterwards when a reshuffle journal might hold a
-    torn batch (crash restarts).
+    The caller steps it on from there (``step()`` between requests, or
+    ``run()``) — this is the warm-replica bootstrap: the joiner inherits
+    the primary's partial pass instead of paying a cold O(n log² n)
+    shuffle.  Call ``driver.recover()`` afterwards when a reshuffle
+    journal might hold a torn batch (crash restarts).
     """
     blob = load_sealed_sidecar(db, directory, _RESHUFFLE_SIDECAR)
     if blob is None:
@@ -384,12 +382,10 @@ def resume_reshuffle(
         db.reshuffle.close()
     driver = OnlineReshuffler(
         db, batch_size=batch_size, journal=journal,
-        idle_interval=idle_interval, metrics=db.metrics, tracer=db.tracer,
+        metrics=db.metrics, tracer=db.tracer,
     )
     driver.restore_state(blob)
     db.reshuffle = driver
-    if background and driver.active:
-        driver.start()
     return driver
 
 
@@ -444,10 +440,9 @@ def bootstrap_replica(
     be preferred once the replica has served mutations.
 
     When the primary is mid-way through an online reshuffle epoch, the
-    replica adopts the epoch at its saved frontier (a foreground driver is
-    attached via :func:`resume_reshuffle`; ``start()`` or re-attach with
-    ``background=True`` to continue it on a worker) — joining mid-epoch
-    costs a snapshot restore, never a cold shuffle.
+    replica adopts the epoch at its saved frontier (a driver is attached
+    via :func:`resume_reshuffle`; step it as ``replica.reshuffle.step()``)
+    — joining mid-epoch costs a snapshot restore, never a cold shuffle.
     """
     save_snapshot(db, directory)
     replica = load_snapshot(directory, **load_kw)

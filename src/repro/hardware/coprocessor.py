@@ -88,7 +88,7 @@ class SecureCoprocessor:
                                  tracer=self.tracer)
         # The master keys stay inside the tamper boundary with the suite;
         # they are retained (the suite only keeps derived keys) so sibling
-        # suites for background workers and warm-replica snapshots can be
+        # suites for the online reshuffler and warm-replica snapshots can be
         # derived without a round-trip to the operator.
         self._master_key = bytes(master_key)
         self._legacy_master_key: Optional[bytes] = None
@@ -155,7 +155,7 @@ class SecureCoprocessor:
 
         The current suite already seals under the new key; this re-creates
         the legacy suite so pre-rotation frames keep authenticating until
-        the scan (or background re-permutation sweep) finishes.
+        the scan (or an online re-permutation epoch's sweep) finishes.
         """
         if self.rotation_in_progress:
             raise CapacityError("a key rotation is already in progress")
@@ -168,10 +168,10 @@ class SecureCoprocessor:
     def sibling_suite(self, label: str) -> CipherSuite:
         """A suite with the *same* derived keys but an independent nonce RNG.
 
-        Background workers (the online reshuffler) must reseal frames
-        without consuming the request path's deterministic nonce stream —
-        otherwise enabling a background pass would change the bytes the
-        engine produces.  ``SecureRandom.spawn`` derives the child
+        The online reshuffler must reseal frames without consuming the
+        request path's deterministic nonce stream — otherwise running a
+        re-permutation epoch would change the bytes the engine produces.
+        ``SecureRandom.spawn`` derives the child
         stream without advancing the parent, so a sibling suite's frames
         decrypt under :attr:`suite` (identical enc/MAC keys) while its
         nonces never collide with, or perturb, the engine's.

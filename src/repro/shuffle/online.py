@@ -45,7 +45,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import struct
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -56,7 +55,6 @@ from ..errors import (
     ConfigurationError,
     CryptoError,
     RecoveryError,
-    ReproError,
     StorageError,
 )
 from ..obs.registry import registry_or_private
@@ -75,8 +73,6 @@ TAG_KEY_SIZE = 32
 _TAG_SIZE = 16
 
 _DEFAULT_BATCH = 16
-_DEFAULT_IDLE_SECONDS = 0.001
-_JOIN_TIMEOUT = 5.0
 
 
 def _tag(epoch_key: bytes, page_id: int) -> bytes:
@@ -147,17 +143,16 @@ class ReshuffleIntent:
 class OnlineReshuffler:
     """Incremental Batcher driver over a live :class:`PirDatabase`.
 
-    Foreground use: ``begin()`` then ``step()`` (one bounded batch per
-    call, typically between serving bursts) or ``run()`` (to completion).
-    Background use: ``start()`` spawns a daemon worker that steps whenever
-    an epoch is active, yielding ``idle_interval`` seconds between batches
-    so serving threads acquire the op lock promptly.
+    ``begin()`` then ``step()`` (one bounded batch per call, typically one
+    per served request) or ``run()`` (to completion).  The driver owns no
+    thread: an epoch advances only when its caller steps it, so where its
+    batches fall among the requests depends on the op sequence alone.
 
     Pacing is fixed when the driver is built (``begin_reshuffle``'s
-    ``batch_size`` / ``idle_interval``): nothing re-tunes it mid-epoch.  A
-    foreground caller that wants different slices passes ``step(budget)``;
-    the slicing never changes *which* comparators run, only how many per
-    batch (see :meth:`_comparator_slice`).
+    ``batch_size``): nothing re-tunes it mid-epoch.  A caller that wants
+    different slices passes ``step(budget)``; the slicing never changes
+    *which* comparators run, only how many per batch (see
+    :meth:`_comparator_slice`).
 
     ``journal`` is the reshuffler's own single-slot intent journal (any
     ``write``/``read``/``clear`` object).  It must never alias the
@@ -170,7 +165,6 @@ class OnlineReshuffler:
         database,
         batch_size: int = _DEFAULT_BATCH,
         journal=None,
-        idle_interval: float = _DEFAULT_IDLE_SECONDS,
         metrics=None,
         tracer=None,
     ):
@@ -186,7 +180,6 @@ class OnlineReshuffler:
         self.cop = database.cop
         self.batch_size = batch_size
         self.journal = journal
-        self.idle_interval = idle_interval
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = registry_or_private(metrics)
         self.counters = self.metrics.counter_view("reshuffle.")
@@ -212,16 +205,11 @@ class OnlineReshuffler:
         # a pure function of the frontier — never of iterator history.
         self._comparators: Optional[Iterator[Tuple[int, int]]] = None
         self._comparators_pos = 0
-        # Independent nonce stream for background reseals (same derived
+        # Independent nonce stream for the epoch's reseals (same derived
         # keys as the engine's suite, so its frames decrypt normally).
         self._suite = None
         self._key_rng = None
         self._pending: Optional[ReshuffleIntent] = None
-
-        # Background worker plumbing.
-        self._wake = threading.Condition()
-        self._closed = False
-        self._worker: Optional[threading.Thread] = None
 
         # A transiently failed batch apply must be rolled forward before
         # the *engine* computes against the half-updated map, not merely
@@ -311,8 +299,6 @@ class OnlineReshuffler:
             self._active = True
             self._set_gauge()
             self.counters.increment("epochs.begun")
-        with self._wake:
-            self._wake.notify_all()
         return self._epoch
 
     def step(self, budget: Optional[int] = None) -> int:
@@ -358,22 +344,14 @@ class OnlineReshuffler:
             self.counters.increment("batches")
             return len(units)
 
-    def run(self, max_steps: Optional[int] = None) -> int:
-        """Step the current epoch to completion in the foreground.
-
-        Returns the number of units executed.  ``max_steps`` bounds the
-        number of batches (for interleaving with a serving loop by hand).
-        """
+    def run(self) -> int:
+        """Step the current epoch to completion; returns the units done."""
         done = 0
-        steps = 0
         while self._active:
-            if max_steps is not None and steps >= max_steps:
-                break
             did = self.step()
             if did == 0:
                 break
             done += did
-            steps += 1
         return done
 
     # -- batch construction ----------------------------------------------------
@@ -650,64 +628,14 @@ class OnlineReshuffler:
             self._comparators = None
             self._comparators_pos = 0
             self._set_gauge()
-        if active:
-            with self._wake:
-                self._wake.notify_all()
-
-    # -- background worker -----------------------------------------------------
-
-    def start(self) -> "OnlineReshuffler":
-        """Spawn the daemon worker (idempotent while one is alive)."""
-        with self._wake:
-            if self._closed:
-                raise ConfigurationError("reshuffler is closed")
-            if self._worker is None or not self._worker.is_alive():
-                self._worker = threading.Thread(
-                    target=self._worker_loop, name="online-reshuffle",
-                    daemon=True,
-                )
-                self._worker.start()
-        return self
-
-    def _worker_loop(self) -> None:
-        while True:
-            with self._wake:
-                if self._closed:
-                    return
-                if not self._active:
-                    self._wake.wait(timeout=0.2)
-                    continue
-            try:
-                did = self.step()
-            except ReproError:
-                # A transient batch failure: the intent is retained and
-                # healed on the next step (or engine request).  Surfacing
-                # it here would kill the worker over a recoverable fault.
-                self.counters.increment("worker.errors")
-                did = 0
-            with self._wake:
-                if self._closed:
-                    return
-                # The idle slot: yield so serving threads take the op lock
-                # without queueing behind back-to-back batches.
-                timeout = self.idle_interval if did else 0.05
-                self._wake.wait(timeout=timeout)
 
     def close(self) -> None:
-        """Stop the worker and detach from the engine (idempotent).
+        """Detach from the engine's healer hook (idempotent).
 
         Epoch state is left as-is: a half-finished epoch simply stays at
         its frontier (snapshot it, or reopen a driver and resume).
         """
-        with self._wake:
-            already = self._closed
-            self._closed = True
-            self._wake.notify_all()
-        if self._worker is not None:
-            self._worker.join(timeout=_JOIN_TIMEOUT)
-            self._worker = None
-        if not already:
-            try:
-                self.engine._background_healers.remove(self._heal_pending)
-            except ValueError:
-                pass
+        try:
+            self.engine._background_healers.remove(self._heal_pending)
+        except ValueError:
+            pass

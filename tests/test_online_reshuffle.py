@@ -1,10 +1,10 @@
-"""Online background re-permutation: correctness, interleaving, lifecycle."""
+"""Online re-permutation: correctness, interleaving, lifecycle."""
 
 from __future__ import annotations
 
 import pytest
 
-from tests.helpers import RecordingJournal, make_db, wait_until
+from tests.helpers import RecordingJournal, make_db
 from repro.baselines import make_records
 from repro.core.journal import MemoryJournal
 from repro.core.sharded import ShardedPirDatabase
@@ -133,48 +133,75 @@ class TestKeyRotationPiggyback:
         db.close()
 
 
-class TestBackgroundWorker:
-    def test_epoch_finishes_while_serving(self):
+class TestCallerStepsTheEpoch:
+    """The driver owns no thread: its caller steps it, and closing it only
+    detaches its healer from the engine."""
+
+    def test_epoch_finishes_one_step_per_query(self):
         metrics = MetricsRegistry()
         db = make_db(seed=5, journal=MemoryJournal(), metrics=metrics)
         expected = {i: db.query(i) for i in range(db.num_pages)}
-        driver = db.begin_reshuffle(batch_size=8, background=True,
-                                    journal=MemoryJournal(),
-                                    idle_interval=0.0001)
+        driver = db.begin_reshuffle(batch_size=8, journal=MemoryJournal())
         i = 0
-        while driver.active and i < 50000:
+        while driver.active:
             assert db.query(i % db.num_pages) == expected[i % db.num_pages]
+            driver.step()
             i += 1
-        assert wait_until(lambda: not driver.active, timeout=15.0,
-                          interval=0.005)
+        assert i == (driver.total_units + 7) // 8  # one batch per query
         db.consistency_check()
         assert metrics.gauge("reshuffle.progress").value == 1.0
         assert driver.counters.get("epochs") == 1
         db.close()
 
-    def test_close_stops_worker_and_context_manager_parity(self):
+    def test_context_manager_detaches_healer(self):
         with make_db(seed=5, journal=MemoryJournal()) as db:
-            driver = db.begin_reshuffle(batch_size=2, background=True,
-                                        journal=MemoryJournal())
-            worker = driver._worker
-            assert worker is not None and worker.is_alive()
-        assert not worker.is_alive()
+            driver = db.begin_reshuffle(batch_size=2, journal=MemoryJournal())
+            driver.step()
+            assert driver._heal_pending in db.engine._background_healers
         assert driver._heal_pending not in db.engine._background_healers
+        assert driver.active  # the epoch stays at its frontier
         db.close()  # idempotent
+        driver.close()
+        assert db.engine._background_healers == []
 
-    def test_sharded_close_stops_all_reshufflers(self):
+    def test_sharded_close_detaches_every_shard(self):
         sharded = ShardedPirDatabase.create(
             make_records(60, 16), num_shards=3, cache_capacity_per_shard=4,
             page_capacity=16, seed=9,
         )
-        workers = []
-        for shard in sharded.shards:
-            shard.begin_reshuffle(batch_size=2, background=True)
-            workers.append(shard.reshuffle._worker)
-        assert all(w.is_alive() for w in workers)
+        drivers = [shard.begin_reshuffle(batch_size=2)
+                   for shard in sharded.shards]
+        assert all(d._heal_pending in shard.engine._background_healers
+                   for d, shard in zip(drivers, sharded.shards))
         sharded.close()
-        assert all(not w.is_alive() for w in workers)
+        assert all(shard.engine._background_healers == []
+                   for shard in sharded.shards)
         sharded.close()  # idempotent
+        assert all(shard.engine._background_healers == []
+                   for shard in sharded.shards)
+
+    def test_the_worker_is_deleted_not_aliased(self, tmp_path):
+        """No thread, no idle pacing, no step cap: the epoch advances only
+        through step() / run() on the caller's thread."""
+        db = make_db(seed=6)
+        with pytest.raises(TypeError):
+            db.begin_reshuffle(background=True)
+        assert db.reshuffle is None
+        driver = db.begin_reshuffle(batch_size=8)
+        driver.step()
+        snap = str(tmp_path / "snap")
+        save_snapshot(db, snap)
+        db2 = load_snapshot(snap, seed=7)
+        with pytest.raises(TypeError):
+            resume_reshuffle(db2, snap, idle_interval=0.1)
+        with pytest.raises(TypeError):
+            driver.run(max_steps=1)
+        with pytest.raises(TypeError):
+            OnlineReshuffler(db, idle_interval=0.1)
+        assert not hasattr(OnlineReshuffler, "start")
+        assert not hasattr(OnlineReshuffler, "_worker_loop")
+        db.close()
+        db2.close()
 
 
 class TestRecoverySemantics:
@@ -303,21 +330,6 @@ class TestFrontierPurity:
         assert_batcher_order(db, driver)
         db.close()
 
-    def test_background_worker_survives_transient_fault(self):
-        injector = FaultInjector(seed=3)
-        db = make_db(seed=12, journal=MemoryJournal(),
-                     disk_factory=faulty_memory_factory(injector))
-        injector.add(transient_reads(times=1))
-        driver = db.begin_reshuffle(batch_size=8, background=True,
-                                    journal=MemoryJournal(),
-                                    idle_interval=0.0001)
-        assert wait_until(lambda: not driver.active, timeout=15.0,
-                          interval=0.005)
-        assert driver.counters.get("worker.errors") >= 1
-        db.consistency_check()
-        assert_batcher_order(db, driver)
-        db.close()
-
 
 class TestPacing:
     def test_mid_epoch_pacing_change_preserves_batcher_order(self):
@@ -423,6 +435,37 @@ class TestSnapshotHealsRetainedWriteBack:
         assert db2.content_digest() == digest
         db.close()
         db2.close()
+
+
+class TestRequestHealsRetainedBatch:
+    @pytest.mark.parametrize("journaled", [False, True])
+    def test_next_query_rolls_batch_forward_first(self, journaled):
+        """A batch whose write-back failed transiently leaves frames the
+        page map does not describe yet; the next request must roll it
+        forward before it computes, with or without a reshuffle journal."""
+        injector = FaultInjector(seed=5)
+        db = make_db(seed=29, journal=MemoryJournal(),
+                     disk_factory=faulty_memory_factory(injector))
+        expected = {i: db.query(i) for i in range(db.num_pages)}
+        journal = MemoryJournal() if journaled else None
+        driver = db.begin_reshuffle(batch_size=8, journal=journal)
+        driver.step()
+        # Let two frames of the next batch's write-back land, then fail.
+        injector.add(transient_writes(times=1, after=2))
+        with pytest.raises(StorageError):
+            driver.step()
+        assert driver.write_back_pending
+        assert driver.journal_pending == journaled
+
+        assert db.query(4) == expected[4]
+        assert not driver.write_back_pending
+        assert not driver.journal_pending
+        assert driver.counters.get("recovery.rolled_forward") == 1
+        driver.run()
+        assert not driver.active
+        assert_batcher_order(db, driver)
+        db.consistency_check()
+        db.close()
 
 
 class TestSetupSortObservability:
