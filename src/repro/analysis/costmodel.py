@@ -84,8 +84,9 @@ def eq8_terms(
     :meth:`AnalyticalCostModel.query_time`,
     :meth:`PirDatabase.expected_query_time
     <repro.core.database.PirDatabase.expected_query_time>`,
-    :class:`repro.obs.costcheck.CostModelCheck` and the per-phase columns
-    of ``benchmarks/bench_headline.py`` all read it.
+    and the per-phase columns of ``benchmarks/bench_headline.py`` all
+    read it, and :meth:`repro.plan.CalibratedCostModel.from_spec` sums to
+    it at the frame size (the model a traced run is checked against).
     """
     if block_size < 1 or page_size <= 0:
         raise ConfigurationError("block_size and page_size must be positive")

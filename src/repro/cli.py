@@ -196,12 +196,12 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     from .obs import (
         DETAIL_FINE,
         DETAIL_PHASE,
-        CostModelCheck,
         MetricsRegistry,
         Tracer,
         run_rows,
         write_jsonl,
     )
+    from .plan import CalibratedCostModel
 
     tracer = Tracer(detail=DETAIL_FINE if args.fine else DETAIL_PHASE)
     registry = MetricsRegistry()
@@ -258,15 +258,17 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             ],
         ))
 
-    check = CostModelCheck.for_database(db)
-    conformance = check.evaluate(tracer, args.queries)
-    print("\nEq. 8 conformance (measured virtual time vs analytic "
-          "prediction, per term):")
+    checked = CalibratedCostModel.from_spec(
+        db.cop.spec, args.page_size
+    ).check(tracer, args.queries, db.params.block_size)
+    print("\nEq. 8 conformance (per query, measured virtual time vs the "
+          "spec-calibrated prediction):")
     print(_format_table(
-        ["term", "measured (s)", "predicted (s)", "ratio"],
+        ["phase", "predicted (s)", "measured (s)", "error"],
         [
-            [row.term, row.measured_seconds, row.predicted_seconds, row.ratio]
-            for row in conformance
+            [row["phase"], row["predicted_s"], row["measured_s"],
+             f"{row['error']:.2%}"]
+            for row in checked
         ],
     ))
 
@@ -280,7 +282,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             "seed": args.seed,
         }
         rows = run_rows(tracer, registry, meta, spans=args.trace)
-        rows.extend(row.as_dict() for row in conformance)
+        rows.extend(dict(row, kind="costcheck") for row in checked)
         written = write_jsonl(args.out, rows)
         print(f"\nwrote {written} JSONL rows to {args.out}")
     return 0

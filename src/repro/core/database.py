@@ -229,7 +229,7 @@ def _create(
 
     # Setup wrote the whole database through the instrumented disk; drop
     # those spans so the trace covers requests only (that is what
-    # CostModelCheck compares against Eq. 8).
+    # CalibratedCostModel.check compares against Eq. 8).
     engine.tracer.reset()
     return params, cop, disk, engine
 

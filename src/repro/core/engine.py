@@ -421,8 +421,8 @@ class RetrievalEngine:
                     # The root of the window's trace: everything it does
                     # (disk, link, crypto, journal, write-back) nests under
                     # it.  A window of one is a "request" — the span whose
-                    # virtual duration CostModelCheck compares against the
-                    # full Eq. 8 prediction.
+                    # virtual duration CalibratedCostModel.check compares
+                    # against the full Eq. 8 prediction.
                     with self.tracer.span(
                         "request" if len(live) == 1 else "engine.batch"
                     ):

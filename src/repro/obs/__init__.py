@@ -1,6 +1,6 @@
 """repro.obs — dependency-light observability for the query path.
 
-Three pieces (DESIGN.md §9):
+Two pieces (DESIGN.md §9):
 
 * :class:`~repro.obs.tracer.Tracer` — nested, low-overhead spans for the
   canonical query phases, with a no-op fast path when disabled and dual
@@ -9,15 +9,14 @@ Three pieces (DESIGN.md §9):
   home of every counter, gauge and fixed-bucket histogram: series carry
   labels fixed at wiring (``member=``, ``shard=``), and each instance's
   ``.counters`` is a :class:`~repro.obs.registry.CounterView` onto cells
-  of its own;
-* :class:`~repro.obs.costcheck.CostModelCheck` — measured per-phase cost
-  against the analytic Eq. 7/8 predictions, as a per-term ratio.
+  of its own.
 
 Plus JSONL export (:mod:`repro.obs.export`): ``python -m repro metrics``
-writes it, the planner's ``--obs`` calibration reads it.
+writes it, the planner's ``--obs`` calibration reads it.  A traced run is
+held against Eq. 8 by the planner's model,
+:meth:`repro.plan.CalibratedCostModel.check`.
 """
 
-from .costcheck import CostModelCheck, TermConformance
 from .export import (
     phase_rows,
     read_jsonl,
@@ -58,8 +57,6 @@ __all__ = [
     "Histogram",
     "DEFAULT_LATENCY_BUCKETS",
     "registry_or_private",
-    "CostModelCheck",
-    "TermConformance",
     "phase_rows",
     "span_rows",
     "run_rows",

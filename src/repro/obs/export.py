@@ -1,8 +1,9 @@
-"""JSONL import/export for traces, metrics and conformance reports.
+"""JSONL import/export for traces, metrics and Eq. 8 check rows.
 
 One JSON object per line, every line carrying a ``kind`` discriminator
 (``meta`` | ``phase`` | ``span`` | ``counter`` | ``gauge`` | ``histogram``
-| ``costcheck``), so one file can hold a whole run's observability output
+| ``costcheck``, one :meth:`repro.plan.CalibratedCostModel.check` row per
+phase), so one file can hold a whole run's observability output
 and consumers can filter by kind.  ``python -m repro metrics --out`` writes
 it; ``python -m repro plan --obs`` reads it back.
 """

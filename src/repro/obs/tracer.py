@@ -11,7 +11,7 @@ the full taxonomy).  Every span records
 * **virtual time** — the deterministic simulated cost charged to the shared
   :class:`~repro.sim.clock.VirtualClock`, when one is bound via
   :meth:`Tracer.bind_clock`.  Virtual durations are byte-identical across
-  machines and are what :class:`~repro.obs.costcheck.CostModelCheck`
+  machines and are what :meth:`repro.plan.CalibratedCostModel.check`
   compares against the Eq. 8 predictions.
 
 Spans are context managers and close correctly on exceptions (the ``error``

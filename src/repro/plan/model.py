@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 #: The per-query leaf phases the model predicts, matching the tracer
-#: taxonomy (DESIGN.md §9) and CostModelCheck's term mapping.
+#: taxonomy (DESIGN.md §9).
 PHASE_NAMES: Tuple[str, ...] = (
     "disk.read",
     "disk.write",
@@ -65,6 +65,11 @@ PHASE_NAMES: Tuple[str, ...] = (
 OTHER_PHASE = "other"
 
 _PROBE_CLOCKS = ("virtual", "wall")
+
+#: A phase whose predicted and measured seconds both lie within this
+#: fraction of the measured request total is float residue (the ``other``
+#: row is a difference of sums), not an unpredicted cost: it reads error 0.
+_RESIDUE_FLOOR = 1e-12
 
 
 def frame_size_for(page_size: int) -> int:
@@ -151,6 +156,39 @@ class CalibratedCostModel:
     def query_time(self, block_size: int) -> float:
         """Predicted total seconds per query — monotone increasing in k."""
         return self.predict(block_size)["total"]
+
+    def check(
+        self,
+        tracer: Tracer,
+        queries: int,
+        block_size: int,
+        clock: str = "virtual",
+    ) -> List[Dict[str, object]]:
+        """Hold ``queries`` traced requests at block size k to the model.
+
+        Returns one row per phase in :data:`PHASE_NAMES`, then ``other``
+        and ``total``: ``{"phase", "predicted_s", "measured_s", "error"}``,
+        seconds per query, with ``error`` relative to the measured value.
+        With :meth:`from_spec` and a fault-free run on the virtual clock
+        every error is 0 to float accuracy (Eq. 8 holds); a retry or a
+        regression that moves extra frames shows as error on the phases
+        it touches and on ``total``, and an unpredicted share inside the
+        request span shows on ``other``.
+        """
+        if clock not in _PROBE_CLOCKS:
+            raise ConfigurationError(
+                f"check clock must be one of {_PROBE_CLOCKS}, got {clock!r}"
+            )
+        if queries <= 0:
+            raise ConfigurationError("check queries must be positive")
+        predicted = self.predict(block_size)
+        measured = _per_query_phases(tracer, queries, clock)
+        measured["total"] = sum(measured.values())
+        floor = _RESIDUE_FLOOR * measured["total"]
+        return [
+            _error_row(name, predicted[name], measured[name], floor)
+            for name in PHASE_NAMES + (OTHER_PHASE, "total")
+        ]
 
     # -- constructors ---------------------------------------------------------
 
@@ -353,3 +391,21 @@ def _per_query_phases(
     leaves = sum(out.values()) * queries
     out[OTHER_PHASE] = max(0.0, seconds("request") - leaves) / queries
     return out
+
+
+def _error_row(
+    name: str, predicted: float, measured: float, floor: float
+) -> Dict[str, object]:
+    """One ``check`` row; both sides at or under ``floor`` read error 0."""
+    if predicted <= floor and measured <= floor:
+        error = 0.0
+    elif measured > 0:
+        error = abs(predicted - measured) / measured
+    else:
+        error = float("inf")
+    return {
+        "phase": name,
+        "predicted_s": predicted,
+        "measured_s": measured,
+        "error": error,
+    }

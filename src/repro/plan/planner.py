@@ -29,8 +29,8 @@ exposes, derived in dependency order.
 
 ``verify_plan`` closes the loop: it builds a database with the planned
 (k, m), measures the per-phase cost of a traced query run, and reports
-each phase's prediction error — the number the CI bench lane gates at
-15%.
+each phase's prediction error (:meth:`CalibratedCostModel.check`) — the
+number the CI bench lane gates at 15%.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .model import OTHER_PHASE, PHASE_NAMES, CalibratedCostModel, frame_size_for
+from .model import CalibratedCostModel, frame_size_for
 from ..analysis.costmodel import AnalyticalCostModel
 from ..core.params import SystemParameters
 from ..errors import ConfigurationError, PlanInfeasibleError
@@ -323,15 +323,16 @@ def verify_plan(
     clock: str = "virtual",
     spec: HardwareSpec = IBM_4764,
     build_pages: Optional[int] = 1024,
-) -> List[Dict[str, float]]:
+) -> List[Dict[str, object]]:
     """Measure the plan and report per-phase prediction error.
 
     Builds a database with the plan's block size at the target's page
-    size, runs ``queries`` traced retrievals, and returns one row per
-    phase: ``{"phase", "predicted_s", "measured_s", "error"}`` where
+    size, runs ``queries`` traced retrievals, and returns
+    ``model.check(...)``'s rows (:meth:`CalibratedCostModel.check`):
+    ``{"phase", "predicted_s", "measured_s", "error"}`` per phase, where
     ``error`` is the relative error against the measured value (0.0 when
-    both sides are ~zero).  The CI bench lane gates every row's error at
-    15%.
+    both sides are within float resolution of the request total, i.e.
+    ~zero).  The CI bench lane gates every row's error at 15%.
 
     Per-query phase cost is a function of (k, page size) only — each
     retrieval moves the same k+1 frames regardless of n and m — so when
@@ -340,12 +341,9 @@ def verify_plan(
     correspondingly smaller cache); pass ``build_pages=None`` to force a
     full-size build.
     """
-    from .model import _per_query_phases
     from ..baselines import make_records
     from ..core.database import PirDatabase
 
-    if queries <= 0:
-        raise ConfigurationError("verify queries must be positive")
     target = built_plan.target
     num_pages = target.num_pages
     cache_pages = built_plan.cache_pages
@@ -369,32 +367,6 @@ def verify_plan(
             tracer.reset()
         for i in range(queries):
             db.query(i % db.num_pages)
-        measured = _per_query_phases(tracer, queries, clock)
+        return model.check(tracer, queries, built_plan.block_size, clock)
     finally:
         db.close()
-
-    rows: List[Dict[str, float]] = []
-    predicted = dict(built_plan.predicted_phase_seconds)
-    for name in PHASE_NAMES + (OTHER_PHASE,):
-        rows.append(_error_row(name, predicted.get(name, 0.0),
-                               measured.get(name, 0.0)))
-    rows.append(_error_row(
-        "total", built_plan.predicted_query_seconds,
-        sum(measured.values()),
-    ))
-    return rows
-
-
-def _error_row(name: str, predicted: float, measured: float) -> Dict[str, float]:
-    if measured > 0:
-        error = abs(predicted - measured) / measured
-    elif predicted > 0:
-        error = float("inf")
-    else:
-        error = 0.0
-    return {
-        "phase": name,
-        "predicted_s": predicted,
-        "measured_s": measured,
-        "error": error,
-    }

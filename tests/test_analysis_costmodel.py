@@ -12,10 +12,11 @@ from repro.analysis.costmodel import (
     figure5_series,
     figure6_series,
     figure7_series,
+    eq8_terms,
     headline_numbers,
 )
 from repro.errors import ConfigurationError
-from repro.hardware.specs import GIGABYTE
+from repro.hardware.specs import GIGABYTE, IBM_4764
 
 _KB = 1000
 
@@ -45,6 +46,19 @@ class TestEquations:
             model.query_time(0, 1024)
         with pytest.raises(ConfigurationError):
             AnalyticalCostModel.secure_storage_bytes(0, 1, 1, 1)
+
+    def test_eq8_terms_validation_and_total(self):
+        with pytest.raises(ConfigurationError):
+            eq8_terms(IBM_4764, 0, 64)
+        with pytest.raises(ConfigurationError):
+            eq8_terms(IBM_4764, 4, 0)
+        terms = eq8_terms(IBM_4764, 8, 64)
+        assert terms["total"] == pytest.approx(
+            terms["seek"] + terms["disk"] + terms["link"] + terms["crypto"]
+        )
+        assert terms["total"] == pytest.approx(
+            AnalyticalCostModel(IBM_4764).query_time(8, 64)
+        )
 
 
 class TestHeadlineNumbers:

@@ -24,6 +24,7 @@ import pytest
 
 from repro import cli
 from repro.obs import read_jsonl, rows_by_kind
+from repro.plan import PHASE_NAMES
 
 _BENCHMARKS = path.join(path.dirname(__file__), "..", "benchmarks")
 if _BENCHMARKS not in sys.path:
@@ -221,19 +222,19 @@ class TestMetricsCli:
         assert code == 0
         stdout = capsys.readouterr().out
         assert "request" in stdout
-        assert "ratio" in stdout
-        # Every Eq. 8 conformance ratio prints as exactly 1.0 on a clean run.
+        assert "error" in stdout
+        # Every Eq. 8 check row prints 0.00% error on a clean run.
         assert "engine.requests" in stdout
 
         rows = read_jsonl(str(out))
         kinds = {row["kind"] for row in rows}
         assert {"meta", "phase", "counter", "costcheck"} <= kinds
         checks = rows_by_kind(rows, "costcheck")
-        assert {row["term"] for row in checks} == {
-            "seek", "disk", "link", "crypto", "total"
-        }
+        assert [row["phase"] for row in checks] == (
+            list(PHASE_NAMES) + ["other", "total"]
+        )
         for row in checks:
-            assert row["ratio"] == pytest.approx(1.0, rel=1e-9)
+            assert row["error"] <= 1e-9, row
 
     def test_metrics_trace_flag_exports_spans(self, tmp_path):
         out = tmp_path / "spans.jsonl"
