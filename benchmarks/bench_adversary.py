@@ -24,7 +24,7 @@ def test_adversary_guessing_game(report, benchmark):
     )
     params = db.params
     rng = SecureRandom(78)
-    pm = db.cop.page_map
+    pm = db.cop.state
 
     def run_trials(trials: int) -> float:
         hits = 0

@@ -121,7 +121,7 @@ def measure_landing_distribution(
     rng = rng if rng is not None else SecureRandom()
     params = db.params
     engine = db.engine
-    pm = db.cop.page_map
+    pm = db.cop.state
     period = params.scan_period
     wait_limit = max_wait_requests or 200 * params.cache_capacity
 

@@ -176,7 +176,7 @@ def run_frequency_experiment(
     counts = popularity if popularity is not None else Counter(workload)
 
     # Remember the PIR database's initial layout before it churns.
-    pm = pir_database.cop.page_map
+    pm = pir_database.cop.state
     initial_layout: Dict[int, int] = {}
     for page_id in range(pir_database.num_pages):
         location = pm.lookup(page_id)

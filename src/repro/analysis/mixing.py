@@ -62,7 +62,7 @@ def measure_displacement(
     if total_requests <= 0 or checkpoints <= 0:
         raise ConfigurationError("positive request and checkpoint counts required")
     rng = rng if rng is not None else SecureRandom()
-    pm = db.cop.page_map
+    pm = db.cop.state
     n = db.params.num_locations
     initial: Dict[int, int] = {}
     for page_id in range(db.params.total_pages):
@@ -108,7 +108,7 @@ def measure_location_mixing(
     if samples <= 0:
         raise ConfigurationError("samples must be positive")
     rng = rng if rng is not None else SecureRandom()
-    pm = db.cop.page_map
+    pm = db.cop.state
     n = db.params.num_locations
     if interval_requests is None:
         interval_requests = db.params.num_user_pages + 3 * db.params.cache_capacity

@@ -7,7 +7,7 @@ sequence-numbered logical replication stream:
 
 * :class:`ReplicationLog` — the *origin* side.  Every request the
   database serves emits one fixed-size record (``RPL1`` magic, encoded
-  with the same :class:`~repro.core.journal.RecordCursor` idiom as the
+  with the same :class:`~repro.storage.frames.RecordCursor` idiom as the
   intent-record headers) that is sealed by the coprocessor under the
   replica-shared master key before the host ever sees it.  Reads emit
   ``noop`` *cover records* by default, so the stream length and record
@@ -72,7 +72,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.journal import RecordCursor, load_appended
+from ..core.journal import load_appended
 from ..errors import (
     ConfigurationError,
     PageNotFoundError,
@@ -84,6 +84,7 @@ from ..loopthread import LoopWaiters
 from ..net.endpoint import exchange, open_stream
 from ..net.framing import ReplAck, ReplQuery, ReplRecord, ReplState
 from ..obs.registry import registry_or_private
+from ..storage.frames import RecordCursor
 
 __all__ = [
     "KIND_NOOP",

@@ -221,7 +221,7 @@ def _create(
         for slot in range(params.cache_capacity)
     ])
     page_ids = np.arange(params.total_pages)
-    cop.page_map.load_columns(
+    cop.state.load_columns(
         page_ids >= n,
         np.concatenate([position, np.arange(params.cache_capacity)]),
         page_ids >= live,
@@ -484,7 +484,7 @@ class PirDatabase:
         Decrypts the whole database, so only call this on small instances.
         Raises :class:`ConfigurationError` on any mismatch.
         """
-        pm = self.cop.page_map
+        pm = self.cop.state
         seen = set()
         for location, page in enumerate(self._stored_pages()):
             entry = pm.lookup(page.page_id)
@@ -517,7 +517,7 @@ class PirDatabase:
         """
         import hashlib
 
-        pm = self.cop.page_map
+        pm = self.cop.state
         pages = {page.page_id: page for page in self._stored_pages()}
         for page in self.cop.cache:
             pages[page.page_id] = page

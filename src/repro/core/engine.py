@@ -192,8 +192,8 @@ class RetrievalEngine:
             raise ConfigurationError("disk size does not match parameters")
         if coprocessor.cache.capacity != params.cache_capacity:
             raise ConfigurationError("cache capacity does not match parameters")
-        if coprocessor.page_map.num_pages != params.total_pages:
-            raise ConfigurationError("page map size does not match parameters")
+        if coprocessor.state.num_pages != params.total_pages:
+            raise ConfigurationError("trusted state does not match parameters")
         self.params = params
         self.cop = coprocessor
         self.disk = disk
@@ -215,9 +215,6 @@ class RetrievalEngine:
         # their roll-forward hooks here so a request never computes against
         # a half-applied reshuffle batch either; see _heal_pending.
         self._background_healers: List = []
-        self._next_block = 0
-        self._request_count = 0
-        self._rotation_requests_left: Optional[int] = None
         self._pending_intent: Optional[WriteIntent] = None
         self.last_outcome: Optional[RequestOutcome] = None
 
@@ -225,12 +222,12 @@ class RetrievalEngine:
 
     @property
     def request_count(self) -> int:
-        return self._request_count
+        return self.cop.state.request_count
 
     @property
     def next_block_index(self) -> int:
         """Round-robin position (0..num_blocks-1) of the next request's block."""
-        return self._next_block
+        return self.cop.state.next_block
 
     def retrieve(self, page_id: int) -> Page:
         """Q(i): privately fetch page ``page_id`` (Figure 3's Retrieve)."""
@@ -264,12 +261,12 @@ class RetrievalEngine:
         observes nothing: write-backs are always freshly re-encrypted.
         """
         self.cop.begin_key_rotation(new_master_key)
-        self._rotation_requests_left = self.params.num_blocks
+        self.cop.state.start_rotation_countdown()
 
     @property
     def rotation_requests_remaining(self) -> Optional[int]:
         """Requests until the legacy key can be dropped (None if no rotation)."""
-        return self._rotation_requests_left
+        return self.cop.state.rotation_left
 
     # -- crash recovery ----------------------------------------------------------
 
@@ -309,7 +306,7 @@ class RetrievalEngine:
                 # Journal-less engines can still roll a failed write-back
                 # forward from the in-memory intent (see _heal_pending).
                 self._heal_pending()
-                return RecoveryReport("replayed", self._request_count - 1)
+                return RecoveryReport("replayed", self.request_count - 1)
             return RecoveryReport("clean")
         blob = self.journal.read()
         if blob is None:
@@ -326,16 +323,16 @@ class RetrievalEngine:
             self._pending_intent = None
             self.counters.increment("recovery.rolled_back")
             return RecoveryReport("rolled_back")
-        if intent.request_index < self._request_count:
+        if intent.request_index < self.request_count:
             # Write-back committed; only the journal clear was lost.
             self.journal.clear()
             self._pending_intent = None
             self.counters.increment("recovery.discarded_stale")
             return RecoveryReport("discarded_stale", intent.request_index)
-        if intent.request_index > self._request_count:
+        if intent.request_index > self.request_count:
             raise RecoveryError(
                 f"journal describes request {intent.request_index} but the "
-                f"trusted state expects request {self._request_count}; the "
+                f"trusted state expects request {self.request_count}; the "
                 "restored state is older than the journal and cannot be "
                 "rolled forward"
             )
@@ -461,7 +458,7 @@ class RetrievalEngine:
         cached free page is fine: the insert then takes the cache-hit
         path, like an update of a cached page.)
         """
-        pm = self.cop.page_map
+        state = self.cop.state
         sim_flags: Dict[int, int] = {}
         sim_free: Optional[set] = None
 
@@ -469,12 +466,12 @@ class RetrievalEngine:
             flag = sim_flags.get(page_id)
             if flag is not None:
                 return flag == FLAG_DELETED
-            return pm.is_deleted(page_id)
+            return state.is_deleted(page_id)
 
         def materialised_free() -> set:
             nonlocal sim_free
             if sim_free is None:
-                sim_free = pm.free_ids()
+                sim_free = state.free_ids()
                 for page_id, flag in sim_flags.items():
                     if flag == FLAG_DELETED:
                         sim_free.add(page_id)
@@ -552,13 +549,14 @@ class RetrievalEngine:
         tracer = self.tracer
         k = self.params.block_size
         started = self.cop.clock.now
-        base_index = self._request_count
+        state = self.cop.state
+        base_index = state.request_count
         self.disk.current_request = base_index
         # Line 1: the next block of k contiguous pages, round-robin.  The
         # pointer itself only advances at commit, so an aborted or crashed
         # window leaves it untouched and a resend hits the same block.
-        block_start = self._next_block * k
-        ov = WindowOverlay(self.cop.page_map, cache, block_start, k)
+        block_start = state.next_block * k
+        ov = WindowOverlay(state, cache, block_start, k)
         replies: List[Tuple[int, int, object, bool]] = []
         flag_ops: List[Tuple[int, int]] = []
 
@@ -691,10 +689,10 @@ class RetrievalEngine:
                          nbytes=(k + n_ops) * self.cop.frame_size):
             sealed = self.cop.seal_pages(window)
         self.counters.increment("crypto.batched_frames", k + n_ops)
-        rotation_left = self._rotation_requests_left
+        rotation_left = state.rotation_left
         intent = WriteIntent(
             request_index=base_index,
-            next_block=(self._next_block + 1) % self.params.num_blocks,
+            next_block=(state.next_block + 1) % self.params.num_blocks,
             rotation_left=-1 if rotation_left is None else rotation_left - 1,
             block_start=block_start,
             extra_locations=extra_locs,
@@ -779,20 +777,20 @@ class RetrievalEngine:
         method safely: cache puts and map/flag ops write absolute values,
         frames are rewritten verbatim, pointers are assigned not bumped.
         """
-        pm = self.cop.page_map
+        state = self.cop.state
         cache = self.cop.cache
         for slot, page in intent.cache_puts:
             cache.put(slot, page)
         for page_id, op in intent.flag_ops:
             if op == FLAG_LIVE:
-                pm.mark_live(page_id)
+                state.mark_live(page_id)
             else:
-                pm.mark_deleted(page_id)
+                state.mark_deleted(page_id)
         for page_id, kind, position in intent.map_ops:
             if kind == MAP_CACHED:
-                pm.set_cached(page_id, position)
+                state.set_cached(page_id, position)
             else:
-                pm.set_disk(page_id, position)
+                state.set_disk(page_id, position)
 
         # One contiguous block write plus one write per per-op extra frame
         # — the mirror image of the read side's single block scan — as one
@@ -816,15 +814,12 @@ class RetrievalEngine:
             self._pending_intent = intent
             raise
 
-        self._next_block = intent.next_block
-        self._request_count = intent.request_index + intent.request_span
-        if intent.rotation_left < 0:
-            self._rotation_requests_left = None
-        elif intent.rotation_left == 0:
+        if intent.rotation_left == 0:
             self.cop.finish_key_rotation()
-            self._rotation_requests_left = None
-        else:
-            self._rotation_requests_left = intent.rotation_left
+        state.advance(
+            intent.next_block, intent.request_index + intent.request_span,
+            intent.rotation_left if intent.rotation_left > 0 else None,
+        )
         self._pending_intent = None
 
     def _heal_pending(self) -> None:

@@ -74,11 +74,11 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, StorageError
 from ..sim.clock import VirtualClock
+from ..storage.frames import RecordCursor
 from ..storage.page import Page
 from ..storage.timing import DiskTimingModel
 
 __all__ = [
-    "RecordCursor",
     "load_appended",
     "WriteIntent",
     "INTENT_MAGIC",
@@ -149,59 +149,6 @@ def window_of(length: int, block_size: int, frame_size: int,
         _header_per_op(page_capacity) + frame_size,
         minimum=1,
     )
-
-
-class RecordCursor:
-    """Bounds-checked sequential reader over one decrypted record.
-
-    The intent header codecs (here and in :mod:`repro.shuffle.online`), the
-    RPL1 replication-record codec (:mod:`repro.cluster.replication`) and the
-    snapshot's trusted-state blob (:mod:`repro.core.snapshot`) share this
-    reader, so every fixed-width field, flag byte, and
-    length-prefixed payload decodes with identical truncation behaviour:
-    any read past the end of the blob raises
-    :class:`~repro.errors.StorageError` instead of a bare
-    ``struct.error``/``IndexError``.
-    """
-
-    def __init__(self, blob: bytes, offset: int = 0):
-        self.blob = blob
-        self.offset = offset
-
-    def take_fields(self, fmt: struct.Struct) -> tuple:
-        """Every field of one packed ``fmt`` record."""
-        try:
-            values = fmt.unpack_from(self.blob, self.offset)
-        except struct.error as exc:
-            raise StorageError(f"record is truncated: {exc}") from exc
-        self.offset += fmt.size
-        return values
-
-    def take(self, fmt: struct.Struct) -> int:
-        return self.take_fields(fmt)[0]
-
-    def take_byte(self) -> int:
-        if self.offset >= len(self.blob):
-            raise StorageError("record is truncated")
-        value = self.blob[self.offset]
-        self.offset += 1
-        return value
-
-    def take_bytes(self, length: int) -> bytes:
-        if length < 0 or self.offset + length > len(self.blob):
-            raise StorageError("record is truncated")
-        value = self.blob[self.offset:self.offset + length]
-        self.offset += length
-        return value
-
-    def expect_end(self, what: str) -> None:
-        if self.offset != len(self.blob):
-            raise StorageError(f"trailing bytes in {what}")
-
-    def expect_padding(self, what: str) -> None:
-        """The rest of the blob must be the zero pad up to its public size."""
-        if any(self.blob[self.offset:]):
-            raise StorageError(f"trailing bytes in {what}")
 
 
 def load_appended(path, header: struct.Struct, body_length) -> List[tuple]:

@@ -223,7 +223,7 @@ class ShardedPirDatabase:
         """
         with self._lock:
             results: List[object] = [None] * len(ops)
-            free = [shard.cop.page_map.free_count for shard in self.shards]
+            free = [shard.cop.state.free_count for shard in self.shards]
             # The prescan replays the batch's routing-table mutations: a
             # delete must tombstone its global id *for the rest of the
             # batch*, or a later op could silently alias onto an insert

@@ -12,9 +12,11 @@ Snapshot layout on the host filesystem::
     <directory>/
       manifest.json      # public parameters (nothing secret: n, k, m, B, ...)
       frames.bin         # the untrusted page array, verbatim
-      sealed.bin         # encrypted trusted state (pageMap, cache, pointer,
-                         #   and — format 2 — any in-flight key rotation
-                         #   and the last reshuffle epoch number)
+      sealed.bin         # encrypted trusted state, one versioned layout
+                         #   (TrustedState.encode): version, (n, m, k),
+                         #   block pointer, request count, rotation
+                         #   countdown, last epoch begun, legacy key,
+                         #   position and flag columns, cache slots
       reshuffle.sealed   # present iff an online reshuffle epoch was active:
                          #   its frontier + secret epoch key (resume_reshuffle)
       <name>.sealed      # auxiliary sidecars (e.g. replication checkpoints)
@@ -30,17 +32,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import struct
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .database import PirDatabase, _wire
-from .journal import RecordCursor
 from .params import SystemParameters
 from ..crypto.suite import BACKENDS, CipherSuite
 from ..errors import ConfigurationError, StorageError
-from ..storage.page import Page
 
 __all__ = [
     "save_snapshot",
@@ -51,6 +50,7 @@ __all__ = [
     "load_sealed_sidecar",
 ]
 
+_FORMAT = 3
 _MANIFEST = "manifest.json"
 _FRAMES = "frames.bin"
 _SEALED = "sealed.bin"
@@ -61,97 +61,6 @@ _RESHUFFLE_SIDECAR = "reshuffle"
 # Frames per read / write of frames.bin: what a snapshot or a restore
 # holds beside the store itself.
 _CHUNK_FRAMES = 4096
-_U32 = struct.Struct(">I")
-_U64 = struct.Struct(">Q")
-_I64 = struct.Struct(">q")
-# One page-map entry of the trusted state: flag bits, then the position.
-_PAGE_MAP_ENTRY = np.dtype([("flags", "u1"), ("position", ">u8")])
-_IN_CACHE, _DELETED = 1, 2
-
-
-# ---------------------------------------------------------------------------
-# Trusted-state codec (runs inside the boundary; output is then sealed)
-# ---------------------------------------------------------------------------
-
-
-def _encode_trusted_state(db: PirDatabase) -> bytes:
-    pm = db.cop.page_map
-    parts = [_U64.pack(db.engine.next_block_index),
-             _U64.pack(db.engine.request_count)]
-    # Page map: per id -> (flags, position), one packed record array.
-    in_cache, position, deleted = pm.columns()
-    entries = np.empty(pm.num_pages, _PAGE_MAP_ENTRY)
-    entries["flags"] = in_cache * _IN_CACHE | deleted * _DELETED
-    entries["position"] = position
-    parts.append(_U64.pack(pm.num_pages))
-    parts.append(entries.tobytes())
-    # Cache: slot order matters (positions in the map point at slots).
-    parts.append(_U64.pack(db.cop.cache.capacity))
-    for slot in range(db.cop.cache.capacity):
-        page = db.cop.cache.get(slot)
-        flags = _DELETED if page.deleted else 0
-        parts.append(_U64.pack(page.page_id))
-        parts.append(bytes([flags]))
-        parts.append(_U32.pack(len(page.payload)))
-        parts.append(page.payload)
-    # Format-2 tail: key-rotation state, so a snapshot taken mid-rotation
-    # (e.g. during a reshuffle epoch that piggybacks one) restores with the
-    # legacy key still live.  rotation_left is the engine's request
-    # countdown (-1 = no countdown: either no rotation, or one driven by a
-    # reshuffle epoch whose sweep finishes it instead).
-    legacy = db.cop.legacy_master_key
-    rotation_left = db.engine.rotation_requests_remaining
-    if legacy is None:
-        parts.append(b"\x00")
-    else:
-        parts.append(b"\x01")
-        parts.append(_U32.pack(len(legacy)))
-        parts.append(legacy)
-    parts.append(_I64.pack(-1 if rotation_left is None else rotation_left))
-    # Last reshuffle epoch begun, active or not (an oblivious build has
-    # finished epoch 1): a restored instance continues the database-global
-    # numbering, so it never respawns an earlier epoch's nonce label or key.
-    parts.append(_U64.pack(getattr(db, "_reshuffle_epoch_base", 0)))
-    return b"".join(parts)
-
-
-def _decode_trusted_state(blob: bytes, db: PirDatabase) -> None:
-    cursor = RecordCursor(blob)
-    db.engine._next_block = cursor.take(_U64) % db.params.num_blocks
-    db.engine._request_count = cursor.take(_U64)
-
-    num_pages = cursor.take(_U64)
-    if num_pages != db.params.total_pages:
-        raise StorageError("snapshot page count does not match parameters")
-    entries = np.frombuffer(
-        cursor.take_bytes(num_pages * _PAGE_MAP_ENTRY.itemsize),
-        _PAGE_MAP_ENTRY,
-    )
-    flags = entries["flags"]
-    db.cop.page_map.load_columns(
-        flags & _IN_CACHE, entries["position"], flags & _DELETED
-    )
-
-    capacity = cursor.take(_U64)
-    if capacity != db.cop.cache.capacity:
-        raise StorageError("snapshot cache capacity does not match parameters")
-    pages = []
-    for _slot in range(capacity):
-        page_id = cursor.take(_U64)
-        flags = cursor.take_byte()
-        payload = cursor.take_bytes(cursor.take(_U32))
-        pages.append(Page(page_id, payload, deleted=bool(flags & _DELETED)))
-    db.cop.cache.fill(pages)
-    if cursor.offset == len(blob):
-        return  # format 1: no rotation tail
-    if cursor.take_byte():
-        db.cop.adopt_legacy_key(cursor.take_bytes(cursor.take(_U32)))
-    rotation_left = cursor.take(_I64)
-    if rotation_left >= 0:
-        db.engine._rotation_requests_left = rotation_left
-    if cursor.offset < len(blob):  # absent before epoch numbering was saved
-        db._reshuffle_epoch_base = cursor.take(_U64)
-    cursor.expect_end("trusted-state blob")
 
 
 def encode_manifest(db) -> dict:
@@ -197,8 +106,8 @@ def decode_manifest(manifest: dict,
 def save_snapshot(db: PirDatabase, directory: str) -> None:
     """Persist the database (untrusted frames + sealed trusted state).
 
-    A snapshot may be taken *during* a key rotation (the format-2 sealed
-    state carries the legacy key and the rotation countdown) and during an
+    A snapshot may be taken *during* a key rotation (the sealed state
+    carries the legacy key and the rotation countdown) and during an
     online reshuffle epoch (the epoch's frontier and secret key are sealed
     into a ``reshuffle`` sidecar; reattach with :func:`resume_reshuffle`).
     The last epoch number is sealed either way, so the restored instance's
@@ -218,7 +127,8 @@ def save_snapshot(db: PirDatabase, directory: str) -> None:
     """
     os.makedirs(directory, exist_ok=True)
     manifest = {
-        "format": 2, "frame_size": db.cop.frame_size, **encode_manifest(db),
+        "format": _FORMAT, "frame_size": db.cop.frame_size,
+        **encode_manifest(db),
     }
     with open(os.path.join(directory, _MANIFEST), "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -260,7 +170,9 @@ def save_snapshot(db: PirDatabase, directory: str) -> None:
         # Seal under a key derived from the *database's* master key so only
         # the rightful owner can restore: reuse the page suite for the
         # inner layer.
-        inner = db.cop.suite.encrypt_page(_encode_trusted_state(db))
+        inner = db.cop.suite.encrypt_page(
+            db.cop.state.encode(db.cop.cache, db.cop.legacy_master_key)
+        )
         sealed = sealing.encrypt_page(inner)
         with open(os.path.join(directory, _SEALED), "wb") as f:
             f.write(sealed)
@@ -308,7 +220,14 @@ def load_snapshot(directory: str, **wiring) -> PirDatabase:
         raise ConfigurationError(f"no snapshot manifest in {directory!r}")
     with open(manifest_path, encoding="utf-8") as f:
         manifest = json.load(f)
-    if manifest.get("format") not in (1, 2):
+    version = manifest.get("format")
+    if version in (1, 2):
+        raise ConfigurationError(
+            f"snapshot in {directory!r} is format {version}; this version "
+            f"reads format {_FORMAT} only.  Re-create the database, or open "
+            "the snapshot with the version that wrote it"
+        )
+    if version != _FORMAT:
         raise ConfigurationError("unsupported snapshot format")
     params, backend = decode_manifest(manifest, f"snapshot in {directory!r}")
     cop, disk, engine = _wire(params, cipher_backend=backend, **wiring)
@@ -327,12 +246,9 @@ def load_snapshot(directory: str, **wiring) -> PirDatabase:
         rng=cop.rng,
     )
     inner = sealing.decrypt_page(sealed)
-    trusted = cop.suite.decrypt_page(inner)
-
-    db = PirDatabase(params, cop, disk, engine)
-    _decode_trusted_state(trusted, db)
+    cop.state.decode(cop.suite.decrypt_page(inner), cop.cache, cop)
     engine.tracer.reset()
-    return db
+    return PirDatabase(params, cop, disk, engine)
 
 
 def _replay_frames(path: str, disk) -> None:

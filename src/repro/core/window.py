@@ -23,19 +23,19 @@ class WindowOverlay:
     """The page map, the cache and the window's frames as a window sees them.
 
     Page-map moves and cache puts staged by the window's earlier ops sit
-    over the real page map and cache (they land at commit, from the
-    intent).  The frames are containers: slot ``j`` is block slot ``j``
-    below k, and the extra frame of the window's op ``j - k`` from there
-    on.  A container or cache slot holds a *token* — an int ``j`` for the
-    page fetched into slot ``j``, or a :class:`Page` (a cached page, or one
-    an edit made) — and the plan moves tokens reading only their ids: a
-    block slot's from its header, an extra's from the page planned for its
-    location.  No decision waits for a payload; :meth:`page_of` resolves a
-    token once every frame is in.
+    over the real map (:class:`~repro.hardware.trusted.TrustedState`) and
+    cache (they land at commit, from the intent).  The frames are
+    containers: slot ``j`` is block slot ``j`` below k, and the extra frame
+    of the window's op ``j - k`` from there on.  A container or cache slot
+    holds a *token* — an int ``j`` for the page fetched into slot ``j``, or
+    a :class:`Page` (a cached page, or one an edit made) — and the plan
+    moves tokens reading only their ids: a block slot's from its header, an
+    extra's from the page planned for its location.  No decision waits for
+    a payload; :meth:`page_of` resolves a token once every frame is in.
     """
 
-    def __init__(self, page_map, cache, block_start: int, k: int):
-        self.page_map = page_map
+    def __init__(self, state, cache, block_start: int, k: int):
+        self.state = state
         self.cache = cache
         self.block_start = block_start
         self.k = k
@@ -53,7 +53,7 @@ class WindowOverlay:
         entry = self._positions.get(page_id)
         if entry is not None:
             return entry[0] == MAP_CACHED, entry[1]
-        location = self.page_map.lookup(page_id)
+        location = self.state.lookup(page_id)
         return location.in_cache, location.position
 
     def slot_of(self, position: int) -> Optional[int]:

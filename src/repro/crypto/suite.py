@@ -103,7 +103,7 @@ _MAGIC_SIZE = 4
 INTENT_OVERHEAD = _MAGIC_SIZE + NONCE_SIZE + TAG_SIZE
 BACKENDS = ("aes", "shake", "null", "pure")
 # The frozen BENCH harness (benchmarks/e2e/workloads.py) still passes the
-# retired BLAKE2b-counter backend's name; ROADMAP item 2b re-pins it and
+# retired BLAKE2b-counter backend's name; ROADMAP item 1a re-pins it and
 # deletes this map.
 _RENAMED = {"blake2": "shake"}
 

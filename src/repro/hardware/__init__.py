@@ -1,9 +1,9 @@
-"""Secure-hardware substrate: platform specs, cache, position map, coprocessor."""
+"""Secure-hardware substrate: platform specs, cache, trusted state, coprocessor."""
 
 from .cache import LRU_POLICY, RANDOM_POLICY, PageCache
 from .coprocessor import SecureCoprocessor, SecureStorageReport
-from .pagemap import PageLocation, PageMap
 from .specs import GIGABYTE, IBM_4764, MEGABYTE, HardwareSpec
+from .trusted import PageLocation, TrustedState
 
 __all__ = [
     "LRU_POLICY",
@@ -12,7 +12,7 @@ __all__ = [
     "SecureCoprocessor",
     "SecureStorageReport",
     "PageLocation",
-    "PageMap",
+    "TrustedState",
     "GIGABYTE",
     "IBM_4764",
     "MEGABYTE",

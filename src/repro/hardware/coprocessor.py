@@ -4,13 +4,14 @@ Bundles everything that lives inside the tamper boundary:
 
 * the cipher suite and its keys (never leave the boundary),
 * the randomness source,
-* the page cache (``pageCache``) and position map (``pageMap``),
+* the page cache (``pageCache``) and the trusted state — position map
+  (``pageMap``), free pool and request counters (:class:`TrustedState`),
 * secure-memory accounting against the platform spec (Eq. 7).
 
 The coprocessor does not know the retrieval algorithm — that is
 :class:`repro.core.engine.RetrievalEngine` — it only provides the trusted
 primitives (seal/unseal pages, timing charges for its link and crypto
-engine) plus the two internal data structures.
+engine) plus the cache and the trusted state.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cache import PageCache, RANDOM_POLICY
-from .pagemap import PageMap
+from .trusted import TrustedState
 from .specs import HardwareSpec
 from ..crypto.rng import SecureRandom
 from ..crypto.suite import CipherSuite
@@ -95,7 +96,7 @@ class SecureCoprocessor:
         self._legacy_suite: Optional[CipherSuite] = None
         self.page_capacity = page_capacity
         self.block_size = block_size
-        self.page_map = PageMap(num_pages)
+        self.state = TrustedState(num_pages - cache_capacity, cache_capacity, block_size)
         self.cache = PageCache(cache_capacity, self.rng.spawn("cache"), cache_policy)
         if enforce_memory_limit:
             report = self.storage_report()
@@ -144,9 +145,10 @@ class SecureCoprocessor:
     def legacy_master_key(self) -> Optional[bytes]:
         """The pre-rotation master key, or None outside a rotation.
 
-        Only read by :mod:`repro.core.snapshot` when sealing trusted state
-        mid-rotation — the key travels inside the double-sealed blob, never
-        in the public manifest.
+        Only read when sealing trusted state mid-rotation
+        (:meth:`TrustedState.encode <repro.hardware.trusted.TrustedState.encode>`)
+        — the key travels inside the sealed blob, never in a public
+        manifest.
         """
         return self._legacy_master_key
 
@@ -340,7 +342,7 @@ class SecureCoprocessor:
         """Actual secure-memory footprint, mirroring Eq. 7's three terms."""
         page_bytes = self.plaintext_page_size
         return SecureStorageReport(
-            page_map=self.page_map.storage_bytes(),
+            page_map=self.state.storage_bytes(),
             page_cache=self.cache.capacity * page_bytes,
             server_block=(self.block_size + 1) * page_bytes,
         )

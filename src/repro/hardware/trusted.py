@@ -1,0 +1,292 @@
+"""Everything the engine remembers inside the tamper boundary, and its one
+sealed layout.
+
+:class:`TrustedState` owns the position map (``pageMap`` of Figure 2), the
+free pool §4.3's insertions draw from, and the request path's scalars: the
+round-robin block pointer, the request count, the key-rotation countdown
+and the last reshuffle epoch begun.  The cached pages themselves stay in
+:class:`~repro.hardware.cache.PageCache` and the keys in the coprocessor;
+:meth:`TrustedState.encode` seals all of it — map, scalars, cache slots and
+the legacy key of an unfinished rotation — as one versioned blob, and
+:meth:`TrustedState.decode` is its only reader.
+
+Each map entry is the tuple ``(inCache, position)`` of Figure 2 in two
+columns: ``position`` in the smallest unsigned type that holds a disk
+location or a cache slot, and ``flags`` with the in-cache, deleted and
+*placed* bits.  A page with no recorded position is a clear placed bit,
+never a sentinel position, so 2^16 locations still fit 16 bits.  Eq. 7
+charges ``ceil(log2 n) + 1`` bits per entry (:meth:`storage_bits`); the
+columns round the position up to whole bytes and add the flags byte (24
+bits against Eq. 7's 18 for 2^16 locations and 1024 cached pages).
+"""
+
+from __future__ import annotations
+
+import math
+import struct
+from collections import namedtuple
+from typing import Optional, Set
+
+import numpy as np
+
+from ..errors import ConfigurationError, PageNotFoundError, StorageError
+from ..storage.frames import RecordCursor
+from ..storage.page import Page
+
+__all__ = ["TrustedState", "PageLocation"]
+
+#: Resolved location of a logical page: plain ``bool`` / ``int`` fields.
+PageLocation = namedtuple("PageLocation", "in_cache position deleted")
+
+# Sealed layout: version, (n, m, k); next block, request count, rotation
+# countdown (-1 = none), last epoch begun; the length-prefixed legacy key
+# (empty = no rotation); the position and flags columns; then per cache
+# slot its page id, deleted flag and length-prefixed payload.
+_VERSION = 3
+_HEADER = struct.Struct(">BQQQ")
+_SCALARS = struct.Struct(">QQqQ")
+_SLOT = struct.Struct(">QBI")
+_U32 = struct.Struct(">I")
+_IN_CACHE, _DELETED, _PLACED = 1, 2, 4
+
+
+class TrustedState:
+    """Position map, free pool and request scalars of one database:
+    ``num_locations`` disk pages plus ``cache_capacity`` cached pages,
+    scanned ``block_size`` locations per request."""
+
+    def __init__(self, num_locations: int, cache_capacity: int,
+                 block_size: int):
+        if min(num_locations, cache_capacity, block_size) <= 0:
+            raise ConfigurationError("trusted state needs positive n, m and k")
+        self.num_locations = num_locations
+        self.cache_capacity = cache_capacity
+        self.block_size = block_size
+        self.num_pages = num_locations + cache_capacity
+        self.num_blocks = num_locations // block_size
+        # Little-endian whatever the host: the sealed layout is tobytes().
+        self.position = np.zeros(self.num_pages, np.min_scalar_type(
+            max(num_locations, cache_capacity) - 1).newbyteorder("<"))
+        self.flags = np.zeros(self.num_pages, np.uint8)
+        self._free: Set[int] = set()
+        self._next_block = 0
+        self._request_count = 0
+        self._rotation_left: Optional[int] = None
+        self._epoch_base = 0
+
+    # -- map queries -------------------------------------------------------------
+
+    def _check_id(self, page_id: int) -> int:
+        if not 0 <= page_id < self.num_pages:
+            raise PageNotFoundError(f"page id {page_id} out of range [0, {self.num_pages})")
+        return page_id
+
+    def lookup(self, page_id: int) -> PageLocation:
+        flags = self.flags.item(self._check_id(page_id))
+        if not flags & _PLACED:
+            raise PageNotFoundError(f"page id {page_id} has no recorded position")
+        return PageLocation(bool(flags & _IN_CACHE), self.position.item(page_id),
+                            bool(flags & _DELETED))
+
+    def is_cached(self, page_id: int) -> bool:
+        return bool(self.flags.item(self._check_id(page_id)) & _IN_CACHE)
+
+    def is_deleted(self, page_id: int) -> bool:
+        return bool(self.flags.item(self._check_id(page_id)) & _DELETED)
+
+    def disk_location(self, page_id: int) -> int:
+        """Disk location of a non-cached page (error if it is cached)."""
+        location = self.lookup(page_id)
+        if location.in_cache:
+            raise PageNotFoundError(f"page {page_id} is cached, not on disk")
+        return location.position
+
+    @property
+    def cached_count(self) -> int:
+        return int(np.count_nonzero(self.flags & _IN_CACHE))
+
+    # -- map updates -------------------------------------------------------------
+
+    def set_disk(self, page_id: int, location: int) -> None:
+        """Record that ``page_id`` now lives at ``location`` on the disk."""
+        self._place(page_id, location, 0, self.num_locations)
+
+    def set_cached(self, page_id: int, slot: int) -> None:
+        """Record that ``page_id`` now occupies cache slot ``slot``."""
+        self._place(page_id, slot, _IN_CACHE, self.cache_capacity)
+
+    def _place(self, page_id: int, position: int, in_cache: int,
+               bound: int) -> None:
+        if not 0 <= position < bound:
+            raise ConfigurationError(f"position {position} outside [0, {bound})")
+        self._check_id(page_id)
+        self.position[page_id] = position
+        self.flags[page_id] = self.flags.item(page_id) & _DELETED | _PLACED | in_cache
+
+    def load_columns(self, in_cache, position, deleted) -> None:
+        """Replace every entry at once from three per-id columns.
+
+        The bulk form of ``set_disk`` / ``set_cached`` / ``mark_deleted``
+        over the whole map, for setup: three arrays (or sequences) of
+        ``num_pages`` values, every page placed.  A position outside its
+        container is refused as those calls refuse one.
+        """
+        in_cache, deleted = np.asarray(in_cache, bool), np.asarray(deleted, bool)
+        position = np.asarray(position)
+        if not len(in_cache) == len(position) == len(deleted) == self.num_pages:
+            raise ConfigurationError(
+                f"page map columns must hold {self.num_pages} entries each"
+            )
+        self._adopt(position, in_cache * _IN_CACHE | deleted * _DELETED | _PLACED,
+                    ConfigurationError)
+
+    def _adopt(self, position: np.ndarray, flags: np.ndarray, error) -> None:
+        """Install whole columns once every entry is placed inside its
+        container; ``error`` is the type a bad entry raises."""
+        bound = np.where(flags & _IN_CACHE, self.cache_capacity, self.num_locations)
+        bad = np.flatnonzero((flags & _PLACED == 0) | (position < 0)
+                             | (position >= bound))
+        if len(bad):
+            raise error(f"page id {bad[0]}: position {position[bad[0]]} is not "
+                        "a placed slot of its container")
+        self.position = position.astype(self.position.dtype)
+        self.flags = flags.astype(np.uint8)
+        self._free = set(np.flatnonzero(self.flags & _DELETED).tolist())
+
+    # -- free pool -----------------------------------------------------------------
+
+    def mark_deleted(self, page_id: int) -> None:
+        self.flags[self._check_id(page_id)] |= _DELETED
+        self._free.add(page_id)
+
+    def mark_live(self, page_id: int) -> None:
+        self.flags[self._check_id(page_id)] &= ~np.uint8(_DELETED)
+        self._free.discard(page_id)
+
+    @property
+    def free_count(self) -> int:
+        """Number of ids available to host a future insertion."""
+        return len(self._free)
+
+    def any_free_id(self) -> int:
+        """An arbitrary free id (deterministic order not required)."""
+        if not self._free:
+            raise PageNotFoundError("no free pages available for insertion")
+        return next(iter(self._free))
+
+    def free_ids(self) -> Set[int]:
+        return set(self._free)
+
+    # -- request scalars ---------------------------------------------------------------
+
+    @property
+    def next_block(self) -> int:
+        """Round-robin index (0..num_blocks-1) of the next request's block."""
+        return self._next_block
+
+    @property
+    def request_count(self) -> int:
+        return self._request_count
+
+    @property
+    def rotation_left(self) -> Optional[int]:
+        """Requests until the legacy key can be dropped, or None when no
+        request countdown runs (no rotation, or one a reshuffle epoch's
+        sweep finishes)."""
+        return self._rotation_left
+
+    @property
+    def epoch_base(self) -> int:
+        """The last reshuffle epoch begun, active or not: a later driver
+        numbers its epochs from here, so it never respawns an earlier
+        epoch's nonce label or key."""
+        return self._epoch_base
+
+    def advance(self, next_block: int, request_count: int,
+                rotation_left: Optional[int]) -> None:
+        """The pointer advance that marks a request window committed."""
+        self._next_block = next_block
+        self._request_count = request_count
+        self._rotation_left = rotation_left
+
+    def start_rotation_countdown(self) -> None:
+        """A request-driven key rotation ends after one scan period."""
+        self._rotation_left = self.num_blocks
+
+    def note_epoch(self, epoch: int) -> None:
+        self._epoch_base = epoch
+
+    # -- the sealed layout -------------------------------------------------------------
+
+    def encode(self, cache, legacy_key: Optional[bytes]) -> bytes:
+        """Everything :meth:`decode` restores, plus ``cache``'s slots (in
+        slot order: cached positions point at them) and the ``legacy_key``
+        of an unfinished rotation.  A page with no recorded position is
+        refused, never encoded."""
+        unplaced = np.flatnonzero(self.flags & _PLACED == 0)
+        if len(unplaced):
+            raise PageNotFoundError(f"page id {unplaced[0]} has no recorded position")
+        rotation_left = -1 if self._rotation_left is None else self._rotation_left
+        legacy_key = legacy_key or b""
+        parts = [
+            _HEADER.pack(*self._header()),
+            _SCALARS.pack(self._next_block, self._request_count, rotation_left,
+                          self._epoch_base),
+            _U32.pack(len(legacy_key)), legacy_key,
+            self.position.tobytes(), self.flags.tobytes(),
+        ]
+        for page in map(cache.get, range(cache.capacity)):
+            parts.append(_SLOT.pack(page.page_id, _DELETED if page.deleted else 0,
+                                    len(page.payload)))
+            parts.append(page.payload)
+        return b"".join(parts)
+
+    def decode(self, blob: bytes, cache, cop) -> None:
+        """Restore a blob :meth:`encode` wrote: this state, ``cache``'s
+        slots, and — mid-rotation — the legacy key through ``cop``.
+
+        The blob must be this layout, sealed for this state's (n, m, k),
+        and its block pointer must name one of the n / k blocks; anything
+        else, like a truncated or over-long blob, is a
+        :class:`StorageError` raised before any part changes.
+        """
+        cursor = RecordCursor(blob)
+        header = cursor.take_fields(_HEADER)
+        if header != self._header():
+            raise StorageError(f"trusted state sealed as (layout, n, m, k) = "
+                               f"{header}, not {self._header()}")
+        next_block, request_count, rotation_left, epoch_base = (
+            cursor.take_fields(_SCALARS))
+        if next_block >= self.num_blocks:
+            raise StorageError(f"sealed block pointer {next_block} is not one "
+                               f"of {self.num_blocks} blocks")
+        legacy_key = cursor.take_bytes(cursor.take(_U32))
+        position = np.frombuffer(cursor.take_bytes(self.position.nbytes),
+                                 self.position.dtype)
+        flags = np.frombuffer(cursor.take_bytes(self.num_pages), np.uint8)
+        pages = []
+        for _slot in range(self.cache_capacity):
+            page_id, page_flags, length = cursor.take_fields(_SLOT)
+            pages.append(Page(page_id, cursor.take_bytes(length),
+                              deleted=bool(page_flags & _DELETED)))
+        cursor.expect_end("trusted-state blob")
+
+        self._adopt(position, flags, StorageError)
+        self.advance(next_block, request_count,
+                     None if rotation_left < 0 else rotation_left)
+        self._epoch_base = epoch_base
+        cache.fill(pages)
+        if legacy_key:
+            cop.adopt_legacy_key(legacy_key)
+
+    def _header(self) -> tuple:
+        return (_VERSION, self.num_locations, self.cache_capacity, self.block_size)
+
+    # -- storage accounting (Eq. 7, first term) ---------------------------------------
+
+    def storage_bits(self) -> int:
+        """Secure-memory bits consumed: ``n * (ceil(log2 n) + 1)``."""
+        return self.num_pages * (max(1, math.ceil(math.log2(self.num_pages))) + 1)
+
+    def storage_bytes(self) -> int:
+        return (self.storage_bits() + 7) // 8

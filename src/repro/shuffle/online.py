@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .oblivious import batcher_network, network_size
-from ..core.journal import RecordCursor, units_in
+from ..core.journal import units_in
 from ..crypto.suite import INTENT_OVERHEAD
 from ..errors import (
     ConfigurationError,
@@ -59,7 +59,7 @@ from ..errors import (
 )
 from ..obs.registry import registry_or_private
 from ..obs.tracer import NULL_TRACER
-from ..storage.frames import frame_matrix
+from ..storage.frames import RecordCursor, frame_matrix
 
 __all__ = ["OnlineReshuffler", "ReshuffleIntent", "TAG_KEY_SIZE"]
 
@@ -190,11 +190,11 @@ class OnlineReshuffler:
         self._total = self._network + n
 
         # Epoch state; mutated only under the engine op lock.  The epoch
-        # counter is *database-global* (stashed on the database object),
+        # counter is *database-global* (the trusted state's epoch_base),
         # not per-driver: a fresh driver restarting at epoch 1 would spawn
         # the same "reshuffle-epoch-1" sibling label as its predecessor
         # and replay that nonce stream against the same master key.
-        self._epoch = int(getattr(database, "_reshuffle_epoch_base", 0))
+        self._epoch = self.cop.state.epoch_base
         self._frontier = 0
         self._active = False
         self._rotate_pending = False
@@ -286,7 +286,7 @@ class OnlineReshuffler:
                     else f"reshuffle-keys-{self._epoch}"
                 )
             self._epoch += 1
-            self.db._reshuffle_epoch_base = self._epoch
+            self.cop.state.note_epoch(self._epoch)
             self._frontier = 0
             self._epoch_key = self._key_rng.token(TAG_KEY_SIZE)
             # Per-epoch spawn label: reusing a label would replay the same
@@ -426,7 +426,7 @@ class OnlineReshuffler:
     def _apply(self, intent: ReshuffleIntent) -> None:
         """Apply phase: idempotent, replayable from the sealed record."""
         disk = self.engine.disk
-        pm = self.cop.page_map
+        pm = self.cop.state
         try:
             with self.tracer.span(
                 "reshuffle.write_back",
@@ -613,7 +613,7 @@ class OnlineReshuffler:
             # numbering from the restored epoch: a fresh driver restarting
             # at epoch 1 would respawn this epoch's sibling labels and
             # replay their nonce streams against the same master key.
-            self.db._reshuffle_epoch_base = epoch
+            self.cop.state.note_epoch(epoch)
             # Distinct spawn label per resume: (epoch, frontier) alone is
             # not unique — two resumes from the same sidecar land on the
             # same frontier with different frame contents — so a database-

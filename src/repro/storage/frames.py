@@ -6,16 +6,21 @@ frames one by one — the baselines, the single-frame calls, tests — pass any
 sequence of bytes-like rows.  :func:`frame_matrix` is the one place the two
 spellings meet.  A store access names its frames by a sequence of
 ``(location, count)`` ranges whose frames sit back to back in one matrix;
-:func:`range_rows` walks the two together.
+:func:`range_rows` walks the two together.  The sealed records that carry
+frames or trusted state are read back through one bounds-checked
+:class:`RecordCursor`.
 """
 
 from __future__ import annotations
+
+import struct
 
 import numpy as np
 
 from ..errors import StorageError
 
-__all__ = ["frame_matrix", "frame_count", "range_rows", "check_ranges"]
+__all__ = ["frame_matrix", "frame_count", "range_rows", "check_ranges",
+           "RecordCursor"]
 
 
 def frame_matrix(frames, frame_size: int) -> np.ndarray:
@@ -70,3 +75,57 @@ def range_rows(ranges, frames):
     for location, count in ranges:
         yield location, frames[row : row + count]
         row += count
+
+
+class RecordCursor:
+    """Bounds-checked sequential reader over one decrypted record.
+
+    The intent header codecs (:mod:`repro.core.journal` and
+    :mod:`repro.shuffle.online`), the RPL1 replication-record codec
+    (:mod:`repro.cluster.replication`) and the sealed trusted state
+    (:mod:`repro.hardware.trusted`) share this reader, so every
+    fixed-width field, flag byte, and length-prefixed payload decodes with
+    identical truncation behaviour: any read past the end of the blob
+    raises
+    :class:`~repro.errors.StorageError` instead of a bare
+    ``struct.error``/``IndexError``.
+    """
+
+    def __init__(self, blob: bytes, offset: int = 0):
+        self.blob = blob
+        self.offset = offset
+
+    def take_fields(self, fmt: struct.Struct) -> tuple:
+        """Every field of one packed ``fmt`` record."""
+        try:
+            values = fmt.unpack_from(self.blob, self.offset)
+        except struct.error as exc:
+            raise StorageError(f"record is truncated: {exc}") from exc
+        self.offset += fmt.size
+        return values
+
+    def take(self, fmt: struct.Struct) -> int:
+        return self.take_fields(fmt)[0]
+
+    def take_byte(self) -> int:
+        if self.offset >= len(self.blob):
+            raise StorageError("record is truncated")
+        value = self.blob[self.offset]
+        self.offset += 1
+        return value
+
+    def take_bytes(self, length: int) -> bytes:
+        if length < 0 or self.offset + length > len(self.blob):
+            raise StorageError("record is truncated")
+        value = self.blob[self.offset:self.offset + length]
+        self.offset += length
+        return value
+
+    def expect_end(self, what: str) -> None:
+        if self.offset != len(self.blob):
+            raise StorageError(f"trailing bytes in {what}")
+
+    def expect_padding(self, what: str) -> None:
+        """The rest of the blob must be the zero pad up to its public size."""
+        if any(self.blob[self.offset:]):
+            raise StorageError(f"trailing bytes in {what}")

@@ -24,13 +24,8 @@ from .channel import SimulatedChannel
 from ..core.database import SETUP_DIRECT, _create, _wire
 from ..core.engine import RetrievalEngine
 from ..core.params import SystemParameters
-from ..core.snapshot import (
-    _decode_trusted_state,
-    _encode_trusted_state,
-    decode_manifest,
-    encode_manifest,
-)
-from ..errors import ConfigurationError, PageDeletedError, ProtocolError
+from ..core.snapshot import decode_manifest, encode_manifest
+from ..errors import PageDeletedError, ProtocolError
 from ..hardware.coprocessor import SecureCoprocessor
 from ..hardware.specs import HardwareSpec
 from ..sim.clock import VirtualClock
@@ -181,7 +176,7 @@ class DataOwner:
 
     def query(self, page_id: int) -> bytes:
         page = self.engine.retrieve(page_id)
-        if self.cop.page_map.is_deleted(page_id):
+        if self.cop.state.is_deleted(page_id):
             raise PageDeletedError(f"page {page_id} is deleted")
         return page.payload
 
@@ -203,19 +198,22 @@ class DataOwner:
     # The encrypted pages already live at the provider, so an owner restart
     # only needs its trusted state: parameters, position map, cached pages,
     # round-robin pointer.  seal_state() packs those into one blob encrypted
-    # under the master key; resume() reconnects to the provider and unpacks.
+    # under the master key — the layout a snapshot's sealed.bin uses —
+    # and resume() reconnects to the provider and unpacks.
 
     def seal_state(self) -> bytes:
-        """Export the owner's trusted state as a sealed blob."""
-        if self.cop.rotation_in_progress:
-            raise ConfigurationError(
-                "cannot seal owner state during a key rotation; finish it "
-                "first (one scan period of requests)"
-            )
+        """Export the owner's trusted state as a sealed blob.
+
+        Mid-rotation too: the blob carries the legacy key and the request
+        countdown, so the owner resumes under the new key and the rotation
+        finishes on schedule.
+        """
         manifest = json.dumps(
             encode_manifest(self), sort_keys=True
         ).encode("utf-8")
-        sealed = self.cop.suite.encrypt_page(_encode_trusted_state(self))
+        sealed = self.cop.suite.encrypt_page(
+            self.cop.state.encode(self.cop.cache, self.cop.legacy_master_key)
+        )
         return (len(manifest).to_bytes(4, "big") + manifest + sealed)
 
     @classmethod
@@ -232,7 +230,8 @@ class DataOwner:
 
         ``channel_factory`` has the same contract as in :meth:`create`; the
         provider must still hold the frames the sealed state refers to.  A
-        wrong master key fails authentication rather than corrupting state.
+        wrong master key fails authentication rather than corrupting state;
+        a state sealed mid-rotation resumes with the *new* key.
         """
         if len(sealed_state) < 4:
             raise ProtocolError("sealed owner state is truncated")
@@ -243,8 +242,8 @@ class DataOwner:
             params, master_key=master_key, seed=seed, cipher_backend=backend,
             **_owner_wiring(channel_factory, clock, owner_spec),
         )
-        owner = cls(params, cop, remote, engine)
-        _decode_trusted_state(
-            cop.suite.decrypt_page(sealed_state[4 + manifest_length :]), owner
+        cop.state.decode(
+            cop.suite.decrypt_page(sealed_state[4 + manifest_length :]),
+            cop.cache, cop,
         )
-        return owner
+        return cls(params, cop, remote, engine)

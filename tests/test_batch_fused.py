@@ -388,7 +388,7 @@ class TestWindowMatrix:
                      for loc in block}
         outside = [
             page_id for page_id in range(NUM_RECORDS)
-            if not whole.cop.page_map.lookup(page_id).in_cache
+            if not whole.cop.state.lookup(page_id).in_cache
             and page_id not in residents
         ][:4]
         ops = [BatchOp("query", page_id=page_id) for page_id in outside]
@@ -396,8 +396,8 @@ class TestWindowMatrix:
         assert_slots_equal(run_per_op(per_op, ops), whole.run_batch(ops))
         displaced = [
             page_id for page_id in residents
-            if not whole.cop.page_map.lookup(page_id).in_cache
-            and whole.cop.page_map.lookup(page_id).position not in block
+            if not whole.cop.state.lookup(page_id).in_cache
+            and whole.cop.state.lookup(page_id).position not in block
         ]
         assert displaced  # block pages now live at the ops' extra locations
         whole.consistency_check()
@@ -496,7 +496,7 @@ class TestErrorSlots:
     def test_insert_capacity_error_slot(self):
         # No reserve: the free pool is only round-up padding; exhaust it.
         db, = twin_dbs(1, reserve_fraction=0.0)
-        free = len(db.cop.page_map.free_ids())
+        free = len(db.cop.state.free_ids())
         ops = [BatchOp("insert", payload=b"x")] * (free + 2)
         got = db.run_batch(ops)
         assert all(isinstance(item, int) for item in got[:free])
@@ -710,7 +710,7 @@ class TestEveryExtraIsChecked:
 
     @staticmethod
     def _state(db, journal):
-        pm, cache = db.cop.page_map, db.cop.cache
+        pm, cache = db.cop.state, db.cop.cache
         return (
             db.engine.request_count, db.engine.next_block_index,
             list(journal.blobs), journal.read(),

@@ -83,9 +83,9 @@ class TestObliviousSetup:
     def test_oblivious_setup_layout_differs_from_identity(self):
         db = make_db(num_records=24, setup_mode="oblivious", block_size=4, seed=8)
         layout = [
-            db.cop.page_map.lookup(i).position
+            db.cop.state.lookup(i).position
             for i in range(24)
-            if not db.cop.page_map.is_cached(i)
+            if not db.cop.state.is_cached(i)
         ]
         assert layout != sorted(layout)
 

@@ -102,12 +102,12 @@ class TestEngineState:
         assert 0 <= outcome.block_slot < small_db.params.block_size
 
     def test_requested_page_lands_in_cache(self, small_db):
-        pm = small_db.cop.page_map
+        pm = small_db.cop.state
         small_db.engine.retrieve(9)
         assert pm.is_cached(9)
 
     def test_cache_occupancy_constant(self, small_db):
-        pm = small_db.cop.page_map
+        pm = small_db.cop.state
         m = small_db.params.cache_capacity
         assert pm.cached_count == m
         for page_id in range(20):
@@ -116,7 +116,7 @@ class TestEngineState:
 
     def test_extra_page_never_cached_or_in_block(self, small_db):
         """The rejection sampling of lines 3-5 must never pick an excluded page."""
-        pm = small_db.cop.page_map
+        pm = small_db.cop.state
         k = small_db.params.block_size
         for step in range(40):
             target = step % small_db.num_pages
@@ -134,7 +134,7 @@ class TestEngineState:
             assert not in_block, "extra page must come from outside the block"
 
     def test_eviction_moves_exactly_one_page_to_disk(self, small_db):
-        pm = small_db.cop.page_map
+        pm = small_db.cop.state
         cached_before = {
             pid for pid in range(small_db.params.total_pages) if pm.is_cached(pid)
         }

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from repro import PirDatabase
 from repro.baselines import make_records
 from repro.core.snapshot import load_snapshot, save_snapshot
 from repro.crypto.suite import _RENAMED, CipherSuite
@@ -17,7 +18,7 @@ from repro.errors import (
     PageNotFoundError,
     StorageError,
 )
-from repro.hardware.pagemap import PageMap
+from repro.hardware.trusted import TrustedState
 from repro.storage.disk import DiskStore
 from repro.storage.trace import shapes_identical
 
@@ -249,15 +250,16 @@ class TestValidation:
 
     def test_page_without_a_position_refuses_to_snapshot(self, warm_db,
                                                          tmp_path):
-        """Never encoded as position 2^64 - 1: the save is refused."""
-        placed = warm_db.cop.page_map
-        holed = PageMap(placed.num_pages)
+        """Never encoded as some position: the save is refused."""
+        placed = warm_db.cop.state
+        holed = TrustedState(placed.num_locations, placed.cache_capacity,
+                             placed.block_size)
         for page_id in range(placed.num_pages):
             entry = placed.lookup(page_id)
             if page_id != 7:
                 place = holed.set_cached if entry.in_cache else holed.set_disk
                 place(page_id, entry.position)
-        warm_db.cop.page_map = holed
+        warm_db.cop.state = holed
         with pytest.raises(PageNotFoundError,
                            match="page id 7 has no recorded position"):
             save_snapshot(warm_db, str(tmp_path))
@@ -275,13 +277,13 @@ class TestValidation:
     def test_retired_keystream_is_refused_before_any_decrypt(
         self, warm_db, tmp_path, monkeypatch
     ):
-        """A format-2 manifest from before the shake keystream replaced
-        blake2: HMAC keys did not change, so its frames would pass every
-        MAC check and decrypt to noise — the manifest must stop the load."""
+        """A manifest from before the shake keystream replaced blake2: HMAC
+        keys did not change, so its frames would pass every MAC check and
+        decrypt to noise — the manifest must stop the load."""
         save_snapshot(warm_db, str(tmp_path))  # real, MAC-valid frames
         manifest_path = tmp_path / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        assert manifest["format"] == 2
+        assert manifest["format"] == 3
         # The name CipherSuite itself still accepts (and maps to shake).
         (manifest["cipher_backend"],) = _RENAMED
         manifest_path.write_text(json.dumps(manifest))
@@ -294,6 +296,49 @@ class TestValidation:
                            match="sealed under the retired blake2 keystream"):
             load_snapshot(str(tmp_path), seed=13)
         assert built == []  # no suite existed, so nothing was decrypted
+
+    @pytest.mark.parametrize("old_format", [1, 2])
+    def test_older_formats_are_refused_before_any_suite(
+        self, warm_db, tmp_path, monkeypatch, old_format
+    ):
+        """Formats 1 and 2 sealed the trusted state in layouts this version
+        no longer reads: the manifest stops the load, naming the format
+        and the way out, before any suite exists."""
+        save_snapshot(warm_db, str(tmp_path))
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format"] = old_format
+        manifest_path.write_text(json.dumps(manifest))
+        built = []
+        monkeypatch.setattr(
+            CipherSuite, "__init__",
+            lambda self, *args, **kw: built.append(args),
+        )
+        with pytest.raises(ConfigurationError,
+                           match=f"is format {old_format}; .*Re-create the "
+                                 "database"):
+            load_snapshot(str(tmp_path), seed=14)
+        assert built == []
+
+    def test_sealed_state_of_another_block_size_is_refused(self, tmp_path):
+        """Same key, same 120 locations and m, different k: the sealed
+        state names its (n, m, k), so it cannot be restored next to the
+        other database's manifest and frames."""
+        small, large = (
+            PirDatabase.create(
+                make_records(120, 16), cache_capacity=6, block_size=k,
+                page_capacity=16, seed=17,
+            )
+            for k in (6, 12)
+        )
+        assert small.params.num_locations == large.params.num_locations
+        save_snapshot(small, str(tmp_path / "k6"))
+        save_snapshot(large, str(tmp_path / "k12"))
+        (tmp_path / "k12" / "sealed.bin").write_bytes(
+            (tmp_path / "k6" / "sealed.bin").read_bytes()
+        )
+        with pytest.raises(StorageError, match=r"sealed as \(layout, n, m, k\) = \(3, 120, 6, 6\)"):
+            load_snapshot(str(tmp_path / "k12"), seed=18)
 
     def test_sealing_layer_under_another_keystream_fails_closed(
         self, warm_db, tmp_path
@@ -315,9 +360,9 @@ class TestValidation:
         with pytest.raises(AuthenticationError):
             load_snapshot(str(tmp_path), seed=15)
 
-    # Cut inside the round-robin pointer, inside the page map (after two
-    # u64 counters, the u64 page count and 7.5 nine-byte entries), mid-blob
-    # and inside the epoch number.
+    # Cut inside (n, m, k), inside the position column (61 bytes of
+    # header, scalars and empty legacy key, then 30 of 56 one-byte
+    # positions), mid-blob and inside the last cache slot.
     @pytest.mark.parametrize("keep", [5, 24 + 9 * 7 + 4, 0.5, -3])
     def test_truncated_trusted_state_is_a_storage_error(
         self, warm_db, tmp_path, keep

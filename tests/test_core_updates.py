@@ -18,7 +18,7 @@ class TestModify:
 
     def test_modify_cached_page(self, small_db):
         small_db.query(3)  # bring into the cache
-        assert small_db.cop.page_map.is_cached(3)
+        assert small_db.cop.state.is_cached(3)
         small_db.update(3, b"cached-edit")
         assert small_db.query(3) == b"cached-edit"
 
@@ -49,42 +49,42 @@ class TestDelete:
     def test_delete_cached_page_is_force_evicted(self, small_db):
         """§4.3: a cached deleted page always swaps into the block."""
         small_db.query(6)  # cache it
-        assert small_db.cop.page_map.is_cached(6)
+        assert small_db.cop.state.is_cached(6)
         small_db.delete(6)
-        assert not small_db.cop.page_map.is_cached(6)
-        assert small_db.cop.page_map.is_deleted(6)
+        assert not small_db.cop.state.is_cached(6)
+        assert small_db.cop.state.is_deleted(6)
 
     def test_delete_disk_page(self, small_db):
         # Fresh db: page 11 not yet cached.
-        assert not small_db.cop.page_map.is_cached(11)
+        assert not small_db.cop.state.is_cached(11)
         small_db.delete(11)
-        assert small_db.cop.page_map.is_deleted(11)
+        assert small_db.cop.state.is_deleted(11)
         small_db.consistency_check()
 
     def test_delete_grows_free_pool(self, small_db):
-        before = small_db.cop.page_map.free_count
+        before = small_db.cop.state.free_count
         small_db.delete(2)
-        assert small_db.cop.page_map.free_count == before + 1
+        assert small_db.cop.state.free_count == before + 1
 
 
 class TestInsert:
     def test_insert_into_reserve(self, small_db):
         new_id = small_db.insert(b"brand new")
         assert small_db.query(new_id) == b"brand new"
-        assert not small_db.cop.page_map.is_deleted(new_id)
+        assert not small_db.cop.state.is_deleted(new_id)
 
     def test_insert_consumes_free_pool(self, small_db):
-        before = small_db.cop.page_map.free_count
+        before = small_db.cop.state.free_count
         small_db.insert(b"x")
-        assert small_db.cop.page_map.free_count == before - 1
+        assert small_db.cop.state.free_count == before - 1
 
     def test_insert_reuses_deleted_slot(self):
         db = make_db(num_records=40, seed=9)  # no reserve_fraction
-        free_before = db.cop.page_map.free_count
+        free_before = db.cop.state.free_count
         db.delete(5)
         new_id = db.insert(b"recycled")
         assert db.query(new_id) == b"recycled"
-        assert db.cop.page_map.free_count == free_before
+        assert db.cop.state.free_count == free_before
 
     def test_insert_exhaustion(self):
         db = make_db(num_records=40, seed=10)

@@ -17,9 +17,9 @@ class TestUpdateSemantics:
         modification is an upsert: writing to a deleted id brings it back."""
         db = make_db(seed=950)
         db.delete(5)
-        assert db.cop.page_map.is_deleted(5)
+        assert db.cop.state.is_deleted(5)
         db.update(5, b"revived")
-        assert not db.cop.page_map.is_deleted(5)
+        assert not db.cop.state.is_deleted(5)
         assert db.query(5) == b"revived"
 
     def test_update_of_reserve_page_is_an_insert_by_id(self):
@@ -27,10 +27,10 @@ class TestUpdateSemantics:
         free pool (equivalent to an insert that chose its own id)."""
         db = make_db(num_records=40, reserve_fraction=0.2, seed=951)
         reserve_id = db.params.num_user_pages  # first padding page
-        free_before = db.cop.page_map.free_count
+        free_before = db.cop.state.free_count
         db.update(reserve_id, b"claimed")
         assert db.query(reserve_id) == b"claimed"
-        assert db.cop.page_map.free_count == free_before - 1
+        assert db.cop.state.free_count == free_before - 1
 
     def test_oversized_payload_rejected_before_any_disk_access(self):
         db = make_db(page_capacity=16, seed=952)

@@ -26,7 +26,7 @@ def driven_db_and_outcomes():
     rng = SecureRandom(99)
     outcomes = []
     extra_ids = []
-    pm = db.cop.page_map
+    pm = db.cop.state
     for _ in range(3000):
         db.query(rng.randrange(40))
         outcome = db.engine.last_outcome

@@ -1,8 +1,9 @@
-"""Secure-hardware substrate: specs, cache, page map, coprocessor."""
+"""Secure-hardware substrate: specs, cache, trusted state, coprocessor."""
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,11 +13,12 @@ from repro.errors import (
     CapacityError,
     ConfigurationError,
     PageNotFoundError,
+    StorageError,
 )
 from repro.hardware.cache import LRU_POLICY, PageCache
 from repro.hardware.coprocessor import SecureCoprocessor
-from repro.hardware.pagemap import PageMap
 from repro.hardware.specs import IBM_4764, MEGABYTE, HardwareSpec
+from repro.hardware.trusted import TrustedState
 from repro.sim.clock import VirtualClock
 from repro.storage.page import Page
 
@@ -113,8 +115,10 @@ class TestPageCache:
 
 
 class TestPageMap:
+    """The position-map half of :class:`TrustedState`."""
+
     def test_disk_and_cache_transitions(self):
-        pm = PageMap(10)
+        pm = TrustedState(8, 3, 2)
         pm.set_disk(3, 7)
         assert not pm.is_cached(3)
         assert pm.disk_location(3) == 7
@@ -126,31 +130,31 @@ class TestPageMap:
         assert pm.cached_count == 0
 
     def test_cached_count_idempotent(self):
-        pm = PageMap(4)
+        pm = TrustedState(2, 2, 1)
         pm.set_cached(0, 0)
         pm.set_cached(0, 1)
         assert pm.cached_count == 1
 
     def test_disk_location_of_cached_page_fails(self):
-        pm = PageMap(4)
+        pm = TrustedState(2, 2, 1)
         pm.set_cached(1, 0)
         with pytest.raises(PageNotFoundError):
             pm.disk_location(1)
 
     def test_unset_page(self):
-        pm = PageMap(4)
+        pm = TrustedState(2, 2, 1)
         with pytest.raises(PageNotFoundError):
             pm.lookup(0)
 
     def test_out_of_range(self):
-        pm = PageMap(4)
+        pm = TrustedState(2, 2, 1)
         with pytest.raises(PageNotFoundError):
             pm.lookup(4)
         with pytest.raises(PageNotFoundError):
             pm.is_cached(-1)
 
     def test_free_pool(self):
-        pm = PageMap(6)
+        pm = TrustedState(6, 1, 1)
         for page_id in range(6):
             pm.set_disk(page_id, page_id)
         pm.mark_deleted(2)
@@ -160,34 +164,43 @@ class TestPageMap:
         assert pm.is_deleted(4)
         pm.mark_live(4)
         assert pm.free_count == 1 and not pm.is_deleted(4)
+        # Deletion is a flag beside the position, not a value of it.
+        pm.mark_deleted(4)
+        assert pm.disk_location(4) == 4
 
     def test_no_free_pages(self):
         with pytest.raises(PageNotFoundError):
-            PageMap(3).any_free_id()
+            TrustedState(2, 1, 1).any_free_id()
 
     def test_storage_accounting(self):
-        pm = PageMap(1024)
+        pm = TrustedState(1000, 24, 10)
         # 1024 * (10 + 1) bits = 1408 bytes.
         assert pm.storage_bits() == 1024 * 11
         assert pm.storage_bytes() == math.ceil(1024 * 11 / 8)
 
     def test_invalid_sizes(self):
-        with pytest.raises(ConfigurationError):
-            PageMap(0)
-        pm = PageMap(2)
+        for shape in [(0, 1, 1), (1, 0, 1), (1, 1, 0)]:
+            with pytest.raises(ConfigurationError):
+                TrustedState(*shape)
+        pm = TrustedState(2, 2, 1)
         with pytest.raises(ConfigurationError):
             pm.set_disk(0, -1)
         with pytest.raises(ConfigurationError):
             pm.set_cached(0, -1)
+        # Past its container: a location is below n, a slot below m.
+        with pytest.raises(ConfigurationError):
+            pm.set_disk(0, 2)
+        with pytest.raises(ConfigurationError):
+            pm.set_cached(0, 2)
 
     def test_columns_load_as_the_per_entry_calls_build_them(self):
         """``load_columns`` is ``set_disk`` / ``set_cached`` /
-        ``mark_deleted`` over every id: same entries, free pool and cached
-        count, and ``columns`` reads them back."""
+        ``mark_deleted`` over every id: same columns, free pool and cached
+        count."""
         in_cache = [False, True, False, True, False]
-        position = [3, 0, 1, 1, 0]
+        position = [2, 0, 1, 1, 0]
         deleted = [False, True, True, False, False]
-        one_by_one = PageMap(5)
+        one_by_one = TrustedState(3, 2, 1)
         for page_id in range(5):
             if in_cache[page_id]:
                 one_by_one.set_cached(page_id, position[page_id])
@@ -195,33 +208,108 @@ class TestPageMap:
                 one_by_one.set_disk(page_id, position[page_id])
             if deleted[page_id]:
                 one_by_one.mark_deleted(page_id)
-        bulk = PageMap(5)
-        bulk.set_cached(4, 7)  # replaced, not merged
+        bulk = TrustedState(3, 2, 1)
+        bulk.set_cached(4, 1)  # replaced, not merged
         bulk.mark_deleted(4)
         bulk.load_columns(np.array(in_cache), np.array(position, ">u8"),
                           deleted)
         for pm in (one_by_one, bulk):
-            assert [col.tolist() for col in pm.columns()] == [
-                in_cache, position, deleted]
+            assert pm.position.tolist() == position
+            assert pm.flags.tolist() == [4, 7, 6, 5, 4]
             assert pm.free_ids() == {1, 2} and pm.cached_count == 2
             assert pm.lookup(3).in_cache and pm.lookup(3).position == 1
 
     def test_bulk_forms_refuse_what_the_per_entry_calls_refuse(self):
-        pm = PageMap(3)
-        with pytest.raises(ConfigurationError, match="non-negative"):
-            pm.load_columns([False] * 3, [0, -1, 2], [False] * 3)
-        # A u8 position past 2^63 cannot pass as a location either.
-        with pytest.raises(ConfigurationError, match="non-negative"):
-            pm.load_columns([False] * 3, np.array([0, 2**64 - 1, 2], ">u8"),
-                            [False] * 3)
-        with pytest.raises(ConfigurationError, match="3 entries"):
+        pm = TrustedState(3, 1, 1)
+        with pytest.raises(ConfigurationError, match="page id 1: position -1"):
+            pm.load_columns([False] * 4, [0, -1, 2, 0], [False] * 4)
+        # A u8 position past the last location cannot pass as one either,
+        # nor a slot past the cache.
+        with pytest.raises(ConfigurationError, match="page id 1: position"):
+            pm.load_columns([False] * 4,
+                            np.array([0, 2**64 - 1, 2, 0], ">u8"),
+                            [False] * 4)
+        with pytest.raises(ConfigurationError, match="page id 3: position 1"):
+            pm.load_columns([False] * 3 + [True], [0, 1, 2, 1], [False] * 4)
+        with pytest.raises(ConfigurationError, match="4 entries"):
             pm.load_columns([False] * 2, [0, 1], [False] * 2)
-        # Nothing was loaded, and a page never placed is not read as 2^64-1.
+        # Nothing was loaded, and a page never placed is refused, not
+        # encoded as some position.
         pm.set_disk(0, 0)
         pm.set_disk(2, 2)
+        pm.set_cached(3, 0)
         with pytest.raises(PageNotFoundError,
                            match="page id 1 has no recorded position"):
-            pm.columns()
+            pm.lookup(1)
+        with pytest.raises(PageNotFoundError,
+                           match="page id 1 has no recorded position"):
+            pm.encode(PageCache(1, SecureRandom(1)), None)
+
+
+class TestTrustedState:
+    @staticmethod
+    def _state(n=6, m=2, k=3):
+        state = TrustedState(n, m, k)
+        state.load_columns([False] * n + [True] * m,
+                           list(range(n)) + list(range(m)),
+                           [False] * (n - 1) + [True] * (m + 1))
+        cache = PageCache(m, SecureRandom(1))
+        cache.fill([Page(n + slot, b"", deleted=True) for slot in range(m)])
+        return state, cache
+
+    def test_eq7_width(self):
+        """At n = 2^16 and m = 1024 the columns hold 3 bytes per entry
+        against Eq. 7's 18 bits: within one byte per entry of the term
+        storage_bits() charges."""
+        state = TrustedState(2**16, 1024, 64)
+        assert state.position.dtype == np.dtype("<u2")
+        entries = state.num_pages
+        nbytes = state.position.nbytes + state.flags.nbytes
+        assert nbytes == 3 * entries
+        eq7 = entries * (math.ceil(math.log2(entries)) + 1) / 8
+        assert state.storage_bits() == entries * 18
+        assert 0 <= nbytes - eq7 <= entries
+
+    def test_round_trip(self):
+        state, cache = self._state()
+        state.advance(1, 7, 2)
+        state.note_epoch(3)
+        state.set_cached(2, 1)
+        cache.put(1, Page(2, b"cached"))
+        state.set_disk(7, 2)
+        blob = state.encode(cache, b"legacy-key")
+
+        restored, restored_cache = TrustedState(6, 2, 3), PageCache(
+            2, SecureRandom(2))
+        adopted = []
+        restored.decode(blob, restored_cache,
+                        SimpleNamespace(adopt_legacy_key=adopted.append))
+        assert adopted == [b"legacy-key"]
+        assert (restored.next_block, restored.request_count,
+                restored.rotation_left, restored.epoch_base) == (1, 7, 2, 3)
+        assert restored.position.tolist() == state.position.tolist()
+        assert restored.flags.tolist() == state.flags.tolist()
+        assert restored.free_ids() == state.free_ids() == {5, 6, 7}
+        assert [restored_cache.get(s) for s in range(2)] == [
+            cache.get(s) for s in range(2)]
+        assert restored.encode(restored_cache, b"legacy-key") == blob
+
+    @pytest.mark.parametrize("shape", [(6, 2, 2), (6, 3, 3), (9, 2, 3)])
+    def test_decode_refuses_another_shape(self, shape):
+        state, cache = self._state()
+        blob = state.encode(cache, None)
+        with pytest.raises(StorageError, match=r"sealed as \(layout, n, m, k\)"):
+            TrustedState(*shape).decode(blob, cache, None)
+
+    def test_decode_refuses_a_pointer_past_the_last_block(self):
+        state, cache = self._state()
+        state.advance(state.num_blocks, 0, None)
+        blob = state.encode(cache, None)
+        restored = TrustedState(6, 2, 3)
+        with pytest.raises(StorageError, match="block pointer 2"):
+            restored.decode(blob, PageCache(2, SecureRandom(1)), None)
+        assert restored.next_block == 0
+        assert not restored.flags.any()
 
 
 class TestSecureCoprocessor:
@@ -252,7 +340,7 @@ class TestSecureCoprocessor:
         page_bytes = cop.plaintext_page_size
         assert report.page_cache == 4 * page_bytes
         assert report.server_block == 5 * page_bytes
-        assert report.page_map == cop.page_map.storage_bytes()
+        assert report.page_map == cop.state.storage_bytes()
         assert report.total == report.page_map + report.page_cache + report.server_block
 
     def test_memory_limit_enforced(self):

@@ -53,7 +53,7 @@ class TestForegroundEpoch:
         db = make_db(seed=21, journal=MemoryJournal())
         digest = db.content_digest()
         n = db.params.num_locations
-        before = [db.cop.page_map.lookup(i).position for i in range(n)]
+        before = [db.cop.state.lookup(i).position for i in range(n)]
 
         driver = db.begin_reshuffle(batch_size=24, journal=MemoryJournal())
         assert driver is db.reshuffle
@@ -64,7 +64,7 @@ class TestForegroundEpoch:
 
         db.consistency_check()
         assert db.content_digest() == digest
-        after = [db.cop.page_map.lookup(i).position for i in range(n)]
+        after = [db.cop.state.lookup(i).position for i in range(n)]
         moved = sum(1 for a, b in zip(before, after) if a != b)
         assert moved > n // 2  # a fresh uniform permutation moved most pages
         db.close()

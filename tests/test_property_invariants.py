@@ -80,7 +80,7 @@ def test_system_invariants_under_random_operations(operations, seed):
 
     # Structural invariants.
     db.consistency_check()
-    assert db.cop.page_map.cached_count == db.params.cache_capacity
+    assert db.cop.state.cached_count == db.params.cache_capacity
 
     # Every shadow entry is still readable and correct.
     for page_id, payload in shadow.items():
@@ -111,7 +111,7 @@ def test_landing_block_always_current_round_robin_block(seed):
         seed=seed,
         cipher_backend="null",
     )
-    pm = db.cop.page_map
+    pm = db.cop.state
     k = db.params.block_size
     for step in range(40):
         cached_before = {

@@ -36,7 +36,7 @@ def _sha(parts) -> str:
 
 def setup_digests(db) -> dict:
     """What ``create`` leaves behind, read through the store contract."""
-    pm = db.cop.page_map
+    pm = db.cop.state
     columns = [pm.lookup(page_id) for page_id in range(pm.num_pages)]
     return {
         "arena": _sha(db.disk.peek(location)
@@ -163,13 +163,15 @@ EXPECTED_SHARDS = [
          free="c5523aa1d3a76e73", trace="0f6765923d1f4e07",
          clock="0.0050085500000000005", rng="e8c0990ee3def82c"),
 ]
+# The "trusted" and owner-state digests pin TrustedState.encode's layout,
+# which replaced the per-page implementation's; its content is unchanged.
 EXPECTED_SNAPSHOT = {
     "chunked": dict(frames="bf46d24afab239cf",
-                    trusted="f1bf167d17bfb3f2"),
+                    trusted="48b517c674d0e4c5"),
     "warm": dict(frames="09b55c87a3d9fe42",
-                 trusted="370e8c6cf846886f"),
+                 trusted="fb7c1824c6c3ac0f"),
 }
-EXPECTED_OWNER_STATE = "3b0ec1843172e5a2"
+EXPECTED_OWNER_STATE = "4ceff98f6d7d778f"
 
 
 @pytest.mark.parametrize("name", sorted(SETUPS))

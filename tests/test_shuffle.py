@@ -130,7 +130,7 @@ def layout_of(db):
     """The page id stored at each disk location, from the page map."""
     layout = [0] * db.params.num_locations
     for page_id in range(db.params.num_locations):
-        layout[db.cop.page_map.lookup(page_id).position] = page_id
+        layout[db.cop.state.lookup(page_id).position] = page_id
     return layout
 
 

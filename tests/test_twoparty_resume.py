@@ -99,8 +99,23 @@ class TestResume:
             )
         assert dialled == []
 
-    def test_seal_during_rotation_refused(self):
+    def test_seal_during_rotation_round_trips(self):
+        """The sealed state carries the legacy key and the countdown: the
+        owner resumes under the new key, reads old-key frames, and the
+        rotation finishes after the rest of one scan period."""
         session = _session(seed=74)
-        session.owner.engine.begin_key_rotation(b"new-key")
-        with pytest.raises(ConfigurationError, match="rotation"):
-            session.owner.seal_state()
+        owner = session.owner
+        owner.engine.begin_key_rotation(b"new-key")
+        owner.engine.touch()
+        left = owner.engine.rotation_requests_remaining
+        resumed = DataOwner.resume(owner.seal_state(),
+                                   _reconnect_factory(session),
+                                   master_key=b"new-key", seed=6)
+        assert resumed.cop.rotation_in_progress
+        assert resumed.engine.rotation_requests_remaining == left
+        for _ in range(left):
+            resumed.engine.touch()
+        assert not resumed.cop.rotation_in_progress
+        assert resumed.engine.rotation_requests_remaining is None
+        for i in range(40):
+            assert resumed.query(i) == RECORDS[i]

@@ -46,7 +46,7 @@ def oblivious_position(seed, n=8):
                             page_capacity=0, seed=seed, cipher_backend="null",
                             trace_enabled=False, setup_mode="oblivious")
     assert db.params.num_locations == n
-    return [db.cop.page_map.lookup(page_id).position for page_id in (0, 1)]
+    return [db.cop.state.lookup(page_id).position for page_id in (0, 1)]
 
 
 class TestShuffleUniformity:
