@@ -1,7 +1,7 @@
-"""Figure 6 — response time vs privacy parameter c = 1 + epsilon (B = 1 KB).
+"""Figure 6 — response time vs privacy parameter c − 1 (B = 1 KB).
 
 Four panels with fixed caches (50k / 100k / 500k / 500k pages).  Shape
-checks: response time falls monotonically with epsilon, and the §5 claims
+checks: response time falls monotonically with c, and the §5 claims
 hold — sub-second at c = 1.1 for databases up to 100 GB; not for 1 TB.
 """
 
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.costmodel import FIGURE6_EPSILONS, figure6_series
+from repro.analysis.costmodel import FIGURE6_C_MINUS_ONE, figure6_series
 from repro.analysis.plots import ascii_plot
 
 
@@ -18,7 +18,7 @@ def test_figure6_series(report, benchmark):
     for panel, points in series.items():
         report.line(f"Figure 6 ({panel} database, B = 1 KB, m fixed)")
         report.table(
-            ["epsilon", "c", "k", "response (s)"],
+            ["(c − 1)", "c", "k", "response (s)"],
             [
                 [p.privacy_c - 1.0, p.privacy_c, p.block_size, p.query_time]
                 for p in points
@@ -34,8 +34,8 @@ def test_figure6_series(report, benchmark):
             for panel, points in series.items()
         ],
         log_x=True, log_y=True,
-        title="Figure 6 (all panels): response time vs epsilon",
-        x_label="epsilon", y_label="seconds",
+        title="Figure 6 (all panels): response time vs c − 1",
+        x_label="c − 1", y_label="seconds",
     ))
 
 
@@ -50,4 +50,4 @@ def test_figure6_paper_claims(report, benchmark):
     by_panel = dict((row[0], row[2]) for row in rows)
     assert by_panel["1GB"] and by_panel["10GB"] and by_panel["100GB"]
     assert not by_panel["1TB"]
-    assert list(FIGURE6_EPSILONS)[0] == 0.01
+    assert list(FIGURE6_C_MINUS_ONE)[0] == 0.01

@@ -13,7 +13,7 @@ these formulas over the Table-2 constants; this module reproduces them
 exactly (the tests pin the headline values: 27 ms for 1 GB / 1 KB pages at
 c = 2, etc.) and adds the two-party variant behind Figure 7.
 
-Every figure's panel definitions (database sizes, cache-size sweeps, epsilon
+Every figure's panel definitions (database sizes, cache-size sweeps, c − 1
 sweeps) are encoded here so benchmarks and docs share one source of truth.
 """
 
@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
-from ..core.params import required_block_size
+from ..core.params import cache_for_privacy, required_block_size
 from ..errors import ConfigurationError
 from ..hardware.specs import GIGABYTE, IBM_4764, HardwareSpec
 
@@ -32,6 +32,7 @@ __all__ = [
     "AnalyticalCostModel",
     "TwoPartyCostModel",
     "eq8_terms",
+    "largest_block_size",
     "figure4_series",
     "figure5_series",
     "figure6_series",
@@ -41,7 +42,7 @@ __all__ = [
     "FIGURE5_PANELS",
     "FIGURE6_PANELS",
     "FIGURE7_PANELS",
-    "FIGURE6_EPSILONS",
+    "FIGURE6_C_MINUS_ONE",
 ]
 
 
@@ -106,6 +107,22 @@ def eq8_terms(
     return terms
 
 
+def largest_block_size(
+    query_time: Callable[[int], float], budget: float, num_pages: int
+) -> int:
+    """Eq. 8 inverted: the largest k in ``[1, num_pages]`` whose
+    ``query_time(k)`` fits ``budget``, by binary search (Eq. 8 increases
+    with k).  Returns 1 when even k = 1 misses; callers refuse that case."""
+    lo, hi = 1, max(1, num_pages)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if query_time(mid) <= budget:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 class AnalyticalCostModel:
     """Eqs. 7-8 over a hardware spec (three-party, coprocessor deployment)."""
 
@@ -164,55 +181,39 @@ class AnalyticalCostModel:
     ) -> ConfigurationPoint:
         """Smallest cache m meeting a response-time target (inverse of §5).
 
-        Solves Eq. 8 for the largest admissible k, then Eq. 6 for the m that
-        produces it — the calculation behind §5's "sub-second page retrieval
-        on 1 TB needs over 4 GB of secure storage".  Raises if the target is
-        below the 4-seek floor.
+        Takes the largest block size whose :meth:`query_time` fits the
+        target, then the smallest m whose Eq. 6 block size is no larger
+        (:func:`~repro.core.params.cache_for_privacy`) — the calculation
+        behind §5's "sub-second page retrieval on 1 TB needs over 4 GB of
+        secure storage".  Raises if the target is below the 4-seek floor or
+        leaves no room for k = 1.
         """
-        spec = self.spec
-        floor = 4 * spec.disk.seek_time
+        floor = 4 * self.spec.disk.seek_time
         if target_seconds <= floor:
             raise ConfigurationError(
                 f"target {target_seconds}s is below the 4-seek floor {floor}s"
             )
-        per_byte = (
-            1.0 / spec.disk.read_bandwidth
-            + 1.0 / spec.link_bandwidth
-            + 1.0 / spec.crypto_throughput
-        )
-        k_max = math.floor(
-            (target_seconds - floor) / (2 * page_size * per_byte) - 1
-        )
-        if k_max < 1:
+        if self.query_time(1, page_size) > target_seconds:
             raise ConfigurationError(
                 "target time admits no block at this page size"
             )
         num_pages = database_bytes // page_size
-        # Eq. 6 inverted: T = n/k and (1-1/m)^(T-1) = 1/c
-        # => m = 1 / (1 - c^(-1/(T-1))).
-        period = num_pages / k_max
-        if period <= 1:
-            cache = 2
-        else:
-            cache = math.ceil(1.0 / (1.0 - privacy_c ** (-1.0 / (period - 1))))
-        cache = max(2, cache)
-        point = self.point(database_bytes, page_size, cache, privacy_c)
-        # Integer rounding can leave k one notch high; nudge m up until the
-        # target is met (few iterations: k is monotone in m).
-        while point.query_time > target_seconds:
-            cache = math.ceil(cache * 1.02) + 1
-            point = self.point(database_bytes, page_size, cache, privacy_c)
-        return point
+        block_size = largest_block_size(
+            lambda k: self.query_time(k, page_size), target_seconds, num_pages
+        )
+        cache = cache_for_privacy(num_pages, block_size, privacy_c)
+        return self.point(database_bytes, page_size, cache, privacy_c)
 
 
-class TwoPartyCostModel:
+class TwoPartyCostModel(AnalyticalCostModel):
     """Figure 7's deployment: the owner *is* the secure hardware (§3.1, §5).
 
     The secure-memory constraint disappears (any server has gigabytes of
-    RAM); the bottleneck becomes the network, which must carry 2(k+1) pages
-    per query.  The paper's prototype ran over WiFi with a simulated 50 ms
-    RTT; ``network_bandwidth`` is calibrated (DESIGN.md §3, EXPERIMENTS.md)
-    so the model reproduces the paper's measured 0.737 s at
+    RAM, and Eq. 7 is charged against it); the bottleneck becomes the
+    network, which must carry 2(k+1) pages per query.  The paper's
+    prototype ran over WiFi with a simulated 50 ms RTT;
+    ``network_bandwidth`` is calibrated (DESIGN.md §3, EXPERIMENTS.md) so
+    the model reproduces the paper's measured 0.737 s at
     (1 TB, B = 1 KB, m = 2 x 10^6).
     """
 
@@ -225,10 +226,10 @@ class TwoPartyCostModel:
     ):
         if rtt < 0 or network_bandwidth <= 0 or owner_crypto_throughput <= 0:
             raise ConfigurationError("invalid two-party model constants")
+        super().__init__(spec)
         self.rtt = rtt
         self.network_bandwidth = network_bandwidth
         self.owner_crypto_throughput = owner_crypto_throughput
-        self.spec = spec
 
     def query_time(self, block_size: int, page_size: int) -> float:
         """One RTT plus provider disk plus the double page transfer + crypto."""
@@ -238,37 +239,6 @@ class TwoPartyCostModel:
         per_byte = 1.0 / self.network_bandwidth + 1.0 / self.owner_crypto_throughput
         disk = 4 * self.spec.disk.seek_time + moved / self.spec.disk.read_bandwidth
         return self.rtt + disk + moved * per_byte
-
-    @staticmethod
-    def owner_storage_bytes(
-        num_pages: int, cache_pages: int, block_size: int, page_size: int
-    ) -> float:
-        """Same Eq. 7 structure, now charged against the owner's RAM."""
-        return AnalyticalCostModel.secure_storage_bytes(
-            num_pages, cache_pages, block_size, page_size
-        )
-
-    def point(
-        self,
-        database_bytes: int,
-        page_size: int,
-        cache_pages: int,
-        privacy_c: float,
-    ) -> ConfigurationPoint:
-        num_pages = database_bytes // page_size
-        block_size = required_block_size(num_pages, cache_pages, privacy_c)
-        return ConfigurationPoint(
-            database_bytes=database_bytes,
-            page_size=page_size,
-            num_pages=num_pages,
-            cache_pages=cache_pages,
-            block_size=block_size,
-            privacy_c=privacy_c,
-            query_time=self.query_time(block_size, page_size),
-            secure_storage_bytes=self.owner_storage_bytes(
-                num_pages, cache_pages, block_size, page_size
-            ),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +263,7 @@ FIGURE5_PANELS: Dict[str, Dict[str, Sequence[int]]] = {
     "1TB": {"db_bytes": (1000 * GIGABYTE,), "cache_sizes": (50_000, 100_000, 200_000, 300_000, 400_000)},
 }
 
-#: Figure 6: response time vs. epsilon (c = 1 + eps), B = 1 KB, m fixed per DB.
+#: Figure 6: response time vs. c − 1, B = 1 KB, m fixed per DB.
 FIGURE6_PANELS: Dict[str, Dict[str, int]] = {
     "1GB": {"db_bytes": 1 * GIGABYTE, "cache_pages": 50_000},
     "10GB": {"db_bytes": 10 * GIGABYTE, "cache_pages": 100_000},
@@ -301,7 +271,7 @@ FIGURE6_PANELS: Dict[str, Dict[str, int]] = {
     "1TB": {"db_bytes": 1000 * GIGABYTE, "cache_pages": 500_000},
 }
 
-FIGURE6_EPSILONS: Sequence[float] = (0.01, 0.05, 0.1, 0.5, 1.0)
+FIGURE6_C_MINUS_ONE: Sequence[float] = (0.01, 0.05, 0.1, 0.5, 1.0)
 
 #: Figure 7: two-party model, 1 TB database, c = 2.
 FIGURE7_PANELS: Dict[str, Dict[str, Sequence[int]]] = {
@@ -346,16 +316,16 @@ def figure5_series(
 
 def figure6_series(
     model: AnalyticalCostModel = AnalyticalCostModel(),
-    epsilons: Sequence[float] = FIGURE6_EPSILONS,
+    c_minus_one: Sequence[float] = FIGURE6_C_MINUS_ONE,
 ) -> Dict[str, List[ConfigurationPoint]]:
-    """All four panels of Figure 6 (response time vs. c = 1 + eps, 1 KB pages)."""
+    """All four panels of Figure 6 (response time vs. c − 1, 1 KB pages)."""
     return {
         panel: [
             model.point(
                 definition["db_bytes"], 1 * KILOBYTE,
-                definition["cache_pages"], 1.0 + eps,
+                definition["cache_pages"], 1.0 + excess,
             )
-            for eps in epsilons
+            for excess in c_minus_one
         ]
         for panel, definition in FIGURE6_PANELS.items()
     }

@@ -141,7 +141,9 @@ def sanity_check(n: int, m: int, k: int, tolerance: float = 1e-9) -> None:
     direct = achieved_privacy(n, m, k)
     via_extremes = privacy_ratio(n, m, k)
     if abs(direct - via_extremes) > tolerance * max(1.0, direct):
-        raise ConfigurationError("Eq. 5 disagrees with Eq. 6 inversion")
+        raise ConfigurationError(
+            "Eq. 5 from the location extremes disagrees with its closed form"
+        )
     horizon = max(10 * m, 1000)
     mass = sum(eviction_probability(m, t) for t in range(1, horizon + 1))
     if mass > 1.0 + tolerance:

@@ -23,7 +23,8 @@ Key relations:
   geometric series over scan periods.
 * Eq. 5  — their ratio ``1 / (1-1/m)^(T-1) = c``.
 * Eq. 6  — solved for the security parameter:
-  ``k = n / (log(1/c)/log(1-1/m) + 1)``.
+  ``k = n / (log(1/c)/log(1-1/m) + 1)``, or for the cache:
+  ``m = 1 / (1 - c^(-1/(T-1)))``.
 
 This module solves those equations with explicit rounding rules (rounding k
 *up* can only improve privacy, i.e. lower the achieved c) and packages the
@@ -41,6 +42,8 @@ __all__ = [
     "SystemParameters",
     "scan_period_for_privacy",
     "required_block_size",
+    "cache_for_privacy",
+    "padded_locations",
     "achieved_privacy",
     "eviction_probability",
     "landing_probability",
@@ -85,6 +88,54 @@ def required_block_size(n: int, m: int, c: float) -> int:
     period = scan_period_for_privacy(m, c)
     k = math.ceil(n / period)
     return max(1, min(n, k))
+
+
+def cache_for_privacy(n: int, k: int, c: float) -> int:
+    """Eq. 6 inverted for m: the smallest cache meeting privacy c at (n, k).
+
+    "Meeting" is :func:`achieved_privacy` within the tolerance of
+    :meth:`SystemParameters.meets_target`.  The closed form
+    ``m = 1 / (1 - c^(-1/(T-1)))`` is exact up to float rounding, so the
+    boundary is bracketed around it and found by bisection.  ``T <= 1``
+    (k = n: every request scans the database) meets any c with m = 2.
+    """
+    if n <= 0:
+        raise ConfigurationError("database size n must be positive")
+    if not 1 <= k <= n:
+        raise ConfigurationError(f"block size k={k} must lie in [1, n={n}]")
+    if c <= 1:
+        raise ConfigurationError(
+            f"privacy parameter c must be > 1 to size a cache, got {c}"
+        )
+    period = n / k
+    if period <= 1:
+        return 2
+
+    def meets(m: int) -> bool:
+        return achieved_privacy(n, m, k) <= c * (1 + 1e-12)
+
+    guess = max(2, math.ceil(1.0 / (1.0 - c ** (-1.0 / (period - 1.0)))))
+    # Invariant once bracketed: ``lo`` fails (``lo = 1`` stands for "m = 2
+    # already meets") and ``hi`` meets; the steps double either way.
+    lo, hi, step = guess - 1, guess, 1
+    while not meets(hi):
+        lo, hi, step = hi, hi + step, 2 * step
+    step = 1
+    while lo >= 2 and meets(lo):
+        lo, hi, step = max(1, lo - step), lo, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if meets(mid) else (mid, hi)
+    return hi
+
+
+def padded_locations(n: int, k: int) -> int:
+    """Disk locations for n pages at block size k: whole blocks, and at
+    least k + 2 so the random-page rejection loop of Retrieve() ends."""
+    locations = k * math.ceil(n / k)
+    while locations < k + 2:
+        locations += k
+    return locations
 
 
 def achieved_privacy(n: int, m: int, k: int) -> float:
@@ -191,10 +242,9 @@ class SystemParameters:
                     f"no block size k <= n meets c={target_c} with m={cache_capacity}; "
                     "increase the cache or relax the privacy target"
                 )
-        # Guarantee the rejection-sampling headroom by adding one more block
-        # of dummies if the target c pushed k right up against n.
-        while num_locations < k + 2:
-            num_locations += k
+        # One more block of dummies if the target c pushed k right up
+        # against n (the rejection-sampling headroom).
+        num_locations = padded_locations(base, k)
         return cls(
             num_user_pages=num_user_pages,
             reserve_pages=num_locations - num_user_pages,
@@ -217,9 +267,7 @@ class SystemParameters:
         """Fix k directly and compute the privacy that follows from it."""
         reserve = math.ceil(num_user_pages * reserve_fraction)
         base = num_user_pages + reserve
-        num_locations = block_size * math.ceil(base / block_size)
-        while num_locations < block_size + 2:
-            num_locations += block_size
+        num_locations = padded_locations(base, block_size)
         c = achieved_privacy(num_locations, cache_capacity, block_size)
         return cls(
             num_user_pages=num_user_pages,

@@ -10,10 +10,10 @@ exposes, derived in dependency order.
    and increasing in k, so the largest block size whose predicted time
    fits inside ``latency_headroom * p99`` is a binary search.  No k at
    all → ``PlanInfeasibleError("latency")``.
-2. **Privacy → m** (Eq. 6 inverted).  For a candidate k the scan period
-   is ``T = n/k`` and the cache that achieves c is
-   ``m = 1 / (1 - c^(-1/(T-1)))``, nudged up until the *padded* layout
-   (:meth:`SystemParameters.from_block_size`) actually meets the bound.
+2. **Privacy → m** (Eq. 6 inverted).  For a candidate k,
+   :func:`~repro.core.params.cache_for_privacy` gives the smallest m whose
+   *padded* layout (``T = n/k`` over
+   :func:`~repro.core.params.padded_locations`) meets c.
    Rule of the trade-off: smaller k → cheaper queries but longer scan
    period → larger m → more secure memory (Eq. 7).  The planner takes the
    smallest k in ``[1, k_max]`` whose required state fits the hardware's
@@ -40,8 +40,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .model import CalibratedCostModel, frame_size_for
-from ..analysis.costmodel import AnalyticalCostModel
-from ..core.params import SystemParameters
+from ..analysis.costmodel import AnalyticalCostModel, largest_block_size
+from ..core.params import (
+    SystemParameters,
+    cache_for_privacy,
+    padded_locations,
+)
 from ..errors import ConfigurationError, PlanInfeasibleError
 from ..hardware.specs import IBM_4764, HardwareSpec
 from ..obs.tracer import Tracer
@@ -141,32 +145,6 @@ class Plan:
         }
 
 
-def _cache_for_privacy(num_pages: int, block_size: int,
-                       target_c: float) -> SystemParameters:
-    """Eq. 6 inverted: the smallest m meeting c at this k, on the padded
-    layout (padding lengthens T = n/k, so the closed form is nudged up
-    until the achieved c of the real layout clears the bound)."""
-    period = num_pages / block_size
-    if period <= 1.0:
-        cache = 2
-    else:
-        cache = math.ceil(1.0 / (1.0 - target_c ** (-1.0 / (period - 1.0))))
-    cache = max(2, cache)
-    params = SystemParameters.from_block_size(
-        num_pages, cache, block_size, page_capacity=1024
-    )
-    while params.achieved_c > target_c * (1 + 1e-12):
-        cache = math.ceil(cache * 1.05) + 1
-        if cache >= num_pages * 1000:
-            raise ConfigurationError(
-                f"cache inversion diverged at k={block_size}, c={target_c}"
-            )
-        params = SystemParameters.from_block_size(
-            num_pages, cache, block_size, page_capacity=1024
-        )
-    return params
-
-
 def _secure_storage(params: SystemParameters, page_size: int) -> float:
     return AnalyticalCostModel.secure_storage_bytes(
         params.num_locations, params.cache_capacity, params.block_size,
@@ -230,8 +208,7 @@ def plan(
             constraint="privacy",
         )
 
-    # 1. Latency bound -> largest admissible block size (binary search on
-    # the affine, increasing query-time prediction).
+    # 1. Latency bound -> largest admissible block size.
     budget = latency_headroom * target.p99_seconds
     if model.query_time(1) > budget:
         raise PlanInfeasibleError(
@@ -240,14 +217,7 @@ def plan(
             "block size meets it at this page size",
             constraint="latency",
         )
-    lo, hi = 1, target.num_pages
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if model.query_time(mid) <= budget:
-            lo = mid
-        else:
-            hi = mid - 1
-    k_max = lo
+    k_max = largest_block_size(model.query_time, budget, target.num_pages)
 
     # 2. Privacy bound -> smallest k whose required cache fits the secure
     # memory (smaller k = cheaper queries but larger m; Eq. 7 decides).
@@ -255,7 +225,10 @@ def plan(
     chosen: Optional[SystemParameters] = None
     best_storage = float("inf")
     for k in _candidate_block_sizes(k_max):
-        params = _cache_for_privacy(target.num_pages, k, privacy_c)
+        cache = cache_for_privacy(
+            padded_locations(target.num_pages, k), k, privacy_c
+        )
+        params = SystemParameters.from_block_size(target.num_pages, cache, k)
         storage = _secure_storage(params, target.page_size)
         best_storage = min(best_storage, storage)
         if storage <= limit:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.costmodel import (
-    FIGURE6_EPSILONS,
+    FIGURE6_C_MINUS_ONE,
     AnalyticalCostModel,
     TwoPartyCostModel,
     figure4_series,
@@ -115,7 +115,7 @@ class TestFigure6:
 
     def test_epsilon_sweep_values(self):
         points = figure6_series()["1GB"]
-        assert [p.privacy_c for p in points] == [1 + e for e in FIGURE6_EPSILONS]
+        assert [p.privacy_c for p in points] == [1 + e for e in FIGURE6_C_MINUS_ONE]
 
     def test_100gb_subsecond_at_c_1_1(self):
         """§5: 'for databases up to 100GB, sub-second query response times
@@ -179,6 +179,23 @@ class TestCacheRequired:
         loose = model.cache_required(10 * GIGABYTE, _KB, 2.0, 0.2)
         tight = model.cache_required(10 * GIGABYTE, _KB, 2.0, 0.05)
         assert tight.cache_pages > loose.cache_pages
+
+    @pytest.mark.parametrize("db_gb, target, cache_pages, block_size", [
+        (1000, 1.0, 360_764, 3999),
+        (10, 0.05, 119_231, 121),
+        (10, 0.1, 44_390, 325),
+        (10, 0.2, 19_682, 733),
+        (10, 0.5, 7_368, 1958),
+        (1, 0.05, 11_923, 121),
+    ])
+    def test_pinned_targets(self, db_gb, target, cache_pages, block_size):
+        """The exact (m, k) of the targets above, at c = 2."""
+        point = AnalyticalCostModel().cache_required(
+            db_gb * GIGABYTE, _KB, 2.0, target
+        )
+        assert (point.cache_pages, point.block_size) == (
+            cache_pages, block_size
+        )
 
     def test_impossible_targets_rejected(self):
         model = AnalyticalCostModel()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.core.params import (
     SystemParameters,
     achieved_privacy,
+    cache_for_privacy,
     eviction_probability,
     landing_probability,
     required_block_size,
@@ -100,6 +101,32 @@ class TestScalarRelations:
         assert 1 <= k <= n
         if k < n:
             assert achieved_privacy(n, m, k) <= c * (1 + 1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=10**7),
+        share=st.floats(min_value=0.0, max_value=1.0),
+        c=st.floats(min_value=1.01, max_value=50.0),
+    )
+    def test_cache_for_privacy_is_the_smallest_meeting_m(self, n, share, c):
+        k = max(1, min(n, round(share * n)))
+        m = cache_for_privacy(n, k, c)
+        assert m >= 2
+        assert achieved_privacy(n, m, k) <= c * (1 + 1e-12)
+        assert m == 2 or achieved_privacy(n, m - 1, k) > c * (1 + 1e-12)
+
+    def test_cache_for_privacy_edges(self):
+        assert cache_for_privacy(1000, 1000, 1.5) == 2  # T = 1: full scan
+        assert cache_for_privacy(1, 1, 2.0) == 2
+        # Figure 4a's point (m = 50 000 gives k = 29) read backwards.
+        m = cache_for_privacy(10**6, 29, 2.0)
+        assert m <= 50_000
+        assert required_block_size(10**6, m, 2.0) == 29
+        assert required_block_size(10**6, m - 1, 2.0) == 30
+        for bad in ((1000, 10, 1.0), (1000, 10, 0.5), (1000, 0, 2.0),
+                    (1000, 1001, 2.0), (0, 1, 2.0)):
+            with pytest.raises(ConfigurationError):
+                cache_for_privacy(*bad)
 
 
 class TestSystemParameters:

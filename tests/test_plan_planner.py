@@ -16,6 +16,11 @@ import math
 import pytest
 
 from repro.analysis.costmodel import AnalyticalCostModel, eq8_terms
+from repro.core.params import (
+    achieved_privacy,
+    cache_for_privacy,
+    padded_locations,
+)
 from repro.errors import ConfigurationError, PlanInfeasibleError
 from repro.hardware.specs import IBM_4764, HardwareSpec
 from repro.plan import CalibratedCostModel, PlanTarget, plan, verify_plan
@@ -135,17 +140,31 @@ class TestRoundTripSweep:
                     assert built.secure_storage_bytes == pytest.approx(
                         storage
                     )
+                    # Minimal m: one page less misses c on this layout.
+                    m, k = built.cache_pages, built.block_size
+                    assert m == 2 or achieved_privacy(
+                        built.num_locations, m - 1, k
+                    ) > c * (1 + 1e-12)
+                    # Smallest k: k - 1 at its own minimal m overflows.
+                    if 1 < k <= 512:
+                        smaller = padded_locations(target.num_pages, k - 1)
+                        assert AnalyticalCostModel.secure_storage_bytes(
+                            smaller,
+                            cache_for_privacy(smaller, k - 1, c),
+                            k - 1, 1000,
+                        ) > IBM_4764.total_secure_memory
                     # Throughput: provisioned capacity covers the rate.
                     assert built.capacity_qps >= qps * (1 - 1e-9)
         assert feasible >= 9, "sweep should not be mostly infeasible"
 
     def test_epsilon_and_c_statements_agree(self):
-        eps = 0.5
-        via_c = plan(_target(privacy_c=math.exp(eps)))
-        via_eps = plan(_target(privacy_c=None, epsilon=eps))
-        assert via_c.block_size == via_eps.block_size
-        assert via_c.cache_pages == via_eps.cache_pages
-        assert via_c.achieved_c == pytest.approx(via_eps.achieved_c)
+        # ε = ln 2 is `repro plan --epsilon 0.6931471805599453` vs `--c 2`.
+        for eps, c in ((0.5, math.exp(0.5)), (math.log(2), 2.0)):
+            via_c = plan(_target(privacy_c=c))
+            via_eps = plan(_target(privacy_c=None, epsilon=eps))
+            assert via_c.block_size == via_eps.block_size
+            assert via_c.cache_pages == via_eps.cache_pages
+            assert via_c.achieved_c == pytest.approx(via_eps.achieved_c)
 
     def test_tighter_privacy_needs_more_cache(self):
         loose = plan(_target(privacy_c=5.0))
