@@ -22,7 +22,7 @@ to the same loop's no-reshuffle p99.  It does not gate the ratio: the p99
 of ~0.5 ms queries on a 96-page toy is scheduler noise (around a 1.5x
 bound it missed 9 of 9 attempts on one commit and 14 of 16 on the next,
 on one box); the number gets its judge in BENCH's ``inproc_reshuffle`` workload (ROADMAP
-item 2a).
+item 1b).
 
 ``tests/test_perf_gate.py`` asserts the three deterministic phases in
 tier-1: their count/bytes/virtual-second columns come from the virtual

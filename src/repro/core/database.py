@@ -248,8 +248,8 @@ class PirDatabase:
         self.cop = coprocessor
         self.disk = disk
         self.engine = engine
-        # Optional OnlineReshuffler attached by begin_reshuffle() (or by
-        # snapshot resume); close() tears it down with the rest.
+        # Optional OnlineReshuffler attached by begin_reshuffle() or
+        # resume_reshuffle(); close() tears it down with the rest.
         self.reshuffle = None
         # Optional ReplicationLog (duck-typed: anything with emit()).  Set
         # by the cluster tier; every public operation then emits one sealed
@@ -391,23 +391,44 @@ class PirDatabase:
         thread: step it with ``db.reshuffle.step()`` between requests, or
         finish it with ``run()``.  ``journal`` must be a *separate* journal
         from the engine's (each state machine owns its slot).  Returns the
-        driver, also available as :attr:`reshuffle`.
+        driver, also available as :attr:`reshuffle`.  An epoch already in
+        progress — also one restored from a snapshot — is refused: finish
+        it through :meth:`resume_reshuffle`.
         """
+        if self.cop.state.epoch_active:
+            raise ConfigurationError(
+                "a re-permutation epoch is already in progress"
+            )
+        driver = self._attach_reshuffle(batch_size, journal)
+        driver.begin(rotate_to=rotate_to)
+        return driver
+
+    def resume_reshuffle(self, batch_size: int = 16, journal=None):
+        """Attach a driver to the epoch the trusted state has in progress.
+
+        A snapshot seals the epoch — number, frontier, secret sort key —
+        with the rest of the trusted state, so a restored instance (or a
+        warm replica, see :func:`~repro.core.snapshot.bootstrap_replica`)
+        continues the pass at its frontier instead of paying a cold
+        O(n log² n) shuffle.  Returns the driver, also available as
+        :attr:`reshuffle`, or None when no epoch is active.  Call its
+        ``recover()`` when ``journal`` might hold a torn batch (crash
+        restarts), then step it as :meth:`begin_reshuffle`'s.
+        """
+        if not self.cop.state.epoch_active:
+            return None
+        return self._attach_reshuffle(batch_size, journal)
+
+    def _attach_reshuffle(self, batch_size: int, journal):
         from ..shuffle.online import OnlineReshuffler
 
         if self.reshuffle is not None:
-            if self.reshuffle.active:
-                raise ConfigurationError(
-                    "a re-permutation epoch is already in progress"
-                )
             self.reshuffle.close()
-        driver = OnlineReshuffler(
+        self.reshuffle = OnlineReshuffler(
             self, batch_size=batch_size, journal=journal,
             metrics=self.metrics, tracer=self.tracer,
         )
-        self.reshuffle = driver
-        driver.begin(rotate_to=rotate_to)
-        return driver
+        return self.reshuffle
 
     def close(self) -> None:
         """Detach the online reshuffle driver and flush the store.

@@ -582,7 +582,9 @@ class RetrievalEngine:
                         extra_id = None
                 if extra_id is None:
                     extra_id = ov.random_page(rng, self.params.total_pages)
-                _, extra_location = ov.lookup(extra_id)
+                    _, extra_location = ov.lookup(extra_id)
+                else:  # the target is its own extra
+                    extra_location = position
             extra = ov.add_extra(extra_location, extra_id)
 
             # Lines 1, 10-11: read and decrypt inside the boundary.  The

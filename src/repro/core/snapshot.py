@@ -2,10 +2,11 @@
 
 A production deployment must survive restarts: the encrypted pages live on
 the untrusted disk anyway, but the trusted state — position map, cached
-plaintext pages, round-robin pointer — exists only inside the tamper
-boundary.  The coprocessor therefore exports it as a single *sealed blob*
-(encrypted and authenticated under a key derived from the master key), the
-same way real secure hardware seals state to host storage.
+plaintext pages, round-robin pointer, online reshuffle epoch — exists only
+inside the tamper boundary.  The coprocessor therefore exports it as a
+single *sealed blob* (encrypted and authenticated under a key derived from
+the master key), the same way real secure hardware seals state to host
+storage.
 
 Snapshot layout on the host filesystem::
 
@@ -15,11 +16,14 @@ Snapshot layout on the host filesystem::
       sealed.bin         # encrypted trusted state, one versioned layout
                          #   (TrustedState.encode): version, (n, m, k),
                          #   block pointer, request count, rotation
-                         #   countdown, last epoch begun, legacy key,
-                         #   position and flag columns, cache slots
-      reshuffle.sealed   # present iff an online reshuffle epoch was active:
-                         #   its frontier + secret epoch key (resume_reshuffle)
-      <name>.sealed      # auxiliary sidecars (e.g. replication checkpoints)
+                         #   countdown, last epoch begun with its frontier,
+                         #   active bit and resume count, legacy key, epoch
+                         #   key, position and flag columns, cache slots
+
+``sealed.bin`` is the only trusted file a snapshot writes, also mid-epoch:
+a restored instance continues the epoch through
+``PirDatabase.resume_reshuffle()``.  Callers may seal auxiliary blobs
+beside it (:func:`save_sealed_sidecar`, e.g. a replication checkpoint).
 
 Restoring requires the same master key; a wrong key fails authentication
 rather than yielding garbage.  The restored instance draws fresh randomness
@@ -45,19 +49,17 @@ __all__ = [
     "save_snapshot",
     "load_snapshot",
     "bootstrap_replica",
-    "resume_reshuffle",
     "save_sealed_sidecar",
     "load_sealed_sidecar",
 ]
 
-_FORMAT = 3
+_FORMAT = 4
 _MANIFEST = "manifest.json"
 _FRAMES = "frames.bin"
 _SEALED = "sealed.bin"
 # Keystream of the outer sealing layer of sealed.bin, whatever the page
 # suite uses.
 _SEALING_BACKEND = "shake"
-_RESHUFFLE_SIDECAR = "reshuffle"
 # Frames per read / write of frames.bin: what a snapshot or a restore
 # holds beside the store itself.
 _CHUNK_FRAMES = 4096
@@ -108,9 +110,9 @@ def save_snapshot(db: PirDatabase, directory: str) -> None:
 
     A snapshot may be taken *during* a key rotation (the sealed state
     carries the legacy key and the rotation countdown) and during an
-    online reshuffle epoch (the epoch's frontier and secret key are sealed
-    into a ``reshuffle`` sidecar; reattach with :func:`resume_reshuffle`).
-    The last epoch number is sealed either way, so the restored instance's
+    online reshuffle epoch (the sealed state carries the epoch's number,
+    frontier and secret key; reattach with ``resume_reshuffle()``).  The
+    last epoch number is sealed either way, so the restored instance's
     next ``begin_reshuffle()`` continues the numbering.  A *retained*
     write-back (a transiently failed apply — a request's or a reshuffle
     batch's) is healed under the op lock before anything is dumped, so the
@@ -177,19 +179,6 @@ def save_snapshot(db: PirDatabase, directory: str) -> None:
         with open(os.path.join(directory, _SEALED), "wb") as f:
             f.write(sealed)
 
-        reshuffle_path = os.path.join(
-            directory, _RESHUFFLE_SIDECAR + ".sealed"
-        )
-        if db.reshuffle is not None and db.reshuffle.active:
-            # Mid-epoch: seal the frontier + epoch key so a restored
-            # instance (or a bootstrapping warm replica) resumes the pass
-            # instead of starting a cold shuffle.
-            save_sealed_sidecar(
-                db, directory, _RESHUFFLE_SIDECAR, db.reshuffle.state_blob()
-            )
-        elif os.path.exists(reshuffle_path):
-            os.remove(reshuffle_path)  # stale sidecar from an older save
-
 
 def load_snapshot(directory: str, **wiring) -> PirDatabase:
     """Reconstruct a database saved by :func:`save_snapshot`.
@@ -221,7 +210,7 @@ def load_snapshot(directory: str, **wiring) -> PirDatabase:
     with open(manifest_path, encoding="utf-8") as f:
         manifest = json.load(f)
     version = manifest.get("format")
-    if version in (1, 2):
+    if version in (1, 2, 3):
         raise ConfigurationError(
             f"snapshot in {directory!r} is format {version}; this version "
             f"reads format {_FORMAT} only.  Re-create the database, or open "
@@ -271,38 +260,6 @@ def _replay_frames(path: str, disk) -> None:
             if f.readinto(frames) != frames.nbytes:
                 raise StorageError("frames file shrank while it was read")
             disk.write_range(start, frames)
-
-
-def resume_reshuffle(
-    db: PirDatabase,
-    directory: str,
-    batch_size: int = 16,
-    journal=None,
-):
-    """Reattach a mid-epoch reshuffle driver from a snapshot's sidecar.
-
-    Returns the driver (also installed as ``db.reshuffle``) positioned at
-    the saved frontier, or None when the snapshot carried no active epoch.
-    The caller steps it on from there (``step()`` between requests, or
-    ``run()``) — this is the warm-replica bootstrap: the joiner inherits
-    the primary's partial pass instead of paying a cold O(n log² n)
-    shuffle.  Call ``driver.recover()`` afterwards when a reshuffle
-    journal might hold a torn batch (crash restarts).
-    """
-    blob = load_sealed_sidecar(db, directory, _RESHUFFLE_SIDECAR)
-    if blob is None:
-        return None
-    from ..shuffle.online import OnlineReshuffler
-
-    if db.reshuffle is not None:
-        db.reshuffle.close()
-    driver = OnlineReshuffler(
-        db, batch_size=batch_size, journal=journal,
-        metrics=db.metrics, tracer=db.tracer,
-    )
-    driver.restore_state(blob)
-    db.reshuffle = driver
-    return driver
 
 
 def save_sealed_sidecar(db: PirDatabase, directory: str, name: str,
@@ -356,11 +313,12 @@ def bootstrap_replica(
     be preferred once the replica has served mutations.
 
     When the primary is mid-way through an online reshuffle epoch, the
-    replica adopts the epoch at its saved frontier (a driver is attached
-    via :func:`resume_reshuffle`; step it as ``replica.reshuffle.step()``)
-    — joining mid-epoch costs a snapshot restore, never a cold shuffle.
+    replica adopts the epoch at its sealed frontier (a driver is attached
+    via ``replica.resume_reshuffle()``; step it as
+    ``replica.reshuffle.step()``) — joining mid-epoch costs a snapshot
+    restore, never a cold shuffle.
     """
     save_snapshot(db, directory)
     replica = load_snapshot(directory, **load_kw)
-    resume_reshuffle(replica, directory)
+    replica.resume_reshuffle()
     return replica

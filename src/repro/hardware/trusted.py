@@ -2,13 +2,15 @@
 sealed layout.
 
 :class:`TrustedState` owns the position map (``pageMap`` of Figure 2), the
-free pool §4.3's insertions draw from, and the request path's scalars: the
-round-robin block pointer, the request count, the key-rotation countdown
-and the last reshuffle epoch begun.  The cached pages themselves stay in
-:class:`~repro.hardware.cache.PageCache` and the keys in the coprocessor;
-:meth:`TrustedState.encode` seals all of it — map, scalars, cache slots and
-the legacy key of an unfinished rotation — as one versioned blob, and
-:meth:`TrustedState.decode` is its only reader.
+free pool §4.3's insertions draw from, the request path's scalars (the
+round-robin block pointer, the request count, the key-rotation countdown)
+and the online reshuffle's epoch: the last epoch begun, its frontier,
+whether it is still active, its secret sort key and the count of driver
+resumes that names each resume's nonce stream.  The cached pages themselves
+stay in :class:`~repro.hardware.cache.PageCache` and the master keys in the
+coprocessor; :meth:`TrustedState.encode` seals all of it — map, scalars,
+epoch, cache slots and the legacy key of an unfinished rotation — as one
+versioned blob, and :meth:`TrustedState.decode` is its only reader.
 
 Each map entry is the tuple ``(inCache, position)`` of Figure 2 in two
 columns: ``position`` in the smallest unsigned type that holds a disk
@@ -33,27 +35,31 @@ from ..errors import ConfigurationError, PageNotFoundError, StorageError
 from ..storage.frames import RecordCursor
 from ..storage.page import Page
 
-__all__ = ["TrustedState", "PageLocation"]
+__all__ = ["TrustedState", "PageLocation", "TAG_KEY_SIZE"]
 
 #: Resolved location of a logical page: plain ``bool`` / ``int`` fields.
 PageLocation = namedtuple("PageLocation", "in_cache position deleted")
 
 # Sealed layout: version, (n, m, k); next block, request count, rotation
-# countdown (-1 = none), last epoch begun; the length-prefixed legacy key
-# (empty = no rotation); the position and flags columns; then per cache
-# slot its page id, deleted flag and length-prefixed payload.
-_VERSION = 3
+# countdown (-1 = none), last epoch begun, its frontier, its active bit,
+# resumes so far; the length-prefixed legacy key (empty = no rotation) and
+# epoch key (empty = no epoch yet); the position and flags columns; then
+# per cache slot its page id, deleted flag and length-prefixed payload.
+_VERSION = 4
 _HEADER = struct.Struct(">BQQQ")
-_SCALARS = struct.Struct(">QQqQ")
+_SCALARS = struct.Struct(">QQqQQ?Q")
 _SLOT = struct.Struct(">QBI")
 _U32 = struct.Struct(">I")
 _IN_CACHE, _DELETED, _PLACED = 1, 2, 4
 
+#: Bytes of a reshuffle epoch's secret sort key.
+TAG_KEY_SIZE = 32
+
 
 class TrustedState:
-    """Position map, free pool and request scalars of one database:
-    ``num_locations`` disk pages plus ``cache_capacity`` cached pages,
-    scanned ``block_size`` locations per request."""
+    """Position map, free pool, request scalars and reshuffle epoch of one
+    database: ``num_locations`` disk pages plus ``cache_capacity`` cached
+    pages, scanned ``block_size`` locations per request."""
 
     def __init__(self, num_locations: int, cache_capacity: int,
                  block_size: int):
@@ -73,6 +79,10 @@ class TrustedState:
         self._request_count = 0
         self._rotation_left: Optional[int] = None
         self._epoch_base = 0
+        self._epoch_frontier = 0
+        self._epoch_active = False
+        self._epoch_key = b""
+        self._epoch_resumes = 0
 
     # -- map queries -------------------------------------------------------------
 
@@ -202,6 +212,21 @@ class TrustedState:
         epoch's nonce label or key."""
         return self._epoch_base
 
+    @property
+    def epoch_frontier(self) -> int:
+        """Units of the last epoch applied: comparators, then sweep slots."""
+        return self._epoch_frontier
+
+    @property
+    def epoch_active(self) -> bool:
+        """True from :meth:`begin_epoch` until :meth:`end_epoch`."""
+        return self._epoch_active
+
+    @property
+    def epoch_key(self) -> bytes:
+        """The last epoch's secret sort key (empty before the first)."""
+        return self._epoch_key
+
     def advance(self, next_block: int, request_count: int,
                 rotation_left: Optional[int]) -> None:
         """The pointer advance that marks a request window committed."""
@@ -213,8 +238,28 @@ class TrustedState:
         """A request-driven key rotation ends after one scan period."""
         self._rotation_left = self.num_blocks
 
-    def note_epoch(self, epoch: int) -> None:
-        self._epoch_base = epoch
+    def begin_epoch(self, epoch_key: bytes) -> int:
+        """Start the next reshuffle epoch at frontier 0 under its
+        :data:`TAG_KEY_SIZE`-byte sort key; returns its number."""
+        self._epoch_base += 1
+        self._epoch_frontier = 0
+        self._epoch_active = True
+        self._epoch_key = bytes(epoch_key)
+        return self._epoch_base
+
+    def advance_epoch(self, frontier: int) -> None:
+        """Record a batch applied up to ``frontier``."""
+        self._epoch_frontier = frontier
+
+    def end_epoch(self) -> None:
+        """The epoch's last unit applied; its number and key stay."""
+        self._epoch_active = False
+
+    def next_resume(self) -> int:
+        """Count one more driver attached mid-epoch; returns the count, so
+        no two resumes of one lineage share a nonce label."""
+        self._epoch_resumes += 1
+        return self._epoch_resumes
 
     # -- the sealed layout -------------------------------------------------------------
 
@@ -231,8 +276,10 @@ class TrustedState:
         parts = [
             _HEADER.pack(*self._header()),
             _SCALARS.pack(self._next_block, self._request_count, rotation_left,
-                          self._epoch_base),
+                          self._epoch_base, self._epoch_frontier,
+                          self._epoch_active, self._epoch_resumes),
             _U32.pack(len(legacy_key)), legacy_key,
+            _U32.pack(len(self._epoch_key)), self._epoch_key,
             self.position.tobytes(), self.flags.tobytes(),
         ]
         for page in map(cache.get, range(cache.capacity)):
@@ -245,22 +292,29 @@ class TrustedState:
         """Restore a blob :meth:`encode` wrote: this state, ``cache``'s
         slots, and — mid-rotation — the legacy key through ``cop``.
 
-        The blob must be this layout, sealed for this state's (n, m, k),
-        and its block pointer must name one of the n / k blocks; anything
-        else, like a truncated or over-long blob, is a
-        :class:`StorageError` raised before any part changes.
+        The blob must be this layout, sealed for this state's (n, m, k);
+        its block pointer must name one of the n / k blocks, its epoch key
+        must be empty or :data:`TAG_KEY_SIZE` bytes, and an active epoch
+        must have a key.  Anything else, like a truncated or over-long
+        blob, is a :class:`StorageError` raised before any part changes.
         """
         cursor = RecordCursor(blob)
         header = cursor.take_fields(_HEADER)
         if header != self._header():
             raise StorageError(f"trusted state sealed as (layout, n, m, k) = "
                                f"{header}, not {self._header()}")
-        next_block, request_count, rotation_left, epoch_base = (
-            cursor.take_fields(_SCALARS))
+        (next_block, request_count, rotation_left, epoch_base, frontier,
+         active, resumes) = cursor.take_fields(_SCALARS)
         if next_block >= self.num_blocks:
             raise StorageError(f"sealed block pointer {next_block} is not one "
                                f"of {self.num_blocks} blocks")
         legacy_key = cursor.take_bytes(cursor.take(_U32))
+        epoch_key = cursor.take_bytes(cursor.take(_U32))
+        if len(epoch_key) not in (0, TAG_KEY_SIZE):
+            raise StorageError(f"sealed epoch key is {len(epoch_key)} bytes, "
+                               f"not 0 or {TAG_KEY_SIZE}")
+        if active and not epoch_key:
+            raise StorageError(f"sealed epoch {epoch_base} is active with no key")
         position = np.frombuffer(cursor.take_bytes(self.position.nbytes),
                                  self.position.dtype)
         flags = np.frombuffer(cursor.take_bytes(self.num_pages), np.uint8)
@@ -274,7 +328,9 @@ class TrustedState:
         self._adopt(position, flags, StorageError)
         self.advance(next_block, request_count,
                      None if rotation_left < 0 else rotation_left)
-        self._epoch_base = epoch_base
+        self._epoch_base, self._epoch_frontier = epoch_base, frontier
+        self._epoch_active, self._epoch_key = active, bytes(epoch_key)
+        self._epoch_resumes = resumes
         cache.fill(pages)
         if legacy_key:
             cop.adopt_legacy_key(legacy_key)

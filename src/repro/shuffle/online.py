@@ -57,19 +57,17 @@ from ..errors import (
     RecoveryError,
     StorageError,
 )
+from ..hardware.trusted import TAG_KEY_SIZE
 from ..obs.registry import registry_or_private
 from ..obs.tracer import NULL_TRACER
 from ..storage.frames import RecordCursor, frame_matrix
 
-__all__ = ["OnlineReshuffler", "ReshuffleIntent", "TAG_KEY_SIZE"]
+__all__ = ["OnlineReshuffler", "ReshuffleIntent"]
 
 _U64 = struct.Struct(">Q")
-_U32 = struct.Struct(">I")
 
 _INTENT_MAGIC = b"RSH2"
-_STATE_MAGIC = b"RSS1"
 
-TAG_KEY_SIZE = 32
 _TAG_SIZE = 16
 
 _DEFAULT_BATCH = 16
@@ -158,6 +156,12 @@ class OnlineReshuffler:
     ``write``/``read``/``clear`` object).  It must never alias the
     engine's: each recovery state machine treats a foreign record as torn
     and clears it.
+
+    The epoch itself — number, frontier, active bit and secret sort key —
+    is trusted state (``cop.state``), sealed with the rest of it; the
+    driver holds only its nonce stream and comparator cursor.  A driver
+    built while an epoch is active (a restored snapshot, or a closed
+    driver's epoch) continues that epoch under a fresh nonce stream.
     """
 
     def __init__(
@@ -189,16 +193,6 @@ class OnlineReshuffler:
         self._network = network_size(n)
         self._total = self._network + n
 
-        # Epoch state; mutated only under the engine op lock.  The epoch
-        # counter is *database-global* (the trusted state's epoch_base),
-        # not per-driver: a fresh driver restarting at epoch 1 would spawn
-        # the same "reshuffle-epoch-1" sibling label as its predecessor
-        # and replay that nonce stream against the same master key.
-        self._epoch = self.cop.state.epoch_base
-        self._frontier = 0
-        self._active = False
-        self._rotate_pending = False
-        self._epoch_key = b""
         # Comparator stream cache: iterator + how many comparators it has
         # yielded.  _comparator_slice validates that position against the
         # frontier on every use, so which comparators a batch executes is
@@ -210,6 +204,21 @@ class OnlineReshuffler:
         self._suite = None
         self._key_rng = None
         self._pending: Optional[ReshuffleIntent] = None
+        state = self.cop.state
+        if state.epoch_active:
+            if state.epoch_frontier > self._total:
+                raise StorageError(
+                    f"reshuffle frontier {state.epoch_frontier} exceeds "
+                    f"epoch size {self._total}"
+                )
+            # (epoch, frontier) alone is not unique — two resumes from one
+            # snapshot land on one frontier with different frames to seal —
+            # so the sealed resume count names the stream, keeping it apart
+            # from the epoch's own and from every earlier resume's.
+            self._suite = self.cop.sibling_suite(
+                f"reshuffle-epoch-{state.epoch_base}-resume-"
+                f"{state.next_resume()}"
+            )
 
         # A transiently failed batch apply must be rolled forward before
         # the *engine* computes against the half-updated map, not merely
@@ -221,16 +230,16 @@ class OnlineReshuffler:
     @property
     def active(self) -> bool:
         """True while an epoch is in progress (frontier < total units)."""
-        return self._active
+        return self.cop.state.epoch_active
 
     @property
     def epoch(self) -> int:
-        return self._epoch
+        return self.cop.state.epoch_base
 
     @property
     def frontier(self) -> int:
         """Units completed this epoch: comparators first, then sweep slots."""
-        return self._frontier
+        return self.cop.state.epoch_frontier
 
     @property
     def total_units(self) -> int:
@@ -240,9 +249,9 @@ class OnlineReshuffler:
     @property
     def progress(self) -> float:
         """Fraction of the current epoch completed (1.0 when idle/done)."""
-        if not self._active:
+        if not self.active:
             return 1.0
-        return self._frontier / self._total if self._total else 1.0
+        return self.frontier / self._total if self._total else 1.0
 
     @property
     def write_back_pending(self) -> bool:
@@ -265,16 +274,16 @@ class OnlineReshuffler:
         independent of serving traffic volume.
         """
         with self.engine.op_lock:
-            if self._active:
+            state = self.cop.state
+            if state.epoch_active:
                 raise ConfigurationError(
-                    f"epoch {self._epoch} is still in progress"
+                    f"epoch {state.epoch_base} is still in progress"
                 )
             if rotate_to is not None:
                 # Directly on the coprocessor, not engine.begin_key_rotation:
                 # completion is tied to the epoch sweep, not to the engine's
-                # request countdown.
+                # request countdown (see _rotate_pending).
                 self.cop.begin_key_rotation(rotate_to)
-                self._rotate_pending = True
             if self._key_rng is None:
                 # spawn() is a pure function of (seed, label): a label
                 # reused by a later driver would redraw an earlier epoch's
@@ -282,24 +291,26 @@ class OnlineReshuffler:
                 # database-global epoch this driver starts after names its
                 # stream, and its own epochs take successive keys from it.
                 self._key_rng = self.cop.rng.spawn(
-                    "reshuffle-keys" if self._epoch == 0
-                    else f"reshuffle-keys-{self._epoch}"
+                    "reshuffle-keys" if state.epoch_base == 0
+                    else f"reshuffle-keys-{state.epoch_base}"
                 )
-            self._epoch += 1
-            self.cop.state.note_epoch(self._epoch)
-            self._frontier = 0
-            self._epoch_key = self._key_rng.token(TAG_KEY_SIZE)
+            epoch = state.begin_epoch(self._key_rng.token(TAG_KEY_SIZE))
             # Per-epoch spawn label: reusing a label would replay the same
             # nonce stream against the same key — never acceptable.
-            self._suite = self.cop.sibling_suite(
-                f"reshuffle-epoch-{self._epoch}"
-            )
+            self._suite = self.cop.sibling_suite(f"reshuffle-epoch-{epoch}")
             self._comparators = None
             self._comparators_pos = 0
-            self._active = True
             self._set_gauge()
             self.counters.increment("epochs.begun")
-        return self._epoch
+        return epoch
+
+    @property
+    def _rotate_pending(self) -> bool:
+        """A rotation this epoch's sweep finishes: a legacy key with no
+        request countdown.  The coprocessor refuses a second rotation, so
+        an epoch begun without ``rotate_to`` never inherits one."""
+        return (self.cop.rotation_in_progress
+                and self.cop.state.rotation_left is None)
 
     def step(self, budget: Optional[int] = None) -> int:
         """Execute up to ``budget`` units (default ``batch_size``) as one
@@ -313,14 +324,14 @@ class OnlineReshuffler:
         if budget <= 0:
             raise ConfigurationError("step budget must be positive")
         with self.engine.op_lock:
-            if not self._active:
+            if not self.active:
                 return 0
             # Both write-back state machines must be consistent before we
             # read frames: ours (a previous batch) and the engine's (a
             # previous request).
             self.engine._heal_pending()
 
-            start = self._frontier
+            start = self.frontier
             end = min(start + budget, self._total)
             units: List[object] = []
             if start < self._network:
@@ -347,7 +358,7 @@ class OnlineReshuffler:
     def run(self) -> int:
         """Step the current epoch to completion; returns the units done."""
         done = 0
-        while self._active:
+        while self.active:
             did = self.step()
             if did == 0:
                 break
@@ -400,11 +411,12 @@ class OnlineReshuffler:
         window = self.cop.unseal_frames(
             self.engine.disk.read_ranges([(loc, 1) for loc in touched])
         )
+        epoch_key = self.cop.state.epoch_key
         for unit in units:
             if isinstance(unit, tuple):
                 i, j = slots[unit[0]], slots[unit[1]]
-                if (_tag(self._epoch_key, window[i].page_id)
-                        > _tag(self._epoch_key, window[j].page_id)):
+                if (_tag(epoch_key, window[i].page_id)
+                        > _tag(epoch_key, window[j].page_id)):
                     window[i], window[j] = window[j], window[i]
 
         map_ops = [(window[slot].page_id, loc) for slot, loc in enumerate(touched)]
@@ -415,7 +427,7 @@ class OnlineReshuffler:
         self.counters.increment("comparators", comparators)
         self.counters.increment("sweeps", len(units) - comparators)
         return ReshuffleIntent(
-            epoch=self._epoch,
+            epoch=self.epoch,
             frontier_before=frontier,
             frontier_after=frontier + len(units),
             locations=touched,
@@ -445,19 +457,18 @@ class OnlineReshuffler:
         for page_id, location in intent.map_ops:
             pm.set_disk(page_id, location)
         self._pending = None
-        self._frontier = intent.frontier_after
+        pm.advance_epoch(intent.frontier_after)
         self._set_gauge()
         if intent.frontier_after >= self._total:
             self._finish_epoch()
 
     def _finish_epoch(self) -> None:
-        self._active = False
         if self._rotate_pending:
             # The sweep just re-encrypted every location under the new
             # key (and the cache/journal never hold legacy ciphertexts
             # past their next write), so the legacy key is dead weight.
             self.cop.finish_key_rotation()
-            self._rotate_pending = False
+        self.cop.state.end_epoch()
         self.counters.increment("epochs")
         self._set_gauge()
 
@@ -481,14 +492,14 @@ class OnlineReshuffler:
 
         Call after the engine's own :meth:`~RetrievalEngine.recover` (their
         journals are independent; order only matters for who sets
-        ``disk.current_request`` last) and — after a restart — after
-        :meth:`restore_state` / :func:`~repro.core.snapshot.resume_reshuffle`
-        has re-adopted the epoch.  Returns one of ``"clean"``,
+        ``disk.current_request`` last); after a restart, on the driver
+        :meth:`~repro.core.database.PirDatabase.resume_reshuffle` attached
+        to the restored epoch.  Returns one of ``"clean"``,
         ``"rolled_back"``, ``"replayed"``, ``"discarded_stale"`` with the
         engine's semantics.  Raises :class:`~repro.errors.RecoveryError`
         when the journal is *ahead* of (or unmatched by) the trusted
-        state — e.g. recover() before the sidecar restore: the record is
-        the only roll-forward for a possibly torn batch, so it is retained
+        state — e.g. a snapshot older than the journal: the record is the
+        only roll-forward for a possibly torn batch, so it is retained
         rather than discarded.
         """
         with self.engine.op_lock:
@@ -510,9 +521,9 @@ class OnlineReshuffler:
                 self._pending = None
                 self.counters.increment("recovery.rolled_back")
                 return "rolled_back"
-            if intent.epoch < self._epoch or (
-                intent.epoch == self._epoch
-                and intent.frontier_after <= self._frontier
+            epoch, frontier, active = self.epoch, self.frontier, self.active
+            if intent.epoch < epoch or (
+                intent.epoch == epoch and intent.frontier_after <= frontier
             ):
                 # Strictly behind the trusted state: a later epoch's
                 # boundary (or this epoch's own apply) already made the
@@ -520,26 +531,26 @@ class OnlineReshuffler:
                 self.journal.clear()
                 self.counters.increment("recovery.discarded_stale")
                 return "discarded_stale"
-            if intent.epoch > self._epoch or not self._active:
-                # Ahead of (or unmatched by) the trusted state — e.g.
-                # recover() ran before restore_state().  A torn batch may
-                # have left half-written frames this record alone can roll
-                # forward, so refuse instead of discarding it.
+            if intent.epoch > epoch or not active:
+                # Ahead of (or unmatched by) the trusted state — e.g. the
+                # snapshot restored is older than the journal.  A torn batch
+                # may have left half-written frames this record alone can
+                # roll forward, so refuse instead of discarding it.
                 raise RecoveryError(
                     f"reshuffle journal holds a record for epoch "
                     f"{intent.epoch} (frontier {intent.frontier_before}->"
                     f"{intent.frontier_after}) but the trusted state is at "
-                    f"epoch {self._epoch}"
-                    + ("" if self._active else " with no active epoch")
-                    + "; restore the snapshot sidecar (resume_reshuffle) "
-                    "before recover() — clearing the record would lose the "
-                    "only roll-forward for a torn batch"
+                    f"epoch {epoch}"
+                    + ("" if active else " with no active epoch")
+                    + "; restore the snapshot this journal was written "
+                    "after — clearing the record would lose the only "
+                    "roll-forward for a torn batch"
                 )
-            if intent.frontier_before != self._frontier:
+            if intent.frontier_before != frontier:
                 raise RecoveryError(
                     f"reshuffle journal describes frontier "
                     f"{intent.frontier_before} but the restored epoch is at "
-                    f"{self._frontier}; the trusted state is older than the "
+                    f"{frontier}; the trusted state is older than the "
                     "journal and cannot be rolled forward"
                 )
             self._apply(intent)
@@ -567,73 +578,12 @@ class OnlineReshuffler:
             _INTENT_MAGIC, record, _FRONTIER.size + count * _HEADER_PER_FRAME
         ))
 
-    # -- snapshot integration --------------------------------------------------
-
-    def state_blob(self) -> bytes:
-        """Serialised epoch state for a snapshot sidecar (seal before store:
-        the epoch key is the permutation's secret)."""
-        return b"".join([
-            _STATE_MAGIC,
-            _U64.pack(self._epoch),
-            _U64.pack(self._frontier),
-            bytes([1 if self._active else 0]),
-            bytes([1 if self._rotate_pending else 0]),
-            _U32.pack(len(self._epoch_key)),
-            self._epoch_key,
-        ])
-
-    def restore_state(self, blob: bytes) -> None:
-        """Adopt epoch state saved by :meth:`state_blob` on another replica.
-
-        Re-positions the comparator iterator at the saved frontier (the
-        network is deterministic in n) so the epoch resumes mid-sort —
-        the warm-replica bootstrap path that joins without a cold shuffle.
-        """
-        if bytes(blob[:4]) != _STATE_MAGIC:
-            raise StorageError("reshuffle state blob has a bad magic number")
-        cursor = RecordCursor(blob, offset=4)
-        epoch = cursor.take(_U64)
-        frontier = cursor.take(_U64)
-        active = cursor.take_byte() != 0
-        rotate_pending = cursor.take_byte() != 0
-        epoch_key = cursor.take_bytes(cursor.take(_U32))
-        cursor.expect_end("reshuffle state blob")
-        if frontier > self._total:
-            raise StorageError(
-                f"reshuffle state frontier {frontier} exceeds epoch size "
-                f"{self._total}"
-            )
-        with self.engine.op_lock:
-            self._epoch = epoch
-            self._frontier = frontier
-            self._active = active
-            self._rotate_pending = rotate_pending
-            self._epoch_key = epoch_key
-            # Later begin() calls must continue the database-global epoch
-            # numbering from the restored epoch: a fresh driver restarting
-            # at epoch 1 would respawn this epoch's sibling labels and
-            # replay their nonce streams against the same master key.
-            self.cop.state.note_epoch(epoch)
-            # Distinct spawn label per resume: (epoch, frontier) alone is
-            # not unique — two resumes from the same sidecar land on the
-            # same frontier with different frame contents — so a database-
-            # global monotonic resume counter is mixed in, keeping every
-            # resume's nonce stream disjoint from the pre-crash suite's
-            # and from every earlier resume's.
-            resume_seq = getattr(self.db, "_reshuffle_resume_seq", 0) + 1
-            self.db._reshuffle_resume_seq = resume_seq
-            self._suite = self.cop.sibling_suite(
-                f"reshuffle-epoch-{epoch}-resume-{resume_seq}-{frontier}"
-            )
-            self._comparators = None
-            self._comparators_pos = 0
-            self._set_gauge()
-
     def close(self) -> None:
         """Detach from the engine's healer hook (idempotent).
 
         Epoch state is left as-is: a half-finished epoch simply stays at
-        its frontier (snapshot it, or reopen a driver and resume).
+        its frontier in the trusted state (snapshot it, or attach a new
+        driver with ``resume_reshuffle()``).
         """
         try:
             self.engine._background_healers.remove(self._heal_pending)

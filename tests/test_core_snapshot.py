@@ -9,6 +9,7 @@ import pytest
 
 from repro import PirDatabase
 from repro.baselines import make_records
+from repro.core import snapshot
 from repro.core.snapshot import load_snapshot, save_snapshot
 from repro.crypto.suite import _RENAMED, CipherSuite
 from repro.errors import (
@@ -283,7 +284,7 @@ class TestValidation:
         save_snapshot(warm_db, str(tmp_path))  # real, MAC-valid frames
         manifest_path = tmp_path / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        assert manifest["format"] == 3
+        assert manifest["format"] == 4
         # The name CipherSuite itself still accepts (and maps to shake).
         (manifest["cipher_backend"],) = _RENAMED
         manifest_path.write_text(json.dumps(manifest))
@@ -297,13 +298,14 @@ class TestValidation:
             load_snapshot(str(tmp_path), seed=13)
         assert built == []  # no suite existed, so nothing was decrypted
 
-    @pytest.mark.parametrize("old_format", [1, 2])
+    @pytest.mark.parametrize("old_format", [1, 2, 3])
     def test_older_formats_are_refused_before_any_suite(
         self, warm_db, tmp_path, monkeypatch, old_format
     ):
-        """Formats 1 and 2 sealed the trusted state in layouts this version
-        no longer reads: the manifest stops the load, naming the format
-        and the way out, before any suite exists."""
+        """Formats 1 to 3 sealed the trusted state in layouts this version
+        no longer reads (format 3 kept a mid-epoch reshuffle outside it):
+        the manifest stops the load, naming the format and the way out,
+        before any suite exists."""
         save_snapshot(warm_db, str(tmp_path))
         manifest_path = tmp_path / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
@@ -337,7 +339,7 @@ class TestValidation:
         (tmp_path / "k12" / "sealed.bin").write_bytes(
             (tmp_path / "k6" / "sealed.bin").read_bytes()
         )
-        with pytest.raises(StorageError, match=r"sealed as \(layout, n, m, k\) = \(3, 120, 6, 6\)"):
+        with pytest.raises(StorageError, match=r"sealed as \(layout, n, m, k\) = \(4, 120, 6, 6\)"):
             load_snapshot(str(tmp_path / "k12"), seed=18)
 
     def test_sealing_layer_under_another_keystream_fails_closed(
@@ -388,34 +390,28 @@ class TestValidation:
 
 
 class TestReshuffleSidecar:
-    def test_sidecar_written_only_while_epoch_active(self, warm_db, tmp_path):
-        from repro.core.snapshot import resume_reshuffle
+    """There is no reshuffle sidecar: a mid-epoch snapshot seals the epoch
+    in ``sealed.bin`` with the rest of the trusted state."""
 
-        sidecar = tmp_path / "reshuffle.sealed"
-        save_snapshot(warm_db, str(tmp_path))
-        assert not sidecar.exists()
-
+    def test_mid_epoch_snapshot_holds_three_files(self, warm_db, tmp_path):
         driver = warm_db.begin_reshuffle(batch_size=8)
         driver.step()
         save_snapshot(warm_db, str(tmp_path))
-        assert sidecar.exists()
+        assert sorted(os.listdir(tmp_path)) == [
+            "frames.bin", "manifest.json", "sealed.bin"]
+        assert not hasattr(snapshot, "resume_reshuffle")
+        assert not hasattr(driver, "restore_state")
 
-        # A later save without an active epoch removes the stale sidecar.
-        driver.run()
-        save_snapshot(warm_db, str(tmp_path))
-        assert not sidecar.exists()
-
-    def test_resume_without_sidecar_returns_none(self, warm_db, tmp_path):
-        from repro.core.snapshot import resume_reshuffle
-
+    def test_resume_without_active_epoch_returns_none(self, warm_db,
+                                                      tmp_path):
+        warm_db.begin_reshuffle(batch_size=8).run()
         save_snapshot(warm_db, str(tmp_path))
         restored = load_snapshot(str(tmp_path), seed=23)
-        assert resume_reshuffle(restored, str(tmp_path)) is None
+        assert restored.resume_reshuffle() is None
         assert restored.reshuffle is None
+        assert restored.begin_reshuffle().epoch == 2
 
     def test_resume_continues_the_epoch(self, warm_db, tmp_path):
-        from repro.core.snapshot import resume_reshuffle
-
         digest = warm_db.content_digest()
         driver = warm_db.begin_reshuffle(batch_size=8)
         driver.step()
@@ -423,10 +419,42 @@ class TestReshuffleSidecar:
         frontier = driver.frontier
 
         restored = load_snapshot(str(tmp_path), seed=24)
-        resumed = resume_reshuffle(restored, str(tmp_path))
+        with pytest.raises(ConfigurationError, match="in progress"):
+            restored.begin_reshuffle()
+        resumed = restored.resume_reshuffle()
         assert resumed is restored.reshuffle
         assert resumed.active and resumed.frontier == frontier
         resumed.run()
+        restored.consistency_check()
+        assert restored.content_digest() == digest
+
+    def test_rotating_epoch_restores_from_the_three_files(self, tmp_path):
+        """A mid-epoch snapshot taken with ``rotate_to=`` restores from
+        its manifest, frames and sealed state alone: the resumed epoch is
+        the saved one, and finishing it sorts the pages by its key and
+        drops the legacy key."""
+        from tests.test_online_reshuffle import assert_batcher_order
+
+        db = make_db(64, seed=31)
+        digest = db.content_digest()
+        driver = db.begin_reshuffle(batch_size=8, rotate_to=b"rotated-key")
+        driver.step()
+        saved = (driver.epoch, driver.frontier, db.cop.state.epoch_key)
+        save_snapshot(db, str(tmp_path / "snap"))
+        copy = tmp_path / "copy"
+        copy.mkdir()
+        for name in ("manifest.json", "frames.bin", "sealed.bin"):
+            (copy / name).write_bytes((tmp_path / "snap" / name).read_bytes())
+
+        restored = load_snapshot(str(copy), master_key=b"rotated-key",
+                                 seed=32)
+        resumed = restored.resume_reshuffle()
+        assert resumed is not None
+        assert (resumed.epoch, resumed.frontier,
+                restored.cop.state.epoch_key) == saved
+        resumed.run()
+        assert_batcher_order(restored, resumed)
+        assert not restored.cop.rotation_in_progress
         restored.consistency_check()
         assert restored.content_digest() == digest
 

@@ -18,7 +18,7 @@ from repro.errors import (
 from repro.hardware.cache import LRU_POLICY, PageCache
 from repro.hardware.coprocessor import SecureCoprocessor
 from repro.hardware.specs import IBM_4764, MEGABYTE, HardwareSpec
-from repro.hardware.trusted import TrustedState
+from repro.hardware.trusted import TAG_KEY_SIZE, TrustedState
 from repro.sim.clock import VirtualClock
 from repro.storage.page import Page
 
@@ -273,7 +273,12 @@ class TestTrustedState:
     def test_round_trip(self):
         state, cache = self._state()
         state.advance(1, 7, 2)
-        state.note_epoch(3)
+        for _ in range(3):
+            state.begin_epoch(bytes(range(TAG_KEY_SIZE)))
+            state.end_epoch()
+        state.begin_epoch(b"k" * TAG_KEY_SIZE)
+        state.advance_epoch(11)
+        state.next_resume()
         state.set_cached(2, 1)
         cache.put(1, Page(2, b"cached"))
         state.set_disk(7, 2)
@@ -286,13 +291,16 @@ class TestTrustedState:
                         SimpleNamespace(adopt_legacy_key=adopted.append))
         assert adopted == [b"legacy-key"]
         assert (restored.next_block, restored.request_count,
-                restored.rotation_left, restored.epoch_base) == (1, 7, 2, 3)
+                restored.rotation_left, restored.epoch_base) == (1, 7, 2, 4)
+        assert (restored.epoch_frontier, restored.epoch_active,
+                restored.epoch_key) == (11, True, b"k" * TAG_KEY_SIZE)
         assert restored.position.tolist() == state.position.tolist()
         assert restored.flags.tolist() == state.flags.tolist()
         assert restored.free_ids() == state.free_ids() == {5, 6, 7}
         assert [restored_cache.get(s) for s in range(2)] == [
             cache.get(s) for s in range(2)]
         assert restored.encode(restored_cache, b"legacy-key") == blob
+        assert restored.next_resume() == 2
 
     @pytest.mark.parametrize("shape", [(6, 2, 2), (6, 3, 3), (9, 2, 3)])
     def test_decode_refuses_another_shape(self, shape):
@@ -309,6 +317,28 @@ class TestTrustedState:
         with pytest.raises(StorageError, match="block pointer 2"):
             restored.decode(blob, PageCache(2, SecureRandom(1)), None)
         assert restored.next_block == 0
+        assert not restored.flags.any()
+
+    @pytest.mark.parametrize("length", [1, TAG_KEY_SIZE - 1, TAG_KEY_SIZE + 1])
+    def test_decode_refuses_an_epoch_key_of_another_length(self, length):
+        state, cache = self._state()
+        state.begin_epoch(b"k" * length)
+        state.end_epoch()
+        blob = state.encode(cache, None)
+        restored = TrustedState(6, 2, 3)
+        with pytest.raises(StorageError, match=f"epoch key is {length} bytes"):
+            restored.decode(blob, PageCache(2, SecureRandom(1)), None)
+        assert restored.epoch_base == 0 and restored.epoch_key == b""
+        assert not restored.flags.any()
+
+    def test_decode_refuses_an_active_epoch_with_no_key(self):
+        state, cache = self._state()
+        state.begin_epoch(b"")
+        blob = state.encode(cache, None)
+        restored = TrustedState(6, 2, 3)
+        with pytest.raises(StorageError, match="epoch 1 is active with no key"):
+            restored.decode(blob, PageCache(2, SecureRandom(1)), None)
+        assert restored.epoch_base == 0 and not restored.epoch_active
         assert not restored.flags.any()
 
 

@@ -8,7 +8,7 @@ from tests.helpers import RecordingJournal, make_db
 from repro.baselines import make_records
 from repro.core.journal import MemoryJournal
 from repro.core.sharded import ShardedPirDatabase
-from repro.core.snapshot import load_snapshot, resume_reshuffle, save_snapshot
+from repro.core.snapshot import load_snapshot, save_snapshot
 from repro.errors import ConfigurationError, RecoveryError, StorageError
 from repro.faults import (
     SITE_DISK_READ,
@@ -42,7 +42,8 @@ def assert_batcher_order(db, driver):
     repeated or mis-positioned comparators (e.g. after a replay or a
     retried batch) stays content-consistent but fails this."""
     tags = [
-        _tag(driver._epoch_key, db.cop.unseal(db.disk.peek(loc)).page_id)
+        _tag(driver.cop.state.epoch_key,
+             db.cop.unseal(db.disk.peek(loc)).page_id)
         for loc in range(db.params.num_locations)
     ]
     assert tags == sorted(tags)
@@ -193,7 +194,7 @@ class TestCallerStepsTheEpoch:
         save_snapshot(db, snap)
         db2 = load_snapshot(snap, seed=7)
         with pytest.raises(TypeError):
-            resume_reshuffle(db2, snap, idle_interval=0.1)
+            db2.resume_reshuffle(idle_interval=0.1)
         with pytest.raises(TypeError):
             driver.run(max_steps=1)
         with pytest.raises(TypeError):
@@ -279,30 +280,31 @@ class TestRecoverySemantics:
         assert journal.read() is None
         db.close()
 
-    def test_recover_before_restore_raises_and_retains_record(self):
-        """recover() on a driver that has not adopted the sidecar yet must
-        refuse — clearing the record would lose the only roll-forward for
-        a torn batch — and succeed once restore_state has run."""
+    def test_record_ahead_of_older_snapshot_is_retained(self, tmp_path):
+        """A reshuffle journal record written after the snapshot being
+        restored describes a frontier the restored epoch never reached:
+        recover() must refuse — clearing the record would lose the only
+        roll-forward for a torn batch — and leave the record in place."""
         journal = MemoryJournal()
         db = make_db(seed=4, journal=MemoryJournal())
         driver = db.begin_reshuffle(batch_size=8, journal=journal)
         driver.step()
-        state = driver.state_blob()
+        snap = str(tmp_path / "snap")
+        save_snapshot(db, snap)
+        driver.step()
         torn = ReshuffleIntent(epoch=driver.epoch,
                                frontier_before=driver.frontier,
                                frontier_after=driver.frontier + 4)
         journal.write(driver._seal_record(torn))
-        driver.close()
-
-        fresh = OnlineReshuffler(db, journal=journal)
-        with pytest.raises(RecoveryError):
-            fresh.recover()
-        assert journal.read() is not None  # the roll-forward survives
-        fresh.restore_state(state)
-        assert fresh.recover() == "replayed"
-        assert fresh.frontier == torn.frontier_after
-        fresh.close()
         db.close()
+
+        older = load_snapshot(snap, seed=5)
+        resumed = older.resume_reshuffle(batch_size=8, journal=journal)
+        with pytest.raises(RecoveryError, match="older than the journal"):
+            resumed.recover()
+        assert journal.read() is not None  # the roll-forward survives
+        assert resumed.frontier == 8
+        older.close()
 
 
 class TestFrontierPurity:
@@ -374,12 +376,10 @@ class TestResumeUniqueness:
         db = make_db(seed=23, journal=MemoryJournal())
         driver = db.begin_reshuffle(batch_size=8, journal=MemoryJournal())
         driver.step()
-        state = driver.state_blob()
         driver.close()
         first = OnlineReshuffler(db, journal=MemoryJournal())
-        first.restore_state(state)
         second = OnlineReshuffler(db, journal=MemoryJournal())
-        second.restore_state(state)
+        assert first.active and second.frontier == first.frontier == 8
         # Same epoch, same frontier, same derived keys: only the per-resume
         # spawn label keeps the nonce streams apart.  Identical ciphertexts
         # for one plaintext would mean keystream reuse across resumes.
@@ -398,7 +398,7 @@ class TestResumeUniqueness:
         save_snapshot(db, snap)
 
         db2 = load_snapshot(snap, seed=25)
-        resumed = resume_reshuffle(db2, snap, journal=MemoryJournal())
+        resumed = db2.resume_reshuffle(journal=MemoryJournal())
         assert resumed is not None and resumed.epoch == 2
         resumed.run()
         # A fresh driver must continue the database-global numbering from

@@ -5,7 +5,7 @@ the way :mod:`tests.test_crash_restart` exercises the engine's: a
 file-backed database is killed by a :class:`SimulatedCrash` part-way
 through a batch write-back (torn prefix on disk, full intent in the
 reshuffler's own :class:`~repro.core.journal.FileJournal`), the process
-"restarts" from the mid-epoch snapshot + sidecar, and the surviving
+"restarts" from the mid-epoch snapshot, and the surviving
 journal record is rolled forward — restoring a consistent epoch with no
 torn frames, at exactly the post-batch frontier.
 """
@@ -17,7 +17,7 @@ import pytest
 from tests.helpers import make_db
 from tests.test_online_reshuffle import assert_batcher_order
 from repro.core.journal import FileJournal
-from repro.core.snapshot import load_snapshot, resume_reshuffle, save_snapshot
+from repro.core.snapshot import load_snapshot, save_snapshot
 from repro.faults import (
     SITE_DISK_WRITE,
     FaultInjector,
@@ -57,8 +57,7 @@ class TestCrashMidReshuffle:
             journal=FileJournal(str(tmp_path / "engine.jnl")),
         )
         assert db.recover().action == "clean"
-        driver = resume_reshuffle(
-            db, str(snap_dir),
+        driver = db.resume_reshuffle(
             journal=FileJournal(str(tmp_path / "reshuffle.jnl")),
         )
         assert driver is not None and driver.active
@@ -179,8 +178,7 @@ class TestCrashMidReshuffle:
             journal=FileJournal(str(tmp_path / "engine.jnl")),
         )
         assert db2.cop.rotation_in_progress  # legacy key restored
-        driver2 = resume_reshuffle(
-            db2, str(snap_dir),
+        driver2 = db2.resume_reshuffle(
             journal=FileJournal(str(tmp_path / "reshuffle.jnl")),
         )
         assert driver2.recover() == "replayed"

@@ -163,15 +163,16 @@ EXPECTED_SHARDS = [
          free="c5523aa1d3a76e73", trace="0f6765923d1f4e07",
          clock="0.0050085500000000005", rng="e8c0990ee3def82c"),
 ]
-# The "trusted" and owner-state digests pin TrustedState.encode's layout,
-# which replaced the per-page implementation's; its content is unchanged.
+# The "trusted" and owner-state digests pin TrustedState.encode's layout
+# (version 4, which seals the reshuffle epoch too), which replaced the
+# per-page implementation's; its content is unchanged.
 EXPECTED_SNAPSHOT = {
     "chunked": dict(frames="bf46d24afab239cf",
-                    trusted="48b517c674d0e4c5"),
+                    trusted="dace8fbea5c97a3e"),
     "warm": dict(frames="09b55c87a3d9fe42",
-                 trusted="fb7c1824c6c3ac0f"),
+                 trusted="451ba67a02f0a05a"),
 }
-EXPECTED_OWNER_STATE = "4ceff98f6d7d778f"
+EXPECTED_OWNER_STATE = "57ed4dff5dd88e55"
 
 
 @pytest.mark.parametrize("name", sorted(SETUPS))
