@@ -38,7 +38,11 @@ sequence-numbered logical replication stream:
   origin's stream, and streaming resumes from that point out of the
   log's backlog — which is also how a restarted backend converges
   (``load_snapshot`` + journal roll-forward locally, then backlog replay
-  from each peer for everything it missed while down).
+  from each peer for everything it missed while down).  The answer is a
+  *stream mark* of the peer's sealed trusted state
+  (:meth:`~repro.hardware.trusted.TrustedState.stream_mark`), so a
+  snapshot alone — of the member itself, or the one a replica was
+  bootstrapped from — says where each stream resumes.
 
 * :meth:`ReplicationLog.wait_replicated` — the semi-sync barrier, a
   coroutine the member's serve awaits on that same loop.  The stream
@@ -59,7 +63,11 @@ re-imaged from the snapshot), the covered records are dropped from memory
 and the durable ``repl-*.log`` file is atomically rewritten without them.
 A peer that later asks for a compacted sequence gets a
 :class:`~repro.errors.StorageError` instead of silent divergence — the
-signal that it must bootstrap from the snapshot, not the stream.
+signal that it must bootstrap from the snapshot, not the stream.  The
+origin's own stream mark is its emitted high-water mark: a log whose
+backlog ends below it (a truncated or deleted file, or an in-memory log
+over restored state) raises :class:`~repro.errors.RollbackError` rather
+than reissue a sequence number a peer may already hold.
 """
 
 from __future__ import annotations
@@ -78,6 +86,7 @@ from ..errors import (
     PageNotFoundError,
     ProtocolError,
     ReproError,
+    RollbackError,
     StorageError,
 )
 from ..loopthread import LoopWaiters
@@ -111,9 +120,9 @@ KIND_DELETE = 2
 _KIND_BY_NAME = {"noop": KIND_NOOP, "write": KIND_WRITE, "delete": KIND_DELETE}
 
 #: Durable backlog entry header: u64 sequence, u32 sealed-record length.
+#: A file :meth:`ReplicationLog.compact` rewrote starts with an empty entry
+#: at the compaction base.
 _BACKLOG_HEADER = struct.Struct(">QI")
-
-_U16 = struct.Struct(">H")
 
 # A streamer's deadlines (dial, and each answer from the peer) and its
 # pauses (before re-dialling after a fault, before retransmitting after a
@@ -241,23 +250,32 @@ class ReplicationLog:
         self._file = None
         if path is not None:
             self._load(path)
+        emitted = cop.state.stream_mark(origin)
+        if self._base + len(self._records) < emitted:
+            raise RollbackError(
+                f"replication backlog of {origin!r} ends at seq "
+                f"{self._base + len(self._records)}, below the sealed emitted "
+                f"mark {emitted}; refusing to reissue sequence numbers"
+            )
+        if path is not None:
             self._file = open(path, "ab")
 
     def _load(self, path: str) -> None:
         """Reload the durable backlog, discarding any torn tail.
 
-        The file may start past sequence 1 (a previous :meth:`compact`
-        rewrote it); the first record's header seq fixes the base.
+        The file may start past sequence 1: a previous :meth:`compact`
+        rewrote it behind an empty entry that names the base.
         """
         kept = 0
         for end, (seq, _), sealed in load_appended(
                 path, _BACKLOG_HEADER, lambda seq, length: length):
-            if not self._records:
-                self._base = seq - 1
-            elif seq != self._base + len(self._records) + 1:
+            if not kept:
+                self._base = seq - 1 if sealed else seq
+            elif not sealed or seq != self._base + len(self._records) + 1:
                 os.truncate(path, kept)  # out-of-sequence tail
                 break
-            self._records.append(sealed)
+            if sealed:
+                self._records.append(sealed)
             kept = end
 
     @property
@@ -288,6 +306,7 @@ class ReplicationLog:
                 self._file.write(sealed)
                 self._file.flush()
             self._records.append(sealed)
+            self.cop.state.advance_stream(self.origin, seq)
             self.counters.increment("emitted")
             for wake in self._wakers.values():
                 wake()
@@ -438,12 +457,12 @@ class ReplicationLog:
         """Drop records with seq <= ``up_to_seq``; returns how many.
 
         Call once a snapshot durably covers those sequences (e.g. after
-        ``save_snapshot`` + a sealed applied-vector sidecar): the snapshot,
-        not the stream, is then the catch-up path for anything older.  The
-        durable backlog file is atomically rewritten without the dropped
-        prefix, so a restart reloads only what memory holds.  Compacting
-        past ``last_seq`` clamps; compacting below the current base is a
-        no-op.
+        ``save_snapshot`` of every peer, whose sealed state holds its stream
+        marks): the snapshot, not the stream, is then the catch-up path for
+        anything older.  The durable backlog file is atomically rewritten
+        without the dropped prefix, behind an empty entry at the new base,
+        so a restart reloads only what memory holds.  Compacting past
+        ``last_seq`` clamps; compacting below the current base is a no-op.
         """
         with self._lock:
             up_to_seq = min(up_to_seq, self._base + len(self._records))
@@ -457,6 +476,7 @@ class ReplicationLog:
                     self._file.close()
                 tmp = self._path + ".tmp"
                 with open(tmp, "wb") as handle:
+                    handle.write(_BACKLOG_HEADER.pack(self._base, 0))
                     for index, sealed in enumerate(self._records):
                         handle.write(_BACKLOG_HEADER.pack(
                             self._base + index + 1, len(sealed)
@@ -506,53 +526,19 @@ class ReplicationApplier:
     On a cluster backend :meth:`apply` runs on the server's engine
     thread, the thread that dispatches requests, so the engine sees one
     operation at a time; it never waits for the serving lock (DESIGN.md
-    §13).  One lock guards the applied vector, where ``apply`` on the
-    engine thread meets the loop's readers.
+    §13).  The applied marks are the stream marks of the database's sealed
+    trusted state, so a snapshot carries them; one lock serialises
+    ``apply``.
     """
 
     def __init__(self, db, metrics=None):
         self.db = db
         self.counters = registry_or_private(metrics).counter_view(
             "repl.apply.")
-        self._applied: Dict[str, int] = {}
         self._lock = threading.Lock()
 
     def applied_for(self, origin: str) -> int:
-        with self._lock:
-            return self._applied.get(origin, 0)
-
-    def state(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._applied)
-
-    def restore_state(self, state: Dict[str, int]) -> None:
-        """Adopt a checkpointed applied-vector (snapshot sidecar restore)."""
-        with self._lock:
-            for origin, seq in state.items():
-                if seq > self._applied.get(origin, 0):
-                    self._applied[origin] = int(seq)
-
-    def encode_state(self) -> bytes:
-        """Serialise the applied-vector for a sealed snapshot sidecar."""
-        with self._lock:
-            parts = [_U32.pack(len(self._applied))]
-            for origin in sorted(self._applied):
-                encoded = origin.encode("utf-8")
-                parts.append(_U16.pack(len(encoded)))
-                parts.append(encoded)
-                parts.append(_U64.pack(self._applied[origin]))
-            return b"".join(parts)
-
-    @staticmethod
-    def decode_state(blob: bytes) -> Dict[str, int]:
-        """Parse a blob from :meth:`encode_state` back into a vector."""
-        cursor = RecordCursor(blob)
-        state: Dict[str, int] = {}
-        for _ in range(cursor.take(_U32)):
-            origin = cursor.take_bytes(cursor.take(_U16)).decode("utf-8")
-            state[origin] = cursor.take(_U64)
-        cursor.expect_end("replication state blob")
-        return state
+        return self.db.cop.state.stream_mark(origin)
 
     def apply(self, origin: str, seq: int, sealed: bytes) -> int:
         """Apply one record; returns ``origin``'s applied mark.
@@ -560,20 +546,20 @@ class ReplicationApplier:
         Only the record right after the mark applies.  Anything else
         applies nothing and is answered with the unchanged mark, from
         which the origin's streamer resends: a duplicate (counted), a
-        record past a gap no streamer leaves, and a record that fails
-        authentication or whose sealed sequence is not the envelope's (a
-        host splicing bodies; counted as an error) — a record the peer
-        cannot authenticate must not stand in for the genuine one.  An
-        *authentic* record whose engine op fails advances the mark anyway
-        (also an error): wedging the whole stream on one poisoned write
-        would turn it into full replica divergence.
+        record past a gap no streamer leaves or from no origin, and a
+        record that fails authentication or whose sealed sequence is not
+        the envelope's (a host splicing bodies; counted as an error) — a
+        record the peer cannot authenticate must not stand in for the
+        genuine one.  An *authentic* record whose engine op fails advances
+        the mark anyway (also an error): wedging the whole stream on one
+        poisoned write would turn it into full replica divergence.
         """
         with self._lock:
-            applied = self._applied.get(origin, 0)
+            applied = self.applied_for(origin)
             if seq <= applied:
                 self.counters.increment("duplicates")
                 return applied
-            if seq > applied + 1:
+            if seq > applied + 1 or not origin:
                 return applied
             try:
                 record = decode_record(self.db.cop, sealed)
@@ -591,7 +577,7 @@ class ReplicationApplier:
                 self.counters.increment("errors")
             else:
                 self.counters.increment("applied")
-            self._applied[origin] = seq
+            self.db.cop.state.advance_stream(origin, seq)
             return seq
 
     def _apply_record(self, record: ReplicationRecord) -> None:

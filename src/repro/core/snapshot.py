@@ -2,8 +2,8 @@
 
 A production deployment must survive restarts: the encrypted pages live on
 the untrusted disk anyway, but the trusted state — position map, cached
-plaintext pages, round-robin pointer, online reshuffle epoch — exists only
-inside the tamper boundary.  The coprocessor therefore exports it as a
+plaintext pages, round-robin pointer, online reshuffle epoch, replication
+stream marks — exists only inside the tamper boundary.  The coprocessor therefore exports it as a
 single *sealed blob* (encrypted and authenticated under a key derived from
 the master key), the same way real secure hardware seals state to host
 storage.
@@ -18,12 +18,15 @@ Snapshot layout on the host filesystem::
                          #   block pointer, request count, rotation
                          #   countdown, last epoch begun with its frontier,
                          #   active bit and resume count, legacy key, epoch
-                         #   key, position and flag columns, cache slots
+                         #   key, stream marks (origin -> last sequence),
+                         #   position and flag columns, cache slots
 
-``sealed.bin`` is the only trusted file a snapshot writes, also mid-epoch:
-a restored instance continues the epoch through
-``PirDatabase.resume_reshuffle()``.  Callers may seal auxiliary blobs
-beside it (:func:`save_sealed_sidecar`, e.g. a replication checkpoint).
+``sealed.bin`` holds everything a member needs to resume, and it is the
+only trusted file a snapshot writes: mid-epoch, a restored instance
+continues the epoch through ``PirDatabase.resume_reshuffle()``, and a
+replicating member's stream marks say where each replication stream
+resumes (the applied mark of every peer's stream, the emitted mark of its
+own).
 
 Restoring requires the same master key; a wrong key fails authentication
 rather than yielding garbage.  The restored instance draws fresh randomness
@@ -36,7 +39,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -49,11 +52,9 @@ __all__ = [
     "save_snapshot",
     "load_snapshot",
     "bootstrap_replica",
-    "save_sealed_sidecar",
-    "load_sealed_sidecar",
 ]
 
-_FORMAT = 4
+_FORMAT = 5
 _MANIFEST = "manifest.json"
 _FRAMES = "frames.bin"
 _SEALED = "sealed.bin"
@@ -210,7 +211,7 @@ def load_snapshot(directory: str, **wiring) -> PirDatabase:
     with open(manifest_path, encoding="utf-8") as f:
         manifest = json.load(f)
     version = manifest.get("format")
-    if version in (1, 2, 3):
+    if version in range(1, _FORMAT):
         raise ConfigurationError(
             f"snapshot in {directory!r} is format {version}; this version "
             f"reads format {_FORMAT} only.  Re-create the database, or open "
@@ -262,38 +263,6 @@ def _replay_frames(path: str, disk) -> None:
             disk.write_range(start, frames)
 
 
-def save_sealed_sidecar(db: PirDatabase, directory: str, name: str,
-                        data: bytes) -> None:
-    """Seal an auxiliary trusted blob next to a snapshot.
-
-    The replication tier checkpoints its applied-sequence vector this way
-    (``<name>.sealed`` beside ``sealed.bin``), so a backend rebuilt from
-    the snapshot knows where each peer's backlog replay must resume — the
-    "``load_snapshot`` + journal roll-forward + replication backlog"
-    catch-up sequence.  Sealed under the coprocessor's master-key suite:
-    the host stores it but cannot read or undetectably alter it.
-    """
-    os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, name + ".sealed"), "wb") as handle:
-        handle.write(db.cop.seal_blob(bytes(data)))
-
-
-def load_sealed_sidecar(db: PirDatabase, directory: str,
-                        name: str) -> Optional[bytes]:
-    """Unseal a sidecar written by :func:`save_sealed_sidecar`.
-
-    Returns None when the sidecar does not exist (e.g. a snapshot from
-    before replication was enabled); raises
-    :class:`~repro.errors.AuthenticationError` on tampering or a wrong
-    master key.
-    """
-    path = os.path.join(directory, name + ".sealed")
-    if not os.path.exists(path):
-        return None
-    with open(path, "rb") as handle:
-        return db.cop.unseal_blob(handle.read())
-
-
 def bootstrap_replica(
     db: PirDatabase, directory: str, **load_kw,
 ) -> PirDatabase:
@@ -316,7 +285,10 @@ def bootstrap_replica(
     replica adopts the epoch at its sealed frontier (a driver is attached
     via ``replica.resume_reshuffle()``; step it as
     ``replica.reshuffle.step()``) — joining mid-epoch costs a snapshot
-    restore, never a cold shuffle.
+    restore, never a cold shuffle.  The replica also inherits the
+    primary's stream marks, its own emitted mark included, so its
+    replication handshake resumes after everything the snapshot holds —
+    also past a :meth:`~repro.cluster.replication.ReplicationLog.compact`.
     """
     save_snapshot(db, directory)
     replica = load_snapshot(directory, **load_kw)

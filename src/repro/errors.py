@@ -14,7 +14,8 @@ Hierarchy::
     ├── StorageError              untrusted page store rejected an operation
     │   ├── PageNotFoundError     logical page id does not exist
     │   │   └── PageDeletedError  page exists but is marked deleted
-    │   └── TransientStorageError I/O fault expected to succeed on retry
+    │   ├── TransientStorageError I/O fault expected to succeed on retry
+    │   └── RollbackError         host storage is older than sealed state
     ├── CapacityError             fixed-capacity structure is full
     ├── ProtocolError             two-party / client protocol violation
     │   └── TransientChannelError message lost or timed out; retryable
@@ -103,6 +104,17 @@ class TransientStorageError(StorageError):
     wrong frame size).  The engine's and client's retry layers only ever
     retry on this class (plus :class:`AuthenticationError` for bounded
     re-reads); everything else is permanent.
+    """
+
+
+class RollbackError(StorageError):
+    """Host storage holds less than the trusted state says was written.
+
+    Raised when a file the host keeps is older than a mark sealed inside
+    the tamper boundary — e.g. a replication backlog that ends below the
+    origin's sealed stream mark.  Carrying on would reissue what the
+    sealed state already counts as written, so the component refuses to
+    start instead.
     """
 
 

@@ -3,14 +3,18 @@ sealed layout.
 
 :class:`TrustedState` owns the position map (``pageMap`` of Figure 2), the
 free pool §4.3's insertions draw from, the request path's scalars (the
-round-robin block pointer, the request count, the key-rotation countdown)
-and the online reshuffle's epoch: the last epoch begun, its frontier,
-whether it is still active, its secret sort key and the count of driver
-resumes that names each resume's nonce stream.  The cached pages themselves
-stay in :class:`~repro.hardware.cache.PageCache` and the master keys in the
+round-robin block pointer, the request count, the key-rotation countdown),
+the online reshuffle's epoch (the last epoch begun, its frontier, whether
+it is still active, its secret sort key and the count of driver resumes
+that names each resume's nonce stream) and the stream-mark vector: per
+replication origin, the last sequence whose effect this content includes —
+the applied mark of a peer's stream and the emitted mark of the member's
+own.  The cached pages themselves stay in
+:class:`~repro.hardware.cache.PageCache` and the master keys in the
 coprocessor; :meth:`TrustedState.encode` seals all of it — map, scalars,
-epoch, cache slots and the legacy key of an unfinished rotation — as one
-versioned blob, and :meth:`TrustedState.decode` is its only reader.
+epoch, stream marks, cache slots and the legacy key of an unfinished
+rotation — as one versioned blob, and :meth:`TrustedState.decode` is its
+only reader.
 
 Each map entry is the tuple ``(inCache, position)`` of Figure 2 in two
 columns: ``position`` in the smallest unsigned type that holds a disk
@@ -27,7 +31,7 @@ from __future__ import annotations
 import math
 import struct
 from collections import namedtuple
-from typing import Optional, Set
+from typing import Dict, Optional, Set
 
 import numpy as np
 
@@ -43,13 +47,17 @@ PageLocation = namedtuple("PageLocation", "in_cache position deleted")
 # Sealed layout: version, (n, m, k); next block, request count, rotation
 # countdown (-1 = none), last epoch begun, its frontier, its active bit,
 # resumes so far; the length-prefixed legacy key (empty = no rotation) and
-# epoch key (empty = no epoch yet); the position and flags columns; then
-# per cache slot its page id, deleted flag and length-prefixed payload.
-_VERSION = 4
+# epoch key (empty = no epoch yet); the stream marks as a count, then per
+# origin in increasing order its length-prefixed UTF-8 name and sequence;
+# the position and flags columns; then per cache slot its page id, deleted
+# flag and length-prefixed payload.
+_VERSION = 5
 _HEADER = struct.Struct(">BQQQ")
 _SCALARS = struct.Struct(">QQqQQ?Q")
 _SLOT = struct.Struct(">QBI")
+_U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
 _IN_CACHE, _DELETED, _PLACED = 1, 2, 4
 
 #: Bytes of a reshuffle epoch's secret sort key.
@@ -57,9 +65,10 @@ TAG_KEY_SIZE = 32
 
 
 class TrustedState:
-    """Position map, free pool, request scalars and reshuffle epoch of one
-    database: ``num_locations`` disk pages plus ``cache_capacity`` cached
-    pages, scanned ``block_size`` locations per request."""
+    """Position map, free pool, request scalars, reshuffle epoch and
+    stream marks of one database: ``num_locations`` disk pages plus
+    ``cache_capacity`` cached pages, scanned ``block_size`` locations per
+    request."""
 
     def __init__(self, num_locations: int, cache_capacity: int,
                  block_size: int):
@@ -83,6 +92,7 @@ class TrustedState:
         self._epoch_active = False
         self._epoch_key = b""
         self._epoch_resumes = 0
+        self._streams: Dict[str, int] = {}
 
     # -- map queries -------------------------------------------------------------
 
@@ -261,6 +271,19 @@ class TrustedState:
         self._epoch_resumes += 1
         return self._epoch_resumes
 
+    # -- stream marks ------------------------------------------------------------------
+
+    def stream_mark(self, origin: str) -> int:
+        """The last sequence of ``origin``'s replication stream whose
+        effect this content includes (0 = none)."""
+        return self._streams.get(origin, 0)
+
+    def advance_stream(self, origin: str, seq: int) -> None:
+        """Record ``origin``'s sequence ``seq`` applied (or emitted)."""
+        if not origin:
+            raise ConfigurationError("a replication origin must be non-empty")
+        self._streams[origin] = seq
+
     # -- the sealed layout -------------------------------------------------------------
 
     def encode(self, cache, legacy_key: Optional[bytes]) -> bytes:
@@ -280,8 +303,12 @@ class TrustedState:
                           self._epoch_active, self._epoch_resumes),
             _U32.pack(len(legacy_key)), legacy_key,
             _U32.pack(len(self._epoch_key)), self._epoch_key,
-            self.position.tobytes(), self.flags.tobytes(),
+            _U32.pack(len(self._streams)),
         ]
+        for origin, seq in sorted(self._streams.items()):
+            name = origin.encode("utf-8")
+            parts += [_U16.pack(len(name)), name, _U64.pack(seq)]
+        parts += [self.position.tobytes(), self.flags.tobytes()]
         for page in map(cache.get, range(cache.capacity)):
             parts.append(_SLOT.pack(page.page_id, _DELETED if page.deleted else 0,
                                     len(page.payload)))
@@ -294,9 +321,11 @@ class TrustedState:
 
         The blob must be this layout, sealed for this state's (n, m, k);
         its block pointer must name one of the n / k blocks, its epoch key
-        must be empty or :data:`TAG_KEY_SIZE` bytes, and an active epoch
-        must have a key.  Anything else, like a truncated or over-long
-        blob, is a :class:`StorageError` raised before any part changes.
+        must be empty or :data:`TAG_KEY_SIZE` bytes, an active epoch must
+        have a key, and its stream origins must be non-empty UTF-8 names in
+        strictly increasing order (so one state has one encoding).  Anything
+        else, like a truncated or over-long blob, is a :class:`StorageError`
+        raised before any part changes.
         """
         cursor = RecordCursor(blob)
         header = cursor.take_fields(_HEADER)
@@ -315,6 +344,17 @@ class TrustedState:
                                f"not 0 or {TAG_KEY_SIZE}")
         if active and not epoch_key:
             raise StorageError(f"sealed epoch {epoch_base} is active with no key")
+        streams, previous = {}, ""
+        for _ in range(cursor.take(_U32)):
+            try:
+                origin = str(cursor.take_bytes(cursor.take(_U16)), "utf-8")
+            except UnicodeDecodeError as exc:
+                raise StorageError(
+                    f"sealed stream origin is not UTF-8: {exc}") from None
+            if origin <= previous:
+                raise StorageError(f"sealed stream origin {origin!r} is empty or "
+                                   f"not after {previous!r}")
+            streams[origin], previous = cursor.take(_U64), origin
         position = np.frombuffer(cursor.take_bytes(self.position.nbytes),
                                  self.position.dtype)
         flags = np.frombuffer(cursor.take_bytes(self.num_pages), np.uint8)
@@ -331,6 +371,7 @@ class TrustedState:
         self._epoch_base, self._epoch_frontier = epoch_base, frontier
         self._epoch_active, self._epoch_key = active, bytes(epoch_key)
         self._epoch_resumes = resumes
+        self._streams = streams
         cache.fill(pages)
         if legacy_key:
             cop.adopt_legacy_key(legacy_key)

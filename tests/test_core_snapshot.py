@@ -284,7 +284,7 @@ class TestValidation:
         save_snapshot(warm_db, str(tmp_path))  # real, MAC-valid frames
         manifest_path = tmp_path / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        assert manifest["format"] == 4
+        assert manifest["format"] == 5
         # The name CipherSuite itself still accepts (and maps to shake).
         (manifest["cipher_backend"],) = _RENAMED
         manifest_path.write_text(json.dumps(manifest))
@@ -298,14 +298,14 @@ class TestValidation:
             load_snapshot(str(tmp_path), seed=13)
         assert built == []  # no suite existed, so nothing was decrypted
 
-    @pytest.mark.parametrize("old_format", [1, 2, 3])
+    @pytest.mark.parametrize("old_format", [1, 2, 3, 4])
     def test_older_formats_are_refused_before_any_suite(
         self, warm_db, tmp_path, monkeypatch, old_format
     ):
-        """Formats 1 to 3 sealed the trusted state in layouts this version
-        no longer reads (format 3 kept a mid-epoch reshuffle outside it):
-        the manifest stops the load, naming the format and the way out,
-        before any suite exists."""
+        """Formats 1 to 4 sealed the trusted state in layouts this version
+        no longer reads (format 3 kept a mid-epoch reshuffle outside it,
+        format 4 the replication position): the manifest stops the load,
+        naming the format and the way out, before any suite exists."""
         save_snapshot(warm_db, str(tmp_path))
         manifest_path = tmp_path / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
@@ -339,7 +339,7 @@ class TestValidation:
         (tmp_path / "k12" / "sealed.bin").write_bytes(
             (tmp_path / "k6" / "sealed.bin").read_bytes()
         )
-        with pytest.raises(StorageError, match=r"sealed as \(layout, n, m, k\) = \(4, 120, 6, 6\)"):
+        with pytest.raises(StorageError, match=r"sealed as \(layout, n, m, k\) = \(5, 120, 6, 6\)"):
             load_snapshot(str(tmp_path / "k12"), seed=18)
 
     def test_sealing_layer_under_another_keystream_fails_closed(

@@ -271,67 +271,74 @@ class TestReplicationCrashDrills:
             for handle in handles:
                 handle.db.close()
 
-    def test_process_restart_replays_backlog_from_snapshot_and_sidecar(
-            self, tmp_path):
-        """A full process-death restart of a replica: its applied-vector
-        rides a snapshot as a sealed sidecar, the origin's backlog is
-        durable on disk, and roll-forward replays exactly the missed
-        tail (checkpointed records dedupe as duplicates)."""
+    @pytest.mark.parametrize("member", ["restart", "bootstrap"])
+    def test_snapshot_alone_replays_backlog(self, tmp_path, member):
+        """A member resumes replication from its sealed state alone, past
+        the origin's compaction.  ``restart``: a replica checkpointed by
+        ``save_snapshot`` (three files, no sidecar) dies, the origin
+        compacts through the checkpointed mark and keeps writing, and the
+        restored replica replays exactly the missed tail of the durable
+        backlog.  ``bootstrap``: a fresh replica bootstrapped after the
+        compaction inherits the origin's emitted mark and streams only what
+        follows it."""
         from repro.cluster.replication import (
             ReplicationApplier,
             ReplicationLog,
         )
-        from repro.core.snapshot import (
-            bootstrap_replica,
-            load_sealed_sidecar,
-            save_sealed_sidecar,
-        )
+        from repro.core.snapshot import bootstrap_replica
 
         log_path = str(tmp_path / "origin.log")
         snap_dir = str(tmp_path / "replica-snap")
         origin = make_db(num_records=NUM_RECORDS, seed=SEED)
-        replica = bootstrap_replica(origin, str(tmp_path / "boot"),
-                                    seed=SEED + 1)
+        if member == "restart":
+            replica = bootstrap_replica(origin, str(tmp_path / "boot"),
+                                        seed=SEED + 1)
         log = ReplicationLog(origin.cop, "origin:1", path=log_path)
         origin.replication = log
-        applier = ReplicationApplier(replica)
 
         # Phase 1: replicated normally, then checkpointed.
         origin.update(1, b"pre-checkpoint")
-        for seq, sealed in log.records_since(0):
-            applier.apply("origin:1", seq, sealed)
-        save_snapshot(replica, snap_dir)
-        save_sealed_sidecar(replica, snap_dir, "repl-state",
-                            applier.encode_state())
+        origin.query(4)
+        if member == "restart":
+            applier = ReplicationApplier(replica)
+            for seq, sealed in log.records_since(0):
+                applier.apply("origin:1", seq, sealed)
+            save_snapshot(replica, snap_dir)
+            assert sorted(os.listdir(snap_dir)) == [
+                "frames.bin", "manifest.json", "sealed.bin"]
+            replica.close()
+        checkpointed = log.last_seq
+        assert log.compact(checkpointed) == checkpointed
+        if member == "bootstrap":
+            member_db = bootstrap_replica(origin, str(tmp_path / "late"),
+                                          seed=SEED + 2)
 
-        # Phase 2: the replica process dies; the origin keeps writing.
-        checkpointed = applier.applied_for("origin:1")
-        replica.close()
+        # Phase 2: the origin keeps writing while the member is away.
         origin.update(2, b"while down")
         origin.delete(3)
 
-        # Phase 3: restart — snapshot, sidecar, durable backlog.
-        restored = load_snapshot(snap_dir, seed=SEED + 2)
-        blob = load_sealed_sidecar(restored, snap_dir, "repl-state")
-        assert blob is not None
-        fresh = ReplicationApplier(restored)
-        fresh.restore_state(ReplicationApplier.decode_state(blob))
-        assert fresh.applied_for("origin:1") == checkpointed
+        # Phase 3: the snapshot alone, then the durable backlog.
+        if member == "restart":
+            member_db = load_snapshot(snap_dir, seed=SEED + 2)
+        fresh = ReplicationApplier(member_db)
         reloaded = ReplicationLog(origin.cop, "origin:1", path=log_path)
-        assert reloaded.last_seq == log.last_seq
+        assert (reloaded.compacted_seq, reloaded.last_seq) == (
+            checkpointed, log.last_seq)
+        replayed = []
         for seq, sealed in reloaded.records_since(
                 fresh.applied_for("origin:1")):
-            fresh.apply("origin:1", seq, sealed)
-        assert fresh.applied_for("origin:1") == log.last_seq
-        assert restored.query(1) == b"pre-checkpoint"
-        assert restored.query(2) == b"while down"
+            replayed.append(fresh.apply("origin:1", seq, sealed))
+        assert replayed == [checkpointed + 1, checkpointed + 2]
+        assert fresh.counters.get("duplicates") == 0
+        assert member_db.query(1) == b"pre-checkpoint"
+        assert member_db.query(2) == b"while down"
         with pytest.raises(ReproError):
-            restored.query(3)
-        assert restored.content_digest() == origin.content_digest()
-        log.close()
+            member_db.query(3)
+        assert member_db.content_digest() == origin.content_digest()
         reloaded.close()
+        log.close()
+        member_db.close()
         origin.close()
-        restored.close()
 
 
 class TestKillIsAbrupt:

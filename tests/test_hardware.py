@@ -279,6 +279,9 @@ class TestTrustedState:
         state.begin_epoch(b"k" * TAG_KEY_SIZE)
         state.advance_epoch(11)
         state.next_resume()
+        state.advance_stream("peer:2", 9)
+        state.advance_stream("origin:1", 4)
+        state.advance_stream("peer:2", 10)
         state.set_cached(2, 1)
         cache.put(1, Page(2, b"cached"))
         state.set_disk(7, 2)
@@ -294,6 +297,8 @@ class TestTrustedState:
                 restored.rotation_left, restored.epoch_base) == (1, 7, 2, 4)
         assert (restored.epoch_frontier, restored.epoch_active,
                 restored.epoch_key) == (11, True, b"k" * TAG_KEY_SIZE)
+        assert (restored.stream_mark("origin:1"), restored.stream_mark("peer:2"),
+                restored.stream_mark("other:3")) == (4, 10, 0)
         assert restored.position.tolist() == state.position.tolist()
         assert restored.flags.tolist() == state.flags.tolist()
         assert restored.free_ids() == state.free_ids() == {5, 6, 7}
@@ -339,6 +344,36 @@ class TestTrustedState:
         with pytest.raises(StorageError, match="epoch 1 is active with no key"):
             restored.decode(blob, PageCache(2, SecureRandom(1)), None)
         assert restored.epoch_base == 0 and not restored.epoch_active
+        assert not restored.flags.any()
+
+
+    def test_advance_refuses_an_empty_origin(self):
+        state, _ = self._state()
+        with pytest.raises(ConfigurationError, match="non-empty"):
+            state.advance_stream("", 1)
+        assert state.stream_mark("") == 0
+
+    @pytest.mark.parametrize("patched,error", [
+        (b"\x00\x00", "origin '' is empty or not after 'origin-a'"),
+        (b"\x00\x08origin-\xff", "not UTF-8"),
+        (b"\x00\x08origin-a", "'origin-a' is empty or not after 'origin-a'"),
+        (b"\x00\x08origin-0", "'origin-0' is empty or not after 'origin-a'"),
+    ], ids=["empty", "not-utf8", "repeated", "decreasing"])
+    def test_decode_refuses_a_malformed_stream_vector(self, patched, error):
+        """One state has one encoding: origins are non-empty UTF-8 names
+        in strictly increasing order, checked before any field changes.
+        (An emptied origin's length is 0, so its name reads as the seq.)"""
+        state, cache = self._state()
+        state.advance_stream("origin-a", 1)
+        state.advance_stream("origin-b", 2)
+        blob = state.encode(cache, None)
+        second = b"\x00\x08origin-b"
+        assert blob.count(second) == 1
+        restored = TrustedState(6, 2, 3)
+        with pytest.raises(StorageError, match=error):
+            restored.decode(blob.replace(second, patched),
+                            PageCache(2, SecureRandom(1)), None)
+        assert restored.stream_mark("origin-a") == 0
         assert not restored.flags.any()
 
 

@@ -26,13 +26,14 @@ from repro.cluster.replication import (
     encode_record,
     record_size,
 )
-from repro.core.snapshot import (
-    load_sealed_sidecar,
-    save_sealed_sidecar,
-    save_snapshot,
-)
+from repro.core.snapshot import bootstrap_replica, load_snapshot, save_snapshot
 from repro.core.engine import BatchOp
-from repro.errors import PageDeletedError, PageNotFoundError, StorageError
+from repro.errors import (
+    PageDeletedError,
+    PageNotFoundError,
+    RollbackError,
+    StorageError,
+)
 
 RECORDS = make_records(40, 16)
 
@@ -309,40 +310,36 @@ class TestReplicationApplier:
         assert db.engine.request_count == before + 1
         assert applier.applied_for("o:1") == 1
 
-    def test_state_roundtrip_via_sealed_sidecar(self, db, tmp_path):
-        """The applied-vector checkpoint that rides with a snapshot:
-        save sealed, reload, restore — catch-up replays only the tail."""
+    def test_restored_marks_make_replays_duplicates(self, db, tmp_path):
+        """The applied marks are sealed trusted state: a peer restored from
+        its snapshot alone resumes every origin where the snapshot left it,
+        and a replay of a record the snapshot holds is a duplicate."""
         applier = ReplicationApplier(db)
         applier.apply("o:1", 1, self._sealed(db, 1, payload=b"a"))
         applier.apply("o:2", 1, self._sealed(db, 1, payload=b"b"))
         directory = str(tmp_path / "snap")
         save_snapshot(db, directory)
-        save_sealed_sidecar(db, directory, "repl-state",
-                            applier.encode_state())
-        blob = load_sealed_sidecar(db, directory, "repl-state")
-        assert blob is not None
-        state = ReplicationApplier.decode_state(blob)
-        assert state == {"o:1": 1, "o:2": 1}
-        fresh = ReplicationApplier(db)
-        fresh.restore_state(state)
-        assert fresh.applied_for("o:1") == 1
-        # Replaying the already-checkpointed record is now a duplicate.
-        fresh.apply("o:1", 1, self._sealed(db, 1, payload=b"a"))
-        assert fresh.counters.get("duplicates") == 1
+        assert sorted(os.listdir(directory)) == [
+            "frames.bin", "manifest.json", "sealed.bin"]
+        restored = load_snapshot(directory, seed=3)
+        try:
+            fresh = ReplicationApplier(restored)
+            assert fresh.applied_for("o:1") == fresh.applied_for("o:2") == 1
+            before = restored.engine.request_count
+            assert fresh.apply("o:1", 1, self._sealed(db, 1, payload=b"a")) == 1
+            assert fresh.counters.get("duplicates") == 1
+            assert restored.engine.request_count == before
+        finally:
+            restored.close()
 
-    def test_missing_sidecar_returns_none(self, db, tmp_path):
-        directory = str(tmp_path / "snap")
-        save_snapshot(db, directory)
-        assert load_sealed_sidecar(db, directory, "repl-state") is None
-
-    def test_corrupt_state_blob_rejected(self, db):
+    def test_record_from_no_origin_applies_nothing(self, db):
+        """An envelope naming no origin has no mark to advance: nothing
+        applies, so the sealed vector never holds an empty origin."""
         applier = ReplicationApplier(db)
-        applier.apply("o:1", 1, self._sealed(db, 1))
-        blob = applier.encode_state()
-        with pytest.raises(StorageError):
-            ReplicationApplier.decode_state(blob + b"trailing")
-        with pytest.raises(StorageError):
-            ReplicationApplier.decode_state(blob[:-1])
+        before = db.engine.request_count
+        assert applier.apply("", 1, self._sealed(db, 1)) == 0
+        assert db.engine.request_count == before
+        assert applier.counters.as_dict() == {}
 
 
 class TestBacklogCompaction:
@@ -403,24 +400,93 @@ class TestBacklogCompaction:
             reloaded.close()
 
     def test_snapshot_then_compact_catchup_flow(self, db, tmp_path):
-        """The intended lifecycle: checkpoint applied state with a
-        snapshot sidecar, compact everything the snapshot covers, and
-        serve newer records from the trimmed stream."""
+        """The intended lifecycle: a peer's snapshot seals its applied
+        mark, the origin compacts everything the snapshot covers, and the
+        peer rebuilt from the snapshot alone streams only the tail."""
         log = ReplicationLog(db.cop, "o:1")
-        applier = ReplicationApplier(db)
+        peer = bootstrap_replica(db, str(tmp_path / "boot"), seed=4)
+        applier = ReplicationApplier(peer)
         for i in range(4):
             seq = log.emit("noop")
             applier.apply("o:1", seq, log.records_since(seq - 1)[0][1])
         directory = str(tmp_path / "snap")
-        save_snapshot(db, directory)
-        save_sealed_sidecar(db, directory, "repl-state",
-                            applier.encode_state())
+        save_snapshot(peer, directory)
+        peer.close()
         log.compact(applier.applied_for("o:1"))
         assert log.compacted_seq == 4
-        # A rebuilt peer restores the vector, then streams only the tail.
-        state = ReplicationApplier.decode_state(
-            load_sealed_sidecar(db, directory, "repl-state")
-        )
-        assert state == {"o:1": 4}
-        log.emit("noop")
-        assert [seq for seq, _ in log.records_since(state["o:1"])] == [5]
+        rebuilt = load_snapshot(directory, seed=5)
+        try:
+            mark = ReplicationApplier(rebuilt).applied_for("o:1")
+            assert mark == 4
+            log.emit("noop")
+            assert [seq for seq, _ in log.records_since(mark)] == [5]
+        finally:
+            rebuilt.close()
+
+    def test_fully_compacted_file_reloads_at_its_base(self, db, tmp_path):
+        """Compacting the whole backlog leaves a file with no records that
+        still names its base: the reload continues the numbering instead of
+        reissuing sequence 1 (or refusing a backlog that was never lost)."""
+        path = str(tmp_path / "repl.log")
+        log = ReplicationLog(db.cop, "o:1", path=path)
+        for i in range(3):
+            log.emit("write", i, b"p%d" % i)
+        assert log.compact(3) == 3
+        log.close()
+        reloaded = ReplicationLog(db.cop, "o:1", path=path)
+        try:
+            assert (reloaded.compacted_seq, reloaded.last_seq) == (3, 3)
+            assert reloaded.records_since(3) == []
+            assert reloaded.emit("write", 1, b"next") == 4
+        finally:
+            reloaded.close()
+
+
+class TestBacklogRollback:
+    """The origin's own stream mark is its sealed emitted high-water mark:
+    a backlog that ends below it was rolled back by the host, and a log
+    over it would hand a write a sequence number a peer already holds."""
+
+    @pytest.mark.parametrize("rollback", ["truncate", "delete"])
+    def test_rolled_back_backlog_is_refused(self, db, tmp_path, rollback):
+        peer = bootstrap_replica(db, str(tmp_path / "boot"), seed=4)
+        applier = ReplicationApplier(peer)
+        path = str(tmp_path / "repl.log")
+        db.replication = log = ReplicationLog(db.cop, "o:1", path=path)
+        db.update(1, b"one")
+        db.update(1, b"two")
+        size_at_2 = os.path.getsize(path)
+        db.update(3, b"three")
+        for seq, sealed in log.records_since(0):
+            applier.apply("o:1", seq, sealed)
+        assert applier.applied_for("o:1") == 3
+        log.close()
+        if rollback == "truncate":
+            os.truncate(path, size_at_2)
+        else:
+            os.remove(path)
+        with pytest.raises(RollbackError, match="below the sealed emitted "
+                                                "mark 3"):
+            db.replication = ReplicationLog(db.cop, "o:1", path=path)
+        # No log exists to hand the next write seq 3 again: the peer holds
+        # every write the origin made, under the sequence it was made at.
+        assert db.cop.state.stream_mark("o:1") == 3
+        assert peer.content_digest() == db.content_digest()
+        # Refused before the file is opened for appending.
+        assert (os.path.getsize(path) == size_at_2 if rollback == "truncate"
+                else not os.path.exists(path))
+        peer.close()
+
+    def test_in_memory_log_over_restored_state_is_refused(self, db, tmp_path):
+        log = ReplicationLog(db.cop, "o:1")
+        log.emit("write", 1, b"a")
+        directory = str(tmp_path / "snap")
+        save_snapshot(db, directory)
+        restored = load_snapshot(directory, seed=3)
+        try:
+            with pytest.raises(RollbackError, match="ends at seq 0"):
+                ReplicationLog(restored.cop, "o:1")
+            # Another origin's stream has no mark to fall below.
+            assert ReplicationLog(restored.cop, "o:2").emit("noop") == 1
+        finally:
+            restored.close()

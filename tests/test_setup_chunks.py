@@ -164,15 +164,15 @@ EXPECTED_SHARDS = [
          clock="0.0050085500000000005", rng="e8c0990ee3def82c"),
 ]
 # The "trusted" and owner-state digests pin TrustedState.encode's layout
-# (version 4, which seals the reshuffle epoch too), which replaced the
-# per-page implementation's; its content is unchanged.
+# (version 5, which seals the reshuffle epoch and the stream marks too),
+# which replaced the per-page implementation's; its content is unchanged.
 EXPECTED_SNAPSHOT = {
     "chunked": dict(frames="bf46d24afab239cf",
-                    trusted="dace8fbea5c97a3e"),
+                    trusted="8b3c933924b02317"),
     "warm": dict(frames="09b55c87a3d9fe42",
-                 trusted="451ba67a02f0a05a"),
+                 trusted="b8346d457be85fb5"),
 }
-EXPECTED_OWNER_STATE = "57ed4dff5dd88e55"
+EXPECTED_OWNER_STATE = "6d57ffd2aa31894e"
 
 
 @pytest.mark.parametrize("name", sorted(SETUPS))
