@@ -13,11 +13,11 @@ Exercises ``repro.cluster`` end to end on localhost:
   **killed** (event loop slammed, no drain).  Every client must still
   complete every request — router failover + RESUME adoption +
   retransmission through the shared reply cache — with zero acknowledged
-  requests lost and at most one read re-run (``sum(engine requests)`` is
-  the replies delivered, or one more: a retransmission the dead backend
-  already cached is answered from cache, never re-executed, and the one
-  read the kill can catch between its engine pass and its cache put is
-  served again by the survivor).  The killed backend then restarts and
+  requests lost and none re-run (``sum(engine requests)`` is exactly the
+  replies delivered: the kill lands between two loop steps, never between
+  a serve's engine pass and its cache put, and a retransmission the dead
+  backend already cached is answered from cache, never re-executed).  The
+  killed backend then restarts and
   the run asserts membership reconverges to full strength.
 * **cluster.replicated** — the acceptance gate for sealed write
   replication (DESIGN.md §13): a write-capable fleet updates disjoint
@@ -289,7 +289,7 @@ def run_chaos(queries: int, seed: int):
     """Kill-one-backend-under-load; returns (count, bytes, wall, stats).
 
     The in-run gates ARE the acceptance criteria: zero acknowledged
-    requests lost, at most one read re-run, membership reconvergence.
+    requests lost, none re-run, membership reconvergence.
     """
     expected = make_records(_BENCH_RECORDS, _BENCH_PAGE_SIZE)
     per_client = queries // _CLIENTS
@@ -319,23 +319,20 @@ def run_chaos(queries: int, seed: int):
         assert fleet.ok == total, (
             f"{fleet.ok}/{total} requests completed through the kill"
         )
-        # Chaos gate 2: nothing re-run but the one read the kill caught.
-        # Killed engines survive in-process, so the sum counts every
-        # engine pass that ever happened; a retransmission the dead
-        # backend had already cached was served from the shared reply
-        # cache (duplicate), never re-executed.  The fleet only reads,
-        # and one serving lock means the kill can catch at most one serve
-        # between its engine pass and its cache put; re-running that read
-        # on the survivor is correct.  Exactly-once for writes is
-        # run_replicated's gate.
+        # Chaos gate 2: nothing re-run.  Killed engines survive
+        # in-process, so the sum counts every engine pass that ever
+        # happened.  A backend serves on its loop thread, so the kill
+        # lands between two loop steps: a serve that began its engine
+        # pass has cached its reply, and a retransmission of it is served
+        # from the shared reply cache (duplicate), never re-executed.
+        # Exactly-once for writes is run_replicated's gate.
         served = sum(h.db.engine.request_count for h in handles)
         duplicates = sum(
             h.frontend.counters.get("requests.duplicate") for h in handles
         )
-        assert total <= served <= total + 1, (
+        assert served == total, (
             f"engines served {served} requests for {total} delivered "
-            f"replies ({duplicates} duplicates absorbed) — lost or "
-            "re-run more than once"
+            f"replies ({duplicates} duplicates absorbed) — lost or re-run"
         )
         # Chaos gate 3: the cluster reconverges to full strength.
         assert _wait_until(

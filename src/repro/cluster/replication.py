@@ -208,16 +208,18 @@ class _PeerState:
 class ReplicationLog:
     """Origin-side sealed record stream with per-peer ack tracking.
 
-    ``emit`` is called by the database on the server's engine thread and
-    never blocks on the network: it wakes this log's streamers
-    (:meth:`stream`) on their loop.  The server separately awaits
-    :meth:`wait_replicated` on that loop before acknowledging a client,
-    which is what makes an acknowledged write survive the origin's death
-    (semi-synchronous replication); the streamers' acks and disconnects,
-    recorded on the same loop, wake it.  Peers that are disconnected are
-    not waited on — they catch up from the backlog when they return.
-    One lock guards the backlog and the peer table, where ``emit`` on the
-    engine thread meets the loop's readers.
+    ``emit`` is called by the database as it serves a request — on a
+    served member that is the server's loop thread — and never blocks on
+    the network: it wakes this log's streamers (:meth:`stream`) on their
+    loop.  The server separately awaits :meth:`wait_replicated` on that
+    loop before acknowledging a client, which is what makes an
+    acknowledged write survive the origin's death (semi-synchronous
+    replication); the streamers' acks and disconnects, recorded on the
+    same loop, wake it.  Peers that are disconnected are not waited on —
+    they catch up from the backlog when they return.  A database driven
+    directly (in-process callers, tests) emits from its caller's thread,
+    so one lock guards the backlog and the peer table, and the streamers'
+    wake-up is thread-safe.
     """
 
     def __init__(
@@ -388,7 +390,7 @@ class ReplicationLog:
         # Made here, on the serving loop (Python 3.9 binds it at creation).
         grown = asyncio.Event()
 
-        def wake() -> None:  # from emit, on the engine thread
+        def wake() -> None:  # from emit, on any thread (the loop if served)
             with contextlib.suppress(RuntimeError):  # the loop has closed
                 loop.call_soon_threadsafe(grown.set)
 
@@ -523,12 +525,12 @@ class ReplicationLog:
 class ReplicationApplier:
     """Peer-side idempotent apply with per-origin sequence tracking.
 
-    On a cluster backend :meth:`apply` runs on the server's engine
-    thread, the thread that dispatches requests, so the engine sees one
-    operation at a time; it never waits for the serving lock (DESIGN.md
-    §13).  The applied marks are the stream marks of the database's sealed
-    trusted state, so a snapshot carries them; one lock serialises
-    ``apply``.
+    On a cluster backend :meth:`apply` runs on the server's loop thread,
+    the thread that dispatches requests, so the engine sees one operation
+    at a time; it never waits for the serving lock (DESIGN.md §13).  The
+    applied marks are the stream marks of the database's sealed trusted
+    state, so a snapshot carries them; one lock serialises ``apply`` for
+    callers that drive the applier directly from several threads.
     """
 
     def __init__(self, db, metrics=None):

@@ -251,10 +251,11 @@ class PirDatabase:
         # Optional OnlineReshuffler attached by begin_reshuffle() or
         # resume_reshuffle(); close() tears it down with the rest.
         self.reshuffle = None
-        # Optional ReplicationLog (duck-typed: anything with emit()).  Set
-        # by the cluster tier; every public operation then emits one sealed
-        # logical record — reads emit "noop" covers so the stream never
-        # reveals the write pattern (see repro.cluster.replication).
+        # Optional ReplicationLog (duck-typed: anything with emit() and
+        # close()).  Set by the cluster tier; every public operation then
+        # emits one sealed logical record — reads emit "noop" covers so the
+        # stream never reveals the write pattern (see
+        # repro.cluster.replication); close() closes it.
         self.replication = None
 
     @classmethod
@@ -431,13 +432,16 @@ class PirDatabase:
         return self.reshuffle
 
     def close(self) -> None:
-        """Detach the online reshuffle driver and flush the store.
+        """Detach the online reshuffle driver, close the attached
+        replication log's backlog file and flush the store.
 
         Idempotent.  Usable as a context manager:
         ``with PirDatabase.create(...) as db:``.
         """
         if self.reshuffle is not None:
             self.reshuffle.close()
+        if self.replication is not None:
+            self.replication.close()
         self.disk.flush()
 
     def __enter__(self) -> "PirDatabase":

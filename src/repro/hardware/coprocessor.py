@@ -294,17 +294,6 @@ class SecureCoprocessor:
         )
         return header, body.reshape(-1, self.frame_size)
 
-    def seal_blob(self, data: bytes) -> bytes:
-        """Encrypt + MAC an arbitrary trusted blob (e.g. a snapshot section)."""
-        return self.suite.encrypt_page(data)
-
-    def unseal_blob(self, blob: bytes) -> bytes:
-        """Decrypt + authenticate a blob sealed by :meth:`seal_blob`.
-
-        Accepts the legacy key during a rotation.
-        """
-        return self._with_legacy_key(lambda suite: suite.decrypt_page(blob))
-
     def seal_record(self, plaintext: bytes) -> bytes:
         """Seal one fixed-size control record (the §13 replication stream).
 
@@ -312,15 +301,18 @@ class SecureCoprocessor:
         sealing, so every sealed record is the same length regardless of
         the operation it carries — the host sees a uniform stream of
         ciphertexts, one per request, and learns nothing about the
-        read/write mix.  Sealing uses the replica-shared master-key suite
-        (:meth:`seal_blob`), which is what makes the record readable by
-        every peer coprocessor and by nothing outside one.
+        read/write mix.  Sealing uses the replica-shared master-key suite,
+        which is what makes the record readable by every peer coprocessor
+        and by nothing outside one.
         """
-        return self.seal_blob(plaintext)
+        return self.suite.encrypt_page(plaintext)
 
     def unseal_record(self, sealed: bytes) -> bytes:
-        """Authenticate + decrypt a record sealed by a peer coprocessor."""
-        return self.unseal_blob(sealed)
+        """Authenticate + decrypt a record sealed by a peer coprocessor.
+
+        Accepts the legacy key during a rotation.
+        """
+        return self._with_legacy_key(lambda suite: suite.decrypt_page(sealed))
 
     # -- timing charges (link + crypto engine) -----------------------------------
 

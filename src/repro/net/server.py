@@ -2,33 +2,32 @@
 
 Architecture (DESIGN.md §12)::
 
-    client sockets ──▶ asyncio event loop ─────────────────▶ engine thread
-       (framing,        (EnvelopeServer + handshake,          (frontend
-        envelope)        admission, serving lock, dedupe,      .execute, peer
-                         reply cache, waits, replication       applies)
-                         streams, drain)
+    client sockets ──▶ asyncio event loop, one thread (pir-server)
+       (framing,        (EnvelopeServer + handshake, admission, serving
+        envelope)        lock, dedupe, frontend.execute and peer applies
+                         inline, reply cache, waits, replication streams,
+                         drain)
 
-The event loop owns everything network-shaped: the listener and the
-connection state machine (:class:`~repro.net.endpoint.EnvelopeServer`),
-and, added here, the HELLO/WELCOME handshake that binds a connection to a
+The event loop owns everything: the listener and the connection state
+machine (:class:`~repro.net.endpoint.EnvelopeServer`), and, added here,
+the HELLO/WELCOME handshake that binds a connection to a
 :class:`~repro.service.frontend.QueryFrontend` session, admission control,
 graceful drain — and the order requests are served in: one
 ``asyncio.Lock`` held from the dedupe check through the reply-cache put,
 so the engine sees one request at a time, exactly as the paper's
-coprocessor serves them (Figure 3).  The engine itself runs on the
-server's one engine thread, which the loop starts with the server: every
-``frontend.execute`` and every inbound replication record is computed
-there, so every engine entry — and every span it opens — comes from that
-one thread, while the loop keeps reading, shedding and answering PINGs.
-A replicated member's outbound streams, one per peer, are tasks on the
-loop too (:meth:`PirServer.stream_to`), and so are a request's two waits:
-the semi-sync barrier is a coroutine the stream tasks wake as peers ack,
-and the dedupe gate one that each peer apply wakes as it returns from the
-engine thread.  Neither holds the loop or the engine thread, and
-replication records never take the serving lock, which is why a serve
-parked in its barrier can never starve the peer applies that release it
-(DESIGN.md §13).  A replicated member is two threads, the loop and the
-engine.
+coprocessor serves them (Figure 3).  The engine runs on the loop thread
+too: every ``frontend.execute`` and every inbound replication record is a
+synchronous call on the loop, so every engine entry — and every span it
+opens — comes from that one thread, and no call crosses a thread.  While
+one computes, the loop reads, sheds and answers PINGs only once it
+returns.  A replicated member's outbound streams, one per peer, are tasks
+on the loop too (:meth:`PirServer.stream_to`), and so are a request's two
+waits: the semi-sync barrier is a coroutine the stream tasks wake as
+peers ack, and the dedupe gate one that each peer apply wakes as it
+returns.  Neither holds the loop, and replication records never take the
+serving lock, which is why a serve parked in its barrier can never starve
+the peer applies that release it (DESIGN.md §13).  A member, replicated
+or not, is one thread.
 
 Graceful drain: :meth:`PirServer.drain` stops accepting, answers new
 requests on live connections with a retryable refusal, waits for every
@@ -42,7 +41,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from .admission import SHED_CODE, AdmissionController
@@ -88,7 +86,7 @@ class PirServer(EnvelopeServer):
     — its ``max_queue_depth`` bounds the requests waiting for the serving
     lock — are shed with a retryable refusal, never silently dropped.
     ``workers`` is accepted only as 1: the engine serves one request at a
-    time on the server's one engine thread.
+    time on the server's loop thread.
     """
 
     def __init__(
@@ -105,7 +103,7 @@ class PirServer(EnvelopeServer):
     ):
         if workers != 1:
             raise ConfigurationError(
-                "a PirServer serves one request at a time on its engine "
+                "a PirServer serves one request at a time on its loop "
                 "thread; workers must be 1"
             )
         if reap_interval is not None and reap_interval <= 0:
@@ -138,10 +136,8 @@ class PirServer(EnvelopeServer):
         # created in start() so it binds to the serving loop.
         self._serving: Optional[asyncio.Lock] = None
         self._queued = 0  # requests waiting for _serving
-        # The one thread every engine call runs on (module docstring).
-        self._engine: Optional[ThreadPoolExecutor] = None
-        # Test hook: called on the engine thread just before a request is
-        # dispatched (drain-during-in-flight tests block here).
+        # Test hook: called on the loop thread just before a request is
+        # dispatched; blocking in it blocks the whole loop.
         self._serve_hook = None
         # Sealed write replication (cluster backends only; see
         # attach_replication).
@@ -156,8 +152,8 @@ class PirServer(EnvelopeServer):
         :class:`~repro.cluster.replication.ReplicationApplier` in.
 
         Afterwards this server (a) answers peer REPL_QUERY/REPL_RECORD
-        connections, applying inbound records on the engine thread
-        without the serving lock, (b) holds each successful reply until
+        connections, applying inbound records on the loop without the
+        serving lock, (b) holds each successful reply until
         every *connected* peer has acked the sequence its dispatch emitted —
         semi-synchronous replication, which is what makes an
         acknowledged write survive this backend's death — and only then
@@ -191,24 +187,20 @@ class PirServer(EnvelopeServer):
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listener and start the engine thread."""
+        """Bind the listener; the loop it runs on serves everything."""
         await self.listen()
         self._idle_event = asyncio.Event()
         self._idle_event.set()
         self._serving = asyncio.Lock()
-        self._engine = ThreadPoolExecutor(1, thread_name_prefix="pir-engine")
-        # The executor spawns its thread on first use: make that now, not
-        # on the first request's critical path.
-        await self._on_engine(lambda: None)
         if self.reap_interval is not None:
             self._reap_task = asyncio.ensure_future(self._reap_loop())
 
     async def drain(self) -> None:
         """Graceful shutdown: stop accepting, finish in-flight, close up.
 
-        Idempotent.  After drain every session is closed and the engine
-        thread has exited; live client connections are dropped (their
-        next request would only be refused anyway).
+        Idempotent.  After drain every session is closed; live client
+        connections are dropped (their next request would only be refused
+        anyway).
         """
         if self._draining:
             return
@@ -223,8 +215,6 @@ class PirServer(EnvelopeServer):
         # Only now: a serve's barrier waits on the streams' acks.
         await self.stream_to(())
         await self.close()
-        if self._engine is not None:
-            self._engine.shutdown()
         if not self.adopt_sessions:
             # A cluster backend leaves its sessions alone: they fail over
             # to peers, and close_session would purge their entries from
@@ -247,7 +237,7 @@ class PirServer(EnvelopeServer):
     @contextlib.contextmanager
     def _in_flight(self):
         """Work drain must wait for: a request from admission to reply
-        written, or a peer record's apply."""
+        written."""
         self._inflight += 1
         self._idle_event.clear()
         try:
@@ -271,11 +261,6 @@ class PirServer(EnvelopeServer):
             yield
         finally:
             self._serving.release()
-
-    async def _on_engine(self, call, *args):
-        """``call(*args)`` on the engine thread, awaited from the loop."""
-        return await asyncio.get_running_loop().run_in_executor(
-            self._engine, call, *args)
 
     # -- the envelope hooks ----------------------------------------------------
 
@@ -322,8 +307,8 @@ class PirServer(EnvelopeServer):
 
         The stream is sessionless like a probe: a REPL_QUERY answers with
         this backend's applied high-water mark for the asking origin (the
-        catch-up handshake), and each REPL_RECORD is applied on the engine
-        thread — never behind the serving lock — then acked with the new
+        catch-up handshake), and each REPL_RECORD is applied on the loop
+        — never behind the serving lock — then acked with the new
         applied mark.  Apply is idempotent, so a shed or re-sent record is
         simply acked at the unchanged mark and the peer retransmits.
         """
@@ -339,39 +324,34 @@ class PirServer(EnvelopeServer):
                 ))
             elif isinstance(message, ReplRecord):
                 await self._send(writer, ReplAck(
-                    message.origin, await self._apply_one(message)))
+                    message.origin, self._apply_one(message)))
             else:
                 raise ProtocolError(
                     f"replication connection sent {type(message).__name__}"
                 )
             message = await read_message(reader)
 
-    async def _apply_one(self, record: ReplRecord) -> int:
-        """Apply one inbound record; return the applied mark.
+    def _apply_one(self, record: ReplRecord) -> int:
+        """Apply one inbound record on the loop; return the applied mark.
 
-        Back on the loop, the apply wakes the dedupe gates
-        (:meth:`_holds`) waiting for it.  While draining the record is
-        *not* applied and the current mark is returned unchanged — the
-        peer's streamer sees a stale ack and retransmits after backoff.
+        The apply then wakes the dedupe gates (:meth:`_holds`) waiting
+        for it.  While draining the record is *not* applied and the
+        current mark is returned unchanged — the peer's streamer sees a
+        stale ack and retransmits after backoff.
         """
+        applier = self._repl_applier
         if self._draining:
             self.counters.increment("shed")
             self.counters.increment("shed.repl")
-            return self._repl_applier.applied_for(record.origin)
-        with self._in_flight():
-            applied = await self._on_engine(self._apply, record)
-        self._applies.wake()
-        return applied
-
-    def _apply(self, record: ReplRecord) -> int:
-        """Engine-thread work: one inbound record through the applier."""
-        applier = self._repl_applier
+            return applier.applied_for(record.origin)
         try:
-            return applier.apply(record.origin, record.seq, record.sealed)
+            applied = applier.apply(record.origin, record.seq, record.sealed)
         except Exception:
             # Never wedge the peer's stream: ack the unchanged mark so its
             # streamer backs off and retransmits.
-            return applier.applied_for(record.origin)
+            applied = applier.applied_for(record.origin)
+        self._applies.wake()
+        return applied
 
     # -- sessions and admission ------------------------------------------------
 
@@ -468,8 +448,7 @@ class PirServer(EnvelopeServer):
                 )
             frontend.counters.increment("requests.duplicate")
         else:
-            sealed_reply, cacheable, mark = await self._on_engine(
-                self._execute, session_id, request)
+            sealed_reply, cacheable, mark = self._execute(session_id, request)
             if cacheable:
                 if mark is not None:
                     # Semi-sync barrier: a reply becomes a cached — and
@@ -486,12 +465,11 @@ class PirServer(EnvelopeServer):
         return Reply(request.request_id, sealed_reply, mark[1] if own else 0)
 
     def _execute(self, session_id: int, request: Request):
-        """Engine-thread work: ``(sealed reply, cacheable, mark)``.
+        """The engine pass: ``(sealed reply, cacheable, mark)``.
 
         ``mark`` is the ``(origin, seq)`` of this member's log read right
-        after the dispatch, on the thread every dispatch runs on, so it is
-        this request's own emission (None for a refusal or off a
-        replicated member).
+        after the dispatch, in the same loop step, so it is this request's
+        own emission (None for a refusal or off a replicated member).
         """
         hook = self._serve_hook
         if hook is not None:
@@ -532,9 +510,15 @@ class ServerThread(LoopThread):
     Startup errors (bad config, port in use) re-raise from :meth:`start`
     on the calling thread.  ``drain()``/``__exit__`` run the server's
     graceful drain on the loop, then stop and join the thread; ``kill()``
-    is the crash path.  The engine object survives a kill (same process),
-    so a test can restart a fresh ``PirServer`` on the same frontend and
-    port to model a process that crashed and came back.
+    (:meth:`LoopThread.kill`) is the crash path.  A kill is a callback on
+    the loop, so it lands between two loop steps and never inside an
+    engine pass: a serve that has begun one finishes it and caches its
+    reply first (a retransmission after a restart is a dedupe, not a
+    second engine request), unless it then parks in its semi-sync
+    barrier, where the kill cancels it — applied and streamed, but never
+    cached or answered.  The engine object survives a kill (same
+    process), so a test can restart a fresh ``PirServer`` on the same
+    frontend and port to model a process that crashed and came back.
     """
 
     def __init__(self, server: PirServer):
@@ -542,13 +526,3 @@ class ServerThread(LoopThread):
         self.server = server
 
     drain = LoopThread.stop
-
-    def kill(self, timeout: float = 30.0) -> None:
-        """:meth:`LoopThread.kill`, then let the engine thread exit.
-
-        A call the engine thread is in finishes, but nobody awaits it: a
-        killed serve is never cached or answered, as in a crashed process.
-        """
-        super().kill(timeout)
-        if self.server._engine is not None:
-            self.server._engine.shutdown(wait=False)

@@ -287,9 +287,9 @@ class QueryFrontend:
         # session id -> number of requests admitted but not yet answered
         # (queued or being served); the idle reaper must not close these.
         self._inflight_requests: Dict[int, int] = {}
-        # Guards the session tables: a server's event loop opens, closes
-        # and reaps sessions while its engine thread serves, and other
-        # threads (tests, the CLI, a harness) count them.
+        # Guards the session tables: a server's event loop opens, closes,
+        # reaps and serves sessions while other threads (tests, the CLI, a
+        # harness, an in-process ServiceClient) count or serve them.
         self._session_lock = threading.Lock()
         self._session_rng = database.cop.rng.spawn(
             "session-ids" if session_salt is None

@@ -515,7 +515,7 @@ class TestRecordAuthentication:
 
     def test_record_is_not_a_frame_blob_or_replication_record(self):
         db, journal, record = crashed_mid_write_back()
-        for unseal in (db.cop.unseal, db.cop.unseal_blob, db.cop.unseal_record):
+        for unseal in (db.cop.unseal, db.cop.unseal_record):
             with pytest.raises(CryptoError):
                 unseal(record)
 
@@ -528,7 +528,6 @@ class TestRecordAuthentication:
         nonce = INTENT_MAGIC + bytes(8)
         impostors = [
             db.cop.suite.encrypt_page(body, nonce=nonce),  # a frame / blob
-            db.cop.seal_blob(body),
             db.cop.seal_record(body),
             db.disk.peek(0),
         ]

@@ -13,6 +13,7 @@ exactly once across the crash.
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import pytest
@@ -339,6 +340,45 @@ class TestReplicationCrashDrills:
         log.close()
         member_db.close()
         origin.close()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="lists open files through Linux's procfs")
+    def test_a_closed_durable_mesh_leaves_no_backlog_open(self, tmp_path):
+        """Each member's ``repl-<i>.log`` stays open across a kill and a
+        restart (the log outlives them) and is closed by its database's
+        ``close()``."""
+        from repro.cluster import build_cluster, connect_replication
+
+        durable = tmp_path / "repl"
+        durable.mkdir()
+
+        def open_backlogs():
+            names = []
+            for fd in os.listdir("/proc/self/fd"):
+                with contextlib.suppress(OSError):
+                    target = os.readlink(f"/proc/self/fd/{fd}")
+                    if os.path.dirname(target) == str(durable):
+                        names.append(os.path.basename(target))
+            return sorted(names)
+
+        handles = build_cluster(RECORDS, 2, str(tmp_path / "boot"),
+                                page_capacity=16, target_c=2.0)
+        try:
+            for handle in handles:
+                handle.start()
+            connect_replication(handles, durable_dir=str(durable))
+            with NetworkClient(handles[0].host, handles[0].port,
+                               timeout=10.0) as client:
+                client.update(1, b"durable")
+            handles[0].kill()
+            handles[0].restart()
+            assert open_backlogs() == ["repl-0.log", "repl-1.log"]
+        finally:
+            for handle in handles:
+                handle.kill()
+            for handle in handles:
+                handle.db.close()
+        assert open_backlogs() == []
 
 
 class TestKillIsAbrupt:

@@ -1,11 +1,12 @@
-"""A request is ordered on the event loop and computed on the server's one
-engine thread (DESIGN.md §12, §13).
+"""A request is ordered and computed on the server's event-loop thread
+(DESIGN.md §12, §13).
 
 Over real sockets: the serving lock is held from the dedupe check through
 the reply-cache put, the semi-sync barrier and the dedupe gate are awaited
-on the loop without holding it or the engine thread, inbound replication
-records never wait for the lock, and outbound ones stream from tasks on
-the loop.
+on the loop without holding it, inbound replication records never wait
+for the lock, outbound ones stream from tasks on the loop, every engine
+entry — a dispatch or a peer apply — is a synchronous call on that one
+thread, and a kill lands between two loop steps, never inside a serve.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ class TestNoDeadlock:
 
 def held_applies(peer):
     """Park ``peer``'s applies until ``release`` is set; ``entered`` marks
-    the first one reaching the engine thread."""
+    the first one reaching the engine (parking ``peer``'s loop with it)."""
     entered, release = threading.Event(), threading.Event()
     apply = peer.repl_applier.apply
 
@@ -301,7 +302,62 @@ class TestDedupeGate:
             client.close()
 
 
-class TestOneEngineThread:
+class TestKillCannotSplitAServe:
+    def test_a_kill_landing_mid_serve_leaves_one_engine_request(self):
+        """A kill queued while a serve is in its engine pass runs only after
+        the serve has cached its reply, so the retransmission after the
+        restart is a dedupe: one insert, one page consumed."""
+        db = make_db(reserve_fraction=0.25)
+        frontend = QueryFrontend(db, session_id_mode=SESSION_RANDOM)
+        handle = BackendHandle(db, frontend)
+        entered, release = threading.Event(), threading.Event()
+
+        def held():
+            entered.set()
+            assert release.wait(timeout=30)
+
+        handle.server._serve_hook = held
+        handle.start()
+        client = NetworkClient(handle.host, handle.port, timeout=30.0)
+        sealed = client._suite.encrypt_page(protocol.encode_client_message(
+            protocol.Insert(b"inserted once")))
+        requests, free = db.engine.request_count, db.cop.state.free_count
+        sock = resumed(handle, client.session_id)
+        sender, _ = send_or_fail(sock, Request(1, sealed))
+        assert entered.wait(timeout=30)
+
+        # The kill is queued on the loop before the engine pass returns.
+        loop, slammed = handle.thread._loop, threading.Event()
+        queue = loop.call_soon_threadsafe
+
+        def spied(*args):
+            scheduled = queue(*args)
+            slammed.set()
+            return scheduled
+
+        loop.call_soon_threadsafe = spied
+        killer, _ = in_thread(handle.kill)
+        assert slammed.wait(timeout=30)
+        release.set()
+        killer.join(timeout=30)
+        sender.join(timeout=30)
+        assert wait_until(lambda: db.engine.request_count == requests + 1)
+        sock.close()
+
+        handle.restart()
+        sock = resumed(handle, client.session_id)
+        reply = exchange_sock(sock, Request(1, sealed))
+        assert isinstance(reply, Reply)
+        assert frontend.counters.get("requests.duplicate") == 1
+        assert db.engine.request_count == requests + 1
+        assert db.cop.state.free_count == free - 1
+        sock.close()
+        client.close()
+        handle.kill()
+        db.close()
+
+
+class TestOneServingThread:
     def test_workers_other_than_one_are_refused(self):
         db = make_db()
         frontend = QueryFrontend(db, session_id_mode=SESSION_RANDOM)
@@ -310,38 +366,48 @@ class TestOneEngineThread:
         PirServer(frontend, workers=1)
         db.close()
 
-    def test_every_dispatch_runs_on_the_one_engine_thread(self):
+    def test_every_dispatch_runs_on_the_loop_thread(self):
         db = make_db()
         frontend = QueryFrontend(db, session_id_mode=SESSION_RANDOM)
         server = PirServer(frontend)
         dispatched_on = []
         server._serve_hook = lambda: dispatched_on.append(
-            threading.current_thread().name)
+            threading.current_thread())
         before = set(threading.enumerate())
         with ServerThread(server) as handle:
             started = set(threading.enumerate()) - before
-            assert sorted(thread.name for thread in started) == [
-                "pir-engine_0", "pir-server"]
+            assert [thread.name for thread in started] == ["pir-server"]
             with NetworkClient(handle.host, handle.port) as client:
                 client.update(1, b"one thread")
                 assert client.query(1) == b"one thread"
             assert set(threading.enumerate()) - before == started
-        assert dispatched_on == ["pir-engine_0", "pir-engine_0"]
-        # Drain ends both.
+        assert dispatched_on == list(started) * 2
+        # Drain ends it.
         assert not any(thread.is_alive() for thread in started)
         db.close()
 
     def test_a_replicated_member_streams_from_its_loop(self, tmp_path):
-        """Per member only the loop and the engine thread: no thread per
-        peer, and none for the semi-sync barrier or the dedupe gate."""
+        """Per member only the loop: no engine thread, no thread per peer,
+        and none for the semi-sync barrier or the dedupe gate."""
         before = set(threading.enumerate())
         with mesh(tmp_path, wait_timeout=30.0) as (handles, registry):
             origin, peer = handles
+            ran_on = []
+            origin.server._serve_hook = lambda: ran_on.append(
+                ("dispatch", threading.current_thread()))
+            apply = peer.repl_applier.apply
+
+            def watched(*args):
+                ran_on.append(("apply", threading.current_thread()))
+                return apply(*args)
+
+            peer.repl_applier.apply = watched
             with NetworkClient(origin.host, origin.port) as client:
                 client.update(1, b"streamed")
             # Already: the reply waited in its barrier for the peer.
             assert peer.repl_applier.applied_for(origin.repl_log.origin) == 1
             names = sorted(thread.name
                            for thread in set(threading.enumerate()) - before)
-        assert names == [
-            "pir-engine_0", "pir-engine_0", "pir-server", "pir-server"]
+            assert set(ran_on) == {("dispatch", origin.thread._thread),
+                                   ("apply", peer.thread._thread)}
+        assert names == ["pir-server", "pir-server"]
