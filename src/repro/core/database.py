@@ -381,14 +381,12 @@ class PirDatabase:
     def begin_reshuffle(
         self,
         batch_size: int = 16,
-        rotate_to: Optional[bytes] = None,
         journal=None,
     ):
         """Start an online re-permutation epoch (DESIGN.md §15).
 
         Builds an :class:`~repro.shuffle.online.OnlineReshuffler` and
-        begins a new epoch (optionally piggybacking a master-key rotation
-        via ``rotate_to``).  The epoch advances only on the caller's
+        begins a new epoch.  The epoch advances only on the caller's
         thread: step it with ``db.reshuffle.step()`` between requests, or
         finish it with ``run()``.  ``journal`` must be a *separate* journal
         from the engine's (each state machine owns its slot).  Returns the
@@ -401,7 +399,7 @@ class PirDatabase:
                 "a re-permutation epoch is already in progress"
             )
         driver = self._attach_reshuffle(batch_size, journal)
-        driver.begin(rotate_to=rotate_to)
+        driver.begin()
         return driver
 
     def resume_reshuffle(self, batch_size: int = 16, journal=None):
@@ -433,7 +431,8 @@ class PirDatabase:
 
     def close(self) -> None:
         """Detach the online reshuffle driver, close the attached
-        replication log's backlog file and flush the store.
+        replication log's backlog file and close the store (a durable
+        store flushes and syncs first).
 
         Idempotent.  Usable as a context manager:
         ``with PirDatabase.create(...) as db:``.
@@ -442,7 +441,7 @@ class PirDatabase:
             self.reshuffle.close()
         if self.replication is not None:
             self.replication.close()
-        self.disk.flush()
+        self.disk.close()
 
     def __enter__(self) -> "PirDatabase":
         return self
@@ -453,11 +452,16 @@ class PirDatabase:
     def rotate_master_key(self, new_master_key: bytes) -> None:
         """Online key rotation, piggybacked on the continuous reshuffle.
 
-        Completes automatically after one scan period (``params.scan_period``
-        further requests); check progress via
-        ``engine.rotation_requests_remaining``.
+        Sealing switches to the new key at once and the legacy key keeps
+        old frames readable; the rotation completes automatically after one
+        scan period (``params.scan_period`` further requests), tracked by
+        ``engine.rotation_requests_remaining``.  Refused with a
+        :class:`~repro.errors.ConfigurationError` while a re-permutation
+        epoch is active: finish the epoch first (rotating before
+        :meth:`begin_reshuffle` is fine).
         """
-        self.engine.begin_key_rotation(new_master_key)
+        with self.engine.op_lock:
+            self.cop.begin_key_rotation(new_master_key)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -250,19 +250,6 @@ class RetrievalEngine:
         during idle periods.  Observable trace identical to any query."""
         run_one(self, BatchOp("touch"))
 
-    def begin_key_rotation(self, new_master_key: bytes) -> None:
-        """Rotate the database encryption key online, for free.
-
-        Sealing switches to the new key immediately; the legacy key stays
-        available for reads.  Because every request rewrites its whole
-        round-robin block (plus one extra page), all n locations carry
-        new-key frames after exactly one scan period of further requests,
-        at which point the legacy key is dropped automatically.  The server
-        observes nothing: write-backs are always freshly re-encrypted.
-        """
-        self.cop.begin_key_rotation(new_master_key)
-        self.cop.state.start_rotation_countdown()
-
     @property
     def rotation_requests_remaining(self) -> Optional[int]:
         """Requests until the legacy key can be dropped (None if no rotation)."""
@@ -818,9 +805,16 @@ class RetrievalEngine:
 
         if intent.rotation_left == 0:
             self.cop.finish_key_rotation()
+        if intent.rotation_left < 0:
+            # Sealed before any rotation began: one begun since (ahead of
+            # this replay or heal) keeps its whole countdown, because these
+            # frames carry what is now the legacy key.
+            rotation_left = state.rotation_left
+        else:
+            rotation_left = intent.rotation_left or None
         state.advance(
             intent.next_block, intent.request_index + intent.request_span,
-            intent.rotation_left if intent.rotation_left > 0 else None,
+            rotation_left,
         )
         self._pending_intent = None
 

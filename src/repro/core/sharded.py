@@ -159,7 +159,7 @@ class ShardedPirDatabase:
 
     def close(self) -> None:
         """Detach each shard's online reshuffle driver, when present, and
-        flush its store (idempotent)."""
+        close its store (idempotent)."""
         for shard in self.shards:
             shard.close()
 

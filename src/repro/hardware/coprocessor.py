@@ -26,7 +26,7 @@ from .trusted import TrustedState
 from .specs import HardwareSpec
 from ..crypto.rng import SecureRandom
 from ..crypto.suite import CipherSuite
-from ..errors import AuthenticationError, CapacityError
+from ..errors import AuthenticationError, CapacityError, ConfigurationError
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..sim.clock import VirtualClock
 from ..storage.frames import frame_matrix
@@ -115,17 +115,33 @@ class SecureCoprocessor:
     # period.  So switching the *sealing* key while keeping the old key for
     # unsealing makes the entire database migrate to the new key within one
     # scan — no extra I/O, no downtime, and the server cannot even tell a
-    # rotation happened (write-backs always look fresh).  The engine counts
-    # down the scan and calls finish_key_rotation().
+    # rotation happened (write-backs always look fresh).  The trusted state
+    # counts the scan down; the engine calls finish_key_rotation() when it
+    # reaches zero.
 
     @property
     def rotation_in_progress(self) -> bool:
+        """True from :meth:`begin_key_rotation` until the countdown ends
+        (exactly when ``state.rotation_left`` is not None)."""
         return self._legacy_suite is not None
 
     def begin_key_rotation(self, new_master_key: bytes) -> None:
-        """Start sealing under a new master key; old frames remain readable."""
+        """Start sealing under a new master key; old frames remain readable.
+
+        Starts the trusted state's countdown: one scan period of further
+        requests re-encrypts every location, and the legacy key is dropped.
+        Refused while a reshuffle epoch is active — the epoch's driver
+        seals under a sibling of the suite it began with, so it would keep
+        writing frames under a key the countdown then drops.  Rotating
+        before an epoch begins is fine: its sibling derives from the new key.
+        """
         if self.rotation_in_progress:
             raise CapacityError("a key rotation is already in progress")
+        if self.state.epoch_active:
+            raise ConfigurationError(
+                f"reshuffle epoch {self.state.epoch_base} is in progress; "
+                "finish the epoch before rotating the master key"
+            )
         self._legacy_suite = self.suite
         self._legacy_master_key = self._master_key
         self._master_key = bytes(new_master_key)
@@ -135,6 +151,7 @@ class SecureCoprocessor:
         )
         if self.suite.frame_size(self.plaintext_page_size) != self.frame_size:
             raise CapacityError("rotation must preserve the frame size")
+        self.state.start_rotation_countdown()
 
     def finish_key_rotation(self) -> None:
         """Drop the legacy key once a full scan has re-encrypted everything."""
@@ -157,7 +174,7 @@ class SecureCoprocessor:
 
         The current suite already seals under the new key; this re-creates
         the legacy suite so pre-rotation frames keep authenticating until
-        the scan (or an online re-permutation epoch's sweep) finishes.
+        the restored countdown ends.
         """
         if self.rotation_in_progress:
             raise CapacityError("a key rotation is already in progress")

@@ -211,8 +211,7 @@ class TrustedState:
     @property
     def rotation_left(self) -> Optional[int]:
         """Requests until the legacy key can be dropped, or None when no
-        request countdown runs (no rotation, or one a reshuffle epoch's
-        sweep finishes)."""
+        key rotation is in progress."""
         return self._rotation_left
 
     @property
@@ -319,8 +318,14 @@ class TrustedState:
         """Restore a blob :meth:`encode` wrote: this state, ``cache``'s
         slots, and — mid-rotation — the legacy key through ``cop``.
 
+        A rotation is a legacy key and a countdown together.  A legacy key
+        with no countdown (the sweep-finished rotation older blobs record)
+        restores with a full one, which re-encrypts every location as
+        surely as the sweep would have.
+
         The blob must be this layout, sealed for this state's (n, m, k);
-        its block pointer must name one of the n / k blocks, its epoch key
+        its block pointer must name one of the n / k blocks, a countdown
+        must come with a legacy key, its epoch key
         must be empty or :data:`TAG_KEY_SIZE` bytes, an active epoch must
         have a key, and its stream origins must be non-empty UTF-8 names in
         strictly increasing order (so one state has one encoding).  Anything
@@ -338,6 +343,9 @@ class TrustedState:
             raise StorageError(f"sealed block pointer {next_block} is not one "
                                f"of {self.num_blocks} blocks")
         legacy_key = cursor.take_bytes(cursor.take(_U32))
+        if rotation_left >= 0 and not legacy_key:
+            raise StorageError(f"sealed key rotation has {rotation_left} "
+                               "requests left but no legacy key")
         epoch_key = cursor.take_bytes(cursor.take(_U32))
         if len(epoch_key) not in (0, TAG_KEY_SIZE):
             raise StorageError(f"sealed epoch key is {len(epoch_key)} bytes, "
@@ -366,8 +374,11 @@ class TrustedState:
         cursor.expect_end("trusted-state blob")
 
         self._adopt(position, flags, StorageError)
-        self.advance(next_block, request_count,
-                     None if rotation_left < 0 else rotation_left)
+        if not legacy_key:
+            rotation_left = None
+        elif rotation_left < 0:
+            rotation_left = self.num_blocks
+        self.advance(next_block, request_count, rotation_left)
         self._epoch_base, self._epoch_frontier = epoch_base, frontier
         self._epoch_active, self._epoch_key = active, bytes(epoch_key)
         self._epoch_resumes = resumes

@@ -1,12 +1,12 @@
 """Network client for the PIR serving stack.
 
 :class:`NetworkClient` is the blocking mirror of
-:class:`~repro.service.frontend.ServiceClient`: same typed operation
-surface (via :class:`~repro.service.frontend.ClientOperationsMixin`),
-same retry discipline keyed on :class:`~repro.errors
-.TransientChannelError` and retryable refusals — but over a real TCP
-socket, with real ``time.sleep`` backoff instead of virtual-clock
-advances.
+:class:`~repro.service.frontend.ServiceClient`: the same typed operation
+surface and the same round trip
+(:meth:`~repro.service.frontend.ClientOperationsMixin._call`, retried on
+:class:`~repro.errors.TransientChannelError` and retryable refusals) —
+but over a real TCP socket, timed and backed off on the wall clock
+instead of the virtual one.
 
 Duplicate safety: each logical call seals its request **once** and
 retransmits the *same* sealed bytes under the *same* request id on every
@@ -44,14 +44,9 @@ from .framing import Bye, Hello, NetRefused, Reply, Request, Resume, Welcome
 from ..analysis.stats import LatencySeries
 from ..crypto.rng import SecureRandom
 from ..crypto.suite import CipherSuite
-from ..errors import (
-    DegradedServiceError,
-    ProtocolError,
-    TransientChannelError,
-)
-from ..faults.retry import RetryPolicy, retry_call
+from ..errors import ProtocolError, TransientChannelError
+from ..faults.retry import RetryPolicy
 from ..obs.registry import MetricsRegistry
-from ..service import protocol
 from ..service.frontend import (
     SESSION_BACKEND,
     ClientOperationsMixin,
@@ -67,8 +62,12 @@ MAX_BACKOFF_S = 5.0
 
 
 class _WallClock:
-    """The clock :func:`~repro.faults.retry.retry_call` backs off on:
-    real sleeps, each capped at :data:`MAX_BACKOFF_S`."""
+    """The round trip's clock: ``now`` is monotonic wall time, and a
+    backoff is a real sleep capped at :data:`MAX_BACKOFF_S`."""
+
+    @property
+    def now(self) -> float:
+        return time.monotonic()
 
     @staticmethod
     def advance(seconds: float) -> None:
@@ -121,6 +120,8 @@ class NetworkClient(ClientOperationsMixin):
     backoff, honouring the server's retry-after hint as a floor.
     """
 
+    _clock = _WallClock()
+
     def __init__(
         self,
         host: str,
@@ -128,19 +129,16 @@ class NetworkClient(ClientOperationsMixin):
         timeout: float = 10.0,
         retry: Optional[RetryPolicy] = None,
         rng_seed: Optional[int] = None,
-        connect_timeout: Optional[float] = None,
         read_timeout: Optional[float] = None,
     ):
-        """``timeout`` is the back-compat deadline for both phases;
-        ``connect_timeout``/``read_timeout`` override it separately — a
-        connect timeout means "host is down" (a router should try another
-        member), a read timeout means "request lost in flight" (reconnect
-        and retransmit).
+        """``timeout`` is the connect deadline, and the read deadline
+        unless ``read_timeout`` overrides it — a connect timeout means
+        "host is down" (a router should try another member), a read
+        timeout means "request lost in flight" (reconnect and retransmit).
         """
         self.host = host
         self.port = port
-        self.connect_timeout = (connect_timeout if connect_timeout is not None
-                                else timeout)
+        self.timeout = timeout
         self.read_timeout = (read_timeout if read_timeout is not None
                              else timeout)
         self.retry = retry
@@ -157,7 +155,7 @@ class NetworkClient(ClientOperationsMixin):
     def _connect(self, opening) -> int:
         """Dial and shake hands — HELLO for a new session, RESUME to
         re-attach this one; returns the session id the server welcomed."""
-        sock = open_sock(self.host, self.port, self.connect_timeout,
+        sock = open_sock(self.host, self.port, self.timeout,
                          self.read_timeout)
         try:
             answer = exchange_sock(sock, opening)
@@ -231,36 +229,6 @@ class NetworkClient(ClientOperationsMixin):
                 resumed = True
                 self._reconnect()
                 self.counters.increment("retransmits")
-
-    def _call(self, message: protocol.ClientMessage) -> protocol.ClientMessage:
-        sealed = self._suite.encrypt_page(
-            protocol.encode_client_message(message)
-        )
-        request_id = self._next_request_id
-        self._next_request_id += 1
-
-        def attempt() -> protocol.ClientMessage:
-            started = time.monotonic()
-            sealed_reply = self._transact(request_id, sealed)
-            self.latencies.record(time.monotonic() - started)
-            reply = protocol.decode_client_message(
-                self._suite.decrypt_page(sealed_reply)
-            )
-            if isinstance(reply, protocol.Refused):
-                raise error_for_refusal(
-                    reply.code,
-                    f"request refused: {reply.reason}",
-                    reply.retry_after,
-                )
-            return reply
-
-        if self.retry is None:
-            return attempt()
-        return retry_call(
-            attempt, self.retry, _WallClock, self._retry_rng,
-            (TransientChannelError, DegradedServiceError),
-            counters=self.counters,
-        )
 
     def close(self) -> None:
         """Orderly goodbye; safe to call twice or on a broken socket."""

@@ -668,16 +668,56 @@ class ClientOperationsMixin:
 
     Concrete clients (:class:`ServiceClient` over the in-process simulated
     channel, :class:`repro.net.client.NetworkClient` over a real TCP
-    socket) provide ``_call(message) -> reply`` — one sealed round trip
-    including whatever retry discipline the transport supports — plus a
-    ``counters`` :class:`~repro.obs.registry.CounterView`; the mixin turns it
-    into the typed query/update/insert/delete/batch API.
+    socket) provide ``_transact(request_id, sealed) -> sealed reply`` — one
+    transmission — and ``_clock``, whose ``now`` times it and whose
+    ``advance`` backs off between retries, plus ``_suite``, ``retry``,
+    ``_retry_rng``, ``_next_request_id``, ``counters`` and ``latencies``.
+    The mixin owns the round trip (:meth:`_call`) and turns it into the
+    typed query/update/insert/delete/batch API.
     """
 
-    def _call(
-        self, message: protocol.ClientMessage
-    ) -> protocol.ClientMessage:  # pragma: no cover - interface
+    def _transact(
+        self, request_id: int, sealed: bytes
+    ) -> bytes:  # pragma: no cover - interface
         raise NotImplementedError
+
+    def _call(self, message: protocol.ClientMessage) -> protocol.ClientMessage:
+        """One logical round trip, retried under :attr:`retry`.
+
+        The request is sealed once: every retry retransmits the same bytes
+        under the same request id, so the frontend's reply cache answers a
+        retransmission whose original was executed instead of running it
+        twice.  A ``Refused`` reply raises the server's error class — a
+        not-found refusal :class:`~repro.errors.PageNotFoundError`, a
+        retryable one :class:`~repro.errors.DegradedServiceError` (which
+        the retry loop keys on) — never a generic client error.
+        """
+        sealed = self._suite.encrypt_page(protocol.encode_client_message(message))
+        request_id = self._next_request_id
+        self._next_request_id += 1
+
+        def attempt() -> protocol.ClientMessage:
+            started = self._clock.now
+            sealed_reply = self._transact(request_id, sealed)
+            self.latencies.record(self._clock.now - started)
+            reply = protocol.decode_client_message(
+                self._suite.decrypt_page(sealed_reply)
+            )
+            if isinstance(reply, protocol.Refused):
+                raise error_for_refusal(
+                    reply.code,
+                    f"request refused: {reply.reason}",
+                    reply.retry_after,
+                )
+            return reply
+
+        if self.retry is None:
+            return attempt()
+        return retry_call(
+            attempt, self.retry, self._clock, self._retry_rng,
+            (TransientChannelError, DegradedServiceError),
+            counters=self.counters,
+        )
 
     def query(self, page_id: int) -> bytes:
         reply = self._call(protocol.Query(page_id))
@@ -789,34 +829,14 @@ class ServiceClient(ClientOperationsMixin):
         self._retry_rng = frontend.database.cop.rng.spawn(
             f"client-retry-{self.session_id}"
         )
+        self._clock = self.channel.clock
+        self._next_request_id = 1
         self.counters = MetricsRegistry().counter_view()
         self.latencies = LatencySeries()
 
-    def _call_once(self, message: protocol.ClientMessage) -> protocol.ClientMessage:
-        sealed = self._suite.encrypt_page(protocol.encode_client_message(message))
-        started = self.channel.clock.now
-        sealed_reply = self.channel.call(sealed)
-        self.latencies.record(self.channel.clock.now - started)
-        reply = protocol.decode_client_message(self._suite.decrypt_page(sealed_reply))
-        if isinstance(reply, protocol.Refused):
-            # Surface the server's error class, not a generic client error:
-            # a not-found refusal raises PageNotFoundError, a retryable one
-            # DegradedServiceError (which the retry loop keys on), etc.
-            raise error_for_refusal(
-                reply.code,
-                f"request refused: {reply.reason}",
-                reply.retry_after,
-            )
-        return reply
-
-    def _call(self, message: protocol.ClientMessage) -> protocol.ClientMessage:
-        if self.retry is None:
-            return self._call_once(message)
-        return retry_call(
-            lambda: self._call_once(message), self.retry, self.channel.clock,
-            self._retry_rng, (TransientChannelError, DegradedServiceError),
-            counters=self.counters,
-        )
+    def _transact(self, request_id: int, sealed: bytes) -> bytes:
+        """One transmission over the channel; the channel needs no id."""
+        return self.channel.call(sealed)
 
     def close(self) -> None:
         self.frontend.close_session(self.session_id)

@@ -20,8 +20,13 @@ Epoch structure — each epoch performs two phases over one logical frontier:
 2. **Refresh sweep** (units ``network_size(n) .. +n``): one sequential
    reseal of every location.  The sweep guarantees *every* frame carries a
    fresh post-epoch encryption even where the network's comparator set is
-   sparse (non-power-of-two n), which is what lets a piggybacked key
-   rotation drop the legacy key at epoch end.
+   sparse (non-power-of-two n).
+
+A key rotation is the request scan's alone
+(:meth:`~repro.hardware.coprocessor.SecureCoprocessor.begin_key_rotation`):
+it is refused while an epoch is active, because an epoch seals under a
+sibling of the suite it began with.  An epoch begun mid-rotation seals
+under the new key from its first batch.
 
 Serving interleaves freely between comparator batches: the page map is
 updated transactionally with each batch, so a read always resolves through
@@ -263,27 +268,14 @@ class OnlineReshuffler:
 
     # -- epoch control ---------------------------------------------------------
 
-    def begin(self, rotate_to: Optional[bytes] = None) -> int:
-        """Start a new re-permutation epoch; returns its epoch number.
-
-        ``rotate_to`` piggybacks a key rotation on the pass: sealing (both
-        the engine's and the reshuffler's) switches to the new master key
-        immediately, the legacy key keeps old frames readable, and the
-        epoch's refresh sweep guarantees every location is re-encrypted —
-        so the legacy key is dropped exactly when the epoch completes,
-        independent of serving traffic volume.
-        """
+    def begin(self) -> int:
+        """Start a new re-permutation epoch; returns its epoch number."""
         with self.engine.op_lock:
             state = self.cop.state
             if state.epoch_active:
                 raise ConfigurationError(
                     f"epoch {state.epoch_base} is still in progress"
                 )
-            if rotate_to is not None:
-                # Directly on the coprocessor, not engine.begin_key_rotation:
-                # completion is tied to the epoch sweep, not to the engine's
-                # request countdown (see _rotate_pending).
-                self.cop.begin_key_rotation(rotate_to)
             if self._key_rng is None:
                 # spawn() is a pure function of (seed, label): a label
                 # reused by a later driver would redraw an earlier epoch's
@@ -303,14 +295,6 @@ class OnlineReshuffler:
             self._set_gauge()
             self.counters.increment("epochs.begun")
         return epoch
-
-    @property
-    def _rotate_pending(self) -> bool:
-        """A rotation this epoch's sweep finishes: a legacy key with no
-        request countdown.  The coprocessor refuses a second rotation, so
-        an epoch begun without ``rotate_to`` never inherits one."""
-        return (self.cop.rotation_in_progress
-                and self.cop.state.rotation_left is None)
 
     def step(self, budget: Optional[int] = None) -> int:
         """Execute up to ``budget`` units (default ``batch_size``) as one
@@ -463,11 +447,6 @@ class OnlineReshuffler:
             self._finish_epoch()
 
     def _finish_epoch(self) -> None:
-        if self._rotate_pending:
-            # The sweep just re-encrypted every location under the new
-            # key (and the cache/journal never hold legacy ciphertexts
-            # past their next write), so the legacy key is dead weight.
-            self.cop.finish_key_rotation()
         self.cop.state.end_epoch()
         self.counters.increment("epochs")
         self._set_gauge()

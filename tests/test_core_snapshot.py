@@ -429,15 +429,16 @@ class TestReshuffleSidecar:
         assert restored.content_digest() == digest
 
     def test_rotating_epoch_restores_from_the_three_files(self, tmp_path):
-        """A mid-epoch snapshot taken with ``rotate_to=`` restores from
-        its manifest, frames and sealed state alone: the resumed epoch is
-        the saved one, and finishing it sorts the pages by its key and
-        drops the legacy key."""
+        """A mid-epoch, mid-rotation snapshot restores from its manifest,
+        frames and sealed state alone: the resumed epoch is the saved one,
+        finishing it sorts the pages by its key, and one scan period of
+        requests after it drops the legacy key."""
         from tests.test_online_reshuffle import assert_batcher_order
 
         db = make_db(64, seed=31)
         digest = db.content_digest()
-        driver = db.begin_reshuffle(batch_size=8, rotate_to=b"rotated-key")
+        db.rotate_master_key(b"rotated-key")
+        driver = db.begin_reshuffle(batch_size=8)
         driver.step()
         saved = (driver.epoch, driver.frontier, db.cop.state.epoch_key)
         save_snapshot(db, str(tmp_path / "snap"))
@@ -454,6 +455,9 @@ class TestReshuffleSidecar:
                 restored.cop.state.epoch_key) == saved
         resumed.run()
         assert_batcher_order(restored, resumed)
+        assert restored.cop.rotation_in_progress
+        for _ in range(restored.params.scan_period):
+            restored.touch()
         assert not restored.cop.rotation_in_progress
         restored.consistency_check()
         assert restored.content_digest() == digest

@@ -558,6 +558,19 @@ class TestRecordAuthentication:
         assert db.query(5) == b"committed"
         db.consistency_check()
 
+    def test_rotation_begun_before_recovery_keeps_its_countdown(self):
+        """The replayed window's frames carry the legacy key, so its
+        replay leaves the rotation's whole countdown standing."""
+        db, journal, record = crashed_mid_write_back()
+        db.cop.begin_key_rotation(b"rotated-master-key")
+        assert db.recover().action == "replayed"
+        assert db.engine.rotation_requests_remaining == db.params.scan_period
+        for _ in range(db.params.scan_period):
+            db.touch()
+        assert not db.cop.rotation_in_progress
+        assert db.query(9) == b"torn-0"
+        db.consistency_check()
+
     def test_sealing_draws_exactly_one_nonce(self):
         journaled = build_db(journal=MemoryJournal())
         plain = build_db()

@@ -346,6 +346,28 @@ class TestTrustedState:
         assert restored.epoch_base == 0 and not restored.epoch_active
         assert not restored.flags.any()
 
+    def test_decode_gives_a_legacy_key_a_countdown(self):
+        """A rotation is a legacy key and a countdown together: a legacy
+        key sealed with none restores with a full scan period."""
+        state, cache = self._state()
+        blob = state.encode(cache, b"legacy-key")
+        assert state.rotation_left is None
+        restored, adopted = TrustedState(6, 2, 3), []
+        restored.decode(blob, PageCache(2, SecureRandom(1)),
+                        SimpleNamespace(adopt_legacy_key=adopted.append))
+        assert adopted == [b"legacy-key"]
+        assert restored.rotation_left == restored.num_blocks
+
+    def test_decode_refuses_a_countdown_with_no_legacy_key(self):
+        state, cache = self._state()
+        state.start_rotation_countdown()
+        blob = state.encode(cache, None)
+        restored = TrustedState(6, 2, 3)
+        with pytest.raises(StorageError, match="no legacy key"):
+            restored.decode(blob, PageCache(2, SecureRandom(1)), None)
+        assert restored.rotation_left is None
+        assert not restored.flags.any()
+
 
     def test_advance_refuses_an_empty_origin(self):
         state, _ = self._state()
@@ -389,6 +411,21 @@ class TestSecureCoprocessor:
         )
         options.update(overrides)
         return SecureCoprocessor(**options)
+
+    def test_a_rotation_is_a_legacy_key_and_a_countdown(self):
+        cop = self._cop()
+        cop.begin_key_rotation(b"next master key")
+        assert cop.rotation_in_progress
+        assert cop.state.rotation_left == cop.state.num_blocks
+
+    def test_a_rotation_mid_epoch_is_refused_before_anything_changes(self):
+        cop = self._cop()
+        cop.state.begin_epoch(b"k" * TAG_KEY_SIZE)
+        suite = cop.suite
+        with pytest.raises(ConfigurationError, match="finish the epoch"):
+            cop.begin_key_rotation(b"next master key")
+        assert cop.suite is suite and not cop.rotation_in_progress
+        assert cop.state.rotation_left is None
 
     def test_seal_unseal(self):
         cop = self._cop()

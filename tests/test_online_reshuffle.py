@@ -118,19 +118,73 @@ class TestForegroundEpoch:
 
 
 class TestKeyRotationPiggyback:
-    def test_rotation_completes_with_the_sweep(self):
+    """The request scan is the one rotation: an epoch may begin
+    mid-rotation, but a rotation may not begin mid-epoch."""
+
+    def test_rotation_before_an_epoch_ends_by_the_scan(self):
         db = make_db(seed=31, journal=MemoryJournal())
         digest = db.content_digest()
-        driver = db.begin_reshuffle(batch_size=32, rotate_to=b"epoch-key-2",
-                                    journal=MemoryJournal())
+        db.rotate_master_key(b"epoch-key-2")
+        driver = db.begin_reshuffle(batch_size=32, journal=MemoryJournal())
         assert db.cop.rotation_in_progress
         # Serving mid-rotation works: legacy frames still authenticate.
         db.query(1)
         driver.run()
+        # The epoch's end does not end the rotation: the scan does.
+        assert db.cop.rotation_in_progress
+        assert db.engine.rotation_requests_remaining == db.params.scan_period - 1
+        for _ in range(db.params.scan_period - 1):
+            db.touch()
         assert not db.cop.rotation_in_progress
         assert db.cop.legacy_master_key is None
         db.consistency_check()
         assert db.content_digest() == digest
+        db.close()
+
+    def test_rotation_mid_epoch_is_refused_and_every_page_reads_back(self):
+        """A rotation begun mid-epoch would leave the epoch sealing under
+        the key its countdown drops: every page would stop authenticating."""
+        db = make_db(64, cache_capacity=8, seed=3)
+        records = make_records(64, 16)
+        driver = db.begin_reshuffle(batch_size=8)
+        driver.step()
+        driver.step()
+        with pytest.raises(ConfigurationError, match="finish the epoch"):
+            db.rotate_master_key(b"k")
+        assert not db.cop.rotation_in_progress
+        assert db.engine.rotation_requests_remaining is None
+        for page_id in range(6):
+            db.query(page_id)
+            driver.step()
+        assert [db.query(p) for p in range(64)] == records
+        driver.run()
+        assert not driver.active
+        db.consistency_check()
+        # Once the epoch is over the same rotation is accepted.
+        db.rotate_master_key(b"k")
+        for _ in range(db.params.scan_period):
+            db.touch()
+        assert not db.cop.rotation_in_progress
+        assert [db.query(p) for p in range(64)] == records
+        db.close()
+
+    def test_an_epoch_of_single_batches_finishes_a_rotation(self):
+        """Rotate, then an epoch of one-unit batches with one query per
+        step: every read is right and the rotation ends mid-epoch."""
+        db = make_db(64, cache_capacity=8, seed=3)
+        records = make_records(64, 16)
+        db.rotate_master_key(b"k")
+        driver = db.begin_reshuffle(batch_size=1)
+        served = 0
+        while driver.active:
+            page_id = served % 64
+            assert db.query(page_id) == records[page_id]
+            driver.step()
+            served += 1
+        assert served == driver.total_units
+        assert served > db.params.scan_period
+        assert not db.cop.rotation_in_progress
+        db.consistency_check()
         db.close()
 
 

@@ -158,8 +158,9 @@ class TestCrashMidReshuffle:
         injector = FaultInjector(seed=3)
         db = self._build(tmp_path, injector)
         digest = db.content_digest()
+        db.rotate_master_key(b"rotated-master-key")
         driver = db.begin_reshuffle(
-            batch_size=8, rotate_to=b"rotated-master-key",
+            batch_size=8,
             journal=FileJournal(str(tmp_path / "reshuffle.jnl")),
         )
         driver.step()
@@ -183,7 +184,10 @@ class TestCrashMidReshuffle:
         )
         assert driver2.recover() == "replayed"
         driver2.run()
-        assert not db2.cop.rotation_in_progress  # sweep finished it
+        assert db2.cop.rotation_in_progress  # the epoch does not end it
+        for _ in range(db2.params.scan_period):
+            db2.touch()
+        assert not db2.cop.rotation_in_progress  # the scan did
         db2.consistency_check()
         assert db2.content_digest() == digest
         db2.close()

@@ -604,6 +604,31 @@ class TestDuplicateSuppression:
         assert client.query(new_id) == b"exactly once"
         frontend.database.consistency_check()
 
+    def test_retry_after_a_lost_reply_is_answered_from_cache(self):
+        """A client retry retransmits the bytes it sealed once, so an
+        insert whose reply was lost is not run a second time."""
+
+        class LoseFirstReply:
+            def __init__(self, inner):
+                self.inner, self.clock, self.lost = inner, inner.clock, False
+
+            def call(self, request):
+                reply = self.inner.call(request)
+                if not self.lost:
+                    self.lost = True
+                    raise TransientChannelError("reply lost")
+                return reply
+
+        frontend = make_frontend(reserve_fraction=0.2)
+        client = ServiceClient(frontend, retry=RetryPolicy(max_attempts=3),
+                               channel_wrapper=LoseFirstReply)
+        free = len(frontend.database.cop.state.free_ids())
+        new_id = client.insert(b"exactly once")
+        assert client.counters.get("retries") == 1
+        assert frontend.counters.get("requests.duplicate") == 1
+        assert len(frontend.database.cop.state.free_ids()) == free - 1
+        assert client.query(new_id) == b"exactly once"
+
     def test_replayed_request_bytes_answered_from_cache(self):
         frontend = make_frontend()
         session = frontend.open_session()

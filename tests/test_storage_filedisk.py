@@ -197,3 +197,27 @@ class TestPirDatabaseOnFileDisk:
         flushes.clear()
         db.close()
         assert len(flushes) == 1
+
+    @pytest.mark.parametrize("hot_tier_frames", [None, 8])
+    def test_close_closes_the_file_once(self, tmp_path, hot_tier_frames):
+        """db.close() releases the page file, not only flushes it; a second
+        close is a no-op."""
+        stores = []
+
+        def factory(num_locations, frame_size, timing, clock, trace):
+            stores.append(FileDiskStore(
+                str(tmp_path / "db.bin"), num_locations, frame_size,
+                timing=timing, clock=clock, trace=trace,
+            ))
+            return stores[-1]
+
+        db = PirDatabase.create(
+            make_records(32, 16), cache_capacity=4, block_size=4,
+            page_capacity=16, seed=3, disk_factory=factory,
+            hot_tier_frames=hot_tier_frames,
+        )
+        db.update(3, b"durable")
+        db.close()
+        assert stores[0]._file.closed
+        db.close()
+        assert stores[0]._file.closed

@@ -105,7 +105,7 @@ class TestResume:
         rotation finishes after the rest of one scan period."""
         session = _session(seed=74)
         owner = session.owner
-        owner.engine.begin_key_rotation(b"new-key")
+        owner.cop.begin_key_rotation(b"new-key")
         owner.engine.touch()
         left = owner.engine.rotation_requests_remaining
         resumed = DataOwner.resume(owner.seal_state(),
