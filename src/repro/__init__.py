@@ -24,9 +24,8 @@ Sub-packages: :mod:`repro.core` (the scheme), :mod:`repro.analysis`
 :mod:`repro.shuffle`, :mod:`repro.workload`, :mod:`repro.sim`.
 """
 
-from .core.database import PirDatabase
-from .core.engine import RetrievalEngine
-from .core.params import SystemParameters, achieved_privacy, required_block_size
+from importlib import import_module
+
 from .errors import (
     AuthenticationError,
     CapacityError,
@@ -42,7 +41,28 @@ from .errors import (
     TransientChannelError,
     TransientStorageError,
 )
-from .hardware.specs import IBM_4764, HardwareSpec
+
+# Where the other top-level names live.  They are imported on first use
+# (PEP 562), so importing one subpackage — the crypto lane worker imports
+# only ``repro.crypto`` — does not build the whole library.
+_LAZY = {
+    "PirDatabase": ".core.database",
+    "RetrievalEngine": ".core.engine",
+    "SystemParameters": ".core.params",
+    "achieved_privacy": ".core.params",
+    "required_block_size": ".core.params",
+    "IBM_4764": ".hardware.specs",
+    "HardwareSpec": ".hardware.specs",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(_LAZY[name], __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "1.0.0"
 

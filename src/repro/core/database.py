@@ -435,7 +435,9 @@ class PirDatabase:
         store flushes and syncs first).
 
         Idempotent.  Usable as a context manager:
-        ``with PirDatabase.create(...) as db:``.
+        ``with PirDatabase.create(...) as db:``.  The process-wide crypto
+        lane (:mod:`repro.crypto.lane`) is not this database's: it keeps
+        running for the process's other suites and stops at exit.
         """
         if self.reshuffle is not None:
             self.reshuffle.close()

@@ -62,6 +62,17 @@ same kernel over zero-padded rows, cut back into ``bytes``:
   ciphertext columns of the output frame matrix on encrypt, and the
   plaintext matrix itself on decrypt.
 
+The work per row lives in two row kernels, ``_seal_rows`` and
+``_open_rows``, and a uniform batch runs them through the process's crypto
+lane (:mod:`repro.crypto.lane`): from :data:`~repro.crypto.lane.MIN_ROWS`
+rows on, a worker process runs them over the back half of the rows while
+the caller runs them over the front half.  Nonces are drawn for all rows
+before the split and each side checks the MAC of every row it owns, so
+the frames, the failing indices and the rule that no plaintext leaves
+unless every row verified are those of one pass over all rows — which is
+what runs whenever the lane cannot take the batch (small or ragged batch,
+lane busy, worker not ready or gone, one CPU).
+
 Intent records
 --------------
 
@@ -175,33 +186,50 @@ class CipherSuite:
         backend = _RENAMED.get(backend, backend)
         if backend not in BACKENDS:
             raise CryptoError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-        self.backend = backend
         self._rng = rng if rng is not None else SecureRandom()
         # The crypto.* spans only exist at DETAIL_FINE (fine_span is a
         # shared no-op otherwise).
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._enc_key = derive_key(master_key, "page-encryption", 16)
-        self._mac_key = derive_key(master_key, "page-authentication", 32)
-        # for_key caches keyed instances process-wide, so the legacy-key
-        # suite kept alive during a rotation (and any suite re-derived for
-        # the same master key) reuses an existing key schedule instead of
-        # re-expanding it.
-        self._aes: Optional[AES] = (
-            AES.for_key(self._enc_key) if backend == "aes" else None
-        )
-        # The key is absorbed once; each row copies this state, absorbs its
-        # nonce and squeezes (byte-identical to a one-shot
-        # shake_256(enc_key + nonce)).
-        self._shake_base = (
-            hashlib.shake_256(self._enc_key) if backend == "shake" else None
+        self._set_frame_keys(
+            backend,
+            derive_key(master_key, "page-encryption", 16),
+            derive_key(master_key, "page-authentication", 32),
         )
         # Frames and intent records are tagged under separate derived
         # keys, so neither ever authenticates as the other.
-        self._tag = _tagger(self._mac_key, backend == "pure")
         self._intent_tag = _tagger(
             derive_key(master_key, "intent-authentication", 32),
             backend == "pure",
         )
+
+    @classmethod
+    def _for_frame_keys(
+        cls, backend: str, enc_key: bytes, mac_key: bytes
+    ) -> "CipherSuite":
+        """A suite holding only the two frame keys: the row kernels and
+        nothing that draws a nonce or seals an intent record.  It is the
+        crypto lane worker's (:mod:`repro.crypto.lane`), which is handed
+        derived keys, never the master key."""
+        suite = cls.__new__(cls)
+        suite.tracer = NULL_TRACER
+        suite._set_frame_keys(backend, enc_key, mac_key)
+        return suite
+
+    def _set_frame_keys(self, backend: str, enc_key: bytes, mac_key: bytes) -> None:
+        self.backend = backend
+        self._enc_key = enc_key
+        # What the lane worker needs to run this suite's row kernels.
+        self._lane_keys = (backend, enc_key, mac_key)
+        # for_key caches keyed instances process-wide, so the legacy-key
+        # suite kept alive during a rotation (and any suite re-derived for
+        # the same master key) reuses an existing key schedule instead of
+        # re-expanding it.
+        self._aes: Optional[AES] = AES.for_key(enc_key) if backend == "aes" else None
+        # The key is absorbed once; each row copies this state, absorbs its
+        # nonce and squeezes (byte-identical to a one-shot
+        # shake_256(enc_key + nonce)).
+        self._shake_base = hashlib.shake_256(enc_key) if backend == "shake" else None
+        self._tag = _tagger(mac_key, backend == "pure")
 
     # -- keystream ------------------------------------------------------------
 
@@ -326,7 +354,9 @@ class CipherSuite:
 
         With ``lengths`` (the adapter's ragged batch) row i carries only its
         first ``lengths[i]`` bytes: its tag sits right behind them and the
-        rest of the row is padding the adapter cuts off.
+        rest of the row is padding the adapter cuts off.  A uniform batch
+        is shared with the crypto lane (:mod:`repro.crypto.lane`); every
+        nonce is drawn here first, so the split never changes a byte.
         """
         count, body = plain.shape
         if nonces is None:
@@ -337,28 +367,49 @@ class CipherSuite:
             raise CryptoError(f"nonce must be {NONCE_SIZE} bytes")
         else:
             drawn = b"".join(nonces)
-        width = body + FRAME_OVERHEAD
-        # Row i holds frame i: the nonce columns are filled, the XOR lands
-        # straight in the ciphertext columns, and each tag is written right
-        # behind its row's ciphertext.
-        matrix = np.empty((count, width), np.uint8)
+        # Row i holds frame i: the nonce columns are filled here, the row
+        # kernel XORs straight into the ciphertext columns and writes each
+        # tag right behind its row's ciphertext.
+        matrix = np.empty((count, body + FRAME_OVERHEAD), np.uint8)
         if not count:
             return matrix
         matrix[:, :NONCE_SIZE] = np.frombuffer(drawn, np.uint8).reshape(
             count, NONCE_SIZE
         )
+        if lengths is None:
+            from .lane import SEAL, process_lane  # (see _decrypt_batch)
+
+            process_lane().share(SEAL, self, plain, matrix)
+        else:
+            self._seal_rows(plain, matrix, lengths)
+        return matrix
+
+    def _seal_rows(
+        self,
+        plain: np.ndarray,
+        frames: np.ndarray,
+        lengths: Optional[Sequence[int]] = None,
+    ) -> List[int]:
+        """The encrypt row kernel: fill ``frames`` (nonce columns already
+        set) with the ciphertext and tag of each row of ``plain``.  Returns
+        the rows that failed, which is none: the lane's row kernels share
+        one signature."""
+        count, body = plain.shape
+        width = body + FRAME_OVERHEAD
         np.bitwise_xor(
             plain,
-            self._keystream_matrix(_nonce_rows(drawn), body),
-            out=matrix[:, NONCE_SIZE : NONCE_SIZE + body],
+            self._keystream_matrix(
+                _nonce_rows(frames[:, :NONCE_SIZE].tobytes()), body
+            ),
+            out=frames[:, NONCE_SIZE : NONCE_SIZE + body],
         )
-        flat = memoryview(matrix.reshape(-1))
+        flat = memoryview(frames.reshape(-1))
         tag = self._tag
         for index in range(count):
             start = index * width
             end = start + NONCE_SIZE + (body if lengths is None else lengths[index])
             flat[end : end + TAG_SIZE] = tag(flat[start:end])
-        return matrix
+        return []
 
     def _decrypt_batch(
         self, frames: np.ndarray, sizes: Optional[Sequence[int]] = None
@@ -368,6 +419,9 @@ class CipherSuite:
         With ``sizes`` (the adapter's ragged batch) row i is a frame of
         ``sizes[i]`` bytes followed by padding; only the first
         ``sizes[i] - overhead`` bytes of its plaintext row mean anything.
+        A uniform batch is shared with the crypto lane; each side checks
+        the MAC of every row it owns, and the plaintext leaves only when
+        every row of the batch verified.
         """
         count, width = frames.shape
         shortest = width if sizes is None else min(sizes, default=width)
@@ -375,9 +429,36 @@ class CipherSuite:
             raise CryptoError(
                 f"frame too short: {shortest} bytes < overhead {FRAME_OVERHEAD}"
             )
-        body = width - FRAME_OVERHEAD
+        plain = np.empty((count, width - FRAME_OVERHEAD), np.uint8)
         if not count:
-            return np.empty((0, body), np.uint8)
+            return plain
+        if sizes is None:
+            # Imported on first use, not with the package: ``python -m
+            # repro.crypto.lane`` must find that module not yet imported.
+            from .lane import OPEN, process_lane
+
+            failed = process_lane().share(OPEN, self, frames, plain)
+        else:
+            failed = self._open_rows(frames, plain, sizes)
+        if failed:
+            raise AuthenticationError(
+                f"frame(s) {failed} of batch of {count} failed MAC "
+                "verification",
+                failed=failed,
+            )
+        return plain
+
+    def _open_rows(
+        self,
+        frames: np.ndarray,
+        plain: np.ndarray,
+        sizes: Optional[Sequence[int]] = None,
+    ) -> List[int]:
+        """The decrypt row kernel: check the MAC of every row of ``frames``
+        and return the failing row indices; only when there are none,
+        decrypt the rows into ``plain``."""
+        count, width = frames.shape
+        body = width - FRAME_OVERHEAD
         flat = memoryview(frames.reshape(-1))
         total = frames.size if sizes is None else sum(sizes)
         with self.tracer.fine_span("crypto.mac_verify", nbytes=total):
@@ -390,21 +471,19 @@ class CipherSuite:
                     tag(flat[start:end]), flat[end : end + TAG_SIZE]
                 ):
                     failed.append(index)
-            if failed:
-                raise AuthenticationError(
-                    f"frame(s) {failed} of batch of {count} failed MAC "
-                    "verification",
-                    failed=failed,
-                )
+        if failed:
+            return failed
         with self.tracer.fine_span(
             "crypto.keystream", nbytes=total - count * FRAME_OVERHEAD
         ):
-            return np.bitwise_xor(
+            np.bitwise_xor(
                 frames[:, NONCE_SIZE : NONCE_SIZE + body],
                 self._keystream_matrix(
                     _nonce_rows(frames[:, :NONCE_SIZE].tobytes()), body
                 ),
+                out=plain,
             )
+        return failed
 
     # -- intent records -------------------------------------------------------
 

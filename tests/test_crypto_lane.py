@@ -1,0 +1,249 @@
+"""The crypto lane: one worker process takes the back half of a large batch.
+
+The lane must never change a byte or an authentication verdict, whatever
+the split, and it must fall back to the inline row kernel — the same
+function over every row — when it cannot be used: too small a batch, a
+dead worker, a process that is not the lane's owner, one CPU.  These tests
+drive a lane of their own (installed as the process lane for one test),
+except where the process's own worker is what is counted.
+"""
+
+from __future__ import annotations
+
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+
+import numpy as np
+import pytest
+
+from repro.crypto import lane as lane_module
+from repro.crypto.lane import MIN_ROWS, Lane, process_lane
+from repro.crypto.rng import SecureRandom
+from repro.crypto.suite import BACKENDS, CipherSuite
+from repro.errors import AuthenticationError
+
+from tests.helpers import wait_until
+
+MASTER = b"lane master key"
+WIDTH = 200
+ROW_COUNTS = (MIN_ROWS - 1, MIN_ROWS, 94, 256)
+LANE_MODULE = "repro.crypto.lane"
+
+two_cpus = pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2
+    if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1) < 2,
+    reason="the lane starts a worker only with two CPUs or more",
+)
+
+
+def _plain(count: int) -> np.ndarray:
+    return (np.arange(count * WIDTH, dtype=np.uint32) * 7 % 251).astype(
+        np.uint8
+    ).reshape(count, WIDTH)
+
+
+def _suite(backend: str) -> CipherSuite:
+    return CipherSuite(MASTER, backend=backend, rng=SecureRandom(11))
+
+
+def _start(lane: Lane) -> None:
+    """Run large batches until the lane's worker is ready."""
+    suite = _suite("null")
+    plain = _plain(MIN_ROWS)
+
+    def ready() -> bool:
+        suite.encrypt_pages(plain)
+        return lane.live
+
+    assert wait_until(ready, timeout=60.0), "the lane's worker never got ready"
+
+
+@pytest.fixture
+def fresh_lane(monkeypatch):
+    """A new lane, installed as the process lane for one test."""
+    lane = Lane()
+    monkeypatch.setattr(lane_module, "_LANE", lane)
+    yield lane
+    lane.close()
+
+
+@pytest.fixture
+def inline(monkeypatch):
+    """Install a lane that is off: every batch runs inline."""
+
+    def install() -> None:
+        off = Lane()
+        off._off = True
+        monkeypatch.setattr(lane_module, "_LANE", off)
+
+    return install
+
+
+def _lane_descendants(root: int) -> list:
+    """Every ``repro.crypto.lane`` process below ``root``, as (pid, parent)."""
+    found, stack = [], [root]
+    while stack:
+        pid = stack.pop()
+        try:
+            tasks = os.listdir(f"/proc/{pid}/task")
+        except FileNotFoundError:
+            continue
+        for task in tasks:
+            try:
+                with open(f"/proc/{pid}/task/{task}/children") as handle:
+                    children = [int(child) for child in handle.read().split()]
+            except FileNotFoundError:
+                continue
+            for child in children:
+                try:
+                    with open(f"/proc/{child}/cmdline", "rb") as handle:
+                        argv = handle.read().split(b"\0")
+                except FileNotFoundError:
+                    continue
+                if LANE_MODULE.encode() in argv:
+                    found.append((child, pid))
+                stack.append(child)
+    return found
+
+
+@two_cpus
+class TestByteIdentity:
+    @pytest.mark.parametrize("count", ROW_COUNTS)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_lane_and_inline_agree(self, fresh_lane, inline, backend, count):
+        _start(fresh_lane)
+        plain = _plain(count)
+        shared = _suite(backend)
+        before = fresh_lane.batches
+        frames = shared.encrypt_pages(plain)
+        opened = shared.decrypt_pages(frames)
+        handed = 2 if count >= MIN_ROWS else 0
+        assert fresh_lane.batches - before == handed
+        next_draw = shared._rng.token(8)
+
+        inline()
+        alone = _suite(backend)
+        assert np.array_equal(frames, alone.encrypt_pages(plain))
+        assert np.array_equal(opened, plain)
+        assert np.array_equal(alone.decrypt_pages(frames), plain)
+        # The nonces of all n rows were drawn before the split.
+        assert alone._rng.token(8) == next_draw
+
+    @pytest.mark.parametrize("tampered", [(3,), (80,), (3, 80), (0, 46, 47, 93)],
+                             ids=["front", "back", "both", "edges"])
+    def test_tampered_rows_fail_as_inline(self, fresh_lane, inline, tampered):
+        _start(fresh_lane)
+        suite = _suite("shake")
+        frames = suite.encrypt_pages(_plain(94))
+        for row in tampered:
+            frames[row, 20] ^= 0x01
+        before = fresh_lane.batches
+        with pytest.raises(AuthenticationError) as shared:
+            suite.decrypt_pages(frames)
+        assert fresh_lane.batches == before + 1
+        inline()
+        with pytest.raises(AuthenticationError) as alone:
+            _suite("shake").decrypt_pages(frames)
+        assert shared.value.failed == alone.value.failed == tampered
+        assert str(shared.value) == str(alone.value)
+
+
+@two_cpus
+class TestFallback:
+    def test_killed_worker_recomputes_inline_and_turns_the_lane_off(
+            self, fresh_lane, inline):
+        _start(fresh_lane)
+        worker = fresh_lane.pid
+        os.kill(worker, signal.SIGKILL)
+        plain = _plain(256)
+        suite = _suite("shake")
+        frames = suite.encrypt_pages(plain)
+        assert np.array_equal(suite.decrypt_pages(frames), plain)
+        assert not fresh_lane.live and fresh_lane.pid is None
+        batches = fresh_lane.batches
+        suite.encrypt_pages(plain)
+        assert fresh_lane.batches == batches
+        inline()
+        assert np.array_equal(frames, _suite("shake").encrypt_pages(plain))
+
+    def test_a_process_that_is_not_the_owner_runs_inline(self, fresh_lane):
+        _start(fresh_lane)
+        worker = fresh_lane.pid
+        owner = fresh_lane.owner
+        fresh_lane.owner = owner + 1  # as a child forked from the owner sees it
+        try:
+            batches = fresh_lane.batches
+            plain = _plain(256)
+            suite = _suite("shake")
+            assert np.array_equal(
+                suite.decrypt_pages(suite.encrypt_pages(plain)), plain
+            )
+            assert fresh_lane.batches == batches
+            fresh_lane.close()  # not the owner's: leaves the worker alone
+            assert fresh_lane.pid == worker and fresh_lane.live
+        finally:
+            fresh_lane.owner = owner
+
+    def test_one_cpu_starts_no_worker(self, fresh_lane):
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(mask)})
+        try:
+            suite = _suite("shake")
+            plain = _plain(256)
+            assert np.array_equal(
+                suite.decrypt_pages(suite.encrypt_pages(plain)), plain
+            )
+        finally:
+            os.sched_setaffinity(0, mask)
+        assert fresh_lane.pid is None and not fresh_lane.live
+        assert fresh_lane.batches == 0
+
+
+@two_cpus
+class TestOneWorker:
+    def test_exactly_one_worker_descends_from_this_process(self):
+        if not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"):
+            pytest.skip("no /proc/<pid>/task/<tid>/children here")
+        lane = process_lane()
+        _start(lane)
+        suite = _suite("shake")
+        suite.encrypt_pages(_plain(256))
+        # The worker is this process's child, and it started none.
+        assert _lane_descendants(os.getpid()) == [(lane.pid, os.getpid())]
+
+    def test_exit_leaves_no_worker_and_no_resource_warning(self, tmp_path):
+        # A BENCH-shaped database (1 KB pages, the shake keystream) built,
+        # served until the lane is live, and closed.
+        script = textwrap.dedent("""
+            from repro import PirDatabase
+            from repro.baselines import make_records
+            from repro.crypto.lane import process_lane
+            from tests.helpers import wait_until
+
+            db = PirDatabase.create(
+                make_records(4096, 1024), cache_capacity=64, target_c=2.0,
+                page_capacity=1024, cipher_backend="shake", seed=7,
+            )
+            lane = process_lane()
+            assert wait_until(lambda: db.query(5) and lane.live, timeout=60)
+            print(lane.pid, flush=True)
+            db.close()
+        """)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src") + os.pathsep + root)
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-c", script], cwd=str(tmp_path),
+            env=env, capture_output=True, text=True, timeout=180,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "Warning" not in done.stderr, done.stderr
+        worker = int(done.stdout.split()[-1])
+        try:
+            with open(f"/proc/{worker}/cmdline", "rb") as handle:
+                argv = handle.read().split(b"\0")
+        except FileNotFoundError:
+            argv = []
+        assert LANE_MODULE.encode() not in argv
