@@ -67,7 +67,8 @@ def _make_db(seed: int, metrics: Optional[MetricsRegistry] = None,
              spec=IBM_4764) -> PirDatabase:
     # The IBM 4764 timing model prices the comparator I/O honestly on the
     # virtual clock; the hot tier fronts the cold store exactly as the
-    # deployment path does.  A clock-charging journal prices durability.
+    # deployment path does.  A clock-charging journal prices durability:
+    # every request window's record and every epoch batch's.
     db = PirDatabase.create(
         make_records(_BENCH_RECORDS, _BENCH_PAGE_SIZE),
         cache_capacity=_CACHE,
@@ -132,8 +133,7 @@ def run_foreground_epoch(db: PirDatabase) -> Tuple[dict, float, List[str]]:
     problems: List[str] = []
     digest = db.content_digest()
     db.rotate_master_key(b"bench-rotated-key")
-    driver = db.begin_reshuffle(batch_size=_RESHUFFLE_BATCH,
-                                journal=MemoryJournal())
+    driver = db.begin_reshuffle(batch_size=_RESHUFFLE_BATCH)
     virtual_start = db.clock.now
     wall_start = time.perf_counter()
     units = driver.run()
@@ -159,8 +159,7 @@ def run_serve_interleaved(db: PirDatabase, records: List[bytes],
     """One query between every comparator batch of a second epoch; its
     queries (more than one scan period) finish the key rotation."""
     problems: List[str] = []
-    driver = db.begin_reshuffle(batch_size=_RESHUFFLE_BATCH,
-                                journal=MemoryJournal())
+    driver = db.begin_reshuffle(batch_size=_RESHUFFLE_BATCH)
     virtual_start = db.clock.now
     wall_start = time.perf_counter()
     served = 0
@@ -250,7 +249,7 @@ def run_loadgen_gate(seed: int) -> Tuple[dict, List[str], List[str]]:
         # requests depends on the op sequence alone
         # (tests/test_online_reshuffle.py::TestCallerStepsTheEpoch).
         db.rotate_master_key(b"loadgen-rotated-key")
-        driver = db.begin_reshuffle(batch_size=1, journal=MemoryJournal())
+        driver = db.begin_reshuffle(batch_size=1)
         during: List[float] = []
         i = 0
         while driver.active and i < _LOADGEN_CAP:

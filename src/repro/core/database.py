@@ -249,7 +249,7 @@ class PirDatabase:
         self.disk = disk
         self.engine = engine
         # Optional OnlineReshuffler attached by begin_reshuffle() or
-        # resume_reshuffle(); close() tears it down with the rest.
+        # resume_reshuffle().
         self.reshuffle = None
         # Optional ReplicationLog (duck-typed: anything with emit() and
         # close()).  Set by the cluster tier; every public operation then
@@ -281,7 +281,7 @@ class PirDatabase:
         (``"oblivious"``): the pages go to the store in identity layout and
         one foreground reshuffle epoch — epoch 1 of the database's
         numbering, DESIGN.md §15 — permutes them before anything is
-        served; the driver is closed and detached afterwards.  ``wiring``
+        served; the driver is dropped afterwards.  ``wiring``
         goes to the one builder, :func:`_wire`, which documents it:
         ``master_key``, ``spec``, ``seed``, ``cipher_backend``,
         ``cache_policy``, ``enforce_memory_limit``, ``trace_enabled``,
@@ -297,8 +297,12 @@ class PirDatabase:
             setup_mode=setup_mode, write_batch=4096, **wiring,
         ))
         if setup_mode == SETUP_OBLIVIOUS:
+            # Nothing is sealed before setup ends, so a crash inside the
+            # setup epoch cannot be recovered from: it runs before the
+            # journal is attached, and serving journals from the start.
+            journal, db.engine.journal = db.engine.journal, None
             db.begin_reshuffle().run()
-            db.reshuffle.close()
+            db.engine.journal = journal
             db.reshuffle = None
             db.tracer.reset()
         return db
@@ -373,36 +377,35 @@ class PirDatabase:
     def recover(self):
         """Repair a torn write-back after a crash (see engine ``recover``).
 
-        Idempotent and cheap when nothing was in flight; returns the
-        engine's :class:`~repro.core.engine.RecoveryReport`.
+        The one recovery for the database's one journal slot: a torn
+        request window and a torn reshuffle batch alike.  Idempotent and
+        cheap when nothing was in flight; returns the engine's
+        :class:`~repro.core.engine.RecoveryReport`.
         """
         return self.engine.recover()
 
-    def begin_reshuffle(
-        self,
-        batch_size: int = 16,
-        journal=None,
-    ):
+    def begin_reshuffle(self, batch_size: int = 16):
         """Start an online re-permutation epoch (DESIGN.md §15).
 
         Builds an :class:`~repro.shuffle.online.OnlineReshuffler` and
         begins a new epoch.  The epoch advances only on the caller's
         thread: step it with ``db.reshuffle.step()`` between requests, or
-        finish it with ``run()``.  ``journal`` must be a *separate* journal
-        from the engine's (each state machine owns its slot).  Returns the
-        driver, also available as :attr:`reshuffle`.  An epoch already in
-        progress — also one restored from a snapshot — is refused: finish
-        it through :meth:`resume_reshuffle`.
+        finish it with ``run()``.  Its batches are journaled in the
+        engine's slot exactly when requests are, and :meth:`recover`
+        repairs a torn one.  Returns the driver, also available as
+        :attr:`reshuffle`.  An epoch already in progress — also one
+        restored from a snapshot — is refused: finish it through
+        :meth:`resume_reshuffle`.
         """
         if self.cop.state.epoch_active:
             raise ConfigurationError(
                 "a re-permutation epoch is already in progress"
             )
-        driver = self._attach_reshuffle(batch_size, journal)
+        driver = self._attach_reshuffle(batch_size)
         driver.begin()
         return driver
 
-    def resume_reshuffle(self, batch_size: int = 16, journal=None):
+    def resume_reshuffle(self, batch_size: int = 16):
         """Attach a driver to the epoch the trusted state has in progress.
 
         A snapshot seals the epoch — number, frontier, secret sort key —
@@ -410,37 +413,33 @@ class PirDatabase:
         warm replica, see :func:`~repro.core.snapshot.bootstrap_replica`)
         continues the pass at its frontier instead of paying a cold
         O(n log² n) shuffle.  Returns the driver, also available as
-        :attr:`reshuffle`, or None when no epoch is active.  Call its
-        ``recover()`` when ``journal`` might hold a torn batch (crash
-        restarts), then step it as :meth:`begin_reshuffle`'s.
+        :attr:`reshuffle`, or None when no epoch is active.  After a crash
+        restart, run :meth:`recover` first — it rolls a torn batch forward
+        from the journal like a torn request — then step the driver as
+        :meth:`begin_reshuffle`'s.
         """
         if not self.cop.state.epoch_active:
             return None
-        return self._attach_reshuffle(batch_size, journal)
+        return self._attach_reshuffle(batch_size)
 
-    def _attach_reshuffle(self, batch_size: int, journal):
+    def _attach_reshuffle(self, batch_size: int):
         from ..shuffle.online import OnlineReshuffler
 
-        if self.reshuffle is not None:
-            self.reshuffle.close()
         self.reshuffle = OnlineReshuffler(
-            self, batch_size=batch_size, journal=journal,
-            metrics=self.metrics, tracer=self.tracer,
+            self, batch_size=batch_size, metrics=self.metrics,
+            tracer=self.tracer,
         )
         return self.reshuffle
 
     def close(self) -> None:
-        """Detach the online reshuffle driver, close the attached
-        replication log's backlog file and close the store (a durable
-        store flushes and syncs first).
+        """Close the attached replication log's backlog file and close the
+        store (a durable store flushes and syncs first).
 
         Idempotent.  Usable as a context manager:
         ``with PirDatabase.create(...) as db:``.  The process-wide crypto
         lane (:mod:`repro.crypto.lane`) is not this database's: it keeps
         running for the process's other suites and stops at exit.
         """
-        if self.reshuffle is not None:
-            self.reshuffle.close()
         if self.replication is not None:
             self.replication.close()
         self.disk.close()

@@ -39,13 +39,19 @@ applied — trusted deltas, the k+1 frame write-back, pointer advance, journal
 clear, in that order.  Every apply step is idempotent and absolute, so
 :meth:`RetrievalEngine.recover` can roll a torn write-back forward (valid
 intent record) or declare the request never-happened (no/unauthentic
-record) after a crash at *any* individual step.
+record) after a crash at *any* individual step.  An online reshuffle batch
+(:mod:`repro.shuffle.online`) commits through the same path into the same
+journal slot, so one ``recover()`` repairs either kind.
 
 When the write-back fails *without* killing the process (a transient I/O
 error), the engine keeps the intent in memory and rolls it forward
-automatically at the start of the next request, so a retried request never
-computes against a pageMap pointing at never-written frames and never
-overwrites a journal record that is still needed for repair.
+automatically at the start of the next request or batch, so nothing ever
+computes against a pageMap pointing at never-written frames or overwrites
+a journal record that is still needed for repair.  A window whose own
+write-back fails that way has committed all the same — its trusted deltas
+landed and its record is durable — so its ops keep their results and the
+write-back is merely deferred to that heal: a client never retries an op
+that already took effect.
 """
 
 from __future__ import annotations
@@ -60,7 +66,11 @@ from .journal import (
     INTENT_MAGIC,
     MAP_CACHED,
     MAP_DISK,
+    RESHUFFLE_MAGIC,
+    ReshuffleIntent,
     WriteIntent,
+    batch_of,
+    epoch_units,
     header_size,
     window_of,
 )
@@ -147,6 +157,9 @@ class RecoveryReport:
     ``"discarded_stale"``
         The record described an already-committed request (the crash hit
         between the write-back completing and the journal being cleared).
+
+    ``request_index`` is the record's first request, or -1 for a reshuffle
+    batch, which serves none.
     """
 
     action: str
@@ -206,16 +219,17 @@ class RetrievalEngine:
         # Per-request virtual latency distribution — the Eq. 8 constant-cost
         # claim shows up here as a degenerate (zero-variance) histogram.
         self._query_hist = self.metrics.histogram("engine.query_seconds")
+        # A reshuffle epoch's end is counted where its last batch commits:
+        # a driver's step, a request's heal and recover() alike.
+        self._epoch_counters = self.metrics.counter_view("reshuffle.")
         # Serialises trusted-state mutation between callers sharing one
         # database (requests, online reshuffler batches, a snapshot).
         # Re-entrant so request helpers may call back into public
         # operations while already holding it.
         self.op_lock = threading.RLock()
-        # Other write-back state machines (the online reshuffler) register
-        # their roll-forward hooks here so a request never computes against
-        # a half-applied reshuffle batch either; see _heal_pending.
-        self._background_healers: List = []
-        self._pending_intent: Optional[WriteIntent] = None
+        # The one write-back in flight or awaiting roll-forward, of either
+        # kind (a request window's or a reshuffle batch's); see _commit.
+        self._pending_intent = None
         self.last_outcome: Optional[RequestOutcome] = None
 
     # -- public operations -------------------------------------------------------
@@ -259,17 +273,19 @@ class RetrievalEngine:
 
     @property
     def journal_pending(self) -> bool:
-        """True when the journal holds an intent record (recover() needed)."""
+        """True when the journal holds a record of either kind (recover()
+        needed)."""
         return self.journal is not None and self.journal.read() is not None
 
     @property
     def write_back_pending(self) -> bool:
         """True when a failed write-back awaits roll-forward.
 
-        Set when the disk raised mid-apply *without* crashing the process;
-        the next request (or :meth:`recover`) re-applies the retained
-        intent before doing anything else, so callers normally never need
-        to check this — it exists for tests and diagnostics.
+        Set when the disk raised mid-apply *without* crashing the process
+        — a request window's or a reshuffle batch's; the next request or
+        batch (or :meth:`recover`) re-applies the retained intent before
+        doing anything else, so callers normally never need to check this —
+        it exists for tests and diagnostics.
         """
         return self._pending_intent is not None
 
@@ -277,24 +293,27 @@ class RetrievalEngine:
         """Repair a torn write-back after a crash; idempotent.
 
         Call on restart (or after catching a simulated crash) before
-        serving requests.  Outcome semantics are documented on
-        :class:`RecoveryReport`.  Raises
-        :class:`~repro.errors.RecoveryError` when the journal describes a
-        request *later* than the trusted state expects — the trusted state
-        is older than the journal (e.g. restored from a stale snapshot)
-        and roll-forward would corrupt the database.
+        serving requests or stepping a reshuffle.  The journal's record,
+        of either kind, is rolled back, replayed or discarded; outcome
+        semantics are documented on :class:`RecoveryReport`.  Raises
+        :class:`~repro.errors.RecoveryError` when the record is *ahead* of
+        the trusted state — the trusted state is older than the journal
+        (e.g. restored from a stale snapshot) and roll-forward would
+        corrupt the database (:meth:`WriteIntent.stale
+        <repro.core.journal.WriteIntent.stale>`).
         """
         with self.op_lock:
             return self._recover_locked()
 
     def _recover_locked(self) -> RecoveryReport:
         if self.journal is None:
-            if self._pending_intent is not None:
-                # Journal-less engines can still roll a failed write-back
-                # forward from the in-memory intent (see _heal_pending).
-                self._heal_pending()
-                return RecoveryReport("replayed", self.request_count - 1)
-            return RecoveryReport("clean")
+            intent = self._pending_intent
+            if intent is None:
+                return RecoveryReport("clean")
+            # Journal-less engines can still roll a failed write-back
+            # forward from the in-memory intent (see _heal_pending).
+            self._heal_pending()
+            return RecoveryReport("replayed", intent.request_index)
         blob = self.journal.read()
         if blob is None:
             self._pending_intent = None
@@ -310,43 +329,44 @@ class RetrievalEngine:
             self._pending_intent = None
             self.counters.increment("recovery.rolled_back")
             return RecoveryReport("rolled_back")
-        if intent.request_index < self.request_count:
+        if intent.stale(self.cop.state):
             # Write-back committed; only the journal clear was lost.
             self.journal.clear()
             self._pending_intent = None
             self.counters.increment("recovery.discarded_stale")
             return RecoveryReport("discarded_stale", intent.request_index)
-        if intent.request_index > self.request_count:
-            raise RecoveryError(
-                f"journal describes request {intent.request_index} but the "
-                f"trusted state expects request {self.request_count}; the "
-                "restored state is older than the journal and cannot be "
-                "rolled forward"
-            )
-        expected_frames = self.params.block_size + intent.request_span
-        if len(intent.frames) != expected_frames:
-            raise RecoveryError(
-                f"intent record carries {len(intent.frames)} frames, "
-                f"expected {expected_frames}"
-            )
         self._commit(intent)
         self.counters.increment("recovery.replayed")
         return RecoveryReport("replayed", intent.request_index)
 
-    def _open_intent(self, record) -> WriteIntent:
-        """Authenticate a journal record and decode it.
+    def _open_intent(self, record):
+        """Authenticate a journal record of either kind and decode it.
 
-        The record's length alone says which window size it was sealed
-        for; the tag is checked before anything is parsed, only the header
-        is decrypted, and the frames stay a matrix view of ``record``.
+        The 4-byte magic names the kind and the record's length alone
+        says which window (or batch) size it was sealed for; the tag is
+        checked before anything is parsed, only the header is decrypted,
+        and the frames stay a matrix view of ``record``.  A reshuffle
+        record was sealed by its epoch's sibling suite, whose keys are the
+        coprocessor's.
         """
+        length = len(record) - INTENT_OVERHEAD
+        if bytes(record[:len(RESHUFFLE_MAGIC)]) == RESHUFFLE_MAGIC:
+            count = batch_of(length, self.cop.frame_size)
+            return ReshuffleIntent.decode(*self.cop.unseal_intent(
+                RESHUFFLE_MAGIC, record, ReshuffleIntent.header_size(count)
+            ))
         capacity = self.params.page_capacity
-        window = window_of(len(record) - INTENT_OVERHEAD,
-                           self.params.block_size, self.cop.frame_size,
-                           capacity)
-        return WriteIntent.decode(*self.cop.unseal_intent(
+        window = window_of(length, self.params.block_size,
+                           self.cop.frame_size, capacity)
+        intent = WriteIntent.decode(*self.cop.unseal_intent(
             INTENT_MAGIC, record, header_size(window, capacity)
         ))
+        if intent.request_span != window:
+            raise RecoveryError(
+                f"intent record carries {len(intent.frames)} frames, "
+                f"expected {self.params.block_size + intent.request_span}"
+            )
+        return intent
 
     # -- the unified request: a round-robin window of one or more ops -----------
 
@@ -389,12 +409,21 @@ class RetrievalEngine:
             # batch may interleave between windows (each window commits
             # atomically) but never observes, or mutates, a half-applied
             # trusted state; with one caller the lock is uncontended.
+            indices = range(start, min(start + capacity, len(ops)))
             with self.op_lock:
                 # A previous window whose write-back failed mid-apply left
                 # trusted deltas in place with the frames unwritten; roll
-                # it forward before planning against that state.
-                self._heal_pending()
-                indices = range(start, min(start + capacity, len(ops)))
+                # it forward before planning against that state.  If that
+                # fails, none of this window ran, so its slots are refused
+                # (safe to retry) while earlier windows, which committed,
+                # keep their answers; a later window tries the heal again.
+                try:
+                    self._heal_pending()
+                except ReproError as exc:
+                    for i in indices:
+                        results[i] = exc
+                    self.disk.current_request = -1
+                    continue
                 checked = self._validate_window(ops[start:start + capacity],
                                                 results, indices)
                 live = [(i, entry) for i, entry in zip(indices, checked)
@@ -412,15 +441,12 @@ class RetrievalEngine:
                     ):
                         self._run_window(live, results)
                 except ReproError as exc:
-                    # Compute-phase abort: nothing trusted or durable
-                    # changed, the window simply never happened.
-                    # Apply-phase failure: the intent is retained and the
-                    # next window's heal rolls it forward (the ops then
-                    # *have* committed — clients that retry on the reported
-                    # transient error stay idempotent).  Either way every
-                    # executable slot reports the error (validation
-                    # failures recorded by the validator stand) and later
-                    # windows proceed.
+                    # A compute-phase abort: nothing of this window landed,
+                    # it simply never happened, so a retry is safe.  (A
+                    # failed write-back of the window's own commit never
+                    # gets here: see _run_window.)  Every executable slot
+                    # reports the error (validation failures recorded by
+                    # the validator stand) and later windows proceed.
                     for i, _ in live:
                         results[i] = exc
                     self.disk.current_request = -1
@@ -699,7 +725,16 @@ class RetrievalEngine:
                     sealed,
                 ))
         # Apply: idempotent, replayable from the intent record.
-        self._commit(intent)
+        try:
+            self._commit(intent)
+        except ReproError:
+            # The window has committed: its trusted deltas landed and its
+            # record (or the retained intent) holds the frames.  Only the
+            # write-back is unfinished, and the next window's heal — or
+            # recover() — finishes it.  Refusing the ops as retryable
+            # would invite a retry that applies them a second time.
+            self.disk.current_request = -1
+            self.counters.increment("write_back.deferred")
 
         # Describes the window's last op; ``elapsed`` is the whole window's
         # virtual latency — for a window of one, the Eq. 8 constant, so the
@@ -748,98 +783,46 @@ class RetrievalEngine:
             counters=self.counters, counter="retries.read",
         )
 
-    def _commit(self, intent: WriteIntent) -> None:
-        """Apply ``intent`` (its accesses attributed to its request), then
-        clear its journal record."""
+    def _commit(self, intent) -> None:
+        """Apply ``intent`` — a :class:`~repro.core.journal.WriteIntent` or
+        a :class:`~repro.core.journal.ReshuffleIntent`, its accesses
+        attributed to its request — then clear its journal record.
+
+        The intent is retained until its apply returns: a write-back that
+        raises leaves it for :meth:`_heal_pending` (the next request or
+        batch) or :meth:`recover`, and the journal record stays in place.
+        """
         self.disk.current_request = intent.request_index
-        self._apply_intent(intent)
+        self._pending_intent = intent
+        intent.apply(self.cop, self.disk, self.tracer)
+        self._pending_intent = None
         if self.journal is not None:
             self.journal.clear()
         self.disk.current_request = -1
-
-    def _apply_intent(self, intent: WriteIntent) -> None:
-        """Commit an intent record; every step is idempotent.
-
-        Trusted deltas land first (they cannot fail), then the k+1-frame
-        write-back (the only crashable step), then the pointer advance that
-        marks the request committed.  ``recover()`` re-runs this whole
-        method safely: cache puts and map/flag ops write absolute values,
-        frames are rewritten verbatim, pointers are assigned not bumped.
-        """
-        state = self.cop.state
-        cache = self.cop.cache
-        for slot, page in intent.cache_puts:
-            cache.put(slot, page)
-        for page_id, op in intent.flag_ops:
-            if op == FLAG_LIVE:
-                state.mark_live(page_id)
-            else:
-                state.mark_deleted(page_id)
-        for page_id, kind, position in intent.map_ops:
-            if kind == MAP_CACHED:
-                state.set_cached(page_id, position)
-            else:
-                state.set_disk(page_id, position)
-
-        # One contiguous block write plus one write per per-op extra frame
-        # — the mirror image of the read side's single block scan — as one
-        # store call, for every window size.
-        k = self.params.block_size
-        ranges = [(intent.block_start, k)]
-        ranges += [(location, 1) for location in intent.extra_locations]
-        try:
-            with self.tracer.span(
-                "write_back",
-                nbytes=(k + intent.request_span) * self.disk.frame_size,
-            ):
-                self.disk.write_ranges(ranges, intent.frames)
-        except Exception:
-            # The trusted deltas above are already applied, so the pageMap
-            # now points at frames that were never written.  Retain the
-            # intent so the next request (or recover()) rolls the
-            # write-back forward before computing against that state —
-            # without this, a retried request would overwrite the only
-            # record able to repair the store.
-            self._pending_intent = intent
-            raise
-
-        if intent.rotation_left == 0:
-            self.cop.finish_key_rotation()
-        if intent.rotation_left < 0:
-            # Sealed before any rotation began: one begun since (ahead of
-            # this replay or heal) keeps its whole countdown, because these
-            # frames carry what is now the legacy key.
-            rotation_left = state.rotation_left
-        else:
-            rotation_left = intent.rotation_left or None
-        state.advance(
-            intent.next_block, intent.request_index + intent.request_span,
-            rotation_left,
-        )
-        self._pending_intent = None
+        if isinstance(intent, ReshuffleIntent):
+            total = epoch_units(self.params.num_locations)
+            self.metrics.gauge("reshuffle.progress").set(
+                intent.frontier_after / total)
+            if intent.frontier_after >= total:
+                self._epoch_counters.increment("epochs")
 
     def _heal_pending(self) -> None:
-        """Roll forward a request whose write-back failed mid-apply.
+        """Roll forward a write-back that failed mid-apply, of either kind.
 
         A *non-crash* write failure (e.g. a transient I/O error) inside
-        :meth:`_apply_intent` propagates to the caller after the trusted
-        deltas landed but before the frames did.  That failure is
-        classified as retryable, so the client is invited to resend — and
-        serving the resend against the inconsistent state would both read
-        garbage and replace the pending journal record.  Instead the
-        failed apply retains its intent (in memory, and in the journal
-        when one is configured) and every later request re-applies it
-        here first.  Re-application is idempotent; if the write fails
-        again the error propagates and the request stays pending.
+        :meth:`_commit` leaves the trusted state ahead of the frames:
+        a request window's deltas landed before its frames, a reshuffle
+        batch's frames are half rewritten.  Computing anything against
+        that state would read garbage and replace the pending journal
+        record, so the failed apply retains its intent (in memory, and in
+        the journal when one is configured) and every later request and
+        batch re-applies it here first.  Re-application is idempotent; if
+        the write fails again the error propagates, the caller's work is
+        refused before it computes, and the intent stays pending.
         """
         if self._pending_intent is not None:
             self._commit(self._pending_intent)
             self.counters.increment("recovery.rolled_forward")
-        # The registered healers run after the engine: their write-backs
-        # may relocate pages a replayed request's map ops already
-        # positioned, and each healer is itself idempotent.
-        for healer in self._background_healers:
-            healer()
 
     # -- helpers -------------------------------------------------------------------
 

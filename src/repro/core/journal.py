@@ -20,6 +20,19 @@ function of (journal, trusted state):
   delta and rewrite every frame (all idempotent), then clear the journal;
 * valid record for an already-committed request → stale; clear it.
 
+One slot, two record kinds
+--------------------------
+
+A database has one journal slot and at most one record in it: a request
+window's :class:`WriteIntent` (``RJN3``) or an online reshuffle batch's
+:class:`ReshuffleIntent` (``RSH2``).  Both kinds are computed under the
+engine's ``op_lock``, heal whatever write-back is still pending before they
+compute, and commit through the engine's one commit path
+(:meth:`RetrievalEngine._commit <repro.core.engine.RetrievalEngine._commit>`),
+so recovery reads the record's 4-byte magic, asks the record whether the
+trusted state already holds it (:meth:`WriteIntent.stale`), and rolls it
+forward with its own ``apply``.
+
 Record layout
 -------------
 
@@ -53,6 +66,12 @@ its length leaks nothing the disk trace does not already leak
 kind, payload length and cache state through it).  The length is also the
 record's only framing: :func:`window_of` recovers B from it.
 
+A reshuffle batch's record has the same shape under its own magic, ``RSH2
+‖ nonce ‖ E(header) ‖ frames ‖ tag``: the header is the epoch, the frontier
+advance and one location and one map op per rewritten frame, with no pad —
+the batch's frame count is public already, and :func:`batch_of` recovers it
+from the length.
+
 *Upgrades.*  An unauthentic record — including one written by an older
 release, whose layout this one does not read — rolls back: drain (let the
 in-flight request commit, or run ``recover()``) before upgrading.  A record
@@ -72,7 +91,8 @@ import struct
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from ..errors import ConfigurationError, StorageError
+from ..errors import ConfigurationError, RecoveryError, StorageError
+from ..shuffle.oblivious import network_size
 from ..sim.clock import VirtualClock
 from ..storage.frames import RecordCursor
 from ..storage.page import Page
@@ -81,10 +101,14 @@ from ..storage.timing import DiskTimingModel
 __all__ = [
     "load_appended",
     "WriteIntent",
+    "ReshuffleIntent",
     "INTENT_MAGIC",
+    "RESHUFFLE_MAGIC",
     "header_size",
     "units_in",
     "window_of",
+    "batch_of",
+    "epoch_units",
     "MemoryJournal",
     "FileJournal",
     "MAP_CACHED",
@@ -97,6 +121,7 @@ _U64 = struct.Struct(">Q")
 _U32 = struct.Struct(">I")
 
 INTENT_MAGIC = b"RJN3"
+RESHUFFLE_MAGIC = b"RSH2"
 
 MAP_CACHED = 0
 MAP_DISK = 1
@@ -111,6 +136,12 @@ _FLAG = struct.Struct(">QB")
 _MAP = struct.Struct(">QBQ")
 _HEADER_FIXED = _POINTERS.size + 4 * _U32.size
 _PUTS_PER_OP, _FLAGS_PER_OP, _MAPS_PER_OP = 2, 1, 3
+
+# Reshuffle header: epoch and frontiers, then per frame its location and
+# one (page id, location) map op.
+_FRONTIER = struct.Struct(">QQQ")
+_MAP_OP = struct.Struct(">QQ")
+_HEADER_PER_FRAME = _U64.size + _MAP_OP.size
 
 
 def _header_per_op(page_capacity: int) -> int:
@@ -149,6 +180,12 @@ def window_of(length: int, block_size: int, frame_size: int,
         _header_per_op(page_capacity) + frame_size,
         minimum=1,
     )
+
+
+def batch_of(length: int, frame_size: int) -> int:
+    """The frame count of the reshuffle batch whose header and frames
+    total ``length`` bytes."""
+    return units_in(length, _FRONTIER.size, _HEADER_PER_FRAME + frame_size)
 
 
 def load_appended(path, header: struct.Struct, body_length) -> List[tuple]:
@@ -206,6 +243,68 @@ class WriteIntent:
     def request_span(self) -> int:
         """How many logical requests this record commits (1 per extra)."""
         return len(self.extra_locations)
+
+    def stale(self, state) -> bool:
+        """Whether ``state`` already committed this window.
+
+        Raises :class:`~repro.errors.RecoveryError` when the record is
+        *ahead* of it — the trusted state is older than the journal (e.g.
+        restored from a stale snapshot) and rolling forward would corrupt
+        the database.
+        """
+        if self.request_index > state.request_count:
+            raise RecoveryError(
+                f"journal describes request {self.request_index} but the "
+                f"trusted state expects request {state.request_count}; the "
+                "restored state is older than the journal and cannot be "
+                "rolled forward"
+            )
+        return self.request_index < state.request_count
+
+    def apply(self, cop, disk, tracer) -> None:
+        """Commit the window; every step is idempotent.
+
+        Trusted deltas land first (they cannot fail), then the k + B-frame
+        write-back (the only crashable step), then the pointer advance that
+        marks the window committed.  Re-running the whole method is safe:
+        cache puts and map/flag ops write absolute values, frames are
+        rewritten verbatim, pointers are assigned not bumped.
+        """
+        state = cop.state
+        for slot, page in self.cache_puts:
+            cop.cache.put(slot, page)
+        for page_id, op in self.flag_ops:
+            if op == FLAG_LIVE:
+                state.mark_live(page_id)
+            else:
+                state.mark_deleted(page_id)
+        for page_id, kind, position in self.map_ops:
+            if kind == MAP_CACHED:
+                state.set_cached(page_id, position)
+            else:
+                state.set_disk(page_id, position)
+
+        # One contiguous block write plus one write per per-op extra frame
+        # — the mirror image of the read side's single block scan — as one
+        # store call, for every window size.
+        k = cop.block_size
+        ranges = [(self.block_start, k)]
+        ranges += [(location, 1) for location in self.extra_locations]
+        with tracer.span("write_back",
+                         nbytes=(k + self.request_span) * disk.frame_size):
+            disk.write_ranges(ranges, self.frames)
+
+        if self.rotation_left == 0:
+            cop.finish_key_rotation()
+        if self.rotation_left < 0:
+            # Sealed before any rotation began: one begun since (ahead of
+            # this replay or heal) keeps its whole countdown, because these
+            # frames carry what is now the legacy key.
+            rotation_left = state.rotation_left
+        else:
+            rotation_left = self.rotation_left or None
+        state.advance(self.next_block, self.request_index + self.request_span,
+                      rotation_left)
 
     # -- codec ---------------------------------------------------------------
 
@@ -272,6 +371,113 @@ class WriteIntent:
             intent.map_ops.append(cursor.take_fields(_MAP))
         cursor.expect_padding("intent record")
         return intent
+
+
+def epoch_units(num_locations: int) -> int:
+    """Units in one reshuffle epoch: Batcher's comparators over
+    ``num_locations``, then one sweep reseal per location."""
+    return network_size(num_locations) + num_locations
+
+
+@dataclass
+class ReshuffleIntent:
+    """Redo record for one comparator (or sweep) batch; absolute values only.
+
+    Sealed like a :class:`WriteIntent`: the header — frontier advance and
+    page-map delta — is encrypted, the rewritten frames ride as they go to
+    disk, one MAC covers both, and the record's length is a function of the
+    batch's public frame count alone.
+    """
+
+    epoch: int
+    frontier_before: int
+    frontier_after: int
+    locations: List[int] = field(default_factory=list)
+    # One sealed frame per location, as the rows of one matrix (a
+    # read-only view of the record when decoded).
+    frames: Sequence = field(default_factory=list)
+    map_ops: List[Tuple[int, int]] = field(default_factory=list)
+
+    #: A batch serves no request: the trace attributes its accesses to none.
+    request_index = -1
+
+    @staticmethod
+    def header_size(count: int) -> int:
+        """Bytes of the header of a batch rewriting ``count`` frames."""
+        return _FRONTIER.size + count * _HEADER_PER_FRAME
+
+    def encode(self) -> bytes:
+        """The record's header: every field but the frames."""
+        if not len(self.locations) == len(self.map_ops) == len(self.frames):
+            raise StorageError("reshuffle record frame/location mismatch")
+        parts = [_FRONTIER.pack(self.epoch, self.frontier_before,
+                                self.frontier_after)]
+        parts += [_U64.pack(location) for location in self.locations]
+        parts += [_MAP_OP.pack(*op) for op in self.map_ops]
+        return b"".join(parts)
+
+    @classmethod
+    def decode(cls, header: bytes, frames: Sequence) -> "ReshuffleIntent":
+        """Rebuild an intent from its decrypted header and its frames."""
+        cursor = RecordCursor(header)
+        epoch, before, after = cursor.take_fields(_FRONTIER)
+        count = len(frames)
+        intent = cls(
+            epoch=epoch, frontier_before=before, frontier_after=after,
+            locations=[cursor.take(_U64) for _ in range(count)],
+            frames=frames,
+            map_ops=[cursor.take_fields(_MAP_OP) for _ in range(count)],
+        )
+        cursor.expect_end("reshuffle record")
+        return intent
+
+    def stale(self, state) -> bool:
+        """Whether ``state`` already holds this batch: a later epoch's
+        boundary, or this epoch's own apply, made the record moot.
+
+        Raises :class:`~repro.errors.RecoveryError` when the record is
+        ahead of (or unmatched by) the trusted state — e.g. the snapshot
+        restored is older than the journal.  A torn batch may have left
+        half-written frames this record alone can roll forward, so it is
+        retained rather than discarded.
+        """
+        epoch, frontier = state.epoch_base, state.epoch_frontier
+        if self.epoch < epoch or (
+            self.epoch == epoch and self.frontier_after <= frontier
+        ):
+            return True
+        if self.epoch > epoch or not state.epoch_active:
+            raise RecoveryError(
+                f"the journal holds a reshuffle record for epoch {self.epoch} "
+                f"(frontier {self.frontier_before}->{self.frontier_after}) "
+                f"but the trusted state is at epoch {epoch}"
+                + ("" if state.epoch_active else " with no active epoch")
+                + "; restore the snapshot this journal was written "
+                "after — clearing the record would lose the only "
+                "roll-forward for a torn batch"
+            )
+        if self.frontier_before != frontier:
+            raise RecoveryError(
+                f"the journal's reshuffle record describes frontier "
+                f"{self.frontier_before} but the restored epoch is at "
+                f"{frontier}; the trusted state is older than the "
+                "journal and cannot be rolled forward"
+            )
+        return False
+
+    def apply(self, cop, disk, tracer) -> None:
+        """Commit the batch: rewrite its frames, then move the page map
+        and the frontier (ending the epoch at its last unit).  Idempotent."""
+        with tracer.span("reshuffle.write_back",
+                         nbytes=len(self.frames) * disk.frame_size):
+            disk.write_ranges([(loc, 1) for loc in self.locations],
+                              self.frames)
+        state = cop.state
+        for page_id, location in self.map_ops:
+            state.set_disk(page_id, location)
+        state.advance_epoch(self.frontier_after)
+        if self.frontier_after >= epoch_units(disk.num_locations):
+            state.end_epoch()
 
 
 class MemoryJournal:

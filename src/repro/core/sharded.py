@@ -158,8 +158,7 @@ class ShardedPirDatabase:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Detach each shard's online reshuffle driver, when present, and
-        close its store (idempotent)."""
+        """Close each shard's store (idempotent)."""
         for shard in self.shards:
             shard.close()
 

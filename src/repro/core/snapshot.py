@@ -117,13 +117,12 @@ def save_snapshot(db: PirDatabase, directory: str) -> None:
     next ``begin_reshuffle()`` continues the numbering.  A *retained*
     write-back (a transiently failed apply — a request's or a reshuffle
     batch's) is healed under the op lock before anything is dumped, so the
-    frames and the sealed page map always agree.  It still
-    refuses while either intent journal — the engine's or the
-    reshuffler's — holds a record the heal could not resolve (a crash
-    restart): a snapshot taken mid-recovery would be *older* than the
-    journal, and restoring it next to that journal is exactly the state
-    ``recover()`` must reject.  Run ``db.recover()`` /
-    ``db.reshuffle.recover()`` first.
+    frames and the sealed page map always agree.  It still refuses while
+    the journal slot holds a record of either kind the heal could not
+    resolve (a crash restart): a snapshot taken mid-recovery would be
+    *older* than the journal, and restoring it next to that journal is
+    exactly the state ``recover()`` must reject.  Run ``db.recover()``
+    first.
 
     The frames are dumped 4096 at a time through the store's uncharged
     ``peek_range``; a location never written refuses the dump.
@@ -141,22 +140,16 @@ def save_snapshot(db: PirDatabase, directory: str) -> None:
     # caller landing between any two of them would leave the frames
     # describing a newer layout than the sealed page map.
     with db.engine.op_lock:
-        # Roll forward any retained in-memory write-back first (the
-        # engine's, plus every registered healer — the online
-        # reshuffler's among them): a transiently failed apply leaves
-        # frames on disk that the page map does not describe yet, and a
-        # journal-less configuration has no pending-record check to catch
-        # it.
+        # Roll forward any retained in-memory write-back first — a
+        # request's or a reshuffle batch's: a transiently failed apply
+        # leaves frames on disk that the page map does not describe yet,
+        # and a journal-less configuration has no pending-record check to
+        # catch it.
         db.engine._heal_pending()
         if db.engine.journal_pending:
             raise ConfigurationError(
                 "cannot snapshot with a pending intent-journal record; "
                 "call recover() first"
-            )
-        if db.reshuffle is not None and db.reshuffle.journal_pending:
-            raise ConfigurationError(
-                "cannot snapshot with a pending reshuffle-journal record; "
-                "call reshuffle.recover() first"
             )
         num_locations = db.disk.num_locations
         with open(os.path.join(directory, _FRAMES), "wb") as f:

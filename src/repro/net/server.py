@@ -13,8 +13,8 @@ machine (:class:`~repro.net.endpoint.EnvelopeServer`), and, added here,
 the HELLO/WELCOME handshake that binds a connection to a
 :class:`~repro.service.frontend.QueryFrontend` session, admission control,
 graceful drain — and the order requests are served in: one
-``asyncio.Lock`` held from the dedupe check through the reply-cache put,
-so the engine sees one request at a time, exactly as the paper's
+``asyncio.Lock`` held from the dedupe check through the reply, so the
+engine sees one request at a time, exactly as the paper's
 coprocessor serves them (Figure 3).  The engine runs on the loop thread
 too: every ``frontend.execute`` and every inbound replication record is a
 synchronous call on the loop, so every engine entry — and every span it
@@ -132,7 +132,7 @@ class PirServer(EnvelopeServer):
         self._reap_task: Optional[asyncio.Task] = None
         self._inflight = 0
         self._idle_event: Optional[asyncio.Event] = None
-        # One request at a time, from dedupe check to reply-cache put;
+        # One request at a time, from dedupe check to reply;
         # created in start() so it binds to the serving loop.
         self._serving: Optional[asyncio.Lock] = None
         self._queued = 0  # requests waiting for _serving
@@ -144,7 +144,7 @@ class PirServer(EnvelopeServer):
         self._repl_log = None
         self._repl_applier = None
         self._streams: list = []  # stream_to's tasks, one per peer
-        # Dedupe gates waiting for a peer apply (_holds, _apply_one).
+        # Dedupe gates waiting for a peer apply (_settle, _apply_one).
         self._applies = LoopWaiters()
 
     def attach_replication(self, log, applier) -> None:
@@ -334,7 +334,7 @@ class PirServer(EnvelopeServer):
     def _apply_one(self, record: ReplRecord) -> int:
         """Apply one inbound record on the loop; return the applied mark.
 
-        The apply then wakes the dedupe gates (:meth:`_holds`) waiting
+        The apply then wakes the dedupe gates (:meth:`_settle`) waiting
         for it.  While draining the record is *not* applied and the
         current mark is returned unchanged — the peer's streamer sees a
         stale ack and retransmits after backoff.
@@ -430,39 +430,60 @@ class PirServer(EnvelopeServer):
             self.frontend.end_request(session_id)
 
     async def _serve_one(self, session_id: int, request: Request) -> Reply:
-        """One sealed request, dedupe check to cache put (lock held)."""
+        """One sealed request, dedupe check to reply (lock held).
+
+        A fresh reply is cached, with its mark, as soon as the engine pass
+        returns: the write has happened, so a retransmission — also one
+        after a kill in the barrier below — must be a dedupe, never a
+        second engine request.  Fresh and deduped replies then settle the
+        same way (:meth:`_settle`).
+        """
         frontend, sealed, log = self.frontend, request.sealed, self._repl_log
         hit = frontend.lookup(session_id, sealed)
-        if hit is not None:
-            sealed_reply, mark = hit
-            if mark is not None and not await self._holds(*mark):
-                # The cached acknowledgement belongs to a write this
-                # member has not applied (the origin died before its
-                # record streamed here).  Serving it would let the
-                # session read stale state: shed instead; the origin's
-                # restart replays the record.
-                frontend.counters.increment("requests.duplicate_lagged")
-                raise DegradedServiceError(
-                    "retransmitted request acknowledges a write not yet "
-                    "replicated to this member; retry", retry_after=0.2,
-                )
-            frontend.counters.increment("requests.duplicate")
-        else:
+        if hit is None:
             sealed_reply, cacheable, mark = self._execute(session_id, request)
             if cacheable:
-                if mark is not None:
-                    # Semi-sync barrier: a reply becomes a cached — and
-                    # so failover-preservable — acknowledgement only once
-                    # every connected peer holds the write.  The mark
-                    # rides with the entry for the dedupe gate above.
-                    await log.wait_replicated(mark[1])
                 frontend.remember(session_id, sealed, sealed_reply, mark)
+            await self._settle(mark)
+        else:
+            sealed_reply, mark = hit
+            await self._settle(mark)
+            frontend.counters.increment("requests.duplicate")
         # The read-your-writes stamp: the sequence this member waited on
         # (or whose write it already held), never a later emission.  A
         # dedupe of another origin's write stamps 0: that seq is in the
         # other origin's numbering, and the gate proved it applied here.
         own = mark is not None and log is not None and mark[0] == log.origin
         return Reply(request.request_id, sealed_reply, mark[1] if own else 0)
+
+    async def _settle(self, mark) -> None:
+        """Wait until the write behind a reply's ``mark`` may be
+        acknowledged.
+
+        This member's own write — answered fresh or deduped — waits out
+        the semi-sync barrier: every connected peer holds it before the
+        reply goes out (on a timeout it goes out all the same).  Another
+        origin's write must have been applied here (the dedupe gate): the
+        origin may have died before its record streamed to this member,
+        and serving the cached acknowledgement would let the session read
+        stale state, so a timeout sheds; the origin's restart replays the
+        record.
+        """
+        log = self._repl_log
+        if mark is None or log is None:
+            return
+        origin, seq = mark
+        if origin == log.origin:
+            await log.wait_replicated(seq)
+            return
+        applier = self._repl_applier
+        if not await self._applies.wait_until(
+                lambda: applier.applied_for(origin) >= seq, log.wait_timeout):
+            self.frontend.counters.increment("requests.duplicate_lagged")
+            raise DegradedServiceError(
+                "retransmitted request acknowledges a write not yet "
+                "replicated to this member; retry", retry_after=0.2,
+            )
 
     def _execute(self, session_id: int, request: Request):
         """The engine pass: ``(sealed reply, cacheable, mark)``.
@@ -484,19 +505,6 @@ class PirServer(EnvelopeServer):
             mark = (log.origin, log.last_seq)
         return sealed_reply, cacheable, mark
 
-    async def _holds(self, origin: str, seq: int) -> bool:
-        """Whether this member holds the write behind a cached reply."""
-        log = self._repl_log
-        if log is None:
-            return True
-        if origin == log.origin:
-            return log.last_seq >= seq  # our own emission
-        applier = self._repl_applier
-        # False on timeout: the origin likely died with the record
-        # unstreamed, and the caller sheds instead of serving a stale ACK.
-        return await self._applies.wait_until(
-            lambda: applier.applied_for(origin) >= seq, log.wait_timeout)
-
 
 class ServerThread(LoopThread):
     """Runs a :class:`PirServer` event loop on a background thread.
@@ -513,10 +521,11 @@ class ServerThread(LoopThread):
     (:meth:`LoopThread.kill`) is the crash path.  A kill is a callback on
     the loop, so it lands between two loop steps and never inside an
     engine pass: a serve that has begun one finishes it and caches its
-    reply first (a retransmission after a restart is a dedupe, not a
-    second engine request), unless it then parks in its semi-sync
-    barrier, where the kill cancels it — applied and streamed, but never
-    cached or answered.  The engine object survives a kill (same
+    reply first, so a retransmission after a restart is a dedupe, not a
+    second engine request.  A serve parked in its semi-sync barrier is
+    cancelled by the kill — applied, streamed and cached, but not
+    answered; its retransmission waits out the barrier again and is
+    answered from the cache.  The engine object survives a kill (same
     process), so a test can restart a fresh ``PirServer`` on the same
     frontend and port to model a process that crashed and came back.
     """

@@ -563,8 +563,11 @@ class QueryFrontend:
                  sealed_reply: bytes, mark=None) -> None:
         """Cache a reply for its retransmissions, with its replication mark.
 
-        On a replicated member call this only after the semi-sync
-        barrier: a cached reply is a failover-preservable acknowledgement.
+        Call it as soon as the request has run: a retransmission must find
+        the write it stands for, never run it again.  On a replicated
+        member a cached reply goes out only once the write behind ``mark``
+        settles (``PirServer._settle``): replicated to the connected peers
+        for this member's own write, applied here for another origin's.
         """
         self._reply_cache.put(session_id, sealed_request, sealed_reply,
                               mark=mark)

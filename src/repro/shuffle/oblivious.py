@@ -19,6 +19,7 @@ epoch, run to completion before the database serves (DESIGN.md §15).
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator, Tuple
 
 from ..errors import ConfigurationError
@@ -47,6 +48,11 @@ def batcher_network(n: int) -> Iterator[Tuple[int, int]]:
         p *= 2
 
 
+@functools.lru_cache(maxsize=None)
 def network_size(n: int) -> int:
-    """Number of comparators the network executes for ``n`` elements."""
+    """Number of comparators the network executes for ``n`` elements.
+
+    Counted once per ``n`` and remembered: an epoch's last batch is
+    recognised by it on every commit.
+    """
     return sum(1 for _ in batcher_network(n))

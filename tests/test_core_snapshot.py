@@ -464,17 +464,17 @@ class TestReshuffleSidecar:
 
     def test_save_refused_with_pending_reshuffle_record(self, warm_db,
                                                         tmp_path):
-        from repro.core.journal import MemoryJournal
-        from repro.shuffle.online import ReshuffleIntent
+        from repro.core.journal import MemoryJournal, ReshuffleIntent
 
-        driver = warm_db.begin_reshuffle(batch_size=8,
-                                         journal=MemoryJournal())
+        warm_db.engine.journal = journal = MemoryJournal()
+        driver = warm_db.begin_reshuffle(batch_size=8)
         driver.step()
         intent = ReshuffleIntent(epoch=driver.epoch,
                                  frontier_before=driver.frontier,
                                  frontier_after=driver.frontier + 8)
-        driver.journal.write(driver._seal_record(intent))
-        with pytest.raises(ConfigurationError, match="reshuffle"):
+        journal.write(driver._seal_record(intent))
+        with pytest.raises(ConfigurationError,
+                           match="pending intent-journal record"):
             save_snapshot(warm_db, str(tmp_path))
-        driver.recover()
+        assert warm_db.recover().action == "replayed"
         save_snapshot(warm_db, str(tmp_path))

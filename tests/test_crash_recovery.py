@@ -734,8 +734,10 @@ class TestNonCrashWriteFailure:
 
     The apply phase lands the trusted deltas before the frame write-back,
     so a transient write error leaves the pageMap pointing at never-written
-    frames *while the process keeps running*.  The engine must finish that
-    write-back (from the retained intent) before serving anything else.
+    frames *while the process keeps running*.  The window has committed —
+    it is answered, its write-back deferred — and the engine must finish
+    that write-back (from the retained intent) before serving anything
+    else.
     """
 
     def _faulted_db(self, journal):
@@ -747,13 +749,13 @@ class TestNonCrashWriteFailure:
     def test_next_request_rolls_forward_first(self):
         journal = MemoryJournal()
         db = self._faulted_db(journal)
-        with pytest.raises(TransientStorageError):
-            db.query(3)
+        assert db.query(3) == build_db().query(3)  # answered: it committed
+        assert db.engine.counters.get("write_back.deferred") == 1
         assert db.engine.write_back_pending
         assert journal.read() is not None  # repair record still in the slot
         assert db.engine.request_count == 0
 
-        # The resend heals the torn request (committing it), then executes.
+        # The next request heals the torn one (finishing it), then executes.
         assert db.query(3) == build_db().query(3)
         assert db.engine.request_count == 2
         assert db.engine.counters.get("recovery.rolled_forward") == 1
@@ -764,8 +766,7 @@ class TestNonCrashWriteFailure:
 
     def test_roll_forward_without_a_journal(self):
         db = self._faulted_db(journal=None)
-        with pytest.raises(TransientStorageError):
-            db.update(5, b"torn")
+        db.update(5, b"torn")
         assert db.engine.write_back_pending
         # The in-memory intent is enough: the next request self-heals.
         assert db.query(5) == b"torn"
@@ -774,8 +775,8 @@ class TestNonCrashWriteFailure:
 
     def test_recover_rolls_forward_without_a_journal(self):
         db = self._faulted_db(journal=None)
-        with pytest.raises(TransientStorageError):
-            db.query(3)
+        db.query(3)
+        assert db.engine.write_back_pending
         report = db.recover()
         assert report.action == "replayed"
         assert report.request_index == 0
@@ -788,10 +789,10 @@ class TestNonCrashWriteFailure:
         journal = MemoryJournal()
         db = build_db(journal=journal, injector=injector)
         injector.add(transient_writes(times=3))
-        with pytest.raises(TransientStorageError):
-            db.query(3)
-        # Still failing: the retry surfaces the fault again but never
-        # destroys the pending record or serves from the torn state.
+        db.query(3)  # committed; its write-back deferred
+        # Still failing: the next request's heal surfaces the fault, so
+        # that request is refused before it computes — it never destroys
+        # the pending record or serves from the torn state.
         with pytest.raises(TransientStorageError):
             db.query(3)
         assert db.engine.write_back_pending

@@ -6,7 +6,7 @@ import pytest
 
 from tests.helpers import RecordingJournal, make_db
 from repro.baselines import make_records
-from repro.core.journal import MemoryJournal
+from repro.core.journal import MemoryJournal, ReshuffleIntent
 from repro.core.sharded import ShardedPirDatabase
 from repro.core.snapshot import load_snapshot, save_snapshot
 from repro.errors import ConfigurationError, RecoveryError, StorageError
@@ -15,12 +15,14 @@ from repro.faults import (
     SITE_DISK_WRITE,
     FaultInjector,
     FaultyDiskStore,
+    SimulatedCrash,
+    crash_after_writes,
     transient_reads,
     transient_writes,
 )
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import Tracer
-from repro.shuffle.online import OnlineReshuffler, ReshuffleIntent, _tag
+from repro.shuffle.online import OnlineReshuffler, _tag
 from repro.shuffle.oblivious import network_size
 from repro.storage.disk import DiskStore
 
@@ -56,7 +58,7 @@ class TestForegroundEpoch:
         n = db.params.num_locations
         before = [db.cop.state.lookup(i).position for i in range(n)]
 
-        driver = db.begin_reshuffle(batch_size=24, journal=MemoryJournal())
+        driver = db.begin_reshuffle(batch_size=24)
         assert driver is db.reshuffle
         assert driver.total_units == network_size(n) + n
         done = driver.run()
@@ -73,7 +75,7 @@ class TestForegroundEpoch:
     def test_serving_interleaves_between_batches(self):
         db = make_db(seed=8, journal=MemoryJournal())
         expected = {i: db.query(i) for i in range(db.num_pages)}
-        driver = db.begin_reshuffle(batch_size=4, journal=MemoryJournal())
+        driver = db.begin_reshuffle(batch_size=4)
         i = 0
         while driver.active:
             assert db.query(i % db.num_pages) == expected[i % db.num_pages]
@@ -85,7 +87,7 @@ class TestForegroundEpoch:
 
     def test_updates_during_epoch_survive(self):
         db = make_db(seed=13, journal=MemoryJournal())
-        driver = db.begin_reshuffle(batch_size=16, journal=MemoryJournal())
+        driver = db.begin_reshuffle(batch_size=16)
         driver.step()
         db.update(3, b"mid-epoch write")
         new_id = db.insert(b"mid-epoch insert")
@@ -109,13 +111,6 @@ class TestForegroundEpoch:
         assert driver2.epoch == 2
         db.close()
 
-    def test_journal_must_not_alias_engines(self):
-        journal = MemoryJournal()
-        db = make_db(seed=2, journal=journal)
-        with pytest.raises(ConfigurationError):
-            db.begin_reshuffle(journal=journal)
-        db.close()
-
 
 class TestKeyRotationPiggyback:
     """The request scan is the one rotation: an epoch may begin
@@ -125,7 +120,7 @@ class TestKeyRotationPiggyback:
         db = make_db(seed=31, journal=MemoryJournal())
         digest = db.content_digest()
         db.rotate_master_key(b"epoch-key-2")
-        driver = db.begin_reshuffle(batch_size=32, journal=MemoryJournal())
+        driver = db.begin_reshuffle(batch_size=32)
         assert db.cop.rotation_in_progress
         # Serving mid-rotation works: legacy frames still authenticate.
         db.query(1)
@@ -189,14 +184,15 @@ class TestKeyRotationPiggyback:
 
 
 class TestCallerStepsTheEpoch:
-    """The driver owns no thread: its caller steps it, and closing it only
-    detaches its healer from the engine."""
+    """The driver owns no thread and holds no resource: its caller steps
+    it, and the engine's commit path journals, heals and recovers its
+    batches."""
 
     def test_epoch_finishes_one_step_per_query(self):
         metrics = MetricsRegistry()
         db = make_db(seed=5, journal=MemoryJournal(), metrics=metrics)
         expected = {i: db.query(i) for i in range(db.num_pages)}
-        driver = db.begin_reshuffle(batch_size=8, journal=MemoryJournal())
+        driver = db.begin_reshuffle(batch_size=8)
         i = 0
         while driver.active:
             assert db.query(i % db.num_pages) == expected[i % db.num_pages]
@@ -205,35 +201,32 @@ class TestCallerStepsTheEpoch:
         assert i == (driver.total_units + 7) // 8  # one batch per query
         db.consistency_check()
         assert metrics.gauge("reshuffle.progress").value == 1.0
-        assert driver.counters.get("epochs") == 1
+        assert metrics.snapshot()["counters"]["reshuffle.epochs"] == 1
         db.close()
 
-    def test_context_manager_detaches_healer(self):
-        with make_db(seed=5, journal=MemoryJournal()) as db:
-            driver = db.begin_reshuffle(batch_size=2, journal=MemoryJournal())
-            driver.step()
-            assert driver._heal_pending in db.engine._background_healers
-        assert driver._heal_pending not in db.engine._background_healers
-        assert driver.active  # the epoch stays at its frontier
-        db.close()  # idempotent
-        driver.close()
-        assert db.engine._background_healers == []
-
-    def test_sharded_close_detaches_every_shard(self):
-        sharded = ShardedPirDatabase.create(
-            make_records(60, 16), num_shards=3, cache_capacity_per_shard=4,
+    def test_a_failed_batch_is_healed_by_the_next_query(self):
+        """Each shard's engine heals its own driver's batch: a query routed
+        to another shard reaches it as cover traffic and rolls it forward
+        first."""
+        injector = FaultInjector(seed=5)
+        records = make_records(60, 16)
+        with ShardedPirDatabase.create(
+            records, num_shards=3, cache_capacity_per_shard=4,
             page_capacity=16, seed=9,
-        )
-        drivers = [shard.begin_reshuffle(batch_size=2)
-                   for shard in sharded.shards]
-        assert all(d._heal_pending in shard.engine._background_healers
-                   for d, shard in zip(drivers, sharded.shards))
-        sharded.close()
-        assert all(shard.engine._background_healers == []
-                   for shard in sharded.shards)
-        sharded.close()  # idempotent
-        assert all(shard.engine._background_healers == []
-                   for shard in sharded.shards)
+            disk_factory=faulty_memory_factory(injector),
+        ) as sharded:
+            drivers = [shard.begin_reshuffle(batch_size=2)
+                       for shard in sharded.shards]
+            injector.add(transient_writes(times=1, after=1))
+            with pytest.raises(StorageError):
+                drivers[1].step()
+            assert sharded.shards[1].engine.write_back_pending
+            assert sharded.query(0) == records[0]
+            assert not any(shard.engine.write_back_pending
+                           for shard in sharded.shards)
+            assert all(driver.active for driver in drivers)
+            for shard in sharded.shards:
+                shard.consistency_check()
 
     def test_the_worker_is_deleted_not_aliased(self, tmp_path):
         """No thread, no idle pacing, no step cap: the epoch advances only
@@ -260,36 +253,43 @@ class TestCallerStepsTheEpoch:
 
 
 class TestRecoverySemantics:
+    """A batch's record lives in the database's one journal slot, and the
+    database's one ``recover()`` resolves it."""
+
     def test_clean_and_stale_records(self):
         journal = MemoryJournal()
-        db = make_db(seed=4, journal=MemoryJournal())
-        driver = db.begin_reshuffle(batch_size=8, journal=journal)
-        assert driver.recover() == "clean"
+        db = make_db(seed=4, journal=journal)
+        driver = db.begin_reshuffle(batch_size=8)
+        assert db.recover().action == "clean"
         driver.step()
         # A record from an already-applied batch is discarded as stale.
         replay = ReshuffleIntent(epoch=driver.epoch, frontier_before=0,
                                  frontier_after=4)
         journal.write(driver._seal_record(replay))
-        assert driver.recover() == "discarded_stale"
+        report = db.recover()
+        assert report.action == "discarded_stale"
+        assert report.request_index == -1  # a batch serves no request
+        assert journal.read() is None
         db.close()
 
     def test_torn_record_rolls_back(self):
         journal = MemoryJournal()
-        db = make_db(seed=4, journal=MemoryJournal())
-        driver = db.begin_reshuffle(batch_size=8, journal=journal)
+        db = make_db(seed=4, journal=journal)
+        db.begin_reshuffle(batch_size=8)
         journal.write(b"\x00garbage that never sealed")
-        assert driver.recover() == "rolled_back"
+        assert db.recover().action == "rolled_back"
         assert journal.read() is None
         db.close()
 
     def test_changed_record_rolls_back_and_length_is_public(self):
         journal = RecordingJournal()
-        db = make_db(seed=4, journal=MemoryJournal())
-        driver = db.begin_reshuffle(batch_size=8, journal=journal)
+        db = make_db(seed=4, journal=journal)
+        driver = db.begin_reshuffle(batch_size=8)
         driver.step()
         driver.step()
         # Length says how many frames the batch rewrote, and nothing else.
         frame = db.cop.frame_size
+        assert [blob[:4] for blob in journal.blobs] == [b"RSH2"] * 2
         assert all((len(blob) - 32 - 24) % (24 + frame) == 0
                    for blob in journal.blobs)
         record = journal.blobs[-1]
@@ -297,51 +297,48 @@ class TestRecoverySemantics:
             tampered = bytearray(record)
             tampered[position] ^= 0x01
             journal.write(tampered)
-            assert driver.recover() == "rolled_back", position
+            assert db.recover().action == "rolled_back", position
         for length in range(len(record)):
             journal.write(record[:length])
-            assert driver.recover() == "rolled_back", length
-        # The engine's recovery treats it as foreign, and vice versa.
-        db.engine.journal.write(record)
-        assert db.recover().action == "rolled_back"
+            assert db.recover().action == "rolled_back", length
         # Untouched it authenticates: an already-applied batch is stale.
         journal.write(record)
-        assert driver.recover() == "discarded_stale"
+        assert db.recover().action == "discarded_stale"
         db.close()
 
     def test_journal_ahead_of_state_is_rejected(self):
         journal = MemoryJournal()
-        db = make_db(seed=4, journal=MemoryJournal())
-        driver = db.begin_reshuffle(batch_size=8, journal=journal)
+        db = make_db(seed=4, journal=journal)
+        driver = db.begin_reshuffle(batch_size=8)
         ahead = ReshuffleIntent(epoch=driver.epoch, frontier_before=80,
                                 frontier_after=88)
         journal.write(driver._seal_record(ahead))
         with pytest.raises(RecoveryError):
-            driver.recover()
+            db.recover()
         db.close()
 
     def test_record_from_earlier_epoch_is_discarded(self):
         journal = MemoryJournal()
-        db = make_db(seed=4, journal=MemoryJournal())
-        driver = db.begin_reshuffle(batch_size=8, journal=journal)
+        db = make_db(seed=4, journal=journal)
+        driver = db.begin_reshuffle(batch_size=8)
         stale = driver._seal_record(
             ReshuffleIntent(epoch=1, frontier_before=0, frontier_after=4)
         )
         driver.run()
-        driver2 = db.begin_reshuffle(batch_size=8, journal=journal)
+        db.begin_reshuffle(batch_size=8)
         journal.write(stale)
-        assert driver2.recover() == "discarded_stale"
+        assert db.recover().action == "discarded_stale"
         assert journal.read() is None
         db.close()
 
     def test_record_ahead_of_older_snapshot_is_retained(self, tmp_path):
-        """A reshuffle journal record written after the snapshot being
+        """A reshuffle record written after the snapshot being
         restored describes a frontier the restored epoch never reached:
         recover() must refuse — clearing the record would lose the only
         roll-forward for a torn batch — and leave the record in place."""
         journal = MemoryJournal()
-        db = make_db(seed=4, journal=MemoryJournal())
-        driver = db.begin_reshuffle(batch_size=8, journal=journal)
+        db = make_db(seed=4, journal=journal)
+        driver = db.begin_reshuffle(batch_size=8)
         driver.step()
         snap = str(tmp_path / "snap")
         save_snapshot(db, snap)
@@ -352,13 +349,58 @@ class TestRecoverySemantics:
         journal.write(driver._seal_record(torn))
         db.close()
 
-        older = load_snapshot(snap, seed=5)
-        resumed = older.resume_reshuffle(batch_size=8, journal=journal)
+        older = load_snapshot(snap, seed=5, journal=journal)
+        resumed = older.resume_reshuffle(batch_size=8)
         with pytest.raises(RecoveryError, match="older than the journal"):
-            resumed.recover()
+            older.recover()
         assert journal.read() is not None  # the roll-forward survives
         assert resumed.frontier == 8
         older.close()
+
+
+class TestEpochEndedOffTheDriver:
+    """An epoch's last batch may land through recover() or a request's
+    heal, after which the caller never steps again: the epoch is still
+    counted ended and the progress gauge still reads 1.0."""
+
+    def _last_batch_torn(self, fault):
+        metrics = MetricsRegistry()
+        injector = FaultInjector(seed=5)
+        db = make_db(seed=4, journal=MemoryJournal(), metrics=metrics,
+                     disk_factory=faulty_memory_factory(injector))
+        driver = db.begin_reshuffle(batch_size=8)
+        while driver.total_units - driver.frontier > 8:
+            # Leave exactly one full batch: eight sweep frames.
+            driver.step(min(8, driver.total_units - driver.frontier - 8))
+        injector.add(fault(injector))
+        return db, driver, metrics
+
+    def _assert_counted(self, db, driver, metrics):
+        assert not driver.active and driver.run() == 0
+        assert metrics.snapshot()["counters"]["reshuffle.epochs"] == 1
+        assert metrics.gauge("reshuffle.progress").value == 1.0
+        db.consistency_check()
+        db.close()
+
+    def test_recover_replays_the_last_batch(self):
+        db, driver, metrics = self._last_batch_torn(
+            lambda inj: crash_after_writes(inj.frames_seen(SITE_DISK_WRITE) + 3)
+        )
+        with pytest.raises(SimulatedCrash):
+            driver.step()
+        assert metrics.gauge("reshuffle.progress").value < 1.0
+        assert db.recover().action == "replayed"
+        self._assert_counted(db, driver, metrics)
+
+    def test_a_request_heals_the_last_batch(self):
+        db, driver, metrics = self._last_batch_torn(
+            lambda inj: transient_writes(times=1, after=2)
+        )
+        with pytest.raises(StorageError):
+            driver.step()
+        db.query(1)
+        assert db.engine.counters.get("recovery.rolled_forward") == 1
+        self._assert_counted(db, driver, metrics)
 
 
 class TestFrontierPurity:
@@ -370,7 +412,7 @@ class TestFrontierPurity:
         db = make_db(seed=11, journal=MemoryJournal(),
                      disk_factory=faulty_memory_factory(injector))
         digest = db.content_digest()
-        driver = db.begin_reshuffle(batch_size=8, journal=MemoryJournal())
+        driver = db.begin_reshuffle(batch_size=8)
         driver.step()
         frontier = driver.frontier
         injector.add(transient_reads(times=1))
@@ -396,7 +438,7 @@ class TestPacing:
         frontier would shift the stream and fail the final-order oracle."""
         db = make_db(seed=22, journal=MemoryJournal())
         digest = db.content_digest()
-        driver = db.begin_reshuffle(batch_size=16, journal=MemoryJournal())
+        driver = db.begin_reshuffle(batch_size=16)
         assert driver.step() == 16
         assert driver.step(3) == 3
         assert driver.step(3) == 3
@@ -428,37 +470,34 @@ class TestPacing:
 class TestResumeUniqueness:
     def test_two_resumes_use_distinct_nonce_streams(self):
         db = make_db(seed=23, journal=MemoryJournal())
-        driver = db.begin_reshuffle(batch_size=8, journal=MemoryJournal())
+        driver = db.begin_reshuffle(batch_size=8)
         driver.step()
-        driver.close()
-        first = OnlineReshuffler(db, journal=MemoryJournal())
-        second = OnlineReshuffler(db, journal=MemoryJournal())
+        first = OnlineReshuffler(db)
+        second = OnlineReshuffler(db)
         assert first.active and second.frontier == first.frontier == 8
         # Same epoch, same frontier, same derived keys: only the per-resume
         # spawn label keeps the nonce streams apart.  Identical ciphertexts
         # for one plaintext would mean keystream reuse across resumes.
         assert (first._suite.encrypt_page(b"x" * 32)
                 != second._suite.encrypt_page(b"x" * 32))
-        first.close()
-        second.close()
         db.close()
 
     def test_restored_database_continues_epoch_numbering(self, tmp_path):
         db = make_db(seed=24, journal=MemoryJournal())
-        db.begin_reshuffle(batch_size=8, journal=MemoryJournal()).run()
-        driver = db.begin_reshuffle(batch_size=8, journal=MemoryJournal())
+        db.begin_reshuffle(batch_size=8).run()
+        driver = db.begin_reshuffle(batch_size=8)
         driver.step()
         snap = str(tmp_path / "snap")
         save_snapshot(db, snap)
 
         db2 = load_snapshot(snap, seed=25)
-        resumed = db2.resume_reshuffle(journal=MemoryJournal())
+        resumed = db2.resume_reshuffle()
         assert resumed is not None and resumed.epoch == 2
         resumed.run()
         # A fresh driver must continue the database-global numbering from
         # the restored epoch, not restart at 1 (which would respawn epoch
         # 1's sibling label and replay its nonce stream).
-        assert db2.begin_reshuffle(journal=MemoryJournal()).epoch == 3
+        assert db2.begin_reshuffle().epoch == 3
         db.close()
         db2.close()
 
@@ -466,9 +505,9 @@ class TestResumeUniqueness:
 class TestSnapshotHealsRetainedWriteBack:
     def test_snapshot_heals_journal_less_pending_apply(self, tmp_path):
         """A transiently failed batch apply retains its intent in memory;
-        with no reshuffle journal armed, save_snapshot must heal it under
-        the op lock — otherwise the dumped frames are ahead of the sealed
-        page map and the restored instance is inconsistent."""
+        with no journal armed, save_snapshot must heal it under the op
+        lock — otherwise the dumped frames are ahead of the sealed page map
+        and the restored instance is inconsistent."""
         injector = FaultInjector(seed=5)
         db = make_db(seed=29, disk_factory=faulty_memory_factory(injector))
         digest = db.content_digest()
@@ -478,11 +517,11 @@ class TestSnapshotHealsRetainedWriteBack:
         injector.add(transient_writes(times=1, after=2))
         with pytest.raises(StorageError):
             driver.step()
-        assert driver.write_back_pending
+        assert db.engine.write_back_pending
 
         snap = str(tmp_path / "snap")
         save_snapshot(db, snap)
-        assert not driver.write_back_pending  # healed under the lock
+        assert not db.engine.write_back_pending  # healed under the lock
 
         db2 = load_snapshot(snap, seed=30)
         db2.consistency_check()
@@ -496,25 +535,24 @@ class TestRequestHealsRetainedBatch:
     def test_next_query_rolls_batch_forward_first(self, journaled):
         """A batch whose write-back failed transiently leaves frames the
         page map does not describe yet; the next request must roll it
-        forward before it computes, with or without a reshuffle journal."""
+        forward before it computes, with or without a journal."""
         injector = FaultInjector(seed=5)
-        db = make_db(seed=29, journal=MemoryJournal(),
+        db = make_db(seed=29, journal=MemoryJournal() if journaled else None,
                      disk_factory=faulty_memory_factory(injector))
         expected = {i: db.query(i) for i in range(db.num_pages)}
-        journal = MemoryJournal() if journaled else None
-        driver = db.begin_reshuffle(batch_size=8, journal=journal)
+        driver = db.begin_reshuffle(batch_size=8)
         driver.step()
         # Let two frames of the next batch's write-back land, then fail.
         injector.add(transient_writes(times=1, after=2))
         with pytest.raises(StorageError):
             driver.step()
-        assert driver.write_back_pending
-        assert driver.journal_pending == journaled
+        assert db.engine.write_back_pending
+        assert db.engine.journal_pending == journaled
 
         assert db.query(4) == expected[4]
-        assert not driver.write_back_pending
-        assert not driver.journal_pending
-        assert driver.counters.get("recovery.rolled_forward") == 1
+        assert not db.engine.write_back_pending
+        assert not db.engine.journal_pending
+        assert db.engine.counters.get("recovery.rolled_forward") == 1
         driver.run()
         assert not driver.active
         assert_batcher_order(db, driver)
@@ -531,7 +569,7 @@ class TestSetupSortObservability:
                      tracer=tracer)
         # An oblivious build is one finished foreground epoch: its progress
         # gauge and epoch counter survive, the tracer is reset so recorded
-        # phases cover requests only, and the driver is detached.
+        # phases cover requests only, and the driver is dropped.
         assert metrics.gauge("reshuffle.progress").value == 1.0
         assert metrics.snapshot()["counters"]["reshuffle.epochs"] == 1
         assert tracer.spans == []
@@ -551,7 +589,7 @@ class TestFrontendVisibility:
         client = ServiceClient(frontend)
         client.query(1)
         assert frontend.counters.get("requests.during_reshuffle") == 0
-        driver = db.begin_reshuffle(batch_size=4, journal=MemoryJournal())
+        driver = db.begin_reshuffle(batch_size=4)
         client.query(2)
         driver.run()
         client.query(3)

@@ -70,8 +70,8 @@ EXPECTED = {
     },
     "reshuffle": {
         "serve.baseline": (128, 84096, 2.5809370495999793),
-        "reshuffle.epoch": (1152, 161184, 11.04162795840127),
-        "serve.interleaved": (72, 47304, 12.49340504879654),
+        "reshuffle.epoch": (1152, 161184, 11.763810038401429),
+        "serve.interleaved": (72, 47304, 13.21558712879586),
     },
 }
 

@@ -1,13 +1,13 @@
 """Crash mid-reshuffle drill: kill during a comparator batch, roll forward.
 
-The online reshuffler's compute → intend → apply discipline is exercised
-the way :mod:`tests.test_crash_restart` exercises the engine's: a
-file-backed database is killed by a :class:`SimulatedCrash` part-way
-through a batch write-back (torn prefix on disk, full intent in the
-reshuffler's own :class:`~repro.core.journal.FileJournal`), the process
-"restarts" from the mid-epoch snapshot, and the surviving
-journal record is rolled forward — restoring a consistent epoch with no
-torn frames, at exactly the post-batch frontier.
+A reshuffle batch commits through the engine's compute → intend → apply
+path, and is exercised the way :mod:`tests.test_crash_restart` exercises
+a request's: a file-backed database is killed by a :class:`SimulatedCrash`
+part-way through a batch write-back (torn prefix on disk, full intent in
+the database's one :class:`~repro.core.journal.FileJournal`), the process
+"restarts" from the mid-epoch snapshot, and the database's one
+``recover()`` rolls the surviving record forward — restoring a consistent
+epoch with no torn frames, at exactly the post-batch frontier.
 """
 
 from __future__ import annotations
@@ -51,15 +51,12 @@ class TestCrashMidReshuffle:
             ),
         )
 
-    def _restart(self, tmp_path, snap_dir):
+    def _restart(self, tmp_path, snap_dir, **load):
         db = load_snapshot(
             str(snap_dir), seed=SEED + 1,
-            journal=FileJournal(str(tmp_path / "engine.jnl")),
+            journal=FileJournal(str(tmp_path / "engine.jnl")), **load,
         )
-        assert db.recover().action == "clean"
-        driver = db.resume_reshuffle(
-            journal=FileJournal(str(tmp_path / "reshuffle.jnl")),
-        )
+        driver = db.resume_reshuffle()
         assert driver is not None and driver.active
         return db, driver
 
@@ -67,10 +64,7 @@ class TestCrashMidReshuffle:
         injector = FaultInjector(seed=3)
         db = self._build(tmp_path, injector)
         digest = db.content_digest()
-        driver = db.begin_reshuffle(
-            batch_size=8,
-            journal=FileJournal(str(tmp_path / "reshuffle.jnl")),
-        )
+        driver = db.begin_reshuffle(batch_size=8)
         driver.step()
         driver.step()
         snap_dir = tmp_path / "snap"
@@ -88,9 +82,9 @@ class TestCrashMidReshuffle:
 
         db2, driver2 = self._restart(tmp_path, snap_dir)
         assert driver2.frontier == frontier_at_snapshot
-        assert driver2.recover() == "replayed"
+        assert db2.recover().action == "replayed"
         assert driver2.frontier == frontier_at_snapshot + 8
-        assert driver2.counters.get("recovery.replayed") == 1
+        assert db2.engine.counters.get("recovery.replayed") == 1
 
         driver2.run()
         assert not driver2.active
@@ -109,10 +103,7 @@ class TestCrashMidReshuffle:
         injector = FaultInjector(seed=3)
         db = self._build(tmp_path, injector)
         digest = db.content_digest()
-        driver = db.begin_reshuffle(
-            batch_size=8,
-            journal=FileJournal(str(tmp_path / "reshuffle.jnl")),
-        )
+        driver = db.begin_reshuffle(batch_size=8)
         driver.step()
         snap_dir = tmp_path / "snap"
         save_snapshot(db, str(snap_dir))
@@ -125,7 +116,7 @@ class TestCrashMidReshuffle:
         del db, driver
 
         db2, driver2 = self._restart(tmp_path, snap_dir)
-        assert driver2.recover() == "replayed"
+        assert db2.recover().action == "replayed"
         driver2.run()
         db2.consistency_check()
         assert db2.content_digest() == digest
@@ -135,10 +126,7 @@ class TestCrashMidReshuffle:
         injector = FaultInjector(seed=3)
         db = self._build(tmp_path, injector)
         digest = db.content_digest()
-        driver = db.begin_reshuffle(
-            batch_size=8,
-            journal=FileJournal(str(tmp_path / "reshuffle.jnl")),
-        )
+        driver = db.begin_reshuffle(batch_size=8)
         driver.step()
         driver.step()
         snap_dir = tmp_path / "snap"
@@ -147,7 +135,7 @@ class TestCrashMidReshuffle:
         del db, driver  # killed in the idle gap: journal slot is empty
 
         db2, driver2 = self._restart(tmp_path, snap_dir)
-        assert driver2.recover() == "clean"
+        assert db2.recover().action == "clean"
         assert driver2.frontier == frontier
         driver2.run()
         db2.consistency_check()
@@ -159,10 +147,7 @@ class TestCrashMidReshuffle:
         db = self._build(tmp_path, injector)
         digest = db.content_digest()
         db.rotate_master_key(b"rotated-master-key")
-        driver = db.begin_reshuffle(
-            batch_size=8,
-            journal=FileJournal(str(tmp_path / "reshuffle.jnl")),
-        )
+        driver = db.begin_reshuffle(batch_size=8)
         driver.step()
         snap_dir = tmp_path / "snap"
         save_snapshot(db, str(snap_dir))  # mid-rotation: format-2 state
@@ -174,15 +159,10 @@ class TestCrashMidReshuffle:
             driver.step()
         del db, driver
 
-        db2 = load_snapshot(
-            str(snap_dir), master_key=b"rotated-master-key", seed=SEED + 1,
-            journal=FileJournal(str(tmp_path / "engine.jnl")),
-        )
+        db2, driver2 = self._restart(tmp_path, snap_dir,
+                                     master_key=b"rotated-master-key")
         assert db2.cop.rotation_in_progress  # legacy key restored
-        driver2 = db2.resume_reshuffle(
-            journal=FileJournal(str(tmp_path / "reshuffle.jnl")),
-        )
-        assert driver2.recover() == "replayed"
+        assert db2.recover().action == "replayed"
         driver2.run()
         assert db2.cop.rotation_in_progress  # the epoch does not end it
         for _ in range(db2.params.scan_period):
@@ -191,3 +171,28 @@ class TestCrashMidReshuffle:
         db2.consistency_check()
         assert db2.content_digest() == digest
         db2.close()
+
+    def test_an_epoch_begun_without_a_journal_argument_is_journaled(
+            self, tmp_path):
+        """An epoch is journaled exactly when requests are: a database with
+        a journal journals its batches too, so a batch torn by a crash is
+        rolled forward, never left half-written."""
+        injector = FaultInjector(seed=3)
+        db = self._build(tmp_path, injector)
+        digest = db.content_digest()
+        driver = db.begin_reshuffle(batch_size=8)
+        driver.step()
+        injector.add(crash_after_writes(
+            injector.frames_seen(SITE_DISK_WRITE) + 3
+        ))
+        with pytest.raises(SimulatedCrash):
+            driver.step()
+        assert db.engine.journal_pending  # the batch's record, durable
+        # The crashed batch left a torn prefix; its record rolls it forward.
+        assert db.recover().action == "replayed"
+        assert not db.engine.journal_pending
+        db.consistency_check()
+        assert db.content_digest() == digest
+        driver.run()
+        assert_batcher_order(db, driver)
+        db.close()

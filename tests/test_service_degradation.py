@@ -548,7 +548,10 @@ class TestWriteFaultMidApply:
     Regression for the mid-apply hazard: the trusted deltas land before
     the frame write-back, so a retryable write failure used to leave the
     pageMap pointing at never-written frames while the retry-after hint
-    invited a resend that overwrote the pending journal record.
+    invited a resend that overwrote the pending journal record.  The
+    window has committed by then, so it is answered — a refusal would
+    invite a retry that applies it twice — and its write-back is finished
+    by the next request's heal.
     """
 
     def test_client_retry_after_write_fault_heals_and_succeeds(self):
@@ -564,11 +567,70 @@ class TestWriteFaultMidApply:
         )
         injector.add(transient_writes(times=1))
         client.update(2, b"healed")
-        assert client.counters.get("retries") == 1
+        assert client.counters.get("retries") == 0  # answered, not refused
+        assert db.engine.counters.get("write_back.deferred") == 1
+        assert db.engine.write_back_pending
+        assert client.query(2) == b"healed"
         assert db.engine.counters.get("recovery.rolled_forward") == 1
         assert not db.engine.write_back_pending
         assert not db.engine.journal_pending
-        assert client.query(2) == b"healed"
+        db.consistency_check()
+
+    def test_a_committed_insert_is_answered_once(self):
+        """An insert whose write-back fails after it committed takes one
+        free page: it is answered, not refused, so the client's retry
+        policy never runs it a second time."""
+        injector = FaultInjector(0)
+        db = make_db(
+            num_records=20, cache_capacity=6, seed=5, reserve_fraction=0.3,
+            disk_factory=faulty_factory(injector),
+        )
+        client = ServiceClient(
+            QueryFrontend(db), retry=RetryPolicy(max_attempts=4,
+                                                 base_delay=0.01)
+        )
+        free = db.cop.state.free_count
+        injector.add(transient_writes(times=1))
+        new_id = client.insert(b"inserted once")
+        assert db.cop.state.free_count == free - 1
+        assert client.counters.get("retries") == 0
+        # A second such fault lands on the delete's heal of the insert's
+        # write-back: nothing of the delete ran, so it is refused, and
+        # its retry deletes the page exactly once.
+        injector.add(transient_writes(times=1))
+        client.delete(new_id)
+        assert client.counters.get("retries") == 1
+        assert db.cop.state.free_count == free
+        assert not db.engine.write_back_pending
+        db.consistency_check()
+
+    def test_a_failed_heal_refuses_only_the_later_window(self):
+        """A batch over two windows: the first (an insert) commits and its
+        write-back fails, then the second window's heal fails too.  Only
+        the second window is refused; the insert keeps its answer, so the
+        batch is not retried and the insert takes one free page."""
+        injector = FaultInjector(0)
+        db = make_db(
+            num_records=20, cache_capacity=6, seed=5, reserve_fraction=0.3,
+            disk_factory=faulty_factory(injector),
+        )
+        client = ServiceClient(
+            QueryFrontend(db), retry=RetryPolicy(max_attempts=4,
+                                                 base_delay=0.01)
+        )
+        k = db.params.block_size
+        ops = [protocol.Insert(b"inserted once")]
+        ops += [protocol.Query(1)] * k  # k - 1 in window 1, one in window 2
+        free = db.cop.state.free_count
+        injector.add(transient_writes(times=2))
+        replies = client.batch(ops)
+        assert client.counters.get("retries") == 0
+        assert all(isinstance(r, protocol.Result) for r in replies[:k])
+        assert isinstance(replies[k], protocol.Refused)
+        assert db.cop.state.free_count == free - 1
+        assert db.engine.write_back_pending
+        assert client.query(replies[0].page_id) == b"inserted once"
+        assert not db.engine.write_back_pending
         db.consistency_check()
 
     def test_pending_journal_record_survives_the_failed_request(self):
@@ -579,8 +641,7 @@ class TestWriteFaultMidApply:
             disk_factory=faulty_factory(injector),
         )
         injector.add(transient_writes(times=1))
-        with pytest.raises(TransientStorageError):
-            db.query(3)
+        db.query(3)  # committed; its write-back deferred
         # The only record able to repair the store is still in the slot,
         # and the engine knows the write-back is unfinished.
         assert journal.read() is not None

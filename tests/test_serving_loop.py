@@ -2,8 +2,8 @@
 (DESIGN.md §12, §13).
 
 Over real sockets: the serving lock is held from the dedupe check through
-the reply-cache put, the semi-sync barrier and the dedupe gate are awaited
-on the loop without holding it, inbound replication records never wait
+the reply (a fresh reply is cached before its barrier), the semi-sync
+barrier and the dedupe gate are awaited on the loop without holding it, inbound replication records never wait
 for the lock, outbound ones stream from tasks on the loop, every engine
 entry — a dispatch or a peer apply — is a synchronous call on that one
 thread, and a kill lands between two loop steps, never inside a serve.
@@ -199,31 +199,60 @@ class TestDuplicateDuringBarrier:
 
 
 class TestKillMidBarrier:
-    def test_a_write_killed_in_its_barrier_is_never_answered_or_cached(
+    def _kill_in_barrier(self, origin, peer, client, sealed):
+        """Send ``sealed``, kill ``origin`` while the write waits in its
+        barrier, restart it and let the peer apply the record."""
+        entered, release = held_applies(peer)
+        sock = resumed(origin, client.session_id)
+        sender, outcome = send_or_fail(sock, Request(1, sealed))
+        # The write has dispatched, emitted and streamed; its barrier
+        # waits for the peer's ack.
+        assert entered.wait(timeout=30)
+        origin.kill()
+        sender.join(timeout=30)
+        sock.close()
+        assert isinstance(outcome["value"], TransientChannelError)
+        origin.restart()
+        release.set()
+
+    def test_a_write_killed_in_its_barrier_is_cached_unanswered(
             self, tmp_path):
         with mesh(tmp_path, wait_timeout=30.0) as (handles, registry):
             origin, peer = handles
-            entered, release = held_applies(peer)
             client = NetworkClient(origin.host, origin.port, timeout=30.0)
             sealed = sealed_update(client, 3, b"killed write")
             applies_before = peer.db.engine.request_count
-            sock = resumed(origin, client.session_id)
-            sender, outcome = send_or_fail(sock, Request(1, sealed))
-            # The write has dispatched, emitted and streamed; its barrier
-            # waits for the peer's ack.
-            assert entered.wait(timeout=30)
-            origin.kill()
-            sender.join(timeout=30)
-            assert isinstance(outcome["value"], TransientChannelError)
+            self._kill_in_barrier(origin, peer, client, sealed)
+            # Applied, so cached before its barrier: the kill took only
+            # the answer.
             assert origin.frontend._reply_cache.get(client.session_id,
-                                                    sealed) is None
-            origin.restart()
-            release.set()
+                                                    sealed) is not None
             assert wait_until(lambda: peer.repl_applier.applied_for(
                 origin.repl_log.origin) == 1)
             # Once: a resent record 1 is a duplicate, not a second apply.
             assert peer.repl_applier.counters.get("applied") == 1
             assert peer.db.engine.request_count == applies_before + 1
+            assert origin.repl_log.last_seq == 1
+            client.close()
+
+    def test_a_write_killed_in_its_barrier_is_deduped_after_restart(
+            self, tmp_path):
+        """The retransmission after the restart is answered from the
+        cache once the barrier passes: one engine request, one record."""
+        with mesh(tmp_path, wait_timeout=30.0) as (handles, registry):
+            origin, peer = handles
+            client = NetworkClient(origin.host, origin.port, timeout=30.0)
+            sealed = sealed_update(client, 3, b"killed write")
+            requests = origin.db.engine.request_count
+            duplicates = origin.frontend.counters.get("requests.duplicate")
+            self._kill_in_barrier(origin, peer, client, sealed)
+            sock = resumed(origin, client.session_id)
+            reply = exchange_sock(sock, Request(1, sealed))
+            assert isinstance(reply, Reply)
+            assert reply.repl_seq == 1
+            assert origin.frontend.counters.get(
+                "requests.duplicate") == duplicates + 1
+            assert origin.db.engine.request_count == requests + 1
             assert origin.repl_log.last_seq == 1
             sock.close()
             client.close()

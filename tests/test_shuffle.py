@@ -153,6 +153,17 @@ class TestObliviousBuild:
         db = oblivious_db(num_records=32, seed=3)
         assert layout_of(db) != list(range(32))
 
+    def test_setup_epoch_runs_before_the_journal(self):
+        """Nothing is sealed before setup ends, so the setup epoch is not
+        journaled; the journal is attached for the first request."""
+        from tests.helpers import RecordingJournal
+
+        journal = RecordingJournal()
+        db = oblivious_db(num_records=12, seed=4, journal=journal)
+        assert journal.blobs == [] and db.engine.journal is journal
+        db.query(1)
+        assert [blob[:4] for blob in journal.blobs] == [b"RJN3"]
+
     def test_pages_intact_after_shuffle(self):
         db = oblivious_db(num_records=12, seed=4)
         db.consistency_check()
@@ -244,8 +255,9 @@ class TestEpochBatch:
         db = PirDatabase.create([bytes([i]) for i in range(16)],
                                 cache_capacity=4, block_size=4,
                                 page_capacity=1, seed=9,
+                                journal=MemoryJournal(),
                                 disk_factory=factory)
-        driver = db.begin_reshuffle(batch_size=8, journal=MemoryJournal())
+        driver = db.begin_reshuffle(batch_size=8)
         stores[0].calls.clear()
         assert driver.step() == 8
         n = db.params.num_locations
