@@ -75,7 +75,7 @@ def test_two_party_query(benchmark):
     counter = iter(range(10**9))
 
     def one_query():
-        return session.query(next(counter) % 96)
+        return session.owner.query(next(counter) % 96)
 
     benchmark(one_query)
 

@@ -16,7 +16,7 @@ import pytest
 
 from repro.analysis.costmodel import TwoPartyCostModel, figure7_series
 from repro.analysis.plots import ascii_plot
-from repro.baselines import make_records
+from repro.baselines import CApproxScheme, make_records, measure_latencies
 from repro.twoparty import TwoPartySession
 
 
@@ -69,10 +69,10 @@ def test_figure7_executed_session(report, benchmark):
     )
 
     def one_query():
-        return session.query(5)
+        return session.owner.query(5)
 
     benchmark.pedantic(one_query, rounds=3, iterations=1)
-    series = session.measure_queries([1, 2, 3])
+    series = measure_latencies(CApproxScheme(session.owner), [1, 2, 3])
     model = TwoPartyCostModel().query_time(k, session.owner.cop.frame_size)
     report.line("executed two-party session at k = 722 (paper's 1KB/2M point)")
     report.table(

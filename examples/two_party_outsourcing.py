@@ -11,6 +11,7 @@ Run:  python examples/two_party_outsourcing.py
 
 from __future__ import annotations
 
+from repro.baselines import CApproxScheme, measure_latencies
 from repro.twoparty import TwoPartySession
 
 
@@ -27,21 +28,24 @@ def main() -> None:
         bandwidth=2.33e6,      # effective link throughput (EXPERIMENTS.md)
         seed=5,
     )
-    params = session.owner.params
+    owner = session.owner  # a PirDatabase whose store is at the provider
+    params = owner.params
     print(f"outsourced {params.num_locations} encrypted pages; "
           f"k = {params.block_size}, c = {params.achieved_c:.3f}")
-    print(f"owner-side state: {session.owner.owner_storage_bytes():,} bytes "
+    print(f"owner-side state: {owner.storage_report().total:,} bytes "
           f"(position map + cache + block buffer)")
 
     # -- the owner works with its data as if it were local -------------------
-    assert session.query(42) == b"confidential document #42"
-    session.update(42, b"confidential document #42 (v2)")
-    new_id = session.insert(b"late-arriving document")
-    session.delete(7)
+    assert owner.query(42) == b"confidential document #42"
+    owner.update(42, b"confidential document #42 (v2)")
+    new_id = owner.insert(b"late-arriving document")
+    owner.delete(7)
     print(f"query/update/insert/delete all done; new page id = {new_id}")
 
     # -- measured latency over the simulated network --------------------------
-    series = session.measure_queries([i for i in range(11) if i != 7])
+    series = measure_latencies(
+        CApproxScheme(owner), [i for i in range(11) if i != 7]
+    )
     print(f"\nper-query latency: mean = {series.mean() * 1e3:.1f} ms, "
           f"max = {series.maximum() * 1e3:.1f} ms, CV = "
           f"{series.coefficient_of_variation():.2e}  (constant, no spikes)")
@@ -50,7 +54,7 @@ def main() -> None:
           f"({session.channel.total_bytes:,} bytes on the wire)")
 
     # -- what the provider can observe ----------------------------------------
-    reads = {e.count for e in session.provider_trace if e.op == "read"}
+    reads = {e.count for e in session.provider.trace if e.op == "read"}
     print(f"\nprovider sees reads of sizes {sorted(reads)} pages "
           f"(always the k-block + 1 extra) and the matching writes —")
     print("re-encrypted with fresh nonces, so it cannot even tell whether a")

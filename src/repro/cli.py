@@ -349,8 +349,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
                 ["predicted query time",
                  f"{result.predicted_query_seconds:.4f} s"],
                 ["shards", result.shard_count],
-                ["batch window", result.batch_window],
-                ["hot-tier frames", result.hot_tier_frames],
                 ["admission rate", f"{result.admission_rate:.2f} qps"],
                 ["admission burst", f"{result.admission_burst:.2f}"],
             ],

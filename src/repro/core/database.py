@@ -52,6 +52,11 @@ SHARED_WIRING = (
 #: slot, a file, a store, a single-threaded tracer.
 PER_MEMBER_WIRING = ("journal", "hot_tier_journal", "disk_factory", "tracer")
 
+#: Setup's upload: one contiguous store write per ``_UPLOAD_FRAMES``
+#: locations, sealed ``_SEAL_ROWS`` at a time.
+_UPLOAD_FRAMES = 4096
+_SEAL_ROWS = 256
+
 
 def _wire(
     params: SystemParameters,
@@ -76,8 +81,9 @@ def _wire(
 
     The one place an instance is put together: every constructor
     (:meth:`PirDatabase.create`, :func:`~repro.core.snapshot.load_snapshot`,
-    ``DataOwner.create`` / ``resume``) forwards its wiring keywords here
-    and differs only in where ``params`` and the initial state come from.
+    :func:`~repro.twoparty.owner.resume_owner`) forwards its wiring
+    keywords here and differs only in where ``params`` and the initial
+    state come from.
     Returns ``(coprocessor, disk, engine)`` with the store still empty and
     the trusted state (cache, page map) still blank.
 
@@ -146,94 +152,6 @@ def _wire(
     return cop, disk, engine
 
 
-def _create(
-    records: Sequence[bytes],
-    cache_capacity: int,
-    target_c: float,
-    page_capacity: int,
-    reserve_fraction: float,
-    block_size: Optional[int],
-    *,
-    setup_mode: str,
-    write_batch: int,
-    **wiring,
-):
-    """Solve the parameters, wire an instance and load ``records`` into it.
-
-    What :meth:`PirDatabase.create` and ``DataOwner.create`` share.
-    Returns ``(params, coprocessor, disk, engine)``.  The encrypted
-    database — randomly permuted for a direct build, in identity layout
-    for an oblivious one — goes to the store as one contiguous write per
-    ``write_batch`` locations, each sealed 256 locations at a time: a
-    chunk's plaintext matrix is encoded straight from the records' columns
-    (no :class:`Page` per record) and goes through one ``seal_pages``
-    call.  The layout is the inverse of one Fisher–Yates shuffle on the
-    ``setup`` child RNG, and the page map is loaded as three columns.
-    """
-    if not records:
-        raise ConfigurationError("records must be non-empty")
-    if setup_mode not in (SETUP_DIRECT, SETUP_OBLIVIOUS):
-        raise ConfigurationError(f"unknown setup_mode {setup_mode!r}")
-    if block_size is not None:
-        params = SystemParameters.from_block_size(
-            len(records), cache_capacity, block_size,
-            page_capacity=page_capacity, reserve_fraction=reserve_fraction,
-        )
-    else:
-        params = SystemParameters.solve(
-            len(records), cache_capacity, target_c,
-            page_capacity=page_capacity, reserve_fraction=reserve_fraction,
-        )
-    cop, disk, engine = _wire(params, **wiring)
-
-    # Logical pages: ids [0, live) are the records, [live, n) are free
-    # reserve/padding pages, [n, n + m) start inside the cache.  A direct
-    # build stores page i at mapping[i], a uniformly shuffled list; an
-    # oblivious build's first reshuffle epoch permutes the identity layout
-    # instead (see PirDatabase.create).
-    n, live = params.num_locations, len(records)
-    mapping = list(range(n))
-    if setup_mode == SETUP_DIRECT:
-        cop.rng.spawn("setup").shuffle(mapping)
-    position = np.array(mapping)
-    layout = np.empty_like(position)  # location -> page id
-    layout[position] = np.arange(n)
-
-    # Small chunks keep the batch kernel's matrices out of the peak RSS.
-    chunk = 256
-    frames = np.empty((min(write_batch, n), cop.frame_size), np.uint8)
-    for start in range(0, n, write_batch):
-        stop = min(start + write_batch, n)
-        for low in range(start, stop, chunk):
-            ids = layout[low : min(low + chunk, stop)]
-            plain = encode_rows(
-                ids, np.where(ids < live, 0, FLAG_DELETED),
-                [records[i] if i < live else b"" for i in ids.tolist()],
-                cop.page_capacity,
-            )
-            frames[low - start : low - start + len(ids)] = frame_matrix(
-                cop.seal_pages(PageWindow(plain)), cop.frame_size
-            )
-        disk.write_range(start, frames[: stop - start])
-
-    cop.cache.fill([
-        Page(n + slot, b"", deleted=True)
-        for slot in range(params.cache_capacity)
-    ])
-    page_ids = np.arange(params.total_pages)
-    cop.state.load_columns(
-        page_ids >= n,
-        np.concatenate([position, np.arange(params.cache_capacity)]),
-        page_ids >= live,
-    )
-
-    # Setup wrote the whole database through the instrumented disk; drop
-    # those spans so the trace covers requests only (that is what
-    # CalibratedCostModel.check compares against Eq. 8).
-    engine.tracer.reset()
-    return params, cop, disk, engine
-
-
 class PirDatabase:
     """A c-approximate-PIR protected page database (the paper's full system)."""
 
@@ -281,8 +199,17 @@ class PirDatabase:
         (``"oblivious"``): the pages go to the store in identity layout and
         one foreground reshuffle epoch — epoch 1 of the database's
         numbering, DESIGN.md §15 — permutes them before anything is
-        served; the driver is dropped afterwards.  ``wiring``
-        goes to the one builder, :func:`_wire`, which documents it:
+        served; the driver is dropped afterwards.
+
+        The encrypted database — randomly permuted for a direct build (the
+        inverse of one Fisher–Yates shuffle on the ``setup`` child RNG), in
+        identity layout for an oblivious one — goes to the store as one
+        contiguous write per 4096 locations, each sealed 256 locations at a
+        time: a chunk's plaintext matrix is encoded straight from the
+        records' columns (no :class:`Page` per record) and goes through one
+        ``seal_pages`` call.  The page map is loaded as three columns.
+
+        ``wiring`` goes to the one builder, :func:`_wire`, which documents it:
         ``master_key``, ``spec``, ``seed``, ``cipher_backend``,
         ``cache_policy``, ``enforce_memory_limit``, ``trace_enabled``,
         ``disk_factory``, ``hot_tier_frames``, ``hot_tier_journal``,
@@ -291,11 +218,62 @@ class PirDatabase:
         :func:`~repro.core.snapshot.load_snapshot` takes too.  A ``tracer``
         is reset after setup so the recorded phases cover requests only.
         """
-        db = cls(*_create(
-            records, cache_capacity, target_c, page_capacity,
-            reserve_fraction, block_size,
-            setup_mode=setup_mode, write_batch=4096, **wiring,
-        ))
+        if not records:
+            raise ConfigurationError("records must be non-empty")
+        if setup_mode not in (SETUP_DIRECT, SETUP_OBLIVIOUS):
+            raise ConfigurationError(f"unknown setup_mode {setup_mode!r}")
+        if block_size is not None:
+            params = SystemParameters.from_block_size(
+                len(records), cache_capacity, block_size,
+                page_capacity=page_capacity, reserve_fraction=reserve_fraction,
+            )
+        else:
+            params = SystemParameters.solve(
+                len(records), cache_capacity, target_c,
+                page_capacity=page_capacity, reserve_fraction=reserve_fraction,
+            )
+        cop, disk, engine = _wire(params, **wiring)
+
+        # Logical pages: ids [0, live) are the records, [live, n) are free
+        # reserve/padding pages, [n, n + m) start inside the cache.  A
+        # direct build stores page i at mapping[i], a uniformly shuffled
+        # list; an oblivious build's first reshuffle epoch permutes the
+        # identity layout instead (below).
+        n, live = params.num_locations, len(records)
+        mapping = list(range(n))
+        if setup_mode == SETUP_DIRECT:
+            cop.rng.spawn("setup").shuffle(mapping)
+        position = np.array(mapping)
+        layout = np.empty_like(position)  # location -> page id
+        layout[position] = np.arange(n)
+
+        # Small chunks keep the batch kernel's matrices out of the peak RSS.
+        frames = np.empty((min(_UPLOAD_FRAMES, n), cop.frame_size), np.uint8)
+        for start in range(0, n, _UPLOAD_FRAMES):
+            stop = min(start + _UPLOAD_FRAMES, n)
+            for low in range(start, stop, _SEAL_ROWS):
+                ids = layout[low : min(low + _SEAL_ROWS, stop)]
+                plain = encode_rows(
+                    ids, np.where(ids < live, 0, FLAG_DELETED),
+                    [records[i] if i < live else b"" for i in ids.tolist()],
+                    cop.page_capacity,
+                )
+                frames[low - start : low - start + len(ids)] = frame_matrix(
+                    cop.seal_pages(PageWindow(plain)), cop.frame_size
+                )
+            disk.write_range(start, frames[: stop - start])
+
+        cop.cache.fill([
+            Page(n + slot, b"", deleted=True)
+            for slot in range(params.cache_capacity)
+        ])
+        page_ids = np.arange(params.total_pages)
+        cop.state.load_columns(
+            page_ids >= n,
+            np.concatenate([position, np.arange(params.cache_capacity)]),
+            page_ids >= live,
+        )
+        db = cls(params, cop, disk, engine)
         if setup_mode == SETUP_OBLIVIOUS:
             # Nothing is sealed before setup ends, so a crash inside the
             # setup epoch cannot be recovered from: it runs before the
@@ -304,7 +282,10 @@ class PirDatabase:
             db.begin_reshuffle().run()
             db.engine.journal = journal
             db.reshuffle = None
-            db.tracer.reset()
+        # Setup wrote the whole database through the instrumented disk;
+        # drop those spans so the trace covers requests only (that is what
+        # CalibratedCostModel.check compares against Eq. 8).
+        db.tracer.reset()
         return db
 
     # ------------------------------------------------------------------

@@ -39,7 +39,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from typing import Tuple
+from typing import BinaryIO, Tuple
 
 import numpy as np
 
@@ -69,23 +69,51 @@ _CHUNK_FRAMES = 4096
 def encode_manifest(db) -> dict:
     """The public parameters a restore needs (nothing secret: n, k, m, B,
     c and the cipher backend), for ``manifest.json`` and for the head of
-    ``DataOwner.seal_state``."""
+    :func:`~repro.twoparty.owner.seal_owner_state`'s blob."""
     return {
         **dataclasses.asdict(db.params),
         "cipher_backend": db.cop.suite.backend,
     }
 
 
-def decode_manifest(manifest: dict,
-                    source: str) -> Tuple[SystemParameters, str]:
-    """``(params, cipher_backend)`` out of :func:`encode_manifest`'s dict.
+def decode_manifest(
+    stream: BinaryIO, source: str, header: Tuple[str, ...] = (),
+) -> Tuple[SystemParameters, str, Tuple[int, ...]]:
+    """``(params, cipher_backend, header values)`` out of the JSON text of
+    an :func:`encode_manifest` dict read from ``stream``; ``header`` names
+    the further integer entries the caller reads (a snapshot's ``format``
+    and ``frame_size``).
 
-    Sealed state whose manifest names a backend not in BACKENDS is refused
-    here — checked against BACKENDS itself (never through CipherSuite's
-    rename map) and before any suite exists: frame MAC keys did not change
-    when the blake2 keystream was retired, so its frames would pass
-    authentication and decrypt to noise.
+    The manifest comes from host storage, so it is outside input: text
+    that is not a JSON object, a missing entry or an entry of the wrong
+    type raises :class:`~repro.errors.ConfigurationError` naming
+    ``source``.  Sealed state whose manifest names a backend not in
+    BACKENDS is refused too — checked against BACKENDS itself (never
+    through CipherSuite's rename map) and before any suite exists: frame
+    MAC keys did not change when the blake2 keystream was retired, so its
+    frames would pass authentication and decrypt to noise.
     """
+    try:
+        manifest = json.load(stream)
+    except ValueError as exc:  # also UnicodeDecodeError
+        raise ConfigurationError(f"{source} has a manifest that is not JSON") \
+            from exc
+    if not isinstance(manifest, dict):
+        raise ConfigurationError(f"{source} has a manifest that is not a "
+                                 "JSON object")
+    kinds = {name: (int,) for name in header}
+    kinds.update(
+        (field.name, (int, float) if field.type == "float" else (int,))
+        for field in dataclasses.fields(SystemParameters)
+    )
+    kinds["cipher_backend"] = (str,)
+    for name, kind in kinds.items():
+        value = manifest.get(name)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigurationError(
+                f"{source} has a malformed manifest: {name!r} is "
+                f"{'missing' if value is None else repr(value)}"
+            )
     backend = manifest["cipher_backend"]
     if backend not in BACKENDS:
         raise ConfigurationError(
@@ -94,11 +122,35 @@ def decode_manifest(manifest: dict,
             "keystream cannot be read: open it with the version that wrote "
             "it and re-create the database here"
         )
-    params = SystemParameters(**{
-        field.name: manifest[field.name]
-        for field in dataclasses.fields(SystemParameters)
-    })
-    return params, backend
+    try:
+        params = SystemParameters(**{
+            field.name: manifest[field.name]
+            for field in dataclasses.fields(SystemParameters)
+        })
+    except ZeroDivisionError as exc:  # a block size of 0
+        raise ConfigurationError(
+            f"{source} has a malformed manifest: 'block_size' is 0"
+        ) from exc
+    return params, backend, tuple(manifest[name] for name in header)
+
+
+def settle_write_back(db) -> None:
+    """Make the trusted state describe the store before it is sealed.
+
+    Call under ``db.engine.op_lock``.  Rolls forward a *retained*
+    write-back (a transiently failed apply — a request's or a reshuffle
+    batch's), which leaves frames on the store that the page map does not
+    describe yet, and refuses while the journal slot holds a record of
+    either kind the heal could not resolve (a crash restart): state sealed
+    mid-recovery would be *older* than the journal, and restoring it next
+    to that journal is exactly the state ``recover()`` must reject.
+    """
+    db.engine._heal_pending()
+    if db.engine.journal_pending:
+        raise ConfigurationError(
+            "cannot snapshot with a pending intent-journal record; "
+            "call recover() first"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -140,17 +192,7 @@ def save_snapshot(db: PirDatabase, directory: str) -> None:
     # caller landing between any two of them would leave the frames
     # describing a newer layout than the sealed page map.
     with db.engine.op_lock:
-        # Roll forward any retained in-memory write-back first — a
-        # request's or a reshuffle batch's: a transiently failed apply
-        # leaves frames on disk that the page map does not describe yet,
-        # and a journal-less configuration has no pending-record check to
-        # catch it.
-        db.engine._heal_pending()
-        if db.engine.journal_pending:
-            raise ConfigurationError(
-                "cannot snapshot with a pending intent-journal record; "
-                "call recover() first"
-            )
+        settle_write_back(db)
         num_locations = db.disk.num_locations
         with open(os.path.join(directory, _FRAMES), "wb") as f:
             for start in range(0, num_locations, _CHUNK_FRAMES):
@@ -201,9 +243,10 @@ def load_snapshot(directory: str, **wiring) -> PirDatabase:
     manifest_path = os.path.join(directory, _MANIFEST)
     if not os.path.exists(manifest_path):
         raise ConfigurationError(f"no snapshot manifest in {directory!r}")
-    with open(manifest_path, encoding="utf-8") as f:
-        manifest = json.load(f)
-    version = manifest.get("format")
+    with open(manifest_path, "rb") as f:
+        params, backend, (version, frame_size) = decode_manifest(
+            f, f"snapshot in {directory!r}", ("format", "frame_size")
+        )
     if version in range(1, _FORMAT):
         raise ConfigurationError(
             f"snapshot in {directory!r} is format {version}; this version "
@@ -212,9 +255,8 @@ def load_snapshot(directory: str, **wiring) -> PirDatabase:
         )
     if version != _FORMAT:
         raise ConfigurationError("unsupported snapshot format")
-    params, backend = decode_manifest(manifest, f"snapshot in {directory!r}")
     cop, disk, engine = _wire(params, cipher_backend=backend, **wiring)
-    if cop.frame_size != manifest["frame_size"]:
+    if cop.frame_size != frame_size:
         raise ConfigurationError("snapshot frame size does not match suite")
 
     # The freshness layer (when enabled) is already in place, so the

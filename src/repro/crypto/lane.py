@@ -280,6 +280,9 @@ class Lane:
             shared_in[...] = rows
             if op == SEAL:
                 shared_out[:, :NONCE_SIZE] = out[:, :NONCE_SIZE]
+            # No view outlives the copy-in: a worker already gone breaks
+            # the pipe, and the mapping cannot close while one exists.
+            del shared_in, shared_out
             _write_all(self._requests, _REQUEST.pack(
                 op, backend.encode(), count, in_width, out_width,
                 len(self._map), enc_key, mac_key,

@@ -9,8 +9,7 @@ self-measured probe run, or a supplied obs JSONL export); :func:`plan`
 inverts the Eq. 1-8 cost model to turn a target triple (p99 latency
 bound, sustained QPS, privacy bound c — or ϵ in the Toledo-style relaxed
 mode, ``c = e^ϵ``) into a full deployable parameter assignment: k, m,
-shard count, fused-batch window, hot-tier frames and admission
-rate/burst. Infeasible targets raise
+shard count and admission rate/burst. Infeasible targets raise
 :class:`~repro.errors.PlanInfeasibleError` naming the binding
 constraint. Nothing re-tunes a running server: a new setting is a new
 plan, deployed (DESIGN.md §16).

@@ -22,10 +22,7 @@ exposes, derived in dependency order.
    query time; ``ceil(qps * Q / utilization)`` shards sustain the target
    with headroom.  More than ``max_shards`` →
    ``PlanInfeasibleError("throughput")``.
-4. **Derived budgets** — fused-batch window (requests arriving during one
-   service time, GPIR's device-throughput sizing), hot-tier frames (what
-   the host memory budget holds), admission rate/burst (shard capacity,
-   burst one p99 deep).
+4. **Admission** — rate and burst (shard capacity, burst one p99 deep).
 
 ``verify_plan`` closes the loop: it builds a database with the planned
 (k, m), measures the per-phase cost of a traced query run, and reports
@@ -39,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .model import CalibratedCostModel, frame_size_for
+from .model import CalibratedCostModel
 from ..analysis.costmodel import AnalyticalCostModel, largest_block_size
 from ..core.params import (
     SystemParameters,
@@ -51,9 +48,6 @@ from ..hardware.specs import IBM_4764, HardwareSpec
 from ..obs.tracer import Tracer
 
 __all__ = ["PlanTarget", "Plan", "plan", "verify_plan"]
-
-_DEFAULT_HOST_MEMORY = 256 * 1024 * 1024
-
 
 @dataclass(frozen=True)
 class PlanTarget:
@@ -103,8 +97,6 @@ class Plan:
     num_locations: int
     achieved_c: float
     shard_count: int
-    batch_window: int
-    hot_tier_frames: int
     admission_rate: float
     admission_burst: float
     predicted_query_seconds: float
@@ -134,8 +126,6 @@ class Plan:
             "num_locations": self.num_locations,
             "achieved_c": self.achieved_c,
             "shard_count": self.shard_count,
-            "batch_window": self.batch_window,
-            "hot_tier_frames": self.hot_tier_frames,
             "admission_rate": self.admission_rate,
             "admission_burst": self.admission_burst,
             "predicted_query_seconds": self.predicted_query_seconds,
@@ -179,7 +169,6 @@ def plan(
     latency_headroom: float = 0.8,
     utilization: float = 0.7,
     max_shards: int = 64,
-    host_memory_bytes: int = _DEFAULT_HOST_MEMORY,
 ) -> Plan:
     """Solve the target triple for a full parameter assignment (module doc).
 
@@ -256,15 +245,7 @@ def plan(
             constraint="throughput",
         )
 
-    # 4. Derived budgets.
-    frame = frame_size_for(target.page_size)
-    per_shard_qps = target.qps / shard_count
-    batch_window = int(min(
-        max(1, math.ceil(per_shard_qps * query_seconds)), max(1, k)
-    ))
-    hot_tier_frames = min(chosen.num_locations, host_memory_bytes // frame)
-    if hot_tier_frames < 2 * k:
-        hot_tier_frames = 0  # not worth a tier that misses most of a block
+    # 4. Admission.
     admission_rate = shard_count * utilization / query_seconds
     admission_burst = max(
         1.0, admission_rate * min(target.p99_seconds, 1.0)
@@ -277,8 +258,6 @@ def plan(
         num_locations=chosen.num_locations,
         achieved_c=chosen.achieved_c,
         shard_count=shard_count,
-        batch_window=batch_window,
-        hot_tier_frames=hot_tier_frames,
         admission_rate=admission_rate,
         admission_burst=admission_burst,
         predicted_query_seconds=query_seconds,

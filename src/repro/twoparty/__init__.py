@@ -1,14 +1,16 @@
 """Two-party outsourcing deployment (§3.1, §5 / Figure 7)."""
 
 from .channel import SimulatedChannel
-from .owner import DataOwner, RemoteDisk
+from .owner import RemoteDisk, owner_wiring, resume_owner, seal_owner_state
 from .provider import ServiceProvider
 from .session import TwoPartySession
 
 __all__ = [
     "SimulatedChannel",
-    "DataOwner",
     "RemoteDisk",
+    "owner_wiring",
+    "seal_owner_state",
+    "resume_owner",
     "ServiceProvider",
     "TwoPartySession",
 ]

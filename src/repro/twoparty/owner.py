@@ -4,6 +4,10 @@ In the outsourcing setting (§3.1) the owner is the only client, so the
 tamper-resistant coprocessor is unnecessary: the owner's own machine —
 physically isolated from the provider — runs the cache, page map, keys and
 the Figure-3 algorithm, while the encrypted pages live at the provider.
+The owner is therefore an ordinary :class:`~repro.core.database.PirDatabase`
+whose store is a :class:`RemoteDisk`: :func:`owner_wiring` is the wiring
+that makes it one, and :func:`seal_owner_state` / :func:`resume_owner`
+suspend and resume it.
 
 :class:`RemoteDisk` adapts the wire protocol to the engine's storage
 interface: the store's two verbs are the wire's two requests, so each
@@ -14,27 +18,23 @@ not the RTT count — the bottleneck of Figure 7.
 
 from __future__ import annotations
 
+import io
 import json
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import messages
 from .channel import SimulatedChannel
-from ..core.database import SETUP_DIRECT, _create, _wire
-from ..core.engine import RetrievalEngine
-from ..core.params import SystemParameters
-from ..core.snapshot import decode_manifest, encode_manifest
-from ..errors import PageDeletedError, ProtocolError
-from ..hardware.coprocessor import SecureCoprocessor
+from ..core.database import PirDatabase, _wire
+from ..core.snapshot import decode_manifest, encode_manifest, settle_write_back
+from ..errors import ProtocolError
 from ..hardware.specs import HardwareSpec
 from ..sim.clock import VirtualClock
 from ..storage.disk import RangeAccess
 from ..storage.frames import check_ranges, frame_count, frame_matrix
 
-__all__ = ["RemoteDisk", "DataOwner"]
-
-_UPLOAD_BATCH = 512
+__all__ = ["RemoteDisk", "owner_wiring", "seal_owner_state", "resume_owner"]
 
 
 class RemoteDisk(RangeAccess):
@@ -90,13 +90,21 @@ class RemoteDisk(RangeAccess):
         resumed owner finds them."""
 
 
-def _owner_wiring(channel_factory, clock, owner_spec) -> dict:
-    """What every owner passes the one builder: its clock, its machine's
-    spec, and a store that is a :class:`RemoteDisk` over a fresh channel.
+def owner_wiring(channel_factory, clock: Optional[VirtualClock],
+                 owner_spec: Optional[HardwareSpec]) -> dict:
+    """The wiring keywords that make a :class:`PirDatabase` the owner:
+    its clock, its machine's spec, and a store that is a
+    :class:`RemoteDisk` over a fresh channel (None: a fresh clock, the
+    default owner spec).
 
-    The owner's machine replaces the coprocessor: no PCI link or slow
-    crypto ASIC in the loop (the network dominates instead), so the owner
-    spec defaults to a fast commodity server.
+    ``channel_factory(clock, frame_size, num_locations)`` must return a
+    connected :class:`SimulatedChannel`; :class:`TwoPartySession
+    <repro.twoparty.session.TwoPartySession>` provides the standard
+    wiring against a fresh :class:`ServiceProvider
+    <repro.twoparty.provider.ServiceProvider>`.  The owner's machine
+    replaces the coprocessor: no PCI link or slow crypto ASIC in the loop
+    (the network dominates instead), so the owner spec defaults to a fast
+    commodity server.
     """
 
     def disk_factory(num_locations, frame_size, timing, clock, trace):
@@ -114,136 +122,70 @@ def _owner_wiring(channel_factory, clock, owner_spec) -> dict:
     )
 
 
-class DataOwner:
-    """Owner-side state: keys, cache, page map, and the retrieval engine."""
+# -- suspend / resume ---------------------------------------------------------
+#
+# The encrypted pages already live at the provider, so an owner restart
+# only needs its trusted state: parameters, position map, cached pages,
+# round-robin pointer.  seal_owner_state() packs those into one blob — a
+# length-prefixed manifest, then the trusted state encrypted under the
+# master key in the layout a snapshot's sealed.bin uses — and
+# resume_owner() reconnects to the provider and unpacks.
 
-    def __init__(
-        self,
-        params: SystemParameters,
-        coprocessor: SecureCoprocessor,
-        remote: RemoteDisk,
-        engine: RetrievalEngine,
-    ):
-        self.params = params
-        self.cop = coprocessor
-        self.remote = remote
-        self.engine = engine
 
-    @classmethod
-    def create(
-        cls,
-        records: Sequence[bytes],
-        cache_capacity: int,
-        channel_factory,
-        target_c: float = 2.0,
-        page_capacity: int = 1024,
-        reserve_fraction: float = 0.0,
-        block_size: Optional[int] = None,
-        clock: Optional[VirtualClock] = None,
-        seed: Optional[int] = None,
-        cipher_backend: str = "shake",
-        master_key: bytes = b"owner-master-key",
-        owner_spec: Optional[HardwareSpec] = None,
-        rollback_protection: bool = False,
-    ) -> "DataOwner":
-        """Build owner state and upload the permuted encrypted database.
+def seal_owner_state(db: PirDatabase) -> bytes:
+    """Export an owner's trusted state as a sealed blob.
 
-        ``channel_factory(clock, frame_size, num_locations)`` must return a
-        connected :class:`SimulatedChannel`; the session module provides the
-        standard wiring against a fresh :class:`ServiceProvider`.  The same
-        setup as :meth:`PirDatabase.create` — permute in trusted owner
-        memory, encrypt, upload in batches — over a remote store.  With
-        ``rollback_protection`` the owner keeps a Merkle root over the
-        provider's frames, so a *malicious* provider replaying stale data
-        is caught on read — the natural hardening for the outsourcing
-        model, where the paper's honest-but-curious assumption is least
-        comfortable.
-        """
-        return cls(*_create(
-            records, cache_capacity, target_c, page_capacity,
-            reserve_fraction, block_size,
-            setup_mode=SETUP_DIRECT, write_batch=_UPLOAD_BATCH,
-            master_key=master_key, seed=seed, cipher_backend=cipher_backend,
-            rollback_protection=rollback_protection,
-            **_owner_wiring(channel_factory, clock, owner_spec),
-        ))
-
-    # -- operations (same surface as PirDatabase) ---------------------------------
-
-    @property
-    def clock(self) -> VirtualClock:
-        return self.cop.clock
-
-    def query(self, page_id: int) -> bytes:
-        page = self.engine.retrieve(page_id)
-        if self.cop.state.is_deleted(page_id):
-            raise PageDeletedError(f"page {page_id} is deleted")
-        return page.payload
-
-    def update(self, page_id: int, payload: bytes) -> None:
-        self.engine.modify(page_id, payload)
-
-    def insert(self, payload: bytes) -> int:
-        return self.engine.insert(payload)
-
-    def delete(self, page_id: int) -> None:
-        self.engine.delete(page_id)
-
-    def owner_storage_bytes(self) -> int:
-        """RAM the owner dedicates to the scheme (Eq. 7 at the owner side)."""
-        return self.cop.storage_report().total
-
-    # -- suspend / resume -----------------------------------------------------
-    #
-    # The encrypted pages already live at the provider, so an owner restart
-    # only needs its trusted state: parameters, position map, cached pages,
-    # round-robin pointer.  seal_state() packs those into one blob encrypted
-    # under the master key — the layout a snapshot's sealed.bin uses —
-    # and resume() reconnects to the provider and unpacks.
-
-    def seal_state(self) -> bytes:
-        """Export the owner's trusted state as a sealed blob.
-
-        Mid-rotation too: the blob carries the legacy key and the request
-        countdown, so the owner resumes under the new key and the rotation
-        finishes on schedule.
-        """
-        manifest = json.dumps(
-            encode_manifest(self), sort_keys=True
-        ).encode("utf-8")
-        sealed = self.cop.suite.encrypt_page(
-            self.cop.state.encode(self.cop.cache, self.cop.legacy_master_key)
+    Mid-rotation too: the blob carries the legacy key and the request
+    countdown, so the owner resumes under the new key and the rotation
+    finishes on schedule.  Like :func:`~repro.core.snapshot.save_snapshot`
+    it first heals a retained write-back and refuses while the journal
+    slot holds a record (run ``db.recover()`` first).
+    """
+    manifest = json.dumps(encode_manifest(db), sort_keys=True).encode("utf-8")
+    with db.engine.op_lock:
+        settle_write_back(db)
+        sealed = db.cop.suite.encrypt_page(
+            db.cop.state.encode(db.cop.cache, db.cop.legacy_master_key)
         )
-        return (len(manifest).to_bytes(4, "big") + manifest + sealed)
+    return len(manifest).to_bytes(4, "big") + manifest + sealed
 
-    @classmethod
-    def resume(
-        cls,
-        sealed_state: bytes,
-        channel_factory,
-        master_key: bytes = b"owner-master-key",
-        clock: Optional[VirtualClock] = None,
-        seed: Optional[int] = None,
-        owner_spec: Optional[HardwareSpec] = None,
-    ) -> "DataOwner":
-        """Reconnect to the provider and restore a sealed owner state.
 
-        ``channel_factory`` has the same contract as in :meth:`create`; the
-        provider must still hold the frames the sealed state refers to.  A
-        wrong master key fails authentication rather than corrupting state;
-        a state sealed mid-rotation resumes with the *new* key.
-        """
-        if len(sealed_state) < 4:
-            raise ProtocolError("sealed owner state is truncated")
-        manifest_length = int.from_bytes(sealed_state[:4], "big")
-        manifest = json.loads(sealed_state[4 : 4 + manifest_length])
-        params, backend = decode_manifest(manifest, "sealed owner state")
-        cop, remote, engine = _wire(
-            params, master_key=master_key, seed=seed, cipher_backend=backend,
-            **_owner_wiring(channel_factory, clock, owner_spec),
-        )
-        cop.state.decode(
-            cop.suite.decrypt_page(sealed_state[4 + manifest_length :]),
-            cop.cache, cop,
-        )
-        return cls(params, cop, remote, engine)
+def resume_owner(
+    sealed_state: bytes,
+    channel_factory,
+    master_key: bytes = b"owner-master-key",
+    clock: Optional[VirtualClock] = None,
+    seed: Optional[int] = None,
+    owner_spec: Optional[HardwareSpec] = None,
+) -> PirDatabase:
+    """Reconnect to the provider and restore a sealed owner state.
+
+    ``channel_factory`` is :func:`owner_wiring`'s; the provider must still
+    hold the frames the sealed state refers to.  A wrong master key fails
+    authentication rather than corrupting state; a state sealed
+    mid-rotation resumes with the *new* key.  A blob shorter than its
+    length prefix raises :class:`~repro.errors.ProtocolError`, a malformed
+    manifest :class:`~repro.errors.ConfigurationError`, before any channel
+    is dialled.
+
+    There is no ``rollback_protection``: the sealed state does not carry a
+    Merkle root yet, and an empty tree would refuse every read.  A resumed
+    owner therefore has no freshness layer, and a provider that rolls
+    frames back after the resume goes undetected, until the root is sealed
+    with the rest of the trusted state (ROADMAP.md, "Freshness that
+    survives a restart").
+    """
+    length = int.from_bytes(sealed_state[:4], "big")
+    if len(sealed_state) < 4 or len(sealed_state) < 4 + length:
+        raise ProtocolError("sealed owner state is truncated")
+    params, backend, _ = decode_manifest(
+        io.BytesIO(sealed_state[4 : 4 + length]), "sealed owner state"
+    )
+    cop, disk, engine = _wire(
+        params, master_key=master_key, seed=seed, cipher_backend=backend,
+        **owner_wiring(channel_factory, clock, owner_spec),
+    )
+    cop.state.decode(
+        cop.suite.decrypt_page(sealed_state[4 + length :]), cop.cache, cop,
+    )
+    return PirDatabase(params, cop, disk, engine)

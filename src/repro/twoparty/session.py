@@ -2,34 +2,37 @@
 
 Creates a :class:`ServiceProvider`, connects a :class:`SimulatedChannel`
 with the Figure-7 network parameters (50 ms RTT by default), and builds the
-:class:`DataOwner` over it — one call gives a working outsourced private
-database whose clock, traces and byte counters are all inspectable.
+owner over it: a :class:`~repro.core.database.PirDatabase` whose store is a
+:class:`~repro.twoparty.owner.RemoteDisk`.  One call gives a working
+outsourced private database whose clock (``session.owner.clock``), traces
+(``session.provider.trace``) and byte counters (``session.channel``) are
+all inspectable; every operation is the owner's own.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .channel import SimulatedChannel
-from .owner import DataOwner
+from .owner import owner_wiring
 from .provider import ServiceProvider
-from ..analysis.stats import LatencySeries
+from ..core.database import PirDatabase
 from ..hardware.specs import HardwareSpec
 from ..sim.clock import VirtualClock
 from ..storage.timing import DiskTimingModel
-from ..storage.trace import AccessTrace
 
 __all__ = ["TwoPartySession"]
 
 
+@dataclass(eq=False)
 class TwoPartySession:
-    """An owner + provider pair sharing one virtual clock."""
+    """An owner + provider pair sharing one virtual clock, and the channel
+    between them."""
 
-    def __init__(self, owner: DataOwner, provider: ServiceProvider,
-                 channel: SimulatedChannel):
-        self.owner = owner
-        self.provider = provider
-        self.channel = channel
+    owner: PirDatabase
+    provider: ServiceProvider
+    channel: SimulatedChannel
 
     @classmethod
     def create(
@@ -48,7 +51,14 @@ class TwoPartySession:
         owner_spec: Optional[HardwareSpec] = None,
         rollback_protection: bool = False,
     ) -> "TwoPartySession":
-        clock = VirtualClock()
+        """Build the provider and the channel, then the owner over them:
+        the same setup as :meth:`PirDatabase.create` — permute in trusted
+        owner memory, encrypt, upload — over a remote store.  With
+        ``rollback_protection`` the owner keeps a Merkle root over the
+        provider's frames, so a *malicious* provider replaying stale data
+        is caught on read — the natural hardening for the outsourcing
+        model, where the paper's honest-but-curious assumption is least
+        comfortable."""
         holder: dict = {}
 
         def channel_factory(shared_clock: VirtualClock, frame_size: int,
@@ -66,52 +76,17 @@ class TwoPartySession:
             holder["channel"] = channel
             return channel
 
-        owner = DataOwner.create(
+        owner = PirDatabase.create(
             records,
             cache_capacity,
-            channel_factory,
             target_c=target_c,
             page_capacity=page_capacity,
             reserve_fraction=reserve_fraction,
             block_size=block_size,
-            clock=clock,
             seed=seed,
             cipher_backend=cipher_backend,
-            owner_spec=owner_spec,
             rollback_protection=rollback_protection,
+            master_key=b"owner-master-key",
+            **owner_wiring(channel_factory, VirtualClock(), owner_spec),
         )
         return cls(owner, holder["provider"], holder["channel"])
-
-    # -- passthrough operations ----------------------------------------------------
-
-    def query(self, page_id: int) -> bytes:
-        return self.owner.query(page_id)
-
-    def update(self, page_id: int, payload: bytes) -> None:
-        self.owner.update(page_id, payload)
-
-    def insert(self, payload: bytes) -> int:
-        return self.owner.insert(payload)
-
-    def delete(self, page_id: int) -> None:
-        self.owner.delete(page_id)
-
-    # -- observability ---------------------------------------------------------------
-
-    @property
-    def clock(self) -> VirtualClock:
-        return self.owner.clock
-
-    @property
-    def provider_trace(self) -> AccessTrace:
-        """What the (adversarial) provider observed on its disk."""
-        return self.provider.trace
-
-    def measure_queries(self, page_ids: Sequence[int]) -> LatencySeries:
-        """Per-query simulated latency over this session's channel."""
-        series = LatencySeries()
-        for page_id in page_ids:
-            started = self.clock.now
-            self.query(page_id)
-            series.record(self.clock.now - started)
-        return series

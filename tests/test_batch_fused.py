@@ -779,22 +779,22 @@ class TestTwoPartyWindowOfOne:
             records, cache_capacity=8, target_c=2.0, page_capacity=16,
             reserve_fraction=0.2, seed=99,
         )
-        round_trips = session.channel.counters
+        owner, round_trips = session.owner, session.channel.counters
         steps = [
-            lambda: session.query(5),
-            lambda: session.query(5),            # now cached: a hit
-            lambda: session.update(7, b"owner-edit"),
-            lambda: session.insert(b"outsourced"),
-            lambda: session.delete(11),
+            lambda: owner.query(5),
+            lambda: owner.query(5),            # now cached: a hit
+            lambda: owner.update(7, b"owner-edit"),
+            lambda: owner.insert(b"outsourced"),
+            lambda: owner.delete(11),
         ]
         for step in steps:
             before = round_trips.get("round_trips")
             step()
             assert round_trips.get("round_trips") == before + 2
-        assert session.query(5) == records[5]
-        assert session.query(7) == b"owner-edit"
+        assert owner.query(5) == records[5]
+        assert owner.query(7) == b"owner-edit"
         with pytest.raises(PageDeletedError):
-            session.query(11)
+            owner.query(11)
 
 
 class TestShardedFusedBatch:

@@ -266,6 +266,25 @@ class TestValidation:
             save_snapshot(warm_db, str(tmp_path))
         assert not (tmp_path / "sealed.bin").exists()
 
+    @pytest.mark.parametrize("damage", [
+        lambda m: "{not json",
+        lambda m: "[1, 2]",
+        lambda m: json.dumps({k: v for k, v in m.items() if k != "frame_size"}),
+        lambda m: json.dumps({k: v for k, v in m.items() if k != "block_size"}),
+        lambda m: json.dumps({**m, "block_size": "5"}),
+        lambda m: json.dumps({**m, "block_size": 0}),
+    ], ids=["not_json", "a_list", "no_frame_size", "no_block_size",
+            "string_block_size", "zero_block_size"])
+    def test_a_malformed_manifest_is_refused_typed(self, warm_db, tmp_path,
+                                                   damage):
+        """``manifest.json`` is host storage: whatever is wrong with it is
+        a ConfigurationError naming the snapshot."""
+        save_snapshot(warm_db, str(tmp_path))
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(damage(json.loads(manifest_path.read_text())))
+        with pytest.raises(ConfigurationError, match="snapshot in"):
+            load_snapshot(str(tmp_path), seed=15)
+
     def test_bad_format_version(self, warm_db, tmp_path):
         save_snapshot(warm_db, str(tmp_path))
         manifest_path = tmp_path / "manifest.json"

@@ -15,6 +15,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -153,21 +154,54 @@ class TestByteIdentity:
 
 @two_cpus
 class TestFallback:
-    def test_killed_worker_recomputes_inline_and_turns_the_lane_off(
-            self, fresh_lane, inline):
-        _start(fresh_lane)
-        worker = fresh_lane.pid
-        os.kill(worker, signal.SIGKILL)
+    @staticmethod
+    def _kill_and_recompute(lane, inline, kill) -> None:
+        """``kill(proc)`` ends the live worker; the next large batch must
+        recompute the worker's rows inline and turn the lane off."""
+        _start(lane)
+        kill(lane._proc)
         plain = _plain(256)
         suite = _suite("shake")
         frames = suite.encrypt_pages(plain)
         assert np.array_equal(suite.decrypt_pages(frames), plain)
-        assert not fresh_lane.live and fresh_lane.pid is None
-        batches = fresh_lane.batches
+        assert not lane.live and lane.pid is None
+        batches = lane.batches
         suite.encrypt_pages(plain)
-        assert fresh_lane.batches == batches
+        assert lane.batches == batches
+        lane.close()  # a second shut releases nothing twice
         inline()
         assert np.array_equal(frames, _suite("shake").encrypt_pages(plain))
+
+    def test_killed_worker_recomputes_inline_and_turns_the_lane_off(
+            self, fresh_lane, inline):
+        """Gone (and reaped) before the request is written: the write
+        breaks the pipe, and the lane shuts its mapping mid-batch."""
+
+        def kill(proc):
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait()
+
+        self._kill_and_recompute(fresh_lane, inline, kill)
+
+    def test_worker_killed_while_awaited_recomputes_inline(
+            self, fresh_lane, inline):
+        """Gone after the request is written: stopped, so the request
+        waits in the pipe, and killed while the parent waits for the
+        reply, which then ends in end of file."""
+        timers = []
+
+        def kill(proc):
+            os.kill(proc.pid, signal.SIGSTOP)
+            timers.append(
+                threading.Timer(0.2, os.kill, (proc.pid, signal.SIGKILL))
+            )
+            timers[0].start()
+
+        try:
+            self._kill_and_recompute(fresh_lane, inline, kill)
+        finally:
+            for timer in timers:
+                timer.join()
 
     def test_a_process_that_is_not_the_owner_runs_inline(self, fresh_lane):
         _start(fresh_lane)

@@ -7,7 +7,7 @@ import pytest
 from repro import PirDatabase
 from repro.analysis.adversary import TrackingAdversary
 from repro.analysis.costmodel import AnalyticalCostModel
-from repro.baselines import make_records
+from repro.baselines import CApproxScheme, make_records, measure_latencies
 from repro.crypto.rng import SecureRandom
 from repro.errors import PageDeletedError
 from repro.hardware.specs import HardwareSpec
@@ -69,7 +69,7 @@ class TestTwoPartyVersusLocal:
         local = PirDatabase.create(records, cache_capacity=6, block_size=5,
                                    page_capacity=16, seed=71)
         remote = TwoPartySession.create(records, cache_capacity=6, block_size=5,
-                                        page_capacity=16, seed=72)
+                                        page_capacity=16, seed=72).owner
         stream = zipf_stream(30, 60, SecureRandom(73))
         for page_id in stream:
             assert local.query(page_id) == remote.query(page_id) == records[page_id]
@@ -80,7 +80,7 @@ class TestTwoPartyVersusLocal:
             records, cache_capacity=6, block_size=5, page_capacity=16,
             seed=74, rtt=0.05, bandwidth=2.33e6,
         )
-        series = session.measure_queries([1, 2, 3, 4])
+        series = measure_latencies(CApproxScheme(session.owner), [1, 2, 3, 4])
         k = session.owner.params.block_size
         frame = session.owner.cop.frame_size
         transfer = 2 * (k + 1) * frame / 2.33e6

@@ -68,19 +68,19 @@ def _apply(shadow, actor, kind, selector, payload_byte):
 @given(operations=_OPERATIONS, seed=st.integers(0, 10**6))
 def test_two_party_session_matches_shadow(operations, seed):
     records = make_records(20, 16)
-    session = TwoPartySession.create(
+    owner = TwoPartySession.create(
         records, cache_capacity=4, block_size=4, page_capacity=16,
         reserve_fraction=0.3, seed=seed,
-    )
+    ).owner
     shadow = {i: records[i] for i in range(20)}
     for kind, selector, payload_byte in operations:
-        _apply(shadow, session, kind, selector, payload_byte)
+        _apply(shadow, owner, kind, selector, payload_byte)
     for page_id, payload in shadow.items():
-        assert session.query(page_id) == payload
+        assert owner.query(page_id) == payload
     for page_id in range(20):
         if page_id not in shadow:
             with pytest.raises((PageDeletedError, PageNotFoundError)):
-                session.query(page_id)
+                owner.query(page_id)
 
 
 @settings(max_examples=10, deadline=None,

@@ -21,7 +21,7 @@ from repro.core.sharded import ShardedPirDatabase
 from repro.core.snapshot import load_snapshot, save_snapshot
 from repro.crypto.suite import CipherSuite
 from repro.hardware.specs import IBM_4764
-from repro.twoparty import TwoPartySession
+from repro.twoparty import TwoPartySession, seal_owner_state
 
 from tests.helpers import make_db
 
@@ -120,18 +120,18 @@ def snapshot_digests(db, directory) -> dict:
 
 
 def owner_state_digest() -> str:
-    """``DataOwner.seal_state`` after a few operations
+    """``seal_owner_state`` after a few operations
     (tests/test_twoparty_resume.py's session)."""
-    session = TwoPartySession.create(
+    owner = TwoPartySession.create(
         make_records(40, 16), cache_capacity=6, block_size=5,
         page_capacity=16, reserve_fraction=0.2, seed=70,
-    )
-    session.update(4, b"before-seal")
-    session.delete(9)
+    ).owner
+    owner.update(4, b"before-seal")
+    owner.delete(9)
     for i in range(25):
         if i != 9:
-            session.query(i)
-    return _sha([session.owner.seal_state()])
+            owner.query(i)
+    return _sha([seal_owner_state(owner)])
 
 
 # Captured from the per-page implementation (see the module docstring).

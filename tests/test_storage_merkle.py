@@ -105,28 +105,29 @@ class TestTwoPartyFreshness:
             records, cache_capacity=6, block_size=5, page_capacity=16,
             seed=15, rollback_protection=True,
         )
+        owner = session.owner
         for page_id in range(40):
-            assert session.query(page_id) == records[page_id]
+            assert owner.query(page_id) == records[page_id]
         stale = session.provider.disk.peek(0)
-        for _ in range(session.owner.params.scan_period):
-            session.owner.engine.touch()
+        for _ in range(owner.params.scan_period):
+            owner.touch()
         session.provider.disk.poke(0, stale)
         with pytest.raises(AuthenticationError, match="stale"):
-            for _ in range(session.owner.params.scan_period):
-                session.owner.engine.touch()
+            for _ in range(owner.params.scan_period):
+                owner.touch()
 
     def test_honest_provider_unaffected(self):
         from repro.twoparty import TwoPartySession
 
         records = make_records(30, 16)
-        session = TwoPartySession.create(
+        owner = TwoPartySession.create(
             records, cache_capacity=6, block_size=5, page_capacity=16,
             seed=16, rollback_protection=True, reserve_fraction=0.2,
-        )
-        session.update(3, b"fresh")
-        assert session.query(3) == b"fresh"
-        new_id = session.insert(b"added")
-        assert session.query(new_id) == b"added"
+        ).owner
+        owner.update(3, b"fresh")
+        assert owner.query(3) == b"fresh"
+        new_id = owner.insert(b"added")
+        assert owner.query(new_id) == b"added"
 
 
 class TestEndToEnd:

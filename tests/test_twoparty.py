@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import PirDatabase
-from repro.baselines import make_records
+from repro.baselines import CApproxScheme, make_records, measure_latencies
 from repro.core.engine import BatchOp
 from repro.errors import ConfigurationError, PageDeletedError, ProtocolError
 from repro.hardware.coprocessor import SecureCoprocessor
@@ -198,44 +198,45 @@ class TestSession:
     def test_queries_correct(self, session):
         records = make_records(60, 16)
         for page_id in (0, 13, 59):
-            assert session.query(page_id) == records[page_id]
+            assert session.owner.query(page_id) == records[page_id]
 
     def test_two_round_trips_per_query(self, session):
         before = session.channel.counters.get("round_trips")
-        session.query(5)
+        session.owner.query(5)
         assert session.channel.counters.get("round_trips") == before + 2
 
     def test_latency_includes_rtt(self, session):
-        series = session.measure_queries([1, 2, 3])
+        series = measure_latencies(CApproxScheme(session.owner), [1, 2, 3])
         # Two round trips of 50 ms RTT each = at least 100 ms.
         assert series.minimum() >= 0.1
 
     def test_latency_constant(self, session):
-        series = session.measure_queries([4, 4, 5, 6, 4])
+        series = measure_latencies(CApproxScheme(session.owner),
+                                   [4, 4, 5, 6, 4])
         assert series.coefficient_of_variation() < 1e-9
 
     def test_updates_and_inserts(self, session):
-        session.update(7, b"owner-edit")
-        assert session.query(7) == b"owner-edit"
-        new_id = session.insert(b"outsourced")
-        assert session.query(new_id) == b"outsourced"
+        session.owner.update(7, b"owner-edit")
+        assert session.owner.query(7) == b"owner-edit"
+        new_id = session.owner.insert(b"outsourced")
+        assert session.owner.query(new_id) == b"outsourced"
 
     def test_delete(self, session):
-        session.delete(11)
+        session.owner.delete(11)
         with pytest.raises(PageDeletedError):
-            session.query(11)
+            session.owner.query(11)
 
     def test_provider_sees_uniform_access_counts(self, session):
         """Every provider-visible request is one block read + one extra read
         + the matching writes — sizes never vary with the operation."""
         k = session.owner.params.block_size
         read_counts = {
-            e.count for e in session.provider_trace if e.op == "read"
+            e.count for e in session.provider.trace if e.op == "read"
         }
         assert read_counts == {k, 1}
 
     def test_owner_storage_accounting(self, session):
-        assert session.owner.owner_storage_bytes() > 0
+        assert session.owner.storage_report().total > 0
 
     def test_setup_upload_equals_per_page_sealing(self, monkeypatch):
         """``create`` seals each upload batch in one call; the provider holds
@@ -280,14 +281,13 @@ class TestWindowOverTheWire:
 
         page_ids = [5, 17, 23, 31, 44][:width]
         single = session()
-        expected = [single.query(page_id) for page_id in page_ids]
+        expected = [single.owner.query(page_id) for page_id in page_ids]
 
         windowed = session()
         trips = windowed.channel.counters.get("round_trips")
-        events = len(windowed.provider_trace)
+        events = len(windowed.provider.trace)
         ops = [BatchOp("query", page_id=page_id) for page_id in page_ids]
-        pages = windowed.owner.engine.run_batch(ops)
-        assert [page.payload for page in pages] == expected
+        assert windowed.owner.run_batch(ops) == expected
         # Three round trips whatever B: the block with the first op's
         # extra, every later op's extra, and the whole write-back.
         assert windowed.channel.counters.get("round_trips") == trips + 3
@@ -302,6 +302,6 @@ class TestWindowOverTheWire:
         def shape(trace, start):
             return [(e.op, e.count) for e in list(trace)[start:]]
 
-        assert shape(windowed.provider_trace, events) == shape(local.trace, before) \
+        assert shape(windowed.provider.trace, events) == shape(local.trace, before) \
             == [("read", k)] + [("read", 1)] * width \
             + [("write", k)] + [("write", 1)] * width

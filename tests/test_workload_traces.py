@@ -118,7 +118,7 @@ class TestReplay:
         )
         records = make_records(30, 16)
         local = make_db(num_records=30, seed=613)
-        session = TwoPartySession.create(records, cache_capacity=8,
-                                         page_capacity=16, seed=614)
+        owner = TwoPartySession.create(records, cache_capacity=8,
+                                       page_capacity=16, seed=614).owner
         for op in operations:
-            assert local.query(op.page_id) == session.query(op.page_id)
+            assert local.query(op.page_id) == owner.query(op.page_id)
