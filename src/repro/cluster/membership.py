@@ -71,10 +71,6 @@ class MemberState:
         self.pinned = 0
         self.consecutive_failures = 0
         self.consecutive_successes = 0
-        #: Replication catch-up as last observed by the router:
-        #: peer origin address -> highest applied sequence this member
-        #: reported (see the read-your-writes gate in the router).
-        self.repl_applied: Dict[str, int] = {}
 
     @property
     def address(self) -> str:
@@ -182,15 +178,6 @@ class ClusterMembership:
         self.counters.increment("probe.fail")
         if state.up and state.consecutive_failures >= self.eject_after:
             self._eject(state)
-
-    def record_repl_state(self, address: str, origin: str,
-                          applied: int) -> None:
-        """Note that ``address`` reported applying ``origin``'s stream up
-        to ``applied`` (fed by the router's read-your-writes probes;
-        monotonic max-merge, stale answers never regress the view)."""
-        state = self._members[address]
-        if applied > state.repl_applied.get(origin, 0):
-            state.repl_applied[origin] = applied
 
     def mark_down(self, address: str) -> None:
         """Immediate ejection on a hard serving failure (no hysteresis)."""

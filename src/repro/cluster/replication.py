@@ -191,9 +191,7 @@ def decode_record(cop, sealed: bytes) -> ReplicationRecord:
         raise StorageError(f"replication record has unknown kind {kind}")
     page_id = cursor.take(_U64)
     payload = cursor.take_bytes(cursor.take(_U32))
-    padding = cursor.take_bytes(len(blob) - cursor.offset)
-    if padding.strip(b"\x00"):
-        raise StorageError("replication record has non-zero padding")
+    cursor.expect_padding("replication record")
     return ReplicationRecord(seq, kind, page_id, payload)
 
 

@@ -351,9 +351,6 @@ class ClusterRouter(EnvelopeServer):
                                             self.probe_timeout)
                     if not isinstance(answer, ReplState):
                         return False
-                    self.membership.record_repl_state(
-                        state.address, origin, answer.applied
-                    )
                     if answer.applied < needed:
                         caught_up = False
                 if caught_up:

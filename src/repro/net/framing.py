@@ -9,8 +9,9 @@ Two layers live here, both below the sealed
   so a garbage or hostile prefix (``0xFFFFFFFF`` from a port scanner, a
   desynchronised peer) costs four bytes of buffering, not 4 GiB.  Both
   sync-socket helpers (used by the blocking :class:`~repro.net.client
-  .NetworkClient`) and asyncio helpers (used by the server and the async
-  load-generator client) share the same checks.
+  .NetworkClient`, which the load generator drives too) and asyncio
+  helpers (used by the server, the router and the replication streams)
+  share the same checks.
 
 * **Envelope messages** — a one-byte type tag plus body, carried inside a
   frame.  The envelope maps connections onto frontend sessions and carries
@@ -43,7 +44,10 @@ Two layers live here, both below the sealed
 
   Origin addresses in the REPL_* messages are u16-length-prefixed UTF-8
   ``host:port`` strings — a backend's advertised address doubles as its
-  replication stream identity.
+  replication stream identity.  Every body is read through one
+  :class:`~repro.storage.frames.RecordCursor`, like the sealed service
+  messages it carries, so any malformed frame — cut short, too long, an
+  over-cap or non-UTF-8 origin — is a :class:`~repro.errors.ProtocolError`.
 
   Request ids are per-connection client-chosen sequence numbers echoed in
   the matching REPLY/REFUSED, so a client that timed out and retransmitted
@@ -92,6 +96,7 @@ from typing import Union
 
 from ..errors import NetTimeoutError, ProtocolError, TransientChannelError
 from ..service import protocol
+from ..storage.frames import RecordCursor
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -119,6 +124,7 @@ __all__ = [
     "write_frame_sock",
 ]
 
+_U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 
@@ -245,9 +251,10 @@ class ReplRecord:
 class ReplAck:
     """Receiver's highest contiguously applied sequence from ``origin``.
 
-    An ack below the sequence just sent means the receiver could not take
-    the record (apply queue full, draining); the streamer backs off and
-    retransmits — records are idempotent under sequence tracking.
+    An ack below the sequence just sent means the receiver did not apply
+    the record (it is draining, the record failed authentication, or it
+    was not the next in sequence); the streamer backs off and retransmits
+    — records are idempotent under sequence tracking.
     """
 
     origin: str
@@ -282,21 +289,7 @@ def _encode_origin(origin: str) -> bytes:
             f"origin address of {len(encoded)} bytes exceeds the "
             f"{_MAX_ORIGIN_BYTES}-byte cap"
         )
-    return struct.pack(">H", len(encoded)) + encoded
-
-
-def _decode_origin(body: bytes, offset: int) -> "tuple[str, int]":
-    (length,) = struct.unpack_from(">H", body, offset)
-    if length > _MAX_ORIGIN_BYTES:
-        raise ProtocolError(
-            f"origin address of {length} bytes exceeds the "
-            f"{_MAX_ORIGIN_BYTES}-byte cap"
-        )
-    start = offset + 2
-    encoded = body[start:start + length]
-    if len(encoded) != length:
-        raise ProtocolError("truncated origin address")
-    return encoded.decode("utf-8"), start + length
+    return _U16.pack(len(encoded)) + encoded
 
 
 def encode_net_message(message: NetMessage) -> bytes:
@@ -339,67 +332,53 @@ def encode_net_message(message: NetMessage) -> bytes:
 
 def decode_net_message(body: bytes) -> NetMessage:
     """Parse a frame body; raises :class:`ProtocolError` on malformed input."""
-    if not body:
-        raise ProtocolError("empty network message")
-    tag = body[0]
-    try:
-        if tag == _T_HELLO:
-            if len(body) != 6 or body[1:5] != NET_MAGIC:
-                raise ProtocolError("malformed HELLO")
-            return Hello(body[5])
-        if tag == _T_WELCOME:
-            if len(body) != 9:
-                raise ProtocolError("bad WELCOME length")
-            return Welcome(_U64.unpack_from(body, 1)[0])
-        if tag == _T_REQUEST:
-            return Request(_U32.unpack_from(body, 1)[0], body[5:])
-        if tag == _T_REPLY:
-            return Reply(_U32.unpack_from(body, 1)[0], body[13:],
-                         _U64.unpack_from(body, 5)[0])
-        if tag == _T_REFUSED:
-            refusal = protocol.decode_client_message(body[5:])
-            if not isinstance(refusal, protocol.Refused):
-                raise ProtocolError("REFUSED envelope without Refused body")
-            return NetRefused(_U32.unpack_from(body, 1)[0], refusal)
-        if tag == _T_BYE:
-            if len(body) != 1:
-                raise ProtocolError("bad BYE length")
-            return Bye()
-        if tag == _T_PING:
-            if len(body) != 1:
-                raise ProtocolError("bad PING length")
-            return Ping()
-        if tag == _T_PONG:
-            if len(body) != 6:
-                raise ProtocolError("bad PONG length")
-            return Pong(bool(body[1] & _PONG_DRAINING),
-                        _U32.unpack_from(body, 2)[0])
-        if tag == _T_RESUME:
-            if len(body) != 9:
-                raise ProtocolError("bad RESUME length")
-            return Resume(_U64.unpack_from(body, 1)[0])
+    cursor = RecordCursor(body, error=ProtocolError)
+    tag = cursor.take_byte()
+    if tag == _T_HELLO:
+        if cursor.take_bytes(len(NET_MAGIC)) != NET_MAGIC:
+            raise ProtocolError("malformed HELLO")
+        message = Hello(cursor.take_byte())
+    elif tag == _T_WELCOME:
+        message = Welcome(cursor.take(_U64))
+    elif tag == _T_REQUEST:
+        message = Request(cursor.take(_U32), cursor.take_rest())
+    elif tag == _T_REPLY:
+        request_id, repl_seq = cursor.take(_U32), cursor.take(_U64)
+        message = Reply(request_id, cursor.take_rest(), repl_seq)
+    elif tag == _T_REFUSED:
+        request_id = cursor.take(_U32)
+        refusal = protocol.decode_client_message(cursor.take_rest())
+        if not isinstance(refusal, protocol.Refused):
+            raise ProtocolError("REFUSED envelope without Refused body")
+        message = NetRefused(request_id, refusal)
+    elif tag == _T_BYE:
+        message = Bye()
+    elif tag == _T_PING:
+        message = Ping()
+    elif tag == _T_PONG:
+        flags, sessions = cursor.take_byte(), cursor.take(_U32)
+        message = Pong(bool(flags & _PONG_DRAINING), sessions)
+    elif tag == _T_RESUME:
+        message = Resume(cursor.take(_U64))
+    elif _T_REPL_RECORD <= tag <= _T_REPL_STATE:
+        encoded = cursor.take_prefixed(_U16, _MAX_ORIGIN_BYTES,
+                                       "origin address")
+        try:
+            origin = encoded.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ProtocolError("origin address is not UTF-8") from None
         if tag == _T_REPL_RECORD:
-            origin, offset = _decode_origin(body, 1)
-            return ReplRecord(origin, _U64.unpack_from(body, offset)[0],
-                              body[offset + 8:])
-        if tag == _T_REPL_ACK:
-            origin, offset = _decode_origin(body, 1)
-            if len(body) != offset + 8:
-                raise ProtocolError("bad REPL_ACK length")
-            return ReplAck(origin, _U64.unpack_from(body, offset)[0])
-        if tag == _T_REPL_QUERY:
-            origin, offset = _decode_origin(body, 1)
-            if len(body) != offset:
-                raise ProtocolError("bad REPL_QUERY length")
-            return ReplQuery(origin)
-        if tag == _T_REPL_STATE:
-            origin, offset = _decode_origin(body, 1)
-            if len(body) != offset + 8:
-                raise ProtocolError("bad REPL_STATE length")
-            return ReplState(origin, _U64.unpack_from(body, offset)[0])
-    except struct.error as exc:
-        raise ProtocolError(f"truncated network message: {exc}") from exc
-    raise ProtocolError(f"unknown network message tag 0x{tag:02x}")
+            message = ReplRecord(origin, cursor.take(_U64), cursor.take_rest())
+        elif tag == _T_REPL_ACK:
+            message = ReplAck(origin, cursor.take(_U64))
+        elif tag == _T_REPL_QUERY:
+            message = ReplQuery(origin)
+        else:
+            message = ReplState(origin, cursor.take(_U64))
+    else:
+        raise ProtocolError(f"unknown network message tag 0x{tag:02x}")
+    cursor.expect_end("network message")
+    return message
 
 
 # ---------------------------------------------------------------------------

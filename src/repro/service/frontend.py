@@ -313,8 +313,7 @@ class QueryFrontend:
         self.health = (
             health
             if health is not None
-            else HealthMonitor(database.clock, counters=self.counters,
-                               registry=metrics)
+            else HealthMonitor(counters=self.counters, registry=metrics)
         )
         self.tracer = database.tracer
 

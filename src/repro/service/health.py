@@ -50,7 +50,6 @@ from ..errors import (
     TransientStorageError,
 )
 from ..obs.registry import CounterView, registry_or_private
-from ..sim.clock import VirtualClock
 
 __all__ = [
     "HEALTHY",
@@ -162,7 +161,6 @@ class HealthMonitor:
 
     def __init__(
         self,
-        clock: Optional[VirtualClock] = None,
         degrade_after: int = 3,
         fail_after: int = 8,
         retry_hint: float = 0.05,
@@ -174,7 +172,6 @@ class HealthMonitor:
             raise ConfigurationError(
                 "need 1 <= degrade_after <= fail_after"
             )
-        self.clock = clock
         self.degrade_after = degrade_after
         self.fail_after = fail_after
         self.retry_hint = retry_hint

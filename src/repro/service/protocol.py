@@ -2,7 +2,8 @@
 
 In the three-party model any client may query the database; requests and
 replies travel over per-client SSL connections that terminate *inside* the
-coprocessor, so the server never sees their contents — only their timing.
+coprocessor, so the server never sees their contents — only their timing
+and their sizes (the frame length still tells an op kind apart).
 We model the link as an authenticated-encrypted channel: the codec below
 defines the plaintext structure, and :class:`repro.service.frontend` wraps
 each message in a per-session :class:`~repro.crypto.suite.CipherSuite`
@@ -43,6 +44,7 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 from ..errors import ProtocolError
+from ..storage.frames import RecordCursor
 
 __all__ = [
     "Query",
@@ -80,11 +82,12 @@ _OP_REFUSED = 0x2F
 MAX_BATCH_OPS = 1024
 
 #: Upper bound on any single length-prefixed field (payload, reason, code,
-#: batch item).  The decoders check every u32 length against this cap
-#: *before* trusting it, so a crafted prefix can neither trigger a huge
-#: slice nor mask a structurally invalid message; it also keeps legal
-#: messages inside what the network transport will carry
-#: (:data:`repro.net.framing.MAX_FRAME_BYTES`).
+#: batch item).  The decoder reads each through
+#: :meth:`~repro.storage.frames.RecordCursor.take_prefixed`, which checks
+#: the u32 length against this cap *before* trusting it, so a crafted
+#: prefix can neither trigger a huge slice nor mask a structurally invalid
+#: message; it also keeps legal messages inside what the network transport
+#: will carry (:data:`repro.net.framing.MAX_FRAME_BYTES`).
 MAX_PAYLOAD_BYTES = 4 * 1024 * 1024
 
 
@@ -177,6 +180,7 @@ ClientMessage = Union[
 
 _BATCH_OPS = (Query, Update, Insert, Delete)
 _BATCH_REPLIES = (Result, Ok, Refused)
+_NESTED_OPCODES = (bytes([_OP_BATCH]), bytes([_OP_BATCH_REPLY]))
 
 
 def _encode_items(opcode: int, items, allowed, kind: str) -> bytes:
@@ -198,8 +202,8 @@ def _encode_items(opcode: int, items, allowed, kind: str) -> bytes:
     return b"".join(parts)
 
 
-def _decode_items(buffer: bytes, allowed, kind: str):
-    count = _U32.unpack_from(buffer, 1)[0]
+def _decode_items(cursor: RecordCursor, allowed, kind: str):
+    count = cursor.take(_U32)
     if count == 0:
         raise ProtocolError(f"empty {kind}")
     if count > MAX_BATCH_OPS:
@@ -207,20 +211,16 @@ def _decode_items(buffer: bytes, allowed, kind: str):
             f"{kind} of {count} exceeds the {MAX_BATCH_OPS}-op limit"
         )
     items = []
-    offset = 5
     for _ in range(count):
-        length = _check_length(_U32.unpack_from(buffer, offset)[0],
-                               f"{kind} item")
-        offset += 4
-        if offset + length > len(buffer):
-            raise ProtocolError(f"bad {kind} item length")
-        item = _decode_client_message(buffer[offset : offset + length])
+        encoded = cursor.take_prefixed(_U32, MAX_PAYLOAD_BYTES, f"{kind} item")
+        # Batches do not nest: refuse one before decoding it, so a deep
+        # nest is a ProtocolError rather than a RecursionError.
+        if encoded[:1] in _NESTED_OPCODES:
+            raise ProtocolError(f"{kind} cannot carry a batch")
+        item = decode_client_message(encoded)
         if not isinstance(item, allowed):
             raise ProtocolError(f"{kind} cannot carry {type(item).__name__}")
         items.append(item)
-        offset += length
-    if offset != len(buffer):
-        raise ProtocolError(f"trailing bytes after {kind}")
     return tuple(items)
 
 
@@ -260,69 +260,42 @@ def encode_client_message(message: ClientMessage) -> bytes:
     raise ProtocolError(f"cannot encode {type(message).__name__}")
 
 
-def _take_payload(buffer: bytes, offset: int) -> bytes:
-    length = _check_length(_U32.unpack_from(buffer, offset)[0], "payload")
-    start = offset + 4
-    if start + length != len(buffer):
-        raise ProtocolError("payload length does not match message size")
-    return buffer[start : start + length]
-
-
 def decode_client_message(buffer: bytes) -> ClientMessage:
     """Parse wire bytes; raises :class:`ProtocolError` on malformed input."""
-    try:
-        return _decode_client_message(buffer)
-    except struct.error as exc:
-        raise ProtocolError(f"truncated client message: {exc}") from exc
-
-
-def _decode_client_message(buffer: bytes) -> ClientMessage:
-    if not buffer:
-        raise ProtocolError("empty client message")
-    opcode = buffer[0]
+    cursor = RecordCursor(buffer, error=ProtocolError)
+    opcode = cursor.take_byte()
     if opcode == _OP_QUERY:
-        if len(buffer) != 9:
-            raise ProtocolError("bad QUERY length")
-        return Query(_U64.unpack_from(buffer, 1)[0])
-    if opcode == _OP_UPDATE:
-        page_id = _U64.unpack_from(buffer, 1)[0]
-        return Update(page_id, _take_payload(buffer, 9))
-    if opcode == _OP_INSERT:
-        return Insert(_take_payload(buffer, 1))
-    if opcode == _OP_DELETE:
-        if len(buffer) != 9:
-            raise ProtocolError("bad DELETE length")
-        return Delete(_U64.unpack_from(buffer, 1)[0])
-    if opcode == _OP_BATCH:
-        return Batch(_decode_items(buffer, _BATCH_OPS, "batch"))
-    if opcode == _OP_BATCH_REPLY:
-        return BatchReply(_decode_items(buffer, _BATCH_REPLIES, "batch reply"))
-    if opcode == _OP_RESULT:
-        page_id = _U64.unpack_from(buffer, 1)[0]
-        return Result(page_id, _take_payload(buffer, 9))
-    if opcode == _OP_OK:
-        if len(buffer) != 1:
-            raise ProtocolError("bad OK length")
-        return Ok()
-    if opcode == _OP_REFUSED:
-        return _decode_refused(buffer)
-    raise ProtocolError(f"unknown client opcode 0x{opcode:02x}")
-
-
-def _decode_refused(buffer: bytes) -> Refused:
-    length = _check_length(_U32.unpack_from(buffer, 1)[0], "REFUSED reason")
-    offset = 5 + length
-    if offset >= len(buffer):
-        raise ProtocolError("bad REFUSED length")
-    # The reason is display text; tolerate mangled bytes rather than
-    # letting a corrupted reply crash the client.
-    reason = buffer[5:offset].decode("utf-8", errors="replace")
-    code_length = _check_length(_U32.unpack_from(buffer, offset)[0],
-                                "REFUSED code")
-    offset += 4
-    if offset + code_length + _F64.size != len(buffer):
-        raise ProtocolError("bad REFUSED length")
-    code = buffer[offset : offset + code_length].decode("utf-8",
-                                                        errors="replace")
-    retry_after = _F64.unpack_from(buffer, offset + code_length)[0]
-    return Refused(reason, code, retry_after)
+        message = Query(cursor.take(_U64))
+    elif opcode == _OP_UPDATE:
+        message = Update(cursor.take(_U64),
+                         cursor.take_prefixed(_U32, MAX_PAYLOAD_BYTES,
+                                              "payload"))
+    elif opcode == _OP_INSERT:
+        message = Insert(cursor.take_prefixed(_U32, MAX_PAYLOAD_BYTES,
+                                              "payload"))
+    elif opcode == _OP_DELETE:
+        message = Delete(cursor.take(_U64))
+    elif opcode == _OP_BATCH:
+        message = Batch(_decode_items(cursor, _BATCH_OPS, "batch"))
+    elif opcode == _OP_BATCH_REPLY:
+        message = BatchReply(
+            _decode_items(cursor, _BATCH_REPLIES, "batch reply")
+        )
+    elif opcode == _OP_RESULT:
+        message = Result(cursor.take(_U64),
+                         cursor.take_prefixed(_U32, MAX_PAYLOAD_BYTES,
+                                              "payload"))
+    elif opcode == _OP_OK:
+        message = Ok()
+    elif opcode == _OP_REFUSED:
+        reason = cursor.take_prefixed(_U32, MAX_PAYLOAD_BYTES, "REFUSED")
+        code = cursor.take_prefixed(_U32, MAX_PAYLOAD_BYTES, "REFUSED")
+        # Reason and code are display text; tolerate mangled bytes rather
+        # than letting a corrupted reply crash the client.
+        message = Refused(str(reason, "utf-8", errors="replace"),
+                          str(code, "utf-8", errors="replace"),
+                          cursor.take(_F64))
+    else:
+        raise ProtocolError(f"unknown client opcode 0x{opcode:02x}")
+    cursor.expect_end("client message")
+    return message

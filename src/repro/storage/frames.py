@@ -7,8 +7,8 @@ sequence of bytes-like rows.  :func:`frame_matrix` is the one place the two
 spellings meet.  A store access names its frames by a sequence of
 ``(location, count)`` ranges whose frames sit back to back in one matrix;
 :func:`range_rows` walks the two together.  The sealed records that carry
-frames or trusted state are read back through one bounds-checked
-:class:`RecordCursor`.
+frames or trusted state, and every message that arrives on a wire, are
+read through one bounds-checked :class:`RecordCursor`.
 """
 
 from __future__ import annotations
@@ -78,29 +78,35 @@ def range_rows(ranges, frames):
 
 
 class RecordCursor:
-    """Bounds-checked sequential reader over one decrypted record.
+    """Bounds-checked sequential reader: the one reader of records and
+    wire messages.
 
-    The intent header codecs (:mod:`repro.core.journal` and
-    :mod:`repro.shuffle.online`), the RPL1 replication-record codec
+    Sealed records read back after authentication — the intent header
+    codecs (:mod:`repro.core.journal`), the RPL1 replication-record codec
     (:mod:`repro.cluster.replication`) and the sealed trusted state
-    (:mod:`repro.hardware.trusted`) share this reader, so every
-    fixed-width field, flag byte, and length-prefixed payload decodes with
-    identical truncation behaviour: any read past the end of the blob
-    raises
-    :class:`~repro.errors.StorageError` instead of a bare
-    ``struct.error``/``IndexError``.
+    (:mod:`repro.hardware.trusted`) — and the three wire codecs, whose
+    bytes are adversary input — the network envelope
+    (:mod:`repro.net.framing`), the client protocol
+    (:mod:`repro.service.protocol`) and the two-party messages
+    (:mod:`repro.twoparty.messages`) — all decode through it, so every
+    fixed-width field, flag byte and length-prefixed field has the same
+    truncation behaviour: a read past the end raises ``error``
+    (:class:`~repro.errors.StorageError` for a record,
+    :class:`~repro.errors.ProtocolError` for the wire) instead of a bare
+    ``struct.error`` / ``IndexError``.
     """
 
-    def __init__(self, blob: bytes, offset: int = 0):
+    def __init__(self, blob: bytes, offset: int = 0, error=StorageError):
         self.blob = blob
         self.offset = offset
+        self.error = error
 
     def take_fields(self, fmt: struct.Struct) -> tuple:
         """Every field of one packed ``fmt`` record."""
         try:
             values = fmt.unpack_from(self.blob, self.offset)
         except struct.error as exc:
-            raise StorageError(f"record is truncated: {exc}") from exc
+            raise self.error(f"record is truncated: {exc}") from exc
         self.offset += fmt.size
         return values
 
@@ -109,23 +115,52 @@ class RecordCursor:
 
     def take_byte(self) -> int:
         if self.offset >= len(self.blob):
-            raise StorageError("record is truncated")
+            raise self.error("record is truncated")
         value = self.blob[self.offset]
         self.offset += 1
         return value
 
     def take_bytes(self, length: int) -> bytes:
         if length < 0 or self.offset + length > len(self.blob):
-            raise StorageError("record is truncated")
+            raise self.error("record is truncated")
         value = self.blob[self.offset:self.offset + length]
         self.offset += length
         return value
 
+    def take_prefixed(self, fmt: struct.Struct, limit: int, what: str
+                      ) -> bytes:
+        """A field behind its ``fmt`` length prefix.
+
+        The length is held against ``limit`` before it is held against
+        what is left, so a forged prefix is refused as over the limit
+        whatever follows it; a field (or prefix) cut short is a ``bad
+        {what} length``.
+        """
+        start = self.offset + fmt.size
+        if start > len(self.blob):
+            raise self.error(f"bad {what} length")
+        (length,) = fmt.unpack_from(self.blob, self.offset)
+        if length > limit:
+            raise self.error(
+                f"{what} length {length} exceeds the {limit}-byte limit"
+            )
+        if start + length > len(self.blob):
+            raise self.error(f"bad {what} length")
+        self.offset = start + length
+        return self.blob[start:self.offset]
+
+    def take_rest(self) -> bytes:
+        """Everything left: a message's trailing opaque body."""
+        value = self.blob[self.offset:]
+        self.offset = len(self.blob)
+        return value
+
     def expect_end(self, what: str) -> None:
         if self.offset != len(self.blob):
-            raise StorageError(f"trailing bytes in {what}")
+            raise self.error(f"trailing bytes in {what}")
 
     def expect_padding(self, what: str) -> None:
         """The rest of the blob must be the zero pad up to its public size."""
-        if any(self.blob[self.offset:]):
-            raise StorageError(f"trailing bytes in {what}")
+        pad = self.blob[self.offset:]
+        if pad.count(0) != len(pad):
+            raise self.error(f"trailing bytes in {what}")

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 from ..errors import ProtocolError
+from ..storage.frames import RecordCursor, frame_count
 
 __all__ = [
     "MAX_RANGES",
@@ -140,67 +141,30 @@ def encode(message: Message, frame_size: int) -> bytes:
     raise ProtocolError(f"cannot encode message of type {type(message).__name__}")
 
 
-def _take_ranges(buffer: bytes, offset: int) -> Tuple[Ranges, int]:
-    count = _U32.unpack_from(buffer, offset)[0]
-    if count > MAX_RANGES:
-        raise ProtocolError(
-            f"{count} ranges exceed the {MAX_RANGES}-range bound"
-        )
-    start = offset + _U32.size
-    end = start + count * _RANGE.size
-    if end > len(buffer):
-        raise ProtocolError("message truncated while reading ranges")
-    return tuple(_RANGE.iter_unpack(buffer[start:end])), end
-
-
-def _take_frames(buffer: bytes, offset: int, count: int, frame_size: int
-                 ) -> bytes:
-    """The ``count`` frames that are the rest of the message."""
-    end = offset + count * frame_size
-    if end > len(buffer):
-        raise ProtocolError("message truncated while reading frames")
-    _expect_end(buffer, end)
-    return buffer[offset:end]
-
-
 def decode(buffer: bytes, frame_size: int) -> Message:
     """Parse one message; raises :class:`ProtocolError` on malformed input."""
-    try:
-        return _decode(buffer, frame_size)
-    except struct.error as exc:
-        # Truncated fixed-width fields surface here; normalise to the
-        # protocol error the caller is contracted to handle.
-        raise ProtocolError(f"truncated message: {exc}") from exc
-
-
-def _decode(buffer: bytes, frame_size: int) -> Message:
-    if not buffer:
-        raise ProtocolError("empty message")
-    opcode = buffer[0]
-    if opcode == _OP_READ_RANGES:
-        ranges, end = _take_ranges(buffer, 1)
-        _expect_end(buffer, end)
-        return ReadRanges(ranges)
-    if opcode == _OP_FRAMES:
-        count = _U32.unpack_from(buffer, 1)[0]
-        return Frames(_take_frames(buffer, 5, count, frame_size))
-    if opcode == _OP_WRITE_RANGES:
-        ranges, end = _take_ranges(buffer, 1)
-        wanted = sum(count for _, count in ranges)
-        return WriteRanges(ranges, _take_frames(buffer, end, wanted, frame_size))
-    if opcode == _OP_ACK:
-        _expect_end(buffer, 1)
-        return Ack()
-    if opcode == _OP_ERROR:
-        length = _U32.unpack_from(buffer, 1)[0]
-        if len(buffer) != 5 + length:
-            raise ProtocolError("bad ERROR length")
-        return ErrorReply(buffer[5 : 5 + length].decode("utf-8", errors="replace"))
-    raise ProtocolError(f"unknown opcode 0x{opcode:02x}")
-
-
-def _expect_end(buffer: bytes, end: int) -> None:
-    if len(buffer) != end:
-        raise ProtocolError(
-            f"trailing garbage: message is {len(buffer)} bytes, parsed {end}"
-        )
+    cursor = RecordCursor(buffer, error=ProtocolError)
+    opcode = cursor.take_byte()
+    if opcode in (_OP_READ_RANGES, _OP_WRITE_RANGES):
+        count = cursor.take(_U32)
+        if count > MAX_RANGES:
+            raise ProtocolError(
+                f"{count} ranges exceed the {MAX_RANGES}-range bound"
+            )
+        ranges = tuple(cursor.take_fields(_RANGE) for _ in range(count))
+        if opcode == _OP_READ_RANGES:
+            message = ReadRanges(ranges)
+        else:
+            frames = cursor.take_bytes(frame_count(ranges) * frame_size)
+            message = WriteRanges(ranges, frames)
+    elif opcode == _OP_FRAMES:
+        message = Frames(cursor.take_bytes(cursor.take(_U32) * frame_size))
+    elif opcode == _OP_ACK:
+        message = Ack()
+    elif opcode == _OP_ERROR:
+        text = cursor.take_bytes(cursor.take(_U32))
+        message = ErrorReply(str(text, "utf-8", errors="replace"))
+    else:
+        raise ProtocolError(f"unknown opcode 0x{opcode:02x}")
+    cursor.expect_end("message")
+    return message

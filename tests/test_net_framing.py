@@ -1,6 +1,7 @@
 """Frame codec and envelope-message tests (repro.net.framing)."""
 
 import asyncio
+import logging
 import socket
 import struct
 import threading
@@ -414,5 +415,45 @@ class TestServerRejectsGarbage:
                     pass
                 finally:
                     sock.close()
+        finally:
+            db.close()
+
+
+class TestNonUtf8Origin:
+    """A REPL_* origin that is not UTF-8 is a malformed frame like any
+    other, not an exception that escapes the connection handler."""
+
+    BODY = b"\x0c\x00\x02\xff\xfe"  # REPL_QUERY, origin b"\xff\xfe"
+
+    def test_decoder_raises_protocol_error(self):
+        with pytest.raises(ProtocolError, match="UTF-8"):
+            decode_net_message(self.BODY)
+
+    def test_served_server_refuses_it(self, caplog):
+        from tests.helpers import make_db
+        from repro.baselines import make_records
+        from repro.net import NetworkClient, PirServer, ServerThread
+        from repro.service.frontend import SESSION_RANDOM, QueryFrontend
+
+        db = make_db(num_records=16)
+        frontend = QueryFrontend(db, session_id_mode=SESSION_RANDOM)
+        try:
+            with caplog.at_level(logging.ERROR, logger="asyncio"), \
+                    ServerThread(PirServer(frontend)) as handle:
+                sock = socket.create_connection(
+                    (handle.host, handle.port), timeout=5.0
+                )
+                try:
+                    write_frame_sock(sock, self.BODY)
+                    message = decode_net_message(read_frame_sock(sock))
+                finally:
+                    sock.close()
+                assert isinstance(message, NetRefused)
+                assert message.refusal.code == "protocol"
+                with NetworkClient(handle.host, handle.port,
+                                   timeout=5.0) as client:
+                    assert client.query(3) == make_records(16, 16)[3]
+            assert [r.getMessage() for r in caplog.records
+                    if r.name == "asyncio"] == []
         finally:
             db.close()

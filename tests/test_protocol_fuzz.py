@@ -1,4 +1,5 @@
-"""Property-based fuzzing of both wire codecs (two-party + client service).
+"""Property-based fuzzing of the three wire codecs (two-party, client
+service and the network envelope).
 
 Protocol decoders face adversarial bytes by definition; these tests check
 (1) encode/decode round-trips for arbitrary field values, and (2) the
@@ -8,11 +9,14 @@ or mutated input.
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
+from repro.net import framing as net_wire
 from repro.service import protocol as client_wire
 from repro.twoparty import messages as disk_wire
 
@@ -177,3 +181,90 @@ class TestClientWireRobustness:
         for cut in range(len(encoded)):
             with pytest.raises(ProtocolError):
                 client_wire.decode_client_message(encoded[:cut])
+
+    def test_deep_batch_nest_is_refused(self):
+        """Batches do not nest, however deep the nest: the decoder refuses
+        the inner batch before decoding it, not by running out of stack."""
+        encoded = client_wire.encode_client_message(client_wire.Query(1))
+        for _ in range(3000):
+            encoded = (b"\x14" + struct.pack(">I", 1)
+                       + struct.pack(">I", len(encoded)) + encoded)
+        with pytest.raises(ProtocolError, match="batch cannot carry"):
+            client_wire.decode_client_message(encoded)
+
+
+# Origins whose UTF-8 stays inside the 256-byte cap (at most 4 bytes per
+# character).
+_origin = st.text(max_size=64)
+_refusal = st.builds(client_wire.Refused, st.text(max_size=40),
+                     st.text(max_size=12),
+                     st.floats(allow_nan=False))
+# One strategy per envelope message type.
+_NET_STRATEGIES = {
+    net_wire.Hello: st.builds(net_wire.Hello, st.integers(0, 255)),
+    net_wire.Welcome: st.builds(net_wire.Welcome, _u64),
+    net_wire.Request: st.builds(net_wire.Request, _u32, _payload),
+    net_wire.Reply: st.builds(net_wire.Reply, _u32, _payload, _u64),
+    net_wire.NetRefused: st.builds(net_wire.NetRefused, _u32, _refusal),
+    net_wire.Bye: st.just(net_wire.Bye()),
+    net_wire.Ping: st.just(net_wire.Ping()),
+    net_wire.Pong: st.builds(net_wire.Pong, st.booleans(), _u32),
+    net_wire.Resume: st.builds(net_wire.Resume, _u64),
+    net_wire.ReplRecord: st.builds(net_wire.ReplRecord, _origin, _u64,
+                                   _payload),
+    net_wire.ReplAck: st.builds(net_wire.ReplAck, _origin, _u64),
+    net_wire.ReplQuery: st.builds(net_wire.ReplQuery, _origin),
+    net_wire.ReplState: st.builds(net_wire.ReplState, _origin, _u64),
+}
+_net_messages = st.one_of(*_NET_STRATEGIES.values())
+
+
+def _decodes_or_refuses(body: bytes):
+    """The envelope decoder's whole contract on hostile bytes: a message
+    or a :class:`ProtocolError`, nothing else."""
+    try:
+        return net_wire.decode_net_message(body)
+    except ProtocolError:
+        return None
+
+
+class TestEnvelopeRoundtrip:
+    @settings(max_examples=150, deadline=None)
+    @given(message=_net_messages)
+    def test_every_message_roundtrips(self, message):
+        assert net_wire.decode_net_message(
+            net_wire.encode_net_message(message)
+        ) == message
+
+    def test_strategy_covers_every_message_type(self):
+        assert set(_NET_STRATEGIES) == set(net_wire.NetMessage.__args__)
+        assert len(_NET_STRATEGIES) == 13
+
+
+class TestEnvelopeRobustness:
+    @settings(max_examples=150, deadline=None)
+    @given(garbage=st.binary(max_size=300))
+    def test_arbitrary_bytes_never_crash(self, garbage):
+        _decodes_or_refuses(garbage)
+
+    @settings(max_examples=150, deadline=None)
+    @given(message=_net_messages, flip=st.integers(0, 10**6),
+           cut=st.integers(0, 400), extra=st.binary(max_size=8))
+    def test_mutated_bodies_never_crash(self, message, flip, cut, extra):
+        encoded = bytearray(net_wire.encode_net_message(message))
+        encoded[flip % len(encoded)] ^= 1 + (flip % 255)
+        _decodes_or_refuses(bytes(encoded))
+        _decodes_or_refuses(bytes(encoded[:cut]) + extra)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tag=st.integers(0x0A, 0x0D), origin=st.binary(max_size=300),
+           tail=st.binary(max_size=16))
+    def test_repl_frames_with_any_origin_bytes(self, tag, origin, tail):
+        """REPL_* frames carry whatever origin bytes a peer sends: valid
+        UTF-8 within the cap decodes to that origin, anything else is
+        refused as a protocol error."""
+        body = (bytes([tag]) + struct.pack(">H", len(origin)) + origin
+                + tail)
+        message = _decodes_or_refuses(body)
+        if message is not None:
+            assert message.origin == origin.decode("utf-8")

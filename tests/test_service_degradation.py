@@ -252,7 +252,6 @@ class TestFrontendDegradation:
     def _failing_frontend(self, exc_factory, **health_kwargs):
         frontend = make_frontend()
         monitor = HealthMonitor(
-            frontend.database.clock,
             counters=frontend.counters,
             **health_kwargs,
         )
@@ -446,7 +445,7 @@ class TestClientRetry:
     def test_retry_honours_server_hint_as_floor(self):
         frontend = make_frontend()
         frontend.health = HealthMonitor(
-            frontend.database.clock, retry_hint=0.5, max_hint=10.0,
+            retry_hint=0.5, max_hint=10.0,
             counters=frontend.counters,
         )
         frontend.health.record_fault(fatal=True)
