@@ -28,11 +28,13 @@ being woken onto the caller's.
 
 The split changes no byte: each row's frame depends on its plaintext,
 nonce and keys alone.  Every fallback is the same row kernel run inline
-on all rows: a batch below :data:`MIN_ROWS`, a lane another thread is
-using (its lock is never waited for), a worker not yet ready (start-up
-never blocks a batch), a process forked from the lane's owner, and a
-worker that died — a short read or end of file on the reply pipe
-recomputes its rows inline and turns the lane off for good.
+on all rows: a batch below :data:`MIN_ROWS`, a worker not yet ready
+(start-up never blocks a batch), a process forked from the lane's owner,
+and a worker that died — a short read or end of file on the reply pipe
+recomputes its rows inline and turns the lane off for good.  A lane
+another thread is using is waited for, not bypassed: the wait releases
+the GIL, so the holder's front half runs meanwhile, and the waiter's back
+half then goes to the same worker.
 
 The worker is inside the simulated coprocessor boundary: it receives the
 derived frame keys (never the master key) and keeps a few suites built
@@ -205,15 +207,16 @@ class Lane:
 
     def _claim(self) -> bool:
         """Take the lane for one batch: False (run inline) when it is off,
-        busy, not this process's, or its worker is not ready yet."""
+        not this process's, or its worker is not ready yet.  A lane held
+        by another thread's batch is waited for (the lock's wait releases
+        the GIL); the holder may turn the lane off meanwhile."""
         if self._off or self.owner != os.getpid():
             return False
-        if not self._lock.acquire(blocking=False):
-            return False
-        if not self._ready:
+        self._lock.acquire()
+        if not (self._ready or self._off):
             if self._proc is None:
                 self._start()
-            elif not self._off:
+            else:
                 self._poll_ready()
         if self._ready and not self._off:
             return True

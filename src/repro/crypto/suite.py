@@ -71,7 +71,8 @@ before the split and each side checks the MAC of every row it owns, so
 the frames, the failing indices and the rule that no plaintext leaves
 unless every row verified are those of one pass over all rows — which is
 what runs whenever the lane cannot take the batch (small or ragged batch,
-lane busy, worker not ready or gone, one CPU).
+worker not ready or gone, one CPU).  A lane that another thread's batch
+holds is waited for, not bypassed.
 
 Intent records
 --------------

@@ -3,7 +3,8 @@
 The lane must never change a byte or an authentication verdict, whatever
 the split, and it must fall back to the inline row kernel — the same
 function over every row — when it cannot be used: too small a batch, a
-dead worker, a process that is not the lane's owner, one CPU.  These tests
+dead worker, a process that is not the lane's owner, one CPU.  A lane
+another thread holds is waited for, not bypassed.  These tests
 drive a lane of their own (installed as the process lane for one test),
 except where the process's own worker is what is counted.
 """
@@ -46,8 +47,11 @@ def _plain(count: int) -> np.ndarray:
     ).reshape(count, WIDTH)
 
 
-def _suite(backend: str) -> CipherSuite:
-    return CipherSuite(MASTER, backend=backend, rng=SecureRandom(11))
+def _suite(backend: str, member: int = 0) -> CipherSuite:
+    """A suite of its own for each ``member`` (key and nonce stream)."""
+    return CipherSuite(
+        MASTER + bytes(member), backend=backend, rng=SecureRandom(11 + member)
+    )
 
 
 def _start(lane: Lane) -> None:
@@ -155,15 +159,32 @@ class TestByteIdentity:
 @two_cpus
 class TestFallback:
     @staticmethod
-    def _kill_and_recompute(lane, inline, kill) -> None:
+    def _kill_and_recompute(lane, inline, kill, waiter: bool = False) -> None:
         """``kill(proc)`` ends the live worker; the next large batch must
-        recompute the worker's rows inline and turn the lane off."""
+        recompute the worker's rows inline and turn the lane off.
+        ``waiter``: a second thread's batch waits for the lane that batch
+        holds, and must run inline once it gets it."""
         _start(lane)
+        started = lane.batches
         kill(lane._proc)
         plain = _plain(256)
         suite = _suite("shake")
+        waited = []
+
+        def wait_and_seal():
+            # Once the batch below holds the lane.
+            wait_until(lane._lock.locked, timeout=60.0)
+            waited.append(_suite("shake", member=1).encrypt_pages(plain))
+
+        second = threading.Thread(target=wait_and_seal) if waiter else None
+        if second:
+            second.start()
         frames = suite.encrypt_pages(plain)
+        if second:
+            second.join(timeout=60.0)
+            assert not second.is_alive(), "the waiting batch hung"
         assert np.array_equal(suite.decrypt_pages(frames), plain)
+        assert lane.batches == started  # no batch since the kill was shared
         assert not lane.live and lane.pid is None
         batches = lane.batches
         suite.encrypt_pages(plain)
@@ -171,6 +192,9 @@ class TestFallback:
         lane.close()  # a second shut releases nothing twice
         inline()
         assert np.array_equal(frames, _suite("shake").encrypt_pages(plain))
+        if second:
+            alone = _suite("shake", member=1).encrypt_pages(plain)
+            assert np.array_equal(waited[0], alone)
 
     def test_killed_worker_recomputes_inline_and_turns_the_lane_off(
             self, fresh_lane, inline):
@@ -199,6 +223,27 @@ class TestFallback:
 
         try:
             self._kill_and_recompute(fresh_lane, inline, kill)
+        finally:
+            for timer in timers:
+                timer.join()
+
+    def test_a_batch_waiting_behind_a_stopped_worker_runs_inline(
+            self, fresh_lane, inline):
+        """One thread's batch holds the lane while the worker is stopped
+        and a second thread's batch waits for it.  Once the worker is
+        killed, the holder recomputes inline and turns the lane off, and
+        the waiter, given the lane, runs inline."""
+        timers = []
+
+        def kill(proc):
+            os.kill(proc.pid, signal.SIGSTOP)
+            timers.append(
+                threading.Timer(0.5, os.kill, (proc.pid, signal.SIGKILL))
+            )
+            timers[0].start()
+
+        try:
+            self._kill_and_recompute(fresh_lane, inline, kill, waiter=True)
         finally:
             for timer in timers:
                 timer.join()
@@ -234,6 +279,88 @@ class TestFallback:
             os.sched_setaffinity(0, mask)
         assert fresh_lane.pid is None and not fresh_lane.live
         assert fresh_lane.batches == 0
+
+
+@two_cpus
+class TestBusyLane:
+    """A lane another thread holds is waited for: the waiting batch's back
+    half goes to the same worker once the holder is done."""
+
+    def test_a_held_lane_is_waited_for(self, fresh_lane, inline):
+        _start(fresh_lane)
+        plain = _plain(94)
+        suite = _suite("shake")
+        before = fresh_lane.batches
+        sealed = []
+        thread = threading.Thread(
+            target=lambda: sealed.append(suite.encrypt_pages(plain))
+        )
+        with fresh_lane._lock:
+            thread.start()
+            thread.join(timeout=0.2)
+            assert thread.is_alive(), "the batch ran inline past a held lane"
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
+        assert fresh_lane.batches == before + 1
+        inline()
+        assert np.array_equal(sealed[0], _suite("shake").encrypt_pages(plain))
+
+    def test_concurrent_threads_share_every_batch_with_one_worker(
+            self, fresh_lane, inline):
+        """More threads than a 2-CPU machine has cores, switching often:
+        every batch of every thread is shared, each thread's frames and
+        nonce stream are its inline run's, and there is still one worker."""
+        rounds = 8
+        me = os.getpid()
+        counted = os.path.exists(f"/proc/{me}/task/{me}/children")
+        # The process lane's own worker, if an earlier test started it.
+        others = {pid for pid, _ in _lane_descendants(me)} if counted else set()
+        _start(fresh_lane)
+        plain = _plain(94)
+        members = (1, 2, 3)
+        suites = [_suite("shake", member) for member in members]
+        results = [[] for _ in suites]
+        together = threading.Barrier(len(suites))
+
+        def run(suite, out):
+            together.wait(timeout=60.0)
+            for _ in range(rounds):
+                frames = suite.encrypt_pages(plain)
+                out.append((frames, suite.decrypt_pages(frames)))
+            out.append(suite._rng.token(8))
+
+        before = fresh_lane.batches
+        threads = [
+            threading.Thread(target=run, args=pair)
+            for pair in zip(suites, results)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert fresh_lane.batches - before == 2 * len(suites) * rounds
+        if counted:
+            workers = [
+                entry for entry in _lane_descendants(me)
+                if entry[0] not in others
+            ]
+            assert workers == [(fresh_lane.pid, me)]
+
+        inline()
+        for member, result in zip(members, results):
+            alone = _suite("shake", member)
+            for frames, opened in result[:-1]:
+                assert np.array_equal(frames, alone.encrypt_pages(plain))
+                assert np.array_equal(opened, plain)
+                assert np.array_equal(alone.decrypt_pages(frames), plain)
+            # Each thread's nonces came from its own suite's stream.
+            assert alone._rng.token(8) == result[-1]
 
 
 @two_cpus
