@@ -413,8 +413,9 @@ class PirDatabase:
         return self.reshuffle
 
     def close(self) -> None:
-        """Close the attached replication log's backlog file and close the
-        store (a durable store flushes and syncs first).
+        """Close the attached replication log's backlog file, the journal
+        (its record, if any, stays for the next journal on the slot) and
+        the store (a durable store flushes and syncs first).
 
         Idempotent.  Usable as a context manager:
         ``with PirDatabase.create(...) as db:``.  The process-wide crypto
@@ -423,6 +424,9 @@ class PirDatabase:
         """
         if self.replication is not None:
             self.replication.close()
+        close_journal = getattr(self.engine.journal, "close", None)
+        if close_journal is not None:
+            close_journal()
         self.disk.close()
 
     def __enter__(self) -> "PirDatabase":

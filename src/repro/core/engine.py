@@ -150,8 +150,9 @@ class RecoveryReport:
     ``"clean"``
         No journal, or an empty journal slot — nothing was in flight.
     ``"rolled_back"``
-        The journal held a torn/unauthentic record: the crash hit before
-        the intent became durable, so the request never happened.
+        The journal held a torn/unauthentic record — its tag, or one of
+        its frames' own tags, failed: the crash hit before the intent
+        became durable, so the request never happened.
     ``"replayed"``
         A valid record for the in-flight request was rolled forward.
     ``"discarded_stale"``
@@ -322,22 +323,31 @@ class RetrievalEngine:
         try:
             intent = self._open_intent(blob)
         except (CryptoError, StorageError):
-            # Torn or unauthentic record: the crash hit while the intent
-            # itself was being written, so no write-back ever started and
-            # no trusted state was mutated.  The request never happened.
-            self.journal.clear()
-            self._pending_intent = None
-            self.counters.increment("recovery.rolled_back")
-            return RecoveryReport("rolled_back")
-        if intent.stale(self.cop.state):
+            return self._discard("rolled_back")
+        # Decided from the header alone; a record ahead of the trusted
+        # state raises here and stays in the slot.
+        stale = intent.stale(self.cop.state)
+        try:
+            # The record's tag covers each frame's own tag: only opening
+            # the frames shows their bytes are the ones sealed.
+            self.cop.unseal_frames(intent.frames)
+        except CryptoError:
+            return self._discard("rolled_back")
+        if stale:
             # Write-back committed; only the journal clear was lost.
-            self.journal.clear()
-            self._pending_intent = None
-            self.counters.increment("recovery.discarded_stale")
-            return RecoveryReport("discarded_stale", intent.request_index)
+            return self._discard("discarded_stale", intent.request_index)
         self._commit(intent)
         self.counters.increment("recovery.replayed")
         return RecoveryReport("replayed", intent.request_index)
+
+    def _discard(self, action: str, request_index=None) -> RecoveryReport:
+        """Clear the journal slot without applying its record: it is torn
+        or unauthentic (no write-back ever started, no trusted state was
+        mutated), or the trusted state already holds it."""
+        self.journal.clear()
+        self._pending_intent = None
+        self.counters.increment("recovery." + action)
+        return RecoveryReport(action, request_index)
 
     def _open_intent(self, record):
         """Authenticate a journal record of either kind and decode it.

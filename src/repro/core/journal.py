@@ -46,17 +46,26 @@ the extra-frame locations, the cache / flag / map deltas — zero-padded to
 cache puts of ``page_capacity`` bytes, one flag op, three map ops).  It is
 the only part that is encrypted.  ``frames`` is the window's sealed frame
 matrix exactly as it goes to disk, block first.  ``tag`` is one HMAC, under
-a key derived for intent records alone, over everything before it
-(:meth:`SecureCoprocessor.seal_intent
+a key derived for intent records alone, over the magic, the nonce, the
+encrypted header and each frame's own 16-byte tag — not over the frames'
+bytes (:meth:`SecureCoprocessor.seal_intent
 <repro.hardware.coprocessor.SecureCoprocessor.seal_intent>`).
 
 *Why the frames are associated data, not plaintext to encrypt again.*  They
 are ciphertext already: the kernel sealed them for the disk, and the host
 sees the same k + B frames cross the bus microseconds later.  Their
-confidentiality is the bus's; what the journal adds is integrity, and the
-one MAC over the whole record gives it — a torn record, a flipped byte
-anywhere, or an older validly-sealed frame swapped into the frame section
-all fail the tag and roll back.
+confidentiality is the bus's; what the journal adds is integrity.  Each
+frame's tag already binds its nonce and ciphertext under the frame key, so
+the record's tag binds the frames by binding their tags, and recovery opens
+every frame of the record before it acts on it — rolls it forward or
+discards it as stale.  A torn or truncated record fails its length framing
+or the record's tag; a flipped byte in the magic, nonce, header or a
+frame's tag fails the record's tag; a flipped byte in a frame's nonce or
+body fails that frame's own tag; an older validly-sealed frame swapped into
+the frame section carries a different tag, so the record's tag fails.
+Every one of them rolls back.  The tag's input is ``16 + header_size(B) +
+16 * (k + B)`` bytes: 3 870 for a window of one at BENCH's durable point,
+against the ~112 KB of the whole record.
 
 *Constant size.*  A record is ``32 + header_size(B, page_capacity) +
 (k + B) * frame_size`` bytes: a function of (k, frame size, page capacity,
@@ -79,15 +88,19 @@ lives for one request and nothing is archived, so no old layout is kept.
 
 The journal slot conceptually lives in the coprocessor's battery-backed
 NVRAM or on host storage next to the page array.  :class:`MemoryJournal`
-models NVRAM for simulations; :class:`FileJournal` stores the record in a
-host file with atomic replace semantics for deployments and crash tests
-against real I/O.
+models NVRAM for simulations; :class:`FileJournal` keeps the slot in a host
+file, rewritten in place — one positioned write and at most one
+``fdatasync`` per record, a small unsynced marker write per clear — for
+deployments and crash tests against real I/O.  A torn overwrite fails the
+record's tag and rolls back; a lost clear brings back a committed record,
+which recovery discards as stale.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import weakref
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -385,8 +398,9 @@ class ReshuffleIntent:
 
     Sealed like a :class:`WriteIntent`: the header — frontier advance and
     page-map delta — is encrypted, the rewritten frames ride as they go to
-    disk, one MAC covers both, and the record's length is a function of the
-    batch's public frame count alone.
+    disk, the record's tag covers the header and the frames' own tags, and
+    the record's length is a function of the batch's public frame count
+    alone.
     """
 
     epoch: int
@@ -516,15 +530,25 @@ class MemoryJournal:
         self._charge(0)
         self._blob = None
 
+    def close(self) -> None:
+        """Nothing to release: NVRAM outlives the database that wrote it."""
+
 
 class FileJournal:
-    """Intent journal in a host file, replaced atomically on every write.
+    """Intent journal in a host file: one slot, rewritten in place.
 
-    The write path is the standard crash-safe sequence: write a temp file,
-    flush, fsync (per the durability policy), rename over the slot.  A
-    record observed by :meth:`read` is therefore either absent, complete,
-    or — if the platform tore the rename, which POSIX forbids but tests
-    simulate — detectably unauthentic to the sealed-record MAC.
+    The file is opened once (created, and its directory synced, by the
+    first write) and holds ``length (8B) ‖ record``.  A write is one
+    positioned write of both at offset 0, plus one ``fdatasync`` under the
+    durability policy; :meth:`clear` zeroes the length — one small write,
+    never synced — and :meth:`read` returns ``None`` for a zero length.
+
+    Neither a torn write nor a lost clear can do harm.  A torn overwrite
+    leaves a mix of the new record and the old one (or a record cut
+    short): it fails the record's tag and rolls back, and nothing of its
+    window had been applied yet — the engine applies only after
+    :meth:`write` returns.  A lost clear brings back the committed record,
+    which recovery discards as stale by its request index (or epoch).
     """
 
     def __init__(
@@ -541,21 +565,30 @@ class FileJournal:
         self.timing = timing
         self.fsync = fsync
         self.writes = 0
+        self._fd: Optional[int] = None
+        self._closer: Optional[weakref.finalize] = None
 
     def _charge(self, num_bytes: int) -> None:
         if self.clock is not None and self.timing is not None:
             self.clock.advance(self.timing.write_time(num_bytes))
 
-    def _sync_directory(self) -> None:
-        """Make the rename/unlink itself durable.
+    def _descriptor(self, create: bool) -> Optional[int]:
+        """The slot file's descriptor, opened on first use; ``None`` when
+        the file does not exist and ``create`` is false."""
+        if self._fd is None:
+            created = not os.path.exists(self.path)
+            if created and not create:
+                return None
+            self._fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
+            # A database dropped without close() releases it at collection.
+            self._closer = weakref.finalize(self, os.close, self._fd)
+            if created and self.fsync:
+                self._sync_directory()
+        return self._fd
 
-        fsyncing the temp file only persists its *contents*; the directory
-        entry created by ``os.replace`` (or removed by ``os.remove``) lives
-        in the parent directory's data and survives power loss only after
-        the directory is fsynced too.  Without this a "sealed" intent can
-        vanish on power loss while a torn write-back partially landed —
-        the exact silent inconsistency the journal exists to prevent.
-        """
+    def _sync_directory(self) -> None:
+        """Make the slot file's directory entry durable, once, at creation:
+        syncing the file persists its contents, not its name."""
         parent = os.path.dirname(os.path.abspath(self.path))
         flags = os.O_RDONLY | getattr(os, "O_DIRECTORY", 0)
         try:
@@ -573,28 +606,34 @@ class FileJournal:
 
     def write(self, blob: bytes) -> None:
         self._charge(len(blob))
-        tmp_path = self.path + ".tmp"
-        with open(tmp_path, "wb") as handle:
-            handle.write(blob)
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
-        os.replace(tmp_path, self.path)
+        fd = self._descriptor(create=True)
+        expected = _U64.size + len(blob)
+        if os.pwritev(fd, (_U64.pack(len(blob)), blob), 0) != expected:
+            raise StorageError("short write to the journal slot")
         if self.fsync:
-            self._sync_directory()
+            getattr(os, "fdatasync", os.fsync)(fd)
         self.writes += 1
 
     def read(self) -> Optional[bytes]:
-        if not os.path.exists(self.path):
+        fd = self._descriptor(create=False)
+        if fd is None:
             return None
-        with open(self.path, "rb") as handle:
-            return handle.read()
+        data = os.pread(fd, os.fstat(fd).st_size, 0)
+        if len(data) < _U64.size:
+            return None
+        length = _U64.unpack_from(data)[0]
+        # A slot cut short returns what is there: a torn record.
+        return data[_U64.size:_U64.size + length] if length else None
 
     def clear(self) -> None:
         self._charge(0)
-        try:
-            os.remove(self.path)
-        except FileNotFoundError:
-            return
-        if self.fsync:
-            self._sync_directory()
+        fd = self._descriptor(create=False)
+        if fd is not None:
+            os.pwrite(fd, bytes(_U64.size), 0)
+
+    def close(self) -> None:
+        """Release the slot file's descriptor; idempotent.  The record, if
+        any, stays in the file for the next journal on this path."""
+        if self._closer is not None:
+            self._closer()
+        self._fd = self._closer = None

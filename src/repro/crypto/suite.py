@@ -81,13 +81,23 @@ A write-ahead intent record (:mod:`repro.core.journal`) carries a small
 secret header and the window's frames, which the kernel sealed a moment
 earlier and the host sees on the bus anyway.  :meth:`CipherSuite.seal_intent`
 therefore encrypts only the header and carries the frames as they are —
-associated data — under one MAC over the whole record:
+associated data:
 
 ``record = magic (4B) || nonce (12B) || E(header) || frames || tag (16B)``
 
 The tag is HMAC-SHA256 under its *own* derived key, so a record never
 authenticates as a frame (or as anything else sealed with
 :meth:`~CipherSuite.encrypt_page`) and no frame authenticates as a record.
+Its input is the magic, the nonce and the encrypted header, then each
+frame's own 16-byte tag in frame order — 3 870 bytes for a window of one
+at BENCH's durable point, where the whole record is ~112 KB.  A frame's
+tag already binds its nonce and ciphertext under the frame key, so binding
+the tags binds the frames: :meth:`~CipherSuite.open_intent` checks the
+record's tag, and the reader opens every frame (the engine's recovery
+does, through ``unseal_frames``) before it acts on the record.  A flipped
+frame byte then fails that frame's tag, and a different frame — an older,
+validly sealed one of the same location — carries a different tag, which
+fails the record's.
 """
 
 from __future__ import annotations
@@ -493,7 +503,8 @@ class CipherSuite:
 
         ``frames`` (a C-contiguous ``numpy.uint8`` matrix of already sealed
         frames) is copied in as it is; only ``header`` is encrypted, under
-        one fresh nonce, and the tag covers everything before it.
+        one fresh nonce, and the tag covers the magic, the nonce, the
+        encrypted header and each frame's own tag (:meth:`_record_tag`).
         """
         head = _MAGIC_SIZE + NONCE_SIZE
         body = head + len(header)
@@ -509,23 +520,30 @@ class CipherSuite:
                 out=np.frombuffer(view[head:body], np.uint8),
             )
             view[body:-TAG_SIZE] = memoryview(frames.reshape(-1))
-            view[-TAG_SIZE:] = self._intent_tag(view[:-TAG_SIZE])
+            view[-TAG_SIZE:] = self._record_tag(view[:body], frames)
         return record
 
-    def open_intent(self, magic: bytes, record, header_size: int):
-        """Authenticate ``record`` and return ``(header, frame bytes)``.
+    def open_intent(self, magic: bytes, record, header_size: int,
+                    frame_size: int):
+        """Authenticate ``record`` and return ``(header, frames)``.
 
         The tag is checked before anything else is looked at; only the
         ``header_size`` header bytes are decrypted.  The frame section comes
-        back as a flat read-only ``numpy.uint8`` view of ``record``.
+        back as a read-only ``count x frame_size`` matrix view of
+        ``record``, its frames not yet opened: the tag binds each frame's
+        own tag, so the caller opens them before it trusts their bytes.
         """
         view = memoryview(record)
         head = _MAGIC_SIZE + NONCE_SIZE
         body = head + header_size
-        if len(view) < body + TAG_SIZE or view[:_MAGIC_SIZE] != magic:
+        section = len(view) - body - TAG_SIZE
+        if section < 0 or section % frame_size or view[:_MAGIC_SIZE] != magic:
             raise AuthenticationError("not an intent record of this kind")
+        frames = np.frombuffer(view[body:-TAG_SIZE], np.uint8).reshape(
+            -1, frame_size
+        )
         if not compare_digest(
-            self._intent_tag(view[:-TAG_SIZE]), view[-TAG_SIZE:]
+            self._record_tag(view[:body], frames), view[-TAG_SIZE:]
         ):
             raise AuthenticationError("intent record failed MAC verification")
         header = np.bitwise_xor(
@@ -534,7 +552,16 @@ class CipherSuite:
                 (bytes(view[_MAGIC_SIZE:head]),), header_size
             )[0],
         ).tobytes()
-        return header, np.frombuffer(view[body:-TAG_SIZE], np.uint8)
+        return header, frames
+
+    def _record_tag(self, head, frames: np.ndarray) -> bytes:
+        """An intent record's tag: HMAC under the intent key over ``head``
+        (magic, nonce, encrypted header) and the last ``TAG_SIZE`` bytes of
+        each row of ``frames`` — the frame's own tag, which already binds
+        its nonce and ciphertext under the frame key."""
+        return self._intent_tag(
+            b"".join((head, frames[:, -TAG_SIZE:].tobytes()))
+        )
 
     def frame_size(self, payload_size: int) -> int:
         """Size in bytes of an encrypted frame for a payload of ``payload_size``."""

@@ -292,7 +292,7 @@ class SecureCoprocessor:
 
         Only ``header`` — the trusted-state delta — is encrypted; ``frames``
         are the window's sealed frames exactly as they go to disk, carried
-        as they are under the record's one MAC
+        as they are, and the record's tag covers each frame's own tag
         (:meth:`CipherSuite.seal_intent <repro.crypto.suite.CipherSuite.seal_intent>`).
         """
         return self.suite.seal_intent(
@@ -303,13 +303,15 @@ class SecureCoprocessor:
         """Authenticate a record sealed by :meth:`seal_intent`.
 
         Returns ``(header, frames)``: the decrypted header and the frame
-        section as a read-only matrix view of ``record``.  Accepts the
-        legacy key during a rotation.
+        section as a read-only matrix view of ``record``, whose frames the
+        caller opens (:meth:`unseal_frames`) before it acts on the record.
+        Accepts the legacy key during a rotation.
         """
-        header, body = self._with_legacy_key(
-            lambda suite: suite.open_intent(magic, record, header_size)
+        return self._with_legacy_key(
+            lambda suite: suite.open_intent(
+                magic, record, header_size, self.frame_size
+            )
         )
-        return header, body.reshape(-1, self.frame_size)
 
     def seal_record(self, plaintext: bytes) -> bytes:
         """Seal one fixed-size control record (the §13 replication stream).

@@ -128,9 +128,10 @@ MIXED_OPS = [
 # Generated at the parent of the commit that deleted the serial engine path
 # (`_execute_request`), by running the two scenarios below through its
 # per-op methods.  They never change: a window of one must keep
-# reproducing the serial path's bytes.  (The two "journal" digests alone
-# were re-recorded when the intent record became header + frames under one
-# MAC; the frames inside it, like every other digest here, did not move.)
+# reproducing the serial path's bytes.  (The "journal" digests alone were
+# re-recorded when the intent record became header + frames under one MAC,
+# and again when that MAC moved from the frames' bytes to their own tags;
+# the frames inside it, like every other digest here, did not move.)
 
 
 class RecordingJournal(MemoryJournal):
@@ -224,7 +225,7 @@ def golden_scenario_rotation(run=run_per_op):
 GOLDEN_JOURNALED = {
     "replies": "fbe02e809ceccf57d7e74bbb232d7267c0d5baf5af018e2cdac7cc7c68c38bbb",
     "frames": "d06c9a00a526a8fe7a692a8ecd717652547b7b0890ea55eae364409d4d2db825",
-    "journal": "4daf0c786e4aaf6031ad6c8bbe9986388ad9f383e5898d40b119559a18724526",
+    "journal": "38f40426a3b0d5d879c0f6aad9892a7764d8447beb550a3ab48f65e8d04dc8f8",
     "journal_records": 225,
     "trace": "3809653a83b472834fd66124d02a0e9cd4baa7697d8995508ec46ece11750bc3",
     "requests": 225,
@@ -233,7 +234,7 @@ GOLDEN_JOURNALED = {
 GOLDEN_ROTATION = {
     "replies": "f5afc3fe03bc24df1b0dd2aa73202ba46bf5bc62ba4cf8005cc7577817517560",
     "frames": "6bb6139add2607d76be73d665c3819096313257442efc84cfc569401343420cc",
-    "journal": "03a92e844cd5cc170e9df08b31c6006874cadbef2f91e9cdb4a904e1aabcddbc",
+    "journal": "de6a731b724a5c1834a03ac0455754fd32c3c37e83d7bde4a85ab6d63760d8b8",
     "journal_records": 40,
     "trace": "cf14df5c2eb677f5997f5b90b785586c9f1a9af219bdc59abc2d3101067e8761",
     "requests": 40,
@@ -258,7 +259,7 @@ GOLDEN_WINDOWS = {
     2: {
         "replies": GOLDEN_JOURNALED["replies"],
         "frames": "746a60ec52fa03989dabf1ddfd4f8f732e5131814d2bce58e0b74d266ea6825e",
-        "journal": "616673d2449e9a36be79252b08ff8054137f69098d6d7e4bf2773188e2915ff2",
+        "journal": "0216a2e09bb45f555395e7ede4f1f173b103f5b44a6337eeeb6f271d95b773cd",
         "journal_records": 117,
         "trace": "c0cccdde09ab986ac841e44c8dddc5a5aa4693a291813a12c5a3f5bc908e7463",
         "requests": 225,
@@ -267,7 +268,7 @@ GOLDEN_WINDOWS = {
     3: {
         "replies": GOLDEN_JOURNALED["replies"],
         "frames": "acde0aec5dfd00f6dd75588bab7a05c1a24f607b8e3bafd48f803abcc80bd1c8",
-        "journal": "ae10b998afcdd259d41641e59844aafd3833da18048cf288d59882b3b27bd949",
+        "journal": "6f803e7d9b1a21097d36c157901a64eeccd32cd1e5251600ca815b2c75eb7356",
         "journal_records": 78,
         "trace": "932c33bfb9e535e4c46220e4597fad826a2e9334e33078058e95d4245a699e6c",
         "requests": 225,
@@ -276,7 +277,7 @@ GOLDEN_WINDOWS = {
     8: {
         "replies": GOLDEN_JOURNALED["replies"],
         "frames": "6865023f3c0fc6d83f138552755dcbaa50766d171d4499f439380904e3ad726c",
-        "journal": "77236705a4fd8a8d9be9b94d64d7bb7890294523e6f04dcb4101abfc57df0abb",
+        "journal": "d454b3c72d415c52e1dbb39a1aebee509ccf3ad8b87641cf79dd1518d4521ef2",
         "journal_records": 30,
         "trace": "da298dfb138d29a86f71279c22237577adb7837e183956caafa9954b6d7fa5d7",
         "requests": 225,
@@ -285,7 +286,7 @@ GOLDEN_WINDOWS = {
     None: {
         "replies": GOLDEN_JOURNALED["replies"],
         "frames": "84f2b0b5c763f9b0d953b9ff8503f5dcca4a53e59d962a772b573fd85027279c",
-        "journal": "5ca42bcaefec2d615d7c965d6a825b2b1b422bd747df475388913c4f78b4b20c",
+        "journal": "8ad69c648222c2773721e70aea2b8448cee0a69ceb147b7b6f0715563e5c6374",
         "journal_records": 18,
         "trace": "911967f4116be4d6db685b9fc3f9988b60adf05ce4ed9f25e1b9e84cfa0ed51f",
         "requests": 225,

@@ -108,14 +108,17 @@ def build_db(journal=None, injector=None, seed=SEED, **options):
 def seal_intent(db, intent, frames=None):
     """Seal ``intent`` the way the engine's commit point does.
 
-    Without ``frames`` the record carries a zeroed frame section of the
-    right shape — enough for recovery paths that never apply it.
+    Without ``frames`` the record carries k + B sealed frames of a zeroed
+    plaintext — frames that open, as recovery checks before it acts on a
+    record, though never ones to apply.  A sibling suite seals them, so
+    the database's own nonce stream does not move.
     """
     if frames is None:
-        frames = np.zeros(
-            (db.params.block_size + intent.request_span, db.cop.frame_size),
+        frames = db.cop.sibling_suite("test-frames").encrypt_pages(np.zeros(
+            (db.params.block_size + intent.request_span,
+             db.cop.plaintext_page_size),
             np.uint8,
-        )
+        ))
     return db.cop.seal_intent(
         INTENT_MAGIC, intent.encode(db.params.page_capacity), frames
     )
@@ -549,7 +552,8 @@ class TestRecordAuthentication:
         db.cop.begin_key_rotation(b"rotated-master-key")
         with pytest.raises(CryptoError):
             db.cop.suite.open_intent(
-                INTENT_MAGIC, record, header_size(1, db.params.page_capacity)
+                INTENT_MAGIC, record, header_size(1, db.params.page_capacity),
+                db.cop.frame_size,
             )
         report = db.recover()
         assert report.action == "replayed"
@@ -801,25 +805,33 @@ class TestNonCrashWriteFailure:
 
 
 class TestFileJournalDurability:
-    def test_fsync_policy_syncs_directory(self, tmp_path, monkeypatch):
+    def test_syncs_directory_once_and_each_record(self, tmp_path, monkeypatch):
         synced = []
-        real_fsync = os.fsync
+        real_fsync, real_fdatasync = os.fsync, os.fdatasync
 
-        def tracking_fsync(fd):
-            synced.append(os.fstat(fd).st_mode)
-            return real_fsync(fd)
+        def tracking(real):
+            def sync(fd):
+                synced.append(os.fstat(fd).st_mode)
+                return real(fd)
 
-        monkeypatch.setattr(os, "fsync", tracking_fsync)
+            return sync
+
+        monkeypatch.setattr(os, "fsync", tracking(real_fsync))
+        monkeypatch.setattr(os, "fdatasync", tracking(real_fdatasync))
         journal = FileJournal(str(tmp_path / "intent.jnl"))
         journal.write(b"record")
-        # Temp file fsync + directory fsync: the rename is only durable
-        # once the parent directory's entry is on stable storage.
-        assert any(stat.S_ISREG(mode) for mode in synced)
-        assert any(stat.S_ISDIR(mode) for mode in synced)
+        # Creating the slot file syncs its directory entry, once; the
+        # record itself is synced as data.
+        assert sorted(stat.S_ISDIR(mode) for mode in synced) == [False, True]
 
-        synced.clear()
-        journal.clear()
-        assert any(stat.S_ISDIR(mode) for mode in synced)
+        for record in (b"second", b"third, longer record"):
+            synced.clear()
+            journal.clear()
+            assert synced == []  # a lost clear is recovered as stale
+            journal.write(record)
+            assert [stat.S_ISREG(mode) for mode in synced] == [True]
+        assert FileJournal(journal.path).read() == b"third, longer record"
+        journal.close()
 
     def test_fsync_disabled_never_syncs(self, tmp_path, monkeypatch):
         synced = []
@@ -829,3 +841,150 @@ class TestFileJournalDurability:
         journal.clear()
         assert synced == []
         assert journal.read() is None
+
+
+class SlotImages(FileJournal):
+    """A file journal that keeps its slot file's bytes after every write
+    and clear (``images``) and every record it wrote (``blobs``)."""
+
+    def __init__(self, path, **options):
+        super().__init__(path, **options)
+        self.images, self.blobs = [], []
+
+    def raw(self) -> bytes:
+        with open(self.path, "rb") as handle:
+            return handle.read()
+
+    def write(self, blob):
+        super().write(blob)
+        self.blobs.append(bytes(blob))
+        self.images.append(self.raw())
+
+    def clear(self):
+        super().clear()
+        self.images.append(self.raw())
+
+
+def lay(path, image):
+    """Overwrite the slot file in place (same inode) with ``image``."""
+    with open(path, "r+b") as handle:
+        handle.write(image)
+        handle.truncate()
+
+
+class TestInPlaceSlot:
+    """The slot is rewritten in place: a torn overwrite rolls back, a
+    lost clear is discarded as stale, and a window costs one positioned
+    write of its record."""
+
+    def crashed(self, tmp_path):
+        """A database killed three frames into window N + 1 over a
+        :class:`FileJournal`; returns it, its journal, and the slot's
+        bytes holding record N, after N's clear, and holding N + 1."""
+        journal = SlotImages(str(tmp_path / "intent.jnl"), fsync=False)
+        injector = FaultInjector(0)
+        db = build_db(journal=journal, injector=injector, page_capacity=256)
+        db.query(3)
+        db.update(5, b"committed")
+        stale, cleared = journal.images[-2:]
+        injector.add(FaultPlan(
+            SITE_DISK_WRITE, "crash",
+            after=injector.frames_seen(SITE_DISK_WRITE) + 3,
+        ))
+        with pytest.raises(SimulatedCrash):
+            db.update(9, b"torn")
+        return db, journal, stale, cleared, journal.images[-1]
+
+    def test_every_torn_overwrite_rolls_back(self, tmp_path):
+        db, journal, stale, cleared, image = self.crashed(tmp_path)
+        assert journal.read() is not None and len(image) > 2 * 512
+        cuts = sorted(set(range(512, len(image), 512))
+                      | set(range(len(image) - 17, len(image))))
+        for base in (cleared, stale):
+            for cut in cuts:
+                lay(journal.path, image[:cut] + base[cut:])
+                assert db.recover().action == "rolled_back", cut
+                assert journal.read() is None
+        lay(journal.path, image)
+        assert db.recover().action == "replayed"
+        assert db.query(9) == b"torn"
+        db.consistency_check()
+
+    def test_lost_clear_reads_stale(self, tmp_path):
+        db, journal, stale, cleared, image = self.crashed(tmp_path)
+        lay(journal.path, image)
+        assert db.recover().action == "replayed"
+        # The clear after the replay is lost: the record comes back.  Its
+        # frames are opened before it is discarded, so a changed frame
+        # byte still rolls back, as it does in an in-flight record.
+        tampered = bytearray(image)
+        tampered[-100] ^= 0x01
+        lay(journal.path, bytes(tampered))
+        assert db.recover().action == "rolled_back"
+        lay(journal.path, image)
+        report = db.recover()
+        assert report.action == "discarded_stale"
+        assert report.request_index == 2
+        assert journal.read() is None
+        assert db.query(9) == b"torn"
+        db.consistency_check()
+
+    def test_close_is_idempotent_and_keeps_the_record(self, tmp_path):
+        db, journal, stale, cleared, image = self.crashed(tmp_path)
+        db.close()
+        db.close()
+        journal.close()
+        assert FileJournal(journal.path).read() == journal.blobs[-1]
+
+    @pytest.mark.parametrize("fsync", [True, False])
+    def test_one_positioned_write_per_window(self, tmp_path, monkeypatch,
+                                             fsync):
+        journal = FileJournal(str(tmp_path / "intent.jnl"), fsync=fsync)
+        db = build_db(journal=journal)
+        db.query(1)  # the first record creates the slot file
+        k = db.params.block_size
+        calls = {}
+
+        def count(name):
+            real = getattr(os, name)
+
+            def counted(*args):
+                calls.setdefault(name, []).append(args)
+                return real(*args)
+
+            monkeypatch.setattr(os, name, counted)
+
+        for name in ("open", "pwrite", "pwritev", "write", "fsync",
+                     "fdatasync", "replace", "rename", "remove", "unlink",
+                     "truncate", "ftruncate"):
+            count(name)
+        hashed = []
+        tag = db.cop.suite._intent_tag
+
+        def counting_tag(data):
+            hashed.append(len(data))
+            return tag(data)
+
+        monkeypatch.setattr(db.cop.suite, "_intent_tag", counting_tag)
+        windows = (1, 2, 3, 1)
+        page = iter(range(NUM_RECORDS))
+        for window in windows:
+            ops = [BatchOp("update", page_id=next(page), payload=b"w")
+                   for _ in range(window)]
+            assert not any(isinstance(r, Exception)
+                           for r in db.run_batch(ops, window=window))
+        monkeypatch.undo()
+
+        assert set(calls) <= {"pwritev", "pwrite", "fdatasync"}, calls
+        assert len(calls["pwritev"]) == len(windows)  # the record
+        # ...and the clear: one 8-byte marker each, never synced.
+        assert [len(args[1]) for args in calls["pwrite"]] == \
+            [8] * len(windows)
+        assert len(calls.get("fdatasync", [])) == (len(windows) if fsync
+                                                   else 0)
+        capacity = db.params.page_capacity
+        # The record's tag hashes magic, nonce, header and the frames'
+        # own tags — never the frames' bytes.
+        assert hashed == [16 + header_size(window, capacity)
+                          + 16 * (k + window) for window in windows]
+        db.close()

@@ -153,7 +153,7 @@ GOLDEN_RNG = {
     "pure": "fa4791716a4f0bc89703c442f18c8dd6238c5ea4444c6592558e6fe4b9d77530",
 }
 GOLDEN_JOURNAL_BLOB = (
-    "858b981f866d0a81ecdde99e066720f1c4ccf4019f44e9bfcbdfe3c20224d600"
+    "ab9eb75afff4eea7500eeb7c03bcdb75d1f1090ab55ee1489a806c8b79305708"
 )
 GOLDEN_SESSION_FRAMES = (
     "bfcf98229a6c76bd1467c6f243f35dadf3e4a31f85009cf63221a341b3216631"
