@@ -77,6 +77,7 @@ import contextlib
 import os
 import struct
 import threading
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -258,7 +259,13 @@ class ReplicationLog:
                 f"mark {emitted}; refusing to reissue sequence numbers"
             )
         if path is not None:
-            self._file = open(path, "ab")
+            self._open()
+
+    def _open(self) -> None:
+        """Open the backlog file for appends; a log dropped without
+        :meth:`close` releases it at collection."""
+        self._file = open(self._path, "ab")
+        self._closer = weakref.finalize(self, self._file.close)
 
     def _load(self, path: str) -> None:
         """Reload the durable backlog, discarding any torn tail.
@@ -473,7 +480,7 @@ class ReplicationLog:
             self._base = up_to_seq
             if self._path is not None:
                 if self._file is not None:
-                    self._file.close()
+                    self._closer()
                 tmp = self._path + ".tmp"
                 with open(tmp, "wb") as handle:
                     handle.write(_BACKLOG_HEADER.pack(self._base, 0))
@@ -485,7 +492,7 @@ class ReplicationLog:
                     handle.flush()
                     os.fsync(handle.fileno())
                 os.replace(tmp, self._path)
-                self._file = open(self._path, "ab")
+                self._open()
             self.counters.increment("compacted", dropped)
             return dropped
 
@@ -516,7 +523,7 @@ class ReplicationLog:
     def close(self) -> None:
         with self._lock:
             if self._file is not None:
-                self._file.close()
+                self._closer()
                 self._file = None
 
 

@@ -79,10 +79,11 @@ def _wire(
 ):
     """Wire coprocessor, store stack and engine for ``params``.
 
-    The one place an instance is put together: every constructor
-    (:meth:`PirDatabase.create`, :func:`~repro.core.snapshot.load_snapshot`,
-    :func:`~repro.twoparty.owner.resume_owner`) forwards its wiring
-    keywords here and differs only in where ``params`` and the initial
+    The one place an instance is put together: both constructors
+    (:meth:`PirDatabase.create` and :func:`~repro.core.snapshot.resume`,
+    which :func:`~repro.core.snapshot.load_snapshot` and
+    :func:`~repro.twoparty.owner.resume_owner` call) forward their wiring
+    keywords here and differ only in where ``params`` and the initial
     state come from.
     Returns ``(coprocessor, disk, engine)`` with the store still empty and
     the trusted state (cache, page map) still blank.

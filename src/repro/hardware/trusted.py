@@ -11,10 +11,11 @@ replication origin, the last sequence whose effect this content includes —
 the applied mark of a peer's stream and the emitted mark of the member's
 own.  The cached pages themselves stay in
 :class:`~repro.hardware.cache.PageCache` and the master keys in the
-coprocessor; :meth:`TrustedState.encode` seals all of it — map, scalars,
+coprocessor; :meth:`TrustedState.encode` lays all of it out — map, scalars,
 epoch, stream marks, cache slots and the legacy key of an unfinished
-rotation — as one versioned blob, and :meth:`TrustedState.decode` is its
-only reader.
+rotation — as one versioned blob, which
+:func:`~repro.core.snapshot.suspend` seals, and
+:meth:`TrustedState.decode` is its only reader.
 
 Each map entry is the tuple ``(inCache, position)`` of Figure 2 in two
 columns: ``position`` in the smallest unsigned type that holds a disk

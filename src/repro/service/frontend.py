@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import struct
 import threading
+import weakref
 from collections import OrderedDict
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
@@ -141,6 +142,8 @@ class SealedReplyCache:
         if self._path is not None:
             self._load()
             self._file = open(self._path, "ab")
+            # A cache dropped without close() releases it at collection.
+            self._closer = weakref.finalize(self, self._file.close)
 
     def _load(self) -> None:
         for _, (session_id, req_len, _), body in load_appended(
@@ -223,7 +226,7 @@ class SealedReplyCache:
     def close(self) -> None:
         with self._lock:
             if self._file is not None:
-                self._file.close()
+                self._closer()
                 self._file = None
 
 

@@ -22,6 +22,7 @@ journal to replay.
 from __future__ import annotations
 
 import os
+import weakref
 from typing import Optional
 
 import numpy as np
@@ -67,6 +68,8 @@ class FileDiskStore(DiskStore):
         self.sync_policy = sync_policy
         mode = "r+b" if os.path.exists(path) else "w+b"
         self._file = open(path, mode)
+        # A store dropped without close() releases it at collection.
+        self._closer = weakref.finalize(self, self._file.close)
         self._file.truncate(num_locations * frame_size)
 
     # -- where the frames live: one readinto / one write per range ---------------
@@ -107,7 +110,7 @@ class FileDiskStore(DiskStore):
         if self._file.closed:
             return
         self.flush()
-        self._file.close()
+        self._closer()
 
     def __enter__(self) -> "FileDiskStore":
         return self

@@ -1,7 +1,7 @@
 """Two-party outsourcing deployment (§3.1, §5 / Figure 7)."""
 
 from .channel import SimulatedChannel
-from .owner import RemoteDisk, owner_wiring, resume_owner, seal_owner_state
+from .owner import RemoteDisk, owner_wiring, resume_owner
 from .provider import ServiceProvider
 from .session import TwoPartySession
 
@@ -9,7 +9,6 @@ __all__ = [
     "SimulatedChannel",
     "RemoteDisk",
     "owner_wiring",
-    "seal_owner_state",
     "resume_owner",
     "ServiceProvider",
     "TwoPartySession",

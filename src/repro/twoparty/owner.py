@@ -6,8 +6,9 @@ physically isolated from the provider — runs the cache, page map, keys and
 the Figure-3 algorithm, while the encrypted pages live at the provider.
 The owner is therefore an ordinary :class:`~repro.core.database.PirDatabase`
 whose store is a :class:`RemoteDisk`: :func:`owner_wiring` is the wiring
-that makes it one, and :func:`seal_owner_state` / :func:`resume_owner`
-suspend and resume it.
+that makes it one.  It suspends like any database, to the one sealed blob
+of :func:`~repro.core.snapshot.suspend` (a snapshot's ``sealed.bin``), and
+:func:`resume_owner` reopens that blob against the provider.
 
 :class:`RemoteDisk` adapts the wire protocol to the engine's storage
 interface: the store's two verbs are the wire's two requests, so each
@@ -18,23 +19,21 @@ not the RTT count — the bottleneck of Figure 7.
 
 from __future__ import annotations
 
-import io
-import json
 from typing import Optional
 
 import numpy as np
 
 from . import messages
 from .channel import SimulatedChannel
-from ..core.database import PirDatabase, _wire
-from ..core.snapshot import decode_manifest, encode_manifest, settle_write_back
+from ..core.database import PirDatabase
+from ..core.snapshot import resume
 from ..errors import ProtocolError
 from ..hardware.specs import HardwareSpec
 from ..sim.clock import VirtualClock
 from ..storage.disk import RangeAccess
 from ..storage.frames import check_ranges, frame_count, frame_matrix
 
-__all__ = ["RemoteDisk", "owner_wiring", "seal_owner_state", "resume_owner"]
+__all__ = ["RemoteDisk", "owner_wiring", "resume_owner"]
 
 
 class RemoteDisk(RangeAccess):
@@ -122,34 +121,6 @@ def owner_wiring(channel_factory, clock: Optional[VirtualClock],
     )
 
 
-# -- suspend / resume ---------------------------------------------------------
-#
-# The encrypted pages already live at the provider, so an owner restart
-# only needs its trusted state: parameters, position map, cached pages,
-# round-robin pointer.  seal_owner_state() packs those into one blob — a
-# length-prefixed manifest, then the trusted state encrypted under the
-# master key in the layout a snapshot's sealed.bin uses — and
-# resume_owner() reconnects to the provider and unpacks.
-
-
-def seal_owner_state(db: PirDatabase) -> bytes:
-    """Export an owner's trusted state as a sealed blob.
-
-    Mid-rotation too: the blob carries the legacy key and the request
-    countdown, so the owner resumes under the new key and the rotation
-    finishes on schedule.  Like :func:`~repro.core.snapshot.save_snapshot`
-    it first heals a retained write-back and refuses while the journal
-    slot holds a record (run ``db.recover()`` first).
-    """
-    manifest = json.dumps(encode_manifest(db), sort_keys=True).encode("utf-8")
-    with db.engine.op_lock:
-        settle_write_back(db)
-        sealed = db.cop.suite.encrypt_page(
-            db.cop.state.encode(db.cop.cache, db.cop.legacy_master_key)
-        )
-    return len(manifest).to_bytes(4, "big") + manifest + sealed
-
-
 def resume_owner(
     sealed_state: bytes,
     channel_factory,
@@ -158,15 +129,16 @@ def resume_owner(
     seed: Optional[int] = None,
     owner_spec: Optional[HardwareSpec] = None,
 ) -> PirDatabase:
-    """Reconnect to the provider and restore a sealed owner state.
+    """Reconnect to the provider and open an owner's
+    :func:`~repro.core.snapshot.suspend` blob.
 
     ``channel_factory`` is :func:`owner_wiring`'s; the provider must still
     hold the frames the sealed state refers to.  A wrong master key fails
     authentication rather than corrupting state; a state sealed
     mid-rotation resumes with the *new* key.  A blob shorter than its
     length prefix raises :class:`~repro.errors.ProtocolError`, a malformed
-    manifest :class:`~repro.errors.ConfigurationError`, before any channel
-    is dialled.
+    parameter head :class:`~repro.errors.ConfigurationError`, before any
+    channel is dialled.
 
     There is no ``rollback_protection``: the sealed state does not carry a
     Merkle root yet, and an empty tree would refuse every read.  A resumed
@@ -175,17 +147,7 @@ def resume_owner(
     with the rest of the trusted state (ROADMAP.md, "Freshness that
     survives a restart").
     """
-    length = int.from_bytes(sealed_state[:4], "big")
-    if len(sealed_state) < 4 or len(sealed_state) < 4 + length:
-        raise ProtocolError("sealed owner state is truncated")
-    params, backend, _ = decode_manifest(
-        io.BytesIO(sealed_state[4 : 4 + length]), "sealed owner state"
-    )
-    cop, disk, engine = _wire(
-        params, master_key=master_key, seed=seed, cipher_backend=backend,
+    return resume(
+        sealed_state, "sealed owner state", master_key=master_key, seed=seed,
         **owner_wiring(channel_factory, clock, owner_spec),
     )
-    cop.state.decode(
-        cop.suite.decrypt_page(sealed_state[4 + length :]), cop.cache, cop,
-    )
-    return PirDatabase(params, cop, disk, engine)

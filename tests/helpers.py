@@ -34,6 +34,20 @@ def rows(frames) -> list:
     return [bytes(row) for row in frames]
 
 
+def split_sealed(blob: bytes) -> tuple:
+    """``(head, sealed trusted state)`` of a suspend blob (a snapshot's
+    ``sealed.bin``): the parameters' JSON behind its length prefix, then
+    the suite's frame."""
+    length = int.from_bytes(blob[:4], "big")
+    return blob[4 : 4 + length], blob[4 + length :]
+
+
+def join_sealed(head: bytes, sealed: bytes) -> bytes:
+    """The suspend blob of ``head`` and ``sealed``: :func:`split_sealed`
+    undone."""
+    return len(head).to_bytes(4, "big") + head + sealed
+
+
 class RecordingJournal(MemoryJournal):
     """Keeps every sealed record written to it, in ``blobs``."""
 

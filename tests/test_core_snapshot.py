@@ -10,26 +10,26 @@ import pytest
 from repro import PirDatabase
 from repro.baselines import make_records
 from repro.core import snapshot
-from repro.core.snapshot import load_snapshot, save_snapshot
-from repro.crypto.suite import _RENAMED, CipherSuite
+from repro.core.snapshot import load_snapshot, save_snapshot, suspend
+from repro.crypto.suite import _RENAMED, BACKENDS, CipherSuite
 from repro.errors import (
     AuthenticationError,
     ConfigurationError,
     PageDeletedError,
     PageNotFoundError,
+    ProtocolError,
     StorageError,
 )
 from repro.hardware.trusted import TrustedState
 from repro.storage.disk import DiskStore
 from repro.storage.trace import shapes_identical
 
-from tests.helpers import make_db
+from tests.helpers import join_sealed, make_db, split_sealed
 
 RECORDS = make_records(40, 16)
 
 
-@pytest.fixture
-def warm_db():
+def _warm_db():
     db = make_db(num_records=40, reserve_fraction=0.2, seed=404)
     for i in range(30):
         db.query(i % 40)
@@ -38,6 +38,11 @@ def warm_db():
     db.delete(9)  # after the insert, so the insert cannot reuse id 9
     db._snapshot_test_new_id = new_id
     return db
+
+
+@pytest.fixture
+def warm_db():
+    return _warm_db()
 
 
 class TestRoundtrip:
@@ -118,24 +123,40 @@ class TestSecurity:
 
     def test_tampered_sealed_state_rejected(self, warm_db, tmp_path):
         save_snapshot(warm_db, str(tmp_path))
-        sealed = tmp_path / "sealed.bin"
-        data = bytearray(sealed.read_bytes())
+        path = tmp_path / "sealed.bin"
+        head, sealed = split_sealed(path.read_bytes())
+        data = bytearray(sealed)
         data[10] ^= 1
-        sealed.write_bytes(bytes(data))
+        path.write_bytes(join_sealed(head, bytes(data)))
         with pytest.raises(AuthenticationError):
             load_snapshot(str(tmp_path), seed=10)
 
     def test_manifest_contains_no_secrets(self, warm_db, tmp_path):
+        """The head of ``sealed.bin`` is the public parameters only."""
         save_snapshot(warm_db, str(tmp_path))
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        head, _ = split_sealed((tmp_path / "sealed.bin").read_bytes())
+        manifest = json.loads(head)
         assert "key" not in json.dumps(manifest).lower().replace(
             "cipher_backend", ""
         )
         assert set(manifest) == {
-            "format", "num_user_pages", "reserve_pages", "cache_capacity",
+            "num_user_pages", "reserve_pages", "cache_capacity",
             "block_size", "num_locations", "page_capacity", "target_c",
-            "frame_size", "cipher_backend",
+            "cipher_backend",
         }
+
+
+class TestOneSealedState:
+    def test_sealed_bin_is_the_suspend_blob(self, tmp_path):
+        """A snapshot's ``sealed.bin`` is byte for byte the blob
+        ``suspend`` seals for a same-seed twin, and it restores."""
+        saved, twin = _warm_db(), _warm_db()
+        save_snapshot(saved, str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == ["frames.bin", "sealed.bin"]
+        assert (tmp_path / "sealed.bin").read_bytes() == suspend(twin)
+        restored = load_snapshot(str(tmp_path), seed=1)
+        assert restored.engine.next_block_index == twin.engine.next_block_index
+        assert restored.content_digest() == twin.content_digest()
 
 
 class TestInteractions:
@@ -143,7 +164,7 @@ class TestInteractions:
         warm_db.rotate_master_key(b"next-key")
         remaining = warm_db.engine.rotation_requests_remaining
         assert remaining is not None and remaining > 0
-        # A format-2 snapshot carries the legacy key and the rotation
+        # The sealed state carries the legacy key and the rotation
         # countdown, so a mid-rotation save is no longer refused.
         save_snapshot(warm_db, str(tmp_path))
         restored = load_snapshot(str(tmp_path), master_key=b"next-key", seed=20)
@@ -266,47 +287,51 @@ class TestValidation:
             save_snapshot(warm_db, str(tmp_path))
         assert not (tmp_path / "sealed.bin").exists()
 
+    # The other malformed heads go through the same parse as an owner
+    # blob's: tests/test_twoparty_resume.py::MALFORMED_BLOBS.
     @pytest.mark.parametrize("damage", [
-        lambda m: "{not json",
-        lambda m: "[1, 2]",
-        lambda m: json.dumps({k: v for k, v in m.items() if k != "frame_size"}),
-        lambda m: json.dumps({k: v for k, v in m.items() if k != "block_size"}),
-        lambda m: json.dumps({**m, "block_size": "5"}),
         lambda m: json.dumps({**m, "block_size": 0}),
-    ], ids=["not_json", "a_list", "no_frame_size", "no_block_size",
-            "string_block_size", "zero_block_size"])
+    ], ids=["zero_block_size"])
     def test_a_malformed_manifest_is_refused_typed(self, warm_db, tmp_path,
                                                    damage):
-        """``manifest.json`` is host storage: whatever is wrong with it is
-        a ConfigurationError naming the snapshot."""
+        """``sealed.bin``'s head is host storage: whatever is wrong with
+        it is a ConfigurationError naming the snapshot (a block size of 0
+        not a ZeroDivisionError)."""
         save_snapshot(warm_db, str(tmp_path))
-        manifest_path = tmp_path / "manifest.json"
-        manifest_path.write_text(damage(json.loads(manifest_path.read_text())))
+        path = tmp_path / "sealed.bin"
+        head, sealed = split_sealed(path.read_bytes())
+        damaged = damage(json.loads(head))
+        path.write_bytes(join_sealed(damaged.encode(), sealed))
         with pytest.raises(ConfigurationError, match="snapshot in"):
             load_snapshot(str(tmp_path), seed=15)
 
     def test_bad_format_version(self, warm_db, tmp_path):
+        """The sealed layout's own version byte tells layouts apart: a
+        blob of another version is refused."""
         save_snapshot(warm_db, str(tmp_path))
-        manifest_path = tmp_path / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["format"] = 99
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(ConfigurationError):
+        path = tmp_path / "sealed.bin"
+        head, sealed = split_sealed(path.read_bytes())
+        trusted = bytearray(warm_db.cop.suite.decrypt_page(sealed))
+        trusted[0] = 99
+        path.write_bytes(join_sealed(
+            head, warm_db.cop.suite.encrypt_page(bytes(trusted))
+        ))
+        with pytest.raises(StorageError, match=r"\(layout, n, m, k\) = \(99,"):
             load_snapshot(str(tmp_path), seed=12)
 
     def test_retired_keystream_is_refused_before_any_decrypt(
         self, warm_db, tmp_path, monkeypatch
     ):
-        """A manifest from before the shake keystream replaced blake2: HMAC
-        keys did not change, so its frames would pass every MAC check and
-        decrypt to noise — the manifest must stop the load."""
+        """A head naming the keystream blake2 was before shake replaced
+        it: HMAC keys did not change, so its frames would pass every MAC
+        check and decrypt to noise — the head must stop the load."""
         save_snapshot(warm_db, str(tmp_path))  # real, MAC-valid frames
-        manifest_path = tmp_path / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        assert manifest["format"] == 5
+        path = tmp_path / "sealed.bin"
+        head, sealed = split_sealed(path.read_bytes())
+        manifest = json.loads(head)
         # The name CipherSuite itself still accepts (and maps to shake).
         (manifest["cipher_backend"],) = _RENAMED
-        manifest_path.write_text(json.dumps(manifest))
+        path.write_bytes(join_sealed(json.dumps(manifest).encode(), sealed))
         built = []
         monkeypatch.setattr(
             CipherSuite, "__init__",
@@ -317,69 +342,98 @@ class TestValidation:
             load_snapshot(str(tmp_path), seed=13)
         assert built == []  # no suite existed, so nothing was decrypted
 
-    @pytest.mark.parametrize("old_format", [1, 2, 3, 4])
+    @pytest.mark.parametrize("old_format", [1, 2, 3, 4, 5])
     def test_older_formats_are_refused_before_any_suite(
         self, warm_db, tmp_path, monkeypatch, old_format
     ):
-        """Formats 1 to 4 sealed the trusted state in layouts this version
-        no longer reads (format 3 kept a mid-epoch reshuffle outside it,
-        format 4 the replication position): the manifest stops the load,
-        naming the format and the way out, before any suite exists."""
+        """A directory that still holds ``manifest.json`` was written in
+        the retired layout (formats 1 to 5: a public manifest beside a
+        doubly sealed state): it is refused, naming the way out, before
+        any suite exists.  A fresh snapshot saved over it loads."""
         save_snapshot(warm_db, str(tmp_path))
-        manifest_path = tmp_path / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["format"] = old_format
-        manifest_path.write_text(json.dumps(manifest))
-        built = []
-        monkeypatch.setattr(
-            CipherSuite, "__init__",
-            lambda self, *args, **kw: built.append(args),
+        (tmp_path / "manifest.json").write_text(
+            json.dumps({"format": old_format})
         )
-        with pytest.raises(ConfigurationError,
-                           match=f"is format {old_format}; .*Re-create the "
-                                 "database"):
-            load_snapshot(str(tmp_path), seed=14)
+        built = []
+        with monkeypatch.context() as patch:
+            patch.setattr(CipherSuite, "__init__",
+                          lambda self, *args, **kw: built.append(args))
+            with pytest.raises(ConfigurationError,
+                               match="retired layout.*Re-create the database"):
+                load_snapshot(str(tmp_path), seed=14)
         assert built == []
+        save_snapshot(warm_db, str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == ["frames.bin", "sealed.bin"]
+        assert load_snapshot(str(tmp_path), seed=14).query(0) == RECORDS[0]
 
-    def test_sealed_state_of_another_block_size_is_refused(self, tmp_path):
-        """Same key, same 120 locations and m, different k: the sealed
-        state names its (n, m, k), so it cannot be restored next to the
-        other database's manifest and frames."""
+    @staticmethod
+    def _k6_and_k12(tmp_path):
+        """Snapshots of two databases with the same key, 120 locations
+        and m but different k, in ``k6`` and ``k12``.  Their seeds differ:
+        a same-seed pair has one layout, and its swapped files restore a
+        consistent database (nothing sealed names the frames yet)."""
         small, large = (
             PirDatabase.create(
                 make_records(120, 16), cache_capacity=6, block_size=k,
-                page_capacity=16, seed=17,
+                page_capacity=16, seed=seed,
             )
-            for k in (6, 12)
+            for k, seed in ((6, 17), (12, 18))
         )
         assert small.params.num_locations == large.params.num_locations
         save_snapshot(small, str(tmp_path / "k6"))
         save_snapshot(large, str(tmp_path / "k12"))
+
+    def test_sealed_state_of_another_block_size_is_refused(self, tmp_path):
+        """Same key, same 120 locations and m, different k: the other
+        database's ``sealed.bin`` cannot be restored next to these frames,
+        whose next block does not hold the pages its page map puts there."""
+        self._k6_and_k12(tmp_path)
         (tmp_path / "k12" / "sealed.bin").write_bytes(
             (tmp_path / "k6" / "sealed.bin").read_bytes()
         )
+        with pytest.raises(StorageError,
+                           match="frames.bin does not match sealed.bin"):
+            load_snapshot(str(tmp_path / "k12"), seed=18)
+
+    def test_sealed_state_under_another_head_is_refused(self, tmp_path):
+        """The sealed state names its (n, m, k), so it cannot be restored
+        under the other database's public parameters (the head of its
+        blob)."""
+        self._k6_and_k12(tmp_path)
+        head, _ = split_sealed((tmp_path / "k12" / "sealed.bin").read_bytes())
+        _, sealed = split_sealed((tmp_path / "k6" / "sealed.bin").read_bytes())
+        (tmp_path / "k12" / "sealed.bin").write_bytes(join_sealed(head, sealed))
         with pytest.raises(StorageError, match=r"sealed as \(layout, n, m, k\) = \(5, 120, 6, 6\)"):
             load_snapshot(str(tmp_path / "k12"), seed=18)
 
-    def test_sealing_layer_under_another_keystream_fails_closed(
-        self, warm_db, tmp_path
-    ):
-        """The outer layer of ``sealed.bin`` is always the shake keystream;
-        one sealed under any other (a pre-change aes / null / pure
-        snapshot's was blake2) still passes the outer MAC, and the noise it
-        opens to is caught by the inner layer's MAC."""
+    @pytest.mark.parametrize("backend", sorted(set(BACKENDS) - {"shake"}))
+    def test_a_head_naming_another_backend_is_refused(self, tmp_path,
+                                                      backend):
+        """The page suite's MAC key does not depend on the backend, so a
+        head naming another supported backend passes the MAC and opens
+        the state to noise, which the sealed layout's own header refuses
+        (making the head associated data of the seal is a later re-pin)."""
+        db = make_db(num_records=40, seed=22, cipher_backend="shake")
+        save_snapshot(db, str(tmp_path))
+        path = tmp_path / "sealed.bin"
+        head, sealed = split_sealed(path.read_bytes())
+        path.write_bytes(join_sealed(
+            json.dumps({**json.loads(head), "cipher_backend": backend}).encode(),
+            sealed,
+        ))
+        with pytest.raises(StorageError, match="trusted state sealed as"):
+            load_snapshot(str(tmp_path), seed=23)
+
+    @pytest.mark.parametrize("keep", [0, 3, 10])
+    def test_a_truncated_head_is_a_protocol_error(self, warm_db, tmp_path,
+                                                  keep):
+        """A ``sealed.bin`` cut before the end of its head is refused as an
+        owner blob cut there is, naming the snapshot."""
         save_snapshot(warm_db, str(tmp_path))
-        backend = warm_db.cop.suite.backend
-        sealing_key = b"snapshot-sealing:" + backend.encode()
-        sealed = tmp_path / "sealed.bin"
-        inner = CipherSuite(sealing_key, backend="shake").decrypt_page(
-            sealed.read_bytes()
-        )
-        sealed.write_bytes(
-            CipherSuite(sealing_key, backend="null").encrypt_page(inner)
-        )
-        with pytest.raises(AuthenticationError):
-            load_snapshot(str(tmp_path), seed=15)
+        path = tmp_path / "sealed.bin"
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ProtocolError, match="snapshot in .* is truncated"):
+            load_snapshot(str(tmp_path), seed=24)
 
     # Cut inside (n, m, k), inside the position column (61 bytes of
     # header, scalars and empty legacy key, then 30 of 56 one-byte
@@ -392,17 +446,12 @@ class TestValidation:
         malformed storage, not as a bare struct.error / IndexError or a
         numpy ValueError."""
         save_snapshot(warm_db, str(tmp_path))
-        sealing = CipherSuite(
-            b"snapshot-sealing:" + warm_db.cop.suite.backend.encode(),
-            backend="shake",
-        )
-        sealed = tmp_path / "sealed.bin"
-        trusted = warm_db.cop.suite.decrypt_page(
-            sealing.decrypt_page(sealed.read_bytes())
-        )
+        path = tmp_path / "sealed.bin"
+        head, sealed = split_sealed(path.read_bytes())
+        trusted = warm_db.cop.suite.decrypt_page(sealed)
         cut = keep if isinstance(keep, int) else int(len(trusted) * keep)
-        sealed.write_bytes(sealing.encrypt_page(
-            warm_db.cop.suite.encrypt_page(trusted[:cut])
+        path.write_bytes(join_sealed(
+            head, warm_db.cop.suite.encrypt_page(trusted[:cut])
         ))
         with pytest.raises(StorageError, match="truncated"):
             load_snapshot(str(tmp_path), seed=16)
@@ -412,12 +461,11 @@ class TestReshuffleSidecar:
     """There is no reshuffle sidecar: a mid-epoch snapshot seals the epoch
     in ``sealed.bin`` with the rest of the trusted state."""
 
-    def test_mid_epoch_snapshot_holds_three_files(self, warm_db, tmp_path):
+    def test_mid_epoch_snapshot_holds_two_files(self, warm_db, tmp_path):
         driver = warm_db.begin_reshuffle(batch_size=8)
         driver.step()
         save_snapshot(warm_db, str(tmp_path))
-        assert sorted(os.listdir(tmp_path)) == [
-            "frames.bin", "manifest.json", "sealed.bin"]
+        assert sorted(os.listdir(tmp_path)) == ["frames.bin", "sealed.bin"]
         assert not hasattr(snapshot, "resume_reshuffle")
         assert not hasattr(driver, "restore_state")
 
@@ -447,9 +495,9 @@ class TestReshuffleSidecar:
         restored.consistency_check()
         assert restored.content_digest() == digest
 
-    def test_rotating_epoch_restores_from_the_three_files(self, tmp_path):
-        """A mid-epoch, mid-rotation snapshot restores from its manifest,
-        frames and sealed state alone: the resumed epoch is the saved one,
+    def test_rotating_epoch_restores_from_the_two_files(self, tmp_path):
+        """A mid-epoch, mid-rotation snapshot restores from its frames and
+        sealed state alone: the resumed epoch is the saved one,
         finishing it sorts the pages by its key, and one scan period of
         requests after it drops the legacy key."""
         from tests.test_online_reshuffle import assert_batcher_order
@@ -463,7 +511,7 @@ class TestReshuffleSidecar:
         save_snapshot(db, str(tmp_path / "snap"))
         copy = tmp_path / "copy"
         copy.mkdir()
-        for name in ("manifest.json", "frames.bin", "sealed.bin"):
+        for name in ("frames.bin", "sealed.bin"):
             (copy / name).write_bytes((tmp_path / "snap" / name).read_bytes())
 
         restored = load_snapshot(str(copy), master_key=b"rotated-key",

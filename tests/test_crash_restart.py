@@ -305,8 +305,7 @@ class TestReplicationCrashDrills:
             for seq, sealed in log.records_since(0):
                 applier.apply("origin:1", seq, sealed)
             save_snapshot(replica, snap_dir)
-            assert sorted(os.listdir(snap_dir)) == [
-                "frames.bin", "manifest.json", "sealed.bin"]
+            assert sorted(os.listdir(snap_dir)) == ["frames.bin", "sealed.bin"]
             replica.close()
         checkpointed = log.last_seq
         assert log.compact(checkpointed) == checkpointed

@@ -319,8 +319,7 @@ class TestReplicationApplier:
         applier.apply("o:2", 1, self._sealed(db, 1, payload=b"b"))
         directory = str(tmp_path / "snap")
         save_snapshot(db, directory)
-        assert sorted(os.listdir(directory)) == [
-            "frames.bin", "manifest.json", "sealed.bin"]
+        assert sorted(os.listdir(directory)) == ["frames.bin", "sealed.bin"]
         restored = load_snapshot(directory, seed=3)
         try:
             fresh = ReplicationApplier(restored)

@@ -18,12 +18,11 @@ import pytest
 from repro import PirDatabase
 from repro.baselines import make_records
 from repro.core.sharded import ShardedPirDatabase
-from repro.core.snapshot import load_snapshot, save_snapshot
-from repro.crypto.suite import CipherSuite
+from repro.core.snapshot import load_snapshot, save_snapshot, suspend
 from repro.hardware.specs import IBM_4764
-from repro.twoparty import TwoPartySession, seal_owner_state
+from repro.twoparty import TwoPartySession
 
-from tests.helpers import make_db
+from tests.helpers import make_db, split_sealed
 
 
 def _sha(parts) -> str:
@@ -103,12 +102,10 @@ WARM = {"warm": warm_db, "chunked": chunked_warm_db}
 
 
 def trusted_state(db, directory) -> bytes:
-    """The trusted-state blob of a snapshot, opened from ``sealed.bin``."""
-    sealing = CipherSuite(
-        b"snapshot-sealing:" + db.cop.suite.backend.encode(), backend="shake",
-    )
-    with open(directory / "sealed.bin", "rb") as handle:
-        return db.cop.suite.decrypt_page(sealing.decrypt_page(handle.read()))
+    """The trusted-state blob of a snapshot, opened from ``sealed.bin``
+    (behind its length-prefixed head)."""
+    _, sealed = split_sealed((directory / "sealed.bin").read_bytes())
+    return db.cop.suite.decrypt_page(sealed)
 
 
 def snapshot_digests(db, directory) -> dict:
@@ -120,7 +117,7 @@ def snapshot_digests(db, directory) -> dict:
 
 
 def owner_state_digest() -> str:
-    """``seal_owner_state`` after a few operations
+    """``suspend`` of an owner after a few operations
     (tests/test_twoparty_resume.py's session)."""
     owner = TwoPartySession.create(
         make_records(40, 16), cache_capacity=6, block_size=5,
@@ -131,7 +128,7 @@ def owner_state_digest() -> str:
     for i in range(25):
         if i != 9:
             owner.query(i)
-    return _sha([seal_owner_state(owner)])
+    return _sha([suspend(owner)])
 
 
 # Captured from the per-page implementation (see the module docstring).

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import gc
 import os
+import warnings
 
 import pytest
 
 from repro.baselines import make_records
+from repro.cluster.replication import ReplicationLog
 from repro.core.database import PirDatabase
 from repro.errors import ConfigurationError, StorageError
+from repro.service.frontend import SealedReplyCache
 from repro.storage.filedisk import (
     SYNC_ALWAYS,
     SYNC_NEVER,
@@ -18,7 +22,7 @@ from repro.storage.filedisk import (
 from repro.storage.timing import DiskTimingModel
 from repro.storage.trace import READ
 
-from tests.helpers import rows
+from tests.helpers import make_db, rows
 
 
 class TestFileDiskStore:
@@ -221,3 +225,25 @@ class TestPirDatabaseOnFileDisk:
         assert stores[0]._file.closed
         db.close()
         assert stores[0]._file.closed
+
+
+# Each opens one host file and drops its owner without close().
+HOST_FILES = {
+    "pages.bin": lambda d: FileDiskStore(str(d / "pages.bin"), 16, 8),
+    "replies.cache": lambda d: SealedReplyCache(path=d / "replies.cache"),
+    "repl.log": lambda d: ReplicationLog(make_db(8, seed=1).cop, "o:1",
+                                         path=str(d / "repl.log")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOST_FILES))
+def test_a_dropped_owner_closes_its_host_file(tmp_path, name):
+    """A store, reply cache or replication log collected without
+    ``close()`` closes its file: no ``ResourceWarning: unclosed file``."""
+    gc.collect()  # what earlier tests left behind is not this owner's
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        HOST_FILES[name](tmp_path)
+        gc.collect()
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning)] == []

@@ -15,12 +15,8 @@ from repro.errors import (
     ProtocolError,
 )
 from repro.core.engine import BatchOp
-from repro.twoparty import (
-    SimulatedChannel,
-    TwoPartySession,
-    resume_owner,
-    seal_owner_state,
-)
+from repro.core.snapshot import suspend
+from repro.twoparty import SimulatedChannel, TwoPartySession, resume_owner
 
 RECORDS = make_records(40, 16)
 
@@ -50,7 +46,7 @@ class TestResume:
         for i in range(25):
             if i != 9:
                 session.owner.query(i)
-        sealed = seal_owner_state(session.owner)
+        sealed = suspend(session.owner)
         pointer_at_seal = session.owner.engine.next_block_index
         resumed = resume_owner(sealed, _reconnect_factory(session), seed=1)
         assert resumed.engine.next_block_index == pointer_at_seal
@@ -65,7 +61,7 @@ class TestResume:
     def test_resumed_owner_keeps_operating(self):
         session = _session(seed=71)
         session.owner.query(0)
-        sealed = seal_owner_state(session.owner)
+        sealed = suspend(session.owner)
         resumed = resume_owner(sealed, _reconnect_factory(session), seed=2)
         resumed.update(1, b"post-resume")
         assert resumed.query(1) == b"post-resume"
@@ -74,14 +70,14 @@ class TestResume:
 
     def test_wrong_key_rejected(self):
         session = _session(seed=72)
-        sealed = seal_owner_state(session.owner)
+        sealed = suspend(session.owner)
         with pytest.raises(AuthenticationError):
             resume_owner(sealed, _reconnect_factory(session),
                          master_key=b"not-the-key", seed=3)
 
     def test_truncated_state_rejected(self):
         session = _session(seed=73)
-        sealed = seal_owner_state(session.owner)
+        sealed = suspend(session.owner)
         with pytest.raises(ProtocolError, match="truncated"):
             resume_owner(sealed[:3], _reconnect_factory(session), seed=4)
 
@@ -90,7 +86,7 @@ class TestResume:
         trusted state would open to noise, so the manifest is checked
         before a suite is built (no channel is dialled either)."""
         session = _session(seed=75)
-        sealed = seal_owner_state(session.owner)
+        sealed = suspend(session.owner)
         length = int.from_bytes(sealed[:4], "big")
         manifest = json.loads(sealed[4 : 4 + length])
         (manifest["cipher_backend"],) = _RENAMED
@@ -114,7 +110,7 @@ class TestResume:
         owner.rotate_master_key(b"new-key")
         owner.touch()
         left = owner.engine.rotation_requests_remaining
-        resumed = resume_owner(seal_owner_state(owner),
+        resumed = resume_owner(suspend(owner),
                                _reconnect_factory(session),
                                master_key=b"new-key", seed=6)
         assert resumed.cop.rotation_in_progress
@@ -166,7 +162,7 @@ def test_a_malformed_owner_manifest_is_refused_typed(case):
     session = _session(seed=77)
     dialled = []
     with pytest.raises(error, match="sealed owner state"):
-        resume_owner(damage(seal_owner_state(session.owner)),
+        resume_owner(damage(suspend(session.owner)),
                      lambda *args: dialled.append(args), seed=9)
     assert dialled == []
 
@@ -185,7 +181,7 @@ class TestOwnerIsADatabase:
         owner.rotate_master_key(b"rotated-key")
         owner.touch()
         left = owner.engine.rotation_requests_remaining
-        resumed = resume_owner(seal_owner_state(owner),
+        resumed = resume_owner(suspend(owner),
                                _reconnect_factory(session),
                                master_key=b"rotated-key", seed=8)
         assert resumed.engine.rotation_requests_remaining == left
