@@ -214,22 +214,13 @@ class TwoPartyCostModel(AnalyticalCostModel):
     prototype ran over WiFi with a simulated 50 ms RTT;
     ``network_bandwidth`` is calibrated (DESIGN.md §3, EXPERIMENTS.md) so
     the model reproduces the paper's measured 0.737 s at
-    (1 TB, B = 1 KB, m = 2 x 10^6).
+    (1 TB, B = 1 KB, m = 2 x 10^6).  The three class constants below are
+    that calibration.
     """
 
-    def __init__(
-        self,
-        rtt: float = 0.05,
-        network_bandwidth: float = 2.33e6,
-        owner_crypto_throughput: float = 100e6,
-        spec: HardwareSpec = IBM_4764,
-    ):
-        if rtt < 0 or network_bandwidth <= 0 or owner_crypto_throughput <= 0:
-            raise ConfigurationError("invalid two-party model constants")
-        super().__init__(spec)
-        self.rtt = rtt
-        self.network_bandwidth = network_bandwidth
-        self.owner_crypto_throughput = owner_crypto_throughput
+    rtt = 0.05
+    network_bandwidth = 2.33e6
+    owner_crypto_throughput = 100e6
 
     def query_time(self, block_size: int, page_size: int) -> float:
         """One RTT plus provider disk plus the double page transfer + crypto."""

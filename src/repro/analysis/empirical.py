@@ -101,7 +101,6 @@ def measure_landing_distribution(
     db: PirDatabase,
     trials: int = 500,
     rng: Optional[SecureRandom] = None,
-    max_wait_requests: Optional[int] = None,
 ) -> LandingExperiment:
     """Track page relocations through the live engine.
 
@@ -109,7 +108,9 @@ def measure_landing_distribution(
     cache, (2) note the round-robin block pointer, (3) issue background
     queries for *other* pages until the tracked page is evicted to disk,
     (4) record the landing block's scan offset (1..T), the landing slot
-    within that block, and the eviction time.
+    within that block, and the eviction time.  A page that takes more
+    than ``200 * m`` requests to settle or to leave the cache raises
+    :class:`~repro.errors.ConfigurationError`.
     """
     if trials <= 0:
         raise ConfigurationError("trials must be positive")
@@ -123,7 +124,7 @@ def measure_landing_distribution(
     engine = db.engine
     pm = db.cop.state
     period = params.scan_period
-    wait_limit = max_wait_requests or 200 * params.cache_capacity
+    wait_limit = 200 * params.cache_capacity
 
     experiment = LandingExperiment(
         num_locations=params.num_locations,

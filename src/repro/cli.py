@@ -500,10 +500,13 @@ def _cmd_cluster_serve_backend(args: argparse.Namespace) -> int:
     # their session-id streams identical too — fatal behind the router
     # (ids must be unique cluster-wide).  Salt each process uniquely
     # unless the operator pinned a salt explicitly.
+    from .service.frontend import SealedReplyCache
+
     return _serve_database(
         args, "cluster backend:", f"seed={args.seed}, session adoption on",
         adopt_sessions=True,
-        reply_cache_path=args.reply_cache or None,
+        reply_cache=(SealedReplyCache(path=args.reply_cache)
+                     if args.reply_cache else None),
         session_salt=args.session_salt or os.urandom(8).hex(),
     )
 

@@ -260,7 +260,6 @@ def connect_replication(
     handles: Sequence[BackendHandle],
     cover_traffic: bool = True,
     durable_dir: Optional[str] = None,
-    dial_overrides: Optional[dict] = None,
     origins: Optional[Sequence[str]] = None,
     wait_timeout: float = 5.0,
     metrics=None,
@@ -285,12 +284,8 @@ def connect_replication(
     counts; False replicates writes only, cheaper but read/write-mix
     visible to the host.  ``durable_dir`` persists each member's backlog
     (``repl-<i>.log``) so an acknowledged write survives a full process
-    crash, not just a thread death.  ``dial_overrides`` maps a peer's
-    real address to the address streamers should dial instead — the hook
-    chaos tests use to interpose a :class:`~repro.faults.netchaos
-    .ChaosProxy` on the replication path (origins stay the real
-    addresses).  ``metrics`` is shared, labelled ``member=<index>`` per
-    handle as in :func:`build_cluster`.
+    crash, not just a thread death.  ``metrics`` is shared, labelled
+    ``member=<index>`` per handle as in :func:`build_cluster`.
     """
     metrics = registry_or_private(metrics)
     for handle in handles:
@@ -299,7 +294,6 @@ def connect_replication(
                 "connect_replication needs started backends (port 0 means "
                 "the listener is not bound yet)"
             )
-    overrides = dict(dial_overrides or {})
     if origins is not None and len(origins) != len(handles):
         raise ConfigurationError(
             "origins must name every backend exactly once"
@@ -316,11 +310,9 @@ def connect_replication(
             wait_timeout=wait_timeout, metrics=member_metrics,
         )
         applier = ReplicationApplier(handle.db, metrics=member_metrics)
-        # Streamers always dial the *bound* peer addresses (or a chaos
-        # interposition from dial_overrides); origins are identities,
-        # not dial targets.
-        peers = [overrides.get(real[j], real[j])
-                 for j in range(len(handles)) if j != index]
+        # Streamers always dial the *bound* peer addresses; origins are
+        # identities, not dial targets.
+        peers = [real[j] for j in range(len(handles)) if j != index]
         handle.attach_replication(log, applier, peers)
     for handle in handles:
         handle.start_replication()

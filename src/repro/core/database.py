@@ -50,7 +50,7 @@ SHARED_WIRING = (
 )
 #: The wiring keywords that name one instance's own object: a journal
 #: slot, a file, a store, a single-threaded tracer.
-PER_MEMBER_WIRING = ("journal", "hot_tier_journal", "disk_factory", "tracer")
+PER_MEMBER_WIRING = ("journal", "disk_factory", "tracer")
 
 #: Setup's upload: one contiguous store write per ``_UPLOAD_FRAMES``
 #: locations, sealed ``_SEAL_ROWS`` at a time.
@@ -69,7 +69,6 @@ def _wire(
     trace_enabled: bool = True,
     disk_factory=None,
     hot_tier_frames: Optional[int] = None,
-    hot_tier_journal=None,
     rollback_protection: bool = False,
     journal=None,
     read_retry=None,
@@ -94,11 +93,10 @@ def _wire(
     ``hot_tier_frames`` fronts it with an in-memory ciphertext LRU of that
     many frames (:class:`TieredDiskStore`): hot hits skip the cold store's
     seek/transfer charge while leaving the recorded access trace
-    byte-identical; ``hot_tier_journal`` (a path) makes the tier's
-    membership survive restarts.  ``rollback_protection=True`` wraps the
-    stack in a Merkle-tree freshness layer (detects a *malicious* server
-    replaying stale frames — hardening beyond the paper's
-    honest-but-curious model); it sits outside the tier, so the tree
+    byte-identical; a new tier starts cold.  ``rollback_protection=True``
+    wraps the stack in a Merkle-tree freshness layer (detects a
+    *malicious* server replaying stale frames — hardening beyond the
+    paper's honest-but-curious model); it sits outside the tier, so the tree
     authenticates what the engine reads regardless of which tier served
     the bytes.  ``journal`` (e.g.
     :class:`repro.core.journal.MemoryJournal`) enables crash-consistent
@@ -140,10 +138,7 @@ def _wire(
         # through to the store that performs the I/O.
         disk.tracer = tracer
     if hot_tier_frames is not None:
-        disk = TieredDiskStore(
-            disk, hot_capacity=hot_tier_frames,
-            journal_path=hot_tier_journal, metrics=metrics,
-        )
+        disk = TieredDiskStore(disk, hot_tier_frames, metrics=metrics)
     if rollback_protection:
         disk = AuthenticatedDisk(disk)
     engine = RetrievalEngine(
@@ -213,9 +208,9 @@ class PirDatabase:
         ``wiring`` goes to the one builder, :func:`_wire`, which documents it:
         ``master_key``, ``spec``, ``seed``, ``cipher_backend``,
         ``cache_policy``, ``enforce_memory_limit``, ``trace_enabled``,
-        ``disk_factory``, ``hot_tier_frames``, ``hot_tier_journal``,
-        ``rollback_protection``, ``journal``, ``read_retry``, ``tracer``,
-        ``metrics``, ``clock`` — the keywords
+        ``disk_factory``, ``hot_tier_frames``, ``rollback_protection``,
+        ``journal``, ``read_retry``, ``tracer``, ``metrics``, ``clock`` —
+        the keywords
         :func:`~repro.core.snapshot.load_snapshot` takes too.  A ``tracer``
         is reset after setup so the recorded phases cover requests only.
         """

@@ -207,6 +207,18 @@ class LoopThread:
         try:
             loop.run_forever()
         finally:
+            # As ``asyncio.run`` ends a loop: cancel every task still
+            # pending and wait for all of them (a cancelled ``wait_for``
+            # takes more than one turn to unwind), then one more turn for
+            # the closed transports' callbacks, and only then close.
+            pending = asyncio.all_tasks(loop)
+            for task in pending:
+                task.cancel()
+            if pending:
+                loop.run_until_complete(
+                    asyncio.gather(*pending, return_exceptions=True)
+                )
+            loop.run_until_complete(asyncio.sleep(0))
             loop.run_until_complete(loop.shutdown_asyncgens())
             loop.close()
 
@@ -241,8 +253,10 @@ class LoopThread:
             self._service.stop_accepting()
             for task in asyncio.all_tasks(loop):
                 task.cancel()
-            # Let the cancellations run their finallys (writer.close)
-            # before the loop stops; call_soon queues behind them.
+            # The loop stops after one more turn; the thread's exit then
+            # waits for every cancelled task to finish before it closes
+            # the loop (one turn is not enough to unwind a cancelled
+            # ``wait_for``).
             loop.call_soon(loop.stop)
 
         if self._thread.is_alive():

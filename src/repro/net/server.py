@@ -86,7 +86,8 @@ class PirServer(EnvelopeServer):
     — its ``max_queue_depth`` bounds the requests waiting for the serving
     lock — are shed with a retryable refusal, never silently dropped.
     ``workers`` is accepted only as 1: the engine serves one request at a
-    time on the server's loop thread.
+    time on the server's loop thread.  A frontend that issues sequential
+    session ids is refused: they are guessable over the network.
     """
 
     def __init__(
@@ -97,7 +98,6 @@ class PirServer(EnvelopeServer):
         admission: Optional[AdmissionController] = None,
         workers: int = 1,
         reap_interval: Optional[float] = None,
-        allow_sequential_sessions: bool = False,
         adopt_sessions: bool = False,
         metrics=None,
     ):
@@ -108,13 +108,11 @@ class PirServer(EnvelopeServer):
             )
         if reap_interval is not None and reap_interval <= 0:
             raise ConfigurationError("reap_interval must be positive")
-        if (frontend.session_id_mode == SESSION_SEQUENTIAL
-                and not allow_sequential_sessions):
+        if frontend.session_id_mode == SESSION_SEQUENTIAL:
             raise ConfigurationError(
                 "refusing to serve sequential session ids over the network "
                 "(they are guessable and the id is the session secret); "
-                "use session_id_mode=SESSION_RANDOM or pass "
-                "allow_sequential_sessions=True"
+                "use session_id_mode=SESSION_RANDOM"
             )
         metrics = registry_or_private(metrics)
         super().__init__(host, port, metrics.counter_view("net."))

@@ -8,7 +8,7 @@ exposes, derived in dependency order.
 
 1. **Latency → k** (Eq. 8 inverted).  The calibrated query time is affine
    and increasing in k, so the largest block size whose predicted time
-   fits inside ``latency_headroom * p99`` is a binary search.  No k at
+   fits inside ``LATENCY_HEADROOM * p99`` is a binary search.  No k at
    all → ``PlanInfeasibleError("latency")``.
 2. **Privacy → m** (Eq. 6 inverted).  For a candidate k,
    :func:`~repro.core.params.cache_for_privacy` gives the smallest m whose
@@ -19,7 +19,7 @@ exposes, derived in dependency order.
    smallest k in ``[1, k_max]`` whose required state fits the hardware's
    secure memory; none fitting → ``PlanInfeasibleError("secure_memory")``.
 3. **Throughput → shards**.  Each shard serves one query per predicted
-   query time; ``ceil(qps * Q / utilization)`` shards sustain the target
+   query time; ``ceil(qps * Q / UTILIZATION)`` shards sustain the target
    with headroom.  More than ``max_shards`` →
    ``PlanInfeasibleError("throughput")``.
 4. **Admission** — rate and burst (shard capacity, burst one p99 deep).
@@ -48,6 +48,12 @@ from ..hardware.specs import IBM_4764, HardwareSpec
 from ..obs.tracer import Tracer
 
 __all__ = ["PlanTarget", "Plan", "plan", "verify_plan"]
+
+#: Tail room between the *predicted mean* query time and the p99 bound
+#: (queueing, reshuffle interleaving): k is sized to this share of p99.
+LATENCY_HEADROOM = 0.8
+#: The shard duty-cycle ceiling the throughput sizing assumes.
+UTILIZATION = 0.7
 
 @dataclass(frozen=True)
 class PlanTarget:
@@ -166,23 +172,15 @@ def plan(
     target: PlanTarget,
     model: Optional[CalibratedCostModel] = None,
     spec: HardwareSpec = IBM_4764,
-    latency_headroom: float = 0.8,
-    utilization: float = 0.7,
     max_shards: int = 64,
 ) -> Plan:
     """Solve the target triple for a full parameter assignment (module doc).
 
     ``model`` defaults to the spec-exact Eq. 8 mapping; pass a probe- or
-    obs-calibrated model to plan against measured unit costs.
-    ``latency_headroom`` reserves tail room between the *predicted mean*
-    query time and the p99 bound (queueing, reshuffle interleaving);
-    ``utilization`` is the shard duty-cycle ceiling the throughput sizing
-    assumes.
+    obs-calibrated model to plan against measured unit costs.  The
+    latency budget is :data:`LATENCY_HEADROOM` of the p99 bound and the
+    shard count assumes a :data:`UTILIZATION` duty cycle.
     """
-    if not 0 < latency_headroom <= 1:
-        raise ConfigurationError("latency_headroom must be in (0, 1]")
-    if not 0 < utilization <= 1:
-        raise ConfigurationError("utilization must be in (0, 1]")
     if max_shards < 1:
         raise ConfigurationError("max_shards must be positive")
     if model is None:
@@ -198,11 +196,11 @@ def plan(
         )
 
     # 1. Latency bound -> largest admissible block size.
-    budget = latency_headroom * target.p99_seconds
+    budget = LATENCY_HEADROOM * target.p99_seconds
     if model.query_time(1) > budget:
         raise PlanInfeasibleError(
             f"p99 bound {target.p99_seconds:g}s is below the k=1 floor "
-            f"{model.query_time(1):g}s / {latency_headroom:g} headroom — no "
+            f"{model.query_time(1):g}s / {LATENCY_HEADROOM:g} headroom — no "
             "block size meets it at this page size",
             constraint="latency",
         )
@@ -237,7 +235,7 @@ def plan(
     query_seconds = predicted.pop("total")
 
     # 3. Throughput -> shard fan-out at the duty-cycle ceiling.
-    shard_count = max(1, math.ceil(target.qps * query_seconds / utilization))
+    shard_count = max(1, math.ceil(target.qps * query_seconds / UTILIZATION))
     if shard_count > max_shards:
         raise PlanInfeasibleError(
             f"QPS {target.qps:g} at {query_seconds:g}s/query needs "
@@ -246,7 +244,7 @@ def plan(
         )
 
     # 4. Admission.
-    admission_rate = shard_count * utilization / query_seconds
+    admission_rate = shard_count * UTILIZATION / query_seconds
     admission_burst = max(
         1.0, admission_rate * min(target.p99_seconds, 1.0)
     )

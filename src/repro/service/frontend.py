@@ -236,14 +236,11 @@ class QueryFrontend:
     def __init__(
         self,
         database: PirDatabase,
-        health: Optional[HealthMonitor] = None,
         metrics=None,
-        reply_cache_size: int = 256,
         session_id_mode: str = SESSION_SEQUENTIAL,
         session_ttl: Optional[float] = None,
         time_source: Optional[Callable[[], float]] = None,
         reply_cache: Optional[SealedReplyCache] = None,
-        reply_cache_path=None,
         session_salt: Optional[str] = None,
     ):
         """``session_id_mode`` selects sequential (legacy, in-process) or
@@ -255,10 +252,12 @@ class QueryFrontend:
         :meth:`reap_idle_sessions`, which drops their key material and
         cached replies.
 
-        ``reply_cache`` shares a caller-owned :class:`SealedReplyCache`
-        across frontends (cluster replicas dedupe each other's
-        retransmissions); ``reply_cache_path`` makes the frontend's own
-        cache persistent so acknowledged replies survive a crash-restart.
+        ``reply_cache`` is the frontend's :class:`SealedReplyCache`; the
+        default is a private in-memory one of 256 replies.  Pass one to
+        share it across frontends (cluster replicas dedupe each other's
+        retransmissions) or to give it a ``path`` so acknowledged replies
+        survive a crash-restart.  The :class:`HealthMonitor` is the
+        frontend's own (``self.health``), counting into ``metrics``.
 
         ``session_salt`` diversifies the :data:`SESSION_RANDOM` id
         stream.  Session ids derive from the database's seeded RNG tree,
@@ -301,11 +300,8 @@ class QueryFrontend:
         # Recently served (sealed request -> sealed reply) pairs for
         # at-least-once duplicate suppression (see serve()); bounded LRU
         # so long-lived sessions cannot grow it without limit.
-        if reply_cache is not None:
-            self._reply_cache = reply_cache
-        else:
-            self._reply_cache = SealedReplyCache(reply_cache_size,
-                                                 path=reply_cache_path)
+        self._reply_cache = (reply_cache if reply_cache is not None
+                             else SealedReplyCache())
         self._next_session = 1
         metrics = registry_or_private(metrics)
         self.counters = metrics.counter_view("frontend.")
@@ -313,11 +309,7 @@ class QueryFrontend:
             "frontend.batch.size",
             buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
         )
-        self.health = (
-            health
-            if health is not None
-            else HealthMonitor(counters=self.counters, registry=metrics)
-        )
+        self.health = HealthMonitor(counters=self.counters, registry=metrics)
         self.tracer = database.tracer
 
     # -- session management ----------------------------------------------------

@@ -35,6 +35,13 @@ from ..storage.frames import check_ranges, frame_count, frame_matrix
 
 __all__ = ["RemoteDisk", "owner_wiring", "resume_owner"]
 
+#: The owner's machine replaces the coprocessor: no PCI link or slow
+#: crypto ASIC in the loop (the network dominates instead), so it is a
+#: fast commodity server.
+OWNER_SPEC = HardwareSpec(
+    secure_memory=2**62, link_bandwidth=float("inf"), crypto_throughput=100e6,
+)
+
 
 class RemoteDisk(RangeAccess):
     """Engine-facing storage adapter that speaks the wire protocol: each
@@ -89,36 +96,24 @@ class RemoteDisk(RangeAccess):
         resumed owner finds them."""
 
 
-def owner_wiring(channel_factory, clock: Optional[VirtualClock],
-                 owner_spec: Optional[HardwareSpec]) -> dict:
+def owner_wiring(channel_factory, clock: Optional[VirtualClock]) -> dict:
     """The wiring keywords that make a :class:`PirDatabase` the owner:
-    its clock, its machine's spec, and a store that is a
-    :class:`RemoteDisk` over a fresh channel (None: a fresh clock, the
-    default owner spec).
+    its clock (None: a fresh one), its machine's spec
+    (:data:`OWNER_SPEC`), and a store that is a :class:`RemoteDisk` over a
+    fresh channel.
 
     ``channel_factory(clock, frame_size, num_locations)`` must return a
     connected :class:`SimulatedChannel`; :class:`TwoPartySession
     <repro.twoparty.session.TwoPartySession>` provides the standard
     wiring against a fresh :class:`ServiceProvider
-    <repro.twoparty.provider.ServiceProvider>`.  The owner's machine
-    replaces the coprocessor: no PCI link or slow crypto ASIC in the loop
-    (the network dominates instead), so the owner spec defaults to a fast
-    commodity server.
+    <repro.twoparty.provider.ServiceProvider>`.
     """
 
     def disk_factory(num_locations, frame_size, timing, clock, trace):
         channel = channel_factory(clock, frame_size, num_locations)
         return RemoteDisk(channel, num_locations, frame_size)
 
-    return dict(
-        clock=clock,
-        spec=owner_spec if owner_spec is not None else HardwareSpec(
-            secure_memory=2**62,
-            link_bandwidth=float("inf"),
-            crypto_throughput=100e6,
-        ),
-        disk_factory=disk_factory,
-    )
+    return dict(clock=clock, spec=OWNER_SPEC, disk_factory=disk_factory)
 
 
 def resume_owner(
@@ -127,13 +122,13 @@ def resume_owner(
     master_key: bytes = b"owner-master-key",
     clock: Optional[VirtualClock] = None,
     seed: Optional[int] = None,
-    owner_spec: Optional[HardwareSpec] = None,
 ) -> PirDatabase:
     """Reconnect to the provider and open an owner's
     :func:`~repro.core.snapshot.suspend` blob.
 
     ``channel_factory`` is :func:`owner_wiring`'s; the provider must still
-    hold the frames the sealed state refers to.  A wrong master key fails
+    hold the frames the sealed state refers to.  The resumed owner runs on
+    :data:`OWNER_SPEC`, as every owner does.  A wrong master key fails
     authentication rather than corrupting state; a state sealed
     mid-rotation resumes with the *new* key.  A blob shorter than its
     length prefix raises :class:`~repro.errors.ProtocolError`, a malformed
@@ -149,5 +144,5 @@ def resume_owner(
     """
     return resume(
         sealed_state, "sealed owner state", master_key=master_key, seed=seed,
-        **owner_wiring(channel_factory, clock, owner_spec),
+        **owner_wiring(channel_factory, clock),
     )

@@ -18,9 +18,7 @@ from .channel import SimulatedChannel
 from .owner import owner_wiring
 from .provider import ServiceProvider
 from ..core.database import PirDatabase
-from ..hardware.specs import HardwareSpec
 from ..sim.clock import VirtualClock
-from ..storage.timing import DiskTimingModel
 
 __all__ = ["TwoPartySession"]
 
@@ -45,15 +43,15 @@ class TwoPartySession:
         block_size: Optional[int] = None,
         rtt: float = 0.05,
         bandwidth: float = 2.33e6,
-        provider_disk: DiskTimingModel = DiskTimingModel(),
         seed: Optional[int] = None,
         cipher_backend: str = "shake",
-        owner_spec: Optional[HardwareSpec] = None,
         rollback_protection: bool = False,
     ) -> "TwoPartySession":
         """Build the provider and the channel, then the owner over them:
         the same setup as :meth:`PirDatabase.create` — permute in trusted
-        owner memory, encrypt, upload — over a remote store.  With
+        owner memory, encrypt, upload — over a remote store.  The provider
+        stores the frames under the default disk model and the owner runs
+        on :data:`~repro.twoparty.owner.OWNER_SPEC`.  With
         ``rollback_protection`` the owner keeps a Merkle root over the
         provider's frames, so a *malicious* provider replaying stale data
         is caught on read — the natural hardening for the outsourcing
@@ -67,7 +65,6 @@ class TwoPartySession:
                 num_locations=num_locations,
                 frame_size=frame_size,
                 clock=shared_clock,
-                timing=provider_disk,
             )
             channel = SimulatedChannel(
                 shared_clock, provider.serve, rtt=rtt, bandwidth=bandwidth
@@ -87,6 +84,6 @@ class TwoPartySession:
             cipher_backend=cipher_backend,
             rollback_protection=rollback_protection,
             master_key=b"owner-master-key",
-            **owner_wiring(channel_factory, VirtualClock(), owner_spec),
+            **owner_wiring(channel_factory, VirtualClock()),
         )
         return cls(owner, holder["provider"], holder["channel"])

@@ -154,8 +154,6 @@ class TestFigure7:
 
     def test_two_party_model_validation(self):
         with pytest.raises(ConfigurationError):
-            TwoPartyCostModel(rtt=-1)
-        with pytest.raises(ConfigurationError):
             TwoPartyCostModel().query_time(0, 100)
 
 

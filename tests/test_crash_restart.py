@@ -31,7 +31,11 @@ from repro.faults import (
 )
 from repro.net import NetworkClient, PirServer, ServerThread
 from repro.service import protocol
-from repro.service.frontend import SESSION_RANDOM, QueryFrontend
+from repro.service.frontend import (
+    SESSION_RANDOM,
+    QueryFrontend,
+    SealedReplyCache,
+)
 from repro.storage.disk import DiskStore
 from repro.storage.filedisk import FileDiskStore
 
@@ -70,7 +74,7 @@ class TestCrashRestartOverNetwork:
             disk_factory=file_disk_factory(str(tmp_path / "pages.bin")),
         )
         frontend = QueryFrontend(db, session_id_mode=SESSION_RANDOM,
-                                 reply_cache_path=cache_path)
+                                 reply_cache=SealedReplyCache(path=cache_path))
         thread = ServerThread(PirServer(frontend)).start()
         port = thread.port
         client = NetworkClient(thread.host, port,
@@ -122,8 +126,10 @@ class TestCrashRestartOverNetwork:
         # ...and the pre-crash acknowledged insert is intact.
         assert restored.query(new_id) == b"ack me once"
 
-        frontend2 = QueryFrontend(restored, session_id_mode=SESSION_RANDOM,
-                                  reply_cache_path=cache_path)
+        frontend2 = QueryFrontend(
+            restored, session_id_mode=SESSION_RANDOM,
+            reply_cache=SealedReplyCache(path=cache_path),
+        )
         server2 = PirServer(frontend2, port=port, adopt_sessions=True)
         with ServerThread(server2):
             applied_before = restored.engine.request_count

@@ -118,7 +118,6 @@ class TestLoopbackOperations:
         frontend = QueryFrontend(db)  # sequential mode
         with pytest.raises(ConfigurationError, match="sequential"):
             PirServer(frontend)
-        PirServer(frontend, allow_sequential_sessions=True)  # escape hatch
         db.close()
 
     def test_refusals_surface_server_error_classes(self):

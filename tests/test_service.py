@@ -261,7 +261,7 @@ class TestSealedReplyCache:
     def test_frontend_cache_stays_bounded_under_load(self):
         frontend = QueryFrontend(
             make_db(num_records=40, reserve_fraction=0.2, seed=511),
-            reply_cache_size=4,
+            reply_cache=SealedReplyCache(4),
         )
         session = frontend.open_session()
         suite = frontend.session_suite(session)

@@ -11,8 +11,12 @@ thread, and a kill lands between two loop steps, never inside a serve.
 
 from __future__ import annotations
 
+import asyncio
 import contextlib
+import gc
+import sys
 import threading
+import warnings
 
 import pytest
 
@@ -329,6 +333,51 @@ class TestDedupeGate:
                 "requests.duplicate_lagged") == 0
             sock.close()
             client.close()
+
+
+class TestKillClosesTheLoop:
+    def test_a_kill_mid_exchange_leaves_no_task_or_transport(self, tmp_path):
+        """A killed member's loop ends the way ``asyncio.run`` ends one: a
+        stream cancelled while it waits for an ack unwinds fully, and the
+        transports closed on the way finish closing, before the loop
+        closes — so nothing is left for the collector to report.  (How
+        many loop turns the unwinding takes varies with the order the
+        kill cancels the tasks in, so the drill runs eight times.)"""
+        gc.collect()
+        with mesh(tmp_path, wait_timeout=30.0) as (handles, registry):
+            origin, peer = handles
+            for write in range(8):
+                if write:
+                    origin.restart()
+                # No dial is in flight when the kill lands (a connection
+                # accepted in the kill's own loop turn is not this drill).
+                assert wait_until(lambda: all(
+                    handle.repl_log.connected_peers() for handle in handles))
+                entered, release = held_applies(peer)
+                loop = origin.thread._loop
+                origin.db.update(3, b"emitted %d" % write)
+                # The record reached the peer's engine: the origin's
+                # stream waits inside ``exchange`` for its ack.
+                assert entered.wait(timeout=30)
+                unraisable = []
+                hook = sys.unraisablehook
+                sys.unraisablehook = unraisable.append
+                try:
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        origin.kill()
+                        release.set()
+                        assert loop.is_closed()
+                        assert asyncio.all_tasks(loop) == set()
+                        # Every socket the loop's transports held is shut.
+                        assert [transport.get_extra_info("socket").fileno()
+                                for transport in loop._transports.values()
+                                ] == [-1] * len(loop._transports)
+                        gc.collect()
+                finally:
+                    sys.unraisablehook = hook
+                assert [str(w.message) for w in caught] == []
+                assert [str(u.exc_value) for u in unraisable] == []
 
 
 class TestKillCannotSplitAServe:

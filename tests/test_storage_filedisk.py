@@ -193,9 +193,6 @@ class TestPirDatabaseOnFileDisk:
             page_capacity=16, seed=3, disk_factory=factory,
             rollback_protection=rollback_protection,
             hot_tier_frames=hot_tier_frames,
-            hot_tier_journal=(
-                str(tmp_path / "tier.journal") if hot_tier_frames else None
-            ),
         )
         db.update(3, b"durable")
         flushes.clear()
