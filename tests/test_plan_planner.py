@@ -24,6 +24,7 @@ from repro.core.params import (
 from repro.errors import ConfigurationError, PlanInfeasibleError
 from repro.hardware.specs import IBM_4764, HardwareSpec
 from repro.plan import CalibratedCostModel, PlanTarget, plan, verify_plan
+from repro.plan.planner import LATENCY_HEADROOM, UTILIZATION
 from repro.plan.model import OTHER_PHASE, PHASE_NAMES, frame_size_for
 
 
@@ -211,6 +212,27 @@ class TestDerivedBudgets:
         assert built.capacity_qps >= 200.0
         assert "batch_window" not in built.as_dict()
         assert "hot_tier_frames" not in built.as_dict()
+
+    def test_budgets_use_the_fixed_headroom_and_duty_cycle(self):
+        built = plan(_target(qps=200.0))
+        seconds = built.predicted_query_seconds
+        assert seconds <= LATENCY_HEADROOM * built.target.p99_seconds
+        assert built.shard_count == math.ceil(200.0 * seconds / UTILIZATION)
+        assert built.admission_rate == pytest.approx(
+            built.shard_count * UTILIZATION / seconds
+        )
+
+    def test_latency_budget_is_the_headroom_share_of_p99(self):
+        # Room for k = 1's state, so latency is the only bound in play.
+        roomy = HardwareSpec(secure_memory=10**10)
+        floor = CalibratedCostModel.from_spec(roomy, 1000).query_time(1)
+        built = plan(_target(p99_seconds=floor / LATENCY_HEADROOM * 1.001),
+                     spec=roomy)
+        assert built.block_size == 1
+        with pytest.raises(PlanInfeasibleError) as info:
+            plan(_target(p99_seconds=floor / LATENCY_HEADROOM * 0.999),
+                 spec=roomy)
+        assert info.value.constraint == "latency"
 
     def test_as_dict_is_json_serializable(self):
         built = plan(_target())
