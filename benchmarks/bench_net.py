@@ -41,7 +41,7 @@ from repro.net import (
     ServerThread,
     TokenBucket,
 )
-from repro.service.frontend import SESSION_RANDOM, QueryFrontend
+from repro.service.frontend import QueryFrontend
 
 #: Pinned workload shape — change it and the expected rows in
 #: tests/test_perf_gate.py together.
@@ -70,8 +70,7 @@ class _Deployment:
             cipher_backend="shake",
             trace_enabled=False,
         )
-        self.frontend = QueryFrontend(self.db,
-                                      session_id_mode=SESSION_RANDOM)
+        self.frontend = QueryFrontend(self.db)
         self.server = PirServer(self.frontend, admission=admission)
         self.handle = ServerThread(self.server)
 

@@ -387,7 +387,7 @@ def _serve_database(args: argparse.Namespace, lead: str, detail: str,
 
     from .net import AdmissionController, PirServer, ServerThread
     from .obs import MetricsRegistry
-    from .service.frontend import SESSION_RANDOM, QueryFrontend
+    from .service.frontend import QueryFrontend
 
     registry = MetricsRegistry()
     db = PirDatabase.create(
@@ -402,7 +402,6 @@ def _serve_database(args: argparse.Namespace, lead: str, detail: str,
     frontend = QueryFrontend(
         db,
         metrics=registry,
-        session_id_mode=SESSION_RANDOM,
         session_ttl=args.session_ttl,
         time_source=_time.monotonic,
         **frontend_kw,

@@ -35,10 +35,9 @@ from .replication import ReplicationApplier, ReplicationLog
 from ..core.database import PER_MEMBER_WIRING, SHARED_WIRING, PirDatabase
 from ..core.snapshot import bootstrap_replica, load_snapshot
 from ..errors import ConfigurationError
-from ..net.admission import AdmissionController
 from ..net.server import PirServer, ServerThread
 from ..obs.registry import registry_or_private
-from ..service.frontend import SESSION_RANDOM, QueryFrontend, SealedReplyCache
+from ..service.frontend import QueryFrontend, SealedReplyCache
 
 __all__ = ["BackendHandle", "build_cluster", "connect_replication"]
 
@@ -53,17 +52,12 @@ class BackendHandle:
     """
 
     def __init__(self, db: PirDatabase, frontend: QueryFrontend,
-                 host: str = "127.0.0.1", port: int = 0,
-                 admission: Optional[AdmissionController] = None,
                  metrics=None):
         self.db = db
         self.frontend = frontend
-        self.admission = admission
         self.metrics = metrics
-        self.server = PirServer(
-            frontend, host=host, port=port, admission=admission,
-            adopt_sessions=True, metrics=metrics,
-        )
+        self.server = PirServer(frontend, adopt_sessions=True,
+                                metrics=metrics)
         self.thread: Optional[ServerThread] = None
         # Sealed write replication (see connect_replication): the log and
         # applier belong to the *engine* side and survive kill/restart,
@@ -149,8 +143,7 @@ class BackendHandle:
             raise ConfigurationError("backend still running; kill it first")
         self.server = PirServer(
             self.frontend, host=self.server.host, port=self.server.port,
-            admission=self.admission, adopt_sessions=True,
-            metrics=self.metrics,
+            adopt_sessions=True, metrics=self.metrics,
         )
         if self.repl_log is not None and self.repl_applier is not None:
             # Same log + applier: the restarted member resumes emitting
@@ -178,10 +171,7 @@ def build_cluster(
     snapshot_dir: str,
     cache_capacity: int = 8,
     seed: int = 1,
-    host: str = "127.0.0.1",
     metrics=None,
-    reply_cache: Optional[SealedReplyCache] = None,
-    session_ttl: Optional[float] = None,
     **create_kw,
 ) -> List[BackendHandle]:
     """Stand up a primary plus ``replicas - 1`` read replicas, unstarted.
@@ -236,8 +226,7 @@ def build_cluster(
             databases.append(load_snapshot(
                 directory, seed=seed + index,
                 metrics=metrics.labelled(member=index), **restore_kw))
-    shared_cache = (reply_cache if reply_cache is not None
-                    else SealedReplyCache())
+    shared_cache = SealedReplyCache()
     handles = []
     for index, db in enumerate(databases):
         # Distinct salt per member: session ids come from the database's
@@ -247,12 +236,10 @@ def build_cluster(
         # a caller bootstraps members with identical seeds.
         member_metrics = metrics.labelled(member=index)
         frontend = QueryFrontend(
-            db, metrics=member_metrics, session_id_mode=SESSION_RANDOM,
-            session_ttl=session_ttl, reply_cache=shared_cache,
+            db, metrics=member_metrics, reply_cache=shared_cache,
             session_salt=f"member-{index}",
         )
-        handles.append(BackendHandle(db, frontend, host=host,
-                                     metrics=member_metrics))
+        handles.append(BackendHandle(db, frontend, metrics=member_metrics))
     return handles
 
 

@@ -57,10 +57,12 @@ per-origin arrival order; concurrent inserts on *different* members can
 collide on the deterministically chosen free page id, so deployments
 keep a single writer per page (the drills write disjoint pages).
 
-The backlog is bounded by :meth:`ReplicationLog.compact`: once a snapshot
+:meth:`ReplicationLog.compact` can bound the backlog: once a snapshot
 covers a prefix of the stream (every peer either acked it or can be
 re-imaged from the snapshot), the covered records are dropped from memory
 and the durable ``repl-*.log`` file is atomically rewritten without them.
+Nothing calls it outside the tests yet, so a deployment's backlog, in
+memory and in its ``repl-*.log``, grows with every request.
 A peer that later asks for a compacted sequence gets a
 :class:`~repro.errors.StorageError` instead of silent divergence — the
 signal that it must bootstrap from the snapshot, not the stream.  The

@@ -66,6 +66,10 @@ from ..service import protocol
 __all__ = ["ClusterRouter", "RouterThread"]
 
 
+#: Seconds a failover candidate gets to catch up to a session's
+#: read-your-writes watermark before the router tries another.
+RYW_TIMEOUT = 5.0
+
 #: One live router→backend connection carrying one pinned session.
 _Upstream = collections.namedtuple("_Upstream", "address reader writer")
 
@@ -100,7 +104,6 @@ class ClusterRouter(EnvelopeServer):
         readmit_after: int = 2,
         connect_timeout: float = 2.0,
         backend_timeout: float = 30.0,
-        ryw_timeout: float = 5.0,
         metrics=None,
     ):
         if probe_interval <= 0 or probe_timeout <= 0:
@@ -109,15 +112,12 @@ class ClusterRouter(EnvelopeServer):
             raise ConfigurationError(
                 "connect/backend timeouts must be positive"
             )
-        if ryw_timeout <= 0:
-            raise ConfigurationError("ryw_timeout must be positive")
         metrics = registry_or_private(metrics)
         super().__init__(host, port, metrics.counter_view("cluster."))
         self.probe_interval = probe_interval
         self.probe_timeout = probe_timeout
         self.connect_timeout = connect_timeout
         self.backend_timeout = backend_timeout
-        self.ryw_timeout = ryw_timeout
         self.membership = ClusterMembership(
             backends, eject_after=eject_after, readmit_after=readmit_after,
             metrics=metrics,
@@ -271,7 +271,7 @@ class ClusterRouter(EnvelopeServer):
         read-your-writes watermark: a replica may only adopt once it has
         applied every origin's replication stream past the session's last
         acknowledged write (:meth:`_backend_caught_up`).  The router
-        waits up to ``ryw_timeout`` per candidate, then tries another.
+        waits up to :data:`RYW_TIMEOUT` per candidate, then tries another.
         """
         lock = self._adoption_locks.setdefault(session_id, asyncio.Lock())
         async with lock:
@@ -334,12 +334,12 @@ class ClusterRouter(EnvelopeServer):
         the backends use for their catch-up handshake — the router sends
         and reads only plaintext metadata, never sealed record contents).
         Returns True once every origin's mark reaches the session's
-        watermark, False after ``ryw_timeout`` or on any transport or
+        watermark, False after :data:`RYW_TIMEOUT` or on any transport or
         protocol failure (a candidate without replication enabled answers
         with a refusal and is simply rejected).
         """
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.ryw_timeout
+        deadline = loop.time() + RYW_TIMEOUT
         writer = None
         try:
             reader, writer = await self._dial(state.address)

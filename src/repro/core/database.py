@@ -134,8 +134,8 @@ def _wire(
         AccessTrace(enabled=trace_enabled),
     )
     if tracer is not None:
-        # The factory signature predates the tracer; a wrapper assigns it
-        # through to the store that performs the I/O.
+        # The one way a store gets a tracer: stores are built without one,
+        # and a wrapper assigns it through to the store that does the I/O.
         disk.tracer = tracer
     if hot_tier_frames is not None:
         disk = TieredDiskStore(disk, hot_tier_frames, metrics=metrics)

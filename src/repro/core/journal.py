@@ -551,26 +551,14 @@ class FileJournal:
     which recovery discards as stale by its request index (or epoch).
     """
 
-    def __init__(
-        self,
-        path: str,
-        clock: Optional[VirtualClock] = None,
-        timing: Optional[DiskTimingModel] = None,
-        fsync: bool = True,
-    ):
+    def __init__(self, path: str, fsync: bool = True):
         if not path:
             raise ConfigurationError("journal path must be non-empty")
         self.path = path
-        self.clock = clock
-        self.timing = timing
         self.fsync = fsync
         self.writes = 0
         self._fd: Optional[int] = None
         self._closer: Optional[weakref.finalize] = None
-
-    def _charge(self, num_bytes: int) -> None:
-        if self.clock is not None and self.timing is not None:
-            self.clock.advance(self.timing.write_time(num_bytes))
 
     def _descriptor(self, create: bool) -> Optional[int]:
         """The slot file's descriptor, opened on first use; ``None`` when
@@ -605,7 +593,6 @@ class FileJournal:
             os.close(fd)
 
     def write(self, blob: bytes) -> None:
-        self._charge(len(blob))
         fd = self._descriptor(create=True)
         expected = _U64.size + len(blob)
         if os.pwritev(fd, (_U64.pack(len(blob)), blob), 0) != expected:
@@ -626,7 +613,6 @@ class FileJournal:
         return data[_U64.size:_U64.size + length] if length else None
 
     def clear(self) -> None:
-        self._charge(0)
         fd = self._descriptor(create=False)
         if fd is not None:
             os.pwrite(fd, bytes(_U64.size), 0)

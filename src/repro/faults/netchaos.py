@@ -111,10 +111,12 @@ class ChaosProxy(Listener):
             # only hide hangs.
             await asyncio.wait(pumps, return_when=asyncio.FIRST_COMPLETED)
         finally:
+            # Close before the await: a second cancellation (the loop's
+            # shutdown after a kill) may land on it and skip what follows.
+            upstream_writer.close()
             for pump in pumps:
                 pump.cancel()
             await asyncio.gather(*pumps, return_exceptions=True)
-            upstream_writer.close()
 
     async def _pump(self, reader, writer, site: str, peer_writer) -> None:
         """Forward frames reader→writer, consulting the injector per frame."""

@@ -35,6 +35,9 @@ __all__ = ["TokenBucket", "AdmissionController"]
 #: engine uses, so existing client retry loops honour it unchanged.
 SHED_CODE = "unavailable"
 
+#: The least retry-after a shed advertises (seconds).
+SHED_RETRY_HINT = 0.05
+
 
 class TokenBucket:
     """Classic token bucket: ``rate`` tokens/second, ``capacity`` burst.
@@ -100,11 +103,8 @@ class AdmissionController:
 
     One thread at a time, by rule rather than by lock: a controller (and
     its bucket) belongs to one :class:`~repro.net.server.PirServer`, which
-    calls it only from its loop thread.  ``BackendHandle.restart`` hands
-    the same controller to the next server only after the old loop has
-    stopped and its thread is joined — sequential use, not concurrent
-    use.  The gates are fixed when the controller is built; a different
-    rate is a new plan, deployed.
+    calls it only from its loop thread.  The gates are fixed when the
+    controller is built; a different rate is a new plan, deployed.
     """
 
     def __init__(
@@ -112,19 +112,15 @@ class AdmissionController:
         max_sessions: Optional[int] = None,
         max_queue_depth: Optional[int] = None,
         bucket: Optional[TokenBucket] = None,
-        retry_hint: float = 0.05,
         metrics=None,
     ):
         if max_sessions is not None and max_sessions <= 0:
             raise ConfigurationError("max_sessions must be positive")
         if max_queue_depth is not None and max_queue_depth <= 0:
             raise ConfigurationError("max_queue_depth must be positive")
-        if retry_hint < 0:
-            raise ConfigurationError("retry_hint must be non-negative")
         self.max_sessions = max_sessions
         self.max_queue_depth = max_queue_depth
         self.bucket = bucket
-        self.retry_hint = retry_hint
         self.counters = registry_or_private(metrics).counter_view("net.")
 
     def _shed(self, gate: str, reason: str,
@@ -132,7 +128,7 @@ class AdmissionController:
         self.counters.increment("shed")
         self.counters.increment(f"shed.{gate}")
         return protocol.Refused(reason, SHED_CODE,
-                                max(retry_after, self.retry_hint))
+                                max(retry_after, SHED_RETRY_HINT))
 
     def admit_session(self, active_sessions: int) -> Optional[protocol.Refused]:
         """Handshake gate: refuse when the session table is full."""
@@ -141,7 +137,7 @@ class AdmissionController:
             return self._shed(
                 "sessions",
                 f"session limit {self.max_sessions} reached",
-                self.retry_hint,
+                SHED_RETRY_HINT,
             )
         return None
 
@@ -157,7 +153,7 @@ class AdmissionController:
             return self._shed(
                 "queue",
                 f"request queue depth {self.max_queue_depth} reached",
-                self.retry_hint,
+                SHED_RETRY_HINT,
             )
         if self.bucket is not None and not self.bucket.try_acquire():
             return self._shed(

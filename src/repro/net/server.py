@@ -68,7 +68,7 @@ from ..errors import (
 from ..loopthread import LoopThread, LoopWaiters
 from ..obs.registry import registry_or_private
 from ..service import protocol
-from ..service.frontend import SESSION_SEQUENTIAL, QueryFrontend
+from ..service.frontend import QueryFrontend
 from ..service.health import classify
 
 __all__ = ["PirServer", "ServerThread"]
@@ -86,8 +86,7 @@ class PirServer(EnvelopeServer):
     — its ``max_queue_depth`` bounds the requests waiting for the serving
     lock — are shed with a retryable refusal, never silently dropped.
     ``workers`` is accepted only as 1: the engine serves one request at a
-    time on the server's loop thread.  A frontend that issues sequential
-    session ids is refused: they are guessable over the network.
+    time on the server's loop thread.
     """
 
     def __init__(
@@ -108,12 +107,6 @@ class PirServer(EnvelopeServer):
             )
         if reap_interval is not None and reap_interval <= 0:
             raise ConfigurationError("reap_interval must be positive")
-        if frontend.session_id_mode == SESSION_SEQUENTIAL:
-            raise ConfigurationError(
-                "refusing to serve sequential session ids over the network "
-                "(they are guessable and the id is the session secret); "
-                "use session_id_mode=SESSION_RANDOM"
-            )
         metrics = registry_or_private(metrics)
         super().__init__(host, port, metrics.counter_view("net."))
         self.frontend = frontend
@@ -347,6 +340,7 @@ class PirServer(EnvelopeServer):
         except Exception:
             # Never wedge the peer's stream: ack the unchanged mark so its
             # streamer backs off and retransmits.
+            self.counters.increment("repl.apply_errors")
             applied = applier.applied_for(record.origin)
         self._applies.wake()
         return applied
@@ -421,6 +415,7 @@ class PirServer(EnvelopeServer):
                 f"{type(exc).__name__}: {exc}", refusal.code, retry_after,
             ))
         except Exception as exc:  # never let the loop die silently
+            self.counters.increment("internal_errors")
             return NetRefused(request.request_id, protocol.Refused(
                 f"internal error: {exc}", "internal", -1.0,
             ))

@@ -155,7 +155,6 @@ class Tracer:
         self,
         enabled: bool = True,
         detail: str = DETAIL_PHASE,
-        clock: Optional[Callable[[], float]] = None,
         max_spans: int = 100_000,
     ):
         if detail not in _DETAILS:
@@ -168,7 +167,8 @@ class Tracer:
         self.detail = detail
         self.max_spans = max_spans
         self.spans: List[Span] = []
-        self._vclock = clock  # callable returning virtual seconds, or None
+        # Callable returning virtual seconds, or None (see bind_clock).
+        self._vclock: Optional[Callable[[], float]] = None
         self._stack: List[Span] = []
         self._totals: Dict[str, PhaseTotal] = {}
         self._next_index = 0

@@ -6,7 +6,9 @@ The host server relays opaque ciphertext blobs between clients and the
 coprocessor and observes only the disk trace plus message timing.
 
 Each connected client gets its own session keys (standing in for a TLS
-handshake), so clients cannot read each other's traffic either.
+handshake), so clients cannot read each other's traffic either.  Session
+ids are unguessable 64-bit draws from the database's seeded RNG tree, in
+process and over the network alike: the id is the key-agreement input.
 
 Degradation contract: every error surfaces to the client as a
 :class:`~repro.service.protocol.Refused` reply with a deterministic
@@ -47,7 +49,6 @@ from ..errors import (
 )
 from ..faults.retry import RetryPolicy, retry_call
 from ..obs.registry import MetricsRegistry, registry_or_private
-from ..sim.clock import VirtualClock
 from ..twoparty.channel import SimulatedChannel
 
 __all__ = [
@@ -55,21 +56,16 @@ __all__ = [
     "ServiceClient",
     "SealedReplyCache",
     "ClientOperationsMixin",
-    "SESSION_SEQUENTIAL",
     "SESSION_RANDOM",
     "SESSION_BACKEND",
     "session_master_key",
 ]
 
-#: How :meth:`QueryFrontend.open_session` assigns session ids.
-#: ``sequential`` is the legacy in-process behaviour (ids 1, 2, 3, ... —
-#: predictable, fine when the caller holding the frontend object *is* the
-#: trust boundary); ``random`` draws unguessable 64-bit tokens and is
-#: required for network-facing deployments, where a guessed session id
-#: lets an attacker derive the session key (see :func:`session_master_key`).
-SESSION_SEQUENTIAL = "sequential"
+#: How :meth:`QueryFrontend.open_session` assigns session ids, and the
+#: one value ``session_id_mode`` accepts: unguessable 64-bit tokens (a
+#: guessed id lets an attacker derive the session key; see
+#: :func:`session_master_key`).
 SESSION_RANDOM = "random"
-_SESSION_MODES = (SESSION_SEQUENTIAL, SESSION_RANDOM)
 
 #: Cipher backend used for per-session suites on both ends of the link.
 SESSION_BACKEND = "shake"
@@ -81,11 +77,14 @@ def session_master_key(session_id: int) -> bytes:
     Stands in for the key agreement of the SSL handshake: the server hands
     the client its session id over the (conceptually authenticated)
     handshake, and both ends expand it into identical encrypt/MAC keys.
-    With ``SESSION_RANDOM`` ids the id *is* the shared secret, which is why
-    network-facing sessions must never use guessable sequential ids.
+    The id *is* the shared secret, which is why ids are unguessable
+    random draws (:data:`SESSION_RANDOM`).
     """
     return b"client-session:" + session_id.to_bytes(8, "big")
 
+
+#: Replies a :class:`SealedReplyCache` keeps (beyond its pinned ones).
+REPLY_CACHE_SIZE = 256
 
 #: On-disk record header of a persistent reply-cache entry:
 #: u64 session id, u32 sealed-request length, u32 sealed-reply length,
@@ -98,9 +97,10 @@ class SealedReplyCache:
 
     Duplicate suppression for at-least-once delivery only ever needs the
     *recently* served transmissions (a network duplicate arrives close to
-    the original), so the cache holds the last ``capacity`` replies across
-    all sessions and evicts the least recently used beyond that — the old
-    unbounded per-session dict grew forever on long sessions.
+    the original), so the cache holds the last :data:`REPLY_CACHE_SIZE`
+    replies across all sessions and evicts the least recently used beyond
+    that — the old unbounded per-session dict grew forever on long
+    sessions.
 
     With ``path`` the cache is additionally *persistent*: every ``put``
     appends the entry to the file before the caller acknowledges the
@@ -119,17 +119,14 @@ class SealedReplyCache:
     and the retransmission may arrive before the original ack was ever
     seen — evicting it would re-execute an acknowledged mutation
     (double-apply).  Under churn this means the cache can temporarily
-    exceed ``capacity`` by up to one pinned entry per live session;
+    exceed its size by up to one pinned entry per live session;
     :meth:`drop_session` unpins when the session closes or is reaped.
 
     Thread-safe: cluster members in one process share a cache, each
     member using it from its own event-loop thread.
     """
 
-    def __init__(self, capacity: int = 256, path=None):
-        if capacity <= 0:
-            raise ProtocolError("reply cache capacity must be positive")
-        self.capacity = capacity
+    def __init__(self, path=None):
         self._entries: "OrderedDict[tuple, bytes]" = OrderedDict()
         # session id -> key of that session's most recent reply (pinned).
         self._latest: Dict[int, tuple] = {}
@@ -161,7 +158,7 @@ class SealedReplyCache:
         When every entry is pinned the cache overflows instead of
         evicting an un-acked reply.
         """
-        while len(self._entries) > self.capacity:
+        while len(self._entries) > REPLY_CACHE_SIZE:
             victim = None
             for key in self._entries:
                 if self._latest.get(key[0]) != key:
@@ -237,31 +234,31 @@ class QueryFrontend:
         self,
         database: PirDatabase,
         metrics=None,
-        session_id_mode: str = SESSION_SEQUENTIAL,
+        session_id_mode: str = SESSION_RANDOM,
         session_ttl: Optional[float] = None,
         time_source: Optional[Callable[[], float]] = None,
         reply_cache: Optional[SealedReplyCache] = None,
         session_salt: Optional[str] = None,
     ):
-        """``session_id_mode`` selects sequential (legacy, in-process) or
-        unguessable random session ids — network-facing frontends must use
-        :data:`SESSION_RANDOM`.  ``session_ttl`` enables idle-session
-        reaping: sessions unused for more than ``session_ttl`` seconds of
-        ``time_source`` time (default: the database's virtual clock; the
-        network server passes ``time.monotonic``) are eligible for
+        """Session ids are unguessable random draws; ``session_id_mode``
+        accepts only :data:`SESSION_RANDOM`.  ``session_ttl`` enables
+        idle-session reaping: sessions unused for more than
+        ``session_ttl`` seconds of ``time_source`` time (default: the
+        database's virtual clock; the network server passes
+        ``time.monotonic``) are eligible for
         :meth:`reap_idle_sessions`, which drops their key material and
         cached replies.
 
         ``reply_cache`` is the frontend's :class:`SealedReplyCache`; the
-        default is a private in-memory one of 256 replies.  Pass one to
-        share it across frontends (cluster replicas dedupe each other's
-        retransmissions) or to give it a ``path`` so acknowledged replies
-        survive a crash-restart.  The :class:`HealthMonitor` is the
+        default is a private in-memory one.  Pass one to share it across
+        frontends (cluster replicas dedupe each other's retransmissions)
+        or to give it a ``path`` so acknowledged replies survive a
+        crash-restart.  The :class:`HealthMonitor` is the
         frontend's own (``self.health``), counting into ``metrics``.
 
-        ``session_salt`` diversifies the :data:`SESSION_RANDOM` id
-        stream.  Session ids derive from the database's seeded RNG tree,
-        so two frontends over same-seed databases — exactly how cluster
+        ``session_salt`` diversifies the session id stream.  Session ids
+        derive from the database's seeded RNG tree, so two frontends over
+        same-seed databases — exactly how cluster
         members are deployed, since a shared seed is what makes their
         data identical — would otherwise issue the *same* id sequence.
         Colliding ids are fatal behind a router: the id doubles as the
@@ -270,15 +267,14 @@ class QueryFrontend:
         cluster member a distinct salt (``cluster serve-backend``
         generates one per process by default).
         """
-        if session_id_mode not in _SESSION_MODES:
+        if session_id_mode != SESSION_RANDOM:
             raise ProtocolError(
                 f"unknown session_id_mode {session_id_mode!r}; "
-                f"expected one of {_SESSION_MODES}"
+                f"expected {SESSION_RANDOM!r}"
             )
         if session_ttl is not None and session_ttl <= 0:
             raise ProtocolError("session_ttl must be positive (or None)")
         self.database = database
-        self.session_id_mode = session_id_mode
         self.session_ttl = session_ttl
         self._time_source = (
             time_source if time_source is not None
@@ -302,7 +298,6 @@ class QueryFrontend:
         # so long-lived sessions cannot grow it without limit.
         self._reply_cache = (reply_cache if reply_cache is not None
                              else SealedReplyCache())
-        self._next_session = 1
         metrics = registry_or_private(metrics)
         self.counters = metrics.counter_view("frontend.")
         self._batch_sizes = metrics.histogram(
@@ -321,20 +316,13 @@ class QueryFrontend:
         inside the boundary and (conceptually) shared with the client via
         the handshake.  :meth:`session_suite` hands the client its copy.
 
-        In :data:`SESSION_RANDOM` mode the id is an unguessable 64-bit
-        token (re-drawn on the astronomically unlikely collision); in
-        :data:`SESSION_SEQUENTIAL` mode ids count up from 1 as before.
+        The id is an unguessable 64-bit token (re-drawn on the
+        astronomically unlikely collision).
         """
         with self._session_lock:
-            if self.session_id_mode == SESSION_RANDOM:
-                session_id = 0
-                while session_id == 0 or session_id in self._sessions:
-                    session_id = int.from_bytes(
-                        self._session_rng.token(8), "big"
-                    )
-            else:
-                session_id = self._next_session
-                self._next_session += 1
+            session_id = 0
+            while session_id == 0 or session_id in self._sessions:
+                session_id = int.from_bytes(self._session_rng.token(8), "big")
             self._sessions[session_id] = CipherSuite(
                 session_master_key(session_id),
                 backend=SESSION_BACKEND,
@@ -805,9 +793,6 @@ class ServiceClient(ClientOperationsMixin):
     def __init__(
         self,
         frontend: QueryFrontend,
-        rtt: float = 0.02,
-        bandwidth: float = 10e6,
-        clock: Optional[VirtualClock] = None,
         retry: Optional[RetryPolicy] = None,
         channel_wrapper=None,
     ):
@@ -815,10 +800,10 @@ class ServiceClient(ClientOperationsMixin):
         self.session_id = frontend.open_session()
         self._suite = frontend.session_suite(self.session_id)
         self.channel = SimulatedChannel(
-            clock if clock is not None else frontend.database.clock,
+            frontend.database.clock,
             lambda blob: frontend.serve(self.session_id, blob),
-            rtt=rtt,
-            bandwidth=bandwidth,
+            rtt=0.02,
+            bandwidth=10e6,
         )
         if channel_wrapper is not None:
             self.channel = channel_wrapper(self.channel)

@@ -11,9 +11,9 @@ Two pieces:
 
 * :class:`HealthMonitor` is the frontend's state machine::
 
-      healthy ──(degrade_after consecutive faults)──▶ degraded
+      healthy ──(DEGRADE_AFTER consecutive faults)──▶ degraded
       degraded ──(success)──▶ healthy
-      degraded ──(fail_after consecutive faults)──▶ failed
+      degraded ──(FAIL_AFTER consecutive faults)──▶ failed
       any ──(fatal fault, e.g. RecoveryError)──▶ failed
       failed ──(mark_recovered(), operator/recovery action)──▶ healthy
 
@@ -144,11 +144,19 @@ def error_for_refusal(
     return klass(message)
 
 
+#: Consecutive faults that degrade a healthy service, and that fail it.
+DEGRADE_AFTER = 3
+FAIL_AFTER = 8
+#: Retry-after hint per fault in the current streak (seconds), and its cap.
+RETRY_HINT = 0.05
+MAX_HINT = 5.0
+
+
 class HealthMonitor:
     """Consecutive-fault health state machine (see module docstring).
 
-    ``retry_hint`` is the base retry-after suggestion; the advertised hint
-    grows linearly with the current fault streak, capped at ``max_hint``.
+    The advertised retry-after hint is :data:`RETRY_HINT` times the
+    current fault streak, capped at :data:`MAX_HINT`.
 
     ``registry`` (a :class:`~repro.obs.registry.MetricsRegistry`, private
     when None) exposes the live state as gauges: ``health.state`` (0
@@ -159,23 +167,8 @@ class HealthMonitor:
 
     _STATE_CODES = {HEALTHY: 0, DEGRADED: 1, FAILED: 2}
 
-    def __init__(
-        self,
-        degrade_after: int = 3,
-        fail_after: int = 8,
-        retry_hint: float = 0.05,
-        max_hint: float = 5.0,
-        counters: Optional[CounterView] = None,
-        registry=None,
-    ):
-        if degrade_after < 1 or fail_after < degrade_after:
-            raise ConfigurationError(
-                "need 1 <= degrade_after <= fail_after"
-            )
-        self.degrade_after = degrade_after
-        self.fail_after = fail_after
-        self.retry_hint = retry_hint
-        self.max_hint = max_hint
+    def __init__(self, counters: Optional[CounterView] = None,
+                 registry=None):
         registry = registry_or_private(registry)
         self.counters = (counters if counters is not None
                          else registry.counter_view())
@@ -196,7 +189,7 @@ class HealthMonitor:
     @property
     def retry_after(self) -> float:
         """Suggested client backoff given the current fault streak."""
-        return min(self.retry_hint * max(1, self._streak), self.max_hint)
+        return min(RETRY_HINT * max(1, self._streak), MAX_HINT)
 
     def check(self) -> None:
         """Admission control: raise instead of touching a failed engine."""
@@ -216,11 +209,11 @@ class HealthMonitor:
     def record_fault(self, fatal: bool = False) -> None:
         self._streak += 1
         self.counters.increment("health.faults")
-        if fatal or self._streak >= self.fail_after:
+        if fatal or self._streak >= FAIL_AFTER:
             if self.state != FAILED:
                 self.counters.increment("health.failed")
             self.state = FAILED
-        elif self.state == HEALTHY and self._streak >= self.degrade_after:
+        elif self.state == HEALTHY and self._streak >= DEGRADE_AFTER:
             self.state = DEGRADED
             self.counters.increment("health.degraded")
         self._publish()

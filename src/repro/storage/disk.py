@@ -91,7 +91,6 @@ class DiskStore(RangeAccess):
         timing: Optional[DiskTimingModel] = None,
         clock: Optional[VirtualClock] = None,
         trace: Optional[AccessTrace] = None,
-        tracer: Optional[Tracer] = None,
     ):
         if num_locations <= 0:
             raise StorageError("disk must have at least one location")
@@ -102,7 +101,7 @@ class DiskStore(RangeAccess):
         self.timing = timing if timing is not None else DiskTimingModel.instantaneous()
         self.clock = clock if clock is not None else VirtualClock()
         self.trace = trace if trace is not None else AccessTrace()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer: Tracer = NULL_TRACER  # _wire assigns the database's
         self._arena = self._new_arena()
         self._written = np.zeros(num_locations, bool)
         # Ordinal of the in-flight client request; set by the engine so the

@@ -31,7 +31,6 @@ from .disk import DiskStore
 from .timing import DiskTimingModel
 from .trace import AccessTrace
 from ..errors import ConfigurationError, StorageError
-from ..obs.tracer import Tracer
 from ..sim.clock import VirtualClock
 
 __all__ = ["FileDiskStore", "SYNC_ALWAYS", "SYNC_ON_FLUSH", "SYNC_NEVER"]
@@ -55,10 +54,8 @@ class FileDiskStore(DiskStore):
         clock: Optional[VirtualClock] = None,
         trace: Optional[AccessTrace] = None,
         sync_policy: str = SYNC_ON_FLUSH,
-        tracer: Optional[Tracer] = None,
     ):
-        super().__init__(num_locations, frame_size, timing, clock, trace,
-                         tracer)
+        super().__init__(num_locations, frame_size, timing, clock, trace)
         if sync_policy not in _SYNC_POLICIES:
             raise ConfigurationError(
                 f"unknown sync_policy {sync_policy!r}; "

@@ -28,17 +28,10 @@ class ServiceProvider:
         num_locations: int,
         frame_size: int,
         clock: VirtualClock,
-        timing: DiskTimingModel = DiskTimingModel(),
-        trace_enabled: bool = True,
     ):
         self.frame_size = frame_size
-        self.disk = DiskStore(
-            num_locations=num_locations,
-            frame_size=frame_size,
-            timing=timing,
-            clock=clock,
-            trace=AccessTrace(enabled=trace_enabled),
-        )
+        self.disk = DiskStore(num_locations, frame_size,
+                              timing=DiskTimingModel(), clock=clock)
 
     @property
     def trace(self) -> AccessTrace:

@@ -1,32 +1,17 @@
 """Workload generators: request streams and mixed operation streams."""
 
-from .traces import load_trace, queries_as_operations, replay_trace, save_trace
 from .generators import (
-    WORKLOAD_PRESETS,
     Operation,
     ZipfSampler,
-    preset_stream,
-    hotspot_stream,
-    markov_stream,
     operation_stream,
-    sequential_stream,
     uniform_stream,
     zipf_stream,
 )
 
 __all__ = [
-    "load_trace",
-    "queries_as_operations",
-    "replay_trace",
-    "save_trace",
-    "WORKLOAD_PRESETS",
     "Operation",
     "ZipfSampler",
-    "preset_stream",
-    "hotspot_stream",
-    "markov_stream",
     "operation_stream",
-    "sequential_stream",
     "uniform_stream",
     "zipf_stream",
 ]

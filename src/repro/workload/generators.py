@@ -4,15 +4,14 @@ The paper's evaluation is workload-agnostic (the scheme's cost is constant
 per request), but the *privacy* argument matters most under skew: with
 plain encryption, popularity leaks ("if the server has knowledge of the
 access patterns of the database records ... it can extract some information",
-§1).  These generators produce the uniform, skewed (Zipf), scanning, and
-locality-heavy streams the benchmarks and adversary experiments use, plus
-mixed read/write operation streams for the §4.3 update experiments.
+§1).  These generators produce the uniform and skewed (Zipf) streams the
+benchmarks and adversary experiments use, plus mixed read/write operation
+streams for the §4.3 update experiments.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -23,13 +22,8 @@ __all__ = [
     "uniform_stream",
     "ZipfSampler",
     "zipf_stream",
-    "sequential_stream",
-    "hotspot_stream",
-    "markov_stream",
     "Operation",
     "operation_stream",
-    "preset_stream",
-    "WORKLOAD_PRESETS",
 ]
 
 
@@ -87,58 +81,6 @@ def zipf_stream(
     return [sampler.sample(rng) for _ in range(count)]
 
 
-def sequential_stream(num_pages: int, count: int, start: int = 0) -> List[int]:
-    """A scan: start, start+1, ... wrapping around — the index-traversal shape."""
-    _check(num_pages, count)
-    return [(start + i) % num_pages for i in range(count)]
-
-
-def hotspot_stream(
-    num_pages: int,
-    count: int,
-    rng: SecureRandom,
-    hot_fraction: float = 0.1,
-    hot_probability: float = 0.9,
-) -> List[int]:
-    """The classic h/p workload: ``hot_probability`` of requests hit the
-    first ``hot_fraction`` of the id space."""
-    _check(num_pages, count)
-    if not 0 < hot_fraction <= 1 or not 0 <= hot_probability <= 1:
-        raise ConfigurationError("hotspot parameters out of range")
-    hot_pages = max(1, math.floor(num_pages * hot_fraction))
-    stream: List[int] = []
-    for _ in range(count):
-        if rng.random() < hot_probability:
-            stream.append(rng.randrange(hot_pages))
-        else:
-            stream.append(hot_pages + rng.randrange(max(1, num_pages - hot_pages)))
-    return stream
-
-
-def markov_stream(
-    num_pages: int,
-    count: int,
-    rng: SecureRandom,
-    locality: float = 0.7,
-    window: int = 4,
-) -> List[int]:
-    """Temporally local stream: with prob ``locality`` the next request stays
-    within ``window`` pages of the previous one (spatial-index behaviour)."""
-    _check(num_pages, count)
-    if not 0 <= locality <= 1 or window < 1:
-        raise ConfigurationError("markov parameters out of range")
-    stream: List[int] = []
-    current = rng.randrange(num_pages)
-    for _ in range(count):
-        if stream and rng.random() < locality:
-            step = rng.randint(-window, window)
-            current = (current + step) % num_pages
-        else:
-            current = rng.randrange(num_pages)
-        stream.append(current)
-    return stream
-
-
 # ---------------------------------------------------------------------------
 # Mixed operation streams for the §4.3 update experiments
 # ---------------------------------------------------------------------------
@@ -155,30 +97,6 @@ class Operation:
     def __post_init__(self) -> None:
         if self.kind not in ("query", "update", "insert", "delete"):
             raise ConfigurationError(f"unknown operation kind {self.kind!r}")
-
-
-#: YCSB-style preset mixes: (query, update, insert, delete) probabilities.
-WORKLOAD_PRESETS = {
-    "A": (0.5, 0.5, 0.0, 0.0),    # update-heavy
-    "B": (0.95, 0.05, 0.0, 0.0),  # read-mostly
-    "C": (1.0, 0.0, 0.0, 0.0),    # read-only
-    "D": (0.9, 0.0, 0.1, 0.0),    # read-latest-ish (reads + inserts)
-    "E": (0.7, 0.1, 0.1, 0.1),    # churny mixed
-}
-
-
-def preset_stream(
-    name: str, num_pages: int, count: int, rng: SecureRandom,
-    payload_size: int = 8,
-) -> List["Operation"]:
-    """An operation stream following a named YCSB-style preset mix."""
-    if name not in WORKLOAD_PRESETS:
-        raise ConfigurationError(
-            f"unknown preset {name!r}; choose from {sorted(WORKLOAD_PRESETS)}"
-        )
-    return operation_stream(num_pages, count, rng,
-                            mix=WORKLOAD_PRESETS[name],
-                            payload_size=payload_size)
 
 
 def operation_stream(

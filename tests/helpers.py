@@ -90,12 +90,11 @@ def front_door(kind, tmp_path, metrics=None):
     backends (``"router"``), over the ``make_records(40, 16)`` database."""
     from repro.cluster import ClusterRouter, RouterThread, build_cluster
     from repro.net import PirServer, ServerThread
-    from repro.service.frontend import SESSION_RANDOM, QueryFrontend
+    from repro.service.frontend import QueryFrontend
 
     if kind == "server":
         db = make_db(metrics=metrics)
-        frontend = QueryFrontend(db, metrics=metrics,
-                                 session_id_mode=SESSION_RANDOM)
+        frontend = QueryFrontend(db, metrics=metrics)
         server = PirServer(frontend, metrics=metrics)
         try:
             with ServerThread(server) as handle:

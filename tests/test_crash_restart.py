@@ -31,11 +31,7 @@ from repro.faults import (
 )
 from repro.net import NetworkClient, PirServer, ServerThread
 from repro.service import protocol
-from repro.service.frontend import (
-    SESSION_RANDOM,
-    QueryFrontend,
-    SealedReplyCache,
-)
+from repro.service.frontend import QueryFrontend, SealedReplyCache
 from repro.storage.disk import DiskStore
 from repro.storage.filedisk import FileDiskStore
 
@@ -73,8 +69,8 @@ class TestCrashRestartOverNetwork:
             journal=FileJournal(journal_path),
             disk_factory=file_disk_factory(str(tmp_path / "pages.bin")),
         )
-        frontend = QueryFrontend(db, session_id_mode=SESSION_RANDOM,
-                                 reply_cache=SealedReplyCache(path=cache_path))
+        frontend = QueryFrontend(
+            db, reply_cache=SealedReplyCache(path=cache_path))
         thread = ServerThread(PirServer(frontend)).start()
         port = thread.port
         client = NetworkClient(thread.host, port,
@@ -127,9 +123,7 @@ class TestCrashRestartOverNetwork:
         assert restored.query(new_id) == b"ack me once"
 
         frontend2 = QueryFrontend(
-            restored, session_id_mode=SESSION_RANDOM,
-            reply_cache=SealedReplyCache(path=cache_path),
-        )
+            restored, reply_cache=SealedReplyCache(path=cache_path))
         server2 = PirServer(frontend2, port=port, adopt_sessions=True)
         with ServerThread(server2):
             applied_before = restored.engine.request_count
@@ -159,7 +153,7 @@ class TestCrashRestartOverNetwork:
 
         db = make_db(num_records=NUM_RECORDS, cache_capacity=6, seed=SEED,
                      journal=FileJournal(journal_path))
-        frontend = QueryFrontend(db, session_id_mode=SESSION_RANDOM)
+        frontend = QueryFrontend(db)
         thread = ServerThread(PirServer(frontend)).start()
         port = thread.port
         client = NetworkClient(thread.host, port,
@@ -172,7 +166,7 @@ class TestCrashRestartOverNetwork:
         restored = load_snapshot(snap_dir, seed=SEED + 2,
                                  journal=FileJournal(journal_path))
         assert restored.recover().action == "clean"
-        frontend2 = QueryFrontend(restored, session_id_mode=SESSION_RANDOM)
+        frontend2 = QueryFrontend(restored)
         server2 = PirServer(frontend2, port=port, adopt_sessions=True)
         with ServerThread(server2):
             client.update(2, b"after restart")
@@ -392,7 +386,7 @@ class TestKillIsAbrupt:
         (sessions, reply cache) stays as the crash left it."""
         db = make_db(num_records=16)
         try:
-            frontend = QueryFrontend(db, session_id_mode=SESSION_RANDOM)
+            frontend = QueryFrontend(db)
             thread = ServerThread(PirServer(frontend)).start()
             client = NetworkClient(thread.host, thread.port, timeout=5.0)
             client.query(1)
@@ -407,7 +401,7 @@ class TestKillIsAbrupt:
     def test_kill_twice_is_idempotent(self):
         db = make_db(num_records=16)
         try:
-            frontend = QueryFrontend(db, session_id_mode=SESSION_RANDOM)
+            frontend = QueryFrontend(db)
             thread = ServerThread(PirServer(frontend)).start()
             thread.kill()
             thread.kill()

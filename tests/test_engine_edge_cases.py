@@ -76,14 +76,19 @@ class TestSoak:
         """A few thousand requests over a mid-size database: the invariants
         and data stay intact and the trace never changes shape."""
         from repro.crypto.rng import SecureRandom
-        from repro.workload import preset_stream, replay_trace
+        from repro.workload import operation_stream
 
         db = make_db(num_records=256, cache_capacity=16, page_capacity=16,
                      reserve_fraction=0.2, cipher_backend="null",
                      seed=957)
         rng = SecureRandom(958)
-        stream = preset_stream("B", 256, 2500, rng)
-        replay_trace(db, stream)
+        # Read-mostly: 95 % queries, 5 % updates.
+        stream = operation_stream(256, 2500, rng, mix=(0.95, 0.05, 0, 0))
+        for op in stream:
+            if op.kind == "update":
+                db.update(op.page_id, op.payload)
+            else:
+                db.query(op.page_id)
         assert db.engine.request_count == 2500
         db.consistency_check()
         assert shapes_identical(db.trace, 0)

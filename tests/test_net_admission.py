@@ -3,7 +3,11 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net.admission import AdmissionController, TokenBucket
+from repro.net.admission import (
+    SHED_RETRY_HINT,
+    AdmissionController,
+    TokenBucket,
+)
 from repro.obs import MetricsRegistry
 
 
@@ -103,7 +107,7 @@ class TestAdmissionController:
     def test_rate_gate_uses_bucket_hint(self):
         clock = FakeTime()
         bucket = TokenBucket(rate=1.0, capacity=1.0, time_source=clock)
-        controller = AdmissionController(bucket=bucket, retry_hint=0.01)
+        controller = AdmissionController(bucket=bucket)
         assert controller.admit_request(0) is None
         refusal = controller.admit_request(0)
         assert refusal is not None
@@ -119,9 +123,13 @@ class TestAdmissionController:
         assert controller.counters.get("shed") == 0
 
     def test_retry_hint_floors_retry_after(self):
-        controller = AdmissionController(max_sessions=1, retry_hint=0.5)
-        refusal = controller.admit_session(1)
-        assert refusal.retry_after >= 0.5
+        clock = FakeTime()
+        # A bucket that refills within the floor: its own hint is 1 ms.
+        bucket = TokenBucket(rate=1000.0, capacity=1.0, time_source=clock)
+        controller = AdmissionController(max_sessions=1, bucket=bucket)
+        assert controller.admit_session(1).retry_after == SHED_RETRY_HINT
+        assert controller.admit_request(0) is None
+        assert controller.admit_request(0).retry_after == SHED_RETRY_HINT
 
     def test_counters_mirror_into_registry(self):
         registry = MetricsRegistry()
@@ -136,5 +144,3 @@ class TestAdmissionController:
             AdmissionController(max_sessions=0)
         with pytest.raises(ConfigurationError):
             AdmissionController(max_queue_depth=-1)
-        with pytest.raises(ConfigurationError):
-            AdmissionController(retry_hint=-0.1)

@@ -11,6 +11,9 @@ acknowledged operation is lost or double-applied.
 from __future__ import annotations
 
 import contextlib
+import gc
+import sys
+import warnings
 
 import pytest
 
@@ -30,7 +33,7 @@ from repro.faults import (
 )
 from repro.net import NetworkClient, PirServer, ServerThread
 from repro.obs import MetricsRegistry
-from repro.service.frontend import SESSION_RANDOM, QueryFrontend
+from repro.service.frontend import QueryFrontend
 
 RECORDS = make_records(40, 16)
 
@@ -44,8 +47,7 @@ def chaotic_serving(injector, fragment_bytes=None, client_kw=None,
     """client -> ChaosProxy -> PirServer over a fresh seeded database."""
     db = make_db(metrics=metrics) if metrics is not None else make_db()
     try:
-        frontend = QueryFrontend(db, metrics=metrics,
-                                 session_id_mode=SESSION_RANDOM)
+        frontend = QueryFrontend(db, metrics=metrics)
         with ServerThread(PirServer(frontend, metrics=metrics)) as server:
             proxy = ChaosProxy(server.host, server.port, injector,
                                fragment_bytes=fragment_bytes,
@@ -225,3 +227,43 @@ class TestProbeThroughChaos:
                     assert pong.sessions == 1  # the NetworkClient's
             finally:
                 sock.close()
+
+
+class TestProxyTeardown:
+    def test_a_kill_closes_the_upstream_writer(self):
+        """A kill cancels a live connection's handler, which then waits for
+        its pumps to unwind; the loop's shutdown cancels that wait a second
+        time.  The upstream connection must be closed all the same, or the
+        collector finds its transport open after the loop is gone.  (The
+        order the kill and the shutdown reach the tasks varies, so the
+        drill runs eight times.)"""
+        gc.collect()
+        db = make_db()
+        try:
+            frontend = QueryFrontend(db)
+            with ServerThread(PirServer(frontend)) as server:
+                for attempt in range(8):
+                    proxy = ChaosProxy(server.host, server.port,
+                                       FaultInjector(seed=attempt, plans=[]))
+                    chaos = ChaosProxyThread(proxy).start()
+                    client = NetworkClient(chaos.host, chaos.port,
+                                           timeout=5.0)
+                    assert client.query(1) == RECORDS[1]
+                    unraisable = []
+                    hook = sys.unraisablehook
+                    sys.unraisablehook = unraisable.append
+                    try:
+                        with warnings.catch_warnings(record=True) as caught:
+                            warnings.simplefilter("always")
+                            chaos.kill()
+                            with contextlib.suppress(TransientChannelError,
+                                                     NetTimeoutError):
+                                client.close()
+                            del proxy, chaos
+                            gc.collect()
+                    finally:
+                        sys.unraisablehook = hook
+                    assert [str(w.message) for w in caught] == []
+                    assert [str(u.exc_value) for u in unraisable] == []
+        finally:
+            db.close()

@@ -310,12 +310,12 @@ class TestFragmentedDelivery:
         from repro.baselines import make_records
         from repro.faults import ChaosProxy, ChaosProxyThread, FaultInjector
         from repro.net import NetworkClient, PirServer, ServerThread
-        from repro.service.frontend import SESSION_RANDOM, QueryFrontend
+        from repro.service.frontend import QueryFrontend
 
         records = make_records(16, 16)
         db = make_db(num_records=16)
         try:
-            frontend = QueryFrontend(db, session_id_mode=SESSION_RANDOM)
+            frontend = QueryFrontend(db)
             with ServerThread(PirServer(frontend)) as server:
                 proxy = ChaosProxy(server.host, server.port,
                                    FaultInjector(seed=3), fragment_bytes=3)
@@ -368,10 +368,10 @@ class TestServerRejectsGarbage:
     def _serve(self):
         from tests.helpers import make_db
         from repro.net import PirServer, ServerThread
-        from repro.service.frontend import SESSION_RANDOM, QueryFrontend
+        from repro.service.frontend import QueryFrontend
 
         db = make_db(num_records=16)
-        frontend = QueryFrontend(db, session_id_mode=SESSION_RANDOM)
+        frontend = QueryFrontend(db)
         return db, ServerThread(PirServer(frontend))
 
     def test_oversized_prefix_closes_connection(self):
@@ -433,10 +433,10 @@ class TestNonUtf8Origin:
         from tests.helpers import make_db
         from repro.baselines import make_records
         from repro.net import NetworkClient, PirServer, ServerThread
-        from repro.service.frontend import SESSION_RANDOM, QueryFrontend
+        from repro.service.frontend import QueryFrontend
 
         db = make_db(num_records=16)
-        frontend = QueryFrontend(db, session_id_mode=SESSION_RANDOM)
+        frontend = QueryFrontend(db)
         try:
             with caplog.at_level(logging.ERROR, logger="asyncio"), \
                     ServerThread(PirServer(frontend)) as handle:

@@ -29,11 +29,7 @@ from repro.net.endpoint import exchange_sock, open_sock
 from repro.net.framing import Ping, Pong, Reply, Request, Resume, Welcome
 from repro.obs import MetricsRegistry, Tracer
 from repro.service import protocol
-from repro.service.frontend import (
-    SESSION_RANDOM,
-    QueryFrontend,
-    SealedReplyCache,
-)
+from repro.service.frontend import QueryFrontend, SealedReplyCache
 
 
 @contextlib.contextmanager
@@ -50,8 +46,8 @@ def mesh(tmp_path, wait_timeout, tracers=(None, None)):
         for index, db in enumerate((primary, replica)):
             metrics = registry.labelled(member=index)
             frontend = QueryFrontend(
-                db, metrics=metrics, session_id_mode=SESSION_RANDOM,
-                reply_cache=cache, session_salt=f"member-{index}",
+                db, metrics=metrics, reply_cache=cache,
+                session_salt=f"member-{index}",
             )
             handles.append(BackendHandle(db, frontend, metrics=metrics))
             handles[-1].start()
@@ -335,6 +331,34 @@ class TestDedupeGate:
             client.close()
 
 
+class TestFailedApplyIsCounted:
+    def test_a_failed_apply_acks_the_old_mark_and_is_retried(self, tmp_path):
+        """An apply that raises is acked at the unchanged mark and counted
+        in ``net.repl.apply_errors``; the origin's stream retransmits and
+        the peer applies the record on the next try."""
+        with mesh(tmp_path, wait_timeout=30.0) as (handles, registry):
+            origin, peer = handles
+            apply = peer.repl_applier.apply
+            failures = []
+
+            def fails_once(*args):
+                if not failures:
+                    failures.append(args)
+                    raise RuntimeError("apply broke")
+                return apply(*args)
+
+            peer.repl_applier.apply = fails_once
+            origin.db.update(3, b"second try")
+            assert wait_until(
+                lambda: peer.repl_applier.applied_for(origin.spec.address)
+                >= origin.repl_log.last_seq)
+            assert len(failures) == 1
+            assert peer.db.query(3) == b"second try"
+            assert peer.server.counters.get("repl.apply_errors") == 1
+            counters = registry.snapshot()["counters"]
+            assert counters["net.repl.apply_errors"] == 1
+
+
 class TestKillClosesTheLoop:
     def test_a_kill_mid_exchange_leaves_no_task_or_transport(self, tmp_path):
         """A killed member's loop ends the way ``asyncio.run`` ends one: a
@@ -386,7 +410,7 @@ class TestKillCannotSplitAServe:
         the serve has cached its reply, so the retransmission after the
         restart is a dedupe: one insert, one page consumed."""
         db = make_db(reserve_fraction=0.25)
-        frontend = QueryFrontend(db, session_id_mode=SESSION_RANDOM)
+        frontend = QueryFrontend(db)
         handle = BackendHandle(db, frontend)
         entered, release = threading.Event(), threading.Event()
 
@@ -438,7 +462,7 @@ class TestKillCannotSplitAServe:
 class TestOneServingThread:
     def test_workers_other_than_one_are_refused(self):
         db = make_db()
-        frontend = QueryFrontend(db, session_id_mode=SESSION_RANDOM)
+        frontend = QueryFrontend(db)
         with pytest.raises(ConfigurationError, match="workers must be 1"):
             PirServer(frontend, workers=2)
         PirServer(frontend, workers=1)
@@ -446,7 +470,7 @@ class TestOneServingThread:
 
     def test_every_dispatch_runs_on_the_loop_thread(self):
         db = make_db()
-        frontend = QueryFrontend(db, session_id_mode=SESSION_RANDOM)
+        frontend = QueryFrontend(db)
         server = PirServer(frontend)
         dispatched_on = []
         server._serve_hook = lambda: dispatched_on.append(

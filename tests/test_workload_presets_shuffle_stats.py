@@ -1,43 +1,9 @@
-"""YCSB-style preset mixes + statistical tests of the oblivious shuffle."""
+"""Statistical tests of the oblivious shuffle."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro import PirDatabase
 from repro.analysis.stats import chi_square_test
-from repro.crypto.rng import SecureRandom
-from repro.errors import ConfigurationError
-from repro.workload import WORKLOAD_PRESETS, preset_stream, replay_trace
-
-from tests.helpers import make_db
-
-
-class TestPresets:
-    def test_presets_cover_ycsb_letters(self):
-        assert set(WORKLOAD_PRESETS) == {"A", "B", "C", "D", "E"}
-        for mix in WORKLOAD_PRESETS.values():
-            assert abs(sum(mix) - 1.0) < 1e-12
-
-    def test_preset_c_is_read_only(self):
-        stream = preset_stream("C", 30, 200, SecureRandom(1))
-        assert all(op.kind == "query" for op in stream)
-
-    def test_preset_a_update_heavy(self):
-        stream = preset_stream("A", 30, 1000, SecureRandom(2))
-        updates = sum(1 for op in stream if op.kind == "update")
-        assert 0.4 < updates / len(stream) < 0.6
-
-    def test_preset_runs_against_database(self):
-        db = make_db(num_records=30, reserve_fraction=0.3, seed=901)
-        stream = preset_stream("E", 30, 80, SecureRandom(3))
-        counters = replay_trace(db, stream)
-        assert counters.get("query") > 0
-        db.consistency_check()
-
-    def test_unknown_preset(self):
-        with pytest.raises(ConfigurationError):
-            preset_stream("Z", 10, 5, SecureRandom(1))
 
 
 def oblivious_position(seed, n=8):
