@@ -200,6 +200,24 @@ class TestJournalBackends:
         assert FileJournal(path).read() is None
         journal.clear()  # idempotent
 
+    def test_a_file_journal_costs_no_virtual_time(self, tmp_path):
+        """A host file journal pays real I/O, never the virtual clock: a
+        database journaling to a file keeps the virtual time of one
+        journaling to untimed NVRAM."""
+        from repro.hardware.specs import IBM_4764
+
+        elapsed = []
+        for journal in (FileJournal(str(tmp_path / "intent.jnl"),
+                                    fsync=False),
+                        MemoryJournal()):
+            db = build_db(journal=journal, spec=IBM_4764)
+            run_workload(db)
+            assert journal.writes == len(workload_ops())
+            elapsed.append(db.clock.now)
+            db.close()
+        assert elapsed[0] > 0.0
+        assert elapsed[0] == elapsed[1]
+
     def test_journaled_write_costs_virtual_time(self):
         from repro.sim.clock import VirtualClock
         from repro.storage.timing import DiskTimingModel

@@ -61,6 +61,44 @@ class TestSpanBasics:
             pass
         assert span.virtual_seconds == pytest.approx(7.0)
 
+    def test_a_new_tracer_keeps_no_virtual_time(self):
+        """Only bind_clock gives a tracer a clock: until then a span
+        charges no virtual time, however far a clock moves under it."""
+        clock = VirtualClock()
+        tracer = Tracer()
+        with tracer.span("unbound") as span:
+            clock.advance(2.0)
+        assert span.virtual_seconds == 0.0
+        tracer.bind_clock(clock)
+        with tracer.span("bound") as span:
+            clock.advance(2.0)
+        assert span.virtual_seconds == pytest.approx(2.0)
+
+    def test_bind_clock_none_unbinds(self):
+        clock = VirtualClock()
+        tracer = Tracer()
+        tracer.bind_clock(clock)
+        tracer.bind_clock(None)
+        with tracer.span("unbound") as span:
+            clock.advance(1.0)
+        assert span.virtual_seconds == 0.0
+
+    def test_a_database_binds_its_clock_to_its_tracer(self):
+        """A database hands its tracer its own virtual clock: a query's
+        request span lasts exactly the virtual time the query took."""
+        from repro.hardware.specs import IBM_4764
+
+        tracer = Tracer()
+        db = make_db(tracer, spec=IBM_4764)
+        before = db.clock.now
+        db.query(3)
+        elapsed = db.clock.now - before
+        assert elapsed > 0.0
+        request = tracer.spans[-1]
+        assert request.name == "request" and request.depth == 0
+        assert request.virtual_seconds == pytest.approx(elapsed)
+        db.close()
+
     def test_error_recorded_and_stack_unwound(self):
         tracer = Tracer()
         with pytest.raises(ValueError):
